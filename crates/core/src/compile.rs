@@ -324,24 +324,30 @@ pub(crate) fn bind_rows(
     })
 }
 
-/// Decode one shuffled input, preferring the copy-free column-batch path
-/// when the shuffle delivered binary extents and the reducer runs columnar.
+/// Decode one shuffled input. When the shuffle delivered binary extents
+/// the framing columns split off the batch copy-free
+/// ([`EventEncoding::decode_column_batch`]); columnar modes run on the
+/// batch, row modes gather its events once — rather than materializing
+/// dataset rows and then copying each payload out of them. Whatever that
+/// path refuses falls back to the row decode, which owns the errors.
 pub(crate) fn bind_reduce_input(
     exec_mode: ExecMode,
     binding: &InputBinding,
     input: &ReduceInput,
 ) -> Result<StreamData> {
     match input {
-        ReduceInput::Batch(batch) if matches!(exec_mode, ExecMode::Columnar | ExecMode::Fused) => {
+        ReduceInput::Batch(batch) => {
             match binding
                 .encoding
                 .decode_column_batch(batch.clone(), &binding.payload)
             {
-                Some(events) => Ok(StreamData::Batch(events)),
+                Some(events) if matches!(exec_mode, ExecMode::Columnar | ExecMode::Fused) => {
+                    Ok(StreamData::Batch(events))
+                }
+                Some(events) => Ok(StreamData::Rows(events.into_stream())),
                 None => bind_rows(exec_mode, binding, &input.to_rows()),
             }
         }
-        ReduceInput::Batch(_) => bind_rows(exec_mode, binding, &input.to_rows()),
         ReduceInput::Rows(rows) => bind_rows(exec_mode, binding, rows),
     }
 }
@@ -398,12 +404,12 @@ impl Reducer for DsmsReducer {
     }
 
     /// The binary-extent entry: when the shuffle delivers a decoded
-    /// [`relation::ColumnBatch`] and the reducer runs columnar, the
-    /// framing columns split off into lifetime vectors without a row
-    /// materialization or text re-parse in between
-    /// ([`EventEncoding::decode_column_batch`]). Anything the copy-free
-    /// path can't take — other exec modes, legacy row chunks, bad framing
-    /// — falls back to the row path with identical acceptance and errors.
+    /// [`relation::ColumnBatch`], the framing columns split off into
+    /// lifetime vectors without a row materialization or text re-parse in
+    /// between ([`EventEncoding::decode_column_batch`]); row modes then
+    /// gather events from the batch once. Anything the copy-free path
+    /// can't take — legacy row chunks, bad framing — falls back to the row
+    /// path with identical acceptance and errors.
     fn reduce_shuffled(
         &self,
         ctx: &ReducerContext,
@@ -420,5 +426,79 @@ impl Reducer for DsmsReducer {
             sources.insert(binding.source_name.clone(), data);
         }
         self.execute(ctx, sources)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use relation::schema::{ColumnType, Field};
+    use relation::{row, ColumnBatch};
+
+    const MODES: [ExecMode; 4] = [
+        ExecMode::Interpreted,
+        ExecMode::Compiled,
+        ExecMode::Columnar,
+        ExecMode::Fused,
+    ];
+
+    fn binding() -> InputBinding {
+        InputBinding {
+            source_name: "s".into(),
+            encoding: EventEncoding::Interval,
+            payload: Schema::new(vec![
+                Field::new("UserId", ColumnType::Str),
+                Field::new("N", ColumnType::Long),
+            ]),
+        }
+    }
+
+    fn shuffled(rows: &[Row]) -> ReduceInput {
+        let b = binding();
+        let schema = b.encoding.dataset_schema(&b.payload);
+        ReduceInput::Batch(ColumnBatch::from_rows(&schema, rows).unwrap())
+    }
+
+    /// A shuffled batch binds to the same events as the rows it encodes,
+    /// in every mode — row modes included, which now gather events from
+    /// the batch instead of going through dataset rows.
+    #[test]
+    fn shuffled_batch_binds_like_its_rows_in_every_mode() {
+        let rows: Vec<Row> = (0..30i64)
+            .map(|i| match i % 5 {
+                0 => Row::new(vec![
+                    relation::Value::Long(i),
+                    relation::Value::Long(i + 3),
+                    relation::Value::Null,
+                    relation::Value::Null,
+                ]),
+                _ => row![i, i + 3, format!("u{}", i % 4), i * 10],
+            })
+            .collect();
+        for mode in MODES {
+            let via_batch = bind_reduce_input(mode, &binding(), &shuffled(&rows)).unwrap();
+            let via_rows = bind_rows(mode, &binding(), &rows).unwrap();
+            assert_eq!(
+                matches!(via_batch, StreamData::Batch(_)),
+                matches!(via_rows, StreamData::Batch(_)),
+                "{mode:?}: layout follows the mode"
+            );
+            assert_eq!(via_batch.into_stream(), via_rows.into_stream(), "{mode:?}");
+        }
+    }
+
+    /// What the copy-free path refuses fails exactly as the row path does.
+    #[test]
+    fn bad_framing_keeps_the_row_paths_error() {
+        let empty_lifetime = vec![row![1i64, 4i64, "u", 0i64], row![5i64, 5i64, "u", 0i64]];
+        for mode in MODES {
+            let via_batch = bind_reduce_input(mode, &binding(), &shuffled(&empty_lifetime));
+            let via_rows = bind_rows(mode, &binding(), &empty_lifetime);
+            assert_eq!(
+                via_batch.err().map(|e| e.to_string()),
+                via_rows.err().map(|e| e.to_string()),
+                "{mode:?}"
+            );
+        }
     }
 }

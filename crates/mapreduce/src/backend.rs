@@ -2,9 +2,10 @@
 //!
 //! [`crate::cluster::Cluster`] owns everything that must be *shared* for
 //! byte-identity — input capture, mapped schemas, compiled partitioners,
-//! the deterministic shuffle merge/seal/spill, rebuild-on-corruption, and
-//! all-or-nothing publish. What it delegates, behind the [`Backend`] /
-//! [`StageExec`] trait pair, is the execution of the tasks themselves:
+//! the task bodies (which seal what they produce), the deterministic
+//! chunk placement/spill, rebuild-on-corruption, and all-or-nothing
+//! publish. What it delegates, behind the [`Backend`] / [`StageExec`]
+//! trait pair, is the execution of the tasks themselves:
 //!
 //! - [`ThreadBackend`] — the in-process thread pool the runtime grew up
 //!   on, frozen as the baseline. Tasks run under `catch_unwind` in the
@@ -15,14 +16,14 @@
 //!   re-execution, and preemptive attempt timeouts.
 //!
 //! Both backends consult the same pure [`crate::chaos::ChaosPlan`] and
-//! feed the same shared merge code, which is the determinism argument:
-//! whichever backend executes a task, the rows it contributes — and
-//! therefore every sealed chunk and published extent — are byte-identical
+//! run the same task bodies, which is the determinism argument:
+//! whichever backend executes a task, the sealed chunks and stored
+//! extents it contributes are byte-identical
 //! (`tests/prop_cluster_backend.rs` proves it under chaos).
 
 use crate::chaos::{self, FaultKind};
 use crate::cluster::{ClusterConfig, MapTaskOut, ShuffleSlot};
-use crate::dfs::Dataset;
+use crate::dfs::{Dataset, StoredExtent};
 use crate::error::{MrError, Result, TaskError, TaskPhase};
 use crate::job::{CompiledPartitioner, Stage};
 use pool::WorkerPool;
@@ -133,8 +134,13 @@ pub(crate) struct StageEnv<'a> {
     pub expected_sinks: usize,
 }
 
-/// One reduce partition's result: rows per sink, plus measured reduce time.
-pub(crate) type ReduceOut = (Vec<Vec<Row>>, Duration);
+/// One reduce partition's result: per sink, the rows and the stored form
+/// the task sealed them into, plus measured reduce and seal time.
+pub(crate) struct ReduceOut {
+    pub sinks: Vec<(Vec<Row>, StoredExtent)>,
+    pub reduce_time: Duration,
+    pub seal_time: Duration,
+}
 
 /// An execution backend: hands out a per-stage [`StageExec`].
 pub(crate) trait Backend: Send + Sync + std::fmt::Debug {
@@ -145,7 +151,7 @@ pub(crate) trait Backend: Send + Sync + std::fmt::Debug {
 }
 
 /// One stage's task executor. Map tasks may arrive in several waves
-/// (budgeted shuffles merge between waves); reduce runs once.
+/// (budgeted shuffles place chunks between waves); reduce runs once.
 pub(crate) trait StageExec<'e> {
     /// Run one wave of map tasks (`tasks[k]` is the `(input, extent)`
     /// pair of global task index `base + k`), returning per-task results

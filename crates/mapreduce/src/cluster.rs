@@ -2,7 +2,9 @@
 //! containment, integrity verification, and retry.
 //!
 //! The [`Cluster`] owns everything shared across execution backends —
-//! input capture, the deterministic shuffle merge/seal/spill, corruption
+//! input capture, the task bodies (each seals what it produces: map tasks
+//! their shuffle chunks, reduce tasks their sinks' stored extents), the
+//! deterministic placement and spill of sealed chunks, corruption
 //! rebuild, and all-or-nothing publish — and delegates task execution to
 //! a [`crate::backend::Backend`] (in-process threads by default, real
 //! worker OS processes via [`BackendKind::Processes`]).
@@ -25,9 +27,9 @@
 //!    [`MrError::TaskExhausted`] — naming stage, phase, partition, and
 //!    attempt count — when attempts run out.
 //!
-//! Because reducers are pure and the shuffle merge is order-deterministic,
-//! any schedule of contained faults that doesn't exhaust retries yields
-//! output byte-identical to a clean run (paper §III-C.1); the property
+//! Because tasks are pure and their chunks are placed in `(input, extent)`
+//! order, any schedule of contained faults that doesn't exhaust retries
+//! yields output byte-identical to a clean run (paper §III-C.1); the property
 //! tests in `tests/prop_chaos.rs` enforce exactly that. Stage outputs are
 //! only published to the DFS after every partition has succeeded, so
 //! partial results of failed attempts are never visible.
@@ -37,11 +39,12 @@ use crate::backend::{
     ThreadBackend,
 };
 use crate::chaos::{self, ChaosPlan, ExtentFrame, RetryPolicy};
-use crate::dfs::{Dataset, Dfs};
+use crate::dfs::{Dataset, Dfs, StoredExtent};
 use crate::error::{MrError, Result, TaskError};
-use crate::job::{CompiledPartitioner, MapperContext, ReduceInput, ReducerContext, Stage};
+use crate::job::{MapperContext, ReduceInput, ReducerContext, Stage};
 use crate::stats::{JobStats, StageStats};
 use pool::WorkerPool;
+use relation::column::ColumnBuilder;
 use relation::{codec, ColumnBatch, Row, Schema};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,12 +71,12 @@ pub struct ClusterConfig {
     /// framing/verification overhead (corruption then degrades to
     /// transient faults, since it would be undetectable).
     pub integrity: bool,
-    /// Shuffle memory budget. When set, map output merges in bounded
-    /// waves, shuffle slots seal into bounded binary chunks, and sealed
-    /// chunks beyond the budget spill to disk files — so a job whose
-    /// shuffle exceeds RAM still runs to completion, with byte-identical
-    /// output (spilling moves bytes, never changes them). `None` (the
-    /// default) keeps everything in memory, one chunk per slot.
+    /// Shuffle memory budget. When set, map tasks run in bounded waves
+    /// and seal bounded binary chunks, and sealed chunks beyond the budget
+    /// spill to disk files — so a job whose shuffle exceeds RAM still runs
+    /// to completion, with byte-identical output (spilling moves bytes,
+    /// never changes them). `None` (the default) keeps everything in
+    /// memory, one chunk per input extent and slot.
     pub memory_budget_bytes: Option<u64>,
     /// Directory for spill files. `None` uses `$TMPDIR/timr-spill`.
     /// Files are removed when their shuffle slot is dropped.
@@ -153,30 +156,43 @@ impl Default for Cluster {
     }
 }
 
-/// Output of one map task: per-reduce-partition sub-buckets for a single
-/// input extent, plus accounting.
+/// Output of one map task: the sealed chunks of a single input extent,
+/// per reduce partition, plus accounting.
 pub(crate) struct MapTaskOut {
-    pub(crate) sub: Vec<Vec<Row>>,
+    pub(crate) chunks: Vec<Vec<ChunkData>>,
     pub(crate) rows_in: u64,
     pub(crate) rows_out: u64,
     pub(crate) bytes: u64,
     pub(crate) bytes_saved: u64,
     pub(crate) text_bytes: u64,
+    pub(crate) seal_time: Duration,
 }
 
 /// Map-phase accounting carried alongside the shuffle chunks.
+#[derive(Default)]
 struct MapPhase {
     map_rows: u64,
     map_rows_out: u64,
     shuffle_bytes: u64,
     shuffle_bytes_saved: u64,
     shuffle_bytes_text: u64,
-    shuffle_bytes_binary: u64,
-    spill_extents: u64,
-    spill_bytes: u64,
+    placed: Placement,
     map_tasks: usize,
     map_time: Duration,
     shuffle_time: Duration,
+    seal_time: Duration,
+}
+
+/// Where the sealed chunks of one stage went: running totals of
+/// [`Cluster::place_chunk`].
+#[derive(Default)]
+struct Placement {
+    /// Binary chunk bytes held in memory (what the budget bounds).
+    mem_held: u64,
+    /// Binary chunk bytes placed, in memory or spilled.
+    binary_bytes: u64,
+    spill_extents: u64,
+    spill_bytes: u64,
 }
 
 /// Monotonic suffix keeping concurrent clusters' spill files distinct.
@@ -203,83 +219,175 @@ impl Drop for ShuffleChunk {
     }
 }
 
-/// Sealed chunk contents before placement (memory vs spill file).
-enum ChunkData {
+/// A chunk as its map task sealed it, before placement (memory vs spill
+/// file). This is also what crosses the process backend's socket.
+#[derive(Debug, PartialEq)]
+pub(crate) enum ChunkData {
     Extent(Vec<u8>),
     Rows(Vec<Row>),
 }
 
-/// Accumulates one (input, partition) slice of the shuffle and seals it
-/// into bounded chunks. Sealing is a pure function of the appended row
-/// sequence and `target`, so the merge and a corruption rebuild produce
-/// identical chunk boundaries — and, because the extent encoding is
-/// canonical, identical bytes.
-struct ChunkBuilder<'a> {
+impl ChunkData {
+    /// The in-memory shuffle chunk holding this data; row chunks are
+    /// framed here, before any injected corruption can touch them.
+    pub(crate) fn into_mem(self) -> ShuffleChunk {
+        match self {
+            ChunkData::Extent(bytes) => ShuffleChunk::Mem(bytes),
+            ChunkData::Rows(rows) => {
+                let frame = ExtentFrame::compute(&rows);
+                ShuffleChunk::Rows(rows, frame)
+            }
+        }
+    }
+}
+
+/// One partition's share of the extent a map task is scanning. The cells
+/// of each borrowed row go straight into typed column builders — no row is
+/// cloned and nothing is transposed later — and the open chunk seals into
+/// a framed binary extent once its row widths reach `target`, and when the
+/// extent ends. Chunk boundaries are therefore a pure function of
+/// `(input, extent, partition, target)`, and, the extent encoding being
+/// canonical, so are the bytes: a retry, a rebuild after corruption and a
+/// worker process all produce the same chunks.
+struct PartitionSealer<'a> {
     schema: &'a Schema,
     target: u64,
-    acc: Vec<Row>,
-    acc_bytes: u64,
+    /// Rows to size a chunk's column builders for: the partition's even
+    /// share of the extent.
+    capacity: usize,
+    builders: Vec<ColumnBuilder>,
+    /// Rows of the open chunk: what it falls back to shipping when one of
+    /// them does not inhabit the schema's types.
+    open: Vec<&'a Row>,
+    open_bytes: u64,
+    typed: bool,
+    sealed: Vec<ChunkData>,
+    seal_time: Duration,
 }
 
-impl<'a> ChunkBuilder<'a> {
-    fn new(schema: &'a Schema, target: u64) -> Self {
-        ChunkBuilder {
+impl<'a> PartitionSealer<'a> {
+    fn new(schema: &'a Schema, target: u64, capacity: usize) -> Self {
+        PartitionSealer {
             schema,
             target,
-            acc: Vec::new(),
-            acc_bytes: 0,
+            capacity,
+            builders: Vec::new(),
+            open: Vec::new(),
+            open_bytes: 0,
+            typed: true,
+            sealed: Vec::new(),
+            seal_time: Duration::ZERO,
         }
     }
 
-    /// Append one map task's rows; seals when the accumulator reaches the
-    /// chunk target. Empty appends are no-ops (they cannot move the
-    /// accumulator, so skipping them preserves determinism).
-    fn append(
-        &mut self,
-        rows: Vec<Row>,
-        sink: &mut dyn FnMut(ChunkData) -> Result<()>,
-    ) -> Result<()> {
-        if rows.is_empty() {
-            return Ok(());
+    fn push(&mut self, row: &'a Row, width: u64) {
+        if self.open.is_empty() {
+            self.builders = (self.schema.fields().iter())
+                .map(|f| ColumnBuilder::new(f, self.capacity))
+                .collect();
         }
-        for r in &rows {
-            self.acc_bytes += r.width() as u64;
+        self.open.push(row);
+        self.open_bytes += width;
+        if self.typed {
+            self.typed = row.len() == self.builders.len()
+                && (self.builders.iter_mut().zip(row.values())).all(|(b, v)| b.push(v).is_ok());
         }
-        if self.acc.is_empty() {
-            self.acc = rows;
+        if self.open_bytes >= self.target {
+            self.seal();
+        }
+    }
+
+    fn seal(&mut self) {
+        if self.open.is_empty() {
+            return;
+        }
+        let start = Instant::now();
+        let open = std::mem::take(&mut self.open);
+        let builders = std::mem::take(&mut self.builders);
+        let encoded = if self.typed {
+            let columns = builders.into_iter().map(ColumnBuilder::finish).collect();
+            ColumnBatch::new(self.schema.clone(), columns, open.len())
+                .to_extent_bytes()
+                .ok()
         } else {
-            self.acc.extend(rows);
-        }
-        if self.acc_bytes >= self.target {
-            self.seal(sink)?;
-        }
-        Ok(())
-    }
-
-    fn seal(&mut self, sink: &mut dyn FnMut(ChunkData) -> Result<()>) -> Result<()> {
-        if self.acc.is_empty() {
-            return Ok(());
-        }
-        let rows = std::mem::take(&mut self.acc);
-        self.acc_bytes = 0;
-        let data =
-            match ColumnBatch::from_rows(self.schema, &rows).and_then(|b| b.to_extent_bytes()) {
-                Ok(bytes) => ChunkData::Extent(bytes),
-                // Ill-typed rows cannot transpose; ship them as a legacy
-                // row chunk instead.
-                Err(_) => ChunkData::Rows(rows),
-            };
-        sink(data)
-    }
-
-    fn finish(mut self, sink: &mut dyn FnMut(ChunkData) -> Result<()>) -> Result<()> {
-        self.seal(sink)
+            None
+        };
+        self.sealed.push(match encoded {
+            Some(bytes) => ChunkData::Extent(bytes),
+            // Ill-typed rows cannot transpose; ship them as a legacy row
+            // chunk instead.
+            None => ChunkData::Rows(open.into_iter().cloned().collect()),
+        });
+        self.open_bytes = 0;
+        self.typed = true;
+        self.seal_time += start.elapsed();
     }
 }
 
-/// One reduce partition's shuffled inputs: per stage input, the sealed
-/// chunks produced by the deterministic merge — framed at seal time,
-/// before any injected corruption, so every fetch can verify them.
+/// One mapped extent, partitioned and sealed.
+struct SealedExtent {
+    /// `chunks[p]`: partition `p`'s sealed chunks, in row order.
+    chunks: Vec<Vec<ChunkData>>,
+    /// Sum of the kept rows' widths.
+    bytes: u64,
+    text_bytes: u64,
+    seal_time: Duration,
+}
+
+/// Partition one mapped extent of stage input `i` and seal each
+/// partition's rows into chunks. With `only`, rows of every other
+/// partition are dropped: a partition's chunks depend on its own rows
+/// alone, so the one kept comes out exactly as the full scan sealed it.
+fn seal_extent(
+    env: &StageEnv<'_>,
+    i: usize,
+    mapped: &[Row],
+    only: Option<usize>,
+) -> std::result::Result<SealedExtent, TaskError> {
+    let partitions = env.stage.partitions;
+    let partitioner = &env.assigners[i];
+    let measure_text = env.config.measure_text_shuffle;
+    let capacity = mapped.len() / partitions;
+    let mut sealers: Vec<PartitionSealer<'_>> = (0..partitions)
+        .map(|_| PartitionSealer::new(&env.mapped_schemas[i], env.chunk_target, capacity))
+        .collect();
+    let mut bytes = 0u64;
+    let mut text_bytes = 0u64;
+    let mut line = String::new();
+    for row in mapped {
+        let p = partitioner.assign(row, partitions)?;
+        if only.is_some_and(|keep| keep != p) {
+            continue;
+        }
+        let width = row.width() as u64;
+        bytes += width;
+        if measure_text {
+            line.clear();
+            codec::encode_row_into(row, &mut line);
+            text_bytes += line.len() as u64 + 1;
+        }
+        sealers[p].push(row, width);
+    }
+    let mut seal_time = Duration::ZERO;
+    let chunks = sealers
+        .into_iter()
+        .map(|mut sealer| {
+            sealer.seal();
+            seal_time += sealer.seal_time;
+            sealer.sealed
+        })
+        .collect();
+    Ok(SealedExtent {
+        chunks,
+        bytes,
+        text_bytes,
+        seal_time,
+    })
+}
+
+/// One reduce partition's shuffled inputs: per stage input, the chunks
+/// its map tasks sealed, in `(extent, chunk)` order — framed before any
+/// injected corruption, so every fetch can verify them.
 pub(crate) struct ShuffleSlot {
     pub(crate) inputs: Vec<Vec<ShuffleChunk>>,
 }
@@ -354,37 +462,24 @@ pub(crate) fn verify_slot(slot: &ShuffleSlot) -> Option<String> {
 
 /// Re-run the producing side of one reduce partition: rescan every
 /// (verified) input extent in the deterministic `(input, extent)` merge
-/// order, re-apply the stage mapper, keep the rows assigned to `p`, and
-/// re-seal with the same chunk target. Because the mapper and partitioner
-/// are pure and sealing is deterministic, the rebuilt chunks are
-/// byte-identical to the original merge — spilled chunks are rewritten in
-/// place — so re-execution *is* recovery (paper §III-C.1).
+/// order, re-apply the stage mapper, and seal the rows assigned to `p`
+/// with the very function the map tasks used ([`seal_extent`]). Because
+/// the mapper and partitioner are pure and sealing is deterministic, the
+/// rebuilt chunks are byte-identical to the ones the map tasks produced —
+/// spilled chunks are rewritten in place — so re-execution *is* recovery
+/// (paper §III-C.1).
 fn rebuild_slot(
     env: &StageEnv<'_>,
     p: usize,
     slot: &mut ShuffleSlot,
 ) -> std::result::Result<(), TaskError> {
-    let partitions = env.stage.partitions;
     for (i, dataset) in env.inputs.iter().enumerate() {
         let mut rebuilt: Vec<ChunkData> = Vec::new();
-        {
-            let mut sink = |data: ChunkData| {
-                rebuilt.push(data);
-                Ok(())
-            };
-            let mut builder = ChunkBuilder::new(&env.mapped_schemas[i], env.chunk_target);
-            for (e, extent) in dataset.partitions.iter().enumerate() {
-                dataset.verify_extent(e).map_err(read_error)?;
-                let mapped = apply_mapper(env.stage, env.dsms_pool, i, e, 0, extent)?;
-                let mut rows = Vec::new();
-                for row in mapped.iter() {
-                    if env.assigners[i].assign(row, partitions)? == p {
-                        rows.push(row.clone());
-                    }
-                }
-                builder.append(rows, &mut sink)?;
-            }
-            builder.finish(&mut sink)?;
+        for (e, extent) in dataset.partitions.iter().enumerate() {
+            dataset.verify_extent(e).map_err(read_error)?;
+            let mapped = apply_mapper(env.stage, env.dsms_pool, i, e, 0, extent)?;
+            let mut sealed = seal_extent(env, i, &mapped, Some(p))?;
+            rebuilt.append(&mut sealed.chunks[p]);
         }
         // Put the rebuilt contents back where the originals lived:
         // spilled chunks are rewritten in place, everything else lands in
@@ -401,17 +496,10 @@ fn rebuild_slot(
                 *bytes = enc.len() as u64;
                 continue;
             }
-            let new_chunk = match data {
-                ChunkData::Extent(enc) => ShuffleChunk::Mem(enc),
-                ChunkData::Rows(rows) => {
-                    let frame = ExtentFrame::compute(&rows);
-                    ShuffleChunk::Rows(rows, frame)
-                }
-            };
             if c < old.len() {
-                old[c] = new_chunk;
+                old[c] = data.into_mem();
             } else {
-                old.push(new_chunk);
+                old.push(data.into_mem());
             }
         }
         old.truncate(n);
@@ -505,45 +593,12 @@ fn apply_mapper<'a>(
     }
 }
 
-/// Scan one (already mapped) extent and split it into per-partition
-/// sub-buckets. Runs on the worker pool, one call per `(input, extent)`
-/// pair. `rows_in` is the raw extent size before map-side compute.
-fn map_extent(
-    rows_in: u64,
-    mapped: &[Row],
-    partitioner: &CompiledPartitioner,
-    partitions: usize,
-    measure_text: bool,
-) -> std::result::Result<MapTaskOut, TaskError> {
-    let mut sub: Vec<Vec<Row>> = (0..partitions).map(|_| Vec::new()).collect();
-    let mut bytes = 0u64;
-    let mut text_bytes = 0u64;
-    let mut line = String::new();
-    for row in mapped {
-        bytes += row.width() as u64;
-        if measure_text {
-            line.clear();
-            codec::encode_row_into(row, &mut line);
-            text_bytes += line.len() as u64 + 1;
-        }
-        let p = partitioner.assign(row, partitions)?;
-        sub[p].push(row.clone());
-    }
-    Ok(MapTaskOut {
-        sub,
-        rows_in,
-        rows_out: mapped.len() as u64,
-        bytes,
-        bytes_saved: 0,
-        text_bytes,
-    })
-}
-
 /// One map task attempt: scan input `i` extent `e`, apply the stage
-/// mapper, and split the rows into per-partition sub-buckets. Shared by
-/// both backends (thread workers call it in place, process workers call
-/// it in their own address space), so whichever backend executes the
-/// task, the rows it contributes are identical.
+/// mapper, and partition and seal the rows into per-partition chunks
+/// ([`seal_extent`]). Shared by both backends (thread workers call it in
+/// place, process workers call it in their own address space), so
+/// whichever backend executes the task, the chunks it contributes are
+/// identical.
 pub(crate) fn run_map_task(
     env: &StageEnv<'_>,
     i: usize,
@@ -569,18 +624,22 @@ pub(crate) fn run_map_task(
     // envelope, before partitioning.
     let raw = &env.inputs[i].partitions[e];
     let mapped = apply_mapper(env.stage, env.dsms_pool, i, e, attempt, raw)?;
-    let mut out = map_extent(
-        raw.len() as u64,
-        &mapped,
-        &env.assigners[i],
-        env.stage.partitions,
-        env.config.measure_text_shuffle,
-    )?;
-    if env.stage.mapper.is_some() {
+    let sealed = seal_extent(env, i, &mapped, None)?;
+    let bytes_saved = if env.stage.mapper.is_some() {
         let raw_bytes: u64 = raw.iter().map(|r| r.width() as u64).sum();
-        out.bytes_saved = raw_bytes.saturating_sub(out.bytes);
-    }
-    Ok(out)
+        raw_bytes.saturating_sub(sealed.bytes)
+    } else {
+        0
+    };
+    Ok(MapTaskOut {
+        chunks: sealed.chunks,
+        rows_in: raw.len() as u64,
+        rows_out: mapped.len() as u64,
+        bytes: sealed.bytes,
+        bytes_saved,
+        text_bytes: sealed.text_bytes,
+        seal_time: sealed.seal_time,
+    })
 }
 
 /// One shuffle-fetch attempt for reduce partition `p`: apply any injected
@@ -608,7 +667,10 @@ pub(crate) fn run_shuffle_fetch(
 
 /// One reduce attempt for partition `p` over already-fetched inputs. The
 /// reducer is a pure function of the (verified) partition, so every retry
-/// — on any backend — reproduces the same rows.
+/// — on any backend — reproduces the same rows. Each sink's stored form
+/// (row frame plus binary image) is computed here, inside the task, so the
+/// coordinator publishes finished extents instead of encoding them one
+/// partition at a time after the pool has gone idle.
 pub(crate) fn run_reduce_task(
     env: &StageEnv<'_>,
     p: usize,
@@ -632,7 +694,24 @@ pub(crate) fn run_reduce_task(
             env.expected_sinks
         )))));
     }
-    Ok((out, start.elapsed()))
+    let reduce_time = start.elapsed();
+    let sinks = out
+        .into_iter()
+        .zip(env.sink_schemas)
+        .map(|(rows, schema)| {
+            let stored = if env.config.integrity {
+                StoredExtent::compute(schema, &rows)
+            } else {
+                StoredExtent::Unframed
+            };
+            (rows, stored)
+        })
+        .collect();
+    Ok(ReduceOut {
+        sinks,
+        reduce_time,
+        seal_time: start.elapsed() - reduce_time,
+    })
 }
 
 impl Cluster {
@@ -665,10 +744,10 @@ impl Cluster {
         &self.config
     }
 
-    /// Seal threshold for one (input, partition) chunk accumulator: a
-    /// fraction of the memory budget so accumulators plus the in-memory
-    /// chunk pool stay bounded. Unbudgeted runs never seal early (one
-    /// chunk per slot, the pre-budget behavior).
+    /// Seal threshold for one (input, extent, partition) chunk: a
+    /// fraction of the memory budget so a wave of sealed task output plus
+    /// the in-memory chunk pool stay bounded. Unbudgeted runs never seal
+    /// early (one chunk per extent and partition).
     fn chunk_target(&self, inputs: usize, partitions: usize) -> u64 {
         match self.config.memory_budget_bytes {
             None => u64::MAX,
@@ -701,52 +780,42 @@ impl Cluster {
     /// budget is reached, then spill to disk; legacy row chunks stay in
     /// memory (they are the rare ill-typed fallback). Placement never
     /// changes bytes, so it cannot affect output — only where they live.
-    #[allow(clippy::too_many_arguments)]
     fn place_chunk(
         &self,
         stage_name: &str,
         data: ChunkData,
-        mem_held: &mut u64,
-        binary_bytes: &mut u64,
-        spill_extents: &mut u64,
-        spill_bytes: &mut u64,
+        placed: &mut Placement,
         out: &mut Vec<ShuffleChunk>,
     ) -> Result<()> {
-        match data {
-            ChunkData::Rows(rows) => {
-                let frame = ExtentFrame::compute(&rows);
-                out.push(ShuffleChunk::Rows(rows, frame));
+        if let ChunkData::Extent(bytes) = &data {
+            let len = bytes.len() as u64;
+            placed.binary_bytes += len;
+            let over_budget = self
+                .config
+                .memory_budget_bytes
+                .is_some_and(|b| placed.mem_held + len > b);
+            if over_budget {
+                let path = self.spill_path(stage_name)?;
+                std::fs::write(&path, bytes).map_err(|e| MrError::Io {
+                    what: "write spill extent".to_string(),
+                    path: path.display().to_string(),
+                    message: e.to_string(),
+                })?;
+                placed.spill_extents += 1;
+                placed.spill_bytes += len;
+                out.push(ShuffleChunk::Spilled { path, bytes: len });
+                return Ok(());
             }
-            ChunkData::Extent(bytes) => {
-                let len = bytes.len() as u64;
-                *binary_bytes += len;
-                let over_budget = self
-                    .config
-                    .memory_budget_bytes
-                    .is_some_and(|b| *mem_held + len > b);
-                if over_budget {
-                    let path = self.spill_path(stage_name)?;
-                    std::fs::write(&path, &bytes).map_err(|e| MrError::Io {
-                        what: "write spill extent".to_string(),
-                        path: path.display().to_string(),
-                        message: e.to_string(),
-                    })?;
-                    *spill_extents += 1;
-                    *spill_bytes += len;
-                    out.push(ShuffleChunk::Spilled { path, bytes: len });
-                } else {
-                    *mem_held += len;
-                    out.push(ShuffleChunk::Mem(bytes));
-                }
-            }
+            placed.mem_held += len;
         }
+        out.push(data.into_mem());
         Ok(())
     }
 
     /// Parallel map/shuffle: one map task per input extent on the worker
-    /// pool, then a deterministic merge that seals per-partition chunk
-    /// accumulators into framed binary extents (spilling past the memory
-    /// budget).
+    /// pool — each partitions its extent and seals its own chunks — then a
+    /// deterministic merge that only *places* the finished chunks (in
+    /// memory, or spilled past the memory budget).
     ///
     /// Returns `chunks[input][partition]` encoding exactly the rows the
     /// serial scan would produce, in the same order: tasks are merged in
@@ -754,7 +823,7 @@ impl Cluster {
     /// its extent, so the shuffle output is independent of thread count,
     /// scheduling, and injected faults — the repeatability property
     /// (paper §III-C.1) that restart determinism is built on. Under a
-    /// memory budget, map tasks run in bounded waves so unmerged task
+    /// memory budget, map tasks run in bounded waves so unplaced task
     /// output never exceeds a few extents per worker.
     fn map_shuffle(
         &self,
@@ -773,29 +842,13 @@ impl Cluster {
             .iter()
             .map(|_| (0..stage.partitions).map(|_| Vec::new()).collect())
             .collect();
-        let mut builders: Vec<Vec<ChunkBuilder<'_>>> = env
-            .mapped_schemas
-            .iter()
-            .map(|schema| {
-                (0..stage.partitions)
-                    .map(|_| ChunkBuilder::new(schema, env.chunk_target))
-                    .collect()
-            })
-            .collect();
-        let mut mem_held = 0u64;
-        let mut binary_bytes = 0u64;
-        let mut spill_extents = 0u64;
-        let mut spill_bytes = 0u64;
-        let mut map_rows = 0u64;
-        let mut map_rows_out = 0u64;
-        let mut shuffle_bytes = 0u64;
-        let mut shuffle_bytes_saved = 0u64;
-        let mut shuffle_bytes_text = 0u64;
-        let mut map_time = Duration::ZERO;
-        let mut shuffle_time = Duration::ZERO;
+        let mut phase = MapPhase {
+            map_tasks: tasks.len(),
+            ..MapPhase::default()
+        };
 
         // Unbudgeted runs execute every task in one wave (maximum
-        // parallelism); budgeted runs bound the unmerged task output held
+        // parallelism); budgeted runs bound the unplaced task output held
         // in memory to one wave's worth.
         let parallelism = match self.config.backend {
             BackendKind::Threads => self.config.threads,
@@ -810,72 +863,30 @@ impl Cluster {
             let base = w * wave;
             let map_start = Instant::now();
             let results: Vec<Result<MapTaskOut>> = exec.run_map(base, wave_tasks);
-            map_time += map_start.elapsed();
+            phase.map_time += map_start.elapsed();
 
-            // Merge sub-buckets in task order == (input, extent) order.
-            // Errors propagate from the lowest task index so failure is
+            // Place chunks in task order == (input, extent) order. Errors
+            // propagate from the lowest task index so failure is
             // deterministic too.
-            let merge_start = Instant::now();
+            let place_start = Instant::now();
             for (k, out) in results.into_iter().enumerate() {
                 let (i, _) = tasks[base + k];
-                let mut out = out?;
-                map_rows += out.rows_in;
-                map_rows_out += out.rows_out;
-                shuffle_bytes += out.bytes;
-                shuffle_bytes_saved += out.bytes_saved;
-                shuffle_bytes_text += out.text_bytes;
-                for (p, sub) in out.sub.iter_mut().enumerate() {
-                    builders[i][p].append(std::mem::take(sub), &mut |data| {
-                        self.place_chunk(
-                            &stage.name,
-                            data,
-                            &mut mem_held,
-                            &mut binary_bytes,
-                            &mut spill_extents,
-                            &mut spill_bytes,
-                            &mut chunks[i][p],
-                        )
-                    })?;
+                let out = out?;
+                phase.map_rows += out.rows_in;
+                phase.map_rows_out += out.rows_out;
+                phase.shuffle_bytes += out.bytes;
+                phase.shuffle_bytes_saved += out.bytes_saved;
+                phase.shuffle_bytes_text += out.text_bytes;
+                phase.seal_time += out.seal_time;
+                for (p, sealed) in out.chunks.into_iter().enumerate() {
+                    for data in sealed {
+                        self.place_chunk(&stage.name, data, &mut phase.placed, &mut chunks[i][p])?;
+                    }
                 }
             }
-            shuffle_time += merge_start.elapsed();
+            phase.shuffle_time += place_start.elapsed();
         }
-
-        // Seal whatever the accumulators still hold.
-        let finish_start = Instant::now();
-        for (i, per_input) in builders.into_iter().enumerate() {
-            for (p, builder) in per_input.into_iter().enumerate() {
-                builder.finish(&mut |data| {
-                    self.place_chunk(
-                        &stage.name,
-                        data,
-                        &mut mem_held,
-                        &mut binary_bytes,
-                        &mut spill_extents,
-                        &mut spill_bytes,
-                        &mut chunks[i][p],
-                    )
-                })?;
-            }
-        }
-        shuffle_time += finish_start.elapsed();
-
-        Ok((
-            chunks,
-            MapPhase {
-                map_rows,
-                map_rows_out,
-                shuffle_bytes,
-                shuffle_bytes_saved,
-                shuffle_bytes_text,
-                shuffle_bytes_binary: binary_bytes,
-                spill_extents,
-                spill_bytes,
-                map_tasks: tasks.len(),
-                map_time,
-                shuffle_time,
-            },
-        ))
+        Ok((chunks, phase))
     }
 
     /// Run one stage: map (partition) each input dataset in parallel, then
@@ -892,7 +903,7 @@ impl Cluster {
             .map(|n| dfs.get(n))
             .collect::<Result<Vec<_>>>()?;
         // Mapper fragments rewrite rows before partitioning, so everything
-        // downstream of the map phase — partitioners, chunk builders,
+        // downstream of the map phase — partitioners, chunk sealing,
         // rebuilds, reducer sink schemas — sees the *mapped* schema.
         let mapped_schemas: Vec<Schema> = match stage.mapper.as_ref() {
             Some(m) => inputs
@@ -949,8 +960,8 @@ impl Cluster {
 
         // ---- reduce ----
         // Transpose chunks into per-partition slots once; workers (and
-        // every restart attempt) read the same sealed chunks — framed at
-        // seal time, before any injected corruption touches the slot.
+        // every restart attempt) read the same sealed chunks — framed
+        // before any injected corruption touches the slot.
         let reduce_start = Instant::now();
         let shuffle: Vec<Mutex<ShuffleSlot>> = (0..stage.partitions)
             .map(|p| {
@@ -974,34 +985,47 @@ impl Cluster {
         // ---- collect ----
         // Nothing is published until every partition result is Ok, so a
         // failed attempt can never leave partial output in the DFS.
-        let mut sinks_out: Vec<Vec<Vec<Row>>> = (0..expected_sinks)
-            .map(|_| Vec::with_capacity(stage.partitions))
+        let mut sinks_out: Vec<(Vec<Vec<Row>>, Vec<StoredExtent>)> = (0..expected_sinks)
+            .map(|_| {
+                (
+                    Vec::with_capacity(stage.partitions),
+                    Vec::with_capacity(stage.partitions),
+                )
+            })
             .collect();
         let mut sink_rows = vec![0u64; expected_sinks];
         let mut partition_times = Vec::with_capacity(stage.partitions);
         let mut output_rows = 0u64;
+        let mut seal_time = map_phase.seal_time;
         for result in results {
-            let (per_sink, took) = result?;
-            partition_times.push(took);
-            for (sink, rows) in per_sink.into_iter().enumerate() {
+            let out = result?;
+            partition_times.push(out.reduce_time);
+            seal_time += out.seal_time;
+            for (sink, (rows, stored)) in out.sinks.into_iter().enumerate() {
                 output_rows += rows.len() as u64;
                 sink_rows[sink] += rows.len() as u64;
-                sinks_out[sink].push(rows);
+                sinks_out[sink].0.push(rows);
+                sinks_out[sink].1.push(stored);
             }
         }
         finished?;
         let reduce_wall_time = reduce_start.elapsed();
 
-        for ((name, out_schema), partitions_out) in
+        // ---- publish ----
+        // The reduce tasks sealed every extent; the coordinator only names
+        // them.
+        let publish_start = Instant::now();
+        for ((name, out_schema), (partitions_out, extents)) in
             stage.sink_names().zip(sink_schemas).zip(sinks_out)
         {
             let output = if self.config.integrity {
-                Dataset::partitioned(out_schema, partitions_out)
+                Dataset::from_stored(out_schema, partitions_out, extents)
             } else {
                 Dataset::partitioned_unframed(out_schema, partitions_out)
             };
             dfs.put_overwrite(name, output);
         }
+        let publish_time = publish_start.elapsed();
 
         Ok(StageStats {
             name: stage.name.clone(),
@@ -1014,10 +1038,12 @@ impl Cluster {
             shuffle_time: map_phase.shuffle_time,
             shuffle_bytes: map_phase.shuffle_bytes,
             shuffle_bytes_text: map_phase.shuffle_bytes_text,
-            shuffle_bytes_binary: map_phase.shuffle_bytes_binary,
-            spill_extents: map_phase.spill_extents,
-            spill_bytes: map_phase.spill_bytes,
+            shuffle_bytes_binary: map_phase.placed.binary_bytes,
+            spill_extents: map_phase.placed.spill_extents,
+            spill_bytes: map_phase.placed.spill_bytes,
+            seal_time,
             reduce_wall_time,
+            publish_time,
             output_rows,
             sink_rows,
             partitions: stage.partitions,
@@ -1050,9 +1076,11 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::TaskPhase;
     use crate::job::{IdentityReducer, Mapper, Partitioner, Reducer, ReducerRef};
+    use proptest::prelude::*;
     use relation::schema::{ColumnType, Field};
-    use relation::{row, Schema};
+    use relation::{row, Schema, Value};
     use std::sync::Arc;
 
     fn schema() -> Schema {
@@ -1228,27 +1256,9 @@ mod tests {
             dfs.put("in", multi_extent_input()).unwrap();
             let cluster = Cluster::with_config(config(threads, chaos, 3));
             let stage = count_stage(4);
-            let inputs = vec![dfs.get("in").unwrap()];
-            let mapped_schemas = vec![inputs[0].schema.clone()];
-            let assigners = vec![stage.partitioner.compile(&inputs[0].schema).unwrap()];
-            let sink_schemas = stage.reducer.sink_schemas(&mapped_schemas).unwrap();
-            let counters = FaultCounters::default();
-            let env = StageEnv {
-                stage: &stage,
-                inputs: &inputs,
-                mapped_schemas: &mapped_schemas,
-                assigners: &assigners,
-                sink_schemas: &sink_schemas,
-                config: cluster.config(),
-                counters: &counters,
-                dsms_pool: &cluster.dsms_pool,
-                chunk_target: u64::MAX,
-                expected_sinks: 1,
-            };
-            let mut exec = cluster.backend.begin(&env).unwrap();
-            let (buckets, _) = cluster.map_shuffle(&env, exec.as_mut()).unwrap();
-            exec.finish().unwrap();
-            drop(exec);
+            let buckets = with_shuffle(&cluster, &dfs, &stage, u64::MAX, |_, slots, _| {
+                slots.iter().map(images).collect::<Vec<_>>()
+            });
             let stats = cluster.run_stage(&dfs, &stage).unwrap();
             let out = dfs.get("out").unwrap().partitions.as_ref().clone();
             (buckets, out, stats)
@@ -1634,6 +1644,248 @@ mod tests {
             .map(|r| r.get(0).as_long().unwrap())
             .sum();
         assert_eq!(total, 90);
+    }
+
+    /// Run the map/shuffle of `stage` on `cluster` with seal target
+    /// `chunk_target` and hand `f` the stage environment, the shuffle
+    /// slots (one per reduce partition) and the map-phase accounting.
+    fn with_shuffle<T>(
+        cluster: &Cluster,
+        dfs: &Dfs,
+        stage: &Stage,
+        chunk_target: u64,
+        f: impl FnOnce(&StageEnv<'_>, &mut [ShuffleSlot], &MapPhase) -> T,
+    ) -> T {
+        let inputs: Vec<Dataset> = stage.inputs.iter().map(|n| dfs.get(n).unwrap()).collect();
+        let mapped_schemas: Vec<Schema> = inputs.iter().map(|d| d.schema.clone()).collect();
+        let assigners: Vec<_> = mapped_schemas
+            .iter()
+            .map(|s| stage.partitioner.compile(s).unwrap())
+            .collect();
+        let sink_schemas = stage.reducer.sink_schemas(&mapped_schemas).unwrap();
+        let counters = FaultCounters::default();
+        let env = StageEnv {
+            stage,
+            inputs: &inputs,
+            mapped_schemas: &mapped_schemas,
+            assigners: &assigners,
+            sink_schemas: &sink_schemas,
+            config: cluster.config(),
+            counters: &counters,
+            dsms_pool: &cluster.dsms_pool,
+            chunk_target,
+            expected_sinks: 1,
+        };
+        let mut exec = cluster.backend.begin(&env).unwrap();
+        let (mut chunks, phase) = cluster.map_shuffle(&env, exec.as_mut()).unwrap();
+        exec.finish().unwrap();
+        drop(exec);
+        let mut slots: Vec<ShuffleSlot> = (0..stage.partitions)
+            .map(|p| ShuffleSlot {
+                inputs: (chunks.iter_mut())
+                    .map(|per_input| std::mem::take(&mut per_input[p]))
+                    .collect(),
+            })
+            .collect();
+        f(&env, &mut slots, &phase)
+    }
+
+    /// What each chunk of a slot holds, wherever it lives.
+    fn images(slot: &ShuffleSlot) -> Vec<Vec<ChunkData>> {
+        let image = |chunk: &ShuffleChunk| match chunk {
+            ShuffleChunk::Mem(bytes) => ChunkData::Extent(bytes.clone()),
+            ShuffleChunk::Spilled { path, .. } => ChunkData::Extent(std::fs::read(path).unwrap()),
+            ShuffleChunk::Rows(rows, _) => ChunkData::Rows(rows.clone()),
+        };
+        (slot.inputs.iter())
+            .map(|chunks| chunks.iter().map(image).collect())
+            .collect()
+    }
+
+    fn keyed_schema() -> Schema {
+        Schema::timestamped(vec![
+            Field::new("UserId", ColumnType::Str),
+            Field::new("N", ColumnType::Long),
+        ])
+    }
+
+    fn copy_stage() -> Stage {
+        Stage::new(
+            "copy",
+            vec!["in".into()],
+            "out",
+            Partitioner::KeyHash {
+                columns: vec!["UserId".into()],
+            },
+            4,
+            Arc::new(IdentityReducer) as ReducerRef,
+        )
+        .unwrap()
+    }
+
+    /// Rows over few users (so some partitions stay empty), one in ten
+    /// null-heavy and one in ten ill-typed (a string in the `Long` column).
+    fn arb_keyed_rows() -> impl Strategy<Value = Vec<Row>> {
+        let row = (0i64..1000, 0u8..10, 0u8..10).prop_map(|(n, user, kind)| match kind {
+            0 => Row::new(vec![Value::Long(n), Value::Null, Value::Null]),
+            1 => row![n, format!("u{user}"), "not-a-number"],
+            _ => row![n, format!("u{user}"), n * 3],
+        });
+        (1u8..10, prop::collection::vec(row, 0..250)).prop_map(|(users, rows)| {
+            let fold = |r: &Row| match r.get(1) {
+                Value::Str(u) => {
+                    let folded = u[1..].parse::<u8>().unwrap() % users;
+                    Row::new(vec![
+                        r.get(0).clone(),
+                        Value::str(format!("u{folded}")),
+                        r.get(2).clone(),
+                    ])
+                }
+                _ => r.clone(),
+            };
+            rows.iter().map(fold).collect()
+        })
+    }
+
+    /// The chunks `seal_extent` must produce for `rows` split into
+    /// `extents`, by the definition: per extent and partition, cut where
+    /// the row widths reach `target`, and seal each piece as `from_rows`
+    /// would.
+    fn expected_images(
+        stage: &Stage,
+        extents: &[Vec<Row>],
+        target: u64,
+    ) -> Vec<Vec<Vec<ChunkData>>> {
+        let schema = keyed_schema();
+        let assign = stage.partitioner.compile(&schema).unwrap();
+        let seal = |piece: &[Row]| match StoredExtent::compute(&schema, piece) {
+            StoredExtent::Binary { bytes, .. } => ChunkData::Extent(bytes.as_ref().clone()),
+            _ => ChunkData::Rows(piece.to_vec()),
+        };
+        (0..stage.partitions)
+            .map(|p| {
+                let mut chunks = Vec::new();
+                for extent in extents {
+                    let (mut piece, mut width) = (Vec::new(), 0u64);
+                    for row in extent {
+                        if assign.assign(row, stage.partitions).unwrap() != p {
+                            continue;
+                        }
+                        width += row.width() as u64;
+                        piece.push(row.clone());
+                        if width >= target {
+                            chunks.push(seal(&piece));
+                            (piece, width) = (Vec::new(), 0);
+                        }
+                    }
+                    if !piece.is_empty() {
+                        chunks.push(seal(&piece));
+                    }
+                }
+                vec![chunks]
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+
+        /// Chunk boundaries and bytes are a pure function of `(input,
+        /// extent, partition, target)`: the same on 1, 2 and 4 threads or
+        /// worker processes, in memory or spilled, and equal to sealing
+        /// each piece through `from_rows`.
+        #[test]
+        fn sealed_chunks_depend_only_on_extent_partition_and_target(
+            rows in arb_keyed_rows(),
+            extents in 1usize..5,
+        ) {
+            let stage = copy_stage();
+            let per_extent = rows.len().div_ceil(extents).max(1);
+            let extents: Vec<Vec<Row>> = rows.chunks(per_extent).map(<[Row]>::to_vec).collect();
+            for (budget, target) in [(None, u64::MAX), (Some(2048), 512)] {
+                let expected = expected_images(&stage, &extents, target);
+                let mut backends = vec![];
+                for n in [1usize, 2, 4] {
+                    backends.push((BackendKind::Threads, n));
+                    #[cfg(unix)]
+                    backends.push((BackendKind::Processes { workers: n }, n));
+                }
+                for (backend, threads) in backends {
+                    let spill = tempdir();
+                    let cluster = Cluster::with_config(ClusterConfig {
+                        threads,
+                        backend,
+                        memory_budget_bytes: budget,
+                        spill_dir: Some(spill.clone()),
+                        ..ClusterConfig::default()
+                    });
+                    let dfs = Dfs::new();
+                    dfs.put("in", Dataset::partitioned(keyed_schema(), extents.clone())).unwrap();
+                    let (got, spilled) = with_shuffle(&cluster, &dfs, &stage, target, |_, slots, phase| {
+                        (slots.iter().map(images).collect::<Vec<_>>(), phase.placed.spill_bytes)
+                    });
+                    std::fs::remove_dir_all(&spill).ok();
+                    prop_assert_eq!(&got, &expected, "{:?} x{} budget {:?}", backend, threads, budget);
+                    let binary: u64 = expected.iter().flatten().flatten().map(|c| match c {
+                        ChunkData::Extent(b) => b.len() as u64,
+                        ChunkData::Rows(_) => 0,
+                    }).sum();
+                    if budget.is_some_and(|b| binary > b) {
+                        prop_assert!(spilled > 0, "a shuffle past its budget must spill");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rebuild_reproduces_the_tasks_chunks_in_memory_and_spilled() {
+        let typed: Vec<Row> = (0..240i64)
+            .map(|i| row![i, format!("u{}", i % 9), i * 3])
+            .collect();
+        // Every partition's first chunk is a row chunk: the first extent
+        // holds only rows that cannot transpose.
+        let mut ill_typed_first = typed.clone();
+        for r in &mut ill_typed_first[..60] {
+            *r = Row::new(vec![r.get(0).clone(), r.get(1).clone(), Value::str("x")]);
+        }
+        for (rows, budget) in [(&typed, None), (&typed, Some(1)), (&ill_typed_first, None)] {
+            let spill = tempdir();
+            let cluster = Cluster::with_config(ClusterConfig {
+                threads: 2,
+                memory_budget_bytes: budget,
+                spill_dir: Some(spill.clone()),
+                ..ClusterConfig::default()
+            });
+            let dfs = Dfs::new();
+            let extents = rows.chunks(60).map(<[Row]>::to_vec).collect();
+            dfs.put("in", Dataset::partitioned(keyed_schema(), extents))
+                .unwrap();
+            with_shuffle(&cluster, &dfs, &copy_stage(), 100, |env, slots, _| {
+                for (p, slot) in slots.iter_mut().enumerate() {
+                    let sealed_by_tasks = images(slot);
+                    assert!(
+                        sealed_by_tasks[0].len() > 4,
+                        "several chunks per extent expected, got {}",
+                        sealed_by_tasks[0].len()
+                    );
+                    let spilled = |slot: &ShuffleSlot| {
+                        (slot.inputs[0].iter())
+                            .filter(|c| matches!(c, ShuffleChunk::Spilled { .. }))
+                            .count()
+                    };
+                    let spilled_before = spilled(slot);
+                    assert_eq!(spilled_before > 0, budget.is_some());
+                    corrupt_slot(slot);
+                    assert!(verify_slot(slot).is_some(), "damage must be detected");
+                    rebuild_slot(env, p, slot).unwrap();
+                    assert_eq!(verify_slot(slot), None);
+                    assert_eq!(images(slot), sealed_by_tasks, "partition {p}, {budget:?}");
+                    assert_eq!(spilled(slot), spilled_before, "spilled chunks stay on disk");
+                }
+            });
+            std::fs::remove_dir_all(&spill).ok();
+        }
     }
 
     fn tempdir() -> PathBuf {

@@ -4,8 +4,9 @@
 //! `ProcessBackend::begin` forks one child per worker *after* the stage
 //! environment is fully built, so workers inherit the stage, its input
 //! datasets, and the compiled partitioners by address-space copy — only
-//! task descriptors and result extents cross the socket (framed and
-//! checksummed by `crate::transport`). The parent runs an event-driven
+//! task descriptors and sealed extent images cross the socket (framed and
+//! checksummed by `crate::transport`), verbatim: what a worker seals is
+//! what the parent places or publishes. The parent runs an event-driven
 //! scheduler with:
 //!
 //! - **heartbeats** — each worker beats from a dedicated thread; a worker
@@ -37,15 +38,16 @@
 use crate::backend::{Backend, FaultCounters, ReduceOut, StageEnv, StageExec};
 use crate::chaos::{self, ExtentFrame, FaultKind};
 use crate::cluster::{
-    corrupt_slot, fetch_inputs, lock_slot, run_map_task, run_reduce_task, verify_slot, MapTaskOut,
-    ShuffleChunk, ShuffleSlot,
+    corrupt_slot, fetch_inputs, lock_slot, run_map_task, run_reduce_task, verify_slot, ChunkData,
+    MapTaskOut, ShuffleChunk, ShuffleSlot,
 };
+use crate::dfs::StoredExtent;
 use crate::error::{MrError, Result, TaskError, TaskPhase};
 use crate::transport::{
     encode_frame, payload_offset, Frame, FrameKind, PayloadReader, PayloadWriter, Received,
     Transport, UdsTransport,
 };
-use relation::{codec, ColumnBatch, Row, Schema};
+use relation::{ColumnBatch, Row, Schema, Value};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::os::unix::net::UnixStream;
@@ -75,34 +77,126 @@ fn proto_err(what: impl std::fmt::Display) -> io::Error {
 // Shared payload codecs (both sides of the socket).
 // ---------------------------------------------------------------------------
 
-/// Serialize one row set as a self-describing chunk: a binary columnar
-/// extent when the rows transpose (the PR 6 native image — this is the
-/// common case and the reason the wire "exchanges extent images"), the
-/// legacy text codec otherwise, or an empty marker.
-fn write_rows_chunk(w: &mut PayloadWriter, schema: &Schema, rows: &[Row]) {
-    if rows.is_empty() {
-        w.u8(2);
-        return;
-    }
-    match ColumnBatch::from_rows(schema, rows).and_then(|b| b.to_extent_bytes()) {
-        Ok(bytes) => {
-            w.u8(0).bytes(&bytes);
-        }
-        Err(_) => {
-            w.u8(1).str(&codec::encode_rows(rows));
+/// Serialize rows that have no binary image — they do not inhabit their
+/// schema's types — cell by cell with a type tag each. (The text codec
+/// parses cells by the schema's types, so it cannot carry them.)
+fn write_rows(w: &mut PayloadWriter, rows: &[Row]) {
+    w.u64(rows.len() as u64);
+    for row in rows {
+        w.u64(row.len() as u64);
+        for v in row.values() {
+            match v {
+                Value::Null => w.u8(0),
+                Value::Bool(b) => w.u8(1).u8(u8::from(*b)),
+                Value::Int(x) => w.u8(2).u64(*x as u32 as u64),
+                Value::Long(x) => w.u8(3).u64(*x as u64),
+                Value::Double(x) => w.u8(4).u64(x.to_bits()),
+                Value::Str(s) => w.u8(5).str(s),
+            };
         }
     }
 }
 
-fn read_rows_chunk(r: &mut PayloadReader<'_>, schema: &Schema) -> io::Result<Vec<Row>> {
-    match r.u8()? {
-        2 => Ok(Vec::new()),
-        0 => Ok(ColumnBatch::from_extent_bytes(r.bytes()?)
-            .map_err(proto_err)?
-            .to_rows()),
-        1 => codec::decode_rows(r.str()?, schema).map_err(proto_err),
-        other => Err(proto_err(format!("unknown rows-chunk tag {other}"))),
+fn read_rows(r: &mut PayloadReader<'_>) -> io::Result<Vec<Row>> {
+    // Counts come off the wire: grow as cells actually arrive rather than
+    // allocating for a claimed length.
+    let mut rows = Vec::new();
+    for _ in 0..r.u64()? {
+        let mut values = Vec::new();
+        for _ in 0..r.u64()? {
+            values.push(match r.u8()? {
+                0 => Value::Null,
+                1 => Value::Bool(r.u8()? != 0),
+                2 => Value::Int(r.u64()? as u32 as i32),
+                3 => Value::Long(r.u64()? as i64),
+                4 => Value::Double(f64::from_bits(r.u64()?)),
+                5 => Value::str(r.str()?),
+                other => return Err(proto_err(format!("unknown cell tag {other}"))),
+            });
+        }
+        rows.push(Row::new(values));
     }
+    Ok(rows)
+}
+
+/// Serialize one sealed chunk: the binary extent image verbatim — bytes
+/// a task sealed are never decoded or re-encoded on their way through the
+/// socket — or, for the ill-typed fallback, the tagged rows.
+fn write_chunk(w: &mut PayloadWriter, chunk: &ChunkData) {
+    match chunk {
+        ChunkData::Extent(bytes) => {
+            w.u8(0).bytes(bytes);
+        }
+        ChunkData::Rows(rows) => write_rows(w.u8(1), rows),
+    }
+}
+
+fn read_chunk(r: &mut PayloadReader<'_>) -> io::Result<ChunkData> {
+    match r.u8()? {
+        0 => Ok(ChunkData::Extent(r.bytes()?.to_vec())),
+        1 => Ok(ChunkData::Rows(read_rows(r)?)),
+        other => Err(proto_err(format!("unknown chunk tag {other}"))),
+    }
+}
+
+/// Serialize one sink of a reduce result: the stored form the worker
+/// sealed, which the parent publishes as is.
+fn write_sink(w: &mut PayloadWriter, schema: &Schema, rows: &[Row], stored: &StoredExtent) {
+    // An unframed run seals nothing in the task, but its rows still cross
+    // the socket as an image.
+    let sealed;
+    let stored = match stored {
+        StoredExtent::Unframed => {
+            sealed = StoredExtent::compute(schema, rows);
+            &sealed
+        }
+        framed => framed,
+    };
+    match stored {
+        StoredExtent::Binary { bytes, frame } => {
+            w.u8(0).u64(frame.rows).u64(frame.checksum).bytes(bytes);
+        }
+        StoredExtent::Legacy(frame) => {
+            write_rows(w.u8(1).u64(frame.rows).u64(frame.checksum), rows);
+        }
+        StoredExtent::Unframed => unreachable!("`compute` always frames"),
+    }
+}
+
+/// Decode one sink: the image is decoded once, for the dataset's working
+/// copy of the rows, and kept verbatim as its stored form.
+fn read_sink(r: &mut PayloadReader<'_>, integrity: bool) -> io::Result<(Vec<Row>, StoredExtent)> {
+    let tag = r.u8()?;
+    let frame = ExtentFrame {
+        rows: r.u64()?,
+        checksum: r.u64()?,
+    };
+    let (rows, stored) = match tag {
+        0 => {
+            let bytes = r.bytes()?;
+            let rows = ColumnBatch::from_extent_bytes(bytes)
+                .map_err(proto_err)?
+                .to_rows();
+            let bytes = Arc::new(bytes.to_vec());
+            (rows, StoredExtent::Binary { bytes, frame })
+        }
+        1 => (read_rows(r)?, StoredExtent::Legacy(frame)),
+        other => return Err(proto_err(format!("unknown sink tag {other}"))),
+    };
+    if rows.len() as u64 != frame.rows {
+        return Err(proto_err(format!(
+            "sink decodes to {} row(s), its frame says {}",
+            rows.len(),
+            frame.rows
+        )));
+    }
+    // An unframed run shipped the image for transport only.
+    let stored = if integrity {
+        stored
+    } else {
+        StoredExtent::Unframed
+    };
+    Ok((rows, stored))
 }
 
 fn write_task_error(w: &mut PayloadWriter, e: &TaskError) {
@@ -199,35 +293,21 @@ fn write_slot(w: &mut PayloadWriter, slot: &ShuffleSlot) -> std::result::Result<
                     })?;
                     w.u8(0).bytes(&data);
                 }
-                ShuffleChunk::Rows(rows, _) => {
-                    w.u8(1).str(&codec::encode_rows(rows));
-                }
+                ShuffleChunk::Rows(rows, _) => write_rows(w.u8(1), rows),
             }
         }
     }
     Ok(())
 }
 
-fn read_slot(r: &mut PayloadReader<'_>, env: &StageEnv<'_>) -> io::Result<ShuffleSlot> {
+fn read_slot(r: &mut PayloadReader<'_>) -> io::Result<ShuffleSlot> {
     let n_inputs = r.u64()? as usize;
     let mut inputs = Vec::with_capacity(n_inputs);
-    for i in 0..n_inputs {
+    for _ in 0..n_inputs {
         let n_chunks = r.u64()? as usize;
         let mut chunks = Vec::with_capacity(n_chunks);
         for _ in 0..n_chunks {
-            match r.u8()? {
-                0 => chunks.push(ShuffleChunk::Mem(r.bytes()?.to_vec())),
-                1 => {
-                    let schema = env
-                        .mapped_schemas
-                        .get(i)
-                        .ok_or_else(|| proto_err(format!("slot has no input {i}")))?;
-                    let rows = codec::decode_rows(r.str()?, schema).map_err(proto_err)?;
-                    let frame = ExtentFrame::compute(&rows);
-                    chunks.push(ShuffleChunk::Rows(rows, frame));
-                }
-                other => return Err(proto_err(format!("unknown slot chunk tag {other}"))),
-            }
+            chunks.push(read_chunk(r)?.into_mem());
         }
         inputs.push(chunks);
     }
@@ -367,9 +447,13 @@ fn handle_task(env: &StageEnv<'_>, transport: &UdsTransport, payload: &[u8]) -> 
                         .u64(out.rows_out)
                         .u64(out.bytes)
                         .u64(out.bytes_saved)
-                        .u64(out.text_bytes);
-                    for rows in &out.sub {
-                        write_rows_chunk(&mut w, &env.mapped_schemas[i], rows);
+                        .u64(out.text_bytes)
+                        .u64(out.seal_time.as_nanos() as u64);
+                    for sealed in &out.chunks {
+                        w.u64(sealed.len() as u64);
+                        for chunk in sealed {
+                            write_chunk(&mut w, chunk);
+                        }
                     }
                 }
                 Err(e) => {
@@ -384,7 +468,7 @@ fn handle_task(env: &StageEnv<'_>, transport: &UdsTransport, payload: &[u8]) -> 
             let shuffle_attempt = r.u64()? as usize;
             let reduce_attempt = r.u64()? as usize;
             let speculative = r.u8()? != 0;
-            let mut slot = read_slot(&mut r, env)?;
+            let mut slot = read_slot(&mut r)?;
             // Shuffle sub-phase: re-evaluated at the recorded attempt, so a
             // reduce retry deterministically replays the same (clean)
             // shuffle rather than drawing fresh faults.
@@ -442,10 +526,12 @@ fn handle_task(env: &StageEnv<'_>, transport: &UdsTransport, payload: &[u8]) -> 
             let mut w = PayloadWriter::new();
             w.u64(seq).u8(2);
             match outcome {
-                Ok((sinks, dur)) => {
-                    w.u8(0).u64(dur.as_nanos() as u64);
-                    for (s, rows) in sinks.iter().enumerate() {
-                        write_rows_chunk(&mut w, &env.sink_schemas[s], rows);
+                Ok(out) => {
+                    w.u8(0)
+                        .u64(out.reduce_time.as_nanos() as u64)
+                        .u64(out.seal_time.as_nanos() as u64);
+                    for ((rows, stored), schema) in out.sinks.iter().zip(env.sink_schemas) {
+                        write_sink(&mut w, schema, rows, stored);
                     }
                 }
                 Err(e) => {
@@ -1216,7 +1302,7 @@ impl<'e> ProcessExec<'e> {
             return;
         }
         let decoded = match states[ti].desc {
-            Desc::Map { input, .. } => decode_map_ok(&mut r, env, input),
+            Desc::Map { .. } => decode_map_ok(&mut r, env),
             Desc::Reduce { .. } => decode_reduce_ok(&mut r, env),
         };
         let out = match decoded {
@@ -1399,38 +1485,44 @@ impl<'e> ProcessExec<'e> {
     }
 }
 
-fn decode_map_ok(
-    r: &mut PayloadReader<'_>,
-    env: &StageEnv<'_>,
-    input: usize,
-) -> io::Result<TaskOutput> {
+fn decode_map_ok(r: &mut PayloadReader<'_>, env: &StageEnv<'_>) -> io::Result<TaskOutput> {
     let rows_in = r.u64()?;
     let rows_out = r.u64()?;
     let bytes = r.u64()?;
     let bytes_saved = r.u64()?;
     let text_bytes = r.u64()?;
-    let schema = &env.mapped_schemas[input];
-    let mut sub = Vec::with_capacity(env.stage.partitions);
+    let seal_time = Duration::from_nanos(r.u64()?);
+    let mut chunks = Vec::with_capacity(env.stage.partitions);
     for _ in 0..env.stage.partitions {
-        sub.push(read_rows_chunk(r, schema)?);
+        let mut sealed = Vec::new();
+        for _ in 0..r.u64()? {
+            sealed.push(read_chunk(r)?);
+        }
+        chunks.push(sealed);
     }
     Ok(TaskOutput::Map(MapTaskOut {
-        sub,
+        chunks,
         rows_in,
         rows_out,
         bytes,
         bytes_saved,
         text_bytes,
+        seal_time,
     }))
 }
 
 fn decode_reduce_ok(r: &mut PayloadReader<'_>, env: &StageEnv<'_>) -> io::Result<TaskOutput> {
-    let elapsed = Duration::from_nanos(r.u64()?);
+    let reduce_time = Duration::from_nanos(r.u64()?);
+    let seal_time = Duration::from_nanos(r.u64()?);
     let mut sinks = Vec::with_capacity(env.expected_sinks);
-    for s in 0..env.expected_sinks {
-        sinks.push(read_rows_chunk(r, &env.sink_schemas[s])?);
+    for _ in 0..env.expected_sinks {
+        sinks.push(read_sink(r, env.config.integrity)?);
     }
-    Ok(TaskOutput::Reduce((sinks, elapsed)))
+    Ok(TaskOutput::Reduce(ReduceOut {
+        sinks,
+        reduce_time,
+        seal_time,
+    }))
 }
 
 impl<'e> StageExec<'e> for ProcessExec<'e> {

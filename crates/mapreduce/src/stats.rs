@@ -21,10 +21,12 @@ pub struct StageStats {
     pub shuffle_bytes_saved: u64,
     /// Map tasks executed (one per `(input, extent)` pair).
     pub map_tasks: usize,
-    /// Wall-clock time of the parallel map phase (scan + partition).
+    /// Wall-clock time of the parallel map phase (scan, partition, and
+    /// sealing each task's chunks).
     pub map_time: Duration,
-    /// Wall-clock time merging per-task sub-buckets into shuffle buckets
-    /// (deterministic `(input, extent)` order).
+    /// Wall-clock time the coordinator spends placing the tasks' sealed
+    /// chunks into shuffle slots in `(input, extent)` order — in memory
+    /// or, past the budget, in spill files. No encoding happens here.
     pub shuffle_time: Duration,
     /// Bytes moved through the shuffle (sum of row widths — the
     /// representation-independent payload measure).
@@ -40,8 +42,17 @@ pub struct StageStats {
     pub spill_extents: u64,
     /// Bytes written to spill files.
     pub spill_bytes: u64,
+    /// Seconds tasks spent sealing what they produced, summed over tasks:
+    /// map tasks encoding shuffle chunks, reduce tasks computing their
+    /// sinks' stored extents. CPU time inside `map_time` and
+    /// `reduce_wall_time`, not wall time beside them.
+    pub seal_time: Duration,
     /// Wall-clock time of the parallel reduce phase.
     pub reduce_wall_time: Duration,
+    /// Wall-clock time the coordinator spends between the last reduce
+    /// result and the last `put_overwrite`: assembling the sealed extents
+    /// into datasets and naming them.
+    pub publish_time: Duration,
     /// Rows produced by all reducers.
     pub output_rows: u64,
     /// Rows produced per sink, in `Stage::sink_names()` order (one entry
@@ -285,6 +296,16 @@ impl JobStats {
         self.stages.iter().map(|s| s.reduce_wall_time).sum()
     }
 
+    /// Total in-task seal time across stages (summed over tasks).
+    pub fn total_seal_time(&self) -> Duration {
+        self.stages.iter().map(|s| s.seal_time).sum()
+    }
+
+    /// Total coordinator publish time across stages.
+    pub fn total_publish_time(&self) -> Duration {
+        self.stages.iter().map(|s| s.publish_time).sum()
+    }
+
     /// Total wall time across stages (stages run serially).
     pub fn total_wall_time(&self) -> Duration {
         self.stages.iter().map(|s| s.wall_time).sum()
@@ -297,6 +318,49 @@ impl JobStats {
             .iter()
             .map(|s| s.simulated_makespan(machines, task_overhead))
             .sum()
+    }
+}
+
+/// One line per stage and a total: where the stage's wall clock went
+/// (map, shuffle placement, reduce, publish — consecutive, so they add up
+/// to the wall time less set-up) and, beside it, the task seconds spent
+/// sealing inside the map and reduce phases.
+impl std::fmt::Display for JobStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // name, then wall, map, shuffle, reduce, publish, seal
+        let phases = |f: &mut std::fmt::Formatter<'_>, name: &str, d: [Duration; 6]| {
+            let [wall, map, shuffle, reduce, publish, seal] = d.map(|d| d.as_secs_f64() * 1e3);
+            write!(
+                f,
+                "{name}: wall {wall:.1} ms = map {map:.1} + shuffle {shuffle:.1} + reduce \
+                 {reduce:.1} + publish {publish:.1} (+ set-up); sealing in tasks {seal:.1} ms"
+            )
+        };
+        for s in &self.stages {
+            let d = [
+                s.wall_time,
+                s.map_time,
+                s.shuffle_time,
+                s.reduce_wall_time,
+                s.publish_time,
+                s.seal_time,
+            ];
+            phases(f, &s.name, d)?;
+            writeln!(
+                f,
+                "; {} shuffle byte(s), {} row(s) out",
+                s.shuffle_bytes, s.output_rows
+            )?;
+        }
+        let d = [
+            self.total_wall_time(),
+            self.total_map_time(),
+            self.total_shuffle_time(),
+            self.total_reduce_wall_time(),
+            self.total_publish_time(),
+            self.total_seal_time(),
+        ];
+        phases(f, "job", d)
     }
 }
 
@@ -343,6 +407,28 @@ mod tests {
         let few = stats(&[10; 10]);
         let oh = Duration::from_millis(5);
         assert!(many.simulated_makespan(10, oh) > few.simulated_makespan(10, oh));
+    }
+
+    #[test]
+    fn display_attributes_seal_and_publish_time() {
+        let mut a = stats(&[1]);
+        a.name = "s1".into();
+        a.seal_time = Duration::from_millis(7);
+        a.publish_time = Duration::from_millis(2);
+        let mut b = stats(&[1]);
+        b.name = "s2".into();
+        b.seal_time = Duration::from_millis(5);
+        b.publish_time = Duration::from_millis(1);
+        let job = JobStats { stages: vec![a, b] };
+        assert_eq!(job.total_seal_time(), Duration::from_millis(12));
+        assert_eq!(job.total_publish_time(), Duration::from_millis(3));
+        let text = job.to_string();
+        assert!(text.contains("s1: "), "{text}");
+        assert!(text.contains("publish 2.0"), "{text}");
+        assert!(
+            text.ends_with("publish 3.0 (+ set-up); sealing in tasks 12.0 ms"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -409,14 +409,18 @@ fn encode_column(batch_rows: usize, field: &Field, col: &Column, out: &mut Vec<u
 /// The choice is a pure function of the cell values, so re-encoding is
 /// deterministic.
 fn encode_str_data<'a>(rows: usize, at: impl Fn(usize) -> &'a str, out: &mut Vec<u8>) {
-    let mut dict: FxHashMap<&str, u64> = FxHashMap::default();
+    // One hash probe per cell: the entry either yields the string's code
+    // or assigns the next one (first-occurrence order).
+    let mut dict: FxHashMap<&str, u32> = FxHashMap::default();
     let mut order: Vec<&str> = Vec::new();
+    let mut codes: Vec<u32> = Vec::with_capacity(rows);
     for i in 0..rows {
         let s = at(i);
-        if !dict.contains_key(s) {
-            dict.insert(s, order.len() as u64);
+        let code = *dict.entry(s).or_insert_with(|| {
             order.push(s);
-        }
+            u32::try_from(order.len() - 1).expect("an extent holds fewer than 2^32 strings")
+        });
+        codes.push(code);
     }
     let use_dict = rows >= 8 && order.len() * 4 <= rows * 3;
     if use_dict {
@@ -426,8 +430,8 @@ fn encode_str_data<'a>(rows: usize, at: impl Fn(usize) -> &'a str, out: &mut Vec
             put_varint(out, s.len() as u64);
             out.extend_from_slice(s.as_bytes());
         }
-        for i in 0..rows {
-            put_varint(out, dict[at(i)]);
+        for code in codes {
+            put_varint(out, u64::from(code));
         }
     } else {
         out.push(0);

@@ -9,13 +9,15 @@
 #![cfg(unix)]
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use std::time::Duration;
+use timr_suite::mapreduce::job::IdentityReducer;
 use timr_suite::mapreduce::{
-    BackendKind, ChaosPlan, Cluster, ClusterConfig, Dataset, Dfs, FaultTotals, RetryPolicy,
-    SpeculationPolicy, TaskPhase,
+    BackendKind, ChaosPlan, Cluster, ClusterConfig, Dataset, Dfs, FaultTotals, Partitioner,
+    RetryPolicy, SpeculationPolicy, Stage, TaskPhase,
 };
 use timr_suite::relation::schema::{ColumnType, Field};
-use timr_suite::relation::{row, Row, Schema};
+use timr_suite::relation::{row, Row, Schema, Value};
 use timr_suite::temporal::exec::ExecMode;
 use timr_suite::temporal::expr::{col, lit};
 use timr_suite::temporal::Query;
@@ -160,6 +162,124 @@ proptest! {
                 );
             }
         }
+    }
+}
+
+/// Rows over few users (so some reduce partitions stay empty), one in
+/// ten null-heavy and one in ten ill-typed (a string in the `Long`
+/// column): the shuffle ships those as row chunks and the DFS stores
+/// their partitions in the legacy form.
+fn arb_keyed_rows() -> impl Strategy<Value = Vec<Row>> {
+    let row = (0i64..1000, 0u8..10, 0u8..10).prop_map(|(n, user, kind)| match kind {
+        0 => Row::new(vec![Value::Long(n), Value::Null, Value::Null]),
+        1 => row![n, format!("u{user}"), "not-a-number"],
+        _ => row![n, format!("u{user}"), n * 3],
+    });
+    (1u8..10, prop::collection::vec(row, 0..250)).prop_map(|(users, rows)| {
+        let fold = |r: &Row| match r.get(1) {
+            Value::Str(u) => {
+                let folded = u[1..].parse::<u8>().unwrap() % users;
+                Row::new(vec![
+                    r.get(0).clone(),
+                    Value::str(format!("u{folded}")),
+                    r.get(2).clone(),
+                ])
+            }
+            _ => r.clone(),
+        };
+        rows.iter().map(fold).collect()
+    })
+}
+
+/// What one stage published: per reduce partition, its rows and its stored
+/// binary image (`None` for a partition stored in the legacy form).
+type Published = Vec<(Vec<Row>, Option<Vec<u8>>)>;
+
+/// Repartition `rows` (stored as three extents) by `UserId` through an
+/// identity stage on `config`'s cluster.
+fn publish(rows: &[Row], config: ClusterConfig) -> Published {
+    let schema = Schema::timestamped(vec![
+        Field::new("UserId", ColumnType::Str),
+        Field::new("N", ColumnType::Long),
+    ]);
+    let per_extent = rows.len().div_ceil(3).max(1);
+    let extents = rows.chunks(per_extent).map(<[Row]>::to_vec).collect();
+    let dfs = Dfs::new();
+    dfs.put("in", Dataset::partitioned(schema, extents))
+        .unwrap();
+    let stage = Stage::new(
+        "copy",
+        vec!["in".into()],
+        "out",
+        Partitioner::KeyHash {
+            columns: vec!["UserId".into()],
+        },
+        4,
+        Arc::new(IdentityReducer),
+    )
+    .unwrap();
+    Cluster::with_config(config)
+        .run_stage(&dfs, &stage)
+        .unwrap();
+    let out = dfs.get("out").unwrap();
+    out.verify().unwrap();
+    (out.partitions.iter().enumerate())
+        .map(|(i, rows)| (rows.clone(), out.binary_extent(i).map(|b| b.to_vec())))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Tasks seal what they publish, so the published rows *and* stored
+    /// extent images must not depend on who ran the tasks or where the
+    /// shuffle lived: 1, 2 and 4 threads or worker processes, in memory or
+    /// under a 2 KiB budget — clean, and under a seeded chaos schedule of
+    /// panics, kills, process kills and corruption in every phase.
+    #[test]
+    fn published_images_match_across_threads_backends_and_budgets(
+        rows in arb_keyed_rows(),
+        seed in 0u64..1_000_000,
+    ) {
+        let retry = RetryPolicy::no_backoff(5);
+        let reference = publish(&rows, ClusterConfig {
+            threads: 1,
+            retry,
+            ..ClusterConfig::default()
+        });
+        let chaos = ChaosPlan::seeded(seed)
+            .with_panics(0.08)
+            .with_transients(0.08)
+            .with_corruption(0.08)
+            .with_process_kills(0.08)
+            .with_fault_cap(2);
+        let spill_dir = std::env::temp_dir().join(format!(
+            "timr-backend-images-{}-{seed}",
+            std::process::id()
+        ));
+        for n in [1usize, 2, 4] {
+            for backend in [BackendKind::Threads, BackendKind::Processes { workers: n }] {
+                for budget in [None, Some(2 << 10)] {
+                    for plan in [ChaosPlan::none(), chaos.clone()] {
+                        let clean = plan.is_clean();
+                        let got = publish(&rows, ClusterConfig {
+                            threads: n,
+                            backend,
+                            memory_budget_bytes: budget,
+                            spill_dir: Some(spill_dir.clone()),
+                            chaos: plan,
+                            retry,
+                            ..ClusterConfig::default()
+                        });
+                        prop_assert_eq!(
+                            &got, &reference,
+                            "{:?} x{} budget {:?} clean {} seed {}", backend, n, budget, clean, seed
+                        );
+                    }
+                }
+            }
+        }
+        std::fs::remove_dir_all(&spill_dir).ok();
     }
 }
 

@@ -224,3 +224,45 @@ fn chaos_corruption_of_binary_extents_rebuilds_byte_identically() {
         assert!(stats.task_retries >= 2, "budget={budget:?}");
     }
 }
+
+/// The encoded image is a persisted format: the bytes of a fixed batch —
+/// dictionary-coded and raw strings, nulls in every column — are pinned
+/// by digest, so an encoder change that alters them cannot pass as a
+/// refactor. (Digests taken at commit 7678c1d, before the one-pass
+/// dictionary builder.)
+#[test]
+fn encoded_bytes_are_pinned() {
+    let rows = |distinct: i32| -> Vec<Row> {
+        (0..200)
+            .map(|i| {
+                if i % 13 == 0 {
+                    return Row::new(vec![Value::Null; 5]);
+                }
+                Row::new(vec![
+                    Value::Bool(i % 3 == 0),
+                    Value::Int(i - 100),
+                    Value::Long(i as i64 * 1_000_003),
+                    Value::Double(i as f64 / 7.0),
+                    Value::str(format!("user-{}", i % distinct)),
+                ])
+            })
+            .collect()
+    };
+    for (distinct, len, digest) in [
+        (9, PINNED_DICT.0, PINNED_DICT.1),
+        (1000, PINNED_RAW.0, PINNED_RAW.1),
+    ] {
+        let bytes = ColumnBatch::from_rows(&schema(), &rows(distinct))
+            .unwrap()
+            .to_extent_bytes()
+            .unwrap();
+        assert_eq!(
+            (bytes.len(), timr_suite::relation::hash::stable_hash(&bytes)),
+            (len, digest),
+            "{distinct} distinct strings"
+        );
+    }
+}
+
+const PINNED_DICT: (usize, u64) = (3310, 18161363459153134814);
+const PINNED_RAW: (usize, u64) = (4616, 14424499352856005425);
