@@ -8,9 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use relation::row;
 use relation::schema::{ColumnType, Field};
 use relation::Schema;
-use temporal::exec::{bindings, execute_single, execute_single_with_mode, ExecMode};
-use temporal::expr::{col, lit};
-use temporal::plan::LogicalPlan;
+use temporal::exec::{bindings, execute_single};
 use temporal::{Event, EventStream, Query};
 
 fn schema() -> Schema {
@@ -130,122 +128,6 @@ fn bench_normalize(c: &mut Criterion) {
     group.finish();
 }
 
-// ---------------------------------------------------------------------------
-// Interpreted vs compiled vs columnar vs fused: the PR 2 hot-path
-// comparison plus the PR 4 vectorized batch path and the PR 7 single-pass
-// fused fragments. Each plan runs through all executor modes over the same
-// 100k-event input; input streams are Arc-backed, so the per-iteration
-// clone is O(1).
-// ---------------------------------------------------------------------------
-
-const MODE_EVENTS: usize = 100_000;
-
-fn mode_schema() -> Schema {
-    Schema::new(vec![
-        Field::new("StreamId", ColumnType::Int),
-        Field::new("UserId", ColumnType::Str),
-        Field::new("Val", ColumnType::Long),
-    ])
-}
-
-fn mode_stream(n: usize) -> EventStream {
-    EventStream::new(
-        mode_schema(),
-        (0..n)
-            .map(|i| {
-                Event::point(
-                    i as i64,
-                    row![(1 + i % 2) as i32, format!("u{}", i % 500), (i as i64) * 7],
-                )
-            })
-            .collect(),
-    )
-}
-
-fn bench_both_modes(
-    c: &mut Criterion,
-    name: &str,
-    plan: &LogicalPlan,
-    sources: &temporal::exec::Bindings,
-) {
-    let mut group = c.benchmark_group(name);
-    group.throughput(Throughput::Elements(MODE_EVENTS as u64));
-    for (label, mode) in [
-        ("interpreted", ExecMode::Interpreted),
-        ("compiled", ExecMode::Compiled),
-        ("columnar", ExecMode::Columnar),
-        ("fused", ExecMode::Fused),
-    ] {
-        group.bench_function(label, |b| {
-            b.iter(|| execute_single_with_mode(plan, sources, mode).unwrap())
-        });
-    }
-    group.finish();
-}
-
-fn bench_modes_filter(c: &mut Criterion) {
-    let q = Query::new();
-    let out = q
-        .source("in", mode_schema())
-        .filter(col("StreamId").eq(lit(1)).and(col("Val").ge(lit(0))));
-    let plan = q.build(vec![out]).unwrap();
-    let sources = bindings(vec![("in", mode_stream(MODE_EVENTS))]);
-    bench_both_modes(c, "mode_filter", &plan, &sources);
-}
-
-fn bench_modes_project(c: &mut Criterion) {
-    let q = Query::new();
-    let out = q.source("in", mode_schema()).project(vec![
-        ("UserId".into(), col("UserId")),
-        ("Score".into(), col("Val").mul(lit(3)).add(col("StreamId"))),
-        (
-            "Norm".into(),
-            col("Val").mul(lit(100)).div(col("Val").add(lit(60))),
-        ),
-    ]);
-    let plan = q.build(vec![out]).unwrap();
-    let sources = bindings(vec![("in", mode_stream(MODE_EVENTS))]);
-    bench_both_modes(c, "mode_project", &plan, &sources);
-}
-
-fn bench_modes_temporal_join(c: &mut Criterion) {
-    let q = Query::new();
-    let l = q.source("l", mode_schema());
-    let r = q.source("r", mode_schema());
-    let out = l.temporal_join(
-        r,
-        &[("UserId", "UserId")],
-        Some(col("Val").ge(col("Val.r"))),
-    );
-    let plan = q.build(vec![out]).unwrap();
-    let right = EventStream::new(
-        mode_schema(),
-        (0..MODE_EVENTS / 10)
-            .map(|i| {
-                Event::interval(
-                    (i * 10) as i64,
-                    (i * 10 + 600) as i64,
-                    row![1i32, format!("u{}", i % 500), i as i64],
-                )
-            })
-            .collect(),
-    );
-    let sources = bindings(vec![("l", mode_stream(MODE_EVENTS)), ("r", right)]);
-    bench_both_modes(c, "mode_temporal_join", &plan, &sources);
-}
-
-fn bench_modes_aggregate(c: &mut Criterion) {
-    let q = Query::new();
-    let out = q.source("in", mode_schema()).window(500).aggregate(vec![
-        ("N".into(), temporal::agg::AggExpr::Count),
-        ("S".into(), temporal::agg::AggExpr::Sum(col("Val"))),
-        ("A".into(), temporal::agg::AggExpr::Avg(col("Val"))),
-    ]);
-    let plan = q.build(vec![out]).unwrap();
-    let sources = bindings(vec![("in", mode_stream(MODE_EVENTS))]);
-    bench_both_modes(c, "mode_aggregate", &plan, &sources);
-}
-
 fn bench_factor_window_combine(c: &mut Criterion) {
     // PR 8 factor-window rewrite: Q harmonic hopping-window counts over the
     // same keyed stream, executed verbatim (every query re-buckets the raw
@@ -282,7 +164,6 @@ criterion_group!(
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_windowed_count, bench_temporal_join, bench_anti_semi_join, bench_normalize,
-        bench_modes_filter, bench_modes_project, bench_modes_temporal_join, bench_modes_aggregate,
         bench_factor_window_combine
 );
 criterion_main!(benches);

@@ -26,7 +26,6 @@ use mapreduce::{
 use relation::schema::{ColumnType, Field};
 use relation::{row, Row, Schema};
 use std::time::Duration;
-use temporal::exec::ExecMode;
 use temporal::expr::{col, lit};
 use temporal::plan::{Operator, Query};
 use timr::{Annotation, EventEncoding, ExchangeKey, TimrJob};
@@ -96,7 +95,6 @@ fn click_count_job() -> TimrJob {
     TimrJob::new("pr10", plan)
         .with_annotation(ann)
         .with_machines(PARTITIONS)
-        .with_exec_mode(ExecMode::Compiled)
 }
 
 struct JobRun {

@@ -7,7 +7,7 @@
 //! 1. **Standalone DSMS**: the UBP profile query (filter + GroupApply per
 //!    `(UserId, KwAdId)` with a sliding count) and the feature-selection
 //!    z-test query (two GroupApplies + TemporalJoin + z expression),
-//!    executed through [`temporal::exec::ExecOptions`] at 1, 2 and N
+//!    executed through [`temporal::exec::execute_data`] on pools of 1, 2 and N
 //!    worker threads. Outputs must be *byte-identical* (`==`, not just
 //!    the same relation) at every width — groups merge in sorted-key
 //!    order, so thread count must never leak into results.
@@ -27,7 +27,7 @@ use bt::BtParams;
 use mapreduce::{ChaosPlan, Cluster, ClusterConfig, Dataset, Dfs, RetryPolicy};
 use relation::{row, Row};
 use std::time::{Duration, Instant};
-use temporal::exec::{bindings, execute_single_with_options, Bindings, ExecOptions};
+use temporal::exec::{bindings, data_bindings, execute_data, Bindings, WorkerPool};
 use temporal::expr::{col, lit};
 use temporal::plan::{LogicalPlan, Query};
 use temporal::{Event, EventStream};
@@ -90,7 +90,7 @@ fn ztest_label_row(i: usize) -> (i64, String, String, i32) {
         (i as i64) * 50,
         format!("user-{:05}", i % 4_000),
         format!("ad-{:03}", i % ZTEST_ADS),
-        i32::from(i % 9 == 0),
+        i32::from(i.is_multiple_of(9)),
     )
 }
 
@@ -145,11 +145,13 @@ fn sweep_plan(
     let mut runs = Vec::new();
     let mut reference: Option<EventStream> = None;
     for &threads in thread_counts {
-        let options = ExecOptions::default().threads(threads);
+        let pool = WorkerPool::new(threads);
         let mut best: Option<(Duration, EventStream)> = None;
         for _ in 0..REPS {
             let start = Instant::now();
-            let out = execute_single_with_options(plan, sources, &options).expect("plan runs");
+            let (mut roots, _) =
+                execute_data(plan, data_bindings(sources.clone()), &pool).expect("plan runs");
+            let out = roots.pop().expect("single-output plan");
             let elapsed = start.elapsed();
             if best.as_ref().is_none_or(|(t, _)| elapsed < *t) {
                 best = Some((elapsed, out));

@@ -22,7 +22,6 @@ use mapreduce::{ChaosPlan, Cluster, ClusterConfig, Dataset, Dfs, FaultTotals, Re
 use relation::schema::{ColumnType, Field};
 use relation::{row, Row, Schema};
 use std::time::Duration;
-use temporal::exec::ExecMode;
 use temporal::expr::{col, lit};
 use temporal::plan::{Operator, Query};
 use timr::{Annotation, EventEncoding, ExchangeKey, TimrJob};
@@ -147,7 +146,6 @@ fn click_score_job() -> TimrJob {
     TimrJob::new("pr5", plan)
         .with_annotation(ann)
         .with_machines(PARTITIONS)
-        .with_exec_mode(ExecMode::Compiled)
 }
 
 /// The standard chaos schedule (kept in sync with `tests/prop_chaos.rs`):

@@ -3,12 +3,12 @@
 //!
 //! Three measurements over the PR 4/PR 5 click-scoring job shape:
 //!
-//! 1. **Shuffle-byte cut**: the job runs in every exec mode with
-//!    `measure_text_shuffle` on, so each stage reports what the shuffle
-//!    actually moved as framed binary columnar extents *and* what the same
-//!    rows would have cost in the legacy text codec. The binary format
-//!    must cut shuffle bytes by ≥2x, and all three modes must produce
-//!    byte-identical output.
+//! 1. **Shuffle-byte cut**: the job runs with `measure_text_shuffle` on,
+//!    so each stage reports what the shuffle actually moved as framed
+//!    binary columnar extents *and* what the same rows would have cost in
+//!    the legacy text codec. The binary format must cut shuffle bytes by
+//!    ≥2x, and the scaled-out output must equal the single-node reference
+//!    DSMS on the same log.
 //! 2. **Codec CPU**: a direct encode+decode race over the log's rows —
 //!    text `encode_rows`/`decode_rows` vs binary `to_extent_bytes`/
 //!    `from_extent_bytes` — showing the CPU the stage boundaries no
@@ -27,7 +27,6 @@ use mapreduce::{Cluster, ClusterConfig, Dataset, Dfs};
 use relation::schema::{ColumnType, Field};
 use relation::{codec, row, ColumnBatch, Row, Schema};
 use std::time::{Duration, Instant};
-use temporal::exec::ExecMode;
 use temporal::expr::{col, lit};
 use temporal::plan::{Operator, Query};
 use timr::{Annotation, EventEncoding, ExchangeKey, TimrJob};
@@ -98,7 +97,7 @@ fn build_log(scale: usize) -> Dataset {
 
 /// The PR 4/PR 5 click-scoring shape: filter + feature projection +
 /// refilter + second projection + keyed tumbling aggregation.
-fn click_score_job(mode: ExecMode) -> TimrJob {
+fn click_score_job() -> TimrJob {
     let q = Query::new();
     let out = q
         .source("logs", op_schema())
@@ -146,7 +145,6 @@ fn click_score_job(mode: ExecMode) -> TimrJob {
     TimrJob::new("pr6", plan)
         .with_annotation(ann)
         .with_machines(PARTITIONS)
-        .with_exec_mode(mode)
 }
 
 struct JobRun {
@@ -161,9 +159,9 @@ struct JobRun {
 fn run_job_once(
     log: &Dataset,
     threads: usize,
-    mode: ExecMode,
     budget: Option<u64>,
     measure_text: bool,
+    check_reference: bool,
 ) -> JobRun {
     let dfs = Dfs::new();
     dfs.put("logs", log.clone()).expect("fresh DFS");
@@ -173,7 +171,17 @@ fn run_job_once(
         measure_text_shuffle: measure_text,
         ..ClusterConfig::default()
     });
-    let out = click_score_job(mode).run(&dfs, &cluster).expect("job runs");
+    let out = click_score_job().run(&dfs, &cluster).expect("job runs");
+    if check_reference {
+        let job = click_score_job();
+        let reference = super::reference_relation(&dfs, &job.plan, &job.source_encodings);
+        assert!(
+            out.stream(&dfs)
+                .expect("output decodes")
+                .same_relation(&reference),
+            "scaled-out output must equal the single-node reference DSMS"
+        );
+    }
     JobRun {
         wall: out.stats.total_wall_time(),
         output: dfs
@@ -226,29 +234,16 @@ pub fn run(_ctx: &mut super::Ctx) -> String {
         .map(|n| n.get())
         .unwrap_or(4);
 
-    // 1. Shuffle-byte cut per exec mode, byte-identical output across all.
-    let modes = [
-        ("interpreted", ExecMode::Interpreted),
-        ("compiled", ExecMode::Compiled),
-        ("columnar", ExecMode::Columnar),
-    ];
-    let mut runs = Vec::new();
-    for &(_, mode) in &modes {
-        runs.push(best(
-            (0..reps)
-                .map(|_| run_job_once(&log, threads, mode, None, true))
-                .collect(),
-        ));
-    }
-    for (i, r) in runs.iter().enumerate().skip(1) {
-        assert_eq!(
-            runs[0].output, r.output,
-            "{} output must match {}",
-            modes[i].0, modes[0].0
-        );
-    }
+    // 1. Shuffle-byte cut; the first repetition also checks the output
+    //    against the single-node reference DSMS (scaled runs skip it: the
+    //    reference is the naive interpreter, on one thread).
+    let in_memory = best(
+        (0..reps)
+            .map(|rep| run_job_once(&log, threads, None, true, rep == 0 && scale == 1))
+            .collect(),
+    );
     let cut = |r: &JobRun| r.text_bytes as f64 / (r.binary_bytes as f64).max(1.0);
-    let min_cut = runs.iter().map(cut).fold(f64::INFINITY, f64::min);
+    let min_cut = cut(&in_memory);
     assert!(
         min_cut >= 2.0,
         "binary extents must at least halve shuffle bytes (got {min_cut:.2}x)"
@@ -260,65 +255,57 @@ pub fn run(_ctx: &mut super::Ctx) -> String {
     let codec_speedup = text_cpu.as_secs_f64() / bin_cpu.as_secs_f64().max(1e-9);
 
     // 3. Out-of-core: budget the shuffle well below its own volume.
-    let columnar = &runs[2];
-    let budget = (columnar.binary_bytes / 8).max(64 * 1024);
-    let spilled = run_job_once(&log, threads, ExecMode::Columnar, Some(budget), false);
+    let budget = (in_memory.binary_bytes / 8).max(64 * 1024);
+    let spilled = run_job_once(&log, threads, Some(budget), false, false);
     assert!(
         spilled.spill_extents > 0,
         "a budget of {budget} bytes under a {}-byte shuffle must spill",
-        columnar.binary_bytes
+        in_memory.binary_bytes
     );
     assert_eq!(
-        columnar.output, spilled.output,
+        in_memory.output, spilled.output,
         "spilling must not change output bytes"
     );
 
     let mut table = Table::new(&["Configuration", "Wall ms", "Text B", "Binary B", "Cut"]);
-    for (i, r) in runs.iter().enumerate() {
-        table.row(vec![
-            modes[i].0.into(),
-            format!("{:.1}", ms(r.wall)),
-            r.text_bytes.to_string(),
-            r.binary_bytes.to_string(),
-            format!("{:.2}x", cut(r)),
-        ]);
-    }
     table.row(vec![
-        format!("columnar, {budget} B budget"),
+        "in memory".into(),
+        format!("{:.1}", ms(in_memory.wall)),
+        in_memory.text_bytes.to_string(),
+        in_memory.binary_bytes.to_string(),
+        format!("{:.2}x", cut(&in_memory)),
+    ]);
+    table.row(vec![
+        format!("{budget} B budget"),
         format!("{:.1}", ms(spilled.wall)),
         "-".into(),
         spilled.binary_bytes.to_string(),
         format!("{} spills", spilled.spill_extents),
     ]);
 
-    let mode_json: Vec<(String, serde_json::Value)> = runs
-        .iter()
-        .enumerate()
-        .map(|(i, r)| {
-            (
-                modes[i].0.to_string(),
-                serde_json::Value::Object(vec![
-                    ("wall_ms".into(), serde_json::Value::Float(ms(r.wall))),
-                    (
-                        "shuffle_bytes_text".into(),
-                        serde_json::Value::UInt(r.text_bytes),
-                    ),
-                    (
-                        "shuffle_bytes_binary".into(),
-                        serde_json::Value::UInt(r.binary_bytes),
-                    ),
-                    ("cut".into(), serde_json::Value::Float(cut(r))),
-                ]),
-            )
-        })
-        .collect();
     let json = serde_json::Value::Object(vec![
         ("experiment".into(), serde_json::Value::Str("pr6".into())),
         ("rows".into(), serde_json::Value::UInt(rows as u64)),
         ("scale".into(), serde_json::Value::UInt(scale as u64)),
         ("threads".into(), serde_json::Value::UInt(threads as u64)),
         ("byte_identical".into(), serde_json::Value::Bool(true)),
-        ("modes".into(), serde_json::Value::Object(mode_json)),
+        (
+            "in_memory".into(),
+            serde_json::Value::Object(vec![
+                (
+                    "wall_ms".into(),
+                    serde_json::Value::Float(ms(in_memory.wall)),
+                ),
+                (
+                    "shuffle_bytes_text".into(),
+                    serde_json::Value::UInt(in_memory.text_bytes),
+                ),
+                (
+                    "shuffle_bytes_binary".into(),
+                    serde_json::Value::UInt(in_memory.binary_bytes),
+                ),
+            ]),
+        ),
         ("min_shuffle_cut".into(), serde_json::Value::Float(min_cut)),
         (
             "codec_text_ms".into(),

@@ -13,8 +13,8 @@
 //! For each query count the experiment measures both sides' stage wall
 //! time and verifies, per query, that the shared run's DFS partitions are
 //! **byte-identical** to the independent run's. At the smallest multi-query
-//! count the identity check runs in all four DSMS execution modes
-//! (interpreted, compiled, columnar, fused). Results go to
+//! count every query is also checked against the single-node reference
+//! DSMS (`execute_reference`). Results go to
 //! `BENCH_PR8.json`; the headline is the shared-vs-independent speedup at
 //! 16 queries (acceptance: ≥2x).
 //!
@@ -24,7 +24,6 @@ use crate::table::Table;
 use bt::queries::advertisers::{advertiser_query, shared_job};
 use mapreduce::Dfs;
 use std::time::Duration;
-use temporal::exec::ExecMode;
 use timr::multi::{MultiTimrJob, MultiTimrOutput};
 use timr::ExchangeKey;
 
@@ -80,10 +79,8 @@ fn run_shared(
     dfs: &Dfs,
     cluster: &mapreduce::Cluster,
     n: usize,
-    mode: ExecMode,
 ) -> (MultiTimrOutput, Vec<Vec<Vec<relation::Row>>>) {
     let out = shared_job(params, n)
-        .with_exec_mode(mode)
         .run(dfs, cluster)
         .expect("shared job runs");
     let bytes = collect_bytes(dfs, &out.datasets);
@@ -96,7 +93,6 @@ fn run_independent(
     dfs: &Dfs,
     cluster: &mapreduce::Cluster,
     n: usize,
-    mode: ExecMode,
 ) -> Side {
     let mut wall = Duration::ZERO;
     let mut bytes = Vec::with_capacity(n);
@@ -104,7 +100,6 @@ fn run_independent(
         let out = MultiTimrJob::new(format!("adv_solo{i}"), vec![advertiser_query(params, i)])
             .with_key(ExchangeKey::keys(&["UserId"]))
             .with_machines(params.machines)
-            .with_exec_mode(mode)
             .run(dfs, cluster)
             .expect("independent job runs");
         wall += job_wall(&out);
@@ -138,12 +133,12 @@ pub fn run(ctx: &mut super::Ctx) -> String {
         let mut best_shared: Option<(MultiTimrOutput, Vec<_>)> = None;
         let mut best_indep: Option<Side> = None;
         for _ in 0..reps(n) {
-            let (out, bytes) = run_shared(&params, dfs, cluster, n, ExecMode::Compiled);
+            let (out, bytes) = run_shared(&params, dfs, cluster, n);
             best_shared = Some(match best_shared {
                 Some(prev) if job_wall(&prev.0) <= job_wall(&out) => prev,
                 _ => (out, bytes),
             });
-            let side = run_independent(&params, dfs, cluster, n, ExecMode::Compiled);
+            let side = run_independent(&params, dfs, cluster, n);
             best_indep = Some(match best_indep {
                 Some(prev) if prev.wall <= side.wall => prev,
                 _ => side,
@@ -202,16 +197,20 @@ pub fn run(ctx: &mut super::Ctx) -> String {
         ]));
     }
 
-    // Four-mode identity anchor at the smallest multi-query count: every
-    // DSMS execution mode must write the same per-query bytes, shared and
-    // independent.
+    // Reference anchor at the smallest multi-query count: every query of
+    // the scaled-out shared run must be the relation the single-node
+    // reference DSMS computes from the same log.
     let anchor_n = counts.iter().copied().find(|&n| n > 1).unwrap_or(1);
-    let (_, reference) = run_shared(&params, dfs, cluster, anchor_n, ExecMode::Compiled);
-    for mode in [ExecMode::Interpreted, ExecMode::Columnar, ExecMode::Fused] {
-        let (_, bytes) = run_shared(&params, dfs, cluster, anchor_n, mode);
-        assert_eq!(
-            reference, bytes,
-            "{mode:?} shared run must write the same bytes as Compiled"
+    let (anchor, _) = run_shared(&params, dfs, cluster, anchor_n);
+    let encodings = shared_job(&params, anchor_n).source_encodings;
+    for i in 0..anchor_n {
+        let reference = super::reference_relation(dfs, &advertiser_query(&params, i), &encodings);
+        assert!(
+            anchor
+                .stream(i, dfs)
+                .expect("query output decodes")
+                .same_relation(&reference),
+            "shared query {i} must equal the single-node reference DSMS"
         );
     }
 
@@ -237,7 +236,8 @@ pub fn run(ctx: &mut super::Ctx) -> String {
     format!(
         "PR 8 — shared multi-query execution vs independent jobs over {log_rows} log rows \
          (written to BENCH_PR8.json):\n{}\
-         per-query outputs byte-identical (all four exec modes at n={anchor_n}); \
+         per-query outputs byte-identical shared vs independent, equal to the single-node \
+         reference at n={anchor_n}; \
          speedup at 16 queries: {speedup_at_16:.2}x\n",
         table.render(),
     )

@@ -17,9 +17,9 @@
 //!
 //! For each job the experiment records shuffle bytes, bytes saved, mapper
 //! row counts, map/stage wall time — and asserts the outputs are
-//! **byte-identical** with push-down on and off, in all four DSMS
-//! execution modes, and under seeded chaos with a tight shuffle memory
-//! budget. The raw-log advertiser set ([`shared_job`]) is the negative
+//! **byte-identical** with push-down on and off, equal to the single-node
+//! reference DSMS, and unchanged under seeded chaos with a tight shuffle
+//! memory budget. The raw-log advertiser set ([`shared_job`]) is the negative
 //! control: its bot-elimination fan-out blocks the split, so it must
 //! report zero pushed operators and zero bytes saved. Acceptance: ≥2x
 //! shuffle-byte cut on both measured jobs. Results go to `BENCH_PR9.json`.
@@ -28,12 +28,13 @@
 //! shuffle.
 
 use crate::table::Table;
-use bt::queries::advertisers::{click_score_job, dashboard_job, shared_job, CLEAN_LOG_DATASET};
+use bt::queries::advertisers::{
+    click_score_job, dashboard_job, dashboard_query, shared_job, CLEAN_LOG_DATASET,
+};
 use bt::queries::bot_elim;
 use mapreduce::{ChaosPlan, Cluster, ClusterConfig, Dataset, Dfs, JobStats, RetryPolicy};
 use relation::Row;
 use std::time::Duration;
-use temporal::exec::ExecMode;
 
 const DASHBOARDS: usize = 16;
 
@@ -78,19 +79,11 @@ impl Side {
 }
 
 /// Run the dashboard set or the click-score job once.
-fn run_job(
-    params: &bt::BtParams,
-    dfs: &Dfs,
-    cluster: &Cluster,
-    job: &str,
-    push: bool,
-    mode: ExecMode,
-) -> Side {
+fn run_job(params: &bt::BtParams, dfs: &Dfs, cluster: &Cluster, job: &str, push: bool) -> Side {
     match job {
         "dashboards" => {
             let out = dashboard_job(params, DASHBOARDS)
                 .with_push_down(push)
-                .with_exec_mode(mode)
                 .run(dfs, cluster)
                 .expect("dashboard job runs");
             Side {
@@ -107,7 +100,6 @@ fn run_job(
                 .expect("click-score job compiles");
             let out = click_score_job(params)
                 .with_push_down(push)
-                .with_exec_mode(mode)
                 .run(dfs, cluster)
                 .expect("click-score job runs");
             Side {
@@ -127,12 +119,12 @@ fn measure(params: &bt::BtParams, dfs: &Dfs, cluster: &Cluster, job: &str) -> (S
     let mut best_on: Option<Side> = None;
     let mut best_off: Option<Side> = None;
     for _ in 0..3 {
-        let on = run_job(params, dfs, cluster, job, true, ExecMode::Compiled);
+        let on = run_job(params, dfs, cluster, job, true);
         best_on = Some(match best_on {
             Some(prev) if prev.wall() <= on.wall() => prev,
             _ => on,
         });
-        let off = run_job(params, dfs, cluster, job, false, ExecMode::Compiled);
+        let off = run_job(params, dfs, cluster, job, false);
         best_off = Some(match best_off {
             Some(prev) if prev.wall() <= off.wall() => prev,
             _ => off,
@@ -255,27 +247,27 @@ pub fn run(ctx: &mut super::Ctx) -> String {
         ]));
     }
 
-    // Four-mode identity anchor: every DSMS execution mode must write the
-    // same dashboard bytes with push-down on as Compiled writes with it
-    // off.
-    let reference = run_job(
-        &params,
-        &dfs,
-        cluster,
-        "dashboards",
-        false,
-        ExecMode::Compiled,
+    // Reference anchor: the pushed dashboards must write the reduce-only
+    // bytes, and each dashboard must be the relation the single-node
+    // reference DSMS computes from the same cleaned log.
+    let reference = run_job(&params, &dfs, cluster, "dashboards", false);
+    let pushed = dashboard_job(&params, DASHBOARDS)
+        .run(&dfs, cluster)
+        .expect("dashboard job runs");
+    assert_eq!(
+        reference.bytes,
+        collect_bytes(&dfs, &pushed.datasets),
+        "pushed run must write the reduce-only bytes"
     );
-    for mode in [
-        ExecMode::Interpreted,
-        ExecMode::Compiled,
-        ExecMode::Columnar,
-        ExecMode::Fused,
-    ] {
-        let pushed = run_job(&params, &dfs, cluster, "dashboards", true, mode);
-        assert_eq!(
-            reference.bytes, pushed.bytes,
-            "{mode:?} pushed run must write the reduce-only bytes"
+    let encodings = dashboard_job(&params, DASHBOARDS).source_encodings;
+    for i in 0..DASHBOARDS {
+        let oracle = super::reference_relation(&dfs, &dashboard_query(&params, i), &encodings);
+        assert!(
+            pushed
+                .stream(i, &dfs)
+                .expect("dashboard output decodes")
+                .same_relation(&oracle),
+            "dashboard {i} must equal the single-node reference DSMS"
         );
     }
 
@@ -293,14 +285,7 @@ pub fn run(ctx: &mut super::Ctx) -> String {
         memory_budget_bytes: Some(4096),
         ..ClusterConfig::default()
     });
-    let chaotic = run_job(
-        &params,
-        &dfs,
-        &hostile,
-        "dashboards",
-        true,
-        ExecMode::Compiled,
-    );
+    let chaotic = run_job(&params, &dfs, &hostile, "dashboards", true);
     assert_eq!(
         reference.bytes, chaotic.bytes,
         "chaos + spill changed pushed-plan bytes"
@@ -351,7 +336,8 @@ pub fn run(ctx: &mut super::Ctx) -> String {
     format!(
         "PR 9 — map-side push-down vs reduce-only plans over {log_rows} log rows, scale {scale} \
          (written to BENCH_PR9.json):\n{}\
-         outputs byte-identical on/off (all four exec modes, chaos + 4 KiB spill budget); \
+         outputs byte-identical on/off (chaos + 4 KiB spill budget) and equal to the \
+         single-node reference; \
          raw advertiser control pushes 0 ops; min shuffle cut {min_cut:.2}x (target ≥2x)\n",
         table.render(),
     )

@@ -5,12 +5,9 @@
 
 pub mod bench_pr1;
 pub mod bench_pr10;
-pub mod bench_pr2;
 pub mod bench_pr3;
-pub mod bench_pr4;
 pub mod bench_pr5;
 pub mod bench_pr6;
-pub mod bench_pr7;
 pub mod bench_pr8;
 pub mod bench_pr9;
 pub mod bots;
@@ -29,6 +26,40 @@ use crate::{Scale, Workload};
 use bt::eval::split_by_time;
 use bt::example::Example;
 use bt::pipeline::{BtPipeline, KeywordScore, PipelineArtifacts};
+use mapreduce::Dfs;
+use std::collections::BTreeMap;
+use temporal::exec::{execute_reference, Bindings};
+use temporal::plan::LogicalPlan;
+use temporal::EventStream;
+use timr::EventEncoding;
+
+/// The paper's §III-C.1 yardstick for an experiment's job: the normalized
+/// output of the single-node reference DSMS ([`execute_reference`]) over
+/// the same source datasets the job read from `dfs`. A scaled-out run is
+/// correct when its decoded output is `same_relation` as this.
+pub(crate) fn reference_relation(
+    dfs: &Dfs,
+    plan: &LogicalPlan,
+    source_encodings: &BTreeMap<String, EventEncoding>,
+) -> EventStream {
+    let mut sources = Bindings::default();
+    for (name, payload) in plan.sources() {
+        let dataset = dfs.get(name).expect("source dataset is in the DFS");
+        let encoding = source_encodings
+            .get(name)
+            .copied()
+            .unwrap_or(EventEncoding::Point);
+        let stream = encoding
+            .decode_stream(dataset.iter(), payload)
+            .expect("source rows decode");
+        sources.insert(name.to_string(), stream);
+    }
+    execute_reference(plan, &sources)
+        .expect("reference DSMS runs the plan")
+        .pop()
+        .expect("single-output plan")
+        .normalize()
+}
 
 /// Shared experiment context: one workload, one pipeline run.
 pub struct Ctx {
@@ -173,21 +204,9 @@ pub fn registry() -> Vec<Experiment> {
             run: bench_pr1::run,
         },
         Experiment {
-            name: "pr2",
-            artifact:
-                "PR 2: compiled DSMS hot path vs interpreted baseline (writes BENCH_PR2.json)",
-            run: bench_pr2::run,
-        },
-        Experiment {
             name: "pr3",
             artifact: "PR 3: parallel GroupApply on the shared worker pool (writes BENCH_PR3.json)",
             run: bench_pr3::run,
-        },
-        Experiment {
-            name: "pr4",
-            artifact: "PR 4: columnar batches with vectorized execution vs the compiled row path \
-                 (writes BENCH_PR4.json)",
-            run: bench_pr4::run,
         },
         Experiment {
             name: "pr5",
@@ -200,12 +219,6 @@ pub fn registry() -> Vec<Experiment> {
             artifact: "PR 6: binary columnar extents, shuffle-byte cut, and budgeted spill \
                  (writes BENCH_PR6.json)",
             run: bench_pr6::run,
-        },
-        Experiment {
-            name: "pr7",
-            artifact: "PR 7: fused single-pass SIMD fragments vs the columnar engine \
-                 (writes BENCH_PR7.json)",
-            run: bench_pr7::run,
         },
         Experiment {
             name: "pr8",

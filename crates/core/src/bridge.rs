@@ -145,7 +145,7 @@ impl EventEncoding {
     }
 
     /// Decode a whole partition of rows straight into a column-major
-    /// [`EventBatch`] — the reducer entry of the columnar execution mode.
+    /// [`EventBatch`] — the batch-first entry for inputs that arrive as rows.
     ///
     /// Framing problems (non-integral `Time`/`TimeEnd`, empty lifetimes)
     /// are hard errors with messages identical to [`decode`], and they
@@ -153,7 +153,7 @@ impl EventEncoding {
     /// type-checks payload cells and so can only fail on framing too.
     /// A payload cell that doesn't fit its declared column type returns
     /// `Ok(None)`: the caller falls back to [`decode_stream`], which
-    /// accepts it, keeping the columnar mode a pure optimization.
+    /// accepts it, keeping the columnar layout a pure optimization.
     pub fn decode_batch(self, rows: &[Row], payload: &Schema) -> Result<Option<EventBatch>> {
         let skip = self.framing_columns();
         let mut vt = Vec::with_capacity(rows.len());

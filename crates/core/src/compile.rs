@@ -17,10 +17,10 @@ use mapreduce::{MrError, Partitioner, ReduceInput, Reducer, ReducerContext, Stag
 use relation::{Row, Schema};
 use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
+use std::fmt::{self, Write as _};
 use std::sync::Arc;
-use temporal::exec::{DataBindings, ExecMode, ExecOptions, StreamData};
+use temporal::exec::{DataBindings, StreamData};
 use temporal::plan::{LogicalPlan, PushDown};
-use temporal::EventStream;
 
 /// A compiled TiMR job: ordered stages plus output metadata.
 #[derive(Debug, Clone)]
@@ -37,14 +37,80 @@ pub struct CompiledJob {
     pub pushed_ops: usize,
     /// Partial-aggregation steps moved map-side, all stages.
     pub pushed_partials: usize,
+    /// Per pushed stage input: whether its mapper decodes extents to
+    /// columns or rows, and why (all stages, in stage order).
+    pub mapper_layouts: Vec<MapperLayout>,
+}
+
+/// How one pushed stage input is decoded map-side, and why. This is the one
+/// layout decision the compiler makes — from the input's fused mapper plan,
+/// at compile time — and it is a report: nothing sets it.
+///
+/// Decoding dataset rows into a column batch pays only when the pushed
+/// fragment *computes* (a projection or a partial aggregate run on the
+/// kernels); a prefix that only filters or rewrites lifetimes is cheaper on
+/// the in-place row operators (DESIGN.md, "The engine").
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct MapperLayout {
+    /// Stage the input belongs to.
+    pub stage: String,
+    /// Stage-input dataset name.
+    pub input: String,
+    /// Whether the mapper decodes extents into column batches (else rows).
+    pub columnar: bool,
+    /// The plan feature that decided it: `"project step"`,
+    /// `"partial aggregate"` or `"filter-only prefix"`.
+    pub reason: &'static str,
+}
+
+impl fmt::Display for MapperLayout {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let layout = if self.columnar { "columns" } else { "rows" };
+        write!(
+            f,
+            "{} <- {}: decodes to {layout} ({})",
+            self.stage, self.input, self.reason
+        )
+    }
+}
+
+/// Render the map-side half of a compiled job: the push-down counts and
+/// one line per pushed input's layout decision.
+pub(crate) fn map_side_report(
+    pushed_ops: usize,
+    pushed_partials: usize,
+    layouts: &[MapperLayout],
+) -> String {
+    let mut out = format!("map side: pushed_ops={pushed_ops} pushed_partials={pushed_partials}\n");
+    for layout in layouts {
+        let _ = writeln!(out, "  {layout}");
+    }
+    out
+}
+
+impl fmt::Display for CompiledJob {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for stage in &self.stages {
+            writeln!(
+                f,
+                "stage {} <- [{}] -> {}",
+                stage.name,
+                stage.inputs.join(", "),
+                stage.output
+            )?;
+        }
+        f.write_str(&map_side_report(
+            self.pushed_ops,
+            self.pushed_partials,
+            &self.mapper_layouts,
+        ))
+    }
 }
 
 /// Compile-time switches shared by [`compile_with_options`] and the
 /// multi-query driver.
 #[derive(Debug, Clone, Copy)]
 pub struct CompileOptions {
-    /// DSMS operator-implementation mode for the embedded DSMS instances.
-    pub exec_mode: ExecMode,
     /// Split each stage plan at its first exchange and run the
     /// exchange-free prefix (plus combinable partial aggregations)
     /// map-side ([`temporal::plan::push_down`]). On by default — the
@@ -55,10 +121,7 @@ pub struct CompileOptions {
 
 impl Default for CompileOptions {
     fn default() -> Self {
-        CompileOptions {
-            exec_mode: ExecMode::Compiled,
-            push_down: true,
-        }
+        CompileOptions { push_down: true }
     }
 }
 
@@ -75,36 +138,13 @@ pub fn compile(
     machines: usize,
     source_encodings: &BTreeMap<String, EventEncoding>,
 ) -> Result<CompiledJob> {
-    compile_with_mode(
-        plan,
-        annotation,
-        job_name,
-        machines,
-        source_encodings,
-        ExecMode::Compiled,
-    )
-}
-
-/// [`compile`] with an explicit DSMS operator-implementation mode for the
-/// embedded reducers (used by benchmarks to pin the interpreted baseline).
-pub fn compile_with_mode(
-    plan: &LogicalPlan,
-    annotation: &Annotation,
-    job_name: &str,
-    machines: usize,
-    source_encodings: &BTreeMap<String, EventEncoding>,
-    exec_mode: ExecMode,
-) -> Result<CompiledJob> {
     compile_with_options(
         plan,
         annotation,
         job_name,
         machines,
         source_encodings,
-        CompileOptions {
-            exec_mode,
-            ..CompileOptions::default()
-        },
+        CompileOptions::default(),
     )
 }
 
@@ -126,9 +166,12 @@ pub fn compile_with_options(
     let mut output_payload = plan.schema_of(plan.roots()[0]).clone();
     let mut pushed_ops = 0usize;
     let mut pushed_partials = 0usize;
+    let mut mapper_layouts = Vec::new();
 
     for frag in &fragments {
-        let (stage, pd) = compile_fragment(frag, job_name, machines, source_encodings, options)?;
+        let (stage, pd, layouts) =
+            compile_fragment(frag, job_name, machines, source_encodings, options)?;
+        mapper_layouts.extend(layouts);
         if let Some(pd) = pd {
             pushed_ops += pd.pushed_ops;
             pushed_partials += pd.partials;
@@ -146,6 +189,7 @@ pub fn compile_with_options(
         output_encoding: EventEncoding::Interval,
         pushed_ops,
         pushed_partials,
+        mapper_layouts,
     })
 }
 
@@ -155,8 +199,7 @@ fn compile_fragment(
     machines: usize,
     source_encodings: &BTreeMap<String, EventEncoding>,
     options: CompileOptions,
-) -> Result<(Stage, Option<PushDown>)> {
-    let exec_mode = options.exec_mode;
+) -> Result<(Stage, Option<PushDown>, Vec<MapperLayout>)> {
     let (partitioner, partitions) = match &frag.key {
         FragmentKey::Keys(cols) => (
             // Hash over the *dataset* row: framing columns precede payload
@@ -233,7 +276,6 @@ fn compile_fragment(
                         encoding: raw_encoding,
                         payload: raw_payload,
                     },
-                    exec_mode,
                 )?));
                 bindings.push(InputBinding {
                     source_name: source_name.clone(),
@@ -258,26 +300,23 @@ fn compile_fragment(
         format!("{job_name}__f{}", frag.root)
     };
 
-    // Fragment annotation: under Fused the stateless chains are collapsed
-    // at compile time, so the stage plan carries its FusedFragment
-    // boundaries (visible in plan displays) and the per-reduce executor's
-    // idempotent re-fuse is a no-op rewrite of an already-fused plan.
-    // Fusion runs *after* the push-down split: the mapper and residual
-    // halves fuse independently, so a fused fragment never straddles the
-    // exchange.
-    let frag_plan = if exec_mode == ExecMode::Fused {
-        temporal::plan::fuse_plan(&reduce_plan).map_err(TimrError::Temporal)?
-    } else {
-        reduce_plan
-    };
+    // Fragment annotation: the stateless chains are collapsed at compile
+    // time, so the stage plan carries its FusedFragment boundaries (visible
+    // in plan displays) and the per-reduce executor's fuse-on-entry returns
+    // the plan untouched. Fusion runs *after* the push-down split: the
+    // mapper and residual halves fuse independently, so a fused fragment
+    // never straddles the exchange.
     let reducer = DsmsReducer {
-        plan: frag_plan,
+        plan: temporal::plan::fuse_plan(&reduce_plan)
+            .map_err(TimrError::Temporal)?
+            .into_owned(),
         inputs: bindings,
         output_encoding: EventEncoding::Interval,
-        exec_mode,
     };
+    let stage_name = format!("{job_name}/f{}", frag.root);
+    let layouts = mapper_layouts(&stage_name, &input_names, &units);
     let mut stage = Stage::new(
-        format!("{job_name}/f{}", frag.root),
+        stage_name,
         input_names,
         output_dataset,
         partitioner,
@@ -286,9 +325,30 @@ fn compile_fragment(
     )
     .map_err(TimrError::from)?;
     if units.iter().any(Option::is_some) {
-        stage = stage.with_mapper(Arc::new(DsmsMapper::new(units, exec_mode)));
+        stage = stage.with_mapper(Arc::new(DsmsMapper::new(units)));
     }
-    Ok((stage, pd))
+    Ok((stage, pd, layouts))
+}
+
+/// The layout report of one stage: one entry per pushed input.
+pub(crate) fn mapper_layouts(
+    stage: &str,
+    input_names: &[String],
+    units: &[Option<MapperUnit>],
+) -> Vec<MapperLayout> {
+    input_names
+        .iter()
+        .zip(units)
+        .filter_map(|(input, unit)| {
+            let (columnar, reason) = unit.as_ref()?.layout();
+            Some(MapperLayout {
+                stage: stage.to_string(),
+                input: input.clone(),
+                columnar,
+                reason,
+            })
+        })
+        .collect()
 }
 
 /// Per-input decode instructions for the reducer. Shared with the
@@ -304,51 +364,36 @@ pub(crate) struct InputBinding {
     pub(crate) payload: Schema,
 }
 
-/// Decode one input partition of rows. Columnar mode transposes into a
-/// column-major batch; payloads that don't fit their declared types fall
-/// back to the row decode (which tolerates them), so the mode never
-/// changes which partitions are accepted.
-pub(crate) fn bind_rows(
-    exec_mode: ExecMode,
-    binding: &InputBinding,
-    rows: &[Row],
-) -> Result<StreamData> {
-    Ok(match exec_mode {
-        ExecMode::Columnar | ExecMode::Fused => {
-            match binding.encoding.decode_batch(rows, &binding.payload)? {
-                Some(batch) => StreamData::Batch(batch),
-                None => StreamData::Rows(binding.encoding.decode_stream(rows, &binding.payload)?),
-            }
-        }
-        _ => StreamData::Rows(binding.encoding.decode_stream(rows, &binding.payload)?),
-    })
+/// Decode one input partition of rows batch-first: the rows transpose
+/// into a column-major batch, and payloads that don't fit their declared
+/// types fall back to the row decode (which tolerates them), so the layout
+/// never changes which partitions are accepted.
+pub(crate) fn bind_rows(binding: &InputBinding, rows: &[Row]) -> Result<StreamData> {
+    Ok(
+        match binding.encoding.decode_batch(rows, &binding.payload)? {
+            Some(batch) => StreamData::Batch(batch),
+            None => StreamData::Rows(binding.encoding.decode_stream(rows, &binding.payload)?),
+        },
+    )
 }
 
 /// Decode one shuffled input. When the shuffle delivered binary extents
 /// the framing columns split off the batch copy-free
-/// ([`EventEncoding::decode_column_batch`]); columnar modes run on the
-/// batch, row modes gather its events once — rather than materializing
-/// dataset rows and then copying each payload out of them. Whatever that
-/// path refuses falls back to the row decode, which owns the errors.
-pub(crate) fn bind_reduce_input(
-    exec_mode: ExecMode,
-    binding: &InputBinding,
-    input: &ReduceInput,
-) -> Result<StreamData> {
+/// ([`EventEncoding::decode_column_batch`]) — no dataset rows are
+/// materialized and the executor runs on the batch as it arrived. Whatever
+/// that path refuses falls back to the row decode, which owns the errors.
+pub(crate) fn bind_reduce_input(binding: &InputBinding, input: &ReduceInput) -> Result<StreamData> {
     match input {
         ReduceInput::Batch(batch) => {
             match binding
                 .encoding
                 .decode_column_batch(batch.clone(), &binding.payload)
             {
-                Some(events) if matches!(exec_mode, ExecMode::Columnar | ExecMode::Fused) => {
-                    Ok(StreamData::Batch(events))
-                }
-                Some(events) => Ok(StreamData::Rows(events.into_stream())),
-                None => bind_rows(exec_mode, binding, &input.to_rows()),
+                Some(events) => Ok(StreamData::Batch(events)),
+                None => bind_rows(binding, &input.to_rows()),
             }
         }
-        ReduceInput::Rows(rows) => bind_rows(exec_mode, binding, rows),
+        ReduceInput::Rows(rows) => bind_rows(binding, rows),
     }
 }
 
@@ -358,7 +403,6 @@ pub struct DsmsReducer {
     plan: LogicalPlan,
     inputs: Vec<InputBinding>,
     output_encoding: EventEncoding,
-    exec_mode: ExecMode,
 }
 
 impl DsmsReducer {
@@ -375,10 +419,9 @@ impl DsmsReducer {
         // The embedded DSMS fans GroupApply groups out on the cluster's
         // per-reducer pool (the `dsms_threads` knob); the merge is
         // sorted-key ordered, so output stays byte-identical at any width.
-        let options = ExecOptions::with_mode(self.exec_mode).on_pool(Arc::clone(&ctx.dsms_pool));
-        let result: EventStream =
-            temporal::exec::execute_single_owned_data(&self.plan, sources, &options)
-                .map_err(|e| to_mr(TimrError::Temporal(e)))?;
+        let (mut roots, _) = temporal::exec::execute_data(&self.plan, sources, &ctx.dsms_pool)
+            .map_err(|e| to_mr(TimrError::Temporal(e)))?;
+        let result = roots.pop().expect("fragment plans have exactly one root");
         pull_through_queue(self.output_encoding, result).map_err(to_mr)
     }
 }
@@ -397,7 +440,7 @@ impl Reducer for DsmsReducer {
         };
         let mut sources: DataBindings = FxHashMap::default();
         for (binding, rows) in self.inputs.iter().zip(inputs) {
-            let data = bind_rows(self.exec_mode, binding, rows).map_err(to_mr)?;
+            let data = bind_rows(binding, rows).map_err(to_mr)?;
             sources.insert(binding.source_name.clone(), data);
         }
         self.execute(ctx, sources)
@@ -406,9 +449,8 @@ impl Reducer for DsmsReducer {
     /// The binary-extent entry: when the shuffle delivers a decoded
     /// [`relation::ColumnBatch`], the framing columns split off into
     /// lifetime vectors without a row materialization or text re-parse in
-    /// between ([`EventEncoding::decode_column_batch`]); row modes then
-    /// gather events from the batch once. Anything the copy-free path
-    /// can't take — legacy row chunks, bad framing — falls back to the row
+    /// between ([`EventEncoding::decode_column_batch`]). Anything the
+    /// copy-free path can't take — legacy row chunks, bad framing — falls back to the row
     /// path with identical acceptance and errors.
     fn reduce_shuffled(
         &self,
@@ -422,7 +464,7 @@ impl Reducer for DsmsReducer {
         };
         let mut sources: DataBindings = FxHashMap::default();
         for (binding, input) in self.inputs.iter().zip(inputs) {
-            let data = bind_reduce_input(self.exec_mode, binding, input).map_err(to_mr)?;
+            let data = bind_reduce_input(binding, input).map_err(to_mr)?;
             sources.insert(binding.source_name.clone(), data);
         }
         self.execute(ctx, sources)
@@ -434,13 +476,6 @@ mod tests {
     use super::*;
     use relation::schema::{ColumnType, Field};
     use relation::{row, ColumnBatch};
-
-    const MODES: [ExecMode; 4] = [
-        ExecMode::Interpreted,
-        ExecMode::Compiled,
-        ExecMode::Columnar,
-        ExecMode::Fused,
-    ];
 
     fn binding() -> InputBinding {
         InputBinding {
@@ -460,10 +495,9 @@ mod tests {
     }
 
     /// A shuffled batch binds to the same events as the rows it encodes,
-    /// in every mode — row modes included, which now gather events from
-    /// the batch instead of going through dataset rows.
+    /// and both stay columnar — the layout the data arrived in.
     #[test]
-    fn shuffled_batch_binds_like_its_rows_in_every_mode() {
+    fn shuffled_batch_binds_like_its_rows() {
         let rows: Vec<Row> = (0..30i64)
             .map(|i| match i % 5 {
                 0 => Row::new(vec![
@@ -475,30 +509,38 @@ mod tests {
                 _ => row![i, i + 3, format!("u{}", i % 4), i * 10],
             })
             .collect();
-        for mode in MODES {
-            let via_batch = bind_reduce_input(mode, &binding(), &shuffled(&rows)).unwrap();
-            let via_rows = bind_rows(mode, &binding(), &rows).unwrap();
-            assert_eq!(
-                matches!(via_batch, StreamData::Batch(_)),
-                matches!(via_rows, StreamData::Batch(_)),
-                "{mode:?}: layout follows the mode"
-            );
-            assert_eq!(via_batch.into_stream(), via_rows.into_stream(), "{mode:?}");
-        }
+        let via_batch = bind_reduce_input(&binding(), &shuffled(&rows)).unwrap();
+        let via_rows = bind_rows(&binding(), &rows).unwrap();
+        assert!(matches!(via_batch, StreamData::Batch(_)));
+        assert!(matches!(via_rows, StreamData::Batch(_)));
+        let reference = binding()
+            .encoding
+            .decode_stream(&rows, &binding().payload)
+            .unwrap();
+        assert_eq!(via_batch.into_stream(), reference);
+        assert_eq!(via_rows.into_stream(), reference);
+    }
+
+    /// Ill-typed payloads (an Int where the schema says Long) have no batch
+    /// form: both entries fall back to the row decode, which tolerates them.
+    #[test]
+    fn ill_typed_rows_fall_back_to_the_row_decode() {
+        let rows = vec![row![1i64, 4i64, "u", 7i32]];
+        let via_rows = bind_rows(&binding(), &rows).unwrap();
+        assert!(matches!(via_rows, StreamData::Rows(_)));
+        let via_chunk = bind_reduce_input(&binding(), &ReduceInput::Rows(rows.clone())).unwrap();
+        assert_eq!(via_chunk.into_stream(), via_rows.into_stream());
     }
 
     /// What the copy-free path refuses fails exactly as the row path does.
     #[test]
     fn bad_framing_keeps_the_row_paths_error() {
         let empty_lifetime = vec![row![1i64, 4i64, "u", 0i64], row![5i64, 5i64, "u", 0i64]];
-        for mode in MODES {
-            let via_batch = bind_reduce_input(mode, &binding(), &shuffled(&empty_lifetime));
-            let via_rows = bind_rows(mode, &binding(), &empty_lifetime);
-            assert_eq!(
-                via_batch.err().map(|e| e.to_string()),
-                via_rows.err().map(|e| e.to_string()),
-                "{mode:?}"
-            );
-        }
+        let via_batch = bind_reduce_input(&binding(), &shuffled(&empty_lifetime));
+        let row_error = binding()
+            .encoding
+            .decode_stream(&empty_lifetime, &binding().payload)
+            .unwrap_err();
+        assert_eq!(via_batch.unwrap_err().to_string(), row_error.to_string());
     }
 }

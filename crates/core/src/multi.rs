@@ -25,7 +25,9 @@
 
 use crate::annotate::{join_right_column, required_key_superset, ExchangeKey};
 use crate::bridge::{pull_through_queue, EventEncoding};
-use crate::compile::{bind_reduce_input, bind_rows, InputBinding};
+use crate::compile::{
+    bind_reduce_input, bind_rows, map_side_report, mapper_layouts, InputBinding, MapperLayout,
+};
 use crate::error::{Result, TimrError};
 use crate::mapper::{DsmsMapper, MapperUnit};
 use mapreduce::{
@@ -35,7 +37,7 @@ use relation::{Row, Schema};
 use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use temporal::exec::{DataBindings, ExecMode, ExecOptions};
+use temporal::exec::DataBindings;
 use temporal::plan::{
     factor_windows, fuse_plan, push_down, share_plans, LogicalPlan, Operator, PushDown, ShareStats,
 };
@@ -55,8 +57,6 @@ pub struct MultiTimrJob {
     pub machines: usize,
     /// Lifetime encoding per raw source dataset (default Point).
     pub source_encodings: BTreeMap<String, EventEncoding>,
-    /// DSMS operator-implementation mode for the embedded reducer.
-    pub exec_mode: ExecMode,
     /// Apply the factor-window rewrite after prefix sharing (default on).
     pub factor: bool,
     /// Split the shared DAG at the exchange and run the exchange-free
@@ -86,6 +86,9 @@ pub struct CompiledMultiJob {
     pub pushed_ops: usize,
     /// Partial-aggregation steps moved map-side.
     pub pushed_partials: usize,
+    /// Per pushed stage input: whether its mapper decodes extents to
+    /// columns or rows, and why.
+    pub mapper_layouts: Vec<MapperLayout>,
 }
 
 /// Result of running a multi-query job.
@@ -119,7 +122,6 @@ impl MultiTimrJob {
             key: ExchangeKey::Single,
             machines: 4,
             source_encodings: BTreeMap::new(),
-            exec_mode: ExecMode::Compiled,
             factor: true,
             push_down: true,
         }
@@ -134,12 +136,6 @@ impl MultiTimrJob {
     /// Set the machine (reduce partition) count.
     pub fn with_machines(mut self, machines: usize) -> Self {
         self.machines = machines;
-        self
-    }
-
-    /// Set the DSMS operator-implementation mode for the embedded reducer.
-    pub fn with_exec_mode(mut self, exec_mode: ExecMode) -> Self {
-        self.exec_mode = exec_mode;
         self
     }
 
@@ -162,9 +158,18 @@ impl MultiTimrJob {
     }
 
     /// Render the shared DAG with `shared@<fingerprint>` markers on
-    /// multi-consumer nodes (the EXPLAIN view of what merged).
+    /// multi-consumer nodes (the EXPLAIN view of what merged), followed by
+    /// the map side: push-down counts and each pushed input's layout
+    /// decision with its reason.
     pub fn explain(&self) -> Result<String> {
-        Ok(temporal::plan::explain_shared(&self.compile()?.plan))
+        let compiled = self.compile()?;
+        let mut text = temporal::plan::explain_shared(&compiled.plan);
+        text.push_str(&map_side_report(
+            compiled.pushed_ops,
+            compiled.pushed_partials,
+            &compiled.mapper_layouts,
+        ));
+        Ok(text)
     }
 
     /// Compile to a single multi-sink map-reduce stage without running.
@@ -234,13 +239,9 @@ impl MultiTimrJob {
         let plan = pd.as_ref().map(|p| p.residual.clone()).unwrap_or(plan);
         // Fusion runs *after* sharing, factoring, and the push-down split
         // so fused fragments never hide a mergeable prefix or straddle the
-        // exchange; the per-reduce executor's own fuse pass is idempotent
-        // on the result, and mapper plans fuse independently.
-        let plan = if self.exec_mode == ExecMode::Fused {
-            fuse_plan(&plan).map_err(TimrError::Temporal)?
-        } else {
-            plan
-        };
+        // exchange; the per-reduce executor's fuse-on-entry returns the
+        // result untouched, and mapper plans fuse independently.
+        let plan = fuse_plan(&plan).map_err(TimrError::Temporal)?.into_owned();
 
         // 3. One stage input per distinct source leaf of the merged DAG.
         //    Pushed inputs arrive at the reducer post-mapper: interval-
@@ -287,7 +288,6 @@ impl MultiTimrJob {
                             encoding: raw_encoding,
                             payload: raw_payload,
                         },
-                        self.exec_mode,
                     )?));
                     bindings.push(InputBinding {
                         source_name: name.to_string(),
@@ -320,10 +320,11 @@ impl MultiTimrJob {
             plan: plan.clone(),
             inputs: bindings,
             output_encoding,
-            exec_mode: self.exec_mode,
         };
+        let stage_name = format!("{}/shared", self.name);
+        let mapper_layouts = mapper_layouts(&stage_name, &input_names, &units);
         let mut stage = Stage::new(
-            format!("{}/shared", self.name),
+            stage_name,
             input_names,
             outputs[0].clone(),
             partitioner,
@@ -333,7 +334,7 @@ impl MultiTimrJob {
         .map_err(TimrError::from)?
         .with_aux_outputs(outputs[1..].to_vec());
         if units.iter().any(Option::is_some) {
-            stage = stage.with_mapper(Arc::new(DsmsMapper::new(units, self.exec_mode)));
+            stage = stage.with_mapper(Arc::new(DsmsMapper::new(units)));
         }
 
         Ok(CompiledMultiJob {
@@ -346,6 +347,7 @@ impl MultiTimrJob {
             factored_groups,
             pushed_ops: pd.as_ref().map_or(0, |p| p.pushed_ops),
             pushed_partials: pd.as_ref().map_or(0, |p| p.partials),
+            mapper_layouts,
         })
     }
 
@@ -437,7 +439,6 @@ pub struct MultiDsmsReducer {
     plan: LogicalPlan,
     inputs: Vec<InputBinding>,
     output_encoding: EventEncoding,
-    exec_mode: ExecMode,
 }
 
 impl MultiDsmsReducer {
@@ -451,10 +452,9 @@ impl MultiDsmsReducer {
             partition: ctx.partition,
             message: e.to_string(),
         };
-        let options = ExecOptions::with_mode(self.exec_mode).on_pool(Arc::clone(&ctx.dsms_pool));
         // One pass evaluates the shared DAG; the multicast cache hands each
         // root its stream, so shared prefixes run once per partition.
-        let streams = temporal::exec::execute_owned_data(&self.plan, sources, &options)
+        let (streams, _) = temporal::exec::execute_data(&self.plan, sources, &ctx.dsms_pool)
             .map_err(|e| to_mr(TimrError::Temporal(e)))?;
         streams
             .into_iter()
@@ -508,7 +508,7 @@ impl Reducer for MultiDsmsReducer {
         };
         let mut sources: DataBindings = FxHashMap::default();
         for (binding, input) in self.inputs.iter().zip(inputs) {
-            let data = bind_reduce_input(self.exec_mode, binding, input).map_err(to_mr)?;
+            let data = bind_reduce_input(binding, input).map_err(to_mr)?;
             sources.insert(binding.source_name.clone(), data);
         }
         self.execute_all(ctx, sources)
@@ -528,7 +528,7 @@ impl MultiDsmsReducer {
         };
         let mut sources: DataBindings = FxHashMap::default();
         for (binding, rows) in self.inputs.iter().zip(inputs) {
-            let data = bind_rows(self.exec_mode, binding, rows).map_err(to_mr)?;
+            let data = bind_rows(binding, rows).map_err(to_mr)?;
             sources.insert(binding.source_name.clone(), data);
         }
         self.execute_all(ctx, sources)
@@ -541,7 +541,7 @@ mod tests {
     use mapreduce::Dataset;
     use relation::row;
     use relation::schema::{ColumnType, Field};
-    use temporal::exec::{bindings, execute_single};
+    use temporal::exec::{bindings, execute_reference};
     use temporal::expr::{col, lit};
     use temporal::plan::Query;
 
@@ -587,41 +587,34 @@ mod tests {
         q.build(vec![out]).unwrap()
     }
 
-    fn multi_job(n: usize, mode: ExecMode) -> MultiTimrJob {
+    fn multi_job(n: usize) -> MultiTimrJob {
         MultiTimrJob::new(format!("multi{n}"), (0..n).map(advertiser_query).collect())
             .with_key(ExchangeKey::keys(&["UserId"]))
             .with_machines(4)
-            .with_exec_mode(mode)
     }
 
+    /// The paper's §III-C.1 guarantee: the scaled-out shared job equals the
+    /// single-node reference DSMS on the same events, per query.
     #[test]
-    fn shared_job_matches_single_node_per_query() {
+    fn shared_job_matches_single_node_reference_per_query() {
         let rows = dataset_rows(400);
-        for mode in [
-            ExecMode::Compiled,
-            ExecMode::Interpreted,
-            ExecMode::Columnar,
-            ExecMode::Fused,
-        ] {
-            let dfs = dfs_with_logs(rows.clone());
-            let out = multi_job(5, mode).run(&dfs, &Cluster::new()).unwrap();
-            assert_eq!(out.datasets.len(), 5);
-            assert_eq!(out.stats.stages.len(), 1);
-            assert!(out.shared.merged_nodes < out.shared.input_nodes);
-            for i in 0..5 {
-                let stream = EventEncoding::Point
-                    .decode_stream(&rows, &bt_payload())
-                    .unwrap();
-                let reference =
-                    execute_single(&advertiser_query(i), &bindings(vec![("logs", stream)]))
-                        .unwrap()
-                        .normalize();
-                let got = out.stream(i, &dfs).unwrap();
-                assert!(
-                    got.same_relation(&reference),
-                    "query {i} mismatch under {mode:?}"
-                );
-            }
+        let dfs = dfs_with_logs(rows.clone());
+        let out = multi_job(5).run(&dfs, &Cluster::new()).unwrap();
+        assert_eq!(out.datasets.len(), 5);
+        assert_eq!(out.stats.stages.len(), 1);
+        assert!(out.shared.merged_nodes < out.shared.input_nodes);
+        for i in 0..5 {
+            let stream = EventEncoding::Point
+                .decode_stream(&rows, &bt_payload())
+                .unwrap();
+            let reference =
+                execute_reference(&advertiser_query(i), &bindings(vec![("logs", stream)]))
+                    .unwrap()
+                    .pop()
+                    .unwrap()
+                    .normalize();
+            let got = out.stream(i, &dfs).unwrap();
+            assert!(got.same_relation(&reference), "query {i} mismatch");
         }
     }
 
@@ -629,9 +622,7 @@ mod tests {
     fn shared_run_is_byte_identical_to_independent_runs() {
         let rows = dataset_rows(300);
         let shared_dfs = dfs_with_logs(rows.clone());
-        let shared = multi_job(4, ExecMode::Compiled)
-            .run(&shared_dfs, &Cluster::new())
-            .unwrap();
+        let shared = multi_job(4).run(&shared_dfs, &Cluster::new()).unwrap();
         for i in 0..4 {
             let solo_dfs = dfs_with_logs(rows.clone());
             let solo = MultiTimrJob::new(format!("solo{i}"), vec![advertiser_query(i)])
@@ -658,9 +649,7 @@ mod tests {
     #[test]
     fn stats_report_one_sink_per_query() {
         let dfs = dfs_with_logs(dataset_rows(200));
-        let out = multi_job(3, ExecMode::Compiled)
-            .run(&dfs, &Cluster::new())
-            .unwrap();
+        let out = multi_job(3).run(&dfs, &Cluster::new()).unwrap();
         let stage = &out.stats.stages[0];
         assert_eq!(stage.sink_rows.len(), 3);
         assert_eq!(stage.sink_rows.iter().sum::<u64>(), stage.output_rows);
@@ -668,31 +657,53 @@ mod tests {
 
     #[test]
     fn incompatible_key_is_rejected_at_compile_time() {
-        let job = multi_job(2, ExecMode::Compiled).with_key(ExchangeKey::keys(&["KwAdId"]));
+        let job = multi_job(2).with_key(ExchangeKey::keys(&["KwAdId"]));
         // KwAdId ⊆ GroupApply keys, so this compiles...
         job.compile().unwrap();
         // ...but a column outside every GroupApply key set does not.
-        let bad = multi_job(2, ExecMode::Compiled).with_key(ExchangeKey::keys(&["StreamId"]));
+        let bad = multi_job(2).with_key(ExchangeKey::keys(&["StreamId"]));
         assert!(bad.compile().is_err());
         // Spread is invalid for stateful plans.
-        let spread = multi_job(2, ExecMode::Compiled).with_key(ExchangeKey::Spread);
+        let spread = multi_job(2).with_key(ExchangeKey::Spread);
         assert!(spread.compile().is_err());
     }
 
     #[test]
-    fn fuse_after_share_is_idempotent() {
-        let compiled = multi_job(4, ExecMode::Fused).compile().unwrap();
-        let refused = fuse_plan(&compiled.plan).unwrap();
-        assert_eq!(
-            format!("{:?}", compiled.plan),
-            format!("{refused:?}"),
-            "re-fusing a compile-time-fused shared DAG must be a no-op"
+    fn compiled_shared_dag_is_already_fused() {
+        let compiled = multi_job(4).compile().unwrap();
+        assert!(
+            matches!(
+                fuse_plan(&compiled.plan).unwrap(),
+                std::borrow::Cow::Borrowed(_)
+            ),
+            "the executor's fuse-on-entry must find nothing left to do"
         );
     }
 
     #[test]
     fn explain_marks_shared_prefix() {
-        let text = multi_job(3, ExecMode::Compiled).explain().unwrap();
+        let text = multi_job(3).explain().unwrap();
         assert!(text.contains("shared@"), "explain:\n{text}");
+    }
+
+    #[test]
+    fn explain_reports_the_map_side_layout_and_why() {
+        // The pushed prefix is a filter plus a partial count: it computes,
+        // so the mapper decodes to columns.
+        let compiled = multi_job(3).compile().unwrap();
+        assert_eq!(compiled.mapper_layouts.len(), 1);
+        let layout = &compiled.mapper_layouts[0];
+        assert_eq!(
+            (layout.input.as_str(), layout.columnar, layout.reason),
+            ("logs", true, "partial aggregate")
+        );
+        let text = multi_job(3).explain().unwrap();
+        assert!(
+            text.contains(&format!(
+                "map side: pushed_ops={} pushed_partials={}",
+                compiled.pushed_ops, compiled.pushed_partials
+            )) && text.contains("multi3/shared <- logs: decodes to columns (partial aggregate)"),
+            "explain:\n{text}"
+        );
     }
 }

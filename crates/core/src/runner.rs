@@ -7,7 +7,6 @@ use crate::error::Result;
 use mapreduce::{BackendKind, Cluster, ClusterConfig, Dfs, JobStats};
 use relation::Schema;
 use std::collections::BTreeMap;
-use temporal::exec::ExecMode;
 use temporal::plan::LogicalPlan;
 use temporal::EventStream;
 
@@ -25,10 +24,6 @@ pub struct TimrJob {
     pub machines: usize,
     /// Lifetime encoding per raw source dataset (default Point).
     pub source_encodings: BTreeMap<String, EventEncoding>,
-    /// DSMS operator-implementation mode for the embedded reducers
-    /// (default [`ExecMode::Compiled`]; the interpreted baseline is kept
-    /// for benchmarks).
-    pub exec_mode: ExecMode,
     /// Run exchange-free plan prefixes (and combinable partial
     /// aggregations) map-side before the shuffle (default on; off is the
     /// reduce-only baseline for benchmarks).
@@ -57,15 +52,8 @@ impl TimrJob {
             annotation: Annotation::none(),
             machines: 4,
             source_encodings: BTreeMap::new(),
-            exec_mode: ExecMode::Compiled,
             push_down: true,
         }
-    }
-
-    /// Set the DSMS operator-implementation mode for the embedded reducers.
-    pub fn with_exec_mode(mut self, exec_mode: ExecMode) -> Self {
-        self.exec_mode = exec_mode;
-        self
     }
 
     /// Enable or disable map-side plan push-down.
@@ -119,7 +107,6 @@ impl TimrJob {
             self.machines,
             &self.source_encodings,
             CompileOptions {
-                exec_mode: self.exec_mode,
                 push_down: self.push_down,
             },
         )
@@ -247,6 +234,26 @@ mod tests {
                 "mismatch at machines={machines}"
             );
         }
+    }
+
+    #[test]
+    fn compiled_job_reports_the_map_side_layout_and_why() {
+        // The pushed prefix is a lone filter: nothing to compute, so the
+        // mapper stays on the row operators — and the job says so.
+        let compiled = click_count_job(4).compile().unwrap();
+        assert_eq!(compiled.pushed_ops, 1);
+        let layouts: Vec<_> = compiled
+            .mapper_layouts
+            .iter()
+            .map(|l| (l.input.as_str(), l.columnar, l.reason))
+            .collect();
+        assert_eq!(layouts, [("logs", false, "filter-only prefix")]);
+        let text = compiled.to_string();
+        assert!(
+            text.contains("map side: pushed_ops=1 pushed_partials=0")
+                && text.contains("<- logs: decodes to rows (filter-only prefix)"),
+            "{text}"
+        );
     }
 
     #[test]

@@ -133,7 +133,8 @@ impl TemporalPartitionJob {
         // ---- reduce phase: one DSMS per span, output clipped to the
         //      span's owned interval ----
         let reducer = SpanReducer {
-            plan: self.plan.clone(),
+            // Fused once, so each span's executor entry re-fuses nothing.
+            plan: temporal::plan::fuse_plan(&self.plan)?.into_owned(),
             source_name,
             payload_schema,
             source_encoding: self.source_encoding,

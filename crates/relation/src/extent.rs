@@ -669,7 +669,7 @@ mod tests {
                 } else {
                     row![
                         i % 2 == 0,
-                        i as i32 - 50,
+                        i - 50,
                         (i as i64) * 1_000_003,
                         i as f64 / 3.0,
                         format!("user-{}", i % 5)

@@ -124,14 +124,6 @@ impl EventBatch {
         self.payload.row_into(i, row);
     }
 
-    /// Keep only the events where `keep` is true. The survivor index
-    /// vector is computed once and shared by the lifetime vectors and
-    /// every payload column (see [`relation::compact_indices`]).
-    pub fn retain(&mut self, keep: &[bool]) {
-        assert_eq!(keep.len(), self.len(), "retain mask length mismatch");
-        self.compact(&relation::compact_indices(keep));
-    }
-
     /// Keep only the events at `idx` (strictly increasing), in place.
     pub fn compact(&mut self, idx: &[u32]) {
         for (w, &i) in idx.iter().enumerate() {
@@ -141,16 +133,6 @@ impl EventBatch {
         self.vt.truncate(idx.len());
         self.ve.truncate(idx.len());
         self.payload.compact(idx);
-    }
-
-    /// Gather the events at `idx` into a new batch (indices may repeat and
-    /// appear in any order).
-    pub fn gather(&self, idx: &[u32]) -> EventBatch {
-        EventBatch {
-            vt: idx.iter().map(|&i| self.vt[i as usize]).collect(),
-            ve: idx.iter().map(|&i| self.ve[i as usize]).collect(),
-            payload: self.payload.gather(idx),
-        }
     }
 }
 
@@ -207,9 +189,9 @@ mod tests {
     }
 
     #[test]
-    fn retain_keeps_lifetimes_aligned() {
+    fn compact_keeps_lifetimes_aligned() {
         let mut batch = EventBatch::from_stream(&stream()).unwrap();
-        batch.retain(&[true, false, true]);
+        batch.compact(&[0, 2]);
         assert_eq!(batch.vt(), &[0, -3]);
         assert_eq!(batch.ve(), &[10, 40]);
         let out = batch.into_stream();

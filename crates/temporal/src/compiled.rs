@@ -29,28 +29,17 @@ use relation::{RelationError, Row, Schema, Value};
 use simd::{F64x8, I64x8, LANES, M8};
 use std::sync::Arc;
 
-/// How a batch evaluation walks its input: which rows are live and which
-/// kernel suite runs.
+/// How a batch evaluation walks its input: which rows are live.
 ///
 /// `sel` is the fused engine's selection vector — the (strictly
 /// increasing) indices of `batch` rows still alive after upstream
 /// predicates. Leaf column reads gather through it, so every interior
 /// kernel runs dense over `sel.len()` slots and no intermediate batch is
-/// ever compacted. `None` means all rows. `simd` routes the arithmetic /
-/// comparison / boolean kernels through the lane-parallel suite at the
-/// bottom of this file; scalar and SIMD suites are byte-identical by
-/// contract (property-tested), so the flag is purely a performance choice.
+/// ever compacted. `None` means all rows.
 #[derive(Clone, Copy)]
 struct EvalCtx<'a> {
     sel: Option<&'a [u32]>,
-    simd: bool,
 }
-
-/// The classic row-compatible context: all rows, scalar kernels.
-const DENSE_SCALAR: EvalCtx<'static> = EvalCtx {
-    sel: None,
-    simd: false,
-};
 
 impl EvalCtx<'_> {
     /// Number of live rows (the length of every mask and value vector).
@@ -119,46 +108,18 @@ impl CompiledExpr {
         }
     }
 
-    /// Evaluate against every row of `batch` at once, producing one output
-    /// [`Column`].
-    ///
-    /// Identical observable behaviour to calling [`Self::eval`] on each
-    /// gathered row in order: if any row would error, this returns the
-    /// *first* (lowest-index) row's error verbatim. `Ok(None)` means the
-    /// result exists but has no dense single-type representation (mixed
-    /// runtime types across rows, possible with `min2`/`max2` and boolean
-    /// connectives over non-boolean operands) — the caller falls back to
-    /// the row path, which computes the identical result.
-    pub fn eval_batch(&self, batch: &ColumnBatch) -> Result<Option<Column>> {
-        let n = batch.len();
-        let raw = self.node.eval_batch(batch, DENSE_SCALAR);
-        if let Some(i) = raw.errs.first(n) {
-            return Err(self.scalar_error_at(batch, i));
-        }
-        Ok(raw.into_column(n))
-    }
-
-    /// Evaluate as a filter predicate over every row of `batch`: the
-    /// returned mask holds `true` exactly where [`Self::eval_predicate`]
-    /// would (Null counts as false). Errors reproduce the scalar path's
-    /// first-failing-row error verbatim.
-    pub fn eval_predicate_batch(&self, batch: &ColumnBatch) -> Result<Vec<bool>> {
-        self.predicate_batch_ctx(batch, DENSE_SCALAR)
-    }
-
-    /// [`Self::eval_predicate_batch`] for the fused engine: evaluates only
-    /// the rows named by `sel` (all rows when `None`) on the SIMD kernel
-    /// suite. The mask has one slot per *selected* row; errors reproduce
-    /// the scalar error of the first failing selected row.
+    /// Evaluate as a filter predicate over the rows of `batch` named by
+    /// `sel` (all rows when `None`): the returned mask has one slot per
+    /// *selected* row and holds `true` exactly where
+    /// [`Self::eval_predicate`] would (Null counts as false). Errors
+    /// reproduce the scalar path's error for the first failing selected
+    /// row verbatim.
     pub(crate) fn eval_predicate_batch_sel(
         &self,
         batch: &ColumnBatch,
         sel: Option<&[u32]>,
     ) -> Result<Vec<bool>> {
-        self.predicate_batch_ctx(batch, EvalCtx { sel, simd: true })
-    }
-
-    fn predicate_batch_ctx(&self, batch: &ColumnBatch, ctx: EvalCtx) -> Result<Vec<bool>> {
+        let ctx = EvalCtx { sel };
         let n = ctx.rows(batch);
         let raw = self.node.eval_batch(batch, ctx);
         // Bulk path for the common case — a statically-boolean result with
@@ -213,13 +174,6 @@ impl CompiledExpr {
 
     /// Re-run the scalar evaluator on row `i` to recover the exact error
     /// the row path would have produced there.
-    fn scalar_error_at(&self, batch: &ColumnBatch, i: usize) -> TemporalError {
-        match self.node.eval(&batch.row(i)) {
-            Err(e) => e,
-            Ok(_) => TemporalError::Eval("columnar/scalar divergence".into()),
-        }
-    }
-
     fn scalar_predicate_error_at(&self, batch: &ColumnBatch, i: usize) -> TemporalError {
         match self.eval_predicate(&batch.row(i)) {
             Err(e) => e,
@@ -227,20 +181,15 @@ impl CompiledExpr {
         }
     }
 
-    /// Batch evaluation with the raw per-row masks exposed. Crate-internal:
-    /// Project evaluates several expressions over one batch and needs each
-    /// expression's first error *row* to reproduce the scalar path's
-    /// row-major error order before converting any column.
-    pub(crate) fn eval_batch_raw(&self, batch: &ColumnBatch) -> BatchEval {
-        self.node.eval_batch(batch, DENSE_SCALAR)
-    }
-
-    /// [`Self::eval_batch_raw`] for the fused engine: evaluate only the
-    /// rows named by `sel` (all rows when `None`) on the SIMD kernel
-    /// suite. Masks and values have one slot per selected row; callers map
-    /// mask indices back through `sel` before re-running the scalar path.
+    /// Batch evaluation over the rows named by `sel` (all rows when
+    /// `None`) with the raw per-row masks exposed: a projection evaluates
+    /// several expressions over one batch and needs each expression's
+    /// first error *row* to reproduce the scalar path's row-major error
+    /// order before converting any column. Masks and values have one slot
+    /// per selected row; callers map mask indices back through `sel`
+    /// before re-running the scalar path.
     pub(crate) fn eval_batch_raw_sel(&self, batch: &ColumnBatch, sel: Option<&[u32]>) -> BatchEval {
-        self.node.eval_batch(batch, EvalCtx { sel, simd: true })
+        self.node.eval_batch(batch, EvalCtx { sel })
     }
 
     /// `Some(i)` when the whole expression is a bare reference to column
@@ -382,14 +331,14 @@ impl Node {
             Node::Binary { op, left, right } => match op {
                 BinOp::And => {
                     let l = left.eval_batch(batch, ctx);
-                    connective(true, l, || right.eval_batch(batch, ctx), n, ctx.simd)
+                    connective(true, l, || right.eval_batch(batch, ctx), n)
                 }
                 BinOp::Or => {
                     let l = left.eval_batch(batch, ctx);
-                    connective(false, l, || right.eval_batch(batch, ctx), n, ctx.simd)
+                    connective(false, l, || right.eval_batch(batch, ctx), n)
                 }
                 _ => {
-                    // Dense SIMD context: `Col`/`Lit` leaves become borrowed
+                    // Dense context: `Col`/`Lit` leaves become borrowed
                     // operands read straight out of the batch (or the plan),
                     // skipping `from_column`'s whole-vector clone. Non-leaf
                     // operands evaluate to owned storage held in `lh`/`rh`
@@ -419,7 +368,7 @@ impl Node {
                             }
                         }
                     };
-                    binary(*op, l, r, n, ctx.simd)
+                    binary(*op, l, r, n)
                 }
             },
             Node::Not(e) => not_batch(e.eval_batch(batch, ctx), n),
@@ -690,16 +639,6 @@ fn widen_f64(v: &BVals, n: usize) -> Vec<f64> {
     }
 }
 
-/// Widen an integer batch to dense `i64` (mirrors `Value::as_long`).
-fn widen_i64(v: &BVals, n: usize) -> Vec<i64> {
-    match v {
-        BVals::Int(d) => d.iter().map(|&x| i64::from(x)).collect(),
-        BVals::Long(d) => d.clone(),
-        BVals::Const(c) => vec![c.as_long().expect("integer const"); n],
-        _ => unreachable!("widen_i64 on non-integer batch"),
-    }
-}
-
 /// A borrowed binary-operator operand: an owned evaluation result, a batch
 /// column read **in place**, or a plan literal. The `Col`/`Lit` forms are
 /// what the fused engine's leaf fast path produces — the kernels index the
@@ -719,12 +658,12 @@ struct Side<'a> {
     errs: Mask,
 }
 
-/// Borrowed-leaf operand for the dense SIMD context, `None` when the node
-/// is not a leaf (or the context is scalar / selection-gathered — those
-/// keep the exact `from_column` / `from_column_sel` paths). Masks mirror
+/// Borrowed-leaf operand for the dense context, `None` when the node is
+/// not a leaf (or the context is selection-gathered — that keeps the
+/// `from_column_sel` path). Masks mirror
 /// [`BatchEval::from_column`] / [`BatchEval::constant`] bit for bit.
 fn leaf_operand<'a>(node: &'a Node, batch: &'a ColumnBatch, ctx: EvalCtx) -> Option<Side<'a>> {
-    if !ctx.simd || ctx.sel.is_some() {
+    if ctx.sel.is_some() {
         return None;
     }
     match node {
@@ -782,7 +721,7 @@ fn value_at_ref(v: &VRef, nulls: &Mask, i: usize) -> Value {
 }
 
 /// Non-connective binary operator over two borrowed operands.
-fn binary(op: BinOp, l: Side, r: Side, n: usize, simd: bool) -> BatchEval {
+fn binary(op: BinOp, l: Side, r: Side, n: usize) -> BatchEval {
     // Scalar order: left `?`, right `?`, *then* the null check — so the
     // error mask is the plain union (a right-side error surfaces even when
     // the left side is null), and null rows are the union of the rest.
@@ -799,11 +738,7 @@ fn binary(op: BinOp, l: Side, r: Side, n: usize, simd: bool) -> BatchEval {
     match op {
         BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
             if let (Some(a), Some(b)) = ranks {
-                if simd {
-                    simd_arith_kernel(op, &l.v, &r.v, a, b, n, nulls, errs)
-                } else {
-                    arith_kernel(op, &l.v, &r.v, a, b, n, nulls, errs)
-                }
+                simd_arith_kernel(op, &l.v, &r.v, a, b, n, nulls, errs)
             } else {
                 per_row_binary(op, &l, &r, n, &nulls, &errs)
             }
@@ -817,20 +752,16 @@ fn binary(op: BinOp, l: Side, r: Side, n: usize, simd: bool) -> BatchEval {
                 (num_accessor_ref(&l.v), num_accessor_ref(&r.v))
             {
                 let neg = op == BinOp::Ne;
-                if simd {
-                    // Integer batches with an i32-ranged side skip the f64
-                    // widening entirely — provably the same answers, none of
-                    // the per-lane int→float conversions (see `simd_int_eq`).
-                    let exact = match (int_accessor_ref(&l.v), int_accessor_ref(&r.v)) {
-                        (Some(ia), Some(ib)) if i32_ranged(&ia) || i32_ranged(&ib) => {
-                            Some(simd_int_eq(&ia, &ib, n, neg))
-                        }
-                        _ => None,
-                    };
-                    BVals::Bool(exact.unwrap_or_else(|| simd_num_eq(&na, &nb, n, neg)))
-                } else {
-                    BVals::Bool((0..n).map(|i| (na.at(i) == nb.at(i)) != neg).collect())
-                }
+                // Integer batches with an i32-ranged side skip the f64
+                // widening entirely — provably the same answers, none of
+                // the per-lane int→float conversions (see `simd_int_eq`).
+                let exact = match (int_accessor_ref(&l.v), int_accessor_ref(&r.v)) {
+                    (Some(ia), Some(ib)) if i32_ranged(&ia) || i32_ranged(&ib) => {
+                        Some(simd_int_eq(&ia, &ib, n, neg))
+                    }
+                    _ => None,
+                };
+                BVals::Bool(exact.unwrap_or_else(|| simd_num_eq(&na, &nb, n, neg)))
             } else if let (Some(sa), Some(sb)) = (str_accessor_ref(&l.v), str_accessor_ref(&r.v)) {
                 let neg = op == BinOp::Ne;
                 BVals::Bool((0..n).map(|i| (sa.at(i) == sb.at(i)) != neg).collect())
@@ -843,22 +774,13 @@ fn binary(op: BinOp, l: Side, r: Side, n: usize, simd: bool) -> BatchEval {
             let vals = if let (Some(na), Some(nb)) =
                 (num_accessor_ref(&l.v), num_accessor_ref(&r.v))
             {
-                if simd {
-                    let exact = match (int_accessor_ref(&l.v), int_accessor_ref(&r.v)) {
-                        (Some(ia), Some(ib)) if i32_ranged(&ia) || i32_ranged(&ib) => {
-                            Some(simd_int_ord(op, &ia, &ib, n))
-                        }
-                        _ => None,
-                    };
-                    BVals::Bool(exact.unwrap_or_else(|| simd_num_ord(op, &na, &nb, n)))
-                } else {
-                    let ord_test = cmp_test(op);
-                    BVals::Bool(
-                        (0..n)
-                            .map(|i| ord_test(na.at(i).total_cmp(&nb.at(i))))
-                            .collect(),
-                    )
-                }
+                let exact = match (int_accessor_ref(&l.v), int_accessor_ref(&r.v)) {
+                    (Some(ia), Some(ib)) if i32_ranged(&ia) || i32_ranged(&ib) => {
+                        Some(simd_int_ord(op, &ia, &ib, n))
+                    }
+                    _ => None,
+                };
+                BVals::Bool(exact.unwrap_or_else(|| simd_num_ord(op, &na, &nb, n)))
             } else if let (Some(sa), Some(sb)) = (str_accessor_ref(&l.v), str_accessor_ref(&r.v)) {
                 let ord_test = cmp_test(op);
                 BVals::Bool((0..n).map(|i| ord_test(sa.at(i).cmp(sb.at(i)))).collect())
@@ -973,120 +895,6 @@ fn str_accessor_ref<'a>(v: &'a VRef) -> Option<StrSide<'a>> {
     }
 }
 
-/// [`widen_f64`] over a borrowed operand.
-fn widen_f64_ref(v: &VRef, n: usize) -> Vec<f64> {
-    match v {
-        VRef::Vals(b) => widen_f64(b, n),
-        VRef::Col(c) => match c.data() {
-            ColumnData::Int(d) => d.iter().map(|&x| f64::from(x)).collect(),
-            ColumnData::Long(d) => d.iter().map(|&x| x as f64).collect(),
-            ColumnData::Double(d) => d.clone(),
-            _ => unreachable!("widen_f64 on non-numeric column"),
-        },
-        VRef::Lit(c) => vec![c.as_double().expect("numeric const"); n],
-    }
-}
-
-/// [`widen_i64`] over a borrowed operand.
-fn widen_i64_ref(v: &VRef, n: usize) -> Vec<i64> {
-    match v {
-        VRef::Vals(b) => widen_i64(b, n),
-        VRef::Col(c) => match c.data() {
-            ColumnData::Int(d) => d.iter().map(|&x| i64::from(x)).collect(),
-            ColumnData::Long(d) => d.clone(),
-            _ => unreachable!("widen_i64 on non-integer column"),
-        },
-        VRef::Lit(c) => vec![c.as_long().expect("integer const"); n],
-    }
-}
-
-/// Typed arithmetic kernel over numeric operands (ranks `a`, `b`).
-#[allow(clippy::too_many_arguments)]
-fn arith_kernel(
-    op: BinOp,
-    l: &VRef,
-    r: &VRef,
-    a: u8,
-    b: u8,
-    n: usize,
-    nulls: Mask,
-    errs: Mask,
-) -> BatchEval {
-    if a == 4 || b == 4 {
-        // Double promotion; x/0.0 is Null, everything else is total.
-        let (x, y) = (widen_f64_ref(l, n), widen_f64_ref(r, n));
-        let mut div_nulls = Vec::new();
-        let out: Vec<f64> = match op {
-            BinOp::Add => x.iter().zip(&y).map(|(p, q)| p + q).collect(),
-            BinOp::Sub => x.iter().zip(&y).map(|(p, q)| p - q).collect(),
-            BinOp::Mul => x.iter().zip(&y).map(|(p, q)| p * q).collect(),
-            BinOp::Div => {
-                div_nulls = vec![false; n];
-                x.iter()
-                    .zip(&y)
-                    .enumerate()
-                    .map(|(i, (p, q))| {
-                        if *q == 0.0 {
-                            div_nulls[i] = true;
-                            0.0
-                        } else {
-                            p / q
-                        }
-                    })
-                    .collect()
-            }
-            _ => unreachable!(),
-        };
-        let nulls = if div_nulls.contains(&true) {
-            Mask::union(&nulls, &Mask::from_flags(div_nulls))
-        } else {
-            nulls
-        };
-        return BatchEval {
-            vals: BVals::Double(out),
-            nulls,
-            errs,
-        };
-    }
-    // Integer path: wrapping semantics; the divisor must be checked per
-    // element *before* dividing (placeholder zeros at masked rows would
-    // otherwise panic — masked rows may be computed but never observed).
-    let (x, y) = (widen_i64_ref(l, n), widen_i64_ref(r, n));
-    let mut div_nulls = Vec::new();
-    let out: Vec<i64> = match op {
-        BinOp::Add => x.iter().zip(&y).map(|(p, q)| p.wrapping_add(*q)).collect(),
-        BinOp::Sub => x.iter().zip(&y).map(|(p, q)| p.wrapping_sub(*q)).collect(),
-        BinOp::Mul => x.iter().zip(&y).map(|(p, q)| p.wrapping_mul(*q)).collect(),
-        BinOp::Div => {
-            div_nulls = vec![false; n];
-            x.iter()
-                .zip(&y)
-                .enumerate()
-                .map(|(i, (p, q))| {
-                    if *q == 0 {
-                        div_nulls[i] = true;
-                        0
-                    } else {
-                        p.wrapping_div(*q)
-                    }
-                })
-                .collect()
-        }
-        _ => unreachable!(),
-    };
-    let nulls = if div_nulls.contains(&true) {
-        Mask::union(&nulls, &Mask::from_flags(div_nulls))
-    } else {
-        nulls
-    };
-    let vals = if a == 3 || b == 3 {
-        BVals::Long(out)
-    } else {
-        BVals::Int(out.into_iter().map(|v| v as i32).collect())
-    };
-    BatchEval { vals, nulls, errs }
-}
-
 /// Row-at-a-time fallback for operand shapes without a typed kernel;
 /// reproduces scalar semantics exactly via the scalar helpers.
 fn per_row_binary(op: BinOp, l: &Side, r: &Side, n: usize, nulls: &Mask, errs: &Mask) -> BatchEval {
@@ -1126,9 +934,9 @@ fn per_row_binary(op: BinOp, l: &Side, r: &Side, n: usize, nulls: &Mask, errs: &
     }
 }
 
-/// `AND` / `OR` dispatch: the SIMD suite takes the dense-boolean fast
-/// path when it is semantically free to do so, everything else runs the
-/// generic short-circuit loop.
+/// `AND` / `OR` dispatch: the dense-boolean fast path runs when it is
+/// semantically free to do so, everything else runs the generic
+/// short-circuit loop.
 ///
 /// The fast path evaluates the right side eagerly. That is only sound
 /// when the left side is error-free and statically boolean: then the set
@@ -1142,9 +950,8 @@ fn connective(
     l: BatchEval,
     right: impl FnOnce() -> BatchEval,
     n: usize,
-    simd: bool,
 ) -> BatchEval {
-    if simd && matches!(l.errs, Mask::None) && matches!(l.vals, BVals::Bool(_)) {
+    if matches!(l.errs, Mask::None) && matches!(l.vals, BVals::Bool(_)) {
         let r = right();
         if matches!(r.errs, Mask::None) && matches!(r.vals, BVals::Bool(_)) {
             return connective_dense_simd(is_and, &l, &r, n);
@@ -1393,10 +1200,10 @@ fn call_batch(func: Func, args: &[BatchEval], n: usize) -> BatchEval {
 }
 
 // ---------------------------------------------------------------------------
-// SIMD kernel suite (the `EvalCtx::simd` path, used by `ExecMode::Fused`).
+// SIMD kernel suite: the typed kernels `binary` and `connective` dispatch to.
 //
-// Each kernel is the lane-parallel twin of a scalar kernel above and must
-// be byte-identical to it — that is the law the fused engine rests on:
+// Each kernel must agree bit-for-bit with the scalar row evaluator
+// (`Node::eval`) — that is the law the fused engine rests on:
 //   * numeric compares widen to `f64` exactly like `Value::as_double`
 //     (`NumSide::load8` mirrors `NumSide::at` per lane);
 //   * ordering goes through the IEEE total-order key, which is *defined*
@@ -1423,8 +1230,8 @@ impl NumSide<'_> {
     }
 }
 
-/// Per-row `i64` accessor for statically integer batches (the SIMD twin of
-/// `widen_i64`, borrowing instead of materializing).
+/// Per-row `i64` accessor for statically integer batches (widens like
+/// `Value::as_long`, borrowing instead of materializing).
 enum IntSide<'a> {
     Int(&'a [i32]),
     Long(&'a [i64]),
@@ -1474,8 +1281,9 @@ fn int_accessor_ref<'a>(v: &'a VRef) -> Option<IntSide<'a>> {
     }
 }
 
-/// Lane-parallel twin of [`arith_kernel`]: identical result values, null
-/// flags, and variant choice, without materializing widened operands.
+/// Typed arithmetic kernel over numeric operands (ranks `a`, `b`: 2 = Int,
+/// 3 = Long, 4 = Double, promoting like the scalar evaluator), reading
+/// operands in place without materializing widened copies.
 #[allow(clippy::too_many_arguments)]
 fn simd_arith_kernel(
     op: BinOp,
@@ -1809,6 +1617,17 @@ mod tests {
         ColumnBatch::from_rows(&schema(), &rows).unwrap()
     }
 
+    /// Whole-batch evaluation the way the fused projection drives it: the
+    /// first failing row is re-run scalar-side for the exact error, and
+    /// `Ok(None)` means no dense column form.
+    fn eval_batch(c: &CompiledExpr, batch: &ColumnBatch) -> Result<Option<Column>> {
+        let raw = c.eval_batch_raw_sel(batch, None);
+        match raw.first_err(batch.len()) {
+            Some(i) => Err(c.eval(&batch.row(i)).unwrap_err()),
+            None => Ok(raw.into_column(batch.len())),
+        }
+    }
+
     #[test]
     fn batch_eval_matches_scalar_per_row() {
         let s = schema();
@@ -1824,7 +1643,7 @@ mod tests {
             col("StreamId").eq(lit(1)).not(),
         ] {
             let c = CompiledExpr::compile(&e, &s);
-            let out = c.eval_batch(&batch).unwrap().expect("dense result");
+            let out = eval_batch(&c, &batch).unwrap().expect("dense result");
             for i in 0..batch.len() {
                 assert_eq!(
                     out.value(i),
@@ -1843,7 +1662,7 @@ mod tests {
             &col("StreamId").eq(lit(1)).or(col("Ctr").gt(lit(1.0f64))),
             &s,
         );
-        let mask = c.eval_predicate_batch(&batch).unwrap();
+        let mask = c.eval_predicate_batch_sel(&batch, None).unwrap();
         for (i, &keep) in mask.iter().enumerate() {
             assert_eq!(keep, c.eval_predicate(&batch.row(i)).unwrap(), "row {i}");
         }
@@ -1855,12 +1674,15 @@ mod tests {
         let batch = sample_batch();
         // Unknown column errors on the first row that evaluates it.
         let c = CompiledExpr::compile(&col("Nope").add(lit(1i64)), &s);
-        let batch_err = c.eval_batch(&batch).unwrap_err().to_string();
+        let batch_err = eval_batch(&c, &batch).unwrap_err().to_string();
         let scalar_err = c.eval(&batch.row(0)).unwrap_err().to_string();
         assert_eq!(batch_err, scalar_err);
         // Non-boolean predicate reproduces the scalar message too.
         let c = CompiledExpr::compile(&col("Count").add(lit(1i64)), &s);
-        let batch_err = c.eval_predicate_batch(&batch).unwrap_err().to_string();
+        let batch_err = c
+            .eval_predicate_batch_sel(&batch, None)
+            .unwrap_err()
+            .to_string();
         let scalar_err = c.eval_predicate(&batch.row(0)).unwrap_err().to_string();
         assert_eq!(batch_err, scalar_err);
     }
@@ -1873,7 +1695,7 @@ mod tests {
         // column on the right must never surface.
         let e = col("StreamId").eq(lit(99)).and(col("Nope").lt(lit(1i64)));
         let c = CompiledExpr::compile(&e, &s);
-        let out = c.eval_batch(&batch).unwrap().expect("dense result");
+        let out = eval_batch(&c, &batch).unwrap().expect("dense result");
         for i in 0..batch.len() {
             assert_eq!(out.value(i), c.eval(&batch.row(i)).unwrap(), "row {i}");
         }
@@ -1884,8 +1706,8 @@ mod tests {
         let s = schema();
         let batch = ColumnBatch::from_rows(&s, &[]).unwrap();
         let c = CompiledExpr::compile(&col("Count").add(lit(1i64)), &s);
-        let out = c.eval_batch(&batch).unwrap().expect("dense result");
+        let out = eval_batch(&c, &batch).unwrap().expect("dense result");
         assert_eq!(out.len(), 0);
-        assert!(c.eval_predicate_batch(&batch).unwrap().is_empty());
+        assert!(c.eval_predicate_batch_sel(&batch, None).unwrap().is_empty());
     }
 }

@@ -6,23 +6,33 @@
 //! map-reduce reducer (paper §III-A step 4): the reducer binds its partition
 //! of rows to the fragment's `Source` leaves and returns the root stream.
 //!
+//! There is one engine. Every plan is fused on entry
+//! ([`crate::plan::fuse_plan`], free on an already-fused plan), and each
+//! operator runs in the layout its input arrives in: a [`StreamData::Batch`]
+//! flows through the fused SIMD kernels, a [`StreamData::Rows`] through the
+//! row operators. The executor never re-lays-out a binding — whoever
+//! decoded the data chose the layout, and transposing a stream the caller
+//! already holds in row form never pays (DESIGN.md, "The engine").
+//! [`execute_reference`] is the independent oracle tests compare against.
+//!
 //! Execution is consumer-count aware: every operator receives its inputs
 //! **by value**. A single-consumer intermediate is moved straight into its
-//! parent, so in-place operators (Filter, AlterLifetime, …) mutate it with
-//! no copy; a Multicast result is cached with its remaining-consumer count,
-//! handed out as O(1) Arc-backed clones, and *moved out* of the cache to
-//! its final consumer — the last consumer gets uniquely-owned storage, not
-//! a deep clone.
+//! parent, so in-place operators (the row forms of Filter, AlterLifetime, …)
+//! mutate it with no copy; a Multicast result is cached with its
+//! remaining-consumer count, handed out as O(1) Arc-backed clones, and
+//! *moved out* of the cache to its final consumer — the last consumer gets
+//! uniquely-owned storage, not a deep clone.
 
 use crate::batch::EventBatch;
 use crate::error::{Result, TemporalError};
 use crate::operators;
-use crate::plan::{LogicalPlan, NodeId, Operator};
+use crate::plan::{FusedStep, LogicalPlan, NodeId, Operator};
 use crate::stream::EventStream;
-use pool::WorkerPool;
 use relation::Schema;
 use rustc_hash::FxHashMap;
-use std::sync::Arc;
+
+/// The pool type [`execute_data`] fans GroupApply groups out on.
+pub use pool::WorkerPool;
 
 /// Named input bindings for a plan's `Source` leaves.
 pub type Bindings = FxHashMap<String, EventStream>;
@@ -33,11 +43,12 @@ pub type DataBindings = FxHashMap<String, StreamData>;
 /// Event data in either physical layout.
 ///
 /// `Rows` is the universal form every operator accepts; `Batch` is the
-/// column-major form produced under [`ExecMode::Columnar`] and consumed by
-/// the operators with columnar kernels (Filter, Project, AlterLifetime,
-/// GroupApply key extraction). Operators without a kernel convert a batch
-/// back to rows at their input — the automatic fallback that keeps every
-/// plan runnable in every mode.
+/// column-major form the TiMR bridge decodes shuffled extents into, consumed
+/// by the operators with columnar kernels (fused fragments, Aggregate
+/// argument evaluation, GroupApply key hashing). Operators without a kernel
+/// convert a batch back to rows at their input, and a fragment that cannot
+/// stay columnar finishes on rows — so every plan runs on either layout
+/// with byte-identical output.
 #[derive(Debug, Clone)]
 pub enum StreamData {
     /// Row-major event storage.
@@ -85,255 +96,156 @@ pub fn data_bindings(sources: Bindings) -> DataBindings {
         .collect()
 }
 
-/// Which operator implementations the executor dispatches to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ExecMode {
-    /// Compiled: index-resolved expressions, hash-then-compare keys,
-    /// in-place single-consumer execution (the default).
-    #[default]
-    Compiled,
-    /// The PR 1 interpreted operators ([`operators::interpreted`]):
-    /// per-row name resolution and clone-based streams. Kept as the
-    /// benchmark baseline; output is byte-identical to `Compiled`.
-    Interpreted,
-    /// Compiled operators plus column-major execution: sources whose
-    /// payloads fit their declared types are transposed into
-    /// [`EventBatch`]es and flow through vectorized kernels, falling back
-    /// to the row path per operator (and per source) whenever no columnar
-    /// form applies. Output is byte-identical to `Compiled`.
-    Columnar,
-    /// Columnar execution plus fragment fusion: the plan is rewritten by
-    /// [`crate::plan::fuse_plan`] so every maximal stateless chain (Filter
-    /// / Project / AlterLifetime, including chains inside GroupApply
-    /// sub-plans) runs as a single-pass [`Operator::FusedFragment`] on the
-    /// SIMD kernel suite, with no intermediate batch between steps. Output
-    /// is byte-identical to `Compiled`.
-    Fused,
-}
-
-/// Execution choices threaded through the executor: which operator
-/// implementations to dispatch to, and the worker pool GroupApply fans
-/// groups out on.
-///
-/// The pool defaults to sequential, so plain `execute_*` calls behave
-/// exactly as before. The TiMR reducer builds its options from the
-/// cluster's [`ReducerContext`] pool handle, so standalone executions and
-/// embedded reducers share one pool configuration end to end. Output is
-/// byte-identical for every pool width (groups merge in sorted-key
-/// order), so options only affect performance, never results.
-#[derive(Debug, Clone)]
-pub struct ExecOptions {
-    /// Operator-implementation mode.
-    pub mode: ExecMode,
-    /// Worker pool for intra-operator (per-group) parallelism.
-    pub pool: Arc<WorkerPool>,
-}
-
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            mode: ExecMode::default(),
-            pool: Arc::new(WorkerPool::sequential()),
-        }
-    }
-}
-
-impl ExecOptions {
-    /// Default options with an explicit mode.
-    pub fn with_mode(mode: ExecMode) -> Self {
-        ExecOptions {
-            mode,
-            ..ExecOptions::default()
-        }
-    }
-
-    /// Replace the pool with a fresh one of `threads` workers.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.pool = Arc::new(WorkerPool::new(threads));
-        self
-    }
-
-    /// Share an existing pool handle.
-    pub fn on_pool(mut self, pool: Arc<WorkerPool>) -> Self {
-        self.pool = pool;
-        self
-    }
-}
-
 /// Build bindings from `(name, stream)` pairs.
 pub fn bindings(pairs: Vec<(&str, EventStream)>) -> Bindings {
     pairs.into_iter().map(|(n, s)| (n.to_string(), s)).collect()
 }
 
-/// Execute `plan` against `sources`; returns one stream per plan output.
-pub fn execute(plan: &LogicalPlan, sources: &Bindings) -> Result<Vec<EventStream>> {
-    execute_with_mode(plan, sources, ExecMode::Compiled)
+/// What one execution observed about its own layout decisions.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ExecStats {
+    /// Fused fragments that started on a batch and finished on the row
+    /// operators because a projection's result had no dense column form
+    /// (mixed runtime types across rows).
+    pub row_fallbacks: u64,
 }
 
-/// Execute `plan` with an explicit operator-implementation mode.
+/// Execute `plan` against `sources`; returns one stream per plan output.
 ///
 /// The caller keeps its bindings, so every source stream stays shared
 /// (Arc-backed) and the first operator over each source copies survivors.
 /// Callers that rebuild bindings per invocation — the embedded DSMS
 /// reducer decodes a fresh partition every reduce call — should use
-/// [`execute_owned`] instead to hand the executor unique storage.
-pub fn execute_with_mode(
-    plan: &LogicalPlan,
-    sources: &Bindings,
-    mode: ExecMode,
-) -> Result<Vec<EventStream>> {
-    execute_owned(plan, sources.clone(), mode) // O(1) per stream: Arc bumps
-}
-
-/// [`execute_with_mode`] with full [`ExecOptions`] (mode + worker pool).
-pub fn execute_with_options(
-    plan: &LogicalPlan,
-    sources: &Bindings,
-    options: &ExecOptions,
-) -> Result<Vec<EventStream>> {
-    execute_owned_with_options(plan, sources.clone(), options)
-}
-
-/// Execute `plan` taking **ownership** of the bindings. Each `Source`
-/// stream is moved out of the map at its last reference in the plan, so
-/// when the caller held the only handle, the first in-place operator
-/// (Filter, AlterLifetime, …) mutates the decoded partition directly —
-/// zero survivor clones.
-pub fn execute_owned(
-    plan: &LogicalPlan,
-    sources: Bindings,
-    mode: ExecMode,
-) -> Result<Vec<EventStream>> {
-    execute_owned_with_options(plan, sources, &ExecOptions::with_mode(mode))
-}
-
-/// [`execute_owned`] with full [`ExecOptions`] (mode + worker pool).
-pub fn execute_owned_with_options(
-    plan: &LogicalPlan,
-    sources: Bindings,
-    options: &ExecOptions,
-) -> Result<Vec<EventStream>> {
-    execute_owned_data(plan, data_bindings(sources), options)
-}
-
-/// Execute `plan` over layout-agnostic bindings: a binding may arrive
-/// pre-transposed as a [`StreamData::Batch`] (the columnar reducer decodes
-/// partitions straight into batches) or as plain rows. Under
-/// [`ExecMode::Columnar`] row-form sources are transposed at their last
-/// reference; in every other mode batches are converted back to rows
-/// before use, so the mode alone decides the physical path.
-pub fn execute_owned_data(
-    plan: &LogicalPlan,
-    sources: DataBindings,
-    options: &ExecOptions,
-) -> Result<Vec<EventStream>> {
-    Ok(execute_data(plan, sources, options)?
-        .into_iter()
-        .map(StreamData::into_stream)
-        .collect())
-}
-
-/// [`execute_owned_data`] without the final row conversion: each root is
-/// returned in whatever physical layout it finished in. Batch-resident
-/// callers — the binary-extent encoder, engine benchmarks — consume the
-/// columnar root directly instead of paying a batch→rows→batch round trip.
-pub fn execute_data(
-    plan: &LogicalPlan,
-    sources: DataBindings,
-    options: &ExecOptions,
-) -> Result<Vec<StreamData>> {
-    // Fused mode rewrites the plan first (idempotent: a pre-fused plan —
-    // e.g. one annotated at compile time — passes through unchanged).
-    let fused;
-    let plan = if options.mode == ExecMode::Fused {
-        fused = crate::plan::fuse_plan(plan)?;
-        &fused
-    } else {
-        plan
-    };
-    let mut exec = Executor {
-        source_refs: source_refs(plan),
-        sources,
-        group_input: None,
-        cache: FxHashMap::default(),
-        counts: consumer_counts(plan),
-        mode: options.mode,
-        pool: Arc::clone(&options.pool),
-    };
-    plan.roots()
-        .iter()
-        .map(|&root| exec.eval(plan, root))
-        .collect()
+/// [`execute_data`] instead to hand the executor unique storage.
+pub fn execute(plan: &LogicalPlan, sources: &Bindings) -> Result<Vec<EventStream>> {
+    // O(1) per stream: Arc bumps.
+    let owned = data_bindings(sources.clone());
+    Ok(execute_data(plan, owned, &WorkerPool::sequential())?.0)
 }
 
 /// Execute a single-output plan and return its only stream.
 pub fn execute_single(plan: &LogicalPlan, sources: &Bindings) -> Result<EventStream> {
-    execute_single_with_mode(plan, sources, ExecMode::Compiled)
+    single(execute(plan, sources)?)
 }
 
-/// Execute a single-output plan with an explicit mode.
-pub fn execute_single_with_mode(
-    plan: &LogicalPlan,
-    sources: &Bindings,
-    mode: ExecMode,
-) -> Result<EventStream> {
-    single(execute_with_mode(plan, sources, mode)?)
-}
-
-/// Execute a single-output plan with full [`ExecOptions`].
-pub fn execute_single_with_options(
-    plan: &LogicalPlan,
-    sources: &Bindings,
-    options: &ExecOptions,
-) -> Result<EventStream> {
-    single(execute_with_options(plan, sources, options)?)
-}
-
-/// Execute a single-output plan taking ownership of the bindings
-/// (see [`execute_owned`]).
-pub fn execute_single_owned(
-    plan: &LogicalPlan,
-    sources: Bindings,
-    mode: ExecMode,
-) -> Result<EventStream> {
-    single(execute_owned(plan, sources, mode)?)
-}
-
-/// Execute a single-output plan taking ownership of the bindings, with
-/// full [`ExecOptions`].
-pub fn execute_single_owned_with_options(
-    plan: &LogicalPlan,
-    sources: Bindings,
-    options: &ExecOptions,
-) -> Result<EventStream> {
-    single(execute_owned_with_options(plan, sources, options)?)
-}
-
-/// Execute a single-output plan over layout-agnostic bindings and return
-/// the root in whatever layout it finished in (see [`execute_data`]).
-pub fn execute_single_data(
+/// Execute `plan` taking **ownership** of layout-agnostic bindings, fanning
+/// GroupApply groups out on `pool`. Each `Source` binding is moved out of
+/// the map at its last reference in the plan, in the layout it arrived in:
+/// a batch runs the columnar kernels, and when the caller held the only
+/// handle to a row stream the first in-place operator mutates the decoded
+/// partition directly — zero survivor clones. Output is byte-identical for
+/// every pool width (groups merge in sorted-key order) and either layout.
+pub fn execute_data(
     plan: &LogicalPlan,
     sources: DataBindings,
-    options: &ExecOptions,
-) -> Result<StreamData> {
-    let mut outputs = execute_data(plan, sources, options)?;
-    if outputs.len() != 1 {
-        return Err(TemporalError::Plan(format!(
-            "expected a single-output plan, got {} outputs",
-            outputs.len()
+    pool: &WorkerPool,
+) -> Result<(Vec<EventStream>, ExecStats)> {
+    // Free when the plan was fused at construction (every embedded caller
+    // does): the pass returns the borrowed plan before cloning anything.
+    let plan = crate::plan::fuse_plan(plan)?;
+    let mut exec = Executor {
+        source_refs: source_refs(&plan),
+        sources,
+        group_input: None,
+        cache: FxHashMap::default(),
+        counts: consumer_counts(&plan),
+        pool,
+        stats: ExecStats::default(),
+    };
+    let outputs = plan
+        .roots()
+        .iter()
+        .map(|&root| Ok(exec.eval(&plan, root)?.into_stream()))
+        .collect::<Result<Vec<_>>>()?;
+    Ok((outputs, exec.stats))
+}
+
+/// Execute `plan` on the reference operators ([`operators::interpreted`]):
+/// per-row name resolution, clone-based streams, no fusion, no batches, no
+/// pool. This is the single-node oracle the property tests, benches and
+/// experiments compare the engine (and, through the cluster, whole TiMR
+/// jobs) against; output is byte-identical to [`execute`]. No job or
+/// cluster configuration reaches it.
+pub fn execute_reference(plan: &LogicalPlan, sources: &Bindings) -> Result<Vec<EventStream>> {
+    let mut memo = FxHashMap::default();
+    plan.roots()
+        .iter()
+        .map(|&root| reference_eval(plan, root, sources, None, &mut memo))
+        .collect()
+}
+
+fn reference_eval(
+    plan: &LogicalPlan,
+    id: NodeId,
+    sources: &Bindings,
+    group_input: Option<&EventStream>,
+    memo: &mut FxHashMap<NodeId, EventStream>,
+) -> Result<EventStream> {
+    use operators::interpreted as reference;
+    if let Some(done) = memo.get(&id) {
+        return Ok(done.clone());
+    }
+    let node = plan.node(id);
+    let inputs = node
+        .inputs
+        .iter()
+        .map(|&input| reference_eval(plan, input, sources, group_input, memo))
+        .collect::<Result<Vec<_>>>()?;
+    let out = match &node.op {
+        Operator::Source { name, schema } => {
+            let stream = sources
+                .get(name)
+                .ok_or_else(|| TemporalError::Input(format!("no binding for source `{name}`")))?;
+            check_source_schema(name, stream.schema(), schema)?;
+            stream.clone()
+        }
+        Operator::GroupInput { .. } => group_input.ok_or_else(outside_group_apply)?.clone(),
+        Operator::Filter { predicate } => reference::filter(&inputs[0], predicate)?,
+        Operator::Project { exprs } => reference::project(&inputs[0], exprs)?,
+        Operator::AlterLifetime { op } => reference::alter_lifetime(&inputs[0], op)?,
+        Operator::FusedFragment { steps } => {
+            let mut stream = inputs[0].clone();
+            for step in steps {
+                stream = match step {
+                    FusedStep::Filter { predicate } => reference::filter(&stream, predicate)?,
+                    FusedStep::Project { exprs } => reference::project(&stream, exprs)?,
+                    FusedStep::AlterLifetime { op } => reference::alter_lifetime(&stream, op)?,
+                };
+            }
+            stream
+        }
+        Operator::Aggregate { aggs } => reference::aggregate(&inputs[0], aggs)?,
+        Operator::GroupApply { keys, subplan } => {
+            let mut run = |sub: &LogicalPlan, group: EventStream| {
+                let mut memo = FxHashMap::default();
+                reference_eval(sub, sub.roots()[0], sources, Some(&group), &mut memo)
+            };
+            reference::group_apply(&inputs[0], keys, subplan, &mut run)?
+        }
+        Operator::Union => reference::union(&inputs.iter().collect::<Vec<_>>())?,
+        Operator::TemporalJoin { keys, residual } => {
+            reference::temporal_join(&inputs[0], &inputs[1], keys, residual.as_ref())?
+        }
+        Operator::AntiSemiJoin { keys } => reference::anti_semi_join(&inputs[0], &inputs[1], keys)?,
+        Operator::HopUdo { hop, width, udo } => reference::hop_udo(&inputs[0], *hop, *width, udo)?,
+        // Expansion has one implementation (see `operators::spread_grid`).
+        Operator::SpreadGrid { grid } => operators::spread_grid(inputs[0].clone(), *grid)?,
+    };
+    memo.insert(id, out.clone());
+    Ok(out)
+}
+
+fn check_source_schema(name: &str, bound: &Schema, expected: &Schema) -> Result<()> {
+    if bound != expected {
+        return Err(TemporalError::Input(format!(
+            "source `{name}` bound with schema {bound}, plan expects {expected}"
         )));
     }
-    Ok(outputs.pop().unwrap())
+    Ok(())
 }
 
-/// Execute a single-output plan over layout-agnostic bindings
-/// (see [`execute_owned_data`]).
-pub fn execute_single_owned_data(
-    plan: &LogicalPlan,
-    sources: DataBindings,
-    options: &ExecOptions,
-) -> Result<EventStream> {
-    single(execute_owned_data(plan, sources, options)?)
+fn outside_group_apply() -> TemporalError {
+    TemporalError::Plan("GroupInput outside a GroupApply sub-plan".into())
 }
 
 fn single(mut outputs: Vec<EventStream>) -> Result<EventStream> {
@@ -360,9 +272,9 @@ struct Executor<'a> {
     /// consumers have not taken it yet.
     cache: FxHashMap<NodeId, (EventStream, u32)>,
     counts: Vec<u32>,
-    mode: ExecMode,
-    /// Worker pool GroupApply fans groups out on (sequential by default).
-    pool: Arc<WorkerPool>,
+    /// Worker pool GroupApply fans groups out on.
+    pool: &'a WorkerPool,
+    stats: ExecStats,
 }
 
 /// Number of consumers per node, **including plan roots** (each root is
@@ -429,7 +341,7 @@ impl<'a> Executor<'a> {
         for &input in &node.inputs {
             inputs.push(self.eval(plan, input)?);
         }
-        let out = self.apply(plan, &node.op, inputs)?;
+        let out = self.apply(&node.op, inputs)?;
         let consumers = self.counts.get(id).copied().unwrap_or(0);
         if consumers > 1 {
             // Multicast results are cached in row form so each further
@@ -441,24 +353,13 @@ impl<'a> Executor<'a> {
         Ok(out)
     }
 
-    fn apply(
-        &mut self,
-        _plan: &LogicalPlan,
-        op: &Operator,
-        mut inputs: Vec<StreamData>,
-    ) -> Result<StreamData> {
-        let interpreted = self.mode == ExecMode::Interpreted;
+    fn apply(&mut self, op: &Operator, mut inputs: Vec<StreamData>) -> Result<StreamData> {
         Ok(match op {
             Operator::Source { name, schema } => {
                 let data = self.sources.get(name).ok_or_else(|| {
                     TemporalError::Input(format!("no binding for source `{name}`"))
                 })?;
-                if data.schema() != schema {
-                    return Err(TemporalError::Input(format!(
-                        "source `{name}` bound with schema {}, plan expects {schema}",
-                        data.schema()
-                    )));
-                }
+                check_source_schema(name, data.schema(), schema)?;
                 let remaining = self
                     .source_refs
                     .get_mut(name)
@@ -467,25 +368,10 @@ impl<'a> Executor<'a> {
                     *remaining -= 1;
                 }
                 if *remaining == 0 {
-                    // Last reference: move the binding out. When the caller
-                    // gave up its handle (execute_owned), downstream
-                    // in-place operators now own the storage outright.
-                    let data = self.sources.remove(name).expect("binding just seen");
-                    match (self.mode, data) {
-                        // Columnar/Fused: transpose a row-form source at its
-                        // last reference; payloads that don't fit their
-                        // declared types stay rows (the fallback path).
-                        (ExecMode::Columnar | ExecMode::Fused, StreamData::Rows(s)) => {
-                            match EventBatch::from_stream(&s) {
-                                Some(b) => StreamData::Batch(b),
-                                None => StreamData::Rows(s),
-                            }
-                        }
-                        (ExecMode::Columnar | ExecMode::Fused, data) => data,
-                        // Row modes never see a batch: a pre-decoded one is
-                        // converted right here.
-                        (_, data) => StreamData::Rows(data.into_stream()),
-                    }
+                    // Last reference: move the binding out in the layout it
+                    // arrived in. When the caller gave up its handle,
+                    // downstream in-place operators own the storage outright.
+                    self.sources.remove(name).expect("binding just seen")
                 } else {
                     // Shared reference: force row form in place so this and
                     // every later clone is an O(1) Arc bump.
@@ -494,80 +380,34 @@ impl<'a> Executor<'a> {
                     data.clone()
                 }
             }
-            Operator::GroupInput { .. } => StreamData::Rows(
-                self.group_input
-                    .ok_or_else(|| {
-                        TemporalError::Plan("GroupInput outside a GroupApply sub-plan".into())
-                    })?
-                    .clone(),
-            ),
-            Operator::Filter { predicate } => match inputs.pop().expect("filter has one input") {
-                StreamData::Batch(b) => StreamData::Batch(operators::filter_batch(b, predicate)?),
-                data => {
-                    let input = data.into_stream();
-                    StreamData::Rows(if interpreted {
-                        operators::interpreted::filter(&input, predicate)?
-                    } else {
-                        operators::filter(input, predicate)?
-                    })
-                }
-            },
-            Operator::Project { exprs } => {
-                match inputs.pop().expect("project has one input") {
-                    StreamData::Batch(b) => match operators::project_batch(&b, exprs)? {
-                        Some(out) => StreamData::Batch(out),
-                        // Some expression's output has no dense column form
-                        // (mixed runtime types): fall back to the row path.
-                        None => StreamData::Rows(operators::project(b.into_stream(), exprs)?),
-                    },
-                    data => {
-                        let input = data.into_stream();
-                        StreamData::Rows(if interpreted {
-                            operators::interpreted::project(&input, exprs)?
-                        } else {
-                            operators::project(input, exprs)?
-                        })
-                    }
-                }
+            Operator::GroupInput { .. } => {
+                StreamData::Rows(self.group_input.ok_or_else(outside_group_apply)?.clone())
             }
-            Operator::AlterLifetime { op } => {
-                match inputs.pop().expect("alter_lifetime has one input") {
-                    StreamData::Batch(b) => {
-                        StreamData::Batch(operators::alter_lifetime_batch(b, op)?)
-                    }
-                    data => {
-                        let input = data.into_stream();
-                        StreamData::Rows(if interpreted {
-                            operators::interpreted::alter_lifetime(&input, op)?
-                        } else {
-                            operators::alter_lifetime(input, op)?
-                        })
-                    }
-                }
+            Operator::Filter { .. } | Operator::Project { .. } | Operator::AlterLifetime { .. } => {
+                unreachable!("fuse_plan wraps every stateless operator in a FusedFragment")
             }
             Operator::FusedFragment { steps } => {
                 match inputs.pop().expect("fused fragment has one input") {
-                    StreamData::Batch(b) => operators::fused_fragment_batch(b, steps)?,
-                    data => {
-                        StreamData::Rows(operators::fused_fragment_rows(data.into_stream(), steps)?)
+                    StreamData::Batch(b) => {
+                        let out = operators::fused_fragment_batch(b, steps)?;
+                        if matches!(out, StreamData::Rows(_)) {
+                            self.stats.row_fallbacks += 1;
+                        }
+                        out
+                    }
+                    StreamData::Rows(s) => {
+                        StreamData::Rows(operators::fused_fragment_rows(s, steps)?)
                     }
                 }
             }
             Operator::Aggregate { aggs } => {
-                match inputs.pop().expect("aggregate has one input") {
+                StreamData::Rows(match inputs.pop().expect("aggregate has one input") {
                     // Batch input: arguments evaluate through the reusable
                     // scratch-row loop, lifetimes sweep straight off the
                     // columnar vectors — no stream materialization.
-                    StreamData::Batch(b) => StreamData::Rows(operators::aggregate_batch(&b, aggs)?),
-                    data => {
-                        let input = data.into_stream();
-                        StreamData::Rows(if interpreted {
-                            operators::interpreted::aggregate(&input, aggs)?
-                        } else {
-                            operators::aggregate(&input, aggs)?
-                        })
-                    }
-                }
+                    StreamData::Batch(b) => operators::aggregate_batch(&b, aggs)?,
+                    StreamData::Rows(s) => operators::aggregate(&s, aggs)?,
+                })
             }
             Operator::GroupApply { keys, subplan } => {
                 let input = inputs.pop().expect("group_apply has one input");
@@ -588,12 +428,13 @@ impl<'a> Executor<'a> {
                     }
                     shared
                 };
-                let mode = self.mode;
-                let pool = Arc::clone(&self.pool);
+                let pool = self.pool;
                 // `Fn`, not `FnMut`: groups run concurrently on the pool,
                 // each with its own inner Executor over shared (Arc-backed)
                 // sub-bindings. Nested GroupApplies reuse the same pool
-                // handle; its chunked scheduler just sees more tasks.
+                // handle; its chunked scheduler just sees more tasks. Groups
+                // and sub-bindings are rows, so no inner fragment can fall
+                // back and the inner stats stay zero.
                 let run = |sub: &LogicalPlan, group: EventStream| {
                     let mut inner = Executor {
                         sources: sub_sources.clone(),
@@ -601,36 +442,21 @@ impl<'a> Executor<'a> {
                         group_input: Some(&group),
                         cache: FxHashMap::default(),
                         counts: sub_counts.clone(),
-                        mode,
-                        pool: Arc::clone(&pool),
+                        pool,
+                        stats: ExecStats::default(),
                     };
                     inner.eval(sub, sub.roots()[0]).map(StreamData::into_stream)
                 };
                 StreamData::Rows(match input {
                     StreamData::Batch(b) => {
-                        operators::group_apply_batch(b, keys, subplan, &pool, &run)?
+                        operators::group_apply_batch(b, keys, subplan, pool, &run)?
                     }
-                    data => {
-                        let input = data.into_stream();
-                        if interpreted {
-                            let mut run = run;
-                            operators::interpreted::group_apply(&input, keys, subplan, &mut run)?
-                        } else {
-                            operators::group_apply(input, keys, subplan, &pool, &run)?
-                        }
-                    }
+                    StreamData::Rows(s) => operators::group_apply(s, keys, subplan, pool, &run)?,
                 })
             }
-            Operator::Union => {
-                let inputs: Vec<EventStream> =
-                    inputs.into_iter().map(StreamData::into_stream).collect();
-                StreamData::Rows(if interpreted {
-                    let refs: Vec<&EventStream> = inputs.iter().collect();
-                    operators::interpreted::union(&refs)?
-                } else {
-                    operators::union(inputs)?
-                })
-            }
+            Operator::Union => StreamData::Rows(operators::union(
+                inputs.into_iter().map(StreamData::into_stream).collect(),
+            )?),
             Operator::TemporalJoin { keys, residual } => {
                 let right = inputs
                     .pop()
@@ -640,11 +466,12 @@ impl<'a> Executor<'a> {
                     .pop()
                     .expect("temporal_join has two inputs")
                     .into_stream();
-                StreamData::Rows(if interpreted {
-                    operators::interpreted::temporal_join(&left, &right, keys, residual.as_ref())?
-                } else {
-                    operators::temporal_join(&left, &right, keys, residual.as_ref())?
-                })
+                StreamData::Rows(operators::temporal_join(
+                    &left,
+                    &right,
+                    keys,
+                    residual.as_ref(),
+                )?)
             }
             Operator::AntiSemiJoin { keys } => {
                 let right = inputs
@@ -655,23 +482,12 @@ impl<'a> Executor<'a> {
                     .pop()
                     .expect("anti_semi_join has two inputs")
                     .into_stream();
-                StreamData::Rows(if interpreted {
-                    operators::interpreted::anti_semi_join(&left, &right, keys)?
-                } else {
-                    operators::anti_semi_join(left, &right, keys)?
-                })
+                StreamData::Rows(operators::anti_semi_join(left, &right, keys)?)
             }
             Operator::HopUdo { hop, width, udo } => {
                 let input = inputs.pop().expect("hop_udo has one input").into_stream();
-                StreamData::Rows(if interpreted {
-                    operators::interpreted::hop_udo(&input, *hop, *width, udo)?
-                } else {
-                    operators::hop_udo(input, *hop, *width, udo)?
-                })
+                StreamData::Rows(operators::hop_udo(input, *hop, *width, udo)?)
             }
-            // One implementation for every mode: expansion rebuilds the
-            // event vector either way, and a single code path keeps the
-            // four modes byte-identical by construction.
             Operator::SpreadGrid { grid } => {
                 let input = inputs
                     .pop()
@@ -688,7 +504,7 @@ mod tests {
     use super::*;
 
     use crate::event::Event;
-    use crate::expr::{col, lit};
+    use crate::expr::{col, lit, Expr, Func};
     use crate::plan::Query;
     use crate::time::Lifetime;
     use relation::schema::{ColumnType, Field};
@@ -822,10 +638,25 @@ mod tests {
         assert!(a.same_relation(&b));
     }
 
+    /// Run `plan` on the engine with the input bound as rows and as a
+    /// pre-decoded batch, and on the reference operators; all three must be
+    /// byte-identical event vectors, not merely the same relation — the
+    /// repeatability requirement for restarted reducers.
+    fn assert_layouts_and_reference_agree(plan: &LogicalPlan) {
+        let srcs = bindings(vec![("input", sample_events())]);
+        let rows = execute_single(plan, &srcs).unwrap();
+        let batch = EventBatch::from_stream(&sample_events()).unwrap();
+        let mut batch_srcs = DataBindings::default();
+        batch_srcs.insert("input".to_string(), StreamData::Batch(batch));
+        let (on_batch, stats) = execute_data(plan, batch_srcs, &WorkerPool::sequential()).unwrap();
+        let reference = single(execute_reference(plan, &srcs).unwrap()).unwrap();
+        assert_eq!(rows, reference);
+        assert_eq!(single(on_batch).unwrap(), reference);
+        assert_eq!(stats.row_fallbacks, 0);
+    }
+
     #[test]
-    fn interpreted_and_compiled_modes_agree_exactly() {
-        // Not just the same relation: byte-identical event vectors, the
-        // repeatability requirement for restarted reducers.
+    fn engine_and_reference_agree_exactly() {
         let q = Query::new();
         let input = q.source("input", bt_schema());
         let clicks = input.clone().filter(col("StreamId").eq(lit(1)));
@@ -833,19 +664,13 @@ mod tests {
         let out = clicks
             .union(searches)
             .group_apply(&["UserId", "KwAdId"], |g| g.window(100).count("N"));
-        let plan = q.build(vec![out]).unwrap();
-        let srcs = bindings(vec![("input", sample_events())]);
-        let compiled = execute_single_with_mode(&plan, &srcs, ExecMode::Compiled).unwrap();
-        let interpreted = execute_single_with_mode(&plan, &srcs, ExecMode::Interpreted).unwrap();
-        let columnar = execute_single_with_mode(&plan, &srcs, ExecMode::Columnar).unwrap();
-        assert_eq!(compiled, interpreted);
-        assert_eq!(compiled, columnar);
+        assert_layouts_and_reference_agree(&q.build(vec![out]).unwrap());
     }
 
     #[test]
-    fn columnar_mode_agrees_on_single_chain_plans() {
-        // Filter → project → window chain: the whole prefix runs on
-        // batches under Columnar; outputs must be byte-identical.
+    fn batch_bindings_run_the_kernels_on_single_chain_plans() {
+        // Filter → project → window chain: the whole prefix is one fused
+        // fragment, which runs on the kernels when the binding is a batch.
         let q = Query::new();
         let out = q
             .source("input", bt_schema())
@@ -855,30 +680,30 @@ mod tests {
                 ("T2".to_string(), col("Time").add(lit(1i64))),
             ])
             .group_apply(&["KwAdId"], |g| g.window(100).count("N"));
-        let plan = q.build(vec![out]).unwrap();
-        let srcs = bindings(vec![("input", sample_events())]);
-        let row = execute_single_with_mode(&plan, &srcs, ExecMode::Compiled).unwrap();
-        let colr = execute_single_with_mode(&plan, &srcs, ExecMode::Columnar).unwrap();
-        assert_eq!(row, colr);
+        assert_layouts_and_reference_agree(&q.build(vec![out]).unwrap());
     }
 
     #[test]
-    fn columnar_mode_accepts_predecoded_batches() {
-        // A binding handed over already in batch form flows straight
-        // through the columnar kernels.
+    fn mixed_type_projection_falls_back_to_rows_and_is_counted() {
+        // `min2` keeps the chosen operand's runtime type, so Int-vs-Long
+        // rows mix types in one output column: no dense column form.
         let q = Query::new();
-        let out = q
-            .source("input", bt_schema())
-            .filter(col("StreamId").eq(lit(1)));
+        let out = q.source("input", bt_schema()).project(vec![(
+            "M".to_string(),
+            Expr::call(
+                Func::Min2,
+                vec![col("StreamId"), col("Time").sub(lit(15i64))],
+            ),
+        )]);
         let plan = q.build(vec![out]).unwrap();
-        let stream = sample_events();
-        let batch = crate::batch::EventBatch::from_stream(&stream).unwrap();
+        let batch = EventBatch::from_stream(&sample_events()).unwrap();
         let mut srcs = DataBindings::default();
         srcs.insert("input".to_string(), StreamData::Batch(batch));
-        let opts = ExecOptions::with_mode(ExecMode::Columnar);
-        let out = single(execute_owned_data(&plan, srcs, &opts).unwrap()).unwrap();
-        let expected = execute_single(&plan, &bindings(vec![("input", stream)])).unwrap();
-        assert_eq!(out, expected);
+        let (out, stats) = execute_data(&plan, srcs, &WorkerPool::sequential()).unwrap();
+        assert_eq!(stats.row_fallbacks, 1);
+        let reference =
+            execute_reference(&plan, &bindings(vec![("input", sample_events())])).unwrap();
+        assert_eq!(out, reference);
     }
 
     #[test]
@@ -892,6 +717,7 @@ mod tests {
         let b = input.filter(col("StreamId").ge(lit(1)));
         let out = a.union(b);
         let plan = q.build(vec![out]).unwrap();
+        let plan = crate::plan::fuse_plan(&plan).unwrap();
         let srcs = bindings(vec![("input", sample_events())]);
         let mut exec = Executor {
             source_refs: source_refs(&plan),
@@ -899,8 +725,8 @@ mod tests {
             group_input: None,
             cache: FxHashMap::default(),
             counts: consumer_counts(&plan),
-            mode: ExecMode::Compiled,
-            pool: Arc::new(WorkerPool::sequential()),
+            pool: &WorkerPool::sequential(),
+            stats: ExecStats::default(),
         };
         let result = exec.eval(&plan, plan.roots()[0]).unwrap().into_stream();
         assert_eq!(result.len(), 7); // 3 clicks + all 4

@@ -15,7 +15,7 @@
 //!
 //! Aggregate arguments are compiled once against the input schema
 //! ([`crate::agg::AggExpr::compile_arg`]); the sweep itself is shared with
-//! the interpreted baseline, so the two modes can only differ in how the
+//! the reference operator, so the two can only differ in how the
 //! per-event argument values are produced — and those are value-identical.
 
 use crate::agg::AggExpr;
@@ -98,7 +98,7 @@ pub fn aggregate_batch(input: &EventBatch, aggs: &[(String, AggExpr)]) -> Result
 
 /// The endpoint sweep over pre-evaluated argument values (one flat buffer,
 /// stride `aggs.len()`, event-major). Shared by the compiled operator
-/// above and the interpreted baseline.
+/// above and the reference operator.
 pub(crate) fn sweep(
     input: &EventStream,
     aggs: &[(String, AggExpr)],

@@ -1,14 +1,14 @@
 //! AlterLifetime: windowing and lifetime adjustment (paper §II-A.2, Fig 3).
 
-use crate::batch::EventBatch;
 use crate::error::Result;
 use crate::plan::LifetimeOp;
 use crate::stream::EventStream;
 use crate::time::{ceil_to_grid, Lifetime};
 
 /// The lifetime transformation for one event; `None` drops the event.
-/// Shared by the in-place operator below and the interpreted baseline so
-/// both modes have identical window semantics by construction.
+/// Shared by the in-place operator below, the fused batch kernel and the
+/// reference operator, so all have identical window semantics by
+/// construction.
 pub(crate) fn transform(lt: Lifetime, op: &LifetimeOp) -> Option<Lifetime> {
     Some(match op {
         // Sliding window: the event influences output for `w` ticks after
@@ -55,31 +55,6 @@ pub fn alter_lifetime(mut input: EventStream, op: &LifetimeOp) -> Result<EventSt
             }
             None => false,
         });
-    Ok(input)
-}
-
-/// Columnar lifetime rewrite: the two lifetime vectors are patched in
-/// place with no payload traffic at all; only a hopping window (the one op
-/// that can drop events) compacts the batch. Byte-identical to
-/// [`alter_lifetime`] on the equivalent row stream.
-pub fn alter_lifetime_batch(mut input: EventBatch, op: &LifetimeOp) -> Result<EventBatch> {
-    let n = input.len();
-    let mut keep = vec![true; n];
-    {
-        let (vt, ve) = input.times_mut();
-        for i in 0..n {
-            match transform(Lifetime::new(vt[i], ve[i]), op) {
-                Some(lt) => {
-                    vt[i] = lt.start;
-                    ve[i] = lt.end;
-                }
-                None => keep[i] = false,
-            }
-        }
-    }
-    if keep.contains(&false) {
-        input.retain(&keep);
-    }
     Ok(input)
 }
 

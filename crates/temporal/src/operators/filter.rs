@@ -1,7 +1,6 @@
 //! Filter (Select): keep events whose payload satisfies a predicate
 //! (paper §II-A.2, Fig 2). Stateless; lifetimes pass through unchanged.
 
-use crate::batch::EventBatch;
 use crate::compiled::CompiledExpr;
 use crate::error::Result;
 use crate::expr::Expr;
@@ -44,18 +43,6 @@ pub fn filter(mut input: EventStream, predicate: &Expr) -> Result<EventStream> {
         Some(err) => Err(err),
         None => Ok(input),
     }
-}
-
-/// Columnar filter: the predicate is evaluated over the whole batch at
-/// once and survivors are compacted in place. Output events (and any
-/// error) are byte-identical to [`filter`] on the equivalent row stream.
-pub fn filter_batch(mut input: EventBatch, predicate: &Expr) -> Result<EventBatch> {
-    let compiled = CompiledExpr::compile(predicate, input.schema());
-    let keep = compiled.eval_predicate_batch(input.payload())?;
-    if keep.contains(&false) {
-        input.retain(&keep);
-    }
-    Ok(input)
 }
 
 #[cfg(test)]

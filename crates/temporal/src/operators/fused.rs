@@ -12,8 +12,8 @@
 //! most once**, at the fragment boundary (or at the first projection, whose
 //! output is already dense).
 //!
-//! Semantics are byte-identical to running the steps as separate operators
-//! in every mode: predicate/expression errors surface for the first failing
+//! Semantics are byte-identical to running the steps as separate row
+//! operators: predicate/expression errors surface for the first failing
 //! *surviving* row in row-major order (selection indices are mapped back
 //! through `sel` before the scalar re-run that recovers the exact error),
 //! and a projection whose result has no dense column form falls back by
@@ -85,8 +85,9 @@ pub fn fused_fragment_batch(mut batch: EventBatch, steps: &[FusedStep]) -> Resul
 }
 
 /// Run a fused fragment over a row stream: the steps execute as the
-/// ordinary compiled operators, in order. This is the universal fallback
-/// (ill-typed payloads, GroupApply sub-plans feeding row groups).
+/// in-place row operators, in order. This is the path for data that
+/// arrives as rows (streams a caller already holds, ill-typed payloads,
+/// GroupApply groups) and the fallback a batch fragment finishes on.
 pub fn fused_fragment_rows(mut stream: EventStream, steps: &[FusedStep]) -> Result<EventStream> {
     for step in steps {
         stream = match step {
@@ -125,9 +126,9 @@ enum DenseProject {
 /// expressions *move* their input column, and the lifetime vectors move
 /// wholesale — the fragment owns the batch and would drop that storage
 /// right after, so nothing is cloned for the shapes a projection merely
-/// forwards. Computed expressions run through the SIMD kernel suite
-/// exactly like [`project_sel`]; error order is preserved because a
-/// pass-through over an existing column can never error.
+/// forwards. Computed expressions run through the SIMD kernel suite;
+/// error order is preserved because a pass-through over an existing
+/// column can never error.
 fn project_dense_owned(batch: EventBatch, exprs: &[(String, Expr)]) -> Result<DenseProject> {
     let in_schema = batch.schema();
     let out_schema = Schema::new(
@@ -147,8 +148,8 @@ fn project_dense_owned(batch: EventBatch, exprs: &[(String, Expr)]) -> Result<De
         .filter(|(_, c)| c.as_col().is_none())
         .map(|(j, c)| (j, c.eval_batch_raw_sel(batch.payload(), None)))
         .collect();
-    // Row-major error order across all expressions, exactly as
-    // `project_batch`: the smallest (row, expr) pair fails first.
+    // Row-major error order across all expressions, exactly as the row
+    // projection: the smallest (row, expr) pair fails first.
     let first_bad = evals
         .iter()
         .filter_map(|(j, ev)| ev.first_err(n).map(|i| (i, *j)))

@@ -1,13 +1,13 @@
-//! The PR 1 interpreted operator implementations, preserved verbatim.
+//! The reference operator implementations: the dev-only oracle.
 //!
-//! These are the clone-based, per-row name-resolving forms the compiled
+//! These are the clone-based, per-row name-resolving forms the engine's
 //! operators replaced: `Expr::eval(&Schema, &Row)` re-resolves column names
 //! per row, join/group keys materialize a `Vec<Value>` per event, and every
-//! surviving event is cloned. They are kept as the measurement baseline for
-//! `cargo bench` and the `pr2` experiment, and as the reference
-//! implementation the property tests compare the compiled path against
-//! (byte-identical outputs required). Select them at plan level with
-//! [`crate::exec::ExecMode::Interpreted`].
+//! surviving event is cloned. They are kept as the reference
+//! implementation the property tests, benches and experiments compare the
+//! engine against (byte-identical outputs required), reached at plan level
+//! through [`crate::exec::execute_reference`] and by no job or cluster
+//! configuration.
 
 use crate::agg::AggExpr;
 use crate::error::{Result, TemporalError};

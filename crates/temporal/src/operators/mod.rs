@@ -6,13 +6,15 @@
 //! executor ([`crate::exec`]) wires these together following a
 //! [`crate::plan::LogicalPlan`].
 //!
-//! The default implementations here are the *compiled* forms: expressions
-//! are index-resolved once per invocation ([`crate::compiled`]), join and
-//! grouping keys hash in place ([`crate::key`]), and single-consumer inputs
-//! are consumed and mutated in place rather than cloned. The PR 1
-//! interpreted forms are preserved verbatim in [`interpreted`] as the
-//! benchmark baseline and property-test reference; both produce
-//! byte-identical outputs.
+//! Expressions are index-resolved once per invocation
+//! ([`crate::compiled`]), join and grouping keys hash in place
+//! ([`crate::key`]), and single-consumer inputs are consumed and mutated in
+//! place rather than cloned. Stateless chains run as fused fragments
+//! ([`fused_fragment_batch`] on columnar input, [`fused_fragment_rows`] —
+//! the row `filter`/`project`/`alter_lifetime` below — on row input). The
+//! naive clone-based forms in [`interpreted`] are the reference oracle
+//! behind [`crate::exec::execute_reference`]; no production path calls
+//! them, and both produce byte-identical outputs.
 
 mod aggregate;
 mod alter_lifetime;
@@ -28,13 +30,13 @@ mod temporal_join;
 mod union;
 
 pub use aggregate::{aggregate, aggregate_batch};
-pub use alter_lifetime::{alter_lifetime, alter_lifetime_batch};
+pub use alter_lifetime::alter_lifetime;
 pub use anti_semi_join::anti_semi_join;
-pub use filter::{filter, filter_batch};
+pub use filter::filter;
 pub use fused::{fused_fragment_batch, fused_fragment_rows};
 pub use group_apply::{group_apply, group_apply_batch};
 pub use hop_udo::hop_udo;
-pub use project::{project, project_batch};
+pub use project::project;
 pub use spread_grid::spread_grid;
 pub use temporal_join::temporal_join;
 pub use union::union;

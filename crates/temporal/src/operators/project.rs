@@ -1,12 +1,11 @@
 //! Project: stateless payload transformation (paper §II-A.2).
 
-use crate::batch::EventBatch;
 use crate::compiled::CompiledExpr;
-use crate::error::{Result, TemporalError};
+use crate::error::Result;
 use crate::event::Event;
 use crate::expr::Expr;
 use crate::stream::EventStream;
-use relation::{ColumnBatch, Field, Row, Schema, Value};
+use relation::{Field, Row, Schema, Value};
 
 /// Recompute each payload from `exprs`; lifetimes pass through. The
 /// expressions are compiled once against the input schema. A
@@ -80,59 +79,6 @@ pub fn project(mut input: EventStream, exprs: &[(String, Expr)]) -> Result<Event
         e.payload = Row::new(values);
     }
     Ok(EventStream::new(out_schema, events))
-}
-
-/// Columnar projection: every expression is evaluated over the whole batch
-/// at once, producing one output column each. Returns `Ok(None)` when some
-/// expression's result has no dense single-type column form (mixed runtime
-/// types across rows) — the caller re-runs the row path, which computes the
-/// identical result. Errors are byte-identical to [`project`], which
-/// evaluates row-major: the failing (row, expression) pair chosen here is
-/// the lexicographically first by row then expression order.
-pub fn project_batch(input: &EventBatch, exprs: &[(String, Expr)]) -> Result<Option<EventBatch>> {
-    let in_schema = input.schema();
-    let out_schema = Schema::new(
-        exprs
-            .iter()
-            .map(|(name, e)| Ok(Field::new(name.clone(), e.infer_type(in_schema)?)))
-            .collect::<Result<Vec<_>>>()?,
-    );
-    let compiled: Vec<CompiledExpr> = exprs
-        .iter()
-        .map(|(_, e)| CompiledExpr::compile(e, in_schema))
-        .collect();
-    let n = input.len();
-    let evals: Vec<_> = compiled
-        .iter()
-        .map(|c| c.eval_batch_raw(input.payload()))
-        .collect();
-    // Row-major error order: the scalar loop fails at the smallest
-    // (row, expr) pair, so pick the expression whose first failing row is
-    // lowest (ties broken by expression order) and recover its exact error
-    // by re-running that one row through the scalar evaluator.
-    let first_bad = evals
-        .iter()
-        .enumerate()
-        .filter_map(|(j, ev)| ev.first_err(n).map(|i| (i, j)))
-        .min();
-    if let Some((i, j)) = first_bad {
-        return Err(match compiled[j].eval(&input.payload_row(i)) {
-            Err(e) => e,
-            Ok(_) => TemporalError::Eval("columnar/scalar divergence".into()),
-        });
-    }
-    let mut columns = Vec::with_capacity(evals.len());
-    for ev in evals {
-        match ev.into_column(n) {
-            Some(col) => columns.push(col),
-            None => return Ok(None),
-        }
-    }
-    Ok(Some(EventBatch::new(
-        input.vt().to_vec(),
-        input.ve().to_vec(),
-        ColumnBatch::new(out_schema, columns, n),
-    )))
 }
 
 #[cfg(test)]

@@ -7,17 +7,21 @@
 //! extends from a node to its consumer only when the node has exactly one
 //! consumer and is not a plan output: multicast fan-out and observable
 //! outputs are exchange points, so they end the fragment. Singleton runs
-//! are wrapped too, so under `ExecMode::Fused` every stateless operator
-//! executes on the fused engine; a filter→project→… chain of any length
+//! are wrapped too, so after the pass no bare stateless operator remains —
+//! the executor ([`crate::exec`]) runs every plan through it on entry and
+//! dispatches on fragments only; a filter→project→… chain of any length
 //! always becomes exactly one fragment.
 //!
 //! The pass is idempotent (a `FusedFragment` is never absorbed into
-//! another fragment) and schema-preserving: the rewritten plan re-infers
-//! schemas through [`LogicalPlan::from_parts`], and the fragment's
-//! inferred schema equals the original chain tail's by construction.
+//! another fragment) and a no-op costs nothing: a plan with no bare
+//! stateless operator left is returned borrowed, before any clone. It is
+//! schema-preserving: the rewritten plan re-infers schemas through
+//! [`LogicalPlan::from_parts`], and the fragment's inferred schema equals
+//! the original chain tail's by construction.
 
 use super::{FusedStep, LogicalPlan, NodeId, Operator, PlanNode};
 use crate::error::Result;
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Whether `op` may join a fused chain.
@@ -41,15 +45,30 @@ fn step_of(op: &Operator) -> FusedStep {
     }
 }
 
+/// Whether `plan` or any GroupApply sub-plan still holds a bare stateless
+/// operator for [`fuse_plan`] to wrap.
+fn needs_fusion(plan: &LogicalPlan) -> bool {
+    plan.nodes().iter().any(|n| match &n.op {
+        Operator::GroupApply { subplan, .. } => needs_fusion(subplan),
+        op => fusable(op),
+    })
+}
+
 /// Rewrite `plan` with every maximal stateless chain (including chains
 /// inside GroupApply sub-plans) collapsed into a [`Operator::FusedFragment`].
-/// Returns a plan with identical observable semantics; idempotent.
-pub fn fuse_plan(plan: &LogicalPlan) -> Result<LogicalPlan> {
+/// Returns a plan with identical observable semantics; an already-fused
+/// plan comes back borrowed, untouched.
+pub fn fuse_plan(plan: &LogicalPlan) -> Result<Cow<'_, LogicalPlan>> {
+    if !needs_fusion(plan) {
+        return Ok(Cow::Borrowed(plan));
+    }
     // Recurse into GroupApply sub-plans first, so nested chains fuse too.
     let mut nodes: Vec<PlanNode> = plan.nodes().to_vec();
     for node in &mut nodes {
         if let Operator::GroupApply { subplan, .. } = &mut node.op {
-            *subplan = Arc::new(fuse_plan(subplan)?);
+            if let Cow::Owned(fused) = fuse_plan(subplan)? {
+                *subplan = Arc::new(fused);
+            }
         }
     }
 
@@ -102,7 +121,8 @@ pub fn fuse_plan(plan: &LogicalPlan) -> Result<LogicalPlan> {
     }
 
     if chains.is_empty() {
-        return LogicalPlan::from_parts(nodes, plan.roots().to_vec());
+        // Only sub-plans changed.
+        return LogicalPlan::from_parts(nodes, plan.roots().to_vec()).map(Cow::Owned);
     }
 
     // Rebuild the arena in topological order: a chain is emitted as one
@@ -136,7 +156,7 @@ pub fn fuse_plan(plan: &LogicalPlan) -> Result<LogicalPlan> {
         }
     }
     let roots = plan.roots().iter().map(|&r| map[r]).collect();
-    LogicalPlan::from_parts(new_nodes, roots)
+    LogicalPlan::from_parts(new_nodes, roots).map(Cow::Owned)
 }
 
 #[cfg(test)]
@@ -191,18 +211,42 @@ mod tests {
     }
 
     #[test]
-    fn fusion_is_idempotent() {
+    fn refusing_a_fused_plan_returns_it_borrowed() {
+        // Top-level chain plus a chain inside a GroupApply sub-plan: the
+        // early return must see through both levels.
         let q = Query::new();
         let out = q
             .source("in", schema())
             .filter(col("StreamId").eq(lit(1)))
-            .window(100);
+            .window(100)
+            .group_apply(&["UserId"], |g| {
+                g.filter(col("StreamId").eq(lit(1)))
+                    .aggregate(vec![("N".into(), AggExpr::Count)])
+            });
         let plan = q.build(vec![out]).unwrap();
         let once = fuse_plan(&plan).unwrap();
-        let twice = fuse_plan(&once).unwrap();
+        assert!(matches!(once, Cow::Owned(_)));
         assert_eq!(fragment_count(&once), 1);
-        assert_eq!(fragment_count(&twice), 1);
-        assert_eq!(format!("{once}"), format!("{twice}"));
+        let twice = fuse_plan(&once).unwrap();
+        // No clone, no new FusedFragment: the very same plan comes back.
+        assert!(matches!(twice, Cow::Borrowed(_)));
+        assert!(std::ptr::eq(&*twice, &*once));
+        assert_eq!(twice.nodes().len(), once.nodes().len());
+        for (a, b) in twice.nodes().iter().zip(once.nodes()) {
+            if let (Operator::FusedFragment { steps: sa }, Operator::FusedFragment { steps: sb }) =
+                (&a.op, &b.op)
+            {
+                assert!(std::ptr::eq(sa.as_ptr(), sb.as_ptr()));
+            }
+        }
+    }
+
+    #[test]
+    fn plans_without_stateless_operators_are_never_cloned() {
+        let q = Query::new();
+        let out = q.source("in", schema()).count("N");
+        let plan = q.build(vec![out]).unwrap();
+        assert!(matches!(fuse_plan(&plan).unwrap(), Cow::Borrowed(_)));
     }
 
     #[test]

@@ -173,9 +173,10 @@ pub enum Operator {
         udo: UdoRef,
     },
     /// A maximal exchange-free chain of stateless operators fused into one
-    /// single-pass columnar kernel (produced by [`fuse_plan`], executed by
-    /// `ExecMode::Fused`). Semantically identical to running the steps as
-    /// individual operators in order.
+    /// node (produced by [`fuse_plan`], which the executor applies to every
+    /// plan): a single-pass columnar kernel over batch input, the in-place
+    /// row operators in order over row input. Semantically identical to
+    /// running the steps as individual operators.
     FusedFragment {
         /// The fused chain, in application order.
         steps: Vec<FusedStep>,

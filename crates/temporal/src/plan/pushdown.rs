@@ -35,8 +35,8 @@
 //!
 //! Downstream, the reducer's canonical encode (sort before write) turns
 //! "same event multiset per partition" into byte-identical output, which
-//! is what `tests/prop_pushdown.rs` asserts across execution modes, chaos
-//! plans, and spill budgets.
+//! is what `tests/prop_pushdown.rs` asserts (push-down on vs off, and both
+//! against the single-node reference) across chaos plans and spill budgets.
 //!
 //! [`factor_windows`]: super::factor_windows
 //! [`AggExpr::combinable`]: crate::agg::AggExpr::combinable
@@ -491,7 +491,7 @@ mod tests {
         for i in 0..40i64 {
             out.push(Event::point(
                 i * 3 + 1,
-                row![(i % 3) as i32, format!("u{}", i % 5), (i * 7 % 13) as i64],
+                row![(i % 3) as i32, format!("u{}", i % 5), i * 7 % 13],
             ));
         }
         out

@@ -58,6 +58,9 @@ impl RtSession {
             .iter()
             .map(|(name, _)| (name.to_string(), Vec::new()))
             .collect();
+        // Fused once here, so the executor's fuse-on-entry at every
+        // punctuation returns the borrowed plan untouched.
+        let plan = crate::plan::fuse_plan(&plan)?.into_owned();
         Ok(RtSession {
             plan,
             buffers,

@@ -1,9 +1,12 @@
 //! Chaos-engineering property tests (paper §III-C.1): under any seeded
 //! schedule of injected panics, transient kills, corruption, and delays
 //! that does not exhaust the retry budget, TiMR's output is byte-identical
-//! to a fault-free run — at 1 and N threads, in every DSMS operator
-//! implementation (interpreted, compiled, columnar).
+//! to a fault-free run — at 1 and N threads — and the fault-free run
+//! equals the single-node reference DSMS on the same events.
 
+mod common;
+
+use common::reference_relation;
 use proptest::prelude::*;
 use std::time::Duration;
 use timr_suite::mapreduce::{
@@ -11,7 +14,6 @@ use timr_suite::mapreduce::{
 };
 use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{row, Row, Schema};
-use timr_suite::temporal::exec::ExecMode;
 use timr_suite::temporal::expr::{col, lit};
 use timr_suite::temporal::Query;
 use timr_suite::timr::{Annotation, EventEncoding, ExchangeKey, TimrJob};
@@ -70,7 +72,6 @@ fn deterministic_rows(n: i64) -> Vec<Row> {
 /// job's fault totals.
 fn run_job(
     rows: &[Row],
-    mode: ExecMode,
     threads: usize,
     chaos: ChaosPlan,
     retry: RetryPolicy,
@@ -87,7 +88,6 @@ fn run_job(
     let out = TimrJob::new("p", plan)
         .with_annotation(ann)
         .with_machines(4)
-        .with_exec_mode(mode)
         .run(&dfs, &cluster)
         .unwrap();
     (
@@ -112,8 +112,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Any seeded chaos schedule below the retry budget yields output
-    /// byte-identical to the fault-free run, at 1 and N threads, in all
-    /// three DSMS execution modes.
+    /// byte-identical to the fault-free run, at 1 and N threads — and the
+    /// fault-free run is the relation the single-node reference DSMS
+    /// computes from the same events (paper §III-C.1: scaled-out execution
+    /// ≡ the single-node DSMS under any restart).
     #[test]
     fn chaos_is_invisible_in_output(
         n in 40i64..160,
@@ -121,18 +123,23 @@ proptest! {
     ) {
         let rows = deterministic_rows(n);
         let retry = RetryPolicy::no_backoff(4);
-        for mode in [ExecMode::Interpreted, ExecMode::Compiled, ExecMode::Columnar] {
-            let (clean, clean_faults) =
-                run_job(&rows, mode, 1, ChaosPlan::none(), retry);
-            prop_assert!(!clean_faults.any(), "clean run must observe no faults");
-            for threads in [1usize, 4] {
-                let (chaotic, _) =
-                    run_job(&rows, mode, threads, standard_chaos(seed), retry);
-                prop_assert_eq!(
-                    &clean, &chaotic,
-                    "chaos changed output bytes (mode {:?}, threads {})", mode, threads
-                );
-            }
+        let (clean, clean_faults) = run_job(&rows, 1, ChaosPlan::none(), retry);
+        prop_assert!(!clean_faults.any(), "clean run must observe no faults");
+        let (plan, _) = click_count_plan();
+        let scaled_out = EventEncoding::Interval
+            .decode_stream(clean.iter().flatten(), plan.schema_of(plan.roots()[0]))
+            .unwrap()
+            .normalize();
+        prop_assert!(
+            scaled_out.same_relation(&reference_relation(&plan, "logs", &payload(), &rows)),
+            "clean run differs from the single-node reference"
+        );
+        for threads in [1usize, 4] {
+            let (chaotic, _) = run_job(&rows, threads, standard_chaos(seed), retry);
+            prop_assert_eq!(
+                &clean, &chaotic,
+                "chaos changed output bytes (threads {})", threads
+            );
         }
     }
 }
@@ -144,10 +151,10 @@ proptest! {
 fn standard_schedule_exercises_every_fault_kind() {
     let rows = deterministic_rows(200);
     let retry = RetryPolicy::no_backoff(4);
-    let (clean, _) = run_job(&rows, ExecMode::Compiled, 1, ChaosPlan::none(), retry);
+    let (clean, _) = run_job(&rows, 1, ChaosPlan::none(), retry);
     let mut totals = timr_suite::mapreduce::FaultTotals::default();
     for seed in 0..6u64 {
-        let (out, faults) = run_job(&rows, ExecMode::Compiled, 4, standard_chaos(seed), retry);
+        let (out, faults) = run_job(&rows, 4, standard_chaos(seed), retry);
         assert_eq!(clean, out, "seed {seed} changed output");
         totals.task_retries += faults.task_retries;
         totals.panics_contained += faults.panics_contained;
@@ -173,12 +180,12 @@ fn explicit_shuffle_corruption_is_detected_and_recovered() {
     let (plan, _) = click_count_plan();
     let stage = format!("p/f{}", plan.roots()[0]);
     let retry = RetryPolicy::no_backoff(3);
-    let (clean, _) = run_job(&rows, ExecMode::Compiled, 1, ChaosPlan::none(), retry);
+    let (clean, _) = run_job(&rows, 1, ChaosPlan::none(), retry);
     for threads in [1usize, 4] {
         let chaos = ChaosPlan::none()
             .corrupt(&stage, TaskPhase::Shuffle, 1)
             .corrupt(&stage, TaskPhase::Map, 0);
-        let (out, faults) = run_job(&rows, ExecMode::Compiled, threads, chaos, retry);
+        let (out, faults) = run_job(&rows, threads, chaos, retry);
         assert_eq!(
             clean, out,
             "corruption leaked into output at {threads} threads"

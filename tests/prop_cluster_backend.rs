@@ -1,13 +1,17 @@
 //! Multi-process backend equivalence tests: the process backend — real
 //! worker OS processes exchanging binary extent images over Unix-domain
 //! sockets — must produce datasets byte-identical to the in-process
-//! thread pool, at any worker count, in every DSMS execution mode, and
-//! under real process-kill chaos (SIGKILL mid-task in every phase),
+//! thread pool (itself equal to the single-node reference DSMS on the same
+//! events, paper §III-C.1), at any worker count, and under real
+//! process-kill chaos (SIGKILL mid-task in every phase),
 //! socket-level corruption, injected stragglers with speculative
 //! re-execution, and preemptive attempt timeouts.
 
 #![cfg(unix)]
 
+mod common;
+
+use common::reference_relation;
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -18,17 +22,9 @@ use timr_suite::mapreduce::{
 };
 use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{row, Row, Schema, Value};
-use timr_suite::temporal::exec::ExecMode;
 use timr_suite::temporal::expr::{col, lit};
 use timr_suite::temporal::Query;
 use timr_suite::timr::{Annotation, EventEncoding, ExchangeKey, TimrJob};
-
-const MODES: [ExecMode; 4] = [
-    ExecMode::Interpreted,
-    ExecMode::Compiled,
-    ExecMode::Columnar,
-    ExecMode::Fused,
-];
 
 fn payload() -> Schema {
     Schema::new(vec![
@@ -38,7 +34,7 @@ fn payload() -> Schema {
     ])
 }
 
-fn click_count_job(mode: ExecMode) -> TimrJob {
+fn click_count_job() -> TimrJob {
     let q = Query::new();
     let out = q
         .source("logs", payload())
@@ -54,15 +50,12 @@ fn click_count_job(mode: ExecMode) -> TimrJob {
     TimrJob::new("pb", plan)
         .with_annotation(ann)
         .with_machines(4)
-        .with_exec_mode(mode)
 }
 
 /// The compiled stage name — lets chaos target exact task coordinates
 /// instead of guessing node ids.
-fn stage_name(mode: ExecMode) -> String {
-    click_count_job(mode).compile().unwrap().stages[0]
-        .name
-        .clone()
+fn stage_name() -> String {
+    click_count_job().compile().unwrap().stages[0].name.clone()
 }
 
 /// Store the log as several extents so the map phase has multiple tasks.
@@ -91,10 +84,10 @@ fn deterministic_rows(n: i64) -> Vec<Row> {
         .collect()
 }
 
-fn run_job(rows: &[Row], mode: ExecMode, config: ClusterConfig) -> (Vec<Vec<Row>>, FaultTotals) {
+fn run_job(rows: &[Row], config: ClusterConfig) -> (Vec<Vec<Row>>, FaultTotals) {
     let dfs = dfs_with(rows, 3);
     let cluster = Cluster::with_config(config);
-    let out = click_count_job(mode).run(&dfs, &cluster).unwrap();
+    let out = click_count_job().run(&dfs, &cluster).unwrap();
     (
         dfs.get(&out.dataset).unwrap().partitions.as_ref().clone(),
         out.stats.fault_totals(),
@@ -113,11 +106,12 @@ fn process_config(workers: usize, chaos: ChaosPlan, retry: RetryPolicy) -> Clust
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The process backend is byte-identical to the thread pool at 1, 2,
-    /// and 4 workers in all four DSMS execution modes, clean and under a
-    /// seeded chaos schedule that includes real process kills.
+    /// The thread pool's output is the relation the single-node reference
+    /// DSMS computes from the same events, and the process backend is
+    /// byte-identical to the thread pool at 1, 2, and 4 workers, clean and
+    /// under a seeded chaos schedule that includes real process kills.
     #[test]
-    fn process_backend_matches_threads(
+    fn process_backend_matches_threads_and_the_reference(
         n in 40i64..120,
         seed in 0u64..1_000_000,
     ) {
@@ -128,39 +122,36 @@ proptest! {
             .with_process_kills(0.10)
             .with_fault_cap(2);
         let retry = RetryPolicy::no_backoff(4);
-        for mode in MODES {
-            let (reference, totals) = run_job(
-                &rows,
-                mode,
-                ClusterConfig {
-                    threads: 4,
-                    chaos: ChaosPlan::none(),
-                    retry,
-                    ..ClusterConfig::default()
-                },
+        let (threads, totals) = run_job(
+            &rows,
+            ClusterConfig {
+                threads: 4,
+                chaos: ChaosPlan::none(),
+                retry,
+                ..ClusterConfig::default()
+            },
+        );
+        prop_assert_eq!(totals.task_retries, 0);
+        let plan = click_count_job().plan;
+        let scaled_out = EventEncoding::Interval
+            .decode_stream(threads.iter().flatten(), plan.schema_of(plan.roots()[0]))
+            .unwrap()
+            .normalize();
+        prop_assert!(
+            scaled_out.same_relation(&reference_relation(&plan, "logs", &payload(), &rows)),
+            "thread-pool output differs from the single-node reference"
+        );
+        for workers in [1usize, 2, 4] {
+            let (clean, _) = run_job(&rows, process_config(workers, ChaosPlan::none(), retry));
+            prop_assert_eq!(
+                &clean, &threads,
+                "clean process run diverged (workers {})", workers
             );
-            prop_assert_eq!(totals.task_retries, 0);
-            for workers in [1usize, 2, 4] {
-                let (clean, _) = run_job(
-                    &rows,
-                    mode,
-                    process_config(workers, ChaosPlan::none(), retry),
-                );
-                prop_assert_eq!(
-                    &clean, &reference,
-                    "clean process run diverged (mode {:?}, workers {})", mode, workers
-                );
-                let (chaotic, _) = run_job(
-                    &rows,
-                    mode,
-                    process_config(workers, chaos.clone(), retry),
-                );
-                prop_assert_eq!(
-                    &chaotic, &reference,
-                    "chaos visible in output (mode {:?}, workers {}, seed {})",
-                    mode, workers, seed
-                );
-            }
+            let (chaotic, _) = run_job(&rows, process_config(workers, chaos.clone(), retry));
+            prop_assert_eq!(
+                &chaotic, &threads,
+                "chaos visible in output (workers {}, seed {})", workers, seed
+            );
         }
     }
 }
@@ -290,22 +281,20 @@ proptest! {
 fn sigkill_in_every_phase_is_byte_identical() {
     let rows = deterministic_rows(150);
     let retry = RetryPolicy::no_backoff(3);
-    for mode in MODES {
-        let stage = stage_name(mode);
-        let (reference, _) = run_job(&rows, mode, process_config(2, ChaosPlan::none(), retry));
-        let chaos = ChaosPlan::none()
-            .kill_process(&stage, TaskPhase::Map, 0)
-            .kill_process(&stage, TaskPhase::Shuffle, 1)
-            .kill_process(&stage, TaskPhase::Reduce, 2);
-        let (killed, totals) = run_job(&rows, mode, process_config(2, chaos, retry));
-        assert_eq!(killed, reference, "SIGKILL visible in output ({mode:?})");
-        assert!(
-            totals.workers_lost >= 3,
-            "expected three real worker deaths, saw {} ({mode:?})",
-            totals.workers_lost
-        );
-        assert!(totals.task_retries >= 3);
-    }
+    let stage = stage_name();
+    let (reference, _) = run_job(&rows, process_config(2, ChaosPlan::none(), retry));
+    let chaos = ChaosPlan::none()
+        .kill_process(&stage, TaskPhase::Map, 0)
+        .kill_process(&stage, TaskPhase::Shuffle, 1)
+        .kill_process(&stage, TaskPhase::Reduce, 2);
+    let (killed, totals) = run_job(&rows, process_config(2, chaos, retry));
+    assert_eq!(killed, reference, "SIGKILL visible in output");
+    assert!(
+        totals.workers_lost >= 3,
+        "expected three real worker deaths, saw {}",
+        totals.workers_lost
+    );
+    assert!(totals.task_retries >= 3);
 }
 
 /// An injected straggler triggers speculative re-execution; the duplicate
@@ -315,12 +304,8 @@ fn sigkill_in_every_phase_is_byte_identical() {
 fn straggler_speculation_is_deterministic() {
     let rows = deterministic_rows(120);
     let retry = RetryPolicy::no_backoff(3);
-    let stage = stage_name(ExecMode::Compiled);
-    let (reference, _) = run_job(
-        &rows,
-        ExecMode::Compiled,
-        process_config(3, ChaosPlan::none(), retry),
-    );
+    let stage = stage_name();
+    let (reference, _) = run_job(&rows, process_config(3, ChaosPlan::none(), retry));
     let chaos =
         ChaosPlan::none().straggle(&stage, TaskPhase::Reduce, 3, Duration::from_millis(400));
     let config = ClusterConfig {
@@ -332,7 +317,7 @@ fn straggler_speculation_is_deterministic() {
         },
         ..process_config(3, chaos, retry)
     };
-    let (speculated, totals) = run_job(&rows, ExecMode::Compiled, config);
+    let (speculated, totals) = run_job(&rows, config);
     assert_eq!(speculated, reference, "speculation changed output bytes");
     assert!(
         totals.speculative_launched >= 1,
@@ -350,17 +335,13 @@ fn straggler_speculation_is_deterministic() {
 fn wire_corruption_is_caught_and_retried() {
     let rows = deterministic_rows(130);
     let retry = RetryPolicy::no_backoff(3);
-    let stage = stage_name(ExecMode::Columnar);
-    let (reference, _) = run_job(
-        &rows,
-        ExecMode::Columnar,
-        process_config(2, ChaosPlan::none(), retry),
-    );
+    let stage = stage_name();
+    let (reference, _) = run_job(&rows, process_config(2, ChaosPlan::none(), retry));
     let chaos = ChaosPlan::none()
         .corrupt_wire(&stage, TaskPhase::Map, 0)
         .corrupt_wire(&stage, TaskPhase::Reduce, 1)
         .delay_wire(&stage, TaskPhase::Reduce, 0, Duration::from_millis(30));
-    let (corrupted, totals) = run_job(&rows, ExecMode::Columnar, process_config(2, chaos, retry));
+    let (corrupted, totals) = run_job(&rows, process_config(2, chaos, retry));
     assert_eq!(corrupted, reference, "wire corruption visible in output");
     assert!(
         totals.corruption_detected >= 2,
@@ -377,13 +358,9 @@ fn wire_corruption_is_caught_and_retried() {
 #[test]
 fn attempt_timeout_preempts_stragglers() {
     let rows = deterministic_rows(110);
-    let stage = stage_name(ExecMode::Compiled);
+    let stage = stage_name();
     let retry = RetryPolicy::no_backoff(3).with_attempt_timeout(Duration::from_millis(80));
-    let (reference, _) = run_job(
-        &rows,
-        ExecMode::Compiled,
-        process_config(2, ChaosPlan::none(), retry),
-    );
+    let (reference, _) = run_job(&rows, process_config(2, ChaosPlan::none(), retry));
     let chaos =
         ChaosPlan::none().straggle(&stage, TaskPhase::Reduce, 0, Duration::from_millis(500));
     let config = ClusterConfig {
@@ -393,7 +370,7 @@ fn attempt_timeout_preempts_stragglers() {
         },
         ..process_config(2, chaos, retry)
     };
-    let (timed, totals) = run_job(&rows, ExecMode::Compiled, config);
+    let (timed, totals) = run_job(&rows, config);
     assert_eq!(timed, reference, "timeout recovery changed output bytes");
     assert!(
         totals.tasks_timed_out >= 1,
@@ -411,13 +388,9 @@ fn spills_and_workers_are_cleaned_up() {
     let spill_dir = std::env::temp_dir().join(format!("timr-backend-spill-{}", std::process::id()));
     std::fs::create_dir_all(&spill_dir).unwrap();
     let rows = deterministic_rows(160);
-    let stage = stage_name(ExecMode::Compiled);
+    let stage = stage_name();
     let retry = RetryPolicy::no_backoff(3);
-    let (reference, _) = run_job(
-        &rows,
-        ExecMode::Compiled,
-        process_config(2, ChaosPlan::none(), retry),
-    );
+    let (reference, _) = run_job(&rows, process_config(2, ChaosPlan::none(), retry));
     let chaos = ChaosPlan::none()
         .kill_process(&stage, TaskPhase::Reduce, 0)
         .corrupt(&stage, TaskPhase::Shuffle, 1);
@@ -426,7 +399,7 @@ fn spills_and_workers_are_cleaned_up() {
         spill_dir: Some(spill_dir.clone()),
         ..process_config(2, chaos, retry)
     };
-    let (spilled, totals) = run_job(&rows, ExecMode::Compiled, config);
+    let (spilled, totals) = run_job(&rows, config);
     assert_eq!(spilled, reference, "spilled chaos run diverged");
     assert!(totals.workers_lost >= 1);
     let leftovers: Vec<_> = std::fs::read_dir(&spill_dir).unwrap().collect();

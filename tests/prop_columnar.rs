@@ -1,344 +1,208 @@
-//! Property tests for the columnar execution path (PR 4): vectorized
-//! expression kernels and columnar operators must be *observably
-//! identical* — values, selection, and error cases — to the frozen
-//! interpreted baseline and the compiled row path, because the
-//! repeatability guarantee of restarted reducers (paper §III-C.1) makes
-//! every execution mode's output part of the byte-comparison contract.
+//! Kernel-level property tests for the columnar half of the engine: every
+//! vectorized expression, predicate and lifetime kernel must be
+//! *observably identical* — values, selection, and error cases — to the
+//! row operators, because a fragment runs on whichever layout its input
+//! arrives in and the repeatability guarantee of restarted reducers (paper
+//! §III-C.1) makes the two byte-comparable.
 //!
-//! The row generator flips each column to Null independently, so batches
-//! are routinely null-heavy and the validity-bitmap paths get as much
-//! traffic as the dense ones; `0..` stream lengths include empty batches.
+//! Each kernel is driven the only way production reaches it: as a step of
+//! [`fused_fragment_batch`], both **dense** (first step of a fragment) and
+//! **after a selection** (behind a filter step, so leaf reads gather
+//! through the selection vector), against [`fused_fragment_rows`] on the
+//! same events. Batches are routinely null-heavy, `0..` stream lengths
+//! include empty batches, and the expression generator raises errors as
+//! often as it produces values — the first failing *surviving* row must
+//! surface the row path's exact message.
 
+mod common;
+
+use common::{
+    arb_events, arb_expr, arb_lifetime_op, batch_of, make_ill_typed, pred_menu, raw_proj, stream_of,
+};
 use proptest::prelude::*;
-use timr_suite::relation::schema::{ColumnType, Field};
-use timr_suite::relation::{ColumnBatch, Row, Schema, Value};
-use timr_suite::temporal::operators::{
-    alter_lifetime, alter_lifetime_batch, filter, filter_batch, project, project_batch,
-};
-use timr_suite::temporal::plan::LifetimeOp;
-use timr_suite::temporal::{
-    col, lit, CompiledExpr, Event, EventBatch, EventStream, Expr, Lifetime,
-};
+use timr_suite::relation::Row;
+use timr_suite::temporal::exec::StreamData;
+use timr_suite::temporal::operators::{fused_fragment_batch, fused_fragment_rows, interpreted};
+use timr_suite::temporal::plan::FusedStep;
+use timr_suite::temporal::{lit, EventBatch, Expr};
 
-fn schema() -> Schema {
-    Schema::new(vec![
-        Field::new("I", ColumnType::Int),
-        Field::new("L", ColumnType::Long),
-        Field::new("D", ColumnType::Double),
-        Field::new("S", ColumnType::Str),
-        Field::new("B", ColumnType::Bool),
-    ])
-}
-
-fn arb_row() -> impl Strategy<Value = Row> {
-    (
-        -1000i32..1000,
-        -10_000i64..10_000,
-        -1e6f64..1e6,
-        0u8..3,
-        any::<bool>(),
-        0u8..32,
-    )
-        .prop_map(|(i, l, d, s, b, nulls)| {
-            let mut vals = vec![
-                Value::Int(i),
-                Value::Long(l),
-                Value::Double(d),
-                Value::from(format!("u{s}")),
-                Value::Bool(b),
-            ];
-            for (k, v) in vals.iter_mut().enumerate() {
-                if nulls & (1 << k) != 0 {
-                    *v = Value::Null;
-                }
-            }
-            Row::new(vals)
-        })
-}
-
-fn apply_op(a: Expr, b: Expr, op: usize) -> Expr {
-    match op {
-        0 => a.add(b),
-        1 => a.sub(b),
-        2 => a.mul(b),
-        3 => a.div(b),
-        4 => a.eq(b),
-        5 => a.ne(b),
-        6 => a.lt(b),
-        7 => a.le(b),
-        8 => a.gt(b),
-        9 => a.ge(b),
-        10 => a.and(b),
-        _ => a.or(b),
+/// Run `steps` on the batch kernels and on the row operators over the same
+/// events; both must produce the identical event vector or the identical
+/// error message. A batch run that fell back to rows mid-fragment
+/// (mixed-type projection) is held to the same standard.
+fn assert_kernels_match_rows(
+    events: &[(i64, i64, Row)],
+    steps: &[FusedStep],
+) -> Result<(), TestCaseError> {
+    let on_batch = fused_fragment_batch(batch_of(events), steps).map(StreamData::into_stream);
+    let on_rows = fused_fragment_rows(stream_of(events), steps);
+    match (on_batch, on_rows) {
+        (Ok(b), Ok(r)) => prop_assert_eq!(b, r),
+        (Err(b), Err(r)) => prop_assert_eq!(b.to_string(), r.to_string()),
+        (b, r) => prop_assert!(false, "diverged: batch {:?} rows {:?}", b, r),
     }
+    Ok(())
 }
 
-/// Random expression trees over the test schema — including references to
-/// a column that does not exist (`Missing`), type errors (arithmetic on
-/// strings/booleans), division by zero, and sqrt of negatives, so the
-/// batch error paths get exercised as much as the value paths.
-fn arb_expr() -> impl Strategy<Value = Expr> {
-    let leaf = prop_oneof![
-        prop_oneof![
-            Just("I"),
-            Just("L"),
-            Just("D"),
-            Just("S"),
-            Just("B"),
-            Just("Missing"),
-        ]
-        .prop_map(col),
-        (-100i64..100).prop_map(lit),
-        (-50.0f64..50.0).prop_map(lit),
-        Just(lit(0i64)), // division-by-zero fodder
-        Just(lit("u1")),
-        any::<bool>().prop_map(|b| Expr::Literal(Value::Bool(b))),
-        Just(Expr::Literal(Value::Null)),
-    ];
-    leaf.prop_recursive(3, 32, 2, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone(), 0usize..12).prop_map(|(a, b, op)| apply_op(a, b, op)),
-            inner.clone().prop_map(Expr::not),
-            inner.clone().prop_map(Expr::sqrt),
-            inner.prop_map(Expr::abs),
-        ]
-    })
+fn filter_step(predicate: Expr) -> FusedStep {
+    FusedStep::Filter { predicate }
 }
 
-fn arb_events(max_len: usize) -> impl Strategy<Value = Vec<(i64, i64, Row)>> {
-    prop::collection::vec((0i64..200, 1i64..50, arb_row()), 0..max_len)
-        .prop_map(|v| v.into_iter().map(|(s, w, r)| (s, s + w, r)).collect())
-}
-
-fn stream_of(events: &[(i64, i64, Row)]) -> EventStream {
-    EventStream::new(
-        schema(),
-        events
+fn project_step(picks: &[usize]) -> FusedStep {
+    FusedStep::Project {
+        exprs: picks
             .iter()
-            .map(|(s, e, r)| Event::new(Lifetime::new(*s, *e), r.clone()))
+            .enumerate()
+            .map(|(j, &i)| raw_proj(i + 10 * j))
             .collect(),
-    )
-}
-
-fn batch_of(events: &[(i64, i64, Row)]) -> EventBatch {
-    EventBatch::from_stream(&stream_of(events)).expect("generator rows fit the schema")
-}
-
-fn arb_lifetime_op() -> impl Strategy<Value = LifetimeOp> {
-    prop_oneof![
-        (1i64..50).prop_map(LifetimeOp::Window),
-        (1i64..20, 1i64..40).prop_map(|(hop, width)| LifetimeOp::Hop { hop, width }),
-        (-20i64..20).prop_map(LifetimeOp::Shift),
-        (0i64..20).prop_map(LifetimeOp::ExtendBack),
-        Just(LifetimeOp::ToPoint),
-    ]
-}
-
-/// A menu of projection expressions mixing passthroughs, computations,
-/// boolean logic, and errors (`Missing`, div-by-null-prone `L / I`).
-fn proj_menu(idx: usize) -> (String, Expr) {
-    let exprs: Vec<(&str, Expr)> = vec![
-        ("A", col("S")),
-        ("B", col("L")),
-        ("C", col("L").mul(lit(3i64)).add(col("I"))),
-        ("D2", col("D").mul(col("D"))),
-        ("E", col("S")),
-        ("F", col("B").and(col("L").gt(lit(0i64)))),
-        ("G", col("Missing").add(lit(1i64))),
-        ("H", col("L").div(col("I"))),
-    ];
-    let (name, e) = &exprs[idx % exprs.len()];
-    (format!("{name}{idx}"), e.clone())
-}
-
-/// The scalar reference result for one expression over one batch: either
-/// every row's value, or the first error in row order.
-fn scalar_reference(
-    c: &CompiledExpr,
-    batch: &ColumnBatch,
-) -> Result<Vec<Value>, timr_suite::temporal::TemporalError> {
-    (0..batch.len()).map(|i| c.eval(&batch.row(i))).collect()
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// `CompiledExpr::eval_batch` is observably identical to row-at-a-time
-    /// `eval`: the output column holds every row's scalar value bit for
-    /// bit, and a failing batch reproduces the *first* scalar error — same
-    /// row, same message.
+    /// The value kernels, dense: one projected column per random
+    /// expression holds every row's scalar value bit for bit, and a failing
+    /// batch reproduces the *first* scalar error — same row, same message.
+    ///
+    /// A projection type-checks its expressions first, so ill-typed trees
+    /// reach the kernels through a comparison inside a filter instead
+    /// (filters defer every type error to evaluation).
     #[test]
-    fn batch_eval_matches_scalar(e in arb_expr(), rows in prop::collection::vec(arb_row(), 0..40)) {
-        let s = schema();
-        let batch = ColumnBatch::from_rows(&s, &rows).expect("typed rows");
-        let c = CompiledExpr::compile(&e, &s);
-        match (c.eval_batch(&batch), scalar_reference(&c, &batch)) {
-            (Ok(Some(col)), Ok(vals)) => {
-                prop_assert_eq!(col.len(), vals.len());
-                for (i, v) in vals.iter().enumerate() {
-                    prop_assert_eq!(&col.value(i), v, "expr {} row {}", &e, i);
-                }
-            }
-            // No dense single-type column form (mixed runtime types): the
-            // executor falls back to rows; scalar evaluation must succeed.
-            (Ok(None), Ok(_)) => {}
-            (Err(b), Err(r)) => prop_assert_eq!(b.to_string(), r.to_string(), "expr {}", &e),
-            (b, r) => prop_assert!(false, "diverged on {}: batch {:?} vs scalar {:?}", &e, b, r),
-        }
-    }
-
-    /// Predicate batches agree with row-at-a-time `eval_predicate`:
-    /// identical keep-vectors (Null → false) and identical first errors.
-    #[test]
-    fn batch_predicate_matches_scalar(
-        e in arb_expr(),
-        rows in prop::collection::vec(arb_row(), 0..40),
-    ) {
-        let s = schema();
-        let batch = ColumnBatch::from_rows(&s, &rows).expect("typed rows");
-        let c = CompiledExpr::compile(&e, &s);
-        let scalar: Result<Vec<bool>, _> =
-            (0..batch.len()).map(|i| c.eval_predicate(&batch.row(i))).collect();
-        match (c.eval_predicate_batch(&batch), scalar) {
-            (Ok(b), Ok(r)) => prop_assert_eq!(b, r, "expr {}", &e),
-            (Err(b), Err(r)) => prop_assert_eq!(b.to_string(), r.to_string(), "expr {}", &e),
-            (b, r) => prop_assert!(false, "diverged on {}: batch {:?} vs scalar {:?}", &e, b, r),
-        }
-    }
-
-    /// `filter_batch` equals both the compiled row filter and the frozen
-    /// interpreted baseline — surviving events, their order, and their
-    /// lifetimes — and errors exactly when they do.
-    #[test]
-    fn filter_batch_matches_row_paths(events in arb_events(40), e in arb_expr()) {
-        use timr_suite::temporal::operators::interpreted;
-        let input = stream_of(&events);
-        let baseline = interpreted::filter(&input, &e);
-        let row = filter(stream_of(&events), &e);
-        let col = filter_batch(batch_of(&events), &e).map(EventBatch::into_stream);
-        match (baseline, row, col) {
-            (Ok(b), Ok(r), Ok(c)) => {
-                prop_assert_eq!(&b, &r);
-                prop_assert_eq!(&b, &c);
-            }
-            (Err(b), Err(r), Err(c)) => {
-                prop_assert_eq!(r.to_string(), c.to_string(), "interpreted: {}", b);
-            }
-            (b, r, c) => prop_assert!(
-                false, "diverged: interp {:?} row {:?} columnar {:?}", b, r, c
-            ),
-        }
-    }
-
-    /// `project_batch` equals the row projection whenever it produces a
-    /// batch, falls back (`Ok(None)`) only on rows the row path also
-    /// handles, and reproduces the row path's exact first error.
-    #[test]
-    fn project_batch_matches_row_paths(
+    fn expression_kernels_match_rows_dense(
         events in arb_events(40),
-        picks in prop::collection::vec(0usize..8, 1..6),
+        e in arb_expr(),
+        thresh in -100i64..100,
     ) {
-        let exprs: Vec<(String, Expr)> =
-            picks.iter().enumerate().map(|(j, &i)| proj_menu(i * 8 + j)).collect();
-        let row = project(stream_of(&events), &exprs);
-        let col = project_batch(&batch_of(&events), &exprs);
-        match (row, col) {
-            (Ok(r), Ok(Some(c))) => prop_assert_eq!(&r, &c.into_stream()),
-            (Ok(_), Ok(None)) => {} // fallback: executor re-runs the row path
-            (Err(r), Err(c)) => prop_assert_eq!(r.to_string(), c.to_string()),
-            (r, c) => prop_assert!(false, "diverged: row {:?} columnar {:?}", r, c),
+        let project = [FusedStep::Project { exprs: vec![("X".to_string(), e.clone())] }];
+        assert_kernels_match_rows(&events, &project)?;
+        assert_kernels_match_rows(&events, &[filter_step(e.ge(lit(thresh)))])?;
+    }
+
+    /// The value kernels behind a selection: leaves gather through the
+    /// selection vector, and an error on a filtered-out row must not
+    /// surface.
+    #[test]
+    fn expression_kernels_match_rows_after_a_selection(
+        events in arb_events(40),
+        e in arb_expr(),
+        p in 0usize..8,
+        thresh in -100i64..100,
+    ) {
+        // The second filter evaluates `e` (twice) under the first one's
+        // selection; `==` defers every type error in `e` to evaluation.
+        let steps = [
+            filter_step(pred_menu(p, thresh)),
+            filter_step(e.clone().eq(e)),
+        ];
+        assert_kernels_match_rows(&events, &steps)?;
+    }
+
+    /// The predicate kernels, dense and selected: identical keep-sets
+    /// (Null → false), identical first errors (non-boolean predicates
+    /// included), and agreement with the reference filter.
+    #[test]
+    fn predicate_kernels_match_rows(
+        events in arb_events(40),
+        e in arb_expr(),
+        p in 0usize..8,
+        thresh in -100i64..100,
+    ) {
+        let dense = [filter_step(e.clone())];
+        assert_kernels_match_rows(&events, &dense)?;
+        let selected = [filter_step(pred_menu(p, thresh)), filter_step(e.clone())];
+        assert_kernels_match_rows(&events, &selected)?;
+        // The dense case against the independent oracle too.
+        let on_batch = fused_fragment_batch(batch_of(&events), &dense).map(StreamData::into_stream);
+        match (on_batch, interpreted::filter(&stream_of(&events), &e)) {
+            (Ok(b), Ok(o)) => prop_assert_eq!(b, o),
+            (Err(_), Err(_)) => {}
+            (b, o) => prop_assert!(false, "diverged: batch {:?} reference {:?}", b, o),
         }
     }
 
-    /// `alter_lifetime_batch` rewrites the lifetime vectors exactly like
-    /// the row operator, including Hop's event drops.
+    /// Multi-expression projections, dense and selected: row-major error
+    /// order across expressions (the smallest (row, expr) pair fails
+    /// first), column stealing for passthroughs (repeated ones included),
+    /// and the row fallback for results with no dense column form.
     #[test]
-    fn alter_lifetime_batch_matches_row_paths(events in arb_events(40), op in arb_lifetime_op()) {
-        let row = alter_lifetime(stream_of(&events), &op).unwrap();
-        let col = alter_lifetime_batch(batch_of(&events), &op).unwrap();
-        prop_assert_eq!(&row, &col.into_stream());
+    fn projection_matches_rows(
+        events in arb_events(40),
+        picks in prop::collection::vec(0usize..10, 1..6),
+        p in 0usize..8,
+        thresh in -100i64..100,
+    ) {
+        assert_kernels_match_rows(&events, &[project_step(&picks)])?;
+        let selected = [filter_step(pred_menu(p, thresh)), project_step(&picks)];
+        assert_kernels_match_rows(&events, &selected)?;
+    }
+
+    /// Lifetime rewrites patch the lifetime vectors exactly like the row
+    /// operator, including Hop's event drops — dense and at selected
+    /// indices only.
+    #[test]
+    fn lifetime_rewrites_match_rows(
+        events in arb_events(40),
+        op in arb_lifetime_op(),
+        p in 0usize..8,
+        thresh in -100i64..100,
+    ) {
+        let rewrite = FusedStep::AlterLifetime { op };
+        assert_kernels_match_rows(&events, std::slice::from_ref(&rewrite))?;
+        let selected = [filter_step(pred_menu(p, thresh)), rewrite];
+        assert_kernels_match_rows(&events, &selected)?;
     }
 }
 
-mod plans {
-    //! End-to-end: whole plans under `ExecMode::Columnar` are
-    //! byte-identical to both row modes, fallbacks included.
-    use super::*;
-    use timr_suite::temporal::exec::{bindings, execute_single_with_mode, ExecMode};
-    use timr_suite::temporal::plan::LogicalPlan;
-    use timr_suite::temporal::Query;
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// A random single-source plan mixing columnar-kernel operators
-    /// (filter, project, alter-lifetime, group-apply) with row-only ones
-    /// (aggregate, union of a multicast), so every run crosses the
-    /// batch/row boundary at least once.
-    fn build_plan(kind: usize, w: i64, thresh: i64) -> LogicalPlan {
-        let q = Query::new();
-        let src = q.source("in", schema());
-        let out = match kind {
-            0 => src
-                .filter(col("L").ge(lit(thresh)))
-                .group_apply(&["S"], |g| g.window(w).count("N")),
-            1 => src
-                .project(vec![
-                    ("S".to_string(), col("S")),
-                    ("V".to_string(), col("L").add(col("I"))),
-                ])
-                .filter(col("V").gt(lit(thresh)))
-                .group_apply(&["S"], |g| g.window(w).count("N")),
-            2 => {
-                let m = src.filter(col("B"));
-                let a = m.clone().filter(col("L").ge(lit(thresh)));
-                let b = m.filter(col("L").lt(lit(thresh)));
-                a.union(b).window(w).count("N")
-            }
-            _ => src
-                .window(w)
-                .group_apply(&["S"], |g| g.filter(col("I").ge(lit(0i64))).count("N")),
-        };
-        q.build(vec![out]).unwrap()
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
-
-        /// Columnar ≡ compiled ≡ interpreted on full plans: identical
-        /// event vectors (not merely the same relation) or identical
-        /// error outcomes.
-        #[test]
-        fn columnar_plans_are_byte_identical(
-            events in arb_events(60),
-            kind in 0usize..4,
-            w in 1i64..50,
-            thresh in -100i64..100,
-        ) {
-            let plan = build_plan(kind, w, thresh);
-            let srcs = bindings(vec![("in", stream_of(&events))]);
-            let compiled = execute_single_with_mode(&plan, &srcs, ExecMode::Compiled);
-            let interpreted = execute_single_with_mode(&plan, &srcs, ExecMode::Interpreted);
-            let columnar = execute_single_with_mode(&plan, &srcs, ExecMode::Columnar);
-            match (compiled, interpreted, columnar) {
-                (Ok(a), Ok(b), Ok(c)) => {
-                    prop_assert_eq!(a.events(), b.events(), "compiled vs interpreted");
-                    prop_assert_eq!(b.events(), c.events(), "interpreted vs columnar");
-                }
-                (Err(a), Err(_), Err(c)) => {
-                    prop_assert_eq!(a.to_string(), c.to_string(), "compiled vs columnar error");
-                }
-                (a, b, c) => prop_assert!(
-                    false, "diverged: compiled {:?} interpreted {:?} columnar {:?}", a, b, c
-                ),
-            }
+    /// Ill-typed payloads (an `Int` in the `Long` column) have no columnar
+    /// form, so such a stream runs the fragment on the row operators — the
+    /// fallback that owns the errors — and must match the reference
+    /// operators applied step by step: same events, same error outcome.
+    #[test]
+    fn ill_typed_payloads_stay_on_rows_and_match_the_reference(
+        events in arb_events(40),
+        stride in 1usize..4,
+        e in arb_expr(),
+        picks in prop::collection::vec(0usize..10, 1..4),
+        op in arb_lifetime_op(),
+    ) {
+        let mut events = events;
+        make_ill_typed(&mut events, stride);
+        let stream = stream_of(&events);
+        prop_assert_eq!(EventBatch::from_stream(&stream).is_none(), !events.is_empty());
+        let FusedStep::Project { exprs } = project_step(&picks) else { unreachable!() };
+        let steps = [
+            filter_step(e.clone()),
+            FusedStep::AlterLifetime { op: op.clone() },
+            FusedStep::Project { exprs: exprs.clone() },
+        ];
+        let reference = interpreted::filter(&stream, &e)
+            .and_then(|s| interpreted::alter_lifetime(&s, &op))
+            .and_then(|s| interpreted::project(&s, &exprs));
+        match (fused_fragment_rows(stream, &steps), reference) {
+            (Ok(r), Ok(o)) => prop_assert_eq!(r, o),
+            (Err(_), Err(_)) => {}
+            (r, o) => prop_assert!(false, "diverged: rows {:?} reference {:?}", r, o),
         }
     }
+}
 
-    #[test]
-    fn empty_stream_is_identical_in_every_mode() {
-        let plan = build_plan(1, 10, 0);
-        let srcs = bindings(vec![("in", stream_of(&[]))]);
-        let compiled = execute_single_with_mode(&plan, &srcs, ExecMode::Compiled).unwrap();
-        let columnar = execute_single_with_mode(&plan, &srcs, ExecMode::Columnar).unwrap();
-        assert_eq!(compiled.events(), columnar.events());
-        assert!(columnar.is_empty());
-    }
+#[test]
+fn empty_batches_run_every_step_kind() {
+    let steps = [
+        filter_step(pred_menu(0, 0)),
+        project_step(&[0, 2, 5]),
+        FusedStep::AlterLifetime {
+            op: timr_suite::temporal::plan::LifetimeOp::Hop { hop: 4, width: 6 },
+        },
+    ];
+    let on_batch = fused_fragment_batch(batch_of(&[]), &steps)
+        .unwrap()
+        .into_stream();
+    let on_rows = fused_fragment_rows(stream_of(&[]), &steps).unwrap();
+    assert_eq!(on_batch, on_rows);
+    assert!(on_batch.is_empty());
 }

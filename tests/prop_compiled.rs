@@ -1,142 +1,16 @@
-//! Property tests for the compiled hot path (PR 2): the compiled
-//! expression evaluator and the in-place operators must be *observably
-//! identical* to their interpreted PR 1 baselines — values and error
-//! cases — because repeatability of restarted reducers (paper §III-C.1)
-//! requires the two executor modes to produce byte-identical streams.
+//! Property tests for the row hot path: the compiled expression evaluator
+//! and the in-place row operators — the forms every fused fragment runs on
+//! when its input arrives as rows, and the fallback a batch fragment
+//! finishes on — must be *observably identical* to the reference
+//! operators, values and error cases, because repeatability of restarted
+//! reducers (paper §III-C.1) makes the engine's output a byte contract.
 
+mod common;
+
+use common::{arb_events, arb_expr, arb_lifetime_op, arb_row, raw_proj, schema, stream_of};
 use proptest::prelude::*;
-use timr_suite::relation::schema::{ColumnType, Field};
-use timr_suite::relation::{Row, Schema, Value};
 use timr_suite::temporal::operators::{alter_lifetime, filter, interpreted, project};
-use timr_suite::temporal::plan::LifetimeOp;
-use timr_suite::temporal::{col, lit, CompiledExpr, Event, EventStream, Expr, Lifetime};
-
-fn schema() -> Schema {
-    Schema::new(vec![
-        Field::new("I", ColumnType::Int),
-        Field::new("L", ColumnType::Long),
-        Field::new("D", ColumnType::Double),
-        Field::new("S", ColumnType::Str),
-        Field::new("B", ColumnType::Bool),
-    ])
-}
-
-fn arb_row() -> impl Strategy<Value = Row> {
-    (
-        -1000i32..1000,
-        -10_000i64..10_000,
-        -1e6f64..1e6,
-        0u8..3,
-        any::<bool>(),
-        0u8..32,
-    )
-        .prop_map(|(i, l, d, s, b, nulls)| {
-            let mut vals = vec![
-                Value::Int(i),
-                Value::Long(l),
-                Value::Double(d),
-                Value::from(format!("u{s}")),
-                Value::Bool(b),
-            ];
-            for (k, v) in vals.iter_mut().enumerate() {
-                if nulls & (1 << k) != 0 {
-                    *v = Value::Null;
-                }
-            }
-            Row::new(vals)
-        })
-}
-
-fn apply_op(a: Expr, b: Expr, op: usize) -> Expr {
-    match op {
-        0 => a.add(b),
-        1 => a.sub(b),
-        2 => a.mul(b),
-        3 => a.div(b),
-        4 => a.eq(b),
-        5 => a.ne(b),
-        6 => a.lt(b),
-        7 => a.le(b),
-        8 => a.gt(b),
-        9 => a.ge(b),
-        10 => a.and(b),
-        _ => a.or(b),
-    }
-}
-
-/// Random expression trees over the test schema — including references to
-/// a column that does not exist (`Missing`), type errors (arithmetic on
-/// strings/booleans), division by zero, and sqrt of negatives, so the
-/// error paths get exercised as much as the value paths.
-fn arb_expr() -> impl Strategy<Value = Expr> {
-    let leaf = prop_oneof![
-        prop_oneof![
-            Just("I"),
-            Just("L"),
-            Just("D"),
-            Just("S"),
-            Just("B"),
-            Just("Missing"),
-        ]
-        .prop_map(col),
-        (-100i64..100).prop_map(lit),
-        (-50.0f64..50.0).prop_map(lit),
-        Just(lit(0i64)), // division-by-zero fodder
-        Just(lit("u1")),
-        any::<bool>().prop_map(|b| Expr::Literal(Value::Bool(b))),
-        Just(Expr::Literal(Value::Null)),
-    ];
-    leaf.prop_recursive(3, 32, 2, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone(), 0usize..12).prop_map(|(a, b, op)| apply_op(a, b, op)),
-            inner.clone().prop_map(Expr::not),
-            inner.clone().prop_map(Expr::sqrt),
-            inner.prop_map(Expr::abs),
-        ]
-    })
-}
-
-fn arb_events(max_len: usize) -> impl Strategy<Value = Vec<(i64, i64, Row)>> {
-    prop::collection::vec((0i64..200, 1i64..50, arb_row()), 1..max_len)
-        .prop_map(|v| v.into_iter().map(|(s, w, r)| (s, s + w, r)).collect())
-}
-
-fn stream_of(events: &[(i64, i64, Row)]) -> EventStream {
-    EventStream::new(
-        schema(),
-        events
-            .iter()
-            .map(|(s, e, r)| Event::new(Lifetime::new(*s, *e), r.clone()))
-            .collect(),
-    )
-}
-
-fn arb_lifetime_op() -> impl Strategy<Value = LifetimeOp> {
-    prop_oneof![
-        (1i64..50).prop_map(LifetimeOp::Window),
-        (1i64..20, 1i64..40).prop_map(|(hop, width)| LifetimeOp::Hop { hop, width }),
-        (-20i64..20).prop_map(LifetimeOp::Shift),
-        (0i64..20).prop_map(LifetimeOp::ExtendBack),
-        Just(LifetimeOp::ToPoint),
-    ]
-}
-
-/// A menu of projection expressions mixing movable passthroughs (bare
-/// columns), repeated references (not movable), computations, and errors.
-fn proj_menu(idx: usize) -> (String, Expr) {
-    let exprs: Vec<(&str, Expr)> = vec![
-        ("A", col("S")),
-        ("B", col("L")),
-        ("C", col("L").mul(lit(3i64)).add(col("I"))),
-        ("D2", col("D").mul(col("D"))),
-        ("E", col("S")),
-        ("F", col("B").and(col("L").gt(lit(0i64)))),
-        ("G", col("Missing").add(lit(1i64))),
-        ("H", col("L").div(col("I"))),
-    ];
-    let (name, e) = &exprs[idx % exprs.len()];
-    (format!("{name}{idx}"), e.clone())
-}
+use timr_suite::temporal::{CompiledExpr, Expr};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -169,7 +43,7 @@ proptest! {
         }
     }
 
-    /// The in-place filter equals the interpreted baseline on both the
+    /// The in-place filter equals the reference operator on both the
     /// uniquely-owned and the shared-storage path, and never mutates a
     /// stream another consumer still holds.
     #[test]
@@ -193,7 +67,7 @@ proptest! {
         }
     }
 
-    /// In-place lifetime alteration equals the interpreted baseline on
+    /// In-place lifetime alteration equals the reference operator on
     /// both storage paths.
     #[test]
     fn alter_lifetime_matches_interpreted(events in arb_events(40), op in arb_lifetime_op()) {
@@ -207,14 +81,14 @@ proptest! {
     }
 
     /// Projection — including the move-out of passthrough columns on the
-    /// owned path — equals the interpreted baseline.
+    /// owned path — equals the reference operator.
     #[test]
     fn project_matches_interpreted(
         events in arb_events(40),
-        picks in prop::collection::vec(0usize..8, 1..6),
+        picks in prop::collection::vec(0usize..10, 1..6),
     ) {
         let exprs: Vec<(String, Expr)> =
-            picks.iter().enumerate().map(|(j, &i)| proj_menu(i * 8 + j)).collect();
+            picks.iter().enumerate().map(|(j, &i)| raw_proj(i + 10 * j)).collect();
         let input = stream_of(&events);
         let baseline = interpreted::project(&input, &exprs);
         let shared = project(input.clone(), &exprs);

@@ -1,220 +1,65 @@
-//! Property tests for fragment fusion and the SIMD kernel suite (PR 7):
-//! `ExecMode::Fused` must be *byte-identical* — values, selection,
-//! lifetimes, and error cases — to the Columnar, Compiled, and Interpreted
-//! paths on randomized plans, because the repeatability guarantee of
-//! restarted reducers (paper §III-C.1) makes every execution mode's output
-//! part of the byte-comparison contract.
+//! Property tests for fragment fusion and the plan-level engine contract:
+//! the engine must be *byte-identical* — values, selection, lifetimes, and
+//! error cases — to the reference operators on randomized plans, whichever
+//! layout its input arrives in, because the repeatability guarantee of
+//! restarted reducers (paper §III-C.1) makes its output a byte contract.
 //!
 //! The row generator flips each column to Null independently (null-heavy
-//! batches), stream lengths start at zero (empty batches), the expression
-//! generator produces error-raising expressions (missing columns, type
-//! errors, division by zero), and plan kinds include fragments nested
-//! inside `GroupApply` sub-plans. The SIMD shim itself is additionally
-//! unit-tested against the scalar reference on boundary values
-//! (`i64::MIN/MAX`, `NaN`, `±0.0`).
+//! batches), stream lengths start at zero (empty batches), some streams
+//! carry ill-typed payloads (no columnar form: they must run identically
+//! on the row operators), the step generator produces error-raising
+//! expressions (missing columns, type errors, division by zero), and plan
+//! kinds include fragments nested inside `GroupApply` sub-plans. The SIMD
+//! shim itself is additionally unit-tested against the scalar reference on
+//! boundary values (`i64::MIN/MAX`, `NaN`, `±0.0`).
 
+mod common;
+
+use common::{
+    arb_events, arb_lifetime_op, assert_three_way, batch_of, build_plan, make_ill_typed, raw_pred,
+    raw_proj, run_three_ways, schema, stream_of,
+};
 use proptest::prelude::*;
-use timr_suite::relation::schema::{ColumnType, Field};
-use timr_suite::relation::{Row, Schema, Value};
-use timr_suite::temporal::agg::AggExpr;
-use timr_suite::temporal::exec::{bindings, execute_single_with_mode, ExecMode, StreamData};
+use timr_suite::temporal::exec::{bindings, execute_reference, StreamData};
 use timr_suite::temporal::operators::{fused_fragment_batch, fused_fragment_rows};
-use timr_suite::temporal::plan::{fuse_plan, FusedStep, LifetimeOp, LogicalPlan, Operator};
-use timr_suite::temporal::{col, lit, Event, EventBatch, EventStream, Expr, Lifetime, Query};
-
-fn schema() -> Schema {
-    Schema::new(vec![
-        Field::new("I", ColumnType::Int),
-        Field::new("L", ColumnType::Long),
-        Field::new("D", ColumnType::Double),
-        Field::new("S", ColumnType::Str),
-        Field::new("B", ColumnType::Bool),
-    ])
-}
-
-fn arb_row() -> impl Strategy<Value = Row> {
-    (
-        -1000i32..1000,
-        -10_000i64..10_000,
-        -1e6f64..1e6,
-        0u8..3,
-        any::<bool>(),
-        0u8..32,
-    )
-        .prop_map(|(i, l, d, s, b, nulls)| {
-            let mut vals = vec![
-                Value::Int(i),
-                Value::Long(l),
-                Value::Double(d),
-                Value::from(format!("u{s}")),
-                Value::Bool(b),
-            ];
-            for (k, v) in vals.iter_mut().enumerate() {
-                if nulls & (1 << k) != 0 {
-                    *v = Value::Null;
-                }
-            }
-            Row::new(vals)
-        })
-}
-
-fn arb_events(max_len: usize) -> impl Strategy<Value = Vec<(i64, i64, Row)>> {
-    prop::collection::vec((0i64..200, 1i64..50, arb_row()), 0..max_len)
-        .prop_map(|v| v.into_iter().map(|(s, w, r)| (s, s + w, r)).collect())
-}
-
-fn stream_of(events: &[(i64, i64, Row)]) -> EventStream {
-    EventStream::new(
-        schema(),
-        events
-            .iter()
-            .map(|(s, e, r)| Event::new(Lifetime::new(*s, *e), r.clone()))
-            .collect(),
-    )
-}
-
-/// A menu of filter predicates: numeric compares on every width (the SIMD
-/// comparison kernels), boolean connectives (the dense AND/OR kernels),
-/// string equality (scalar kernel under selection), plus div-by-zero
-/// (→ Null → dropped) and sqrt-of-negative (→ NaN compares) fodder. All
-/// entries are schema-valid: `Query::build` rejects unknown columns, so
-/// runtime error raisers live in the operator-level menus below.
-fn pred_menu(idx: usize, thresh: i64) -> Expr {
-    match idx % 8 {
-        0 => col("L").ge(lit(thresh)),
-        1 => col("I").lt(lit(thresh)).and(col("B")),
-        2 => col("D").mul(col("D")).le(lit(250_000.0f64)),
-        3 => col("S").eq(lit("u1")).or(col("L").gt(lit(0i64))),
-        4 => col("I").add(col("L")).ne(lit(0i64)),
-        5 => col("B").or(col("D").lt(lit(0.0f64))),
-        6 => col("L").div(col("I")).gt(lit(2i64)), // div-by-zero → Null → false
-        _ => col("D").sqrt().le(lit(500.0f64)),    // NaN on negatives → false
-    }
-}
-
-/// Projection menus mixing passthroughs, arithmetic on every width, and
-/// NaN/null producers; `idx` salts the output name so chained projects
-/// differ.
-fn proj_menu(idx: usize) -> (String, Expr) {
-    let exprs: Vec<(&str, Expr)> = vec![
-        ("S", col("S")),
-        ("L", col("L")),
-        ("C", col("L").mul(lit(3i64)).add(col("I"))),
-        ("D", col("D").mul(col("D"))),
-        ("B", col("B").and(col("L").gt(lit(0i64)))),
-        ("H", col("L").div(col("I"))),
-        ("I", col("I")),
-        ("G", col("D").sqrt()), // NaN bit patterns flow through columns
-    ];
-    let (name, e) = &exprs[idx % exprs.len()];
-    (format!("{name}{idx}"), e.clone())
-}
-
-/// Random single-source plans whose stateless prefixes fuse: filter and
-/// project chains, windows, hopping windows (fragment-internal drops),
-/// multicast fan-out (fragment boundaries), and chains nested inside
-/// GroupApply sub-plans.
-fn build_plan(kind: usize, w: i64, thresh: i64, p1: usize, p2: usize) -> LogicalPlan {
-    let q = Query::new();
-    let src = q.source("in", schema());
-    let out = match kind % 6 {
-        // filter → project → window: the canonical fused chain.
-        0 => src
-            .filter(pred_menu(p1, thresh))
-            .project(vec![
-                ("S".to_string(), col("S")),
-                proj_menu(p2),
-                ("K".to_string(), col("L")),
-            ])
-            .window(w)
-            .count("N"),
-        // Double filter → hopping window: selection-vector shrink + drops.
-        1 => src
-            .filter(pred_menu(p1, thresh))
-            .filter(pred_menu(p2, thresh - 3))
-            .hop_window(w.max(2) / 2, w)
-            .count("N"),
-        // Fragment inside a GroupApply sub-plan.
-        2 => src.group_apply(&["S"], move |g| {
-            g.filter(pred_menu(p1, thresh)).window(w).count("N")
-        }),
-        // Multicast fan-out: the shared filter fragment must not fuse into
-        // either consumer; both branches fuse separately.
-        3 => {
-            let m = src.filter(pred_menu(p1.min(6), thresh));
-            let a = m.clone().filter(col("L").ge(lit(thresh)));
-            let b = m.filter(col("L").lt(lit(thresh)));
-            a.union(b).window(w).count("N")
-        }
-        // Project → project → filter chain (projected-column predicate).
-        4 => src
-            .project(vec![
-                ("S".to_string(), col("S")),
-                ("V".to_string(), col("L").add(col("I"))),
-            ])
-            .project(vec![
-                ("S".to_string(), col("S")),
-                ("V2".to_string(), col("V").mul(lit(2i64))),
-            ])
-            .filter(col("V2").gt(lit(thresh)))
-            .group_apply(&["S"], move |g| g.window(w).count("N")),
-        // Aggregate directly over a fused prefix: exercises the
-        // scratch-row batch aggregation entry.
-        _ => src
-            .filter(pred_menu(p1, thresh))
-            .window(w)
-            .aggregate(vec![("SL".to_string(), AggExpr::Sum(col("L")))]),
-    };
-    q.build(vec![out]).unwrap()
-}
+use timr_suite::temporal::plan::{fuse_plan, FusedStep, Operator};
+use timr_suite::temporal::{col, lit, Query};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Fused ≡ columnar ≡ compiled ≡ interpreted on full plans: identical
-    /// event vectors (not merely the same relation) or identical error
-    /// outcomes, across null-heavy rows, empty batches, error-raising
-    /// expressions, and fragments inside GroupApply.
+    /// Engine-on-rows ≡ engine-on-batches ≡ reference on full plans:
+    /// identical event vectors (not merely the same relation) or identical
+    /// error outcomes, across null-heavy rows, empty batches, ill-typed
+    /// payloads, and fragments inside GroupApply.
     #[test]
-    fn fused_plans_are_byte_identical(
+    fn plans_are_byte_identical_in_either_layout_and_to_the_reference(
         events in arb_events(60),
-        kind in 0usize..6,
+        // One stream in five carries ill-typed payloads every `stride` events.
+        ill_typed in 0usize..5,
+        stride in 1usize..5,
+        kind in 0usize..7,
         w in 2i64..50,
         thresh in -100i64..100,
         p1 in 0usize..8,
         p2 in 0usize..8,
     ) {
-        let plan = build_plan(kind, w, thresh, p1, p2);
-        let srcs = bindings(vec![("in", stream_of(&events))]);
-        let interpreted = execute_single_with_mode(&plan, &srcs, ExecMode::Interpreted);
-        let compiled = execute_single_with_mode(&plan, &srcs, ExecMode::Compiled);
-        let columnar = execute_single_with_mode(&plan, &srcs, ExecMode::Columnar);
-        let fused = execute_single_with_mode(&plan, &srcs, ExecMode::Fused);
-        match (interpreted, compiled, columnar, fused) {
-            (Ok(a), Ok(b), Ok(c), Ok(f)) => {
-                prop_assert_eq!(a.events(), b.events(), "interpreted vs compiled");
-                prop_assert_eq!(b.events(), c.events(), "compiled vs columnar");
-                prop_assert_eq!(c.events(), f.events(), "columnar vs fused");
-            }
-            (Err(a), Err(_), Err(c), Err(f)) => {
-                prop_assert_eq!(c.to_string(), f.to_string(), "columnar vs fused error");
-                prop_assert_eq!(a.to_string(), f.to_string(), "interpreted vs fused error");
-            }
-            (a, b, c, f) => prop_assert!(
-                false,
-                "diverged: interpreted {:?} compiled {:?} columnar {:?} fused {:?}",
-                a, b, c, f
-            ),
+        let mut events = events;
+        if ill_typed == 0 {
+            make_ill_typed(&mut events, stride);
         }
+        let plan = build_plan(kind, w, thresh, p1, p2);
+        assert_three_way(run_three_ways(&plan, stream_of(&events)))?;
     }
 
-    /// Fusing a plan never changes its observable semantics under the
-    /// *other* modes either: the rewritten plan (FusedFragment nodes
-    /// executed step-by-step on the row path) equals the original.
+    /// The fusion rewrite never changes a plan's semantics under the
+    /// independent oracle: the reference operators, stepping through each
+    /// FusedFragment, produce the same events from the rewritten plan as
+    /// from the original.
     #[test]
-    fn fused_plan_runs_identically_on_the_row_path(
+    fn fusion_preserves_reference_semantics(
         events in arb_events(40),
-        kind in 0usize..6,
+        kind in 0usize..7,
         w in 2i64..50,
         thresh in -100i64..100,
         p1 in 0usize..8,
@@ -223,44 +68,12 @@ proptest! {
         let plan = build_plan(kind, w, thresh, p1, p2);
         let rewritten = fuse_plan(&plan).unwrap();
         let srcs = bindings(vec![("in", stream_of(&events))]);
-        let original = execute_single_with_mode(&plan, &srcs, ExecMode::Compiled);
-        let fused = execute_single_with_mode(&rewritten, &srcs, ExecMode::Compiled);
-        match (original, fused) {
-            (Ok(a), Ok(b)) => prop_assert_eq!(a.events(), b.events()),
+        match (execute_reference(&plan, &srcs), execute_reference(&rewritten, &srcs)) {
+            (Ok(a), Ok(b)) => prop_assert_eq!(a, b),
             (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
             (a, b) => prop_assert!(false, "diverged: original {:?} rewritten {:?}", a, b),
         }
     }
-}
-
-/// Operator-level menus for the fused engine itself: superset of the plan
-/// menus plus genuine runtime error raisers (missing columns, arithmetic
-/// on strings/booleans) — these bypass `Query::build`'s static checks, so
-/// the fused engine's first-failing-row error protocol gets real traffic.
-fn raw_pred(idx: usize, thresh: i64) -> Expr {
-    match idx % 10 {
-        8 => col("Missing").gt(lit(0i64)),
-        9 => col("S").add(lit(1i64)).gt(lit(0i64)),
-        _ => pred_menu(idx, thresh),
-    }
-}
-
-fn raw_proj(idx: usize) -> (String, Expr) {
-    match idx % 10 {
-        8 => (format!("G{idx}"), col("Missing").add(lit(1i64))),
-        9 => (format!("T{idx}"), col("B").add(col("D"))),
-        _ => proj_menu(idx),
-    }
-}
-
-fn arb_lifetime_op() -> impl Strategy<Value = LifetimeOp> {
-    prop_oneof![
-        (1i64..50).prop_map(LifetimeOp::Window),
-        (1i64..20, 1i64..40).prop_map(|(hop, width)| LifetimeOp::Hop { hop, width }),
-        (-20i64..20).prop_map(LifetimeOp::Shift),
-        (0i64..20).prop_map(LifetimeOp::ExtendBack),
-        Just(LifetimeOp::ToPoint),
-    ]
 }
 
 fn arb_step() -> impl Strategy<Value = FusedStep> {
@@ -283,7 +96,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The fused batch engine over an arbitrary step chain is byte-identical
-    /// to running the same steps as sequential compiled operators (which is
+    /// to running the same steps as sequential row operators (which is
     /// exactly what [`fused_fragment_rows`] does): same surviving events in
     /// the same order, same lifetimes, and — for chains containing error
     /// expressions — the same first error, because the selection vector
@@ -293,8 +106,7 @@ proptest! {
         events in arb_events(40),
         steps in prop::collection::vec(arb_step(), 1..5),
     ) {
-        let batch = EventBatch::from_stream(&stream_of(&events)).expect("typed rows");
-        let fused = fused_fragment_batch(batch, &steps).map(StreamData::into_stream);
+        let fused = fused_fragment_batch(batch_of(&events), &steps).map(StreamData::into_stream);
         let rows = fused_fragment_rows(stream_of(&events), &steps);
         match (fused, rows) {
             (Ok(a), Ok(b)) => prop_assert_eq!(a.events(), b.events()),
@@ -344,13 +156,10 @@ fn chain_compiles_to_exactly_one_fragment() {
 }
 
 #[test]
-fn empty_stream_is_identical_in_every_mode() {
-    let plan = build_plan(0, 10, 0, 0, 1);
-    let srcs = bindings(vec![("in", stream_of(&[]))]);
-    let compiled = execute_single_with_mode(&plan, &srcs, ExecMode::Compiled).unwrap();
-    let fused = execute_single_with_mode(&plan, &srcs, ExecMode::Fused).unwrap();
-    assert_eq!(compiled.events(), fused.events());
-    assert!(fused.is_empty());
+fn empty_stream_is_identical_in_either_layout() {
+    let run = run_three_ways(&build_plan(0, 10, 0, 0, 1), stream_of(&[]));
+    assert!(run.on_batch.as_ref().unwrap().is_empty());
+    assert_three_way(run).unwrap();
 }
 
 mod simd_shim {

@@ -11,7 +11,7 @@ use timr_suite::relation::hash::values_hash;
 use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{row, Schema, Value};
 use timr_suite::temporal::agg::AggExpr;
-use timr_suite::temporal::exec::{bindings, execute_single_with_options, ExecOptions};
+use timr_suite::temporal::exec::{bindings, data_bindings, execute_data, WorkerPool};
 use timr_suite::temporal::expr::{col, lit};
 use timr_suite::temporal::plan::LogicalPlan;
 use timr_suite::temporal::{Event, EventStream, Query};
@@ -123,12 +123,13 @@ proptest! {
         );
         let plan = build_plan(key_cols, plan_kind, w);
         let srcs = bindings(vec![("in", stream)]);
-        let sequential =
-            execute_single_with_options(&plan, &srcs, &ExecOptions::default().threads(1)).unwrap();
+        let run = |threads: usize| {
+            let (mut roots, _) = execute_data(&plan, data_bindings(srcs.clone()), &WorkerPool::new(threads)).unwrap();
+            roots.pop().unwrap()
+        };
+        let sequential = run(1);
         for threads in [2usize, 3, 8] {
-            let parallel =
-                execute_single_with_options(&plan, &srcs, &ExecOptions::default().threads(threads))
-                    .unwrap();
+            let parallel = run(threads);
             prop_assert_eq!(
                 sequential.events(),
                 parallel.events(),

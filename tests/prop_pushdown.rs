@@ -2,11 +2,15 @@
 //! exchange-free prefix of a query — and, when the aggregate straddling
 //! the exchange is combinable, a factor-window partial aggregation — into
 //! mapper fragments must be *byte-identical*, per query, to the
-//! reduce-only plan, in every DSMS execution mode, under seeded chaos,
-//! and with shuffle spilling under a memory budget. Plans the split must
+//! reduce-only plan — and both equal to the single-node reference DSMS on
+//! the same events (paper §III-C.1) — under seeded chaos and with shuffle
+//! spilling under a memory budget. Plans the split must
 //! refuse (non-combinable aggregates, partition keys the prefix renames
 //! away, finer-keyed group-applies) are exercised negatively.
 
+mod common;
+
+use common::reference_relation;
 use proptest::prelude::*;
 use std::time::Duration as WallDuration;
 use timr_suite::mapreduce::{
@@ -16,19 +20,11 @@ use timr_suite::relation::column::ColumnBatch;
 use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{row, Row, Schema};
 use timr_suite::temporal::agg::AggExpr;
-use timr_suite::temporal::exec::ExecMode;
 use timr_suite::temporal::expr::{col, lit};
 use timr_suite::temporal::plan::{push_down, validate_mapper_plan, LogicalPlan, Operator};
-use timr_suite::temporal::Query;
+use timr_suite::temporal::{EventStream, Query};
 use timr_suite::timr::multi::MultiTimrJob;
 use timr_suite::timr::{Annotation, EventEncoding, ExchangeKey, TimrJob};
-
-const MODES: [ExecMode; 4] = [
-    ExecMode::Interpreted,
-    ExecMode::Compiled,
-    ExecMode::Columnar,
-    ExecMode::Fused,
-];
 
 fn payload() -> Schema {
     Schema::new(vec![
@@ -122,11 +118,10 @@ fn dfs_with(rows: &[Row]) -> Dfs {
     dfs
 }
 
-fn job(members: &[Member], mode: ExecMode, push: bool) -> MultiTimrJob {
+fn job(members: &[Member], push: bool) -> MultiTimrJob {
     MultiTimrJob::new("pd", members.iter().map(member_plan).collect())
         .with_key(ExchangeKey::keys(&["UserId"]))
         .with_machines(3)
-        .with_exec_mode(mode)
         .with_push_down(push)
 }
 
@@ -140,23 +135,28 @@ fn cluster(chaos: ChaosPlan, budget: Option<u64>) -> Cluster {
     })
 }
 
-/// Raw output partitions of every query, with push-down on or off.
+/// Raw output partitions of every query, with push-down on or off, and
+/// each query's output decoded back into its (normalized) relation.
 fn run_bytes(
     members: &[Member],
     rows: &[Row],
-    mode: ExecMode,
     push: bool,
     chaos: ChaosPlan,
     budget: Option<u64>,
-) -> Vec<Vec<Vec<Row>>> {
+) -> (Vec<Vec<Vec<Row>>>, Vec<EventStream>) {
     let dfs = dfs_with(rows);
-    let out = job(members, mode, push)
+    let out = job(members, push)
         .run(&dfs, &cluster(chaos, budget))
         .unwrap();
-    out.datasets
+    let bytes = out
+        .datasets
         .iter()
         .map(|d| dfs.get(d).unwrap().partitions.as_ref().clone())
-        .collect()
+        .collect();
+    let relations = (0..members.len())
+        .map(|i| out.stream(i, &dfs).unwrap())
+        .collect();
+    (bytes, relations)
 }
 
 fn arb_member() -> impl Strategy<Value = Member> {
@@ -189,23 +189,24 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Push-down is byte-identical to the reduce-only plan for every
-    /// member query, in all four DSMS execution modes.
+    /// member query, and the scaled-out output is the relation the
+    /// single-node reference DSMS computes from the same events.
     #[test]
-    fn push_down_matches_reduce_only_per_query(
+    fn push_down_matches_reduce_only_and_the_reference_per_query(
         members in prop::collection::vec(arb_member(), 1..7),
         n in 60i64..140,
     ) {
         let rows = deterministic_rows(n);
-        for mode in MODES {
-            let on = run_bytes(&members, &rows, mode, true, ChaosPlan::none(), None);
-            let off = run_bytes(&members, &rows, mode, false, ChaosPlan::none(), None);
-            prop_assert_eq!(on.len(), members.len());
-            for i in 0..members.len() {
-                prop_assert_eq!(
-                    &on[i], &off[i],
-                    "query {} bytes differ with push-down under {:?}", i, mode
-                );
-            }
+        let (on, relations) = run_bytes(&members, &rows, true, ChaosPlan::none(), None);
+        let (off, _) = run_bytes(&members, &rows, false, ChaosPlan::none(), None);
+        prop_assert_eq!(on.len(), members.len());
+        for (i, m) in members.iter().enumerate() {
+            prop_assert_eq!(&on[i], &off[i], "query {} bytes differ with push-down", i);
+            let reference = reference_relation(&member_plan(m), "logs", &payload(), &rows);
+            prop_assert!(
+                relations[i].same_relation(&reference),
+                "query {} differs from the single-node reference", i
+            );
         }
     }
 
@@ -224,21 +225,17 @@ proptest! {
             .with_corruption(0.12)
             .with_delays(0.10, WallDuration::from_micros(200))
             .with_fault_cap(2);
-        let baseline = run_bytes(
-            &members, &rows, ExecMode::Compiled, false, ChaosPlan::none(), None,
-        );
-        let pushed = run_bytes(
-            &members, &rows, ExecMode::Compiled, true, chaos, Some(2048),
-        );
+        let (baseline, _) = run_bytes(&members, &rows, false, ChaosPlan::none(), None);
+        let (pushed, _) = run_bytes(&members, &rows, true, chaos, Some(2048));
         prop_assert_eq!(baseline, pushed, "chaos+spill changed pushed-plan bytes");
     }
 }
 
 /// Single-query path: a click-score-shaped job (filter → narrowing
 /// project → combinable hopping aggregate, exchange annotated on the
-/// filter's input edge) is byte-identical with push-down on and off in
-/// all four modes, and the on-run's stats show fewer rows shuffled and
-/// shuffle bytes saved.
+/// filter's input edge) is byte-identical with push-down on and off,
+/// equals the single-node reference, and the on-run's stats show fewer
+/// rows shuffled and shuffle bytes saved.
 #[test]
 fn single_query_push_down_is_byte_identical_and_saves_shuffle() {
     let build = || {
@@ -253,7 +250,7 @@ fn single_query_push_down_is_byte_identical_and_saves_shuffle() {
             .group_apply(&["UserId", "KwAdId"], |g| g.hop_window(10, 40).count("N"));
         q.build(vec![out]).unwrap()
     };
-    let job = |push: bool, mode: ExecMode| {
+    let job = |push: bool| {
         let plan = build();
         let filter = plan
             .nodes()
@@ -263,42 +260,41 @@ fn single_query_push_down_is_byte_identical_and_saves_shuffle() {
         TimrJob::new(if push { "pd_on" } else { "pd_off" }, plan)
             .with_annotation(Annotation::none().exchange(filter, 0, ExchangeKey::keys(&["UserId"])))
             .with_machines(3)
-            .with_exec_mode(mode)
             .with_push_down(push)
     };
     let rows = deterministic_rows(160);
-    for mode in MODES {
-        let dfs = dfs_with(&rows);
-        let on = job(true, mode)
-            .run(&dfs, &cluster(ChaosPlan::none(), None))
-            .unwrap();
-        let off = job(false, mode)
-            .run(&dfs, &cluster(ChaosPlan::none(), None))
-            .unwrap();
-        assert_eq!(
-            dfs.get(&on.dataset).unwrap().partitions,
-            dfs.get(&off.dataset).unwrap().partitions,
-            "single-query bytes differ under {mode:?}"
-        );
-        let on_t = on.stats.map_totals();
-        let off_t = off.stats.map_totals();
-        assert!(on_t.shuffle_bytes_saved > 0, "push-down saved no bytes");
-        assert!(
-            on_t.shuffle_bytes < off_t.shuffle_bytes,
-            "pushed shuffle ({}) not smaller than reduce-only ({})",
-            on_t.shuffle_bytes,
-            off_t.shuffle_bytes
-        );
-        assert_eq!(off_t.shuffle_bytes_saved, 0);
-        assert_eq!(
-            off_t.rows_in, off_t.rows_out,
-            "reduce-only map tasks must ship rows unchanged"
-        );
-        assert!(
-            on_t.rows_out < on_t.rows_in,
-            "mapper fragments must shrink the shuffled row count"
-        );
-    }
+    let dfs = dfs_with(&rows);
+    let on = job(true)
+        .run(&dfs, &cluster(ChaosPlan::none(), None))
+        .unwrap();
+    let off = job(false)
+        .run(&dfs, &cluster(ChaosPlan::none(), None))
+        .unwrap();
+    assert_eq!(
+        dfs.get(&on.dataset).unwrap().partitions,
+        dfs.get(&off.dataset).unwrap().partitions,
+        "single-query bytes differ with push-down"
+    );
+    let reference = reference_relation(&build(), "logs", &payload(), &rows);
+    assert!(on.stream(&dfs).unwrap().same_relation(&reference));
+    let on_t = on.stats.map_totals();
+    let off_t = off.stats.map_totals();
+    assert!(on_t.shuffle_bytes_saved > 0, "push-down saved no bytes");
+    assert!(
+        on_t.shuffle_bytes < off_t.shuffle_bytes,
+        "pushed shuffle ({}) not smaller than reduce-only ({})",
+        on_t.shuffle_bytes,
+        off_t.shuffle_bytes
+    );
+    assert_eq!(off_t.shuffle_bytes_saved, 0);
+    assert_eq!(
+        off_t.rows_in, off_t.rows_out,
+        "reduce-only map tasks must ship rows unchanged"
+    );
+    assert!(
+        on_t.rows_out < on_t.rows_in,
+        "mapper fragments must shrink the shuffled row count"
+    );
 }
 
 /// A non-combinable aggregate keeps the reduction reduce-side — the
@@ -313,7 +309,7 @@ fn non_combinable_aggregate_stays_reduce_side() {
         agg: AggKind::Avg,
         narrow: true,
     };
-    let compiled = job(&[m], ExecMode::Compiled, true).compile().unwrap();
+    let compiled = job(&[m], true).compile().unwrap();
     assert_eq!(
         compiled.pushed_partials, 0,
         "Avg must not partial-aggregate"

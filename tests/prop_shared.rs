@@ -1,19 +1,23 @@
 //! Property tests for shared multi-query execution (PR 8): running N
 //! queries through one [`MultiTimrJob`] — common prefixes merged, harmonic
 //! hopping windows factored — must be *byte-identical*, per query, to N
-//! independent jobs, in every DSMS execution mode, under chaos, and must
-//! propagate a member query's runtime error exactly like an independent
-//! run (with no partial output published).
+//! independent jobs, equal to the single-node reference DSMS on the same
+//! events (paper §III-C.1), invisible to chaos, and must propagate a member
+//! query's runtime error exactly like an independent run (with no partial
+//! output published).
 
+mod common;
+
+use common::reference_relation;
 use proptest::prelude::*;
 use std::time::Duration;
 use timr_suite::mapreduce::{ChaosPlan, Cluster, ClusterConfig, Dataset, Dfs, RetryPolicy};
 use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{row, Row, Schema, Value};
-use timr_suite::temporal::exec::ExecMode;
+use timr_suite::temporal::exec::{bindings, execute_reference};
 use timr_suite::temporal::expr::{col, lit};
 use timr_suite::temporal::plan::LogicalPlan;
-use timr_suite::temporal::Query;
+use timr_suite::temporal::{EventStream, Query};
 use timr_suite::timr::multi::MultiTimrJob;
 use timr_suite::timr::{EventEncoding, ExchangeKey};
 
@@ -84,11 +88,10 @@ fn dfs_with(rows: &[Row]) -> Dfs {
     dfs
 }
 
-fn job(name: &str, members: &[Member], mode: ExecMode) -> MultiTimrJob {
+fn job(name: &str, members: &[Member]) -> MultiTimrJob {
     MultiTimrJob::new(name, members.iter().map(member_plan).collect())
         .with_key(ExchangeKey::keys(&["UserId"]))
         .with_machines(3)
-        .with_exec_mode(mode)
 }
 
 fn cluster(threads: usize, chaos: ChaosPlan) -> Cluster {
@@ -100,27 +103,32 @@ fn cluster(threads: usize, chaos: ChaosPlan) -> Cluster {
     })
 }
 
-/// Raw output partitions of every query of a shared run.
+/// Raw output partitions of every query of a shared run, and each query's
+/// output decoded back into its (normalized) relation.
 fn shared_bytes(
     members: &[Member],
     rows: &[Row],
-    mode: ExecMode,
     chaos: ChaosPlan,
-) -> Vec<Vec<Vec<Row>>> {
+) -> (Vec<Vec<Vec<Row>>>, Vec<EventStream>) {
     let dfs = dfs_with(rows);
-    let out = job("shared", members, mode)
+    let out = job("shared", members)
         .run(&dfs, &cluster(4, chaos))
         .unwrap();
-    out.datasets
+    let bytes = out
+        .datasets
         .iter()
         .map(|d| dfs.get(d).unwrap().partitions.as_ref().clone())
-        .collect()
+        .collect();
+    let relations = (0..members.len())
+        .map(|i| out.stream(i, &dfs).unwrap())
+        .collect();
+    (bytes, relations)
 }
 
 /// Raw output partitions of one query run on its own.
-fn solo_bytes(member: &Member, rows: &[Row], mode: ExecMode) -> Vec<Vec<Row>> {
+fn solo_bytes(member: &Member, rows: &[Row]) -> Vec<Vec<Row>> {
     let dfs = dfs_with(rows);
-    let out = job("solo", std::slice::from_ref(member), mode)
+    let out = job("solo", std::slice::from_ref(member))
         .run(&dfs, &cluster(4, ChaosPlan::none()))
         .unwrap();
     dfs.get(&out.datasets[0])
@@ -146,28 +154,23 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Shared execution is byte-identical to independent execution for
-    /// every member, in all four DSMS execution modes.
+    /// every member, and each member's scaled-out output is the relation
+    /// the single-node reference DSMS computes from the same events.
     #[test]
-    fn shared_equals_independent_per_query(
+    fn shared_equals_independent_and_the_reference_per_query(
         members in prop::collection::vec(arb_member(), 1..9),
         n in 60i64..140,
     ) {
         let rows = deterministic_rows(n, None);
-        for mode in [
-            ExecMode::Interpreted,
-            ExecMode::Compiled,
-            ExecMode::Columnar,
-            ExecMode::Fused,
-        ] {
-            let shared = shared_bytes(&members, &rows, mode, ChaosPlan::none());
-            prop_assert_eq!(shared.len(), members.len());
-            for (i, m) in members.iter().enumerate() {
-                let solo = solo_bytes(m, &rows, mode);
-                prop_assert_eq!(
-                    &shared[i], &solo,
-                    "query {} bytes differ under {:?}", i, mode
-                );
-            }
+        let (shared, relations) = shared_bytes(&members, &rows, ChaosPlan::none());
+        prop_assert_eq!(shared.len(), members.len());
+        for (i, m) in members.iter().enumerate() {
+            prop_assert_eq!(&shared[i], &solo_bytes(m, &rows), "query {} bytes differ", i);
+            let reference = reference_relation(&member_plan(m), "logs", &payload(), &rows);
+            prop_assert!(
+                relations[i].same_relation(&reference),
+                "query {} differs from the single-node reference", i
+            );
         }
     }
 
@@ -185,15 +188,16 @@ proptest! {
             .with_corruption(0.12)
             .with_delays(0.10, Duration::from_micros(200))
             .with_fault_cap(2);
-        let clean = shared_bytes(&members, &rows, ExecMode::Compiled, ChaosPlan::none());
-        let chaotic = shared_bytes(&members, &rows, ExecMode::Compiled, chaos);
+        let (clean, _) = shared_bytes(&members, &rows, ChaosPlan::none());
+        let (chaotic, _) = shared_bytes(&members, &rows, chaos);
         prop_assert_eq!(clean, chaotic, "chaos changed shared-job bytes");
     }
 }
 
 /// A runtime error in ONE member query fails the shared job with the same
-/// reducer error an independent run of that query produces, and publishes
-/// no output for ANY query (all-or-nothing, like a single stage).
+/// reducer error an independent run of that query produces — the error the
+/// single-node reference DSMS raises on the same events — and publishes no
+/// output for ANY query (all-or-nothing, like a single stage).
 #[test]
 fn member_error_propagates_like_independent_run() {
     let members = vec![
@@ -217,51 +221,56 @@ fn member_error_propagates_like_independent_run() {
         },
     ];
     let rows = deterministic_rows(90, Some(30)); // a few dirty V cells
-    for mode in [
-        ExecMode::Interpreted,
-        ExecMode::Compiled,
-        ExecMode::Columnar,
-    ] {
-        // Independent runs: only the poisoned query fails.
-        let solo_errs: Vec<Option<String>> = members
-            .iter()
-            .map(|m| {
-                let dfs = dfs_with(&rows);
-                job("solo", std::slice::from_ref(m), mode)
-                    .run(&dfs, &cluster(1, ChaosPlan::none()))
-                    .err()
-                    .map(|e| e.to_string())
-            })
-            .collect();
-        assert!(solo_errs[0].is_none() && solo_errs[2].is_none());
-        let solo_err = solo_errs[1].as_ref().expect("poisoned solo run fails");
 
-        // Shared run: fails, and no query's dataset is published.
-        let dfs = dfs_with(&rows);
-        let err = job("shared", &members, mode)
-            .run(&dfs, &cluster(4, ChaosPlan::none()))
-            .expect_err("shared run with a poisoned member must fail")
-            .to_string();
-        for i in 0..members.len() {
-            assert!(
-                dfs.get(&format!("shared__q{i}")).is_err(),
-                "query {i} output published despite job failure ({mode:?})"
-            );
-        }
-        // Same failure: both surface the reducer's eval error. Stage names
-        // differ (shared vs solo), so compare the root-cause message.
-        let root = |s: &str| {
-            s.rsplit(':')
-                .next()
-                .map(|t| t.trim().to_string())
-                .unwrap_or_default()
-        };
-        assert_eq!(
-            root(&err),
-            root(solo_err),
-            "shared error `{err}` differs from independent error `{solo_err}` ({mode:?})"
+    // Independent runs: only the poisoned query fails.
+    let solo_errs: Vec<Option<String>> = members
+        .iter()
+        .map(|m| {
+            let dfs = dfs_with(&rows);
+            job("solo", std::slice::from_ref(m))
+                .run(&dfs, &cluster(1, ChaosPlan::none()))
+                .err()
+                .map(|e| e.to_string())
+        })
+        .collect();
+    assert!(solo_errs[0].is_none() && solo_errs[2].is_none());
+    let solo_err = solo_errs[1].as_ref().expect("poisoned solo run fails");
+
+    // Shared run: fails, and no query's dataset is published.
+    let dfs = dfs_with(&rows);
+    let err = job("shared", &members)
+        .run(&dfs, &cluster(4, ChaosPlan::none()))
+        .expect_err("shared run with a poisoned member must fail")
+        .to_string();
+    for i in 0..members.len() {
+        assert!(
+            dfs.get(&format!("shared__q{i}")).is_err(),
+            "query {i} output published despite job failure"
         );
     }
+    // Same failure: both surface the reducer's eval error. Stage names
+    // differ (shared vs solo), so compare the root-cause message.
+    let root = |s: &str| {
+        s.rsplit(':')
+            .next()
+            .map(|t| t.trim().to_string())
+            .unwrap_or_default()
+    };
+    assert_eq!(
+        root(&err),
+        root(solo_err),
+        "shared error `{err}` differs from independent error `{solo_err}`"
+    );
+    // And it is the reference DSMS's error: the dirty cells have no
+    // columnar form, so the row fallback owns the message.
+    let stream = EventEncoding::Point
+        .decode_stream(&rows, &payload())
+        .unwrap();
+    let reference_err =
+        execute_reference(&member_plan(&members[1]), &bindings(vec![("logs", stream)]))
+            .expect_err("the reference fails on the same dirty cell")
+            .to_string();
+    assert_eq!(root(&err), root(&reference_err));
 }
 
 /// Whole-query dedup: N copies of the same query produce N identical
@@ -277,7 +286,7 @@ fn identical_queries_share_everything() {
     let members = vec![m.clone(), m.clone(), m];
     let rows = deterministic_rows(100, None);
     let dfs = dfs_with(&rows);
-    let out = job("same", &members, ExecMode::Compiled)
+    let out = job("same", &members)
         .run(&dfs, &cluster(2, ChaosPlan::none()))
         .unwrap();
     // All three sinks hold identical bytes.
