@@ -210,8 +210,7 @@ pub fn registry() -> Vec<Experiment> {
         },
         Experiment {
             name: "pr5",
-            artifact: "PR 5: chaos-engine fault-free overhead and recovery runtime \
-                 (writes BENCH_PR5.json)",
+            artifact: "PR 5: chaos-engine recovery runtime (writes BENCH_PR5.json)",
             run: bench_pr5::run,
         },
         Experiment {

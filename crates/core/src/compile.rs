@@ -13,8 +13,8 @@ use crate::bridge::{pull_through_queue, EventEncoding};
 use crate::error::{Result, TimrError};
 use crate::fragment::{fragment, Fragment, FragmentInput, FragmentKey};
 use crate::mapper::{DsmsMapper, MapperUnit};
-use mapreduce::{MrError, Partitioner, ReduceInput, Reducer, ReducerContext, Stage};
-use relation::{Row, Schema};
+use mapreduce::{MrError, Partitioner, Reducer, ReducerContext, Stage};
+use relation::{ColumnBatch, Row, Schema};
 use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -377,23 +377,17 @@ pub(crate) fn bind_rows(binding: &InputBinding, rows: &[Row]) -> Result<StreamDa
     )
 }
 
-/// Decode one shuffled input. When the shuffle delivered binary extents
-/// the framing columns split off the batch copy-free
-/// ([`EventEncoding::decode_column_batch`]) — no dataset rows are
+/// Decode one shuffled input. The framing columns split off the batch
+/// copy-free ([`EventEncoding::decode_column_batch`]) — no dataset rows are
 /// materialized and the executor runs on the batch as it arrived. Whatever
 /// that path refuses falls back to the row decode, which owns the errors.
-pub(crate) fn bind_reduce_input(binding: &InputBinding, input: &ReduceInput) -> Result<StreamData> {
-    match input {
-        ReduceInput::Batch(batch) => {
-            match binding
-                .encoding
-                .decode_column_batch(batch.clone(), &binding.payload)
-            {
-                Some(events) => Ok(StreamData::Batch(events)),
-                None => bind_rows(binding, &input.to_rows()),
-            }
-        }
-        ReduceInput::Rows(rows) => bind_rows(binding, rows),
+pub(crate) fn bind_reduce_input(binding: &InputBinding, batch: &ColumnBatch) -> Result<StreamData> {
+    match binding
+        .encoding
+        .decode_column_batch(batch.clone(), &binding.payload)
+    {
+        Some(events) => Ok(StreamData::Batch(events)),
+        None => bind_rows(binding, &batch.to_rows()),
     }
 }
 
@@ -446,16 +440,16 @@ impl Reducer for DsmsReducer {
         self.execute(ctx, sources)
     }
 
-    /// The binary-extent entry: when the shuffle delivers a decoded
-    /// [`relation::ColumnBatch`], the framing columns split off into
-    /// lifetime vectors without a row materialization or text re-parse in
-    /// between ([`EventEncoding::decode_column_batch`]). Anything the
-    /// copy-free path can't take — legacy row chunks, bad framing — falls back to the row
-    /// path with identical acceptance and errors.
+    /// The shuffle entry: the framing columns of each decoded
+    /// [`ColumnBatch`] split off into lifetime vectors without a row
+    /// materialization in between
+    /// ([`EventEncoding::decode_column_batch`]). What the copy-free path
+    /// can't take — bad framing — falls back to the row path with
+    /// identical acceptance and errors.
     fn reduce_shuffled(
         &self,
         ctx: &ReducerContext,
-        inputs: &[ReduceInput],
+        inputs: &[ColumnBatch],
     ) -> mapreduce::Result<Vec<Row>> {
         let to_mr = |e: TimrError| MrError::Reducer {
             stage: ctx.stage.clone(),
@@ -474,8 +468,8 @@ impl Reducer for DsmsReducer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use relation::row;
     use relation::schema::{ColumnType, Field};
-    use relation::{row, ColumnBatch};
 
     fn binding() -> InputBinding {
         InputBinding {
@@ -488,10 +482,10 @@ mod tests {
         }
     }
 
-    fn shuffled(rows: &[Row]) -> ReduceInput {
+    fn shuffled(rows: &[Row]) -> ColumnBatch {
         let b = binding();
         let schema = b.encoding.dataset_schema(&b.payload);
-        ReduceInput::Batch(ColumnBatch::from_rows(&schema, rows).unwrap())
+        ColumnBatch::from_rows(&schema, rows).unwrap()
     }
 
     /// A shuffled batch binds to the same events as the rows it encodes,
@@ -519,17 +513,6 @@ mod tests {
             .unwrap();
         assert_eq!(via_batch.into_stream(), reference);
         assert_eq!(via_rows.into_stream(), reference);
-    }
-
-    /// Ill-typed payloads (an Int where the schema says Long) have no batch
-    /// form: both entries fall back to the row decode, which tolerates them.
-    #[test]
-    fn ill_typed_rows_fall_back_to_the_row_decode() {
-        let rows = vec![row![1i64, 4i64, "u", 7i32]];
-        let via_rows = bind_rows(&binding(), &rows).unwrap();
-        assert!(matches!(via_rows, StreamData::Rows(_)));
-        let via_chunk = bind_reduce_input(&binding(), &ReduceInput::Rows(rows.clone())).unwrap();
-        assert_eq!(via_chunk.into_stream(), via_rows.into_stream());
     }
 
     /// What the copy-free path refuses fails exactly as the row path does.

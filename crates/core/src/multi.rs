@@ -30,10 +30,8 @@ use crate::compile::{
 };
 use crate::error::{Result, TimrError};
 use crate::mapper::{DsmsMapper, MapperUnit};
-use mapreduce::{
-    Cluster, Dfs, JobStats, MrError, Partitioner, ReduceInput, Reducer, ReducerContext, Stage,
-};
-use relation::{Row, Schema};
+use mapreduce::{Cluster, Dfs, JobStats, MrError, Partitioner, Reducer, ReducerContext, Stage};
+use relation::{ColumnBatch, Row, Schema};
 use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -499,7 +497,7 @@ impl Reducer for MultiDsmsReducer {
     fn reduce_shuffled_multi(
         &self,
         ctx: &ReducerContext,
-        inputs: &[ReduceInput],
+        inputs: &[ColumnBatch],
     ) -> mapreduce::Result<Vec<Vec<Row>>> {
         let to_mr = |e: TimrError| MrError::Reducer {
             stage: ctx.stage.clone(),

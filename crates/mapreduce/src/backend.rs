@@ -8,15 +8,16 @@
 //! trait pair, is the execution of the tasks themselves:
 //!
 //! - [`ThreadBackend`] — the in-process thread pool the runtime grew up
-//!   on, frozen as the baseline. Tasks run under `catch_unwind` in the
-//!   [`run_attempts`] retry loop.
+//!   on, frozen as the baseline. Tasks run in the [`run_attempts`] retry
+//!   loop.
 //! - `ProcessBackend` (`crate::process`, Unix only) — real worker OS
 //!   processes connected over Unix-domain sockets, exchanging binary
 //!   extent images, with heartbeats, dead-worker takeover, speculative
 //!   re-execution, and preemptive attempt timeouts.
 //!
 //! Both backends consult the same pure [`crate::chaos::ChaosPlan`] and
-//! run the same task bodies, which is the determinism argument:
+//! run the same task bodies inside the same per-attempt fault envelope
+//! ([`attempt_once`]), which is the determinism argument:
 //! whichever backend executes a task, the sealed chunks and stored
 //! extents it contributes are byte-identical
 //! (`tests/prop_cluster_backend.rs` proves it under chaos).
@@ -168,14 +169,54 @@ pub(crate) trait StageExec<'e> {
     fn finish(&mut self) -> Result<()>;
 }
 
+/// One attempt of one task, on either backend: inject the `fault` the
+/// chaos plan scheduled for this coordinate (panic / transient / delay),
+/// run `body` under `catch_unwind`, and classify the outcome. `body` is
+/// told whether to corrupt the data it reads. `KillProcess` never reaches
+/// here: each backend acts on it first, in the only way it can.
+pub(crate) fn attempt_once<T>(
+    env: &StageEnv<'_>,
+    phase: TaskPhase,
+    task: usize,
+    attempt: usize,
+    fault: Option<FaultKind>,
+    body: impl FnOnce(bool) -> std::result::Result<T, TaskError>,
+) -> std::result::Result<T, TaskError> {
+    let stage = env.stage.name.as_str();
+    std::panic::catch_unwind(AssertUnwindSafe(|| {
+        match fault {
+            Some(FaultKind::Panic) => std::panic::panic_any(format!(
+                "{}: `{stage}` {phase} task {task} attempt {attempt}",
+                chaos::INJECTED_PANIC_MARKER
+            )),
+            Some(FaultKind::Transient) => {
+                return Err(TaskError::Transient {
+                    message: format!("injected kill (attempt {attempt})"),
+                });
+            }
+            Some(FaultKind::Delay) => {
+                // In a worker process this tallies a forked copy nobody
+                // reads; the parent scheduler charges the delay itself.
+                env.counters.add(&env.counters.delays, 1);
+                std::thread::sleep(env.config.chaos.delay());
+            }
+            _ => {}
+        }
+        body(fault == Some(FaultKind::Corrupt))
+    }))
+    .unwrap_or_else(|payload| {
+        Err(TaskError::Panicked {
+            payload: pool::payload_str(payload.as_ref()).to_string(),
+        })
+    })
+}
+
 /// Run one task's attempt loop (thread backend).
 ///
-/// Each attempt consults the chaos plan (injecting any scheduled panic /
-/// transient / delay, and passing a `corrupt` flag for the body to apply
-/// to the data it reads), runs `body` under `catch_unwind`, and
-/// classifies the outcome. Retryable errors back off per the retry policy
-/// and try again; `TaskError::Fatal` and retry exhaustion escalate to
-/// job-level errors. A `KillProcess` fault degrades to a transient kill
+/// Each attempt consults the chaos plan and runs `body` in the
+/// [`attempt_once`] envelope. Retryable errors back off per the retry
+/// policy and try again; `TaskError::Fatal` and retry exhaustion escalate
+/// to job-level errors. A `KillProcess` fault degrades to a transient kill
 /// here: threads share the process, so a real SIGKILL would take the
 /// whole cluster down rather than one worker.
 pub(crate) fn run_attempts<T>(
@@ -191,38 +232,12 @@ pub(crate) fn run_attempts<T>(
     let mut attempt = 0usize;
     loop {
         let mut fault = config.chaos.fault_for(stage, phase, task, attempt);
-        if !config.integrity && fault == Some(FaultKind::Corrupt) {
-            // With verification off, corruption would pass silently and
-            // break repeatability; degrade it to a detectable kill.
-            fault = Some(FaultKind::Transient);
-        }
         if fault == Some(FaultKind::KillProcess) {
             fault = Some(FaultKind::Transient);
         }
         let started = Instant::now();
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            match fault {
-                Some(FaultKind::Panic) => std::panic::panic_any(format!(
-                    "{}: `{stage}` {phase} task {task} attempt {attempt}",
-                    chaos::INJECTED_PANIC_MARKER
-                )),
-                Some(FaultKind::Transient) => {
-                    return Err(TaskError::Transient {
-                        message: format!("injected kill (attempt {attempt})"),
-                    });
-                }
-                Some(FaultKind::Delay) => {
-                    counters.add(&counters.delays, 1);
-                    std::thread::sleep(config.chaos.delay());
-                }
-                _ => {}
-            }
-            body(attempt, fault == Some(FaultKind::Corrupt))
-        }));
-        let mut outcome = caught.unwrap_or_else(|payload| {
-            Err(TaskError::Panicked {
-                payload: pool::payload_str(payload.as_ref()).to_string(),
-            })
+        let mut outcome = attempt_once(env, phase, task, attempt, fault, |corrupt| {
+            body(attempt, corrupt)
         });
         // Post-hoc deadline: threads cannot be preempted, so a result that
         // lands after `attempt_timeout` is *discarded* and the attempt
@@ -341,11 +356,11 @@ impl<'e> StageExec<'e> for ThreadExec<'e> {
             .run_caught(env.stage.partitions, |p| {
                 let mut slot = crate::cluster::lock_slot(&shuffle[p]);
                 // Shuffle fetch: verify this partition's chunks against
-                // their per-column (binary) or row-level (legacy) frames;
-                // on a mismatch, rebuild them from the source extents and
-                // retry. On success, decode into the reduce input forms —
-                // one partition's worth of decoded data at a time, which
-                // is what keeps budgeted runs out-of-core.
+                // their per-column frames; on a mismatch, rebuild them
+                // from the source extents and retry. On success, decode
+                // into the reducer's input batches — one partition's worth
+                // of decoded data at a time, which is what keeps budgeted
+                // runs out-of-core.
                 let fetched = run_attempts(env, TaskPhase::Shuffle, p, |_, corrupt| {
                     crate::cluster::run_shuffle_fetch(env, p, corrupt, &mut slot)
                 })?;

@@ -38,14 +38,14 @@ use crate::backend::{
     Backend, BackendKind, FaultCounters, ReduceOut, SpeculationPolicy, StageEnv, StageExec,
     ThreadBackend,
 };
-use crate::chaos::{self, ChaosPlan, ExtentFrame, RetryPolicy};
+use crate::chaos::{self, ChaosPlan, RetryPolicy};
 use crate::dfs::{Dataset, Dfs, StoredExtent};
 use crate::error::{MrError, Result, TaskError};
-use crate::job::{MapperContext, ReduceInput, ReducerContext, Stage};
+use crate::job::{MapperContext, ReducerContext, Stage};
 use crate::stats::{JobStats, StageStats};
 use pool::WorkerPool;
 use relation::column::ColumnBuilder;
-use relation::{codec, ColumnBatch, Row, Schema};
+use relation::{ColumnBatch, RelationError, Row, Schema};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -66,11 +66,6 @@ pub struct ClusterConfig {
     pub chaos: ChaosPlan,
     /// Per-task retry budget and backoff schedule.
     pub retry: RetryPolicy,
-    /// Verify integrity frames on map reads and shuffle fetches, and frame
-    /// stage outputs. On by default; turning it off exists to measure the
-    /// framing/verification overhead (corruption then degrades to
-    /// transient faults, since it would be undetectable).
-    pub integrity: bool,
     /// Shuffle memory budget. When set, map tasks run in bounded waves
     /// and seal bounded binary chunks, and sealed chunks beyond the budget
     /// spill to disk files — so a job whose shuffle exceeds RAM still runs
@@ -81,11 +76,6 @@ pub struct ClusterConfig {
     /// Directory for spill files. `None` uses `$TMPDIR/timr-spill`.
     /// Files are removed when their shuffle slot is dropped.
     pub spill_dir: Option<PathBuf>,
-    /// Also measure what the shuffle would cost in the legacy text
-    /// encoding (`StageStats::shuffle_bytes_text`). Off by default: the
-    /// measurement pays the per-row text-encode CPU that the binary
-    /// extent path exists to eliminate.
-    pub measure_text_shuffle: bool,
     /// Which execution backend runs the tasks: the in-process thread pool
     /// (default) or real worker OS processes over Unix-domain sockets.
     pub backend: BackendKind,
@@ -110,10 +100,8 @@ impl Default for ClusterConfig {
             dsms_threads: 1,
             chaos: ChaosPlan::none(),
             retry: RetryPolicy::default(),
-            integrity: true,
             memory_budget_bytes: None,
             spill_dir: None,
-            measure_text_shuffle: false,
             backend: BackendKind::Threads,
             heartbeat_interval: Duration::from_millis(20),
             heartbeat_deadline: Duration::from_secs(2),
@@ -159,12 +147,12 @@ impl Default for Cluster {
 /// Output of one map task: the sealed chunks of a single input extent,
 /// per reduce partition, plus accounting.
 pub(crate) struct MapTaskOut {
-    pub(crate) chunks: Vec<Vec<ChunkData>>,
+    /// `chunks[p]`: partition `p`'s sealed extent images, in row order.
+    pub(crate) chunks: Vec<Vec<Vec<u8>>>,
     pub(crate) rows_in: u64,
     pub(crate) rows_out: u64,
     pub(crate) bytes: u64,
     pub(crate) bytes_saved: u64,
-    pub(crate) text_bytes: u64,
     pub(crate) seal_time: Duration,
 }
 
@@ -175,7 +163,6 @@ struct MapPhase {
     map_rows_out: u64,
     shuffle_bytes: u64,
     shuffle_bytes_saved: u64,
-    shuffle_bytes_text: u64,
     placed: Placement,
     map_tasks: usize,
     map_time: Duration,
@@ -198,45 +185,21 @@ struct Placement {
 /// Monotonic suffix keeping concurrent clusters' spill files distinct.
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// One sealed chunk of a shuffle partition — the native transfer unit.
+/// One sealed chunk of a shuffle partition — a framed binary columnar
+/// extent image, the native transfer unit — wherever it was placed.
 #[derive(Debug, PartialEq)]
 pub(crate) enum ShuffleChunk {
-    /// A framed binary columnar extent held in memory.
+    /// Held in memory.
     Mem(Vec<u8>),
-    /// A framed binary columnar extent spilled to a disk file under the
-    /// memory budget. `bytes` is its expected length.
+    /// Spilled to a disk file under the memory budget. `bytes` is its
+    /// expected length.
     Spilled { path: PathBuf, bytes: u64 },
-    /// Rows that could not transpose into typed columns (ill-typed),
-    /// guarded by a row-level frame.
-    Rows(Vec<Row>, ExtentFrame),
 }
 
 impl Drop for ShuffleChunk {
     fn drop(&mut self) {
         if let ShuffleChunk::Spilled { path, .. } = self {
             let _ = std::fs::remove_file(path);
-        }
-    }
-}
-
-/// A chunk as its map task sealed it, before placement (memory vs spill
-/// file). This is also what crosses the process backend's socket.
-#[derive(Debug, PartialEq)]
-pub(crate) enum ChunkData {
-    Extent(Vec<u8>),
-    Rows(Vec<Row>),
-}
-
-impl ChunkData {
-    /// The in-memory shuffle chunk holding this data; row chunks are
-    /// framed here, before any injected corruption can touch them.
-    pub(crate) fn into_mem(self) -> ShuffleChunk {
-        match self {
-            ChunkData::Extent(bytes) => ShuffleChunk::Mem(bytes),
-            ChunkData::Rows(rows) => {
-                let frame = ExtentFrame::compute(&rows);
-                ShuffleChunk::Rows(rows, frame)
-            }
         }
     }
 }
@@ -256,12 +219,9 @@ struct PartitionSealer<'a> {
     /// share of the extent.
     capacity: usize,
     builders: Vec<ColumnBuilder>,
-    /// Rows of the open chunk: what it falls back to shipping when one of
-    /// them does not inhabit the schema's types.
-    open: Vec<&'a Row>,
+    open_rows: usize,
     open_bytes: u64,
-    typed: bool,
-    sealed: Vec<ChunkData>,
+    sealed: Vec<Vec<u8>>,
     seal_time: Duration,
 }
 
@@ -272,88 +232,89 @@ impl<'a> PartitionSealer<'a> {
             target,
             capacity,
             builders: Vec::new(),
-            open: Vec::new(),
+            open_rows: 0,
             open_bytes: 0,
-            typed: true,
             sealed: Vec::new(),
             seal_time: Duration::ZERO,
         }
     }
 
-    fn push(&mut self, row: &'a Row, width: u64) {
-        if self.open.is_empty() {
+    /// Add one row to the open chunk. Errors when the row does not inhabit
+    /// the schema: it has no place in a typed column.
+    fn push(&mut self, row: &Row, width: u64) -> relation::Result<()> {
+        if self.open_rows == 0 {
             self.builders = (self.schema.fields().iter())
                 .map(|f| ColumnBuilder::new(f, self.capacity))
                 .collect();
         }
-        self.open.push(row);
+        if row.len() != self.builders.len() {
+            return Err(RelationError::ArityMismatch {
+                expected: self.builders.len(),
+                actual: row.len(),
+            });
+        }
+        for (builder, value) in self.builders.iter_mut().zip(row.values()) {
+            builder.push(value)?;
+        }
+        self.open_rows += 1;
         self.open_bytes += width;
-        if self.typed {
-            self.typed = row.len() == self.builders.len()
-                && (self.builders.iter_mut().zip(row.values())).all(|(b, v)| b.push(v).is_ok());
-        }
         if self.open_bytes >= self.target {
-            self.seal();
+            self.seal()?;
         }
+        Ok(())
     }
 
-    fn seal(&mut self) {
-        if self.open.is_empty() {
-            return;
+    fn seal(&mut self) -> relation::Result<()> {
+        if self.open_rows == 0 {
+            return Ok(());
         }
         let start = Instant::now();
-        let open = std::mem::take(&mut self.open);
-        let builders = std::mem::take(&mut self.builders);
-        let encoded = if self.typed {
-            let columns = builders.into_iter().map(ColumnBuilder::finish).collect();
-            ColumnBatch::new(self.schema.clone(), columns, open.len())
-                .to_extent_bytes()
-                .ok()
-        } else {
-            None
-        };
-        self.sealed.push(match encoded {
-            Some(bytes) => ChunkData::Extent(bytes),
-            // Ill-typed rows cannot transpose; ship them as a legacy row
-            // chunk instead.
-            None => ChunkData::Rows(open.into_iter().cloned().collect()),
-        });
+        let columns = std::mem::take(&mut self.builders)
+            .into_iter()
+            .map(ColumnBuilder::finish)
+            .collect();
+        let rows = std::mem::take(&mut self.open_rows);
+        let chunk = ColumnBatch::new(self.schema.clone(), columns, rows).to_extent_bytes()?;
+        self.sealed.push(chunk);
         self.open_bytes = 0;
-        self.typed = true;
         self.seal_time += start.elapsed();
+        Ok(())
     }
 }
 
 /// One mapped extent, partitioned and sealed.
 struct SealedExtent {
     /// `chunks[p]`: partition `p`'s sealed chunks, in row order.
-    chunks: Vec<Vec<ChunkData>>,
+    chunks: Vec<Vec<Vec<u8>>>,
     /// Sum of the kept rows' widths.
     bytes: u64,
-    text_bytes: u64,
     seal_time: Duration,
 }
 
-/// Partition one mapped extent of stage input `i` and seal each
-/// partition's rows into chunks. With `only`, rows of every other
+/// Partition the mapped rows of extent `e` of stage input `i` and seal
+/// each partition's rows into chunks. With `only`, rows of every other
 /// partition are dropped: a partition's chunks depend on its own rows
 /// alone, so the one kept comes out exactly as the full scan sealed it.
+/// A row that does not inhabit the mapped schema — whether the source
+/// extent held it or the mapper emitted it — is [`MrError::IllTyped`].
 fn seal_extent(
     env: &StageEnv<'_>,
     i: usize,
+    e: usize,
     mapped: &[Row],
     only: Option<usize>,
 ) -> std::result::Result<SealedExtent, TaskError> {
     let partitions = env.stage.partitions;
     let partitioner = &env.assigners[i];
-    let measure_text = env.config.measure_text_shuffle;
     let capacity = mapped.len() / partitions;
     let mut sealers: Vec<PartitionSealer<'_>> = (0..partitions)
         .map(|_| PartitionSealer::new(&env.mapped_schemas[i], env.chunk_target, capacity))
         .collect();
+    let ill_typed = |cause| MrError::IllTyped {
+        site: format!("`{}` map input {i} extent {e}", env.stage.name),
+        cause,
+    };
     let mut bytes = 0u64;
-    let mut text_bytes = 0u64;
-    let mut line = String::new();
     for row in mapped {
         let p = partitioner.assign(row, partitions)?;
         if only.is_some_and(|keep| keep != p) {
@@ -361,26 +322,18 @@ fn seal_extent(
         }
         let width = row.width() as u64;
         bytes += width;
-        if measure_text {
-            line.clear();
-            codec::encode_row_into(row, &mut line);
-            text_bytes += line.len() as u64 + 1;
-        }
-        sealers[p].push(row, width);
+        sealers[p].push(row, width).map_err(ill_typed)?;
     }
     let mut seal_time = Duration::ZERO;
-    let chunks = sealers
-        .into_iter()
-        .map(|mut sealer| {
-            sealer.seal();
-            seal_time += sealer.seal_time;
-            sealer.sealed
-        })
-        .collect();
+    let mut chunks = Vec::with_capacity(partitions);
+    for mut sealer in sealers {
+        sealer.seal().map_err(ill_typed)?;
+        seal_time += sealer.seal_time;
+        chunks.push(sealer.sealed);
+    }
     Ok(SealedExtent {
         chunks,
         bytes,
-        text_bytes,
         seal_time,
     })
 }
@@ -393,9 +346,8 @@ pub(crate) struct ShuffleSlot {
 }
 
 /// Deterministically damage a stored shuffle partition *without* updating
-/// its integrity frames — verification must catch the damage. Binary
-/// chunks (in memory or spilled) get a single byte flipped mid-buffer;
-/// legacy row chunks lose a row.
+/// its integrity frames — verification must catch the damage: the first
+/// chunk (in memory or spilled) gets a single byte flipped mid-buffer.
 pub(crate) fn corrupt_slot(slot: &mut ShuffleSlot) {
     for chunks in slot.inputs.iter_mut() {
         for chunk in chunks.iter_mut() {
@@ -416,10 +368,6 @@ pub(crate) fn corrupt_slot(slot: &mut ShuffleSlot) {
                         }
                     }
                 }
-                ShuffleChunk::Rows(rows, _) => {
-                    rows.pop();
-                    return;
-                }
             }
         }
     }
@@ -430,9 +378,8 @@ pub(crate) fn corrupt_slot(slot: &mut ShuffleSlot) {
     }
 }
 
-/// Check every chunk of a shuffle slot against its integrity frames —
-/// per-column frames inside binary extents, row frames for legacy chunks.
-/// `Some(description)` on the first mismatch.
+/// Check every chunk of a shuffle slot against the per-column integrity
+/// frames inside its image. `Some(description)` on the first mismatch.
 pub(crate) fn verify_slot(slot: &ShuffleSlot) -> Option<String> {
     for (i, chunks) in slot.inputs.iter().enumerate() {
         for (c, chunk) in chunks.iter().enumerate() {
@@ -450,7 +397,6 @@ pub(crate) fn verify_slot(slot: &ShuffleSlot) -> Option<String> {
                         .map(|e| e.to_string()),
                     Err(e) => Some(format!("spill file unreadable: {e}")),
                 },
-                ShuffleChunk::Rows(rows, frame) => frame.verify(rows).err(),
             };
             if let Some(why) = why {
                 return Some(format!("shuffle input {i} chunk {c}: {why}"));
@@ -474,11 +420,11 @@ fn rebuild_slot(
     slot: &mut ShuffleSlot,
 ) -> std::result::Result<(), TaskError> {
     for (i, dataset) in env.inputs.iter().enumerate() {
-        let mut rebuilt: Vec<ChunkData> = Vec::new();
+        let mut rebuilt: Vec<Vec<u8>> = Vec::new();
         for (e, extent) in dataset.partitions.iter().enumerate() {
             dataset.verify_extent(e).map_err(read_error)?;
             let mapped = apply_mapper(env.stage, env.dsms_pool, i, e, 0, extent)?;
-            let mut sealed = seal_extent(env, i, &mapped, Some(p))?;
+            let mut sealed = seal_extent(env, i, e, &mapped, Some(p))?;
             rebuilt.append(&mut sealed.chunks[p]);
         }
         // Put the rebuilt contents back where the originals lived:
@@ -486,20 +432,16 @@ fn rebuild_slot(
         // memory; surplus (planted) chunks are dropped.
         let n = rebuilt.len();
         let old = &mut slot.inputs[i];
-        for (c, data) in rebuilt.into_iter().enumerate() {
-            if let (Some(ShuffleChunk::Spilled { path, bytes }), ChunkData::Extent(enc)) =
-                (old.get_mut(c), &data)
-            {
-                std::fs::write(&*path, enc).map_err(|e| TaskError::Transient {
-                    message: format!("spill rewrite failed at `{}`: {e}", path.display()),
-                })?;
-                *bytes = enc.len() as u64;
-                continue;
-            }
-            if c < old.len() {
-                old[c] = data.into_mem();
-            } else {
-                old.push(data.into_mem());
+        for (c, image) in rebuilt.into_iter().enumerate() {
+            match old.get_mut(c) {
+                Some(ShuffleChunk::Spilled { path, bytes }) => {
+                    std::fs::write(&*path, &image).map_err(|e| TaskError::Transient {
+                        message: format!("spill rewrite failed at `{}`: {e}", path.display()),
+                    })?;
+                    *bytes = image.len() as u64;
+                }
+                Some(mem) => *mem = ShuffleChunk::Mem(image),
+                None => old.push(ShuffleChunk::Mem(image)),
             }
         }
         old.truncate(n);
@@ -507,60 +449,43 @@ fn rebuild_slot(
     Ok(())
 }
 
-/// Decode one verified slot into per-input reduce forms: a concatenated
-/// [`ColumnBatch`] when every chunk shipped binary, rows otherwise. A
-/// decode failure still surfaces as corruption (the retry re-verifies
-/// and rebuilds).
-pub(crate) fn fetch_inputs(slot: &ShuffleSlot) -> std::result::Result<Vec<ReduceInput>, TaskError> {
+/// Decode one verified slot into one [`ColumnBatch`] per stage input: its
+/// chunks decoded and concatenated in order, or an empty batch of the
+/// input's mapped schema when no row reached this partition. A decode
+/// failure still surfaces as corruption (the retry re-verifies and
+/// rebuilds).
+pub(crate) fn fetch_inputs(
+    slot: &ShuffleSlot,
+    schemas: &[Schema],
+) -> std::result::Result<Vec<ColumnBatch>, TaskError> {
     fn chunk_err(i: usize, c: usize, e: impl std::fmt::Display) -> TaskError {
         TaskError::Corrupt {
             what: format!("shuffle input {i} chunk {c}: {e}"),
         }
     }
-    fn chunk_bytes(
-        i: usize,
-        c: usize,
-        chunk: &ShuffleChunk,
-    ) -> std::result::Result<ColumnBatch, TaskError> {
-        match chunk {
-            ShuffleChunk::Mem(bytes) => {
-                ColumnBatch::from_extent_bytes(bytes).map_err(|e| chunk_err(i, c, e))
-            }
-            ShuffleChunk::Spilled { path, .. } => {
-                let data = std::fs::read(path)
-                    .map_err(|e| chunk_err(i, c, format!("spill file unreadable: {e}")))?;
-                ColumnBatch::from_extent_bytes(&data).map_err(|e| chunk_err(i, c, e))
-            }
-            ShuffleChunk::Rows(..) => unreachable!("row chunks handled by the caller"),
-        }
-    }
 
     let mut out = Vec::with_capacity(slot.inputs.len());
-    for (i, chunks) in slot.inputs.iter().enumerate() {
-        let all_binary = !chunks.is_empty()
-            && chunks
-                .iter()
-                .all(|ch| !matches!(ch, ShuffleChunk::Rows(..)));
-        if all_binary {
-            let mut batch: Option<ColumnBatch> = None;
-            for (c, chunk) in chunks.iter().enumerate() {
-                let decoded = chunk_bytes(i, c, chunk)?;
-                match &mut batch {
-                    None => batch = Some(decoded),
-                    Some(b) => b.append(decoded).map_err(|e| chunk_err(i, c, e))?,
+    for (i, (chunks, schema)) in slot.inputs.iter().zip(schemas).enumerate() {
+        let mut batch: Option<ColumnBatch> = None;
+        for (c, chunk) in chunks.iter().enumerate() {
+            let decoded = match chunk {
+                ShuffleChunk::Mem(bytes) => ColumnBatch::from_extent_bytes(bytes),
+                ShuffleChunk::Spilled { path, .. } => {
+                    let data = std::fs::read(path)
+                        .map_err(|e| chunk_err(i, c, format!("spill file unreadable: {e}")))?;
+                    ColumnBatch::from_extent_bytes(&data)
                 }
             }
-            out.push(ReduceInput::Batch(batch.expect("chunk list is non-empty")));
-        } else {
-            let mut rows = Vec::new();
-            for (c, chunk) in chunks.iter().enumerate() {
-                match chunk {
-                    ShuffleChunk::Rows(r, _) => rows.extend(r.iter().cloned()),
-                    binary => rows.append(&mut chunk_bytes(i, c, binary)?.to_rows()),
-                }
+            .map_err(|e| chunk_err(i, c, e))?;
+            match &mut batch {
+                None => batch = Some(decoded),
+                Some(b) => b.append(decoded).map_err(|e| chunk_err(i, c, e))?,
             }
-            out.push(ReduceInput::Rows(rows));
         }
+        out.push(match batch {
+            Some(batch) => batch,
+            None => ColumnBatch::from_rows(schema, &[]).map_err(MrError::from)?,
+        });
     }
     Ok(out)
 }
@@ -617,14 +542,14 @@ pub(crate) fn run_map_task(
     // from, so verifying it would hash memory against itself. A retry
     // models a re-read from another replica — that boundary crossing is
     // verified.
-    if env.config.integrity && attempt > 0 {
+    if attempt > 0 {
         env.inputs[i].verify_extent(e).map_err(read_error)?;
     }
     // Map-side compute runs here, inside the chaos/retry/integrity
     // envelope, before partitioning.
     let raw = &env.inputs[i].partitions[e];
     let mapped = apply_mapper(env.stage, env.dsms_pool, i, e, attempt, raw)?;
-    let sealed = seal_extent(env, i, &mapped, None)?;
+    let sealed = seal_extent(env, i, e, &mapped, None)?;
     let bytes_saved = if env.stage.mapper.is_some() {
         let raw_bytes: u64 = raw.iter().map(|r| r.width() as u64).sum();
         raw_bytes.saturating_sub(sealed.bytes)
@@ -637,7 +562,6 @@ pub(crate) fn run_map_task(
         rows_out: mapped.len() as u64,
         bytes: sealed.bytes,
         bytes_saved,
-        text_bytes: sealed.text_bytes,
         seal_time: sealed.seal_time,
     })
 }
@@ -646,23 +570,21 @@ pub(crate) fn run_map_task(
 /// corruption to the stored slot, verify every chunk against its
 /// integrity frames (rebuilding from the source extents on a mismatch,
 /// then failing the attempt so the retry sees repaired data), and decode
-/// the verified chunks into reduce-input form.
+/// the verified chunks into the reducer's input batches.
 pub(crate) fn run_shuffle_fetch(
     env: &StageEnv<'_>,
     p: usize,
     corrupt: bool,
     slot: &mut ShuffleSlot,
-) -> std::result::Result<Vec<ReduceInput>, TaskError> {
+) -> std::result::Result<Vec<ColumnBatch>, TaskError> {
     if corrupt {
         corrupt_slot(slot);
     }
-    if env.config.integrity {
-        if let Some(why) = verify_slot(slot) {
-            rebuild_slot(env, p, slot)?;
-            return Err(TaskError::Corrupt { what: why });
-        }
+    if let Some(why) = verify_slot(slot) {
+        rebuild_slot(env, p, slot)?;
+        return Err(TaskError::Corrupt { what: why });
     }
-    fetch_inputs(slot)
+    fetch_inputs(slot, env.mapped_schemas)
 }
 
 /// One reduce attempt for partition `p` over already-fetched inputs. The
@@ -670,12 +592,13 @@ pub(crate) fn run_shuffle_fetch(
 /// — on any backend — reproduces the same rows. Each sink's stored form
 /// (row frame plus binary image) is computed here, inside the task, so the
 /// coordinator publishes finished extents instead of encoding them one
-/// partition at a time after the pool has gone idle.
+/// partition at a time after the pool has gone idle. A sink row that does
+/// not inhabit its sink schema is [`MrError::IllTyped`].
 pub(crate) fn run_reduce_task(
     env: &StageEnv<'_>,
     p: usize,
     attempt: usize,
-    fetched: &[ReduceInput],
+    fetched: &[ColumnBatch],
 ) -> std::result::Result<ReduceOut, TaskError> {
     let ctx = ReducerContext {
         stage: env.stage.name.clone(),
@@ -695,18 +618,14 @@ pub(crate) fn run_reduce_task(
         )))));
     }
     let reduce_time = start.elapsed();
-    let sinks = out
-        .into_iter()
-        .zip(env.sink_schemas)
-        .map(|(rows, schema)| {
-            let stored = if env.config.integrity {
-                StoredExtent::compute(schema, &rows)
-            } else {
-                StoredExtent::Unframed
-            };
-            (rows, stored)
-        })
-        .collect();
+    let mut sinks = Vec::with_capacity(out.len());
+    for (sink, (rows, schema)) in out.into_iter().zip(env.sink_schemas).enumerate() {
+        let stored = StoredExtent::seal(schema, &rows).map_err(|cause| MrError::IllTyped {
+            site: format!("`{}` reduce sink {sink} partition {p}", env.stage.name),
+            cause,
+        })?;
+        sinks.push((rows, stored));
+    }
     Ok(ReduceOut {
         sinks,
         reduce_time,
@@ -776,39 +695,36 @@ impl Cluster {
         Ok(dir.join(format!("{tag}-{}-{seq}.extent", std::process::id())))
     }
 
-    /// Place one sealed chunk: binary extents stay in memory until the
-    /// budget is reached, then spill to disk; legacy row chunks stay in
-    /// memory (they are the rare ill-typed fallback). Placement never
-    /// changes bytes, so it cannot affect output — only where they live.
+    /// Place one sealed chunk: in memory until the budget is reached, then
+    /// spilled to disk. Placement never changes bytes, so it cannot affect
+    /// output — only where they live.
     fn place_chunk(
         &self,
         stage_name: &str,
-        data: ChunkData,
+        image: Vec<u8>,
         placed: &mut Placement,
         out: &mut Vec<ShuffleChunk>,
     ) -> Result<()> {
-        if let ChunkData::Extent(bytes) = &data {
-            let len = bytes.len() as u64;
-            placed.binary_bytes += len;
-            let over_budget = self
-                .config
-                .memory_budget_bytes
-                .is_some_and(|b| placed.mem_held + len > b);
-            if over_budget {
-                let path = self.spill_path(stage_name)?;
-                std::fs::write(&path, bytes).map_err(|e| MrError::Io {
-                    what: "write spill extent".to_string(),
-                    path: path.display().to_string(),
-                    message: e.to_string(),
-                })?;
-                placed.spill_extents += 1;
-                placed.spill_bytes += len;
-                out.push(ShuffleChunk::Spilled { path, bytes: len });
-                return Ok(());
-            }
+        let len = image.len() as u64;
+        placed.binary_bytes += len;
+        let over_budget = self
+            .config
+            .memory_budget_bytes
+            .is_some_and(|b| placed.mem_held + len > b);
+        if over_budget {
+            let path = self.spill_path(stage_name)?;
+            std::fs::write(&path, &image).map_err(|e| MrError::Io {
+                what: "write spill extent".to_string(),
+                path: path.display().to_string(),
+                message: e.to_string(),
+            })?;
+            placed.spill_extents += 1;
+            placed.spill_bytes += len;
+            out.push(ShuffleChunk::Spilled { path, bytes: len });
+        } else {
             placed.mem_held += len;
+            out.push(ShuffleChunk::Mem(image));
         }
-        out.push(data.into_mem());
         Ok(())
     }
 
@@ -876,11 +792,10 @@ impl Cluster {
                 phase.map_rows_out += out.rows_out;
                 phase.shuffle_bytes += out.bytes;
                 phase.shuffle_bytes_saved += out.bytes_saved;
-                phase.shuffle_bytes_text += out.text_bytes;
                 phase.seal_time += out.seal_time;
                 for (p, sealed) in out.chunks.into_iter().enumerate() {
-                    for data in sealed {
-                        self.place_chunk(&stage.name, data, &mut phase.placed, &mut chunks[i][p])?;
+                    for image in sealed {
+                        self.place_chunk(&stage.name, image, &mut phase.placed, &mut chunks[i][p])?;
                     }
                 }
             }
@@ -1018,11 +933,7 @@ impl Cluster {
         for ((name, out_schema), (partitions_out, extents)) in
             stage.sink_names().zip(sink_schemas).zip(sinks_out)
         {
-            let output = if self.config.integrity {
-                Dataset::from_stored(out_schema, partitions_out, extents)
-            } else {
-                Dataset::partitioned_unframed(out_schema, partitions_out)
-            };
+            let output = Dataset::from_stored(out_schema, partitions_out, extents);
             dfs.put_overwrite(name, output);
         }
         let publish_time = publish_start.elapsed();
@@ -1037,7 +948,6 @@ impl Cluster {
             map_time: map_phase.map_time,
             shuffle_time: map_phase.shuffle_time,
             shuffle_bytes: map_phase.shuffle_bytes,
-            shuffle_bytes_text: map_phase.shuffle_bytes_text,
             shuffle_bytes_binary: map_phase.placed.binary_bytes,
             spill_extents: map_phase.placed.spill_extents,
             spill_bytes: map_phase.placed.spill_bytes,
@@ -1167,7 +1077,7 @@ mod tests {
         fn reduce_shuffled_multi(
             &self,
             _ctx: &ReducerContext,
-            inputs: &[ReduceInput],
+            inputs: &[ColumnBatch],
         ) -> Result<Vec<Vec<Row>>> {
             let mut even = Vec::new();
             let mut odd = Vec::new();
@@ -1595,34 +1505,27 @@ mod tests {
     }
 
     #[test]
-    fn well_typed_shuffle_delivers_columnar_batches() {
-        // A reducer that refuses row-shaped input: proves the shuffle hands
-        // decoded `ColumnBatch`es to reducers when every chunk is binary.
+    fn every_input_arrives_as_a_batch_of_its_schema_even_when_empty() {
         #[derive(Debug)]
-        struct BatchOnlyReducer;
-        impl Reducer for BatchOnlyReducer {
+        struct SchemaCheckingReducer;
+        impl Reducer for SchemaCheckingReducer {
             fn output_schema(&self, _: &[Schema]) -> Result<Schema> {
                 Ok(Schema::new(vec![Field::new("N", ColumnType::Long)]))
             }
-            fn reduce(&self, _: &ReducerContext, inputs: &[Vec<Row>]) -> Result<Vec<Row>> {
-                let n: usize = inputs.iter().map(Vec::len).sum();
-                Ok(vec![row![n as i64]])
+            fn reduce(&self, _: &ReducerContext, _: &[Vec<Row>]) -> Result<Vec<Row>> {
+                unreachable!("driven through reduce_shuffled")
             }
             fn reduce_shuffled(
                 &self,
-                ctx: &ReducerContext,
-                inputs: &[ReduceInput],
+                _: &ReducerContext,
+                inputs: &[ColumnBatch],
             ) -> Result<Vec<Row>> {
-                assert!(
-                    inputs
-                        .iter()
-                        .all(|i| matches!(i, ReduceInput::Batch(_)) || i.is_empty()),
-                    "well-typed shuffle data must arrive columnar"
-                );
-                let rows: Vec<Vec<Row>> = inputs.iter().map(ReduceInput::to_rows).collect();
-                self.reduce(ctx, &rows)
+                assert_eq!(inputs.len(), 1);
+                assert_eq!(inputs[0].schema(), &schema());
+                Ok(vec![row![inputs[0].len() as i64]])
             }
         }
+        // Seven users over sixteen partitions: most partitions get no row.
         let dfs = dfs_with_input(90);
         let stage = Stage::new(
             "batch",
@@ -1631,19 +1534,17 @@ mod tests {
             Partitioner::KeyHash {
                 columns: vec!["UserId".into()],
             },
-            3,
-            Arc::new(BatchOnlyReducer) as ReducerRef,
+            16,
+            Arc::new(SchemaCheckingReducer) as ReducerRef,
         )
         .unwrap();
         Cluster::new().run_stage(&dfs, &stage).unwrap();
-        let total: i64 = dfs
-            .get("out")
-            .unwrap()
-            .scan()
-            .iter()
+        let counts: Vec<i64> = (dfs.get("out").unwrap().iter())
             .map(|r| r.get(0).as_long().unwrap())
-            .sum();
-        assert_eq!(total, 90);
+            .collect();
+        assert_eq!(counts.len(), 16);
+        assert!(counts.contains(&0), "some partition must be empty");
+        assert_eq!(counts.iter().sum::<i64>(), 90);
     }
 
     /// Run the map/shuffle of `stage` on `cluster` with seal target
@@ -1690,12 +1591,11 @@ mod tests {
         f(&env, &mut slots, &phase)
     }
 
-    /// What each chunk of a slot holds, wherever it lives.
-    fn images(slot: &ShuffleSlot) -> Vec<Vec<ChunkData>> {
+    /// The image each chunk of a slot holds, wherever it lives.
+    fn images(slot: &ShuffleSlot) -> Vec<Vec<Vec<u8>>> {
         let image = |chunk: &ShuffleChunk| match chunk {
-            ShuffleChunk::Mem(bytes) => ChunkData::Extent(bytes.clone()),
-            ShuffleChunk::Spilled { path, .. } => ChunkData::Extent(std::fs::read(path).unwrap()),
-            ShuffleChunk::Rows(rows, _) => ChunkData::Rows(rows.clone()),
+            ShuffleChunk::Mem(bytes) => bytes.clone(),
+            ShuffleChunk::Spilled { path, .. } => std::fs::read(path).unwrap(),
         };
         (slot.inputs.iter())
             .map(|chunks| chunks.iter().map(image).collect())
@@ -1724,11 +1624,10 @@ mod tests {
     }
 
     /// Rows over few users (so some partitions stay empty), one in ten
-    /// null-heavy and one in ten ill-typed (a string in the `Long` column).
+    /// null-heavy.
     fn arb_keyed_rows() -> impl Strategy<Value = Vec<Row>> {
         let row = (0i64..1000, 0u8..10, 0u8..10).prop_map(|(n, user, kind)| match kind {
             0 => Row::new(vec![Value::Long(n), Value::Null, Value::Null]),
-            1 => row![n, format!("u{user}"), "not-a-number"],
             _ => row![n, format!("u{user}"), n * 3],
         });
         (1u8..10, prop::collection::vec(row, 0..250)).prop_map(|(users, rows)| {
@@ -1751,16 +1650,12 @@ mod tests {
     /// `extents`, by the definition: per extent and partition, cut where
     /// the row widths reach `target`, and seal each piece as `from_rows`
     /// would.
-    fn expected_images(
-        stage: &Stage,
-        extents: &[Vec<Row>],
-        target: u64,
-    ) -> Vec<Vec<Vec<ChunkData>>> {
+    fn expected_images(stage: &Stage, extents: &[Vec<Row>], target: u64) -> Vec<Vec<Vec<Vec<u8>>>> {
         let schema = keyed_schema();
         let assign = stage.partitioner.compile(&schema).unwrap();
-        let seal = |piece: &[Row]| match StoredExtent::compute(&schema, piece) {
-            StoredExtent::Binary { bytes, .. } => ChunkData::Extent(bytes.as_ref().clone()),
-            _ => ChunkData::Rows(piece.to_vec()),
+        let seal = |piece: &[Row]| {
+            let stored = StoredExtent::seal(&schema, piece).unwrap();
+            stored.bytes.as_ref().clone()
         };
         (0..stage.partitions)
             .map(|p| {
@@ -1826,10 +1721,8 @@ mod tests {
                     });
                     std::fs::remove_dir_all(&spill).ok();
                     prop_assert_eq!(&got, &expected, "{:?} x{} budget {:?}", backend, threads, budget);
-                    let binary: u64 = expected.iter().flatten().flatten().map(|c| match c {
-                        ChunkData::Extent(b) => b.len() as u64,
-                        ChunkData::Rows(_) => 0,
-                    }).sum();
+                    let binary: u64 =
+                        expected.iter().flatten().flatten().map(|c| c.len() as u64).sum();
                     if budget.is_some_and(|b| binary > b) {
                         prop_assert!(spilled > 0, "a shuffle past its budget must spill");
                     }
@@ -1840,16 +1733,10 @@ mod tests {
 
     #[test]
     fn rebuild_reproduces_the_tasks_chunks_in_memory_and_spilled() {
-        let typed: Vec<Row> = (0..240i64)
+        let rows: Vec<Row> = (0..240i64)
             .map(|i| row![i, format!("u{}", i % 9), i * 3])
             .collect();
-        // Every partition's first chunk is a row chunk: the first extent
-        // holds only rows that cannot transpose.
-        let mut ill_typed_first = typed.clone();
-        for r in &mut ill_typed_first[..60] {
-            *r = Row::new(vec![r.get(0).clone(), r.get(1).clone(), Value::str("x")]);
-        }
-        for (rows, budget) in [(&typed, None), (&typed, Some(1)), (&ill_typed_first, None)] {
+        for budget in [None, Some(1)] {
             let spill = tempdir();
             let cluster = Cluster::with_config(ClusterConfig {
                 threads: 2,

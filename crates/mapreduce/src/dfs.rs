@@ -2,16 +2,16 @@
 //!
 //! Stands in for Cosmos/HDFS/GFS: named datasets made of partition "extents"
 //! of rows. Every dataset keeps a decoded working copy (the `partitions` row
-//! vectors the map phase scans) plus, per extent, its **native stored form**
-//! ([`StoredExtent`]): the framed binary columnar encoding
-//! ([`relation::extent`]) when the rows inhabit the schema, or a legacy
-//! row-level [`ExtentFrame`] when they do not (ill-typed rows cannot be
-//! transposed into typed column buffers).
+//! vectors the map phase scans) plus, per extent, its **stored form**
+//! ([`StoredExtent`]): the framed binary columnar image
+//! ([`relation::extent`]) of the rows. Rows that do not inhabit the schema
+//! have no image and cannot be stored.
 //!
-//! Both forms carry integrity frames — per-column FxHash frames inside the
-//! binary bytes, a length + checksum frame for legacy extents — so consumers
-//! ([`Dataset::verify_extent`], the cluster's map scan, persistence) detect
-//! corruption instead of silently processing damaged data.
+//! The stored form carries integrity frames — per-column FxHash frames
+//! inside the image, a length + checksum frame over the decoded rows — so
+//! consumers ([`Dataset::verify_extent`], the cluster's map scan,
+//! persistence) detect corruption instead of silently processing damaged
+//! data.
 
 use crate::chaos::ExtentFrame;
 use crate::error::{MrError, Result};
@@ -22,36 +22,23 @@ use std::sync::Arc;
 
 /// The stored (shippable) form of one extent.
 #[derive(Debug, Clone)]
-pub enum StoredExtent {
-    /// Framed binary columnar extent bytes — the native form — plus the
-    /// row-level frame guarding the decoded working copy.
-    Binary {
-        /// Encoded extent (see [`relation::extent`] for the layout).
-        bytes: Arc<Vec<u8>>,
-        /// Frame over the decoded rows (detects bit rot in the working
-        /// copy without decoding `bytes`).
-        frame: ExtentFrame,
-    },
-    /// Rows that do not inhabit the schema types and so cannot transpose;
-    /// guarded by the row-level frame only.
-    Legacy(ExtentFrame),
-    /// No integrity information (benchmark mode; verification passes
-    /// vacuously).
-    Unframed,
+pub struct StoredExtent {
+    /// Encoded extent (see [`relation::extent`] for the layout).
+    pub bytes: Arc<Vec<u8>>,
+    /// Frame over the decoded rows (detects bit rot in the working copy
+    /// without decoding `bytes`).
+    pub frame: ExtentFrame,
 }
 
 impl StoredExtent {
-    /// Compute the stored form for one partition of rows: binary when the
-    /// rows transpose into `schema`'s typed columns, legacy otherwise.
-    pub(crate) fn compute(schema: &Schema, rows: &[Row]) -> StoredExtent {
-        let frame = ExtentFrame::compute(rows);
-        match ColumnBatch::from_rows(schema, rows).and_then(|b| b.to_extent_bytes()) {
-            Ok(bytes) => StoredExtent::Binary {
-                bytes: Arc::new(bytes),
-                frame,
-            },
-            Err(_) => StoredExtent::Legacy(frame),
-        }
+    /// Seal one partition of rows into its stored form. Errors, naming the
+    /// offending cell, when a row does not inhabit `schema`.
+    pub(crate) fn seal(schema: &Schema, rows: &[Row]) -> relation::Result<StoredExtent> {
+        let bytes = ColumnBatch::from_rows(schema, rows)?.to_extent_bytes()?;
+        Ok(StoredExtent {
+            bytes: Arc::new(bytes),
+            frame: ExtentFrame::compute(rows),
+        })
     }
 }
 
@@ -64,7 +51,7 @@ pub struct Dataset {
     /// Partitions (extents), decoded. A freshly-loaded dataset may have
     /// any number; stage outputs have one per reduce partition.
     pub partitions: Arc<Vec<Vec<Row>>>,
-    /// One stored form per extent; empty for unframed datasets.
+    /// One stored form per extent.
     extents: Arc<Vec<StoredExtent>>,
 }
 
@@ -74,27 +61,25 @@ impl Dataset {
         Dataset::partitioned(schema, vec![rows])
     }
 
-    /// Build from explicit partitions, encoding and framing every extent.
+    /// Build from explicit partitions, sealing every extent. Panics, with
+    /// the text of [`MrError::IllTyped`], if a row does not inhabit
+    /// `schema` — a programming error in whatever built the rows, like a
+    /// duplicate column in `Schema::new`.
     pub fn partitioned(schema: Schema, partitions: Vec<Vec<Row>>) -> Self {
         let extents = partitions
             .iter()
-            .map(|p| StoredExtent::compute(&schema, p))
+            .enumerate()
+            .map(|(i, p)| {
+                StoredExtent::seal(&schema, p).unwrap_or_else(|cause| {
+                    let site = format!("extent {i}");
+                    panic!("{}", MrError::IllTyped { site, cause })
+                })
+            })
             .collect();
         Dataset {
             schema,
             partitions: Arc::new(partitions),
             extents: Arc::new(extents),
-        }
-    }
-
-    /// Build from explicit partitions **without** integrity frames.
-    /// Reads of an unframed dataset cannot detect corruption; this exists
-    /// so the integrity overhead can be measured (`integrity: false` runs).
-    pub fn partitioned_unframed(schema: Schema, partitions: Vec<Vec<Row>>) -> Self {
-        Dataset {
-            schema,
-            partitions: Arc::new(partitions),
-            extents: Arc::new(Vec::new()),
         }
     }
 
@@ -113,23 +98,20 @@ impl Dataset {
         }
     }
 
-    /// Stored forms, one per extent (empty for unframed datasets).
+    /// Stored forms, one per extent.
     pub fn extents(&self) -> &[StoredExtent] {
         &self.extents
     }
 
-    /// The framed binary bytes of extent `i`, when it has a binary stored
-    /// form (shippable/persistable without re-encoding).
+    /// The framed binary image of extent `i` (shippable/persistable
+    /// without re-encoding); `None` past the last extent.
     pub fn binary_extent(&self, i: usize) -> Option<&Arc<Vec<u8>>> {
-        match self.extents.get(i) {
-            Some(StoredExtent::Binary { bytes, .. }) => Some(bytes),
-            _ => None,
-        }
+        self.extents.get(i).map(|stored| &stored.bytes)
     }
 
     /// Verify extent `i`: the decoded rows against their frame, and the
-    /// binary bytes against their per-column frames. Unframed datasets
-    /// (and extent indices past the stored list) pass vacuously.
+    /// binary image against its per-column frames. Indices past the last
+    /// extent pass vacuously.
     pub fn verify_extent(&self, i: usize) -> Result<()> {
         let (Some(stored), Some(rows)) = (self.extents.get(i), self.partitions.get(i)) else {
             return Ok(());
@@ -137,14 +119,8 @@ impl Dataset {
         let corrupt = |why: String| MrError::Corrupt {
             what: format!("extent {i}: {why}"),
         };
-        match stored {
-            StoredExtent::Binary { bytes, frame } => {
-                frame.verify(rows).map_err(corrupt)?;
-                relation::extent::verify_extent(bytes).map_err(|e| corrupt(e.to_string()))
-            }
-            StoredExtent::Legacy(frame) => frame.verify(rows).map_err(corrupt),
-            StoredExtent::Unframed => Ok(()),
-        }
+        stored.frame.verify(rows).map_err(corrupt)?;
+        relation::extent::verify_extent(&stored.bytes).map_err(|e| corrupt(e.to_string()))
     }
 
     /// Verify every extent against its frame.
@@ -184,16 +160,6 @@ impl Dataset {
     /// shared partitions (no copy of the dataset is materialized).
     pub fn stats(&self) -> DatasetStats {
         DatasetStats::compute(&self.schema, self.iter())
-    }
-
-    /// Validate every row against the schema.
-    pub fn check(&self) -> Result<()> {
-        for p in self.partitions.iter() {
-            for row in p {
-                row.check(&self.schema)?;
-            }
-        }
-        Ok(())
     }
 }
 
@@ -330,9 +296,9 @@ mod tests {
     fn extents_are_framed_and_verify_clean() {
         let ds = sample();
         assert_eq!(ds.extents().len(), 2);
-        // Well-typed rows get the native binary stored form.
         assert!(ds.binary_extent(0).is_some());
         assert!(ds.binary_extent(1).is_some());
+        assert!(ds.binary_extent(2).is_none());
         ds.verify().unwrap();
         ds.verify_extent(0).unwrap();
         // Indices past the extent list pass vacuously rather than panic.
@@ -364,16 +330,10 @@ mod tests {
         // Flip one byte inside the stored binary extent while leaving the
         // decoded rows intact: the per-column frames must catch it.
         let mut extents: Vec<StoredExtent> = ds.extents().to_vec();
-        let StoredExtent::Binary { bytes, frame } = extents[0].clone() else {
-            panic!("sample extent 0 should be binary");
-        };
-        let mut damaged_bytes = bytes.as_ref().clone();
+        let mut damaged_bytes = extents[0].bytes.as_ref().clone();
         let mid = damaged_bytes.len() / 2;
         damaged_bytes[mid] ^= 0xFF;
-        extents[0] = StoredExtent::Binary {
-            bytes: Arc::new(damaged_bytes),
-            frame,
-        };
+        extents[0].bytes = Arc::new(damaged_bytes);
         let damaged = Dataset {
             schema: ds.schema.clone(),
             partitions: ds.partitions.clone(),
@@ -383,32 +343,16 @@ mod tests {
         assert!(matches!(err, MrError::Corrupt { .. }), "{err}");
     }
 
+    /// A row that does not inhabit the schema has no image: building the
+    /// dataset names the extent and the offending cell.
     #[test]
-    fn ill_typed_rows_fall_back_to_legacy_framing() {
-        let ds = Dataset::partitioned(
+    #[should_panic(
+        expected = "ill-typed row in extent 1: type mismatch in `Time`: expected long, got str"
+    )]
+    fn ill_typed_rows_cannot_be_stored() {
+        Dataset::partitioned(
             schema(),
             vec![vec![row![1i64, "ok"]], vec![row!["not-a-time", "u"]]],
         );
-        assert!(ds.binary_extent(0).is_some());
-        assert!(ds.binary_extent(1).is_none());
-        assert!(matches!(ds.extents()[1], StoredExtent::Legacy(_)));
-        // Legacy extents still verify via their row frame.
-        ds.verify().unwrap();
-    }
-
-    #[test]
-    fn unframed_datasets_skip_verification() {
-        let ds = Dataset::partitioned_unframed(schema(), vec![vec![row![1i64, "u1"]]]);
-        assert!(ds.extents().is_empty());
-        ds.verify().unwrap();
-    }
-
-    #[test]
-    fn check_validates_all_partitions() {
-        let bad = Dataset::partitioned(
-            schema(),
-            vec![vec![row![1i64, "ok"]], vec![row!["not-a-time", "u"]]],
-        );
-        assert!(bad.check().is_err());
     }
 }

@@ -126,6 +126,20 @@ pub enum MrError {
         /// What failed verification and how.
         what: String,
     },
+    /// A row at a stage boundary does not inhabit its schema, so it has no
+    /// extent image. Deterministic — the same rows fail the same way on
+    /// every attempt and backend — so it is never retried and nothing is
+    /// published.
+    IllTyped {
+        /// Where the row sat: "`stage` map input 0 extent 3" (a source
+        /// extent or the mapper's output for it), "`stage` reduce sink 1
+        /// partition 2" (a reducer's output), or "extent 1" for a dataset
+        /// built outside a stage.
+        site: String,
+        /// The cell that does not fit: column, expected and actual type
+        /// (or the row's arity against the schema's).
+        cause: RelationError,
+    },
     /// The execution backend itself failed (worker process could not be
     /// spawned, the worker set died beyond the respawn budget, a protocol
     /// violation on the wire) — as opposed to a task failing *on* a
@@ -172,6 +186,7 @@ impl fmt::Display for MrError {
                 message,
             } => write!(f, "io error ({what}) at `{path}`: {message}"),
             MrError::Corrupt { what } => write!(f, "corruption detected: {what}"),
+            MrError::IllTyped { site, cause } => write!(f, "ill-typed row in {site}: {cause}"),
             MrError::Backend { message } => write!(f, "backend failure: {message}"),
             MrError::TaskExhausted {
                 stage,
@@ -192,7 +207,7 @@ impl fmt::Display for MrError {
 impl std::error::Error for MrError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            MrError::Relation(e) => Some(e),
+            MrError::Relation(e) | MrError::IllTyped { cause: e, .. } => Some(e),
             _ => None,
         }
     }

@@ -161,16 +161,16 @@ pub trait Reducer: Send + Sync {
     /// Process one partition.
     fn reduce(&self, ctx: &ReducerContext, inputs: &[Vec<Row>]) -> Result<Vec<Row>>;
 
-    /// Process one partition straight from the shuffle's native stored
-    /// forms: a decoded [`ColumnBatch`] when every chunk of an input
-    /// shipped as a binary extent, rows otherwise.
+    /// Process one partition straight from the shuffle: per stage input,
+    /// the [`ColumnBatch`] its extent chunks decode and concatenate into
+    /// (empty, with the input's mapped schema, when no row reached this
+    /// partition).
     ///
     /// The default materializes rows and calls [`Reducer::reduce`], so
-    /// existing reducers keep working; columnar-aware reducers (the
-    /// embedded DSMS) override this to consume the batch copy-free
-    /// instead of re-parsing rows.
-    fn reduce_shuffled(&self, ctx: &ReducerContext, inputs: &[ReduceInput]) -> Result<Vec<Row>> {
-        let rows: Vec<Vec<Row>> = inputs.iter().map(ReduceInput::to_rows).collect();
+    /// row reducers keep working; columnar-aware reducers (the embedded
+    /// DSMS) override this to consume the batch copy-free.
+    fn reduce_shuffled(&self, ctx: &ReducerContext, inputs: &[ColumnBatch]) -> Result<Vec<Row>> {
+        let rows: Vec<Vec<Row>> = inputs.iter().map(ColumnBatch::to_rows).collect();
         self.reduce(ctx, &rows)
     }
 
@@ -195,55 +195,9 @@ pub trait Reducer: Send + Sync {
     fn reduce_shuffled_multi(
         &self,
         ctx: &ReducerContext,
-        inputs: &[ReduceInput],
+        inputs: &[ColumnBatch],
     ) -> Result<Vec<Vec<Row>>> {
         Ok(vec![self.reduce_shuffled(ctx, inputs)?])
-    }
-}
-
-/// One stage input's shuffled partition, in the form it arrived in.
-#[derive(Debug, Clone)]
-pub enum ReduceInput {
-    /// Every shuffle chunk of this input was a binary columnar extent;
-    /// they decode and concatenate into one batch.
-    Batch(ColumnBatch),
-    /// At least one chunk could not transpose (ill-typed rows), so the
-    /// whole input is materialized as rows.
-    Rows(Vec<Row>),
-}
-
-impl ReduceInput {
-    /// Number of rows in this input.
-    pub fn len(&self) -> usize {
-        match self {
-            ReduceInput::Batch(b) => b.len(),
-            ReduceInput::Rows(r) => r.len(),
-        }
-    }
-
-    /// True when this input holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Materialize as rows (copies; the row path of [`Reducer::reduce`]).
-    pub fn to_rows(&self) -> Vec<Row> {
-        match self {
-            ReduceInput::Batch(b) => b.to_rows(),
-            ReduceInput::Rows(r) => r.clone(),
-        }
-    }
-
-    /// Materialize as rows, consuming the input: the `Rows` form moves
-    /// without copying a whole partition (a batch still transposes).
-    /// Prefer this over [`ReduceInput::to_rows`] whenever the input is
-    /// owned — the cluster keeps shuffle buckets shared across retry
-    /// attempts, but reducers handed owned inputs should not clone them.
-    pub fn into_rows(self) -> Vec<Row> {
-        match self {
-            ReduceInput::Batch(b) => b.to_rows(),
-            ReduceInput::Rows(r) => r,
-        }
     }
 }
 
@@ -295,10 +249,11 @@ impl MapperContext {
 ///
 /// Batch-native implementations (the embedded DSMS fragment mapper)
 /// transpose the extent into a `ColumnBatch` once and run columnar
-/// kernels over it, falling back to rows when the extent is ill-typed;
-/// output rows are sealed into framed binary extents by the shuffle
-/// exactly like raw rows, so everything downstream (spill, integrity,
-/// rebuild) applies unchanged.
+/// kernels over it; output rows are sealed into framed binary extents by
+/// the shuffle exactly like raw rows, so everything downstream (spill,
+/// integrity, rebuild) applies unchanged. Output rows must inhabit
+/// [`Mapper::output_schema`]: one that does not fails the job with
+/// `MrError::IllTyped`.
 pub trait Mapper: Send + Sync {
     /// Output schema for stage input `input`, given its dataset schema.
     /// The shuffle seals chunks — and the partitioner resolves key

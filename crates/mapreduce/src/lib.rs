@@ -23,8 +23,10 @@
 //! - **Native binary extents.** Stage boundaries — DFS datasets, shuffle
 //!   partition chunks, persisted files — carry framed binary columnar
 //!   extents ([`relation::extent`]) with per-column FxHash integrity
-//!   frames; the text codec survives as a debug writer and legacy read
-//!   fallback. Under `ClusterConfig::memory_budget_bytes` the shuffle
+//!   frames, and nothing else: a row that does not inhabit its schema has
+//!   no image and fails the job with a named [`MrError::IllTyped`]. The
+//!   text codec survives only in [`persist`], as a debug writer and a
+//!   loader. Under `ClusterConfig::memory_budget_bytes` the shuffle
 //!   seals bounded chunks and spills them to disk, so jobs whose shuffle
 //!   exceeds RAM still complete with byte-identical output.
 //! - **Cost visibility.** Every stage reports rows mapped, bytes shuffled,
@@ -51,7 +53,5 @@ pub use chaos::{ChaosPlan, ExtentFrame, FaultKind, RetryPolicy};
 pub use cluster::{Cluster, ClusterConfig};
 pub use dfs::{Dataset, Dfs, StoredExtent};
 pub use error::{MrError, Result, TaskError, TaskPhase};
-pub use job::{
-    Mapper, MapperContext, MapperRef, Partitioner, ReduceInput, Reducer, ReducerContext, Stage,
-};
+pub use job::{Mapper, MapperContext, MapperRef, Partitioner, Reducer, ReducerContext, Stage};
 pub use stats::{FaultTotals, JobStats, MapTotals, StageStats};

@@ -36,9 +36,9 @@
 //! the loader can verify by iterating `lines()` without rebuilding the
 //! body. And on the read side any extension-less `part-NNNNN` file — with
 //! or without a frame header — still loads, so pre-binary directories
-//! remain readable; partitions that cannot transpose into columns (rows
-//! that defy the schema) also fall back to text so [`save_dataset`] never
-//! loses data.
+//! remain readable. The loader parses every cell by its schema type, so
+//! what it loads always has a binary image, and a loaded dataset is native
+//! whichever form its files were in.
 //!
 //! Dataset names are restricted to `[A-Za-z0-9._-]` so a name can never
 //! escape the root directory.
@@ -200,27 +200,22 @@ fn save_dataset_impl(root: &Path, name: &str, dataset: &Dataset, force_text: boo
     clear_stale_parts(&dir)?;
     write_schema_file(&dir, &dataset.schema)?;
 
-    for (i, partition) in dataset.partitions.iter().enumerate() {
-        match (force_text, dataset.binary_extent(i)) {
-            (false, Some(bytes)) => {
-                let path = dir.join(format!("part-{i:05}.bin"));
-                fs::write(&path, bytes.as_ref())
-                    .map_err(|e| io_err(e, "write binary extent", &path))?;
-            }
-            // Debug writer, or a partition with no binary image (legacy
-            // frame or unframed): framed text keeps it loadable.
-            _ => {
-                let path = dir.join(format!("part-{i:05}"));
-                let file = fs::File::create(&path).map_err(|e| io_err(e, "write extent", &path))?;
-                write_text_extent(file, partition).map_err(|e| io_err(e, "write extent", &path))?;
-            }
+    for (i, (partition, stored)) in dataset.partitions.iter().zip(dataset.extents()).enumerate() {
+        if force_text {
+            let path = dir.join(format!("part-{i:05}"));
+            let file = fs::File::create(&path).map_err(|e| io_err(e, "write extent", &path))?;
+            write_text_extent(file, partition).map_err(|e| io_err(e, "write extent", &path))?;
+        } else {
+            let path = dir.join(format!("part-{i:05}.bin"));
+            fs::write(&path, stored.bytes.as_ref())
+                .map_err(|e| io_err(e, "write binary extent", &path))?;
         }
     }
     Ok(())
 }
 
 /// Write one dataset to `<root>/<name>/` in the native binary extent
-/// format (partitions without a binary image fall back to framed text).
+/// format: each extent's in-memory image, byte for byte.
 pub fn save_dataset(root: &Path, name: &str, dataset: &Dataset) -> Result<()> {
     save_dataset_impl(root, name, dataset, false)
 }
@@ -246,11 +241,8 @@ fn load_binary_extent(path: &Path, schema: &Schema) -> Result<(Vec<Row>, StoredE
     }
     let rows = batch.to_rows();
     let frame = ExtentFrame::compute(&rows);
-    let stored = StoredExtent::Binary {
-        bytes: Arc::new(bytes),
-        frame,
-    };
-    Ok((rows, stored))
+    let bytes = Arc::new(bytes);
+    Ok((rows, StoredExtent { bytes, frame }))
 }
 
 fn load_text_extent(path: &Path, schema: &Schema) -> Result<Vec<Row>> {
@@ -324,7 +316,7 @@ pub fn load_dataset(root: &Path, name: &str) -> Result<Dataset> {
             extents.push(stored);
         } else {
             let rows = load_text_extent(&path, &schema)?;
-            extents.push(StoredExtent::compute(&schema, &rows));
+            extents.push(StoredExtent::seal(&schema, &rows)?);
             partitions.push(rows);
         }
     }

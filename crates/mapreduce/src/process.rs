@@ -35,11 +35,11 @@
 
 #![cfg(unix)]
 
-use crate::backend::{Backend, FaultCounters, ReduceOut, StageEnv, StageExec};
+use crate::backend::{attempt_once, Backend, FaultCounters, ReduceOut, StageEnv, StageExec};
 use crate::chaos::{self, ExtentFrame, FaultKind};
 use crate::cluster::{
-    corrupt_slot, fetch_inputs, lock_slot, run_map_task, run_reduce_task, verify_slot, ChunkData,
-    MapTaskOut, ShuffleChunk, ShuffleSlot,
+    corrupt_slot, fetch_inputs, lock_slot, run_map_task, run_reduce_task, verify_slot, MapTaskOut,
+    ShuffleChunk, ShuffleSlot,
 };
 use crate::dfs::StoredExtent;
 use crate::error::{MrError, Result, TaskError, TaskPhase};
@@ -47,11 +47,10 @@ use crate::transport::{
     encode_frame, payload_offset, Frame, FrameKind, PayloadReader, PayloadWriter, Received,
     Transport, UdsTransport,
 };
-use relation::{ColumnBatch, Row, Schema, Value};
+use relation::{ColumnBatch, RelationError, Row};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::os::unix::net::UnixStream;
-use std::panic::AssertUnwindSafe;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -77,112 +76,25 @@ fn proto_err(what: impl std::fmt::Display) -> io::Error {
 // Shared payload codecs (both sides of the socket).
 // ---------------------------------------------------------------------------
 
-/// Serialize rows that have no binary image — they do not inhabit their
-/// schema's types — cell by cell with a type tag each. (The text codec
-/// parses cells by the schema's types, so it cannot carry them.)
-fn write_rows(w: &mut PayloadWriter, rows: &[Row]) {
-    w.u64(rows.len() as u64);
-    for row in rows {
-        w.u64(row.len() as u64);
-        for v in row.values() {
-            match v {
-                Value::Null => w.u8(0),
-                Value::Bool(b) => w.u8(1).u8(u8::from(*b)),
-                Value::Int(x) => w.u8(2).u64(*x as u32 as u64),
-                Value::Long(x) => w.u8(3).u64(*x as u64),
-                Value::Double(x) => w.u8(4).u64(x.to_bits()),
-                Value::Str(s) => w.u8(5).str(s),
-            };
-        }
-    }
-}
-
-fn read_rows(r: &mut PayloadReader<'_>) -> io::Result<Vec<Row>> {
-    // Counts come off the wire: grow as cells actually arrive rather than
-    // allocating for a claimed length.
-    let mut rows = Vec::new();
-    for _ in 0..r.u64()? {
-        let mut values = Vec::new();
-        for _ in 0..r.u64()? {
-            values.push(match r.u8()? {
-                0 => Value::Null,
-                1 => Value::Bool(r.u8()? != 0),
-                2 => Value::Int(r.u64()? as u32 as i32),
-                3 => Value::Long(r.u64()? as i64),
-                4 => Value::Double(f64::from_bits(r.u64()?)),
-                5 => Value::str(r.str()?),
-                other => return Err(proto_err(format!("unknown cell tag {other}"))),
-            });
-        }
-        rows.push(Row::new(values));
-    }
-    Ok(rows)
-}
-
-/// Serialize one sealed chunk: the binary extent image verbatim — bytes
-/// a task sealed are never decoded or re-encoded on their way through the
-/// socket — or, for the ill-typed fallback, the tagged rows.
-fn write_chunk(w: &mut PayloadWriter, chunk: &ChunkData) {
-    match chunk {
-        ChunkData::Extent(bytes) => {
-            w.u8(0).bytes(bytes);
-        }
-        ChunkData::Rows(rows) => write_rows(w.u8(1), rows),
-    }
-}
-
-fn read_chunk(r: &mut PayloadReader<'_>) -> io::Result<ChunkData> {
-    match r.u8()? {
-        0 => Ok(ChunkData::Extent(r.bytes()?.to_vec())),
-        1 => Ok(ChunkData::Rows(read_rows(r)?)),
-        other => Err(proto_err(format!("unknown chunk tag {other}"))),
-    }
-}
-
 /// Serialize one sink of a reduce result: the stored form the worker
 /// sealed, which the parent publishes as is.
-fn write_sink(w: &mut PayloadWriter, schema: &Schema, rows: &[Row], stored: &StoredExtent) {
-    // An unframed run seals nothing in the task, but its rows still cross
-    // the socket as an image.
-    let sealed;
-    let stored = match stored {
-        StoredExtent::Unframed => {
-            sealed = StoredExtent::compute(schema, rows);
-            &sealed
-        }
-        framed => framed,
-    };
-    match stored {
-        StoredExtent::Binary { bytes, frame } => {
-            w.u8(0).u64(frame.rows).u64(frame.checksum).bytes(bytes);
-        }
-        StoredExtent::Legacy(frame) => {
-            write_rows(w.u8(1).u64(frame.rows).u64(frame.checksum), rows);
-        }
-        StoredExtent::Unframed => unreachable!("`compute` always frames"),
-    }
+fn write_sink(w: &mut PayloadWriter, stored: &StoredExtent) {
+    w.u64(stored.frame.rows)
+        .u64(stored.frame.checksum)
+        .bytes(&stored.bytes);
 }
 
 /// Decode one sink: the image is decoded once, for the dataset's working
 /// copy of the rows, and kept verbatim as its stored form.
-fn read_sink(r: &mut PayloadReader<'_>, integrity: bool) -> io::Result<(Vec<Row>, StoredExtent)> {
-    let tag = r.u8()?;
+fn read_sink(r: &mut PayloadReader<'_>) -> io::Result<(Vec<Row>, StoredExtent)> {
     let frame = ExtentFrame {
         rows: r.u64()?,
         checksum: r.u64()?,
     };
-    let (rows, stored) = match tag {
-        0 => {
-            let bytes = r.bytes()?;
-            let rows = ColumnBatch::from_extent_bytes(bytes)
-                .map_err(proto_err)?
-                .to_rows();
-            let bytes = Arc::new(bytes.to_vec());
-            (rows, StoredExtent::Binary { bytes, frame })
-        }
-        1 => (read_rows(r)?, StoredExtent::Legacy(frame)),
-        other => return Err(proto_err(format!("unknown sink tag {other}"))),
-    };
+    let bytes = r.bytes()?;
+    let rows = ColumnBatch::from_extent_bytes(bytes)
+        .map_err(proto_err)?
+        .to_rows();
     if rows.len() as u64 != frame.rows {
         return Err(proto_err(format!(
             "sink decodes to {} row(s), its frame says {}",
@@ -190,13 +102,8 @@ fn read_sink(r: &mut PayloadReader<'_>, integrity: bool) -> io::Result<(Vec<Row>
             frame.rows
         )));
     }
-    // An unframed run shipped the image for transport only.
-    let stored = if integrity {
-        stored
-    } else {
-        StoredExtent::Unframed
-    };
-    Ok((rows, stored))
+    let bytes = Arc::new(bytes.to_vec());
+    Ok((rows, StoredExtent { bytes, frame }))
 }
 
 fn write_task_error(w: &mut PayloadWriter, e: &TaskError) {
@@ -230,6 +137,23 @@ fn write_task_error(w: &mut PayloadWriter, e: &TaskError) {
                 }
                 MrError::Corrupt { what } => {
                     w.u8(2).str(what);
+                }
+                MrError::IllTyped {
+                    site,
+                    cause:
+                        RelationError::TypeMismatch {
+                            column,
+                            expected,
+                            actual,
+                        },
+                } => {
+                    w.u8(4).str(site).str(column).str(expected).str(actual);
+                }
+                MrError::IllTyped {
+                    site,
+                    cause: RelationError::ArityMismatch { expected, actual },
+                } => {
+                    w.u8(5).str(site).u64(*expected as u64).u64(*actual as u64);
                 }
                 other => {
                     w.u8(3).str(&other.to_string());
@@ -267,6 +191,21 @@ fn read_task_error(r: &mut PayloadReader<'_>) -> io::Result<TaskError> {
                 3 => MrError::Backend {
                     message: r.str()?.to_string(),
                 },
+                4 => MrError::IllTyped {
+                    site: r.str()?.to_string(),
+                    cause: RelationError::TypeMismatch {
+                        column: r.str()?.to_string(),
+                        expected: r.str()?.to_string(),
+                        actual: r.str()?.to_string(),
+                    },
+                },
+                5 => MrError::IllTyped {
+                    site: r.str()?.to_string(),
+                    cause: RelationError::ArityMismatch {
+                        expected: r.u64()? as usize,
+                        actual: r.u64()? as usize,
+                    },
+                },
                 other => return Err(proto_err(format!("unknown fatal error tag {other}"))),
             };
             TaskError::Fatal(Box::new(inner))
@@ -275,9 +214,9 @@ fn read_task_error(r: &mut PayloadReader<'_>) -> io::Result<TaskError> {
     })
 }
 
-/// Serialize one shuffle slot for the worker: every chunk ships as bytes
-/// (spilled chunks are read back from disk), so the worker never touches
-/// the parent's spill files.
+/// Serialize one shuffle slot for the worker: every chunk ships as its
+/// image, verbatim (spilled chunks are read back from disk), so the worker
+/// never touches the parent's spill files.
 fn write_slot(w: &mut PayloadWriter, slot: &ShuffleSlot) -> std::result::Result<(), TaskError> {
     w.u64(slot.inputs.len() as u64);
     for chunks in &slot.inputs {
@@ -285,29 +224,28 @@ fn write_slot(w: &mut PayloadWriter, slot: &ShuffleSlot) -> std::result::Result<
         for chunk in chunks {
             match chunk {
                 ShuffleChunk::Mem(bytes) => {
-                    w.u8(0).bytes(bytes);
+                    w.bytes(bytes);
                 }
                 ShuffleChunk::Spilled { path, .. } => {
                     let data = std::fs::read(path).map_err(|e| TaskError::Transient {
                         message: format!("spill file unreadable at dispatch: {e}"),
                     })?;
-                    w.u8(0).bytes(&data);
+                    w.bytes(&data);
                 }
-                ShuffleChunk::Rows(rows, _) => write_rows(w.u8(1), rows),
             }
         }
     }
     Ok(())
 }
 
+/// Counts come off the wire: grow as chunks actually arrive rather than
+/// allocating for a claimed length.
 fn read_slot(r: &mut PayloadReader<'_>) -> io::Result<ShuffleSlot> {
-    let n_inputs = r.u64()? as usize;
-    let mut inputs = Vec::with_capacity(n_inputs);
-    for _ in 0..n_inputs {
-        let n_chunks = r.u64()? as usize;
-        let mut chunks = Vec::with_capacity(n_chunks);
-        for _ in 0..n_chunks {
-            chunks.push(read_chunk(r)?.into_mem());
+    let mut inputs = Vec::new();
+    for _ in 0..r.u64()? {
+        let mut chunks = Vec::new();
+        for _ in 0..r.u64()? {
+            chunks.push(ShuffleChunk::Mem(r.bytes()?.to_vec()));
         }
         inputs.push(chunks);
     }
@@ -327,13 +265,10 @@ fn eval_fault(
     task: usize,
     attempt: usize,
 ) -> Option<FaultKind> {
-    let mut fault = env
+    let fault = env
         .config
         .chaos
         .fault_for(&env.stage.name, phase, task, attempt);
-    if !env.config.integrity && fault == Some(FaultKind::Corrupt) {
-        fault = Some(FaultKind::Transient);
-    }
     if fault == Some(FaultKind::KillProcess) {
         unsafe {
             sys::kill(sys::getpid(), sys::SIGKILL);
@@ -344,41 +279,6 @@ fn eval_fault(
         }
     }
     fault
-}
-
-/// Worker-side mirror of the thread backend's per-attempt envelope: apply
-/// the injected fault, run the body under `catch_unwind`, classify. The
-/// retry loop itself lives in the parent scheduler.
-fn run_contained<T>(
-    env: &StageEnv<'_>,
-    phase: TaskPhase,
-    task: usize,
-    attempt: usize,
-    fault: Option<FaultKind>,
-    body: impl FnOnce() -> std::result::Result<T, TaskError>,
-) -> std::result::Result<T, TaskError> {
-    let stage = env.stage.name.as_str();
-    std::panic::catch_unwind(AssertUnwindSafe(|| {
-        match fault {
-            Some(FaultKind::Panic) => std::panic::panic_any(format!(
-                "{}: `{stage}` {phase} task {task} attempt {attempt}",
-                chaos::INJECTED_PANIC_MARKER
-            )),
-            Some(FaultKind::Transient) => {
-                return Err(TaskError::Transient {
-                    message: format!("injected kill (attempt {attempt})"),
-                });
-            }
-            Some(FaultKind::Delay) => std::thread::sleep(env.config.chaos.delay()),
-            _ => {}
-        }
-        body()
-    }))
-    .unwrap_or_else(|payload| {
-        Err(TaskError::Panicked {
-            payload: pool::payload_str(payload.as_ref()).to_string(),
-        })
-    })
 }
 
 /// Send one task result, applying any scheduled socket-level chaos: a
@@ -435,8 +335,8 @@ fn handle_task(env: &StageEnv<'_>, transport: &UdsTransport, payload: &[u8]) -> 
                 std::thread::sleep(d);
             }
             let fault = eval_fault(env, TaskPhase::Map, t, attempt);
-            let outcome = run_contained(env, TaskPhase::Map, t, attempt, fault, || {
-                run_map_task(env, i, e, attempt, fault == Some(FaultKind::Corrupt))
+            let outcome = attempt_once(env, TaskPhase::Map, t, attempt, fault, |corrupt| {
+                run_map_task(env, i, e, attempt, corrupt)
             });
             let mut w = PayloadWriter::new();
             w.u64(seq).u8(0);
@@ -447,12 +347,11 @@ fn handle_task(env: &StageEnv<'_>, transport: &UdsTransport, payload: &[u8]) -> 
                         .u64(out.rows_out)
                         .u64(out.bytes)
                         .u64(out.bytes_saved)
-                        .u64(out.text_bytes)
                         .u64(out.seal_time.as_nanos() as u64);
                     for sealed in &out.chunks {
                         w.u64(sealed.len() as u64);
-                        for chunk in sealed {
-                            write_chunk(&mut w, chunk);
+                        for image in sealed {
+                            w.bytes(image);
                         }
                     }
                 }
@@ -473,19 +372,18 @@ fn handle_task(env: &StageEnv<'_>, transport: &UdsTransport, payload: &[u8]) -> 
             // reduce retry deterministically replays the same (clean)
             // shuffle rather than drawing fresh faults.
             let fault = eval_fault(env, TaskPhase::Shuffle, p, shuffle_attempt);
-            let fetched = run_contained(env, TaskPhase::Shuffle, p, shuffle_attempt, fault, || {
-                if fault == Some(FaultKind::Corrupt) {
+            let fetch = |corrupt| {
+                if corrupt {
                     corrupt_slot(&mut slot);
                 }
-                if env.config.integrity {
-                    if let Some(why) = verify_slot(&slot) {
-                        // No rebuild here: the parent's stored slot is the
-                        // durable copy, and re-sending it *is* recovery.
-                        return Err(TaskError::Corrupt { what: why });
-                    }
+                if let Some(why) = verify_slot(&slot) {
+                    // No rebuild here: the parent's stored slot is the
+                    // durable copy, and re-sending it *is* recovery.
+                    return Err(TaskError::Corrupt { what: why });
                 }
-                fetch_inputs(&slot)
-            });
+                fetch_inputs(&slot, env.mapped_schemas)
+            };
+            let fetched = attempt_once(env, TaskPhase::Shuffle, p, shuffle_attempt, fault, fetch);
             let fetched = match fetched {
                 Ok(f) => f,
                 Err(e) => {
@@ -520,7 +418,7 @@ fn handle_task(env: &StageEnv<'_>, transport: &UdsTransport, payload: &[u8]) -> 
                 std::thread::sleep(d);
             }
             let fault = eval_fault(env, TaskPhase::Reduce, p, reduce_attempt);
-            let outcome = run_contained(env, TaskPhase::Reduce, p, reduce_attempt, fault, || {
+            let outcome = attempt_once(env, TaskPhase::Reduce, p, reduce_attempt, fault, |_| {
                 run_reduce_task(env, p, reduce_attempt, &fetched)
             });
             let mut w = PayloadWriter::new();
@@ -530,8 +428,8 @@ fn handle_task(env: &StageEnv<'_>, transport: &UdsTransport, payload: &[u8]) -> 
                     w.u8(0)
                         .u64(out.reduce_time.as_nanos() as u64)
                         .u64(out.seal_time.as_nanos() as u64);
-                    for ((rows, stored), schema) in out.sinks.iter().zip(env.sink_schemas) {
-                        write_sink(&mut w, schema, rows, stored);
+                    for (_, stored) in &out.sinks {
+                        write_sink(&mut w, stored);
                     }
                 }
                 Err(e) => {
@@ -1490,13 +1388,12 @@ fn decode_map_ok(r: &mut PayloadReader<'_>, env: &StageEnv<'_>) -> io::Result<Ta
     let rows_out = r.u64()?;
     let bytes = r.u64()?;
     let bytes_saved = r.u64()?;
-    let text_bytes = r.u64()?;
     let seal_time = Duration::from_nanos(r.u64()?);
     let mut chunks = Vec::with_capacity(env.stage.partitions);
     for _ in 0..env.stage.partitions {
         let mut sealed = Vec::new();
         for _ in 0..r.u64()? {
-            sealed.push(read_chunk(r)?);
+            sealed.push(r.bytes()?.to_vec());
         }
         chunks.push(sealed);
     }
@@ -1506,7 +1403,6 @@ fn decode_map_ok(r: &mut PayloadReader<'_>, env: &StageEnv<'_>) -> io::Result<Ta
         rows_out,
         bytes,
         bytes_saved,
-        text_bytes,
         seal_time,
     }))
 }
@@ -1516,7 +1412,7 @@ fn decode_reduce_ok(r: &mut PayloadReader<'_>, env: &StageEnv<'_>) -> io::Result
     let seal_time = Duration::from_nanos(r.u64()?);
     let mut sinks = Vec::with_capacity(env.expected_sinks);
     for _ in 0..env.expected_sinks {
-        sinks.push(read_sink(r, env.config.integrity)?);
+        sinks.push(read_sink(r)?);
     }
     Ok(TaskOutput::Reduce(ReduceOut {
         sinks,
@@ -1573,5 +1469,63 @@ impl<'e> StageExec<'e> for ProcessExec<'e> {
 impl Drop for ProcessExec<'_> {
     fn drop(&mut self) {
         self.teardown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A slot whose counts promise more than the payload holds is an
+    /// error, not an allocation: nothing is sized from a count.
+    #[test]
+    fn read_slot_does_not_believe_its_counts() {
+        for claimed in [u64::MAX, 1 << 40] {
+            // The input count lies.
+            let mut w = PayloadWriter::new();
+            w.u64(claimed).u64(1).bytes(b"chunk");
+            let payload = w.finish();
+            assert!(read_slot(&mut PayloadReader::new(&payload)).is_err());
+            // The chunk count lies.
+            let mut w = PayloadWriter::new();
+            w.u64(1).u64(claimed).bytes(b"chunk");
+            let payload = w.finish();
+            assert!(read_slot(&mut PayloadReader::new(&payload)).is_err());
+        }
+        // A chunk cut short mid-image.
+        let mut w = PayloadWriter::new();
+        w.u64(1).u64(1).bytes(&[7u8; 64]);
+        let payload = w.finish();
+        assert!(read_slot(&mut PayloadReader::new(&payload[..payload.len() - 1])).is_err());
+        let whole = read_slot(&mut PayloadReader::new(&payload)).unwrap();
+        assert_eq!(whole.inputs, vec![vec![ShuffleChunk::Mem(vec![7u8; 64])]]);
+    }
+
+    /// `MrError::IllTyped` crosses the socket whole, so both backends
+    /// report the same error.
+    #[test]
+    fn ill_typed_survives_the_wire() {
+        let causes = [
+            RelationError::TypeMismatch {
+                column: "N".into(),
+                expected: "long".into(),
+                actual: "str".into(),
+            },
+            RelationError::ArityMismatch {
+                expected: 3,
+                actual: 2,
+            },
+        ];
+        for cause in causes {
+            let sent = TaskError::Fatal(Box::new(MrError::IllTyped {
+                site: "`s` reduce sink 1 partition 2".into(),
+                cause,
+            }));
+            let mut w = PayloadWriter::new();
+            write_task_error(&mut w, &sent);
+            let payload = w.finish();
+            let got = read_task_error(&mut PayloadReader::new(&payload)).unwrap();
+            assert_eq!(got, sent);
+        }
     }
 }

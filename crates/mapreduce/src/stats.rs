@@ -31,10 +31,6 @@ pub struct StageStats {
     /// Bytes moved through the shuffle (sum of row widths — the
     /// representation-independent payload measure).
     pub shuffle_bytes: u64,
-    /// What the shuffle would have moved as legacy text extents. Only
-    /// populated when `ClusterConfig::measure_text_shuffle` is on (the
-    /// measurement pays the text-encode cost the binary path eliminates).
-    pub shuffle_bytes_text: u64,
     /// Bytes actually moved as framed binary columnar extents (including
     /// per-column integrity frames and footers).
     pub shuffle_bytes_binary: u64,
@@ -258,12 +254,6 @@ impl JobStats {
     /// Total shuffle bytes avoided by map-side compute across stages.
     pub fn total_shuffle_bytes_saved(&self) -> u64 {
         self.stages.iter().map(|s| s.shuffle_bytes_saved).sum()
-    }
-
-    /// Total shuffle bytes in the legacy text encoding (zero unless
-    /// `ClusterConfig::measure_text_shuffle` was on).
-    pub fn total_shuffle_bytes_text(&self) -> u64 {
-        self.stages.iter().map(|s| s.shuffle_bytes_text).sum()
     }
 
     /// Total shuffle bytes as framed binary columnar extents.

@@ -11,8 +11,10 @@
 //! Conversion is lossless **only for rows whose cells match the declared
 //! column types** ([`ColumnType::admits`]). Row storage tolerates ill-typed
 //! cells (the codec's `decode_row` never type-checks), so [`from_rows`]
-//! returns an error for such rows and callers fall back to row-major
-//! processing — the batch layer is a fast path, never a semantic change.
+//! returns an error for such rows. Inside the DSMS callers fall back to
+//! row-major operators — there the batch layer is a fast path, never a
+//! semantic change; at a map-reduce stage boundary, which stores only
+//! extent images, the error is final.
 //!
 //! [`from_rows`]: ColumnBatch::from_rows
 
@@ -544,8 +546,8 @@ impl ColumnBatch {
     }
 
     /// Transpose rows into columns. Errors on any arity mismatch or cell
-    /// that does not inhabit its declared type; see the module docs for why
-    /// that is a fallback signal, not a failure.
+    /// that does not inhabit its declared type; see the module docs for
+    /// what callers make of that.
     pub fn from_rows(schema: &Schema, rows: &[Row]) -> Result<ColumnBatch> {
         Self::from_value_rows(schema.clone(), rows.len(), rows.iter().map(Row::values))
     }

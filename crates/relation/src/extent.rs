@@ -457,8 +457,7 @@ fn str_encoding_of(section: &[u8], validity_words: usize) -> Result<Encoding> {
 ///
 /// Errors only when a column's storage variant contradicts its declared
 /// type on a non-null slot (possible for batches assembled outside
-/// [`ColumnBatch::from_rows`]); callers treat that as "stay on the row
-/// path", mirroring the ill-typed-row fallback.
+/// [`ColumnBatch::from_rows`]); such a batch has no image.
 pub fn encode_extent(batch: &ColumnBatch) -> Result<Vec<u8>> {
     let rows = batch.len();
     let mut out = Vec::new();

@@ -10,7 +10,7 @@
 //!
 //! The crate also provides:
 //! - a line-oriented text codec ([`codec`]) kept as the human-inspectable
-//!   debug form and legacy read fallback for DFS "files";
+//!   debug form of DFS "files" (written and loaded by `mapreduce::persist`);
 //! - a framed binary columnar extent codec ([`extent`]) — per-column typed
 //!   buffers, validity bitmaps, and FxHash integrity frames — which is the
 //!   native representation at every stage boundary;

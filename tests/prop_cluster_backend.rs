@@ -5,7 +5,8 @@
 //! events, paper §III-C.1), at any worker count, and under real
 //! process-kill chaos (SIGKILL mid-task in every phase),
 //! socket-level corruption, injected stragglers with speculative
-//! re-execution, and preemptive attempt timeouts.
+//! re-execution, and preemptive attempt timeouts. A row that does not
+//! inhabit its schema fails both backends with the same named error.
 
 #![cfg(unix)]
 
@@ -13,15 +14,17 @@ mod common;
 
 use common::reference_relation;
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use timr_suite::mapreduce::job::IdentityReducer;
 use timr_suite::mapreduce::{
-    BackendKind, ChaosPlan, Cluster, ClusterConfig, Dataset, Dfs, FaultTotals, Partitioner,
-    RetryPolicy, SpeculationPolicy, Stage, TaskPhase,
+    BackendKind, ChaosPlan, Cluster, ClusterConfig, Dataset, Dfs, FaultTotals, Mapper,
+    MapperContext, MrError, Partitioner, Reducer, ReducerContext, RetryPolicy, SpeculationPolicy,
+    Stage, TaskPhase,
 };
 use timr_suite::relation::schema::{ColumnType, Field};
-use timr_suite::relation::{row, Row, Schema, Value};
+use timr_suite::relation::{row, RelationError, Row, Schema, Value};
 use timr_suite::temporal::expr::{col, lit};
 use timr_suite::temporal::Query;
 use timr_suite::timr::{Annotation, EventEncoding, ExchangeKey, TimrJob};
@@ -157,13 +160,10 @@ proptest! {
 }
 
 /// Rows over few users (so some reduce partitions stay empty), one in
-/// ten null-heavy and one in ten ill-typed (a string in the `Long`
-/// column): the shuffle ships those as row chunks and the DFS stores
-/// their partitions in the legacy form.
+/// ten null-heavy.
 fn arb_keyed_rows() -> impl Strategy<Value = Vec<Row>> {
     let row = (0i64..1000, 0u8..10, 0u8..10).prop_map(|(n, user, kind)| match kind {
         0 => Row::new(vec![Value::Long(n), Value::Null, Value::Null]),
-        1 => row![n, format!("u{user}"), "not-a-number"],
         _ => row![n, format!("u{user}"), n * 3],
     });
     (1u8..10, prop::collection::vec(row, 0..250)).prop_map(|(users, rows)| {
@@ -183,22 +183,25 @@ fn arb_keyed_rows() -> impl Strategy<Value = Vec<Row>> {
 }
 
 /// What one stage published: per reduce partition, its rows and its stored
-/// binary image (`None` for a partition stored in the legacy form).
-type Published = Vec<(Vec<Row>, Option<Vec<u8>>)>;
+/// binary image.
+type Published = Vec<(Vec<Row>, Vec<u8>)>;
 
-/// Repartition `rows` (stored as three extents) by `UserId` through an
-/// identity stage on `config`'s cluster.
-fn publish(rows: &[Row], config: ClusterConfig) -> Published {
-    let schema = Schema::timestamped(vec![
+fn keyed_schema() -> Schema {
+    Schema::timestamped(vec![
         Field::new("UserId", ColumnType::Str),
         Field::new("N", ColumnType::Long),
-    ]);
+    ])
+}
+
+/// `rows` as three extents.
+fn three_extents(rows: &[Row]) -> Vec<Vec<Row>> {
     let per_extent = rows.len().div_ceil(3).max(1);
-    let extents = rows.chunks(per_extent).map(<[Row]>::to_vec).collect();
-    let dfs = Dfs::new();
-    dfs.put("in", Dataset::partitioned(schema, extents))
-        .unwrap();
-    let stage = Stage::new(
+    rows.chunks(per_extent).map(<[Row]>::to_vec).collect()
+}
+
+/// A stage repartitioning `in` by `UserId` into four partitions of `out`.
+fn copy_stage(reducer: Arc<dyn Reducer>) -> Stage {
+    Stage::new(
         "copy",
         vec!["in".into()],
         "out",
@@ -206,16 +209,27 @@ fn publish(rows: &[Row], config: ClusterConfig) -> Published {
             columns: vec!["UserId".into()],
         },
         4,
-        Arc::new(IdentityReducer),
+        reducer,
+    )
+    .unwrap()
+}
+
+/// Repartition `rows` (stored as three extents) by `UserId` through an
+/// identity stage on `config`'s cluster.
+fn publish(rows: &[Row], config: ClusterConfig) -> Published {
+    let dfs = Dfs::new();
+    dfs.put(
+        "in",
+        Dataset::partitioned(keyed_schema(), three_extents(rows)),
     )
     .unwrap();
     Cluster::with_config(config)
-        .run_stage(&dfs, &stage)
+        .run_stage(&dfs, &copy_stage(Arc::new(IdentityReducer)))
         .unwrap();
     let out = dfs.get("out").unwrap();
     out.verify().unwrap();
     (out.partitions.iter().enumerate())
-        .map(|(i, rows)| (rows.clone(), out.binary_extent(i).map(|b| b.to_vec())))
+        .map(|(i, rows)| (rows.clone(), out.binary_extent(i).unwrap().to_vec()))
         .collect()
 }
 
@@ -271,6 +285,167 @@ proptest! {
             }
         }
         std::fs::remove_dir_all(&spill_dir).ok();
+    }
+}
+
+/// Where an ill-typed cell is planted.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Plant {
+    SourceExtent,
+    MapperOutput,
+    ReducerOutput,
+}
+
+/// `rows` with a string in the `Long` column `N` of every row stamped `at`.
+fn poison(rows: &[Row], at: i64) -> Vec<Row> {
+    let bad = |r: &Row| Row::new(vec![r.get(0).clone(), r.get(1).clone(), Value::str("x")]);
+    (rows.iter())
+        .map(|r| match r.get(0).as_long() {
+            Some(t) if t == at => bad(r),
+            _ => r.clone(),
+        })
+        .collect()
+}
+
+/// A mapper and a reducer that pass rows through, poisoned; `calls`
+/// counts invocations (in this address space: the thread backend's).
+#[derive(Debug)]
+struct Poisoner {
+    at: i64,
+    calls: AtomicUsize,
+}
+
+impl Mapper for Poisoner {
+    fn output_schema(&self, _: usize, schema: &Schema) -> timr_suite::mapreduce::Result<Schema> {
+        Ok(schema.clone())
+    }
+
+    fn map(
+        &self,
+        _: &MapperContext,
+        rows: &[Row],
+    ) -> timr_suite::mapreduce::Result<Option<Vec<Row>>> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        Ok(Some(poison(rows, self.at)))
+    }
+}
+
+impl Reducer for Poisoner {
+    fn output_schema(&self, inputs: &[Schema]) -> timr_suite::mapreduce::Result<Schema> {
+        Ok(inputs[0].clone())
+    }
+
+    fn reduce(
+        &self,
+        _: &ReducerContext,
+        inputs: &[Vec<Row>],
+    ) -> timr_suite::mapreduce::Result<Vec<Row>> {
+        self.calls.fetch_add(1, Ordering::Relaxed);
+        Ok(poison(&inputs[0], self.at))
+    }
+}
+
+/// Wait until every worker this test binary forked has been reaped. Polls
+/// briefly — concurrently running tests fork workers of their own.
+fn assert_no_zombies() {
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        let zombies = zombie_children();
+        if zombies.is_empty() {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "unreaped worker processes remain: {zombies:?}"
+        );
+        std::thread::sleep(Duration::from_millis(50));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// A cell that does not inhabit its column — in a source extent, in a
+    /// mapper's output or in a reducer's output — fails the stage with one
+    /// `MrError::IllTyped` naming where and what, the same on 1, 2 and 4
+    /// threads or worker processes, in memory or under a 2 KiB budget. It
+    /// is never retried (a retried task that keeps failing surfaces as
+    /// `TaskExhausted`, and user code runs at most once per task), and it
+    /// leaves nothing behind: no sink, no spill file, no zombie.
+    #[test]
+    fn an_ill_typed_cell_is_one_named_error_on_every_backend(
+        rows in arb_keyed_rows(),
+        pick in 0usize..250,
+    ) {
+        prop_assume!(!rows.is_empty());
+        let at = rows[pick % rows.len()].get(0).as_long().unwrap();
+        let extents = three_extents(&rows);
+        let first_bad_extent = (extents.iter())
+            .position(|e| e.iter().any(|r| r.get(0).as_long() == Some(at)))
+            .unwrap();
+        let spill_dir = std::env::temp_dir().join(format!(
+            "timr-backend-ill-typed-{}-{at}",
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&spill_dir).unwrap();
+        for plant in [Plant::SourceExtent, Plant::MapperOutput, Plant::ReducerOutput] {
+            let expected_site = match plant {
+                Plant::ReducerOutput => "`copy` reduce sink 0 partition ".to_string(),
+                _ => format!("`copy` map input 0 extent {first_bad_extent}"),
+            };
+            let mut reference: Option<String> = None;
+            for n in [1usize, 2, 4] {
+                for backend in [BackendKind::Threads, BackendKind::Processes { workers: n }] {
+                    for budget in [None, Some(2 << 10)] {
+                        let mut input = Dataset::partitioned(keyed_schema(), extents.clone());
+                        if plant == Plant::SourceExtent {
+                            input.partitions = Arc::new(three_extents(&poison(&rows, at)));
+                        }
+                        let dfs = Dfs::new();
+                        dfs.put("in", input).unwrap();
+                        let poisoner = Arc::new(Poisoner { at, calls: AtomicUsize::new(0) });
+                        let (stage, tasks) = match plant {
+                            Plant::SourceExtent => (copy_stage(Arc::new(IdentityReducer)), 0),
+                            Plant::MapperOutput => (
+                                copy_stage(Arc::new(IdentityReducer)).with_mapper(poisoner.clone()),
+                                extents.len(),
+                            ),
+                            Plant::ReducerOutput => (copy_stage(poisoner.clone()), 4),
+                        };
+                        let err = Cluster::with_config(ClusterConfig {
+                            threads: n,
+                            backend,
+                            memory_budget_bytes: budget,
+                            spill_dir: Some(spill_dir.clone()),
+                            retry: RetryPolicy::no_backoff(4),
+                            ..ClusterConfig::default()
+                        })
+                        .run_stage(&dfs, &stage)
+                        .unwrap_err();
+                        let label = format!("{plant:?} {backend:?} x{n} budget {budget:?}");
+                        let MrError::IllTyped { site, cause } = &err else {
+                            panic!("{label}: expected IllTyped, got {err:?}");
+                        };
+                        prop_assert!(site.starts_with(&expected_site), "{}: {}", label, site);
+                        prop_assert_eq!(cause, &RelationError::TypeMismatch {
+                            column: "N".into(),
+                            expected: "long".into(),
+                            actual: "str".into(),
+                        });
+                        let text = err.to_string();
+                        prop_assert_eq!(reference.get_or_insert_with(|| text.clone()), &text, "{}", label);
+                        if backend == BackendKind::Threads {
+                            prop_assert!(poisoner.calls.load(Ordering::Relaxed) <= tasks, "{}", label);
+                        }
+                        prop_assert!(!dfs.contains("out"), "{}: sink published", label);
+                        let leftovers: Vec<_> = std::fs::read_dir(&spill_dir).unwrap().collect();
+                        prop_assert!(leftovers.is_empty(), "{}: spill files leaked: {:?}", label, leftovers);
+                    }
+                }
+            }
+        }
+        std::fs::remove_dir_all(&spill_dir).ok();
+        assert_no_zombies();
     }
 }
 
@@ -405,21 +580,7 @@ fn spills_and_workers_are_cleaned_up() {
     let leftovers: Vec<_> = std::fs::read_dir(&spill_dir).unwrap().collect();
     assert!(leftovers.is_empty(), "spill files leaked: {leftovers:?}");
     std::fs::remove_dir_all(&spill_dir).ok();
-    // No zombie children: every worker the backend forked has been
-    // reaped. Poll briefly — concurrently running tests in this binary
-    // fork workers of their own.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    loop {
-        let zombies = zombie_children();
-        if zombies.is_empty() {
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "unreaped worker processes remain: {zombies:?}"
-        );
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    assert_no_zombies();
 }
 
 /// Child processes of this test binary in state Z (dead but not reaped).

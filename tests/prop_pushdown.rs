@@ -13,10 +13,7 @@ mod common;
 use common::reference_relation;
 use proptest::prelude::*;
 use std::time::Duration as WallDuration;
-use timr_suite::mapreduce::{
-    ChaosPlan, Cluster, ClusterConfig, Dataset, Dfs, ReduceInput, RetryPolicy,
-};
-use timr_suite::relation::column::ColumnBatch;
+use timr_suite::mapreduce::{ChaosPlan, Cluster, ClusterConfig, Dataset, Dfs, RetryPolicy};
 use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{row, Row, Schema};
 use timr_suite::temporal::agg::AggExpr;
@@ -368,24 +365,4 @@ fn renamed_key_finer_grouping_and_stateful_ops_are_refused() {
         .unwrap();
     let err = validate_mapper_plan(&plan, None).unwrap_err();
     assert!(err.to_string().contains("stateful"), "{err}");
-}
-
-/// The owning [`ReduceInput::into_rows`] decode path agrees with the
-/// borrowing [`ReduceInput::to_rows`] for both arrival forms — the `Rows`
-/// form moves without copying, the `Batch` form transposes to the same
-/// row order the batch held.
-#[test]
-fn reduce_input_into_rows_matches_to_rows() {
-    let schema = EventEncoding::Point.dataset_schema(&payload());
-    let rows = deterministic_rows(50);
-    let borrowed = ReduceInput::Rows(rows.clone()).to_rows();
-    let owned = ReduceInput::Rows(rows.clone()).into_rows();
-    assert_eq!(borrowed, owned);
-    assert_eq!(owned, rows);
-
-    let batch = ColumnBatch::from_rows(&schema, &rows).unwrap();
-    let borrowed = ReduceInput::Batch(batch.clone()).to_rows();
-    let owned = ReduceInput::Batch(batch).into_rows();
-    assert_eq!(borrowed, owned);
-    assert_eq!(owned, rows);
 }

