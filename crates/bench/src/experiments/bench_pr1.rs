@@ -15,7 +15,7 @@ use mapreduce::{
     StageStats,
 };
 use relation::schema::{ColumnType, Field};
-use relation::{row, Row, Schema};
+use relation::{row, ColumnBatch, Row, Schema};
 use rustc_hash::FxHashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -73,20 +73,29 @@ impl Reducer for SumPerUserReducer {
         ]))
     }
 
-    fn reduce(&self, _ctx: &ReducerContext, inputs: &[Vec<Row>]) -> mapreduce::Result<Vec<Row>> {
-        let mut sums: FxHashMap<&str, i64> = FxHashMap::default();
-        for r in inputs.iter().flatten() {
-            let user = r.get(1).as_str().unwrap_or_default();
-            let val = r.get(2).as_long().unwrap_or(0);
-            *sums.entry(user).or_insert(0) += val;
-        }
-        let mut pairs: Vec<(&str, i64)> = sums.into_iter().collect();
-        pairs.sort_unstable();
-        Ok(pairs
-            .into_iter()
-            .map(|(u, s)| row![u.to_string(), s])
-            .collect())
+    fn reduce(
+        &self,
+        _ctx: &ReducerContext,
+        inputs: Vec<ColumnBatch>,
+    ) -> mapreduce::Result<Vec<Vec<Row>>> {
+        let rows: Vec<Row> = inputs.iter().flat_map(ColumnBatch::to_rows).collect();
+        Ok(vec![sum_per_user(&rows)])
     }
+}
+
+fn sum_per_user<'a>(rows: impl IntoIterator<Item = &'a Row>) -> Vec<Row> {
+    let mut sums: FxHashMap<&str, i64> = FxHashMap::default();
+    for r in rows {
+        let user = r.get(1).as_str().unwrap_or_default();
+        let val = r.get(2).as_long().unwrap_or(0);
+        *sums.entry(user).or_insert(0) += val;
+    }
+    let mut pairs: Vec<(&str, i64)> = sums.into_iter().collect();
+    pairs.sort_unstable();
+    pairs
+        .into_iter()
+        .map(|(u, s)| row![u.to_string(), s])
+        .collect()
 }
 
 struct Run {
@@ -144,7 +153,6 @@ fn run_seed_algorithm(input: &Dataset, threads: usize) -> (Duration, Vec<Vec<Row
     let partitioner = Partitioner::KeyHash {
         columns: vec!["UserId".into()],
     };
-    let reducer = SumPerUserReducer;
     let start = Instant::now();
 
     let mut buckets: Vec<Vec<Row>> = (0..PARTITIONS).map(|_| Vec::new()).collect();
@@ -169,10 +177,9 @@ fn run_seed_algorithm(input: &Dataset, threads: usize) -> (Duration, Vec<Vec<Row
                     break;
                 }
                 let input_rows = slots[p].lock().unwrap().take().expect("task taken twice");
-                let ctx = ReducerContext::standalone("pr1/seed", p, PARTITIONS);
                 // The seed cloned the inputs on every attempt.
                 let cloned = input_rows.clone();
-                let out = reducer.reduce(&ctx, &cloned).expect("reduce");
+                let out = sum_per_user(cloned.iter().flatten());
                 *results[p].lock().unwrap() = Some(out);
             });
         }

@@ -151,7 +151,7 @@ fn sweep_plan(
             let start = Instant::now();
             let (mut roots, _) =
                 execute_data(plan, data_bindings(sources.clone()), &pool).expect("plan runs");
-            let out = roots.pop().expect("single-output plan");
+            let out = roots.pop().expect("single-output plan").into_stream();
             let elapsed = start.elapsed();
             if best.as_ref().is_none_or(|(t, _)| elapsed < *t) {
                 best = Some((elapsed, out));

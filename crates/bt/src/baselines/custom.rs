@@ -22,7 +22,7 @@ use crate::params::BtParams;
 use crate::ztest::{has_support, z_score, KeywordCounts};
 use mapreduce::{Cluster, Dfs, JobStats, MrError, Partitioner, Reducer, ReducerContext, Stage};
 use relation::schema::{ColumnType, Field};
-use relation::{row, Row, Schema, Value};
+use relation::{row, ColumnBatch, Row, Schema, Value};
 use rustc_hash::FxHashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -177,16 +177,21 @@ impl Reducer for UserStageReducer {
         Ok(user_stage_schema())
     }
 
-    fn reduce(&self, ctx: &ReducerContext, inputs: &[Vec<Row>]) -> mapreduce::Result<Vec<Row>> {
+    fn reduce(
+        &self,
+        ctx: &ReducerContext,
+        inputs: Vec<ColumnBatch>,
+    ) -> mapreduce::Result<Vec<Vec<Row>>> {
         let bad = |m: &str| MrError::Reducer {
             stage: ctx.stage.clone(),
             partition: ctx.partition,
             message: m.to_string(),
         };
+        let rows: Vec<Vec<Row>> = inputs.iter().map(ColumnBatch::to_rows).collect();
         // Group by user, then time-sort each user's events — the manual
         // "pre-sorting of data" the paper's strawman discussion calls out.
         let mut by_user: FxHashMap<String, Vec<(i64, i32, String)>> = FxHashMap::default();
-        for r in inputs.iter().flatten() {
+        for r in rows.iter().flatten() {
             let t = r.get(0).as_long().ok_or_else(|| bad("bad Time"))?;
             let sid = r.get(1).as_int().ok_or_else(|| bad("bad StreamId"))?;
             let user = r.get(2).as_str().ok_or_else(|| bad("bad UserId"))?;
@@ -208,7 +213,7 @@ impl Reducer for UserStageReducer {
                 .collect();
             self.process_user(&borrowed, &mut out, &user);
         }
-        Ok(out)
+        Ok(vec![out])
     }
 }
 
@@ -224,16 +229,21 @@ impl Reducer for AdStageReducer {
         Ok(ad_stage_schema())
     }
 
-    fn reduce(&self, ctx: &ReducerContext, inputs: &[Vec<Row>]) -> mapreduce::Result<Vec<Row>> {
+    fn reduce(
+        &self,
+        ctx: &ReducerContext,
+        inputs: Vec<ColumnBatch>,
+    ) -> mapreduce::Result<Vec<Vec<Row>>> {
         let bad = |m: &str| MrError::Reducer {
             stage: ctx.stage.clone(),
             partition: ctx.partition,
             message: m.to_string(),
         };
+        let rows: Vec<Vec<Row>> = inputs.iter().map(ColumnBatch::to_rows).collect();
         let mut totals: FxHashMap<String, (i64, i64)> = FxHashMap::default();
         let mut per_kw: FxHashMap<(String, String), (i64, i64)> = FxHashMap::default();
         let mut max_t = 0i64;
-        for r in inputs.iter().flatten() {
+        for r in rows.iter().flatten() {
             let t = r.get(0).as_long().ok_or_else(|| bad("bad Time"))?;
             max_t = max_t.max(t);
             let ad = r
@@ -280,7 +290,7 @@ impl Reducer for AdStageReducer {
             let Some(z) = z_score(&counts) else { continue };
             out.push(row![max_t, ad, kw, cw, ew, tc, te, z]);
         }
-        Ok(out)
+        Ok(vec![out])
     }
 }
 

@@ -10,18 +10,22 @@
 //! written against pure payload schemas and TiMR "transparently derives and
 //! maintains temporal information".
 //!
-//! [`pull_through_queue`] mirrors §III-C.2 literally: the embedded DSMS
-//! *pushes* results asynchronously, while map-reduce *pulls* rows
-//! synchronously from the reducer; TiMR reconciles the two with an
-//! in-memory blocking queue between a producer thread running the DSMS and
-//! the consuming reducer.
+//! The paper's §III-C.2 reconciles a DSMS that *pushes* results
+//! asynchronously with a map-reduce that *pulls* rows synchronously through
+//! an in-memory blocking queue. This repo's executor returns its complete
+//! result before the first row is pulled, so there is nothing to reconcile:
+//! [`EventEncoding::encode_sink`] and [`EventEncoding::encode_extent_order`]
+//! take the executor's root **by value** and move its payload cells into
+//! dataset rows on the calling thread. The queue lives where a producer
+//! really is concurrent with its consumer — the online path,
+//! `temporal::rt`.
 
 use crate::error::{Result, TimrError};
-use relation::column::ColumnData;
+use relation::column::{Column, ColumnData};
 use relation::schema::{ColumnType, Field, TIME_COLUMN};
 use relation::{ColumnBatch, Row, Schema, Value};
-use std::sync::mpsc;
-use temporal::{Event, EventBatch, EventStream, Lifetime};
+use temporal::exec::StreamData;
+use temporal::{Event, EventBatch, EventStream, Lifetime, Time};
 
 /// Name of the interval-encoding end column.
 pub const TIME_END_COLUMN: &str = "TimeEnd";
@@ -85,47 +89,62 @@ impl EventEncoding {
 
     /// Decode one row into an event (framing columns stripped).
     pub fn decode(self, row: &Row) -> Result<Event> {
+        let (le, re) = self.decode_lifetime(row)?;
+        let payload = Row::new(row.values()[self.framing_columns()..].to_vec());
+        Ok(Event::new(Lifetime::new(le, re), payload))
+    }
+
+    /// The validated `[LE, RE)` a row's framing cells carry. `Time::MAX`
+    /// has no successor, so a point-framed dataset cannot hold it: one named
+    /// error on every decode path, in debug and release alike, instead of an
+    /// overflow panic (which the cluster would retry) or a wrapped lifetime.
+    fn decode_lifetime(self, row: &Row) -> Result<(Time, Time)> {
         let le = row
             .get(0)
             .as_long()
             .ok_or_else(|| TimrError::Compile(format!("non-integral Time in row {row}")))?;
-        let (re, skip) = match self {
-            EventEncoding::Point => (le + 1, 1),
-            EventEncoding::Interval => {
-                let re = row.get(1).as_long().ok_or_else(|| {
-                    TimrError::Compile(format!("non-integral TimeEnd in row {row}"))
-                })?;
-                (re, 2)
-            }
+        let re = match self {
+            EventEncoding::Point => le.checked_add(1).ok_or_else(|| {
+                TimrError::Compile(format!(
+                    "Time {le} has no point lifetime: Time + 1 overflows"
+                ))
+            })?,
+            EventEncoding::Interval => row
+                .get(1)
+                .as_long()
+                .ok_or_else(|| TimrError::Compile(format!("non-integral TimeEnd in row {row}")))?,
         };
         if re <= le {
             return Err(TimrError::Compile(format!(
                 "row {row} has empty lifetime [{le}, {re})"
             )));
         }
-        let payload = Row::new(row.values()[skip..].to_vec());
-        Ok(Event::new(Lifetime::new(le, re), payload))
+        Ok((le, re))
     }
 
     /// Encode one event as a row (framing columns prepended). Point
     /// encoding requires point events.
     pub fn encode(self, event: &Event) -> Result<Row> {
-        let mut values = Vec::with_capacity(event.payload.len() + self.framing_columns());
-        values.push(Value::Long(event.start()));
-        match self {
-            EventEncoding::Point => {
-                if !event.lifetime.is_point() {
-                    return Err(TimrError::Compile(format!(
-                        "cannot point-encode interval event [{}, {})",
-                        event.start(),
-                        event.end()
-                    )));
-                }
-            }
-            EventEncoding::Interval => values.push(Value::Long(event.end())),
-        }
+        let mut values = self.framing_cells(event.start(), event.end(), event.payload.len())?;
         values.extend_from_slice(event.payload.values());
         Ok(Row::new(values))
+    }
+
+    /// The framing cells of `[le, re)`, in a vector with room for `payload`
+    /// more cells. Point encoding requires a point lifetime.
+    fn framing_cells(self, le: Time, re: Time, payload: usize) -> Result<Vec<Value>> {
+        let mut values = Vec::with_capacity(payload + self.framing_columns());
+        values.push(Value::Long(le));
+        match self {
+            EventEncoding::Point if le.checked_add(1) != Some(re) => {
+                return Err(TimrError::Compile(format!(
+                    "cannot point-encode interval event [{le}, {re})"
+                )));
+            }
+            EventEncoding::Point => {}
+            EventEncoding::Interval => values.push(Value::Long(re)),
+        }
+        Ok(values)
     }
 
     /// Decode a whole partition of rows into an event stream with the given
@@ -159,21 +178,7 @@ impl EventEncoding {
         let mut vt = Vec::with_capacity(rows.len());
         let mut ve = Vec::with_capacity(rows.len());
         for row in rows {
-            let le = row
-                .get(0)
-                .as_long()
-                .ok_or_else(|| TimrError::Compile(format!("non-integral Time in row {row}")))?;
-            let re = match self {
-                EventEncoding::Point => le + 1,
-                EventEncoding::Interval => row.get(1).as_long().ok_or_else(|| {
-                    TimrError::Compile(format!("non-integral TimeEnd in row {row}"))
-                })?,
-            };
-            if re <= le {
-                return Err(TimrError::Compile(format!(
-                    "row {row} has empty lifetime [{le}, {re})"
-                )));
-            }
+            let (le, re) = self.decode_lifetime(row)?;
             vt.push(le);
             ve.push(re);
         }
@@ -188,53 +193,55 @@ impl EventEncoding {
         })
     }
 
-    /// Decode a dataset-shaped [`ColumnBatch`] (framing columns leading)
-    /// straight into an [`EventBatch`] without ever materializing rows:
-    /// the `Time` (and `TimeEnd`) buffers are moved out as the lifetime
-    /// vectors and the remaining columns become the payload batch as-is —
-    /// the copy-free entry for reducers fed binary shuffle extents.
+    /// Decode a dataset-shaped [`ColumnBatch`] (framing columns leading),
+    /// taken by value, straight into an [`EventBatch`] without ever
+    /// materializing rows or copying a column: the `Time` (and `TimeEnd`)
+    /// buffers move out as the lifetime vectors and the remaining columns
+    /// become the payload batch as-is — the entry for reducers fed binary
+    /// shuffle extents.
     ///
-    /// Returns `None` whenever the batch cannot be accepted this way — the
-    /// schema disagrees with the expected dataset layout, a framing cell
-    /// is null, or a lifetime is empty — so the caller falls back to the
-    /// row path, whose error messages pinpoint the offending row. The
-    /// fallback therefore never changes which partitions are accepted or
-    /// how they fail.
-    pub fn decode_column_batch(self, batch: ColumnBatch, payload: &Schema) -> Option<EventBatch> {
-        if batch.schema() != &self.dataset_schema(payload) {
-            return None;
+    /// Hands the batch back untouched (`Err`) whenever it cannot be
+    /// accepted this way — the schema disagrees with the expected dataset
+    /// layout, a framing cell is null, a point `Time` has no successor, or
+    /// a lifetime is empty — so the caller falls back to the row path,
+    /// whose error messages pinpoint the offending row. The fallback
+    /// therefore never changes which partitions are accepted or how they
+    /// fail.
+    pub fn decode_column_batch(
+        self,
+        batch: ColumnBatch,
+        payload: &Schema,
+    ) -> std::result::Result<EventBatch, ColumnBatch> {
+        fn cells(column: &Column) -> Option<&[i64]> {
+            match (column.data(), column.validity()) {
+                (ColumnData::Long(v), None) => Some(v),
+                _ => None, // a null framing cell: the row path owns the error
+            }
+        }
+        let well_framed = batch.schema() == &self.dataset_schema(payload)
+            && match self {
+                EventEncoding::Point => {
+                    cells(batch.column(0)).is_some_and(|vt| !vt.contains(&Time::MAX))
+                }
+                EventEncoding::Interval => cells(batch.column(0))
+                    .zip(cells(batch.column(1)))
+                    .is_some_and(|(vt, ve)| vt.iter().zip(ve).all(|(le, re)| le < re)),
+            };
+        if !well_framed {
+            return Err(batch);
         }
         let (_schema, mut columns, rows) = batch.into_parts();
         let payload_cols = columns.split_off(self.framing_columns());
-        let mut framing = columns.into_iter();
-        let (time, time_validity) = framing.next()?.into_parts();
-        if time_validity.is_some() {
-            return None; // a null Time cell: the row path owns the error
-        }
-        let vt = match time {
+        let mut framing = columns.into_iter().map(|c| match c.into_parts().0 {
             ColumnData::Long(v) => v,
-            _ => return None,
-        };
+            _ => unreachable!("framing columns checked above"),
+        });
+        let vt = framing.next().expect("dataset schemas lead with Time");
         let ve = match self {
-            EventEncoding::Point => vt
-                .iter()
-                .map(|&t| t.checked_add(1))
-                .collect::<Option<Vec<i64>>>()?,
-            EventEncoding::Interval => {
-                let (end, end_validity) = framing.next()?.into_parts();
-                if end_validity.is_some() {
-                    return None;
-                }
-                match end {
-                    ColumnData::Long(v) => v,
-                    _ => return None,
-                }
-            }
+            EventEncoding::Point => vt.iter().map(|t| t + 1).collect(),
+            EventEncoding::Interval => framing.next().expect("interval schemas carry TimeEnd"),
         };
-        if vt.iter().zip(&ve).any(|(le, re)| re <= le) {
-            return None; // empty lifetime: fall back for the exact row error
-        }
-        Some(EventBatch::new(
+        Ok(EventBatch::new(
             vt,
             ve,
             ColumnBatch::new(payload.clone(), payload_cols, rows),
@@ -250,77 +257,71 @@ impl EventEncoding {
     /// snapshots. Canonical order alone is enough for the determinism
     /// guarantee.
     pub fn encode_stream(self, stream: &EventStream) -> Result<Vec<Row>> {
-        let mut events: Vec<Event> = stream.events().to_vec();
-        events.sort();
-        events.iter().map(|e| self.encode(e)).collect()
+        self.encode_sink(StreamData::Rows(stream.clone()))
     }
-}
 
-/// Default number of events per batch shipped over the push/pull bridge.
-pub const DEFAULT_BRIDGE_BATCH: usize = 256;
-
-/// Number of in-flight batches the bounded queue holds before the producer
-/// blocks (the paper's "DSMS blocks on pushing results").
-const BRIDGE_QUEUE_DEPTH: usize = 16;
-
-/// The push/pull bridge of paper §III-C.2: run the producer on its own
-/// thread, pushing events into a bounded blocking queue; the caller (the
-/// reducer) pulls them synchronously and encodes rows. Uses the default
-/// batch size; see [`pull_through_queue_batched`].
-pub fn pull_through_queue(encoding: EventEncoding, stream: EventStream) -> Result<Vec<Row>> {
-    pull_through_queue_batched(encoding, stream, DEFAULT_BRIDGE_BATCH)
-}
-
-/// [`pull_through_queue`] with an explicit batch size.
-///
-/// The producer ships `Vec<Event>` chunks of up to `batch` events instead
-/// of one event per queue operation, amortizing channel synchronization
-/// (two context switches per item → two per batch) exactly like the real
-/// bridge amortizes its lock acquisitions. `batch == 1` degenerates to the
-/// per-event handoff; batching never changes output order because chunks
-/// are cut from the already-sorted event sequence.
-pub fn pull_through_queue_batched(
-    encoding: EventEncoding,
-    stream: EventStream,
-    batch: usize,
-) -> Result<Vec<Row>> {
-    let batch = batch.max(1);
-    // Sort first so the producer pushes events in canonical order
-    // (deterministic restart output); see `encode_stream` for why events
-    // are not coalesced.
-    let mut events = stream.into_events();
-    events.sort();
-    let (tx, rx) = mpsc::sync_channel::<Vec<Event>>(BRIDGE_QUEUE_DEPTH);
-    let handle = std::thread::spawn(move || {
-        let mut chunk = Vec::with_capacity(batch.min(events.len()));
-        for e in events {
-            chunk.push(e);
-            if chunk.len() == batch {
-                let full = std::mem::replace(&mut chunk, Vec::with_capacity(batch));
-                if tx.send(full).is_err() {
-                    return; // consumer dropped: stop producing
-                }
+    /// Encode an executor root, taken by value, into dataset rows in
+    /// **canonical order** — [`Self::encode_stream`]'s order, established
+    /// here once, where bytes are published: the reduce sink. A row root's
+    /// events sort in place and their payload cells move into the rows; a
+    /// batch root gathers its rows once (no events in between) and sorts
+    /// them, which is the same order because a dataset row leads with its
+    /// lifetime.
+    pub fn encode_sink(self, root: StreamData) -> Result<Vec<Row>> {
+        match root {
+            StreamData::Rows(stream) => {
+                let mut events = stream.into_events();
+                events.sort();
+                self.encode_events(events)
+            }
+            StreamData::Batch(batch) => {
+                let mut rows = self.encode_batch(batch)?;
+                rows.sort();
+                Ok(rows)
             }
         }
-        if !chunk.is_empty() {
-            let _ = tx.send(chunk);
-        }
-    });
-    let mut rows = Vec::new();
-    // M-R "blocks waiting for new tuples from the reducer" — recv() blocks
-    // until the DSMS pushes the next batch of results.
-    while let Ok(chunk) = rx.recv() {
-        for event in &chunk {
-            rows.push(encoding.encode(event)?);
+    }
+
+    /// Encode an executor root, taken by value, in the order the executor
+    /// produced it — the map-side encode. Map output needs no canonical
+    /// order. It is never published. Executor output order is a pure
+    /// function of the input extent (fused row operators preserve input
+    /// order, GroupApply merges groups in sorted-key order), so retries,
+    /// rebuilds and worker processes reproduce identical chunks. And the
+    /// bytes the reduce side publishes do not depend on the order of the
+    /// rows inside an extent (`tests/prop_pushdown.rs` permutes them) —
+    /// except through float accumulators, which add tied events in arrival
+    /// order and did so before, over mapper inputs and mapper-less inputs
+    /// that nothing ever sorted.
+    pub fn encode_extent_order(self, root: StreamData) -> Result<Vec<Row>> {
+        match root {
+            StreamData::Rows(stream) => self.encode_events(stream.into_events()),
+            StreamData::Batch(batch) => self.encode_batch(batch),
         }
     }
-    handle.join().map_err(|payload| {
-        TimrError::Compile(format!(
-            "DSMS producer thread panicked: {}",
-            pool::payload_str(payload.as_ref())
-        ))
-    })?;
-    Ok(rows)
+
+    fn encode_events(self, events: Vec<Event>) -> Result<Vec<Row>> {
+        events
+            .into_iter()
+            .map(|event| {
+                let mut values =
+                    self.framing_cells(event.start(), event.end(), event.payload.len())?;
+                values.extend(event.payload.into_values());
+                Ok(Row::new(values))
+            })
+            .collect()
+    }
+
+    fn encode_batch(self, batch: EventBatch) -> Result<Vec<Row>> {
+        let columns = batch.payload().columns();
+        (batch.vt().iter().zip(batch.ve()).enumerate())
+            .map(|(i, (&le, &re))| {
+                let mut values = self.framing_cells(le, re, columns.len())?;
+                values.extend(columns.iter().map(|c| c.value(i)));
+                Ok(Row::new(values))
+            })
+            .collect()
+    }
 }
 
 #[cfg(test)]
@@ -412,39 +413,97 @@ mod tests {
         assert_eq!(back.len(), 3);
     }
 
+    /// Unsorted, with a duplicated event and two events that tie on
+    /// lifetime, so both the sort and its payload tie-break are observable.
+    fn unsorted_events(point: bool) -> Vec<Event> {
+        (0..200i64)
+            .rev()
+            .flat_map(|i| {
+                let (t, payload) = (i / 3, row![format!("u{}", i % 7), i % 5]);
+                let event = match point {
+                    true => Event::point(t, payload),
+                    false => Event::interval(t, t + 1 + i % 4, payload),
+                };
+                let copies = if i % 50 == 0 { 2 } else { 1 };
+                std::iter::repeat_n(event, copies)
+            })
+            .collect()
+    }
+
+    /// The by-value sink encode is `encode_stream` — sorted, multiplicity
+    /// preserved — whether the executor's root arrives as rows or as a
+    /// batch; the extent-order encode is the same rows, unsorted.
     #[test]
-    fn queue_bridge_preserves_content_and_order() {
+    fn by_value_sink_encode_matches_encode_stream_for_both_layouts() {
         let p = payload_schema();
-        let stream = EventStream::new(
-            p,
-            (0..500)
-                .map(|i| Event::point(i, row![format!("u{i}"), i]))
-                .collect(),
-        );
-        let direct = EventEncoding::Point.encode_stream(&stream).unwrap();
-        let queued = pull_through_queue(EventEncoding::Point, stream).unwrap();
-        assert_eq!(direct, queued);
+        for (enc, point) in [
+            (EventEncoding::Point, true),
+            (EventEncoding::Interval, false),
+        ] {
+            let stream = EventStream::new(p.clone(), unsorted_events(point));
+            let want = enc.encode_stream(&stream).unwrap();
+            assert_eq!(want.len(), stream.len(), "no event is coalesced");
+            assert!(want.windows(2).all(|w| w[0] <= w[1]), "canonical order");
+            let as_rows = || StreamData::Rows(stream.clone());
+            let as_batch = || StreamData::Batch(EventBatch::from_stream(&stream).unwrap());
+            assert_eq!(enc.encode_sink(as_rows()).unwrap(), want);
+            assert_eq!(enc.encode_sink(as_batch()).unwrap(), want);
+            let in_order: Vec<Row> = (stream.events().iter())
+                .map(|e| enc.encode(e).unwrap())
+                .collect();
+            assert_eq!(enc.encode_extent_order(as_rows()).unwrap(), in_order);
+            assert_eq!(enc.encode_extent_order(as_batch()).unwrap(), in_order);
+        }
     }
 
     #[test]
-    fn batched_bridge_is_batch_size_invariant() {
-        let p = payload_schema();
-        let make = || {
-            EventStream::new(
-                p.clone(),
-                (0..500)
-                    .rev()
-                    .map(|i| Event::point(i, row![format!("u{i}"), i]))
-                    .collect(),
-            )
-        };
-        let direct = EventEncoding::Point.encode_stream(&make()).unwrap();
-        // Batch sizes that divide 500, don't, degenerate to per-event
-        // handoff, and exceed the stream length must all agree.
-        for batch in [1, 3, 100, 499, 10_000] {
-            let queued = pull_through_queue_batched(EventEncoding::Point, make(), batch).unwrap();
-            assert_eq!(direct, queued, "batch size {batch}");
+    fn point_sink_encode_rejects_intervals_in_both_layouts() {
+        let stream = EventStream::new(
+            payload_schema(),
+            vec![
+                Event::point(3, row!["a", 0i64]),
+                Event::interval(1, 9, row!["u", 0i64]),
+            ],
+        );
+        let want = EventEncoding::Point
+            .encode_stream(&stream)
+            .unwrap_err()
+            .to_string();
+        assert!(want.contains("cannot point-encode interval event [1, 9)"));
+        let batch = StreamData::Batch(EventBatch::from_stream(&stream).unwrap());
+        for root in [StreamData::Rows(stream), batch] {
+            for encode in [
+                EventEncoding::encode_sink,
+                EventEncoding::encode_extent_order,
+            ] {
+                let err = encode(EventEncoding::Point, root.clone()).unwrap_err();
+                assert_eq!(err.to_string(), want);
+            }
         }
+    }
+
+    /// `Time::MAX` has no successor, so no point lifetime: every decode path
+    /// reports the same named error (checked arithmetic — the text is the
+    /// same in debug and release builds), and the copy-free path hands the
+    /// batch back so the row path can report it.
+    #[test]
+    fn point_decode_of_time_max_is_one_named_error() {
+        let p = payload_schema();
+        let enc = EventEncoding::Point;
+        let rows = vec![row![5i64, "u", 0i64], row![Time::MAX, "u", 1i64]];
+        let want = "compile error: Time 9223372036854775807 has no point lifetime: \
+                    Time + 1 overflows";
+        assert_eq!(enc.decode(&rows[1]).unwrap_err().to_string(), want);
+        assert_eq!(enc.decode_stream(&rows, &p).unwrap_err().to_string(), want);
+        assert_eq!(enc.decode_batch(&rows, &p).unwrap_err().to_string(), want);
+        let columns = ColumnBatch::from_rows(&enc.dataset_schema(&p), &rows).unwrap();
+        let refused = enc
+            .decode_column_batch(columns, &p)
+            .expect_err("Time::MAX cannot take the copy-free path");
+        assert_eq!(refused.to_rows(), rows, "the batch comes back untouched");
+        // An interval dataset may end at Time::MAX: only `+ 1` overflows.
+        let ends_at_max = row![5i64, Time::MAX, "u", 0i64];
+        assert!(EventEncoding::Interval.decode(&ends_at_max).is_ok());
     }
 
     #[test]
@@ -534,14 +593,14 @@ mod tests {
             Value::Long(0),
         ])];
         let b = ColumnBatch::from_rows(&ds, &null_time).unwrap();
-        assert!(enc.decode_column_batch(b, &p).is_none());
+        assert!(enc.decode_column_batch(b, &p).is_err());
         // Empty lifetime: ditto.
         let empty_life = vec![row![5i64, 5i64, "u", 0i64]];
         let b = ColumnBatch::from_rows(&ds, &empty_life).unwrap();
-        assert!(enc.decode_column_batch(b, &p).is_none());
+        assert!(enc.decode_column_batch(b, &p).is_err());
         // Schema that lacks the framing columns entirely.
         let b = ColumnBatch::from_rows(&p, &[row!["u", 1i64]]).unwrap();
-        assert!(enc.decode_column_batch(b, &p).is_none());
+        assert!(enc.decode_column_batch(b, &p).is_err());
     }
 
     #[test]

@@ -4,12 +4,14 @@
 //! input by `hash(fragment key) mod partitions` — the bucketing trick of
 //! §III-C.3 that instantiates one embedded DSMS per machine instead of one
 //! per key value. The reduce phase is [`DsmsReducer`]: the stand-alone
-//! method `P` from the paper, which decodes its partition's rows into
-//! events, runs the *unmodified* DSMS on the fragment plan (the generated
-//! method `P'`), and pulls result events back through a blocking queue.
+//! method `P` from the paper, which splits its partition's shuffled
+//! batches into lifetimes and payload columns, runs the *unmodified* DSMS on
+//! the fragment plan (the generated method `P'`), and encodes each root, by
+//! value and in canonical order, as its sink's rows
+//! ([`EventEncoding::encode_sink`]).
 
 use crate::annotate::Annotation;
-use crate::bridge::{pull_through_queue, EventEncoding};
+use crate::bridge::EventEncoding;
 use crate::error::{Result, TimrError};
 use crate::fragment::{fragment, Fragment, FragmentInput, FragmentKey};
 use crate::mapper::{DsmsMapper, MapperUnit};
@@ -377,47 +379,31 @@ pub(crate) fn bind_rows(binding: &InputBinding, rows: &[Row]) -> Result<StreamDa
     )
 }
 
-/// Decode one shuffled input. The framing columns split off the batch
-/// copy-free ([`EventEncoding::decode_column_batch`]) — no dataset rows are
-/// materialized and the executor runs on the batch as it arrived. Whatever
-/// that path refuses falls back to the row decode, which owns the errors.
-pub(crate) fn bind_reduce_input(binding: &InputBinding, batch: &ColumnBatch) -> Result<StreamData> {
+/// Decode one shuffled input, taken by value. The framing columns move out
+/// of the batch as the lifetime vectors
+/// ([`EventEncoding::decode_column_batch`]) — nothing is copied, no dataset
+/// rows are materialized and the executor runs on the batch as it arrived.
+/// Whatever that path refuses falls back to the row decode, which owns the
+/// errors.
+pub(crate) fn bind_reduce_input(binding: &InputBinding, batch: ColumnBatch) -> Result<StreamData> {
     match binding
         .encoding
-        .decode_column_batch(batch.clone(), &binding.payload)
+        .decode_column_batch(batch, &binding.payload)
     {
-        Some(events) => Ok(StreamData::Batch(events)),
-        None => bind_rows(binding, &batch.to_rows()),
+        Ok(events) => Ok(StreamData::Batch(events)),
+        Err(batch) => bind_rows(binding, &batch.to_rows()),
     }
 }
 
-/// The paper's reducer method `P`: rows → events → embedded DSMS → rows.
+/// The paper's reducer method `P`: shuffled batches → events → embedded
+/// DSMS → rows, one sink per plan root. A fragment plan has one root; the
+/// shared multi-query DAG ([`crate::multi`]) has one per query, evaluated
+/// in a single pass so shared prefixes run once per partition.
 #[derive(Debug, Clone)]
 pub struct DsmsReducer {
-    plan: LogicalPlan,
-    inputs: Vec<InputBinding>,
-    output_encoding: EventEncoding,
-}
-
-impl DsmsReducer {
-    /// Run the embedded DSMS over decoded sources and pull rows back.
-    fn execute(&self, ctx: &ReducerContext, sources: DataBindings) -> mapreduce::Result<Vec<Row>> {
-        let to_mr = |e: TimrError| MrError::Reducer {
-            stage: ctx.stage.clone(),
-            partition: ctx.partition,
-            message: e.to_string(),
-        };
-        // Bindings are rebuilt per reduce call, so hand the executor
-        // ownership: the decoded partition is moved into the plan and the
-        // first in-place operator mutates it with zero survivor clones.
-        // The embedded DSMS fans GroupApply groups out on the cluster's
-        // per-reducer pool (the `dsms_threads` knob); the merge is
-        // sorted-key ordered, so output stays byte-identical at any width.
-        let (mut roots, _) = temporal::exec::execute_data(&self.plan, sources, &ctx.dsms_pool)
-            .map_err(|e| to_mr(TimrError::Temporal(e)))?;
-        let result = roots.pop().expect("fragment plans have exactly one root");
-        pull_through_queue(self.output_encoding, result).map_err(to_mr)
-    }
+    pub(crate) plan: LogicalPlan,
+    pub(crate) inputs: Vec<InputBinding>,
+    pub(crate) output_encoding: EventEncoding,
 }
 
 impl Reducer for DsmsReducer {
@@ -426,31 +412,20 @@ impl Reducer for DsmsReducer {
         Ok(self.output_encoding.dataset_schema(payload))
     }
 
-    fn reduce(&self, ctx: &ReducerContext, inputs: &[Vec<Row>]) -> mapreduce::Result<Vec<Row>> {
-        let to_mr = |e: TimrError| MrError::Reducer {
-            stage: ctx.stage.clone(),
-            partition: ctx.partition,
-            message: e.to_string(),
-        };
-        let mut sources: DataBindings = FxHashMap::default();
-        for (binding, rows) in self.inputs.iter().zip(inputs) {
-            let data = bind_rows(binding, rows).map_err(to_mr)?;
-            sources.insert(binding.source_name.clone(), data);
-        }
-        self.execute(ctx, sources)
+    fn sink_schemas(&self, _inputs: &[Schema]) -> mapreduce::Result<Vec<Schema>> {
+        Ok(self
+            .plan
+            .roots()
+            .iter()
+            .map(|&r| self.output_encoding.dataset_schema(self.plan.schema_of(r)))
+            .collect())
     }
 
-    /// The shuffle entry: the framing columns of each decoded
-    /// [`ColumnBatch`] split off into lifetime vectors without a row
-    /// materialization in between
-    /// ([`EventEncoding::decode_column_batch`]). What the copy-free path
-    /// can't take — bad framing — falls back to the row path with
-    /// identical acceptance and errors.
-    fn reduce_shuffled(
+    fn reduce(
         &self,
         ctx: &ReducerContext,
-        inputs: &[ColumnBatch],
-    ) -> mapreduce::Result<Vec<Row>> {
+        inputs: Vec<ColumnBatch>,
+    ) -> mapreduce::Result<Vec<Vec<Row>>> {
         let to_mr = |e: TimrError| MrError::Reducer {
             stage: ctx.stage.clone(),
             partition: ctx.partition,
@@ -461,7 +436,17 @@ impl Reducer for DsmsReducer {
             let data = bind_reduce_input(binding, input).map_err(to_mr)?;
             sources.insert(binding.source_name.clone(), data);
         }
-        self.execute(ctx, sources)
+        // The executor owns the decoded partition: the first in-place
+        // operator mutates it with zero survivor clones. The embedded DSMS
+        // fans GroupApply groups out on the cluster's per-reducer pool (the
+        // `dsms_threads` knob); the merge is sorted-key ordered, so output
+        // stays byte-identical at any width.
+        let (roots, _) = temporal::exec::execute_data(&self.plan, sources, &ctx.dsms_pool)
+            .map_err(|e| to_mr(TimrError::Temporal(e)))?;
+        roots
+            .into_iter()
+            .map(|root| self.output_encoding.encode_sink(root).map_err(to_mr))
+            .collect()
     }
 }
 
@@ -503,7 +488,7 @@ mod tests {
                 _ => row![i, i + 3, format!("u{}", i % 4), i * 10],
             })
             .collect();
-        let via_batch = bind_reduce_input(&binding(), &shuffled(&rows)).unwrap();
+        let via_batch = bind_reduce_input(&binding(), shuffled(&rows)).unwrap();
         let via_rows = bind_rows(&binding(), &rows).unwrap();
         assert!(matches!(via_batch, StreamData::Batch(_)));
         assert!(matches!(via_rows, StreamData::Batch(_)));
@@ -519,7 +504,7 @@ mod tests {
     #[test]
     fn bad_framing_keeps_the_row_paths_error() {
         let empty_lifetime = vec![row![1i64, 4i64, "u", 0i64], row![5i64, 5i64, "u", 0i64]];
-        let via_batch = bind_reduce_input(&binding(), &shuffled(&empty_lifetime));
+        let via_batch = bind_reduce_input(&binding(), shuffled(&empty_lifetime));
         let row_error = binding()
             .encoding
             .decode_stream(&empty_lifetime, &binding().payload)

@@ -17,9 +17,11 @@
 //!    edges into `{fragment, key}` pairs ([`fragment`]).
 //! 4. **Convert to M-R** — each fragment becomes a map-reduce stage whose
 //!    map phase partitions by `hash(key) mod machines` (§III-C.3) and whose
-//!    reducer embeds the DSMS ([`compile::DsmsReducer`]); rows are converted
-//!    to events and back at stage boundaries ([`bridge`], §III-C.2's
-//!    push/pull queue included).
+//!    reducer embeds the DSMS ([`compile::DsmsReducer`]); shuffled
+//!    batches become events and executor roots become dataset rows at
+//!    stage boundaries ([`bridge`] — by value, with no queue in between:
+//!    §III-C.2's push/pull queue reconciles an *asynchronous* DSMS, and
+//!    this executor has returned before the first row is pulled).
 //!
 //! [`temporal_partition`] implements the paper's second parallelization
 //! axis (§III-B): windowed queries with *no* partitionable payload key are

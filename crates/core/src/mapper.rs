@@ -7,17 +7,21 @@
 //! mapper once per input extent, *before* partitioning: rows decode into
 //! events in the layout the unit chose at compile time (columns when the
 //! pushed fragment computes, rows when it only filters — see
-//! [`MapperUnit::layout`]), the unmodified DSMS runs the mapper plan, and the results come back
-//! through the same push/pull queue in canonical sorted order — so mapper
-//! output, like reducer output, is a pure byte-deterministic function of
-//! its input rows, which is what lets shuffle rebuilds and task retries
-//! re-run it safely.
+//! [`MapperUnit::layout`]), the unmodified DSMS runs the mapper plan, and
+//! the root is encoded by value in the order the executor produced it
+//! ([`EventEncoding::encode_extent_order`]). Nothing sorts here: canonical
+//! order is established once, at the reduce sink, where bytes are published.
+//! Executor output order is already a pure function of the extent's rows —
+//! fused row operators preserve input order and GroupApply merges its groups
+//! in sorted-key order, at any pool width — so mapper output stays a pure
+//! byte-deterministic function of its input, which is what lets shuffle
+//! rebuilds and task retries re-run it safely.
 //!
 //! Mapper output is always [`EventEncoding::Interval`]-framed: stateless
 //! prefixes can stretch lifetimes (windows) and partial aggregates emit
 //! interval cells, so the point encoding of raw logs no longer fits.
 
-use crate::bridge::{pull_through_queue, EventEncoding};
+use crate::bridge::EventEncoding;
 use crate::compile::{bind_rows, InputBinding};
 use crate::error::TimrError;
 use mapreduce::{Mapper, MapperContext, MrError};
@@ -136,8 +140,9 @@ impl Mapper for DsmsMapper {
         sources.insert(binding.source_name.clone(), data);
         let (mut roots, _) = temporal::exec::execute_data(&unit.plan, sources, &ctx.dsms_pool)
             .map_err(|e| to_mr(TimrError::Temporal(e)))?;
-        let result = roots.pop().expect("mapper plans have exactly one root");
-        pull_through_queue(EventEncoding::Interval, result)
+        let root = roots.pop().expect("mapper plans have exactly one root");
+        EventEncoding::Interval
+            .encode_extent_order(root)
             .map(Some)
             .map_err(to_mr)
     }

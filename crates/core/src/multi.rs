@@ -13,8 +13,8 @@
 //!    windows over the same keyed stream to aggregate a GCD-hop factor
 //!    window once and derive each query's window from the partials.
 //! 3. The merged DAG compiles into a *single* stage whose reducer embeds
-//!    one DSMS over all roots ([`MultiDsmsReducer`]) and routes query
-//!    `i`'s rows to sink `i` (the multi-sink shuffle contract of
+//!    one DSMS over all roots ([`DsmsReducer`]) and routes query `i`'s
+//!    rows to sink `i` (the multi-sink shuffle contract of
 //!    [`mapreduce::Stage::aux_outputs`]).
 //!
 //! Per-query outputs are byte-identical to N independent runs: sharing
@@ -24,18 +24,14 @@
 //! stateful operator in the merged DAG).
 
 use crate::annotate::{join_right_column, required_key_superset, ExchangeKey};
-use crate::bridge::{pull_through_queue, EventEncoding};
-use crate::compile::{
-    bind_reduce_input, bind_rows, map_side_report, mapper_layouts, InputBinding, MapperLayout,
-};
+use crate::bridge::EventEncoding;
+use crate::compile::{map_side_report, mapper_layouts, DsmsReducer, InputBinding, MapperLayout};
 use crate::error::{Result, TimrError};
 use crate::mapper::{DsmsMapper, MapperUnit};
-use mapreduce::{Cluster, Dfs, JobStats, MrError, Partitioner, Reducer, ReducerContext, Stage};
-use relation::{ColumnBatch, Row, Schema};
-use rustc_hash::FxHashMap;
+use mapreduce::{Cluster, Dfs, JobStats, Partitioner, Stage};
+use relation::Schema;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use temporal::exec::DataBindings;
 use temporal::plan::{
     factor_windows, fuse_plan, push_down, share_plans, LogicalPlan, Operator, PushDown, ShareStats,
 };
@@ -314,7 +310,7 @@ impl MultiTimrJob {
             .map(|&r| plan.schema_of(r).clone())
             .collect();
 
-        let reducer = MultiDsmsReducer {
+        let reducer = DsmsReducer {
             plan: plan.clone(),
             inputs: bindings,
             output_encoding,
@@ -430,115 +426,12 @@ impl MultiTimrOutput {
     }
 }
 
-/// The multi-sink sibling of [`crate::compile::DsmsReducer`]: one embedded
-/// DSMS pass over the shared DAG, one sink per query root.
-#[derive(Debug, Clone)]
-pub struct MultiDsmsReducer {
-    plan: LogicalPlan,
-    inputs: Vec<InputBinding>,
-    output_encoding: EventEncoding,
-}
-
-impl MultiDsmsReducer {
-    fn execute_all(
-        &self,
-        ctx: &ReducerContext,
-        sources: DataBindings,
-    ) -> mapreduce::Result<Vec<Vec<Row>>> {
-        let to_mr = |e: TimrError| MrError::Reducer {
-            stage: ctx.stage.clone(),
-            partition: ctx.partition,
-            message: e.to_string(),
-        };
-        // One pass evaluates the shared DAG; the multicast cache hands each
-        // root its stream, so shared prefixes run once per partition.
-        let (streams, _) = temporal::exec::execute_data(&self.plan, sources, &ctx.dsms_pool)
-            .map_err(|e| to_mr(TimrError::Temporal(e)))?;
-        streams
-            .into_iter()
-            .map(|s| pull_through_queue(self.output_encoding, s).map_err(to_mr))
-            .collect()
-    }
-}
-
-impl Reducer for MultiDsmsReducer {
-    fn output_schema(&self, _inputs: &[Schema]) -> mapreduce::Result<Schema> {
-        let payload = self.plan.schema_of(self.plan.roots()[0]);
-        Ok(self.output_encoding.dataset_schema(payload))
-    }
-
-    fn sink_count(&self) -> usize {
-        self.plan.roots().len()
-    }
-
-    fn sink_schemas(&self, _inputs: &[Schema]) -> mapreduce::Result<Vec<Schema>> {
-        Ok(self
-            .plan
-            .roots()
-            .iter()
-            .map(|&r| self.output_encoding.dataset_schema(self.plan.schema_of(r)))
-            .collect())
-    }
-
-    fn reduce(&self, ctx: &ReducerContext, inputs: &[Vec<Row>]) -> mapreduce::Result<Vec<Row>> {
-        // Single-sink entry, kept so a one-query MultiTimrJob behaves like
-        // a plain stage under tooling that drives `reduce` directly.
-        let mut out = self.reduce_multi_rows(ctx, inputs)?;
-        if out.len() != 1 {
-            return Err(MrError::BadStage(format!(
-                "stage `{}` has {} sinks; drive it through reduce_shuffled_multi",
-                ctx.stage,
-                out.len()
-            )));
-        }
-        Ok(out.pop().expect("length checked above"))
-    }
-
-    fn reduce_shuffled_multi(
-        &self,
-        ctx: &ReducerContext,
-        inputs: &[ColumnBatch],
-    ) -> mapreduce::Result<Vec<Vec<Row>>> {
-        let to_mr = |e: TimrError| MrError::Reducer {
-            stage: ctx.stage.clone(),
-            partition: ctx.partition,
-            message: e.to_string(),
-        };
-        let mut sources: DataBindings = FxHashMap::default();
-        for (binding, input) in self.inputs.iter().zip(inputs) {
-            let data = bind_reduce_input(binding, input).map_err(to_mr)?;
-            sources.insert(binding.source_name.clone(), data);
-        }
-        self.execute_all(ctx, sources)
-    }
-}
-
-impl MultiDsmsReducer {
-    fn reduce_multi_rows(
-        &self,
-        ctx: &ReducerContext,
-        inputs: &[Vec<Row>],
-    ) -> mapreduce::Result<Vec<Vec<Row>>> {
-        let to_mr = |e: TimrError| MrError::Reducer {
-            stage: ctx.stage.clone(),
-            partition: ctx.partition,
-            message: e.to_string(),
-        };
-        let mut sources: DataBindings = FxHashMap::default();
-        for (binding, rows) in self.inputs.iter().zip(inputs) {
-            let data = bind_rows(binding, rows).map_err(to_mr)?;
-            sources.insert(binding.source_name.clone(), data);
-        }
-        self.execute_all(ctx, sources)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mapreduce::Dataset;
-    use relation::row;
     use relation::schema::{ColumnType, Field};
+    use relation::{row, Row};
     use temporal::exec::{bindings, execute_reference};
     use temporal::expr::{col, lit};
     use temporal::plan::Query;
@@ -641,6 +534,36 @@ mod tests {
                 .as_ref()
                 .clone();
             assert_eq!(shared_parts, solo_parts, "query {i} bytes differ");
+        }
+    }
+
+    /// One reducer over a 16-root shared DAG is sixteen single-root
+    /// reducers: driven by hand over the same partition, sink `i` of the
+    /// shared reducer is byte-for-byte the only sink of query `i`'s own.
+    #[test]
+    fn sixteen_root_reducer_yields_the_sinks_of_sixteen_single_root_reducers() {
+        use mapreduce::ReducerContext;
+        use relation::ColumnBatch;
+        let schema = EventEncoding::Point.dataset_schema(&bt_payload());
+        let partition = ColumnBatch::from_rows(&schema, &dataset_rows(300)).unwrap();
+        let ctx = ReducerContext::standalone("shared", 0, 1);
+        // Reduce-only, so both reducers read the raw log partition.
+        let reducer_of =
+            |job: MultiTimrJob| job.with_push_down(false).compile().unwrap().stage.reducer;
+        let shared = reducer_of(multi_job(16))
+            .reduce(&ctx, vec![partition.clone()])
+            .unwrap();
+        assert_eq!(shared.len(), 16);
+        assert!(shared.iter().any(|sink| !sink.is_empty()));
+        for (i, sink) in shared.iter().enumerate() {
+            let solo = reducer_of(
+                MultiTimrJob::new(format!("solo{i}"), vec![advertiser_query(i)])
+                    .with_key(ExchangeKey::keys(&["UserId"])),
+            )
+            .reduce(&ctx, vec![partition.clone()])
+            .unwrap();
+            assert_eq!(solo.len(), 1);
+            assert_eq!(sink, &solo[0], "query {i}");
         }
     }
 

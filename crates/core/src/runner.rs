@@ -289,6 +289,39 @@ mod tests {
         let _ = r1;
     }
 
+    /// A point-framed log cannot hold `Time::MAX` (`Time + 1` overflows).
+    /// The job fails with the bridge's named error on the first attempt — a
+    /// deterministic `MrError::Reducer`, not a panic the cluster retries
+    /// until `TaskExhausted` — whether the map side decodes the log
+    /// (push-down on) or the reducer does.
+    #[test]
+    fn time_max_in_a_point_log_fails_once_with_the_named_error() {
+        let mut rows = dataset_rows(40);
+        rows.push(row![temporal::Time::MAX, 1i32, "u1", "ad1"]);
+        for push_down in [true, false] {
+            let dfs = dfs_with_logs(rows.clone());
+            let cluster = Cluster::with_config(mapreduce::ClusterConfig {
+                retry: RetryPolicy::no_backoff(4),
+                ..Default::default()
+            });
+            let err = click_count_job(2)
+                .with_push_down(push_down)
+                .run(&dfs, &cluster)
+                .unwrap_err();
+            let crate::TimrError::MapReduce(mapreduce::MrError::Reducer { message, .. }) = &err
+            else {
+                panic!("push_down {push_down}: expected a reducer error, got {err:?}");
+            };
+            assert!(
+                message.ends_with(
+                    "Time 9223372036854775807 has no point lifetime: Time + 1 overflows"
+                ),
+                "push_down {push_down}: {message}"
+            );
+            assert!(!dfs.contains("rcc__out"), "nothing is published");
+        }
+    }
+
     #[cfg(unix)]
     #[test]
     fn backend_selection_is_invisible_in_output() {

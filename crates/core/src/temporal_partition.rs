@@ -15,15 +15,16 @@
 //! `s` ⇒ few spans) — the U-shaped curve of paper Fig 16.
 
 use crate::bridge::EventEncoding;
+use crate::compile::{bind_reduce_input, InputBinding};
 use crate::error::{Result, TimrError};
 use mapreduce::{
     Cluster, Dataset, Dfs, MrError, Partitioner, Reducer, ReducerContext, Stage, StageStats,
 };
 use relation::schema::{ColumnType, Field};
-use relation::{Row, Schema, Value};
+use relation::{ColumnBatch, Row, Schema, Value};
 use rustc_hash::FxHashMap;
 use std::sync::Arc;
-use temporal::exec::Bindings;
+use temporal::exec::{DataBindings, StreamData};
 use temporal::plan::LogicalPlan;
 use temporal::time::Lifetime;
 use temporal::{Duration, Time};
@@ -135,9 +136,11 @@ impl TemporalPartitionJob {
         let reducer = SpanReducer {
             // Fused once, so each span's executor entry re-fuses nothing.
             plan: temporal::plan::fuse_plan(&self.plan)?.into_owned(),
-            source_name,
-            payload_schema,
-            source_encoding: self.source_encoding,
+            source: InputBinding {
+                source_name,
+                encoding: self.source_encoding,
+                payload: payload_schema,
+            },
             t0,
             span_width: s,
             n_spans,
@@ -181,9 +184,7 @@ impl TemporalPartitionJob {
 #[derive(Debug, Clone)]
 struct SpanReducer {
     plan: LogicalPlan,
-    source_name: String,
-    payload_schema: Schema,
-    source_encoding: EventEncoding,
+    source: InputBinding,
     t0: Time,
     span_width: Duration,
     n_spans: usize,
@@ -195,27 +196,34 @@ impl Reducer for SpanReducer {
         Ok(EventEncoding::Interval.dataset_schema(payload))
     }
 
-    fn reduce(&self, ctx: &ReducerContext, inputs: &[Vec<Row>]) -> mapreduce::Result<Vec<Row>> {
+    fn reduce(
+        &self,
+        ctx: &ReducerContext,
+        mut inputs: Vec<ColumnBatch>,
+    ) -> mapreduce::Result<Vec<Vec<Row>>> {
         let to_mr = |m: String| MrError::Reducer {
             stage: ctx.stage.clone(),
             partition: ctx.partition,
             message: m,
         };
-        // Strip the leading span column (the one copy this reducer makes —
-        // the borrowed shuffle rows themselves are shared across attempts).
-        let rows: Vec<Row> = inputs
-            .iter()
-            .flatten()
-            .map(|r| Row::new(r.values()[1..].to_vec()))
-            .collect();
-        let stream = self
-            .source_encoding
-            .decode_stream(&rows, &self.payload_schema)
+        // Drop the leading span column: what is left is the source dataset's
+        // own layout, which binds like any other shuffled input — columns
+        // moved, nothing copied.
+        let (schema, mut columns, rows) = inputs
+            .pop()
+            .expect("the span stage has one input")
+            .into_parts();
+        columns.remove(0);
+        let stripped = ColumnBatch::new(Schema::new(schema.fields()[1..].to_vec()), columns, rows);
+        let data = bind_reduce_input(&self.source, stripped).map_err(|e| to_mr(e.to_string()))?;
+        let mut sources: DataBindings = FxHashMap::default();
+        sources.insert(self.source.source_name.clone(), data);
+        let (mut roots, _) = temporal::exec::execute_data(&self.plan, sources, &ctx.dsms_pool)
             .map_err(|e| to_mr(e.to_string()))?;
-        let mut sources: Bindings = FxHashMap::default();
-        sources.insert(self.source_name.clone(), stream);
-        let result = temporal::exec::execute_single(&self.plan, &sources)
-            .map_err(|e| to_mr(e.to_string()))?;
+        let result = roots
+            .pop()
+            .expect("span plans have exactly one root")
+            .into_stream();
 
         // Owned interval: [t0 + s·p, t0 + s·(p+1)), extended to ±∞ at the
         // first and last span so boundary output is never lost.
@@ -232,14 +240,17 @@ impl Reducer for SpanReducer {
         };
         let own = Lifetime::new(own_start, own_end);
 
-        let mut clipped = temporal::EventStream::empty(result.schema().clone());
-        for e in result.events() {
-            if let Some(lt) = e.lifetime.intersect(&own) {
-                clipped.push(e.with_lifetime(lt));
-            }
-        }
-        crate::bridge::pull_through_queue(EventEncoding::Interval, clipped)
-            .map_err(|e| to_mr(e.to_string()))
+        let schema = result.schema().clone();
+        let clipped = (result.into_events().into_iter())
+            .filter_map(|mut e| {
+                e.lifetime = e.lifetime.intersect(&own)?;
+                Some(e)
+            })
+            .collect();
+        let clipped = StreamData::Rows(temporal::EventStream::new(schema, clipped));
+        Ok(vec![EventEncoding::Interval
+            .encode_sink(clipped)
+            .map_err(|e| to_mr(e.to_string()))?])
     }
 }
 

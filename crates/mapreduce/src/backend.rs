@@ -361,15 +361,20 @@ impl<'e> StageExec<'e> for ThreadExec<'e> {
                 // into the reducer's input batches — one partition's worth
                 // of decoded data at a time, which is what keeps budgeted
                 // runs out-of-core.
-                let fetched = run_attempts(env, TaskPhase::Shuffle, p, |_, corrupt| {
+                let mut fetched = Some(run_attempts(env, TaskPhase::Shuffle, p, |_, corrupt| {
                     crate::cluster::run_shuffle_fetch(env, p, corrupt, &mut slot)
-                })?;
-                drop(slot);
+                })?);
                 // Reduce: the reducer is a pure function of the (now
                 // verified) partition, so every retry reproduces the same
-                // rows.
+                // rows. The first attempt consumes the fetched batches; a
+                // retry decodes the slot again, so only a failed attempt
+                // pays for a second copy.
                 run_attempts(env, TaskPhase::Reduce, p, |attempt, _| {
-                    crate::cluster::run_reduce_task(env, p, attempt, &fetched)
+                    let inputs = match fetched.take() {
+                        Some(inputs) => inputs,
+                        None => crate::cluster::fetch_inputs(&slot, env.mapped_schemas)?,
+                    };
+                    crate::cluster::run_reduce_task(env, p, attempt, inputs)
                 })
             })
             .into_iter()

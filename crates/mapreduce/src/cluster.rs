@@ -587,9 +587,11 @@ pub(crate) fn run_shuffle_fetch(
     fetch_inputs(slot, env.mapped_schemas)
 }
 
-/// One reduce attempt for partition `p` over already-fetched inputs. The
-/// reducer is a pure function of the (verified) partition, so every retry
-/// — on any backend — reproduces the same rows. Each sink's stored form
+/// One reduce attempt for partition `p` over already-fetched inputs, which
+/// it consumes: the reducer takes them by value, and a retry fetches the
+/// slot again ([`fetch_inputs`]). The reducer is a pure function of the
+/// (verified) partition, so every retry — on any backend — reproduces the
+/// same rows. Each sink's stored form
 /// (row frame plus binary image) is computed here, inside the task, so the
 /// coordinator publishes finished extents instead of encoding them one
 /// partition at a time after the pool has gone idle. A sink row that does
@@ -598,7 +600,7 @@ pub(crate) fn run_reduce_task(
     env: &StageEnv<'_>,
     p: usize,
     attempt: usize,
-    fetched: &[ColumnBatch],
+    fetched: Vec<ColumnBatch>,
 ) -> std::result::Result<ReduceOut, TaskError> {
     let ctx = ReducerContext {
         stage: env.stage.name.clone(),
@@ -608,7 +610,7 @@ pub(crate) fn run_reduce_task(
         dsms_pool: Arc::clone(env.dsms_pool),
     };
     let start = Instant::now();
-    let out = env.stage.reducer.reduce_shuffled_multi(&ctx, fetched)?;
+    let out = env.stage.reducer.reduce(&ctx, fetched)?;
     if out.len() != env.expected_sinks {
         return Err(TaskError::Fatal(Box::new(MrError::BadStage(format!(
             "stage `{}` reducer produced {} sink(s), stage declares {}",
@@ -1023,9 +1025,9 @@ mod tests {
             ]))
         }
 
-        fn reduce(&self, ctx: &ReducerContext, inputs: &[Vec<Row>]) -> Result<Vec<Row>> {
-            let n: usize = inputs.iter().map(Vec::len).sum();
-            Ok(vec![row![ctx.partition as i64, n as i64]])
+        fn reduce(&self, ctx: &ReducerContext, inputs: Vec<ColumnBatch>) -> Result<Vec<Vec<Row>>> {
+            let n: usize = inputs.iter().map(ColumnBatch::len).sum();
+            Ok(vec![vec![row![ctx.partition as i64, n as i64]]])
         }
     }
 
@@ -1062,26 +1064,14 @@ mod tests {
             Ok(inputs[0].clone())
         }
 
-        fn sink_count(&self) -> usize {
-            2
-        }
-
         fn sink_schemas(&self, inputs: &[Schema]) -> Result<Vec<Schema>> {
             Ok(vec![inputs[0].clone(), inputs[0].clone()])
         }
 
-        fn reduce(&self, _ctx: &ReducerContext, _inputs: &[Vec<Row>]) -> Result<Vec<Row>> {
-            unreachable!("multi-sink reducer is driven through reduce_shuffled_multi")
-        }
-
-        fn reduce_shuffled_multi(
-            &self,
-            _ctx: &ReducerContext,
-            inputs: &[ColumnBatch],
-        ) -> Result<Vec<Vec<Row>>> {
+        fn reduce(&self, _ctx: &ReducerContext, inputs: Vec<ColumnBatch>) -> Result<Vec<Vec<Row>>> {
             let mut even = Vec::new();
             let mut odd = Vec::new();
-            for input in inputs {
+            for input in &inputs {
                 for r in input.to_rows() {
                     let ts = r.get(0).as_long().unwrap();
                     if ts % 2 == 0 {
@@ -1365,7 +1355,7 @@ mod tests {
             fn output_schema(&self, inputs: &[Schema]) -> Result<Schema> {
                 Ok(inputs[0].clone())
             }
-            fn reduce(&self, ctx: &ReducerContext, _: &[Vec<Row>]) -> Result<Vec<Row>> {
+            fn reduce(&self, ctx: &ReducerContext, _: Vec<ColumnBatch>) -> Result<Vec<Vec<Row>>> {
                 panic!("reducer bug in partition {}", ctx.partition);
             }
         }
@@ -1413,8 +1403,15 @@ mod tests {
                     Field::new("B", ColumnType::Long),
                 ]))
             }
-            fn reduce(&self, _: &ReducerContext, inputs: &[Vec<Row>]) -> Result<Vec<Row>> {
-                Ok(vec![row![inputs[0].len() as i64, inputs[1].len() as i64]])
+            fn reduce(
+                &self,
+                _: &ReducerContext,
+                inputs: Vec<ColumnBatch>,
+            ) -> Result<Vec<Vec<Row>>> {
+                Ok(vec![vec![row![
+                    inputs[0].len() as i64,
+                    inputs[1].len() as i64
+                ]]])
             }
         }
         let dfs = Dfs::new();
@@ -1512,17 +1509,14 @@ mod tests {
             fn output_schema(&self, _: &[Schema]) -> Result<Schema> {
                 Ok(Schema::new(vec![Field::new("N", ColumnType::Long)]))
             }
-            fn reduce(&self, _: &ReducerContext, _: &[Vec<Row>]) -> Result<Vec<Row>> {
-                unreachable!("driven through reduce_shuffled")
-            }
-            fn reduce_shuffled(
+            fn reduce(
                 &self,
                 _: &ReducerContext,
-                inputs: &[ColumnBatch],
-            ) -> Result<Vec<Row>> {
+                inputs: Vec<ColumnBatch>,
+            ) -> Result<Vec<Vec<Row>>> {
                 assert_eq!(inputs.len(), 1);
                 assert_eq!(inputs[0].schema(), &schema());
-                Ok(vec![row![inputs[0].len() as i64]])
+                Ok(vec![vec![row![inputs[0].len() as i64]]])
             }
         }
         // Seven users over sixteen partitions: most partitions get no row.

@@ -140,14 +140,17 @@ impl ReducerContext {
 
 /// The reduce phase: user code invoked once per partition.
 ///
-/// A reducer receives, for each stage input dataset, the rows of *its*
-/// partition (in deterministic shuffle order) and returns output rows. It
-/// must be a pure function of `(ctx.partition, inputs)` — the restart
-/// determinism tests re-invoke reducers and compare bytes.
+/// A reducer receives, for each stage input dataset, its partition as the
+/// shuffle holds it — one [`ColumnBatch`] — and returns, for each sink, rows
+/// as the DFS holds them. It must be a pure function of
+/// `(ctx.partition, inputs)` — the restart determinism tests re-invoke
+/// reducers and compare bytes.
 ///
-/// Inputs are borrowed: the runtime hands every attempt (including
-/// failure-injected restarts) the same shuffle buckets without copying
-/// them, so reducers clone only what they keep.
+/// Inputs are handed over **by value**: a columnar reducer (the embedded
+/// DSMS) moves the columns into its own storage with no copy, and a
+/// row-oriented one calls [`ColumnBatch::to_rows`] itself. The runtime
+/// keeps no spare — a retry decodes the partition's sealed chunks again,
+/// so only failed attempts pay for a second copy.
 ///
 /// A reducer that panics does not tear down the job: the cluster contains
 /// the panic (`catch_unwind`), surfaces it as a retryable task error with
@@ -155,50 +158,26 @@ impl ReducerContext {
 /// retry budget. A reducer that *always* panics therefore fails the job
 /// deterministically with an exhaustion error naming its partition.
 pub trait Reducer: Send + Sync {
-    /// Output schema, given the input schemas (one per stage input).
+    /// Schema of the primary sink, given the input schemas (one per stage
+    /// input).
     fn output_schema(&self, inputs: &[Schema]) -> Result<Schema>;
 
-    /// Process one partition.
-    fn reduce(&self, ctx: &ReducerContext, inputs: &[Vec<Row>]) -> Result<Vec<Row>>;
-
-    /// Process one partition straight from the shuffle: per stage input,
-    /// the [`ColumnBatch`] its extent chunks decode and concatenate into
-    /// (empty, with the input's mapped schema, when no row reached this
-    /// partition).
-    ///
-    /// The default materializes rows and calls [`Reducer::reduce`], so
-    /// row reducers keep working; columnar-aware reducers (the embedded
-    /// DSMS) override this to consume the batch copy-free.
-    fn reduce_shuffled(&self, ctx: &ReducerContext, inputs: &[ColumnBatch]) -> Result<Vec<Row>> {
-        let rows: Vec<Vec<Row>> = inputs.iter().map(ColumnBatch::to_rows).collect();
-        self.reduce(ctx, &rows)
-    }
-
-    /// Number of output datasets (sinks) this reducer produces. Almost all
-    /// reducers produce one; a multi-sink reducer (the shared multi-query
-    /// DSMS) routes each query's rows to its own sink and must agree with
-    /// the stage's declared `1 + aux_outputs.len()`.
-    fn sink_count(&self) -> usize {
-        1
-    }
-
-    /// Output schema per sink, given the input schemas. The default wraps
-    /// [`Reducer::output_schema`] as the single sink.
+    /// Output schema per sink, given the input schemas. Almost all reducers
+    /// have one sink and the default wraps [`Reducer::output_schema`]; a
+    /// multi-sink reducer (the shared multi-query DSMS) routes each query's
+    /// rows to its own sink and must agree with the stage's declared
+    /// `1 + aux_outputs.len()`.
     fn sink_schemas(&self, inputs: &[Schema]) -> Result<Vec<Schema>> {
         Ok(vec![self.output_schema(inputs)?])
     }
 
-    /// Process one partition, emitting rows per sink (same order as
-    /// [`Reducer::sink_schemas`]). The default wraps
-    /// [`Reducer::reduce_shuffled`] as the single sink; the purity
-    /// contract above applies to every sink's bytes.
-    fn reduce_shuffled_multi(
-        &self,
-        ctx: &ReducerContext,
-        inputs: &[ColumnBatch],
-    ) -> Result<Vec<Vec<Row>>> {
-        Ok(vec![self.reduce_shuffled(ctx, inputs)?])
-    }
+    /// Process one partition: per stage input, the [`ColumnBatch`] its
+    /// extent chunks decode and concatenate into, in deterministic shuffle
+    /// order (empty, with the input's mapped schema, when no row reached
+    /// this partition). Returns one row vector per sink, in
+    /// [`Reducer::sink_schemas`] order; the purity contract above applies to
+    /// every sink's bytes.
+    fn reduce(&self, ctx: &ReducerContext, inputs: Vec<ColumnBatch>) -> Result<Vec<Vec<Row>>>;
 }
 
 /// Shared reducer handle.
@@ -280,7 +259,7 @@ pub struct Stage {
     pub output: String,
     /// Extra output dataset names for sinks `1..` of a multi-sink reducer
     /// (empty for ordinary single-sink stages). Sink `i` of
-    /// [`Reducer::reduce_shuffled_multi`] publishes to
+    /// [`Reducer::reduce`] publishes to
     /// `[output, aux_outputs...][i]`.
     pub aux_outputs: Vec<String>,
     /// Map-phase partitioner (applied to every input).
@@ -371,8 +350,8 @@ impl Reducer for IdentityReducer {
             .ok_or_else(|| MrError::BadStage("identity reducer with no input".into()))
     }
 
-    fn reduce(&self, _ctx: &ReducerContext, inputs: &[Vec<Row>]) -> Result<Vec<Row>> {
-        Ok(inputs.iter().flatten().cloned().collect())
+    fn reduce(&self, _ctx: &ReducerContext, inputs: Vec<ColumnBatch>) -> Result<Vec<Vec<Row>>> {
+        Ok(vec![inputs.iter().flat_map(ColumnBatch::to_rows).collect()])
     }
 }
 
@@ -464,9 +443,11 @@ mod tests {
     #[test]
     fn identity_reducer_flattens_inputs() {
         let ctx = ReducerContext::standalone("s", 0, 1);
+        let schema = Schema::new(vec![Field::new("N", ColumnType::Long)]);
+        let batch = |rows: &[Row]| ColumnBatch::from_rows(&schema, rows).unwrap();
         let out = IdentityReducer
-            .reduce(&ctx, &[vec![row![1i64]], vec![row![2i64]]])
+            .reduce(&ctx, vec![batch(&[row![1i64]]), batch(&[row![2i64]])])
             .unwrap();
-        assert_eq!(out, vec![row![1i64], row![2i64]]);
+        assert_eq!(out, vec![vec![row![1i64], row![2i64]]]);
     }
 }

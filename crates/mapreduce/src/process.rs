@@ -419,7 +419,7 @@ fn handle_task(env: &StageEnv<'_>, transport: &UdsTransport, payload: &[u8]) -> 
             }
             let fault = eval_fault(env, TaskPhase::Reduce, p, reduce_attempt);
             let outcome = attempt_once(env, TaskPhase::Reduce, p, reduce_attempt, fault, |_| {
-                run_reduce_task(env, p, reduce_attempt, &fetched)
+                run_reduce_task(env, p, reduce_attempt, fetched)
             });
             let mut w = PayloadWriter::new();
             w.u64(seq).u8(2);

@@ -120,7 +120,8 @@ pub struct ExecStats {
 pub fn execute(plan: &LogicalPlan, sources: &Bindings) -> Result<Vec<EventStream>> {
     // O(1) per stream: Arc bumps.
     let owned = data_bindings(sources.clone());
-    Ok(execute_data(plan, owned, &WorkerPool::sequential())?.0)
+    let (roots, _) = execute_data(plan, owned, &WorkerPool::sequential())?;
+    Ok(roots.into_iter().map(StreamData::into_stream).collect())
 }
 
 /// Execute a single-output plan and return its only stream.
@@ -133,13 +134,15 @@ pub fn execute_single(plan: &LogicalPlan, sources: &Bindings) -> Result<EventStr
 /// the map at its last reference in the plan, in the layout it arrived in:
 /// a batch runs the columnar kernels, and when the caller held the only
 /// handle to a row stream the first in-place operator mutates the decoded
-/// partition directly — zero survivor clones. Output is byte-identical for
-/// every pool width (groups merge in sorted-key order) and either layout.
+/// partition directly — zero survivor clones. Each root comes back in the
+/// layout its last operator ran in, for the caller to consume by value.
+/// Output is byte-identical for every pool width (groups merge in
+/// sorted-key order) and either layout.
 pub fn execute_data(
     plan: &LogicalPlan,
     sources: DataBindings,
     pool: &WorkerPool,
-) -> Result<(Vec<EventStream>, ExecStats)> {
+) -> Result<(Vec<StreamData>, ExecStats)> {
     // Free when the plan was fused at construction (every embedded caller
     // does): the pass returns the borrowed plan before cloning anything.
     let plan = crate::plan::fuse_plan(plan)?;
@@ -155,7 +158,7 @@ pub fn execute_data(
     let outputs = plan
         .roots()
         .iter()
-        .map(|&root| Ok(exec.eval(&plan, root)?.into_stream()))
+        .map(|&root| exec.eval(&plan, root))
         .collect::<Result<Vec<_>>>()?;
     Ok((outputs, exec.stats))
 }
@@ -651,6 +654,7 @@ mod tests {
         let (on_batch, stats) = execute_data(plan, batch_srcs, &WorkerPool::sequential()).unwrap();
         let reference = single(execute_reference(plan, &srcs).unwrap()).unwrap();
         assert_eq!(rows, reference);
+        let on_batch = on_batch.into_iter().map(StreamData::into_stream).collect();
         assert_eq!(single(on_batch).unwrap(), reference);
         assert_eq!(stats.row_fallbacks, 0);
     }
@@ -701,6 +705,7 @@ mod tests {
         srcs.insert("input".to_string(), StreamData::Batch(batch));
         let (out, stats) = execute_data(&plan, srcs, &WorkerPool::sequential()).unwrap();
         assert_eq!(stats.row_fallbacks, 1);
+        let out: Vec<EventStream> = out.into_iter().map(StreamData::into_stream).collect();
         let reference =
             execute_reference(&plan, &bindings(vec![("input", sample_events())])).unwrap();
         assert_eq!(out, reference);

@@ -289,7 +289,7 @@ pub fn run_three_ways(plan: &LogicalPlan, stream: EventStream) -> ThreeWay {
     ThreeWay {
         on_rows: execute_single(plan, &srcs),
         on_batch: execute_data(plan, batch_srcs, &WorkerPool::sequential())
-            .map(|(roots, _)| only(roots)),
+            .map(|(roots, _)| only(roots.into_iter().map(StreamData::into_stream).collect())),
         reference: execute_reference(plan, &srcs).map(only),
     }
 }

@@ -24,7 +24,7 @@ use timr_suite::mapreduce::{
     Stage, TaskPhase,
 };
 use timr_suite::relation::schema::{ColumnType, Field};
-use timr_suite::relation::{row, RelationError, Row, Schema, Value};
+use timr_suite::relation::{row, ColumnBatch, RelationError, Row, Schema, Value};
 use timr_suite::temporal::expr::{col, lit};
 use timr_suite::temporal::Query;
 use timr_suite::timr::{Annotation, EventEncoding, ExchangeKey, TimrJob};
@@ -217,20 +217,30 @@ fn copy_stage(reducer: Arc<dyn Reducer>) -> Stage {
 /// Repartition `rows` (stored as three extents) by `UserId` through an
 /// identity stage on `config`'s cluster.
 fn publish(rows: &[Row], config: ClusterConfig) -> Published {
+    publish_through(Arc::new(IdentityReducer), rows, config).0
+}
+
+/// [`publish`] through `reducer`, with the stage's fault tallies.
+fn publish_through(
+    reducer: Arc<dyn Reducer>,
+    rows: &[Row],
+    config: ClusterConfig,
+) -> (Published, FaultTotals) {
     let dfs = Dfs::new();
     dfs.put(
         "in",
         Dataset::partitioned(keyed_schema(), three_extents(rows)),
     )
     .unwrap();
-    Cluster::with_config(config)
-        .run_stage(&dfs, &copy_stage(Arc::new(IdentityReducer)))
+    let stats = Cluster::with_config(config)
+        .run_job(&dfs, &[copy_stage(reducer)])
         .unwrap();
     let out = dfs.get("out").unwrap();
     out.verify().unwrap();
-    (out.partitions.iter().enumerate())
+    let published = (out.partitions.iter().enumerate())
         .map(|(i, rows)| (rows.clone(), out.binary_extent(i).unwrap().to_vec()))
-        .collect()
+        .collect();
+    (published, stats.fault_totals())
 }
 
 proptest! {
@@ -338,11 +348,64 @@ impl Reducer for Poisoner {
     fn reduce(
         &self,
         _: &ReducerContext,
-        inputs: &[Vec<Row>],
-    ) -> timr_suite::mapreduce::Result<Vec<Row>> {
+        inputs: Vec<ColumnBatch>,
+    ) -> timr_suite::mapreduce::Result<Vec<Vec<Row>>> {
         self.calls.fetch_add(1, Ordering::Relaxed);
-        Ok(poison(&inputs[0], self.at))
+        Ok(vec![poison(&inputs[0].to_rows(), self.at)])
     }
+}
+
+/// Passes rows through like [`IdentityReducer`], but every partition's first
+/// attempt fails *after* it has consumed the input batches it was handed.
+#[derive(Debug)]
+struct ConsumeThenPanic;
+
+impl Reducer for ConsumeThenPanic {
+    fn output_schema(&self, inputs: &[Schema]) -> timr_suite::mapreduce::Result<Schema> {
+        Ok(inputs[0].clone())
+    }
+
+    fn reduce(
+        &self,
+        ctx: &ReducerContext,
+        inputs: Vec<ColumnBatch>,
+    ) -> timr_suite::mapreduce::Result<Vec<Vec<Row>>> {
+        let rows: Vec<Row> = inputs.into_iter().flat_map(|b| b.to_rows()).collect();
+        assert!(ctx.is_retry(), "attempt 0 consumed its inputs, then failed");
+        Ok(vec![rows])
+    }
+}
+
+/// Reducers take their inputs by value and the runtime keeps no spare: a
+/// reduce attempt that consumed its batches and then died must find the
+/// identical inputs on the retry — decoded again from the partition's sealed
+/// chunks — on threads and on worker processes, in memory and spilled.
+#[test]
+fn a_retry_after_a_consuming_failure_sees_identical_inputs() {
+    let rows: Vec<Row> = (0..300i64)
+        .map(|i| row![i * 7 % 1000, format!("u{}", i % 9), i * 3])
+        .collect();
+    let spill_dir =
+        std::env::temp_dir().join(format!("timr-backend-refetch-{}", std::process::id()));
+    std::fs::create_dir_all(&spill_dir).unwrap();
+    let clean = publish(&rows, ClusterConfig::default());
+    for backend in [BackendKind::Threads, BackendKind::Processes { workers: 2 }] {
+        for budget in [None, Some(2 << 10)] {
+            let config = ClusterConfig {
+                backend,
+                memory_budget_bytes: budget,
+                spill_dir: Some(spill_dir.clone()),
+                retry: RetryPolicy::no_backoff(2),
+                ..ClusterConfig::default()
+            };
+            let (retried, totals) = publish_through(Arc::new(ConsumeThenPanic), &rows, config);
+            assert_eq!(retried, clean, "{backend:?} budget {budget:?}");
+            assert_eq!(totals.panics_contained, 4, "one per reduce partition");
+            assert_eq!(totals.task_retries, 4, "{backend:?} budget {budget:?}");
+        }
+    }
+    std::fs::remove_dir_all(&spill_dir).ok();
+    assert_no_zombies();
 }
 
 /// Wait until every worker this test binary forked has been reaped. Polls

@@ -125,7 +125,7 @@ proptest! {
         let srcs = bindings(vec![("in", stream)]);
         let run = |threads: usize| {
             let (mut roots, _) = execute_data(&plan, data_bindings(srcs.clone()), &WorkerPool::new(threads)).unwrap();
-            roots.pop().unwrap()
+            roots.pop().unwrap().into_stream()
         };
         let sequential = run(1);
         for threads in [2usize, 3, 8] {

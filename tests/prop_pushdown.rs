@@ -7,13 +7,20 @@
 //! spilling under a memory budget. Plans the split must
 //! refuse (non-combinable aggregates, partition keys the prefix renames
 //! away, finer-keyed group-applies) are exercised negatively.
+//!
+//! Since PR 16 map output keeps extent order (canonical order is
+//! established once, at the reduce sink). What licenses that is checked
+//! here directly: permuting the rows inside every source extent never
+//! changes a published byte.
 
 mod common;
 
 use common::reference_relation;
 use proptest::prelude::*;
 use std::time::Duration as WallDuration;
-use timr_suite::mapreduce::{ChaosPlan, Cluster, ClusterConfig, Dataset, Dfs, RetryPolicy};
+use timr_suite::mapreduce::{
+    BackendKind, ChaosPlan, Cluster, ClusterConfig, Dataset, Dfs, RetryPolicy,
+};
 use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{row, Row, Schema};
 use timr_suite::temporal::agg::AggExpr;
@@ -123,13 +130,39 @@ fn job(members: &[Member], push: bool) -> MultiTimrJob {
 }
 
 fn cluster(chaos: ChaosPlan, budget: Option<u64>) -> Cluster {
+    cluster_on(BackendKind::Threads, chaos, budget)
+}
+
+fn cluster_on(backend: BackendKind, chaos: ChaosPlan, budget: Option<u64>) -> Cluster {
     Cluster::with_config(ClusterConfig {
         threads: 4,
+        backend,
         chaos,
         retry: RetryPolicy::no_backoff(4),
         memory_budget_bytes: budget,
         ..ClusterConfig::default()
     })
+}
+
+/// `rows` with the rows of every source extent (the 40-row chunks
+/// [`dfs_with`] cuts) shuffled by a seeded Fisher–Yates: the same multiset
+/// per extent, another physical order.
+fn permute_within_extents(rows: &[Row], seed: u64) -> Vec<Row> {
+    let mut state = seed | 1;
+    let mut next = move || {
+        // xorshift64
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let mut out = rows.to_vec();
+    for extent in out.chunks_mut(40) {
+        for i in (1..extent.len()).rev() {
+            extent.swap(i, (next() % (i as u64 + 1)) as usize);
+        }
+    }
+    out
 }
 
 /// Raw output partitions of every query, with push-down on or off, and
@@ -141,10 +174,17 @@ fn run_bytes(
     chaos: ChaosPlan,
     budget: Option<u64>,
 ) -> (Vec<Vec<Vec<Row>>>, Vec<EventStream>) {
+    run_bytes_on(members, rows, push, &cluster(chaos, budget))
+}
+
+fn run_bytes_on(
+    members: &[Member],
+    rows: &[Row],
+    push: bool,
+    cluster: &Cluster,
+) -> (Vec<Vec<Vec<Row>>>, Vec<EventStream>) {
     let dfs = dfs_with(rows);
-    let out = job(members, push)
-        .run(&dfs, &cluster(chaos, budget))
-        .unwrap();
+    let out = job(members, push).run(&dfs, cluster).unwrap();
     let bytes = out
         .datasets
         .iter()
@@ -225,6 +265,38 @@ proptest! {
         let (baseline, _) = run_bytes(&members, &rows, false, ChaosPlan::none(), None);
         let (pushed, _) = run_bytes(&members, &rows, true, chaos, Some(2048));
         prop_assert_eq!(baseline, pushed, "chaos+spill changed pushed-plan bytes");
+    }
+
+    /// Published bytes do not depend on the order of the rows inside an
+    /// input extent: with every source extent shuffled (same multiset per
+    /// extent), every query's dataset is byte-identical to the unshuffled
+    /// run — push-down on and off, on threads and on worker processes,
+    /// with and without a spill budget. Mapper output follows its extent's
+    /// order (nothing sorts map-side), so this is the property that makes
+    /// the one canonical sort at the reduce sink sufficient.
+    #[test]
+    fn row_order_inside_an_extent_never_reaches_published_bytes(
+        members in prop::collection::vec(arb_member(), 1..5),
+        n in 60i64..140,
+        seed in any::<u64>(),
+    ) {
+        let rows = deterministic_rows(n);
+        let shuffled = permute_within_extents(&rows, seed);
+        prop_assume!(shuffled != rows);
+        let (baseline, _) = run_bytes(&members, &rows, false, ChaosPlan::none(), None);
+        for push in [true, false] {
+            for backend in [BackendKind::Threads, BackendKind::Processes { workers: 2 }] {
+                for budget in [None, Some(2048)] {
+                    let cluster = cluster_on(backend, ChaosPlan::none(), budget);
+                    let (got, _) = run_bytes_on(&members, &shuffled, push, &cluster);
+                    prop_assert_eq!(
+                        &got, &baseline,
+                        "push {} {:?} budget {:?}: extent-internal row order changed bytes",
+                        push, backend, budget
+                    );
+                }
+            }
+        }
     }
 }
 
