@@ -122,6 +122,20 @@ mod tests {
     }
 
     #[test]
+    fn every_sub_plan_node_has_a_segmented_kernel() {
+        // Two filtered counts off one GroupInput, joined by a Union: the
+        // whole sub-plan runs once over all users, and EXPLAIN says so.
+        let text = query(&params()).plan.to_string();
+        assert_eq!(text.matches("[segmented]").count(), 10, "{text}");
+        assert!(text.contains("| output 0:\n"), "{text}");
+        assert!(text.contains("Union [segmented]"), "{text}");
+        assert!(text.contains("GroupInput [segmented]"), "{text}");
+        assert!(!text.contains("[per-run]"), "{text}");
+        // Marks are for sub-plan nodes only.
+        assert!(text.contains("AntiSemiJoin (UserId=UserId)\n"), "{text}");
+    }
+
+    #[test]
     fn light_activity_survives() {
         let events = vec![
             event(10 * MIN, 2, "u1", "cars"),

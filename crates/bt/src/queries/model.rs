@@ -228,6 +228,16 @@ mod tests {
     }
 
     #[test]
+    fn the_udo_runs_once_per_group_and_explain_says_so() {
+        let text = model_query(&BtParams::default(), LrConfig::default())
+            .plan
+            .to_string();
+        assert!(text.contains(" [per-run]\n"), "{text}");
+        assert_eq!(text.matches("[per-run]").count(), 1, "{text}");
+        assert!(text.contains("GroupInput [segmented]"), "{text}");
+    }
+
+    #[test]
     fn model_query_learns_signed_weights() {
         let params = BtParams::default();
         let btq = model_query(&params, LrConfig::default());

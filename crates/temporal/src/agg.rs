@@ -305,6 +305,28 @@ impl Accumulator {
         }
     }
 
+    /// Back to the freshly built state. The sweep calls this whenever the
+    /// active set empties: every value has been retracted by then, so the
+    /// multisets are already empty, but a float sum keeps the rounding
+    /// residue of what passed through it (and SUM its `saw_float`), which
+    /// must not leak into the next, unrelated burst of events.
+    pub fn reset(&mut self) {
+        match self {
+            Accumulator::Count { n } => *n = 0,
+            Accumulator::Sum {
+                int_sum,
+                float_sum,
+                saw_float,
+                n,
+            } => (*int_sum, *float_sum, *saw_float, *n) = (0, 0.0, false, 0),
+            Accumulator::Avg { sum, n } => (*sum, *n) = (0.0, 0),
+            Accumulator::Moments { sum, sum_sq, n } => (*sum, *sum_sq, *n) = (0.0, 0.0, 0),
+            Accumulator::Extreme { values, .. } | Accumulator::Distinct { values } => {
+                values.clear()
+            }
+        }
+    }
+
     /// Current aggregate value for the snapshot.
     pub fn value(&self) -> Value {
         match self {

@@ -22,16 +22,20 @@
 //! remaining-consumer count, handed out as O(1) Arc-backed clones, and
 //! *moved out* of the cache to its final consumer — the last consumer gets
 //! uniquely-owned storage, not a deep clone.
+//!
+//! A GroupApply sub-plan is not executed per group: [`walk_runs`] evaluates
+//! it once, node by node, over all the groups laid out as key-ordered runs
+//! (see [`operators::group_apply`]).
 
 use crate::batch::EventBatch;
 use crate::error::{Result, TemporalError};
-use crate::operators;
+use crate::operators::{self, Cut, Runs};
 use crate::plan::{FusedStep, LogicalPlan, NodeId, Operator};
 use crate::stream::EventStream;
 use relation::Schema;
 use rustc_hash::FxHashMap;
 
-/// The pool type [`execute_data`] fans GroupApply groups out on.
+/// The pool type [`execute_data`] fans GroupApply run ranges out on.
 pub use pool::WorkerPool;
 
 /// Named input bindings for a plan's `Source` leaves.
@@ -108,6 +112,21 @@ pub struct ExecStats {
     /// operators because a projection's result had no dense column form
     /// (mixed runtime types across rows).
     pub row_fallbacks: u64,
+    /// Groups formed by GroupApply operators (nested ones included).
+    pub groups: u64,
+    /// GroupApply sub-plan nodes that had no segmented kernel and ran once
+    /// per run through the generic adapter ([`Operator::segmented`] says
+    /// which), counted once per GroupApply evaluation.
+    pub per_run_nodes: u64,
+}
+
+impl ExecStats {
+    /// Add what a pool task observed.
+    pub(crate) fn absorb(&mut self, task: &ExecStats) {
+        self.row_fallbacks += task.row_fallbacks;
+        self.groups += task.groups;
+        self.per_run_nodes += task.per_run_nodes;
+    }
 }
 
 /// Execute `plan` against `sources`; returns one stream per plan output.
@@ -130,13 +149,13 @@ pub fn execute_single(plan: &LogicalPlan, sources: &Bindings) -> Result<EventStr
 }
 
 /// Execute `plan` taking **ownership** of layout-agnostic bindings, fanning
-/// GroupApply groups out on `pool`. Each `Source` binding is moved out of
+/// GroupApply run ranges out on `pool`. Each `Source` binding is moved out of
 /// the map at its last reference in the plan, in the layout it arrived in:
 /// a batch runs the columnar kernels, and when the caller held the only
 /// handle to a row stream the first in-place operator mutates the decoded
 /// partition directly — zero survivor clones. Each root comes back in the
 /// layout its last operator ran in, for the caller to consume by value.
-/// Output is byte-identical for every pool width (groups merge in
+/// Output is byte-identical for every pool width (ranges concatenate in
 /// sorted-key order) and either layout.
 pub fn execute_data(
     plan: &LogicalPlan,
@@ -149,12 +168,20 @@ pub fn execute_data(
     let mut exec = Executor {
         source_refs: source_refs(&plan),
         sources,
-        group_input: None,
         cache: FxHashMap::default(),
         counts: consumer_counts(&plan),
         pool,
         stats: ExecStats::default(),
     };
+    // A binding a sub-plan reads is shared by every run: row form, so each
+    // read is an O(1) Arc bump.
+    for (name, refs) in &exec.source_refs {
+        if *refs == u32::MAX {
+            if let Some(data) = exec.sources.get_mut(name) {
+                data.make_rows();
+            }
+        }
+    }
     let outputs = plan
         .roots()
         .iter()
@@ -181,7 +208,7 @@ fn reference_eval(
     plan: &LogicalPlan,
     id: NodeId,
     sources: &Bindings,
-    group_input: Option<&EventStream>,
+    group: Option<&EventStream>,
     memo: &mut FxHashMap<NodeId, EventStream>,
 ) -> Result<EventStream> {
     use operators::interpreted as reference;
@@ -192,7 +219,7 @@ fn reference_eval(
     let inputs = node
         .inputs
         .iter()
-        .map(|&input| reference_eval(plan, input, sources, group_input, memo))
+        .map(|&input| reference_eval(plan, input, sources, group, memo))
         .collect::<Result<Vec<_>>>()?;
     let out = match &node.op {
         Operator::Source { name, schema } => {
@@ -202,7 +229,7 @@ fn reference_eval(
             check_source_schema(name, stream.schema(), schema)?;
             stream.clone()
         }
-        Operator::GroupInput { .. } => group_input.ok_or_else(outside_group_apply)?.clone(),
+        Operator::GroupInput { .. } => group.ok_or_else(outside_group_apply)?.clone(),
         Operator::Filter { predicate } => reference::filter(&inputs[0], predicate)?,
         Operator::Project { exprs } => reference::project(&inputs[0], exprs)?,
         Operator::AlterLifetime { op } => reference::alter_lifetime(&inputs[0], op)?,
@@ -261,23 +288,31 @@ fn single(mut outputs: Vec<EventStream>) -> Result<EventStream> {
     Ok(outputs.pop().unwrap())
 }
 
+/// The top-level evaluator: owns the bindings and the multicast cache.
 struct Executor<'a> {
     /// Owned source bindings, drained as the plan consumes them: a stream
     /// is moved out at its last `Source` reference.
     sources: DataBindings,
     /// Remaining `Source`-node references per binding name. Names also
     /// referenced inside GroupApply sub-plans are pinned to `u32::MAX`
-    /// (evaluated once per group — they must never be moved out).
+    /// (read by every run — they must never be moved out).
     source_refs: FxHashMap<String, u32>,
-    /// Bound stream for `GroupInput` when running a GroupApply sub-plan.
-    group_input: Option<&'a EventStream>,
     /// Multicast results awaiting further consumers: stream + how many
     /// consumers have not taken it yet.
     cache: FxHashMap<NodeId, (EventStream, u32)>,
     counts: Vec<u32>,
-    /// Worker pool GroupApply fans groups out on.
+    /// Worker pool GroupApply fans run ranges out on.
     pool: &'a WorkerPool,
     stats: ExecStats,
+}
+
+/// What a GroupApply sub-plan reads from the execution around it: the outer
+/// bindings (a sub-plan `Source` is the same stream for every run) and the
+/// pool. Shared by the pool tasks, so read-only.
+#[derive(Clone, Copy)]
+pub(crate) struct SubplanEnv<'a> {
+    pub(crate) sources: &'a DataBindings,
+    pub(crate) pool: &'a WorkerPool,
 }
 
 /// Number of consumers per node, **including plan roots** (each root is
@@ -300,8 +335,8 @@ fn consumer_counts(plan: &LogicalPlan) -> Vec<u32> {
 
 /// Remaining `Source` references per binding name, counted across the
 /// whole plan. A name referenced inside a GroupApply sub-plan is pinned
-/// to `u32::MAX`: the sub-plan runs once per group, so its sources can
-/// never be drained from the outer bindings.
+/// to `u32::MAX`: every run of the sub-plan reads it, so it can never be
+/// drained from the outer bindings.
 fn source_refs(plan: &LogicalPlan) -> FxHashMap<String, u32> {
     let mut refs = FxHashMap::default();
     collect_source_refs(plan, false, &mut refs);
@@ -327,7 +362,20 @@ fn collect_source_refs(plan: &LogicalPlan, pin: bool, refs: &mut FxHashMap<Strin
     }
 }
 
-impl<'a> Executor<'a> {
+/// The binding of a `Source` node, schema-checked.
+fn bound_source<'s>(
+    sources: &'s DataBindings,
+    name: &str,
+    schema: &Schema,
+) -> Result<&'s StreamData> {
+    let data = sources
+        .get(name)
+        .ok_or_else(|| TemporalError::Input(format!("no binding for source `{name}`")))?;
+    check_source_schema(name, data.schema(), schema)?;
+    Ok(data)
+}
+
+impl Executor<'_> {
     fn eval(&mut self, plan: &LogicalPlan, id: NodeId) -> Result<StreamData> {
         if let Some((stream, remaining)) = self.cache.get_mut(&id) {
             *remaining -= 1;
@@ -359,10 +407,7 @@ impl<'a> Executor<'a> {
     fn apply(&mut self, op: &Operator, mut inputs: Vec<StreamData>) -> Result<StreamData> {
         Ok(match op {
             Operator::Source { name, schema } => {
-                let data = self.sources.get(name).ok_or_else(|| {
-                    TemporalError::Input(format!("no binding for source `{name}`"))
-                })?;
-                check_source_schema(name, data.schema(), schema)?;
+                bound_source(&self.sources, name, schema)?;
                 let remaining = self
                     .source_refs
                     .get_mut(name)
@@ -382,12 +427,6 @@ impl<'a> Executor<'a> {
                     data.make_rows();
                     data.clone()
                 }
-            }
-            Operator::GroupInput { .. } => {
-                StreamData::Rows(self.group_input.ok_or_else(outside_group_apply)?.clone())
-            }
-            Operator::Filter { .. } | Operator::Project { .. } | Operator::AlterLifetime { .. } => {
-                unreachable!("fuse_plan wraps every stateless operator in a FusedFragment")
             }
             Operator::FusedFragment { steps } => {
                 match inputs.pop().expect("fused fragment has one input") {
@@ -412,94 +451,183 @@ impl<'a> Executor<'a> {
                     StreamData::Rows(s) => operators::aggregate(&s, aggs)?,
                 })
             }
-            Operator::GroupApply { keys, subplan } => {
-                let input = inputs.pop().expect("group_apply has one input");
-                // Hoisted out of the per-group closure: the ref/consumer
-                // tables are recomputed per plan, not per group, and the
-                // sub-bindings stay empty unless the sub-plan actually
-                // names outer sources (rare — sub-plans read GroupInput).
-                let sub_refs = source_refs(subplan);
-                let sub_counts = consumer_counts(subplan);
-                let sub_sources = if sub_refs.is_empty() {
-                    DataBindings::default()
-                } else {
-                    // Shared once per group: force row form so the per-group
-                    // clones below are O(1) Arc bumps.
-                    let mut shared = self.sources.clone(); // O(1) per rows stream
-                    for data in shared.values_mut() {
-                        data.make_rows();
-                    }
-                    shared
-                };
-                let pool = self.pool;
-                // `Fn`, not `FnMut`: groups run concurrently on the pool,
-                // each with its own inner Executor over shared (Arc-backed)
-                // sub-bindings. Nested GroupApplies reuse the same pool
-                // handle; its chunked scheduler just sees more tasks. Groups
-                // and sub-bindings are rows, so no inner fragment can fall
-                // back and the inner stats stay zero.
-                let run = |sub: &LogicalPlan, group: EventStream| {
-                    let mut inner = Executor {
-                        sources: sub_sources.clone(),
-                        source_refs: sub_refs.clone(),
-                        group_input: Some(&group),
-                        cache: FxHashMap::default(),
-                        counts: sub_counts.clone(),
-                        pool,
-                        stats: ExecStats::default(),
-                    };
-                    inner.eval(sub, sub.roots()[0]).map(StreamData::into_stream)
-                };
-                StreamData::Rows(match input {
-                    StreamData::Batch(b) => {
-                        operators::group_apply_batch(b, keys, subplan, pool, &run)?
-                    }
-                    StreamData::Rows(s) => operators::group_apply(s, keys, subplan, pool, &run)?,
-                })
-            }
             Operator::Union => StreamData::Rows(operators::union(
                 inputs.into_iter().map(StreamData::into_stream).collect(),
             )?),
-            Operator::TemporalJoin { keys, residual } => {
-                let right = inputs
-                    .pop()
-                    .expect("temporal_join has two inputs")
-                    .into_stream();
-                let left = inputs
-                    .pop()
-                    .expect("temporal_join has two inputs")
-                    .into_stream();
-                StreamData::Rows(operators::temporal_join(
-                    &left,
-                    &right,
-                    keys,
-                    residual.as_ref(),
-                )?)
-            }
-            Operator::AntiSemiJoin { keys } => {
-                let right = inputs
-                    .pop()
-                    .expect("anti_semi_join has two inputs")
-                    .into_stream();
-                let left = inputs
-                    .pop()
-                    .expect("anti_semi_join has two inputs")
-                    .into_stream();
-                StreamData::Rows(operators::anti_semi_join(left, &right, keys)?)
-            }
-            Operator::HopUdo { hop, width, udo } => {
-                let input = inputs.pop().expect("hop_udo has one input").into_stream();
-                StreamData::Rows(operators::hop_udo(input, *hop, *width, udo)?)
-            }
-            Operator::SpreadGrid { grid } => {
-                let input = inputs
-                    .pop()
-                    .expect("spread_grid has one input")
-                    .into_stream();
-                StreamData::Rows(operators::spread_grid(input, *grid)?)
+            op => {
+                let env = SubplanEnv {
+                    sources: &self.sources,
+                    pool: self.pool,
+                };
+                StreamData::Rows(apply_unsegmented(op, inputs, &env, &mut self.stats)?)
             }
         })
     }
+}
+
+/// The operators with no run-aware kernel, on whole streams: what the top
+/// level calls once and a sub-plan walk calls once per run.
+fn apply_unsegmented(
+    op: &Operator,
+    mut inputs: Vec<StreamData>,
+    env: &SubplanEnv,
+    stats: &mut ExecStats,
+) -> Result<EventStream> {
+    let mut pop = |what: &str| inputs.pop().expect(what);
+    match op {
+        // Reached inside sub-plans only (the executor drains its own).
+        Operator::Source { name, schema } => Ok(bound_source(env.sources, name, schema)?
+            .clone()
+            .into_stream()),
+        Operator::GroupApply { keys, subplan } => {
+            let input = pop("group_apply has one input");
+            operators::group_apply(input, keys, subplan, env, stats)
+        }
+        Operator::TemporalJoin { keys, residual } => {
+            let right = pop("temporal_join has two inputs").into_stream();
+            let left = pop("temporal_join has two inputs").into_stream();
+            operators::temporal_join(&left, &right, keys, residual.as_ref())
+        }
+        Operator::AntiSemiJoin { keys } => {
+            let right = pop("anti_semi_join has two inputs").into_stream();
+            let left = pop("anti_semi_join has two inputs").into_stream();
+            operators::anti_semi_join(left, &right, keys)
+        }
+        Operator::HopUdo { hop, width, udo } => {
+            let input = pop("hop_udo has one input").into_stream();
+            operators::hop_udo(input, *hop, *width, udo)
+        }
+        Operator::SpreadGrid { grid } => {
+            let input = pop("spread_grid has one input").into_stream();
+            operators::spread_grid(input, *grid)
+        }
+        Operator::GroupInput { .. } => Err(outside_group_apply()),
+        Operator::Filter { .. } | Operator::Project { .. } | Operator::AlterLifetime { .. } => {
+            unreachable!("fuse_plan wraps every stateless operator in a FusedFragment")
+        }
+        Operator::FusedFragment { .. } | Operator::Aggregate { .. } | Operator::Union => {
+            unreachable!("{} has a run-aware kernel", op.name())
+        }
+    }
+}
+
+/// Evaluate a (fused) GroupApply `subplan` **once** over all of `input`'s
+/// runs and return the root, run for run. Nodes are visited in the
+/// reference's evaluation order; a multi-consumer value is cloned (an Arc
+/// bump plus the bounds) for all but its last consumer, which takes it by
+/// move, so in-place kernels see unique storage exactly as at the top level.
+///
+/// Fragments, aggregates and unions run their run-aware kernels over the
+/// whole stream. Everything else ([`Operator::segmented`] is false) goes
+/// through the one per-run adapter, [`per_run`].
+pub(crate) fn walk_runs(
+    subplan: &LogicalPlan,
+    input: Runs,
+    env: &SubplanEnv,
+    stats: &mut ExecStats,
+) -> Result<Runs> {
+    let runs = input.len();
+    let mut consumers = consumer_counts(subplan);
+    let mut input = Some(input);
+    let mut values: Vec<Option<Runs>> = vec![None; subplan.nodes().len()];
+    let mut cut = Cut::none();
+    let root = subplan.roots()[0];
+    for id in subplan.topo_order() {
+        let node = subplan.node(id);
+        let mut inputs: Vec<Runs> = node
+            .inputs
+            .iter()
+            .map(|&i| {
+                consumers[i] -= 1;
+                let value = if consumers[i] == 0 {
+                    values[i].take()
+                } else {
+                    values[i].clone()
+                };
+                let mut value = value.expect("inputs are evaluated before their consumers");
+                value.truncate(cut.limit);
+                value
+            })
+            .collect();
+        let out = match &node.op {
+            // Plan validation admits exactly one such leaf per sub-plan.
+            Operator::GroupInput { .. } => input.take().expect("one GroupInput per sub-plan"),
+            Operator::FusedFragment { steps } => {
+                let input = inputs.pop().expect("fused fragment has one input");
+                operators::fused_fragment_runs(input, steps, &mut cut)?
+            }
+            Operator::Aggregate { aggs } => {
+                let input = inputs.pop().expect("aggregate has one input");
+                operators::aggregate_runs(&input.stream, &input.bounds, aggs, &mut cut)?
+            }
+            Operator::Union => operators::union_runs(inputs)?,
+            op => {
+                debug_assert!(!op.segmented(), "{} has a kernel above", op.name());
+                let schema = subplan.schema_of(id).clone();
+                per_run(
+                    op,
+                    inputs,
+                    runs.min(cut.limit),
+                    schema,
+                    env,
+                    stats,
+                    &mut cut,
+                )?
+            }
+        };
+        values[id] = Some(out);
+    }
+    match cut.err {
+        Some(err) => Err(err),
+        None => Ok(values[root].take().expect("the root is evaluated last")),
+    }
+}
+
+/// The generic adapter for operators without a run-aware kernel: slice each
+/// input at the run, call the ordinary operator, append its output as the
+/// run of the result. A node without inputs (a sub-plan `Source`) yields its
+/// whole stream for every run.
+fn per_run(
+    op: &Operator,
+    inputs: Vec<Runs>,
+    runs: usize,
+    schema: Schema,
+    env: &SubplanEnv,
+    stats: &mut ExecStats,
+    cut: &mut Cut,
+) -> Result<Runs> {
+    // Each input is consumed front to back, a run at a time.
+    let mut sides: Vec<_> = inputs
+        .into_iter()
+        .map(|i| {
+            let schema = i.stream.schema().clone();
+            (schema, i.bounds, i.stream.into_events().into_iter())
+        })
+        .collect();
+    let mut events = Vec::new();
+    let mut bounds = Vec::with_capacity(runs + 1);
+    bounds.push(0);
+    for r in 0..runs {
+        let slices = sides
+            .iter_mut()
+            .map(|(schema, b, events)| {
+                let run = events.by_ref().take(b[r + 1] - b[r]).collect();
+                StreamData::Rows(EventStream::new(schema.clone(), run))
+            })
+            .collect();
+        match apply_unsegmented(op, slices, env, stats) {
+            Ok(out) => events.extend(out.into_events()),
+            Err(err) => {
+                cut.fail(r, err)?;
+                break;
+            }
+        }
+        bounds.push(events.len());
+    }
+    Ok(Runs {
+        stream: EventStream::new(schema, events),
+        bounds,
+    })
 }
 
 #[cfg(test)]
@@ -512,6 +640,7 @@ mod tests {
     use crate::time::Lifetime;
     use relation::schema::{ColumnType, Field};
     use relation::{row, Schema};
+    use std::sync::Arc;
 
     fn bt_schema() -> Schema {
         Schema::timestamped(vec![
@@ -623,6 +752,33 @@ mod tests {
     }
 
     #[test]
+    fn stats_count_groups_and_the_nodes_without_a_kernel() {
+        let run = |plan: &LogicalPlan| {
+            let srcs = data_bindings(bindings(vec![("input", sample_events())]));
+            execute_data(plan, srcs, &WorkerPool::new(2)).unwrap().1
+        };
+        // Window → count per ad: three groups, every node segmented.
+        let q = Query::new();
+        let out = q
+            .source("input", bt_schema())
+            .group_apply(&["KwAdId"], |g| g.window(100).count("N"));
+        let stats = run(&q.build(vec![out]).unwrap());
+        assert_eq!((stats.groups, stats.per_run_nodes), (3, 0));
+        // Nested: the inner GroupApply is the outer walk's one per-run node
+        // (two users), and each of its calls forms that user's ad groups.
+        let q = Query::new();
+        let out = q
+            .source("input", bt_schema())
+            .group_apply(&["UserId"], |g| {
+                g.group_apply(&["KwAdId"], |k| {
+                    k.hop_udo(50, 50, Arc::new(crate::udo::WindowCountUdo))
+                })
+            });
+        let stats = run(&q.build(vec![out]).unwrap());
+        assert_eq!((stats.groups, stats.per_run_nodes), (2 + 3 + 1, 1 + 2));
+    }
+
+    #[test]
     fn physical_order_does_not_change_results() {
         let q = Query::new();
         let out = q
@@ -727,7 +883,6 @@ mod tests {
         let mut exec = Executor {
             source_refs: source_refs(&plan),
             sources: data_bindings(srcs),
-            group_input: None,
             cache: FxHashMap::default(),
             counts: consumer_counts(&plan),
             pool: &WorkerPool::sequential(),

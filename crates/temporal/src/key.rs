@@ -15,6 +15,7 @@
 use crate::error::{Result, TemporalError};
 use relation::hash::key_hash;
 use relation::{ColumnBatch, Row, Schema, Value};
+use std::cmp::Ordering;
 
 /// Key columns of one schema, resolved to indices.
 #[derive(Debug, Clone)]
@@ -58,6 +59,16 @@ impl KeySelector {
     /// Whether two rows of the same schema share a key.
     pub fn matches_same(&self, a: &Row, b: &Row) -> bool {
         self.matches(a, self, b)
+    }
+
+    /// Order two rows of the same schema by their key cells — the order of
+    /// their [`Self::extract`]ed keys, without materializing either.
+    pub fn cmp_same(&self, a: &Row, b: &Row) -> Ordering {
+        self.indices
+            .iter()
+            .map(|&i| a.get(i).cmp(b.get(i)))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
     }
 
     /// Materialize the key (used once per group, not per event).
@@ -124,6 +135,22 @@ mod tests {
         assert!(lsel.matches(&a, &rsel, &row!["u1"]));
         assert!(!lsel.matches(&a, &rsel, &row!["u2"]));
         assert!(lsel.matches_same(&a, &row![9i64, "u1", "other"]));
+    }
+
+    #[test]
+    fn cmp_same_is_the_order_of_extracted_keys() {
+        let sel = KeySelector::new(&schema(), &["UserId", "KwAdId"]).unwrap();
+        let rows = [
+            row![9i64, "u1", "adB"],
+            row![1i64, "u2", "adA"],
+            row![5i64, "u1", "adA"],
+            row![7i64, "u1", "adB"],
+        ];
+        for a in &rows {
+            for b in &rows {
+                assert_eq!(sel.cmp_same(a, b), sel.extract(a).cmp(&sel.extract(b)));
+            }
+        }
     }
 
     #[test]

@@ -11,17 +11,26 @@
 //!
 //! Segments with an empty active set produce no output, and adjacent
 //! segments with equal aggregate values are coalesced, so the operator
-//! output is already in canonical form.
+//! output is already in canonical form. Whenever the active set empties the
+//! accumulators go back to their fresh state, so what a snapshot reports
+//! depends only on the events alive in its own burst — aggregating a stream
+//! equals concatenating the aggregates of its time-disjoint pieces, byte
+//! for byte (paper §III-B temporal partitioning relies on it).
 //!
-//! Aggregate arguments are compiled once against the input schema
-//! ([`crate::agg::AggExpr::compile_arg`]); the sweep itself is shared with
-//! the reference operator, so the two can only differ in how the
-//! per-event argument values are produced — and those are value-identical.
+//! There is one sweep ([`sweep_runs`]). Under a GroupApply it runs over
+//! every group's run at once: arguments are compiled and evaluated in one
+//! pass into one buffer, one endpoint buffer is filled for the whole stream
+//! and sorted and swept run by run — a run boundary is just one more empty
+//! snapshot. The top-level operator and the reference operator
+//! ([`crate::operators::interpreted::aggregate`]) are its one-run case, so
+//! the two can only differ in how the per-event argument values are
+//! produced — and those are value-identical.
 
 use crate::agg::AggExpr;
 use crate::batch::EventBatch;
 use crate::error::Result;
 use crate::event::Event;
+use crate::operators::group_apply::{run_of, Cut, Runs};
 use crate::stream::EventStream;
 use crate::time::{Lifetime, Time};
 use relation::{Field, Row, Schema, Value};
@@ -37,27 +46,49 @@ fn output_schema(aggs: &[(String, AggExpr)], in_schema: &Schema) -> Result<Schem
 /// Compute snapshot aggregates over the whole stream (grouping is provided
 /// by GroupApply above this operator).
 pub fn aggregate(input: &EventStream, aggs: &[(String, AggExpr)]) -> Result<EventStream> {
+    let bounds = [0, input.len()];
+    Ok(aggregate_runs(input, &bounds, aggs, &mut Cut::none())?.stream)
+}
+
+/// Snapshot aggregates of every run of `input` (`bounds` as in [`Runs`]).
+/// Each aggregate's argument is pre-evaluated for each event, through the
+/// compiled (index-resolved) expressions, into one flat stride-`n_aggs`
+/// buffer — no per-event allocation.
+pub(crate) fn aggregate_runs(
+    input: &EventStream,
+    mut bounds: &[usize],
+    aggs: &[(String, AggExpr)],
+    cut: &mut Cut,
+) -> Result<Runs> {
     let in_schema = input.schema();
     let out_schema = output_schema(aggs, in_schema)?;
-
-    if input.is_empty() {
-        return Ok(EventStream::empty(out_schema));
-    }
-
-    // Pre-evaluate each aggregate's argument for each event, through the
-    // compiled (index-resolved) expressions, into one flat stride-`n_aggs`
-    // buffer — no per-event allocation.
     let compiled: Vec<_> = aggs.iter().map(|(_, a)| a.compile_arg(in_schema)).collect();
-    let mut arg_values: Vec<Value> = Vec::with_capacity(input.len() * aggs.len());
-    for e in input.events() {
+    let events = input.events();
+    let mut arg_values: Vec<Value> = Vec::with_capacity(events.len() * aggs.len());
+    'events: for (at, e) in events.iter().enumerate() {
         for c in &compiled {
             arg_values.push(match c {
                 None => Value::Null,
-                Some(c) => c.eval(&e.payload)?,
+                Some(c) => match c.eval(&e.payload) {
+                    Ok(v) => v,
+                    Err(err) => {
+                        // Sweep the runs before the failing event's.
+                        let run = run_of(bounds, at);
+                        cut.fail(run, err)?;
+                        bounds = &bounds[..=run];
+                        break 'events;
+                    }
+                },
             });
         }
     }
-    sweep(input, aggs, &arg_values, out_schema)
+    Ok(sweep_runs(
+        bounds,
+        |i| events[i].lifetime,
+        aggs,
+        &arg_values,
+        out_schema,
+    ))
 }
 
 /// Columnar entry: argument values come off the batch through a
@@ -69,11 +100,6 @@ pub fn aggregate(input: &EventStream, aggs: &[(String, AggExpr)]) -> Result<Even
 pub fn aggregate_batch(input: &EventBatch, aggs: &[(String, AggExpr)]) -> Result<EventStream> {
     let in_schema = input.schema();
     let out_schema = output_schema(aggs, in_schema)?;
-
-    if input.is_empty() {
-        return Ok(EventStream::empty(out_schema));
-    }
-
     let compiled: Vec<_> = aggs.iter().map(|(_, a)| a.compile_arg(in_schema)).collect();
     let mut arg_values: Vec<Value> = Vec::with_capacity(input.len() * aggs.len());
     let mut scratch = Row::default();
@@ -87,99 +113,93 @@ pub fn aggregate_batch(input: &EventBatch, aggs: &[(String, AggExpr)]) -> Result
         }
     }
     let (vt, ve) = (input.vt(), input.ve());
-    sweep_times(
-        input.len(),
+    Ok(sweep_runs(
+        &[0, input.len()],
         |i| Lifetime::new(vt[i], ve[i]),
         aggs,
         &arg_values,
         out_schema,
     )
+    .stream)
 }
 
 /// The endpoint sweep over pre-evaluated argument values (one flat buffer,
-/// stride `aggs.len()`, event-major). Shared by the compiled operator
-/// above and the reference operator.
-pub(crate) fn sweep(
-    input: &EventStream,
-    aggs: &[(String, AggExpr)],
-    arg_values: &[Value],
-    out_schema: Schema,
-) -> Result<EventStream> {
-    let events = input.events();
-    sweep_times(
-        input.len(),
-        |i| events[i].lifetime,
-        aggs,
-        arg_values,
-        out_schema,
-    )
-}
-
-/// The sweep proper, reading lifetimes through an accessor so row streams
-/// and column-major batches share one implementation.
-fn sweep_times(
-    n: usize,
+/// stride `aggs.len()`, event-major), run by run, reading lifetimes through
+/// an accessor so row streams and column-major batches share it.
+pub(crate) fn sweep_runs(
+    bounds: &[usize],
     lifetime: impl Fn(usize) -> Lifetime,
     aggs: &[(String, AggExpr)],
     arg_values: &[Value],
     out_schema: Schema,
-) -> Result<EventStream> {
-    // Endpoint sweep: (time, event index, is_start).
+) -> Runs {
+    // One endpoint buffer for every run: (time, event index, is_start).
+    let n = bounds[bounds.len() - 1];
     let mut endpoints: Vec<(Time, usize, bool)> = Vec::with_capacity(n * 2);
     for i in 0..n {
         let lt = lifetime(i);
         endpoints.push((lt.start, i, true));
         endpoints.push((lt.end, i, false));
     }
-    endpoints.sort_unstable_by_key(|&(t, i, is_start)| (t, is_start, i));
 
     let n_aggs = aggs.len();
     let mut accs: Vec<_> = aggs.iter().map(|(_, a)| a.accumulator()).collect();
-    let mut active: i64 = 0;
     let mut out: Vec<Event> = Vec::new();
-    let mut pending: Option<(Time, Row)> = None; // open segment start + value
+    let mut out_bounds = Vec::with_capacity(bounds.len());
+    out_bounds.push(0);
+    for run in bounds.windows(2) {
+        let endpoints = &mut endpoints[2 * run[0]..2 * run[1]];
+        endpoints.sort_unstable_by_key(|&(t, i, is_start)| (t, is_start, i));
 
-    let mut idx = 0;
-    while idx < endpoints.len() {
-        let t = endpoints[idx].0;
-        // Apply every change at instant t before emitting.
-        while idx < endpoints.len() && endpoints[idx].0 == t {
-            let (_, i, is_start) = endpoints[idx];
-            for (acc, v) in accs
-                .iter_mut()
-                .zip(&arg_values[i * n_aggs..(i + 1) * n_aggs])
-            {
-                if is_start {
-                    acc.add(v);
-                } else {
-                    acc.remove(v);
+        let mut active: i64 = 0;
+        let mut pending: Option<(Time, Row)> = None; // open segment start + value
+        let mut idx = 0;
+        while idx < endpoints.len() {
+            let t = endpoints[idx].0;
+            // Apply every change at instant t before emitting.
+            while idx < endpoints.len() && endpoints[idx].0 == t {
+                let (_, i, is_start) = endpoints[idx];
+                for (acc, v) in accs
+                    .iter_mut()
+                    .zip(&arg_values[i * n_aggs..(i + 1) * n_aggs])
+                {
+                    if is_start {
+                        acc.add(v);
+                    } else {
+                        acc.remove(v);
+                    }
+                }
+                active += if is_start { 1 } else { -1 };
+                idx += 1;
+            }
+            let value = if active > 0 {
+                Some(Row::new(accs.iter().map(|a| a.value()).collect()))
+            } else {
+                // The burst is over (every run ends this way): the next one
+                // starts from fresh accumulators.
+                accs.iter_mut().for_each(|a| a.reset());
+                None
+            };
+            // Close the previous segment if the value changed; coalescing is
+            // just "don't close when equal".
+            match (&mut pending, value) {
+                (Some((_, row)), Some(new_row)) if *row == new_row => {}
+                (p, new_value) => {
+                    if let Some((start, row)) = p.take() {
+                        out.push(Event::new(Lifetime::new(start, t), row));
+                    }
+                    *p = new_value.map(|row| (t, row));
                 }
             }
-            active += if is_start { 1 } else { -1 };
-            idx += 1;
         }
-        let value = if active > 0 {
-            Some(Row::new(accs.iter().map(|a| a.value()).collect()))
-        } else {
-            None
-        };
-        // Close the previous segment if the value changed; coalescing is
-        // just "don't close when equal".
-        match (&mut pending, value) {
-            (Some((start, row)), Some(new_row)) if *row == new_row => {
-                let _ = start; // same value: keep the segment open
-            }
-            (p, new_value) => {
-                if let Some((start, row)) = p.take() {
-                    out.push(Event::new(Lifetime::new(start, t), row));
-                }
-                *p = new_value.map(|row| (t, row));
-            }
-        }
+        debug_assert!(pending.is_none(), "sweep ended with an open segment");
+        out_bounds.push(out.len());
     }
-    debug_assert!(pending.is_none(), "sweep ended with an open segment");
 
-    Ok(EventStream::new(out_schema, out))
+    Runs {
+        stream: EventStream::new(out_schema, out),
+        bounds: out_bounds,
+    }
 }
 
 #[cfg(test)]
@@ -267,6 +287,31 @@ mod tests {
                 Event::interval(10, 12, row![1i64]),
             ]
         );
+    }
+
+    #[test]
+    fn no_residue_crosses_an_empty_snapshot() {
+        // 0.65 + 0.79 - 0.65 - 0.79 leaves 1.1e-16 in a running f64 sum; the
+        // later, unrelated burst must still report exactly its own 0.09 —
+        // what a run that starts at t = 5 reports.
+        let schema = Schema::new(vec![Field::new("X", ColumnType::Double)]);
+        let events = vec![
+            Event::interval(0, 1, row![0.65f64]),
+            Event::interval(0, 1, row![0.79f64]),
+            Event::interval(5, 6, row![0.09f64]),
+        ];
+        let aggs = vec![
+            ("S".to_string(), AggExpr::Sum(col("X"))),
+            ("A".to_string(), AggExpr::Avg(col("X"))),
+            ("D".to_string(), AggExpr::StdDev(col("X"))),
+        ];
+        let whole = aggregate(&EventStream::new(schema.clone(), events.clone()), &aggs).unwrap();
+        let late = aggregate(&EventStream::new(schema, events[2..].to_vec()), &aggs).unwrap();
+        assert_eq!(
+            whole.events()[1],
+            Event::interval(5, 6, row![0.09f64, 0.09f64, 0.0f64])
+        );
+        assert_eq!(whole.events()[1..], *late.events());
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! AlterLifetime: windowing and lifetime adjustment (paper §II-A.2, Fig 3).
 
 use crate::error::Result;
+use crate::operators::group_apply::{Cut, Runs};
 use crate::plan::LifetimeOp;
 use crate::stream::EventStream;
 use crate::time::{ceil_to_grid, Lifetime};
@@ -37,25 +38,15 @@ pub(crate) fn transform(lt: Lifetime, op: &LifetimeOp) -> Option<Lifetime> {
 /// Apply a lifetime transformation to every event. A uniquely-owned input
 /// has its lifetimes patched in place (no payload copies); shared storage
 /// is rebuilt, cloning only the surviving events.
-pub fn alter_lifetime(mut input: EventStream, op: &LifetimeOp) -> Result<EventStream> {
-    if !input.is_unique() {
-        let events = input
-            .events()
-            .iter()
-            .filter_map(|e| transform(e.lifetime, op).map(|lt| e.with_lifetime(lt)))
-            .collect();
-        return Ok(EventStream::new(input.schema().clone(), events));
-    }
-    input
-        .events_mut()
-        .retain_mut(|e| match transform(e.lifetime, op) {
-            Some(lt) => {
-                e.lifetime = lt;
-                true
-            }
-            None => false,
-        });
-    Ok(input)
+pub fn alter_lifetime(input: EventStream, op: &LifetimeOp) -> Result<EventStream> {
+    Ok(alter_lifetime_runs(Runs::one(input), op)?.stream)
+}
+
+/// [`alter_lifetime`] over every run at once; a hopping window's drops
+/// compact the run bounds.
+pub(crate) fn alter_lifetime_runs(input: Runs, op: &LifetimeOp) -> Result<Runs> {
+    // `transform` cannot fail, so no error is ever recorded.
+    input.retain_map(&mut Cut::none(), |e| Ok(transform(e.lifetime, op)))
 }
 
 #[cfg(test)]

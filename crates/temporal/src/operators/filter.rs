@@ -4,45 +4,24 @@
 use crate::compiled::CompiledExpr;
 use crate::error::Result;
 use crate::expr::Expr;
+use crate::operators::group_apply::{Cut, Runs};
 use crate::stream::EventStream;
 
 /// Apply `predicate` to each event's payload, keeping matches. The
 /// predicate is compiled once (indices resolved, no per-row name lookup).
 /// A uniquely-owned input is retained in place — no clone of survivors;
 /// shared storage is rebuilt by cloning only the survivors.
-pub fn filter(mut input: EventStream, predicate: &Expr) -> Result<EventStream> {
-    let compiled = CompiledExpr::compile(predicate, input.schema());
-    if !input.is_unique() {
-        let schema = input.schema().clone();
-        let mut events = Vec::with_capacity(input.len());
-        for e in input.events() {
-            if compiled.eval_predicate(&e.payload)? {
-                events.push(e.clone());
-            }
-        }
-        return Ok(EventStream::new(schema, events));
-    }
-    // `retain` cannot early-return, so capture the first evaluation error
-    // and surface it afterwards; the kept-set before the error matches the
-    // interpreted operator (which stops at the same row) because the whole
-    // stream is discarded on error anyway.
-    let mut first_err = None;
-    input.events_mut().retain(|e| {
-        if first_err.is_some() {
-            return false;
-        }
-        match compiled.eval_predicate(&e.payload) {
-            Ok(keep) => keep,
-            Err(err) => {
-                first_err = Some(err);
-                false
-            }
-        }
-    });
-    match first_err {
-        Some(err) => Err(err),
-        None => Ok(input),
-    }
+pub fn filter(input: EventStream, predicate: &Expr) -> Result<EventStream> {
+    Ok(filter_runs(Runs::one(input), predicate, &mut Cut::none())?.stream)
+}
+
+/// [`filter`] over every run at once: one compile, one pass, and the run
+/// bounds compact with the survivors.
+pub(crate) fn filter_runs(input: Runs, predicate: &Expr, cut: &mut Cut) -> Result<Runs> {
+    let compiled = CompiledExpr::compile(predicate, input.stream.schema());
+    input.retain_map(cut, |e| {
+        Ok(compiled.eval_predicate(&e.payload)?.then_some(e.lifetime))
+    })
 }
 
 #[cfg(test)]

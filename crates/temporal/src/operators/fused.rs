@@ -25,7 +25,10 @@ use crate::compiled::CompiledExpr;
 use crate::error::{Result, TemporalError};
 use crate::exec::StreamData;
 use crate::expr::Expr;
-use crate::operators::{self, alter_lifetime::transform};
+use crate::operators::alter_lifetime::{alter_lifetime_runs, transform};
+use crate::operators::filter::filter_runs;
+use crate::operators::group_apply::{Cut, Runs};
+use crate::operators::project::project_runs;
 use crate::plan::{FusedStep, LifetimeOp};
 use crate::stream::EventStream;
 use crate::time::Lifetime;
@@ -86,17 +89,28 @@ pub fn fused_fragment_batch(mut batch: EventBatch, steps: &[FusedStep]) -> Resul
 
 /// Run a fused fragment over a row stream: the steps execute as the
 /// in-place row operators, in order. This is the path for data that
-/// arrives as rows (streams a caller already holds, ill-typed payloads,
-/// GroupApply groups) and the fallback a batch fragment finishes on.
-pub fn fused_fragment_rows(mut stream: EventStream, steps: &[FusedStep]) -> Result<EventStream> {
+/// arrives as rows (streams a caller already holds, ill-typed payloads)
+/// and the fallback a batch fragment finishes on.
+pub fn fused_fragment_rows(stream: EventStream, steps: &[FusedStep]) -> Result<EventStream> {
+    Ok(fused_fragment_runs(Runs::one(stream), steps, &mut Cut::none())?.stream)
+}
+
+/// [`fused_fragment_rows`] over every run of a GroupApply at once: each
+/// step is compiled once and passes once over the whole stream, compacting
+/// the run bounds with its survivors.
+pub(crate) fn fused_fragment_runs(
+    mut runs: Runs,
+    steps: &[FusedStep],
+    cut: &mut Cut,
+) -> Result<Runs> {
     for step in steps {
-        stream = match step {
-            FusedStep::Filter { predicate } => operators::filter(stream, predicate)?,
-            FusedStep::Project { exprs } => operators::project(stream, exprs)?,
-            FusedStep::AlterLifetime { op } => operators::alter_lifetime(stream, op)?,
+        runs = match step {
+            FusedStep::Filter { predicate } => filter_runs(runs, predicate, cut)?,
+            FusedStep::Project { exprs } => project_runs(runs, exprs, cut)?,
+            FusedStep::AlterLifetime { op } => alter_lifetime_runs(runs, op)?,
         };
     }
-    Ok(stream)
+    Ok(runs)
 }
 
 /// Materialize the current selection once, then run the remaining steps

@@ -1,236 +1,485 @@
 //! GroupApply: apply a sub-plan to each group (paper §II-A.2, Fig 4).
 //!
-//! The input is hash-partitioned on the grouping key; the sub-plan runs once
-//! per group over that group's events; the grouping key columns are
-//! prepended to every output row.
+//! Execution is **segmented**: instead of materialising one stream and one
+//! executor per group, the input is laid out once as key-ordered *runs*
+//! ([`Runs`]) and the sub-plan is walked once over all of them
+//! ([`crate::exec::walk_runs`]).
 //!
-//! Partitioning is hash-then-compare: events bucket by the 64-bit key hash
-//! (no per-event key materialization) and are **moved** into their group,
-//! not cloned; hash collisions between distinct keys are separated by
-//! comparing key cells against each group's first event. One key per
-//! *group* is materialized at the end for the deterministic sort.
+//! Grouping is hash-then-compare: each event gets a group ordinal from the
+//! 64-bit key hash (no per-event key materialization), hash collisions
+//! between distinct keys are separated by comparing key cells against the
+//! group's first event, the *groups* — not the events — are sorted by key
+//! cells, and a stable counting sort moves the events into sorted-key run
+//! order, so the order inside a group is the input's. One key per group is
+//! materialized for the prefix, which is attached once, at the sub-plan's
+//! root.
 //!
-//! Every group is independent, so groups fan out as tasks on the shared
-//! [`WorkerPool`]: each task runs the sub-plan over its group's events and
-//! prepends the key prefix to its own outputs. Group results are then
-//! concatenated **strictly in sorted-key order**, so the output event
-//! vector is byte-identical to the sequential (one-thread) path regardless
-//! of thread count or scheduling — the repeatability guarantee (paper
-//! §III) that restarted reducers compare bytes against. Errors propagate
-//! from the lowest group in sort order, keeping failure deterministic too.
+//! The pool fans out **contiguous run ranges** balanced by event count —
+//! one task per range, each walking the sub-plan over its runs — and the
+//! ranges are concatenated in order, so the output event vector is
+//! byte-identical at every pool width (the repeatability guarantee of
+//! paper §III that restarted reducers compare bytes against). Errors are
+//! deterministic too: the walk reports the lowest failing group in
+//! sorted-key order and, inside it, the first failing operator — what a
+//! group-at-a-time evaluation would have met first ([`Cut`]).
 
-use crate::batch::EventBatch;
-use crate::error::Result;
+use crate::error::{Result, TemporalError};
 use crate::event::Event;
+use crate::exec::{walk_runs, ExecStats, StreamData, SubplanEnv};
 use crate::key::KeySelector;
 use crate::plan::LogicalPlan;
 use crate::stream::EventStream;
-use pool::WorkerPool;
+use crate::time::Lifetime;
 use relation::{Row, Schema, Value};
 use rustc_hash::FxHashMap;
+use std::collections::hash_map::Entry;
 
-/// Run `subplan` per distinct value of `keys`, prepending the key columns to
-/// output rows. `run_subplan` is supplied by the executor (it knows how to
-/// evaluate a plan against a bound GroupInput); it must be `Sync` because
-/// groups run concurrently on `pool`.
-pub fn group_apply(
-    input: EventStream,
-    keys: &[String],
-    subplan: &LogicalPlan,
-    pool: &WorkerPool,
-    run_subplan: &(dyn Fn(&LogicalPlan, EventStream) -> Result<EventStream> + Sync),
-) -> Result<EventStream> {
-    group_apply_inner(input, None, keys, subplan, pool, run_subplan)
+/// A row stream laid out as consecutive runs, one per group in sorted-key
+/// order: the form every sub-plan node consumes and produces.
+#[derive(Debug, Clone)]
+pub(crate) struct Runs {
+    pub(crate) stream: EventStream,
+    /// Run `r` is `events[bounds[r]..bounds[r + 1]]`; `bounds[0] == 0` and
+    /// the last bound is the event count.
+    pub(crate) bounds: Vec<usize>,
 }
 
-/// Columnar entry: key hashes are computed straight off the payload
-/// columns (no per-event row walk), then the events stream through the
-/// same partition/sort/merge machinery as [`group_apply`] — groups, group
-/// order, and output are byte-identical.
-pub fn group_apply_batch(
-    input: EventBatch,
-    keys: &[String],
-    subplan: &LogicalPlan,
-    pool: &WorkerPool,
-    run_subplan: &(dyn Fn(&LogicalPlan, EventStream) -> Result<EventStream> + Sync),
-) -> Result<EventStream> {
-    let sel = KeySelector::new(input.schema(), keys)?;
-    let hashes = sel.hash_batch(input.payload());
-    group_apply_inner(
-        input.into_stream(),
-        Some(hashes),
-        keys,
-        subplan,
-        pool,
-        run_subplan,
-    )
+/// The run of `bounds` holding event `event`.
+pub(crate) fn run_of(bounds: &[usize], event: usize) -> usize {
+    bounds.partition_point(|&b| b <= event) - 1
 }
 
-fn group_apply_inner(
-    input: EventStream,
-    hashes: Option<Vec<u64>>,
-    keys: &[String],
-    subplan: &LogicalPlan,
-    pool: &WorkerPool,
-    run_subplan: &(dyn Fn(&LogicalPlan, EventStream) -> Result<EventStream> + Sync),
-) -> Result<EventStream> {
-    let in_schema = input.schema().clone();
-    let sel = KeySelector::new(&in_schema, keys)?;
+impl Runs {
+    /// The whole stream as one run: how the top-level row operators use the
+    /// run-aware kernels.
+    pub(crate) fn one(stream: EventStream) -> Runs {
+        let bounds = vec![0, stream.len()];
+        Runs { stream, bounds }
+    }
 
-    // Partition events by key hash, moving each event into its group; a
-    // bucket holds one group per distinct key that hashes there. The hash
-    // comes from the precomputed column-major vector when one was supplied
-    // (bit-identical to hashing the row, so bucketing cannot differ).
-    let mut buckets: FxHashMap<u64, Vec<Vec<Event>>> = FxHashMap::default();
-    let mut place = |h: u64, e: Event| {
-        let groups = buckets.entry(h).or_default();
-        match groups
-            .iter_mut()
-            .find(|g| sel.matches_same(&g[0].payload, &e.payload))
-        {
-            Some(g) => g.push(e),
-            None => groups.push(vec![e]),
-        }
-    };
-    match hashes {
-        Some(hashes) => {
-            debug_assert_eq!(hashes.len(), input.len());
-            for (e, h) in input.into_events().into_iter().zip(hashes) {
-                place(h, e);
-            }
-        }
-        None => {
-            for e in input.into_events() {
-                let h = sel.hash(&e.payload);
-                place(h, e);
-            }
+    /// Number of runs.
+    pub(crate) fn len(&self) -> usize {
+        self.bounds.len() - 1
+    }
+
+    /// Keep the first `runs` runs (only ever shortens, and only once an
+    /// error is pending — see [`Cut`]).
+    pub(crate) fn truncate(&mut self, runs: usize) {
+        if runs < self.len() {
+            self.bounds.truncate(runs + 1);
+            self.stream.events_mut().truncate(self.bounds[runs]);
         }
     }
 
-    // Deterministic group order: materialize one key per group and sort.
-    let mut ordered: Vec<(Vec<Value>, Vec<Event>)> = buckets
-        .into_values()
-        .flatten()
-        .map(|g| (sel.extract(&g[0].payload), g))
-        .collect();
-    ordered.sort_by(|a, b| a.0.cmp(&b.0));
+    /// Keep the events `f` maps to a lifetime, with that lifetime, and drop
+    /// the rest; the run bounds compact with the survivors. Uniquely-owned
+    /// storage is compacted in place, shared storage is rebuilt from clones
+    /// of the survivors only.
+    pub(crate) fn retain_map(
+        self,
+        cut: &mut Cut,
+        mut f: impl FnMut(&Event) -> Result<Option<Lifetime>>,
+    ) -> Result<Runs> {
+        let Runs {
+            mut stream,
+            mut bounds,
+        } = self;
+        let mut i = 0;
+        if stream.is_unique() {
+            let events = stream.events_mut();
+            let mut w = 0;
+            'runs: for r in 0..bounds.len() - 1 {
+                let (end, run_start) = (bounds[r + 1], w);
+                while i < end {
+                    match f(&events[i]) {
+                        Ok(Some(lifetime)) => {
+                            events[i].lifetime = lifetime;
+                            if w != i {
+                                events.swap(w, i);
+                            }
+                            w += 1;
+                        }
+                        Ok(None) => {}
+                        Err(e) => {
+                            cut.fail(r, e)?;
+                            w = run_start;
+                            bounds.truncate(r + 1);
+                            break 'runs;
+                        }
+                    }
+                    i += 1;
+                }
+                bounds[r + 1] = w;
+            }
+            events.truncate(w);
+        } else {
+            let events = stream.events();
+            let mut out = Vec::with_capacity(events.len());
+            'runs: for r in 0..bounds.len() - 1 {
+                let end = bounds[r + 1];
+                while i < end {
+                    match f(&events[i]) {
+                        Ok(Some(lifetime)) => {
+                            out.push(Event::new(lifetime, events[i].payload.clone()))
+                        }
+                        Ok(None) => {}
+                        Err(e) => {
+                            cut.fail(r, e)?;
+                            out.truncate(bounds[r]);
+                            bounds.truncate(r + 1);
+                            break 'runs;
+                        }
+                    }
+                    i += 1;
+                }
+                bounds[r + 1] = out.len();
+            }
+            stream = EventStream::new(stream.schema().clone(), out);
+        }
+        Ok(Runs { stream, bounds })
+    }
+}
+
+/// The pending error of one sub-plan walk, in the order a group-at-a-time
+/// evaluation meets errors: lowest run first, then evaluation order.
+///
+/// Every kernel processes its runs in order, so the first error it meets is
+/// its lowest failing run `r`. A lower run can still fail in a *later*
+/// operator, so the kernel records the error, drops runs `r..` from its
+/// output and carries on; the walk trims every other live value to the same
+/// limit and returns the recorded error at the end. A failure in run 0
+/// cannot be superseded and is returned at once — which is also why a
+/// one-run caller (the top-level operators) never sees a pending error.
+#[derive(Debug)]
+pub(crate) struct Cut {
+    /// Runs at or past this index are dead: a recorded error covers them.
+    pub(crate) limit: usize,
+    pub(crate) err: Option<TemporalError>,
+}
+
+impl Cut {
+    pub(crate) fn none() -> Cut {
+        Cut {
+            limit: usize::MAX,
+            err: None,
+        }
+    }
+
+    /// An operator failed on `run` (below the current limit).
+    pub(crate) fn fail(&mut self, run: usize, err: TemporalError) -> Result<()> {
+        debug_assert!(run < self.limit, "kernels only see runs below the limit");
+        if run == 0 {
+            return Err(err);
+        }
+        self.limit = run;
+        self.err = Some(err);
+        Ok(())
+    }
+}
+
+/// Run `subplan` per distinct value of `keys`, prepending the key columns to
+/// output rows. A batch input hashes its keys straight off the columns
+/// ([`KeySelector::hash_batch`], bit-identical to the row hash) and is then
+/// grouped as rows.
+pub(crate) fn group_apply(
+    input: StreamData,
+    keys: &[String],
+    subplan: &LogicalPlan,
+    env: &SubplanEnv,
+    stats: &mut ExecStats,
+) -> Result<EventStream> {
+    let sel = KeySelector::new(input.schema(), keys)?;
+    let (input, hashes) = match input {
+        StreamData::Batch(b) => {
+            let hashes = sel.hash_batch(b.payload());
+            (b.into_stream(), Some(hashes))
+        }
+        StreamData::Rows(s) => (s, None),
+    };
 
     // Output schema: key fields + sub-plan output fields.
-    let sub_out_schema = subplan.schema_of(subplan.roots()[0]).clone();
+    let sub_out_schema = subplan.schema_of(subplan.roots()[0]);
     let mut fields = Vec::with_capacity(keys.len() + sub_out_schema.len());
     for k in keys {
-        fields.push(in_schema.field(k)?.clone());
+        fields.push(input.schema().field(k)?.clone());
     }
     fields.extend(sub_out_schema.fields().iter().cloned());
     let out_schema = Schema::new(fields);
 
-    // Fan out: one pool task per group, each running the sub-plan and
-    // prepending its group's key prefix (one buffer per group, reused
-    // across that group's output events).
-    let group_results: Vec<Result<Vec<Event>>> = pool.map(ordered, |_, (prefix, events)| {
-        let result = run_subplan(subplan, EventStream::new(in_schema.clone(), events))?;
-        let mut out = Vec::with_capacity(result.len());
-        for e in result.into_events() {
-            let mut values = Vec::with_capacity(prefix.len() + e.payload.len());
-            values.extend_from_slice(&prefix);
-            values.extend(e.payload.into_values());
-            out.push(Event::new(e.lifetime, Row::new(values)));
-        }
-        Ok(out)
+    let (runs, run_keys) = group_runs(input, hashes.as_deref(), &sel);
+    stats.groups += run_keys.len() as u64;
+    if run_keys.is_empty() {
+        // No group, so the sub-plan never runs (nor fails).
+        return Ok(EventStream::new(out_schema, Vec::new()));
+    }
+    stats.per_run_nodes += subplan.nodes().iter().filter(|n| !n.op.segmented()).count() as u64;
+
+    let ranges = split_ranges(runs, run_keys, env.pool.threads());
+    let results = env.pool.map(ranges, |_, (runs, run_keys)| {
+        let mut stats = ExecStats::default();
+        let root = walk_runs(subplan, runs, env, &mut stats)?;
+        Ok((attach_keys(root, &run_keys), stats))
     });
 
-    // Merge strictly in sorted-key order (== task order), pre-sizing the
-    // output to the exact total now that every group's length is known.
-    let groups = group_results.into_iter().collect::<Result<Vec<_>>>()?;
-    let mut out_events = Vec::with_capacity(groups.iter().map(Vec::len).sum());
-    for g in groups {
-        out_events.extend(g);
+    // Ranges are in sorted-key order, so the first error is the lowest
+    // group's.
+    let mut results = results.into_iter().collect::<Result<Vec<_>>>()?;
+    for (_, s) in &results {
+        stats.absorb(s);
     }
-    Ok(EventStream::new(out_schema, out_events))
+    let events = if results.len() == 1 {
+        results.pop().expect("one range").0
+    } else {
+        let mut events = Vec::with_capacity(results.iter().map(|(e, _)| e.len()).sum());
+        for (e, _) in results {
+            events.extend(e);
+        }
+        events
+    };
+    Ok(EventStream::new(out_schema, events))
+}
+
+/// Lay `input` out as sorted-key runs; returns the runs and one extracted
+/// key per run.
+fn group_runs(
+    input: EventStream,
+    hashes: Option<&[u64]>,
+    sel: &KeySelector,
+) -> (Runs, Vec<Vec<Value>>) {
+    const NONE: usize = usize::MAX;
+    let schema = input.schema().clone();
+    let events = input.into_events();
+    debug_assert!(hashes.is_none_or(|h| h.len() == events.len()));
+
+    // Group ordinals in first-seen order. `first[g]` is the group's first
+    // event (its key representative), `next[g]` chains the groups whose
+    // keys share a hash, `sizes[g]` counts its events.
+    let mut by_hash: FxHashMap<u64, usize> = FxHashMap::default();
+    let (mut first, mut next, mut sizes): (Vec<usize>, Vec<usize>, Vec<usize>) =
+        (Vec::new(), Vec::new(), Vec::new());
+    let mut ordinals = Vec::with_capacity(events.len());
+    for (i, e) in events.iter().enumerate() {
+        let h = hashes.map_or_else(|| sel.hash(&e.payload), |h| h[i]);
+        let fresh = first.len();
+        let g = match by_hash.entry(h) {
+            Entry::Vacant(v) => *v.insert(fresh),
+            Entry::Occupied(o) => {
+                let mut g = *o.get();
+                loop {
+                    if sel.matches_same(&events[first[g]].payload, &e.payload) {
+                        break g;
+                    }
+                    if next[g] == NONE {
+                        next[g] = fresh;
+                        break fresh;
+                    }
+                    g = next[g];
+                }
+            }
+        };
+        if g == fresh {
+            first.push(i);
+            next.push(NONE);
+            sizes.push(0);
+        }
+        sizes[g] += 1;
+        ordinals.push(g);
+    }
+
+    // Sort the groups by key cells, in place; distinct groups have distinct
+    // keys, so the order is total.
+    let mut order: Vec<usize> = (0..first.len()).collect();
+    order.sort_unstable_by(|&a, &b| {
+        sel.cmp_same(&events[first[a]].payload, &events[first[b]].payload)
+    });
+    let run_keys = order
+        .iter()
+        .map(|&g| sel.extract(&events[first[g]].payload))
+        .collect();
+
+    // Stable counting sort of the events into run order.
+    let mut bounds = Vec::with_capacity(order.len() + 1);
+    let mut cursor = vec![0; order.len()];
+    let mut at = 0;
+    for &g in &order {
+        bounds.push(at);
+        cursor[g] = at;
+        at += sizes[g];
+    }
+    bounds.push(at);
+    let mut sorted = vec![Event::new(Lifetime::point(0), Row::default()); events.len()];
+    for (e, g) in events.into_iter().zip(ordinals) {
+        sorted[cursor[g]] = e;
+        cursor[g] += 1;
+    }
+    let stream = EventStream::new(schema, sorted);
+    (Runs { stream, bounds }, run_keys)
+}
+
+/// Cut the runs into at most `parts` contiguous, non-empty ranges of about
+/// equal event count (a run is never split).
+fn split_ranges(
+    runs: Runs,
+    mut run_keys: Vec<Vec<Value>>,
+    parts: usize,
+) -> Vec<(Runs, Vec<Vec<Value>>)> {
+    let Runs { stream, mut bounds } = runs;
+    let total = stream.len();
+    // Range `j` starts at the first run starting at or past its share (a
+    // long last run can leave none).
+    let parts = parts.min(run_keys.len());
+    let mut starts: Vec<usize> = (1..parts)
+        .map(|j| bounds.partition_point(|&b| b < j * total / parts))
+        .filter(|&r| r < run_keys.len())
+        .collect();
+    starts.dedup();
+    if starts.is_empty() {
+        return vec![(Runs { stream, bounds }, run_keys)];
+    }
+    let schema = stream.schema().clone();
+    let mut events = stream.into_events();
+    let mut ranges = Vec::with_capacity(starts.len() + 1);
+    for &r in starts.iter().rev() {
+        let base = bounds[r];
+        let tail_bounds = bounds.split_off(r).iter().map(|b| b - base).collect();
+        bounds.push(base);
+        let tail = Runs {
+            stream: EventStream::new(schema.clone(), events.split_off(base)),
+            bounds: tail_bounds,
+        };
+        ranges.push((tail, run_keys.split_off(r)));
+    }
+    let head = Runs {
+        stream: EventStream::new(schema, events),
+        bounds,
+    };
+    ranges.push((head, run_keys));
+    ranges.reverse();
+    ranges
+}
+
+/// Prepend each run's key to its output rows.
+fn attach_keys(root: Runs, run_keys: &[Vec<Value>]) -> Vec<Event> {
+    debug_assert_eq!(root.len(), run_keys.len());
+    let mut events = root.stream.into_events();
+    for (key, w) in run_keys.iter().zip(root.bounds.windows(2)) {
+        for e in &mut events[w[0]..w[1]] {
+            let mut values = Vec::with_capacity(key.len() + e.payload.len());
+            values.extend_from_slice(key);
+            values.append(e.payload.values_mut());
+            e.payload = Row::new(values);
+        }
+    }
+    events
 }
 
 #[cfg(test)]
 mod tests {
-    // GroupApply needs the executor to run its sub-plan; behavioral tests
-    // live in `crate::exec` where the recursion is available. Here we test
-    // only the partition-and-prepend mechanics with a stub sub-plan runner.
+    // Sub-plan behaviour is tested in `crate::exec` and the property
+    // suites; here, only the layout mechanics.
     use super::*;
-    use crate::agg::AggExpr;
-    use crate::expr::col;
-    use crate::plan::Query;
     use relation::row;
     use relation::schema::{ColumnType, Field};
 
-    fn count_stub(_plan: &LogicalPlan, group: EventStream) -> Result<EventStream> {
-        // Stub: emit one point event with the number of group events.
-        let s = Schema::new(vec![Field::new("S", ColumnType::Long)]);
-        Ok(EventStream::new(
-            s,
-            vec![Event::point(0, row![group.len() as i64])],
-        ))
+    fn schema() -> Schema {
+        Schema::new(vec![
+            Field::new("Id", ColumnType::Str),
+            Field::new("V", ColumnType::Long),
+        ])
     }
 
-    fn sum_plan(schema: &Schema) -> LogicalPlan {
-        let q = Query::new();
-        let out = q
-            .source("x", schema.clone())
-            .aggregate(vec![("S".into(), AggExpr::Sum(col("V")))]);
-        q.build(vec![out]).unwrap()
+    fn grouped(events: Vec<Event>) -> (Runs, Vec<Vec<Value>>) {
+        let sel = KeySelector::new(&schema(), &["Id"]).unwrap();
+        group_runs(EventStream::new(schema(), events), None, &sel)
     }
 
     #[test]
-    fn partitions_and_prepends_keys() {
-        let schema = Schema::new(vec![
-            Field::new("Id", ColumnType::Str),
-            Field::new("V", ColumnType::Long),
+    fn runs_are_in_key_order_and_stable_inside() {
+        let (runs, keys) = grouped(vec![
+            Event::point(1, row!["b", 10i64]),
+            Event::point(2, row!["a", 20i64]),
+            Event::point(3, row!["b", 30i64]),
         ]);
-        let input = EventStream::new(
-            schema.clone(),
-            vec![
-                Event::point(1, row!["b", 10i64]),
-                Event::point(2, row!["a", 20i64]),
-                Event::point(3, row!["b", 30i64]),
-            ],
-        );
-        let g = sum_plan(&schema);
-        let out = group_apply(
-            input,
-            &["Id".to_string()],
-            &g,
-            &WorkerPool::sequential(),
-            &count_stub,
-        )
-        .unwrap();
-        assert_eq!(out.schema().names(), vec!["Id", "S"]);
-        // Groups in sorted key order: "a" then "b".
-        assert_eq!(out.events()[0].payload, row!["a", 1i64]);
-        assert_eq!(out.events()[1].payload, row!["b", 2i64]);
-    }
-
-    #[test]
-    fn parallel_output_is_byte_identical_to_sequential() {
-        let schema = Schema::new(vec![
-            Field::new("Id", ColumnType::Str),
-            Field::new("V", ColumnType::Long),
-        ]);
-        let events: Vec<Event> = (0..200)
-            .map(|i| Event::point(i as i64, row![format!("u{}", i % 17), i as i64]))
+        assert_eq!(keys, vec![vec![Value::str("a")], vec![Value::str("b")]]);
+        assert_eq!(runs.bounds, vec![0, 1, 3]);
+        let vs: Vec<_> = runs
+            .stream
+            .events()
+            .iter()
+            .map(|e| e.payload.get(1).as_long().unwrap())
             .collect();
-        let g = sum_plan(&schema);
-        let run = |threads: usize| {
-            group_apply(
-                EventStream::new(schema.clone(), events.clone()),
-                &["Id".to_string()],
-                &g,
-                &WorkerPool::new(threads),
-                &count_stub,
-            )
-            .unwrap()
-        };
-        let sequential = run(1);
-        for threads in [2, 3, 8] {
-            let parallel = run(threads);
-            assert_eq!(sequential.events(), parallel.events(), "threads={threads}");
+        assert_eq!(vs, vec![20, 10, 30]);
+    }
+
+    #[test]
+    fn ranges_cover_the_runs_in_order_and_balance_events() {
+        let events = (0..40)
+            .map(|i| Event::point(i, row![format!("u{:02}", i % 10), i]))
+            .collect();
+        let (runs, keys) = grouped(events);
+        let all = runs.stream.events().to_vec();
+        for parts in [1, 2, 3, 8, 64] {
+            let ranges = split_ranges(runs.clone(), keys.clone(), parts);
+            assert!(ranges.len() <= parts.min(10));
+            let mut seen = Vec::new();
+            let mut seen_keys = Vec::new();
+            for (r, k) in ranges {
+                assert_eq!(r.len(), k.len());
+                assert!(!k.is_empty());
+                assert_eq!(r.bounds[0], 0);
+                assert_eq!(*r.bounds.last().unwrap(), r.stream.len());
+                assert!(r.stream.len() <= 40usize.div_ceil(parts.min(10)) + 4);
+                seen.extend(r.stream.events().iter().cloned());
+                seen_keys.extend(k);
+            }
+            assert_eq!(seen, all, "parts={parts}");
+            assert_eq!(seen_keys, keys);
         }
+    }
+
+    #[test]
+    fn retain_map_compacts_bounds_in_place_and_on_shared_storage() {
+        let (runs, _) = grouped(vec![
+            Event::point(1, row!["a", 1i64]),
+            Event::point(2, row!["b", 2i64]),
+            Event::point(3, row!["b", 3i64]),
+            Event::point(4, row!["c", 4i64]),
+        ]);
+        let odd =
+            |e: &Event| Ok((e.payload.get(1).as_long().unwrap() % 2 == 1).then_some(e.lifetime));
+        let shared = runs.clone();
+        let kept = shared.retain_map(&mut Cut::none(), odd).unwrap();
+        assert_eq!(kept.bounds, vec![0, 1, 2, 2]);
+        assert_eq!(runs.stream.len(), 4, "shared storage is left alone");
+        let expected = kept.stream.events().to_vec();
+        let unique = Runs {
+            stream: EventStream::new(schema(), runs.stream.events().to_vec()),
+            bounds: runs.bounds.clone(),
+        };
+        drop(runs);
+        let kept = unique.retain_map(&mut Cut::none(), odd).unwrap();
+        assert_eq!(kept.bounds, vec![0, 1, 2, 2]);
+        assert_eq!(kept.stream.events(), &expected[..]);
+    }
+
+    #[test]
+    fn a_failure_past_the_first_run_is_recorded_and_cuts_the_output() {
+        let (runs, _) = grouped(vec![
+            Event::point(1, row!["a", 1i64]),
+            Event::point(2, row!["b", 2i64]),
+            Event::point(3, row!["c", 3i64]),
+        ]);
+        let fail_on_b = |e: &Event| {
+            if e.payload.get(0) == &Value::str("b") {
+                Err(TemporalError::Eval("b".into()))
+            } else {
+                Ok(Some(e.lifetime))
+            }
+        };
+        let mut cut = Cut::none();
+        let out = runs.retain_map(&mut cut, fail_on_b).unwrap();
+        assert_eq!((out.len(), out.stream.len()), (1, 1));
+        assert_eq!(cut.limit, 1);
+        assert_eq!(cut.err, Some(TemporalError::Eval("b".into())));
     }
 }

@@ -73,16 +73,21 @@ pub fn aggregate(input: &EventStream, aggs: &[(String, AggExpr)]) -> Result<Even
             .map(|(name, a)| Ok(Field::new(name.clone(), a.infer_type(in_schema)?)))
             .collect::<Result<Vec<_>>>()?,
     );
-    if input.is_empty() {
-        return Ok(EventStream::empty(out_schema));
-    }
     let mut arg_values: Vec<Value> = Vec::with_capacity(input.len() * aggs.len());
     for e in input.events() {
         for (_, a) in aggs {
             arg_values.push(a.eval_arg(in_schema, &e.payload)?);
         }
     }
-    crate::operators::aggregate::sweep(input, aggs, &arg_values, out_schema)
+    let events = input.events();
+    Ok(crate::operators::aggregate::sweep_runs(
+        &[0, events.len()],
+        |i| events[i].lifetime,
+        aggs,
+        &arg_values,
+        out_schema,
+    )
+    .stream)
 }
 
 /// Interpreted GroupApply: `Vec<Value>` key per event, clones group events.

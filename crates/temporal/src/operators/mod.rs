@@ -15,6 +15,12 @@
 //! naive clone-based forms in [`interpreted`] are the reference oracle
 //! behind [`crate::exec::execute_reference`]; no production path calls
 //! them, and both produce byte-identical outputs.
+//!
+//! The row operators that GroupApply sub-plans are made of — the fused
+//! steps, `aggregate`, `union` — are written over *runs* (`group_apply`'s
+//! `Runs`: one stream holding every group back to back): one compile and
+//! one pass serve all the groups, and the plain functions below are their
+//! one-run case.
 
 mod aggregate;
 mod alter_lifetime;
@@ -29,14 +35,17 @@ mod spread_grid;
 mod temporal_join;
 mod union;
 
+pub(crate) use aggregate::aggregate_runs;
 pub use aggregate::{aggregate, aggregate_batch};
 pub use alter_lifetime::alter_lifetime;
 pub use anti_semi_join::anti_semi_join;
 pub use filter::filter;
+pub(crate) use fused::fused_fragment_runs;
 pub use fused::{fused_fragment_batch, fused_fragment_rows};
-pub use group_apply::{group_apply, group_apply_batch};
+pub(crate) use group_apply::{group_apply, Cut, Runs};
 pub use hop_udo::hop_udo;
 pub use project::project;
 pub use spread_grid::spread_grid;
 pub use temporal_join::temporal_join;
 pub use union::union;
+pub(crate) use union::union_runs;

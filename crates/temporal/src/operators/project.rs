@@ -4,6 +4,7 @@ use crate::compiled::CompiledExpr;
 use crate::error::Result;
 use crate::event::Event;
 use crate::expr::Expr;
+use crate::operators::group_apply::{run_of, Cut, Runs};
 use crate::stream::EventStream;
 use relation::{Field, Row, Schema, Value};
 
@@ -15,8 +16,18 @@ use relation::{Field, Row, Schema, Value};
 /// than cloned, so carrying a string id through a projection costs
 /// nothing. Shared storage is rebuilt from borrowed events; the old
 /// payloads are never cloned wholesale, only read.
-pub fn project(mut input: EventStream, exprs: &[(String, Expr)]) -> Result<EventStream> {
-    let in_schema = input.schema();
+pub fn project(input: EventStream, exprs: &[(String, Expr)]) -> Result<EventStream> {
+    Ok(project_runs(Runs::one(input), exprs, &mut Cut::none())?.stream)
+}
+
+/// [`project`] over every run at once: events map one to one, so the run
+/// bounds pass through.
+pub(crate) fn project_runs(input: Runs, exprs: &[(String, Expr)], cut: &mut Cut) -> Result<Runs> {
+    let Runs {
+        mut stream,
+        mut bounds,
+    } = input;
+    let in_schema = stream.schema();
     let out_schema = Schema::new(
         exprs
             .iter()
@@ -47,38 +58,56 @@ pub fn project(mut input: EventStream, exprs: &[(String, Expr)]) -> Result<Event
             _ => None,
         })
         .collect();
-    let eval_row = |payload: &Row| -> Result<Row> {
-        let mut values = Vec::with_capacity(compiled.len());
-        for c in &compiled {
-            values.push(c.eval(payload)?);
+    let mut failed = None;
+    let mut events = if stream.is_unique() {
+        let mut events = stream.into_events();
+        'events: for (at, e) in events.iter_mut().enumerate() {
+            let mut values = Vec::with_capacity(compiled.len());
+            for (c, mv) in compiled.iter().zip(&moves) {
+                values.push(match mv {
+                    Some(_) => Value::Null, // placeholder, replaced below
+                    None => match c.eval(&e.payload) {
+                        Ok(v) => v,
+                        Err(err) => {
+                            failed = Some((at, err));
+                            break 'events;
+                        }
+                    },
+                });
+            }
+            let old = e.payload.values_mut();
+            for (slot, mv) in values.iter_mut().zip(&moves) {
+                if let Some(i) = *mv {
+                    *slot = std::mem::replace(&mut old[i], Value::Null);
+                }
+            }
+            e.payload = Row::new(values);
         }
-        Ok(Row::new(values))
-    };
-    if !input.is_unique() {
-        let mut events = Vec::with_capacity(input.len());
-        for e in input.events() {
-            events.push(Event::new(e.lifetime, eval_row(&e.payload)?));
-        }
-        return Ok(EventStream::new(out_schema, events));
-    }
-    let mut events = input.into_events();
-    for e in &mut events {
-        let mut values = Vec::with_capacity(compiled.len());
-        for (c, mv) in compiled.iter().zip(&moves) {
-            values.push(match mv {
-                Some(_) => Value::Null, // placeholder, replaced below
-                None => c.eval(&e.payload)?,
-            });
-        }
-        let old = e.payload.values_mut();
-        for (slot, mv) in values.iter_mut().zip(&moves) {
-            if let Some(i) = *mv {
-                *slot = std::mem::replace(&mut old[i], Value::Null);
+        events
+    } else {
+        let mut events = Vec::with_capacity(stream.len());
+        for (at, e) in stream.events().iter().enumerate() {
+            match compiled.iter().map(|c| c.eval(&e.payload)).collect() {
+                Ok(values) => events.push(Event::new(e.lifetime, Row::new(values))),
+                Err(err) => {
+                    failed = Some((at, err));
+                    break;
+                }
             }
         }
-        e.payload = Row::new(values);
+        events
+    };
+    if let Some((at, err)) = failed {
+        // Runs before the failing event's are fully projected; keep those.
+        let run = run_of(&bounds, at);
+        cut.fail(run, err)?;
+        bounds.truncate(run + 1);
+        events.truncate(bounds[run]);
     }
-    Ok(EventStream::new(out_schema, events))
+    Ok(Runs {
+        stream: EventStream::new(out_schema, events),
+        bounds,
+    })
 }
 
 #[cfg(test)]

@@ -27,72 +27,90 @@ fn step_desc(step: &FusedStep) -> String {
 
 impl fmt::Display for LogicalPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for (i, &root) in self.roots().iter().enumerate() {
+        Rendered {
+            plan: self,
+            grouped: false,
+        }
+        .fmt(f)
+    }
+}
+
+/// A plan being rendered; `grouped` marks a GroupApply sub-plan, whose nodes
+/// also say how they run over the groups ([`Operator::segmented`]).
+struct Rendered<'a> {
+    plan: &'a LogicalPlan,
+    grouped: bool,
+}
+
+impl fmt::Display for Rendered<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (i, &root) in self.plan.roots().iter().enumerate() {
             writeln!(f, "output {i}:")?;
-            fmt_node(self, root, 1, f)?;
+            self.fmt_node(root, 1, f)?;
         }
         Ok(())
     }
 }
 
-fn fmt_node(
-    plan: &LogicalPlan,
-    id: NodeId,
-    indent: usize,
-    f: &mut fmt::Formatter<'_>,
-) -> fmt::Result {
-    let node = plan.node(id);
-    let pad = "  ".repeat(indent);
-    match &node.op {
-        Operator::Source { name, schema } => {
-            writeln!(f, "{pad}Source `{name}` {schema}")?;
-        }
-        Operator::GroupInput { .. } => writeln!(f, "{pad}GroupInput")?,
-        Operator::Filter { predicate } => writeln!(f, "{pad}Filter {predicate}")?,
-        Operator::Project { exprs } => {
-            let cols: Vec<String> = exprs.iter().map(|(n, e)| format!("{n}={e}")).collect();
-            writeln!(f, "{pad}Project [{}]", cols.join(", "))?;
-        }
-        Operator::AlterLifetime { op } => {
-            writeln!(f, "{pad}AlterLifetime {}", lifetime_desc(op))?;
-        }
-        Operator::FusedFragment { steps } => {
-            let descs: Vec<String> = steps.iter().map(step_desc).collect();
-            writeln!(f, "{pad}FusedFragment [{}]", descs.join("; "))?;
-        }
-        Operator::Aggregate { aggs } => {
-            let cols: Vec<String> = aggs.iter().map(|(n, a)| format!("{n}={a}")).collect();
-            writeln!(f, "{pad}Aggregate [{}]", cols.join(", "))?;
-        }
-        Operator::GroupApply { keys, subplan } => {
-            writeln!(f, "{pad}GroupApply ({})", keys.join(", "))?;
+impl Rendered<'_> {
+    fn fmt_node(&self, id: NodeId, indent: usize, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let node = self.plan.node(id);
+        let pad = "  ".repeat(indent);
+        let pairs = |keys: &[(String, String)]| -> String {
+            let ks: Vec<String> = keys.iter().map(|(l, r)| format!("{l}={r}")).collect();
+            ks.join(", ")
+        };
+        let desc = match &node.op {
+            Operator::Source { name, schema } => format!("Source `{name}` {schema}"),
+            Operator::GroupInput { .. } => "GroupInput".to_string(),
+            Operator::Filter { predicate } => format!("Filter {predicate}"),
+            Operator::Project { exprs } => {
+                let cols: Vec<String> = exprs.iter().map(|(n, e)| format!("{n}={e}")).collect();
+                format!("Project [{}]", cols.join(", "))
+            }
+            Operator::AlterLifetime { op } => format!("AlterLifetime {}", lifetime_desc(op)),
+            Operator::FusedFragment { steps } => {
+                let descs: Vec<String> = steps.iter().map(step_desc).collect();
+                format!("FusedFragment [{}]", descs.join("; "))
+            }
+            Operator::Aggregate { aggs } => {
+                let cols: Vec<String> = aggs.iter().map(|(n, a)| format!("{n}={a}")).collect();
+                format!("Aggregate [{}]", cols.join(", "))
+            }
+            Operator::GroupApply { keys, .. } => format!("GroupApply ({})", keys.join(", ")),
+            Operator::Union => "Union".to_string(),
+            Operator::TemporalJoin { keys, residual } => match residual {
+                Some(res) => format!("TemporalJoin ({}) where {res}", pairs(keys)),
+                None => format!("TemporalJoin ({})", pairs(keys)),
+            },
+            Operator::AntiSemiJoin { keys } => format!("AntiSemiJoin ({})", pairs(keys)),
+            Operator::HopUdo { hop, width, udo } => {
+                format!("HopUdo `{}` h={hop} w={width}", udo.name())
+            }
+            Operator::SpreadGrid { grid } => format!("SpreadGrid g={grid}"),
+        };
+        let how = match (self.grouped, node.op.segmented()) {
+            (false, _) => "",
+            (true, true) => " [segmented]",
+            (true, false) => " [per-run]",
+        };
+        writeln!(f, "{pad}{desc}{how}")?;
+        if let Operator::GroupApply { subplan, .. } = &node.op {
             // Render the sub-plan indented one extra level.
-            let rendered = format!("{subplan}");
+            let rendered = Rendered {
+                plan: subplan,
+                grouped: true,
+            }
+            .to_string();
             for line in rendered.lines() {
                 writeln!(f, "{pad}  | {line}")?;
             }
         }
-        Operator::Union => writeln!(f, "{pad}Union")?,
-        Operator::TemporalJoin { keys, residual } => {
-            let ks: Vec<String> = keys.iter().map(|(l, r)| format!("{l}={r}")).collect();
-            match residual {
-                Some(res) => writeln!(f, "{pad}TemporalJoin ({}) where {res}", ks.join(", "))?,
-                None => writeln!(f, "{pad}TemporalJoin ({})", ks.join(", "))?,
-            }
+        for &input in &node.inputs {
+            self.fmt_node(input, indent + 1, f)?;
         }
-        Operator::AntiSemiJoin { keys } => {
-            let ks: Vec<String> = keys.iter().map(|(l, r)| format!("{l}={r}")).collect();
-            writeln!(f, "{pad}AntiSemiJoin ({})", ks.join(", "))?;
-        }
-        Operator::HopUdo { hop, width, udo } => {
-            writeln!(f, "{pad}HopUdo `{}` h={hop} w={width}", udo.name())?;
-        }
-        Operator::SpreadGrid { grid } => writeln!(f, "{pad}SpreadGrid g={grid}")?,
+        Ok(())
     }
-    for &input in &node.inputs {
-        fmt_node(plan, input, indent + 1, f)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -123,6 +141,34 @@ mod tests {
             "Window w=100",
             "Aggregate [N=COUNT()]",
             "Source `in`",
+        ] {
+            assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
+        }
+    }
+
+    #[test]
+    fn sub_plan_nodes_say_how_they_run_over_the_groups() {
+        let schema = Schema::new(vec![
+            Field::new("UserId", ColumnType::Str),
+            Field::new("Ad", ColumnType::Str),
+        ]);
+        let q = Query::new();
+        let out = q.source("in", schema).group_apply(&["UserId"], |g| {
+            let counts = g.clone().window(10).count("N");
+            let per_ad = g.group_apply(&["Ad"], |a| a.window(5).count("M"));
+            counts.temporal_join(per_ad, &[], None)
+        });
+        let text = q.build(vec![out]).unwrap().to_string();
+        for needle in [
+            "Source `in` (UserId:str, Ad:str)\n",
+            "GroupApply (UserId)\n",
+            "|   TemporalJoin () [per-run]\n",
+            "|     Aggregate [N=COUNT()] [segmented]\n",
+            "|         GroupInput [segmented]\n",
+            // A nested GroupApply is one call per outer run; inside each
+            // call its own sub-plan is segmented again.
+            "|     GroupApply (Ad) [per-run]\n",
+            "|       |   Aggregate [M=COUNT()] [segmented]\n",
         ] {
             assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
         }

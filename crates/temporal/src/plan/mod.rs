@@ -226,6 +226,23 @@ impl Operator {
         )
     }
 
+    /// How the operator runs inside a GroupApply sub-plan — a function of
+    /// its kind alone. `true`: a run-aware kernel passes once over all the
+    /// groups (laid out as key-ordered runs). `false`: it has none, and is
+    /// called once per run on that run's slice of its inputs.
+    pub fn segmented(&self) -> bool {
+        matches!(
+            self,
+            Operator::GroupInput { .. }
+                | Operator::Filter { .. }
+                | Operator::Project { .. }
+                | Operator::AlterLifetime { .. }
+                | Operator::FusedFragment { .. }
+                | Operator::Aggregate { .. }
+                | Operator::Union
+        )
+    }
+
     /// The window extent this operator imposes on its input, if any — used
     /// by TiMR's temporal partitioning to size span overlaps (paper §III-B).
     pub fn window_extent(&self) -> Option<Duration> {

@@ -1,20 +1,27 @@
-//! Property tests for parallel GroupApply: fanning groups out on the
-//! worker pool must be invisible in the output. For any plan, key set and
-//! event bag — including distinct keys engineered to share an FxHash
-//! value, and groups whose sub-plan output is empty — the event vector at
-//! 2+ threads must be **byte-identical** (`events() ==`, not just the
-//! same relation) to the sequential run. This is the repeatability
-//! guarantee restarted reducers compare bytes against (paper §III-C.1).
+//! Property tests for segmented GroupApply: walking the sub-plan once over
+//! key-ordered runs, and fanning run ranges out on the worker pool, must be
+//! invisible in the output. For any sub-plan shape, key set and event bag —
+//! including distinct keys engineered to share an FxHash value, and groups
+//! whose sub-plan output is empty — the event vector at every pool width,
+//! on rows and on a batch, must be **byte-identical** (`events() ==`, not
+//! just the same relation) to the group-at-a-time reference, and so must
+//! the error when a group fails. This is the repeatability guarantee
+//! restarted reducers compare bytes against (paper §III-C.1).
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use timr_suite::relation::hash::values_hash;
 use timr_suite::relation::schema::{ColumnType, Field};
-use timr_suite::relation::{row, Schema, Value};
+use timr_suite::relation::{row, Row, Schema, Value};
 use timr_suite::temporal::agg::AggExpr;
-use timr_suite::temporal::exec::{bindings, data_bindings, execute_data, WorkerPool};
+use timr_suite::temporal::exec::{
+    bindings, data_bindings, execute_data, execute_reference, execute_single, Bindings, StreamData,
+    WorkerPool,
+};
 use timr_suite::temporal::expr::{col, lit};
-use timr_suite::temporal::plan::LogicalPlan;
-use timr_suite::temporal::{Event, EventStream, Query};
+use timr_suite::temporal::plan::{LifetimeOp, LogicalPlan, Operator, PlanNode, StreamHandle};
+use timr_suite::temporal::udo::{WindowCountUdo, WindowUdo};
+use timr_suite::temporal::{Event, EventBatch, EventStream, Query, TemporalError};
 
 fn payload() -> Schema {
     Schema::new(vec![
@@ -75,66 +82,409 @@ fn palette_pairs_really_collide() {
     }
 }
 
-/// A random GroupApply plan: 1- or 2-column key, one of three sub-plan
-/// shapes (the filtered variant can leave groups with zero output).
-fn build_plan(key_cols: usize, plan_kind: usize, w: i64) -> LogicalPlan {
-    let keys: &[&str] = if key_cols == 1 { &["A"] } else { &["A", "B"] };
-    let q = Query::new();
-    let src = q.source("in", payload());
-    let out = match plan_kind {
-        0 => src.group_apply(keys, |g| g.window(w).count("N")),
-        1 => src.group_apply(keys, |g| {
-            g.aggregate(vec![
-                ("S".into(), AggExpr::Sum(col("V"))),
-                ("C".into(), AggExpr::Count),
-            ])
-        }),
-        _ => src.group_apply(keys, |g| {
-            // Groups where no event passes the filter produce no output.
-            g.filter(col("V").ge(lit(25i64))).window(w).count("N")
-        }),
+/// A window UDO that fails on a chosen `V`: a data-dependent error that is
+/// the same on every layout.
+#[derive(Debug)]
+struct FailOn {
+    name: &'static str,
+    v: i64,
+}
+
+impl WindowUdo for FailOn {
+    fn name(&self) -> &str {
+        self.name
+    }
+
+    fn output_schema(&self, input: &Schema) -> timr_suite::temporal::Result<Schema> {
+        Ok(input.clone())
+    }
+
+    fn apply(
+        &self,
+        _window_end: i64,
+        _input_schema: &Schema,
+        events: &[Event],
+    ) -> timr_suite::temporal::Result<Vec<Row>> {
+        if events
+            .iter()
+            .any(|e| e.payload.get(2) == &Value::Long(self.v))
+        {
+            return Err(TemporalError::Eval(format!("{} saw {}", self.name, self.v)));
+        }
+        Ok(events.iter().map(|e| e.payload.clone()).collect())
+    }
+}
+
+/// Every sub-plan shape the segmented walk has a path for. `thr` steers
+/// the filters so that some groups — sometimes all — produce no output.
+const SUB_PLANS: usize = 11;
+
+fn sub_plan(kind: usize, g: StreamHandle, w: i64, thr: i64) -> StreamHandle {
+    let sums = || {
+        vec![
+            ("S".to_string(), AggExpr::Sum(col("V"))),
+            ("C".to_string(), AggExpr::Count),
+        ]
     };
+    match kind {
+        0 => g.window(w).count("N"),
+        1 => g.aggregate(sums()),
+        2 => g.filter(col("V").ge(lit(thr))).window(w).count("N"),
+        3 => g.hop_window(w.max(2) / 2, w).aggregate(sums()),
+        // Filter after the aggregate: whole groups can vanish late.
+        4 => g.window(w).count("N").filter(col("N").ge(lit(2i64))),
+        // The BotElim shape: two branches off one GroupInput, unioned.
+        5 => {
+            let low = g
+                .clone()
+                .filter(col("V").lt(lit(thr)))
+                .window(w)
+                .count("N")
+                .filter(col("N").gt(lit(1i64)));
+            let high = g.filter(col("V").ge(lit(thr))).count("N");
+            low.union(high)
+                .project(vec![("Hit".to_string(), lit(1i64))])
+        }
+        6 => {
+            let counts = g.clone().window(w).count("N");
+            let totals = g
+                .filter(col("V").ge(lit(thr)))
+                .window(2 * w)
+                .aggregate(sums());
+            counts.temporal_join(totals, &[], Some(col("C").le(col("N"))))
+        }
+        7 => {
+            let holes = g.clone().filter(col("V").ge(lit(thr))).window(w);
+            g.anti_semi_join(holes, &[("B", "B")])
+                .project(vec![("X".to_string(), col("V"))])
+        }
+        8 => g.group_apply(&["V"], move |h| {
+            h.filter(col("B").lt(lit(thr))).window(w).count("N")
+        }),
+        9 => g.hop_udo(w, 2 * w, Arc::new(WindowCountUdo)),
+        // Three inputs of uneven sizes: the union's run order is decided
+        // run by run.
+        _ => {
+            let a = g.clone().filter(col("V").lt(lit(thr)));
+            let b = g.clone().window(w);
+            a.union_all(vec![b, g.filter(col("V").ge(lit(thr / 2)))])
+                .project(vec![("X".to_string(), col("V"))])
+        }
+    }
+}
+
+fn keys_of(key_cols: usize) -> &'static [&'static str] {
+    if key_cols == 1 {
+        &["A"]
+    } else {
+        &["A", "B"]
+    }
+}
+
+/// `in → GroupApply(keys, sub_plan(kind))`.
+fn build_plan(key_cols: usize, kind: usize, w: i64, thr: i64) -> LogicalPlan {
+    let q = Query::new();
+    let out = q
+        .source("in", payload())
+        .group_apply(keys_of(key_cols), |g| sub_plan(kind, g, w, thr));
     q.build(vec![out]).unwrap()
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// A sub-plan that reads an outer `Source`: every group sees the whole of
+/// `side` next to its own events. The builder has no spelling for it, so
+/// the arena is assembled by hand: `Union(GroupInput, side) → window → count`.
+fn outer_source_plan(key_cols: usize, w: i64) -> LogicalPlan {
+    let node = |op, inputs| PlanNode { op, inputs };
+    let sub = LogicalPlan::from_parts(
+        vec![
+            node(Operator::GroupInput { schema: payload() }, vec![]),
+            node(
+                Operator::Source {
+                    name: "side".into(),
+                    schema: payload(),
+                },
+                vec![],
+            ),
+            node(Operator::Union, vec![0, 1]),
+            node(
+                Operator::AlterLifetime {
+                    op: LifetimeOp::Window(w),
+                },
+                vec![2],
+            ),
+            node(
+                Operator::Aggregate {
+                    aggs: vec![("N".into(), AggExpr::Count)],
+                },
+                vec![3],
+            ),
+        ],
+        vec![4],
+    )
+    .unwrap();
+    LogicalPlan::from_parts(
+        vec![
+            node(
+                Operator::Source {
+                    name: "in".into(),
+                    schema: payload(),
+                },
+                vec![],
+            ),
+            node(
+                Operator::GroupApply {
+                    keys: keys_of(key_cols).iter().map(|k| k.to_string()).collect(),
+                    subplan: Arc::new(sub),
+                },
+                vec![0],
+            ),
+        ],
+        vec![1],
+    )
+    .unwrap()
+}
 
-    /// Parallel GroupApply at 2+ threads is byte-identical to the
-    /// sequential run, for random plans, key widths and event bags —
-    /// `0..` lengths include the empty input.
-    #[test]
-    fn parallel_group_apply_is_byte_identical(
-        events in prop::collection::vec((0i64..400, 0usize..64, 0i64..40), 0..80),
-        key_cols in 1usize..3,
-        plan_kind in 0usize..3,
-        w in 1i64..50,
-    ) {
-        let palette = palette();
-        let stream = EventStream::new(
-            payload(),
-            events
+fn palette_stream(events: &[(i64, usize, i64)]) -> EventStream {
+    let palette = palette();
+    EventStream::new(
+        payload(),
+        events
+            .iter()
+            .map(|&(t, pi, v)| {
+                let (a, b) = palette[pi % palette.len()];
+                Event::point(t, row![a, b, v])
+            })
+            .collect(),
+    )
+}
+
+/// Run `plan` on the engine with every binding as rows and as a batch, at
+/// pool widths 1, 2, 3 and 8, and on the reference operators: nine event
+/// vectors (or error messages), all identical.
+fn assert_all_agree(plan: &LogicalPlan, srcs: &Bindings) -> Result<(), TestCaseError> {
+    let reference = execute_reference(plan, srcs)
+        .map(|mut roots| roots.pop().unwrap())
+        .map_err(|e| e.to_string());
+    for threads in [1usize, 2, 3, 8] {
+        for as_batch in [false, true] {
+            let bound = srcs
                 .iter()
-                .map(|&(t, pi, v)| {
-                    let (a, b) = palette[pi % palette.len()];
-                    Event::point(t, row![a, b, v])
+                .map(|(name, s)| {
+                    let data = match EventBatch::from_stream(s) {
+                        Some(batch) if as_batch => StreamData::Batch(batch),
+                        _ => StreamData::Rows(s.clone()),
+                    };
+                    (name.clone(), data)
                 })
-                .collect(),
-        );
-        let plan = build_plan(key_cols, plan_kind, w);
-        let srcs = bindings(vec![("in", stream)]);
-        let run = |threads: usize| {
-            let (mut roots, _) = execute_data(&plan, data_bindings(srcs.clone()), &WorkerPool::new(threads)).unwrap();
-            roots.pop().unwrap().into_stream()
-        };
-        let sequential = run(1);
-        for threads in [2usize, 3, 8] {
-            let parallel = run(threads);
-            prop_assert_eq!(
-                sequential.events(),
-                parallel.events(),
-                "threads={} changed the output", threads
-            );
+                .collect();
+            let engine = execute_data(plan, bound, &WorkerPool::new(threads))
+                .map(|(mut roots, _)| roots.pop().unwrap().into_stream())
+                .map_err(|e| e.to_string());
+            match (&engine, &reference) {
+                (Ok(e), Ok(r)) => prop_assert_eq!(
+                    e.events(),
+                    r.events(),
+                    "threads={} batch={}",
+                    threads,
+                    as_batch
+                ),
+                (e, r) => prop_assert_eq!(
+                    e.as_ref().map(|_| ()),
+                    r.as_ref().map(|_| ()),
+                    "threads={} batch={}",
+                    threads,
+                    as_batch
+                ),
+            }
         }
     }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Segmented GroupApply — at every pool width, on rows and on a batch
+    /// — is byte-identical to the group-at-a-time reference, for random
+    /// sub-plan shapes, key widths and event bags; `0..` lengths include
+    /// the empty input.
+    #[test]
+    fn segmented_group_apply_is_byte_identical_to_the_reference(
+        events in prop::collection::vec((0i64..400, 0usize..64, 0i64..40), 0..80),
+        key_cols in 1usize..3,
+        kind in 0usize..SUB_PLANS,
+        w in 1i64..50,
+        thr in 0i64..45,
+    ) {
+        let plan = build_plan(key_cols, kind, w, thr);
+        let srcs = bindings(vec![("in", palette_stream(&events))]);
+        assert_all_agree(&plan, &srcs)?;
+    }
+
+    /// The same with a sub-plan that reads an outer source, which every
+    /// group sees whole.
+    #[test]
+    fn a_sub_plan_source_is_broadcast_to_every_group(
+        events in prop::collection::vec((0i64..400, 0usize..64, 0i64..40), 0..40),
+        side in prop::collection::vec((0i64..400, 0usize..64, 0i64..40), 0..6),
+        key_cols in 1usize..3,
+        w in 1i64..50,
+    ) {
+        let plan = outer_source_plan(key_cols, w);
+        let srcs = bindings(vec![
+            ("in", palette_stream(&events)),
+            ("side", palette_stream(&side)),
+        ]);
+        assert_all_agree(&plan, &srcs)?;
+    }
+
+    /// A failing group: whichever operator fails in whichever group, every
+    /// execution reports what the reference meets first — the lowest group
+    /// in key order, and its first failing operator.
+    #[test]
+    fn errors_are_the_reference_s_at_every_width(
+        events in prop::collection::vec((0i64..400, 0usize..64, 0i64..12), 1..60),
+        key_cols in 1usize..3,
+        first in 0i64..12,
+        second in 0i64..12,
+        w in 1i64..50,
+    ) {
+        let q = Query::new();
+        let out = q.source("in", payload()).group_apply(keys_of(key_cols), |g| {
+            g.hop_udo(w, w, Arc::new(FailOn { name: "first", v: first }))
+                .filter(col("V").ge(lit(0i64)))
+                .hop_udo(w, w, Arc::new(FailOn { name: "second", v: second }))
+                .count("N")
+        });
+        let plan = q.build(vec![out]).unwrap();
+        let srcs = bindings(vec![("in", palette_stream(&events))]);
+        assert_all_agree(&plan, &srcs)?;
+    }
+}
+
+/// The pinned case of the property above: group `a` passes the first UDO
+/// and fails in the second; group `b` fails in the first. A node-at-a-time
+/// walk meets `b`'s error first; the answer is `a`'s.
+#[test]
+fn the_lower_group_s_later_error_wins() {
+    let q = Query::new();
+    let out = q.source("in", payload()).group_apply(&["A"], |g| {
+        g.hop_udo(
+            10,
+            10,
+            Arc::new(FailOn {
+                name: "first",
+                v: 7,
+            }),
+        )
+        .hop_udo(
+            10,
+            10,
+            Arc::new(FailOn {
+                name: "second",
+                v: 3,
+            }),
+        )
+        .count("N")
+    });
+    let plan = q.build(vec![out]).unwrap();
+    let stream = EventStream::new(
+        payload(),
+        vec![
+            Event::point(5, row![2i64, 0i64, 7i64]), // group 2: fails in `first`
+            Event::point(5, row![1i64, 0i64, 3i64]), // group 1: fails in `second`
+            Event::point(5, row![3i64, 0i64, 1i64]), // group 3: fine
+        ],
+    );
+    let srcs = bindings(vec![("in", stream)]);
+    let reference = execute_reference(&plan, &srcs).unwrap_err().to_string();
+    assert_eq!(reference, "eval error: second saw 3");
+    for threads in [1, 2, 3] {
+        let err = execute_data(
+            &plan,
+            data_bindings(srcs.clone()),
+            &WorkerPool::new(threads),
+        )
+        .unwrap_err()
+        .to_string();
+        assert_eq!(err, reference, "threads={threads}");
+    }
+}
+
+/// A segmented kernel failing past the first group (rows only: the typed
+/// batch has no form for the offending cell, so `run_three_ways` binds rows
+/// on both engine arms). Group 1 fails in the aggregate's argument, group 2
+/// already in the filter before it.
+#[test]
+fn kernel_errors_keep_the_reference_s_order() {
+    let q = Query::new();
+    let out = q.source("in", payload()).group_apply(&["A"], |g| {
+        g.filter(col("V").add(lit(1.5f64)).gt(lit(0i64)))
+            .aggregate(vec![("S".into(), AggExpr::Sum(col("B").mul(lit(2i64))))])
+    });
+    let plan = q.build(vec![out]).unwrap();
+    let ill = |v: &str| Value::str(v);
+    let stream = EventStream::new(
+        payload(),
+        vec![
+            Event::point(1, row![0i64, 1i64, 1i64]), // group 0: fine
+            Event::point(2, Row::new(vec![Value::Long(2), Value::Long(1), ill("v")])),
+            Event::point(3, Row::new(vec![Value::Long(1), ill("b"), Value::Long(1)])),
+        ],
+    );
+    let srcs = bindings(vec![("in", stream)]);
+    let reference = execute_reference(&plan, &srcs).unwrap_err().to_string();
+    // The aggregate's complaint about group 1's `B`, not the filter's
+    // about group 2's `V`.
+    assert_eq!(reference, "eval error: expected integer, got str");
+    for threads in [1, 2, 3] {
+        let err = execute_data(
+            &plan,
+            data_bindings(srcs.clone()),
+            &WorkerPool::new(threads),
+        )
+        .unwrap_err()
+        .to_string();
+        assert_eq!(err, reference, "threads={threads}");
+    }
+}
+
+/// The four `BtPipeline` plans over a 200-user log, each fed the previous
+/// one's reference output: engine and reference publish the same bytes.
+#[test]
+fn the_bt_plans_match_the_reference_byte_for_byte() {
+    use timr_suite::bt::queries::{bot_elim, feature_selection, log_payload, train_data};
+    let mut cfg = timr_suite::adgen::GenConfig::small(7);
+    cfg.users = 200;
+    let log = timr_suite::adgen::generate(&cfg);
+    let logs = timr_suite::timr::EventEncoding::Point
+        .decode_stream(&log.rows(), &log_payload())
+        .unwrap();
+    let params = timr_suite::bt::BtParams {
+        horizon: cfg.duration * 2,
+        ..Default::default()
+    };
+    let agree = |plan: &LogicalPlan, srcs: Bindings| -> EventStream {
+        let engine = execute_single(plan, &srcs).unwrap();
+        let reference = execute_reference(plan, &srcs).unwrap().pop().unwrap();
+        assert!(!reference.is_empty());
+        assert_eq!(engine.events(), reference.events());
+        reference
+    };
+    let clean = agree(
+        &bot_elim::query(&params).plan,
+        bindings(vec![("logs", logs)]),
+    );
+    let labels = agree(
+        &train_data::labels_query(&params).plan,
+        bindings(vec![("clean_logs", clean.clone())]),
+    );
+    let train = agree(
+        &train_data::train_query(&params).plan,
+        bindings(vec![("clean_logs", clean)]),
+    );
+    agree(
+        &feature_selection::query(&params).plan,
+        bindings(vec![("labels", labels), ("train_rows", train)]),
+    );
 }

@@ -5,8 +5,10 @@
 use proptest::prelude::*;
 use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{row, Schema};
+use timr_suite::temporal::agg::AggExpr;
 use timr_suite::temporal::exec::{bindings, execute_single};
 use timr_suite::temporal::expr::{col, lit};
+use timr_suite::temporal::operators::aggregate;
 use timr_suite::temporal::{Event, EventStream, Lifetime, Query};
 
 fn payload() -> Schema {
@@ -59,6 +61,60 @@ proptest! {
         }
         let b = execute_single(&plan, &bindings(vec![("in", stream_of(&shuffled))])).unwrap();
         prop_assert!(a.same_relation(&b));
+    }
+
+    /// Aggregating a stream equals concatenating the aggregates of its
+    /// time-disjoint pieces, byte for byte, for every aggregate over a
+    /// `Double` argument: no rounding residue (nor SUM's "saw a float")
+    /// outlives the burst of events that produced it. This is what lets a
+    /// temporally partitioned run (paper §III-B) publish the single-node
+    /// bytes.
+    #[test]
+    fn aggregate_concatenates_over_time_disjoint_pieces(
+        bursts in prop::collection::vec(
+            prop::collection::vec((0i64..20, 1i64..10, -1e3f64..1e3), 1..8),
+            1..5,
+        ),
+        gap in 1i64..5,
+    ) {
+        let schema = Schema::new(vec![Field::new("D", ColumnType::Double)]);
+        let d = || col("D");
+        let aggs: Vec<(String, AggExpr)> = [
+            AggExpr::Count,
+            AggExpr::Sum(d()),
+            AggExpr::Avg(d()),
+            AggExpr::StdDev(d()),
+            AggExpr::Min(d()),
+            AggExpr::Max(d()),
+            AggExpr::CountDistinct(d()),
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, a)| (format!("A{i}"), a))
+        .collect();
+
+        // Lay the bursts out one after another, `gap` ticks apart.
+        let mut origin = 0;
+        let mut pieces: Vec<Vec<Event>> = Vec::new();
+        for burst in &bursts {
+            let piece: Vec<Event> = burst
+                .iter()
+                .map(|&(s, len, x)| Event::interval(origin + s, origin + s + len, row![x]))
+                .collect();
+            origin = piece.iter().map(Event::end).max().unwrap() + gap;
+            pieces.push(piece);
+        }
+        let whole = EventStream::new(schema.clone(), pieces.concat());
+        let concatenated: Vec<Event> = pieces
+            .into_iter()
+            .flat_map(|p| {
+                aggregate(&EventStream::new(schema.clone(), p), &aggs)
+                    .unwrap()
+                    .into_events()
+            })
+            .collect();
+        let aggregated = aggregate(&whole, &aggs).unwrap();
+        prop_assert_eq!(aggregated.events(), &concatenated[..]);
     }
 
     /// Windowed count agrees with a brute-force oracle at every instant.
