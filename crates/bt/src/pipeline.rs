@@ -71,37 +71,50 @@ impl BtPipeline {
         logs_dataset: &str,
         prefix: &str,
     ) -> Result<PipelineArtifacts> {
+        self.run_jobs(dfs, cluster, logs_dataset, prefix, |job| job)
+    }
+
+    /// [`Self::run`] with every job passed through `job` before it runs
+    /// (the identity there; the tests switch push-down off with it).
+    fn run_jobs(
+        &self,
+        dfs: &Dfs,
+        cluster: &Cluster,
+        logs_dataset: &str,
+        prefix: &str,
+        job: impl Fn(TimrJob) -> TimrJob,
+    ) -> Result<PipelineArtifacts> {
         let mut stats = Vec::new();
         let machines = self.params.machines;
 
         // 1. BotElim: logs -> clean_logs.
         let bot = queries::bot_elim::query(&self.params);
         alias(dfs, logs_dataset, "logs")?;
-        let out = TimrJob::new(format!("{prefix}_botelim"), bot.plan.clone())
+        let bot_job = TimrJob::new(format!("{prefix}_botelim"), bot.plan.clone())
             .with_annotation(bot.annotation.clone())
-            .with_machines(machines)
-            .run(dfs, cluster)?;
+            .with_machines(machines);
+        let out = job(bot_job).run(dfs, cluster)?;
         stats.push(("BotElim".to_string(), out.stats));
         let clean = out.dataset;
 
         // 2a. Labels: clean_logs -> labels.
         alias(dfs, &clean, "clean_logs")?;
         let labels_q = queries::train_data::labels_query(&self.params);
-        let out = TimrJob::new(format!("{prefix}_labels"), labels_q.plan.clone())
+        let labels_job = TimrJob::new(format!("{prefix}_labels"), labels_q.plan.clone())
             .with_annotation(labels_q.annotation.clone())
             .with_machines(machines)
-            .with_source_encoding("clean_logs", EventEncoding::Interval)
-            .run(dfs, cluster)?;
+            .with_source_encoding("clean_logs", EventEncoding::Interval);
+        let out = job(labels_job).run(dfs, cluster)?;
         stats.push(("GenTrainData/labels".to_string(), out.stats));
         let labels = out.dataset;
 
         // 2b. Training rows: clean_logs -> train_rows.
         let train_q = queries::train_data::train_query(&self.params);
-        let out = TimrJob::new(format!("{prefix}_train"), train_q.plan.clone())
+        let train_job = TimrJob::new(format!("{prefix}_train"), train_q.plan.clone())
             .with_annotation(train_q.annotation.clone())
             .with_machines(machines)
-            .with_source_encoding("clean_logs", EventEncoding::Interval)
-            .run(dfs, cluster)?;
+            .with_source_encoding("clean_logs", EventEncoding::Interval);
+        let out = job(train_job).run(dfs, cluster)?;
         stats.push(("GenTrainData".to_string(), out.stats));
         let train_rows = out.dataset;
 
@@ -109,12 +122,12 @@ impl BtPipeline {
         alias(dfs, &labels, "labels")?;
         alias(dfs, &train_rows, "train_rows")?;
         let fs_q = queries::feature_selection::query(&self.params);
-        let out = TimrJob::new(format!("{prefix}_scores"), fs_q.plan.clone())
+        let scores_job = TimrJob::new(format!("{prefix}_scores"), fs_q.plan.clone())
             .with_annotation(fs_q.annotation.clone())
             .with_machines(machines)
             .with_source_encoding("labels", EventEncoding::Interval)
-            .with_source_encoding("train_rows", EventEncoding::Interval)
-            .run(dfs, cluster)?;
+            .with_source_encoding("train_rows", EventEncoding::Interval);
+        let out = job(scores_job).run(dfs, cluster)?;
         stats.push(("FeatureSelection".to_string(), out.stats));
         let scores = out.dataset;
 
@@ -293,6 +306,50 @@ mod tests {
         assert!(!examples.is_empty());
         let ctr = crate::example::ctr(&examples);
         assert!(ctr > 0.0 && ctr < 0.5, "ctr {ctr}");
+    }
+
+    /// Push-down — now with both feature-selection counts combined
+    /// map-side — publishes the very extent images the reduce-only plans
+    /// do, for all four datasets.
+    #[test]
+    fn push_down_on_and_off_publish_the_same_extent_images() {
+        let mut cfg = GenConfig::small(7);
+        cfg.users = 200;
+        let dfs = Dfs::new();
+        let rows = generate(&cfg).rows();
+        dfs.put("raw", Dataset::single(adgen::unified_schema(), rows))
+            .unwrap();
+        let pipeline = BtPipeline::new(BtParams {
+            machines: 4,
+            ..Default::default()
+        });
+        let cluster = Cluster::new();
+        let on = pipeline.run(&dfs, &cluster, "raw", "on").unwrap();
+        let off = pipeline
+            .run_jobs(&dfs, &cluster, "raw", "off", |job| {
+                job.with_push_down(false)
+            })
+            .unwrap();
+        let saved = |a: &PipelineArtifacts| -> u64 {
+            a.stats
+                .iter()
+                .map(|(_, s)| s.total_shuffle_bytes_saved())
+                .sum()
+        };
+        assert!(saved(&on) > 0 && saved(&off) == 0);
+        for (a, b) in [
+            (&on.clean, &off.clean),
+            (&on.labels, &off.labels),
+            (&on.train_rows, &off.train_rows),
+            (&on.scores, &off.scores),
+        ] {
+            let (a, b) = (dfs.get(a).unwrap(), dfs.get(b).unwrap());
+            assert!(!a.is_empty());
+            assert_eq!(a.extents().len(), b.extents().len());
+            for (x, y) in a.extents().iter().zip(b.extents()) {
+                assert_eq!(x.bytes, y.bytes);
+            }
+        }
     }
 
     #[test]

@@ -135,6 +135,39 @@ mod tests {
         assert!(text.contains("AntiSemiJoin (UserId=UserId)\n"), "{text}");
     }
 
+    /// The hop sinks into the sub-plan, but two filtered counts are not a
+    /// hopping aggregate: no pane kernel, no partial — and the compiled job
+    /// says which rule kept the raw log in the shuffle.
+    #[test]
+    fn the_two_branch_sub_plan_walks_the_runs_and_pushes_no_partial() {
+        let btq = query(&params());
+        let fused = temporal::plan::fuse_plan(&btq.plan).unwrap().to_string();
+        assert!(!fused.contains("[pane]"), "{fused}");
+        assert!(
+            fused.contains("FusedFragment [HopWindow h=900 w=21600] [segmented]"),
+            "the hop runs inside the sub-plan:\n{fused}"
+        );
+        let input = EventStream::new(
+            super::log_payload(),
+            vec![event(HOUR, 1, "u1", "ad1"), event(HOUR, 2, "u2", "cars")],
+        );
+        let srcs = temporal::exec::data_bindings(bindings(vec![("logs", input)]));
+        let pool = temporal::exec::WorkerPool::sequential();
+        let (_, stats) = temporal::exec::execute_data(&btq.plan, srcs, &pool).unwrap();
+        assert_eq!((stats.groups, stats.pane_groups), (2, 0));
+
+        let compiled = timr::TimrJob::new("botelim", btq.plan.clone())
+            .with_annotation(btq.annotation.clone())
+            .compile()
+            .unwrap();
+        assert_eq!((compiled.pushed_ops, compiled.pushed_partials), (0, 0));
+        let text = compiled.to_string();
+        assert!(
+            text.contains("<- logs: no partial aggregate (cut point has other consumers)"),
+            "{text}"
+        );
+    }
+
     #[test]
     fn light_activity_survives() {
         let events = vec![

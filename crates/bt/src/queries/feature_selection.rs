@@ -225,6 +225,39 @@ mod tests {
             .any(|e| e.payload.get(1).as_str() == Some("hot")));
     }
 
+    /// The query is written the way the paper draws it — `hop_window` above
+    /// the GroupApply — and still is a hopping aggregate to the planner:
+    /// both counts push their partials map-side and run on the pane kernel.
+    #[test]
+    fn both_counts_push_partials_and_take_the_pane_kernel() {
+        let btq = query(&BtParams::default());
+        let compiled = timr::TimrJob::new("scores", btq.plan.clone())
+            .with_annotation(btq.annotation.clone())
+            .with_source_encoding("labels", timr::EventEncoding::Interval)
+            .with_source_encoding("train_rows", timr::EventEncoding::Interval)
+            .compile()
+            .unwrap();
+        assert_eq!((compiled.pushed_ops, compiled.pushed_partials), (0, 2));
+        assert!(compiled.partial_refusals.is_empty(), "{compiled}");
+
+        let fused = temporal::plan::fuse_plan(&btq.plan).unwrap().to_string();
+        for needle in [
+            "Aggregate [TotalClicks=SUM(Label), TotalExamples=COUNT()] [pane]",
+            "Aggregate [ClicksWith=SUM(Label), ExamplesWith=COUNT()] [pane]",
+        ] {
+            assert!(fused.contains(needle), "missing `{needle}` in:\n{fused}");
+        }
+        assert!(!fused.contains("[segmented]"), "{fused}");
+
+        let (labels, rows) = sample();
+        let srcs =
+            temporal::exec::data_bindings(bindings(vec![("labels", labels), ("train_rows", rows)]));
+        let pool = temporal::exec::WorkerPool::sequential();
+        let (_, stats) = temporal::exec::execute_data(&btq.plan, srcs, &pool).unwrap();
+        // One ad; keywords "hot" and "meh" under it.
+        assert_eq!((stats.groups, stats.pane_groups), (3, 3));
+    }
+
     #[test]
     fn annotation_forms_single_adid_fragment() {
         let btq = query(&BtParams::default());

@@ -22,7 +22,7 @@ use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 use std::sync::Arc;
 use temporal::exec::{DataBindings, StreamData};
-use temporal::plan::{LogicalPlan, PushDown};
+use temporal::plan::{LogicalPlan, NoPartial, PushDown};
 
 /// A compiled TiMR job: ordered stages plus output metadata.
 #[derive(Debug, Clone)]
@@ -42,6 +42,32 @@ pub struct CompiledJob {
     /// Per pushed stage input: whether its mapper decodes extents to
     /// columns or rows, and why (all stages, in stage order).
     pub mapper_layouts: Vec<MapperLayout>,
+    /// Per stage input that push-down looked at and gave no partial
+    /// aggregate: why not (all stages, in stage order).
+    pub partial_refusals: Vec<PartialRefusal>,
+}
+
+/// Why one stage input's map side carries no partial aggregation — the
+/// push-down's own answer ([`temporal::plan::NoPartial`]), so a job that
+/// shuffles raw rows says which rule kept them raw.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PartialRefusal {
+    /// Stage the input belongs to.
+    pub stage: String,
+    /// Stage-input dataset name.
+    pub input: String,
+    /// The rule that declined.
+    pub reason: NoPartial,
+}
+
+impl fmt::Display for PartialRefusal {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} <- {}: no partial aggregate ({})",
+            self.stage, self.input, self.reason
+        )
+    }
 }
 
 /// How one pushed stage input is decoded map-side, and why. This is the one
@@ -76,18 +102,40 @@ impl fmt::Display for MapperLayout {
     }
 }
 
-/// Render the map-side half of a compiled job: the push-down counts and
-/// one line per pushed input's layout decision.
+/// Render the map-side half of a compiled job: the push-down counts, one
+/// line per pushed input's layout decision, and one per input that got no
+/// partial aggregate, with the reason.
 pub(crate) fn map_side_report(
     pushed_ops: usize,
     pushed_partials: usize,
     layouts: &[MapperLayout],
+    refusals: &[PartialRefusal],
 ) -> String {
     let mut out = format!("map side: pushed_ops={pushed_ops} pushed_partials={pushed_partials}\n");
     for layout in layouts {
         let _ = writeln!(out, "  {layout}");
     }
+    for refusal in refusals {
+        let _ = writeln!(out, "  {refusal}");
+    }
     out
+}
+
+/// The refusal report of one stage: `push_down`'s per-source answers under
+/// the stage's dataset names (`dataset_of` maps a source leaf to its input).
+pub(crate) fn partial_refusals(
+    stage: &str,
+    pd: &PushDown,
+    dataset_of: impl Fn(&str) -> String,
+) -> Vec<PartialRefusal> {
+    pd.no_partial
+        .iter()
+        .map(|(source, reason)| PartialRefusal {
+            stage: stage.to_string(),
+            input: dataset_of(source),
+            reason: reason.clone(),
+        })
+        .collect()
 }
 
 impl fmt::Display for CompiledJob {
@@ -105,6 +153,7 @@ impl fmt::Display for CompiledJob {
             self.pushed_ops,
             self.pushed_partials,
             &self.mapper_layouts,
+            &self.partial_refusals,
         ))
     }
 }
@@ -169,6 +218,7 @@ pub fn compile_with_options(
     let mut pushed_ops = 0usize;
     let mut pushed_partials = 0usize;
     let mut mapper_layouts = Vec::new();
+    let mut partial_refusals = Vec::new();
 
     for frag in &fragments {
         let (stage, pd, layouts) =
@@ -177,6 +227,14 @@ pub fn compile_with_options(
         if let Some(pd) = pd {
             pushed_ops += pd.pushed_ops;
             pushed_partials += pd.partials;
+            partial_refusals.extend(self::partial_refusals(&stage.name, &pd, |source| {
+                let (_, input) = frag
+                    .inputs
+                    .iter()
+                    .find(|(name, _)| name == source)
+                    .expect("every source leaf of a fragment plan is one of its inputs");
+                input.dataset_name(job_name)
+            }));
         }
         if frag.is_final {
             output = stage.output.clone();
@@ -192,6 +250,7 @@ pub fn compile_with_options(
         pushed_ops,
         pushed_partials,
         mapper_layouts,
+        partial_refusals,
     })
 }
 
@@ -225,18 +284,15 @@ fn compile_fragment(
         FragmentKey::Single => Some(None),
         FragmentKey::Spread => None,
     };
+    // `None`: not attempted. A split that moved nothing has no mappers and
+    // the plan itself as its residual.
     let pd: Option<PushDown> = match partition_cols {
         Some(cols) if options.push_down => {
-            let pd = temporal::plan::push_down(&frag.plan, cols).map_err(TimrError::Temporal)?;
-            pd.any().then_some(pd)
+            Some(temporal::plan::push_down(&frag.plan, cols).map_err(TimrError::Temporal)?)
         }
         _ => None,
     };
-    let reduce_plan = pd
-        .as_ref()
-        .map(|p| &p.residual)
-        .unwrap_or(&frag.plan)
-        .clone();
+    let reduce_plan = pd.as_ref().map_or(&frag.plan, |p| &p.residual);
 
     let mut input_names = Vec::with_capacity(frag.inputs.len());
     let mut bindings = Vec::with_capacity(frag.inputs.len());
@@ -309,7 +365,7 @@ fn compile_fragment(
     // mapper and residual halves fuse independently, so a fused fragment
     // never straddles the exchange.
     let reducer = DsmsReducer {
-        plan: temporal::plan::fuse_plan(&reduce_plan)
+        plan: temporal::plan::fuse_plan(reduce_plan)
             .map_err(TimrError::Temporal)?
             .into_owned(),
         inputs: bindings,

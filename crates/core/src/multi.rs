@@ -25,7 +25,10 @@
 
 use crate::annotate::{join_right_column, required_key_superset, ExchangeKey};
 use crate::bridge::EventEncoding;
-use crate::compile::{map_side_report, mapper_layouts, DsmsReducer, InputBinding, MapperLayout};
+use crate::compile::{
+    map_side_report, mapper_layouts, partial_refusals, DsmsReducer, InputBinding, MapperLayout,
+    PartialRefusal,
+};
 use crate::error::{Result, TimrError};
 use crate::mapper::{DsmsMapper, MapperUnit};
 use mapreduce::{Cluster, Dfs, JobStats, Partitioner, Stage};
@@ -83,6 +86,9 @@ pub struct CompiledMultiJob {
     /// Per pushed stage input: whether its mapper decodes extents to
     /// columns or rows, and why.
     pub mapper_layouts: Vec<MapperLayout>,
+    /// Per source that push-down looked at and gave no partial aggregate:
+    /// why not.
+    pub partial_refusals: Vec<PartialRefusal>,
 }
 
 /// Result of running a multi-query job.
@@ -162,6 +168,7 @@ impl MultiTimrJob {
             compiled.pushed_ops,
             compiled.pushed_partials,
             &compiled.mapper_layouts,
+            &compiled.partial_refusals,
         ));
         Ok(text)
     }
@@ -218,10 +225,11 @@ impl MultiTimrJob {
             ExchangeKey::Single => Some(None),
             ExchangeKey::Spread => None,
         };
+        // `None`: not attempted. A split that moved nothing has no mappers
+        // and the plan itself as its residual.
         let pd: Option<PushDown> = match partition_cols {
             Some(cols) if self.push_down => {
-                let pd = push_down(&plan, cols).map_err(TimrError::Temporal)?;
-                pd.any().then_some(pd)
+                Some(push_down(&plan, cols).map_err(TimrError::Temporal)?)
             }
             _ => None,
         };
@@ -317,6 +325,10 @@ impl MultiTimrJob {
         };
         let stage_name = format!("{}/shared", self.name);
         let mapper_layouts = mapper_layouts(&stage_name, &input_names, &units);
+        // A source leaf is read from the same-named dataset.
+        let partial_refusals = pd.as_ref().map_or_else(Vec::new, |pd| {
+            partial_refusals(&stage_name, pd, str::to_string)
+        });
         let mut stage = Stage::new(
             stage_name,
             input_names,
@@ -342,6 +354,7 @@ impl MultiTimrJob {
             pushed_ops: pd.as_ref().map_or(0, |p| p.pushed_ops),
             pushed_partials: pd.as_ref().map_or(0, |p| p.partials),
             mapper_layouts,
+            partial_refusals,
         })
     }
 

@@ -249,9 +249,11 @@ mod tests {
             .collect();
         assert_eq!(layouts, [("logs", false, "filter-only prefix")]);
         let text = compiled.to_string();
+        // ... and why the sliding-window count behind it stayed whole.
         assert!(
             text.contains("map side: pushed_ops=1 pushed_partials=0")
-                && text.contains("<- logs: decodes to rows (filter-only prefix)"),
+                && text.contains("<- logs: decodes to rows (filter-only prefix)")
+                && text.contains("<- logs: no partial aggregate (not a hopping aggregate)"),
             "{text}"
         );
     }

@@ -551,7 +551,7 @@ pub(crate) fn run_map_task(
     let mapped = apply_mapper(env.stage, env.dsms_pool, i, e, attempt, raw)?;
     let sealed = seal_extent(env, i, e, &mapped, None)?;
     let bytes_saved = if env.stage.mapper.is_some() {
-        let raw_bytes: u64 = raw.iter().map(|r| r.width() as u64).sum();
+        let raw_bytes = env.inputs[i].extents()[e].width;
         raw_bytes.saturating_sub(sealed.bytes)
     } else {
         0

@@ -28,16 +28,21 @@ pub struct StoredExtent {
     /// Frame over the decoded rows (detects bit rot in the working copy
     /// without decoding `bytes`).
     pub frame: ExtentFrame,
+    /// Sum of the decoded rows' [`Row::width`]s — the unit the shuffle
+    /// counters charge — taken once, off the columns, where the extent is
+    /// sealed or loaded, so no reader walks the rows for it.
+    pub width: u64,
 }
 
 impl StoredExtent {
     /// Seal one partition of rows into its stored form. Errors, naming the
     /// offending cell, when a row does not inhabit `schema`.
     pub(crate) fn seal(schema: &Schema, rows: &[Row]) -> relation::Result<StoredExtent> {
-        let bytes = ColumnBatch::from_rows(schema, rows)?.to_extent_bytes()?;
+        let batch = ColumnBatch::from_rows(schema, rows)?;
         Ok(StoredExtent {
-            bytes: Arc::new(bytes),
+            bytes: Arc::new(batch.to_extent_bytes()?),
             frame: ExtentFrame::compute(rows),
+            width: batch.width(),
         })
     }
 }
@@ -247,6 +252,15 @@ mod tests {
         let ds = dfs.get("logs").unwrap();
         assert_eq!(ds.len(), 3);
         assert_eq!(ds.scan()[2], row![3i64, "u3"]);
+    }
+
+    #[test]
+    fn a_sealed_extent_knows_the_width_of_its_rows() {
+        let ds = sample();
+        for (stored, rows) in ds.extents().iter().zip(ds.partitions.iter()) {
+            let walked: usize = rows.iter().map(Row::width).sum();
+            assert_eq!(stored.width, walked as u64);
+        }
     }
 
     #[test]

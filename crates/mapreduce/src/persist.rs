@@ -240,9 +240,12 @@ fn load_binary_extent(path: &Path, schema: &Schema) -> Result<(Vec<Row>, StoredE
         });
     }
     let rows = batch.to_rows();
-    let frame = ExtentFrame::compute(&rows);
-    let bytes = Arc::new(bytes);
-    Ok((rows, StoredExtent { bytes, frame }))
+    let stored = StoredExtent {
+        bytes: Arc::new(bytes),
+        frame: ExtentFrame::compute(&rows),
+        width: batch.width(),
+    };
+    Ok((rows, stored))
 }
 
 fn load_text_extent(path: &Path, schema: &Schema) -> Result<Vec<Row>> {

@@ -92,9 +92,8 @@ fn read_sink(r: &mut PayloadReader<'_>) -> io::Result<(Vec<Row>, StoredExtent)> 
         checksum: r.u64()?,
     };
     let bytes = r.bytes()?;
-    let rows = ColumnBatch::from_extent_bytes(bytes)
-        .map_err(proto_err)?
-        .to_rows();
+    let batch = ColumnBatch::from_extent_bytes(bytes).map_err(proto_err)?;
+    let (rows, width) = (batch.to_rows(), batch.width());
     if rows.len() as u64 != frame.rows {
         return Err(proto_err(format!(
             "sink decodes to {} row(s), its frame says {}",
@@ -103,7 +102,12 @@ fn read_sink(r: &mut PayloadReader<'_>) -> io::Result<(Vec<Row>, StoredExtent)> 
         )));
     }
     let bytes = Arc::new(bytes.to_vec());
-    Ok((rows, StoredExtent { bytes, frame }))
+    let stored = StoredExtent {
+        bytes,
+        frame,
+        width,
+    };
+    Ok((rows, stored))
 }
 
 fn write_task_error(w: &mut PayloadWriter, e: &TaskError) {

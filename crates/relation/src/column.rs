@@ -402,6 +402,52 @@ impl Column {
         }
     }
 
+    /// Whether slots `i` and `j` hold equal cells — exactly
+    /// `self.value(i) == self.value(j)` (strict [`Value`] equality: nulls
+    /// equal each other, doubles compare by IEEE total order), without
+    /// materializing either.
+    pub fn cells_equal(&self, i: usize, j: usize) -> bool {
+        match (self.is_valid(i), self.is_valid(j)) {
+            (false, false) => true,
+            (true, true) => match &self.data {
+                ColumnData::Bool(d) => d[i] == d[j],
+                ColumnData::Int(d) => d[i] == d[j],
+                ColumnData::Long(d) => d[i] == d[j],
+                ColumnData::Double(d) => d[i].total_cmp(&d[j]).is_eq(),
+                ColumnData::Str(d) => d[i] == d[j],
+            },
+            _ => false,
+        }
+    }
+
+    /// Sum of [`Value::width`] over every slot — what the rows this column
+    /// transposes would report, cell by cell.
+    pub fn width(&self) -> u64 {
+        // Bits past `len` are never set, so a popcount counts the slots.
+        let valid = self.validity.as_ref().map_or(self.len(), |v| {
+            v.words().iter().map(|w| w.count_ones() as usize).sum()
+        });
+        let nulls = (self.len() - valid) as u64; // `Value::Null` is 1 wide
+        let fixed = |size: u64| nulls + valid as u64 * size;
+        match &self.data {
+            ColumnData::Bool(_) => fixed(1),
+            ColumnData::Int(_) => fixed(4),
+            ColumnData::Long(_) | ColumnData::Double(_) => fixed(8),
+            ColumnData::Str(d) => {
+                let text: usize = match &self.validity {
+                    None => d.iter().map(|s| s.len()).sum(),
+                    Some(v) => d
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, _)| v.is_valid(i))
+                        .map(|(_, s)| s.len())
+                        .sum(),
+                };
+                fixed(8) + text as u64
+            }
+        }
+    }
+
     /// Keep only the slots where `keep` is true.
     pub fn retain(&mut self, keep: &[bool]) {
         assert_eq!(keep.len(), self.len(), "retain mask length mismatch");
@@ -683,6 +729,12 @@ impl ColumnBatch {
         crate::extent::decode_extent(bytes)
     }
 
+    /// Sum of [`Row::width`] over the rows this batch transposes, from the
+    /// dense vectors (no row is built).
+    pub fn width(&self) -> u64 {
+        self.columns.iter().map(Column::width).sum()
+    }
+
     /// Per-row key hash over the cells at `indices` — bit-identical to
     /// [`crate::hash::key_hash`] on the gathered row.
     pub fn key_hashes(&self, indices: &[usize]) -> Vec<u64> {
@@ -782,6 +834,30 @@ mod tests {
         for (i, r) in rows().iter().enumerate() {
             assert_eq!(hashes[i], key_hash(r, &indices), "row {i}");
         }
+    }
+
+    #[test]
+    fn cells_equal_and_width_match_the_materialized_values() {
+        let s = schema();
+        let mut all = rows();
+        all.push(row![true, 1i32, 2i64, -0.0f64, "a"]);
+        all.push(row![true, 1i32, 2i64, 0.0f64, "b"]);
+        all.push(row![false, -7i32, i64::MAX, f64::NAN, ""]);
+        let batch = ColumnBatch::from_rows(&s, &all).unwrap();
+        for (c, col) in batch.columns().iter().enumerate() {
+            for i in 0..all.len() {
+                for j in 0..all.len() {
+                    assert_eq!(
+                        col.cells_equal(i, j),
+                        all[i].get(c) == all[j].get(c),
+                        "column {c} slots {i},{j}"
+                    );
+                }
+            }
+        }
+        let want: usize = all.iter().map(Row::width).sum();
+        assert_eq!(batch.width(), want as u64);
+        assert_eq!(ColumnBatch::from_rows(&s, &[]).unwrap().width(), 0);
     }
 
     #[test]

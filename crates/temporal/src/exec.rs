@@ -25,7 +25,10 @@
 //!
 //! A GroupApply sub-plan is not executed per group: [`walk_runs`] evaluates
 //! it once, node by node, over all the groups laid out as key-ordered runs
-//! (see [`operators::group_apply`]).
+//! (see [`operators::group_apply`]) — unless the sub-plan is a tumbling
+//! hopping aggregate of combinable aggregates, which GroupApply runs as one
+//! hash aggregation over (group, cell) without laying anything out
+//! (`operators::pane`; the plan alone decides).
 
 use crate::batch::EventBatch;
 use crate::error::{Result, TemporalError};
@@ -49,7 +52,8 @@ pub type DataBindings = FxHashMap<String, StreamData>;
 /// `Rows` is the universal form every operator accepts; `Batch` is the
 /// column-major form the TiMR bridge decodes shuffled extents into, consumed
 /// by the operators with columnar kernels (fused fragments, Aggregate
-/// argument evaluation, GroupApply key hashing). Operators without a kernel
+/// argument evaluation, GroupApply key hashing and its pane kernel, which
+/// never leaves the columns). Operators without a kernel
 /// convert a batch back to rows at their input, and a fragment that cannot
 /// stay columnar finishes on rows — so every plan runs on either layout
 /// with byte-identical output.
@@ -118,6 +122,10 @@ pub struct ExecStats {
     /// per run through the generic adapter ([`Operator::segmented`] says
     /// which), counted once per GroupApply evaluation.
     pub per_run_nodes: u64,
+    /// Of `groups`, those aggregated by the pane kernel
+    /// ([`operators::pane`]): their sub-plan was a tumbling, combinable
+    /// hopping aggregate, so no runs were laid out and nothing was swept.
+    pub pane_groups: u64,
 }
 
 impl ExecStats {
@@ -126,6 +134,7 @@ impl ExecStats {
         self.row_fallbacks += task.row_fallbacks;
         self.groups += task.groups;
         self.per_run_nodes += task.per_run_nodes;
+        self.pane_groups += task.pane_groups;
     }
 }
 
@@ -776,6 +785,19 @@ mod tests {
             });
         let stats = run(&q.build(vec![out]).unwrap());
         assert_eq!((stats.groups, stats.per_run_nodes), (2 + 3 + 1, 1 + 2));
+        assert_eq!(stats.pane_groups, 0);
+        // A tumbling count, with the hop written above the GroupApply: the
+        // plan is normalised on entry and the pane kernel takes all three
+        // groups; a sliding hop walks the runs.
+        for (hop, width, pane_groups) in [(100, 100, 3), (50, 100, 0)] {
+            let q = Query::new();
+            let out = q
+                .source("input", bt_schema())
+                .hop_window(hop, width)
+                .group_apply(&["KwAdId"], |g| g.count("N"));
+            let stats = run(&q.build(vec![out]).unwrap());
+            assert_eq!((stats.groups, stats.pane_groups), (3, pane_groups));
+        }
     }
 
     #[test]

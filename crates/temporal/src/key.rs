@@ -46,6 +46,24 @@ impl KeySelector {
         batch.key_hashes(&self.indices)
     }
 
+    /// Whether rows `i` and `j` of a column batch share a key — what
+    /// [`Self::matches_same`] says of the gathered rows, read off the key
+    /// columns.
+    pub fn matches_batch(&self, batch: &ColumnBatch, i: usize, j: usize) -> bool {
+        self.indices
+            .iter()
+            .all(|&c| batch.column(c).cells_equal(i, j))
+    }
+
+    /// Materialize the key of row `i` of a column batch ([`Self::extract`]
+    /// of the gathered row).
+    pub fn extract_batch(&self, batch: &ColumnBatch, i: usize) -> Vec<Value> {
+        self.indices
+            .iter()
+            .map(|&c| batch.column(c).value(i))
+            .collect()
+    }
+
     /// Whether `a`'s key under `self` equals `b`'s key under `other`
     /// (index-wise strict [`Value`] equality, as `Vec<Value>` map keys used).
     pub fn matches(&self, a: &Row, other: &KeySelector, b: &Row) -> bool {
@@ -122,6 +140,26 @@ mod tests {
         let hashes = sel.hash_batch(&batch);
         for (i, r) in rows.iter().enumerate() {
             assert_eq!(hashes[i], sel.hash(r), "row {i}");
+        }
+    }
+
+    #[test]
+    fn batch_compare_and_extract_agree_with_the_rows() {
+        let s = schema();
+        let sel = KeySelector::new(&s, &["UserId", "KwAdId"]).unwrap();
+        let rows = vec![
+            row![5i64, "u1", "adA"],
+            row![6i64, "u1", "adA"],
+            row![7i64, "u1", "adB"],
+            relation::Row::new(vec![Value::Long(8), Value::Null, Value::str("adA")]),
+            relation::Row::new(vec![Value::Long(9), Value::Null, Value::str("adA")]),
+        ];
+        let batch = ColumnBatch::from_rows(&s, &rows).unwrap();
+        for (i, a) in rows.iter().enumerate() {
+            assert_eq!(sel.extract_batch(&batch, i), sel.extract(a));
+            for (j, b) in rows.iter().enumerate() {
+                assert_eq!(sel.matches_batch(&batch, i, j), sel.matches_same(a, b));
+            }
         }
     }
 

@@ -3,7 +3,10 @@
 //! Execution is **segmented**: instead of materialising one stream and one
 //! executor per group, the input is laid out once as key-ordered *runs*
 //! ([`Runs`]) and the sub-plan is walked once over all of them
-//! ([`crate::exec::walk_runs`]).
+//! ([`crate::exec::walk_runs`]). One sub-plan shape needs no runs at all: a
+//! tumbling hopping aggregate of combinable aggregates goes to the pane
+//! kernel ([`crate::operators::pane`]), which shares only the grouping
+//! ([`assign_groups`]) with what follows.
 //!
 //! Grouping is hash-then-compare: each event gets a group ordinal from the
 //! 64-bit key hash (no per-event key materialization), hash collisions
@@ -27,7 +30,8 @@ use crate::error::{Result, TemporalError};
 use crate::event::Event;
 use crate::exec::{walk_runs, ExecStats, StreamData, SubplanEnv};
 use crate::key::KeySelector;
-use crate::plan::LogicalPlan;
+use crate::operators::pane::pane_aggregate;
+use crate::plan::{hopping_aggregate, LogicalPlan};
 use crate::stream::EventStream;
 use crate::time::Lifetime;
 use relation::{Row, Schema, Value};
@@ -178,7 +182,10 @@ impl Cut {
 }
 
 /// Run `subplan` per distinct value of `keys`, prepending the key columns to
-/// output rows. A batch input hashes its keys straight off the columns
+/// output rows. A sub-plan that is a pane aggregate — decided from the plan
+/// alone, [`hopping_aggregate`] and `pane_grid` — runs on the pane kernel
+/// ([`pane_aggregate`]) in the layout the input arrives in. Everything else
+/// is segmented: a batch input hashes its keys straight off the columns
 /// ([`KeySelector::hash_batch`], bit-identical to the row hash) and is then
 /// grouped as rows.
 pub(crate) fn group_apply(
@@ -189,13 +196,6 @@ pub(crate) fn group_apply(
     stats: &mut ExecStats,
 ) -> Result<EventStream> {
     let sel = KeySelector::new(input.schema(), keys)?;
-    let (input, hashes) = match input {
-        StreamData::Batch(b) => {
-            let hashes = sel.hash_batch(b.payload());
-            (b.into_stream(), Some(hashes))
-        }
-        StreamData::Rows(s) => (s, None),
-    };
 
     // Output schema: key fields + sub-plan output fields.
     let sub_out_schema = subplan.schema_of(subplan.roots()[0]);
@@ -205,6 +205,22 @@ pub(crate) fn group_apply(
     }
     fields.extend(sub_out_schema.fields().iter().cloned());
     let out_schema = Schema::new(fields);
+
+    if let Some(shape) = hopping_aggregate(subplan) {
+        if let Some(grid) = shape.pane_grid() {
+            if let Some(events) = pane_aggregate(&input, &sel, grid, shape.aggs, stats)? {
+                return Ok(EventStream::new(out_schema, events));
+            }
+        }
+    }
+
+    let (input, hashes) = match input {
+        StreamData::Batch(b) => {
+            let hashes = sel.hash_batch(b.payload());
+            (b.into_stream(), Some(hashes))
+        }
+        StreamData::Rows(s) => (s, None),
+    };
 
     let (runs, run_keys) = group_runs(input, hashes.as_deref(), &sel);
     stats.groups += run_keys.len() as u64;
@@ -239,41 +255,44 @@ pub(crate) fn group_apply(
     Ok(EventStream::new(out_schema, events))
 }
 
-/// Lay `input` out as sorted-key runs; returns the runs and one extracted
-/// key per run.
-fn group_runs(
-    input: EventStream,
-    hashes: Option<&[u64]>,
-    sel: &KeySelector,
-) -> (Runs, Vec<Vec<Value>>) {
-    const NONE: usize = usize::MAX;
-    let schema = input.schema().clone();
-    let events = input.into_events();
-    debug_assert!(hashes.is_none_or(|h| h.len() == events.len()));
+/// Events numbered by group, in first-seen order.
+pub(crate) struct Groups {
+    /// `first[g]`: group `g`'s first event, its key representative.
+    pub(crate) first: Vec<usize>,
+    /// `sizes[g]`: its event count.
+    pub(crate) sizes: Vec<usize>,
+    /// `ordinals[i]`: event `i`'s group.
+    pub(crate) ordinals: Vec<u32>,
+}
 
-    // Group ordinals in first-seen order. `first[g]` is the group's first
-    // event (its key representative), `next[g]` chains the groups whose
-    // keys share a hash, `sizes[g]` counts its events.
-    let mut by_hash: FxHashMap<u64, usize> = FxHashMap::default();
-    let (mut first, mut next, mut sizes): (Vec<usize>, Vec<usize>, Vec<usize>) =
-        (Vec::new(), Vec::new(), Vec::new());
-    let mut ordinals = Vec::with_capacity(events.len());
-    for (i, e) in events.iter().enumerate() {
-        let h = hashes.map_or_else(|| sel.hash(&e.payload), |h| h[i]);
-        let fresh = first.len();
-        let g = match by_hash.entry(h) {
+/// Hash-then-compare grouping of events `0..n`: `hash(i)` is event `i`'s
+/// 64-bit key hash and `same_key(i, j)` separates distinct keys that share
+/// one. No key is materialized.
+pub(crate) fn assign_groups(
+    n: usize,
+    hash: impl Fn(usize) -> u64,
+    same_key: impl Fn(usize, usize) -> bool,
+) -> Groups {
+    const NONE: u32 = u32::MAX;
+    // `next[g]` chains the groups whose keys share a hash.
+    let mut by_hash: FxHashMap<u64, u32> = FxHashMap::default();
+    let (mut first, mut next, mut sizes) = (Vec::new(), Vec::<u32>::new(), Vec::new());
+    let mut ordinals = Vec::with_capacity(n);
+    for i in 0..n {
+        let fresh = first.len() as u32;
+        let g = match by_hash.entry(hash(i)) {
             Entry::Vacant(v) => *v.insert(fresh),
             Entry::Occupied(o) => {
                 let mut g = *o.get();
                 loop {
-                    if sel.matches_same(&events[first[g]].payload, &e.payload) {
+                    if same_key(first[g as usize], i) {
                         break g;
                     }
-                    if next[g] == NONE {
-                        next[g] = fresh;
+                    if next[g as usize] == NONE {
+                        next[g as usize] = fresh;
                         break fresh;
                     }
-                    g = next[g];
+                    g = next[g as usize];
                 }
             }
         };
@@ -282,9 +301,35 @@ fn group_runs(
             next.push(NONE);
             sizes.push(0);
         }
-        sizes[g] += 1;
+        sizes[g as usize] += 1;
         ordinals.push(g);
     }
+    Groups {
+        first,
+        sizes,
+        ordinals,
+    }
+}
+
+/// Lay `input` out as sorted-key runs; returns the runs and one extracted
+/// key per run.
+fn group_runs(
+    input: EventStream,
+    hashes: Option<&[u64]>,
+    sel: &KeySelector,
+) -> (Runs, Vec<Vec<Value>>) {
+    let schema = input.schema().clone();
+    let events = input.into_events();
+    debug_assert!(hashes.is_none_or(|h| h.len() == events.len()));
+    let Groups {
+        first,
+        sizes,
+        ordinals,
+    } = assign_groups(
+        events.len(),
+        |i| hashes.map_or_else(|| sel.hash(&events[i].payload), |h| h[i]),
+        |i, j| sel.matches_same(&events[i].payload, &events[j].payload),
+    );
 
     // Sort the groups by key cells, in place; distinct groups have distinct
     // keys, so the order is total.
@@ -309,8 +354,8 @@ fn group_runs(
     bounds.push(at);
     let mut sorted = vec![Event::new(Lifetime::point(0), Row::default()); events.len()];
     for (e, g) in events.into_iter().zip(ordinals) {
-        sorted[cursor[g]] = e;
-        cursor[g] += 1;
+        sorted[cursor[g as usize]] = e;
+        cursor[g as usize] += 1;
     }
     let stream = EventStream::new(schema, sorted);
     (Runs { stream, bounds }, run_keys)

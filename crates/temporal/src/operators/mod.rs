@@ -30,6 +30,7 @@ mod fused;
 mod group_apply;
 mod hop_udo;
 pub mod interpreted;
+mod pane;
 mod project;
 mod spread_grid;
 mod temporal_join;

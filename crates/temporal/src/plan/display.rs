@@ -1,7 +1,7 @@
 //! Human-readable plan rendering, used in docs, logs, and TiMR's
 //! fragment-boundary debugging.
 
-use super::{FusedStep, LifetimeOp, LogicalPlan, NodeId, Operator};
+use super::{hopping_aggregate, FusedStep, LifetimeOp, LogicalPlan, NodeId, Operator};
 use std::fmt;
 
 fn lifetime_desc(op: &LifetimeOp) -> String {
@@ -29,17 +29,29 @@ impl fmt::Display for LogicalPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         Rendered {
             plan: self,
-            grouped: false,
+            over_groups: None,
         }
         .fmt(f)
     }
 }
 
-/// A plan being rendered; `grouped` marks a GroupApply sub-plan, whose nodes
-/// also say how they run over the groups ([`Operator::segmented`]).
+/// How a GroupApply runs its sub-plan over the groups.
+#[derive(Clone, Copy)]
+enum OverGroups {
+    /// Node by node over key-ordered runs; each node says whether it has a
+    /// run-aware kernel ([`Operator::segmented`]).
+    Runs,
+    /// The whole sub-plan as one hash aggregation over (group, cell): a
+    /// tumbling hopping aggregate of combinable aggregates
+    /// (`HoppingAggregate::pane_grid`).
+    Pane,
+}
+
+/// A plan being rendered; a GroupApply sub-plan's nodes also say how they
+/// run over the groups.
 struct Rendered<'a> {
     plan: &'a LogicalPlan,
-    grouped: bool,
+    over_groups: Option<OverGroups>,
 }
 
 impl fmt::Display for Rendered<'_> {
@@ -89,17 +101,23 @@ impl Rendered<'_> {
             }
             Operator::SpreadGrid { grid } => format!("SpreadGrid g={grid}"),
         };
-        let how = match (self.grouped, node.op.segmented()) {
-            (false, _) => "",
-            (true, true) => " [segmented]",
-            (true, false) => " [per-run]",
+        let how = match (self.over_groups, node.op.segmented()) {
+            (None, _) => "",
+            (Some(OverGroups::Pane), _) => " [pane]",
+            (Some(OverGroups::Runs), true) => " [segmented]",
+            (Some(OverGroups::Runs), false) => " [per-run]",
         };
         writeln!(f, "{pad}{desc}{how}")?;
         if let Operator::GroupApply { subplan, .. } = &node.op {
             // Render the sub-plan indented one extra level.
+            let pane = hopping_aggregate(subplan).is_some_and(|s| s.pane_grid().is_some());
             let rendered = Rendered {
                 plan: subplan,
-                grouped: true,
+                over_groups: Some(if pane {
+                    OverGroups::Pane
+                } else {
+                    OverGroups::Runs
+                }),
             }
             .to_string();
             for line in rendered.lines() {
@@ -171,6 +189,42 @@ mod tests {
             "|       |   Aggregate [M=COUNT()] [segmented]\n",
         ] {
             assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
+        }
+    }
+
+    #[test]
+    fn a_pane_aggregate_sub_plan_is_marked_whole() {
+        use crate::agg::AggExpr;
+        let schema = Schema::new(vec![
+            Field::new("UserId", ColumnType::Str),
+            Field::new("V", ColumnType::Long),
+        ]);
+        let render = |hop, width, agg: AggExpr| {
+            let q = Query::new();
+            let out = q
+                .source("in", schema.clone())
+                .group_apply(&["UserId"], |g| {
+                    g.hop_window(hop, width).aggregate(vec![("X".into(), agg)])
+                });
+            q.build(vec![out]).unwrap().to_string()
+        };
+        // Tumbling cells of a combinable aggregate: the kernel takes the
+        // whole sub-plan, fused or not.
+        let text = render(10, 10, AggExpr::Sum(col("V")));
+        for needle in [
+            "|   Aggregate [X=SUM(V)] [pane]\n",
+            "|     AlterLifetime HopWindow h=10 w=10 [pane]\n",
+            "|       GroupInput [pane]\n",
+        ] {
+            assert!(text.contains(needle), "missing `{needle}` in:\n{text}");
+        }
+        // A sliding hop or a non-combinable aggregate walks the runs.
+        for text in [
+            render(5, 10, AggExpr::Sum(col("V"))),
+            render(10, 10, AggExpr::Avg(col("V"))),
+        ] {
+            assert!(!text.contains("[pane]"), "{text}");
+            assert!(text.contains("Aggregate [X=") && text.contains("[segmented]"));
         }
     }
 }

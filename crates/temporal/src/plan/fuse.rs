@@ -12,6 +12,12 @@
 //! dispatches on fragments only; a filter→project→… chain of any length
 //! always becomes exactly one fragment.
 //!
+//! Before fusing, a `Hop` whose only consumer is a GroupApply is sunk into
+//! that sub-plan ([`sink_hops`], the planner's normal form for windowed
+//! GroupApply), so the executor sees the hopping aggregate the paper's
+//! `hop_window(h, w).group_apply(keys, aggregate)` denotes and can pick its
+//! kernel from the sub-plan alone.
+//!
 //! The pass is idempotent (a `FusedFragment` is never absorbed into
 //! another fragment) and a no-op costs nothing: a plan with no bare
 //! stateless operator left is returned borrowed, before any clone. It is
@@ -19,6 +25,7 @@
 //! [`LogicalPlan::from_parts`], and the fragment's inferred schema equals
 //! the original chain tail's by construction.
 
+use super::share::sink_hops;
 use super::{FusedStep, LogicalPlan, NodeId, Operator, PlanNode};
 use crate::error::Result;
 use std::borrow::Cow;
@@ -62,6 +69,10 @@ pub fn fuse_plan(plan: &LogicalPlan) -> Result<Cow<'_, LogicalPlan>> {
     if !needs_fusion(plan) {
         return Ok(Cow::Borrowed(plan));
     }
+    // A `Hop` right above a GroupApply belongs to the sub-plan (the
+    // planner's normal form); only a bare operator can be one, so a fused
+    // plan has none left and the early return above stays exact.
+    let plan = &*sink_hops(plan)?;
     // Recurse into GroupApply sub-plans first, so nested chains fuse too.
     let mut nodes: Vec<PlanNode> = plan.nodes().to_vec();
     for node in &mut nodes {
@@ -293,6 +304,34 @@ mod tests {
             Operator::FusedFragment { steps } => assert_eq!(steps.len(), 2),
             _ => unreachable!(),
         }
+    }
+
+    #[test]
+    fn a_hop_above_a_group_apply_fuses_inside_it() {
+        let q = Query::new();
+        let out = q
+            .source("in", schema())
+            .filter(col("StreamId").eq(lit(1)))
+            .hop_window(10, 10)
+            .group_apply(&["UserId"], |g| g.count("N"));
+        let plan = q.build(vec![out]).unwrap();
+        let fused = fuse_plan(&plan).unwrap();
+        // Outside: the filter alone. Inside: the hopping aggregate, which
+        // the shape test still sees through its one-step fragment.
+        let text = fused.to_string();
+        assert!(
+            text.contains("FusedFragment [Filter (StreamId = 1)]\n"),
+            "{text}"
+        );
+        let ga = fused.nodes().iter().find_map(|n| match &n.op {
+            Operator::GroupApply { subplan, .. } => Some(subplan),
+            _ => None,
+        });
+        let shape = crate::plan::hopping_aggregate(ga.unwrap()).expect("still the shape");
+        assert_eq!((shape.hop, shape.width), (10, 10));
+        assert_eq!(shape.pane_grid(), Some(10));
+        assert_eq!(fused.operator_count(), plan.operator_count());
+        assert!(matches!(fuse_plan(&fused).unwrap(), Cow::Borrowed(_)));
     }
 
     #[test]

@@ -17,7 +17,8 @@ mod share;
 
 pub use builder::{Query, StreamHandle};
 pub use fuse::fuse_plan;
-pub use pushdown::{push_down, validate_mapper_plan, MapperPlan, PushDown};
+pub use pushdown::{push_down, validate_mapper_plan, MapperPlan, NoPartial, PushDown};
+pub(crate) use share::hopping_aggregate;
 pub use share::{
     explain_shared, factor_windows, fingerprint, share_plans, subtree_canon, MultiQueryPlan,
     ShareStats,
@@ -311,6 +312,39 @@ impl LogicalPlan {
             roots,
             schemas: schemas.into_iter().map(Option::unwrap).collect(),
         })
+    }
+
+    /// [`Self::from_parts`] after dropping the nodes unreachable from
+    /// `roots` — what a structural rewrite leaves behind once it re-points
+    /// the consumers of a node (a pushed prefix, a sunk `Hop`).
+    pub(crate) fn from_reachable(nodes: Vec<PlanNode>, roots: &[NodeId]) -> Result<Self> {
+        fn mark(nodes: &[PlanNode], id: NodeId, keep: &mut [bool]) {
+            if keep[id] {
+                return;
+            }
+            keep[id] = true;
+            for &i in &nodes[id].inputs {
+                mark(nodes, i, keep);
+            }
+        }
+        let mut keep = vec![false; nodes.len()];
+        for &r in roots {
+            mark(&nodes, r, &mut keep);
+        }
+        let mut remap = vec![usize::MAX; nodes.len()];
+        let mut out = Vec::with_capacity(nodes.len());
+        for (id, n) in nodes.into_iter().enumerate() {
+            if keep[id] {
+                remap[id] = out.len();
+                out.push(n);
+            }
+        }
+        for n in &mut out {
+            for i in &mut n.inputs {
+                *i = remap[*i];
+            }
+        }
+        LogicalPlan::from_parts(out, roots.iter().map(|&r| remap[r]).collect())
     }
 
     /// All nodes (arena order).

@@ -33,6 +33,17 @@
 //! * The grouping keys contain the partition key columns, so all partials
 //!   of a key land in the partition its raw events would have landed in.
 //!
+//! ## One shape, wherever the `Hop` is written
+//!
+//! The paper draws a windowed count as `hop_window(h, w).group_apply(keys,
+//! aggregate)` — the `Hop` *above* the GroupApply, where it would push as
+//! one more stateless operator and hide the aggregation behind it.
+//! [`push_down`] therefore starts from the planner's normal form
+//! (`share::sink_hops`: a single-consumer `Hop` belongs to the sub-plan
+//! below it), so `share::hopping_aggregate` stays the one test for "is a
+//! partial possible here". When the answer is no, the reason is recorded per
+//! source ([`NoPartial`]) and printed by the compiled job.
+//!
 //! Downstream, the reducer's canonical encode (sort before write) turns
 //! "same event multiset per partition" into byte-identical output, which
 //! is what `tests/prop_pushdown.rs` asserts (push-down on vs off, and both
@@ -42,14 +53,17 @@
 //! [`AggExpr::combinable`]: crate::agg::AggExpr::combinable
 //! [`AggExpr::combining`]: crate::agg::AggExpr::combining
 
-use super::share::{gcd, hopping_aggregate};
-use super::{FusedStep, LifetimeOp, LogicalPlan, NodeId, Operator, PlanNode};
+use super::share::{
+    combining_aggs, consumer_counts, gcd, hopping_aggregate, hopping_subplan, partial_schema,
+    sink_hops,
+};
+use super::{FusedStep, LogicalPlan, NodeId, Operator, PlanNode};
 use crate::agg::AggExpr;
 use crate::error::{Result, TemporalError};
 use crate::expr::Expr;
 use crate::time::Duration;
-use relation::{Field, Schema};
 use rustc_hash::FxHashMap;
+use std::fmt;
 use std::sync::Arc;
 
 /// One map-side fragment produced by [`push_down`].
@@ -74,12 +88,48 @@ pub struct MapperPlan {
 pub struct PushDown {
     /// Map-side fragments, one per pushed source, in source node order.
     pub mappers: Vec<MapperPlan>,
-    /// The reduce-side plan (unchanged when nothing pushed).
+    /// The reduce-side plan (the plan itself, in normal form, when nothing
+    /// pushed).
     pub residual: LogicalPlan,
     /// Total stateless operators pushed across mappers.
     pub pushed_ops: usize,
     /// Partial-aggregation steps pushed across mappers.
     pub partials: usize,
+    /// Per source that got no partial-aggregation step, in source node
+    /// order: why not (sources whose stateless prefix did push included).
+    pub no_partial: Vec<(String, NoPartial)>,
+}
+
+/// Why [`push_down`] pushed no partial aggregation for a source.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum NoPartial {
+    /// The name binds more than one `Source` node: nothing of it is pushed.
+    SourceBoundTwice,
+    /// The end of the source's exchange-free prefix feeds more than one
+    /// consumer (or is a plan output): the others still need raw rows.
+    SharedCutPoint,
+    /// The operator across the exchange is not a `GroupApply` over
+    /// `GroupInput → Hop → Aggregate`.
+    NotHoppingAggregate,
+    /// The named aggregate has no partial-combining form.
+    NotCombinable(String),
+    /// The GroupApply keys lack the named partition column, so a key's
+    /// partials could land in different partitions.
+    KeysFinerThanPartitioner(String),
+}
+
+impl fmt::Display for NoPartial {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            NoPartial::SourceBoundTwice => f.write_str("source bound twice"),
+            NoPartial::SharedCutPoint => f.write_str("cut point has other consumers"),
+            NoPartial::NotHoppingAggregate => f.write_str("not a hopping aggregate"),
+            NoPartial::NotCombinable(agg) => write!(f, "aggregate `{agg}` not combinable"),
+            NoPartial::KeysFinerThanPartitioner(col) => {
+                write!(f, "keys finer than the partitioner (missing `{col}`)")
+            }
+        }
+    }
 }
 
 impl PushDown {
@@ -142,13 +192,12 @@ pub fn validate_mapper_plan(plan: &LogicalPlan, partition_cols: Option<&[String]
                         )));
                     }
                 }
-                let Some((_, _, aggs)) = hopping_aggregate(subplan) else {
+                let Some(shape) = hopping_aggregate(subplan) else {
                     return Err(TemporalError::Plan(
                         "push-down: mapper GroupApply must be a hopping-window aggregate".into(),
                     ));
                 };
-                let in_schema = plan.schema_of(node.inputs[0]);
-                if let Some((name, _)) = aggs.iter().find(|(_, a)| !a.combinable(in_schema)) {
+                if let Some(name) = shape.not_combinable() {
                     return Err(TemporalError::Plan(format!(
                         "push-down: mapper aggregate `{name}` is not combinable"
                     )));
@@ -188,65 +237,41 @@ struct Partial {
     aggs: Vec<(String, AggExpr)>,
 }
 
-/// `GroupInput → Hop{hop, width} → Aggregate(aggs)` as a GroupApply
-/// sub-plan (the construction [`factor_windows`] uses).
-fn hopping_subplan(
-    input: Schema,
-    hop: Duration,
-    width: Duration,
-    aggs: Vec<(String, AggExpr)>,
-) -> Result<LogicalPlan> {
-    LogicalPlan::from_parts(
-        vec![
-            PlanNode {
-                op: Operator::GroupInput { schema: input },
-                inputs: vec![],
-            },
-            PlanNode {
-                op: Operator::AlterLifetime {
-                    op: LifetimeOp::Hop { hop, width },
-                },
-                inputs: vec![0],
-            },
-            PlanNode {
-                op: Operator::Aggregate { aggs },
-                inputs: vec![1],
-            },
-        ],
-        vec![2],
-    )
-}
-
-/// Drop nodes unreachable from the roots and rebuild the plan (the pushed
-/// prefix becomes garbage once its cut point turns into a source leaf).
-fn compact(nodes: Vec<PlanNode>, roots: &[NodeId]) -> Result<LogicalPlan> {
-    fn mark(nodes: &[PlanNode], id: NodeId, keep: &mut [bool]) {
-        if keep[id] {
-            return;
-        }
-        keep[id] = true;
-        for &i in &nodes[id].inputs {
-            mark(nodes, i, keep);
-        }
+/// The partial-aggregation opportunity across the exchange at `cut`, or
+/// why there is none: the operator straddling the cut must be a combinable
+/// hopping-window GroupApply keyed at least as coarsely as the
+/// partitioner, and it must be the cut point's only consumer.
+fn partial_at(
+    plan: &LogicalPlan,
+    cut: NodeId,
+    consumers: &[usize],
+    partition_cols: Option<&[String]>,
+) -> std::result::Result<Partial, NoPartial> {
+    // One consumer counting plan outputs, and that one is an operator.
+    let (1, Some(&ga)) = (consumers[cut], plan.consumers(cut).first()) else {
+        return Err(NoPartial::SharedCutPoint);
+    };
+    let Operator::GroupApply { keys, subplan } = &plan.node(ga).op else {
+        return Err(NoPartial::NotHoppingAggregate);
+    };
+    let shape = hopping_aggregate(subplan).ok_or(NoPartial::NotHoppingAggregate)?;
+    if let Some(agg) = shape.not_combinable() {
+        return Err(NoPartial::NotCombinable(agg.to_string()));
     }
-    let mut keep = vec![false; nodes.len()];
-    for &r in roots {
-        mark(&nodes, r, &mut keep);
+    if let Some(missing) = partition_cols
+        .unwrap_or_default()
+        .iter()
+        .find(|c| !keys.contains(c))
+    {
+        return Err(NoPartial::KeysFinerThanPartitioner(missing.clone()));
     }
-    let mut remap = vec![usize::MAX; nodes.len()];
-    let mut out = Vec::with_capacity(nodes.len());
-    for (id, n) in nodes.into_iter().enumerate() {
-        if keep[id] {
-            remap[id] = out.len();
-            out.push(n);
-        }
-    }
-    for n in &mut out {
-        for i in &mut n.inputs {
-            *i = remap[*i];
-        }
-    }
-    LogicalPlan::from_parts(out, roots.iter().map(|&r| remap[r]).collect())
+    Ok(Partial {
+        ga,
+        keys: keys.clone(),
+        hop: shape.hop,
+        width: shape.width,
+        aggs: shape.aggs.to_vec(),
+    })
 }
 
 /// Split `plan` at its first exchange. `partition_cols` is the stage's
@@ -261,19 +286,12 @@ fn compact(nodes: Vec<PlanNode>, roots: &[NodeId]) -> Result<LogicalPlan> {
 /// mapper is a property of the input *dataset*, which must mean one thing
 /// per stage.
 pub fn push_down(plan: &LogicalPlan, partition_cols: Option<&[String]>) -> Result<PushDown> {
+    // A `Hop` above a GroupApply would push as a stateless operator and
+    // hide the hopping aggregate behind it: normalise first.
+    let plan = &*sink_hops(plan)?;
     // Effective consumer count: input edges plus root references. A node
     // may be removed into a mapper only while this is exactly 1.
-    let mut eff = vec![0usize; plan.nodes().len()];
-    for n in plan.nodes() {
-        for &i in &n.inputs {
-            eff[i] += 1;
-        }
-    }
-    for &r in plan.roots() {
-        eff[r] += 1;
-    }
-    let consumer_of =
-        |id: NodeId| -> Option<NodeId> { plan.nodes().iter().position(|n| n.inputs.contains(&id)) };
+    let eff = consumer_counts(plan);
 
     let mut source_names: FxHashMap<&str, usize> = FxHashMap::default();
     for n in plan.nodes() {
@@ -286,12 +304,14 @@ pub fn push_down(plan: &LogicalPlan, partition_cols: Option<&[String]>) -> Resul
     let mut mappers = Vec::new();
     let mut pushed_ops = 0usize;
     let mut partials = 0usize;
+    let mut no_partial = Vec::new();
 
     for (src, node) in plan.nodes().iter().enumerate() {
         let Operator::Source { name, schema } = &node.op else {
             continue;
         };
         if source_names[name.as_str()] > 1 {
+            no_partial.push((name.clone(), NoPartial::SourceBoundTwice));
             continue;
         }
 
@@ -303,7 +323,9 @@ pub fn push_down(plan: &LogicalPlan, partition_cols: Option<&[String]>) -> Resul
             if eff[cur] != 1 {
                 break;
             }
-            let Some(c) = consumer_of(cur) else { break };
+            let Some(&c) = plan.consumers(cur).first() else {
+                break;
+            };
             if plan.node(c).inputs != [cur] {
                 break; // multi-input consumer (join/union): the exchange
             }
@@ -314,39 +336,19 @@ pub fn push_down(plan: &LogicalPlan, partition_cols: Option<&[String]>) -> Resul
         }
         let cut = *chain.last().expect("chain starts non-empty");
 
-        // Partial aggregation across the exchange: the operator straddling
-        // the cut must be a combinable hopping-window GroupApply keyed at
-        // least as coarsely as the partitioner, and it must be the cut
-        // point's only consumer (other consumers still need raw rows).
-        let mut partial: Option<Partial> = None;
-        if eff[cut] == 1 {
-            if let Some(c) = consumer_of(cut) {
-                if let Operator::GroupApply { keys, subplan } = &plan.node(c).op {
-                    if let Some((hop, width, aggs)) = hopping_aggregate(subplan) {
-                        let cut_schema = plan.schema_of(cut);
-                        let combinable = aggs.iter().all(|(_, a)| a.combinable(cut_schema));
-                        let keyed =
-                            partition_cols.is_none_or(|cols| cols.iter().all(|k| keys.contains(k)));
-                        if combinable && keyed {
-                            partial = Some(Partial {
-                                ga: c,
-                                keys: keys.clone(),
-                                hop,
-                                width,
-                                aggs: aggs.to_vec(),
-                            });
-                        }
-                    }
-                }
+        let partial = match partial_at(plan, cut, &eff, partition_cols) {
+            Ok(p) => Some(p),
+            Err(why) => {
+                no_partial.push((name.clone(), why));
+                None
             }
-        }
-
+        };
         if chain.len() == 1 && partial.is_none() {
             continue; // nothing below the exchange
         }
 
         // ---- mapper plan ----
-        let cut_schema = plan.schema_of(cut).clone();
+        let cut_schema = plan.schema_of(cut);
         let mut mnodes = vec![PlanNode {
             op: Operator::Source {
                 name: name.clone(),
@@ -361,7 +363,6 @@ pub fn push_down(plan: &LogicalPlan, partition_cols: Option<&[String]>) -> Resul
                 inputs: vec![prev],
             });
         }
-        let mut partial_schema = None;
         if let Some(p) = &partial {
             let g = gcd(p.hop, p.width);
             let prev = mnodes.len() - 1;
@@ -376,16 +377,6 @@ pub fn push_down(plan: &LogicalPlan, partition_cols: Option<&[String]>) -> Resul
                 op: Operator::SpreadGrid { grid: g },
                 inputs: vec![mnodes.len() - 1],
             });
-            // Spread partial stream: key columns then one column per
-            // aggregate — what the map-side GroupApply emits.
-            let mut fields = Vec::with_capacity(p.keys.len() + p.aggs.len());
-            for k in &p.keys {
-                fields.push(cut_schema.field(k)?.clone());
-            }
-            for (agg_name, a) in &p.aggs {
-                fields.push(Field::new(agg_name.clone(), a.infer_type(&cut_schema)?));
-            }
-            partial_schema = Some(Schema::new(fields));
         }
         let root = mnodes.len() - 1;
         let mplan = LogicalPlan::from_parts(mnodes, vec![root])?;
@@ -394,28 +385,10 @@ pub fn push_down(plan: &LogicalPlan, partition_cols: Option<&[String]>) -> Resul
         // ---- residual rewrite ----
         // The cut point becomes a source leaf bound to the mapper output;
         // a pushed GroupApply becomes its combining form over partials.
-        match &partial {
-            None => {
-                nodes[cut] = PlanNode {
-                    op: Operator::Source {
-                        name: name.clone(),
-                        schema: cut_schema,
-                    },
-                    inputs: vec![],
-                };
-            }
+        let residual_schema = match &partial {
+            None => cut_schema.clone(),
             Some(p) => {
-                let pschema = partial_schema.clone().expect("set when partial matched");
-                let combined = p
-                    .aggs
-                    .iter()
-                    .map(|(agg_name, a)| {
-                        (
-                            agg_name.clone(),
-                            a.combining(agg_name).expect("combinability checked above"),
-                        )
-                    })
-                    .collect();
+                let pschema = partial_schema(cut_schema, &p.keys, &p.aggs)?;
                 nodes[p.ga] = PlanNode {
                     op: Operator::GroupApply {
                         keys: p.keys.clone(),
@@ -423,20 +396,21 @@ pub fn push_down(plan: &LogicalPlan, partition_cols: Option<&[String]>) -> Resul
                             pschema.clone(),
                             p.hop,
                             p.width,
-                            combined,
+                            combining_aggs(&p.aggs),
                         )?),
                     },
                     inputs: vec![cut],
                 };
-                nodes[cut] = PlanNode {
-                    op: Operator::Source {
-                        name: name.clone(),
-                        schema: pschema,
-                    },
-                    inputs: vec![],
-                };
+                pschema
             }
-        }
+        };
+        nodes[cut] = PlanNode {
+            op: Operator::Source {
+                name: name.clone(),
+                schema: residual_schema,
+            },
+            inputs: vec![],
+        };
 
         pushed_ops += chain.len() - 1;
         if partial.is_some() {
@@ -450,20 +424,17 @@ pub fn push_down(plan: &LogicalPlan, partition_cols: Option<&[String]>) -> Resul
         });
     }
 
-    if mappers.is_empty() {
-        return Ok(PushDown {
-            mappers,
-            residual: plan.clone(),
-            pushed_ops: 0,
-            partials: 0,
-        });
-    }
-    let residual = compact(nodes, plan.roots())?;
+    let residual = if mappers.is_empty() {
+        plan.clone()
+    } else {
+        LogicalPlan::from_reachable(nodes, plan.roots())?
+    };
     Ok(PushDown {
         mappers,
         residual,
         pushed_ops,
         partials,
+        no_partial,
     })
 }
 
@@ -583,6 +554,144 @@ mod tests {
         ));
         for extents in [1, 2, 5] {
             assert_split_equivalent(&plan, Some(&cols), extents);
+        }
+    }
+
+    /// `Hop → GroupApply{Aggregate}` — the way the paper draws it.
+    fn hop_outside(hop: i64, width: i64, aggs: Vec<(String, AggExpr)>) -> LogicalPlan {
+        let q = Query::new();
+        let out = q
+            .source("in", schema())
+            .filter(col("StreamId").eq(lit(1)))
+            .hop_window(hop, width)
+            .group_apply(&["UserId"], |g| g.aggregate(aggs));
+        q.build(vec![out]).unwrap()
+    }
+
+    #[test]
+    fn a_hop_above_the_group_apply_pushes_partials_too() {
+        let aggs = vec![
+            ("N".to_string(), AggExpr::Count),
+            ("S".to_string(), AggExpr::Sum(col("V"))),
+        ];
+        let plan = hop_outside(4, 12, aggs.clone());
+        let cols = vec!["UserId".to_string()];
+        let pd = push_down(&plan, Some(&cols)).unwrap();
+        // The hop is part of the aggregation, not a pushed stateless op.
+        assert_eq!((pd.pushed_ops, pd.partials), (1, 1));
+        assert!(pd.no_partial.is_empty());
+        // Same split, node for node, as the hop written inside.
+        let q = Query::new();
+        let out = q
+            .source("in", schema())
+            .filter(col("StreamId").eq(lit(1)))
+            .group_apply(&["UserId"], |g| g.hop_window(4, 12).aggregate(aggs));
+        let inside = push_down(&q.build(vec![out]).unwrap(), Some(&cols)).unwrap();
+        assert_eq!(
+            pd.mappers[0].plan.to_string(),
+            inside.mappers[0].plan.to_string()
+        );
+        assert_eq!(pd.residual.to_string(), inside.residual.to_string());
+        for extents in [1, 2, 5] {
+            assert_split_equivalent(&plan, Some(&cols), extents);
+        }
+        // Tumbling (the BT feature-selection shape): g = hop = width.
+        assert_split_equivalent(
+            &hop_outside(8, 8, vec![("N".into(), AggExpr::Count)]),
+            None,
+            3,
+        );
+    }
+
+    #[test]
+    fn only_a_single_consumer_hop_sinks() {
+        let count = || vec![("N".to_string(), AggExpr::Count)];
+        // A second consumer still needs the hopped stream.
+        let q = Query::new();
+        let hopped = q.source("in", schema()).hop_window(4, 8);
+        let counts = hopped
+            .clone()
+            .group_apply(&["UserId"], |g| g.aggregate(count()));
+        let plan = q.build(vec![counts, hopped]).unwrap();
+        assert!(matches!(
+            sink_hops(&plan).unwrap(),
+            std::borrow::Cow::Borrowed(_)
+        ));
+        let pd = push_down(&plan, None).unwrap();
+        assert_eq!((pd.pushed_ops, pd.partials), (1, 0));
+        assert_eq!(
+            pd.no_partial,
+            [("in".to_string(), NoPartial::SharedCutPoint)]
+        );
+
+        // Any other lifetime operator stays above the GroupApply, and ships
+        // as the stateless operator it is.
+        let q = Query::new();
+        let out = q
+            .source("in", schema())
+            .window(8)
+            .group_apply(&["UserId"], |g| g.aggregate(count()));
+        let plan = q.build(vec![out]).unwrap();
+        assert!(matches!(
+            sink_hops(&plan).unwrap(),
+            std::borrow::Cow::Borrowed(_)
+        ));
+        let pd = push_down(&plan, None).unwrap();
+        assert_eq!((pd.pushed_ops, pd.partials), (1, 0));
+        assert_eq!(
+            pd.no_partial,
+            [("in".to_string(), NoPartial::NotHoppingAggregate)]
+        );
+    }
+
+    #[test]
+    fn every_refusal_names_its_rule() {
+        let refusal = |plan: &LogicalPlan, cols: Option<&[String]>| {
+            let pd = push_down(plan, cols).unwrap();
+            assert_eq!(pd.partials, 0);
+            pd.no_partial
+        };
+        let by_user = vec!["UserId".to_string()];
+        let avg = hop_outside(4, 8, vec![("A".into(), AggExpr::Avg(col("V")))]);
+        assert_eq!(
+            refusal(&avg, Some(&by_user)),
+            [("in".to_string(), NoPartial::NotCombinable("A".into()))]
+        );
+        let finer = vec!["UserId".to_string(), "StreamId".to_string()];
+        let count = hop_outside(4, 8, vec![("N".into(), AggExpr::Count)]);
+        assert_eq!(
+            refusal(&count, Some(&finer)),
+            [(
+                "in".to_string(),
+                NoPartial::KeysFinerThanPartitioner("StreamId".into())
+            )]
+        );
+        // Bound twice: nothing of the source is looked at.
+        let q = Query::new();
+        let a = q.source("in", schema()).filter(col("StreamId").eq(lit(1)));
+        let b = q.source("in", schema()).filter(col("StreamId").eq(lit(2)));
+        let twice = q.build(vec![a.union(b)]).unwrap();
+        assert_eq!(
+            refusal(&twice, None),
+            [
+                ("in".to_string(), NoPartial::SourceBoundTwice),
+                ("in".to_string(), NoPartial::SourceBoundTwice)
+            ]
+        );
+        for (why, text) in [
+            (NoPartial::SourceBoundTwice, "source bound twice"),
+            (NoPartial::SharedCutPoint, "cut point has other consumers"),
+            (NoPartial::NotHoppingAggregate, "not a hopping aggregate"),
+            (
+                NoPartial::NotCombinable("A".into()),
+                "aggregate `A` not combinable",
+            ),
+            (
+                NoPartial::KeysFinerThanPartitioner("StreamId".into()),
+                "keys finer than the partitioner (missing `StreamId`)",
+            ),
+        ] {
+            assert_eq!(why.to_string(), text);
         }
     }
 

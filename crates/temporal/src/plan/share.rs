@@ -17,18 +17,24 @@
 //!    see [`AggExpr::combinable`]). Non-combinable aggregates keep their
 //!    private windows.
 //!
+//! This module also owns the shape both this rewrite and map-side push-down
+//! ([`super::push_down`]) look for — [`HoppingAggregate`], with its one
+//! recogniser and one constructor — and the normal form that brings plans
+//! into it ([`sink_hops`]).
+//!
 //! Both rewrites preserve per-query output byte-for-byte: sharing only
 //! deduplicates identical computations, and the factor algebra is exact
 //! for the combinable aggregates (`Hop{g, g}` drops nothing, each raw
 //! event's cell re-windows to exactly the instants the raw event would
 //! have reached, and cell partials combine losslessly).
 
-use super::{LifetimeOp, LogicalPlan, NodeId, Operator, PlanNode};
+use super::{FusedStep, LifetimeOp, LogicalPlan, NodeId, Operator, PlanNode};
 use crate::agg::AggExpr;
 use crate::error::{Result, TemporalError};
 use crate::time::Duration;
 use relation::{Field, Schema};
 use rustc_hash::{FxHashMap, FxHasher};
+use std::borrow::Cow;
 use std::fmt::Write as _;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -183,7 +189,7 @@ pub fn share_plans(plans: &[LogicalPlan]) -> Result<MultiQueryPlan> {
 /// Per-node consumer counts: input edges plus root references, so a node
 /// that is both an output and an input — or the root of two identical
 /// queries — counts as shared.
-fn consumer_counts(plan: &LogicalPlan) -> Vec<usize> {
+pub(crate) fn consumer_counts(plan: &LogicalPlan) -> Vec<usize> {
     let mut counts = vec![0usize; plan.nodes().len()];
     for n in plan.nodes() {
         for &i in &n.inputs {
@@ -243,16 +249,54 @@ pub(crate) fn gcd(mut a: Duration, mut b: Duration) -> Duration {
     a
 }
 
-/// One factor-window candidate: a `GroupApply` whose sub-plan is exactly
-/// `GroupInput → Hop{h, w} → Aggregate`.
+/// One factor-window candidate: a `GroupApply` whose sub-plan is a
+/// [`HoppingAggregate`].
 struct Candidate {
     node: NodeId,
     hop: Duration,
     width: Duration,
 }
 
-/// `(hop, width, aggs)` of a hopping-aggregate sub-plan.
-pub(crate) type HoppingAggregate<'a> = (Duration, Duration, &'a [(String, AggExpr)]);
+/// A GroupApply sub-plan of exactly `GroupInput → Hop{hop, width} →
+/// Aggregate(aggs)`: the shape the factor-window algebra applies to.
+/// [`hopping_aggregate`] is its only recogniser and [`hopping_subplan`] its
+/// only constructor; [`factor_windows`], [`push_down`],
+/// [`validate_mapper_plan`], the plan display and GroupApply's kernel choice
+/// all go through them, after [`sink_hops`] has put every plan that spells
+/// the same computation with the `Hop` outside into this form.
+///
+/// [`push_down`]: super::push_down
+/// [`validate_mapper_plan`]: super::validate_mapper_plan
+pub(crate) struct HoppingAggregate<'a> {
+    pub(crate) hop: Duration,
+    pub(crate) width: Duration,
+    pub(crate) aggs: &'a [(String, AggExpr)],
+    /// Schema of the grouped stream (the `GroupInput` leaf).
+    pub(crate) input: &'a Schema,
+}
+
+impl HoppingAggregate<'_> {
+    /// Name of the first aggregate with no partial-combining form
+    /// ([`AggExpr::combinable`]), if any.
+    pub(crate) fn not_combinable(&self) -> Option<&str> {
+        self.aggs
+            .iter()
+            .find(|(_, a)| !a.combinable(self.input))
+            .map(|(name, _)| name.as_str())
+    }
+
+    /// The cell size when this sub-plan is a *pane* aggregate: tumbling
+    /// cells (`hop == width`, so every event lives in exactly one cell and
+    /// no two cells of a group overlap) of combinable aggregates — exactly
+    /// what [`factor_windows`] and [`push_down`] emit as their partial
+    /// step, and what GroupApply runs as one hash aggregation instead of
+    /// an endpoint sweep (DESIGN.md, "Hopping aggregates").
+    ///
+    /// [`push_down`]: super::push_down
+    pub(crate) fn pane_grid(&self) -> Option<Duration> {
+        (self.hop == self.width && self.not_combinable().is_none()).then_some(self.hop)
+    }
+}
 
 pub(crate) fn hopping_aggregate(subplan: &LogicalPlan) -> Option<HoppingAggregate<'_>> {
     if subplan.nodes().len() != 3 || subplan.roots().len() != 1 {
@@ -263,16 +307,167 @@ pub(crate) fn hopping_aggregate(subplan: &LogicalPlan) -> Option<HoppingAggregat
         return None;
     };
     let mid = subplan.node(root.inputs[0]);
-    let Operator::AlterLifetime {
-        op: LifetimeOp::Hop { hop, width },
-    } = &mid.op
-    else {
+    let (hop, width) = match &mid.op {
+        Operator::AlterLifetime {
+            op: LifetimeOp::Hop { hop, width },
+        } => (*hop, *width),
+        // The same chain as `fuse_plan` leaves it.
+        Operator::FusedFragment { steps } => match steps.as_slice() {
+            [FusedStep::AlterLifetime {
+                op: LifetimeOp::Hop { hop, width },
+            }] => (*hop, *width),
+            _ => return None,
+        },
+        _ => return None,
+    };
+    let Operator::GroupInput { schema } = &subplan.node(mid.inputs[0]).op else {
         return None;
     };
-    let Operator::GroupInput { .. } = subplan.node(mid.inputs[0]).op else {
-        return None;
+    Some(HoppingAggregate {
+        hop,
+        width,
+        aggs,
+        input: schema,
+    })
+}
+
+/// `GroupInput → Hop{hop, width} → Aggregate(aggs)` as a GroupApply
+/// sub-plan: what [`hopping_aggregate`] recognises.
+pub(crate) fn hopping_subplan(
+    input: Schema,
+    hop: Duration,
+    width: Duration,
+    aggs: Vec<(String, AggExpr)>,
+) -> Result<LogicalPlan> {
+    LogicalPlan::from_parts(
+        vec![
+            PlanNode {
+                op: Operator::GroupInput { schema: input },
+                inputs: vec![],
+            },
+            PlanNode {
+                op: Operator::AlterLifetime {
+                    op: LifetimeOp::Hop { hop, width },
+                },
+                inputs: vec![0],
+            },
+            PlanNode {
+                op: Operator::Aggregate { aggs },
+                inputs: vec![1],
+            },
+        ],
+        vec![2],
+    )
+}
+
+/// Schema of a partial stream: the key columns, then one column per
+/// aggregate — what a `GroupApply(keys)` over [`hopping_subplan`] emits.
+pub(crate) fn partial_schema(
+    input: &Schema,
+    keys: &[String],
+    aggs: &[(String, AggExpr)],
+) -> Result<Schema> {
+    let mut fields = Vec::with_capacity(keys.len() + aggs.len());
+    for k in keys {
+        fields.push(input.field(k)?.clone());
+    }
+    for (name, a) in aggs {
+        fields.push(Field::new(name.clone(), a.infer_type(input)?));
+    }
+    Ok(Schema::new(fields))
+}
+
+/// The aggregates that combine the partials of `aggs` (all
+/// [`AggExpr::combinable`]), column for column under the same names.
+pub(crate) fn combining_aggs(aggs: &[(String, AggExpr)]) -> Vec<(String, AggExpr)> {
+    aggs.iter()
+        .map(|(name, a)| {
+            let combined = a.combining(name).expect("callers check combinability");
+            (name.clone(), combined)
+        })
+        .collect()
+}
+
+/// The planner's normal form for a windowed GroupApply: a `Hop` sits
+/// *inside* the sub-plan. `AlterLifetime` acts per event and touches no
+/// payload, so it commutes with grouping:
+///
+/// ```text
+/// x → AlterLifetime{Hop} → GroupApply(K){sub}
+///   ≡ x → GroupApply(K){GroupInput → AlterLifetime{Hop} → sub}
+/// ```
+///
+/// byte for byte (a group whose events the hop drops is formed and yields
+/// nothing, where it was never formed). The paper draws
+/// `hop_window(h, w).group_apply(keys, aggregate)`; sinking the `Hop` makes
+/// that the [`HoppingAggregate`] shape, so [`hopping_aggregate`] stays the
+/// single shape test. [`factor_windows`], [`push_down`] and [`fuse_plan`]
+/// (hence every executed plan) call this before they look at a plan.
+///
+/// Only a `Hop` whose single consumer is the GroupApply sinks; one that
+/// another operator or a plan output also reads stays where it is, and so
+/// does every other lifetime operator. A plan with nothing to sink comes
+/// back borrowed.
+///
+/// [`push_down`]: super::push_down
+/// [`fuse_plan`]: super::fuse_plan
+pub(crate) fn sink_hops(plan: &LogicalPlan) -> Result<Cow<'_, LogicalPlan>> {
+    let consumers = consumer_counts(plan);
+    let mut nodes: Option<Vec<PlanNode>> = None;
+    for (id, node) in plan.nodes().iter().enumerate() {
+        let Operator::GroupApply { keys, subplan } = &node.op else {
+            continue;
+        };
+        let above = node.inputs[0];
+        let Operator::AlterLifetime {
+            op: hop @ LifetimeOp::Hop { .. },
+        } = &plan.node(above).op
+        else {
+            continue;
+        };
+        if consumers[above] != 1 {
+            continue;
+        }
+        nodes.get_or_insert_with(|| plan.nodes().to_vec())[id] = PlanNode {
+            op: Operator::GroupApply {
+                keys: keys.clone(),
+                subplan: Arc::new(hop_first(subplan, hop)?),
+            },
+            inputs: plan.node(above).inputs.clone(),
+        };
+    }
+    match nodes {
+        None => Ok(Cow::Borrowed(plan)),
+        // The bypassed `Hop` nodes are unreachable now.
+        Some(nodes) => LogicalPlan::from_reachable(nodes, plan.roots()).map(Cow::Owned),
+    }
+}
+
+/// `subplan` with `AlterLifetime{hop}` spliced in right above its
+/// `GroupInput`.
+fn hop_first(subplan: &LogicalPlan, hop: &LifetimeOp) -> Result<LogicalPlan> {
+    let mut nodes = subplan.nodes().to_vec();
+    let leaf = nodes
+        .iter()
+        .position(|n| matches!(n.op, Operator::GroupInput { .. }))
+        .expect("plan validation admits exactly one GroupInput per sub-plan");
+    let spliced = nodes.len();
+    let repoint = |id: &mut NodeId| {
+        if *id == leaf {
+            *id = spliced;
+        }
     };
-    Some((*hop, *width, aggs))
+    nodes
+        .iter_mut()
+        .flat_map(|n| &mut n.inputs)
+        .for_each(repoint);
+    let mut roots = subplan.roots().to_vec();
+    roots.iter_mut().for_each(repoint);
+    nodes.push(PlanNode {
+        op: Operator::AlterLifetime { op: hop.clone() },
+        inputs: vec![leaf],
+    });
+    LogicalPlan::from_parts(nodes, roots)
 }
 
 /// Rewrite groups of harmonically related hopping-window aggregates to
@@ -302,13 +497,14 @@ pub(crate) fn hopping_aggregate(subplan: &LogicalPlan) -> Option<HoppingAggregat
 /// smaller) partial stream — worthwhile when `Σᵢ g/hᵢ > 1`, i.e. the
 /// factor pass costs less than the per-query passes it replaces.
 pub fn factor_windows(plan: &LogicalPlan) -> Result<(LogicalPlan, usize)> {
+    let plan = sink_hops(plan)?;
     // Group candidates by (input node, keys, aggregate list).
     let mut groups: FxHashMap<(NodeId, String), Vec<Candidate>> = FxHashMap::default();
     for (id, node) in plan.nodes().iter().enumerate() {
         let Operator::GroupApply { keys, subplan } = &node.op else {
             continue;
         };
-        let Some((hop, width, aggs)) = hopping_aggregate(subplan) else {
+        let Some(shape) = hopping_aggregate(subplan) else {
             continue;
         };
         let input = node.inputs[0];
@@ -317,15 +513,14 @@ pub fn factor_windows(plan: &LogicalPlan) -> Result<(LogicalPlan, usize)> {
         if matches!(plan.node(input).op, Operator::SpreadGrid { .. }) {
             continue;
         }
-        let in_schema = plan.schema_of(input);
-        if !aggs.iter().all(|(_, a)| a.combinable(in_schema)) {
+        if shape.not_combinable().is_some() {
             continue;
         }
-        let key = (input, format!("{keys:?}|{aggs:?}"));
+        let key = (input, format!("{keys:?}|{:?}", shape.aggs));
         groups.entry(key).or_default().push(Candidate {
             node: id,
-            hop,
-            width,
+            hop: shape.hop,
+            width: shape.width,
         });
     }
 
@@ -346,7 +541,7 @@ pub fn factor_windows(plan: &LogicalPlan) -> Result<(LogicalPlan, usize)> {
         })
         .collect();
     if selected.is_empty() {
-        return Ok((plan.clone(), 0));
+        return Ok((plan.into_owned(), 0));
     }
     // Deterministic rewrite order regardless of hash-map iteration.
     selected.sort_by(|a, b| a.1[0].node.cmp(&b.1[0].node));
@@ -360,38 +555,17 @@ pub fn factor_windows(plan: &LogicalPlan) -> Result<(LogicalPlan, usize)> {
         let Operator::GroupApply { keys, subplan } = &plan.node(members[0].node).op else {
             unreachable!("candidates are GroupApply nodes");
         };
-        let (_, _, aggs) = hopping_aggregate(subplan).expect("candidate shape just matched");
-        let aggs = aggs.to_vec();
-        let keys = keys.clone();
-        let in_schema = plan.schema_of(input).clone();
+        let aggs = hopping_aggregate(subplan)
+            .expect("candidate shape just matched")
+            .aggs;
+        let in_schema = plan.schema_of(input);
 
         // The shared factor window: per-cell partials of the group's
         // aggregates, computed once over the raw stream.
-        let factor_sub = LogicalPlan::from_parts(
-            vec![
-                PlanNode {
-                    op: Operator::GroupInput {
-                        schema: in_schema.clone(),
-                    },
-                    inputs: vec![],
-                },
-                PlanNode {
-                    op: Operator::AlterLifetime {
-                        op: LifetimeOp::Hop { hop: g, width: g },
-                    },
-                    inputs: vec![0],
-                },
-                PlanNode {
-                    op: Operator::Aggregate { aggs: aggs.clone() },
-                    inputs: vec![1],
-                },
-            ],
-            vec![2],
-        )?;
         nodes.push(PlanNode {
             op: Operator::GroupApply {
                 keys: keys.clone(),
-                subplan: Arc::new(factor_sub),
+                subplan: Arc::new(hopping_subplan(in_schema.clone(), g, g, aggs.to_vec())?),
             },
             inputs: vec![input],
         });
@@ -401,54 +575,13 @@ pub fn factor_windows(plan: &LogicalPlan) -> Result<(LogicalPlan, usize)> {
             inputs: vec![factor_id],
         });
         let spread_id = nodes.len() - 1;
-
-        // Schema of the spread partial stream: key columns then one column
-        // per aggregate (what GroupApply emits).
-        let mut fields = Vec::with_capacity(keys.len() + aggs.len());
-        for k in &keys {
-            fields.push(in_schema.field(k)?.clone());
-        }
-        for (name, a) in &aggs {
-            fields.push(Field::new(name.clone(), a.infer_type(&in_schema)?));
-        }
-        let spread_schema = Schema::new(fields);
+        let spread_schema = partial_schema(in_schema, keys, aggs)?;
 
         // Re-point each member at the spread stream, combining partials
         // under its original (hᵢ, wᵢ) window.
         for m in &members {
-            let combined = aggs
-                .iter()
-                .map(|(name, a)| {
-                    (
-                        name.clone(),
-                        a.combining(name).expect("combinability checked above"),
-                    )
-                })
-                .collect();
-            let derived = LogicalPlan::from_parts(
-                vec![
-                    PlanNode {
-                        op: Operator::GroupInput {
-                            schema: spread_schema.clone(),
-                        },
-                        inputs: vec![],
-                    },
-                    PlanNode {
-                        op: Operator::AlterLifetime {
-                            op: LifetimeOp::Hop {
-                                hop: m.hop,
-                                width: m.width,
-                            },
-                        },
-                        inputs: vec![0],
-                    },
-                    PlanNode {
-                        op: Operator::Aggregate { aggs: combined },
-                        inputs: vec![1],
-                    },
-                ],
-                vec![2],
-            )?;
+            let derived =
+                hopping_subplan(spread_schema.clone(), m.hop, m.width, combining_aggs(aggs))?;
             nodes[m.node] = PlanNode {
                 op: Operator::GroupApply {
                     keys: keys.clone(),
@@ -621,6 +754,70 @@ mod tests {
         for (d, s) in direct.iter().zip(&shared) {
             assert_eq!(d.normalize(), s.normalize());
         }
+    }
+
+    #[test]
+    fn factor_rewrite_sees_hops_written_outside() {
+        // The same harmonic group with each `Hop` above its GroupApply.
+        let q = Query::new();
+        let input = q.source("in", schema());
+        let outs: Vec<_> = [(2, 4), (4, 8), (6, 6)]
+            .iter()
+            .map(|&(hop, width)| {
+                input
+                    .clone()
+                    .hop_window(hop, width)
+                    .group_apply(&["UserId"], |g| g.count("N"))
+            })
+            .collect();
+        let plan = q.build(outs).unwrap();
+        let (factored, n) = factor_windows(&plan).unwrap();
+        assert_eq!(n, 1);
+        let direct = execute(&plan, &bindings(vec![("in", events())])).unwrap();
+        let shared = execute(&factored, &bindings(vec![("in", events())])).unwrap();
+        for (d, s) in direct.iter().zip(&shared) {
+            assert_eq!(d.normalize(), s.normalize());
+        }
+    }
+
+    #[test]
+    fn sinking_a_hop_keeps_every_other_sub_plan_node() {
+        // Two branches off the GroupInput (the BotElim shape): both read
+        // the hopped stream afterwards.
+        let q = Query::new();
+        let out = q
+            .source("in", schema())
+            .hop_window(2, 6)
+            .group_apply(&["UserId"], |g| {
+                let big = g.clone().filter(col("V").gt(lit(5i64))).count("N");
+                big.union(g.filter(col("V").le(lit(5i64))).count("N"))
+            });
+        let plan = q.build(vec![out]).unwrap();
+        let sunk = sink_hops(&plan).unwrap();
+        assert_eq!(sunk.nodes().len(), plan.nodes().len() - 1);
+        assert_eq!(sunk.operator_count(), plan.operator_count());
+        assert_eq!(sunk.max_window_extent(), plan.max_window_extent());
+        let Operator::GroupApply { subplan, .. } = &sunk.node(sunk.roots()[0]).op else {
+            panic!("root stays the GroupApply:\n{sunk}");
+        };
+        let leaf = subplan
+            .nodes()
+            .iter()
+            .position(|n| matches!(n.op, Operator::GroupInput { .. }))
+            .unwrap();
+        let [hop] = subplan.consumers(leaf)[..] else {
+            panic!("the hop is the leaf's only consumer:\n{sunk}");
+        };
+        assert!(matches!(
+            subplan.node(hop).op,
+            Operator::AlterLifetime { .. }
+        ));
+        assert_eq!(subplan.consumers(hop).len(), 2);
+        let srcs = bindings(vec![("in", events())]);
+        assert_eq!(
+            crate::exec::execute_reference(&plan, &srcs).unwrap(),
+            crate::exec::execute_reference(&sunk, &srcs).unwrap()
+        );
     }
 
     #[test]

@@ -366,6 +366,71 @@ fn single_query_push_down_is_byte_identical_and_saves_shuffle() {
     );
 }
 
+/// The BT feature-selection job (paper §IV-B.3), written the way the paper
+/// draws it — `hop_window` *above* each GroupApply: both counts push their
+/// partials map-side, the published extent images are the reduce-only
+/// plan's, and the stage shuffles at least 1.5× fewer bytes (a count, so
+/// gated: the job sums ≈`train_rows` + `labels` rows into one row per
+/// `(AdId, Keyword)` and per `AdId` before the exchange instead of after).
+#[test]
+fn bt_feature_selection_pushes_both_counts_and_cuts_the_shuffle() {
+    use timr_suite::bt::pipeline::BtPipeline;
+    use timr_suite::bt::queries::feature_selection;
+    use timr_suite::bt::BtParams;
+
+    let mut cfg = timr_suite::adgen::GenConfig::small(11);
+    cfg.users = 200;
+    let log = timr_suite::adgen::generate(&cfg);
+    let dfs = Dfs::new();
+    let parts: Vec<Vec<Row>> = log.rows().chunks(2_000).map(<[Row]>::to_vec).collect();
+    let raw = Dataset::partitioned(timr_suite::adgen::unified_schema(), parts);
+    dfs.put("raw", raw).unwrap();
+    let params = BtParams {
+        machines: 4,
+        ..Default::default()
+    };
+    // Leaves `labels` and `train_rows` in the DFS for the job under test.
+    BtPipeline::new(params.clone())
+        .run(&dfs, &Cluster::new(), "raw", "bt")
+        .unwrap();
+
+    let query = feature_selection::query(&params);
+    let job = |push: bool| {
+        TimrJob::new(if push { "fs_on" } else { "fs_off" }, query.plan.clone())
+            .with_annotation(query.annotation.clone())
+            .with_machines(params.machines)
+            .with_source_encoding("labels", EventEncoding::Interval)
+            .with_source_encoding("train_rows", EventEncoding::Interval)
+            .with_push_down(push)
+    };
+    let compiled = job(true).compile().unwrap();
+    assert_eq!((compiled.pushed_ops, compiled.pushed_partials), (0, 2));
+    assert!(compiled.partial_refusals.is_empty(), "{compiled}");
+
+    let on = job(true).run(&dfs, &Cluster::new()).unwrap();
+    let off = job(false).run(&dfs, &Cluster::new()).unwrap();
+    let (on_ds, off_ds) = (
+        dfs.get(&on.dataset).unwrap(),
+        dfs.get(&off.dataset).unwrap(),
+    );
+    assert!(!on_ds.is_empty());
+    for (a, b) in on_ds.extents().iter().zip(off_ds.extents()) {
+        assert_eq!(a.bytes, b.bytes, "push-down changed a published extent");
+    }
+    let (on_t, off_t) = (on.stats.map_totals(), off.stats.map_totals());
+    assert_eq!(off_t.shuffle_bytes_saved, 0);
+    assert_eq!(
+        on_t.shuffle_bytes + on_t.shuffle_bytes_saved,
+        off_t.shuffle_bytes
+    );
+    assert!(
+        2 * off_t.shuffle_bytes >= 3 * on_t.shuffle_bytes,
+        "feature selection shuffled {} bytes pushed vs {} reduce-only: under the 1.5x cut",
+        on_t.shuffle_bytes,
+        off_t.shuffle_bytes
+    );
+}
+
 /// A non-combinable aggregate keeps the reduction reduce-side — the
 /// compiled job pushes the stateless prefix but zero partials — and
 /// [`validate_mapper_plan`] refuses a mapper plan containing it.
