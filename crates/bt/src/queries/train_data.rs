@@ -265,6 +265,51 @@ mod tests {
         assert_eq!(out.events()[0].payload.get(4), &Value::Long(2));
     }
 
+    /// What a reducer sees: the log bound as a batch flows to the root as
+    /// columns. The labels never leave them; the training rows leave them in
+    /// one place, the input of the UBP GroupApply (a sliding window, so the
+    /// segmented walk, which runs on rows). Bound as rows, nothing is
+    /// transposed at all.
+    #[test]
+    fn a_batch_binding_is_transposed_only_at_the_ubp_group_apply() {
+        use temporal::exec::{execute_data, DataBindings, ExecStats, StreamData, WorkerPool};
+        let stats = |btq: &BtQuery, as_batch: bool| -> ExecStats {
+            let log = match as_batch {
+                true => {
+                    StreamData::Batch(temporal::EventBatch::from_stream(&sample_log()).unwrap())
+                }
+                false => StreamData::Rows(sample_log()),
+            };
+            let mut srcs = DataBindings::default();
+            srcs.insert("clean_logs".to_string(), log);
+            let (roots, stats) = execute_data(&btq.plan, srcs, &WorkerPool::sequential()).unwrap();
+            let on_rows = execute_single(&btq.plan, &bindings(vec![("clean_logs", sample_log())]));
+            assert_eq!(roots.len(), 1);
+            assert_eq!(roots[0].clone().into_stream(), on_rows.unwrap());
+            assert_eq!(
+                matches!(roots[0], StreamData::Batch(_)),
+                as_batch || btq.name == "GenTrainData"
+            );
+            stats
+        };
+        let params = BtParams::default();
+        let keyword_events = (sample_log().events().iter())
+            .filter(|e| e.payload.get(0) == &Value::Int(stream_id::KEYWORD))
+            .count() as u64;
+        assert_eq!(keyword_events, 1);
+        let labels = stats(&labels_query(&params), true);
+        assert_eq!((labels.transposed_events, labels.row_fallbacks), (0, 0));
+        let train = stats(&train_query(&params), true);
+        assert_eq!(
+            (train.transposed_events, train.row_fallbacks),
+            (keyword_events, 0)
+        );
+        for btq in [labels_query(&params), train_query(&params)] {
+            let on_rows = stats(&btq, false);
+            assert_eq!((on_rows.transposed_events, on_rows.row_fallbacks), (0, 0));
+        }
+    }
+
     #[test]
     fn both_annotations_validate_and_fragment() {
         let params = BtParams::default();

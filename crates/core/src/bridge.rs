@@ -24,6 +24,7 @@ use crate::error::{Result, TimrError};
 use relation::column::{Column, ColumnData};
 use relation::schema::{ColumnType, Field, TIME_COLUMN};
 use relation::{ColumnBatch, Row, Schema, Value};
+use std::cmp::Ordering;
 use temporal::exec::StreamData;
 use temporal::{Event, EventBatch, EventStream, Lifetime, Time};
 
@@ -264,9 +265,10 @@ impl EventEncoding {
     /// **canonical order** — [`Self::encode_stream`]'s order, established
     /// here once, where bytes are published: the reduce sink. A row root's
     /// events sort in place and their payload cells move into the rows; a
-    /// batch root gathers its rows once (no events in between) and sorts
-    /// them, which is the same order because a dataset row leads with its
-    /// lifetime.
+    /// batch root sorts a *permutation* of its events — by lifetime, then by
+    /// the typed column cells in [`Value`]'s total order, which is the order
+    /// of the rows because a dataset row leads with its lifetime — and
+    /// builds each row once, already in its final place.
     pub fn encode_sink(self, root: StreamData) -> Result<Vec<Row>> {
         match root {
             StreamData::Rows(stream) => {
@@ -275,9 +277,25 @@ impl EventEncoding {
                 self.encode_events(events)
             }
             StreamData::Batch(batch) => {
-                let mut rows = self.encode_batch(batch)?;
-                rows.sort();
-                Ok(rows)
+                let columns = batch.payload().columns();
+                // The lifetime rides along with the index: most comparisons
+                // end on it without touching a column. Ties are identical
+                // rows, so an unstable sort is deterministic.
+                let mut order: Vec<(Time, Time, u32)> = (batch.vt().iter().zip(batch.ve()))
+                    .enumerate()
+                    .map(|(i, (&le, &re))| (le, re, i as u32))
+                    .collect();
+                order.sort_unstable_by(|a, b| {
+                    (a.0, a.1).cmp(&(b.0, b.1)).then_with(|| {
+                        let (i, j) = (a.2 as usize, b.2 as usize);
+                        (columns.iter().map(|c| c.cmp_cells(i, j)))
+                            .find(|o| o.is_ne())
+                            .unwrap_or(Ordering::Equal)
+                    })
+                });
+                (order.into_iter())
+                    .map(|(_, _, i)| self.batch_row(&batch, i as usize))
+                    .collect()
             }
         }
     }
@@ -313,14 +331,17 @@ impl EventEncoding {
     }
 
     fn encode_batch(self, batch: EventBatch) -> Result<Vec<Row>> {
-        let columns = batch.payload().columns();
-        (batch.vt().iter().zip(batch.ve()).enumerate())
-            .map(|(i, (&le, &re))| {
-                let mut values = self.framing_cells(le, re, columns.len())?;
-                values.extend(columns.iter().map(|c| c.value(i)));
-                Ok(Row::new(values))
-            })
+        (0..batch.len())
+            .map(|i| self.batch_row(&batch, i))
             .collect()
+    }
+
+    /// The dataset row of event `i` of `batch`.
+    fn batch_row(self, batch: &EventBatch, i: usize) -> Result<Row> {
+        let columns = batch.payload().columns();
+        let mut values = self.framing_cells(batch.vt()[i], batch.ve()[i], columns.len())?;
+        values.extend(columns.iter().map(|c| c.value(i)));
+        Ok(Row::new(values))
     }
 }
 
@@ -430,56 +451,146 @@ mod tests {
             .collect()
     }
 
+    /// Payloads that make the batch sink's typed comparator disagree with
+    /// [`Value`]'s order if it is wrong anywhere: a column of every type,
+    /// each with nulls (which sort first) and, for doubles, both zeros,
+    /// infinities and both NaNs (IEEE total order); few distinct lifetimes,
+    /// so most comparisons are decided by a payload cell — for some pairs
+    /// only the last one — and exact duplicates.
+    fn typed_schema() -> Schema {
+        Schema::new(vec![
+            Field::new("B", ColumnType::Bool),
+            Field::new("I", ColumnType::Int),
+            Field::new("L", ColumnType::Long),
+            Field::new("D", ColumnType::Double),
+            Field::new("S", ColumnType::Str),
+        ])
+    }
+
+    fn typed_events(point: bool) -> Vec<Event> {
+        let bools = [Value::Null, Value::Bool(true), Value::Bool(false)];
+        let ints = [Value::Null, Value::Int(7), Value::Int(-1), Value::Int(0)];
+        let longs = [Value::Null, Value::Long(3), Value::Long(i64::MIN)];
+        let doubles = [
+            Value::Null,
+            Value::Double(0.0),
+            Value::Double(-0.0),
+            Value::Double(f64::NAN),
+            Value::Double(-f64::NAN),
+            Value::Double(1.5),
+            Value::Double(f64::NEG_INFINITY),
+        ];
+        let strs = [
+            Value::Null,
+            Value::str("b"),
+            Value::str(""),
+            Value::str("a"),
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut pick = |palette: &[Value]| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+            palette[(state >> 33) as usize % palette.len()].clone()
+        };
+        let mut events = Vec::new();
+        for i in 0..400i64 {
+            // The leading columns are mostly constant so that ties reach the
+            // trailing ones.
+            let payload = Row::new(vec![
+                pick(&bools[..1 + (i % 3) as usize]),
+                pick(&ints[..1 + (i % 4) as usize]),
+                pick(&longs),
+                pick(&doubles),
+                pick(&strs),
+            ]);
+            let t = i % 3;
+            let event = match point {
+                true => Event::point(t, payload),
+                false => Event::interval(t, t + 1 + i % 2, payload),
+            };
+            let copies = if i % 40 == 0 { 3 } else { 1 };
+            events.extend(std::iter::repeat_n(event, copies));
+        }
+        events
+    }
+
     /// The by-value sink encode is `encode_stream` — sorted, multiplicity
     /// preserved — whether the executor's root arrives as rows or as a
-    /// batch; the extent-order encode is the same rows, unsorted.
+    /// batch; the extent-order encode is the same rows, unsorted. The batch
+    /// sink sorts a permutation by typed cells, so its order is checked
+    /// against `Value`'s (the row sink's `sort`) on payloads of every type.
     #[test]
     fn by_value_sink_encode_matches_encode_stream_for_both_layouts() {
-        let p = payload_schema();
         for (enc, point) in [
             (EventEncoding::Point, true),
             (EventEncoding::Interval, false),
         ] {
-            let stream = EventStream::new(p.clone(), unsorted_events(point));
-            let want = enc.encode_stream(&stream).unwrap();
-            assert_eq!(want.len(), stream.len(), "no event is coalesced");
-            assert!(want.windows(2).all(|w| w[0] <= w[1]), "canonical order");
-            let as_rows = || StreamData::Rows(stream.clone());
-            let as_batch = || StreamData::Batch(EventBatch::from_stream(&stream).unwrap());
-            assert_eq!(enc.encode_sink(as_rows()).unwrap(), want);
-            assert_eq!(enc.encode_sink(as_batch()).unwrap(), want);
-            let in_order: Vec<Row> = (stream.events().iter())
-                .map(|e| enc.encode(e).unwrap())
-                .collect();
-            assert_eq!(enc.encode_extent_order(as_rows()).unwrap(), in_order);
-            assert_eq!(enc.encode_extent_order(as_batch()).unwrap(), in_order);
+            for (p, events) in [
+                (payload_schema(), unsorted_events(point)),
+                (typed_schema(), typed_events(point)),
+            ] {
+                let stream = EventStream::new(p, events);
+                let want = enc.encode_stream(&stream).unwrap();
+                assert_eq!(want.len(), stream.len(), "no event is coalesced");
+                assert!(want.windows(2).all(|w| w[0] <= w[1]), "canonical order");
+                assert!(want.windows(2).any(|w| w[0] == w[1]), "duplicates stay");
+                let as_rows = || StreamData::Rows(stream.clone());
+                let as_batch = || StreamData::Batch(EventBatch::from_stream(&stream).unwrap());
+                assert_eq!(enc.encode_sink(as_rows()).unwrap(), want);
+                assert_eq!(enc.encode_sink(as_batch()).unwrap(), want);
+                let in_order: Vec<Row> = (stream.events().iter())
+                    .map(|e| enc.encode(e).unwrap())
+                    .collect();
+                assert_eq!(enc.encode_extent_order(as_rows()).unwrap(), in_order);
+                assert_eq!(enc.encode_extent_order(as_batch()).unwrap(), in_order);
+            }
         }
+        // The typed payloads do tie on everything but the last column.
+        let framing = EventEncoding::Interval.framing_columns();
+        let rows = (EventEncoding::Interval)
+            .encode_sink(StreamData::Rows(EventStream::new(
+                typed_schema(),
+                typed_events(false),
+            )))
+            .unwrap();
+        let last = framing + typed_schema().len() - 1;
+        assert!(rows.windows(2).any(|w| {
+            w[0].values()[..last] == w[1].values()[..last] && w[0].get(last) != w[1].get(last)
+        }));
     }
 
+    /// Both sinks meet the events in canonical order, so with several
+    /// intervals they name the same one; the extent-order encodes meet them
+    /// in stream order.
     #[test]
     fn point_sink_encode_rejects_intervals_in_both_layouts() {
         let stream = EventStream::new(
             payload_schema(),
             vec![
                 Event::point(3, row!["a", 0i64]),
+                Event::interval(2, 9, row!["u", 0i64]),
                 Event::interval(1, 9, row!["u", 0i64]),
             ],
         );
-        let want = EventEncoding::Point
-            .encode_stream(&stream)
-            .unwrap_err()
-            .to_string();
-        assert!(want.contains("cannot point-encode interval event [1, 9)"));
         let batch = StreamData::Batch(EventBatch::from_stream(&stream).unwrap());
-        for root in [StreamData::Rows(stream), batch] {
-            for encode in [
-                EventEncoding::encode_sink,
+        for (encode, want) in [
+            (
+                EventEncoding::encode_sink as fn(_, _) -> _,
+                "cannot point-encode interval event [1, 9)",
+            ),
+            (
                 EventEncoding::encode_extent_order,
-            ] {
-                let err = encode(EventEncoding::Point, root.clone()).unwrap_err();
-                assert_eq!(err.to_string(), want);
-            }
+                "cannot point-encode interval event [2, 9)",
+            ),
+        ] {
+            let errs: Vec<String> = [StreamData::Rows(stream.clone()), batch.clone()]
+                .into_iter()
+                .map(|root| encode(EventEncoding::Point, root).unwrap_err().to_string())
+                .collect();
+            assert!(errs[0].contains(want), "{}", errs[0]);
+            assert_eq!(errs[0], errs[1]);
         }
+        let sorted = EventEncoding::Point.encode_stream(&stream).unwrap_err();
+        assert!(sorted.to_string().contains("[1, 9)"));
     }
 
     /// `Time::MAX` has no successor, so no point lifetime: every decode path

@@ -23,6 +23,7 @@ use crate::row::Row;
 use crate::schema::{ColumnType, Field, Schema};
 use crate::value::Value;
 use rustc_hash::FxHasher;
+use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -292,6 +293,21 @@ impl ColumnData {
         }
     }
 
+    /// `n` placeholder slots in the storage variant of `like`.
+    fn placeholders(like: &ColumnData, n: usize) -> ColumnData {
+        match like {
+            ColumnData::Bool(_) => ColumnData::Bool(vec![false; n]),
+            ColumnData::Int(_) => ColumnData::Int(vec![0; n]),
+            ColumnData::Long(_) => ColumnData::Long(vec![0; n]),
+            ColumnData::Double(_) => ColumnData::Double(vec![0.0; n]),
+            ColumnData::Str(_) => ColumnData::Str(vec![Arc::from(""); n]),
+        }
+    }
+
+    fn same_variant(&self, other: &ColumnData) -> bool {
+        std::mem::discriminant(self) == std::mem::discriminant(other)
+    }
+
     fn append(&mut self, other: ColumnData) -> Result<()> {
         match (self, other) {
             (ColumnData::Bool(a), ColumnData::Bool(b)) => a.extend(b),
@@ -407,16 +423,58 @@ impl Column {
     /// equal each other, doubles compare by IEEE total order), without
     /// materializing either.
     pub fn cells_equal(&self, i: usize, j: usize) -> bool {
-        match (self.is_valid(i), self.is_valid(j)) {
+        self.cell_eq(i, self, j)
+    }
+
+    /// Whether slot `i` equals slot `j` of `other` — exactly
+    /// `self.value(i) == other.value(j)`, so cells of different storage
+    /// variants are unequal (an `Int` never equals a `Long`), without
+    /// materializing either.
+    pub fn cell_eq(&self, i: usize, other: &Column, j: usize) -> bool {
+        match (self.is_valid(i), other.is_valid(j)) {
             (false, false) => true,
-            (true, true) => match &self.data {
-                ColumnData::Bool(d) => d[i] == d[j],
-                ColumnData::Int(d) => d[i] == d[j],
-                ColumnData::Long(d) => d[i] == d[j],
-                ColumnData::Double(d) => d[i].total_cmp(&d[j]).is_eq(),
-                ColumnData::Str(d) => d[i] == d[j],
+            (true, true) => match (&self.data, &other.data) {
+                (ColumnData::Bool(a), ColumnData::Bool(b)) => a[i] == b[j],
+                (ColumnData::Int(a), ColumnData::Int(b)) => a[i] == b[j],
+                (ColumnData::Long(a), ColumnData::Long(b)) => a[i] == b[j],
+                (ColumnData::Double(a), ColumnData::Double(b)) => a[i].total_cmp(&b[j]).is_eq(),
+                (ColumnData::Str(a), ColumnData::Str(b)) => a[i] == b[j],
+                _ => false,
             },
             _ => false,
+        }
+    }
+
+    /// Whether slot `i` equals `v` — exactly `self.value(i) == *v`, without
+    /// materializing the cell.
+    pub fn cell_eq_value(&self, i: usize, v: &Value) -> bool {
+        if !self.is_valid(i) {
+            return v.is_null();
+        }
+        match (&self.data, v) {
+            (ColumnData::Bool(d), Value::Bool(x)) => d[i] == *x,
+            (ColumnData::Int(d), Value::Int(x)) => d[i] == *x,
+            (ColumnData::Long(d), Value::Long(x)) => d[i] == *x,
+            (ColumnData::Double(d), Value::Double(x)) => d[i].total_cmp(x).is_eq(),
+            (ColumnData::Str(d), Value::Str(x)) => d[i] == *x,
+            _ => false,
+        }
+    }
+
+    /// Order slots `i` and `j` exactly as `self.value(i).cmp(&self.value(j))`
+    /// would ([`Value`]'s total order: nulls first, doubles by IEEE total
+    /// order), without materializing either.
+    pub fn cmp_cells(&self, i: usize, j: usize) -> Ordering {
+        match (self.is_valid(i), self.is_valid(j)) {
+            (true, true) => match &self.data {
+                ColumnData::Bool(d) => d[i].cmp(&d[j]),
+                ColumnData::Int(d) => d[i].cmp(&d[j]),
+                ColumnData::Long(d) => d[i].cmp(&d[j]),
+                ColumnData::Double(d) => d[i].total_cmp(&d[j]),
+                ColumnData::Str(d) => d[i].cmp(&d[j]),
+            },
+            // `Value::Null` ranks below every other variant.
+            (a, b) => a.cmp(&b),
         }
     }
 
@@ -480,9 +538,32 @@ impl Column {
         (self.data, self.validity)
     }
 
-    /// Append every slot of `other`; errors when the storage variants
-    /// differ (columns decoded from canonical extents always agree).
-    pub fn append(&mut self, other: Column) -> Result<()> {
+    /// Whether no slot holds a real value, so the storage variant is an
+    /// unobservable carrier.
+    fn is_carrier(&self) -> bool {
+        self.validity
+            .as_ref()
+            .map_or(self.is_empty(), |v| v.words().iter().all(|&w| w == 0))
+    }
+
+    /// Whether [`Self::append`] accepts `other`: the storage variants agree,
+    /// or one side holds no real value.
+    pub fn can_append(&self, other: &Column) -> bool {
+        self.data.same_variant(&other.data) || self.is_carrier() || other.is_carrier()
+    }
+
+    /// Append every slot of `other`. A side holding only nulls takes the
+    /// other side's storage variant; two sides with real values of different
+    /// variants are an error (columns decoded from canonical extents always
+    /// agree).
+    pub fn append(&mut self, mut other: Column) -> Result<()> {
+        if !self.data.same_variant(&other.data) {
+            if other.is_carrier() {
+                other.data = ColumnData::placeholders(&self.data, other.len());
+            } else if self.is_carrier() {
+                self.data = ColumnData::placeholders(&other.data, self.len());
+            }
+        }
         let self_len = self.len();
         self.data.append(other.data)?;
         self.validity = match (self.validity.take(), other.validity) {
@@ -703,13 +784,26 @@ impl ColumnBatch {
         (self.schema, self.columns, self.rows)
     }
 
-    /// Append every row of `other`; the schemas must be identical.
+    /// Whether every column of `other` (same schema) can be appended to its
+    /// counterpart here.
+    pub fn can_append(&self, other: &ColumnBatch) -> bool {
+        (self.columns.iter().zip(&other.columns)).all(|(a, b)| a.can_append(b))
+    }
+
+    /// Append every row of `other`; the schemas must be identical and every
+    /// column pair appendable ([`Column::can_append`]). Nothing is changed
+    /// when it errors.
     pub fn append(&mut self, other: ColumnBatch) -> Result<()> {
         if self.schema != other.schema {
             return Err(RelationError::SchemaMismatch(format!(
                 "cannot append {} onto {}",
                 other.schema, self.schema
             )));
+        }
+        if !self.can_append(&other) {
+            return Err(RelationError::SchemaMismatch(
+                "column storage variants differ".to_string(),
+            ));
         }
         for (a, b) in self.columns.iter_mut().zip(other.columns) {
             a.append(b)?;
@@ -847,17 +941,53 @@ mod tests {
         for (c, col) in batch.columns().iter().enumerate() {
             for i in 0..all.len() {
                 for j in 0..all.len() {
-                    assert_eq!(
-                        col.cells_equal(i, j),
-                        all[i].get(c) == all[j].get(c),
-                        "column {c} slots {i},{j}"
-                    );
+                    let (a, b) = (all[i].get(c), all[j].get(c));
+                    assert_eq!(col.cells_equal(i, j), a == b, "column {c} slots {i},{j}");
+                    assert_eq!(col.cell_eq_value(i, b), a == b, "column {c} slots {i},{j}");
+                    assert_eq!(col.cmp_cells(i, j), a.cmp(b), "column {c} slots {i},{j}");
+                    // Across columns (other storage variants included) the
+                    // comparison is still `Value`'s strict equality.
+                    for (c2, other) in batch.columns().iter().enumerate() {
+                        assert_eq!(col.cell_eq(i, other, j), a == all[j].get(c2));
+                        assert_eq!(col.cell_eq_value(i, all[j].get(c2)), a == all[j].get(c2));
+                    }
                 }
             }
         }
         let want: usize = all.iter().map(Row::width).sum();
         assert_eq!(batch.width(), want as u64);
         assert_eq!(ColumnBatch::from_rows(&s, &[]).unwrap().width(), 0);
+    }
+
+    #[test]
+    fn append_recarries_all_null_columns_and_refuses_mixed_storage() {
+        let s = Schema::new(vec![Field::new("L", ColumnType::Long)]);
+        let longs = ColumnBatch::from_rows(&s, &[row![1i64], row![2i64]]).unwrap();
+        // What a projection of `null` builds: nulls over a Bool carrier.
+        let nulls = || {
+            let carrier = Column::new(
+                ColumnData::Bool(vec![false; 2]),
+                Validity::from_null_flags(&[true, true]),
+            );
+            ColumnBatch::new(s.clone(), vec![carrier], 2)
+        };
+        let null_rows = vec![Row::new(vec![Value::Null]); 2];
+        let mut a = longs.clone();
+        a.append(nulls()).unwrap();
+        assert_eq!(a.to_rows(), [longs.to_rows(), null_rows.clone()].concat());
+        let mut b = nulls();
+        b.append(longs.clone()).unwrap();
+        assert_eq!(b.to_rows(), [null_rows, longs.to_rows()].concat());
+        // Real values of two variants have no dense column: refused whole.
+        let ints = ColumnBatch::new(
+            s.clone(),
+            vec![Column::new(ColumnData::Int(vec![7]), None)],
+            1,
+        );
+        let mut c = longs.clone();
+        assert!(!c.can_append(&ints));
+        assert!(c.append(ints).is_err());
+        assert_eq!(c.to_rows(), longs.to_rows());
     }
 
     #[test]

@@ -13,27 +13,62 @@
 //! cells; dense typed vectors cannot). Callers treat `None` as "stay on the
 //! row path", never as an error.
 
+use crate::error::{Result, TemporalError};
 use crate::event::Event;
 use crate::stream::EventStream;
 use crate::time::Lifetime;
 use relation::{ColumnBatch, Row, Schema};
+use std::sync::Arc;
 
 /// A fixed-length batch of events stored column-major: validity-interval
 /// starts (`vt`), ends (`ve`), and the payload columns.
+///
+/// Storage lives behind `Arc`s, as [`EventStream`]'s does, so cloning a
+/// batch (Multicast fan-out, a source binding with several readers) is
+/// O(1). The lifetime vectors and the payload are shared separately: a
+/// lifetime rewrite over a shared batch copies two `i64` vectors and keeps
+/// sharing the payload, a projection keeps sharing the lifetimes. Mutation
+/// is copy-on-write per part and never copies more than what survives:
+/// [`Self::compact`] compacts a uniquely-owned part in place and *gathers
+/// the survivors* of a shared one.
 #[derive(Debug, Clone)]
 pub struct EventBatch {
-    vt: Vec<i64>,
-    ve: Vec<i64>,
-    payload: ColumnBatch,
+    vt: Arc<Vec<i64>>,
+    ve: Arc<Vec<i64>>,
+    payload: Arc<ColumnBatch>,
+}
+
+/// Keep only the slots at `idx` (strictly increasing): in place when
+/// uniquely owned, else a fresh vector of the survivors.
+fn compact_times(times: &mut Arc<Vec<i64>>, idx: &[u32]) {
+    match Arc::get_mut(times) {
+        Some(t) => {
+            for (w, &i) in idx.iter().enumerate() {
+                t[w] = t[i as usize];
+            }
+            t.truncate(idx.len());
+        }
+        None => *times = Arc::new(idx.iter().map(|&i| times[i as usize]).collect()),
+    }
 }
 
 impl EventBatch {
     /// Assemble from parts; the lifetime vectors must match the payload
     /// row count, and every lifetime must be non-empty (`vt[i] < ve[i]`).
     pub fn new(vt: Vec<i64>, ve: Vec<i64>, payload: ColumnBatch) -> EventBatch {
+        EventBatch::from_shared(Arc::new(vt), Arc::new(ve), Arc::new(payload))
+    }
+
+    /// [`Self::new`] over parts that may still be shared with the batch
+    /// they came from ([`Self::into_shared_parts`]).
+    pub fn from_shared(
+        vt: Arc<Vec<i64>>,
+        ve: Arc<Vec<i64>>,
+        payload: Arc<ColumnBatch>,
+    ) -> EventBatch {
         assert_eq!(vt.len(), payload.len(), "vt length mismatch");
         assert_eq!(ve.len(), payload.len(), "ve length mismatch");
-        debug_assert!(vt.iter().zip(&ve).all(|(s, e)| s < e), "empty lifetime");
+        debug_assert!(vt.iter().zip(&*ve).all(|(s, e)| s < e), "empty lifetime");
         EventBatch { vt, ve, payload }
     }
 
@@ -53,7 +88,7 @@ impl EventBatch {
         .ok()?;
         let vt = events.iter().map(|e| e.lifetime.start).collect();
         let ve = events.iter().map(|e| e.lifetime.end).collect();
-        Some(EventBatch { vt, ve, payload })
+        Some(EventBatch::new(vt, ve, payload))
     }
 
     /// Transpose back into an [`EventStream`], preserving event order.
@@ -62,7 +97,7 @@ impl EventBatch {
         let events: Vec<Event> = self
             .vt
             .iter()
-            .zip(&self.ve)
+            .zip(&*self.ve)
             .enumerate()
             .map(|(i, (&s, &e))| Event::new(Lifetime::new(s, e), self.payload.row(i)))
             .collect();
@@ -89,16 +124,41 @@ impl EventBatch {
         &self.ve
     }
 
-    /// Mutable access to both lifetime vectors (for in-place lifetime
-    /// rewrites; callers must keep `vt[i] < ve[i]`).
-    pub fn times_mut(&mut self) -> (&mut Vec<i64>, &mut Vec<i64>) {
-        (&mut self.vt, &mut self.ve)
+    /// Lifetime of event `i`.
+    pub fn lifetime(&self, i: usize) -> Lifetime {
+        Lifetime::new(self.vt[i], self.ve[i])
     }
 
-    /// Decompose into lifetime vectors and payload, consuming the batch —
-    /// owning consumers (the fused projection, encoders) move the storage
-    /// instead of copying it.
+    /// Whether this batch is the sole owner of all of its storage, so
+    /// every mutation below happens in place.
+    pub fn is_unique(&mut self) -> bool {
+        Arc::get_mut(&mut self.vt).is_some()
+            && Arc::get_mut(&mut self.ve).is_some()
+            && Arc::get_mut(&mut self.payload).is_some()
+    }
+
+    /// Mutable access to both lifetime vectors (for in-place lifetime
+    /// rewrites; callers must keep `vt[i] < ve[i]`). Copy-on-write of the
+    /// lifetimes alone: a shared payload stays shared.
+    pub fn times_mut(&mut self) -> (&mut Vec<i64>, &mut Vec<i64>) {
+        (Arc::make_mut(&mut self.vt), Arc::make_mut(&mut self.ve))
+    }
+
+    /// Decompose into lifetime vectors and payload, consuming the batch: a
+    /// part this batch alone holds is moved out, one still shared elsewhere
+    /// is copied.
     pub fn into_parts(self) -> (Vec<i64>, Vec<i64>, ColumnBatch) {
+        (
+            Arc::unwrap_or_clone(self.vt),
+            Arc::unwrap_or_clone(self.ve),
+            Arc::unwrap_or_clone(self.payload),
+        )
+    }
+
+    /// Decompose without copying anything: each part comes back behind its
+    /// `Arc`, for consumers that forward some parts untouched (the fused
+    /// projection hands the lifetimes on and moves or clones single columns).
+    pub fn into_shared_parts(self) -> (Arc<Vec<i64>>, Arc<Vec<i64>>, Arc<ColumnBatch>) {
         (self.vt, self.ve, self.payload)
     }
 
@@ -124,15 +184,41 @@ impl EventBatch {
         self.payload.row_into(i, row);
     }
 
-    /// Keep only the events at `idx` (strictly increasing), in place.
+    /// Keep only the events at `idx` (strictly increasing). Each part is
+    /// compacted in place when uniquely owned; a shared part is left alone
+    /// and its survivors are gathered into fresh storage, so the other
+    /// holders never see the change and the whole batch is never copied.
     pub fn compact(&mut self, idx: &[u32]) {
-        for (w, &i) in idx.iter().enumerate() {
-            self.vt[w] = self.vt[i as usize];
-            self.ve[w] = self.ve[i as usize];
+        compact_times(&mut self.vt, idx);
+        compact_times(&mut self.ve, idx);
+        match Arc::get_mut(&mut self.payload) {
+            Some(payload) => payload.compact(idx),
+            None => self.payload = Arc::new(self.payload.gather(idx)),
         }
-        self.vt.truncate(idx.len());
-        self.ve.truncate(idx.len());
-        self.payload.compact(idx);
+    }
+
+    /// Merge another batch into this one, in the order
+    /// [`EventStream::merge`] leaves two row streams in: the smaller side is
+    /// appended to the larger, so `other`'s events come first when it is the
+    /// bigger one. Schemas must be identical.
+    pub fn merge(&mut self, mut other: EventBatch) -> Result<()> {
+        if other.schema() != self.schema() {
+            return Err(TemporalError::Input(format!(
+                "cannot merge streams with schemas {} and {}",
+                self.schema(),
+                other.schema()
+            )));
+        }
+        if other.len() > self.len() {
+            std::mem::swap(self, &mut other);
+        }
+        let (vt, ve, payload) = other.into_parts();
+        let (self_vt, self_ve) = self.times_mut();
+        self_vt.extend(vt);
+        self_ve.extend(ve);
+        Arc::make_mut(&mut self.payload)
+            .append(payload)
+            .map_err(TemporalError::Relation)
     }
 }
 

@@ -10,18 +10,27 @@
 //! ([`crate::plan::fuse_plan`], free on an already-fused plan), and each
 //! operator runs in the layout its input arrives in: a [`StreamData::Batch`]
 //! flows through the fused SIMD kernels, a [`StreamData::Rows`] through the
-//! row operators. The executor never re-lays-out a binding — whoever
-//! decoded the data chose the layout, and transposing a stream the caller
-//! already holds in row form never pays (DESIGN.md, "The engine").
+//! row operators. **A value keeps the layout it arrived in; the binary
+//! operators build columns.** The executor never re-lays-out a binding —
+//! whoever decoded the data chose the layout, and transposing a stream the
+//! caller already holds in row form never pays (DESIGN.md, "The engine") —
+//! and a value with several consumers is shared as it is, batch or rows.
+//! TemporalJoin, AntiSemiJoin and Union read either layout where it lies
+//! and emit batches (the join always, the other two when their inputs are
+//! batches). What still needs rows — GroupApply's segmented walk, the UDOs,
+//! SpreadGrid — transposes at its own input and says so in
+//! [`ExecStats::transposed_events`].
 //! [`execute_reference`] is the independent oracle tests compare against.
 //!
 //! Execution is consumer-count aware: every operator receives its inputs
 //! **by value**. A single-consumer intermediate is moved straight into its
-//! parent, so in-place operators (the row forms of Filter, AlterLifetime, …)
-//! mutate it with no copy; a Multicast result is cached with its
-//! remaining-consumer count, handed out as O(1) Arc-backed clones, and
-//! *moved out* of the cache to its final consumer — the last consumer gets
-//! uniquely-owned storage, not a deep clone.
+//! parent, so in-place operators (the row forms of Filter, AlterLifetime, …,
+//! a batch fragment's compaction) mutate it with no copy; a Multicast result
+//! is cached with its remaining-consumer count, handed out as O(1)
+//! Arc-backed clones in either layout, and *moved out* of the cache to its
+//! final consumer — the last consumer gets uniquely-owned storage, not a
+//! deep clone. A consumer of shared storage copies what it keeps (the
+//! survivors of its filter), never the whole value.
 //!
 //! A GroupApply sub-plan is not executed per group: [`walk_runs`] evaluates
 //! it once, node by node, over all the groups laid out as key-ordered runs
@@ -53,10 +62,13 @@ pub type DataBindings = FxHashMap<String, StreamData>;
 /// column-major form the TiMR bridge decodes shuffled extents into, consumed
 /// by the operators with columnar kernels (fused fragments, Aggregate
 /// argument evaluation, GroupApply key hashing and its pane kernel, which
-/// never leaves the columns). Operators without a kernel
-/// convert a batch back to rows at their input, and a fragment that cannot
-/// stay columnar finishes on rows — so every plan runs on either layout
-/// with byte-identical output.
+/// never leaves the columns) and produced by the binary operators
+/// (TemporalJoin from any inputs; AntiSemiJoin and Union from batch
+/// inputs). GroupApply's segmented walk, the UDOs and SpreadGrid convert a
+/// batch back to rows at their input, and a fragment or join whose result
+/// has no dense column form finishes on rows — so every plan runs on
+/// either layout with byte-identical output. Both forms are `Arc`-backed:
+/// a clone is O(1).
 #[derive(Debug, Clone)]
 pub enum StreamData {
     /// Row-major event storage.
@@ -82,16 +94,28 @@ impl StreamData {
         }
     }
 
-    /// Convert to row form in place (used before a binding is shared, so
-    /// every subsequent clone is an O(1) Arc bump instead of a deep batch
-    /// copy).
-    pub fn make_rows(&mut self) {
+    /// Number of events, whichever the layout.
+    pub fn len(&self) -> usize {
+        match self {
+            StreamData::Rows(s) => s.len(),
+            StreamData::Batch(b) => b.len(),
+        }
+    }
+
+    /// True when there are no events.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Convert to row form in place: a binding a GroupApply sub-plan reads
+    /// is sliced per run by the row operators.
+    fn make_rows(&mut self, stats: &mut ExecStats) {
         if matches!(self, StreamData::Batch(_)) {
             let data = std::mem::replace(
                 self,
                 StreamData::Rows(EventStream::empty(Schema::new(Vec::new()))),
             );
-            *self = StreamData::Rows(data.into_stream());
+            *self = StreamData::Rows(stats.transpose(data));
         }
     }
 }
@@ -112,10 +136,18 @@ pub fn bindings(pairs: Vec<(&str, EventStream)>) -> Bindings {
 /// What one execution observed about its own layout decisions.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Fused fragments that started on a batch and finished on the row
-    /// operators because a projection's result had no dense column form
-    /// (mixed runtime types across rows).
+    /// Operators that held columns and finished on rows because their
+    /// result had no dense column form: a fused fragment whose projection
+    /// mixed runtime types across rows, a TemporalJoin over an ill-typed row
+    /// input, a Union of batches storing one column in two variants.
     pub row_fallbacks: u64,
+    /// Events the executor itself converted from a batch to rows at an
+    /// operator's input: GroupApply's segmented walk, HopUdo, SpreadGrid, a
+    /// Union where the two layouts meet, a per-run operator's batch output
+    /// inside a sub-plan, a batch binding a sub-plan reads. Zero means every
+    /// batch stayed a batch from the binding to the root (the root's own
+    /// conversion, if its consumer wants rows, is the caller's).
+    pub transposed_events: u64,
     /// Groups formed by GroupApply operators (nested ones included).
     pub groups: u64,
     /// GroupApply sub-plan nodes that had no segmented kernel and ran once
@@ -132,9 +164,20 @@ impl ExecStats {
     /// Add what a pool task observed.
     pub(crate) fn absorb(&mut self, task: &ExecStats) {
         self.row_fallbacks += task.row_fallbacks;
+        self.transposed_events += task.transposed_events;
         self.groups += task.groups;
         self.per_run_nodes += task.per_run_nodes;
         self.pane_groups += task.pane_groups;
+    }
+
+    /// `data` as a row stream, counting its events when that transposes a
+    /// batch: the one way the engine turns columns into rows at an
+    /// operator's input.
+    pub(crate) fn transpose(&mut self, data: StreamData) -> EventStream {
+        if let StreamData::Batch(b) = &data {
+            self.transposed_events += b.len() as u64;
+        }
+        data.into_stream()
     }
 }
 
@@ -159,11 +202,12 @@ pub fn execute_single(plan: &LogicalPlan, sources: &Bindings) -> Result<EventStr
 
 /// Execute `plan` taking **ownership** of layout-agnostic bindings, fanning
 /// GroupApply run ranges out on `pool`. Each `Source` binding is moved out of
-/// the map at its last reference in the plan, in the layout it arrived in:
-/// a batch runs the columnar kernels, and when the caller held the only
-/// handle to a row stream the first in-place operator mutates the decoded
-/// partition directly — zero survivor clones. Each root comes back in the
-/// layout its last operator ran in, for the caller to consume by value.
+/// the map at its last reference in the plan, in the layout it arrived in
+/// (earlier references share it, O(1), in that same layout): a batch runs
+/// the columnar kernels, and when the caller held the only handle the first
+/// in-place operator mutates the decoded partition directly — zero survivor
+/// clones. Each root comes back in the layout its last operator produced,
+/// for the caller to consume by value.
 /// Output is byte-identical for every pool width (ranges concatenate in
 /// sorted-key order) and either layout.
 pub fn execute_data(
@@ -182,12 +226,12 @@ pub fn execute_data(
         pool,
         stats: ExecStats::default(),
     };
-    // A binding a sub-plan reads is shared by every run: row form, so each
-    // read is an O(1) Arc bump.
+    // A binding a sub-plan reads is read once per run, by row operators:
+    // row form.
     for (name, refs) in &exec.source_refs {
         if *refs == u32::MAX {
             if let Some(data) = exec.sources.get_mut(name) {
-                data.make_rows();
+                data.make_rows(&mut exec.stats);
             }
         }
     }
@@ -306,9 +350,9 @@ struct Executor<'a> {
     /// referenced inside GroupApply sub-plans are pinned to `u32::MAX`
     /// (read by every run — they must never be moved out).
     source_refs: FxHashMap<String, u32>,
-    /// Multicast results awaiting further consumers: stream + how many
-    /// consumers have not taken it yet.
-    cache: FxHashMap<NodeId, (EventStream, u32)>,
+    /// Multicast results awaiting further consumers: the value, in the
+    /// layout it was produced in, + how many consumers have not taken it yet.
+    cache: FxHashMap<NodeId, (StreamData, u32)>,
     counts: Vec<u32>,
     /// Worker pool GroupApply fans run ranges out on.
     pool: &'a WorkerPool,
@@ -386,15 +430,15 @@ fn bound_source<'s>(
 
 impl Executor<'_> {
     fn eval(&mut self, plan: &LogicalPlan, id: NodeId) -> Result<StreamData> {
-        if let Some((stream, remaining)) = self.cache.get_mut(&id) {
+        if let Some((data, remaining)) = self.cache.get_mut(&id) {
             *remaining -= 1;
             if *remaining == 0 {
-                // Last consumer: move the stream out instead of cloning,
+                // Last consumer: move the value out instead of cloning,
                 // so downstream in-place operators get unique ownership.
-                let (stream, _) = self.cache.remove(&id).expect("entry just seen");
-                return Ok(StreamData::Rows(stream));
+                let (data, _) = self.cache.remove(&id).expect("entry just seen");
+                return Ok(data);
             }
-            return Ok(StreamData::Rows(stream.clone())); // O(1): Arc-backed storage
+            return Ok(data.clone()); // O(1): Arc-backed storage, either layout
         }
         let node = plan.node(id);
         let mut inputs = Vec::with_capacity(node.inputs.len());
@@ -404,11 +448,8 @@ impl Executor<'_> {
         let out = self.apply(&node.op, inputs)?;
         let consumers = self.counts.get(id).copied().unwrap_or(0);
         if consumers > 1 {
-            // Multicast results are cached in row form so each further
-            // consumer takes an O(1) Arc clone, never a deep batch copy.
-            let stream = out.into_stream();
-            self.cache.insert(id, (stream.clone(), consumers - 1));
-            return Ok(StreamData::Rows(stream));
+            // Cached as produced: every further consumer takes an O(1) clone.
+            self.cache.insert(id, (out.clone(), consumers - 1));
         }
         Ok(out)
     }
@@ -430,11 +471,8 @@ impl Executor<'_> {
                     // downstream in-place operators own the storage outright.
                     self.sources.remove(name).expect("binding just seen")
                 } else {
-                    // Shared reference: force row form in place so this and
-                    // every later clone is an O(1) Arc bump.
-                    let data = self.sources.get_mut(name).expect("binding just seen");
-                    data.make_rows();
-                    data.clone()
+                    // Shared reference: an O(1) clone, as the binding is.
+                    self.sources[name].clone()
                 }
             }
             Operator::FusedFragment { steps } => {
@@ -460,64 +498,66 @@ impl Executor<'_> {
                     StreamData::Rows(s) => operators::aggregate(&s, aggs)?,
                 })
             }
-            Operator::Union => StreamData::Rows(operators::union(
-                inputs.into_iter().map(StreamData::into_stream).collect(),
-            )?),
+            Operator::Union => operators::union(inputs, &mut self.stats)?,
             op => {
                 let env = SubplanEnv {
                     sources: &self.sources,
                     pool: self.pool,
                 };
-                StreamData::Rows(apply_unsegmented(op, inputs, &env, &mut self.stats)?)
+                apply_unsegmented(op, inputs, &env, &mut self.stats)?
             }
         })
     }
 }
 
 /// The operators with no run-aware kernel, on whole streams: what the top
-/// level calls once and a sub-plan walk calls once per run.
+/// level calls once and a sub-plan walk calls once per run. The binary
+/// operators read their inputs in the layout they arrive in; GroupApply, the
+/// UDOs and SpreadGrid take rows.
 fn apply_unsegmented(
     op: &Operator,
     mut inputs: Vec<StreamData>,
     env: &SubplanEnv,
     stats: &mut ExecStats,
-) -> Result<EventStream> {
+) -> Result<StreamData> {
     let mut pop = |what: &str| inputs.pop().expect(what);
-    match op {
+    Ok(match op {
         // Reached inside sub-plans only (the executor drains its own).
-        Operator::Source { name, schema } => Ok(bound_source(env.sources, name, schema)?
-            .clone()
-            .into_stream()),
+        Operator::Source { name, schema } => bound_source(env.sources, name, schema)?.clone(),
         Operator::GroupApply { keys, subplan } => {
             let input = pop("group_apply has one input");
-            operators::group_apply(input, keys, subplan, env, stats)
+            StreamData::Rows(operators::group_apply(input, keys, subplan, env, stats)?)
         }
         Operator::TemporalJoin { keys, residual } => {
-            let right = pop("temporal_join has two inputs").into_stream();
-            let left = pop("temporal_join has two inputs").into_stream();
-            operators::temporal_join(&left, &right, keys, residual.as_ref())
+            let right = pop("temporal_join has two inputs");
+            let left = pop("temporal_join has two inputs");
+            let out = operators::temporal_join(&left, &right, keys, residual.as_ref())?;
+            if matches!(out, StreamData::Rows(_)) {
+                stats.row_fallbacks += 1;
+            }
+            out
         }
         Operator::AntiSemiJoin { keys } => {
-            let right = pop("anti_semi_join has two inputs").into_stream();
-            let left = pop("anti_semi_join has two inputs").into_stream();
-            operators::anti_semi_join(left, &right, keys)
+            let right = pop("anti_semi_join has two inputs");
+            let left = pop("anti_semi_join has two inputs");
+            operators::anti_semi_join(left, &right, keys)?
         }
         Operator::HopUdo { hop, width, udo } => {
-            let input = pop("hop_udo has one input").into_stream();
-            operators::hop_udo(input, *hop, *width, udo)
+            let input = stats.transpose(pop("hop_udo has one input"));
+            StreamData::Rows(operators::hop_udo(input, *hop, *width, udo)?)
         }
         Operator::SpreadGrid { grid } => {
-            let input = pop("spread_grid has one input").into_stream();
-            operators::spread_grid(input, *grid)
+            let input = stats.transpose(pop("spread_grid has one input"));
+            StreamData::Rows(operators::spread_grid(input, *grid)?)
         }
-        Operator::GroupInput { .. } => Err(outside_group_apply()),
+        Operator::GroupInput { .. } => return Err(outside_group_apply()),
         Operator::Filter { .. } | Operator::Project { .. } | Operator::AlterLifetime { .. } => {
             unreachable!("fuse_plan wraps every stateless operator in a FusedFragment")
         }
         Operator::FusedFragment { .. } | Operator::Aggregate { .. } | Operator::Union => {
             unreachable!("{} has a run-aware kernel", op.name())
         }
-    }
+    })
 }
 
 /// Evaluate a (fused) GroupApply `subplan` **once** over all of `input`'s
@@ -528,7 +568,8 @@ fn apply_unsegmented(
 ///
 /// Fragments, aggregates and unions run their run-aware kernels over the
 /// whole stream. Everything else ([`Operator::segmented`] is false) goes
-/// through the one per-run adapter, [`per_run`].
+/// through the one per-run adapter, [`per_run`]. The walk is over rows: a
+/// per-run operator that answers in columns (a join) is transposed back.
 pub(crate) fn walk_runs(
     subplan: &LogicalPlan,
     input: Runs,
@@ -625,7 +666,7 @@ fn per_run(
             })
             .collect();
         match apply_unsegmented(op, slices, env, stats) {
-            Ok(out) => events.extend(out.into_events()),
+            Ok(out) => events.extend(stats.transpose(out).into_events()),
             Err(err) => {
                 cut.fail(r, err)?;
                 break;
@@ -889,32 +930,198 @@ mod tests {
         assert_eq!(out, reference);
     }
 
+    fn executor<'a>(
+        plan: &LogicalPlan,
+        sources: DataBindings,
+        pool: &'a WorkerPool,
+    ) -> Executor<'a> {
+        Executor {
+            source_refs: source_refs(plan),
+            sources,
+            cache: FxHashMap::default(),
+            counts: consumer_counts(plan),
+            pool,
+            stats: ExecStats::default(),
+        }
+    }
+
+    /// `sample_events()` bound to `input` in either layout, plus a second
+    /// handle to the same storage: what a caller that keeps its binding holds.
+    fn shared_binding(as_batch: bool) -> (DataBindings, StreamData) {
+        let data = match as_batch {
+            true => StreamData::Batch(EventBatch::from_stream(&sample_events()).unwrap()),
+            false => StreamData::Rows(sample_events()),
+        };
+        let mut srcs = DataBindings::default();
+        srcs.insert("input".to_string(), data.clone());
+        (srcs, data)
+    }
+
     #[test]
     fn multicast_cache_moves_out_on_last_consumer() {
-        // A diamond (source → two filters → union) evaluated through the
-        // counting cache must still produce the right result and leave the
-        // cache empty (every entry moved out by its last consumer).
+        // A diamond over one binding — `Source → {Filter → Shift, Filter} →
+        // Union` — in both layouts, with the binding read through one
+        // `Source` node (two consumers: the counting cache) and through two
+        // (two references: the bindings map). Either way: the reference's
+        // events, cache and bindings left empty (every value moved out by
+        // its last consumer), no transposition, and the storage the caller
+        // still holds untouched although both branches mutate "their" input.
+        for two_source_nodes in [false, true] {
+            let q = Query::new();
+            let input = q.source("input", bt_schema());
+            let other = match two_source_nodes {
+                true => q.source("input", bt_schema()),
+                false => input.clone(),
+            };
+            let a = input.filter(col("StreamId").eq(lit(1))).shift(5);
+            let b = other.filter(col("UserId").eq(lit("u1")));
+            let plan = q.build(vec![a.union(b)]).unwrap();
+            let sources = plan.nodes().iter().filter(|n| n.op.name() == "Source");
+            assert_eq!(sources.count(), 1 + two_source_nodes as usize);
+            let srcs = bindings(vec![("input", sample_events())]);
+            let reference = single(execute_reference(&plan, &srcs).unwrap()).unwrap();
+            assert_eq!(reference.len(), 3 + 3);
+            let plan = crate::plan::fuse_plan(&plan).unwrap();
+            for as_batch in [false, true] {
+                let (srcs, kept) = shared_binding(as_batch);
+                let pool = WorkerPool::sequential();
+                let mut exec = executor(&plan, srcs, &pool);
+                let result = exec.eval(&plan, plan.roots()[0]).unwrap();
+                assert_eq!(matches!(result, StreamData::Batch(_)), as_batch);
+                assert_eq!(result.into_stream(), reference);
+                assert!(
+                    exec.cache.is_empty(),
+                    "all multicast entries should be moved out by their last consumer"
+                );
+                assert!(
+                    exec.sources.is_empty(),
+                    "the binding is drained at its last reference"
+                );
+                assert_eq!(exec.stats, ExecStats::default());
+                assert_eq!(kept.into_stream(), sample_events());
+            }
+        }
+    }
+
+    #[test]
+    fn the_last_consumer_of_a_shared_batch_owns_its_storage() {
+        // `input` is read twice, and so is the filter over its first
+        // reference: every consumer but the last shares storage (an O(1)
+        // clone), the last one is handed the only handle — so its fragment
+        // compacts in place instead of gathering survivors.
         let q = Query::new();
         let input = q.source("input", bt_schema());
-        let a = input.clone().filter(col("StreamId").eq(lit(1)));
-        let b = input.filter(col("StreamId").ge(lit(1)));
-        let out = a.union(b);
+        let clicks = input.clone().filter(col("StreamId").eq(lit(1)));
+        let out = clicks.clone().union(clicks).union(input);
         let plan = q.build(vec![out]).unwrap();
         let plan = crate::plan::fuse_plan(&plan).unwrap();
-        let srcs = bindings(vec![("input", sample_events())]);
-        let mut exec = Executor {
-            source_refs: source_refs(&plan),
-            sources: data_bindings(srcs),
-            cache: FxHashMap::default(),
-            counts: consumer_counts(&plan),
-            pool: &WorkerPool::sequential(),
-            stats: ExecStats::default(),
+        let node_of = |name: &str| {
+            (plan.nodes().iter())
+                .position(|n| n.op.name() == name)
+                .unwrap_or_else(|| panic!("no {name} in\n{plan}"))
         };
-        let result = exec.eval(&plan, plan.roots()[0]).unwrap().into_stream();
-        assert_eq!(result.len(), 7); // 3 clicks + all 4
-        assert!(
-            exec.cache.is_empty(),
-            "all multicast entries should be moved out by their last consumer"
-        );
+        let (srcs, kept) = shared_binding(true);
+        drop(kept);
+        let pool = WorkerPool::sequential();
+        let mut exec = executor(&plan, srcs, &pool);
+        let mut take = |id: NodeId| match exec.eval(&plan, id).unwrap() {
+            StreamData::Batch(b) => b,
+            StreamData::Rows(_) => panic!("a batch binding stays a batch"),
+        };
+        let fragment = node_of("FusedFragment");
+        let mut first = take(fragment);
+        assert!(!first.is_unique(), "the cache holds the other handle");
+        let mut last = take(fragment);
+        assert!(!last.is_unique());
+        drop(first);
+        assert!(last.is_unique(), "moved out of the cache, not cloned");
+        // The fragment took `input`'s first reference; the map still held it.
+        let mut source = take(node_of("Source"));
+        assert!(source.is_unique(), "moved out of the bindings");
+        assert_eq!(source.len(), 4);
+        assert_eq!(last.len(), 3);
+    }
+
+    #[test]
+    fn a_binding_read_at_the_top_level_and_inside_a_sub_plan_is_not_aliased() {
+        // Each user's events joined against the whole log inside the
+        // sub-plan (the builder has no spelling for a sub-plan `Source`, so
+        // the arena is assembled by hand), and the log read again above it
+        // by a fragment that re-stamps lifetimes. The sub-plan pin keeps the
+        // binding in the map, as rows: the per-run operators slice it.
+        use crate::plan::{LifetimeOp, PlanNode};
+        let node = |op, inputs| PlanNode { op, inputs };
+        let source = || Operator::Source {
+            name: "input".into(),
+            schema: bt_schema(),
+        };
+        let sub = LogicalPlan::from_parts(
+            vec![
+                node(
+                    Operator::GroupInput {
+                        schema: bt_schema(),
+                    },
+                    vec![],
+                ),
+                node(source(), vec![]),
+                node(
+                    Operator::TemporalJoin {
+                        keys: vec![("KwAdId".into(), "KwAdId".into())],
+                        residual: None,
+                    },
+                    vec![0, 1],
+                ),
+                node(
+                    Operator::Project {
+                        exprs: vec![
+                            ("Ad".into(), col("KwAdId")),
+                            ("Other".into(), col("UserId.r")),
+                        ],
+                    },
+                    vec![2],
+                ),
+            ],
+            vec![3],
+        )
+        .unwrap();
+        let plan = LogicalPlan::from_parts(
+            vec![
+                node(source(), vec![]),
+                node(
+                    Operator::GroupApply {
+                        keys: vec!["UserId".into()],
+                        subplan: Arc::new(sub),
+                    },
+                    vec![0],
+                ),
+                node(
+                    Operator::Filter {
+                        predicate: col("StreamId").eq(lit(1)),
+                    },
+                    vec![0],
+                ),
+                node(
+                    Operator::AlterLifetime {
+                        op: LifetimeOp::Shift(7),
+                    },
+                    vec![2],
+                ),
+            ],
+            vec![1, 3],
+        )
+        .unwrap();
+        let reference =
+            execute_reference(&plan, &bindings(vec![("input", sample_events())])).unwrap();
+        assert_eq!((reference[0].len(), reference[1].len()), (4, 3));
+        for as_batch in [false, true] {
+            let (srcs, kept) = shared_binding(as_batch);
+            let (roots, stats) = execute_data(&plan, srcs, &WorkerPool::new(2)).unwrap();
+            let roots: Vec<_> = roots.into_iter().map(StreamData::into_stream).collect();
+            assert_eq!(roots, reference);
+            assert_eq!(kept.into_stream(), sample_events());
+            // The per-run joins answer in columns (each point event meets
+            // itself), and a batch binding is transposed for the pin.
+            assert_eq!(stats.transposed_events, 4 + if as_batch { 4 } else { 0 });
+        }
     }
 }

@@ -9,52 +9,58 @@
 //!
 //! Keys are hash-then-compare ([`KeySelector`]); covers for distinct keys
 //! that collide on the hash stay separate (each keeps a representative
-//! right row for the cell comparison — merging covers across colliding
+//! right event for the cell comparison — merging covers across colliding
 //! keys would wrongly subtract one key's intervals from another's events).
-//! Left events are consumed and **moved** to the output in the common
-//! no-overlap case; only genuine fragmenting clones a payload.
+//!
+//! Both inputs are read where they lie ([`Side`]). What survives is first
+//! written down as an index list with new lifetimes — a left event that
+//! fragments repeats its index — and then materialized once, in the left
+//! input's layout: a batch gathers its columns by the list, a row stream
+//! **moves** each event to the output (only a genuine fragmenting clones a
+//! payload).
 
+use crate::batch::EventBatch;
 use crate::error::Result;
 use crate::event::Event;
+use crate::exec::StreamData;
 use crate::key::KeySelector;
+use crate::operators::side::Side;
 use crate::stream::EventStream;
 use crate::time::{merge_intervals, Lifetime};
-use relation::Row;
 use rustc_hash::FxHashMap;
 
-/// One right-side key's merged cover, with a representative row to resolve
-/// hash collisions by actual cell comparison.
+/// One right-side key's merged cover, with a representative right event to
+/// resolve hash collisions by actual cell comparison.
 struct Cover {
-    repr: Row,
+    repr: usize,
     intervals: Vec<Lifetime>,
 }
 
 /// Subtract from `left` the time ranges covered by key-matching events of
-/// `right`.
+/// `right`. The output keeps `left`'s layout.
 pub fn anti_semi_join(
-    left: EventStream,
-    right: &EventStream,
+    left: StreamData,
+    right: &StreamData,
     keys: &[(String, String)],
-) -> Result<EventStream> {
-    let lschema = left.schema().clone();
-    let rschema = right.schema();
+) -> Result<StreamData> {
     let lnames: Vec<&str> = keys.iter().map(|(l, _)| l.as_str()).collect();
     let rnames: Vec<&str> = keys.iter().map(|(_, r)| r.as_str()).collect();
-    let lsel = KeySelector::new(&lschema, &lnames)?;
-    let rsel = KeySelector::new(rschema, &rnames)?;
+    let lsel = KeySelector::new(left.schema(), &lnames)?;
+    let rsel = KeySelector::new(right.schema(), &rnames)?;
+    let right = Side::of(right);
 
     // Per key: merged, disjoint, sorted cover of the right side.
     let mut covers: FxHashMap<u64, Vec<Cover>> = FxHashMap::default();
-    for e in right.events() {
-        let bucket = covers.entry(rsel.hash(&e.payload)).or_default();
+    for (ri, hash) in right.key_hashes(&rsel).into_iter().enumerate() {
+        let bucket = covers.entry(hash).or_default();
         match bucket
             .iter_mut()
-            .find(|c| rsel.matches_same(&c.repr, &e.payload))
+            .find(|c| right.key_eq(&rsel, c.repr, &right, &rsel, ri))
         {
-            Some(c) => c.intervals.push(e.lifetime),
+            Some(c) => c.intervals.push(right.lifetime(ri)),
             None => bucket.push(Cover {
-                repr: e.payload.clone(),
-                intervals: vec![e.lifetime],
+                repr: ri,
+                intervals: vec![right.lifetime(ri)],
             }),
         }
     }
@@ -65,28 +71,57 @@ pub fn anti_semi_join(
         }
     }
 
-    let mut out = Vec::with_capacity(left.len());
-    for mut e in left.into_events() {
-        let cover = covers
-            .get(&lsel.hash(&e.payload))
-            .and_then(|b| b.iter().find(|c| lsel.matches(&e.payload, &rsel, &c.repr)));
+    // The survivors: left event `idx[k]` over `[vt[k], ve[k])`.
+    let side = Side::of(&left);
+    let mut idx = Vec::with_capacity(side.len());
+    let (mut vt, mut ve) = (
+        Vec::with_capacity(side.len()),
+        Vec::with_capacity(side.len()),
+    );
+    let mut keep = |i: usize, lifetime: Lifetime| {
+        idx.push(i as u32);
+        vt.push(lifetime.start);
+        ve.push(lifetime.end);
+    };
+    for (i, hash) in side.key_hashes(&lsel).into_iter().enumerate() {
+        let cover = covers.get(&hash).and_then(|b| {
+            b.iter()
+                .find(|c| side.key_eq(&lsel, i, &right, &rsel, c.repr))
+        });
         match cover {
-            None => out.push(e),
+            None => keep(i, side.lifetime(i)),
             Some(c) => {
-                let mut fragments = e.lifetime.subtract_all(&c.intervals).into_iter();
-                if let Some(first) = fragments.next() {
-                    // The moved event carries the first fragment (the
-                    // common single-fragment case clones nothing); any
-                    // further fragments clone the payload.
-                    let extra: Vec<Event> = fragments.map(|lt| e.with_lifetime(lt)).collect();
-                    e.lifetime = first;
-                    out.push(e);
-                    out.extend(extra);
+                for fragment in side.lifetime(i).subtract_all(&c.intervals) {
+                    keep(i, fragment);
                 }
             }
         }
     }
-    Ok(EventStream::new(lschema, out))
+
+    Ok(match left {
+        StreamData::Batch(batch) => {
+            let payload = batch.payload().gather(&idx);
+            StreamData::Batch(EventBatch::new(vt, ve, payload))
+        }
+        StreamData::Rows(stream) => {
+            let schema = stream.schema().clone();
+            let mut events = stream.into_events();
+            // `idx` ascends, so an event's last use is where the next index
+            // differs: earlier uses (further fragments) clone the payload,
+            // the last one moves it.
+            let out = (0..idx.len())
+                .map(|k| {
+                    let event = &mut events[idx[k] as usize];
+                    let payload = match idx.get(k + 1) == Some(&idx[k]) {
+                        true => event.payload.clone(),
+                        false => std::mem::take(&mut event.payload),
+                    };
+                    Event::new(Lifetime::new(vt[k], ve[k]), payload)
+                })
+                .collect();
+            StreamData::Rows(EventStream::new(schema, out))
+        }
+    })
 }
 
 #[cfg(test)]
@@ -94,6 +129,26 @@ mod tests {
     use super::*;
     use relation::schema::{ColumnType, Field};
     use relation::{row, Schema};
+
+    /// The difference of two well-typed streams, which every mix of input
+    /// layouts must produce identically, in the left input's layout.
+    fn minus(left: EventStream, right: &EventStream, keys: &[(String, String)]) -> EventStream {
+        let layouts = |s: &EventStream| {
+            let batch = EventBatch::from_stream(s).expect("well-typed");
+            [StreamData::Rows(s.clone()), StreamData::Batch(batch)]
+        };
+        let mut outs = Vec::new();
+        for l in layouts(&left) {
+            for r in &layouts(right) {
+                let as_batch = matches!(l, StreamData::Batch(_));
+                let out = anti_semi_join(l.clone(), r, keys).unwrap();
+                assert_eq!(matches!(out, StreamData::Batch(_)), as_batch);
+                outs.push(out.into_stream());
+            }
+        }
+        assert!(outs.windows(2).all(|w| w[0] == w[1]));
+        outs.pop().unwrap()
+    }
 
     fn user_schema() -> Schema {
         Schema::new(vec![
@@ -117,12 +172,11 @@ mod tests {
             Schema::new(vec![Field::new("UserId", ColumnType::Str)]),
             vec![Event::interval(0, 10, row!["u1"])],
         );
-        let out = anti_semi_join(
+        let out = minus(
             activity,
             &bot_periods,
             &[("UserId".to_string(), "UserId".to_string())],
-        )
-        .unwrap();
+        );
         let n = out.normalize();
         // u1@5 is covered; u1@50 and u2@5 survive.
         assert_eq!(n.len(), 2);
@@ -143,12 +197,11 @@ mod tests {
                 Event::interval(15, 30, row!["u1"]),
             ],
         );
-        let out = anti_semi_join(
+        let out = minus(
             left,
             &right,
             &[("UserId".to_string(), "UserId".to_string())],
-        )
-        .unwrap();
+        );
         assert_eq!(
             out.events().iter().map(|e| e.lifetime).collect::<Vec<_>>(),
             vec![Lifetime::new(0, 10), Lifetime::new(30, 100)]
@@ -162,12 +215,11 @@ mod tests {
             Schema::new(vec![Field::new("UserId", ColumnType::Str)]),
             vec![Event::interval(0, 10, row!["u1"])],
         );
-        let out = anti_semi_join(
+        let out = minus(
             left,
             &right,
             &[("UserId".to_string(), "UserId".to_string())],
-        )
-        .unwrap();
+        );
         assert_eq!(out.len(), 1);
     }
 }

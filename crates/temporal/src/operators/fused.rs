@@ -33,6 +33,7 @@ use crate::plan::{FusedStep, LifetimeOp};
 use crate::stream::EventStream;
 use crate::time::Lifetime;
 use relation::{Column, ColumnBatch, Field, Schema};
+use std::sync::Arc;
 
 /// Run a fused fragment over a columnar batch in a single pass. Returns
 /// `Rows` only when a projection had to fall back to the row path.
@@ -63,12 +64,13 @@ pub fn fused_fragment_batch(mut batch: EventBatch, steps: &[FusedStep]) -> Resul
                 sel = Some(next);
             }
             FusedStep::Project { exprs } => {
-                // An upstream selection is materialized here, in place —
-                // the fragment's single compaction, just moved forward to
-                // where the projection wants dense inputs. No new batch is
-                // allocated, and the now-dense projection *moves*
-                // pass-through columns and the lifetime vectors instead of
-                // gathering every leaf occurrence separately.
+                // An upstream selection is materialized here — the
+                // fragment's single compaction (in place on storage it owns,
+                // a gather of the survivors on storage it shares), just
+                // moved forward to where the projection wants dense inputs.
+                // The now-dense projection *moves* pass-through columns and
+                // the lifetime vectors instead of gathering every leaf
+                // occurrence separately.
                 if let Some(s) = sel.take() {
                     batch.compact(&s);
                 }
@@ -136,11 +138,11 @@ enum DenseProject {
     Fallback(EventBatch),
 }
 
-/// Dense projection over an **owned** batch. Pass-through `col(name)`
-/// expressions *move* their input column, and the lifetime vectors move
-/// wholesale — the fragment owns the batch and would drop that storage
-/// right after, so nothing is cloned for the shapes a projection merely
-/// forwards. Computed expressions run through the SIMD kernel suite;
+/// Dense projection over a batch taken by value. Pass-through `col(name)`
+/// expressions *move* their input column when the fragment holds the only
+/// handle to the payload (it would drop that storage right after), and the
+/// lifetime vectors are forwarded wholesale — so nothing is cloned for the
+/// shapes a projection merely forwards. Computed expressions run through the SIMD kernel suite;
 /// error order is preserved because a pass-through over an existing
 /// column can never error.
 fn project_dense_owned(batch: EventBatch, exprs: &[(String, Expr)]) -> Result<DenseProject> {
@@ -181,9 +183,19 @@ fn project_dense_owned(batch: EventBatch, exprs: &[(String, Expr)]) -> Result<De
             None => return Ok(DenseProject::Fallback(batch)),
         }
     }
-    let (vt, ve, payload) = batch.into_parts();
-    let (_, in_cols, _) = payload.into_parts();
-    let mut in_cols: Vec<Option<Column>> = in_cols.into_iter().map(Some).collect();
+    // The lifetimes are handed on as they are, shared or not. A uniquely-owned
+    // payload gives its columns away; one another consumer still holds lends
+    // them, and only the columns this projection forwards are copied.
+    let (vt, ve, payload) = batch.into_shared_parts();
+    let mut in_cols: Vec<Option<Column>> = match Arc::try_unwrap(payload) {
+        Ok(owned) => owned.into_parts().1.into_iter().map(Some).collect(),
+        Err(shared) => (shared.columns().iter().enumerate())
+            .map(|(i, col)| {
+                let forwarded = compiled.iter().any(|c| c.as_col() == Some(i));
+                forwarded.then(|| col.clone())
+            })
+            .collect(),
+    };
     let mut out_cols: Vec<Column> = Vec::with_capacity(exprs.len());
     for (j, c) in compiled.iter().enumerate() {
         let col = match c.as_col() {
@@ -203,10 +215,10 @@ fn project_dense_owned(batch: EventBatch, exprs: &[(String, Expr)]) -> Result<De
         };
         out_cols.push(col);
     }
-    Ok(DenseProject::Done(EventBatch::new(
+    Ok(DenseProject::Done(EventBatch::from_shared(
         vt,
         ve,
-        ColumnBatch::new(out_schema, out_cols, n),
+        Arc::new(ColumnBatch::new(out_schema, out_cols, n)),
     )))
 }
 

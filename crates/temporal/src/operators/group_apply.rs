@@ -187,7 +187,8 @@ impl Cut {
 /// ([`pane_aggregate`]) in the layout the input arrives in. Everything else
 /// is segmented: a batch input hashes its keys straight off the columns
 /// ([`KeySelector::hash_batch`], bit-identical to the row hash) and is then
-/// grouped as rows.
+/// transposed and grouped as rows (counted in
+/// [`ExecStats::transposed_events`]).
 pub(crate) fn group_apply(
     input: StreamData,
     keys: &[String],
@@ -214,13 +215,11 @@ pub(crate) fn group_apply(
         }
     }
 
-    let (input, hashes) = match input {
-        StreamData::Batch(b) => {
-            let hashes = sel.hash_batch(b.payload());
-            (b.into_stream(), Some(hashes))
-        }
-        StreamData::Rows(s) => (s, None),
+    let hashes = match &input {
+        StreamData::Batch(b) => Some(sel.hash_batch(b.payload())),
+        StreamData::Rows(_) => None,
     };
+    let input = stats.transpose(input);
 
     let (runs, run_keys) = group_runs(input, hashes.as_deref(), &sel);
     stats.groups += run_keys.len() as u64;

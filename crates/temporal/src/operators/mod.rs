@@ -1,7 +1,7 @@
 //! Physical implementations of the temporal operators.
 //!
-//! Each operator is a pure function from input [`crate::EventStream`]s to an
-//! output stream; semantics are defined on the denoted temporal relation, so
+//! Each operator is a pure function from input streams to an output
+//! stream; semantics are defined on the denoted temporal relation, so
 //! results never depend on the physical order of input events. The batch
 //! executor ([`crate::exec`]) wires these together following a
 //! [`crate::plan::LogicalPlan`].
@@ -12,6 +12,10 @@
 //! place rather than cloned. Stateless chains run as fused fragments
 //! ([`fused_fragment_batch`] on columnar input, [`fused_fragment_rows`] —
 //! the row `filter`/`project`/`alter_lifetime` below — on row input). The
+//! binary operators — [`temporal_join`], [`anti_semi_join`], [`union`] —
+//! have one form each over [`crate::exec::StreamData`]: they read an input
+//! in whichever layout it arrives (`side`) and build their output once —
+//! the join always as columns, the other two in their inputs' layout. The
 //! naive clone-based forms in [`interpreted`] are the reference oracle
 //! behind [`crate::exec::execute_reference`]; no production path calls
 //! them, and both produce byte-identical outputs.
@@ -32,6 +36,7 @@ mod hop_udo;
 pub mod interpreted;
 mod pane;
 mod project;
+mod side;
 mod spread_grid;
 mod temporal_join;
 mod union;

@@ -16,23 +16,42 @@
 //! comparison per candidate pair. Buckets stay sorted by `(LE, RE)` —
 //! stable, so events with equal lifetimes keep input order — which makes
 //! the output event order identical to a by-key index, collisions or not.
+//!
+//! The output is built **once, as columns**. The probe reads each input
+//! where it lies ([`Side`]: a batch off its columns, a row stream off its
+//! rows) and records `(left index, right index, lifetime)` per match; then
+//! every output column is filled in one pass — gathered from a batch side,
+//! pushed through a typed builder from a row side — and the result is a
+//! [`StreamData::Batch`], so a projection above the join moves columns
+//! instead of rebuilding rows. No concatenated payload row exists unless
+//! there is a residual, which is evaluated per candidate pair on one
+//! reused scratch row (so the first error is the same pair's in every
+//! layout). Only a row side whose cells do not inhabit their declared
+//! types has no column form; that join finishes on rows.
 
+use crate::batch::EventBatch;
 use crate::compiled::CompiledExpr;
 use crate::error::Result;
 use crate::event::Event;
+use crate::exec::StreamData;
 use crate::expr::Expr;
 use crate::key::KeySelector;
+use crate::operators::side::Side;
 use crate::stream::EventStream;
+use crate::time::Lifetime;
+use relation::{ColumnBatch, Row};
 use rustc_hash::FxHashMap;
 
 /// Join `left` and `right` on `keys` (pairs of column names) with an
-/// optional residual predicate over the concatenated payload.
+/// optional residual predicate over the concatenated payload. Either input
+/// may be in either layout; the output is a batch unless an ill-typed row
+/// side forces rows.
 pub fn temporal_join(
-    left: &EventStream,
-    right: &EventStream,
+    left: &StreamData,
+    right: &StreamData,
     keys: &[(String, String)],
     residual: Option<&Expr>,
-) -> Result<EventStream> {
+) -> Result<StreamData> {
     let lschema = left.schema();
     let rschema = right.schema();
     let out_schema = lschema.join(rschema);
@@ -42,45 +61,78 @@ pub fn temporal_join(
     let lsel = KeySelector::new(lschema, &lnames)?;
     let rsel = KeySelector::new(rschema, &rnames)?;
     let compiled_residual = residual.map(|p| CompiledExpr::compile(p, &out_schema));
+    let (left, right) = (Side::of(left), Side::of(right));
 
     // Hash the right side by key hash; sort each bucket by LE for early
     // exit (stable: equal lifetimes keep insertion order).
-    let mut right_index: FxHashMap<u64, Vec<&Event>> = FxHashMap::default();
-    for e in right.events() {
-        right_index
-            .entry(rsel.hash(&e.payload))
-            .or_default()
-            .push(e);
+    let mut right_index: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
+    for (ri, hash) in right.key_hashes(&rsel).into_iter().enumerate() {
+        right_index.entry(hash).or_default().push(ri as u32);
     }
     for bucket in right_index.values_mut() {
-        bucket.sort_by_key(|e| (e.lifetime.start, e.lifetime.end));
+        bucket.sort_by_key(|&ri| {
+            let lifetime = right.lifetime(ri as usize);
+            (lifetime.start, lifetime.end)
+        });
     }
 
-    let mut out = Vec::new();
-    for le in left.events() {
-        let Some(bucket) = right_index.get(&lsel.hash(&le.payload)) else {
+    let (mut left_idx, mut right_idx) = (Vec::new(), Vec::new());
+    let (mut vt, mut ve) = (Vec::new(), Vec::new());
+    let mut scratch = Row::default();
+    for (li, hash) in left.key_hashes(&lsel).into_iter().enumerate() {
+        let Some(bucket) = right_index.get(&hash) else {
             continue;
         };
-        for re in bucket {
-            if re.lifetime.start >= le.lifetime.end {
+        let left_lifetime = left.lifetime(li);
+        if compiled_residual.is_some() {
+            scratch.values_mut().clear();
+            left.extend_cells(li, scratch.values_mut());
+        }
+        let left_width = scratch.len();
+        for &ri in bucket {
+            let right_lifetime = right.lifetime(ri as usize);
+            if right_lifetime.start >= left_lifetime.end {
                 break; // bucket sorted by LE: nothing later can intersect
             }
-            let Some(lifetime) = le.lifetime.intersect(&re.lifetime) else {
+            let Some(lifetime) = left_lifetime.intersect(&right_lifetime) else {
                 continue;
             };
-            if !lsel.matches(&le.payload, &rsel, &re.payload) {
+            if !left.key_eq(&lsel, li, &right, &rsel, ri as usize) {
                 continue; // hash collision between distinct keys
             }
-            let payload = le.payload.concat(&re.payload);
             if let Some(pred) = &compiled_residual {
-                if !pred.eval_predicate(&payload)? {
+                scratch.values_mut().truncate(left_width);
+                right.extend_cells(ri as usize, scratch.values_mut());
+                if !pred.eval_predicate(&scratch)? {
                     continue;
                 }
             }
-            out.push(Event::new(lifetime, payload));
+            left_idx.push(li as u32);
+            right_idx.push(ri);
+            vt.push(lifetime.start);
+            ve.push(lifetime.end);
         }
     }
-    Ok(EventStream::new(out_schema, out))
+
+    let columns = left
+        .gather(lschema, &left_idx)
+        .zip(right.gather(rschema, &right_idx));
+    Ok(match columns {
+        Some((mut columns, right_columns)) => {
+            columns.extend(right_columns);
+            let payload = ColumnBatch::new(out_schema, columns, vt.len());
+            StreamData::Batch(EventBatch::new(vt, ve, payload))
+        }
+        None => {
+            let events = (left_idx.iter().zip(&right_idx).zip(vt.iter().zip(&ve)))
+                .map(|((&li, &ri), (&start, &end))| {
+                    let payload = left.row(li as usize).concat(&right.row(ri as usize));
+                    Event::new(Lifetime::new(start, end), payload)
+                })
+                .collect();
+            StreamData::Rows(EventStream::new(out_schema, events))
+        }
+    })
 }
 
 #[cfg(test)]
@@ -89,6 +141,30 @@ mod tests {
     use crate::expr::{col, lit};
     use relation::schema::{ColumnType, Field};
     use relation::{row, Schema};
+
+    /// The join of two well-typed streams, which every mix of input layouts
+    /// must produce identically — as a batch.
+    fn join(
+        left: &EventStream,
+        right: &EventStream,
+        keys: &[(String, String)],
+        residual: Option<&Expr>,
+    ) -> EventStream {
+        let layouts = |s: &EventStream| {
+            let batch = EventBatch::from_stream(s).expect("well-typed");
+            [StreamData::Rows(s.clone()), StreamData::Batch(batch)]
+        };
+        let mut outs = Vec::new();
+        for l in &layouts(left) {
+            for r in &layouts(right) {
+                let out = temporal_join(l, r, keys, residual).unwrap();
+                assert!(matches!(out, StreamData::Batch(_)));
+                outs.push(out.into_stream());
+            }
+        }
+        assert!(outs.windows(2).all(|w| w[0] == w[1]));
+        outs.pop().unwrap()
+    }
 
     fn left_stream() -> EventStream {
         let schema = Schema::new(vec![
@@ -123,13 +199,12 @@ mod tests {
 
     #[test]
     fn point_probe_hits_covering_intervals_only() {
-        let out = temporal_join(
+        let out = join(
             &left_stream(),
             &right_stream(),
             &[("UserId".to_string(), "UserId".to_string())],
             None,
-        )
-        .unwrap();
+        );
         let n = out.normalize();
         // u1@5 joins cars[0,10); u1@30 joins movies[20,40); u2@7 misses.
         assert_eq!(n.len(), 2);
@@ -143,7 +218,7 @@ mod tests {
         let s = Schema::new(vec![Field::new("K", ColumnType::Str)]);
         let a = EventStream::new(s.clone(), vec![Event::interval(0, 10, row!["k"])]);
         let b = EventStream::new(s, vec![Event::interval(5, 20, row!["k"])]);
-        let out = temporal_join(&a, &b, &[("K".to_string(), "K".to_string())], None).unwrap();
+        let out = join(&a, &b, &[("K".to_string(), "K".to_string())], None);
         assert_eq!(out.events()[0].lifetime, crate::time::Lifetime::new(5, 10));
         assert_eq!(out.schema().names(), vec!["K", "K.r"]);
     }
@@ -163,13 +238,12 @@ mod tests {
                 Event::interval(0, 10, row!["m", 200i64]),
             ],
         );
-        let out = temporal_join(
+        let out = join(
             &a,
             &b,
             &[("Id".to_string(), "Id".to_string())],
             Some(&col("Power").lt(col("Power.r").add(lit(100i64)))),
-        )
-        .unwrap();
+        );
         // 250 < 100+100 fails; 250 < 200+100 passes.
         assert_eq!(out.len(), 1);
         assert_eq!(out.events()[0].payload, row!["m", 250i64, "m", 200i64]);
@@ -181,8 +255,30 @@ mod tests {
         let t = Schema::new(vec![Field::new("B", ColumnType::Long)]);
         let a = EventStream::new(s, vec![Event::interval(0, 5, row![1i64])]);
         let b = EventStream::new(t, vec![Event::interval(3, 9, row![2i64])]);
-        let out = temporal_join(&a, &b, &[], None).unwrap();
+        let out = join(&a, &b, &[], None);
         assert_eq!(out.len(), 1);
         assert_eq!(out.events()[0].lifetime, crate::time::Lifetime::new(3, 5));
+    }
+
+    #[test]
+    fn an_ill_typed_row_side_finishes_on_rows_with_the_same_events() {
+        // `N` is declared Long and carries an Int: no dense column form.
+        let s = Schema::new(vec![
+            Field::new("K", ColumnType::Str),
+            Field::new("N", ColumnType::Long),
+        ]);
+        let ill = EventStream::new(s.clone(), vec![Event::interval(0, 10, row!["k", 7i32])]);
+        let ok = EventStream::new(s, vec![Event::interval(5, 20, row!["k", 8i64])]);
+        let keys = [("K".to_string(), "K".to_string())];
+        let batch = StreamData::Batch(EventBatch::from_stream(&ok).unwrap());
+        let (ill, ok) = (StreamData::Rows(ill), StreamData::Rows(ok));
+        for (l, r) in [(&ill, &ok), (&ill, &batch), (&ok, &ill), (&batch, &ill)] {
+            let out = temporal_join(l, r, &keys, None).unwrap();
+            assert!(matches!(out, StreamData::Rows(_)));
+            let want = l.clone().into_stream().events()[0]
+                .payload
+                .concat(&r.clone().into_stream().events()[0].payload);
+            assert_eq!(out.into_stream().events(), &[Event::interval(5, 10, want)]);
+        }
     }
 }

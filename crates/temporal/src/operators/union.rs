@@ -1,18 +1,40 @@
 //! Union: bag merge of same-schema streams (paper §II-A.2).
 
 use crate::error::{Result, TemporalError};
+use crate::exec::{ExecStats, StreamData};
 use crate::operators::group_apply::Runs;
 use crate::stream::EventStream;
 
-/// Merge all inputs into one stream, consuming them (uniquely-owned inputs
-/// move their events, no copies). Schemas must be identical.
-pub fn union(inputs: Vec<EventStream>) -> Result<EventStream> {
+/// Merge all inputs into one stream, consuming them, in the order
+/// [`EventStream::merge`] leaves them in. Batches merge as batches — the
+/// smaller side's columns are appended to the larger's, which moves when
+/// uniquely owned — and row streams as rows; where the two layouts meet,
+/// or two batches hold one column in two storage variants (ill-typed
+/// projections, counted in `row_fallbacks`), the merge carries on over rows
+/// and `stats` counts the transposed events. Schemas must be identical.
+pub fn union(inputs: Vec<StreamData>, stats: &mut ExecStats) -> Result<StreamData> {
     let mut it = inputs.into_iter();
     let mut out = it
         .next()
         .ok_or_else(|| TemporalError::Plan("union of zero streams".into()))?;
-    for s in it {
-        out.merge(s)?;
+    for next in it {
+        out = match (out, next) {
+            // (A schema mismatch is `merge`'s error to report.)
+            (StreamData::Batch(mut a), StreamData::Batch(b))
+                if a.schema() != b.schema() || a.payload().can_append(b.payload()) =>
+            {
+                a.merge(b)?;
+                StreamData::Batch(a)
+            }
+            (a, b) => {
+                if matches!((&a, &b), (StreamData::Batch(_), StreamData::Batch(_))) {
+                    stats.row_fallbacks += 1;
+                }
+                let mut a = stats.transpose(a);
+                a.merge(stats.transpose(b))?;
+                StreamData::Rows(a)
+            }
+        };
     }
     Ok(out)
 }
@@ -84,8 +106,9 @@ mod tests {
         let a = EventStream::new(schema(), vec![Event::point(1, row![1i64])]);
         let b = EventStream::new(schema(), vec![Event::point(2, row![2i64])]);
         let c = EventStream::new(schema(), vec![Event::point(3, row![3i64])]);
-        let out = union(vec![a, b, c]).unwrap();
-        assert_eq!(out.len(), 3);
+        let inputs = [a, b, c].map(StreamData::Rows).to_vec();
+        let out = union(inputs, &mut ExecStats::default()).unwrap();
+        assert_eq!(out.into_stream().len(), 3);
     }
 
     #[test]
@@ -108,11 +131,13 @@ mod tests {
                     .iter()
                     .map(|s| {
                         let events = s.stream.events()[s.bounds[r]..s.bounds[r + 1]].to_vec();
-                        EventStream::new(schema(), events)
+                        StreamData::Rows(EventStream::new(schema(), events))
                     })
                     .collect(),
+                &mut ExecStats::default(),
             )
             .unwrap()
+            .into_stream()
         };
         // Run 0: the second side is larger and goes first; run 1: ties keep
         // input order; run 2: an empty side; run 3: the third side largest.
@@ -131,9 +156,34 @@ mod tests {
     }
 
     #[test]
+    fn batches_storing_a_column_in_two_variants_finish_on_rows() {
+        use crate::batch::EventBatch;
+        use relation::column::{Column, ColumnData};
+        use relation::ColumnBatch;
+        // What an ill-typed projection leaves: `X` declared Long, stored Int.
+        let ints = Column::new(ColumnData::Int(vec![7, 8]), None);
+        let ints = EventBatch::new(
+            vec![1, 2],
+            vec![2, 3],
+            ColumnBatch::new(schema(), vec![ints], 2),
+        );
+        let longs = EventStream::new(schema(), vec![Event::point(3, row![3i64])]);
+        let longs = EventBatch::from_stream(&longs).unwrap();
+        let mut want = ints.clone().into_stream();
+        want.merge(longs.clone().into_stream()).unwrap();
+        let mut stats = ExecStats::default();
+        let inputs = vec![StreamData::Batch(ints), StreamData::Batch(longs)];
+        let out = union(inputs, &mut stats).unwrap();
+        assert!(matches!(out, StreamData::Rows(_)));
+        assert_eq!(out.into_stream(), want);
+        assert_eq!((stats.row_fallbacks, stats.transposed_events), (1, 3));
+    }
+
+    #[test]
     fn schema_mismatch_rejected() {
         let a = EventStream::empty(schema());
         let b = EventStream::empty(Schema::new(vec![Field::new("Y", ColumnType::Long)]));
-        assert!(union(vec![a, b]).is_err());
+        let inputs = [a, b].map(StreamData::Rows).to_vec();
+        assert!(union(inputs, &mut ExecStats::default()).is_err());
     }
 }

@@ -1,6 +1,7 @@
 //! Generators shared by the engine property suites (`prop_compiled`,
 //! `prop_columnar`, `prop_fusion`): one schema, one row/expression/stream
-//! generator, one plan generator.
+//! generator, one plan generator — and, for the suites that group or join
+//! (`prop_group_apply`, `prop_columnar`), one palette of hash-colliding keys.
 //!
 //! The row generator flips each column to Null independently (null-heavy
 //! batches) and stream lengths start at zero (empty batches); the
@@ -315,6 +316,42 @@ pub fn assert_three_way(run: ThreeWay) -> Result<(), TestCaseError> {
         ),
     }
     Ok(())
+}
+
+/// One Fx round: `state = (state <<< 5 ^ word) * SEED`.
+fn fx_add(state: u64, word: u64) -> u64 {
+    (state.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
+}
+
+/// Hash state after absorbing `[rank(Long), a, rank(Long)]` — everything
+/// the key hash of `[Long(a), Long(b)]` mixes in before `b` itself.
+fn prefix_state(a: i64) -> u64 {
+    fx_add(fx_add(fx_add(0, 3), a as u64), 3)
+}
+
+/// Given the key `[Long(a1), Long(b1)]` and a different first column
+/// `a2`, solve for the `b2` that makes `[Long(a2), Long(b2)]` collide on
+/// the full 64-bit key hash. The final Fx round multiplies by an odd
+/// (invertible) constant, so equal hashes reduce to equal pre-multiply
+/// words: `rotl5(u1) ^ b1 = rotl5(u2) ^ b2`.
+fn colliding_partner(a1: i64, b1: i64, a2: i64) -> i64 {
+    (b1 as u64 ^ prefix_state(a1).rotate_left(5) ^ prefix_state(a2).rotate_left(5)) as i64
+}
+
+/// Key-pair palette: a few small `(a, b)` keys, each paired with a
+/// distinct partner key constructed to share its 64-bit FxHash — so
+/// random event bags routinely exercise the hash-then-compare collision
+/// path in GroupApply's partitioner.
+pub fn palette() -> Vec<(i64, i64)> {
+    let mut pairs = Vec::new();
+    for a in 0..3i64 {
+        for b in 0..2i64 {
+            let pa = a + 101;
+            pairs.push((a, b));
+            pairs.push((pa, colliding_partner(a, b, pa)));
+        }
+    }
+    pairs
 }
 
 /// The paper's §III-C.1 yardstick for whole TiMR jobs: the normalized

@@ -13,18 +13,31 @@
 //! include empty batches, and the expression generator raises errors as
 //! often as it produces values — the first failing *surviving* row must
 //! surface the row path's exact message.
+//!
+//! The binary operators — TemporalJoin, AntiSemiJoin, Union — have no
+//! second form to compare against: each reads its inputs in whichever
+//! layout they arrive and builds its output once. They are held to "three
+//! layouts, one answer": every mix of row and batch inputs, and the
+//! reference operators, give the same event vector, order included, or the
+//! same error value.
 
 mod common;
 
 use common::{
-    arb_events, arb_expr, arb_lifetime_op, batch_of, make_ill_typed, pred_menu, raw_proj, stream_of,
+    arb_events, arb_expr, arb_lifetime_op, batch_of, make_ill_typed, palette, pred_menu, raw_proj,
+    stream_of,
 };
 use proptest::prelude::*;
-use timr_suite::relation::Row;
-use timr_suite::temporal::exec::StreamData;
-use timr_suite::temporal::operators::{fused_fragment_batch, fused_fragment_rows, interpreted};
+use timr_suite::relation::schema::{ColumnType, Field};
+use timr_suite::relation::{Row, Schema, Value};
+use timr_suite::temporal::exec::{
+    bindings, execute_data, execute_reference, DataBindings, ExecStats, StreamData, WorkerPool,
+};
+use timr_suite::temporal::operators::{
+    anti_semi_join, fused_fragment_batch, fused_fragment_rows, interpreted, temporal_join, union,
+};
 use timr_suite::temporal::plan::FusedStep;
-use timr_suite::temporal::{lit, EventBatch, Expr};
+use timr_suite::temporal::{col, lit, Event, EventBatch, EventStream, Expr, Query, TemporalError};
 
 /// Run `steps` on the batch kernels and on the row operators over the same
 /// events; both must produce the identical event vector or the identical
@@ -205,4 +218,219 @@ fn empty_batches_run_every_step_kind() {
     let on_rows = fused_fragment_rows(stream_of(&[]), &steps).unwrap();
     assert_eq!(on_batch, on_rows);
     assert!(on_batch.is_empty());
+}
+
+// ---- The binary operators: three layouts, one answer ----
+
+fn key_payload() -> Schema {
+    Schema::new(vec![
+        Field::new("A", ColumnType::Long),
+        Field::new("B", ColumnType::Long),
+        Field::new("V", ColumnType::Long),
+    ])
+}
+
+/// `(start, width, palette index, null mask over (A, B), v, duplicated)`.
+type KeyEvent = (i64, i64, usize, u8, i64, bool);
+
+/// Interval events (so left events fragment under a set difference) over
+/// the hash-colliding key palette, with the odd null key cell, few distinct
+/// `V`s and explicit duplicates; lengths start at zero (empty sides).
+fn arb_key_events(max_len: usize) -> impl Strategy<Value = Vec<KeyEvent>> {
+    // One key in five has a null cell; one event in six comes twice.
+    let nulls = (0u8..20).prop_map(|n| if n < 4 { n } else { 0 });
+    let duplicated = (0u8..6).prop_map(|n| n == 0);
+    prop::collection::vec(
+        (0i64..60, 1i64..30, 0usize..64, nulls, 0i64..5, duplicated),
+        0..max_len,
+    )
+}
+
+/// The events as a stream; `ill_typed` stores every third `V` as an `Int`,
+/// which rows hold and typed columns cannot.
+fn key_stream(events: &[KeyEvent], ill_typed: bool) -> EventStream {
+    let palette = palette();
+    let mut out = Vec::new();
+    for (i, &(start, width, pi, nulls, v, duplicated)) in events.iter().enumerate() {
+        let (a, b) = palette[pi % palette.len()];
+        let mut cells = vec![Value::Long(a), Value::Long(b), Value::Long(v)];
+        for (k, cell) in cells.iter_mut().take(2).enumerate() {
+            if nulls & (1 << k) != 0 {
+                *cell = Value::Null;
+            }
+        }
+        if ill_typed && i % 3 == 0 {
+            cells[2] = Value::Int(v as i32);
+        }
+        let event = Event::interval(start, start + width, Row::new(cells));
+        out.extend(std::iter::repeat_n(event, 1 + duplicated as usize));
+    }
+    EventStream::new(key_payload(), out)
+}
+
+/// Every layout a stream can be handed over in: rows always, a batch when
+/// its cells inhabit their columns.
+fn layouts(stream: &EventStream) -> Vec<StreamData> {
+    let mut out = vec![StreamData::Rows(stream.clone())];
+    out.extend(EventBatch::from_stream(stream).map(StreamData::Batch));
+    out
+}
+
+fn key_pairs(n: usize) -> Vec<(String, String)> {
+    (["A", "B"].iter().take(n))
+        .map(|k| (k.to_string(), k.to_string()))
+        .collect()
+}
+
+/// No residual, one that filters, and one that *errors* on exactly the
+/// candidate pairs whose `V`s sum to `k` (the missing column is only
+/// resolved where `OR` does not short-circuit past it).
+fn residual(kind: usize, k: i64) -> Option<Expr> {
+    match kind % 3 {
+        0 => None,
+        1 => Some(col("V").le(col("V.r"))),
+        _ => Some((col("V").add(col("V.r")).ne(lit(k))).or(col("Missing").gt(lit(0i64)))),
+    }
+}
+
+type Events = Result<Vec<Event>, TemporalError>;
+
+fn events_of(out: Result<StreamData, TemporalError>) -> Events {
+    out.map(|data| data.into_stream().into_events())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// TemporalJoin over {both rows, both batch, left batch, right batch}
+    /// and the reference: one event vector or one error. A well-typed
+    /// answer is a batch whatever the inputs were; an ill-typed row side
+    /// (which has no batch form) finishes on rows, with the same events.
+    #[test]
+    fn temporal_join_is_one_answer_in_every_layout(
+        left in arb_key_events(14),
+        right in arb_key_events(14),
+        n_keys in 0usize..3,
+        kind in 0usize..3,
+        k in 0i64..9,
+        ill in 0usize..4,
+    ) {
+        let (left, right) = (key_stream(&left, ill == 1), key_stream(&right, ill == 2));
+        let (keys, residual) = (key_pairs(n_keys), residual(kind, k));
+        let want: Events = interpreted::temporal_join(&left, &right, &keys, residual.as_ref())
+            .map(EventStream::into_events);
+        for l in &layouts(&left) {
+            for r in &layouts(&right) {
+                let out = temporal_join(l, r, &keys, residual.as_ref());
+                if let Ok(out) = &out {
+                    let typed = EventBatch::from_stream(&out.clone().into_stream()).is_some();
+                    prop_assert_eq!(matches!(out, StreamData::Batch(_)), typed);
+                }
+                prop_assert_eq!(&events_of(out), &want);
+            }
+        }
+    }
+
+    /// AntiSemiJoin likewise; the answer keeps the left input's layout.
+    #[test]
+    fn anti_semi_join_is_one_answer_in_every_layout(
+        left in arb_key_events(14),
+        right in arb_key_events(14),
+        n_keys in 0usize..3,
+        ill in 0usize..4,
+    ) {
+        let (left, right) = (key_stream(&left, ill == 1), key_stream(&right, ill == 2));
+        let keys = key_pairs(n_keys);
+        let want: Events = interpreted::anti_semi_join(&left, &right, &keys)
+            .map(EventStream::into_events);
+        for l in layouts(&left) {
+            for r in &layouts(&right) {
+                let as_batch = matches!(l, StreamData::Batch(_));
+                let out = anti_semi_join(l.clone(), r, &keys);
+                prop_assert!(out.iter().all(|o| matches!(o, StreamData::Batch(_)) == as_batch));
+                prop_assert_eq!(&events_of(out), &want);
+            }
+        }
+    }
+
+    /// Union of three inputs in every mix of layouts: `EventStream::merge`'s
+    /// order (the larger side first), a batch exactly when every input was
+    /// one, and the transposed events accounted for otherwise.
+    #[test]
+    fn union_is_one_answer_in_every_layout(
+        a in arb_key_events(10),
+        b in arb_key_events(10),
+        c in arb_key_events(10),
+        ill in 0usize..5,
+    ) {
+        let streams = [key_stream(&a, ill == 1), key_stream(&b, ill == 2), key_stream(&c, false)];
+        let want: Events = interpreted::union(&streams.iter().collect::<Vec<_>>())
+            .map(EventStream::into_events);
+        let [a, b, c] = streams.each_ref().map(layouts);
+        for a in &a {
+            for b in &b {
+                for c in &c {
+                    let inputs = vec![a.clone(), b.clone(), c.clone()];
+                    let batches: Vec<u64> = (inputs.iter())
+                        .filter(|i| matches!(i, StreamData::Batch(_)))
+                        .map(|i| i.len() as u64)
+                        .collect();
+                    let mut stats = ExecStats::default();
+                    let out = union(inputs, &mut stats);
+                    let as_batch = matches!(out, Ok(StreamData::Batch(_)));
+                    prop_assert_eq!(as_batch, batches.len() == 3);
+                    let transposed = if as_batch { 0 } else { batches.iter().sum() };
+                    prop_assert_eq!(stats.transposed_events, transposed);
+                    prop_assert_eq!(stats.row_fallbacks, 0);
+                    prop_assert_eq!(&events_of(out), &want);
+                }
+            }
+        }
+        // A schema mismatch is the same error value in every layout.
+        let other = EventStream::empty(Schema::new(vec![Field::new("X", ColumnType::Long)]));
+        let want = interpreted::union(&[&key_stream(&[], false), &other]).unwrap_err();
+        for a in &a {
+            for o in layouts(&other) {
+                let got = union(vec![a.clone(), o], &mut ExecStats::default());
+                prop_assert_eq!(got.unwrap_err(), want.clone());
+            }
+        }
+    }
+
+    /// The same through the executor: one plan joins, subtracts and unions
+    /// two bindings — each read several times, so shared in whatever layout
+    /// it was bound in — and every mix of binding layouts gives
+    /// `execute_reference`'s roots.
+    #[test]
+    fn binary_operator_plans_match_the_reference_in_every_binding_layout(
+        left in arb_key_events(14),
+        right in arb_key_events(14),
+        n_keys in 0usize..3,
+        filtered in any::<bool>(),
+    ) {
+        let (left, right) = (key_stream(&left, false), key_stream(&right, false));
+        let q = Query::new();
+        let (l, r) = (q.source("l", key_payload()), q.source("r", key_payload()));
+        let keys = [("A", "A"), ("B", "B")];
+        let joined =
+            (l.clone()).temporal_join(r.clone(), &keys[..n_keys], residual(filtered as usize, 0));
+        // (The planner refuses a set difference without keys.)
+        let minus_keys = &keys[..n_keys.max(1)];
+        let rest = l.clone().anti_semi_join(r.clone(), minus_keys).union(r).union(l);
+        let plan = q.build(vec![joined, rest]).unwrap();
+        let srcs = bindings(vec![("l", left.clone()), ("r", right.clone())]);
+        let want = execute_reference(&plan, &srcs).unwrap();
+        for l in layouts(&left) {
+            for r in layouts(&right) {
+                let mut bound = DataBindings::default();
+                bound.insert("l".to_string(), l.clone());
+                bound.insert("r".to_string(), r);
+                let (roots, stats) = execute_data(&plan, bound, &WorkerPool::sequential()).unwrap();
+                prop_assert_eq!(stats.row_fallbacks, 0);
+                let roots: Vec<EventStream> =
+                    roots.into_iter().map(StreamData::into_stream).collect();
+                prop_assert_eq!(&roots, &want);
+            }
+        }
+    }
 }

@@ -14,6 +14,9 @@
 //! of combinable aggregates, run as one hash aggregation over (group, cell),
 //! is the endpoint sweep.
 
+mod common;
+
+use common::palette;
 use proptest::prelude::*;
 use std::sync::Arc;
 use timr_suite::relation::hash::values_hash;
@@ -35,42 +38,6 @@ fn payload() -> Schema {
         Field::new("B", ColumnType::Long),
         Field::new("V", ColumnType::Long),
     ])
-}
-
-/// One Fx round: `state = (state <<< 5 ^ word) * SEED`.
-fn fx_add(state: u64, word: u64) -> u64 {
-    (state.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95)
-}
-
-/// Hash state after absorbing `[rank(Long), a, rank(Long)]` — everything
-/// the key hash of `[Long(a), Long(b)]` mixes in before `b` itself.
-fn prefix_state(a: i64) -> u64 {
-    fx_add(fx_add(fx_add(0, 3), a as u64), 3)
-}
-
-/// Given the key `[Long(a1), Long(b1)]` and a different first column
-/// `a2`, solve for the `b2` that makes `[Long(a2), Long(b2)]` collide on
-/// the full 64-bit key hash. The final Fx round multiplies by an odd
-/// (invertible) constant, so equal hashes reduce to equal pre-multiply
-/// words: `rotl5(u1) ^ b1 = rotl5(u2) ^ b2`.
-fn colliding_partner(a1: i64, b1: i64, a2: i64) -> i64 {
-    (b1 as u64 ^ prefix_state(a1).rotate_left(5) ^ prefix_state(a2).rotate_left(5)) as i64
-}
-
-/// Key-pair palette: a few small `(a, b)` keys, each paired with a
-/// distinct partner key constructed to share its 64-bit FxHash — so
-/// random event bags routinely exercise the hash-then-compare collision
-/// path in GroupApply's partitioner.
-fn palette() -> Vec<(i64, i64)> {
-    let mut pairs = Vec::new();
-    for a in 0..3i64 {
-        for b in 0..2i64 {
-            let pa = a + 101;
-            pairs.push((a, b));
-            pairs.push((pa, colliding_partner(a, b, pa)));
-        }
-    }
-    pairs
 }
 
 #[test]
