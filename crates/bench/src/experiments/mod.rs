@@ -4,7 +4,6 @@
 //! pipeline artifacts) and returns a printable report.
 
 pub mod bench_pr1;
-pub mod bench_pr10;
 pub mod bench_pr3;
 pub mod bench_pr5;
 pub mod bench_pr6;
@@ -230,12 +229,6 @@ pub fn registry() -> Vec<Experiment> {
             artifact: "PR 9: map-side push-down — mapper fragments + partial aggregation before \
                  the shuffle (writes BENCH_PR9.json)",
             run: bench_pr9::run,
-        },
-        Experiment {
-            name: "pr10",
-            artifact: "PR 10: multi-process worker backend — thread vs process wall time, \
-                 SIGKILL recovery, speculation benefit (writes BENCH_PR10.json)",
-            run: bench_pr10::run,
         },
     ]
 }

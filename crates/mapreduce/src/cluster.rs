@@ -1,31 +1,30 @@
 //! Stage execution with deterministic fault injection, panic
 //! containment, integrity verification, and retry.
 //!
-//! The [`Cluster`] owns everything shared across execution backends —
-//! input capture, the task bodies (each seals what it produces: map tasks
-//! their shuffle chunks, reduce tasks their sinks' stored extents), the
-//! deterministic placement and spill of sealed chunks, corruption
-//! rebuild, and all-or-nothing publish — and delegates task execution to
-//! a [`crate::backend::Backend`] (in-process threads by default, real
-//! worker OS processes via [`BackendKind::Processes`]).
+//! The [`Cluster`] owns everything a stage shares whoever runs its tasks —
+//! input capture, the pure task work (each task seals what it produces: map
+//! tasks their shuffle chunks, reduce tasks their sinks' stored extents),
+//! the deterministic placement and spill of sealed chunks, corruption
+//! rebuild, and all-or-nothing publish. It hands each phase's tasks to the
+//! one scheduler (`crate::scheduler`): an attempt ledger that workers pull
+//! copies from — pool threads running them in place by default, forked
+//! worker processes via [`BackendKind::Processes`].
 //!
-//! Every task (map scan, shuffle fetch, reduce) runs inside a retry loop
-//! ([`crate::backend::run_attempts`] on the thread backend, the process
-//! scheduler's attempt accounting on the process backend) that:
+//! Every attempt of every task (map scan, shuffle fetch, reduce):
 //!
 //! 1. asks the configured [`ChaosPlan`] whether this
 //!    `(stage, phase, task, attempt)` coordinate is scheduled for a fault
 //!    (panic / transient error / corruption / delay);
-//! 2. wraps the attempt in `catch_unwind`, so a panic — injected or
-//!    genuine — surfaces as a retryable [`TaskError::Panicked`] with its
-//!    payload preserved, never a torn-down process;
-//! 3. verifies integrity frames on the data the attempt reads, surfacing
-//!    corruption as [`TaskError::Corrupt`] and re-running the producing
-//!    work before the retry;
-//! 4. backs off deterministically (jitter-free exponential, per
-//!    [`RetryPolicy`]) between attempts, and escalates to
-//!    [`MrError::TaskExhausted`] — naming stage, phase, partition, and
-//!    attempt count — when attempts run out.
+//! 2. runs under `catch_unwind`, so a panic — injected or genuine —
+//!    surfaces as a retryable [`TaskError::Panicked`] with its payload
+//!    preserved, never a torn-down process;
+//! 3. verifies integrity frames on the data it reads, surfacing corruption
+//!    as [`TaskError::Corrupt`]; the ledger re-runs the producing work
+//!    before the retry;
+//! 4. is settled by the ledger, which backs off deterministically
+//!    (jitter-free exponential, per [`RetryPolicy`]) between attempts, and
+//!    escalates to [`MrError::TaskExhausted`] — naming stage, phase,
+//!    partition, and attempt count — when attempts run out.
 //!
 //! Because tasks are pure and their chunks are placed in `(input, extent)`
 //! order, any schedule of contained faults that doesn't exhaust retries
@@ -34,14 +33,12 @@
 //! only published to the DFS after every partition has succeeded, so
 //! partial results of failed attempts are never visible.
 
-use crate::backend::{
-    Backend, BackendKind, FaultCounters, ReduceOut, SpeculationPolicy, StageEnv, StageExec,
-    ThreadBackend,
-};
+use crate::backend::{BackendKind, FaultCounters, ReduceOut, SpeculationPolicy, StageEnv};
 use crate::chaos::{self, ChaosPlan, RetryPolicy};
 use crate::dfs::{Dataset, Dfs, StoredExtent};
 use crate::error::{MrError, Result, TaskError};
 use crate::job::{MapperContext, ReducerContext, Stage};
+use crate::scheduler::{run_phase, InPlace, Ledger, Worker};
 use crate::stats::{JobStats, StageStats};
 use pool::WorkerPool;
 use relation::column::ColumnBuilder;
@@ -76,18 +73,11 @@ pub struct ClusterConfig {
     /// Directory for spill files. `None` uses `$TMPDIR/timr-spill`.
     /// Files are removed when their shuffle slot is dropped.
     pub spill_dir: Option<PathBuf>,
-    /// Which execution backend runs the tasks: the in-process thread pool
-    /// (default) or real worker OS processes over Unix-domain sockets.
+    /// Which kind of worker runs the tasks: pool threads in place
+    /// (default) or forked worker OS processes over Unix-domain sockets.
     pub backend: BackendKind,
-    /// How often worker processes send heartbeat frames (process backend).
-    pub heartbeat_interval: Duration,
-    /// How long a worker may go silent before the scheduler declares it
-    /// dead, reaps it, and reassigns its task (process backend). Must
-    /// comfortably exceed `heartbeat_interval`; heartbeats come from a
-    /// dedicated worker thread, so even a busy worker keeps beating.
-    pub heartbeat_deadline: Duration,
-    /// When the process scheduler launches speculative duplicates of
-    /// straggling tasks.
+    /// When an idle worker process is handed a speculative duplicate of a
+    /// straggling task.
     pub speculation: SpeculationPolicy,
 }
 
@@ -103,8 +93,6 @@ impl Default for ClusterConfig {
             memory_budget_bytes: None,
             spill_dir: None,
             backend: BackendKind::Threads,
-            heartbeat_interval: Duration::from_millis(20),
-            heartbeat_deadline: Duration::from_secs(2),
             speculation: SpeculationPolicy::default(),
         }
     }
@@ -131,8 +119,9 @@ pub(crate) fn read_error(e: MrError) -> TaskError {
 #[derive(Debug)]
 pub struct Cluster {
     config: ClusterConfig,
-    /// Task executor selected by `config.backend`.
-    pub(crate) backend: Box<dyn Backend>,
+    /// One pool thread per worker: it runs task copies in place, or drives
+    /// the worker process they are shipped to.
+    pool: WorkerPool,
     /// Pool handle threaded through [`ReducerContext`] into embedded
     /// DSMS executions.
     pub(crate) dsms_pool: Arc<WorkerPool>,
@@ -414,7 +403,7 @@ pub(crate) fn verify_slot(slot: &ShuffleSlot) -> Option<String> {
 /// rebuilt chunks are byte-identical to the ones the map tasks produced —
 /// spilled chunks are rewritten in place — so re-execution *is* recovery
 /// (paper §III-C.1).
-fn rebuild_slot(
+pub(crate) fn rebuild_slot(
     env: &StageEnv<'_>,
     p: usize,
     slot: &mut ShuffleSlot,
@@ -452,8 +441,8 @@ fn rebuild_slot(
 /// Decode one verified slot into one [`ColumnBatch`] per stage input: its
 /// chunks decoded and concatenated in order, or an empty batch of the
 /// input's mapped schema when no row reached this partition. A decode
-/// failure still surfaces as corruption (the retry re-verifies and
-/// rebuilds).
+/// failure still surfaces as corruption (the ledger checks the stored
+/// slot and rebuilds it before the retry).
 pub(crate) fn fetch_inputs(
     slot: &ShuffleSlot,
     schemas: &[Schema],
@@ -520,10 +509,9 @@ fn apply_mapper<'a>(
 
 /// One map task attempt: scan input `i` extent `e`, apply the stage
 /// mapper, and partition and seal the rows into per-partition chunks
-/// ([`seal_extent`]). Shared by both backends (thread workers call it in
-/// place, process workers call it in their own address space), so
-/// whichever backend executes the task, the chunks it contributes are
-/// identical.
+/// ([`seal_extent`]). Pool threads call it in place and worker processes
+/// in their own address space, so whoever executes the task, the chunks it
+/// contributes are identical.
 pub(crate) fn run_map_task(
     env: &StageEnv<'_>,
     i: usize,
@@ -566,31 +554,10 @@ pub(crate) fn run_map_task(
     })
 }
 
-/// One shuffle-fetch attempt for reduce partition `p`: apply any injected
-/// corruption to the stored slot, verify every chunk against its
-/// integrity frames (rebuilding from the source extents on a mismatch,
-/// then failing the attempt so the retry sees repaired data), and decode
-/// the verified chunks into the reducer's input batches.
-pub(crate) fn run_shuffle_fetch(
-    env: &StageEnv<'_>,
-    p: usize,
-    corrupt: bool,
-    slot: &mut ShuffleSlot,
-) -> std::result::Result<Vec<ColumnBatch>, TaskError> {
-    if corrupt {
-        corrupt_slot(slot);
-    }
-    if let Some(why) = verify_slot(slot) {
-        rebuild_slot(env, p, slot)?;
-        return Err(TaskError::Corrupt { what: why });
-    }
-    fetch_inputs(slot, env.mapped_schemas)
-}
-
 /// One reduce attempt for partition `p` over already-fetched inputs, which
 /// it consumes: the reducer takes them by value, and a retry fetches the
 /// slot again ([`fetch_inputs`]). The reducer is a pure function of the
-/// (verified) partition, so every retry — on any backend — reproduces the
+/// (verified) partition, so every retry — on any worker — reproduces the
 /// same rows. Each sink's stored form
 /// (row frame plus binary image) is computed here, inside the task, so the
 /// coordinator publishes finished extents instead of encoding them one
@@ -643,19 +610,16 @@ impl Cluster {
 
     /// Cluster with explicit configuration.
     pub fn with_config(config: ClusterConfig) -> Self {
-        let backend: Box<dyn Backend> = match config.backend {
-            BackendKind::Threads => Box::new(ThreadBackend::new(config.threads)),
-            #[cfg(unix)]
-            BackendKind::Processes { workers } => {
-                Box::new(crate::process::ProcessBackend::new(workers))
-            }
-            #[cfg(not(unix))]
-            BackendKind::Processes { workers } => Box::new(ThreadBackend::new(workers)),
+        // Without `fork` (non-Unix targets) worker processes fall back to
+        // as many pool threads.
+        let workers = match config.backend {
+            BackendKind::Threads => config.threads,
+            BackendKind::Processes { workers } => workers,
         };
         let dsms_pool = Arc::new(WorkerPool::new(config.dsms_threads));
         Cluster {
             config,
-            backend,
+            pool: WorkerPool::new(workers),
             dsms_pool,
         }
     }
@@ -743,10 +707,10 @@ impl Cluster {
     /// (paper §III-C.1) that restart determinism is built on. Under a
     /// memory budget, map tasks run in bounded waves so unplaced task
     /// output never exceeds a few extents per worker.
-    fn map_shuffle(
+    fn map_shuffle<W: Worker>(
         &self,
         env: &StageEnv<'_>,
-        exec: &mut (dyn StageExec<'_> + '_),
+        workers: &[Mutex<W>],
     ) -> Result<(Vec<Vec<Vec<ShuffleChunk>>>, MapPhase)> {
         let stage = env.stage;
         let inputs = env.inputs;
@@ -768,19 +732,20 @@ impl Cluster {
         // Unbudgeted runs execute every task in one wave (maximum
         // parallelism); budgeted runs bound the unplaced task output held
         // in memory to one wave's worth.
-        let parallelism = match self.config.backend {
-            BackendKind::Threads => self.config.threads,
-            BackendKind::Processes { workers } => workers,
-        };
         let wave = if self.config.memory_budget_bytes.is_some() {
-            parallelism.max(1) * 2
+            self.pool.threads() * 2
         } else {
             tasks.len().max(1)
         };
         for (w, wave_tasks) in tasks.chunks(wave).enumerate() {
             let base = w * wave;
             let map_start = Instant::now();
-            let results: Vec<Result<MapTaskOut>> = exec.run_map(base, wave_tasks);
+            let ledger = Ledger::new(env, base, wave_tasks.len(), None);
+            run_phase(&self.pool, &ledger, workers, |worker, copy, lost| {
+                let (i, e) = wave_tasks[copy.task - base];
+                worker.run_map(copy, i, e, lost)
+            });
+            let results: Vec<Result<MapTaskOut>> = ledger.into_results();
             phase.map_time += map_start.elapsed();
 
             // Place chunks in task order == (input, extent) order. Errors
@@ -806,8 +771,58 @@ impl Cluster {
         Ok((chunks, phase))
     }
 
+    /// One in-place worker per pool thread.
+    fn in_place<'e>(&self, env: &'e StageEnv<'e>) -> Vec<Mutex<InPlace<'e>>> {
+        (0..self.pool.threads())
+            .map(|_| Mutex::new(InPlace(env)))
+            .collect()
+    }
+
+    /// Fetch/verify and reduce every partition on `workers`, returning
+    /// per-partition results in partition order.
+    fn reduce<W: Worker>(
+        &self,
+        env: &StageEnv<'_>,
+        workers: &[Mutex<W>],
+        shuffle: &[Mutex<ShuffleSlot>],
+    ) -> Vec<Result<ReduceOut>> {
+        let ledger = Ledger::new(env, 0, shuffle.len(), Some(shuffle));
+        run_phase(&self.pool, &ledger, workers, |worker, copy, lost| {
+            worker.run_reduce(copy, &shuffle[copy.task], lost)
+        });
+        ledger.into_results()
+    }
+
+    /// Both phases of one stage on `workers`: map/shuffle, then reduce over
+    /// the per-partition slots. Returns the map accounting, when the reduce
+    /// phase began, and the per-partition results.
+    fn run_tasks<W: Worker>(
+        &self,
+        env: &StageEnv<'_>,
+        workers: &[Mutex<W>],
+    ) -> Result<(MapPhase, Instant, Vec<Result<ReduceOut>>)> {
+        let (mut chunks, map_phase) = self.map_shuffle(env, workers)?;
+        // Transpose chunks into per-partition slots once; workers (and
+        // every restart attempt) read the same sealed chunks — framed
+        // before any injected corruption touches the slot.
+        let reduce_start = Instant::now();
+        let shuffle: Vec<Mutex<ShuffleSlot>> = (0..env.stage.partitions)
+            .map(|p| {
+                let slot_inputs: Vec<Vec<ShuffleChunk>> = chunks
+                    .iter_mut()
+                    .map(|per_input| std::mem::take(&mut per_input[p]))
+                    .collect();
+                Mutex::new(ShuffleSlot {
+                    inputs: slot_inputs,
+                })
+            })
+            .collect();
+        let results = self.reduce(env, workers, &shuffle);
+        Ok((map_phase, reduce_start, results))
+    }
+
     /// Run one stage: map (partition) each input dataset in parallel, then
-    /// reduce each partition on the thread pool, writing the output
+    /// reduce each partition on the same workers, writing the output
     /// dataset to the DFS only after every partition has succeeded.
     pub fn run_stage(&self, dfs: &Dfs, stage: &Stage) -> Result<StageStats> {
         if self.config.chaos.injects_panics() {
@@ -862,42 +877,17 @@ impl Cluster {
             chunk_target: self.chunk_target(inputs.len(), stage.partitions),
             expected_sinks,
         };
-        let mut exec = self.backend.begin(&env)?;
-
-        // ---- map / shuffle ----
-        let (mut chunks, map_phase) = match self.map_shuffle(&env, exec.as_mut()) {
-            Ok(out) => out,
-            Err(e) => {
-                // Release (and, on the process backend, reap) workers
-                // before surfacing the map-phase error.
-                let _ = exec.finish();
-                return Err(e);
+        // Staff the stage. Worker processes are forked here, after the env
+        // (inputs included) is fully built, and reaped when the fleet drops
+        // — on every path, so a failed phase leaves no orphan behind.
+        let (map_phase, reduce_start, results) = match self.config.backend {
+            #[cfg(unix)]
+            BackendKind::Processes { .. } => {
+                let fleet = crate::process::Fleet::fork(self.pool.threads(), &env)?;
+                self.run_tasks(&env, fleet.workers())?
             }
+            _ => self.run_tasks(&env, &self.in_place(&env))?,
         };
-
-        // ---- reduce ----
-        // Transpose chunks into per-partition slots once; workers (and
-        // every restart attempt) read the same sealed chunks — framed
-        // before any injected corruption touches the slot.
-        let reduce_start = Instant::now();
-        let shuffle: Vec<Mutex<ShuffleSlot>> = (0..stage.partitions)
-            .map(|p| {
-                let slot_inputs: Vec<Vec<ShuffleChunk>> = chunks
-                    .iter_mut()
-                    .map(|per_input| std::mem::take(&mut per_input[p]))
-                    .collect();
-                Mutex::new(ShuffleSlot {
-                    inputs: slot_inputs,
-                })
-            })
-            .collect();
-
-        let results: Vec<Result<ReduceOut>> = exec.run_reduce(&shuffle);
-        // Shut the backend down before inspecting results: even when a
-        // partition failed, workers are reaped (no orphan processes on
-        // any path). A task error takes precedence over a shutdown error.
-        let finished = exec.finish();
-        drop(exec);
 
         // ---- collect ----
         // Nothing is published until every partition result is Ok, so a
@@ -925,7 +915,6 @@ impl Cluster {
                 sinks_out[sink].1.push(stored);
             }
         }
-        finished?;
         let reduce_wall_time = reduce_start.elapsed();
 
         // ---- publish ----
@@ -1541,6 +1530,26 @@ mod tests {
         assert_eq!(counts.iter().sum::<i64>(), 90);
     }
 
+    /// Evaluate `$body` with `$workers` bound to the workers `$cluster`'s
+    /// configuration staffs a stage with.
+    macro_rules! with_workers {
+        ($cluster:expr, $env:expr, |$workers:ident| $body:expr) => {
+            match $cluster.config.backend {
+                #[cfg(unix)]
+                BackendKind::Processes { workers } => {
+                    let fleet = crate::process::Fleet::fork(workers, $env).unwrap();
+                    let $workers = fleet.workers();
+                    $body
+                }
+                _ => {
+                    let crew = $cluster.in_place($env);
+                    let $workers = &crew[..];
+                    $body
+                }
+            }
+        };
+    }
+
     /// Run the map/shuffle of `stage` on `cluster` with seal target
     /// `chunk_target` and hand `f` the stage environment, the shuffle
     /// slots (one per reduce partition) and the map-phase accounting.
@@ -1571,10 +1580,8 @@ mod tests {
             chunk_target,
             expected_sinks: 1,
         };
-        let mut exec = cluster.backend.begin(&env).unwrap();
-        let (mut chunks, phase) = cluster.map_shuffle(&env, exec.as_mut()).unwrap();
-        exec.finish().unwrap();
-        drop(exec);
+        let (mut chunks, phase) =
+            with_workers!(cluster, &env, |workers| cluster.map_shuffle(&env, workers)).unwrap();
         let mut slots: Vec<ShuffleSlot> = (0..stage.partitions)
             .map(|p| ShuffleSlot {
                 inputs: (chunks.iter_mut())
@@ -1764,6 +1771,70 @@ mod tests {
                     assert_eq!(images(slot), sealed_by_tasks, "partition {p}, {budget:?}");
                     assert_eq!(spilled(slot), spilled_before, "spilled chunks stay on disk");
                 }
+            });
+            std::fs::remove_dir_all(&spill).ok();
+        }
+    }
+
+    /// A spilled chunk that is really damaged on disk — not by the chaos
+    /// plan — is found by the reducing worker's fetch, whichever kind it
+    /// is, and repaired by the coordinator before the retry: the stored
+    /// slot is what gets verified and rebuilt.
+    #[test]
+    fn a_damaged_spill_file_is_repaired_on_every_worker_kind() {
+        let rows: Vec<Row> = (0..240i64)
+            .map(|i| row![i, format!("u{}", i % 9), i * 3])
+            .collect();
+        let mut kinds = vec![BackendKind::Threads];
+        #[cfg(unix)]
+        kinds.push(BackendKind::Processes { workers: 2 });
+        for backend in kinds {
+            let spill = tempdir();
+            let cluster = Cluster::with_config(ClusterConfig {
+                threads: 2,
+                backend,
+                retry: RetryPolicy::no_backoff(3),
+                memory_budget_bytes: Some(1),
+                spill_dir: Some(spill.clone()),
+                ..ClusterConfig::default()
+            });
+            let dfs = Dfs::new();
+            let extents = rows.chunks(60).map(<[Row]>::to_vec).collect();
+            dfs.put("in", Dataset::partitioned(keyed_schema(), extents))
+                .unwrap();
+            with_shuffle(&cluster, &dfs, &copy_stage(), 100, |env, slots, _| {
+                let shuffle: Vec<Mutex<ShuffleSlot>> = (slots.iter_mut())
+                    .map(|slot| std::mem::take(&mut slot.inputs))
+                    .map(|inputs| Mutex::new(ShuffleSlot { inputs }))
+                    .collect();
+                let published = || -> Vec<Vec<u8>> {
+                    with_workers!(cluster, env, |workers| cluster
+                        .reduce(env, workers, &shuffle))
+                    .into_iter()
+                    .map(|out| out.unwrap().sinks[0].1.bytes.as_ref().clone())
+                    .collect()
+                };
+                let clean = published();
+                assert_eq!(env.counters.retries.load(Ordering::Relaxed), 0);
+                let damaged = (shuffle.iter())
+                    .flat_map(|slot| {
+                        let slot = lock_slot(slot);
+                        let paths = slot.inputs[0].iter().filter_map(|c| match c {
+                            ShuffleChunk::Spilled { path, .. } => Some(path.clone()),
+                            ShuffleChunk::Mem(_) => None,
+                        });
+                        paths.collect::<Vec<_>>()
+                    })
+                    .next()
+                    .expect("a budget of one byte spills every chunk");
+                let mut bytes = std::fs::read(&damaged).unwrap();
+                let mid = bytes.len() / 2;
+                bytes[mid] ^= 0xFF;
+                std::fs::write(&damaged, &bytes).unwrap();
+                assert_eq!(published(), clean, "{backend:?}");
+                let counters = env.counters;
+                assert_eq!(counters.corruptions.load(Ordering::Relaxed), 1);
+                assert_eq!(counters.retries.load(Ordering::Relaxed), 1);
             });
             std::fs::remove_dir_all(&spill).ok();
         }

@@ -5,8 +5,10 @@
 //! (paper §II-B): datasets live in a [`dfs::Dfs`] as partitioned row files;
 //! jobs are DAGs of [`job::Stage`]s, each with a *map* phase (a
 //! [`job::Partitioner`] assigning rows to reduce partitions) and a *reduce*
-//! phase (a [`job::Reducer`] invoked once per partition). Stages run their
-//! partitions on a local thread pool ([`cluster::Cluster`]).
+//! phase (a [`job::Reducer`] invoked once per partition). A
+//! [`cluster::Cluster`] runs a stage's tasks on local workers — pool
+//! threads, or forked worker processes ([`BackendKind`]) — that all pull
+//! from one attempt ledger.
 //!
 //! Faithfulness properties the TiMR layer depends on:
 //!
@@ -16,8 +18,9 @@
 //!   byte-identical output. This is the map-reduce failure-handling model
 //!   the paper leans on (§III-C.1), and the seeded [`chaos::ChaosPlan`]
 //!   injects panics, transient kills, data corruption, and delays into any
-//!   phase to prove it: tasks run under `catch_unwind` in a retry loop
-//!   ([`chaos::RetryPolicy`]), extents and shuffle partitions carry
+//!   phase to prove it: every attempt runs under `catch_unwind` and is
+//!   settled by the one ledger, which retries it per
+//!   [`chaos::RetryPolicy`]; extents and shuffle partitions carry
 //!   length + checksum frames ([`chaos::ExtentFrame`]), and detected
 //!   corruption triggers deterministic re-execution of the producing work.
 //! - **Native binary extents.** Stage boundaries — DFS datasets, shuffle
@@ -45,7 +48,9 @@ pub mod job;
 pub mod persist;
 #[cfg(unix)]
 pub(crate) mod process;
+pub(crate) mod scheduler;
 pub mod stats;
+#[cfg(unix)]
 pub mod transport;
 
 pub use backend::{BackendKind, SpeculationPolicy};

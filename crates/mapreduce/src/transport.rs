@@ -11,19 +11,15 @@
 //! (the length prefix still bounded the read), so the scheduler can
 //! charge the failure to the in-flight task and re-execute it.
 //!
-//! Two implementations of [`Transport`]:
-//! - [`UdsTransport`] — a Unix-domain socket pair, the real inter-process
-//!   path used by the multi-process backend (payloads are PR 6 binary
-//!   extent images, so the wire reuses `relation::extent` end to end);
-//! - [`MemTransport`] — an in-memory queue pair that routes bytes through
-//!   the *same* encode/decode, used to test the protocol without forking.
+//! [`UdsTransport`] is the channel: one end of a Unix-domain socket pair
+//! (payloads are binary extent images, so the wire reuses
+//! `relation::extent` end to end). Unix only, like the worker processes it
+//! connects.
 
 use relation::hash::stable_hash;
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-#[cfg(unix)]
 use std::os::unix::net::UnixStream;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
 /// Frame header: kind byte + u64 payload length. Payload follows, then a
 /// u64 FxHash of the payload.
@@ -113,27 +109,6 @@ pub enum Received {
     Corrupt,
 }
 
-/// A bidirectional, framed, integrity-checked message channel.
-///
-/// `send` takes `&self` so a worker's heartbeat thread and task loop can
-/// share one transport; implementations serialize concurrent sends so
-/// frames never interleave.
-pub trait Transport: Send + Sync {
-    /// Send one frame.
-    fn send(&self, frame: &Frame) -> io::Result<()>;
-
-    /// Send pre-encoded frame bytes verbatim. This is the chaos hook: the
-    /// sender can flip a byte *after* [`encode_frame`] computed the
-    /// checksum, producing exactly the wire corruption the receiver's
-    /// verification must catch.
-    fn send_raw(&self, bytes: &[u8]) -> io::Result<()>;
-
-    /// Receive the next frame, blocking. `Ok(Received::Corrupt)` is a
-    /// verification failure with the stream still in sync; `Err` is a
-    /// dead or violated connection (EOF, I/O error, bad frame kind).
-    fn recv(&self) -> io::Result<Received>;
-}
-
 /// Encode one frame to its wire bytes: `[kind u8][len u64][payload][hash u64]`.
 pub fn encode_frame(frame: &Frame) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + frame.payload.len() + 8);
@@ -176,15 +151,18 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// [`Transport`] over one end of a Unix-domain socket pair.
-#[cfg(unix)]
+/// A bidirectional, framed, integrity-checked message channel over one
+/// end of a Unix-domain socket pair.
+///
+/// `send` takes `&self` so a worker's heartbeat thread and task loop can
+/// share one transport; concurrent sends are serialized so frames never
+/// interleave.
 #[derive(Debug)]
 pub struct UdsTransport {
     reader: Mutex<UnixStream>,
     writer: Mutex<UnixStream>,
 }
 
-#[cfg(unix)]
 impl UdsTransport {
     /// Wrap one end of a socket pair.
     pub fn new(stream: UnixStream) -> io::Result<UdsTransport> {
@@ -194,90 +172,31 @@ impl UdsTransport {
             writer: Mutex::new(writer),
         })
     }
-}
 
-#[cfg(unix)]
-impl Transport for UdsTransport {
-    fn send(&self, frame: &Frame) -> io::Result<()> {
+    /// Send one frame.
+    pub fn send(&self, frame: &Frame) -> io::Result<()> {
         self.send_raw(&encode_frame(frame))
     }
 
-    fn send_raw(&self, bytes: &[u8]) -> io::Result<()> {
+    /// Send pre-encoded frame bytes verbatim. This is the chaos hook: the
+    /// sender can flip a byte *after* [`encode_frame`] computed the
+    /// checksum, producing exactly the wire corruption the receiver's
+    /// verification must catch.
+    pub fn send_raw(&self, bytes: &[u8]) -> io::Result<()> {
         let mut writer = lock(&self.writer);
         writer.write_all(bytes)?;
         writer.flush()
     }
 
-    fn recv(&self) -> io::Result<Received> {
+    /// Receive the next frame, blocking — with `timeout`, for at most that
+    /// long without a byte arriving (`WouldBlock` / `TimedOut`).
+    /// `Ok(Received::Corrupt)` is a verification failure with the stream
+    /// still in sync; any other `Err` is a dead or violated connection
+    /// (EOF, I/O error, bad frame kind).
+    pub fn recv(&self, timeout: Option<std::time::Duration>) -> io::Result<Received> {
         let mut reader = lock(&self.reader);
+        reader.set_read_timeout(timeout)?;
         read_frame(&mut *reader)
-    }
-}
-
-/// One direction of a [`MemTransport`]: a queue of encoded frames.
-#[derive(Debug, Default)]
-struct MemQueue {
-    frames: Mutex<VecDeque<Vec<u8>>>,
-    ready: Condvar,
-}
-
-impl MemQueue {
-    fn push(&self, bytes: Vec<u8>) {
-        lock(&self.frames).push_back(bytes);
-        self.ready.notify_one();
-    }
-
-    fn pop(&self) -> Vec<u8> {
-        let mut frames = lock(&self.frames);
-        loop {
-            if let Some(bytes) = frames.pop_front() {
-                return bytes;
-            }
-            frames = self
-                .ready
-                .wait(frames)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-}
-
-/// In-memory [`Transport`] pair for protocol tests: frames go through the
-/// same encode/decode (and the same corruption detection) as the socket
-/// path, without a process boundary.
-#[derive(Debug)]
-pub struct MemTransport {
-    tx: Arc<MemQueue>,
-    rx: Arc<MemQueue>,
-}
-
-impl MemTransport {
-    /// A connected pair: what one end sends, the other receives.
-    pub fn pair() -> (MemTransport, MemTransport) {
-        let a = Arc::new(MemQueue::default());
-        let b = Arc::new(MemQueue::default());
-        (
-            MemTransport {
-                tx: Arc::clone(&a),
-                rx: Arc::clone(&b),
-            },
-            MemTransport { tx: b, rx: a },
-        )
-    }
-}
-
-impl Transport for MemTransport {
-    fn send(&self, frame: &Frame) -> io::Result<()> {
-        self.send_raw(&encode_frame(frame))
-    }
-
-    fn send_raw(&self, bytes: &[u8]) -> io::Result<()> {
-        self.tx.push(bytes.to_vec());
-        Ok(())
-    }
-
-    fn recv(&self) -> io::Result<Received> {
-        let bytes = self.rx.pop();
-        read_frame(&mut &bytes[..])
     }
 }
 
@@ -379,53 +298,61 @@ mod tests {
         }
     }
 
+    fn pair() -> (UdsTransport, UdsTransport) {
+        let (x, y) = UnixStream::pair().unwrap();
+        (UdsTransport::new(x).unwrap(), UdsTransport::new(y).unwrap())
+    }
+
     #[test]
-    fn frames_round_trip_through_both_transports() {
+    fn frames_round_trip_in_both_directions() {
         let cases = [
             frame(FrameKind::Hello, b""),
             frame(FrameKind::Task, b"descriptor"),
             frame(FrameKind::TaskResult, &vec![7u8; 4096]),
             Frame::control(FrameKind::Shutdown),
         ];
-        let (a, b) = MemTransport::pair();
+        let (x, y) = pair();
         for f in &cases {
-            a.send(f).unwrap();
-            assert_eq!(b.recv().unwrap(), Received::Frame(f.clone()));
-        }
-        #[cfg(unix)]
-        {
-            let (x, y) = UnixStream::pair().unwrap();
-            let (x, y) = (UdsTransport::new(x).unwrap(), UdsTransport::new(y).unwrap());
-            for f in &cases {
-                x.send(f).unwrap();
-                assert_eq!(y.recv().unwrap(), Received::Frame(f.clone()));
-                y.send(f).unwrap();
-                assert_eq!(x.recv().unwrap(), Received::Frame(f.clone()));
-            }
+            x.send(f).unwrap();
+            assert_eq!(y.recv(None).unwrap(), Received::Frame(f.clone()));
+            y.send(f).unwrap();
+            assert_eq!(x.recv(None).unwrap(), Received::Frame(f.clone()));
         }
     }
 
     #[test]
     fn corrupted_payload_is_detected_and_stream_stays_in_sync() {
-        let (a, b) = MemTransport::pair();
+        let (a, b) = pair();
         let f = frame(FrameKind::TaskResult, b"precious result bytes");
         let mut encoded = encode_frame(&f);
         let mid = payload_offset() + f.payload.len() / 2;
         encoded[mid] ^= 0xFF;
         a.send_raw(&encoded).unwrap();
         a.send(&f).unwrap();
-        assert_eq!(b.recv().unwrap(), Received::Corrupt);
+        assert_eq!(b.recv(None).unwrap(), Received::Corrupt);
         // The next frame decodes cleanly: corruption did not desync.
-        assert_eq!(b.recv().unwrap(), Received::Frame(f));
+        assert_eq!(b.recv(None).unwrap(), Received::Frame(f));
     }
 
-    #[cfg(unix)]
     #[test]
     fn closed_socket_surfaces_as_error_not_corruption() {
-        let (x, y) = UnixStream::pair().unwrap();
-        let x = UdsTransport::new(x).unwrap();
+        let (x, y) = pair();
         drop(y);
-        assert!(x.recv().is_err());
+        assert!(x.recv(None).is_err());
+    }
+
+    #[test]
+    fn a_silent_peer_times_out_and_the_stream_stays_usable() {
+        let (x, y) = pair();
+        let waited = x.recv(Some(std::time::Duration::from_millis(10)));
+        let kind = waited.unwrap_err().kind();
+        assert!(matches!(
+            kind,
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+        ));
+        let f = frame(FrameKind::Heartbeat, b"");
+        y.send(&f).unwrap();
+        assert_eq!(x.recv(None).unwrap(), Received::Frame(f));
     }
 
     #[test]
@@ -433,9 +360,9 @@ mod tests {
         let f = frame(FrameKind::Task, b"x");
         let mut encoded = encode_frame(&f);
         encoded[1..9].copy_from_slice(&u64::MAX.to_le_bytes());
-        let (a, b) = MemTransport::pair();
+        let (a, b) = pair();
         a.send_raw(&encoded).unwrap();
-        assert!(b.recv().is_err());
+        assert!(b.recv(None).is_err());
     }
 
     #[test]

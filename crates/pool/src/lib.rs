@@ -23,31 +23,14 @@
 //! on its own replaces the payload with a generic "a scoped thread
 //! panicked" message). [`WorkerPool::run`] re-raises the panic of the
 //! *lowest* panicked task index once all tasks have finished — the same
-//! deterministic failure-ordering rule callers use for `Result` values —
-//! while [`WorkerPool::run_caught`] degrades each panic to an ordinary
-//! per-task [`Panicked`] error so the caller (e.g. a task-attempt retry
-//! loop in the cluster) can treat it as retryable.
+//! deterministic failure-ordering rule callers use for `Result` values.
+//! (The cluster treats a panic as a *retryable task failure*; it catches
+//! it around each attempt, inside the task, so the pool never sees it.)
 
 use std::any::Any;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
-
-/// A contained panic from a pool task, with the payload rendered as text
-/// (`&str` / `String` payloads verbatim; anything else a placeholder).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Panicked {
-    /// The stringified panic payload.
-    pub payload: String,
-}
-
-impl std::fmt::Display for Panicked {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "task panicked: {}", self.payload)
-    }
-}
-
-impl std::error::Error for Panicked {}
 
 /// Render a panic payload (`Box<dyn Any + Send>` from `catch_unwind` or a
 /// thread join) as a string without consuming it.
@@ -106,8 +89,7 @@ impl WorkerPool {
         self.threads
     }
 
-    /// Core loop shared by [`WorkerPool::run`] and
-    /// [`WorkerPool::run_caught`]: execute every task under
+    /// Core loop of [`WorkerPool::run`]: execute every task under
     /// `catch_unwind`, collecting per-task results in task order. All
     /// tasks run even if some panic, so the caller sees a complete,
     /// deterministic picture.
@@ -176,28 +158,6 @@ impl WorkerPool {
         results
             .into_iter()
             .map(|r| r.unwrap_or_else(|_| unreachable!("errors re-raised above")))
-            .collect()
-    }
-
-    /// [`WorkerPool::run`] with per-task panic containment: a panicking
-    /// task yields `Err(Panicked)` in its slot instead of re-raising, and
-    /// every other task still runs and returns its value.
-    ///
-    /// This is the entry point for callers that treat a panic as a
-    /// *retryable task failure* (the cluster's task-attempt loop) rather
-    /// than a process-level bug.
-    pub fn run_caught<T, F>(&self, tasks: usize, task: F) -> Vec<Result<T, Panicked>>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
-        self.run_results(tasks, task)
-            .into_iter()
-            .map(|r| {
-                r.map_err(|p| Panicked {
-                    payload: payload_str(p.as_ref()).to_string(),
-                })
-            })
             .collect()
     }
 
@@ -306,28 +266,6 @@ mod tests {
                 "task 3 exploded",
                 "threads={threads}"
             );
-        }
-    }
-
-    #[test]
-    fn run_caught_isolates_panics_per_task() {
-        for threads in [1, 4] {
-            let out = WorkerPool::new(threads).run_caught(6, |i| {
-                if i % 2 == 1 {
-                    std::panic::panic_any(format!("odd {i}"));
-                }
-                i * 10
-            });
-            for (i, r) in out.iter().enumerate() {
-                if i % 2 == 1 {
-                    assert_eq!(
-                        r.as_ref().err().map(|p| p.payload.clone()),
-                        Some(format!("odd {i}"))
-                    );
-                } else {
-                    assert_eq!(r.as_ref().ok(), Some(&(i * 10)));
-                }
-            }
         }
     }
 

@@ -1,12 +1,14 @@
-//! Multi-process backend equivalence tests: the process backend — real
-//! worker OS processes exchanging binary extent images over Unix-domain
-//! sockets — must produce datasets byte-identical to the in-process
-//! thread pool (itself equal to the single-node reference DSMS on the same
-//! events, paper §III-C.1), at any worker count, and under real
-//! process-kill chaos (SIGKILL mid-task in every phase),
-//! socket-level corruption, injected stragglers with speculative
-//! re-execution, and preemptive attempt timeouts. A row that does not
-//! inhabit its schema fails both backends with the same named error.
+//! Worker-kind equivalence tests: forked worker OS processes — exchanging
+//! binary extent images over Unix-domain sockets — must produce datasets
+//! byte-identical to pool threads running the same tasks in place (itself
+//! equal to the single-node reference DSMS on the same events, paper
+//! §III-C.1), at any worker count, and under real process-kill chaos
+//! (SIGKILL mid-task in every phase), socket-level corruption, injected
+//! stragglers with speculative re-execution, attempt timeouts and a missed
+//! heartbeat. Both kinds pull from one attempt ledger, so the
+//! deterministic fault tallies and an exhausted task's error are equal
+//! too, and a row that does not inhabit its schema fails both with the
+//! same named error.
 
 #![cfg(unix)]
 
@@ -88,9 +90,21 @@ fn deterministic_rows(n: i64) -> Vec<Row> {
 }
 
 fn run_job(rows: &[Row], config: ClusterConfig) -> (Vec<Vec<Row>>, FaultTotals) {
-    let dfs = dfs_with(rows, 3);
+    run_job_shaped(rows, 3, 4, config)
+}
+
+/// [`run_job`] with the stage's shape chosen: `extents` map tasks and
+/// `machines` reduce partitions.
+fn run_job_shaped(
+    rows: &[Row],
+    extents: usize,
+    machines: usize,
+    config: ClusterConfig,
+) -> (Vec<Vec<Row>>, FaultTotals) {
+    let dfs = dfs_with(rows, extents);
     let cluster = Cluster::with_config(config);
-    let out = click_count_job().run(&dfs, &cluster).unwrap();
+    let job = click_count_job().with_machines(machines);
+    let out = job.run(&dfs, &cluster).unwrap();
     (
         dfs.get(&out.dataset).unwrap().partitions.as_ref().clone(),
         out.stats.fault_totals(),
@@ -106,13 +120,31 @@ fn process_config(workers: usize, chaos: ChaosPlan, retry: RetryPolicy) -> Clust
     }
 }
 
+/// The tallies that are functions of the chaos plan and the stage shape
+/// alone — not of wall-clock races.
+fn deterministic(t: &FaultTotals) -> [u64; 5] {
+    [
+        t.task_retries,
+        t.panics_contained,
+        t.transient_faults,
+        t.corruption_detected,
+        t.delays_injected,
+    ]
+}
+
+/// Pool threads, then two forked workers.
+const WORKER_KINDS: [BackendKind; 2] =
+    [BackendKind::Threads, BackendKind::Processes { workers: 2 }];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// The thread pool's output is the relation the single-node reference
-    /// DSMS computes from the same events, and the process backend is
+    /// DSMS computes from the same events, and forked workers are
     /// byte-identical to the thread pool at 1, 2, and 4 workers, clean and
-    /// under a seeded chaos schedule that includes real process kills.
+    /// under a seeded chaos schedule that includes real process kills —
+    /// under which the deterministic fault tallies are equal too: one
+    /// ledger settles every attempt, whoever ran it.
     #[test]
     fn process_backend_matches_threads_and_the_reference(
         n in 40i64..120,
@@ -120,20 +152,20 @@ proptest! {
     ) {
         let rows = deterministic_rows(n);
         let chaos = ChaosPlan::seeded(seed)
+            .with_panics(0.06)
             .with_transients(0.10)
             .with_corruption(0.08)
+            .with_delays(0.06, Duration::from_millis(1))
             .with_process_kills(0.10)
             .with_fault_cap(2);
         let retry = RetryPolicy::no_backoff(4);
-        let (threads, totals) = run_job(
-            &rows,
-            ClusterConfig {
-                threads: 4,
-                chaos: ChaosPlan::none(),
-                retry,
-                ..ClusterConfig::default()
-            },
-        );
+        let on_threads = |chaos: ChaosPlan| ClusterConfig {
+            threads: 4,
+            chaos,
+            retry,
+            ..ClusterConfig::default()
+        };
+        let (threads, totals) = run_job(&rows, on_threads(ChaosPlan::none()));
         prop_assert_eq!(totals.task_retries, 0);
         let plan = click_count_job().plan;
         let scaled_out = EventEncoding::Interval
@@ -144,16 +176,22 @@ proptest! {
             scaled_out.same_relation(&reference_relation(&plan, "logs", &payload(), &rows)),
             "thread-pool output differs from the single-node reference"
         );
+        let (chaotic_threads, expected) = run_job(&rows, on_threads(chaos.clone()));
+        prop_assert_eq!(&chaotic_threads, &threads, "chaos visible on threads (seed {})", seed);
         for workers in [1usize, 2, 4] {
             let (clean, _) = run_job(&rows, process_config(workers, ChaosPlan::none(), retry));
             prop_assert_eq!(
                 &clean, &threads,
                 "clean process run diverged (workers {})", workers
             );
-            let (chaotic, _) = run_job(&rows, process_config(workers, chaos.clone(), retry));
+            let (chaotic, totals) = run_job(&rows, process_config(workers, chaos.clone(), retry));
             prop_assert_eq!(
                 &chaotic, &threads,
                 "chaos visible in output (workers {}, seed {})", workers, seed
+            );
+            prop_assert_eq!(
+                deterministic(&totals), deterministic(&expected),
+                "fault tallies differ from threads (workers {}, seed {})", workers, seed
             );
         }
     }
@@ -533,11 +571,38 @@ fn sigkill_in_every_phase_is_byte_identical() {
         totals.workers_lost
     );
     assert!(totals.task_retries >= 3);
+
+    // Fewer tasks than workers: the one map task and the one partition are
+    // each killed once, and every other worker sits idle when it happens —
+    // one of them must still pull the retry.
+    let (reference, _) = run_job_shaped(&rows, 1, 1, process_config(2, ChaosPlan::none(), retry));
+    for phase in [TaskPhase::Map, TaskPhase::Shuffle, TaskPhase::Reduce] {
+        for workers in [2, 4] {
+            let chaos = ChaosPlan::none().kill_process(&stage, phase, 0);
+            let (killed, totals) =
+                run_job_shaped(&rows, 1, 1, process_config(workers, chaos, retry));
+            let label = format!("{phase} x{workers}");
+            assert_eq!(killed, reference, "{label}: SIGKILL visible in output");
+            assert_eq!(totals.workers_lost, 1, "{label}");
+            assert_eq!(totals.task_retries, 1, "{label}");
+        }
+    }
+    // Both workers of two lose their child in the map phase's first wave;
+    // the single reduce partition still finds someone to run it.
+    let chaos = ChaosPlan::none()
+        .kill_process(&stage, TaskPhase::Map, 0)
+        .kill_process(&stage, TaskPhase::Map, 1);
+    let (reference, _) = run_job_shaped(&rows, 2, 1, process_config(2, ChaosPlan::none(), retry));
+    let (killed, totals) = run_job_shaped(&rows, 2, 1, process_config(2, chaos, retry));
+    assert_eq!(killed, reference, "a fleet wiped out in map is visible");
+    assert_eq!(totals.workers_lost, 2);
+    assert_no_zombies();
 }
 
-/// An injected straggler triggers speculative re-execution; the duplicate
-/// (which skips the injected sleep) wins, and the race never changes
-/// output bytes.
+/// An injected straggler triggers speculative re-execution on worker
+/// processes; the duplicate (which skips the injected sleep) wins, and the
+/// race never changes output bytes. A pool thread is never handed a
+/// duplicate — it could not be reclaimed — and simply sleeps the straggle.
 #[test]
 fn straggler_speculation_is_deterministic() {
     let rows = deterministic_rows(120);
@@ -546,25 +611,40 @@ fn straggler_speculation_is_deterministic() {
     let (reference, _) = run_job(&rows, process_config(3, ChaosPlan::none(), retry));
     let chaos =
         ChaosPlan::none().straggle(&stage, TaskPhase::Reduce, 3, Duration::from_millis(400));
-    let config = ClusterConfig {
-        speculation: SpeculationPolicy {
-            enabled: true,
-            latency_factor: 2.0,
-            min_lag: Duration::from_millis(20),
-            min_completed: 2,
-        },
-        ..process_config(3, chaos, retry)
-    };
-    let (speculated, totals) = run_job(&rows, config);
-    assert_eq!(speculated, reference, "speculation changed output bytes");
-    assert!(
-        totals.speculative_launched >= 1,
-        "no speculative duplicate launched for a 400ms straggler"
-    );
-    assert!(
-        totals.speculative_wins >= 1,
-        "the duplicate should beat a 400ms straggler"
-    );
+    for backend in [BackendKind::Threads, BackendKind::Processes { workers: 3 }] {
+        let config = ClusterConfig {
+            backend,
+            threads: 3,
+            speculation: SpeculationPolicy {
+                enabled: true,
+                latency_factor: 2.0,
+                min_lag: Duration::from_millis(20),
+                min_completed: 2,
+            },
+            ..process_config(3, chaos.clone(), retry)
+        };
+        let (speculated, totals) = run_job(&rows, config);
+        assert_eq!(
+            speculated, reference,
+            "{backend:?}: a straggler changed output bytes"
+        );
+        if backend == BackendKind::Threads {
+            assert_eq!(
+                totals.speculative_launched, 0,
+                "a thread cannot be reclaimed"
+            );
+            continue;
+        }
+        assert!(
+            totals.speculative_launched >= 1,
+            "no speculative duplicate launched for a 400ms straggler"
+        );
+        assert!(
+            totals.speculative_wins >= 1,
+            "the duplicate should beat a 400ms straggler"
+        );
+    }
+    assert_no_zombies();
 }
 
 /// A result frame corrupted on the wire (byte flipped after the checksum
@@ -589,10 +669,11 @@ fn wire_corruption_is_caught_and_retried() {
     assert!(totals.task_retries >= 2);
 }
 
-/// `RetryPolicy::attempt_timeout` on the process backend is preemptive: a
-/// copy running past the deadline is SIGKILLed, charged as `TimedOut`,
-/// and re-executed (the injected straggle applies to attempt 0 only, so
-/// the retry completes).
+/// `RetryPolicy::attempt_timeout` is enforced on both worker kinds with the
+/// same observable outcome: a copy past the deadline is charged as
+/// `TimedOut` and re-executed (the injected straggle applies to attempt 0
+/// only, so the retry completes). A worker process is preempted — a real
+/// SIGKILL; a pool thread cannot be, so its late result is discarded.
 #[test]
 fn attempt_timeout_preempts_stragglers() {
     let rows = deterministic_rows(110);
@@ -601,20 +682,163 @@ fn attempt_timeout_preempts_stragglers() {
     let (reference, _) = run_job(&rows, process_config(2, ChaosPlan::none(), retry));
     let chaos =
         ChaosPlan::none().straggle(&stage, TaskPhase::Reduce, 0, Duration::from_millis(500));
+    for backend in WORKER_KINDS {
+        let config = ClusterConfig {
+            backend,
+            speculation: SpeculationPolicy {
+                enabled: false,
+                ..SpeculationPolicy::default()
+            },
+            ..process_config(2, chaos.clone(), retry)
+        };
+        let (timed, totals) = run_job(&rows, config);
+        assert_eq!(
+            timed, reference,
+            "{backend:?}: timeout recovery changed output bytes"
+        );
+        assert!(
+            totals.tasks_timed_out >= 1,
+            "{backend:?}: a 500ms straggler must trip an 80ms attempt timeout"
+        );
+        assert!(totals.task_retries >= 1, "{backend:?}");
+        assert_eq!(totals.speculative_launched, 0, "{backend:?}");
+        if backend == BackendKind::Threads {
+            assert_eq!(totals.workers_lost, 0, "a thread is not a worker to lose");
+        } else {
+            assert!(totals.workers_lost >= 1, "the preemption is a real SIGKILL");
+        }
+    }
+}
+
+/// Passes rows through, but the first attempt at partition 1 stops its own
+/// process — every thread of it, the heartbeat thread included.
+#[derive(Debug)]
+struct StopOnce;
+
+impl Reducer for StopOnce {
+    fn output_schema(&self, inputs: &[Schema]) -> timr_suite::mapreduce::Result<Schema> {
+        Ok(inputs[0].clone())
+    }
+
+    fn reduce(
+        &self,
+        ctx: &ReducerContext,
+        inputs: Vec<ColumnBatch>,
+    ) -> timr_suite::mapreduce::Result<Vec<Vec<Row>>> {
+        extern "C" {
+            fn getpid() -> i32;
+            fn kill(pid: i32, sig: i32) -> i32;
+        }
+        const SIGSTOP: i32 = 19;
+        if ctx.partition == 1 && !ctx.is_retry() {
+            // SAFETY: plain libc calls on this process's own pid.
+            unsafe { kill(getpid(), SIGSTOP) };
+        }
+        Ok(vec![inputs.into_iter().flat_map(|b| b.to_rows()).collect()])
+    }
+}
+
+/// A worker that goes silent without dying — stopped, not killed, so its
+/// socket stays open — is declared dead at the heartbeat deadline,
+/// SIGKILLed and reaped, and its partition is absorbed by the survivor.
+#[test]
+fn a_silent_worker_is_declared_dead_at_the_heartbeat_deadline() {
+    let rows: Vec<Row> = (0..300i64)
+        .map(|i| row![i * 7 % 1000, format!("u{}", i % 9), i * 3])
+        .collect();
+    let clean = publish(&rows, ClusterConfig::default());
     let config = ClusterConfig {
         speculation: SpeculationPolicy {
             enabled: false,
             ..SpeculationPolicy::default()
         },
-        ..process_config(2, chaos, retry)
+        ..process_config(2, ChaosPlan::none(), RetryPolicy::no_backoff(3))
     };
-    let (timed, totals) = run_job(&rows, config);
-    assert_eq!(timed, reference, "timeout recovery changed output bytes");
-    assert!(
-        totals.tasks_timed_out >= 1,
-        "a 500ms straggler must trip an 80ms attempt timeout"
-    );
-    assert!(totals.workers_lost >= 1, "the preemption is a real SIGKILL");
+    let (survived, totals) = publish_through(Arc::new(StopOnce), &rows, config);
+    assert_eq!(survived, clean, "a stopped worker changed output bytes");
+    assert!(totals.heartbeats_missed >= 1, "the silence went unnoticed");
+    assert!(totals.workers_lost >= 1);
+    assert!(totals.task_retries >= 1);
+    assert_no_zombies();
+}
+
+/// A task that runs out of attempts fails the stage with the same error —
+/// stage, phase, partition, attempt count and last failure — whoever ran
+/// it, and publishes nothing.
+#[test]
+fn exhaustion_is_the_same_error_on_every_worker_kind() {
+    let rows: Vec<Row> = (0..90i64)
+        .map(|i| row![i, format!("u{}", i % 9), i * 3])
+        .collect();
+    let run = |backend: BackendKind, chaos: ChaosPlan, attempts: usize| {
+        let dfs = Dfs::new();
+        dfs.put(
+            "in",
+            Dataset::partitioned(keyed_schema(), three_extents(&rows)),
+        )
+        .unwrap();
+        let err = Cluster::with_config(ClusterConfig {
+            backend,
+            threads: 2,
+            chaos,
+            retry: RetryPolicy::no_backoff(attempts),
+            ..ClusterConfig::default()
+        })
+        .run_stage(&dfs, &copy_stage(Arc::new(IdentityReducer)))
+        .unwrap_err();
+        assert!(
+            !dfs.contains("out"),
+            "{backend:?}: partial output published"
+        );
+        err
+    };
+    // An explicit kill fails one task's only attempt; seeded transients
+    // fail every attempt of every task, so the lowest index is reported.
+    let cases = [
+        (
+            ChaosPlan::none().kill("copy", TaskPhase::Map, 2),
+            1,
+            TaskPhase::Map,
+            2,
+        ),
+        (
+            ChaosPlan::none().kill("copy", TaskPhase::Shuffle, 1),
+            1,
+            TaskPhase::Shuffle,
+            1,
+        ),
+        (
+            ChaosPlan::none().kill("copy", TaskPhase::Reduce, 3),
+            1,
+            TaskPhase::Reduce,
+            3,
+        ),
+        (
+            ChaosPlan::seeded(7).with_transients(1.0),
+            2,
+            TaskPhase::Map,
+            0,
+        ),
+    ];
+    for (chaos, attempts, phase, task) in cases {
+        let [on_threads, forked] = WORKER_KINDS.map(|kind| run(kind, chaos.clone(), attempts));
+        assert_eq!(on_threads, forked, "{phase} task {task}");
+        let MrError::TaskExhausted {
+            stage,
+            phase: charged,
+            partition,
+            attempts: made,
+            ..
+        } = &forked
+        else {
+            panic!("expected TaskExhausted, got {forked:?}");
+        };
+        assert_eq!(
+            (stage.as_str(), *charged, *partition, *made),
+            ("copy", phase, task, attempts)
+        );
+    }
+    assert_no_zombies();
 }
 
 /// Budgeted shuffles spill through the process backend too: chunks ship
