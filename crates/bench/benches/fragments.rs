@@ -81,11 +81,13 @@ fn bench_mapper_fragment(c: &mut Criterion) {
         .clone()
         .expect("click-score job pushes a mapper fragment");
     let ctx = MapperContext::standalone("clickscore", 0, 0);
+    let schema = EventEncoding::Point.dataset_schema(&bt::queries::log_payload());
+    let extent = relation::ColumnBatch::from_rows(&schema, &rows).unwrap();
 
     let mut group = c.benchmark_group("mapper_fragment");
     group.sample_size(10);
     group.bench_function("dsms_mapper_extent", |b| {
-        b.iter(|| mapper.map(&ctx, &rows).unwrap().expect("fragment maps"))
+        b.iter(|| mapper.map(&ctx, extent.clone()).expect("fragment maps"))
     });
 
     let run_job = |push: bool| {

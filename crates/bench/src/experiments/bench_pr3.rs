@@ -179,7 +179,7 @@ struct JobRun {
     dsms_threads: usize,
     wall: Duration,
     reduce_wall: Duration,
-    output: Vec<Vec<Row>>,
+    output: Vec<mapreduce::StoredExtent>,
 }
 
 fn ztest_dfs() -> Dfs {

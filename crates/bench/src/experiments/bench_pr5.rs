@@ -14,7 +14,7 @@
 use crate::table::Table;
 use mapreduce::{ChaosPlan, Cluster, ClusterConfig, Dataset, Dfs, FaultTotals, RetryPolicy};
 use relation::schema::{ColumnType, Field};
-use relation::{row, Row, Schema};
+use relation::{row, Schema};
 use std::time::Duration;
 use temporal::expr::{col, lit};
 use temporal::plan::{Operator, Query};
@@ -156,7 +156,7 @@ fn standard_chaos() -> ChaosPlan {
 
 struct JobRun {
     wall: Duration,
-    output: Vec<Vec<Row>>,
+    output: Vec<mapreduce::StoredExtent>,
     faults: FaultTotals,
 }
 

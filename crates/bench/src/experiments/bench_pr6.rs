@@ -150,7 +150,7 @@ fn click_score_job() -> TimrJob {
 
 struct JobRun {
     wall: Duration,
-    output: Vec<Vec<Row>>,
+    output: Vec<mapreduce::StoredExtent>,
     text_bytes: u64,
     binary_bytes: u64,
     spill_extents: u64,
@@ -166,11 +166,14 @@ fn shuffle_text_bytes(dfs: &Dfs, stages: &[Stage]) -> u64 {
     for stage in stages {
         for (i, name) in stage.inputs.iter().enumerate() {
             let input = dfs.get(name).expect("stage input");
-            for (e, extent) in input.partitions.iter().enumerate() {
+            for e in 0..input.partitions.len() {
                 let ctx = MapperContext::standalone(&stage.name, i, e);
-                let mapped =
-                    (stage.mapper.as_ref()).and_then(|m| m.map(&ctx, extent).expect("mapper runs"));
-                bytes += codec::encode_rows(mapped.as_deref().unwrap_or(extent)).len() as u64;
+                let extent = input.batch(e).expect("extent decodes");
+                let mapped = match &stage.mapper {
+                    Some(m) => m.map(&ctx, extent).expect("mapper runs"),
+                    None => extent,
+                };
+                bytes += codec::encode_rows(&mapped.to_rows()).len() as u64;
             }
         }
     }

@@ -59,14 +59,14 @@ struct Side {
     wall: Duration,
     /// Raw output partitions per query, from the *last* run (identical
     /// across runs by the determinism contract).
-    bytes: Vec<Vec<Vec<relation::Row>>>,
+    bytes: Vec<Vec<mapreduce::StoredExtent>>,
 }
 
 fn job_wall(out: &MultiTimrOutput) -> Duration {
     out.stats.stages.iter().map(|s| s.wall_time).sum()
 }
 
-fn collect_bytes(dfs: &Dfs, datasets: &[String]) -> Vec<Vec<Vec<relation::Row>>> {
+fn collect_bytes(dfs: &Dfs, datasets: &[String]) -> Vec<Vec<mapreduce::StoredExtent>> {
     datasets
         .iter()
         .map(|d| dfs.get(d).unwrap().partitions.as_ref().clone())
@@ -79,7 +79,7 @@ fn run_shared(
     dfs: &Dfs,
     cluster: &mapreduce::Cluster,
     n: usize,
-) -> (MultiTimrOutput, Vec<Vec<Vec<relation::Row>>>) {
+) -> (MultiTimrOutput, Vec<Vec<mapreduce::StoredExtent>>) {
     let out = shared_job(params, n)
         .run(dfs, cluster)
         .expect("shared job runs");

@@ -32,8 +32,9 @@ use bt::queries::advertisers::{
     click_score_job, dashboard_job, dashboard_query, shared_job, CLEAN_LOG_DATASET,
 };
 use bt::queries::bot_elim;
-use mapreduce::{ChaosPlan, Cluster, ClusterConfig, Dataset, Dfs, JobStats, RetryPolicy};
-use relation::Row;
+use mapreduce::{
+    ChaosPlan, Cluster, ClusterConfig, Dataset, Dfs, JobStats, RetryPolicy, StoredExtent,
+};
 use std::time::Duration;
 
 const DASHBOARDS: usize = 16;
@@ -55,7 +56,7 @@ fn job_wall(stats: &JobStats) -> Duration {
     stats.stages.iter().map(|s| s.wall_time).sum()
 }
 
-type Bytes = Vec<Vec<Vec<Row>>>;
+type Bytes = Vec<Vec<StoredExtent>>;
 
 fn collect_bytes(dfs: &Dfs, datasets: &[String]) -> Bytes {
     datasets
@@ -143,13 +144,11 @@ pub fn run(ctx: &mut super::Ctx) -> String {
     // never leak into other experiments' workloads.
     let base = ctx.workload.dfs.get("logs").expect("workload log");
     let dfs = Dfs::new();
-    let mut parts: Vec<Vec<Row>> = Vec::new();
-    for _ in 0..scale {
-        parts.extend(base.partitions.iter().cloned());
-    }
-    let log_rows: usize = parts.iter().map(Vec::len).sum();
-    dfs.put("logs", Dataset::partitioned(base.schema.clone(), parts))
-        .unwrap();
+    let parts: Vec<StoredExtent> = (0..scale).flat_map(|_| base.extents().to_vec()).collect();
+    let log_rows = base.len() * scale;
+    let schema = base.schema.clone();
+    let partitions = std::sync::Arc::new(parts);
+    dfs.put("logs", Dataset { schema, partitions }).unwrap();
 
     // Bot elimination runs ONCE, as in the deployed pipeline; every
     // dashboard consumes its output.

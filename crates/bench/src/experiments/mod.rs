@@ -3,7 +3,6 @@
 //! Every experiment consumes a shared [`Ctx`] (workload + lazily-computed
 //! pipeline artifacts) and returns a printable report.
 
-pub mod bench_pr1;
 pub mod bench_pr3;
 pub mod bench_pr5;
 pub mod bench_pr6;
@@ -196,11 +195,6 @@ pub fn registry() -> Vec<Experiment> {
             name: "rt",
             artifact: "§VII: real-time readiness — online output equals offline output",
             run: rt_exp::run,
-        },
-        Experiment {
-            name: "pr1",
-            artifact: "PR 1: parallel map/shuffle speedup (writes BENCH_PR1.json)",
-            run: bench_pr1::run,
         },
         Experiment {
             name: "pr3",

@@ -181,7 +181,7 @@ impl Reducer for UserStageReducer {
         &self,
         ctx: &ReducerContext,
         inputs: Vec<ColumnBatch>,
-    ) -> mapreduce::Result<Vec<Vec<Row>>> {
+    ) -> mapreduce::Result<Vec<ColumnBatch>> {
         let bad = |m: &str| MrError::Reducer {
             stage: ctx.stage.clone(),
             partition: ctx.partition,
@@ -213,7 +213,7 @@ impl Reducer for UserStageReducer {
                 .collect();
             self.process_user(&borrowed, &mut out, &user);
         }
-        Ok(vec![out])
+        Ok(vec![ColumnBatch::from_rows(&user_stage_schema(), &out)?])
     }
 }
 
@@ -233,7 +233,7 @@ impl Reducer for AdStageReducer {
         &self,
         ctx: &ReducerContext,
         inputs: Vec<ColumnBatch>,
-    ) -> mapreduce::Result<Vec<Vec<Row>>> {
+    ) -> mapreduce::Result<Vec<ColumnBatch>> {
         let bad = |m: &str| MrError::Reducer {
             stage: ctx.stage.clone(),
             partition: ctx.partition,
@@ -290,7 +290,7 @@ impl Reducer for AdStageReducer {
             let Some(z) = z_score(&counts) else { continue };
             out.push(row![max_t, ad, kw, cw, ew, tc, te, z]);
         }
-        Ok(vec![out])
+        Ok(vec![ColumnBatch::from_rows(&ad_stage_schema(), &out)?])
     }
 }
 

@@ -146,7 +146,7 @@ impl BtPipeline {
         let ds = dfs.get(dataset)?;
         let mut out = Vec::with_capacity(ds.len());
         for r in ds.iter() {
-            out.push(parse_score_row(r, 2)?);
+            out.push(parse_score_row(&r, 2)?);
         }
         out.sort_by(|a, b| (&a.ad, &a.keyword).cmp(&(&b.ad, &b.keyword)));
         Ok(out)
@@ -158,7 +158,7 @@ impl BtPipeline {
         let ds = dfs.get(dataset)?;
         let mut out = Vec::with_capacity(ds.len());
         for r in ds.iter() {
-            out.push(parse_score_row(r, 1)?);
+            out.push(parse_score_row(&r, 1)?);
         }
         out.sort_by(|a, b| (&a.ad, &a.keyword).cmp(&(&b.ad, &b.keyword)));
         Ok(out)
@@ -179,8 +179,8 @@ impl BtPipeline {
                 .get(0)
                 .as_long()
                 .ok_or_else(|| BtError::Pipeline("bad Time".into()))?;
-            let user = get(r, 2)?;
-            let ad = get(r, 3)?;
+            let user = get(&r, 2)?;
+            let ad = get(&r, 3)?;
             let label = r.get(4).as_int().unwrap_or(0) as u8;
             examples.insert(
                 (t, user.clone(), ad.clone()),
@@ -198,9 +198,9 @@ impl BtPipeline {
                 .get(0)
                 .as_long()
                 .ok_or_else(|| BtError::Pipeline("bad Time".into()))?;
-            let user = get(r, 2)?;
-            let ad = get(r, 3)?;
-            let kw = get(r, 5)?;
+            let user = get(&r, 2)?;
+            let ad = get(&r, 3)?;
+            let kw = get(&r, 5)?;
             let cnt = r.get(6).as_double().unwrap_or(1.0);
             if let Some(e) = examples.get_mut(&(t, user, ad)) {
                 e.features.insert(kw, cnt);

@@ -1,4 +1,4 @@
-//! Row ↔ event conversion at stage boundaries (paper §III-A step 4 and
+//! Dataset ↔ event conversion at stage boundaries (paper §III-A step 4 and
 //! §III-C.2).
 //!
 //! TiMR's file-format convention (footnote 2): the first column of every
@@ -10,20 +10,28 @@
 //! written against pure payload schemas and TiMR "transparently derives and
 //! maintains temporal information".
 //!
+//! A stage boundary is column batches in, column batches out. On the way
+//! in, [`EventEncoding::decode_column_batch`] moves a dataset batch's
+//! framing columns out as the lifetime vectors and keeps the rest as the
+//! payload; on the way out, [`EventEncoding::encode_sink`] and
+//! [`EventEncoding::encode_extent_order`] are its inverse, moving the
+//! lifetime vectors back in as the framing columns. Rows exist only where a
+//! caller asks for them ([`EventEncoding::decode_stream`], the fallback that
+//! owns the framing errors, and [`EventEncoding::encode`]).
+//!
 //! The paper's §III-C.2 reconciles a DSMS that *pushes* results
 //! asynchronously with a map-reduce that *pulls* rows synchronously through
 //! an in-memory blocking queue. This repo's executor returns its complete
-//! result before the first row is pulled, so there is nothing to reconcile:
-//! [`EventEncoding::encode_sink`] and [`EventEncoding::encode_extent_order`]
-//! take the executor's root **by value** and move its payload cells into
-//! dataset rows on the calling thread. The queue lives where a producer
-//! really is concurrent with its consumer — the online path,
-//! `temporal::rt`.
+//! result before anything is pulled, so there is nothing to reconcile: the
+//! encoders take the executor's root **by value** on the calling thread.
+//! The queue lives where a producer really is concurrent with its consumer
+//! — the online path, `temporal::rt`.
 
 use crate::error::{Result, TimrError};
 use relation::column::{Column, ColumnData};
 use relation::schema::{ColumnType, Field, TIME_COLUMN};
 use relation::{ColumnBatch, Row, Schema, Value};
+use std::borrow::Borrow;
 use std::cmp::Ordering;
 use temporal::exec::StreamData;
 use temporal::{Event, EventBatch, EventStream, Lifetime, Time};
@@ -126,80 +134,47 @@ impl EventEncoding {
     /// Encode one event as a row (framing columns prepended). Point
     /// encoding requires point events.
     pub fn encode(self, event: &Event) -> Result<Row> {
-        let mut values = self.framing_cells(event.start(), event.end(), event.payload.len())?;
+        let (le, re) = (event.start(), event.end());
+        self.check_lifetime(le, re)?;
+        let mut values = vec![Value::Long(le)];
+        if self == EventEncoding::Interval {
+            values.push(Value::Long(re));
+        }
         values.extend_from_slice(event.payload.values());
         Ok(Row::new(values))
     }
 
-    /// The framing cells of `[le, re)`, in a vector with room for `payload`
-    /// more cells. Point encoding requires a point lifetime.
-    fn framing_cells(self, le: Time, re: Time, payload: usize) -> Result<Vec<Value>> {
-        let mut values = Vec::with_capacity(payload + self.framing_columns());
-        values.push(Value::Long(le));
+    /// Point encoding holds point lifetimes only.
+    fn check_lifetime(self, le: Time, re: Time) -> Result<()> {
         match self {
-            EventEncoding::Point if le.checked_add(1) != Some(re) => {
-                return Err(TimrError::Compile(format!(
-                    "cannot point-encode interval event [{le}, {re})"
-                )));
-            }
-            EventEncoding::Point => {}
-            EventEncoding::Interval => values.push(Value::Long(re)),
+            EventEncoding::Point if le.checked_add(1) != Some(re) => Err(TimrError::Compile(
+                format!("cannot point-encode interval event [{le}, {re})"),
+            )),
+            _ => Ok(()),
         }
-        Ok(values)
     }
 
-    /// Decode a whole partition of rows into an event stream with the given
-    /// payload schema. Accepts any borrowed-row iterator, so callers can
-    /// stream straight out of shared DFS partitions without materializing a
-    /// copy first.
-    pub fn decode_stream<'a, I>(self, rows: I, payload: &Schema) -> Result<EventStream>
+    /// Decode a whole partition of rows, borrowed or owned, into an event
+    /// stream with the given payload schema.
+    pub fn decode_stream<I>(self, rows: I, payload: &Schema) -> Result<EventStream>
     where
-        I: IntoIterator<Item = &'a Row>,
+        I: IntoIterator,
+        I::Item: Borrow<Row>,
     {
         let rows = rows.into_iter();
         let mut events = Vec::with_capacity(rows.size_hint().0);
         for row in rows {
-            events.push(self.decode(row)?);
+            events.push(self.decode(row.borrow())?);
         }
         Ok(EventStream::new(payload.clone(), events))
-    }
-
-    /// Decode a whole partition of rows straight into a column-major
-    /// [`EventBatch`] — the batch-first entry for inputs that arrive as rows.
-    ///
-    /// Framing problems (non-integral `Time`/`TimeEnd`, empty lifetimes)
-    /// are hard errors with messages identical to [`decode`], and they
-    /// surface at the same first bad row, because the row path never
-    /// type-checks payload cells and so can only fail on framing too.
-    /// A payload cell that doesn't fit its declared column type returns
-    /// `Ok(None)`: the caller falls back to [`decode_stream`], which
-    /// accepts it, keeping the columnar layout a pure optimization.
-    pub fn decode_batch(self, rows: &[Row], payload: &Schema) -> Result<Option<EventBatch>> {
-        let skip = self.framing_columns();
-        let mut vt = Vec::with_capacity(rows.len());
-        let mut ve = Vec::with_capacity(rows.len());
-        for row in rows {
-            let (le, re) = self.decode_lifetime(row)?;
-            vt.push(le);
-            ve.push(re);
-        }
-        let columns = ColumnBatch::from_value_rows(
-            payload.clone(),
-            rows.len(),
-            rows.iter().map(|r| &r.values()[skip..]),
-        );
-        Ok(match columns {
-            Ok(batch) => Some(EventBatch::new(vt, ve, batch)),
-            Err(_) => None,
-        })
     }
 
     /// Decode a dataset-shaped [`ColumnBatch`] (framing columns leading),
     /// taken by value, straight into an [`EventBatch`] without ever
     /// materializing rows or copying a column: the `Time` (and `TimeEnd`)
     /// buffers move out as the lifetime vectors and the remaining columns
-    /// become the payload batch as-is — the entry for reducers fed binary
-    /// shuffle extents.
+    /// become the payload batch as-is — the entry for mappers and reducers,
+    /// which are fed decoded extents.
     ///
     /// Hands the batch back untouched (`Err`) whenever it cannot be
     /// accepted this way — the schema disagrees with the expected dataset
@@ -249,32 +224,34 @@ impl EventEncoding {
         ))
     }
 
-    /// Encode a whole stream into rows in canonical (sorted) order, so
-    /// restarted reducers emit byte-identical partitions.
+    /// Encode a whole stream into a dataset batch in canonical (sorted)
+    /// order, so restarted reducers emit byte-identical partitions.
     ///
     /// Events are **not** coalesced: two adjacent events with equal
     /// payloads (e.g. two impressions of the same ad one tick apart) stay
     /// two rows, because downstream queries may count *events*, not
     /// snapshots. Canonical order alone is enough for the determinism
     /// guarantee.
-    pub fn encode_stream(self, stream: &EventStream) -> Result<Vec<Row>> {
+    pub fn encode_stream(self, stream: &EventStream) -> Result<ColumnBatch> {
         self.encode_sink(StreamData::Rows(stream.clone()))
     }
 
-    /// Encode an executor root, taken by value, into dataset rows in
+    /// Encode an executor root, taken by value, into a dataset batch in
     /// **canonical order** — [`Self::encode_stream`]'s order, established
     /// here once, where bytes are published: the reduce sink. A row root's
-    /// events sort in place and their payload cells move into the rows; a
-    /// batch root sorts a *permutation* of its events — by lifetime, then by
-    /// the typed column cells in [`Value`]'s total order, which is the order
-    /// of the rows because a dataset row leads with its lifetime — and
-    /// builds each row once, already in its final place.
-    pub fn encode_sink(self, root: StreamData) -> Result<Vec<Row>> {
-        match root {
+    /// events sort in place and transpose; a batch root sorts a
+    /// *permutation* of its events — by lifetime, then by the typed column
+    /// cells in [`Value`]'s total order, which is the order of the rows
+    /// because a dataset row leads with its lifetime — and gathers each
+    /// payload column once by it. A payload cell that does not inhabit its
+    /// column is the relation's type error.
+    pub fn encode_sink(self, root: StreamData) -> Result<ColumnBatch> {
+        let (vt, ve, payload) = match root {
             StreamData::Rows(stream) => {
+                let schema = stream.schema().clone();
                 let mut events = stream.into_events();
                 events.sort();
-                self.encode_events(events)
+                transpose(schema, &events)?
             }
             StreamData::Batch(batch) => {
                 let columns = batch.payload().columns();
@@ -293,56 +270,66 @@ impl EventEncoding {
                             .unwrap_or(Ordering::Equal)
                     })
                 });
-                (order.into_iter())
-                    .map(|(_, _, i)| self.batch_row(&batch, i as usize))
-                    .collect()
+                let idx: Vec<u32> = order.iter().map(|o| o.2).collect();
+                let vt = order.iter().map(|o| o.0).collect();
+                let ve = order.into_iter().map(|o| o.1).collect();
+                (vt, ve, batch.payload().gather(&idx))
             }
-        }
+        };
+        self.dataset_batch(vt, ve, payload)
     }
 
     /// Encode an executor root, taken by value, in the order the executor
-    /// produced it — the map-side encode. Map output needs no canonical
-    /// order. It is never published. Executor output order is a pure
-    /// function of the input extent (fused row operators preserve input
-    /// order, GroupApply merges groups in sorted-key order), so retries,
-    /// rebuilds and worker processes reproduce identical chunks. And the
-    /// bytes the reduce side publishes do not depend on the order of the
-    /// rows inside an extent (`tests/prop_pushdown.rs` permutes them) —
-    /// except through float accumulators, which add tied events in arrival
-    /// order and did so before, over mapper inputs and mapper-less inputs
-    /// that nothing ever sorted.
-    pub fn encode_extent_order(self, root: StreamData) -> Result<Vec<Row>> {
-        match root {
-            StreamData::Rows(stream) => self.encode_events(stream.into_events()),
-            StreamData::Batch(batch) => self.encode_batch(batch),
+    /// produced it — the map-side encode: a batch root's lifetime vectors
+    /// and payload columns move into the dataset batch as they are. Map
+    /// output needs no canonical order. It is never published. Executor
+    /// output order is a pure function of the input extent (fused row
+    /// operators preserve input order, GroupApply merges groups in
+    /// sorted-key order), so retries, rebuilds and worker processes
+    /// reproduce identical chunks. And the bytes the reduce side publishes
+    /// do not depend on the order of the rows inside an extent
+    /// (`tests/prop_pushdown.rs` permutes them) — except through float
+    /// accumulators, which add tied events in arrival order and did so
+    /// before, over mapper inputs and mapper-less inputs that nothing ever
+    /// sorted.
+    pub fn encode_extent_order(self, root: StreamData) -> Result<ColumnBatch> {
+        let (vt, ve, payload) = match root {
+            StreamData::Rows(stream) => transpose(stream.schema().clone(), stream.events())?,
+            StreamData::Batch(batch) => batch.into_parts(),
+        };
+        self.dataset_batch(vt, ve, payload)
+    }
+
+    /// The inverse of [`Self::decode_column_batch`]: the lifetime vectors
+    /// move in as the framing columns ahead of the payload's. Point
+    /// encoding requires point lifetimes.
+    fn dataset_batch(
+        self,
+        vt: Vec<Time>,
+        ve: Vec<Time>,
+        payload: ColumnBatch,
+    ) -> Result<ColumnBatch> {
+        (vt.iter().zip(&ve)).try_for_each(|(&le, &re)| self.check_lifetime(le, re))?;
+        let (schema, payload_cols, rows) = payload.into_parts();
+        let mut columns = vec![Column::new(ColumnData::Long(vt), None)];
+        if self == EventEncoding::Interval {
+            columns.push(Column::new(ColumnData::Long(ve), None));
         }
+        columns.extend(payload_cols);
+        Ok(ColumnBatch::new(
+            self.dataset_schema(&schema),
+            columns,
+            rows,
+        ))
     }
+}
 
-    fn encode_events(self, events: Vec<Event>) -> Result<Vec<Row>> {
-        events
-            .into_iter()
-            .map(|event| {
-                let mut values =
-                    self.framing_cells(event.start(), event.end(), event.payload.len())?;
-                values.extend(event.payload.into_values());
-                Ok(Row::new(values))
-            })
-            .collect()
-    }
-
-    fn encode_batch(self, batch: EventBatch) -> Result<Vec<Row>> {
-        (0..batch.len())
-            .map(|i| self.batch_row(&batch, i))
-            .collect()
-    }
-
-    /// The dataset row of event `i` of `batch`.
-    fn batch_row(self, batch: &EventBatch, i: usize) -> Result<Row> {
-        let columns = batch.payload().columns();
-        let mut values = self.framing_cells(batch.vt()[i], batch.ve()[i], columns.len())?;
-        values.extend(columns.iter().map(|c| c.value(i)));
-        Ok(Row::new(values))
-    }
+/// The lifetimes and payload columns of `events`.
+fn transpose(schema: Schema, events: &[Event]) -> Result<(Vec<Time>, Vec<Time>, ColumnBatch)> {
+    let payloads = events.iter().map(|e| e.payload.values());
+    let payload = ColumnBatch::from_value_rows(schema, events.len(), payloads)?;
+    let vt = events.iter().map(Event::start).collect();
+    Ok((vt, events.iter().map(Event::end).collect(), payload))
 }
 
 #[cfg(test)]
@@ -420,7 +407,7 @@ mod tests {
                 Event::interval(3, 5, row!["a", 1i64]),
             ],
         );
-        let rows = enc.encode_stream(&stream).unwrap();
+        let rows = enc.encode_stream(&stream).unwrap().to_rows();
         assert_eq!(
             rows,
             vec![
@@ -513,6 +500,12 @@ mod tests {
         events
     }
 
+    /// The sealed image of a dataset batch: equal images are equal rows in
+    /// equal storage.
+    fn image(batch: ColumnBatch) -> Vec<u8> {
+        batch.to_extent_bytes().unwrap()
+    }
+
     /// The by-value sink encode is `encode_stream` — sorted, multiplicity
     /// preserved — whether the executor's root arrives as rows or as a
     /// batch; the extent-order encode is the same rows, unsorted. The batch
@@ -530,18 +523,25 @@ mod tests {
             ] {
                 let stream = EventStream::new(p, events);
                 let want = enc.encode_stream(&stream).unwrap();
-                assert_eq!(want.len(), stream.len(), "no event is coalesced");
-                assert!(want.windows(2).all(|w| w[0] <= w[1]), "canonical order");
-                assert!(want.windows(2).any(|w| w[0] == w[1]), "duplicates stay");
+                let rows = want.to_rows();
+                assert_eq!(rows.len(), stream.len(), "no event is coalesced");
+                assert!(rows.windows(2).all(|w| w[0] <= w[1]), "canonical order");
+                assert!(rows.windows(2).any(|w| w[0] == w[1]), "duplicates stay");
                 let as_rows = || StreamData::Rows(stream.clone());
                 let as_batch = || StreamData::Batch(EventBatch::from_stream(&stream).unwrap());
-                assert_eq!(enc.encode_sink(as_rows()).unwrap(), want);
-                assert_eq!(enc.encode_sink(as_batch()).unwrap(), want);
+                let want = image(want);
+                assert_eq!(image(enc.encode_sink(as_rows()).unwrap()), want);
+                assert_eq!(image(enc.encode_sink(as_batch()).unwrap()), want);
                 let in_order: Vec<Row> = (stream.events().iter())
                     .map(|e| enc.encode(e).unwrap())
                     .collect();
-                assert_eq!(enc.encode_extent_order(as_rows()).unwrap(), in_order);
-                assert_eq!(enc.encode_extent_order(as_batch()).unwrap(), in_order);
+                let schema = enc.dataset_schema(stream.schema());
+                let in_order = image(ColumnBatch::from_rows(&schema, &in_order).unwrap());
+                assert_eq!(image(enc.encode_extent_order(as_rows()).unwrap()), in_order);
+                assert_eq!(
+                    image(enc.encode_extent_order(as_batch()).unwrap()),
+                    in_order
+                );
             }
         }
         // The typed payloads do tie on everything but the last column.
@@ -551,7 +551,8 @@ mod tests {
                 typed_schema(),
                 typed_events(false),
             )))
-            .unwrap();
+            .unwrap()
+            .to_rows();
         let last = framing + typed_schema().len() - 1;
         assert!(rows.windows(2).any(|w| {
             w[0].values()[..last] == w[1].values()[..last] && w[0].get(last) != w[1].get(last)
@@ -606,7 +607,6 @@ mod tests {
                     Time + 1 overflows";
         assert_eq!(enc.decode(&rows[1]).unwrap_err().to_string(), want);
         assert_eq!(enc.decode_stream(&rows, &p).unwrap_err().to_string(), want);
-        assert_eq!(enc.decode_batch(&rows, &p).unwrap_err().to_string(), want);
         let columns = ColumnBatch::from_rows(&enc.dataset_schema(&p), &rows).unwrap();
         let refused = enc
             .decode_column_batch(columns, &p)
@@ -615,50 +615,6 @@ mod tests {
         // An interval dataset may end at Time::MAX: only `+ 1` overflows.
         let ends_at_max = row![5i64, Time::MAX, "u", 0i64];
         assert!(EventEncoding::Interval.decode(&ends_at_max).is_ok());
-    }
-
-    #[test]
-    fn decode_batch_matches_decode_stream() {
-        let p = payload_schema();
-        let rows = vec![
-            row![0i64, 3i64, "a", 1i64],
-            row![3i64, 5i64, "a", 2i64],
-            row![5i64, 9i64, "b", 3i64],
-        ];
-        let stream = EventEncoding::Interval.decode_stream(&rows, &p).unwrap();
-        let batch = EventEncoding::Interval
-            .decode_batch(&rows, &p)
-            .unwrap()
-            .expect("well-typed rows transpose");
-        assert_eq!(batch.into_stream().events(), stream.events());
-    }
-
-    #[test]
-    fn decode_batch_framing_errors_match_row_path() {
-        let p = payload_schema();
-        let rows = vec![row![5i64, 5i64, "u", 0i64]];
-        let batch_err = EventEncoding::Interval
-            .decode_batch(&rows, &p)
-            .unwrap_err()
-            .to_string();
-        let row_err = EventEncoding::Interval
-            .decode_stream(&rows, &p)
-            .unwrap_err()
-            .to_string();
-        assert_eq!(batch_err, row_err);
-    }
-
-    #[test]
-    fn decode_batch_falls_back_on_ill_typed_payload() {
-        // `N` is declared Long but carries an Int: the row path tolerates
-        // it, so the batch path must signal fallback, not fail.
-        let p = payload_schema();
-        let rows = vec![row![0i64, 3i64, "a", 1i32]];
-        assert!(EventEncoding::Interval
-            .decode_batch(&rows, &p)
-            .unwrap()
-            .is_none());
-        assert!(EventEncoding::Interval.decode_stream(&rows, &p).is_ok());
     }
 
     #[test]
@@ -681,13 +637,11 @@ mod tests {
             let batch = enc
                 .decode_column_batch(columns, &p)
                 .expect("well-framed batch decodes copy-free");
-            let via_rows = enc.decode_batch(&rows, &p).unwrap().unwrap();
-            assert_eq!(batch.vt(), via_rows.vt());
-            assert_eq!(batch.ve(), via_rows.ve());
-            assert_eq!(
-                batch.into_stream().events(),
-                via_rows.into_stream().events()
-            );
+            let via_rows = enc.decode_stream(&rows, &p).unwrap();
+            // Moving the framing columns back in is the inverse.
+            let back = enc.encode_extent_order(StreamData::Batch(batch.clone()));
+            assert_eq!(back.unwrap().to_rows(), rows);
+            assert_eq!(batch.into_stream().events(), via_rows.events());
         }
     }
 

@@ -7,7 +7,7 @@
 //! method `P` from the paper, which splits its partition's shuffled
 //! batches into lifetimes and payload columns, runs the *unmodified* DSMS on
 //! the fragment plan (the generated method `P'`), and encodes each root, by
-//! value and in canonical order, as its sink's rows
+//! value and in canonical order, as its sink's batch
 //! ([`EventEncoding::encode_sink`]).
 
 use crate::annotate::Annotation;
@@ -16,7 +16,7 @@ use crate::error::{Result, TimrError};
 use crate::fragment::{fragment, Fragment, FragmentInput, FragmentKey};
 use crate::mapper::{DsmsMapper, MapperUnit};
 use mapreduce::{MrError, Partitioner, Reducer, ReducerContext, Stage};
-use relation::{ColumnBatch, Row, Schema};
+use relation::{ColumnBatch, Schema};
 use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
@@ -39,9 +39,6 @@ pub struct CompiledJob {
     pub pushed_ops: usize,
     /// Partial-aggregation steps moved map-side, all stages.
     pub pushed_partials: usize,
-    /// Per pushed stage input: whether its mapper decodes extents to
-    /// columns or rows, and why (all stages, in stage order).
-    pub mapper_layouts: Vec<MapperLayout>,
     /// Per stage input that push-down looked at and gave no partial
     /// aggregate: why not (all stages, in stage order).
     pub partial_refusals: Vec<PartialRefusal>,
@@ -70,51 +67,14 @@ impl fmt::Display for PartialRefusal {
     }
 }
 
-/// How one pushed stage input is decoded map-side, and why. This is the one
-/// layout decision the compiler makes — from the input's fused mapper plan,
-/// at compile time — and it is a report: nothing sets it.
-///
-/// Decoding dataset rows into a column batch pays only when the pushed
-/// fragment *computes* (a projection or a partial aggregate run on the
-/// kernels); a prefix that only filters or rewrites lifetimes is cheaper on
-/// the in-place row operators (DESIGN.md, "The engine").
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MapperLayout {
-    /// Stage the input belongs to.
-    pub stage: String,
-    /// Stage-input dataset name.
-    pub input: String,
-    /// Whether the mapper decodes extents into column batches (else rows).
-    pub columnar: bool,
-    /// The plan feature that decided it: `"project step"`,
-    /// `"partial aggregate"` or `"filter-only prefix"`.
-    pub reason: &'static str,
-}
-
-impl fmt::Display for MapperLayout {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let layout = if self.columnar { "columns" } else { "rows" };
-        write!(
-            f,
-            "{} <- {}: decodes to {layout} ({})",
-            self.stage, self.input, self.reason
-        )
-    }
-}
-
-/// Render the map-side half of a compiled job: the push-down counts, one
-/// line per pushed input's layout decision, and one per input that got no
-/// partial aggregate, with the reason.
+/// Render the map-side half of a compiled job: the push-down counts and one
+/// line per input that got no partial aggregate, with the reason.
 pub(crate) fn map_side_report(
     pushed_ops: usize,
     pushed_partials: usize,
-    layouts: &[MapperLayout],
     refusals: &[PartialRefusal],
 ) -> String {
     let mut out = format!("map side: pushed_ops={pushed_ops} pushed_partials={pushed_partials}\n");
-    for layout in layouts {
-        let _ = writeln!(out, "  {layout}");
-    }
     for refusal in refusals {
         let _ = writeln!(out, "  {refusal}");
     }
@@ -152,7 +112,6 @@ impl fmt::Display for CompiledJob {
         f.write_str(&map_side_report(
             self.pushed_ops,
             self.pushed_partials,
-            &self.mapper_layouts,
             &self.partial_refusals,
         ))
     }
@@ -217,13 +176,10 @@ pub fn compile_with_options(
     let mut output_payload = plan.schema_of(plan.roots()[0]).clone();
     let mut pushed_ops = 0usize;
     let mut pushed_partials = 0usize;
-    let mut mapper_layouts = Vec::new();
     let mut partial_refusals = Vec::new();
 
     for frag in &fragments {
-        let (stage, pd, layouts) =
-            compile_fragment(frag, job_name, machines, source_encodings, options)?;
-        mapper_layouts.extend(layouts);
+        let (stage, pd) = compile_fragment(frag, job_name, machines, source_encodings, options)?;
         if let Some(pd) = pd {
             pushed_ops += pd.pushed_ops;
             pushed_partials += pd.partials;
@@ -249,7 +205,6 @@ pub fn compile_with_options(
         output_encoding: EventEncoding::Interval,
         pushed_ops,
         pushed_partials,
-        mapper_layouts,
         partial_refusals,
     })
 }
@@ -260,7 +215,7 @@ fn compile_fragment(
     machines: usize,
     source_encodings: &BTreeMap<String, EventEncoding>,
     options: CompileOptions,
-) -> Result<(Stage, Option<PushDown>, Vec<MapperLayout>)> {
+) -> Result<(Stage, Option<PushDown>)> {
     let (partitioner, partitions) = match &frag.key {
         FragmentKey::Keys(cols) => (
             // Hash over the *dataset* row: framing columns precede payload
@@ -371,10 +326,8 @@ fn compile_fragment(
         inputs: bindings,
         output_encoding: EventEncoding::Interval,
     };
-    let stage_name = format!("{job_name}/f{}", frag.root);
-    let layouts = mapper_layouts(&stage_name, &input_names, &units);
     let mut stage = Stage::new(
-        stage_name,
+        format!("{job_name}/f{}", frag.root),
         input_names,
         output_dataset,
         partitioner,
@@ -385,74 +338,43 @@ fn compile_fragment(
     if units.iter().any(Option::is_some) {
         stage = stage.with_mapper(Arc::new(DsmsMapper::new(units)));
     }
-    Ok((stage, pd, layouts))
+    Ok((stage, pd))
 }
 
-/// The layout report of one stage: one entry per pushed input.
-pub(crate) fn mapper_layouts(
-    stage: &str,
-    input_names: &[String],
-    units: &[Option<MapperUnit>],
-) -> Vec<MapperLayout> {
-    input_names
-        .iter()
-        .zip(units)
-        .filter_map(|(input, unit)| {
-            let (columnar, reason) = unit.as_ref()?.layout();
-            Some(MapperLayout {
-                stage: stage.to_string(),
-                input: input.clone(),
-                columnar,
-                reason,
-            })
-        })
-        .collect()
-}
-
-/// Per-input decode instructions for the reducer. Shared with the
-/// multi-query driver ([`crate::multi`]), whose reducer decodes sources the
-/// same way but fans results out to one sink per query.
+/// Per-input decode instructions for a reducer or a mapper unit. Shared with
+/// the multi-query driver ([`crate::multi`]), whose reducer decodes sources
+/// the same way but fans results out to one sink per query.
 #[derive(Debug, Clone)]
 pub(crate) struct InputBinding {
     /// Source name inside the fragment plan.
     pub(crate) source_name: String,
-    /// Lifetime encoding of the dataset rows.
+    /// Lifetime encoding of the dataset.
     pub(crate) encoding: EventEncoding,
     /// Payload schema (dataset schema minus framing columns).
     pub(crate) payload: Schema,
 }
 
-/// Decode one input partition of rows batch-first: the rows transpose
-/// into a column-major batch, and payloads that don't fit their declared
-/// types fall back to the row decode (which tolerates them), so the layout
-/// never changes which partitions are accepted.
-pub(crate) fn bind_rows(binding: &InputBinding, rows: &[Row]) -> Result<StreamData> {
-    Ok(
-        match binding.encoding.decode_batch(rows, &binding.payload)? {
-            Some(batch) => StreamData::Batch(batch),
-            None => StreamData::Rows(binding.encoding.decode_stream(rows, &binding.payload)?),
-        },
-    )
-}
-
-/// Decode one shuffled input, taken by value. The framing columns move out
-/// of the batch as the lifetime vectors
-/// ([`EventEncoding::decode_column_batch`]) — nothing is copied, no dataset
-/// rows are materialized and the executor runs on the batch as it arrived.
-/// Whatever that path refuses falls back to the row decode, which owns the
-/// errors.
-pub(crate) fn bind_reduce_input(binding: &InputBinding, batch: ColumnBatch) -> Result<StreamData> {
+/// Bind one decoded extent or shuffled input, taken by value — the one bind
+/// mappers and reducers share. The framing columns move out of the batch as
+/// the lifetime vectors ([`EventEncoding::decode_column_batch`]) — nothing
+/// is copied, no dataset rows are materialized and the executor runs on the
+/// batch as it arrived. Whatever that path refuses falls back to the row
+/// decode, which owns the errors (and tolerates a dataset whose cell types
+/// differ from the plan's source schema).
+pub(crate) fn bind_input(binding: &InputBinding, batch: ColumnBatch) -> Result<StreamData> {
     match binding
         .encoding
         .decode_column_batch(batch, &binding.payload)
     {
         Ok(events) => Ok(StreamData::Batch(events)),
-        Err(batch) => bind_rows(binding, &batch.to_rows()),
+        Err(batch) => Ok(StreamData::Rows(
+            (binding.encoding).decode_stream(batch.to_rows(), &binding.payload)?,
+        )),
     }
 }
 
 /// The paper's reducer method `P`: shuffled batches → events → embedded
-/// DSMS → rows, one sink per plan root. A fragment plan has one root; the
+/// DSMS → batches, one sink per plan root. A fragment plan has one root; the
 /// shared multi-query DAG ([`crate::multi`]) has one per query, evaluated
 /// in a single pass so shared prefixes run once per partition.
 #[derive(Debug, Clone)]
@@ -481,7 +403,7 @@ impl Reducer for DsmsReducer {
         &self,
         ctx: &ReducerContext,
         inputs: Vec<ColumnBatch>,
-    ) -> mapreduce::Result<Vec<Vec<Row>>> {
+    ) -> mapreduce::Result<Vec<ColumnBatch>> {
         let to_mr = |e: TimrError| MrError::Reducer {
             stage: ctx.stage.clone(),
             partition: ctx.partition,
@@ -489,7 +411,7 @@ impl Reducer for DsmsReducer {
         };
         let mut sources: DataBindings = FxHashMap::default();
         for (binding, input) in self.inputs.iter().zip(inputs) {
-            let data = bind_reduce_input(binding, input).map_err(to_mr)?;
+            let data = bind_input(binding, input).map_err(to_mr)?;
             sources.insert(binding.source_name.clone(), data);
         }
         // The executor owns the decoded partition: the first in-place
@@ -509,8 +431,8 @@ impl Reducer for DsmsReducer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relation::row;
     use relation::schema::{ColumnType, Field};
+    use relation::{row, Row};
 
     fn binding() -> InputBinding {
         InputBinding {
@@ -530,7 +452,7 @@ mod tests {
     }
 
     /// A shuffled batch binds to the same events as the rows it encodes,
-    /// and both stay columnar — the layout the data arrived in.
+    /// and stays columnar — the layout the data arrived in.
     #[test]
     fn shuffled_batch_binds_like_its_rows() {
         let rows: Vec<Row> = (0..30i64)
@@ -544,23 +466,20 @@ mod tests {
                 _ => row![i, i + 3, format!("u{}", i % 4), i * 10],
             })
             .collect();
-        let via_batch = bind_reduce_input(&binding(), shuffled(&rows)).unwrap();
-        let via_rows = bind_rows(&binding(), &rows).unwrap();
+        let via_batch = bind_input(&binding(), shuffled(&rows)).unwrap();
         assert!(matches!(via_batch, StreamData::Batch(_)));
-        assert!(matches!(via_rows, StreamData::Batch(_)));
         let reference = binding()
             .encoding
             .decode_stream(&rows, &binding().payload)
             .unwrap();
         assert_eq!(via_batch.into_stream(), reference);
-        assert_eq!(via_rows.into_stream(), reference);
     }
 
     /// What the copy-free path refuses fails exactly as the row path does.
     #[test]
     fn bad_framing_keeps_the_row_paths_error() {
         let empty_lifetime = vec![row![1i64, 4i64, "u", 0i64], row![5i64, 5i64, "u", 0i64]];
-        let via_batch = bind_reduce_input(&binding(), shuffled(&empty_lifetime));
+        let via_batch = bind_input(&binding(), shuffled(&empty_lifetime));
         let row_error = binding()
             .encoding
             .decode_stream(&empty_lifetime, &binding().payload)

@@ -18,10 +18,10 @@
 //! 4. **Convert to M-R** — each fragment becomes a map-reduce stage whose
 //!    map phase partitions by `hash(key) mod machines` (§III-C.3) and whose
 //!    reducer embeds the DSMS ([`compile::DsmsReducer`]); shuffled
-//!    batches become events and executor roots become dataset rows at
+//!    batches become events and executor roots become dataset batches at
 //!    stage boundaries ([`bridge`] — by value, with no queue in between:
 //!    §III-C.2's push/pull queue reconciles an *asynchronous* DSMS, and
-//!    this executor has returned before the first row is pulled).
+//!    this executor has returned before anything is pulled).
 //!
 //! [`temporal_partition`] implements the paper's second parallelization
 //! axis (§III-B): windowed queries with *no* partitionable payload key are

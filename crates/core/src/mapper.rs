@@ -4,11 +4,11 @@
 //! [`crate::compile`] and [`crate::multi`] split each stage plan with
 //! [`temporal::plan::push_down`]; the exchange-free prefix of every pushed
 //! input compiles into one [`DsmsMapper`] unit. The cluster invokes the
-//! mapper once per input extent, *before* partitioning: rows decode into
-//! events in the layout the unit chose at compile time (columns when the
-//! pushed fragment computes, rows when it only filters — see
-//! [`MapperUnit::layout`]), the unmodified DSMS runs the mapper plan, and
-//! the root is encoded by value in the order the executor produced it
+//! mapper once per input extent, *before* partitioning, on the extent's
+//! decoded batch: the framing columns move out as the lifetime vectors
+//! (the one bind mappers and reducers share, [`bind_input`]), the
+//! unmodified DSMS runs the mapper plan, and the root is encoded by value,
+//! back into a dataset batch, in the order the executor produced it
 //! ([`EventEncoding::encode_extent_order`]). Nothing sorts here: canonical
 //! order is established once, at the reduce sink, where bytes are published.
 //! Executor output order is already a pure function of the extent's rows —
@@ -22,28 +22,23 @@
 //! interval cells, so the point encoding of raw logs no longer fits.
 
 use crate::bridge::EventEncoding;
-use crate::compile::{bind_rows, InputBinding};
+use crate::compile::{bind_input, InputBinding};
 use crate::error::TimrError;
 use mapreduce::{Mapper, MapperContext, MrError};
-use relation::{Row, Schema};
+use relation::{ColumnBatch, Schema};
 use rustc_hash::FxHashMap;
-use temporal::exec::{DataBindings, StreamData};
-use temporal::plan::{FusedStep, LogicalPlan, MapperPlan, Operator};
+use temporal::exec::DataBindings;
+use temporal::plan::{LogicalPlan, MapperPlan};
 
 /// One pushed input's map-side fragment.
 #[derive(Debug, Clone)]
 pub(crate) struct MapperUnit {
     /// The mapper plan (source → pushed prefix [→ partial aggregation]).
     plan: LogicalPlan,
-    /// How to decode the *raw* input rows (the stage input's encoding).
+    /// How to bind the *raw* input extent (the stage input's encoding).
     binding: InputBinding,
     /// Payload schema of the mapper output (the plan root's schema).
     output_payload: Schema,
-    /// Decode extents into column batches (else rows): decided once, at
-    /// construction, from the fused plan by [`layout_rule`].
-    columnar: bool,
-    /// The plan feature that decided `columnar` (reported, never read back).
-    reason: &'static str,
 }
 
 impl MapperUnit {
@@ -56,41 +51,11 @@ impl MapperUnit {
             .map_err(TimrError::Temporal)?
             .into_owned();
         let output_payload = plan.schema_of(plan.roots()[0]).clone();
-        let (columnar, reason) = layout_rule(&plan);
         Ok(MapperUnit {
             plan,
             binding,
             output_payload,
-            columnar,
-            reason,
         })
-    }
-
-    /// Whether this unit decodes its extents to columns, and the plan
-    /// feature that decided it.
-    pub(crate) fn layout(&self) -> (bool, &'static str) {
-        (self.columnar, self.reason)
-    }
-}
-
-/// The map-side layout rule. Transposing dataset rows into a column batch
-/// pays only when the pushed fragment *computes*: a partial aggregate (the
-/// only non-stateless node a mapper plan can hold) or a projection runs on
-/// the kernels, while a prefix that only filters and rewrites lifetimes is
-/// cheaper on the in-place row operators (measured on `dash_pushdown` and
-/// `bt_timr`, one workload on each side — DESIGN.md, "The engine").
-fn layout_rule(plan: &LogicalPlan) -> (bool, &'static str) {
-    let is_partial = |op: &Operator| !matches!(op, Operator::Source { .. }) && !op.is_stateless();
-    let projects = |op: &Operator| {
-        matches!(op, Operator::FusedFragment { steps }
-            if steps.iter().any(|s| matches!(s, FusedStep::Project { .. })))
-    };
-    if plan.nodes().iter().any(|n| is_partial(&n.op)) {
-        (true, "partial aggregate")
-    } else if plan.nodes().iter().any(|n| projects(&n.op)) {
-        (true, "project step")
-    } else {
-        (false, "filter-only prefix")
     }
 }
 
@@ -117,9 +82,9 @@ impl Mapper for DsmsMapper {
         })
     }
 
-    fn map(&self, ctx: &MapperContext, rows: &[Row]) -> mapreduce::Result<Option<Vec<Row>>> {
+    fn map(&self, ctx: &MapperContext, batch: ColumnBatch) -> mapreduce::Result<ColumnBatch> {
         let Some(unit) = self.units.get(ctx.input).and_then(Option::as_ref) else {
-            return Ok(None);
+            return Ok(batch);
         };
         let to_mr = |e: TimrError| MrError::Reducer {
             stage: ctx.stage.clone(),
@@ -127,23 +92,13 @@ impl Mapper for DsmsMapper {
             message: format!("mapper input {}: {e}", ctx.input),
         };
         let mut sources: DataBindings = FxHashMap::default();
-        let binding = &unit.binding;
-        let data = if unit.columnar {
-            bind_rows(binding, rows)
-        } else {
-            binding
-                .encoding
-                .decode_stream(rows, &binding.payload)
-                .map(StreamData::Rows)
-        }
-        .map_err(to_mr)?;
-        sources.insert(binding.source_name.clone(), data);
+        let data = bind_input(&unit.binding, batch).map_err(to_mr)?;
+        sources.insert(unit.binding.source_name.clone(), data);
         let (mut roots, _) = temporal::exec::execute_data(&unit.plan, sources, &ctx.dsms_pool)
             .map_err(|e| to_mr(TimrError::Temporal(e)))?;
         let root = roots.pop().expect("mapper plans have exactly one root");
         EventEncoding::Interval
             .encode_extent_order(root)
-            .map(Some)
             .map_err(to_mr)
     }
 }
@@ -153,7 +108,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use relation::schema::{ColumnType, Field};
-    use relation::Value;
+    use relation::{Row, Value};
+    use temporal::exec::StreamData;
     use temporal::expr::{col, lit};
     use temporal::plan::{push_down, Query};
     use temporal::Expr;
@@ -166,15 +122,12 @@ mod tests {
         ])
     }
 
-    /// Point-framed dataset rows; `kind` flips cells to Null and, rarely,
-    /// puts an Int where the schema says Long so the batch decode refuses
-    /// and the forced-columnar unit takes its row fallback.
+    /// Point-framed dataset rows; `kind` flips cells to Null.
     fn arb_rows() -> impl Strategy<Value = Vec<Row>> {
         let row = (0i64..500, 1i32..4, 0u8..4, -50i64..50, 0u8..40).prop_map(
             |(t, stream, user, v, kind)| {
                 let v = match kind {
                     0 => Value::Null,
-                    1 => Value::Int(v as i32),
                     _ => Value::Long(v),
                 };
                 let user = if kind == 2 {
@@ -203,7 +156,7 @@ mod tests {
     /// A random pushable prefix — filters, an optional projection, an
     /// optional window — ending either in a keyed hopping count (whose
     /// partial aggregate pushes map-side) or at the exchange.
-    fn mapper_unit(shape: (usize, usize, i64, bool, bool, bool)) -> (MapperUnit, &'static str) {
+    fn mapper_unit(shape: (usize, usize, i64, bool, bool, bool)) -> MapperUnit {
         let (p1, p2, thresh, project, window, partial) = shape;
         let q = Query::new();
         let mut s = q.source("logs", payload()).filter(predicate(p1, thresh));
@@ -237,43 +190,47 @@ mod tests {
             encoding: EventEncoding::Point,
             payload: payload(),
         };
-        let expected = if mp.partial_agg {
-            "partial aggregate"
-        } else if project {
-            "project step"
-        } else {
-            "filter-only prefix"
-        };
-        (MapperUnit::new(mp, binding).unwrap(), expected)
+        MapperUnit::new(mp, binding).unwrap()
     }
 
-    fn run(unit: MapperUnit, rows: &[Row]) -> std::result::Result<Vec<Row>, String> {
-        DsmsMapper::new(vec![Some(unit)])
-            .map(&MapperContext::standalone("s", 0, 0), rows)
-            .map(|out| out.expect("unit 0 maps"))
+    /// The unit over the extent `rows` seal into: its output's image, or
+    /// its error.
+    fn on_batch(unit: &MapperUnit, rows: &[Row]) -> std::result::Result<Vec<u8>, String> {
+        let schema = EventEncoding::Point.dataset_schema(&payload());
+        let extent = ColumnBatch::from_rows(&schema, rows).unwrap();
+        DsmsMapper::new(vec![Some(unit.clone())])
+            .map(&MapperContext::standalone("s", 0, 0), extent)
+            .map(|out| out.to_extent_bytes().unwrap())
             .map_err(|e| e.to_string())
+    }
+
+    /// The same plan over the rows themselves, decoded one by one.
+    fn on_rows(unit: &MapperUnit, rows: &[Row]) -> std::result::Result<Vec<u8>, String> {
+        let stream = EventEncoding::Point
+            .decode_stream(rows, &payload())
+            .unwrap();
+        let mut sources: DataBindings = FxHashMap::default();
+        sources.insert("logs".to_string(), StreamData::Rows(stream));
+        let pool = pool::WorkerPool::sequential();
+        let (mut roots, _) = temporal::exec::execute_data(&unit.plan, sources, &pool)
+            .map_err(|e| format!("reducer failed in `s` partition 0: mapper input 0: {e}"))?;
+        let out = EventEncoding::Interval.encode_extent_order(roots.pop().unwrap());
+        Ok(out.unwrap().to_extent_bytes().unwrap())
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// The compile-time layout rule can never change bytes: the same
-        /// mapper plan forced to rows and forced to batches emits identical
-        /// rows (or the identical error), and the rule reports the reason
-        /// the plan shape implies.
+        /// A mapper reads its extent as a batch and returns one, and the
+        /// layout can never change bytes: the image it emits is the image
+        /// the same plan emits over the extent's rows (or the same error).
         #[test]
-        fn mapper_output_is_layout_invariant(
+        fn mapper_output_is_the_row_plans_output(
             rows in arb_rows(),
             shape in (0usize..4, 0usize..4, -20i64..20, any::<bool>(), any::<bool>(), any::<bool>()),
         ) {
-            let (unit, expected_reason) = mapper_unit(shape);
-            let (columnar, reason) = unit.layout();
-            prop_assert_eq!(reason, expected_reason);
-            prop_assert_eq!(columnar, reason != "filter-only prefix");
-            let (mut on_rows, mut on_batches) = (unit.clone(), unit);
-            on_rows.columnar = false;
-            on_batches.columnar = true;
-            prop_assert_eq!(run(on_rows, &rows), run(on_batches, &rows));
+            let unit = mapper_unit(shape);
+            prop_assert_eq!(on_batch(&unit, &rows), on_rows(&unit, &rows));
         }
     }
 }

@@ -237,22 +237,14 @@ mod tests {
     }
 
     #[test]
-    fn compiled_job_reports_the_map_side_layout_and_why() {
-        // The pushed prefix is a lone filter: nothing to compute, so the
-        // mapper stays on the row operators — and the job says so.
+    fn compiled_job_reports_the_map_side_and_why() {
+        // The pushed prefix is a lone filter, and the job says why the
+        // sliding-window count behind it stayed whole.
         let compiled = click_count_job(4).compile().unwrap();
         assert_eq!(compiled.pushed_ops, 1);
-        let layouts: Vec<_> = compiled
-            .mapper_layouts
-            .iter()
-            .map(|l| (l.input.as_str(), l.columnar, l.reason))
-            .collect();
-        assert_eq!(layouts, [("logs", false, "filter-only prefix")]);
         let text = compiled.to_string();
-        // ... and why the sliding-window count behind it stayed whole.
         assert!(
             text.contains("map side: pushed_ops=1 pushed_partials=0")
-                && text.contains("<- logs: decodes to rows (filter-only prefix)")
                 && text.contains("<- logs: no partial aggregate (not a hopping aggregate)"),
             "{text}"
         );

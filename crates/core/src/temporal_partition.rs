@@ -15,7 +15,7 @@
 //! `s` ⇒ few spans) — the U-shaped curve of paper Fig 16.
 
 use crate::bridge::EventEncoding;
-use crate::compile::{bind_reduce_input, InputBinding};
+use crate::compile::{bind_input, InputBinding};
 use crate::error::{Result, TimrError};
 use mapreduce::{
     Cluster, Dataset, Dfs, MrError, Partitioner, Reducer, ReducerContext, Stage, StageStats,
@@ -88,12 +88,16 @@ impl TemporalPartitionJob {
         let input = dfs.get(&source_name)?;
 
         // ---- map/expand phase: replicate rows into overlapping spans ----
-        // Both passes stream over the shared DFS partitions; nothing is
-        // copied until the replicated (span, row) pairs are built.
+        // Both passes read the dataset's rows, decoded once (a damaged
+        // extent is the DFS's `Corrupt` error).
+        let mut rows = Vec::with_capacity(input.len());
+        for i in 0..input.partitions.len() {
+            rows.extend(input.batch(i)?.to_rows());
+        }
         let time_idx = input.schema.index_of(relation::schema::TIME_COLUMN)?;
         let mut min_t = Time::MAX;
         let mut max_t = Time::MIN;
-        for r in input.iter() {
+        for r in &rows {
             let t = r
                 .get(time_idx)
                 .as_long()
@@ -111,7 +115,7 @@ impl TemporalPartitionJob {
         let n_spans = (((max_t - t0) / s) + 1) as usize;
 
         let mut expanded: Vec<Row> = Vec::with_capacity(input.len() * 2);
-        for r in input.iter() {
+        for r in &rows {
             let t = r.get(time_idx).as_long().expect("validated above");
             let d = t - t0;
             let lo = d / s; // first span whose input range contains t
@@ -200,7 +204,7 @@ impl Reducer for SpanReducer {
         &self,
         ctx: &ReducerContext,
         mut inputs: Vec<ColumnBatch>,
-    ) -> mapreduce::Result<Vec<Vec<Row>>> {
+    ) -> mapreduce::Result<Vec<ColumnBatch>> {
         let to_mr = |m: String| MrError::Reducer {
             stage: ctx.stage.clone(),
             partition: ctx.partition,
@@ -215,15 +219,12 @@ impl Reducer for SpanReducer {
             .into_parts();
         columns.remove(0);
         let stripped = ColumnBatch::new(Schema::new(schema.fields()[1..].to_vec()), columns, rows);
-        let data = bind_reduce_input(&self.source, stripped).map_err(|e| to_mr(e.to_string()))?;
+        let data = bind_input(&self.source, stripped).map_err(|e| to_mr(e.to_string()))?;
         let mut sources: DataBindings = FxHashMap::default();
         sources.insert(self.source.source_name.clone(), data);
         let (mut roots, _) = temporal::exec::execute_data(&self.plan, sources, &ctx.dsms_pool)
             .map_err(|e| to_mr(e.to_string()))?;
-        let result = roots
-            .pop()
-            .expect("span plans have exactly one root")
-            .into_stream();
+        let result = roots.pop().expect("span plans have exactly one root");
 
         // Owned interval: [t0 + s·p, t0 + s·(p+1)), extended to ±∞ at the
         // first and last span so boundary output is never lost.
@@ -239,18 +240,37 @@ impl Reducer for SpanReducer {
             self.t0 + self.span_width * (span + 1)
         };
         let own = Lifetime::new(own_start, own_end);
-
-        let schema = result.schema().clone();
-        let clipped = (result.into_events().into_iter())
-            .filter_map(|mut e| {
-                e.lifetime = e.lifetime.intersect(&own)?;
-                Some(e)
-            })
-            .collect();
-        let clipped = StreamData::Rows(temporal::EventStream::new(schema, clipped));
         Ok(vec![EventEncoding::Interval
-            .encode_sink(clipped)
+            .encode_sink(clip(result, &own))
             .map_err(|e| to_mr(e.to_string()))?])
+    }
+}
+
+/// Every event's lifetime intersected with `own`; events outside it drop.
+fn clip(data: StreamData, own: &Lifetime) -> StreamData {
+    match data {
+        StreamData::Rows(stream) => {
+            let schema = stream.schema().clone();
+            let clipped = (stream.into_events().into_iter())
+                .filter_map(|mut e| {
+                    e.lifetime = e.lifetime.intersect(own)?;
+                    Some(e)
+                })
+                .collect();
+            StreamData::Rows(temporal::EventStream::new(schema, clipped))
+        }
+        StreamData::Batch(mut batch) => {
+            let (vt, ve) = batch.times_mut();
+            let mut kept = Vec::with_capacity(vt.len());
+            for (k, (le, re)) in vt.iter_mut().zip(ve.iter_mut()).enumerate() {
+                (*le, *re) = ((*le).max(own.start), (*re).min(own.end));
+                if le < re {
+                    kept.push(k as u32);
+                }
+            }
+            batch.compact(&kept);
+            StreamData::Batch(batch)
+        }
     }
 }
 

@@ -28,7 +28,7 @@ use crate::dfs::{Dataset, StoredExtent};
 use crate::error::TaskError;
 use crate::job::{CompiledPartitioner, Stage};
 use pool::WorkerPool;
-use relation::{Row, Schema};
+use relation::Schema;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -135,10 +135,10 @@ pub(crate) struct StageEnv<'a> {
     pub expected_sinks: usize,
 }
 
-/// One reduce partition's result: per sink, the rows and the stored form
-/// the task sealed them into, plus measured reduce and seal time.
+/// One reduce partition's result: per sink, the extent the task sealed,
+/// plus measured reduce and seal time.
 pub(crate) struct ReduceOut {
-    pub sinks: Vec<(Vec<Row>, StoredExtent)>,
+    pub sinks: Vec<StoredExtent>,
     pub reduce_time: Duration,
     pub seal_time: Duration,
 }

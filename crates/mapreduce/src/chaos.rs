@@ -16,16 +16,16 @@
 //!   runs byte-for-byte.
 //! - [`RetryPolicy`] is the cluster's answer: bounded attempts with
 //!   deterministic, jitter-free exponential backoff.
-//! - [`ExtentFrame`] is the integrity layer: a length + FxHash checksum
-//!   frame over a row extent, computed when data is produced and verified
-//!   when it is consumed, so corruption surfaces as a typed error instead
-//!   of silently wrong output.
+//!
+//! The integrity layer is the extent image itself: every image carries
+//! per-column FxHash frames and a framed footer ([`relation::extent`]), so
+//! corruption a plan injects surfaces as a typed error on decode instead of
+//! silently wrong output.
 
 use crate::error::TaskPhase;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use relation::hash::stable_hash;
-use relation::Row;
 use std::time::Duration;
 
 /// Prefix of every panic payload the chaos engine injects. Used by the
@@ -420,50 +420,6 @@ impl RetryPolicy {
     }
 }
 
-/// A length + checksum integrity frame over one extent of rows.
-///
-/// Computed when an extent is produced (DFS put, shuffle merge, persist
-/// save) and verified when it is consumed (map scan, shuffle fetch,
-/// persist load). The checksum is the workspace-wide stable FxHash over
-/// the row vector — the same deterministic hash partitioning uses — so a
-/// frame is itself reproducible across runs and thread counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExtentFrame {
-    /// Number of rows framed.
-    pub rows: u64,
-    /// Stable FxHash of the framed rows.
-    pub checksum: u64,
-}
-
-impl ExtentFrame {
-    /// Frame an extent.
-    pub fn compute(rows: &[Row]) -> Self {
-        ExtentFrame {
-            rows: rows.len() as u64,
-            checksum: stable_hash(&rows),
-        }
-    }
-
-    /// Check `rows` against this frame; `Err` describes the mismatch.
-    pub fn verify(&self, rows: &[Row]) -> Result<(), String> {
-        if rows.len() as u64 != self.rows {
-            return Err(format!(
-                "length mismatch: {} row(s), frame says {}",
-                rows.len(),
-                self.rows
-            ));
-        }
-        let checksum = stable_hash(&rows);
-        if checksum != self.checksum {
-            return Err(format!(
-                "checksum mismatch: {checksum:#018x}, frame says {:#018x}",
-                self.checksum
-            ));
-        }
-        Ok(())
-    }
-}
-
 /// Install (once per process) a chained panic hook that swallows panics
 /// whose payload starts with [`INJECTED_PANIC_MARKER`], delegating every
 /// other panic to the previously installed hook. Injected panics are
@@ -488,7 +444,6 @@ pub fn install_quiet_injected_panic_hook() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relation::Value;
 
     #[test]
     fn clean_plan_never_faults() {
@@ -643,37 +598,5 @@ mod tests {
         assert_eq!(policy.backoff_after(3), Duration::from_millis(55));
         assert_eq!(policy.backoff_after(60), Duration::from_millis(55));
         assert_eq!(RetryPolicy::no_backoff(3).backoff_after(0), Duration::ZERO);
-    }
-
-    fn row(k: i32) -> Row {
-        Row::new(vec![Value::Int(k), Value::Str(format!("v{k}").into())])
-    }
-
-    #[test]
-    fn frame_verifies_clean_rows_and_rejects_any_damage() {
-        let rows: Vec<Row> = (0..10).map(row).collect();
-        let frame = ExtentFrame::compute(&rows);
-        assert!(frame.verify(&rows).is_ok());
-
-        let mut truncated = rows.clone();
-        truncated.pop();
-        let err = frame.verify(&truncated).unwrap_err();
-        assert!(err.contains("length mismatch"), "{err}");
-
-        let mut flipped = rows.clone();
-        flipped[4] = row(999);
-        let err = frame.verify(&flipped).unwrap_err();
-        assert!(err.contains("checksum mismatch"), "{err}");
-
-        let mut swapped = rows.clone();
-        swapped.swap(0, 9);
-        assert!(frame.verify(&swapped).is_err(), "order is part of the data");
-    }
-
-    #[test]
-    fn empty_extent_frames_work() {
-        let frame = ExtentFrame::compute(&[]);
-        assert!(frame.verify(&[]).is_ok());
-        assert!(frame.verify(&[row(1)]).is_err());
     }
 }

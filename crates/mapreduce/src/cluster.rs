@@ -10,7 +10,7 @@
 //! copies from — pool threads running them in place by default, forked
 //! worker processes via [`BackendKind::Processes`].
 //!
-//! Every attempt of every task (map scan, shuffle fetch, reduce):
+//! Every attempt of every task (map decode, shuffle fetch, reduce):
 //!
 //! 1. asks the configured [`ChaosPlan`] whether this
 //!    `(stage, phase, task, attempt)` coordinate is scheduled for a fault
@@ -35,14 +35,13 @@
 
 use crate::backend::{BackendKind, FaultCounters, ReduceOut, SpeculationPolicy, StageEnv};
 use crate::chaos::{self, ChaosPlan, RetryPolicy};
-use crate::dfs::{Dataset, Dfs, StoredExtent};
+use crate::dfs::{conform, Dataset, Dfs, StoredExtent};
 use crate::error::{MrError, Result, TaskError};
 use crate::job::{MapperContext, ReducerContext, Stage};
 use crate::scheduler::{run_phase, InPlace, Ledger, Worker};
 use crate::stats::{JobStats, StageStats};
 use pool::WorkerPool;
-use relation::column::ColumnBuilder;
-use relation::{ColumnBatch, RelationError, Row, Schema};
+use relation::{ColumnBatch, Schema};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -193,138 +192,63 @@ impl Drop for ShuffleChunk {
     }
 }
 
-/// One partition's share of the extent a map task is scanning. The cells
-/// of each borrowed row go straight into typed column builders — no row is
-/// cloned and nothing is transposed later — and the open chunk seals into
-/// a framed binary extent once its row widths reach `target`, and when the
-/// extent ends. Chunk boundaries are therefore a pure function of
-/// `(input, extent, partition, target)`, and, the extent encoding being
-/// canonical, so are the bytes: a retry, a rebuild after corruption and a
-/// worker process all produce the same chunks.
-struct PartitionSealer<'a> {
-    schema: &'a Schema,
-    target: u64,
-    /// Rows to size a chunk's column builders for: the partition's even
-    /// share of the extent.
-    capacity: usize,
-    builders: Vec<ColumnBuilder>,
-    open_rows: usize,
-    open_bytes: u64,
-    sealed: Vec<Vec<u8>>,
-    seal_time: Duration,
-}
-
-impl<'a> PartitionSealer<'a> {
-    fn new(schema: &'a Schema, target: u64, capacity: usize) -> Self {
-        PartitionSealer {
-            schema,
-            target,
-            capacity,
-            builders: Vec::new(),
-            open_rows: 0,
-            open_bytes: 0,
-            sealed: Vec::new(),
-            seal_time: Duration::ZERO,
-        }
-    }
-
-    /// Add one row to the open chunk. Errors when the row does not inhabit
-    /// the schema: it has no place in a typed column.
-    fn push(&mut self, row: &Row, width: u64) -> relation::Result<()> {
-        if self.open_rows == 0 {
-            self.builders = (self.schema.fields().iter())
-                .map(|f| ColumnBuilder::new(f, self.capacity))
-                .collect();
-        }
-        if row.len() != self.builders.len() {
-            return Err(RelationError::ArityMismatch {
-                expected: self.builders.len(),
-                actual: row.len(),
-            });
-        }
-        for (builder, value) in self.builders.iter_mut().zip(row.values()) {
-            builder.push(value)?;
-        }
-        self.open_rows += 1;
-        self.open_bytes += width;
-        if self.open_bytes >= self.target {
-            self.seal()?;
-        }
-        Ok(())
-    }
-
-    fn seal(&mut self) -> relation::Result<()> {
-        if self.open_rows == 0 {
-            return Ok(());
-        }
-        let start = Instant::now();
-        let columns = std::mem::take(&mut self.builders)
-            .into_iter()
-            .map(ColumnBuilder::finish)
-            .collect();
-        let rows = std::mem::take(&mut self.open_rows);
-        let chunk = ColumnBatch::new(self.schema.clone(), columns, rows).to_extent_bytes()?;
-        self.sealed.push(chunk);
-        self.open_bytes = 0;
-        self.seal_time += start.elapsed();
-        Ok(())
-    }
-}
-
-/// One mapped extent, partitioned and sealed.
-struct SealedExtent {
-    /// `chunks[p]`: partition `p`'s sealed chunks, in row order.
-    chunks: Vec<Vec<Vec<u8>>>,
-    /// Sum of the kept rows' widths.
-    bytes: u64,
-    seal_time: Duration,
-}
-
-/// Partition the mapped rows of extent `e` of stage input `i` and seal
-/// each partition's rows into chunks. With `only`, rows of every other
-/// partition are dropped: a partition's chunks depend on its own rows
-/// alone, so the one kept comes out exactly as the full scan sealed it.
-/// A row that does not inhabit the mapped schema — whether the source
-/// extent held it or the mapper emitted it — is [`MrError::IllTyped`].
+/// Partition the mapped extent `e` of stage input `i` and seal each
+/// partition's rows, gathered in row order, into chunks — cut where the
+/// rows' widths reach the stage's `chunk_target`, and where the extent ends.
+/// Chunk boundaries are therefore a pure function of `(input, extent,
+/// partition, target)`, and, the extent encoding being canonical, so are
+/// the bytes: a retry, a rebuild after corruption and a worker process all
+/// produce the same chunks. With `only`, rows of every other partition are
+/// dropped: a partition's chunks depend on its own rows alone, so the one
+/// kept comes out exactly as the full scan sealed it.
 fn seal_extent(
     env: &StageEnv<'_>,
     i: usize,
     e: usize,
-    mapped: &[Row],
+    mapped: &ColumnBatch,
     only: Option<usize>,
-) -> std::result::Result<SealedExtent, TaskError> {
+) -> std::result::Result<Vec<Vec<Vec<u8>>>, TaskError> {
     let partitions = env.stage.partitions;
-    let partitioner = &env.assigners[i];
-    let capacity = mapped.len() / partitions;
-    let mut sealers: Vec<PartitionSealer<'_>> = (0..partitions)
-        .map(|_| PartitionSealer::new(&env.mapped_schemas[i], env.chunk_target, capacity))
-        .collect();
-    let ill_typed = |cause| MrError::IllTyped {
-        site: format!("`{}` map input {i} extent {e}", env.stage.name),
-        cause,
-    };
-    let mut bytes = 0u64;
-    for row in mapped {
-        let p = partitioner.assign(row, partitions)?;
-        if only.is_some_and(|keep| keep != p) {
-            continue;
+    let mut rows: Vec<Vec<u32>> = vec![Vec::new(); partitions];
+    for (r, p) in env.assigners[i]
+        .assign_batch(mapped, partitions)?
+        .into_iter()
+        .enumerate()
+    {
+        if only.is_none_or(|keep| keep == p) {
+            rows[p].push(r as u32);
         }
-        let width = row.width() as u64;
-        bytes += width;
-        sealers[p].push(row, width).map_err(ill_typed)?;
     }
-    let mut seal_time = Duration::ZERO;
+    let seal = |idx: &[u32]| {
+        let image = match idx.len() == mapped.len() {
+            true => mapped.to_extent_bytes(),
+            false => mapped.gather(idx).to_extent_bytes(),
+        };
+        image.map_err(|cause| MrError::IllTyped {
+            site: format!("`{}` map input {i} extent {e}", env.stage.name),
+            cause,
+        })
+    };
+    let widths = (env.chunk_target < u64::MAX).then(|| mapped.row_widths());
     let mut chunks = Vec::with_capacity(partitions);
-    for mut sealer in sealers {
-        sealer.seal().map_err(ill_typed)?;
-        seal_time += sealer.seal_time;
-        chunks.push(sealer.sealed);
+    for idx in &rows {
+        let (mut sealed, mut from) = (Vec::new(), 0);
+        if let Some(widths) = &widths {
+            let mut open = 0;
+            for (k, &r) in idx.iter().enumerate() {
+                open += widths[r as usize];
+                if open >= env.chunk_target {
+                    sealed.push(seal(&idx[from..=k])?);
+                    (from, open) = (k + 1, 0);
+                }
+            }
+        }
+        if from < idx.len() {
+            sealed.push(seal(&idx[from..])?);
+        }
+        chunks.push(sealed);
     }
-    Ok(SealedExtent {
-        chunks,
-        bytes,
-        seal_time,
-    })
+    Ok(chunks)
 }
 
 /// One reduce partition's shuffled inputs: per stage input, the chunks
@@ -395,10 +319,10 @@ pub(crate) fn verify_slot(slot: &ShuffleSlot) -> Option<String> {
     None
 }
 
-/// Re-run the producing side of one reduce partition: rescan every
-/// (verified) input extent in the deterministic `(input, extent)` merge
-/// order, re-apply the stage mapper, and seal the rows assigned to `p`
-/// with the very function the map tasks used ([`seal_extent`]). Because
+/// Re-run the producing side of one reduce partition: decode every input
+/// extent in the deterministic `(input, extent)` merge order, re-apply the
+/// stage mapper, and seal the rows assigned to `p` with the very functions
+/// the map tasks used ([`map_extent`], [`seal_extent`]). Because
 /// the mapper and partitioner are pure and sealing is deterministic, the
 /// rebuilt chunks are byte-identical to the ones the map tasks produced —
 /// spilled chunks are rewritten in place — so re-execution *is* recovery
@@ -410,11 +334,9 @@ pub(crate) fn rebuild_slot(
 ) -> std::result::Result<(), TaskError> {
     for (i, dataset) in env.inputs.iter().enumerate() {
         let mut rebuilt: Vec<Vec<u8>> = Vec::new();
-        for (e, extent) in dataset.partitions.iter().enumerate() {
-            dataset.verify_extent(e).map_err(read_error)?;
-            let mapped = apply_mapper(env.stage, env.dsms_pool, i, e, 0, extent)?;
-            let mut sealed = seal_extent(env, i, e, &mapped, Some(p))?;
-            rebuilt.append(&mut sealed.chunks[p]);
+        for e in 0..dataset.partitions.len() {
+            let mapped = map_extent(env, i, e, 0)?;
+            rebuilt.append(&mut seal_extent(env, i, e, &mapped, Some(p))?[p]);
         }
         // Put the rebuilt contents back where the originals lived:
         // spilled chunks are rewritten in place, everything else lands in
@@ -479,36 +401,38 @@ pub(crate) fn fetch_inputs(
     Ok(out)
 }
 
-/// Run the stage mapper (when present) over one extent's rows. Borrowed
-/// passthrough for mapper-less stages and identity inputs, so the
-/// partition-only hot path copies nothing extra. Mapper errors are
-/// deterministic (mappers are pure), hence fatal.
-fn apply_mapper<'a>(
-    stage: &Stage,
-    dsms_pool: &Arc<WorkerPool>,
-    input: usize,
-    extent: usize,
+/// Decode extent `e` of stage input `i` — which verifies every frame of its
+/// image, so damage is [`TaskError::Corrupt`] on every attempt — and run the
+/// stage mapper, if any, over it. Mapper errors are deterministic (mappers
+/// are pure), hence fatal; a batch that is not of the mapped schema is
+/// [`MrError::IllTyped`].
+fn map_extent(
+    env: &StageEnv<'_>,
+    i: usize,
+    e: usize,
     attempt: usize,
-    rows: &'a [Row],
-) -> std::result::Result<std::borrow::Cow<'a, [Row]>, TaskError> {
-    let Some(mapper) = &stage.mapper else {
-        return Ok(std::borrow::Cow::Borrowed(rows));
+) -> std::result::Result<ColumnBatch, TaskError> {
+    let batch = env.inputs[i].batch(e).map_err(read_error)?;
+    let Some(mapper) = &env.stage.mapper else {
+        return Ok(batch);
     };
     let ctx = MapperContext {
-        stage: stage.name.clone(),
-        input,
-        extent,
+        stage: env.stage.name.clone(),
+        input: i,
+        extent: e,
         attempt,
-        dsms_pool: Arc::clone(dsms_pool),
+        dsms_pool: Arc::clone(env.dsms_pool),
     };
-    match mapper.map(&ctx, rows)? {
-        Some(out) => Ok(std::borrow::Cow::Owned(out)),
-        None => Ok(std::borrow::Cow::Borrowed(rows)),
-    }
+    let mapped = mapper.map(&ctx, batch)?;
+    conform(&env.mapped_schemas[i], mapped.schema()).map_err(|cause| MrError::IllTyped {
+        site: format!("`{}` map input {i} extent {e}", env.stage.name),
+        cause,
+    })?;
+    Ok(mapped)
 }
 
-/// One map task attempt: scan input `i` extent `e`, apply the stage
-/// mapper, and partition and seal the rows into per-partition chunks
+/// One map task attempt: decode input `i` extent `e`, apply the stage
+/// mapper, and partition and seal its rows into per-partition chunks
 /// ([`seal_extent`]). Pool threads call it in place and worker processes
 /// in their own address space, so whoever executes the task, the chunks it
 /// contributes are identical.
@@ -521,36 +445,28 @@ pub(crate) fn run_map_task(
 ) -> std::result::Result<MapTaskOut, TaskError> {
     if corrupt {
         // A bad replica read: the extent this attempt saw does not match
-        // its frame. The retry re-reads.
+        // its frames. The retry re-reads.
         return Err(TaskError::Corrupt {
             what: format!("injected bad read of input {i} extent {e}"),
         });
     }
-    // The first read consumes the very buffer the frame was computed
-    // from, so verifying it would hash memory against itself. A retry
-    // models a re-read from another replica — that boundary crossing is
-    // verified.
-    if attempt > 0 {
-        env.inputs[i].verify_extent(e).map_err(read_error)?;
-    }
     // Map-side compute runs here, inside the chaos/retry/integrity
     // envelope, before partitioning.
     let raw = &env.inputs[i].partitions[e];
-    let mapped = apply_mapper(env.stage, env.dsms_pool, i, e, attempt, raw)?;
-    let sealed = seal_extent(env, i, e, &mapped, None)?;
-    let bytes_saved = if env.stage.mapper.is_some() {
-        let raw_bytes = env.inputs[i].extents()[e].width;
-        raw_bytes.saturating_sub(sealed.bytes)
-    } else {
-        0
+    let mapped = map_extent(env, i, e, attempt)?;
+    let start = Instant::now();
+    let chunks = seal_extent(env, i, e, &mapped, None)?;
+    let (bytes, bytes_saved) = match env.stage.mapper {
+        Some(_) => (mapped.width(), raw.width.saturating_sub(mapped.width())),
+        None => (raw.width, 0),
     };
     Ok(MapTaskOut {
-        chunks: sealed.chunks,
-        rows_in: raw.len() as u64,
+        chunks,
+        rows_in: raw.rows,
         rows_out: mapped.len() as u64,
-        bytes: sealed.bytes,
+        bytes,
         bytes_saved,
-        seal_time: sealed.seal_time,
+        seal_time: start.elapsed(),
     })
 }
 
@@ -558,11 +474,10 @@ pub(crate) fn run_map_task(
 /// it consumes: the reducer takes them by value, and a retry fetches the
 /// slot again ([`fetch_inputs`]). The reducer is a pure function of the
 /// (verified) partition, so every retry — on any worker — reproduces the
-/// same rows. Each sink's stored form
-/// (row frame plus binary image) is computed here, inside the task, so the
+/// same batches. Each sink's extent is sealed here, inside the task, so the
 /// coordinator publishes finished extents instead of encoding them one
-/// partition at a time after the pool has gone idle. A sink row that does
-/// not inhabit its sink schema is [`MrError::IllTyped`].
+/// partition at a time after the pool has gone idle. A sink batch that is
+/// not of its sink's schema is [`MrError::IllTyped`].
 pub(crate) fn run_reduce_task(
     env: &StageEnv<'_>,
     p: usize,
@@ -588,12 +503,12 @@ pub(crate) fn run_reduce_task(
     }
     let reduce_time = start.elapsed();
     let mut sinks = Vec::with_capacity(out.len());
-    for (sink, (rows, schema)) in out.into_iter().zip(env.sink_schemas).enumerate() {
-        let stored = StoredExtent::seal(schema, &rows).map_err(|cause| MrError::IllTyped {
+    for (sink, (batch, schema)) in out.iter().zip(env.sink_schemas).enumerate() {
+        let stored = StoredExtent::seal(schema, batch).map_err(|cause| MrError::IllTyped {
             site: format!("`{}` reduce sink {sink} partition {p}", env.stage.name),
             cause,
         })?;
-        sinks.push((rows, stored));
+        sinks.push(stored);
     }
     Ok(ReduceOut {
         sinks,
@@ -834,7 +749,7 @@ impl Cluster {
             .iter()
             .map(|n| dfs.get(n))
             .collect::<Result<Vec<_>>>()?;
-        // Mapper fragments rewrite rows before partitioning, so everything
+        // Mapper fragments rewrite extents before partitioning, so everything
         // downstream of the map phase — partitioners, chunk sealing,
         // rebuilds, reducer sink schemas — sees the *mapped* schema.
         let mapped_schemas: Vec<Schema> = match stage.mapper.as_ref() {
@@ -892,13 +807,8 @@ impl Cluster {
         // ---- collect ----
         // Nothing is published until every partition result is Ok, so a
         // failed attempt can never leave partial output in the DFS.
-        let mut sinks_out: Vec<(Vec<Vec<Row>>, Vec<StoredExtent>)> = (0..expected_sinks)
-            .map(|_| {
-                (
-                    Vec::with_capacity(stage.partitions),
-                    Vec::with_capacity(stage.partitions),
-                )
-            })
+        let mut sinks_out: Vec<Vec<StoredExtent>> = (0..expected_sinks)
+            .map(|_| Vec::with_capacity(stage.partitions))
             .collect();
         let mut sink_rows = vec![0u64; expected_sinks];
         let mut partition_times = Vec::with_capacity(stage.partitions);
@@ -908,11 +818,10 @@ impl Cluster {
             let out = result?;
             partition_times.push(out.reduce_time);
             seal_time += out.seal_time;
-            for (sink, (rows, stored)) in out.sinks.into_iter().enumerate() {
-                output_rows += rows.len() as u64;
-                sink_rows[sink] += rows.len() as u64;
-                sinks_out[sink].0.push(rows);
-                sinks_out[sink].1.push(stored);
+            for (sink, stored) in out.sinks.into_iter().enumerate() {
+                output_rows += stored.rows;
+                sink_rows[sink] += stored.rows;
+                sinks_out[sink].push(stored);
             }
         }
         let reduce_wall_time = reduce_start.elapsed();
@@ -921,11 +830,9 @@ impl Cluster {
         // The reduce tasks sealed every extent; the coordinator only names
         // them.
         let publish_start = Instant::now();
-        for ((name, out_schema), (partitions_out, extents)) in
-            stage.sink_names().zip(sink_schemas).zip(sinks_out)
-        {
-            let output = Dataset::from_stored(out_schema, partitions_out, extents);
-            dfs.put_overwrite(name, output);
+        for ((name, schema), extents) in stage.sink_names().zip(sink_schemas).zip(sinks_out) {
+            let partitions = Arc::new(extents);
+            dfs.put_overwrite(name, Dataset { schema, partitions });
         }
         let publish_time = publish_start.elapsed();
 
@@ -981,7 +888,7 @@ mod tests {
     use crate::job::{IdentityReducer, Mapper, Partitioner, Reducer, ReducerRef};
     use proptest::prelude::*;
     use relation::schema::{ColumnType, Field};
-    use relation::{row, Schema, Value};
+    use relation::{row, Row, Schema, Value};
     use std::sync::Arc;
 
     fn schema() -> Schema {
@@ -1014,9 +921,17 @@ mod tests {
             ]))
         }
 
-        fn reduce(&self, ctx: &ReducerContext, inputs: Vec<ColumnBatch>) -> Result<Vec<Vec<Row>>> {
+        fn reduce(
+            &self,
+            ctx: &ReducerContext,
+            inputs: Vec<ColumnBatch>,
+        ) -> Result<Vec<ColumnBatch>> {
             let n: usize = inputs.iter().map(ColumnBatch::len).sum();
-            Ok(vec![vec![row![ctx.partition as i64, n as i64]]])
+            let row = row![ctx.partition as i64, n as i64];
+            Ok(vec![ColumnBatch::from_rows(
+                &self.output_schema(&[])?,
+                &[row],
+            )?])
         }
     }
 
@@ -1057,20 +972,21 @@ mod tests {
             Ok(vec![inputs[0].clone(), inputs[0].clone()])
         }
 
-        fn reduce(&self, _ctx: &ReducerContext, inputs: Vec<ColumnBatch>) -> Result<Vec<Vec<Row>>> {
-            let mut even = Vec::new();
-            let mut odd = Vec::new();
-            for input in &inputs {
-                for r in input.to_rows() {
-                    let ts = r.get(0).as_long().unwrap();
-                    if ts % 2 == 0 {
-                        even.push(r);
-                    } else {
-                        odd.push(r);
-                    }
-                }
-            }
-            Ok(vec![even, odd])
+        fn reduce(
+            &self,
+            _ctx: &ReducerContext,
+            inputs: Vec<ColumnBatch>,
+        ) -> Result<Vec<ColumnBatch>> {
+            let input = &inputs[0];
+            let ts = input.column(0);
+            let even: Vec<bool> = (0..input.len())
+                .map(|i| ts.value(i).as_long().unwrap() % 2 == 0)
+                .collect();
+            let odd: Vec<bool> = even.iter().map(|e| !e).collect();
+            let (mut a, mut b) = (input.clone(), input.clone());
+            a.retain(&even);
+            b.retain(&odd);
+            Ok(vec![a, b])
         }
     }
 
@@ -1149,7 +1065,7 @@ mod tests {
                 slots.iter().map(images).collect::<Vec<_>>()
             });
             let stats = cluster.run_stage(&dfs, &stage).unwrap();
-            let out = dfs.get("out").unwrap().partitions.as_ref().clone();
+            let out = dfs.get("out").unwrap().partitions;
             (buckets, out, stats)
         };
 
@@ -1199,7 +1115,7 @@ mod tests {
             dfs.put("in", multi_extent_input()).unwrap();
             let cluster = Cluster::with_config(config(4, chaos, 3));
             let stats = cluster.run_stage(&dfs, &count_stage(4)).unwrap();
-            (dfs.get("out").unwrap().partitions.as_ref().clone(), stats)
+            (dfs.get("out").unwrap().partitions, stats)
         };
         let (clean, s0) = run(ChaosPlan::none());
         let (killed, s1) = run(ChaosPlan::none()
@@ -1224,7 +1140,7 @@ mod tests {
             dfs.put("in", multi_extent_input()).unwrap();
             let cluster = Cluster::with_config(config(4, chaos, 3));
             let stats = cluster.run_stage(&dfs, &count_stage(4)).unwrap();
-            (dfs.get("out").unwrap().partitions.as_ref().clone(), stats)
+            (dfs.get("out").unwrap().partitions, stats)
         };
         let (clean, _) = run(ChaosPlan::none());
         // One corrupted map read and one corrupted (actually mutated, then
@@ -1344,7 +1260,11 @@ mod tests {
             fn output_schema(&self, inputs: &[Schema]) -> Result<Schema> {
                 Ok(inputs[0].clone())
             }
-            fn reduce(&self, ctx: &ReducerContext, _: Vec<ColumnBatch>) -> Result<Vec<Vec<Row>>> {
+            fn reduce(
+                &self,
+                ctx: &ReducerContext,
+                _: Vec<ColumnBatch>,
+            ) -> Result<Vec<ColumnBatch>> {
                 panic!("reducer bug in partition {}", ctx.partition);
             }
         }
@@ -1396,11 +1316,12 @@ mod tests {
                 &self,
                 _: &ReducerContext,
                 inputs: Vec<ColumnBatch>,
-            ) -> Result<Vec<Vec<Row>>> {
-                Ok(vec![vec![row![
-                    inputs[0].len() as i64,
-                    inputs[1].len() as i64
-                ]]])
+            ) -> Result<Vec<ColumnBatch>> {
+                let row = row![inputs[0].len() as i64, inputs[1].len() as i64];
+                Ok(vec![ColumnBatch::from_rows(
+                    &self.output_schema(&[])?,
+                    &[row],
+                )?])
             }
         }
         let dfs = Dfs::new();
@@ -1438,7 +1359,7 @@ mod tests {
                 ..ClusterConfig::default()
             });
             let stats = cluster.run_stage(&dfs, &count_stage(4)).unwrap();
-            let out = dfs.get("out").unwrap().partitions.as_ref().clone();
+            let out = dfs.get("out").unwrap().partitions;
             std::fs::remove_dir_all(&spill).ok();
             (out, stats)
         };
@@ -1476,7 +1397,7 @@ mod tests {
                 ..ClusterConfig::default()
             });
             let stats = cluster.run_stage(&dfs, &count_stage(4)).unwrap();
-            let out = dfs.get("out").unwrap().partitions.as_ref().clone();
+            let out = dfs.get("out").unwrap().partitions;
             std::fs::remove_dir_all(&spill).ok();
             (out, stats)
         };
@@ -1502,10 +1423,14 @@ mod tests {
                 &self,
                 _: &ReducerContext,
                 inputs: Vec<ColumnBatch>,
-            ) -> Result<Vec<Vec<Row>>> {
+            ) -> Result<Vec<ColumnBatch>> {
                 assert_eq!(inputs.len(), 1);
                 assert_eq!(inputs[0].schema(), &schema());
-                Ok(vec![vec![row![inputs[0].len() as i64]]])
+                let row = row![inputs[0].len() as i64];
+                Ok(vec![ColumnBatch::from_rows(
+                    &self.output_schema(&[])?,
+                    &[row],
+                )?])
             }
         }
         // Seven users over sixteen partitions: most partitions get no row.
@@ -1654,19 +1579,17 @@ mod tests {
     fn expected_images(stage: &Stage, extents: &[Vec<Row>], target: u64) -> Vec<Vec<Vec<Vec<u8>>>> {
         let schema = keyed_schema();
         let assign = stage.partitioner.compile(&schema).unwrap();
-        let seal = |piece: &[Row]| {
-            let stored = StoredExtent::seal(&schema, piece).unwrap();
-            stored.bytes.as_ref().clone()
-        };
+        let batch = |piece: &[Row]| ColumnBatch::from_rows(&schema, piece).unwrap();
+        let seal = |piece: &[Row]| batch(piece).to_extent_bytes().unwrap();
         (0..stage.partitions)
             .map(|p| {
                 let mut chunks = Vec::new();
                 for extent in extents {
                     let (mut piece, mut width) = (Vec::new(), 0u64);
-                    for row in extent {
-                        if assign.assign(row, stage.partitions).unwrap() != p {
-                            continue;
-                        }
+                    let buckets = assign
+                        .assign_batch(&batch(extent), stage.partitions)
+                        .unwrap();
+                    for (row, _) in extent.iter().zip(buckets).filter(|&(_, b)| b == p) {
                         width += row.width() as u64;
                         piece.push(row.clone());
                         if width >= target {
@@ -1811,7 +1734,7 @@ mod tests {
                     with_workers!(cluster, env, |workers| cluster
                         .reduce(env, workers, &shuffle))
                     .into_iter()
-                    .map(|out| out.unwrap().sinks[0].1.bytes.as_ref().clone())
+                    .map(|out| out.unwrap().sinks[0].bytes.as_ref().clone())
                     .collect()
                 };
                 let clean = published();
@@ -1893,13 +1816,13 @@ mod tests {
             Ok(schema.clone())
         }
 
-        fn map(&self, _ctx: &MapperContext, rows: &[Row]) -> Result<Option<Vec<Row>>> {
-            Ok(Some(
-                rows.iter()
-                    .filter(|r| r.get(0).as_long().unwrap() % 2 == 0)
-                    .cloned()
-                    .collect(),
-            ))
+        fn map(&self, _ctx: &MapperContext, mut batch: ColumnBatch) -> Result<ColumnBatch> {
+            let ts = batch.column(0);
+            let keep: Vec<bool> = (0..batch.len())
+                .map(|i| ts.value(i).as_long().unwrap() % 2 == 0)
+                .collect();
+            batch.retain(&keep);
+            Ok(batch)
         }
     }
 
@@ -1933,7 +1856,7 @@ mod tests {
             let dfs = dfs_with_input(300);
             let stage = count_stage(4).with_mapper(Arc::new(DropOddMapper));
             Cluster::new().run_stage(&dfs, &stage).unwrap();
-            dfs.get("out").unwrap().partitions.as_ref().clone()
+            dfs.get("out").unwrap().partitions
         };
         let chaos = ChaosPlan::none()
             .corrupt("count", TaskPhase::Shuffle, 1)
@@ -1945,7 +1868,7 @@ mod tests {
         let stats = cluster.run_stage(&dfs, &stage).unwrap();
         assert!(stats.task_retries > 0);
         assert_eq!(
-            dfs.get("out").unwrap().partitions.as_ref().clone(),
+            dfs.get("out").unwrap().partitions,
             clean,
             "mapper fragments must be byte-deterministic under chaos"
         );

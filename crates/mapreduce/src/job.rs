@@ -1,8 +1,10 @@
 //! Stages, partitioners, and reducers (the basic M-R model, paper §II-B).
 
 use crate::error::{MrError, Result};
-use relation::hash::{bucket_of, key_hash, stable_hash};
-use relation::{ColumnBatch, Row, Schema};
+use relation::hash::bucket_of;
+use relation::{ColumnBatch, Schema};
+use rustc_hash::FxHasher;
+use std::hash::Hasher;
 use std::sync::Arc;
 
 /// The map phase: how rows are assigned to reduce partitions.
@@ -49,14 +51,6 @@ impl Partitioner {
             Partitioner::Single => CompiledPartitioner::Single,
         })
     }
-
-    /// Assign `row` (with `schema`) to one of `partitions` buckets.
-    ///
-    /// Convenience for one-off assignments; bulk callers should
-    /// [`Partitioner::compile`] once and assign through that.
-    pub fn assign(&self, schema: &Schema, row: &Row, partitions: usize) -> Result<usize> {
-        self.compile(schema)?.assign(row, partitions)
-    }
 }
 
 /// A [`Partitioner`] with its column references resolved to indices for a
@@ -74,25 +68,40 @@ pub enum CompiledPartitioner {
 }
 
 impl CompiledPartitioner {
-    /// Assign `row` to one of `partitions` buckets.
-    pub fn assign(&self, row: &Row, partitions: usize) -> Result<usize> {
+    /// Assign every row of `batch` to one of `partitions` buckets, off the
+    /// columns: the hash a row's cells would give ([`key_hash`] over the
+    /// key, [`stable_hash`] over the whole row) or its bucket cell. The
+    /// first row that cannot be assigned is the error.
+    ///
+    /// [`key_hash`]: relation::hash::key_hash
+    /// [`stable_hash`]: relation::hash::stable_hash
+    pub fn assign_batch(&self, batch: &ColumnBatch, partitions: usize) -> Result<Vec<usize>> {
+        let rows = 0..batch.len();
         Ok(match self {
-            CompiledPartitioner::KeyHash { indices } => {
-                bucket_of(key_hash(row, indices), partitions)
-            }
+            CompiledPartitioner::KeyHash { indices } => (batch.key_hashes(indices).into_iter())
+                .map(|h| bucket_of(h, partitions))
+                .collect(),
             CompiledPartitioner::BucketColumn { column, index } => {
-                let v = row.get(*index).as_long().ok_or_else(|| {
-                    MrError::BadStage(format!("bucket column `{column}` is not integral"))
-                })?;
-                if v < 0 {
-                    return Err(MrError::BadStage(format!(
-                        "bucket column `{column}` holds negative value {v}"
-                    )));
-                }
-                (v as usize) % partitions
+                let cells = batch.column(*index);
+                let bad =
+                    |why: String| MrError::BadStage(format!("bucket column `{column}` {why}"));
+                rows.map(|r| match cells.value(r).as_long() {
+                    Some(v) if v >= 0 => Ok(v as usize % partitions),
+                    Some(v) => Err(bad(format!("holds negative value {v}"))),
+                    None => Err(bad("is not integral".to_string())),
+                })
+                .collect::<Result<_>>()?
             }
-            CompiledPartitioner::Spread => bucket_of(stable_hash(row), partitions),
-            CompiledPartitioner::Single => 0,
+            // A row hashes as its value vector: the length, then each cell.
+            CompiledPartitioner::Spread => rows
+                .map(|r| {
+                    let mut h = FxHasher::default();
+                    h.write_usize(batch.columns().len());
+                    batch.columns().iter().for_each(|c| c.hash_cell(r, &mut h));
+                    bucket_of(h.finish(), partitions)
+                })
+                .collect(),
+            CompiledPartitioner::Single => vec![0; batch.len()],
         })
     }
 }
@@ -140,17 +149,19 @@ impl ReducerContext {
 
 /// The reduce phase: user code invoked once per partition.
 ///
-/// A reducer receives, for each stage input dataset, its partition as the
-/// shuffle holds it — one [`ColumnBatch`] — and returns, for each sink, rows
-/// as the DFS holds them. It must be a pure function of
-/// `(ctx.partition, inputs)` — the restart determinism tests re-invoke
-/// reducers and compare bytes.
+/// A stage boundary is column batches in, column batches out: a reducer
+/// receives, for each stage input dataset, its partition as the shuffle
+/// holds it — one [`ColumnBatch`] — and returns one batch per sink, which
+/// the runtime seals as that sink's extent of the partition. It must be a
+/// pure function of `(ctx.partition, inputs)` — the restart determinism
+/// tests re-invoke reducers and compare bytes.
 ///
 /// Inputs are handed over **by value**: a columnar reducer (the embedded
 /// DSMS) moves the columns into its own storage with no copy, and a
-/// row-oriented one calls [`ColumnBatch::to_rows`] itself. The runtime
-/// keeps no spare — a retry decodes the partition's sealed chunks again,
-/// so only failed attempts pay for a second copy.
+/// row-oriented one calls [`ColumnBatch::to_rows`] and
+/// [`ColumnBatch::from_rows`] itself. The runtime keeps no spare — a retry
+/// decodes the partition's sealed chunks again, so only failed attempts pay
+/// for a second copy.
 ///
 /// A reducer that panics does not tear down the job: the cluster contains
 /// the panic (`catch_unwind`), surfaces it as a retryable task error with
@@ -174,10 +185,11 @@ pub trait Reducer: Send + Sync {
     /// Process one partition: per stage input, the [`ColumnBatch`] its
     /// extent chunks decode and concatenate into, in deterministic shuffle
     /// order (empty, with the input's mapped schema, when no row reached
-    /// this partition). Returns one row vector per sink, in
-    /// [`Reducer::sink_schemas`] order; the purity contract above applies to
-    /// every sink's bytes.
-    fn reduce(&self, ctx: &ReducerContext, inputs: Vec<ColumnBatch>) -> Result<Vec<Vec<Row>>>;
+    /// this partition). Returns one batch per sink, in
+    /// [`Reducer::sink_schemas`] order and of that sink's schema — one that
+    /// is not fails the job with `MrError::IllTyped` naming the column; the
+    /// purity contract above applies to every sink's bytes.
+    fn reduce(&self, ctx: &ReducerContext, inputs: Vec<ColumnBatch>) -> Result<Vec<ColumnBatch>>;
 }
 
 /// Shared reducer handle.
@@ -218,31 +230,28 @@ impl MapperContext {
 /// pair, *before* partitioning, inside the same chaos-containment/retry/
 /// integrity envelope as reducers.
 ///
-/// A mapper receives one input extent's rows and returns the rows to
-/// shuffle in their place. It must be a pure function of
-/// `(ctx.input, rows)` — the same byte-determinism contract as
+/// A mapper receives one input extent, decoded into a [`ColumnBatch`], and
+/// returns the batch to shuffle in its place. It must be a pure function
+/// of `(ctx.input, batch)` — the same byte-determinism contract as
 /// [`Reducer`]: shuffle rebuilds after detected corruption re-invoke the
 /// mapper and must reproduce identical bytes, and the restart-determinism
 /// tests compare them. In particular output may not depend on
 /// `ctx.extent`, `ctx.attempt`, wall time, or thread scheduling.
 ///
-/// Batch-native implementations (the embedded DSMS fragment mapper)
-/// transpose the extent into a `ColumnBatch` once and run columnar
-/// kernels over it; output rows are sealed into framed binary extents by
-/// the shuffle exactly like raw rows, so everything downstream (spill,
-/// integrity, rebuild) applies unchanged. Output rows must inhabit
-/// [`Mapper::output_schema`]: one that does not fails the job with
-/// `MrError::IllTyped`.
+/// The output is partitioned and sealed into framed binary extents by the
+/// shuffle exactly like an unmapped extent, so everything downstream
+/// (spill, integrity, rebuild) applies unchanged. It must have the schema
+/// [`Mapper::output_schema`] gives: one that does not fails the job with
+/// `MrError::IllTyped` naming the column.
 pub trait Mapper: Send + Sync {
     /// Output schema for stage input `input`, given its dataset schema.
     /// The shuffle seals chunks — and the partitioner resolves key
     /// columns — against this schema.
     fn output_schema(&self, input: usize, schema: &Schema) -> Result<Schema>;
 
-    /// Transform one extent of stage input `input`. Returning `None`
-    /// passes the extent through unchanged (the identity for inputs this
-    /// mapper does not cover).
-    fn map(&self, ctx: &MapperContext, rows: &[Row]) -> Result<Option<Vec<Row>>>;
+    /// Transform one extent of stage input `ctx.input`. An input this
+    /// mapper does not cover is returned as it came.
+    fn map(&self, ctx: &MapperContext, batch: ColumnBatch) -> Result<ColumnBatch>;
 }
 
 /// Shared mapper handle.
@@ -338,7 +347,8 @@ impl Stage {
 }
 
 /// A reducer that passes rows through unchanged — the identity stage, useful
-/// for repartitioning datasets and in tests.
+/// for repartitioning datasets and in tests. Several inputs (of one schema)
+/// are concatenated in input order.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct IdentityReducer;
 
@@ -350,16 +360,24 @@ impl Reducer for IdentityReducer {
             .ok_or_else(|| MrError::BadStage("identity reducer with no input".into()))
     }
 
-    fn reduce(&self, _ctx: &ReducerContext, inputs: Vec<ColumnBatch>) -> Result<Vec<Vec<Row>>> {
-        Ok(vec![inputs.iter().flat_map(ColumnBatch::to_rows).collect()])
+    fn reduce(&self, _ctx: &ReducerContext, inputs: Vec<ColumnBatch>) -> Result<Vec<ColumnBatch>> {
+        let mut inputs = inputs.into_iter();
+        let mut out = (inputs.next())
+            .ok_or_else(|| MrError::BadStage("identity reducer with no input".into()))?;
+        for batch in inputs {
+            out.append(batch)?;
+        }
+        Ok(vec![out])
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relation::row;
+    use proptest::prelude::*;
+    use relation::hash::{key_hash, stable_hash};
     use relation::schema::{ColumnType, Field};
+    use relation::{row, Row, Value};
 
     fn schema() -> Schema {
         Schema::timestamped(vec![
@@ -368,15 +386,43 @@ mod tests {
         ])
     }
 
+    /// The row-at-a-time definition [`CompiledPartitioner::assign_batch`]
+    /// reproduces.
+    fn assign_row(p: &CompiledPartitioner, row: &Row, partitions: usize) -> Result<usize> {
+        Ok(match p {
+            CompiledPartitioner::KeyHash { indices } => {
+                bucket_of(key_hash(row, indices), partitions)
+            }
+            CompiledPartitioner::BucketColumn { column, index } => {
+                let v = row.get(*index).as_long().ok_or_else(|| {
+                    MrError::BadStage(format!("bucket column `{column}` is not integral"))
+                })?;
+                if v < 0 {
+                    return Err(MrError::BadStage(format!(
+                        "bucket column `{column}` holds negative value {v}"
+                    )));
+                }
+                (v as usize) % partitions
+            }
+            CompiledPartitioner::Spread => bucket_of(stable_hash(row), partitions),
+            CompiledPartitioner::Single => 0,
+        })
+    }
+
+    /// `p` over `rows` of `schema`, one bucket per row.
+    fn assign(p: &Partitioner, schema: &Schema, rows: &[Row], n: usize) -> Result<Vec<usize>> {
+        let batch = ColumnBatch::from_rows(schema, rows).unwrap();
+        p.compile(schema)?.assign_batch(&batch, n)
+    }
+
     #[test]
     fn key_hash_groups_same_keys() {
         let p = Partitioner::KeyHash {
             columns: vec!["UserId".into()],
         };
-        let s = schema();
-        let a = p.assign(&s, &row![1i64, "u1", 0i64], 16).unwrap();
-        let b = p.assign(&s, &row![99i64, "u1", 5i64], 16).unwrap();
-        assert_eq!(a, b);
+        let rows = [row![1i64, "u1", 0i64], row![99i64, "u1", 5i64]];
+        let got = assign(&p, &schema(), &rows, 16).unwrap();
+        assert_eq!(got[0], got[1]);
     }
 
     #[test]
@@ -385,38 +431,9 @@ mod tests {
             column: "Bucket".into(),
         };
         let s = schema();
-        assert_eq!(p.assign(&s, &row![1i64, "u", 5i64], 4).unwrap(), 1);
-        assert_eq!(p.assign(&s, &row![1i64, "u", 3i64], 4).unwrap(), 3);
-        assert!(p.assign(&s, &row![1i64, "u", -1i64], 4).is_err());
-    }
-
-    #[test]
-    fn compiled_partitioner_matches_uncompiled() {
-        let s = schema();
-        let rows = [
-            row![1i64, "u1", 0i64],
-            row![2i64, "u2", 5i64],
-            row![3i64, "u3", 7i64],
-        ];
-        for p in [
-            Partitioner::KeyHash {
-                columns: vec!["UserId".into()],
-            },
-            Partitioner::BucketColumn {
-                column: "Bucket".into(),
-            },
-            Partitioner::Spread,
-            Partitioner::Single,
-        ] {
-            let compiled = p.compile(&s).unwrap();
-            for r in &rows {
-                assert_eq!(
-                    compiled.assign(r, 8).unwrap(),
-                    p.assign(&s, r, 8).unwrap(),
-                    "{p:?} on {r:?}"
-                );
-            }
-        }
+        let rows = [row![1i64, "u", 5i64], row![1i64, "u", 3i64]];
+        assert_eq!(assign(&p, &s, &rows, 4).unwrap(), [1, 3]);
+        assert!(assign(&p, &s, &[row![1i64, "u", -1i64]], 4).is_err());
     }
 
     #[test]
@@ -429,8 +446,83 @@ mod tests {
 
     #[test]
     fn single_sends_everything_to_zero() {
-        let p = Partitioner::Single;
-        assert_eq!(p.assign(&schema(), &row![1i64, "u", 0i64], 8).unwrap(), 0);
+        let rows = [row![1i64, "u", 0i64], row![2i64, "v", 9i64]];
+        assert_eq!(
+            assign(&Partitioner::Single, &schema(), &rows, 8).unwrap(),
+            [0, 0]
+        );
+    }
+
+    /// A column of every type, each with nulls.
+    fn wide_schema() -> Schema {
+        Schema::new(vec![
+            Field::new("B", ColumnType::Bool),
+            Field::new("I", ColumnType::Int),
+            Field::new("L", ColumnType::Long),
+            Field::new("D", ColumnType::Double),
+            Field::new("S", ColumnType::Str),
+        ])
+    }
+
+    fn arb_wide_row() -> impl Strategy<Value = Row> {
+        (
+            (any::<bool>(), -3i32..40, -3i64..40),
+            (any::<f64>(), 0u8..12, 0u8..64),
+        )
+            .prop_map(|((b, i, l), (d, s, nulls))| {
+                let mut values = vec![
+                    Value::Bool(b),
+                    Value::Int(i),
+                    Value::Long(l),
+                    Value::Double(d),
+                    Value::str(format!("s{s}")),
+                ];
+                for (k, v) in values.iter_mut().enumerate() {
+                    if nulls < 32 && nulls & (1 << k) != 0 {
+                        *v = Value::Null;
+                    }
+                }
+                Row::new(values)
+            })
+    }
+
+    /// KeyHash over one to three columns, a bucket column of any type,
+    /// Spread or Single.
+    fn arb_partitioner() -> impl Strategy<Value = Partitioner> {
+        let names = ["B", "I", "L", "D", "S"];
+        (0u8..4, 1usize..4, 0usize..5, 0usize..5, 0usize..5).prop_map(move |(kind, k, a, b, c)| {
+            match kind {
+                0 => Partitioner::KeyHash {
+                    columns: [a, b, c][..k]
+                        .iter()
+                        .map(|&i| names[i].to_string())
+                        .collect(),
+                },
+                1 => Partitioner::BucketColumn {
+                    column: names[a].to_string(),
+                },
+                2 => Partitioner::Spread,
+                _ => Partitioner::Single,
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The columnar partitioner is the row partitioner: the same bucket
+        /// for every row, or the error of the first row that has none.
+        #[test]
+        fn batch_assignment_is_row_assignment(
+            rows in prop::collection::vec(arb_wide_row(), 0..60),
+            p in arb_partitioner(),
+            n in 1usize..9,
+        ) {
+            let compiled = p.compile(&wide_schema()).unwrap();
+            let by_rows: Result<Vec<usize>> =
+                rows.iter().map(|r| assign_row(&compiled, r, n)).collect();
+            prop_assert_eq!(assign(&p, &wide_schema(), &rows, n), by_rows, "{:?}", p);
+        }
     }
 
     #[test]
@@ -441,13 +533,14 @@ mod tests {
     }
 
     #[test]
-    fn identity_reducer_flattens_inputs() {
+    fn identity_reducer_concatenates_inputs() {
         let ctx = ReducerContext::standalone("s", 0, 1);
         let schema = Schema::new(vec![Field::new("N", ColumnType::Long)]);
         let batch = |rows: &[Row]| ColumnBatch::from_rows(&schema, rows).unwrap();
         let out = IdentityReducer
             .reduce(&ctx, vec![batch(&[row![1i64]]), batch(&[row![2i64]])])
             .unwrap();
-        assert_eq!(out, vec![vec![row![1i64], row![2i64]]]);
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].to_rows(), vec![row![1i64], row![2i64]]);
     }
 }

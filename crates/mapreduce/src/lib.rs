@@ -2,7 +2,7 @@
 //! system.
 //!
 //! This crate stands in for the paper's Cosmos + SCOPE/Dryad cluster
-//! (paper §II-B): datasets live in a [`dfs::Dfs`] as partitioned row files;
+//! (paper §II-B): datasets live in a [`dfs::Dfs`] as sealed extents;
 //! jobs are DAGs of [`job::Stage`]s, each with a *map* phase (a
 //! [`job::Partitioner`] assigning rows to reduce partitions) and a *reduce*
 //! phase (a [`job::Reducer`] invoked once per partition). A
@@ -20,14 +20,17 @@
 //!   injects panics, transient kills, data corruption, and delays into any
 //!   phase to prove it: every attempt runs under `catch_unwind` and is
 //!   settled by the one ledger, which retries it per
-//!   [`chaos::RetryPolicy`]; extents and shuffle partitions carry
-//!   length + checksum frames ([`chaos::ExtentFrame`]), and detected
-//!   corruption triggers deterministic re-execution of the producing work.
-//! - **Native binary extents.** Stage boundaries — DFS datasets, shuffle
-//!   partition chunks, persisted files — carry framed binary columnar
-//!   extents ([`relation::extent`]) with per-column FxHash integrity
-//!   frames, and nothing else: a row that does not inhabit its schema has
-//!   no image and fails the job with a named [`MrError::IllTyped`]. The
+//!   [`chaos::RetryPolicy`]; every extent image — DFS dataset or shuffle
+//!   chunk — carries per-column checksum frames, checked wherever it is
+//!   decoded, and detected corruption triggers deterministic re-execution
+//!   of the producing work.
+//! - **Native binary extents.** A dataset *is* its sealed extents, and a
+//!   stage boundary is column batches in, column batches out: mappers and
+//!   reducers take and return [`relation::ColumnBatch`]es, and DFS
+//!   datasets, shuffle partition chunks and persisted files carry framed
+//!   binary columnar extents ([`relation::extent`]) with per-column FxHash
+//!   integrity frames, and nothing else. A batch that is not of its
+//!   schema fails the job with a named [`MrError::IllTyped`]. The
 //!   text codec survives only in [`persist`], as a debug writer and a
 //!   loader. Under `ClusterConfig::memory_budget_bytes` the shuffle
 //!   seals bounded chunks and spills them to disk, so jobs whose shuffle
@@ -54,7 +57,7 @@ pub mod stats;
 pub mod transport;
 
 pub use backend::{BackendKind, SpeculationPolicy};
-pub use chaos::{ChaosPlan, ExtentFrame, FaultKind, RetryPolicy};
+pub use chaos::{ChaosPlan, FaultKind, RetryPolicy};
 pub use cluster::{Cluster, ClusterConfig};
 pub use dfs::{Dataset, Dfs, StoredExtent};
 pub use error::{MrError, Result, TaskError, TaskPhase};

@@ -43,7 +43,6 @@
 //! Dataset names are restricted to `[A-Za-z0-9._-]` so a name can never
 //! escape the root directory.
 
-use crate::chaos::ExtentFrame;
 use crate::dfs::{Dataset, Dfs, StoredExtent};
 use crate::error::{MrError, Result};
 use relation::schema::{ColumnType, Field};
@@ -200,11 +199,12 @@ fn save_dataset_impl(root: &Path, name: &str, dataset: &Dataset, force_text: boo
     clear_stale_parts(&dir)?;
     write_schema_file(&dir, &dataset.schema)?;
 
-    for (i, (partition, stored)) in dataset.partitions.iter().zip(dataset.extents()).enumerate() {
+    for (i, stored) in dataset.partitions.iter().enumerate() {
         if force_text {
             let path = dir.join(format!("part-{i:05}"));
+            let rows = dataset.batch(i)?.to_rows();
             let file = fs::File::create(&path).map_err(|e| io_err(e, "write extent", &path))?;
-            write_text_extent(file, partition).map_err(|e| io_err(e, "write extent", &path))?;
+            write_text_extent(file, &rows).map_err(|e| io_err(e, "write extent", &path))?;
         } else {
             let path = dir.join(format!("part-{i:05}.bin"));
             fs::write(&path, stored.bytes.as_ref())
@@ -226,7 +226,9 @@ pub fn save_dataset_text(root: &Path, name: &str, dataset: &Dataset) -> Result<(
     save_dataset_impl(root, name, dataset, true)
 }
 
-fn load_binary_extent(path: &Path, schema: &Schema) -> Result<(Vec<Row>, StoredExtent)> {
+/// Load one binary part file verbatim. It is decoded once — which checks
+/// every frame — to check its schema and take its width.
+fn load_binary_extent(path: &Path, schema: &Schema) -> Result<StoredExtent> {
     let bytes = fs::read(path).map_err(|e| io_err(e, "read extent", path))?;
     let batch = ColumnBatch::from_extent_bytes(&bytes).map_err(|e| MrError::Corrupt {
         what: format!("extent `{}`: {e}", path.display()),
@@ -239,13 +241,9 @@ fn load_binary_extent(path: &Path, schema: &Schema) -> Result<(Vec<Row>, StoredE
             ),
         });
     }
-    let rows = batch.to_rows();
-    let stored = StoredExtent {
-        bytes: Arc::new(bytes),
-        frame: ExtentFrame::compute(&rows),
-        width: batch.width(),
-    };
-    Ok((rows, stored))
+    let (rows, width) = (batch.len() as u64, batch.width());
+    let bytes = Arc::new(bytes);
+    Ok(StoredExtent { bytes, rows, width })
 }
 
 fn load_text_extent(path: &Path, schema: &Schema) -> Result<Vec<Row>> {
@@ -309,21 +307,20 @@ pub fn load_dataset(root: &Path, name: &str) -> Result<Dataset> {
         .collect();
     parts.sort();
 
-    let mut partitions = Vec::with_capacity(parts.len());
     let mut extents = Vec::with_capacity(parts.len());
     for path in parts {
-        let is_binary = path.extension().is_some_and(|ext| ext == "bin");
-        if is_binary {
-            let (rows, stored) = load_binary_extent(&path, &schema)?;
-            partitions.push(rows);
-            extents.push(stored);
-        } else {
-            let rows = load_text_extent(&path, &schema)?;
-            extents.push(StoredExtent::seal(&schema, &rows)?);
-            partitions.push(rows);
-        }
+        extents.push(match path.extension().is_some_and(|ext| ext == "bin") {
+            true => load_binary_extent(&path, &schema)?,
+            false => {
+                let batch = ColumnBatch::from_rows(&schema, &load_text_extent(&path, &schema)?)?;
+                StoredExtent::seal(&schema, &batch)?
+            }
+        });
     }
-    Ok(Dataset::from_stored(schema, partitions, extents))
+    Ok(Dataset {
+        schema,
+        partitions: Arc::new(extents),
+    })
 }
 
 impl Dfs {
@@ -396,7 +393,11 @@ mod tests {
         save_dataset(&root, "logs", &original).unwrap();
         let loaded = load_dataset(&root, "logs").unwrap();
         assert_eq!(loaded.schema, original.schema);
-        assert_eq!(loaded.partitions.as_ref(), original.partitions.as_ref());
+        assert_eq!(
+            loaded.partitions, original.partitions,
+            "byte-identical images"
+        );
+        assert_eq!(loaded.extents()[0].width, original.extents()[0].width);
         let _ = fs::remove_dir_all(root);
     }
 
@@ -407,9 +408,12 @@ mod tests {
         save_dataset_text(&root, "logs", &original).unwrap();
         let loaded = load_dataset(&root, "logs").unwrap();
         assert_eq!(loaded.schema, original.schema);
-        assert_eq!(loaded.partitions.as_ref(), original.partitions.as_ref());
-        // Text-loaded partitions come back in native binary form.
-        assert!(loaded.binary_extent(0).is_some());
+        // Text-loaded partitions come back as the very images they left.
+        assert_eq!(
+            loaded.partitions, original.partitions,
+            "byte-identical images"
+        );
+        assert_eq!(loaded.scan(), original.scan());
         let _ = fs::remove_dir_all(root);
     }
 
@@ -557,7 +561,7 @@ mod tests {
             fs::write(&path, body).unwrap();
         }
         let loaded = load_dataset(&root, "logs").unwrap();
-        assert_eq!(loaded.partitions.as_ref(), original.partitions.as_ref());
+        assert_eq!(loaded.partitions, original.partitions);
         let _ = fs::remove_dir_all(root);
     }
 

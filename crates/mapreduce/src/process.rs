@@ -5,7 +5,8 @@
 //! datasets, and the compiled partitioners by address-space copy — only
 //! task coordinates and sealed extent images cross the socket (framed and
 //! checksummed by `crate::transport`), verbatim: what a worker seals is
-//! what the parent places or publishes.
+//! what the parent places or publishes. The parent checks a sink image
+//! against the sink's schema before publishing it, and never decodes it.
 //!
 //! Scheduling is not here. Each child has a *driver* — a pool thread
 //! running the same pull loop as every in-place worker
@@ -39,7 +40,7 @@
 #![cfg(unix)]
 
 use crate::backend::{ReduceOut, StageEnv};
-use crate::chaos::{self, ExtentFrame};
+use crate::chaos;
 use crate::cluster::{lock_slot, MapTaskOut, ShuffleChunk, ShuffleSlot};
 use crate::dfs::StoredExtent;
 use crate::error::{MrError, Result, TaskError, TaskPhase};
@@ -48,7 +49,7 @@ use crate::transport::{
     encode_frame, payload_offset, Frame, FrameKind, PayloadReader, PayloadWriter, Received,
     UdsTransport,
 };
-use relation::{ColumnBatch, RelationError, Row};
+use relation::{RelationError, Schema};
 use std::io;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -86,38 +87,20 @@ fn proto_err(what: impl std::fmt::Display) -> io::Error {
 // Shared payload codecs (both sides of the socket).
 // ---------------------------------------------------------------------------
 
-/// Serialize one sink of a reduce result: the stored form the worker
-/// sealed, which the parent publishes as is.
+/// Serialize one sink of a reduce result: the extent the worker sealed,
+/// which the parent publishes as is.
 fn write_sink(w: &mut PayloadWriter, stored: &StoredExtent) {
-    w.u64(stored.frame.rows)
-        .u64(stored.frame.checksum)
-        .bytes(&stored.bytes);
+    w.u64(stored.rows).u64(stored.width).bytes(&stored.bytes);
 }
 
-/// Decode one sink: the image is decoded once, for the dataset's working
-/// copy of the rows, and kept verbatim as its stored form.
-fn read_sink(r: &mut PayloadReader<'_>) -> io::Result<(Vec<Row>, StoredExtent)> {
-    let frame = ExtentFrame {
-        rows: r.u64()?,
-        checksum: r.u64()?,
-    };
-    let bytes = r.bytes()?;
-    let batch = ColumnBatch::from_extent_bytes(bytes).map_err(proto_err)?;
-    let (rows, width) = (batch.to_rows(), batch.width());
-    if rows.len() as u64 != frame.rows {
-        return Err(proto_err(format!(
-            "sink decodes to {} row(s), its frame says {}",
-            rows.len(),
-            frame.rows
-        )));
-    }
-    let bytes = Arc::new(bytes.to_vec());
-    let stored = StoredExtent {
-        bytes,
-        frame,
-        width,
-    };
-    Ok((rows, stored))
+/// Read one sink of `schema`: its image is checked — every frame, and the
+/// footer against the schema and the row count — but not decoded.
+fn read_sink(r: &mut PayloadReader<'_>, schema: &Schema) -> io::Result<StoredExtent> {
+    let (rows, width) = (r.u64()?, r.u64()?);
+    let bytes = Arc::new(r.bytes()?.to_vec());
+    let stored = StoredExtent { bytes, rows, width };
+    stored.verify(schema).map_err(proto_err)?;
+    Ok(stored)
 }
 
 fn write_task_error(w: &mut PayloadWriter, e: &TaskError) {
@@ -307,17 +290,17 @@ fn read_map_out(r: &mut PayloadReader<'_>, env: &StageEnv<'_>) -> io::Result<Map
 fn write_reduce_out(w: &mut PayloadWriter, out: &ReduceOut) {
     w.u64(out.reduce_time.as_nanos() as u64)
         .u64(out.seal_time.as_nanos() as u64);
-    for (_, stored) in &out.sinks {
+    for stored in &out.sinks {
         write_sink(w, stored);
     }
 }
 
-fn read_reduce_out(r: &mut PayloadReader<'_>, env: &StageEnv<'_>) -> io::Result<ReduceOut> {
+fn read_reduce_out(r: &mut PayloadReader<'_>, sink_schemas: &[Schema]) -> io::Result<ReduceOut> {
     let reduce_time = Duration::from_nanos(r.u64()?);
     let seal_time = Duration::from_nanos(r.u64()?);
-    let mut sinks = Vec::with_capacity(env.expected_sinks);
-    for _ in 0..env.expected_sinks {
-        sinks.push(read_sink(r)?);
+    let mut sinks = Vec::with_capacity(sink_schemas.len());
+    for schema in sink_schemas {
+        sinks.push(read_sink(r, schema)?);
     }
     Ok(ReduceOut {
         sinks,
@@ -761,7 +744,7 @@ impl Worker for Forked<'_> {
             return Err(Failure { phase, error });
         }
         self.call(copy, TaskPhase::Reduce, w.finish(), lost, |r| {
-            read_reduce_out(r, env)
+            read_reduce_out(r, env.sink_schemas)
         })
     }
 }
@@ -843,6 +826,119 @@ impl Drop for Fleet<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use relation::schema::{ColumnType, Field};
+    use relation::{row, ColumnBatch, Row};
+
+    fn sink_schema() -> Schema {
+        Schema::timestamped(vec![
+            Field::new("UserId", ColumnType::Str),
+            Field::new("N", ColumnType::Long),
+        ])
+    }
+
+    fn sealed_sink() -> StoredExtent {
+        let rows: Vec<Row> = (0..40i64)
+            .map(|i| row![i, format!("u{}", i % 3), i * 2])
+            .collect();
+        let batch = ColumnBatch::from_rows(&sink_schema(), &rows).unwrap();
+        StoredExtent::seal(&sink_schema(), &batch).unwrap()
+    }
+
+    /// A worker's successful reduce result frame carrying `sink`.
+    fn result_payload(sink: &StoredExtent) -> Vec<u8> {
+        let out = ReduceOut {
+            sinks: vec![sink.clone()],
+            reduce_time: Duration::from_millis(3),
+            seal_time: Duration::from_millis(1),
+        };
+        let mut w = PayloadWriter::new();
+        w.u8(0);
+        write_reduce_out(&mut w, &out);
+        w.finish()
+    }
+
+    /// What the driver makes of `payload` for a sink of `schema`.
+    fn decode(payload: &[u8], schema: &Schema) -> Outcome<ReduceOut> {
+        read_outcome(payload, TaskPhase::Reduce, |r| {
+            read_reduce_out(r, std::slice::from_ref(schema))
+        })
+    }
+
+    /// The named error `payload` decodes to.
+    fn refusal(payload: &[u8], schema: &Schema) -> String {
+        match decode(payload, schema) {
+            Ok(_) => panic!("a hostile payload was accepted"),
+            Err(Failure {
+                phase: TaskPhase::Reduce,
+                error: TaskError::Corrupt { what },
+            }) => what,
+            Err(Failure { phase, error }) => panic!("charged to {phase}: {error:?}"),
+        }
+    }
+
+    /// A sink image crosses the socket verbatim and is published as it came.
+    #[test]
+    fn a_sound_sink_image_is_accepted_as_is() {
+        let sink = sealed_sink();
+        let Ok(out) = decode(&result_payload(&sink), &sink_schema()) else {
+            panic!("a sound payload was refused");
+        };
+        assert_eq!(out.sinks, vec![sink.clone()]);
+        assert_eq!(
+            (out.sinks[0].rows, out.sinks[0].width),
+            (sink.rows, sink.width)
+        );
+    }
+
+    /// A sink image with any byte flipped, cut short, of another schema or
+    /// of another row count is a named error from the payload decoder —
+    /// never a panic, never a sink to publish.
+    #[test]
+    fn hostile_sink_images_are_named_errors() {
+        let sink = sealed_sink();
+        let with_image = |image: Vec<u8>| StoredExtent {
+            bytes: Arc::new(image),
+            ..sink.clone()
+        };
+        for at in 0..sink.bytes.len() {
+            let mut image = sink.bytes.as_ref().clone();
+            image[at] ^= 0x5A;
+            let what = refusal(&result_payload(&with_image(image)), &sink_schema());
+            assert!(what.starts_with("result payload undecodable: "), "{what}");
+        }
+        let mut cut = sink.bytes.as_ref().clone();
+        cut.truncate(cut.len() - 5);
+        let miscounted = StoredExtent {
+            rows: sink.rows + 1,
+            ..sink.clone()
+        };
+        let narrower = Schema::timestamped(vec![
+            Field::new("UserId", ColumnType::Str),
+            Field::new("N", ColumnType::Int),
+        ]);
+        let whole = result_payload(&sink);
+        for (payload, schema, want) in [
+            (result_payload(&with_image(cut)), sink_schema(), "extent"),
+            (
+                result_payload(&miscounted),
+                sink_schema(),
+                "image holds 40 row(s), its extent says 41",
+            ),
+            (
+                whole.clone(),
+                narrower,
+                "type mismatch in `N`: expected int, got long",
+            ),
+            (
+                whole[..whole.len() - 1].to_vec(),
+                sink_schema(),
+                "undecodable",
+            ),
+        ] {
+            let what = refusal(&payload, &schema);
+            assert!(what.contains(want), "{what}");
+        }
+    }
 
     /// A slot whose counts promise more than the payload holds is an
     /// error, not an allocation: nothing is sized from a count.

@@ -464,7 +464,7 @@ fn attempt_once<T>(
     .map_err(|error| Failure { phase, error })
 }
 
-/// The map task body: scan `input`'s `extent`, apply the stage mapper,
+/// The map task body: decode `input`'s `extent`, apply the stage mapper,
 /// partition and seal.
 pub(crate) fn execute_map(
     env: &StageEnv<'_>,

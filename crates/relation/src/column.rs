@@ -829,6 +829,24 @@ impl ColumnBatch {
         self.columns.iter().map(Column::width).sum()
     }
 
+    /// [`Row::width`] of every row this batch transposes, from the dense
+    /// vectors (no row is built).
+    pub fn row_widths(&self) -> Vec<u64> {
+        let mut widths = vec![0u64; self.rows];
+        for c in &self.columns {
+            for (i, w) in widths.iter_mut().enumerate() {
+                *w += match (c.is_valid(i), &c.data) {
+                    (false, _) => 1, // `Value::Null`
+                    (true, ColumnData::Bool(_)) => 1,
+                    (true, ColumnData::Int(_)) => 4,
+                    (true, ColumnData::Long(_) | ColumnData::Double(_)) => 8,
+                    (true, ColumnData::Str(d)) => 8 + d[i].len() as u64,
+                };
+            }
+        }
+        widths
+    }
+
     /// Per-row key hash over the cells at `indices` — bit-identical to
     /// [`crate::hash::key_hash`] on the gathered row.
     pub fn key_hashes(&self, indices: &[usize]) -> Vec<u64> {
@@ -956,6 +974,8 @@ mod tests {
         }
         let want: usize = all.iter().map(Row::width).sum();
         assert_eq!(batch.width(), want as u64);
+        let per_row: Vec<u64> = all.iter().map(|r| r.width() as u64).collect();
+        assert_eq!(batch.row_widths(), per_row);
         assert_eq!(ColumnBatch::from_rows(&s, &[]).unwrap().width(), 0);
     }
 

@@ -10,6 +10,7 @@ use crate::row::Row;
 use crate::schema::Schema;
 use rustc_hash::FxHashSet;
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 
 /// An equi-depth histogram over a numeric column: `bounds` holds the
 /// upper edge of each bucket, each bucket covering an equal share of the
@@ -85,12 +86,13 @@ pub struct DatasetStats {
 }
 
 impl DatasetStats {
-    /// Exact statistics computed in one streaming pass over borrowed rows
-    /// — no materialized copy of the dataset is required. Fine at simulator
-    /// scale; a production system would sample.
-    pub fn compute<'a, I>(schema: &Schema, rows: I) -> Self
+    /// Exact statistics computed in one streaming pass over rows, borrowed
+    /// or owned — no materialized copy of the dataset is required. Fine at
+    /// simulator scale; a production system would sample.
+    pub fn compute<I>(schema: &Schema, rows: I) -> Self
     where
-        I: IntoIterator<Item = &'a Row>,
+        I: IntoIterator,
+        I::Item: Borrow<Row>,
     {
         const HISTOGRAM_BUCKETS: usize = 32;
         let mut distinct: Vec<FxHashSet<crate::value::Value>> =
@@ -99,6 +101,7 @@ impl DatasetStats {
         let mut width_sum = 0usize;
         let mut n = 0u64;
         for row in rows {
+            let row = row.borrow();
             n += 1;
             width_sum += row.width();
             for (i, v) in row.values().iter().enumerate() {

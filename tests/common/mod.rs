@@ -372,3 +372,13 @@ pub fn reference_relation(
         .expect("single-output plan")
         .normalize()
 }
+
+/// The rows of published extents, decoded in order.
+pub fn rows_of(extents: &[timr_suite::mapreduce::StoredExtent]) -> Vec<Row> {
+    (extents.iter())
+        .flat_map(|e| {
+            let batch = timr_suite::relation::ColumnBatch::from_extent_bytes(&e.bytes);
+            batch.expect("published extents decode").to_rows()
+        })
+        .collect()
+}

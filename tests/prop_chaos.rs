@@ -6,11 +6,11 @@
 
 mod common;
 
-use common::reference_relation;
+use common::{reference_relation, rows_of};
 use proptest::prelude::*;
 use std::time::Duration;
 use timr_suite::mapreduce::{
-    ChaosPlan, Cluster, ClusterConfig, Dataset, Dfs, RetryPolicy, TaskPhase,
+    ChaosPlan, Cluster, ClusterConfig, Dataset, Dfs, RetryPolicy, StoredExtent, TaskPhase,
 };
 use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{row, Row, Schema};
@@ -75,7 +75,7 @@ fn run_job(
     threads: usize,
     chaos: ChaosPlan,
     retry: RetryPolicy,
-) -> (Vec<Vec<Row>>, timr_suite::mapreduce::FaultTotals) {
+) -> (Vec<StoredExtent>, timr_suite::mapreduce::FaultTotals) {
     let (plan, filter) = click_count_plan();
     let ann = Annotation::none().exchange(filter, 0, ExchangeKey::keys(&["KwAdId"]));
     let dfs = dfs_with(rows, 3);
@@ -127,7 +127,7 @@ proptest! {
         prop_assert!(!clean_faults.any(), "clean run must observe no faults");
         let (plan, _) = click_count_plan();
         let scaled_out = EventEncoding::Interval
-            .decode_stream(clean.iter().flatten(), plan.schema_of(plan.roots()[0]))
+            .decode_stream(rows_of(&clean), plan.schema_of(plan.roots()[0]))
             .unwrap()
             .normalize();
         prop_assert!(

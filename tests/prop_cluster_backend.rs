@@ -7,14 +7,14 @@
 //! stragglers with speculative re-execution, attempt timeouts and a missed
 //! heartbeat. Both kinds pull from one attempt ledger, so the
 //! deterministic fault tallies and an exhausted task's error are equal
-//! too, and a row that does not inhabit its schema fails both with the
-//! same named error.
+//! too, a batch that is not of its schema fails both with the same named
+//! error, and a damaged source image fails the map task on every attempt.
 
 #![cfg(unix)]
 
 mod common;
 
-use common::reference_relation;
+use common::{reference_relation, rows_of};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -23,7 +23,7 @@ use timr_suite::mapreduce::job::IdentityReducer;
 use timr_suite::mapreduce::{
     BackendKind, ChaosPlan, Cluster, ClusterConfig, Dataset, Dfs, FaultTotals, Mapper,
     MapperContext, MrError, Partitioner, Reducer, ReducerContext, RetryPolicy, SpeculationPolicy,
-    Stage, TaskPhase,
+    Stage, StoredExtent, TaskError, TaskPhase,
 };
 use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{row, ColumnBatch, RelationError, Row, Schema, Value};
@@ -89,7 +89,7 @@ fn deterministic_rows(n: i64) -> Vec<Row> {
         .collect()
 }
 
-fn run_job(rows: &[Row], config: ClusterConfig) -> (Vec<Vec<Row>>, FaultTotals) {
+fn run_job(rows: &[Row], config: ClusterConfig) -> (Vec<StoredExtent>, FaultTotals) {
     run_job_shaped(rows, 3, 4, config)
 }
 
@@ -100,7 +100,7 @@ fn run_job_shaped(
     extents: usize,
     machines: usize,
     config: ClusterConfig,
-) -> (Vec<Vec<Row>>, FaultTotals) {
+) -> (Vec<StoredExtent>, FaultTotals) {
     let dfs = dfs_with(rows, extents);
     let cluster = Cluster::with_config(config);
     let job = click_count_job().with_machines(machines);
@@ -169,7 +169,7 @@ proptest! {
         prop_assert_eq!(totals.task_retries, 0);
         let plan = click_count_job().plan;
         let scaled_out = EventEncoding::Interval
-            .decode_stream(threads.iter().flatten(), plan.schema_of(plan.roots()[0]))
+            .decode_stream(rows_of(&threads), plan.schema_of(plan.roots()[0]))
             .unwrap()
             .normalize();
         prop_assert!(
@@ -220,9 +220,8 @@ fn arb_keyed_rows() -> impl Strategy<Value = Vec<Row>> {
     })
 }
 
-/// What one stage published: per reduce partition, its rows and its stored
-/// binary image.
-type Published = Vec<(Vec<Row>, Vec<u8>)>;
+/// What one stage published: one sealed extent per reduce partition.
+type Published = Vec<StoredExtent>;
 
 fn keyed_schema() -> Schema {
     Schema::timestamped(vec![
@@ -275,17 +274,14 @@ fn publish_through(
         .unwrap();
     let out = dfs.get("out").unwrap();
     out.verify().unwrap();
-    let published = (out.partitions.iter().enumerate())
-        .map(|(i, rows)| (rows.clone(), out.binary_extent(i).unwrap().to_vec()))
-        .collect();
-    (published, stats.fault_totals())
+    (out.partitions.as_ref().clone(), stats.fault_totals())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// Tasks seal what they publish, so the published rows *and* stored
-    /// extent images must not depend on who ran the tasks or where the
+    /// Tasks seal what they publish, so the published extent images must
+    /// not depend on who ran the tasks or where the
     /// shuffle lived: 1, 2 and 4 threads or worker processes, in memory or
     /// under a 2 KiB budget — clean, and under a seeded chaos schedule of
     /// panics, kills, process kills and corruption in every phase.
@@ -336,26 +332,36 @@ proptest! {
     }
 }
 
-/// Where an ill-typed cell is planted.
+/// Where an ill-typed batch is returned. (A source extent cannot hold an
+/// ill-typed cell: it has no image, so `Dataset::partitioned` refuses it.)
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Plant {
-    SourceExtent,
     MapperOutput,
     ReducerOutput,
 }
 
-/// `rows` with a string in the `Long` column `N` of every row stamped `at`.
-fn poison(rows: &[Row], at: i64) -> Vec<Row> {
-    let bad = |r: &Row| Row::new(vec![r.get(0).clone(), r.get(1).clone(), Value::str("x")]);
-    (rows.iter())
-        .map(|r| match r.get(0).as_long() {
-            Some(t) if t == at => bad(r),
-            _ => r.clone(),
-        })
-        .collect()
+/// `batch` itself, or — when a row is stamped `at` — the batch with a
+/// string in its `Long` column `N`: `"x"` in every such row, null elsewhere.
+fn poison(batch: ColumnBatch, at: i64) -> ColumnBatch {
+    let rows = batch.to_rows();
+    if !rows.iter().any(|r| r.get(0).as_long() == Some(at)) {
+        return batch;
+    }
+    let n = |r: &Row| match r.get(0).as_long() == Some(at) {
+        true => Value::str("x"),
+        false => Value::Null,
+    };
+    let bad: Vec<Row> = (rows.iter())
+        .map(|r| Row::new(vec![r.get(0).clone(), r.get(1).clone(), n(r)]))
+        .collect();
+    let schema = Schema::timestamped(vec![
+        Field::new("UserId", ColumnType::Str),
+        Field::new("N", ColumnType::Str),
+    ]);
+    ColumnBatch::from_rows(&schema, &bad).unwrap()
 }
 
-/// A mapper and a reducer that pass rows through, poisoned; `calls`
+/// A mapper and a reducer that pass batches through, poisoned; `calls`
 /// counts invocations (in this address space: the thread backend's).
 #[derive(Debug)]
 struct Poisoner {
@@ -371,10 +377,10 @@ impl Mapper for Poisoner {
     fn map(
         &self,
         _: &MapperContext,
-        rows: &[Row],
-    ) -> timr_suite::mapreduce::Result<Option<Vec<Row>>> {
+        batch: ColumnBatch,
+    ) -> timr_suite::mapreduce::Result<ColumnBatch> {
         self.calls.fetch_add(1, Ordering::Relaxed);
-        Ok(Some(poison(rows, self.at)))
+        Ok(poison(batch, self.at))
     }
 }
 
@@ -387,9 +393,9 @@ impl Reducer for Poisoner {
         &self,
         _: &ReducerContext,
         inputs: Vec<ColumnBatch>,
-    ) -> timr_suite::mapreduce::Result<Vec<Vec<Row>>> {
+    ) -> timr_suite::mapreduce::Result<Vec<ColumnBatch>> {
         self.calls.fetch_add(1, Ordering::Relaxed);
-        Ok(vec![poison(&inputs[0].to_rows(), self.at)])
+        Ok(inputs.into_iter().map(|b| poison(b, self.at)).collect())
     }
 }
 
@@ -407,10 +413,10 @@ impl Reducer for ConsumeThenPanic {
         &self,
         ctx: &ReducerContext,
         inputs: Vec<ColumnBatch>,
-    ) -> timr_suite::mapreduce::Result<Vec<Vec<Row>>> {
-        let rows: Vec<Row> = inputs.into_iter().flat_map(|b| b.to_rows()).collect();
+    ) -> timr_suite::mapreduce::Result<Vec<ColumnBatch>> {
+        let consumed: Vec<ColumnBatch> = inputs.into_iter().collect();
         assert!(ctx.is_retry(), "attempt 0 consumed its inputs, then failed");
-        Ok(vec![rows])
+        Ok(consumed)
     }
 }
 
@@ -446,6 +452,80 @@ fn a_retry_after_a_consuming_failure_sees_identical_inputs() {
     assert_no_zombies();
 }
 
+/// A published dataset whose bytes are damaged is damaged on every read:
+/// each map attempt decodes its extent's image, so a byte flipped in one
+/// extent and another extent cut short fail the lower one's map task —
+/// `TaskExhausted` in the map phase, `Corrupt` naming the extent — on
+/// threads and on worker processes, in memory and under a budget, with
+/// nothing published, no spill file left and no zombie.
+#[test]
+fn a_damaged_source_image_fails_every_map_attempt() {
+    let rows: Vec<Row> = (0..300i64)
+        .map(|i| row![i, format!("u{}", i % 9), i * 3])
+        .collect();
+    let mut extents = Dataset::partitioned(keyed_schema(), three_extents(&rows))
+        .extents()
+        .to_vec();
+    let damage = |stored: &mut StoredExtent, f: &dyn Fn(&mut Vec<u8>)| {
+        let mut bytes = stored.bytes.as_ref().clone();
+        f(&mut bytes);
+        stored.bytes = Arc::new(bytes);
+    };
+    damage(&mut extents[1], &|b| {
+        let mid = b.len() / 2;
+        b[mid] ^= 0xFF;
+    });
+    damage(&mut extents[2], &|b| b.truncate(b.len() * 2 / 3));
+    let damaged = Dataset {
+        schema: keyed_schema(),
+        partitions: Arc::new(extents),
+    };
+    let spill_dir =
+        std::env::temp_dir().join(format!("timr-backend-damaged-{}", std::process::id()));
+    std::fs::create_dir_all(&spill_dir).unwrap();
+    for backend in WORKER_KINDS {
+        for budget in [None, Some(2 << 10)] {
+            let dfs = Dfs::new();
+            dfs.put("in", damaged.clone()).unwrap();
+            let err = Cluster::with_config(ClusterConfig {
+                backend,
+                threads: 2,
+                memory_budget_bytes: budget,
+                spill_dir: Some(spill_dir.clone()),
+                retry: RetryPolicy::no_backoff(3),
+                ..ClusterConfig::default()
+            })
+            .run_stage(&dfs, &copy_stage(Arc::new(IdentityReducer)))
+            .unwrap_err();
+            let label = format!("{backend:?} budget {budget:?}");
+            let MrError::TaskExhausted {
+                stage,
+                phase,
+                partition,
+                attempts,
+                last,
+            } = &err
+            else {
+                panic!("{label}: expected TaskExhausted, got {err:?}");
+            };
+            assert_eq!(
+                (stage.as_str(), *phase, *partition, *attempts),
+                ("copy", TaskPhase::Map, 1, 3),
+                "{label}"
+            );
+            let TaskError::Corrupt { what } = last.as_ref() else {
+                panic!("{label}: expected Corrupt, got {last:?}");
+            };
+            assert!(what.starts_with("extent 1: "), "{label}: {what}");
+            assert!(!dfs.contains("out"), "{label}: sink published");
+            let leftovers: Vec<_> = std::fs::read_dir(&spill_dir).unwrap().collect();
+            assert!(leftovers.is_empty(), "{label}: spill files leaked");
+        }
+    }
+    std::fs::remove_dir_all(&spill_dir).ok();
+    assert_no_zombies();
+}
+
 /// Wait until every worker this test binary forked has been reaped. Polls
 /// briefly — concurrently running tests fork workers of their own.
 fn assert_no_zombies() {
@@ -466,9 +546,9 @@ fn assert_no_zombies() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// A cell that does not inhabit its column — in a source extent, in a
-    /// mapper's output or in a reducer's output — fails the stage with one
-    /// `MrError::IllTyped` naming where and what, the same on 1, 2 and 4
+    /// A batch whose column is not of its declared type — a mapper's output
+    /// or a reducer's — fails the stage with one `MrError::IllTyped` naming
+    /// where and what, the same on 1, 2 and 4
     /// threads or worker processes, in memory or under a 2 KiB budget. It
     /// is never retried (a retried task that keeps failing surfaces as
     /// `TaskExhausted`, and user code runs at most once per task), and it
@@ -489,24 +569,20 @@ proptest! {
             std::process::id()
         ));
         std::fs::create_dir_all(&spill_dir).unwrap();
-        for plant in [Plant::SourceExtent, Plant::MapperOutput, Plant::ReducerOutput] {
+        for plant in [Plant::MapperOutput, Plant::ReducerOutput] {
             let expected_site = match plant {
                 Plant::ReducerOutput => "`copy` reduce sink 0 partition ".to_string(),
-                _ => format!("`copy` map input 0 extent {first_bad_extent}"),
+                Plant::MapperOutput => format!("`copy` map input 0 extent {first_bad_extent}"),
             };
             let mut reference: Option<String> = None;
             for n in [1usize, 2, 4] {
                 for backend in [BackendKind::Threads, BackendKind::Processes { workers: n }] {
                     for budget in [None, Some(2 << 10)] {
-                        let mut input = Dataset::partitioned(keyed_schema(), extents.clone());
-                        if plant == Plant::SourceExtent {
-                            input.partitions = Arc::new(three_extents(&poison(&rows, at)));
-                        }
+                        let input = Dataset::partitioned(keyed_schema(), extents.clone());
                         let dfs = Dfs::new();
                         dfs.put("in", input).unwrap();
                         let poisoner = Arc::new(Poisoner { at, calls: AtomicUsize::new(0) });
                         let (stage, tasks) = match plant {
-                            Plant::SourceExtent => (copy_stage(Arc::new(IdentityReducer)), 0),
                             Plant::MapperOutput => (
                                 copy_stage(Arc::new(IdentityReducer)).with_mapper(poisoner.clone()),
                                 extents.len(),
@@ -724,7 +800,7 @@ impl Reducer for StopOnce {
         &self,
         ctx: &ReducerContext,
         inputs: Vec<ColumnBatch>,
-    ) -> timr_suite::mapreduce::Result<Vec<Vec<Row>>> {
+    ) -> timr_suite::mapreduce::Result<Vec<ColumnBatch>> {
         extern "C" {
             fn getpid() -> i32;
             fn kill(pid: i32, sig: i32) -> i32;
@@ -734,7 +810,7 @@ impl Reducer for StopOnce {
             // SAFETY: plain libc calls on this process's own pid.
             unsafe { kill(getpid(), SIGSTOP) };
         }
-        Ok(vec![inputs.into_iter().flat_map(|b| b.to_rows()).collect()])
+        Ok(inputs)
     }
 }
 

@@ -19,7 +19,8 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use timr_suite::mapreduce::job::IdentityReducer;
 use timr_suite::mapreduce::{
-    ChaosPlan, Cluster, ClusterConfig, Dataset, Dfs, Partitioner, RetryPolicy, Stage, TaskPhase,
+    ChaosPlan, Cluster, ClusterConfig, Dataset, Dfs, Partitioner, RetryPolicy, Stage, StoredExtent,
+    TaskPhase,
 };
 use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{extent, ColumnBatch, Row, Schema, Value};
@@ -96,6 +97,42 @@ proptest! {
             verify.is_err() && decode.is_err(),
             "flip at byte {} of {} slipped through", i, bytes.len()
         );
+    }
+
+    /// A dataset is its sealed extents: `Dataset::partitioned` then
+    /// `iter`, `scan`, `len` and `batch(i)` give back exactly the rows, extent
+    /// by extent; and one extent equals (and hashes like) another exactly
+    /// when their images are the same bytes.
+    #[test]
+    fn datasets_round_trip_and_extents_are_their_bytes(
+        rows in prop::collection::vec(arb_row(), 0..120),
+        cuts in 1usize..5,
+        flip in 0usize..1_000_000,
+    ) {
+        let per_extent = rows.len().div_ceil(cuts).max(1);
+        let parts: Vec<Vec<Row>> = rows.chunks(per_extent).map(<[Row]>::to_vec).collect();
+        let ds = Dataset::partitioned(schema(), parts.clone());
+        ds.verify().unwrap();
+        prop_assert_eq!(ds.len(), rows.len());
+        prop_assert_eq!(ds.scan(), rows.clone());
+        prop_assert_eq!(ds.iter().collect::<Vec<_>>(), rows);
+        for (i, part) in parts.iter().enumerate() {
+            prop_assert_eq!(ds.batch(i).unwrap().to_rows(), part.clone());
+            prop_assert_eq!(ds.extents()[i].rows, part.len() as u64);
+        }
+        let again = Dataset::partitioned(schema(), parts);
+        prop_assert_eq!(&ds.partitions, &again.partitions);
+        let digest = |d: &Dataset| timr_suite::relation::hash::stable_hash(d.partitions.as_ref());
+        prop_assert_eq!(digest(&ds), digest(&again));
+        if let Some(first) = ds.extents().first() {
+            let mut bytes = first.bytes.as_ref().clone();
+            let at = flip % bytes.len();
+            bytes[at] ^= 1;
+            let flipped = StoredExtent { bytes: Arc::new(bytes), ..first.clone() };
+            prop_assert!(&flipped != first, "a flipped byte at {} went unseen", at);
+            let relabelled = StoredExtent { rows: first.rows + 1, width: 0, ..first.clone() };
+            prop_assert!(&relabelled == first, "equality looks past the bytes");
+        }
     }
 }
 

@@ -736,7 +736,7 @@ fn the_bt_plans_match_the_reference_byte_for_byte() {
     cfg.users = 200;
     let log = timr_suite::adgen::generate(&cfg);
     let logs = timr_suite::timr::EventEncoding::Point
-        .decode_stream(&log.rows(), &log_payload())
+        .decode_stream(log.rows(), &log_payload())
         .unwrap();
     let params = timr_suite::bt::BtParams {
         horizon: cfg.duration * 2,

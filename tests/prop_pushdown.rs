@@ -19,7 +19,7 @@ use common::reference_relation;
 use proptest::prelude::*;
 use std::time::Duration as WallDuration;
 use timr_suite::mapreduce::{
-    BackendKind, ChaosPlan, Cluster, ClusterConfig, Dataset, Dfs, RetryPolicy,
+    BackendKind, ChaosPlan, Cluster, ClusterConfig, Dataset, Dfs, RetryPolicy, StoredExtent,
 };
 use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{row, Row, Schema};
@@ -173,7 +173,7 @@ fn run_bytes(
     push: bool,
     chaos: ChaosPlan,
     budget: Option<u64>,
-) -> (Vec<Vec<Vec<Row>>>, Vec<EventStream>) {
+) -> (Vec<Vec<StoredExtent>>, Vec<EventStream>) {
     run_bytes_on(members, rows, push, &cluster(chaos, budget))
 }
 
@@ -182,7 +182,7 @@ fn run_bytes_on(
     rows: &[Row],
     push: bool,
     cluster: &Cluster,
-) -> (Vec<Vec<Vec<Row>>>, Vec<EventStream>) {
+) -> (Vec<Vec<StoredExtent>>, Vec<EventStream>) {
     let dfs = dfs_with(rows);
     let out = job(members, push).run(&dfs, cluster).unwrap();
     let bytes = out

@@ -11,7 +11,9 @@ mod common;
 use common::reference_relation;
 use proptest::prelude::*;
 use std::time::Duration;
-use timr_suite::mapreduce::{ChaosPlan, Cluster, ClusterConfig, Dataset, Dfs, RetryPolicy};
+use timr_suite::mapreduce::{
+    ChaosPlan, Cluster, ClusterConfig, Dataset, Dfs, RetryPolicy, StoredExtent,
+};
 use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{row, Row, Schema, Value};
 use timr_suite::temporal::expr::{col, lit};
@@ -103,7 +105,7 @@ fn shared_bytes(
     members: &[Member],
     rows: &[Row],
     chaos: ChaosPlan,
-) -> (Vec<Vec<Vec<Row>>>, Vec<EventStream>) {
+) -> (Vec<Vec<StoredExtent>>, Vec<EventStream>) {
     let dfs = dfs_with(rows);
     let out = job("shared", members)
         .run(&dfs, &cluster(4, chaos))
@@ -120,7 +122,7 @@ fn shared_bytes(
 }
 
 /// Raw output partitions of one query run on its own.
-fn solo_bytes(member: &Member, rows: &[Row]) -> Vec<Vec<Row>> {
+fn solo_bytes(member: &Member, rows: &[Row]) -> Vec<StoredExtent> {
     let dfs = dfs_with(rows);
     let out = job("solo", std::slice::from_ref(member))
         .run(&dfs, &cluster(4, ChaosPlan::none()))
