@@ -206,8 +206,7 @@ pub fn run(ctx: &mut super::Ctx) -> String {
     for i in 0..anchor_n {
         let reference = super::reference_relation(dfs, &advertiser_query(&params, i), &encodings);
         assert!(
-            anchor
-                .stream(i, dfs)
+            timr::read_output(dfs, &anchor.datasets[i])
                 .expect("query output decodes")
                 .same_relation(&reference),
             "shared query {i} must equal the single-node reference DSMS"

@@ -262,8 +262,7 @@ pub fn run(ctx: &mut super::Ctx) -> String {
     for i in 0..DASHBOARDS {
         let oracle = super::reference_relation(&dfs, &dashboard_query(&params, i), &encodings);
         assert!(
-            pushed
-                .stream(i, &dfs)
+            timr::read_output(&dfs, &pushed.datasets[i])
                 .expect("dashboard output decodes")
                 .same_relation(&oracle),
             "dashboard {i} must equal the single-node reference DSMS"

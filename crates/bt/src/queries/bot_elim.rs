@@ -217,9 +217,6 @@ mod tests {
         btq.annotation.validate(&btq.plan).unwrap();
         let frags = timr::fragment::fragment(&btq.plan, &btq.annotation).unwrap();
         assert_eq!(frags.len(), 1);
-        assert_eq!(
-            frags[0].key,
-            timr::fragment::FragmentKey::Keys(vec!["UserId".into()])
-        );
+        assert_eq!(frags[0].key, timr::ExchangeKey::keys(&["UserId"]));
     }
 }

@@ -264,10 +264,7 @@ mod tests {
         btq.annotation.validate(&btq.plan).unwrap();
         let frags = timr::fragment::fragment(&btq.plan, &btq.annotation).unwrap();
         assert_eq!(frags.len(), 1);
-        assert_eq!(
-            frags[0].key,
-            timr::fragment::FragmentKey::Keys(vec!["AdId".into()])
-        );
+        assert_eq!(frags[0].key, timr::ExchangeKey::keys(&["AdId"]));
         // Two inputs: labels and train_rows.
         assert_eq!(frags[0].inputs.len(), 2);
     }

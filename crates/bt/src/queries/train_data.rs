@@ -322,11 +322,9 @@ mod tests {
         naive.validate(&btq.plan).unwrap();
         let frags = timr::fragment::fragment(&btq.plan, &naive).unwrap();
         assert_eq!(frags.len(), 2, "naive plan has a separate UBP fragment");
-        assert!(frags.iter().any(|f| f.key
-            == timr::fragment::FragmentKey::Keys(vec![
-                "UserId".to_string(),
-                "KwAdId".to_string()
-            ])));
+        assert!(frags
+            .iter()
+            .any(|f| f.key == timr::ExchangeKey::keys(&["UserId", "KwAdId"])));
     }
 
     #[test]

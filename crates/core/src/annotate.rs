@@ -22,7 +22,14 @@
 //!   re-mapped by each consuming stage).
 //! - the partitioning key must be *compatible* with every operator in the
 //!   fragment: a GroupApply (or join) may only be keyed by a subset of its
-//!   grouping (join) columns, per the property rules of paper §VI.
+//!   grouping (join) columns, per the property rules of paper §VI;
+//! - a `Source` read inside a GroupApply sub-plan, at any depth, is read
+//!   whole by every group, so only a single-partition (⊤) fragment may
+//!   contain it.
+//!
+//! The last two are the one key rule
+//! ([`crate::fragment::check_key_compatibility`]), which a shared
+//! multi-query DAG passes too.
 
 use crate::error::{Result, TimrError};
 use std::collections::BTreeMap;

@@ -28,6 +28,7 @@
 //! — the online path, `temporal::rt`.
 
 use crate::error::{Result, TimrError};
+use mapreduce::Dfs;
 use relation::column::{Column, ColumnData};
 use relation::schema::{ColumnType, Field, TIME_COLUMN};
 use relation::{ColumnBatch, Row, Schema, Value};
@@ -322,6 +323,16 @@ impl EventEncoding {
             rows,
         ))
     }
+}
+
+/// Decode a published output dataset — a TiMR job's, a shared job's query,
+/// a temporally partitioned run's: every stage sink is interval-framed —
+/// back into its normalized event stream.
+pub fn read_output(dfs: &Dfs, dataset: &str) -> Result<EventStream> {
+    let ds = dfs.get(dataset)?;
+    let payload = EventEncoding::Interval.payload_schema(&ds.schema)?;
+    let stream = EventEncoding::Interval.decode_stream(ds.iter(), &payload)?;
+    Ok(stream.normalize())
 }
 
 /// The lifetimes and payload columns of `events`.

@@ -1,19 +1,20 @@
 //! Fragment → map-reduce stage conversion (paper §III-A step 4).
 //!
-//! Each fragment becomes one stage. The map phase partitions every stage
-//! input by `hash(fragment key) mod partitions` — the bucketing trick of
-//! §III-C.3 that instantiates one embedded DSMS per machine instead of one
-//! per key value. The reduce phase is [`DsmsReducer`]: the stand-alone
-//! method `P` from the paper, which splits its partition's shuffled
-//! batches into lifetimes and payload columns, runs the *unmodified* DSMS on
-//! the fragment plan (the generated method `P'`), and encodes each root, by
-//! value and in canonical order, as its sink's batch
-//! ([`EventEncoding::encode_sink`]).
+//! [`build_stage`] is the one place a fragment becomes a stage, and a shared
+//! multi-query DAG ([`crate::multi`]) compiles through it as a fragment with
+//! one root per query. The map phase partitions every stage input by
+//! `hash(fragment key) mod partitions` — the bucketing trick of §III-C.3
+//! that instantiates one embedded DSMS per machine instead of one per key
+//! value. The reduce phase is [`DsmsReducer`]: the stand-alone method `P`
+//! from the paper, which splits its partition's shuffled batches into
+//! lifetimes and payload columns, runs the *unmodified* DSMS on the fragment
+//! plan (the generated method `P'`), and encodes each root, by value and in
+//! canonical order, as its sink's batch ([`EventEncoding::encode_sink`]).
 
-use crate::annotate::Annotation;
+use crate::annotate::{Annotation, ExchangeKey};
 use crate::bridge::EventEncoding;
 use crate::error::{Result, TimrError};
-use crate::fragment::{fragment, Fragment, FragmentInput, FragmentKey};
+use crate::fragment::{fragment, subplan_sources, Fragment, FragmentInput};
 use crate::mapper::{DsmsMapper, MapperUnit};
 use mapreduce::{MrError, Partitioner, Reducer, ReducerContext, Stage};
 use relation::{ColumnBatch, Schema};
@@ -22,7 +23,7 @@ use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 use std::sync::Arc;
 use temporal::exec::{DataBindings, StreamData};
-use temporal::plan::{LogicalPlan, NoPartial, PushDown};
+use temporal::plan::{LogicalPlan, NoPartial};
 
 /// A compiled TiMR job: ordered stages plus output metadata.
 #[derive(Debug, Clone)]
@@ -31,10 +32,6 @@ pub struct CompiledJob {
     pub stages: Vec<Stage>,
     /// DFS name of the final output dataset.
     pub output: String,
-    /// Payload schema of the final output.
-    pub output_payload: Schema,
-    /// Lifetime encoding of the final output dataset.
-    pub output_encoding: EventEncoding,
     /// Stateless operators moved map-side by plan push-down, all stages.
     pub pushed_ops: usize,
     /// Partial-aggregation steps moved map-side, all stages.
@@ -81,23 +78,6 @@ pub(crate) fn map_side_report(
     out
 }
 
-/// The refusal report of one stage: `push_down`'s per-source answers under
-/// the stage's dataset names (`dataset_of` maps a source leaf to its input).
-pub(crate) fn partial_refusals(
-    stage: &str,
-    pd: &PushDown,
-    dataset_of: impl Fn(&str) -> String,
-) -> Vec<PartialRefusal> {
-    pd.no_partial
-        .iter()
-        .map(|(source, reason)| PartialRefusal {
-            stage: stage.to_string(),
-            input: dataset_of(source),
-            reason: reason.clone(),
-        })
-        .collect()
-}
-
 impl fmt::Display for CompiledJob {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         for stage in &self.stages {
@@ -117,233 +97,235 @@ impl fmt::Display for CompiledJob {
     }
 }
 
-/// Compile-time switches shared by [`compile_with_options`] and the
-/// multi-query driver.
-#[derive(Debug, Clone, Copy)]
-pub struct CompileOptions {
-    /// Split each stage plan at its first exchange and run the
-    /// exchange-free prefix (plus combinable partial aggregations)
-    /// map-side ([`temporal::plan::push_down`]). On by default — the
-    /// split is validated and byte-identity-preserving, so turning it
-    /// off is only interesting for benchmarking the shuffle savings.
-    pub push_down: bool,
-}
-
-impl Default for CompileOptions {
-    fn default() -> Self {
-        CompileOptions { push_down: true }
-    }
-}
-
 /// Compile `plan` + `annotation` into map-reduce stages.
 ///
 /// * `job_name` prefixes intermediate dataset names.
 /// * `machines` is the reduce-partition count for keyed fragments.
 /// * `source_encodings` gives the lifetime encoding of each raw source
 ///   dataset (defaults to [`EventEncoding::Point`], the raw-log encoding).
+/// * `push_down` splits each stage plan at its exchange and runs the
+///   exchange-free prefix (plus combinable partial aggregations) map-side
+///   ([`temporal::plan::push_down`]); off is the reduce-only baseline.
 pub fn compile(
     plan: &LogicalPlan,
     annotation: &Annotation,
     job_name: &str,
     machines: usize,
     source_encodings: &BTreeMap<String, EventEncoding>,
+    push_down: bool,
 ) -> Result<CompiledJob> {
-    compile_with_options(
-        plan,
-        annotation,
-        job_name,
-        machines,
-        source_encodings,
-        CompileOptions::default(),
-    )
+    let fragments = fragment(plan, annotation)?;
+    let mut job = CompiledJob {
+        stages: Vec::with_capacity(fragments.len()),
+        output: String::new(),
+        pushed_ops: 0,
+        pushed_partials: 0,
+        partial_refusals: Vec::new(),
+    };
+    for frag in &fragments {
+        let output = if frag.is_final {
+            format!("{job_name}__out")
+        } else {
+            format!("{job_name}__f{}", frag.root)
+        };
+        let built = build_stage(
+            frag,
+            format!("{job_name}/f{}", frag.root),
+            vec![output],
+            job_name,
+            machines,
+            source_encodings,
+            push_down,
+        )?;
+        if frag.is_final {
+            job.output = built.stage.output.clone();
+        }
+        job.pushed_ops += built.pushed_ops;
+        job.pushed_partials += built.pushed_partials;
+        job.partial_refusals.extend(built.partial_refusals);
+        job.stages.push(built.stage);
+    }
+    Ok(job)
 }
 
-/// [`compile`] with explicit [`CompileOptions`].
-pub fn compile_with_options(
-    plan: &LogicalPlan,
-    annotation: &Annotation,
-    job_name: &str,
+/// One fragment built into a stage by [`build_stage`].
+pub(crate) struct BuiltStage {
+    pub(crate) stage: Stage,
+    /// The plan the reducer runs: the push-down residual, fused.
+    pub(crate) plan: LogicalPlan,
+    pub(crate) pushed_ops: usize,
+    pub(crate) pushed_partials: usize,
+    pub(crate) partial_refusals: Vec<PartialRefusal>,
+}
+
+/// Build one stage from a fragment whose key has passed the key rule
+/// ([`crate::fragment::check_key_compatibility`]): the stage is `name`,
+/// root `i` of `frag.plan` publishes `outputs[i]`, and intermediate inputs
+/// read `{job}__f{producer}`.
+pub(crate) fn build_stage(
+    frag: &Fragment,
+    name: String,
+    outputs: Vec<String>,
+    job: &str,
     machines: usize,
     source_encodings: &BTreeMap<String, EventEncoding>,
-    options: CompileOptions,
-) -> Result<CompiledJob> {
+    push_down: bool,
+) -> Result<BuiltStage> {
     if machines == 0 {
         return Err(TimrError::Compile("machines must be positive".into()));
     }
-    let fragments = fragment(plan, annotation)?;
-    let mut stages = Vec::with_capacity(fragments.len());
-    let mut output = String::new();
-    let mut output_payload = plan.schema_of(plan.roots()[0]).clone();
-    let mut pushed_ops = 0usize;
-    let mut pushed_partials = 0usize;
-    let mut partial_refusals = Vec::new();
-
-    for frag in &fragments {
-        let (stage, pd) = compile_fragment(frag, job_name, machines, source_encodings, options)?;
-        if let Some(pd) = pd {
-            pushed_ops += pd.pushed_ops;
-            pushed_partials += pd.partials;
-            partial_refusals.extend(self::partial_refusals(&stage.name, &pd, |source| {
-                let (_, input) = frag
-                    .inputs
-                    .iter()
-                    .find(|(name, _)| name == source)
-                    .expect("every source leaf of a fragment plan is one of its inputs");
-                input.dataset_name(job_name)
-            }));
+    // The map phase hashes every input on the key columns, and a name binds
+    // one input.
+    let sources = frag.plan.sources();
+    for (i, &(source, schema)) in sources.iter().enumerate() {
+        if sources[..i]
+            .iter()
+            .any(|&(n, s)| n == source && s != schema)
+        {
+            return Err(TimrError::Compile(format!(
+                "source `{source}` bound with two different schemas"
+            )));
         }
-        if frag.is_final {
-            output = stage.output.clone();
-            output_payload = frag.plan.schema_of(frag.plan.roots()[0]).clone();
+        if let Some(c) = frag.key.columns().iter().find(|c| !schema.contains(c)) {
+            return Err(TimrError::Compile(format!(
+                "partition key column `{c}` not in input `{source}` schema {schema}"
+            )));
         }
-        stages.push(stage);
     }
-    Ok(CompiledJob {
-        stages,
-        output,
-        output_payload,
-        output_encoding: EventEncoding::Interval,
-        pushed_ops,
-        pushed_partials,
-        partial_refusals,
-    })
-}
+    // A sub-plan `Source` reads the reducer's binding of that name, raw.
+    let nested: Vec<&str> = (frag.plan.nodes().iter())
+        .flat_map(|n| subplan_sources(&n.op))
+        .collect();
+    if let Some(s) = nested
+        .iter()
+        .find(|s| !sources.iter().any(|(n, _)| n == *s))
+    {
+        return Err(TimrError::Compile(format!(
+            "a GroupApply sub-plan reads source `{s}`, which is not an input of stage `{name}`"
+        )));
+    }
 
-fn compile_fragment(
-    frag: &Fragment,
-    job_name: &str,
-    machines: usize,
-    source_encodings: &BTreeMap<String, EventEncoding>,
-    options: CompileOptions,
-) -> Result<(Stage, Option<PushDown>)> {
-    let (partitioner, partitions) = match &frag.key {
-        FragmentKey::Keys(cols) => (
+    // Split the plan at the exchange. `Spread` routes on the whole row, so
+    // rewriting rows map-side would change routing — push-down is only
+    // attempted under content-addressed partitioners (KeyHash preserves its
+    // key columns; Single has nothing to route), and never when a sub-plan
+    // needs a source's raw binding.
+    let (partitioner, partitions, partition_cols) = match &frag.key {
+        ExchangeKey::Keys(cols) => (
             // Hash over the *dataset* row: framing columns precede payload
-            // columns, so we address the key by name, which the reducer's
+            // columns, so the key is addressed by name, which the reducer's
             // dataset schemas preserve.
             Partitioner::KeyHash {
                 columns: cols.clone(),
             },
             machines,
+            Some(Some(cols.as_slice())),
         ),
-        FragmentKey::Single => (Partitioner::Single, 1),
-        FragmentKey::Spread => (Partitioner::Spread, machines),
-    };
-
-    // Split the fragment plan at the exchange. `Spread` routes on the
-    // whole row, so rewriting rows map-side would change routing —
-    // push-down is only attempted under content-addressed partitioners
-    // (KeyHash preserves its key columns; Single has nothing to route).
-    let partition_cols = match &frag.key {
-        FragmentKey::Keys(cols) => Some(Some(cols.as_slice())),
-        FragmentKey::Single => Some(None),
-        FragmentKey::Spread => None,
+        ExchangeKey::Single => (Partitioner::Single, 1, Some(None)),
+        ExchangeKey::Spread => (Partitioner::Spread, machines, None),
     };
     // `None`: not attempted. A split that moved nothing has no mappers and
     // the plan itself as its residual.
-    let pd: Option<PushDown> = match partition_cols {
-        Some(cols) if options.push_down => {
+    let pd = match partition_cols {
+        Some(cols) if push_down && nested.is_empty() => {
             Some(temporal::plan::push_down(&frag.plan, cols).map_err(TimrError::Temporal)?)
         }
         _ => None,
     };
     let reduce_plan = pd.as_ref().map_or(&frag.plan, |p| &p.residual);
+    let schema_of = |plan: &LogicalPlan, source: &str| {
+        (plan.sources().into_iter())
+            .find(|&(n, _)| n == source)
+            .map(|(_, s)| s.clone())
+            .expect("every fragment input is a source leaf of the plan and of its residual")
+    };
 
     let mut input_names = Vec::with_capacity(frag.inputs.len());
     let mut bindings = Vec::with_capacity(frag.inputs.len());
     let mut units: Vec<Option<MapperUnit>> = Vec::with_capacity(frag.inputs.len());
-    for (source_name, input) in &frag.inputs {
-        let dataset = input.dataset_name(job_name);
-        let raw_encoding = match input {
-            FragmentInput::SourceDataset { name } => source_encodings
-                .get(name)
-                .copied()
-                .unwrap_or(EventEncoding::Point),
-            FragmentInput::Intermediate { .. } => EventEncoding::Interval,
+    for (source, input) in &frag.inputs {
+        input_names.push(input.dataset_name(job));
+        let raw = InputBinding {
+            source_name: source.clone(),
+            encoding: match input {
+                FragmentInput::SourceDataset { name } => source_encodings
+                    .get(name)
+                    .copied()
+                    .unwrap_or(EventEncoding::Point),
+                FragmentInput::Intermediate { .. } => EventEncoding::Interval,
+            },
+            payload: schema_of(&frag.plan, source),
         };
-        let raw_payload = frag
-            .plan
-            .sources()
-            .iter()
-            .find(|(n, _)| n == source_name)
-            .map(|(_, s)| (*s).clone())
-            .expect("fragment input has a source leaf");
-        let mapper_plan = pd
-            .as_ref()
-            .and_then(|p| p.mappers.iter().find(|m| &m.source == source_name));
-        input_names.push(dataset);
+        let mapper_plan =
+            (pd.as_ref()).and_then(|p| p.mappers.iter().find(|m| &m.source == source));
         match mapper_plan {
+            // The reducer sees this input post-mapper: interval-framed rows
+            // carrying the residual source leaf's schema.
             Some(mp) => {
-                // The reducer sees this input post-mapper: interval-framed
-                // rows carrying the residual source leaf's schema.
-                let payload = reduce_plan
-                    .sources()
-                    .iter()
-                    .find(|(n, _)| n == source_name)
-                    .map(|(_, s)| (*s).clone())
-                    .expect("residual keeps the pushed source leaf");
-                units.push(Some(MapperUnit::new(
-                    mp,
-                    InputBinding {
-                        source_name: source_name.clone(),
-                        encoding: raw_encoding,
-                        payload: raw_payload,
-                    },
-                )?));
                 bindings.push(InputBinding {
-                    source_name: source_name.clone(),
+                    source_name: source.clone(),
                     encoding: EventEncoding::Interval,
-                    payload,
+                    payload: schema_of(reduce_plan, source),
                 });
+                units.push(Some(MapperUnit::new(mp, raw)?));
             }
             None => {
+                bindings.push(raw);
                 units.push(None);
-                bindings.push(InputBinding {
-                    source_name: source_name.clone(),
-                    encoding: raw_encoding,
-                    payload: raw_payload,
-                });
             }
         }
     }
 
-    let output_dataset = if frag.is_final {
-        format!("{job_name}__out")
-    } else {
-        format!("{job_name}__f{}", frag.root)
-    };
-
-    // Fragment annotation: the stateless chains are collapsed at compile
-    // time, so the stage plan carries its FusedFragment boundaries (visible
-    // in plan displays) and the per-reduce executor's fuse-on-entry returns
-    // the plan untouched. Fusion runs *after* the push-down split: the
-    // mapper and residual halves fuse independently, so a fused fragment
-    // never straddles the exchange.
+    let partial_refusals = pd.as_ref().map_or_else(Vec::new, |pd| {
+        (pd.no_partial.iter())
+            .map(|(source, reason)| PartialRefusal {
+                stage: name.clone(),
+                input: (frag.inputs.iter())
+                    .find(|(n, _)| n == source)
+                    .map(|(_, input)| input.dataset_name(job))
+                    .expect("every source leaf of a fragment plan is one of its inputs"),
+                reason: reason.clone(),
+            })
+            .collect()
+    });
+    // The stateless chains are fused at compile time, so the stage plan
+    // carries its FusedFragment boundaries (visible in plan displays) and the
+    // per-reduce executor's fuse-on-entry returns it untouched. Fusion runs
+    // *after* the push-down split (and, for a shared DAG, after sharing and
+    // factoring): the mapper and residual halves fuse independently, so a
+    // fused fragment never straddles the exchange or hides a mergeable
+    // prefix.
+    let plan = temporal::plan::fuse_plan(reduce_plan)
+        .map_err(TimrError::Temporal)?
+        .into_owned();
     let reducer = DsmsReducer {
-        plan: temporal::plan::fuse_plan(reduce_plan)
-            .map_err(TimrError::Temporal)?
-            .into_owned(),
+        plan: plan.clone(),
         inputs: bindings,
-        output_encoding: EventEncoding::Interval,
     };
     let mut stage = Stage::new(
-        format!("{job_name}/f{}", frag.root),
+        name,
         input_names,
-        output_dataset,
+        outputs[0].clone(),
         partitioner,
         partitions,
         Arc::new(reducer),
     )
-    .map_err(TimrError::from)?;
+    .map_err(TimrError::from)?
+    .with_aux_outputs(outputs[1..].to_vec());
     if units.iter().any(Option::is_some) {
         stage = stage.with_mapper(Arc::new(DsmsMapper::new(units)));
     }
-    Ok((stage, pd))
+    Ok(BuiltStage {
+        stage,
+        plan,
+        pushed_ops: pd.as_ref().map_or(0, |p| p.pushed_ops),
+        pushed_partials: pd.as_ref().map_or(0, |p| p.partials),
+        partial_refusals,
+    })
 }
 
-/// Per-input decode instructions for a reducer or a mapper unit. Shared with
-/// the multi-query driver ([`crate::multi`]), whose reducer decodes sources
-/// the same way but fans results out to one sink per query.
+/// Per-input decode instructions for a reducer, a mapper unit or the
+/// temporal-partitioning span reducer.
 #[derive(Debug, Clone)]
 pub(crate) struct InputBinding {
     /// Source name inside the fragment plan.
@@ -374,20 +356,20 @@ pub(crate) fn bind_input(binding: &InputBinding, batch: ColumnBatch) -> Result<S
 }
 
 /// The paper's reducer method `P`: shuffled batches → events → embedded
-/// DSMS → batches, one sink per plan root. A fragment plan has one root; the
-/// shared multi-query DAG ([`crate::multi`]) has one per query, evaluated
-/// in a single pass so shared prefixes run once per partition.
+/// DSMS → interval-framed batches, one sink per plan root. A TiMR fragment
+/// plan has one root; the shared multi-query DAG ([`crate::multi`]) has one
+/// per query, evaluated in a single pass so shared prefixes run once per
+/// partition.
 #[derive(Debug, Clone)]
 pub struct DsmsReducer {
-    pub(crate) plan: LogicalPlan,
-    pub(crate) inputs: Vec<InputBinding>,
-    pub(crate) output_encoding: EventEncoding,
+    plan: LogicalPlan,
+    inputs: Vec<InputBinding>,
 }
 
 impl Reducer for DsmsReducer {
     fn output_schema(&self, _inputs: &[Schema]) -> mapreduce::Result<Schema> {
         let payload = self.plan.schema_of(self.plan.roots()[0]);
-        Ok(self.output_encoding.dataset_schema(payload))
+        Ok(EventEncoding::Interval.dataset_schema(payload))
     }
 
     fn sink_schemas(&self, _inputs: &[Schema]) -> mapreduce::Result<Vec<Schema>> {
@@ -395,7 +377,7 @@ impl Reducer for DsmsReducer {
             .plan
             .roots()
             .iter()
-            .map(|&r| self.output_encoding.dataset_schema(self.plan.schema_of(r)))
+            .map(|&r| EventEncoding::Interval.dataset_schema(self.plan.schema_of(r)))
             .collect())
     }
 
@@ -423,7 +405,7 @@ impl Reducer for DsmsReducer {
             .map_err(|e| to_mr(TimrError::Temporal(e)))?;
         roots
             .into_iter()
-            .map(|root| self.output_encoding.encode_sink(root).map_err(to_mr))
+            .map(|root| EventEncoding::Interval.encode_sink(root).map_err(to_mr))
             .collect()
     }
 }
@@ -431,8 +413,15 @@ impl Reducer for DsmsReducer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bridge::read_output;
+    use crate::multi::MultiTimrJob;
+    use crate::runner::TimrJob;
+    use mapreduce::{Cluster, Dataset, Dfs};
     use relation::schema::{ColumnType, Field};
     use relation::{row, Row};
+    use temporal::exec::{bindings, execute_reference};
+    use temporal::expr::{col, lit};
+    use temporal::plan::{LifetimeOp, Operator, PlanNode};
 
     fn binding() -> InputBinding {
         InputBinding {
@@ -485,5 +474,172 @@ mod tests {
             .decode_stream(&empty_lifetime, &binding().payload)
             .unwrap_err();
         assert_eq!(via_batch.unwrap_err().to_string(), row_error.to_string());
+    }
+
+    fn log_payload() -> Schema {
+        Schema::new(vec![
+            Field::new("StreamId", ColumnType::Int),
+            Field::new("UserId", ColumnType::Str),
+            Field::new("KwAdId", ColumnType::Str),
+        ])
+    }
+
+    /// Each user's clicks, windowed, joined inside the GroupApply sub-plan
+    /// against every event of `inner` on the same ad — a sub-plan `Source`,
+    /// which the builder cannot spell, so the arena is assembled by hand.
+    /// Node 1 is the filter reading the log.
+    fn subplan_join(inner: &str) -> LogicalPlan {
+        let node = |op, inputs| PlanNode { op, inputs };
+        let source = |name: &str| Operator::Source {
+            name: name.into(),
+            schema: log_payload(),
+        };
+        let sub = LogicalPlan::from_parts(
+            vec![
+                node(
+                    Operator::GroupInput {
+                        schema: log_payload(),
+                    },
+                    vec![],
+                ),
+                node(source(inner), vec![]),
+                node(
+                    Operator::TemporalJoin {
+                        keys: vec![("KwAdId".into(), "KwAdId".into())],
+                        residual: None,
+                    },
+                    vec![0, 1],
+                ),
+                node(
+                    Operator::Project {
+                        exprs: vec![("Other".into(), col("UserId.r"))],
+                    },
+                    vec![2],
+                ),
+            ],
+            vec![3],
+        )
+        .unwrap();
+        LogicalPlan::from_parts(
+            vec![
+                node(source("logs"), vec![]),
+                node(
+                    Operator::Filter {
+                        predicate: col("StreamId").eq(lit(1)),
+                    },
+                    vec![0],
+                ),
+                node(
+                    Operator::AlterLifetime {
+                        op: LifetimeOp::Window(40),
+                    },
+                    vec![1],
+                ),
+                node(
+                    Operator::GroupApply {
+                        keys: vec!["UserId".into()],
+                        subplan: Arc::new(sub),
+                    },
+                    vec![2],
+                ),
+            ],
+            vec![3],
+        )
+        .unwrap()
+    }
+
+    fn log_rows() -> Vec<Row> {
+        (0..200i64)
+            .map(|i| {
+                let (user, ad) = (format!("u{}", i % 7), format!("ad{}", i % 3));
+                row![i * 3 % 400, (1 + i % 2) as i32, user, ad]
+            })
+            .collect()
+    }
+
+    /// Run `plan` under `key` as a TiMR job (the exchange on the filter's
+    /// input edge) or as a one-query shared job: the published output, or
+    /// the error.
+    fn run_under(
+        plan: &LogicalPlan,
+        key: ExchangeKey,
+        shared: bool,
+    ) -> std::result::Result<temporal::EventStream, String> {
+        let dfs = Dfs::new();
+        let schema = EventEncoding::Point.dataset_schema(&log_payload());
+        let parts = log_rows().chunks(30).map(<[Row]>::to_vec).collect();
+        dfs.put("logs", Dataset::partitioned(schema, parts))
+            .unwrap();
+        let cluster = Cluster::new();
+        let dataset = if shared {
+            (MultiTimrJob::new("m", vec![plan.clone()]).with_key(key))
+                .run(&dfs, &cluster)
+                .map(|out| out.datasets[0].clone())
+        } else {
+            (TimrJob::new("t", plan.clone()))
+                .with_annotation(Annotation::none().exchange(1, 0, key))
+                .run(&dfs, &cluster)
+                .map(|out| out.dataset)
+        };
+        dataset
+            .and_then(|d| read_output(&dfs, &d))
+            .map_err(|e| e.to_string())
+    }
+
+    /// A sub-plan `Source` is read whole by every group, so a keyed or
+    /// spread partitioning would hand each partition's groups only its own
+    /// slice of it: a compile error that names the source, on either front
+    /// end. Under ⊤ the job runs — with nothing pushed map-side, since the
+    /// sub-plan needs the log raw — and equals the single-node reference.
+    #[test]
+    fn a_subplan_source_compiles_only_on_a_single_partition() {
+        let plan = subplan_join("logs");
+        let log = EventEncoding::Point
+            .decode_stream(log_rows(), &log_payload())
+            .unwrap();
+        let reference = execute_reference(&plan, &bindings(vec![("logs", log)]))
+            .unwrap()
+            .pop()
+            .unwrap()
+            .normalize();
+        assert!(!reference.is_empty());
+        for shared in [false, true] {
+            for key in [ExchangeKey::keys(&["UserId"]), ExchangeKey::Spread] {
+                let err = run_under(&plan, key.clone(), shared).unwrap_err();
+                assert_eq!(
+                    err,
+                    format!(
+                        "annotation error: a GroupApply sub-plan reads source `logs` whole; only \
+                         a single-partition (⊤) fragment can run it, not {key}"
+                    )
+                );
+            }
+            let got = run_under(&plan, ExchangeKey::Single, shared).unwrap();
+            assert!(got.same_relation(&reference), "shared {shared}");
+        }
+        let compiled = TimrJob::new("t", plan.clone()).compile().unwrap();
+        assert_eq!(compiled.pushed_ops, 0);
+        assert!(compiled.stages[0].mapper.is_none());
+    }
+
+    /// A sub-plan `Source` that no stage input binds would fail every
+    /// reducer at run time; it is a compile error instead, on either front
+    /// end and under any key.
+    #[test]
+    fn a_subplan_source_that_is_no_stage_input_fails_compilation() {
+        let plan = subplan_join("ads");
+        for shared in [false, true] {
+            let err = run_under(&plan, ExchangeKey::Single, shared).unwrap_err();
+            let stage = if shared { "m/shared" } else { "t/f3" };
+            assert_eq!(
+                err,
+                format!(
+                    "compile error: a GroupApply sub-plan reads source `ads`, which is not an \
+                     input of stage `{stage}`"
+                )
+            );
+            let keyed = run_under(&plan, ExchangeKey::keys(&["UserId"]), shared).unwrap_err();
+            assert!(keyed.contains("sub-plan reads source `ads`"), "{keyed}");
+        }
     }
 }

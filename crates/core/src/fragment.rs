@@ -13,32 +13,10 @@
 //! fragment key; its reducer runs the fragment's sub-plan in the embedded
 //! DSMS.
 
-use crate::annotate::{required_key_superset, Annotation, ExchangeKey};
+use crate::annotate::{join_right_column, required_key_superset, Annotation, ExchangeKey};
 use crate::error::{Result, TimrError};
 use rustc_hash::{FxHashMap, FxHashSet};
 use temporal::plan::{LogicalPlan, NodeId, Operator, PlanNode};
-
-/// How a fragment is parallelized.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FragmentKey {
-    /// Partition inputs by these columns.
-    Keys(Vec<String>),
-    /// One partition (the no-exchange default: logically correct for any
-    /// plan, with no scale-out).
-    Single,
-    /// Arbitrary spread (valid only for all-stateless fragments).
-    Spread,
-}
-
-impl std::fmt::Display for FragmentKey {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FragmentKey::Keys(c) => write!(f, "{{{}}}", c.join(", ")),
-            FragmentKey::Single => write!(f, "⊤"),
-            FragmentKey::Spread => write!(f, "⊥"),
-        }
-    }
-}
 
 /// One input of a fragment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,12 +49,15 @@ impl FragmentInput {
 /// One extracted fragment.
 #[derive(Debug, Clone)]
 pub struct Fragment {
-    /// Root node id in the *original* plan.
+    /// Root node id in the *original* plan (a shared multi-query DAG, which
+    /// compiles as one fragment: its first root).
     pub root: NodeId,
-    /// Parallelization key.
-    pub key: FragmentKey,
+    /// Parallelization key: that of the exchanges below the fragment or,
+    /// with none, `Spread` if every operator is stateless and `Single` if not.
+    pub key: ExchangeKey,
     /// The fragment's own executable plan: interior operators with cut
-    /// edges replaced by `Source` leaves.
+    /// edges replaced by `Source` leaves. One root, or one per query of a
+    /// shared multi-query DAG.
     pub plan: LogicalPlan,
     /// Inputs in the order of the fragment plan's `Source` leaves; the
     /// `String` is the source name used inside `plan`.
@@ -179,30 +160,8 @@ pub fn fragment(plan: &LogicalPlan, annotation: &Annotation) -> Result<Vec<Fragm
     let mut fragments = Vec::with_capacity(raw_fragments.len());
     for raw in &raw_fragments {
         let key = resolve_key(plan, raw.root, &raw.interior, &raw.cuts)?;
-        check_key_compatibility(plan, &raw.interior, &key)?;
+        check_key_compatibility(raw.interior.iter().map(|&id| &plan.node(id).op), &key)?;
         let (frag_plan, inputs) = build_fragment_plan(plan, raw.root, &raw.interior, &raw.cuts)?;
-        // Inputs must expose the key columns so the map phase can hash them.
-        if let FragmentKey::Keys(cols) = &key {
-            for (name, input) in &inputs {
-                let schema = match input {
-                    FragmentInput::SourceDataset { .. } | FragmentInput::Intermediate { .. } => {
-                        frag_plan
-                            .sources()
-                            .iter()
-                            .find(|(n, _)| n == name)
-                            .map(|(_, s)| (*s).clone())
-                            .expect("fragment source exists")
-                    }
-                };
-                for c in cols {
-                    if !schema.contains(c) {
-                        return Err(TimrError::Annotation(format!(
-                            "fragment keyed by {key} reads input `{name}` lacking column `{c}`"
-                        )));
-                    }
-                }
-            }
-        }
         fragments.push(Fragment {
             root: raw.root,
             key,
@@ -256,95 +215,99 @@ fn resolve_key(
     root: NodeId,
     interior: &[NodeId],
     cuts: &[(NodeId, Option<ExchangeKey>)],
-) -> Result<FragmentKey> {
+) -> Result<ExchangeKey> {
     let explicit: Vec<&ExchangeKey> = cuts.iter().filter_map(|(_, k)| k.as_ref()).collect();
-    if explicit.is_empty() {
+    let Some(&first) = explicit.first() else {
         // No exchange below this fragment: stateless fragments may spread,
-        // stateful ones must run on a single partition.
-        let all_stateless = interior.iter().all(|&id| {
-            plan.node(id).op.is_stateless() || matches!(plan.node(id).op, Operator::Source { .. })
-        });
+        // stateful ones (those with a key requirement) must run on a single
+        // partition.
+        let all_stateless =
+            (interior.iter()).all(|&id| required_key_superset(&plan.node(id).op).is_none());
         return Ok(if all_stateless {
-            FragmentKey::Spread
+            ExchangeKey::Spread
         } else {
-            FragmentKey::Single
+            ExchangeKey::Single
         });
+    };
+    if let Some(k) = explicit.iter().find(|&&k| k != first) {
+        return Err(TimrError::Annotation(format!(
+            "fragment rooted at node {root} has mismatched exchange keys {first} and {k}; \
+             all inputs of one fragment must share a partitioning key"
+        )));
     }
-    let first = explicit[0];
-    for k in &explicit[1..] {
-        if *k != first {
+    Ok(first.clone())
+}
+
+/// The one key rule, for a TiMR fragment's interior and a shared
+/// multi-query DAG alike: every operator must tolerate the partitioning
+/// (paper §VI: a GroupApply keyed by X may be partitioned by any P ⊆ X,
+/// joins by any subset of their equality columns, stateless operators by
+/// anything; global aggregates/UDOs only by ⊤). A `Source` read inside a
+/// GroupApply sub-plan, at any depth, is read whole by every group, so only
+/// ⊤ can run it.
+pub(crate) fn check_key_compatibility<'a>(
+    ops: impl IntoIterator<Item = &'a Operator>,
+    key: &ExchangeKey,
+) -> Result<()> {
+    if *key == ExchangeKey::Single {
+        return Ok(()); // one partition: always correct
+    }
+    for op in ops {
+        if let Some(source) = subplan_sources(op).first() {
             return Err(TimrError::Annotation(format!(
-                "fragment rooted at node {root} has mismatched exchange keys {first} and {k}; \
-                 all inputs of one fragment must share a partitioning key"
+                "a GroupApply sub-plan reads source `{source}` whole; only a single-partition \
+                 (⊤) fragment can run it, not {key}"
+            )));
+        }
+        // Outside sub-plans the operators with a key requirement are exactly
+        // the stateful ones.
+        let Some(superset) = required_key_superset(op) else {
+            continue;
+        };
+        let ExchangeKey::Keys(cols) = key else {
+            return Err(TimrError::Annotation(format!(
+                "randomly-spread fragment contains stateful operator {}",
+                op.name()
+            )));
+        };
+        if let Some(c) = cols.iter().find(|c| !superset.contains(c)) {
+            return Err(TimrError::Annotation(format!(
+                "operator {} cannot run under partitioning key {{{}}}: \
+                 `{c}` is not one of its keys",
+                op.name(),
+                cols.join(", "),
+            )));
+        }
+        // Joins additionally need the key columns to be named the same on
+        // both inputs, since one hash function partitions both.
+        let is_join = matches!(
+            op,
+            Operator::TemporalJoin { .. } | Operator::AntiSemiJoin { .. }
+        );
+        if let Some(c) = cols
+            .iter()
+            .find(|c| is_join && join_right_column(op, c) != Some(c.as_str()))
+        {
+            return Err(TimrError::Annotation(format!(
+                "join partitioning column `{c}` must pair with an identically-named right column"
             )));
         }
     }
-    Ok(match first {
-        ExchangeKey::Keys(c) => FragmentKey::Keys(c.clone()),
-        ExchangeKey::Single => FragmentKey::Single,
-        ExchangeKey::Spread => FragmentKey::Spread,
-    })
+    Ok(())
 }
 
-/// Verify every interior operator tolerates the fragment's partitioning
-/// (paper §VI: a GroupApply keyed by X may be partitioned by any P ⊆ X,
-/// joins by any subset of their equality columns, stateless operators by
-/// anything; global aggregates/UDOs only by ⊤).
-fn check_key_compatibility(
-    plan: &LogicalPlan,
-    interior: &[NodeId],
-    key: &FragmentKey,
-) -> Result<()> {
-    let cols: &[String] = match key {
-        FragmentKey::Keys(c) => c,
-        FragmentKey::Single => return Ok(()), // one partition: always correct
-        FragmentKey::Spread => {
-            for &id in interior {
-                let op = &plan.node(id).op;
-                if !(op.is_stateless() || matches!(op, Operator::Source { .. })) {
-                    return Err(TimrError::Annotation(format!(
-                        "randomly-spread fragment contains stateful operator {}",
-                        op.name()
-                    )));
-                }
-            }
-            return Ok(());
-        }
+/// The `Source` leaves `op` reads inside its GroupApply sub-plans, at any
+/// depth.
+pub(crate) fn subplan_sources(op: &Operator) -> Vec<&str> {
+    let Operator::GroupApply { subplan, .. } = op else {
+        return Vec::new();
     };
-    for &id in interior {
-        let op = &plan.node(id).op;
-        if let Some(superset) = required_key_superset(op) {
-            for c in cols {
-                if !superset.contains(c) {
-                    return Err(TimrError::Annotation(format!(
-                        "operator {} cannot run under partitioning key {{{}}}: \
-                         `{c}` is not one of its keys",
-                        op.name(),
-                        cols.join(", "),
-                    )));
-                }
-            }
-            // Joins additionally need the key columns to be named the same
-            // on both inputs, since one hash function partitions both.
-            if matches!(
-                op,
-                Operator::TemporalJoin { .. } | Operator::AntiSemiJoin { .. }
-            ) {
-                for c in cols {
-                    match crate::annotate::join_right_column(op, c) {
-                        Some(r) if r == c => {}
-                        _ => {
-                            return Err(TimrError::Annotation(format!(
-                                "join partitioning column `{c}` must pair with an \
-                                 identically-named right column"
-                            )))
-                        }
-                    }
-                }
-            }
-        }
-    }
-    Ok(())
+    (subplan.nodes().iter())
+        .flat_map(|n| match &n.op {
+            Operator::Source { name, .. } => vec![name.as_str()],
+            op => subplan_sources(op),
+        })
+        .collect()
 }
 
 /// Copy the interior nodes into a standalone plan, replacing each cut child
@@ -479,7 +442,7 @@ mod tests {
         let frags = fragment(&plan, &ann).unwrap();
         assert_eq!(frags.len(), 1);
         let f = &frags[0];
-        assert_eq!(f.key, FragmentKey::Keys(vec!["KwAdId".into()]));
+        assert_eq!(f.key, ExchangeKey::keys(&["KwAdId"]));
         assert!(f.is_final);
         assert_eq!(
             f.inputs,
@@ -497,7 +460,7 @@ mod tests {
         let (plan, _) = click_count();
         let frags = fragment(&plan, &Annotation::none()).unwrap();
         assert_eq!(frags.len(), 1);
-        assert_eq!(frags[0].key, FragmentKey::Single);
+        assert_eq!(frags[0].key, ExchangeKey::Single);
     }
 
     #[test]
@@ -529,9 +492,9 @@ mod tests {
         assert_eq!(frags.len(), 2);
         // Producer first.
         assert_eq!(frags[0].root, ga);
-        assert_eq!(frags[0].key, FragmentKey::Keys(vec!["KwAdId".into()]));
+        assert_eq!(frags[0].key, ExchangeKey::keys(&["KwAdId"]));
         assert!(!frags[0].is_final);
-        assert_eq!(frags[1].key, FragmentKey::Single);
+        assert_eq!(frags[1].key, ExchangeKey::Single);
         assert!(frags[1].is_final);
         assert_eq!(
             frags[1].inputs,
@@ -581,7 +544,7 @@ mod tests {
         let ga = plan.roots()[0];
         let ann = Annotation::none().exchange(ga, 0, ExchangeKey::keys(&["UserId"]));
         let frags = fragment(&plan, &ann).unwrap();
-        assert_eq!(frags[0].key, FragmentKey::Keys(vec!["UserId".into()]));
+        assert_eq!(frags[0].key, ExchangeKey::keys(&["UserId"]));
     }
 
     #[test]
@@ -596,6 +559,6 @@ mod tests {
         assert!(fragment(&plan, &ann).is_err());
         // ⊤ is fine.
         let ann = Annotation::none().exchange(window, 0, ExchangeKey::Single);
-        assert_eq!(fragment(&plan, &ann).unwrap()[0].key, FragmentKey::Single);
+        assert_eq!(fragment(&plan, &ann).unwrap()[0].key, ExchangeKey::Single);
     }
 }

@@ -15,9 +15,12 @@
 //!    ([`optimizer`], paper §VI / Algorithm 1).
 //! 3. **Make fragments** — a top-down traversal cuts the plan at exchange
 //!    edges into `{fragment, key}` pairs ([`fragment`]).
-//! 4. **Convert to M-R** — each fragment becomes a map-reduce stage whose
-//!    map phase partitions by `hash(key) mod machines` (§III-C.3) and whose
-//!    reducer embeds the DSMS ([`compile::DsmsReducer`]); shuffled
+//! 4. **Convert to M-R** — each fragment becomes a map-reduce stage through
+//!    one builder, which a shared multi-query DAG ([`multi`]) goes through
+//!    too, as one fragment with a root per query. The stage's map phase
+//!    partitions by `hash(key) mod machines` (§III-C.3), after running the
+//!    pushed-down plan prefix, and its reducer embeds the DSMS
+//!    ([`compile::DsmsReducer`]); shuffled
 //!    batches become events and executor roots become dataset batches at
 //!    stage boundaries ([`bridge`] — by value, with no queue in between:
 //!    §III-C.2's push/pull queue reconciles an *asynchronous* DSMS, and
@@ -43,7 +46,7 @@ pub mod runner;
 pub mod temporal_partition;
 
 pub use annotate::{Annotation, ExchangeKey};
-pub use bridge::EventEncoding;
+pub use bridge::{read_output, EventEncoding};
 pub use error::{Result, TimrError};
 pub use fragment::{Fragment, FragmentInput};
 pub use multi::{CompiledMultiJob, MultiTimrJob, MultiTimrOutput};

@@ -1,7 +1,8 @@
 //! Map-side DSMS fragments: the embedded-DSMS idea of paper §III-C applied
 //! to the *map* phase.
 //!
-//! [`crate::compile`] and [`crate::multi`] split each stage plan with
+//! The stage builder ([`crate::compile`], which TiMR fragments and shared
+//! multi-query DAGs both go through) splits each stage plan with
 //! [`temporal::plan::push_down`]; the exchange-free prefix of every pushed
 //! input compiles into one [`DsmsMapper`] unit. The cluster invokes the
 //! mapper once per input extent, *before* partitioning, on the extent's
@@ -37,8 +38,6 @@ pub(crate) struct MapperUnit {
     plan: LogicalPlan,
     /// How to bind the *raw* input extent (the stage input's encoding).
     binding: InputBinding,
-    /// Payload schema of the mapper output (the plan root's schema).
-    output_payload: Schema,
 }
 
 impl MapperUnit {
@@ -50,12 +49,7 @@ impl MapperUnit {
         let plan = temporal::plan::fuse_plan(&mp.plan)
             .map_err(TimrError::Temporal)?
             .into_owned();
-        let output_payload = plan.schema_of(plan.roots()[0]).clone();
-        Ok(MapperUnit {
-            plan,
-            binding,
-            output_payload,
-        })
+        Ok(MapperUnit { plan, binding })
     }
 }
 
@@ -77,7 +71,9 @@ impl DsmsMapper {
 impl Mapper for DsmsMapper {
     fn output_schema(&self, input: usize, schema: &Schema) -> mapreduce::Result<Schema> {
         Ok(match self.units.get(input).and_then(Option::as_ref) {
-            Some(unit) => EventEncoding::Interval.dataset_schema(&unit.output_payload),
+            Some(unit) => {
+                EventEncoding::Interval.dataset_schema(unit.plan.schema_of(unit.plan.roots()[0]))
+            }
             None => schema.clone(),
         })
     }

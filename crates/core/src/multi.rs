@@ -11,33 +11,29 @@
 //!    common prefix (scan, bot elimination) executes once per partition.
 //! 2. [`factor_windows`] rewrites groups of harmonically related hopping
 //!    windows over the same keyed stream to aggregate a GCD-hop factor
-//!    window once and derive each query's window from the partials.
-//! 3. The merged DAG compiles into a *single* stage whose reducer embeds
-//!    one DSMS over all roots ([`DsmsReducer`]) and routes query `i`'s
-//!    rows to sink `i` (the multi-sink shuffle contract of
+//!    window once and derive each query's window from the partials, where
+//!    its Σg/hᵢ > 1 gate says that saves work.
+//! 3. The merged DAG is one fragment with one root per query: it passes the
+//!    same key rule as a TiMR fragment
+//!    ([`crate::fragment::check_key_compatibility`]) and compiles through
+//!    the same stage builder ([`crate::compile::build_stage`]) into a
+//!    *single* stage whose reducer embeds one DSMS over all roots and routes
+//!    query `i`'s rows to sink `i` (the multi-sink shuffle contract of
 //!    [`mapreduce::Stage::aux_outputs`]).
 //!
 //! Per-query outputs are byte-identical to N independent runs: sharing
 //! only merges structurally equal subtrees, the factor rewrite is an
 //! algebraic identity over combinable aggregates, and partitioning is
-//! unchanged (one exchange key for the whole set, validated against every
-//! stateful operator in the merged DAG).
+//! unchanged (one exchange key for the whole set).
 
-use crate::annotate::{join_right_column, required_key_superset, ExchangeKey};
+use crate::annotate::ExchangeKey;
 use crate::bridge::EventEncoding;
-use crate::compile::{
-    map_side_report, partial_refusals, DsmsReducer, InputBinding, PartialRefusal,
-};
+use crate::compile::{build_stage, map_side_report, PartialRefusal};
 use crate::error::{Result, TimrError};
-use crate::mapper::{DsmsMapper, MapperUnit};
-use mapreduce::{Cluster, Dfs, JobStats, Partitioner, Stage};
-use relation::Schema;
+use crate::fragment::{check_key_compatibility, Fragment, FragmentInput};
+use mapreduce::{Cluster, Dfs, JobStats, Stage};
 use std::collections::BTreeMap;
-use std::sync::Arc;
-use temporal::plan::{
-    factor_windows, fuse_plan, push_down, share_plans, LogicalPlan, Operator, PushDown, ShareStats,
-};
-use temporal::EventStream;
+use temporal::plan::{factor_windows, share_plans, LogicalPlan, ShareStats};
 
 /// A set of single-output temporal CQs executed as one TiMR job.
 #[derive(Debug, Clone)]
@@ -53,8 +49,6 @@ pub struct MultiTimrJob {
     pub machines: usize,
     /// Lifetime encoding per raw source dataset (default Point).
     pub source_encodings: BTreeMap<String, EventEncoding>,
-    /// Apply the factor-window rewrite after prefix sharing (default on).
-    pub factor: bool,
     /// Split the shared DAG at the exchange and run the exchange-free
     /// prefix (plus combinable partial aggregations) map-side (default
     /// on; off is the reduce-only baseline for benchmarks).
@@ -68,10 +62,6 @@ pub struct CompiledMultiJob {
     pub stage: Stage,
     /// DFS output dataset per query, in query order.
     pub outputs: Vec<String>,
-    /// Payload schema per query, in query order.
-    pub payloads: Vec<Schema>,
-    /// Lifetime encoding of every output dataset.
-    pub output_encoding: EventEncoding,
     /// The shared DAG the stage executes (post factor/fuse rewrites).
     pub plan: LogicalPlan,
     /// Prefix-sharing statistics.
@@ -92,10 +82,6 @@ pub struct CompiledMultiJob {
 pub struct MultiTimrOutput {
     /// DFS name of each query's output dataset, in query order.
     pub datasets: Vec<String>,
-    /// Payload schema of each query's output.
-    pub payloads: Vec<Schema>,
-    /// Lifetime encoding of the output datasets.
-    pub encoding: EventEncoding,
     /// Map-reduce execution statistics (one stage).
     pub stats: JobStats,
     /// Prefix-sharing statistics.
@@ -110,7 +96,7 @@ pub struct MultiTimrOutput {
 
 impl MultiTimrJob {
     /// Build a job with default settings (single partition, 4 machines,
-    /// factor rewrite on).
+    /// push-down on).
     pub fn new(name: impl Into<String>, queries: Vec<LogicalPlan>) -> Self {
         MultiTimrJob {
             name: name.into(),
@@ -118,7 +104,6 @@ impl MultiTimrJob {
             key: ExchangeKey::Single,
             machines: 4,
             source_encodings: BTreeMap::new(),
-            factor: true,
             push_down: true,
         }
     }
@@ -132,12 +117,6 @@ impl MultiTimrJob {
     /// Set the machine (reduce partition) count.
     pub fn with_machines(mut self, machines: usize) -> Self {
         self.machines = machines;
-        self
-    }
-
-    /// Enable or disable the factor-window rewrite.
-    pub fn with_factor(mut self, factor: bool) -> Self {
-        self.factor = factor;
         self
     }
 
@@ -170,9 +149,6 @@ impl MultiTimrJob {
 
     /// Compile to a single multi-sink map-reduce stage without running.
     pub fn compile(&self) -> Result<CompiledMultiJob> {
-        if self.machines == 0 {
-            return Err(TimrError::Compile("machines must be positive".into()));
-        }
         if self.queries.is_empty() {
             return Err(TimrError::Compile(
                 "multi-query job needs at least one query".into(),
@@ -187,167 +163,48 @@ impl MultiTimrJob {
             }
         }
 
-        // 1. Merge common prefixes, then collapse harmonic window groups.
+        // Merge common prefixes, then collapse harmonic window groups.
         let shared = share_plans(&self.queries).map_err(TimrError::Temporal)?;
-        let stats = shared.stats;
-        let (plan, factored_groups) = if self.factor {
-            factor_windows(&shared.plan).map_err(TimrError::Temporal)?
-        } else {
-            (shared.plan, 0)
-        };
+        let (plan, factored_groups) = factor_windows(&shared.plan).map_err(TimrError::Temporal)?;
 
-        // 2. The whole DAG runs under one partitioning; check it against
-        //    every operator (the per-fragment rule of paper §VI, applied
-        //    to the merged plan).
-        self.validate_key(&plan)?;
-        let (partitioner, partitions) = match &self.key {
-            ExchangeKey::Keys(cols) => (
-                Partitioner::KeyHash {
-                    columns: cols.clone(),
-                },
-                self.machines,
-            ),
-            ExchangeKey::Single => (Partitioner::Single, 1),
-            ExchangeKey::Spread => (Partitioner::Spread, self.machines),
-        };
-
-        // 2½. Split the shared DAG at the exchange: exchange-free prefixes
-        // (and combinable partial aggregations) of each source run
-        // map-side. `Spread` routes on the whole row, so push-down is
-        // never attempted there.
-        let partition_cols = match &self.key {
-            ExchangeKey::Keys(cols) => Some(Some(cols.as_slice())),
-            ExchangeKey::Single => Some(None),
-            ExchangeKey::Spread => None,
-        };
-        // `None`: not attempted. A split that moved nothing has no mappers
-        // and the plan itself as its residual.
-        let pd: Option<PushDown> = match partition_cols {
-            Some(cols) if self.push_down => {
-                Some(push_down(&plan, cols).map_err(TimrError::Temporal)?)
-            }
-            _ => None,
-        };
-        let raw_sources: Vec<(String, Schema)> = plan
-            .sources()
-            .iter()
-            .map(|(n, s)| (n.to_string(), (*s).clone()))
-            .collect();
-        let plan = pd.as_ref().map(|p| p.residual.clone()).unwrap_or(plan);
-        // Fusion runs *after* sharing, factoring, and the push-down split
-        // so fused fragments never hide a mergeable prefix or straddle the
-        // exchange; the per-reduce executor's fuse-on-entry returns the
-        // result untouched, and mapper plans fuse independently.
-        let plan = fuse_plan(&plan).map_err(TimrError::Temporal)?.into_owned();
-
-        // 3. One stage input per distinct source leaf of the merged DAG.
-        //    Pushed inputs arrive at the reducer post-mapper: interval-
-        //    framed rows carrying the residual source leaf's schema.
-        let mut input_names: Vec<String> = Vec::new();
-        let mut bindings: Vec<InputBinding> = Vec::new();
-        let mut units: Vec<Option<MapperUnit>> = Vec::new();
-        for (name, payload) in plan.sources() {
-            if let Some(prev) = bindings.iter().find(|b| b.source_name == name) {
-                if &prev.payload != payload {
-                    return Err(TimrError::Compile(format!(
-                        "source `{name}` bound with two different schemas"
-                    )));
-                }
-                continue;
-            }
-            let raw_encoding = self
-                .source_encodings
-                .get(name)
-                .copied()
-                .unwrap_or(EventEncoding::Point);
-            for c in self.key.columns() {
-                if !payload.contains(c) {
-                    return Err(TimrError::Compile(format!(
-                        "partition key column `{c}` not in source `{name}` schema {payload}"
-                    )));
-                }
-            }
-            let mapper_plan = pd
-                .as_ref()
-                .and_then(|p| p.mappers.iter().find(|m| m.source == name));
-            input_names.push(name.to_string());
-            match mapper_plan {
-                Some(mp) => {
-                    let raw_payload = raw_sources
-                        .iter()
-                        .find(|(n, _)| n == name)
-                        .map(|(_, s)| s.clone())
-                        .expect("pushed source exists in the pre-split DAG");
-                    units.push(Some(MapperUnit::new(
-                        mp,
-                        InputBinding {
-                            source_name: name.to_string(),
-                            encoding: raw_encoding,
-                            payload: raw_payload,
-                        },
-                    )?));
-                    bindings.push(InputBinding {
-                        source_name: name.to_string(),
-                        encoding: EventEncoding::Interval,
-                        payload: payload.clone(),
-                    });
-                }
-                None => {
-                    units.push(None);
-                    bindings.push(InputBinding {
-                        source_name: name.to_string(),
-                        encoding: raw_encoding,
-                        payload: payload.clone(),
-                    });
-                }
+        // The whole DAG is one fragment under one partitioning, read from
+        // the same-named datasets.
+        check_key_compatibility(plan.nodes().iter().map(|n| &n.op), &self.key)?;
+        let mut inputs: Vec<(String, FragmentInput)> = Vec::new();
+        for (name, _) in plan.sources() {
+            if !inputs.iter().any(|(n, _)| n == name) {
+                let input = FragmentInput::SourceDataset { name: name.into() };
+                inputs.push((name.into(), input));
             }
         }
-
-        let output_encoding = EventEncoding::Interval;
         let outputs: Vec<String> = (0..self.queries.len())
             .map(|i| format!("{}__q{i}", self.name))
             .collect();
-        let payloads: Vec<Schema> = plan
-            .roots()
-            .iter()
-            .map(|&r| plan.schema_of(r).clone())
-            .collect();
-
-        let reducer = DsmsReducer {
-            plan: plan.clone(),
-            inputs: bindings,
-            output_encoding,
-        };
-        let stage_name = format!("{}/shared", self.name);
-        // A source leaf is read from the same-named dataset.
-        let partial_refusals = pd.as_ref().map_or_else(Vec::new, |pd| {
-            partial_refusals(&stage_name, pd, str::to_string)
-        });
-        let mut stage = Stage::new(
-            stage_name,
-            input_names,
-            outputs[0].clone(),
-            partitioner,
-            partitions,
-            Arc::new(reducer),
-        )
-        .map_err(TimrError::from)?
-        .with_aux_outputs(outputs[1..].to_vec());
-        if units.iter().any(Option::is_some) {
-            stage = stage.with_mapper(Arc::new(DsmsMapper::new(units)));
-        }
-
-        Ok(CompiledMultiJob {
-            stage,
-            outputs,
-            payloads,
-            output_encoding,
+        let frag = Fragment {
+            root: plan.roots()[0],
+            key: self.key.clone(),
             plan,
-            shared: stats,
+            inputs,
+            is_final: true,
+        };
+        let built = build_stage(
+            &frag,
+            format!("{}/shared", self.name),
+            outputs.clone(),
+            &self.name,
+            self.machines,
+            &self.source_encodings,
+            self.push_down,
+        )?;
+        Ok(CompiledMultiJob {
+            stage: built.stage,
+            outputs,
+            plan: built.plan,
+            shared: shared.stats,
             factored_groups,
-            pushed_ops: pd.as_ref().map_or(0, |p| p.pushed_ops),
-            pushed_partials: pd.as_ref().map_or(0, |p| p.partials),
-            partial_refusals,
+            pushed_ops: built.pushed_ops,
+            pushed_partials: built.pushed_partials,
+            partial_refusals: built.partial_refusals,
         })
     }
 
@@ -358,8 +215,6 @@ impl MultiTimrJob {
         let stats = cluster.run_job(dfs, std::slice::from_ref(&compiled.stage))?;
         Ok(MultiTimrOutput {
             datasets: compiled.outputs,
-            payloads: compiled.payloads,
-            encoding: compiled.output_encoding,
             stats,
             shared: compiled.shared,
             factored_groups: compiled.factored_groups,
@@ -367,80 +222,19 @@ impl MultiTimrJob {
             pushed_partials: compiled.pushed_partials,
         })
     }
-
-    /// Check the shared partitioning against every operator of the merged
-    /// DAG (one fragment ⇒ the fragment rules apply plan-wide).
-    fn validate_key(&self, plan: &LogicalPlan) -> Result<()> {
-        match &self.key {
-            ExchangeKey::Single => Ok(()),
-            ExchangeKey::Spread => {
-                for node in plan.nodes() {
-                    let stateless =
-                        matches!(node.op, Operator::Source { .. }) || node.op.is_stateless();
-                    if !stateless {
-                        return Err(TimrError::Compile(format!(
-                            "spread partitioning is only valid for stateless plans; `{}` is stateful",
-                            node.op.name()
-                        )));
-                    }
-                }
-                Ok(())
-            }
-            ExchangeKey::Keys(cols) => {
-                for node in plan.nodes() {
-                    let Some(superset) = required_key_superset(&node.op) else {
-                        continue;
-                    };
-                    for c in cols {
-                        if !superset.contains(c) {
-                            return Err(TimrError::Compile(format!(
-                                "partition key column `{c}` is not in the key columns of `{}` \
-                                 (requires a subset of {superset:?})",
-                                node.op.name()
-                            )));
-                        }
-                        // Joins: one partitioning covers both sides, so the
-                        // right-side pair of each key column must be the
-                        // column itself.
-                        if matches!(
-                            node.op,
-                            Operator::TemporalJoin { .. } | Operator::AntiSemiJoin { .. }
-                        ) && join_right_column(&node.op, c) != Some(c.as_str())
-                        {
-                            return Err(TimrError::Compile(format!(
-                                "partition key column `{c}` pairs with a differently named \
-                                 right-side column in `{}`; a shared job needs matching names",
-                                node.op.name()
-                            )));
-                        }
-                    }
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
-impl MultiTimrOutput {
-    /// Decode query `i`'s output dataset back into an event stream.
-    pub fn stream(&self, i: usize, dfs: &Dfs) -> Result<EventStream> {
-        let dataset = dfs.get(&self.datasets[i])?;
-        let stream = self
-            .encoding
-            .decode_stream(dataset.iter(), &self.payloads[i])?;
-        Ok(stream.normalize())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::annotate::Annotation;
+    use crate::runner::TimrJob;
     use mapreduce::Dataset;
     use relation::schema::{ColumnType, Field};
-    use relation::{row, Row};
+    use relation::{row, Row, Schema};
     use temporal::exec::{bindings, execute_reference};
     use temporal::expr::{col, lit};
-    use temporal::plan::Query;
+    use temporal::plan::{fuse_plan, Operator, Query};
 
     fn bt_payload() -> Schema {
         Schema::new(vec![
@@ -510,7 +304,7 @@ mod tests {
                     .pop()
                     .unwrap()
                     .normalize();
-            let got = out.stream(i, &dfs).unwrap();
+            let got = crate::bridge::read_output(&dfs, &out.datasets[i]).unwrap();
             assert!(got.same_relation(&reference), "query {i} mismatch");
         }
     }
@@ -588,12 +382,33 @@ mod tests {
         let job = multi_job(2).with_key(ExchangeKey::keys(&["KwAdId"]));
         // KwAdId ⊆ GroupApply keys, so this compiles...
         job.compile().unwrap();
-        // ...but a column outside every GroupApply key set does not.
-        let bad = multi_job(2).with_key(ExchangeKey::keys(&["StreamId"]));
-        assert!(bad.compile().is_err());
-        // Spread is invalid for stateful plans.
-        let spread = multi_job(2).with_key(ExchangeKey::Spread);
-        assert!(spread.compile().is_err());
+        // ...but a column outside every GroupApply key set does not, and
+        // Spread is invalid for stateful plans: one key rule, so one text
+        // whether the key is the shared job's or a TiMR annotation's.
+        let plan = advertiser_query(0);
+        let source = (plan.nodes().iter())
+            .position(|n| matches!(n.op, Operator::Source { .. }))
+            .unwrap();
+        let filter = plan.consumers(source)[0];
+        for (key, text) in [
+            (
+                ExchangeKey::keys(&["StreamId"]),
+                "annotation error: operator GroupApply cannot run under partitioning key \
+                 {StreamId}: `StreamId` is not one of its keys",
+            ),
+            (
+                ExchangeKey::Spread,
+                "annotation error: randomly-spread fragment contains stateful operator GroupApply",
+            ),
+        ] {
+            let shared = multi_job(2).with_key(key.clone()).compile().unwrap_err();
+            assert_eq!(shared.to_string(), text);
+            let timr = TimrJob::new("solo", plan.clone())
+                .with_annotation(Annotation::none().exchange(filter, 0, key))
+                .compile()
+                .unwrap_err();
+            assert_eq!(timr.to_string(), text);
+        }
     }
 
     #[test]

@@ -125,9 +125,9 @@ pub fn annotation_cost(
         }
         // CPU cost of interior operators divided by fragment parallelism.
         let parallelism = match &frag.key {
-            crate::fragment::FragmentKey::Single => 1.0,
-            crate::fragment::FragmentKey::Spread => config.machines as f64,
-            crate::fragment::FragmentKey::Keys(cols) => {
+            ExchangeKey::Single => 1.0,
+            ExchangeKey::Spread => config.machines as f64,
+            ExchangeKey::Keys(cols) => {
                 // Bound parallelism by the key's distinct count at the
                 // fragment's dominant input.
                 let mut d = f64::INFINITY;
@@ -506,16 +506,11 @@ mod tests {
         let frags = crate::fragment::fragment(&plan, &opt.annotation).unwrap();
         let keyed: Vec<_> = frags
             .iter()
-            .filter(|f| matches!(f.key, crate::fragment::FragmentKey::Keys(_)))
+            .filter(|f| matches!(f.key, ExchangeKey::Keys(_)))
             .collect();
         assert_eq!(keyed.len(), 1, "expected exactly one keyed fragment");
-        assert_eq!(
-            keyed[0].key,
-            crate::fragment::FragmentKey::Keys(vec!["UserId".into()])
-        );
-        assert!(frags
-            .iter()
-            .all(|f| !matches!(f.key, crate::fragment::FragmentKey::Single)));
+        assert_eq!(keyed[0].key, ExchangeKey::keys(&["UserId"]));
+        assert!(frags.iter().all(|f| !matches!(f.key, ExchangeKey::Single)));
     }
 
     #[test]
@@ -569,8 +564,6 @@ mod tests {
         let plan = q.build(vec![out]).unwrap();
         let opt = optimize(&plan, &stats(1000, 10, 10), &OptimizerConfig::default()).unwrap();
         let frags = crate::fragment::fragment(&plan, &opt.annotation).unwrap();
-        assert!(frags
-            .iter()
-            .any(|f| f.key == crate::fragment::FragmentKey::Single));
+        assert!(frags.iter().any(|f| f.key == ExchangeKey::Single));
     }
 }

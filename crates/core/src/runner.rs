@@ -1,11 +1,10 @@
 //! End-to-end TiMR job execution.
 
 use crate::annotate::Annotation;
-use crate::bridge::EventEncoding;
-use crate::compile::{compile_with_options, CompileOptions, CompiledJob};
+use crate::bridge::{read_output, EventEncoding};
+use crate::compile::{compile, CompiledJob};
 use crate::error::Result;
-use mapreduce::{BackendKind, Cluster, ClusterConfig, Dfs, JobStats};
-use relation::Schema;
+use mapreduce::{Cluster, Dfs, JobStats};
 use std::collections::BTreeMap;
 use temporal::plan::LogicalPlan;
 use temporal::EventStream;
@@ -35,10 +34,6 @@ pub struct TimrJob {
 pub struct TimrOutput {
     /// DFS name of the output dataset.
     pub dataset: String,
-    /// Payload schema of the output.
-    pub payload: Schema,
-    /// Lifetime encoding of the output dataset.
-    pub encoding: EventEncoding,
     /// Map-reduce execution statistics.
     pub stats: JobStats,
 }
@@ -100,29 +95,14 @@ impl TimrJob {
 
     /// Compile to map-reduce stages without running.
     pub fn compile(&self) -> Result<CompiledJob> {
-        compile_with_options(
+        compile(
             &self.plan,
             &self.annotation,
             &self.name,
             self.machines,
             &self.source_encodings,
-            CompileOptions {
-                push_down: self.push_down,
-            },
+            self.push_down,
         )
-    }
-
-    /// Compile and run on a fresh cluster using the chosen execution
-    /// backend — the in-process thread pool or real worker OS processes —
-    /// with otherwise-default configuration. Both backends produce
-    /// byte-identical datasets (the determinism contract the cluster
-    /// enforces), so the choice is operational, not semantic.
-    pub fn run_on(&self, dfs: &Dfs, backend: BackendKind) -> Result<TimrOutput> {
-        let cluster = Cluster::with_config(ClusterConfig {
-            backend,
-            ..ClusterConfig::default()
-        });
-        self.run(dfs, &cluster)
     }
 
     /// Compile and run on `cluster` against `dfs`. Source leaves of the
@@ -132,19 +112,16 @@ impl TimrJob {
         let stats = cluster.run_job(dfs, &compiled.stages)?;
         Ok(TimrOutput {
             dataset: compiled.output,
-            payload: compiled.output_payload,
-            encoding: compiled.output_encoding,
             stats,
         })
     }
 }
 
 impl TimrOutput {
-    /// Decode the output dataset back into an event stream.
+    /// Decode the output dataset back into an event stream
+    /// ([`read_output`]).
     pub fn stream(&self, dfs: &Dfs) -> Result<EventStream> {
-        let dataset = dfs.get(&self.dataset)?;
-        let stream = self.encoding.decode_stream(dataset.iter(), &self.payload)?;
-        Ok(stream.normalize())
+        read_output(dfs, &self.dataset)
     }
 }
 
@@ -152,9 +129,9 @@ impl TimrOutput {
 mod tests {
     use super::*;
     use crate::annotate::ExchangeKey;
-    use mapreduce::{ChaosPlan, Dataset, RetryPolicy, TaskPhase};
+    use mapreduce::{BackendKind, ChaosPlan, ClusterConfig, Dataset, RetryPolicy, TaskPhase};
     use relation::schema::{ColumnType, Field};
-    use relation::{row, Row};
+    use relation::{row, Row, Schema};
     use temporal::exec::{bindings, execute_single};
     use temporal::expr::{col, lit};
     use temporal::plan::{Operator, Query};
@@ -319,13 +296,17 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn backend_selection_is_invisible_in_output() {
-        // `run_on` chooses how tasks execute, never what they produce:
+        // The backend chooses how tasks execute, never what they produce:
         // the multi-process backend's datasets are byte-identical to the
         // thread pool's.
         let rows = dataset_rows(300);
         let run = |backend: BackendKind| {
             let dfs = dfs_with_logs(rows.clone());
-            let out = click_count_job(4).run_on(&dfs, backend).unwrap();
+            let cluster = Cluster::with_config(ClusterConfig {
+                backend,
+                ..ClusterConfig::default()
+            });
+            let out = click_count_job(4).run(&dfs, &cluster).unwrap();
             dfs.get(&out.dataset).unwrap().partitions.as_ref().clone()
         };
         let threads = run(BackendKind::Threads);

@@ -49,10 +49,9 @@ pub struct TemporalPartitionJob {
 /// Outcome of a temporally-partitioned run.
 #[derive(Debug)]
 pub struct TemporalPartitionOutput {
-    /// DFS name of the output dataset (Interval-encoded).
+    /// DFS name of the output dataset (Interval-encoded; decode it with
+    /// [`crate::bridge::read_output`]).
     pub dataset: String,
-    /// Output payload schema.
-    pub payload: Schema,
     /// Stage statistics of the span stage (the map/expand phase is local).
     pub stats: StageStats,
     /// Number of spans used.
@@ -164,22 +163,10 @@ impl TemporalPartitionJob {
 
         Ok(TemporalPartitionOutput {
             dataset: output,
-            payload: self.plan.schema_of(self.plan.roots()[0]).clone(),
             stats,
             spans: n_spans,
             replication,
         })
-    }
-
-    /// Decode a run's output.
-    pub fn output_stream(
-        dfs: &Dfs,
-        out: &TemporalPartitionOutput,
-    ) -> Result<temporal::EventStream> {
-        let ds = dfs.get(&out.dataset)?;
-        Ok(EventEncoding::Interval
-            .decode_stream(ds.iter(), &out.payload)?
-            .normalize())
     }
 }
 
@@ -325,7 +312,7 @@ mod tests {
         let want = reference(&rows);
         for span_width in [40, 100, 250, 5000] {
             let (dfs, out) = run_with_span(rows.clone(), span_width);
-            let got = TemporalPartitionJob::output_stream(&dfs, &out).unwrap();
+            let got = crate::bridge::read_output(&dfs, &out.dataset).unwrap();
             assert!(
                 got.same_relation(&want),
                 "span width {span_width} changed the result (spans={})",

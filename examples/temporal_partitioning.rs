@@ -11,7 +11,7 @@ use timr_suite::relation::row;
 use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::temporal::{Query, HOUR, MIN};
 use timr_suite::timr::temporal_partition::TemporalPartitionJob;
-use timr_suite::timr::EventEncoding;
+use timr_suite::timr::{read_output, EventEncoding};
 
 fn main() {
     // A global 30-minute sliding count: no key column to partition on.
@@ -58,7 +58,7 @@ fn main() {
         );
 
         // Every span width yields the identical temporal relation.
-        let stream = TemporalPartitionJob::output_stream(&dfs, &out).expect("decode");
+        let stream = read_output(&dfs, &out.dataset).expect("decode");
         match &reference {
             None => reference = Some(stream),
             Some(r) => assert!(stream.same_relation(r), "span width changed the result!"),

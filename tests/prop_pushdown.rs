@@ -28,7 +28,7 @@ use timr_suite::temporal::expr::{col, lit};
 use timr_suite::temporal::plan::{push_down, validate_mapper_plan, LogicalPlan, Operator};
 use timr_suite::temporal::{EventStream, Query};
 use timr_suite::timr::multi::MultiTimrJob;
-use timr_suite::timr::{Annotation, EventEncoding, ExchangeKey, TimrJob};
+use timr_suite::timr::{read_output, Annotation, EventEncoding, ExchangeKey, TimrJob};
 
 fn payload() -> Schema {
     Schema::new(vec![
@@ -190,8 +190,8 @@ fn run_bytes_on(
         .iter()
         .map(|d| dfs.get(d).unwrap().partitions.as_ref().clone())
         .collect();
-    let relations = (0..members.len())
-        .map(|i| out.stream(i, &dfs).unwrap())
+    let relations = (out.datasets.iter())
+        .map(|d| read_output(&dfs, d).unwrap())
         .collect();
     (bytes, relations)
 }
@@ -298,6 +298,93 @@ proptest! {
             }
         }
     }
+}
+
+/// The two front ends are one compiler: a query run as a TiMR job annotated
+/// `key` on its source edge and as a one-query shared job under `key` build
+/// the same stage — partitioner, partition count, mapper, push-down counts
+/// and refusals — and publish the same extent images, push-down on and
+/// off; a key the query rejects fails both with one text.
+#[test]
+fn timr_and_shared_front_ends_build_the_same_stage() {
+    let rows = deterministic_rows(120);
+    let keys = [
+        ExchangeKey::keys(&["UserId"]),
+        ExchangeKey::keys(&["KwAdId", "UserId"]),
+        ExchangeKey::Single,
+        ExchangeKey::Spread,
+        ExchangeKey::keys(&["StreamId"]),
+    ];
+    let members = [
+        (1, 4, AggKind::Count, false),
+        (2, 3, AggKind::SumV, true),
+        (7, 2, AggKind::Avg, false),
+    ];
+    let mut built = 0;
+    for (hop_mult, width_mult, agg, narrow) in members {
+        let plan = member_plan(&Member {
+            hop_mult,
+            width_mult,
+            ad: 1,
+            agg,
+            narrow,
+        });
+        let filter = plan.consumers(0)[0];
+        for key in &keys {
+            for push in [true, false] {
+                let what = format!("{agg:?} narrow {narrow} {key} push {push}");
+                let timr = TimrJob::new("fe_timr", plan.clone())
+                    .with_annotation(Annotation::none().exchange(filter, 0, key.clone()))
+                    .with_machines(3)
+                    .with_push_down(push);
+                let shared = MultiTimrJob::new("fe_shared", vec![plan.clone()])
+                    .with_key(key.clone())
+                    .with_machines(3)
+                    .with_push_down(push);
+                let (t, m) = match (timr.compile(), shared.compile()) {
+                    (Ok(t), Ok(m)) => (t, m),
+                    (Err(t), Err(m)) => {
+                        assert_eq!(t.to_string(), m.to_string(), "{what}");
+                        continue;
+                    }
+                    (t, m) => panic!("{what}: {:?} vs {:?}", t.err(), m.err()),
+                };
+                assert_eq!(t.stages.len(), 1, "{what}");
+                let (ts, ms) = (&t.stages[0], &m.stage);
+                assert_eq!(ts.partitioner, ms.partitioner, "{what}");
+                assert_eq!(ts.partitions, ms.partitions, "{what}");
+                assert_eq!(ts.mapper.is_some(), ms.mapper.is_some(), "{what}");
+                assert_eq!(
+                    (t.pushed_ops, t.pushed_partials),
+                    (m.pushed_ops, m.pushed_partials),
+                    "{what}"
+                );
+                let reasons = |r: &[timr_suite::timr::compile::PartialRefusal]| {
+                    r.iter()
+                        .map(|r| (r.input.clone(), r.reason.clone()))
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(
+                    reasons(&t.partial_refusals),
+                    reasons(&m.partial_refusals),
+                    "{what}"
+                );
+                let dfs = dfs_with(&rows);
+                let cluster = cluster(ChaosPlan::none(), None);
+                let t_out = timr.run(&dfs, &cluster).unwrap();
+                let m_out = shared.run(&dfs, &cluster).unwrap();
+                let extents = |name: &str| dfs.get(name).unwrap().partitions.as_ref().clone();
+                assert_eq!(
+                    extents(&t_out.dataset),
+                    extents(&m_out.datasets[0]),
+                    "{what}"
+                );
+                built += 1;
+            }
+        }
+    }
+    // Spread and StreamId are refused; the other three keys build.
+    assert_eq!(built, members.len() * 3 * 2);
 }
 
 /// Single-query path: a click-score-shaped job (filter → narrowing

@@ -20,7 +20,7 @@ use timr_suite::temporal::expr::{col, lit};
 use timr_suite::temporal::plan::LogicalPlan;
 use timr_suite::temporal::{EventStream, Query};
 use timr_suite::timr::multi::MultiTimrJob;
-use timr_suite::timr::{EventEncoding, ExchangeKey};
+use timr_suite::timr::{read_output, EventEncoding, ExchangeKey};
 
 fn payload() -> Schema {
     Schema::new(vec![
@@ -115,8 +115,8 @@ fn shared_bytes(
         .iter()
         .map(|d| dfs.get(d).unwrap().partitions.as_ref().clone())
         .collect();
-    let relations = (0..members.len())
-        .map(|i| out.stream(i, &dfs).unwrap())
+    let relations = (out.datasets.iter())
+        .map(|d| read_output(&dfs, d).unwrap())
         .collect();
     (bytes, relations)
 }

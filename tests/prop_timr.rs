@@ -12,7 +12,7 @@ use timr_suite::temporal::exec::{bindings, execute_single};
 use timr_suite::temporal::expr::{col, lit};
 use timr_suite::temporal::Query;
 use timr_suite::timr::temporal_partition::TemporalPartitionJob;
-use timr_suite::timr::{Annotation, EventEncoding, ExchangeKey, TimrJob};
+use timr_suite::timr::{read_output, Annotation, EventEncoding, ExchangeKey, TimrJob};
 
 fn payload() -> Schema {
     Schema::new(vec![
@@ -139,7 +139,7 @@ proptest! {
         let dfs = dfs_with(&rows);
         let job = TemporalPartitionJob::new("tp", plan, span);
         let out = job.run(&dfs, &Cluster::new()).unwrap();
-        let got = TemporalPartitionJob::output_stream(&dfs, &out).unwrap();
+        let got = read_output(&dfs, &out.dataset).unwrap();
         prop_assert!(
             got.same_relation(&reference),
             "span {} over {} rows ({} spans)", span, rows.len(), out.spans
