@@ -3,7 +3,6 @@
 //! Every experiment consumes a shared [`Ctx`] (workload + lazily-computed
 //! pipeline artifacts) and returns a printable report.
 
-pub mod bench_pr3;
 pub mod bench_pr5;
 pub mod bench_pr6;
 pub mod bench_pr8;
@@ -195,11 +194,6 @@ pub fn registry() -> Vec<Experiment> {
             name: "rt",
             artifact: "§VII: real-time readiness — online output equals offline output",
             run: rt_exp::run,
-        },
-        Experiment {
-            name: "pr3",
-            artifact: "PR 3: parallel GroupApply on the shared worker pool (writes BENCH_PR3.json)",
-            run: bench_pr3::run,
         },
         Experiment {
             name: "pr5",

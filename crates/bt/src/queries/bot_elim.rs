@@ -152,8 +152,7 @@ mod tests {
             vec![event(HOUR, 1, "u1", "ad1"), event(HOUR, 2, "u2", "cars")],
         );
         let srcs = temporal::exec::data_bindings(bindings(vec![("logs", input)]));
-        let pool = temporal::exec::WorkerPool::sequential();
-        let (_, stats) = temporal::exec::execute_data(&btq.plan, srcs, &pool).unwrap();
+        let (_, stats) = temporal::exec::execute_data(&btq.plan, srcs).unwrap();
         assert_eq!((stats.groups, stats.pane_groups), (2, 0));
 
         let compiled = timr::TimrJob::new("botelim", btq.plan.clone())

@@ -252,8 +252,7 @@ mod tests {
         let (labels, rows) = sample();
         let srcs =
             temporal::exec::data_bindings(bindings(vec![("labels", labels), ("train_rows", rows)]));
-        let pool = temporal::exec::WorkerPool::sequential();
-        let (_, stats) = temporal::exec::execute_data(&btq.plan, srcs, &pool).unwrap();
+        let (_, stats) = temporal::exec::execute_data(&btq.plan, srcs).unwrap();
         // One ad; keywords "hot" and "meh" under it.
         assert_eq!((stats.groups, stats.pane_groups), (3, 3));
     }

@@ -272,7 +272,7 @@ mod tests {
     /// transposed at all.
     #[test]
     fn a_batch_binding_is_transposed_only_at_the_ubp_group_apply() {
-        use temporal::exec::{execute_data, DataBindings, ExecStats, StreamData, WorkerPool};
+        use temporal::exec::{execute_data, DataBindings, ExecStats, StreamData};
         let stats = |btq: &BtQuery, as_batch: bool| -> ExecStats {
             let log = match as_batch {
                 true => {
@@ -282,7 +282,7 @@ mod tests {
             };
             let mut srcs = DataBindings::default();
             srcs.insert("clean_logs".to_string(), log);
-            let (roots, stats) = execute_data(&btq.plan, srcs, &WorkerPool::sequential()).unwrap();
+            let (roots, stats) = execute_data(&btq.plan, srcs).unwrap();
             let on_rows = execute_single(&btq.plan, &bindings(vec![("clean_logs", sample_log())]));
             assert_eq!(roots.len(), 1);
             assert_eq!(roots[0].clone().into_stream(), on_rows.unwrap());

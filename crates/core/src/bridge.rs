@@ -16,8 +16,8 @@
 //! payload; on the way out, [`EventEncoding::encode_sink`] and
 //! [`EventEncoding::encode_extent_order`] are its inverse, moving the
 //! lifetime vectors back in as the framing columns. Rows exist only where a
-//! caller asks for them ([`EventEncoding::decode_stream`], the fallback that
-//! owns the framing errors, and [`EventEncoding::encode`]).
+//! caller asks for them ([`EventEncoding::decode_stream`] and
+//! [`EventEncoding::encode`]).
 //!
 //! The paper's §III-C.2 reconciles a DSMS that *pushes* results
 //! asynchronously with a map-reduce that *pulls* rows synchronously through
@@ -35,7 +35,7 @@ use relation::{ColumnBatch, Row, Schema, Value};
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use temporal::exec::StreamData;
-use temporal::{Event, EventBatch, EventStream, Lifetime, Time};
+use temporal::{Event, EventBatch, EventStream, Lifetime, TemporalError, Time};
 
 /// Name of the interval-encoding end column.
 pub const TIME_END_COLUMN: &str = "TimeEnd";
@@ -177,47 +177,65 @@ impl EventEncoding {
     /// become the payload batch as-is — the entry for mappers and reducers,
     /// which are fed decoded extents.
     ///
-    /// Hands the batch back untouched (`Err`) whenever it cannot be
-    /// accepted this way — the schema disagrees with the expected dataset
-    /// layout, a framing cell is null, a point `Time` has no successor, or
-    /// a lifetime is empty — so the caller falls back to the row path,
-    /// whose error messages pinpoint the offending row. The fallback
-    /// therefore never changes which partitions are accepted or how they
-    /// fail.
+    /// A batch whose schema is not `payload`'s dataset schema is the error
+    /// the single-node DSMS gives a mis-bound `source`, naming both schemas.
+    /// A framing column that is not dense `Long` cells — a null, or a
+    /// storage variant other than `Long` — reads its lifetimes row by row
+    /// under [`Self::decode`]'s rules, so a null framing cell, a point
+    /// `Time::MAX` and an empty lifetime fail with the row decode's
+    /// message, naming the first such row.
     pub fn decode_column_batch(
         self,
         batch: ColumnBatch,
+        source: &str,
         payload: &Schema,
-    ) -> std::result::Result<EventBatch, ColumnBatch> {
+    ) -> Result<EventBatch> {
         fn cells(column: &Column) -> Option<&[i64]> {
             match (column.data(), column.validity()) {
                 (ColumnData::Long(v), None) => Some(v),
-                _ => None, // a null framing cell: the row path owns the error
+                _ => None,
             }
         }
-        let well_framed = batch.schema() == &self.dataset_schema(payload)
-            && match self {
-                EventEncoding::Point => {
-                    cells(batch.column(0)).is_some_and(|vt| !vt.contains(&Time::MAX))
-                }
-                EventEncoding::Interval => cells(batch.column(0))
-                    .zip(cells(batch.column(1)))
-                    .is_some_and(|(vt, ve)| vt.iter().zip(ve).all(|(le, re)| le < re)),
-            };
-        if !well_framed {
-            return Err(batch);
+        let expected = self.dataset_schema(payload);
+        if batch.schema() != &expected {
+            return Err(TemporalError::Input(format!(
+                "source `{source}` bound with schema {}, plan expects {expected}",
+                batch.schema()
+            ))
+            .into());
         }
+        let well_framed = match self {
+            EventEncoding::Point => {
+                cells(batch.column(0)).is_some_and(|vt| !vt.contains(&Time::MAX))
+            }
+            EventEncoding::Interval => cells(batch.column(0))
+                .zip(cells(batch.column(1)))
+                .is_some_and(|(vt, ve)| vt.iter().zip(ve).all(|(le, re)| le < re)),
+        };
+        let by_row: Option<(Vec<Time>, Vec<Time>)> = match well_framed {
+            true => None,
+            false => Some(
+                (0..batch.len())
+                    .map(|i| self.decode_lifetime(&batch.row(i)))
+                    .collect::<Result<Vec<_>>>()?
+                    .into_iter()
+                    .unzip(),
+            ),
+        };
         let (_schema, mut columns, rows) = batch.into_parts();
         let payload_cols = columns.split_off(self.framing_columns());
-        let mut framing = columns.into_iter().map(|c| match c.into_parts().0 {
-            ColumnData::Long(v) => v,
-            _ => unreachable!("framing columns checked above"),
+        let (vt, ve) = by_row.unwrap_or_else(|| {
+            let mut framing = columns.into_iter().map(|c| match c.into_parts().0 {
+                ColumnData::Long(v) => v,
+                _ => unreachable!("framing columns checked above"),
+            });
+            let vt = framing.next().expect("dataset schemas lead with Time");
+            let ve = match self {
+                EventEncoding::Point => vt.iter().map(|t| t + 1).collect(),
+                EventEncoding::Interval => framing.next().expect("interval schemas carry TimeEnd"),
+            };
+            (vt, ve)
         });
-        let vt = framing.next().expect("dataset schemas lead with Time");
-        let ve = match self {
-            EventEncoding::Point => vt.iter().map(|t| t + 1).collect(),
-            EventEncoding::Interval => framing.next().expect("interval schemas carry TimeEnd"),
-        };
         Ok(EventBatch::new(
             vt,
             ve,
@@ -607,8 +625,7 @@ mod tests {
 
     /// `Time::MAX` has no successor, so no point lifetime: every decode path
     /// reports the same named error (checked arithmetic — the text is the
-    /// same in debug and release builds), and the copy-free path hands the
-    /// batch back so the row path can report it.
+    /// same in debug and release builds).
     #[test]
     fn point_decode_of_time_max_is_one_named_error() {
         let p = payload_schema();
@@ -619,10 +636,8 @@ mod tests {
         assert_eq!(enc.decode(&rows[1]).unwrap_err().to_string(), want);
         assert_eq!(enc.decode_stream(&rows, &p).unwrap_err().to_string(), want);
         let columns = ColumnBatch::from_rows(&enc.dataset_schema(&p), &rows).unwrap();
-        let refused = enc
-            .decode_column_batch(columns, &p)
-            .expect_err("Time::MAX cannot take the copy-free path");
-        assert_eq!(refused.to_rows(), rows, "the batch comes back untouched");
+        let refused = enc.decode_column_batch(columns, "s", &p).unwrap_err();
+        assert_eq!(refused.to_string(), want);
         // An interval dataset may end at Time::MAX: only `+ 1` overflows.
         let ends_at_max = row![5i64, Time::MAX, "u", 0i64];
         assert!(EventEncoding::Interval.decode(&ends_at_max).is_ok());
@@ -646,7 +661,7 @@ mod tests {
             let ds = enc.dataset_schema(&p);
             let columns = ColumnBatch::from_rows(&ds, &rows).unwrap();
             let batch = enc
-                .decode_column_batch(columns, &p)
+                .decode_column_batch(columns, "s", &p)
                 .expect("well-framed batch decodes copy-free");
             let via_rows = enc.decode_stream(&rows, &p).unwrap();
             // Moving the framing columns back in is the inverse.
@@ -656,27 +671,40 @@ mod tests {
         }
     }
 
+    /// A null framing cell and an empty lifetime fail with the row decode's
+    /// message, naming the first bad row; a batch of another schema names
+    /// the source and both schemas.
     #[test]
-    fn decode_column_batch_falls_back_on_bad_framing() {
+    fn decode_column_batch_fails_like_the_row_decode() {
         let p = payload_schema();
         let enc = EventEncoding::Interval;
         let ds = enc.dataset_schema(&p);
-        // Null Time cell: the row path owns the error message.
-        let null_time = vec![Row::new(vec![
+        let null_time = Row::new(vec![
             Value::Null,
             Value::Long(5),
             Value::str("u"),
             Value::Long(0),
-        ])];
-        let b = ColumnBatch::from_rows(&ds, &null_time).unwrap();
-        assert!(enc.decode_column_batch(b, &p).is_err());
-        // Empty lifetime: ditto.
-        let empty_life = vec![row![5i64, 5i64, "u", 0i64]];
-        let b = ColumnBatch::from_rows(&ds, &empty_life).unwrap();
-        assert!(enc.decode_column_batch(b, &p).is_err());
-        // Schema that lacks the framing columns entirely.
+        ]);
+        let null_end = Row::new(vec![
+            Value::Long(5),
+            Value::Null,
+            Value::str("u"),
+            Value::Long(0),
+        ]);
+        let (good, empty_life) = (row![1i64, 4i64, "u", 0i64], row![5i64, 5i64, "u", 0i64]);
+        for bad in [null_time, null_end, empty_life] {
+            let rows = vec![good.clone(), bad, row![7i64, 7i64, "v", 1i64]];
+            let b = ColumnBatch::from_rows(&ds, &rows).unwrap();
+            let want = enc.decode_stream(&rows, &p).unwrap_err().to_string();
+            assert!(want.contains(&rows[1].to_string()), "{want}");
+            let got = enc.decode_column_batch(b, "s", &p).unwrap_err();
+            assert_eq!(got.to_string(), want);
+        }
         let b = ColumnBatch::from_rows(&p, &[row!["u", 1i64]]).unwrap();
-        assert!(enc.decode_column_batch(b, &p).is_err());
+        assert_eq!(
+            enc.decode_column_batch(b, "s", &p).unwrap_err().to_string(),
+            format!("input error: source `s` bound with schema {p}, plan expects {ds}")
+        );
     }
 
     #[test]

@@ -340,19 +340,12 @@ pub(crate) struct InputBinding {
 /// mappers and reducers share. The framing columns move out of the batch as
 /// the lifetime vectors ([`EventEncoding::decode_column_batch`]) — nothing
 /// is copied, no dataset rows are materialized and the executor runs on the
-/// batch as it arrived. Whatever that path refuses falls back to the row
-/// decode, which owns the errors (and tolerates a dataset whose cell types
-/// differ from the plan's source schema).
+/// batch as it arrived. A batch whose schema is not the one the plan's
+/// source declares is the same named error the single-node DSMS gives.
 pub(crate) fn bind_input(binding: &InputBinding, batch: ColumnBatch) -> Result<StreamData> {
-    match binding
-        .encoding
-        .decode_column_batch(batch, &binding.payload)
-    {
-        Ok(events) => Ok(StreamData::Batch(events)),
-        Err(batch) => Ok(StreamData::Rows(
-            (binding.encoding).decode_stream(batch.to_rows(), &binding.payload)?,
-        )),
-    }
+    let events =
+        (binding.encoding).decode_column_batch(batch, &binding.source_name, &binding.payload)?;
+    Ok(StreamData::Batch(events))
 }
 
 /// The paper's reducer method `P`: shuffled batches → events → embedded
@@ -397,11 +390,8 @@ impl Reducer for DsmsReducer {
             sources.insert(binding.source_name.clone(), data);
         }
         // The executor owns the decoded partition: the first in-place
-        // operator mutates it with zero survivor clones. The embedded DSMS
-        // fans GroupApply groups out on the cluster's per-reducer pool (the
-        // `dsms_threads` knob); the merge is sorted-key ordered, so output
-        // stays byte-identical at any width.
-        let (roots, _) = temporal::exec::execute_data(&self.plan, sources, &ctx.dsms_pool)
+        // operator mutates it with zero survivor clones.
+        let (roots, _) = temporal::exec::execute_data(&self.plan, sources)
             .map_err(|e| to_mr(TimrError::Temporal(e)))?;
         roots
             .into_iter()
@@ -416,7 +406,7 @@ mod tests {
     use crate::bridge::read_output;
     use crate::multi::MultiTimrJob;
     use crate::runner::TimrJob;
-    use mapreduce::{Cluster, Dataset, Dfs};
+    use mapreduce::{BackendKind, Cluster, ClusterConfig, Dataset, Dfs};
     use relation::schema::{ColumnType, Field};
     use relation::{row, Row};
     use temporal::exec::{bindings, execute_reference};
@@ -620,6 +610,70 @@ mod tests {
         let compiled = TimrJob::new("t", plan.clone()).compile().unwrap();
         assert_eq!(compiled.pushed_ops, 0);
         assert!(compiled.stages[0].mapper.is_none());
+    }
+
+    /// The log stored as `(Time, StreamId, KwAdId, UserId)` under a plan
+    /// whose source declares `(StreamId, UserId, KwAdId)`: bound by
+    /// position, the ad column would read user ids. On either front end —
+    /// push-down on and off, pool threads and two forked workers — the job
+    /// fails with the error that names the source and both schemas, as the
+    /// single-node DSMS does, and publishes nothing.
+    #[test]
+    fn a_source_stored_in_another_schema_is_a_named_error() {
+        let stored = Schema::new(vec![
+            Field::new("StreamId", ColumnType::Int),
+            Field::new("KwAdId", ColumnType::Str),
+            Field::new("UserId", ColumnType::Str),
+        ]);
+        let rows: Vec<Row> = (0..90i64)
+            .map(|i| {
+                let (ad, user) = (format!("a{}", i % 3), format!("u{}", i % 4));
+                row![i, (1 + i % 2) as i32, ad, user]
+            })
+            .collect();
+        let q = temporal::plan::Query::new();
+        let out = (q.source("logs", log_payload()))
+            .filter(col("StreamId").eq(lit(1)))
+            .group_apply(&["KwAdId"], |g| g.window(100).count("N"));
+        let plan = q.build(vec![out]).unwrap();
+        let log = EventEncoding::Point.decode_stream(&rows, &stored).unwrap();
+        let single_node = execute_reference(&plan, &bindings(vec![("logs", log)]));
+        let single_node = single_node.unwrap_err().to_string();
+        assert!(single_node.starts_with("input error: source `logs` bound with"));
+        let stored = EventEncoding::Point.dataset_schema(&stored);
+        let expected = EventEncoding::Point.dataset_schema(&log_payload());
+        let want = format!(
+            "input error: source `logs` bound with schema {stored}, plan expects {expected}"
+        );
+        let cases = [(false, true), (false, false), (true, true), (true, false)];
+        for backend in [BackendKind::Threads, BackendKind::Processes { workers: 2 }] {
+            let cluster = Cluster::with_config(ClusterConfig {
+                backend,
+                ..ClusterConfig::default()
+            });
+            for (shared, push_down) in cases {
+                let dfs = Dfs::new();
+                let parts = rows.chunks(30).map(<[Row]>::to_vec).collect();
+                let dataset = Dataset::partitioned(stored.clone(), parts);
+                dfs.put("logs", dataset).unwrap();
+                let key = ExchangeKey::keys(&["KwAdId"]);
+                let run = match shared {
+                    true => (MultiTimrJob::new("m", vec![plan.clone()]).with_key(key))
+                        .with_push_down(push_down)
+                        .run(&dfs, &cluster)
+                        .map(drop),
+                    false => (TimrJob::new("t", plan.clone()))
+                        .with_annotation(Annotation::none().exchange(1, 0, key))
+                        .with_push_down(push_down)
+                        .run(&dfs, &cluster)
+                        .map(drop),
+                };
+                let err = run.unwrap_err().to_string();
+                let case = format!("{backend:?} shared {shared} push-down {push_down}");
+                assert!(err.ends_with(&want), "{case}: {err}");
+                assert_eq!(dfs.list(), ["logs"], "{case}: nothing is published");
+            }
+        }
     }
 
     /// A sub-plan `Source` that no stage input binds would fail every

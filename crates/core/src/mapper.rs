@@ -13,8 +13,8 @@
 //! ([`EventEncoding::encode_extent_order`]). Nothing sorts here: canonical
 //! order is established once, at the reduce sink, where bytes are published.
 //! Executor output order is already a pure function of the extent's rows —
-//! fused row operators preserve input order and GroupApply merges its groups
-//! in sorted-key order, at any pool width — so mapper output stays a pure
+//! fused row operators preserve input order and GroupApply emits its groups
+//! in sorted-key order — so mapper output stays a pure
 //! byte-deterministic function of its input, which is what lets shuffle
 //! rebuilds and task retries re-run it safely.
 //!
@@ -90,7 +90,7 @@ impl Mapper for DsmsMapper {
         let mut sources: DataBindings = FxHashMap::default();
         let data = bind_input(&unit.binding, batch).map_err(to_mr)?;
         sources.insert(unit.binding.source_name.clone(), data);
-        let (mut roots, _) = temporal::exec::execute_data(&unit.plan, sources, &ctx.dsms_pool)
+        let (mut roots, _) = temporal::exec::execute_data(&unit.plan, sources)
             .map_err(|e| to_mr(TimrError::Temporal(e)))?;
         let root = roots.pop().expect("mapper plans have exactly one root");
         EventEncoding::Interval
@@ -207,8 +207,7 @@ mod tests {
             .unwrap();
         let mut sources: DataBindings = FxHashMap::default();
         sources.insert("logs".to_string(), StreamData::Rows(stream));
-        let pool = pool::WorkerPool::sequential();
-        let (mut roots, _) = temporal::exec::execute_data(&unit.plan, sources, &pool)
+        let (mut roots, _) = temporal::exec::execute_data(&unit.plan, sources)
             .map_err(|e| format!("reducer failed in `s` partition 0: mapper input 0: {e}"))?;
         let out = EventEncoding::Interval.encode_extent_order(roots.pop().unwrap());
         Ok(out.unwrap().to_extent_bytes().unwrap())

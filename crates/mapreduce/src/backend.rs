@@ -27,10 +27,8 @@ use crate::cluster::ClusterConfig;
 use crate::dfs::{Dataset, StoredExtent};
 use crate::error::TaskError;
 use crate::job::{CompiledPartitioner, Stage};
-use pool::WorkerPool;
 use relation::Schema;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Which kind of worker a cluster runs its tasks on.
@@ -130,7 +128,6 @@ pub(crate) struct StageEnv<'a> {
     pub sink_schemas: &'a [Schema],
     pub config: &'a ClusterConfig,
     pub counters: &'a FaultCounters,
-    pub dsms_pool: &'a Arc<WorkerPool>,
     pub chunk_target: u64,
     pub expected_sinks: usize,
 }

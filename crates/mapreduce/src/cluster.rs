@@ -52,12 +52,6 @@ use std::time::{Duration, Instant};
 pub struct ClusterConfig {
     /// Local worker threads executing map and reduce tasks.
     pub threads: usize,
-    /// Worker threads handed to each reduce task's embedded DSMS for
-    /// intra-operator parallelism (per-group GroupApply fan-out). Kept at
-    /// 1 by default: stages with many reduce partitions already fill the
-    /// task pool, so per-group threads would only oversubscribe. Raise it
-    /// for group-heavy stages with few partitions.
-    pub dsms_threads: usize,
     /// Fault-injection schedule (explicit kills and/or seeded faults).
     pub chaos: ChaosPlan,
     /// Per-task retry budget and backoff schedule.
@@ -86,7 +80,6 @@ impl Default for ClusterConfig {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(4),
-            dsms_threads: 1,
             chaos: ChaosPlan::none(),
             retry: RetryPolicy::default(),
             memory_budget_bytes: None,
@@ -121,9 +114,6 @@ pub struct Cluster {
     /// One pool thread per worker: it runs task copies in place, or drives
     /// the worker process they are shipped to.
     pool: WorkerPool,
-    /// Pool handle threaded through [`ReducerContext`] into embedded
-    /// DSMS executions.
-    pub(crate) dsms_pool: Arc<WorkerPool>,
 }
 
 impl Default for Cluster {
@@ -421,7 +411,6 @@ fn map_extent(
         input: i,
         extent: e,
         attempt,
-        dsms_pool: Arc::clone(env.dsms_pool),
     };
     let mapped = mapper.map(&ctx, batch)?;
     conform(&env.mapped_schemas[i], mapped.schema()).map_err(|cause| MrError::IllTyped {
@@ -489,7 +478,6 @@ pub(crate) fn run_reduce_task(
         partition: p,
         partitions: env.stage.partitions,
         attempt,
-        dsms_pool: Arc::clone(env.dsms_pool),
     };
     let start = Instant::now();
     let out = env.stage.reducer.reduce(&ctx, fetched)?;
@@ -531,11 +519,9 @@ impl Cluster {
             BackendKind::Threads => config.threads,
             BackendKind::Processes { workers } => workers,
         };
-        let dsms_pool = Arc::new(WorkerPool::new(config.dsms_threads));
         Cluster {
             config,
             pool: WorkerPool::new(workers),
-            dsms_pool,
         }
     }
 
@@ -788,7 +774,6 @@ impl Cluster {
             sink_schemas: &sink_schemas,
             config: &self.config,
             counters: &counters,
-            dsms_pool: &self.dsms_pool,
             chunk_target: self.chunk_target(inputs.len(), stage.partitions),
             expected_sinks,
         };
@@ -1501,7 +1486,6 @@ mod tests {
             sink_schemas: &sink_schemas,
             config: cluster.config(),
             counters: &counters,
-            dsms_pool: &cluster.dsms_pool,
             chunk_target,
             expected_sinks: 1,
         };

@@ -118,23 +118,17 @@ pub struct ReducerContext {
     /// Execution attempt (0 = first try; >0 after a contained panic,
     /// transient fault, or detected corruption forced a retry).
     pub attempt: usize,
-    /// Worker pool for intra-reducer parallelism (the cluster's
-    /// `dsms_threads` knob): the embedded DSMS fans GroupApply groups out
-    /// on it. All pool results merge in deterministic task order, so using
-    /// it never violates the reducer purity contract below.
-    pub dsms_pool: Arc<pool::WorkerPool>,
 }
 
 impl ReducerContext {
     /// A context for driving a reducer by hand (tests, baselines): named
-    /// stage/partition, first attempt, sequential DSMS pool.
+    /// stage/partition, first attempt.
     pub fn standalone(stage: impl Into<String>, partition: usize, partitions: usize) -> Self {
         ReducerContext {
             stage: stage.into(),
             partition,
             partitions,
             attempt: 0,
-            dsms_pool: Arc::new(pool::WorkerPool::sequential()),
         }
     }
 
@@ -208,9 +202,6 @@ pub struct MapperContext {
     /// forced the map task to re-run). Mappers must not branch on this
     /// for anything that changes their output.
     pub attempt: usize,
-    /// Worker pool for intra-mapper parallelism (same deterministic
-    /// contract as [`ReducerContext::dsms_pool`]).
-    pub dsms_pool: Arc<pool::WorkerPool>,
 }
 
 impl MapperContext {
@@ -221,7 +212,6 @@ impl MapperContext {
             input,
             extent,
             attempt: 0,
-            dsms_pool: Arc::new(pool::WorkerPool::sequential()),
         }
     }
 }

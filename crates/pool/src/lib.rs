@@ -1,20 +1,16 @@
-//! Shared chunked worker pool.
+//! Fixed-width worker pool.
 //!
-//! Both parallel runtimes in this workspace — the map-reduce cluster's
-//! map/shuffle and reduce phases, and the DSMS's per-group GroupApply
-//! fan-out — have the same shape: a fixed list of independent tasks, a
-//! small set of worker threads pulling task indices from an atomic
-//! counter, and a **deterministic merge** of the results in task order so
+//! The map-reduce cluster's scheduler is the one user: a fixed list of
+//! independent tasks, a small set of worker threads pulling task indices
+//! from an atomic counter, and the results returned in task order so
 //! output is byte-identical regardless of thread count or scheduling (the
 //! repeatability property the paper's restart handling is built on,
-//! §III-C.1). [`WorkerPool`] extracts that shape so the runtimes share one
-//! implementation instead of hand-rolled `std::thread::scope` loops.
+//! §III-C.1). It is the only level of parallelism in the workspace: the
+//! DSMS embedded in each task runs on the thread that runs the task.
 //!
 //! The pool is configuration, not threads: workers are scoped to each
 //! [`WorkerPool::run`] call (no idle threads between calls, results may
-//! borrow from the caller's stack), and a pool handle can be shared
-//! freely across layers — the cluster threads one `Arc<WorkerPool>` from
-//! its config through every reducer into the embedded DSMS executor.
+//! borrow from the caller's stack).
 //!
 //! # Panic containment
 //!
@@ -60,28 +56,12 @@ pub struct WorkerPool {
     threads: usize,
 }
 
-impl Default for WorkerPool {
-    /// One worker per available core.
-    fn default() -> Self {
-        WorkerPool::new(
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4),
-        )
-    }
-}
-
 impl WorkerPool {
     /// Pool with `threads` workers (clamped to at least one).
     pub fn new(threads: usize) -> Self {
         WorkerPool {
             threads: threads.max(1),
         }
-    }
-
-    /// A single-threaded pool: tasks run inline on the caller's thread.
-    pub fn sequential() -> Self {
-        WorkerPool::new(1)
     }
 
     /// Configured worker count.
@@ -160,35 +140,6 @@ impl WorkerPool {
             .map(|r| r.unwrap_or_else(|_| unreachable!("errors re-raised above")))
             .collect()
     }
-
-    /// Run `task(i, item)` for every item, **moving** each item into its
-    /// task, and return the results in item order.
-    ///
-    /// This is [`WorkerPool::run`] for task lists that own their inputs
-    /// (e.g. GroupApply moving each group's events into its sub-plan run).
-    pub fn map<I, T, F>(&self, items: Vec<I>, task: F) -> Vec<T>
-    where
-        I: Send,
-        T: Send,
-        F: Fn(usize, I) -> T + Sync,
-    {
-        let workers = self.threads.min(items.len());
-        if workers <= 1 {
-            return items
-                .into_iter()
-                .enumerate()
-                .map(|(i, item)| task(i, item))
-                .collect();
-        }
-        let inputs: Vec<Mutex<Option<I>>> =
-            items.into_iter().map(|i| Mutex::new(Some(i))).collect();
-        self.run(inputs.len(), |i| {
-            let item = lock_ignore_poison(&inputs[i])
-                .take()
-                .expect("worker pool task input taken twice");
-            task(i, item)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -205,21 +156,9 @@ mod tests {
     }
 
     #[test]
-    fn map_moves_items_and_preserves_order() {
-        let items: Vec<String> = (0..50).map(|i| format!("item-{i}")).collect();
-        for threads in [1, 4] {
-            let out = WorkerPool::new(threads).map(items.clone(), |i, s| format!("{i}:{s}"));
-            let expected: Vec<String> = (0..50).map(|i| format!("{i}:item-{i}")).collect();
-            assert_eq!(out, expected);
-        }
-    }
-
-    #[test]
     fn zero_tasks_and_zero_threads_are_fine() {
         assert_eq!(WorkerPool::new(0).threads(), 1);
         let out: Vec<usize> = WorkerPool::new(4).run(0, |i| i);
-        assert!(out.is_empty());
-        let out: Vec<u8> = WorkerPool::new(4).map(Vec::<u8>::new(), |_, b| b);
         assert!(out.is_empty());
     }
 

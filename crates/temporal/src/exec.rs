@@ -38,6 +38,10 @@
 //! hopping aggregate of combinable aggregates, which GroupApply runs as one
 //! hash aggregation over (group, cell) without laying anything out
 //! (`operators::pane`; the plan alone decides).
+//!
+//! An execution runs on its caller's thread. The engine is the unmodified
+//! single-node DSMS of paper §III-C: a map-reduce job gets its parallelism
+//! from the partitions, one embedded DSMS per reduce task.
 
 use crate::batch::EventBatch;
 use crate::error::{Result, TemporalError};
@@ -46,9 +50,6 @@ use crate::plan::{FusedStep, LogicalPlan, NodeId, Operator};
 use crate::stream::EventStream;
 use relation::Schema;
 use rustc_hash::FxHashMap;
-
-/// The pool type [`execute_data`] fans GroupApply run ranges out on.
-pub use pool::WorkerPool;
 
 /// Named input bindings for a plan's `Source` leaves.
 pub type Bindings = FxHashMap<String, EventStream>;
@@ -161,15 +162,6 @@ pub struct ExecStats {
 }
 
 impl ExecStats {
-    /// Add what a pool task observed.
-    pub(crate) fn absorb(&mut self, task: &ExecStats) {
-        self.row_fallbacks += task.row_fallbacks;
-        self.transposed_events += task.transposed_events;
-        self.groups += task.groups;
-        self.per_run_nodes += task.per_run_nodes;
-        self.pane_groups += task.pane_groups;
-    }
-
     /// `data` as a row stream, counting its events when that transposes a
     /// batch: the one way the engine turns columns into rows at an
     /// operator's input.
@@ -191,7 +183,7 @@ impl ExecStats {
 pub fn execute(plan: &LogicalPlan, sources: &Bindings) -> Result<Vec<EventStream>> {
     // O(1) per stream: Arc bumps.
     let owned = data_bindings(sources.clone());
-    let (roots, _) = execute_data(plan, owned, &WorkerPool::sequential())?;
+    let (roots, _) = execute_data(plan, owned)?;
     Ok(roots.into_iter().map(StreamData::into_stream).collect())
 }
 
@@ -200,20 +192,18 @@ pub fn execute_single(plan: &LogicalPlan, sources: &Bindings) -> Result<EventStr
     single(execute(plan, sources)?)
 }
 
-/// Execute `plan` taking **ownership** of layout-agnostic bindings, fanning
-/// GroupApply run ranges out on `pool`. Each `Source` binding is moved out of
-/// the map at its last reference in the plan, in the layout it arrived in
-/// (earlier references share it, O(1), in that same layout): a batch runs
+/// Execute `plan` taking **ownership** of layout-agnostic bindings, on the
+/// calling thread. Each `Source` binding is moved out of the map at its last
+/// reference in the plan, in the layout it arrived in (earlier references
+/// share it, O(1), in that same layout): a batch runs
 /// the columnar kernels, and when the caller held the only handle the first
 /// in-place operator mutates the decoded partition directly — zero survivor
 /// clones. Each root comes back in the layout its last operator produced,
 /// for the caller to consume by value.
-/// Output is byte-identical for every pool width (ranges concatenate in
-/// sorted-key order) and either layout.
+/// Output is byte-identical in either layout.
 pub fn execute_data(
     plan: &LogicalPlan,
     sources: DataBindings,
-    pool: &WorkerPool,
 ) -> Result<(Vec<StreamData>, ExecStats)> {
     // Free when the plan was fused at construction (every embedded caller
     // does): the pass returns the borrowed plan before cloning anything.
@@ -222,8 +212,7 @@ pub fn execute_data(
         source_refs: source_refs(&plan),
         sources,
         cache: FxHashMap::default(),
-        counts: consumer_counts(&plan),
-        pool,
+        counts: plan.consumer_counts(),
         stats: ExecStats::default(),
     };
     // A binding a sub-plan reads is read once per run, by row operators:
@@ -244,8 +233,8 @@ pub fn execute_data(
 }
 
 /// Execute `plan` on the reference operators ([`operators::interpreted`]):
-/// per-row name resolution, clone-based streams, no fusion, no batches, no
-/// pool. This is the single-node oracle the property tests, benches and
+/// per-row name resolution, clone-based streams, no fusion, no batches.
+/// This is the single-node oracle the property tests, benches and
 /// experiments compare the engine (and, through the cluster, whole TiMR
 /// jobs) against; output is byte-identical to [`execute`]. No job or
 /// cluster configuration reaches it.
@@ -342,7 +331,7 @@ fn single(mut outputs: Vec<EventStream>) -> Result<EventStream> {
 }
 
 /// The top-level evaluator: owns the bindings and the multicast cache.
-struct Executor<'a> {
+struct Executor {
     /// Owned source bindings, drained as the plan consumes them: a stream
     /// is moved out at its last `Source` reference.
     sources: DataBindings,
@@ -352,38 +341,13 @@ struct Executor<'a> {
     source_refs: FxHashMap<String, u32>,
     /// Multicast results awaiting further consumers: the value, in the
     /// layout it was produced in, + how many consumers have not taken it yet.
-    cache: FxHashMap<NodeId, (StreamData, u32)>,
-    counts: Vec<u32>,
-    /// Worker pool GroupApply fans run ranges out on.
-    pool: &'a WorkerPool,
+    cache: FxHashMap<NodeId, (StreamData, usize)>,
+    /// [`LogicalPlan::consumer_counts`]: each root is consumed once by the
+    /// caller. Only nodes with more than one consumer — Multicast fan-out —
+    /// are cached; single-consumer intermediates are moved, not cloned, and
+    /// the cached entry is moved out on its last consumer.
+    counts: Vec<usize>,
     stats: ExecStats,
-}
-
-/// What a GroupApply sub-plan reads from the execution around it: the outer
-/// bindings (a sub-plan `Source` is the same stream for every run) and the
-/// pool. Shared by the pool tasks, so read-only.
-#[derive(Clone, Copy)]
-pub(crate) struct SubplanEnv<'a> {
-    pub(crate) sources: &'a DataBindings,
-    pub(crate) pool: &'a WorkerPool,
-}
-
-/// Number of consumers per node, **including plan roots** (each root is
-/// consumed once by the caller). Only nodes with more than one consumer —
-/// Multicast fan-out — need their results cached; single-consumer
-/// intermediates are moved, not cloned, and the cached entry is moved out
-/// on its last consumer.
-fn consumer_counts(plan: &LogicalPlan) -> Vec<u32> {
-    let mut counts = vec![0u32; plan.nodes().len()];
-    for node in plan.nodes() {
-        for &input in &node.inputs {
-            counts[input] += 1;
-        }
-    }
-    for &root in plan.roots() {
-        counts[root] += 1;
-    }
-    counts
 }
 
 /// Remaining `Source` references per binding name, counted across the
@@ -428,7 +392,7 @@ fn bound_source<'s>(
     Ok(data)
 }
 
-impl Executor<'_> {
+impl Executor {
     fn eval(&mut self, plan: &LogicalPlan, id: NodeId) -> Result<StreamData> {
         if let Some((data, remaining)) = self.cache.get_mut(&id) {
             *remaining -= 1;
@@ -499,13 +463,7 @@ impl Executor<'_> {
                 })
             }
             Operator::Union => operators::union(inputs, &mut self.stats)?,
-            op => {
-                let env = SubplanEnv {
-                    sources: &self.sources,
-                    pool: self.pool,
-                };
-                apply_unsegmented(op, inputs, &env, &mut self.stats)?
-            }
+            op => apply_unsegmented(op, inputs, &self.sources, &mut self.stats)?,
         })
     }
 }
@@ -513,20 +471,23 @@ impl Executor<'_> {
 /// The operators with no run-aware kernel, on whole streams: what the top
 /// level calls once and a sub-plan walk calls once per run. The binary
 /// operators read their inputs in the layout they arrive in; GroupApply, the
-/// UDOs and SpreadGrid take rows.
+/// UDOs and SpreadGrid take rows. `sources` are the outer bindings: a
+/// sub-plan `Source` is the same stream for every run.
 fn apply_unsegmented(
     op: &Operator,
     mut inputs: Vec<StreamData>,
-    env: &SubplanEnv,
+    sources: &DataBindings,
     stats: &mut ExecStats,
 ) -> Result<StreamData> {
     let mut pop = |what: &str| inputs.pop().expect(what);
     Ok(match op {
         // Reached inside sub-plans only (the executor drains its own).
-        Operator::Source { name, schema } => bound_source(env.sources, name, schema)?.clone(),
+        Operator::Source { name, schema } => bound_source(sources, name, schema)?.clone(),
         Operator::GroupApply { keys, subplan } => {
             let input = pop("group_apply has one input");
-            StreamData::Rows(operators::group_apply(input, keys, subplan, env, stats)?)
+            StreamData::Rows(operators::group_apply(
+                input, keys, subplan, sources, stats,
+            )?)
         }
         Operator::TemporalJoin { keys, residual } => {
             let right = pop("temporal_join has two inputs");
@@ -573,11 +534,11 @@ fn apply_unsegmented(
 pub(crate) fn walk_runs(
     subplan: &LogicalPlan,
     input: Runs,
-    env: &SubplanEnv,
+    sources: &DataBindings,
     stats: &mut ExecStats,
 ) -> Result<Runs> {
     let runs = input.len();
-    let mut consumers = consumer_counts(subplan);
+    let mut consumers = subplan.consumer_counts();
     let mut input = Some(input);
     let mut values: Vec<Option<Runs>> = vec![None; subplan.nodes().len()];
     let mut cut = Cut::none();
@@ -619,7 +580,7 @@ pub(crate) fn walk_runs(
                     inputs,
                     runs.min(cut.limit),
                     schema,
-                    env,
+                    sources,
                     stats,
                     &mut cut,
                 )?
@@ -642,7 +603,7 @@ fn per_run(
     inputs: Vec<Runs>,
     runs: usize,
     schema: Schema,
-    env: &SubplanEnv,
+    sources: &DataBindings,
     stats: &mut ExecStats,
     cut: &mut Cut,
 ) -> Result<Runs> {
@@ -665,7 +626,7 @@ fn per_run(
                 StreamData::Rows(EventStream::new(schema.clone(), run))
             })
             .collect();
-        match apply_unsegmented(op, slices, env, stats) {
+        match apply_unsegmented(op, slices, sources, stats) {
             Ok(out) => events.extend(stats.transpose(out).into_events()),
             Err(err) => {
                 cut.fail(r, err)?;
@@ -805,7 +766,7 @@ mod tests {
     fn stats_count_groups_and_the_nodes_without_a_kernel() {
         let run = |plan: &LogicalPlan| {
             let srcs = data_bindings(bindings(vec![("input", sample_events())]));
-            execute_data(plan, srcs, &WorkerPool::new(2)).unwrap().1
+            execute_data(plan, srcs).unwrap().1
         };
         // Window → count per ad: three groups, every node segmented.
         let q = Query::new();
@@ -870,7 +831,7 @@ mod tests {
         let batch = EventBatch::from_stream(&sample_events()).unwrap();
         let mut batch_srcs = DataBindings::default();
         batch_srcs.insert("input".to_string(), StreamData::Batch(batch));
-        let (on_batch, stats) = execute_data(plan, batch_srcs, &WorkerPool::sequential()).unwrap();
+        let (on_batch, stats) = execute_data(plan, batch_srcs).unwrap();
         let reference = single(execute_reference(plan, &srcs).unwrap()).unwrap();
         assert_eq!(rows, reference);
         let on_batch = on_batch.into_iter().map(StreamData::into_stream).collect();
@@ -922,7 +883,7 @@ mod tests {
         let batch = EventBatch::from_stream(&sample_events()).unwrap();
         let mut srcs = DataBindings::default();
         srcs.insert("input".to_string(), StreamData::Batch(batch));
-        let (out, stats) = execute_data(&plan, srcs, &WorkerPool::sequential()).unwrap();
+        let (out, stats) = execute_data(&plan, srcs).unwrap();
         assert_eq!(stats.row_fallbacks, 1);
         let out: Vec<EventStream> = out.into_iter().map(StreamData::into_stream).collect();
         let reference =
@@ -930,17 +891,12 @@ mod tests {
         assert_eq!(out, reference);
     }
 
-    fn executor<'a>(
-        plan: &LogicalPlan,
-        sources: DataBindings,
-        pool: &'a WorkerPool,
-    ) -> Executor<'a> {
+    fn executor(plan: &LogicalPlan, sources: DataBindings) -> Executor {
         Executor {
             source_refs: source_refs(plan),
             sources,
             cache: FxHashMap::default(),
-            counts: consumer_counts(plan),
-            pool,
+            counts: plan.consumer_counts(),
             stats: ExecStats::default(),
         }
     }
@@ -984,8 +940,7 @@ mod tests {
             let plan = crate::plan::fuse_plan(&plan).unwrap();
             for as_batch in [false, true] {
                 let (srcs, kept) = shared_binding(as_batch);
-                let pool = WorkerPool::sequential();
-                let mut exec = executor(&plan, srcs, &pool);
+                let mut exec = executor(&plan, srcs);
                 let result = exec.eval(&plan, plan.roots()[0]).unwrap();
                 assert_eq!(matches!(result, StreamData::Batch(_)), as_batch);
                 assert_eq!(result.into_stream(), reference);
@@ -1022,8 +977,7 @@ mod tests {
         };
         let (srcs, kept) = shared_binding(true);
         drop(kept);
-        let pool = WorkerPool::sequential();
-        let mut exec = executor(&plan, srcs, &pool);
+        let mut exec = executor(&plan, srcs);
         let mut take = |id: NodeId| match exec.eval(&plan, id).unwrap() {
             StreamData::Batch(b) => b,
             StreamData::Rows(_) => panic!("a batch binding stays a batch"),
@@ -1115,7 +1069,7 @@ mod tests {
         assert_eq!((reference[0].len(), reference[1].len()), (4, 3));
         for as_batch in [false, true] {
             let (srcs, kept) = shared_binding(as_batch);
-            let (roots, stats) = execute_data(&plan, srcs, &WorkerPool::new(2)).unwrap();
+            let (roots, stats) = execute_data(&plan, srcs).unwrap();
             let roots: Vec<_> = roots.into_iter().map(StreamData::into_stream).collect();
             assert_eq!(roots, reference);
             assert_eq!(kept.into_stream(), sample_events());

@@ -17,18 +17,17 @@
 //! materialized for the prefix, which is attached once, at the sub-plan's
 //! root.
 //!
-//! The pool fans out **contiguous run ranges** balanced by event count —
-//! one task per range, each walking the sub-plan over its runs — and the
-//! ranges are concatenated in order, so the output event vector is
-//! byte-identical at every pool width (the repeatability guarantee of
-//! paper §III that restarted reducers compare bytes against). Errors are
-//! deterministic too: the walk reports the lowest failing group in
-//! sorted-key order and, inside it, the first failing operator — what a
-//! group-at-a-time evaluation would have met first ([`Cut`]).
+//! One walk covers every run, on the caller's thread, and the keys are
+//! attached once to its root, so the output event vector is a pure function
+//! of the input (the repeatability guarantee of paper §III that restarted
+//! reducers compare bytes against). Errors are deterministic too: the walk
+//! reports the lowest failing group in sorted-key order and, inside it, the
+//! first failing operator — what a group-at-a-time evaluation would have
+//! met first ([`Cut`]).
 
 use crate::error::{Result, TemporalError};
 use crate::event::Event;
-use crate::exec::{walk_runs, ExecStats, StreamData, SubplanEnv};
+use crate::exec::{walk_runs, DataBindings, ExecStats, StreamData};
 use crate::key::KeySelector;
 use crate::operators::pane::pane_aggregate;
 use crate::plan::{hopping_aggregate, LogicalPlan};
@@ -188,12 +187,13 @@ impl Cut {
 /// is segmented: a batch input hashes its keys straight off the columns
 /// ([`KeySelector::hash_batch`], bit-identical to the row hash) and is then
 /// transposed and grouped as rows (counted in
-/// [`ExecStats::transposed_events`]).
+/// [`ExecStats::transposed_events`]). `sources` are the outer bindings a
+/// sub-plan `Source` reads.
 pub(crate) fn group_apply(
     input: StreamData,
     keys: &[String],
     subplan: &LogicalPlan,
-    env: &SubplanEnv,
+    sources: &DataBindings,
     stats: &mut ExecStats,
 ) -> Result<EventStream> {
     let sel = KeySelector::new(input.schema(), keys)?;
@@ -229,29 +229,8 @@ pub(crate) fn group_apply(
     }
     stats.per_run_nodes += subplan.nodes().iter().filter(|n| !n.op.segmented()).count() as u64;
 
-    let ranges = split_ranges(runs, run_keys, env.pool.threads());
-    let results = env.pool.map(ranges, |_, (runs, run_keys)| {
-        let mut stats = ExecStats::default();
-        let root = walk_runs(subplan, runs, env, &mut stats)?;
-        Ok((attach_keys(root, &run_keys), stats))
-    });
-
-    // Ranges are in sorted-key order, so the first error is the lowest
-    // group's.
-    let mut results = results.into_iter().collect::<Result<Vec<_>>>()?;
-    for (_, s) in &results {
-        stats.absorb(s);
-    }
-    let events = if results.len() == 1 {
-        results.pop().expect("one range").0
-    } else {
-        let mut events = Vec::with_capacity(results.iter().map(|(e, _)| e.len()).sum());
-        for (e, _) in results {
-            events.extend(e);
-        }
-        events
-    };
-    Ok(EventStream::new(out_schema, events))
+    let root = walk_runs(subplan, runs, sources, stats)?;
+    Ok(EventStream::new(out_schema, attach_keys(root, &run_keys)))
 }
 
 /// Events numbered by group, in first-seen order.
@@ -360,48 +339,6 @@ fn group_runs(
     (Runs { stream, bounds }, run_keys)
 }
 
-/// Cut the runs into at most `parts` contiguous, non-empty ranges of about
-/// equal event count (a run is never split).
-fn split_ranges(
-    runs: Runs,
-    mut run_keys: Vec<Vec<Value>>,
-    parts: usize,
-) -> Vec<(Runs, Vec<Vec<Value>>)> {
-    let Runs { stream, mut bounds } = runs;
-    let total = stream.len();
-    // Range `j` starts at the first run starting at or past its share (a
-    // long last run can leave none).
-    let parts = parts.min(run_keys.len());
-    let mut starts: Vec<usize> = (1..parts)
-        .map(|j| bounds.partition_point(|&b| b < j * total / parts))
-        .filter(|&r| r < run_keys.len())
-        .collect();
-    starts.dedup();
-    if starts.is_empty() {
-        return vec![(Runs { stream, bounds }, run_keys)];
-    }
-    let schema = stream.schema().clone();
-    let mut events = stream.into_events();
-    let mut ranges = Vec::with_capacity(starts.len() + 1);
-    for &r in starts.iter().rev() {
-        let base = bounds[r];
-        let tail_bounds = bounds.split_off(r).iter().map(|b| b - base).collect();
-        bounds.push(base);
-        let tail = Runs {
-            stream: EventStream::new(schema.clone(), events.split_off(base)),
-            bounds: tail_bounds,
-        };
-        ranges.push((tail, run_keys.split_off(r)));
-    }
-    let head = Runs {
-        stream: EventStream::new(schema, events),
-        bounds,
-    };
-    ranges.push((head, run_keys));
-    ranges.reverse();
-    ranges
-}
-
 /// Prepend each run's key to its output rows.
 fn attach_keys(root: Runs, run_keys: &[Vec<Value>]) -> Vec<Event> {
     debug_assert_eq!(root.len(), run_keys.len());
@@ -453,32 +390,6 @@ mod tests {
             .map(|e| e.payload.get(1).as_long().unwrap())
             .collect();
         assert_eq!(vs, vec![20, 10, 30]);
-    }
-
-    #[test]
-    fn ranges_cover_the_runs_in_order_and_balance_events() {
-        let events = (0..40)
-            .map(|i| Event::point(i, row![format!("u{:02}", i % 10), i]))
-            .collect();
-        let (runs, keys) = grouped(events);
-        let all = runs.stream.events().to_vec();
-        for parts in [1, 2, 3, 8, 64] {
-            let ranges = split_ranges(runs.clone(), keys.clone(), parts);
-            assert!(ranges.len() <= parts.min(10));
-            let mut seen = Vec::new();
-            let mut seen_keys = Vec::new();
-            for (r, k) in ranges {
-                assert_eq!(r.len(), k.len());
-                assert!(!k.is_empty());
-                assert_eq!(r.bounds[0], 0);
-                assert_eq!(*r.bounds.last().unwrap(), r.stream.len());
-                assert!(r.stream.len() <= 40usize.div_ceil(parts.min(10)) + 4);
-                seen.extend(r.stream.events().iter().cloned());
-                seen_keys.extend(k);
-            }
-            assert_eq!(seen, all, "parts={parts}");
-            assert_eq!(seen_keys, keys);
-        }
     }
 
     #[test]

@@ -389,6 +389,22 @@ impl LogicalPlan {
             .collect()
     }
 
+    /// Consumers per node, **including plan roots**: input edges plus one
+    /// per root reference, so a node that is both an output and an input —
+    /// or the root of two identical queries — counts as shared.
+    pub(crate) fn consumer_counts(&self) -> Vec<usize> {
+        let mut counts = vec![0; self.nodes.len()];
+        for node in &self.nodes {
+            for &input in &node.inputs {
+                counts[input] += 1;
+            }
+        }
+        for &root in &self.roots {
+            counts[root] += 1;
+        }
+        counts
+    }
+
     /// Topological order (children before parents).
     pub fn topo_order(&self) -> Vec<NodeId> {
         let mut order = Vec::with_capacity(self.nodes.len());

@@ -54,8 +54,7 @@
 //! [`AggExpr::combining`]: crate::agg::AggExpr::combining
 
 use super::share::{
-    combining_aggs, consumer_counts, gcd, hopping_aggregate, hopping_subplan, partial_schema,
-    sink_hops,
+    combining_aggs, gcd, hopping_aggregate, hopping_subplan, partial_schema, sink_hops,
 };
 use super::{FusedStep, LogicalPlan, NodeId, Operator, PlanNode};
 use crate::agg::AggExpr;
@@ -291,7 +290,7 @@ pub fn push_down(plan: &LogicalPlan, partition_cols: Option<&[String]>) -> Resul
     let plan = &*sink_hops(plan)?;
     // Effective consumer count: input edges plus root references. A node
     // may be removed into a mapper only while this is exactly 1.
-    let eff = consumer_counts(plan);
+    let eff = plan.consumer_counts();
 
     let mut source_names: FxHashMap<&str, usize> = FxHashMap::default();
     for n in plan.nodes() {

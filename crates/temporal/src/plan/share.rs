@@ -175,7 +175,7 @@ pub fn share_plans(plans: &[LogicalPlan]) -> Result<MultiQueryPlan> {
     }
     let merged_nodes = nodes.len();
     let plan = LogicalPlan::from_parts(nodes, roots)?;
-    let shared_nodes = consumer_counts(&plan).iter().filter(|&&c| c > 1).count();
+    let shared_nodes = plan.consumer_counts().iter().filter(|&&c| c > 1).count();
     Ok(MultiQueryPlan {
         plan,
         stats: ShareStats {
@@ -186,27 +186,11 @@ pub fn share_plans(plans: &[LogicalPlan]) -> Result<MultiQueryPlan> {
     })
 }
 
-/// Per-node consumer counts: input edges plus root references, so a node
-/// that is both an output and an input — or the root of two identical
-/// queries — counts as shared.
-pub(crate) fn consumer_counts(plan: &LogicalPlan) -> Vec<usize> {
-    let mut counts = vec![0usize; plan.nodes().len()];
-    for n in plan.nodes() {
-        for &i in &n.inputs {
-            counts[i] += 1;
-        }
-    }
-    for &r in plan.roots() {
-        counts[r] += 1;
-    }
-    counts
-}
-
 /// Render a (typically merged) plan with `shared@<fingerprint>` markers on
 /// every node consumed by more than one path. The second and later visits
 /// of a shared node print a back-reference instead of re-expanding it.
 pub fn explain_shared(plan: &LogicalPlan) -> String {
-    let consumers = consumer_counts(plan);
+    let consumers = plan.consumer_counts();
     let mut printed = vec![false; plan.nodes().len()];
     let mut out = String::new();
     for (qi, &root) in plan.roots().iter().enumerate() {
@@ -412,7 +396,7 @@ pub(crate) fn combining_aggs(aggs: &[(String, AggExpr)]) -> Vec<(String, AggExpr
 /// [`push_down`]: super::push_down
 /// [`fuse_plan`]: super::fuse_plan
 pub(crate) fn sink_hops(plan: &LogicalPlan) -> Result<Cow<'_, LogicalPlan>> {
-    let consumers = consumer_counts(plan);
+    let consumers = plan.consumer_counts();
     let mut nodes: Option<Vec<PlanNode>> = None;
     for (id, node) in plan.nodes().iter().enumerate() {
         let Operator::GroupApply { keys, subplan } = &node.op else {

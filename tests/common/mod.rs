@@ -16,7 +16,7 @@ use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{Row, Schema, Value};
 use timr_suite::temporal::agg::AggExpr;
 use timr_suite::temporal::exec::{
-    bindings, execute_data, execute_reference, execute_single, DataBindings, StreamData, WorkerPool,
+    bindings, execute_data, execute_reference, execute_single, DataBindings, StreamData,
 };
 use timr_suite::temporal::plan::{LifetimeOp, LogicalPlan};
 use timr_suite::temporal::{
@@ -289,7 +289,7 @@ pub fn run_three_ways(plan: &LogicalPlan, stream: EventStream) -> ThreeWay {
     let only = |mut roots: Vec<EventStream>| roots.pop().expect("single-output plan");
     ThreeWay {
         on_rows: execute_single(plan, &srcs),
-        on_batch: execute_data(plan, batch_srcs, &WorkerPool::sequential())
+        on_batch: execute_data(plan, batch_srcs)
             .map(|(roots, _)| only(roots.into_iter().map(StreamData::into_stream).collect())),
         reference: execute_reference(plan, &srcs).map(only),
     }

@@ -31,7 +31,7 @@ use proptest::prelude::*;
 use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{Row, Schema, Value};
 use timr_suite::temporal::exec::{
-    bindings, execute_data, execute_reference, DataBindings, ExecStats, StreamData, WorkerPool,
+    bindings, execute_data, execute_reference, DataBindings, ExecStats, StreamData,
 };
 use timr_suite::temporal::operators::{
     anti_semi_join, fused_fragment_batch, fused_fragment_rows, interpreted, temporal_join, union,
@@ -425,7 +425,7 @@ proptest! {
                 let mut bound = DataBindings::default();
                 bound.insert("l".to_string(), l.clone());
                 bound.insert("r".to_string(), r);
-                let (roots, stats) = execute_data(&plan, bound, &WorkerPool::sequential()).unwrap();
+                let (roots, stats) = execute_data(&plan, bound).unwrap();
                 prop_assert_eq!(stats.row_fallbacks, 0);
                 let roots: Vec<EventStream> =
                     roots.into_iter().map(StreamData::into_stream).collect();

@@ -1,11 +1,10 @@
 //! Property tests for segmented GroupApply: walking the sub-plan once over
-//! key-ordered runs, and fanning run ranges out on the worker pool, must be
-//! invisible in the output. For any sub-plan shape, key set and event bag —
-//! including distinct keys engineered to share an FxHash value, and groups
-//! whose sub-plan output is empty — the event vector at every pool width,
-//! on rows and on a batch, must be **byte-identical** (`events() ==`, not
-//! just the same relation) to the group-at-a-time reference, and so must
-//! the error when a group fails. This is the repeatability guarantee
+//! key-ordered runs must be invisible in the output. For any sub-plan
+//! shape, key set and event bag — including distinct keys engineered to
+//! share an FxHash value, and groups whose sub-plan output is empty — the
+//! event vector, on rows and on a batch, must be **byte-identical**
+//! (`events() ==`, not just the same relation) to the group-at-a-time
+//! reference, and so must the error when a group fails. This is the repeatability guarantee
 //! restarted reducers compare bytes against (paper §III-C.1).
 //!
 //! Two more things must be invisible. The planner's normal form: a lifetime
@@ -25,7 +24,7 @@ use timr_suite::relation::{row, Row, Schema, Value};
 use timr_suite::temporal::agg::AggExpr;
 use timr_suite::temporal::exec::{
     bindings, data_bindings, execute_data, execute_reference, execute_single, Bindings, ExecStats,
-    StreamData, WorkerPool,
+    StreamData,
 };
 use timr_suite::temporal::expr::{col, lit, Expr};
 use timr_suite::temporal::plan::{LifetimeOp, LogicalPlan, Operator, PlanNode, StreamHandle};
@@ -231,44 +230,35 @@ fn palette_stream(events: &[(i64, usize, i64)]) -> EventStream {
     )
 }
 
-/// Run `plan` on the engine with every binding as rows and as a batch, at
-/// pool widths 1, 2, 3, 4 and 8, and on the reference operators: eleven event
-/// vectors (or error messages), all identical.
+/// Run `plan` on the engine with every binding as rows and as a batch, and
+/// on the reference operators: three event vectors (or error messages), all
+/// identical.
 fn assert_all_agree(plan: &LogicalPlan, srcs: &Bindings) -> Result<(), TestCaseError> {
     let reference = execute_reference(plan, srcs)
         .map(|mut roots| roots.pop().unwrap())
         .map_err(|e| e.to_string());
-    for threads in [1usize, 2, 3, 4, 8] {
-        for as_batch in [false, true] {
-            let bound = srcs
-                .iter()
-                .map(|(name, s)| {
-                    let data = match EventBatch::from_stream(s) {
-                        Some(batch) if as_batch => StreamData::Batch(batch),
-                        _ => StreamData::Rows(s.clone()),
-                    };
-                    (name.clone(), data)
-                })
-                .collect();
-            let engine = execute_data(plan, bound, &WorkerPool::new(threads))
-                .map(|(mut roots, _)| roots.pop().unwrap().into_stream())
-                .map_err(|e| e.to_string());
-            match (&engine, &reference) {
-                (Ok(e), Ok(r)) => prop_assert_eq!(
-                    e.events(),
-                    r.events(),
-                    "threads={} batch={}",
-                    threads,
-                    as_batch
-                ),
-                (e, r) => prop_assert_eq!(
-                    e.as_ref().map(|_| ()),
-                    r.as_ref().map(|_| ()),
-                    "threads={} batch={}",
-                    threads,
-                    as_batch
-                ),
-            }
+    for as_batch in [false, true] {
+        let bound = srcs
+            .iter()
+            .map(|(name, s)| {
+                let data = match EventBatch::from_stream(s) {
+                    Some(batch) if as_batch => StreamData::Batch(batch),
+                    _ => StreamData::Rows(s.clone()),
+                };
+                (name.clone(), data)
+            })
+            .collect();
+        let engine = execute_data(plan, bound)
+            .map(|(mut roots, _)| roots.pop().unwrap().into_stream())
+            .map_err(|e| e.to_string());
+        match (&engine, &reference) {
+            (Ok(e), Ok(r)) => prop_assert_eq!(e.events(), r.events(), "batch={}", as_batch),
+            (e, r) => prop_assert_eq!(
+                e.as_ref().map(|_| ()),
+                r.as_ref().map(|_| ()),
+                "batch={}",
+                as_batch
+            ),
         }
     }
     Ok(())
@@ -277,8 +267,8 @@ fn assert_all_agree(plan: &LogicalPlan, srcs: &Bindings) -> Result<(), TestCaseE
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Segmented GroupApply — at every pool width, on rows and on a batch
-    /// — is byte-identical to the group-at-a-time reference, for random
+    /// Segmented GroupApply — on rows and on a batch — is byte-identical to
+    /// the group-at-a-time reference, for random
     /// sub-plan shapes, key widths and event bags; `0..` lengths include
     /// the empty input.
     #[test]
@@ -315,7 +305,7 @@ proptest! {
     /// execution reports what the reference meets first — the lowest group
     /// in key order, and its first failing operator.
     #[test]
-    fn errors_are_the_reference_s_at_every_width(
+    fn a_failing_group_reports_the_reference_s_first_error(
         events in prop::collection::vec((0i64..400, 0usize..64, 0i64..12), 1..60),
         key_cols in 1usize..3,
         first in 0i64..12,
@@ -426,7 +416,7 @@ fn stats_of(plan: &LogicalPlan, srcs: &Bindings, as_batch: bool) -> ExecStats {
             (name.clone(), data)
         })
         .collect();
-    execute_data(plan, bound, &WorkerPool::new(2)).unwrap().1
+    execute_data(plan, bound).unwrap().1
 }
 
 proptest! {
@@ -434,7 +424,7 @@ proptest! {
 
     /// The normal form is an identity: any lifetime operator above a
     /// GroupApply, or at the head of its sub-plan, is the same query — on
-    /// rows, on a batch, at every pool width and on the reference, which
+    /// rows, on a batch and on the reference, which
     /// rewrites nothing. (The planner sinks only a `Hop`; the algebra holds
     /// for all of them.)
     #[test]
@@ -470,7 +460,7 @@ proptest! {
     /// null, negative and grid-aligned times, empty cells between bursts and
     /// (`V` ranges over three values) adjacent cells with equal results,
     /// which coalesce — equals the same aggregate swept over key-ordered
-    /// runs and the reference, on both layouts at every pool width. And the
+    /// runs and the reference, on both layouts. And the
     /// plan alone picks the path: tumbling and combinable takes the kernel,
     /// anything else does not.
     #[test]
@@ -628,16 +618,8 @@ fn pane_argument_errors_keep_the_reference_s_order() {
     let srcs = bindings(vec![("in", stream)]);
     let reference = execute_reference(&plan, &srcs).unwrap_err().to_string();
     assert_eq!(reference, "eval error: expected integer, got str");
-    for threads in [1, 2, 4] {
-        let err = execute_data(
-            &plan,
-            data_bindings(srcs.clone()),
-            &WorkerPool::new(threads),
-        )
-        .unwrap_err()
-        .to_string();
-        assert_eq!(err, reference, "threads={threads}");
-    }
+    let err = execute_data(&plan, data_bindings(srcs)).unwrap_err();
+    assert_eq!(err.to_string(), reference);
 }
 
 /// The pinned case of the property above: group `a` passes the first UDO
@@ -677,16 +659,8 @@ fn the_lower_group_s_later_error_wins() {
     let srcs = bindings(vec![("in", stream)]);
     let reference = execute_reference(&plan, &srcs).unwrap_err().to_string();
     assert_eq!(reference, "eval error: second saw 3");
-    for threads in [1, 2, 3] {
-        let err = execute_data(
-            &plan,
-            data_bindings(srcs.clone()),
-            &WorkerPool::new(threads),
-        )
-        .unwrap_err()
-        .to_string();
-        assert_eq!(err, reference, "threads={threads}");
-    }
+    let err = execute_data(&plan, data_bindings(srcs)).unwrap_err();
+    assert_eq!(err.to_string(), reference);
 }
 
 /// A segmented kernel failing past the first group (rows only: the typed
@@ -715,16 +689,8 @@ fn kernel_errors_keep_the_reference_s_order() {
     // The aggregate's complaint about group 1's `B`, not the filter's
     // about group 2's `V`.
     assert_eq!(reference, "eval error: expected integer, got str");
-    for threads in [1, 2, 3] {
-        let err = execute_data(
-            &plan,
-            data_bindings(srcs.clone()),
-            &WorkerPool::new(threads),
-        )
-        .unwrap_err()
-        .to_string();
-        assert_eq!(err, reference, "threads={threads}");
-    }
+    let err = execute_data(&plan, data_bindings(srcs)).unwrap_err();
+    assert_eq!(err.to_string(), reference);
 }
 
 /// The four `BtPipeline` plans over a 200-user log, each fed the previous
