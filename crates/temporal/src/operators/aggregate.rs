@@ -24,9 +24,11 @@
 //! snapshot. The top-level operator and the reference operator
 //! ([`crate::operators::interpreted::aggregate`]) are its one-run case, so
 //! the two can only differ in how the per-event argument values are
-//! produced — and those are value-identical.
+//! produced — and those are value-identical. Its per-instant step
+//! ([`Sweep::instant`]) is also the one the real-time session
+//! ([`crate::rt`]) takes per group at each punctuation.
 
-use crate::agg::AggExpr;
+use crate::agg::{Accumulator, AggExpr};
 use crate::batch::EventBatch;
 use crate::error::Result;
 use crate::event::Event;
@@ -123,6 +125,79 @@ pub fn aggregate_batch(input: &EventBatch, aggs: &[(String, AggExpr)]) -> Result
     .stream)
 }
 
+/// One group's sweep between two instants: the accumulators, how many
+/// events are active, and the open segment. [`sweep_runs`] carries one
+/// through every run of a batch; the real-time session ([`crate::rt`])
+/// keeps one per live group across punctuations. Both advance it only
+/// through [`Sweep::instant`], so the snapshot-aggregate semantics have one
+/// definition.
+#[derive(Debug, Clone)]
+pub(crate) struct Sweep {
+    accs: Vec<Accumulator>,
+    active: i64,
+    /// The open segment: its start and value.
+    open: Option<(Time, Row)>,
+}
+
+impl Sweep {
+    /// An empty active set with fresh accumulators.
+    pub(crate) fn new(aggs: &[(String, AggExpr)]) -> Sweep {
+        Sweep {
+            accs: aggs.iter().map(|(_, a)| a.accumulator()).collect(),
+            active: 0,
+            open: None,
+        }
+    }
+
+    /// The open segment (start, value); `None` exactly when no event is
+    /// active.
+    pub(crate) fn open(&self) -> Option<&(Time, Row)> {
+        self.open.as_ref()
+    }
+
+    /// The per-instant step. Apply every endpoint at instant `t` — each an
+    /// `(is_start, argument values)` pair, in `(is_start, event)` order, so
+    /// ends before starts — then settle the snapshot from `t` on. Returns the
+    /// segment this closes: the value changed, or the active set emptied.
+    #[inline]
+    pub(crate) fn instant<'a>(
+        &mut self,
+        t: Time,
+        changes: impl IntoIterator<Item = (bool, &'a [Value])>,
+    ) -> Option<Event> {
+        for (is_start, args) in changes {
+            for (acc, v) in self.accs.iter_mut().zip(args) {
+                if is_start {
+                    acc.add(v);
+                } else {
+                    acc.remove(v);
+                }
+            }
+            self.active += if is_start { 1 } else { -1 };
+        }
+        let value = if self.active > 0 {
+            Some(Row::new(self.accs.iter().map(|a| a.value()).collect()))
+        } else {
+            // The burst is over (every run ends this way): the next one
+            // starts from fresh accumulators.
+            self.accs.iter_mut().for_each(|a| a.reset());
+            None
+        };
+        // Close the open segment if the value changed; coalescing is just
+        // "don't close when equal".
+        match (&mut self.open, value) {
+            (Some((_, row)), Some(new_row)) if *row == new_row => None,
+            (open, new_value) => {
+                let closed = open
+                    .take()
+                    .map(|(start, row)| Event::new(Lifetime::new(start, t), row));
+                *open = new_value.map(|row| (t, row));
+                closed
+            }
+        }
+    }
+}
+
 /// The endpoint sweep over pre-evaluated argument values (one flat buffer,
 /// stride `aggs.len()`, event-major), run by run, reading lifetimes through
 /// an accessor so row streams and column-major batches share it.
@@ -143,7 +218,7 @@ pub(crate) fn sweep_runs(
     }
 
     let n_aggs = aggs.len();
-    let mut accs: Vec<_> = aggs.iter().map(|(_, a)| a.accumulator()).collect();
+    let mut sweep = Sweep::new(aggs);
     let mut out: Vec<Event> = Vec::new();
     let mut out_bounds = Vec::with_capacity(bounds.len());
     out_bounds.push(0);
@@ -151,48 +226,17 @@ pub(crate) fn sweep_runs(
         let endpoints = &mut endpoints[2 * run[0]..2 * run[1]];
         endpoints.sort_unstable_by_key(|&(t, i, is_start)| (t, is_start, i));
 
-        let mut active: i64 = 0;
-        let mut pending: Option<(Time, Row)> = None; // open segment start + value
         let mut idx = 0;
         while idx < endpoints.len() {
             let t = endpoints[idx].0;
-            // Apply every change at instant t before emitting.
-            while idx < endpoints.len() && endpoints[idx].0 == t {
-                let (_, i, is_start) = endpoints[idx];
-                for (acc, v) in accs
-                    .iter_mut()
-                    .zip(&arg_values[i * n_aggs..(i + 1) * n_aggs])
-                {
-                    if is_start {
-                        acc.add(v);
-                    } else {
-                        acc.remove(v);
-                    }
-                }
-                active += if is_start { 1 } else { -1 };
-                idx += 1;
-            }
-            let value = if active > 0 {
-                Some(Row::new(accs.iter().map(|a| a.value()).collect()))
-            } else {
-                // The burst is over (every run ends this way): the next one
-                // starts from fresh accumulators.
-                accs.iter_mut().for_each(|a| a.reset());
-                None
-            };
-            // Close the previous segment if the value changed; coalescing is
-            // just "don't close when equal".
-            match (&mut pending, value) {
-                (Some((_, row)), Some(new_row)) if *row == new_row => {}
-                (p, new_value) => {
-                    if let Some((start, row)) = p.take() {
-                        out.push(Event::new(Lifetime::new(start, t), row));
-                    }
-                    *p = new_value.map(|row| (t, row));
-                }
-            }
+            let at_t = endpoints[idx..].iter().take_while(|e| e.0 == t).count();
+            let changes = endpoints[idx..idx + at_t]
+                .iter()
+                .map(|&(_, i, is_start)| (is_start, &arg_values[i * n_aggs..(i + 1) * n_aggs]));
+            out.extend(sweep.instant(t, changes));
+            idx += at_t;
         }
-        debug_assert!(pending.is_none(), "sweep ended with an open segment");
+        debug_assert!(sweep.open.is_none(), "sweep ended with an open segment");
         out_bounds.push(out.len());
     }
 

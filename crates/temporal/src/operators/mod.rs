@@ -41,8 +41,8 @@ mod spread_grid;
 mod temporal_join;
 mod union;
 
-pub(crate) use aggregate::aggregate_runs;
 pub use aggregate::{aggregate, aggregate_batch};
+pub(crate) use aggregate::{aggregate_runs, Sweep};
 pub use alter_lifetime::alter_lifetime;
 pub use anti_semi_join::anti_semi_join;
 pub use filter::filter;

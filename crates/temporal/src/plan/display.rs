@@ -14,7 +14,8 @@ fn lifetime_desc(op: &LifetimeOp) -> String {
     }
 }
 
-fn step_desc(step: &FusedStep) -> String {
+/// One fused step as the plan display writes it.
+pub(crate) fn step_desc(step: &FusedStep) -> String {
     match step {
         FusedStep::Filter { predicate } => format!("Filter {predicate}"),
         FusedStep::Project { exprs } => {

@@ -16,6 +16,7 @@ mod pushdown;
 mod share;
 
 pub use builder::{Query, StreamHandle};
+pub(crate) use display::step_desc;
 pub use fuse::fuse_plan;
 pub use pushdown::{push_down, validate_mapper_plan, MapperPlan, NoPartial, PushDown};
 pub(crate) use share::hopping_aggregate;

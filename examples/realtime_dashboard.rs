@@ -23,6 +23,7 @@ fn main() {
     let plan = q.build(vec![out]).expect("valid query");
 
     let mut session = RtSession::new(plan).expect("session");
+    println!("{}\n", session.explain());
 
     // Replay a generated log as the live feed, punctuating every 30
     // simulated minutes and printing the finalized counter updates.
