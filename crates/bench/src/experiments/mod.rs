@@ -3,10 +3,6 @@
 //! Every experiment consumes a shared [`Ctx`] (workload + lazily-computed
 //! pipeline artifacts) and returns a printable report.
 
-pub mod bench_pr5;
-pub mod bench_pr6;
-pub mod bench_pr8;
-pub mod bench_pr9;
 pub mod bots;
 pub mod ex3;
 pub mod fig14;
@@ -23,40 +19,6 @@ use crate::{Scale, Workload};
 use bt::eval::split_by_time;
 use bt::example::Example;
 use bt::pipeline::{BtPipeline, KeywordScore, PipelineArtifacts};
-use mapreduce::Dfs;
-use std::collections::BTreeMap;
-use temporal::exec::{execute_reference, Bindings};
-use temporal::plan::LogicalPlan;
-use temporal::EventStream;
-use timr::EventEncoding;
-
-/// The paper's §III-C.1 yardstick for an experiment's job: the normalized
-/// output of the single-node reference DSMS ([`execute_reference`]) over
-/// the same source datasets the job read from `dfs`. A scaled-out run is
-/// correct when its decoded output is `same_relation` as this.
-pub(crate) fn reference_relation(
-    dfs: &Dfs,
-    plan: &LogicalPlan,
-    source_encodings: &BTreeMap<String, EventEncoding>,
-) -> EventStream {
-    let mut sources = Bindings::default();
-    for (name, payload) in plan.sources() {
-        let dataset = dfs.get(name).expect("source dataset is in the DFS");
-        let encoding = source_encodings
-            .get(name)
-            .copied()
-            .unwrap_or(EventEncoding::Point);
-        let stream = encoding
-            .decode_stream(dataset.iter(), payload)
-            .expect("source rows decode");
-        sources.insert(name.to_string(), stream);
-    }
-    execute_reference(plan, &sources)
-        .expect("reference DSMS runs the plan")
-        .pop()
-        .expect("single-output plan")
-        .normalize()
-}
 
 /// Shared experiment context: one workload, one pipeline run.
 pub struct Ctx {
@@ -194,29 +156,6 @@ pub fn registry() -> Vec<Experiment> {
             name: "rt",
             artifact: "§VII: real-time readiness — online output equals offline output",
             run: rt_exp::run,
-        },
-        Experiment {
-            name: "pr5",
-            artifact: "PR 5: chaos-engine recovery runtime (writes BENCH_PR5.json)",
-            run: bench_pr5::run,
-        },
-        Experiment {
-            name: "pr6",
-            artifact: "PR 6: binary columnar extents, shuffle-byte cut, and budgeted spill \
-                 (writes BENCH_PR6.json)",
-            run: bench_pr6::run,
-        },
-        Experiment {
-            name: "pr8",
-            artifact: "PR 8: shared multi-query execution vs N independent advertiser jobs \
-                 (writes BENCH_PR8.json)",
-            run: bench_pr8::run,
-        },
-        Experiment {
-            name: "pr9",
-            artifact: "PR 9: map-side push-down — mapper fragments + partial aggregation before \
-                 the shuffle (writes BENCH_PR9.json)",
-            run: bench_pr9::run,
         },
     ]
 }

@@ -50,7 +50,7 @@ impl StoredExtent {
         let (held, rows) = relation::extent::extent_info(&self.bytes)?;
         conform(schema, &held)?;
         if rows as u64 != self.rows {
-            return Err(RelationError::Codec(format!(
+            return Err(RelationError::Corrupt(format!(
                 "image holds {rows} row(s), its extent says {}",
                 self.rows
             )));
@@ -277,8 +277,8 @@ impl Dfs {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use relation::row;
     use relation::schema::{ColumnType, Field};
-    use relation::{codec, row};
 
     fn schema() -> Schema {
         Schema::timestamped(vec![Field::new("UserId", ColumnType::Str)])
@@ -343,15 +343,6 @@ mod tests {
         let dfs = Dfs::new();
         assert!(matches!(dfs.get("nope"), Err(MrError::NoSuchDataset(_))));
         assert!(dfs.remove("nope").is_err());
-    }
-
-    #[test]
-    fn rows_survive_text_codec_round_trip() {
-        // DFS contents must be representable as text extents.
-        let ds = sample();
-        let text = codec::encode_rows(&ds.scan());
-        let back = codec::decode_rows(&text, &ds.schema).unwrap();
-        assert_eq!(back, ds.scan());
     }
 
     #[test]

@@ -30,11 +30,11 @@
 //!   datasets, shuffle partition chunks and persisted files carry framed
 //!   binary columnar extents ([`relation::extent`]) with per-column FxHash
 //!   integrity frames, and nothing else. A batch that is not of its
-//!   schema fails the job with a named [`MrError::IllTyped`]. The
-//!   text codec survives only in [`persist`], as a debug writer and a
-//!   loader. Under `ClusterConfig::memory_budget_bytes` the shuffle
-//!   seals bounded chunks and spills them to disk, so jobs whose shuffle
-//!   exceeds RAM still complete with byte-identical output.
+//!   schema fails the job with a named [`MrError::IllTyped`], and a
+//!   persisted part file that is not a verified image fails the load
+//!   with [`MrError::Corrupt`]. Under `ClusterConfig::memory_budget_bytes`
+//!   the shuffle seals bounded chunks and spills them to disk, so jobs
+//!   whose shuffle exceeds RAM still complete with byte-identical output.
 //! - **Cost visibility.** Every stage reports rows mapped, bytes shuffled,
 //!   per-partition reduce times, real wall time, and a *simulated makespan*
 //!   for an arbitrary machine count (partitions scheduled greedily onto

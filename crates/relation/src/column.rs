@@ -10,7 +10,7 @@
 //!
 //! Conversion is lossless **only for rows whose cells match the declared
 //! column types** ([`ColumnType::admits`]). Row storage tolerates ill-typed
-//! cells (the codec's `decode_row` never type-checks), so [`from_rows`]
+//! cells (`Row::new` never type-checks), so [`from_rows`]
 //! returns an error for such rows. Inside the DSMS callers fall back to
 //! row-major operators — there the batch layer is a fast path, never a
 //! semantic change; at a map-reduce stage boundary, which stores only

@@ -23,8 +23,9 @@ pub enum RelationError {
         /// Number of values in the row.
         actual: usize,
     },
-    /// A textual record could not be decoded.
-    Codec(String),
+    /// Stored bytes (an extent image) are damaged or disagree with what
+    /// they claim to hold.
+    Corrupt(String),
     /// Two schemas that had to be identical were not.
     SchemaMismatch(String),
 }
@@ -47,7 +48,7 @@ impl fmt::Display for RelationError {
                     "arity mismatch: schema has {expected} fields, row has {actual}"
                 )
             }
-            RelationError::Codec(msg) => write!(f, "codec error: {msg}"),
+            RelationError::Corrupt(msg) => write!(f, "corrupt extent: {msg}"),
             RelationError::SchemaMismatch(msg) => write!(f, "schema mismatch: {msg}"),
         }
     }

@@ -18,9 +18,8 @@
 //! (magic / lengths) — decoding detects all three and never silently
 //! returns rows from damaged bytes.
 //!
-//! Per-type data encodings (chosen so the binary form beats the text codec
-//! on the BT logs, where small integers and heavily-repeated identifier
-//! strings dominate):
+//! Per-type data encodings (chosen for the BT logs, where small integers
+//! and heavily-repeated identifier strings dominate):
 //!
 //! - `Bool` — one bit per row;
 //! - `Int` / `Long` — zigzag LEB128 varints;
@@ -50,7 +49,7 @@ pub const EXTENT_MAGIC: [u8; 8] = *b"TIMRXT01";
 const TAIL: usize = 20;
 
 fn corrupt(msg: impl Into<String>) -> RelationError {
-    RelationError::Codec(msg.into())
+    RelationError::Corrupt(msg.into())
 }
 
 fn fx_hash(bytes: &[u8]) -> u64 {
@@ -746,37 +745,6 @@ mod tests {
         let batch = ColumnBatch::from_rows(&s, &repeated).unwrap();
         let back = decode_extent(&encode_extent(&batch).unwrap()).unwrap();
         assert_eq!(back.to_rows(), repeated);
-    }
-
-    #[test]
-    fn binary_is_denser_than_text_on_bt_shape() {
-        let s = Schema::new(vec![
-            Field::new("Time", ColumnType::Long),
-            Field::new("StreamId", ColumnType::Int),
-            Field::new("UserId", ColumnType::Str),
-            Field::new("KwAdId", ColumnType::Str),
-        ]);
-        let rows: Vec<Row> = (0..5000i64)
-            .map(|i| {
-                let u = i % 500;
-                row![
-                    i * 37,
-                    (i % 2) as i32 + 1,
-                    format!("user-{u:07}"),
-                    format!("kw:{:05}|ad:{:04}", u % 97, u % 50)
-                ]
-            })
-            .collect();
-        let text: usize = rows
-            .iter()
-            .map(|r| crate::codec::encode_row(r).len() + 1)
-            .sum();
-        let batch = ColumnBatch::from_rows(&s, &rows).unwrap();
-        let binary = encode_extent(&batch).unwrap().len();
-        assert!(
-            binary * 2 <= text,
-            "binary extent ({binary} B) must at least halve text ({text} B)"
-        );
     }
 
     #[test]

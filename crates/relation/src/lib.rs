@@ -9,18 +9,15 @@
 //! SCOPE/StreamInsight interoperate in the paper.
 //!
 //! The crate also provides:
-//! - a line-oriented text codec ([`codec`]) kept as the human-inspectable
-//!   debug form of DFS "files" (written and loaded by `mapreduce::persist`);
 //! - a framed binary columnar extent codec ([`extent`]) — per-column typed
 //!   buffers, validity bitmaps, and FxHash integrity frames — which is the
-//!   native representation at every stage boundary;
+//!   one representation at every stage boundary and on disk;
 //! - dataset [`stats`] (cardinalities, distinct counts) consumed by the
 //!   cost-based plan-annotation optimizer (paper §VI);
 //! - stable 64-bit [`hash`]ing used for partitioning keys, so partition
 //!   assignment is reproducible across runs and machines (a prerequisite for
 //!   the paper's repeatability-under-failure argument, §III-C).
 
-pub mod codec;
 pub mod column;
 pub mod error;
 pub mod extent;

@@ -46,21 +46,6 @@ impl ColumnType {
                 | (ColumnType::Str, Value::Str(_))
         )
     }
-
-    /// Parse a textual cell of this type (inverse of `Value`'s `Display`).
-    pub fn parse(self, text: &str) -> Result<Value> {
-        if text.is_empty() {
-            return Ok(Value::Null);
-        }
-        let err = |t: &str| RelationError::Codec(format!("cannot parse `{text}` as {t}"));
-        Ok(match self {
-            ColumnType::Bool => Value::Bool(text.parse().map_err(|_| err("bool"))?),
-            ColumnType::Int => Value::Int(text.parse().map_err(|_| err("int"))?),
-            ColumnType::Long => Value::Long(text.parse().map_err(|_| err("long"))?),
-            ColumnType::Double => Value::Double(text.parse().map_err(|_| err("double"))?),
-            ColumnType::Str => Value::str(text),
-        })
-    }
 }
 
 impl fmt::Display for ColumnType {
@@ -278,13 +263,10 @@ mod tests {
     }
 
     #[test]
-    fn column_type_admits_and_parses() {
+    fn column_type_admits() {
         assert!(ColumnType::Long.admits(&Value::Long(1)));
         assert!(!ColumnType::Long.admits(&Value::Int(1)));
         assert!(ColumnType::Str.admits(&Value::Null));
-        assert_eq!(ColumnType::Long.parse("42").unwrap(), Value::Long(42));
-        assert_eq!(ColumnType::Str.parse("").unwrap(), Value::Null);
-        assert!(ColumnType::Int.parse("x").is_err());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! Re-exports the workspace crates under one roof so examples and downstream
 //! users can depend on a single package:
 //!
-//! - [`relation`] — shared data model (values, schemas, rows, codec, stats);
+//! - [`relation`] — shared data model (values, schemas, rows, binary extents, stats);
 //! - [`simd`] — the dependency-free portable-SIMD shim behind the fused
 //!   kernels (fixed-width lanes over plain arrays, stable Rust only);
 //! - [`temporal`] — the single-node temporal DSMS (events, CQ plans,

@@ -19,7 +19,8 @@ use common::reference_relation;
 use proptest::prelude::*;
 use std::time::Duration as WallDuration;
 use timr_suite::mapreduce::{
-    BackendKind, ChaosPlan, Cluster, ClusterConfig, Dataset, Dfs, RetryPolicy, StoredExtent,
+    BackendKind, ChaosPlan, Cluster, ClusterConfig, Dataset, Dfs, JobStats, RetryPolicy,
+    StoredExtent,
 };
 use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{row, Row, Schema};
@@ -453,15 +454,57 @@ fn single_query_push_down_is_byte_identical_and_saves_shuffle() {
     );
 }
 
+/// What one run of a job published, dataset by dataset, and its stats.
+/// Taken right after the run: a job publishes under its own name, so the
+/// next run of the same job overwrites it.
+type Published = (Vec<Vec<StoredExtent>>, JobStats);
+
+fn published(dfs: &Dfs, datasets: &[String], stats: JobStats) -> Published {
+    let bytes = (datasets.iter())
+        .map(|d| dfs.get(d).unwrap().partitions.as_ref().clone())
+        .collect();
+    (bytes, stats)
+}
+
+/// The pushed run (`on`) published the reduce-only run's (`off`) extent
+/// images, and its shuffle moved at least `cut` times fewer bytes.
+fn assert_same_bytes_and_cut(what: &str, on: Published, off: Published, cut: f64) {
+    assert!(
+        on.0.iter().any(|d| !d.is_empty()),
+        "{what}: nothing published"
+    );
+    assert_eq!(on.0, off.0, "{what}: push-down changed a published extent");
+    let (on_t, off_t) = (on.1.map_totals(), off.1.map_totals());
+    assert_eq!(off_t.shuffle_bytes_saved, 0, "{what}");
+    assert_eq!(
+        on_t.shuffle_bytes + on_t.shuffle_bytes_saved,
+        off_t.shuffle_bytes,
+        "{what}"
+    );
+    assert!(
+        off_t.shuffle_bytes as f64 >= cut * on_t.shuffle_bytes as f64,
+        "{what} shuffled {} bytes pushed vs {} reduce-only: under the {cut}x cut",
+        on_t.shuffle_bytes,
+        off_t.shuffle_bytes,
+    );
+}
+
 /// The BT feature-selection job (paper §IV-B.3), written the way the paper
 /// draws it — `hop_window` *above* each GroupApply: both counts push their
 /// partials map-side, the published extent images are the reduce-only
 /// plan's, and the stage shuffles at least 1.5× fewer bytes (a count, so
 /// gated: the job sums ≈`train_rows` + `labels` rows into one row per
 /// `(AdId, Keyword)` and per `AdId` before the exchange instead of after).
+///
+/// Over the same log, the two advertiser jobs push down too: the 16 shared
+/// dashboards over the BotElim-cleaned log and the click-score job over the
+/// raw log each publish the reduce-only bytes and shuffle at least 2×
+/// fewer. The raw-log dashboards fan their source into BotElim's
+/// anti-semi-join, so nothing pushes and no shuffle byte is saved.
 #[test]
 fn bt_feature_selection_pushes_both_counts_and_cuts_the_shuffle() {
     use timr_suite::bt::pipeline::BtPipeline;
+    use timr_suite::bt::queries::advertisers::{click_score_job, dashboard_job, shared_job};
     use timr_suite::bt::queries::feature_selection;
     use timr_suite::bt::BtParams;
 
@@ -476,14 +519,15 @@ fn bt_feature_selection_pushes_both_counts_and_cuts_the_shuffle() {
         machines: 4,
         ..Default::default()
     };
-    // Leaves `labels` and `train_rows` in the DFS for the job under test.
+    // Leaves `labels` and `train_rows` in the DFS for the job under test,
+    // and the cleaned log in `clean_logs` for the dashboards.
     BtPipeline::new(params.clone())
         .run(&dfs, &Cluster::new(), "raw", "bt")
         .unwrap();
 
     let query = feature_selection::query(&params);
     let job = |push: bool| {
-        TimrJob::new(if push { "fs_on" } else { "fs_off" }, query.plan.clone())
+        TimrJob::new("fs", query.plan.clone())
             .with_annotation(query.annotation.clone())
             .with_machines(params.machines)
             .with_source_encoding("labels", EventEncoding::Interval)
@@ -493,29 +537,37 @@ fn bt_feature_selection_pushes_both_counts_and_cuts_the_shuffle() {
     let compiled = job(true).compile().unwrap();
     assert_eq!((compiled.pushed_ops, compiled.pushed_partials), (0, 2));
     assert!(compiled.partial_refusals.is_empty(), "{compiled}");
+    let feature_selection = |push: bool| {
+        let out = job(push).run(&dfs, &Cluster::new()).unwrap();
+        published(&dfs, &[out.dataset], out.stats)
+    };
+    let (on, off) = (feature_selection(true), feature_selection(false));
+    assert_same_bytes_and_cut("feature selection", on, off, 1.5);
 
-    let on = job(true).run(&dfs, &Cluster::new()).unwrap();
-    let off = job(false).run(&dfs, &Cluster::new()).unwrap();
-    let (on_ds, off_ds) = (
-        dfs.get(&on.dataset).unwrap(),
-        dfs.get(&off.dataset).unwrap(),
-    );
-    assert!(!on_ds.is_empty());
-    for (a, b) in on_ds.extents().iter().zip(off_ds.extents()) {
-        assert_eq!(a.bytes, b.bytes, "push-down changed a published extent");
-    }
-    let (on_t, off_t) = (on.stats.map_totals(), off.stats.map_totals());
-    assert_eq!(off_t.shuffle_bytes_saved, 0);
-    assert_eq!(
-        on_t.shuffle_bytes + on_t.shuffle_bytes_saved,
-        off_t.shuffle_bytes
-    );
-    assert!(
-        2 * off_t.shuffle_bytes >= 3 * on_t.shuffle_bytes,
-        "feature selection shuffled {} bytes pushed vs {} reduce-only: under the 1.5x cut",
-        on_t.shuffle_bytes,
-        off_t.shuffle_bytes
-    );
+    let dashboards = |push: bool| {
+        let out = dashboard_job(&params, 16)
+            .with_push_down(push)
+            .run(&dfs, &Cluster::new())
+            .unwrap();
+        assert_eq!((out.datasets.len(), out.pushed_ops > 0), (16, push));
+        published(&dfs, &out.datasets, out.stats)
+    };
+    let (on, off) = (dashboards(true), dashboards(false));
+    assert_same_bytes_and_cut("dashboards", on, off, 2.0);
+
+    let click_score = |push: bool| {
+        let out = click_score_job(&params)
+            .with_push_down(push)
+            .run(&dfs, &Cluster::new())
+            .unwrap();
+        published(&dfs, &[out.dataset], out.stats)
+    };
+    let (on, off) = (click_score(true), click_score(false));
+    assert_same_bytes_and_cut("click score", on, off, 2.0);
+
+    let raw = shared_job(&params, 8).run(&dfs, &Cluster::new()).unwrap();
+    assert_eq!(raw.pushed_ops, 0, "BotElim's fan-out must block push-down");
+    assert_eq!(raw.stats.total_shuffle_bytes_saved(), 0);
 }
 
 /// A non-combinable aggregate keeps the reduction reduce-side — the
