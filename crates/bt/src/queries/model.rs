@@ -318,6 +318,59 @@ mod tests {
         assert!((scores["u2"] - 1.0 / (1.0 + 2.0f64.exp())).abs() < 1e-9);
     }
 
+    /// What a reducer sees: profiles and models bound as batches stay
+    /// columns from the join to the root — the per-(user, ad) `Sum` is a
+    /// per-event aggregate, swept on the columns — and publish the events
+    /// the row-bound query and the reference do. `u3`'s contributions all
+    /// start at one instant and do not add associatively, so the bytes pin
+    /// the order a group's events are summed in.
+    #[test]
+    fn scoring_on_batches_is_never_transposed() {
+        use temporal::exec::{execute_data, execute_reference, DataBindings, StreamData};
+        use temporal::EventBatch;
+        let btq = scoring_query(&BtParams::default());
+        let mut profiles = Vec::new();
+        for (i, kw) in ["hot", "cold", "warm", "hot", "warm"].iter().enumerate() {
+            let t = i as i64 * 10;
+            profiles.push(Event::interval(t, t + 60, row!["u1", *kw, i as i64 + 1]));
+            profiles.push(Event::interval(t + 5, t + 30, row!["u2", *kw, 3i64]));
+        }
+        for kw in ["hot", "big", "warm", "cold", "neg"] {
+            profiles.push(Event::interval(20, 50, row!["u3", kw, 1i64]));
+        }
+        let profiles = EventStream::new(profiles_payload(), profiles);
+        let models = EventStream::new(
+            models_payload(),
+            vec![
+                Event::interval(0, 200, row!["adA", "hot", 0.1f64]),
+                Event::interval(0, 200, row!["adA", "big", 1e16f64]),
+                Event::interval(0, 200, row!["adA", "cold", -0.7f64]),
+                Event::interval(0, 200, row!["adA", "warm", 0.2f64]),
+                Event::interval(0, 200, row!["adA", "neg", -1e16f64]),
+                Event::interval(0, 35, row!["adB", "warm", 1.3f64]),
+                Event::interval(0, 200, row!["adB", BIAS_FEATURE, -1.0f64]),
+            ],
+        );
+        let rows = bindings(vec![
+            ("profiles", profiles.clone()),
+            ("models", models.clone()),
+        ]);
+        let on_rows = execute_single(&btq.plan, &rows).unwrap();
+        let reference = execute_reference(&btq.plan, &rows).unwrap().pop().unwrap();
+        assert_eq!(on_rows.events(), reference.events());
+        let mut srcs = DataBindings::default();
+        for (name, stream) in [("profiles", profiles), ("models", models)] {
+            let batch = EventBatch::from_stream(&stream).unwrap();
+            srcs.insert(name.to_string(), StreamData::Batch(batch));
+        }
+        let (mut roots, stats) = execute_data(&btq.plan, srcs).unwrap();
+        assert_eq!((stats.transposed_events, stats.row_fallbacks), (0, 0));
+        assert_eq!(stats.groups, 6, "(u1, u2, u3) × (adA, adB)");
+        assert!(on_rows.len() > 6);
+        let on_batch = roots.pop().unwrap().into_stream();
+        assert_eq!(on_batch.events(), reference.events());
+    }
+
     #[test]
     fn queries_validate_and_fragment() {
         let params = BtParams::default();

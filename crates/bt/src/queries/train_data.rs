@@ -266,12 +266,12 @@ mod tests {
     }
 
     /// What a reducer sees: the log bound as a batch flows to the root as
-    /// columns. The labels never leave them; the training rows leave them in
-    /// one place, the input of the UBP GroupApply (a sliding window, so the
-    /// segmented walk, which runs on rows). Bound as rows, nothing is
-    /// transposed at all.
+    /// columns, and neither query transposes an event — the UBP GroupApply
+    /// (a sliding window, then a count: a per-event aggregate) sweeps its
+    /// groups on the columns. Bound as rows, nothing is transposed either,
+    /// and the two bindings publish the same events.
     #[test]
-    fn a_batch_binding_is_transposed_only_at_the_ubp_group_apply() {
+    fn a_batch_binding_is_never_transposed() {
         use temporal::exec::{execute_data, DataBindings, ExecStats, StreamData};
         let stats = |btq: &BtQuery, as_batch: bool| -> ExecStats {
             let log = match as_batch {
@@ -297,17 +297,13 @@ mod tests {
             .filter(|e| e.payload.get(0) == &Value::Int(stream_id::KEYWORD))
             .count() as u64;
         assert_eq!(keyword_events, 1);
-        let labels = stats(&labels_query(&params), true);
-        assert_eq!((labels.transposed_events, labels.row_fallbacks), (0, 0));
-        let train = stats(&train_query(&params), true);
-        assert_eq!(
-            (train.transposed_events, train.row_fallbacks),
-            (keyword_events, 0)
-        );
         for btq in [labels_query(&params), train_query(&params)] {
-            let on_rows = stats(&btq, false);
-            assert_eq!((on_rows.transposed_events, on_rows.row_fallbacks), (0, 0));
+            for as_batch in [true, false] {
+                let stats = stats(&btq, as_batch);
+                assert_eq!((stats.transposed_events, stats.row_fallbacks), (0, 0));
+            }
         }
+        assert_eq!(stats(&train_query(&params), true).groups, keyword_events);
     }
 
     #[test]

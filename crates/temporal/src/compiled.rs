@@ -530,7 +530,7 @@ impl BatchEval {
     }
 
     /// Scalar result of row `i` (callers must rule out `errs` first).
-    fn value_at(&self, i: usize) -> Value {
+    pub(crate) fn value_at(&self, i: usize) -> Value {
         if self.nulls.get(i) {
             return Value::Null;
         }

@@ -17,8 +17,10 @@
 //! and a value with several consumers is shared as it is, batch or rows.
 //! TemporalJoin, AntiSemiJoin and Union read either layout where it lies
 //! and emit batches (the join always, the other two when their inputs are
-//! batches). What still needs rows — GroupApply's segmented walk, the UDOs,
-//! SpreadGrid — transposes at its own input and says so in
+//! batches). GroupApply groups a batch on its columns and keeps it there
+//! when its sub-plan is per-event steps ending in one Aggregate. What still
+//! needs rows — GroupApply's segmented walk for every other sub-plan, the
+//! UDOs, SpreadGrid — transposes at its own input and says so in
 //! [`ExecStats::transposed_events`].
 //! [`execute_reference`] is the independent oracle tests compare against.
 //!
@@ -37,7 +39,11 @@
 //! (see [`operators::group_apply`]) — unless the sub-plan is a tumbling
 //! hopping aggregate of combinable aggregates, which GroupApply runs as one
 //! hash aggregation over (group, cell) without laying anything out
-//! (`operators::pane`; the plan alone decides).
+//! (`operators::pane`), or per-event steps ending in one Aggregate over a
+//! batch, which the fused kernel and the endpoint sweep run on the columns
+//! through one run-order permutation. The plan alone decides; a columnar
+//! attempt that meets an error walks the runs instead, so errors are the
+//! reference's.
 //!
 //! An execution runs on its caller's thread. The engine is the unmodified
 //! single-node DSMS of paper §III-C: a map-reduce job gets its parallelism
@@ -61,15 +67,16 @@ pub type DataBindings = FxHashMap<String, StreamData>;
 ///
 /// `Rows` is the universal form every operator accepts; `Batch` is the
 /// column-major form the TiMR bridge decodes shuffled extents into, consumed
-/// by the operators with columnar kernels (fused fragments, Aggregate
-/// argument evaluation, GroupApply key hashing and its pane kernel, which
-/// never leaves the columns) and produced by the binary operators
+/// by the operators with columnar kernels (fused fragments, Aggregate, and
+/// GroupApply's grouping, its pane kernel and its per-event-aggregate path,
+/// none of which leaves the columns) and produced by the binary operators
 /// (TemporalJoin from any inputs; AntiSemiJoin and Union from batch
-/// inputs). GroupApply's segmented walk, the UDOs and SpreadGrid convert a
-/// batch back to rows at their input, and a fragment or join whose result
-/// has no dense column form finishes on rows — so every plan runs on
-/// either layout with byte-identical output. Both forms are `Arc`-backed:
-/// a clone is O(1).
+/// inputs). GroupApply's segmented walk (any other sub-plan, or a
+/// per-event aggregate whose columnar attempt failed), the UDOs and
+/// SpreadGrid convert a batch back to rows at their input, and a fragment
+/// or join whose result has no dense column form finishes on rows — so
+/// every plan runs on either layout with byte-identical output. Both forms
+/// are `Arc`-backed: a clone is O(1).
 #[derive(Debug, Clone)]
 pub enum StreamData {
     /// Row-major event storage.
@@ -143,11 +150,13 @@ pub struct ExecStats {
     /// input, a Union of batches storing one column in two variants.
     pub row_fallbacks: u64,
     /// Events the executor itself converted from a batch to rows at an
-    /// operator's input: GroupApply's segmented walk, HopUdo, SpreadGrid, a
-    /// Union where the two layouts meet, a per-run operator's batch output
-    /// inside a sub-plan, a batch binding a sub-plan reads. Zero means every
-    /// batch stayed a batch from the binding to the root (the root's own
-    /// conversion, if its consumer wants rows, is the caller's).
+    /// operator's input: GroupApply's segmented walk (a sub-plan that is not
+    /// per-event steps ending in one Aggregate, or one whose columnar
+    /// attempt met an error), HopUdo, SpreadGrid, a Union where the two
+    /// layouts meet, a per-run operator's batch output inside a sub-plan, a
+    /// batch binding a sub-plan reads. Zero means every batch stayed a batch
+    /// from the binding to the root (the root's own conversion, if its
+    /// consumer wants rows, is the caller's).
     pub transposed_events: u64,
     /// Groups formed by GroupApply operators (nested ones included).
     pub groups: u64,
@@ -455,9 +464,9 @@ impl Executor {
             }
             Operator::Aggregate { aggs } => {
                 StreamData::Rows(match inputs.pop().expect("aggregate has one input") {
-                    // Batch input: arguments evaluate through the reusable
-                    // scratch-row loop, lifetimes sweep straight off the
-                    // columnar vectors — no stream materialization.
+                    // Batch input: arguments come off the columns, lifetimes
+                    // sweep straight off the columnar vectors — no stream
+                    // materialization.
                     StreamData::Batch(b) => operators::aggregate_batch(&b, aggs)?,
                     StreamData::Rows(s) => operators::aggregate(&s, aggs)?,
                 })

@@ -55,6 +55,17 @@ impl KeySelector {
             .all(|&c| batch.column(c).cells_equal(i, j))
     }
 
+    /// Order rows `i` and `j` of a column batch by their key cells — what
+    /// [`Self::cmp_same`] says of the gathered rows, read off the key
+    /// columns.
+    pub fn cmp_batch(&self, batch: &ColumnBatch, i: usize, j: usize) -> Ordering {
+        self.indices
+            .iter()
+            .map(|&c| batch.column(c).cmp_cells(i, j))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    }
+
     /// Materialize the key of row `i` of a column batch ([`Self::extract`]
     /// of the gathered row).
     pub fn extract_batch(&self, batch: &ColumnBatch, i: usize) -> Vec<Value> {
@@ -159,6 +170,7 @@ mod tests {
             assert_eq!(sel.extract_batch(&batch, i), sel.extract(a));
             for (j, b) in rows.iter().enumerate() {
                 assert_eq!(sel.matches_batch(&batch, i, j), sel.matches_same(a, b));
+                assert_eq!(sel.cmp_batch(&batch, i, j), sel.cmp_same(a, b));
             }
         }
     }

@@ -19,23 +19,26 @@
 //!
 //! There is one sweep ([`sweep_runs`]). Under a GroupApply it runs over
 //! every group's run at once: arguments are compiled and evaluated in one
-//! pass into one buffer, one endpoint buffer is filled for the whole stream
-//! and sorted and swept run by run — a run boundary is just one more empty
-//! snapshot. The top-level operator and the reference operator
+//! pass into one buffer, and one endpoint buffer is refilled, sorted and
+//! swept run by run — a run boundary is just one more empty snapshot. Over a batch ([`aggregate_batch_runs`]) the runs are a
+//! permutation of the batch's rows: arguments come off the columns and
+//! lifetimes off the lifetime vectors, in run order. The top-level
+//! operators (rows and columns) and the reference operator
 //! ([`crate::operators::interpreted::aggregate`]) are its one-run case, so
-//! the two can only differ in how the per-event argument values are
-//! produced — and those are value-identical. Its per-instant step
+//! they can only differ in how the per-event argument values are produced
+//! — and those are value-identical. Its per-instant step
 //! ([`Sweep::instant`]) is also the one the real-time session
 //! ([`crate::rt`]) takes per group at each punctuation.
 
 use crate::agg::{Accumulator, AggExpr};
 use crate::batch::EventBatch;
+use crate::compiled::CompiledExpr;
 use crate::error::Result;
 use crate::event::Event;
 use crate::operators::group_apply::{run_of, Cut, Runs};
 use crate::stream::EventStream;
 use crate::time::{Lifetime, Time};
-use relation::{Field, Row, Schema, Value};
+use relation::{ColumnBatch, Field, Row, Schema, Value};
 
 fn output_schema(aggs: &[(String, AggExpr)], in_schema: &Schema) -> Result<Schema> {
     Ok(Schema::new(
@@ -93,36 +96,99 @@ pub(crate) fn aggregate_runs(
     ))
 }
 
-/// Columnar entry: argument values come off the batch through a
-/// row-fallback loop over **one reusable scratch row**
-/// ([`EventBatch::payload_row_into`] — same scalar evaluation, no
-/// per-event `Row` allocation), and the endpoint sweep reads the lifetime
-/// vectors directly. The batch is never materialized as a stream, and the
-/// output is byte-identical to [`aggregate`] on the equivalent rows.
+/// Columnar entry: argument values come off the columns (a bare column is
+/// read cell by cell, a computed argument through the batch kernels) and
+/// the endpoint sweep reads the lifetime vectors directly. The batch is
+/// never materialized as a stream, and the output is byte-identical to
+/// [`aggregate`] on the equivalent rows.
 pub fn aggregate_batch(input: &EventBatch, aggs: &[(String, AggExpr)]) -> Result<EventStream> {
+    Ok(aggregate_batch_runs(input, None, &[0, input.len()], aggs)?.stream)
+}
+
+/// Snapshot aggregates of the rows of `input` that `rows` names (all of
+/// them when `None`), taken in that order and cut into runs at `bounds` (as
+/// in [`Runs`]): GroupApply's columnar path hands it its run-order
+/// permutation, and [`aggregate_batch`] is its one-run case. Nothing is
+/// gathered but the argument values.
+pub(crate) fn aggregate_batch_runs(
+    input: &EventBatch,
+    rows: Option<&[u32]>,
+    bounds: &[usize],
+    aggs: &[(String, AggExpr)],
+) -> Result<Runs> {
     let in_schema = input.schema();
     let out_schema = output_schema(aggs, in_schema)?;
     let compiled: Vec<_> = aggs.iter().map(|(_, a)| a.compile_arg(in_schema)).collect();
-    let mut arg_values: Vec<Value> = Vec::with_capacity(input.len() * aggs.len());
+    let arg_values = batch_args(input.payload(), rows, &compiled)?;
+    let (vt, ve) = (input.vt(), input.ve());
+    Ok(sweep_runs(
+        bounds,
+        |i| {
+            let row = rows.map_or(i, |r| r[i] as usize);
+            Lifetime::new(vt[row], ve[row])
+        },
+        aggs,
+        &arg_values,
+        out_schema,
+    ))
+}
+
+/// Each aggregate's argument (`compiled`, as [`AggExpr::compile_arg`] gives
+/// it) for the rows of `payload` that `rows` names — all of them when
+/// `None` — in that order, as one flat event-major buffer of stride
+/// `compiled.len()`: what [`sweep_runs`] reads. A bare column is read
+/// straight from its cells and a computed argument goes through the batch
+/// kernels. If a kernel meets an error, every argument is evaluated again
+/// by the scalar loop over one reusable scratch row, which fails where, and
+/// with what, the row operator would.
+pub(crate) fn batch_args(
+    payload: &ColumnBatch,
+    rows: Option<&[u32]>,
+    compiled: &[Option<CompiledExpr>],
+) -> Result<Vec<Value>> {
+    let n = rows.map_or(payload.len(), <[u32]>::len);
+    let row = |i: usize| rows.map_or(i, |r| r[i] as usize);
+    let stride = compiled.len();
+    let mut values = vec![Value::Null; n * stride];
+    for (k, c) in compiled.iter().enumerate() {
+        let Some(c) = c else { continue };
+        let slots = values.iter_mut().skip(k).step_by(stride);
+        match c.as_col() {
+            Some(col) => {
+                let col = payload.column(col);
+                slots.enumerate().for_each(|(i, v)| *v = col.value(row(i)));
+            }
+            None => {
+                let eval = c.eval_batch_raw_sel(payload, rows);
+                if eval.first_err(n).is_some() {
+                    return scalar_args(payload, n, row, compiled);
+                }
+                slots.enumerate().for_each(|(i, v)| *v = eval.value_at(i));
+            }
+        }
+    }
+    Ok(values)
+}
+
+/// [`batch_args`] one row at a time, through the scalar evaluator.
+fn scalar_args(
+    payload: &ColumnBatch,
+    n: usize,
+    row: impl Fn(usize) -> usize,
+    compiled: &[Option<CompiledExpr>],
+) -> Result<Vec<Value>> {
+    let mut values = Vec::with_capacity(n * compiled.len());
     let mut scratch = Row::default();
-    for i in 0..input.len() {
-        input.payload_row_into(i, &mut scratch);
-        for c in &compiled {
-            arg_values.push(match c {
+    for i in 0..n {
+        payload.row_into(row(i), &mut scratch);
+        for c in compiled {
+            values.push(match c {
                 None => Value::Null,
                 Some(c) => c.eval(&scratch)?,
             });
         }
     }
-    let (vt, ve) = (input.vt(), input.ve());
-    Ok(sweep_runs(
-        &[0, input.len()],
-        |i| Lifetime::new(vt[i], ve[i]),
-        aggs,
-        &arg_values,
-        out_schema,
-    )
-    .stream)
+    Ok(values)
 }
 
 /// One group's sweep between two instants: the accumulators, how many
@@ -208,31 +274,34 @@ pub(crate) fn sweep_runs(
     arg_values: &[Value],
     out_schema: Schema,
 ) -> Runs {
-    // One endpoint buffer for every run: (time, event index, is_start).
-    let n = bounds[bounds.len() - 1];
-    let mut endpoints: Vec<(Time, usize, bool)> = Vec::with_capacity(n * 2);
-    for i in 0..n {
-        let lt = lifetime(i);
-        endpoints.push((lt.start, i, true));
-        endpoints.push((lt.end, i, false));
-    }
-
     let n_aggs = aggs.len();
     let mut sweep = Sweep::new(aggs);
     let mut out: Vec<Event> = Vec::new();
     let mut out_bounds = Vec::with_capacity(bounds.len());
     out_bounds.push(0);
+    // One endpoint buffer, refilled run by run so a run's endpoints are
+    // sorted and swept while they are still in cache: (time, is_start,
+    // event index), in that order of precedence. Event indices fit in a
+    // `u32`, as in every selection and permutation of the engine.
+    debug_assert!(bounds[bounds.len() - 1] <= u32::MAX as usize);
+    let mut endpoints: Vec<(Time, bool, u32)> = Vec::new();
     for run in bounds.windows(2) {
-        let endpoints = &mut endpoints[2 * run[0]..2 * run[1]];
-        endpoints.sort_unstable_by_key(|&(t, i, is_start)| (t, is_start, i));
+        endpoints.clear();
+        for i in run[0]..run[1] {
+            let lt = lifetime(i);
+            endpoints.push((lt.start, true, i as u32));
+            endpoints.push((lt.end, false, i as u32));
+        }
+        endpoints.sort_unstable();
 
         let mut idx = 0;
         while idx < endpoints.len() {
             let t = endpoints[idx].0;
             let at_t = endpoints[idx..].iter().take_while(|e| e.0 == t).count();
-            let changes = endpoints[idx..idx + at_t]
-                .iter()
-                .map(|&(_, i, is_start)| (is_start, &arg_values[i * n_aggs..(i + 1) * n_aggs]));
+            let changes = endpoints[idx..idx + at_t].iter().map(|&(_, is_start, i)| {
+                let i = i as usize;
+                (is_start, &arg_values[i * n_aggs..(i + 1) * n_aggs])
+            });
             out.extend(sweep.instant(t, changes));
             idx += at_t;
         }

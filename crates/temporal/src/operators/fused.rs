@@ -10,7 +10,9 @@
 //! the selected rows via the SIMD kernel suite, writing output columns
 //! directly at the compacted length. The batch is gathered/compacted **at
 //! most once**, at the fragment boundary (or at the first projection, whose
-//! output is already dense).
+//! output is already dense). GroupApply's columnar path skips that last
+//! compaction: it reads the survivors through the selection
+//! ([`fused_select`]), in its own run order.
 //!
 //! Semantics are byte-identical to running the steps as separate row
 //! operators: predicate/expression errors surface for the first failing
@@ -37,8 +39,48 @@ use std::sync::Arc;
 
 /// Run a fused fragment over a columnar batch in a single pass. Returns
 /// `Rows` only when a projection had to fall back to the row path.
-pub fn fused_fragment_batch(mut batch: EventBatch, steps: &[FusedStep]) -> Result<StreamData> {
+pub fn fused_fragment_batch(batch: EventBatch, steps: &[FusedStep]) -> Result<StreamData> {
+    Ok(match fused_select(batch, steps)? {
+        Selected::Columns(Selection { mut batch, sel, .. }) => {
+            if let Some(s) = sel {
+                batch.compact(&s);
+            }
+            StreamData::Batch(batch)
+        }
+        // Mixed runtime types: finish on rows, from the step that could
+        // not stay columnar.
+        Selected::Rows { batch, step } => {
+            StreamData::Rows(fused_fragment_rows(batch.into_stream(), &steps[step..])?)
+        }
+    })
+}
+
+/// A fragment's columnar result before its last compaction.
+pub(crate) struct Selection {
+    pub(crate) batch: EventBatch,
+    /// The rows of `batch` that survive, in order (`None`: all of them).
+    pub(crate) sel: Option<Vec<u32>>,
+    /// The input row each row of `batch` came from (`None`: the same
+    /// index) — a projection compacts the batch mid-fragment.
+    pub(crate) origin: Option<Vec<u32>>,
+}
+
+/// What [`fused_select`] ends with.
+pub(crate) enum Selected {
+    Columns(Selection),
+    /// A projection had no dense column form: `batch` is its input, and
+    /// the steps from `step` on are left to the row path.
+    Rows {
+        batch: EventBatch,
+        step: usize,
+    },
+}
+
+/// The fused pass proper: every step over `batch`, keeping the last
+/// selection unapplied and each surviving row traceable to its input row.
+pub(crate) fn fused_select(mut batch: EventBatch, steps: &[FusedStep]) -> Result<Selected> {
     let mut sel: Option<Vec<u32>> = None;
+    let mut origin: Option<Vec<u32>> = None;
     for (k, step) in steps.iter().enumerate() {
         match step {
             FusedStep::Filter { predicate } => {
@@ -73,20 +115,25 @@ pub fn fused_fragment_batch(mut batch: EventBatch, steps: &[FusedStep]) -> Resul
                 // occurrence separately.
                 if let Some(s) = sel.take() {
                     batch.compact(&s);
+                    origin = Some(match origin {
+                        None => s,
+                        Some(o) => s.iter().map(|&i| o[i as usize]).collect(),
+                    });
                 }
                 match project_dense_owned(batch, exprs)? {
                     DenseProject::Done(out) => batch = out,
-                    // Mixed runtime types: finish on rows.
-                    DenseProject::Fallback(orig) => return fallback_rows(orig, None, &steps[k..]),
+                    DenseProject::Fallback(orig) => {
+                        return Ok(Selected::Rows {
+                            batch: orig,
+                            step: k,
+                        })
+                    }
                 }
             }
             FusedStep::AlterLifetime { op } => alter_sel(&mut batch, &mut sel, op),
         }
     }
-    if let Some(s) = sel {
-        batch.compact(&s);
-    }
-    Ok(StreamData::Batch(batch))
+    Ok(Selected::Columns(Selection { batch, sel, origin }))
 }
 
 /// Run a fused fragment over a row stream: the steps execute as the
@@ -113,22 +160,6 @@ pub(crate) fn fused_fragment_runs(
         };
     }
     Ok(runs)
-}
-
-/// Materialize the current selection once, then run the remaining steps
-/// (starting with the one that could not stay columnar) on the row path.
-fn fallback_rows(
-    mut batch: EventBatch,
-    sel: Option<Vec<u32>>,
-    remaining: &[FusedStep],
-) -> Result<StreamData> {
-    if let Some(s) = sel {
-        batch.compact(&s);
-    }
-    Ok(StreamData::Rows(fused_fragment_rows(
-        batch.into_stream(),
-        remaining,
-    )?))
 }
 
 /// Outcome of [`project_dense_owned`]: the projected batch, or the

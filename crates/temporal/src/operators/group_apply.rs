@@ -3,38 +3,55 @@
 //! Execution is **segmented**: instead of materialising one stream and one
 //! executor per group, the input is laid out once as key-ordered *runs*
 //! ([`Runs`]) and the sub-plan is walked once over all of them
-//! ([`crate::exec::walk_runs`]). One sub-plan shape needs no runs at all: a
-//! tumbling hopping aggregate of combinable aggregates goes to the pane
-//! kernel ([`crate::operators::pane`]), which shares only the grouping
-//! ([`assign_groups`]) with what follows.
+//! ([`crate::exec::walk_runs`]). Two sub-plan shapes, recognised from the
+//! plan alone, need no row runs:
 //!
-//! Grouping is hash-then-compare: each event gets a group ordinal from the
-//! 64-bit key hash (no per-event key materialization), hash collisions
-//! between distinct keys are separated by comparing key cells against the
-//! group's first event, the *groups* — not the events — are sorted by key
-//! cells, and a stable counting sort moves the events into sorted-key run
-//! order, so the order inside a group is the input's. One key per group is
+//! - a tumbling hopping aggregate of combinable aggregates goes to the pane
+//!   kernel ([`crate::operators::pane`]), in the layout the input arrives
+//!   in;
+//! - per-event steps ending in one Aggregate ([`per_event_aggregate`]) over
+//!   a batch stay on the columns: the fused batch kernel runs the steps, a
+//!   run-order permutation of the survivors is built by the same counting
+//!   sort the row runs use, and the endpoint sweep reads the arguments and
+//!   lifetimes through it ([`aggregate_batch_runs`]). No event becomes a
+//!   row. Any error, or a projection with no dense column form, sends the
+//!   input to the segmented walk instead, which reports the reference's
+//!   error.
+//!
+//! Grouping is hash-then-compare, on the columns of a batch and the cells
+//! of a row stream alike: each event gets a group ordinal from the 64-bit
+//! key hash (no per-event key materialization), hash collisions between
+//! distinct keys are separated by comparing key cells against the group's
+//! first event, the *groups* — not the events — are sorted by key cells,
+//! and a stable counting sort puts the events into sorted-key run order, so
+//! the order inside a group is the input's. One key per group is
 //! materialized for the prefix, which is attached once, at the sub-plan's
 //! root.
 //!
-//! One walk covers every run, on the caller's thread, and the keys are
+//! Every path covers every run on the caller's thread, and the keys are
 //! attached once to its root, so the output event vector is a pure function
 //! of the input (the repeatability guarantee of paper §III that restarted
-//! reducers compare bytes against). Errors are deterministic too: the walk
+//! reducers compare bytes against); the columnar path sweeps each group's
+//! events in the row runs' order, so a `Double` `Sum` adds in the same
+//! order and the bytes are the same. Errors are deterministic too: the walk
 //! reports the lowest failing group in sorted-key order and, inside it, the
 //! first failing operator — what a group-at-a-time evaluation would have
 //! met first ([`Cut`]).
 
+use crate::batch::EventBatch;
 use crate::error::{Result, TemporalError};
 use crate::event::Event;
 use crate::exec::{walk_runs, DataBindings, ExecStats, StreamData};
 use crate::key::KeySelector;
+use crate::operators::aggregate::aggregate_batch_runs;
+use crate::operators::fused::{fused_select, Selected, Selection};
 use crate::operators::pane::pane_aggregate;
-use crate::plan::{hopping_aggregate, LogicalPlan};
+use crate::plan::{hopping_aggregate, per_event_aggregate, LogicalPlan, PerEventAggregate};
 use crate::stream::EventStream;
 use crate::time::Lifetime;
 use relation::{Row, Schema, Value};
 use rustc_hash::FxHashMap;
+use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 
 /// A row stream laid out as consecutive runs, one per group in sorted-key
@@ -181,14 +198,15 @@ impl Cut {
 }
 
 /// Run `subplan` per distinct value of `keys`, prepending the key columns to
-/// output rows. A sub-plan that is a pane aggregate — decided from the plan
-/// alone, [`hopping_aggregate`] and `pane_grid` — runs on the pane kernel
-/// ([`pane_aggregate`]) in the layout the input arrives in. Everything else
-/// is segmented: a batch input hashes its keys straight off the columns
-/// ([`KeySelector::hash_batch`], bit-identical to the row hash) and is then
-/// transposed and grouped as rows (counted in
-/// [`ExecStats::transposed_events`]). `sources` are the outer bindings a
-/// sub-plan `Source` reads.
+/// output rows. The plan alone picks the path (see the module docs): a pane
+/// aggregate ([`hopping_aggregate`] and `pane_grid`) runs on the pane kernel
+/// ([`pane_aggregate`]); over a batch, a per-event aggregate
+/// ([`per_event_aggregate`]) runs on the columns ([`sweep_columns`]);
+/// everything else — and the columnar path's fallback — is the segmented
+/// walk, over rows, which transposes a batch input (counted in
+/// [`ExecStats::transposed_events`]). A batch is grouped on its columns
+/// whichever path follows. `sources` are the outer bindings a sub-plan
+/// `Source` reads.
 pub(crate) fn group_apply(
     input: StreamData,
     keys: &[String],
@@ -215,30 +233,64 @@ pub(crate) fn group_apply(
         }
     }
 
-    let hashes = match &input {
-        StreamData::Batch(b) => Some(sel.hash_batch(b.payload())),
-        StreamData::Rows(_) => None,
-    };
-    let input = stats.transpose(input);
-
-    let (runs, run_keys) = group_runs(input, hashes.as_deref(), &sel);
-    stats.groups += run_keys.len() as u64;
-    if run_keys.is_empty() {
+    let groups = key_groups(&input, &sel);
+    stats.groups += groups.keys.len() as u64;
+    if groups.keys.is_empty() {
         // No group, so the sub-plan never runs (nor fails).
         return Ok(EventStream::new(out_schema, Vec::new()));
     }
     stats.per_run_nodes += subplan.nodes().iter().filter(|n| !n.op.segmented()).count() as u64;
 
-    let root = walk_runs(subplan, runs, sources, stats)?;
-    Ok(EventStream::new(out_schema, attach_keys(root, &run_keys)))
+    let swept = match (&input, per_event_aggregate(subplan)) {
+        (StreamData::Batch(batch), Ok(shape)) => sweep_columns(batch.clone(), &groups, &shape),
+        _ => None,
+    };
+    let root = match swept {
+        Some(root) => root,
+        None => walk_runs(
+            subplan,
+            runs_of(stats.transpose(input), &groups),
+            sources,
+            stats,
+        )?,
+    };
+    Ok(EventStream::new(
+        out_schema,
+        attach_keys(root, &groups.keys),
+    ))
+}
+
+/// The columnar path: a per-event aggregate sub-plan over every group of
+/// `batch` at once. The fused kernel runs the steps over the whole batch;
+/// the survivors are put in run order by [`run_order`] — each group's in
+/// its input order, as in the row runs — and the aggregate reads its
+/// arguments and lifetimes through that permutation. `None` when the
+/// columns cannot answer: a step or an argument failed, or a projection has
+/// no dense column form. The caller then walks the runs on rows, which
+/// reports a failure in the reference's order.
+fn sweep_columns(
+    batch: EventBatch,
+    groups: &KeyedGroups,
+    shape: &PerEventAggregate,
+) -> Option<Runs> {
+    let Selected::Columns(Selection { batch, sel, origin }) =
+        fused_select(batch, &shape.steps).ok()?
+    else {
+        return None;
+    };
+    let rows: Vec<u32> = sel.unwrap_or_else(|| (0..batch.len() as u32).collect());
+    let ordinals: Vec<u32> = (rows.iter())
+        .map(|&r| groups.ordinals[origin.as_ref().map_or(r, |o| o[r as usize]) as usize])
+        .collect();
+    let (mut perm, bounds) = run_order(&ordinals, &groups.order);
+    perm.iter_mut().for_each(|j| *j = rows[*j as usize]);
+    aggregate_batch_runs(&batch, Some(&perm), &bounds, shape.aggs).ok()
 }
 
 /// Events numbered by group, in first-seen order.
 pub(crate) struct Groups {
     /// `first[g]`: group `g`'s first event, its key representative.
     pub(crate) first: Vec<usize>,
-    /// `sizes[g]`: its event count.
-    pub(crate) sizes: Vec<usize>,
     /// `ordinals[i]`: event `i`'s group.
     pub(crate) ordinals: Vec<u32>,
 }
@@ -254,7 +306,7 @@ pub(crate) fn assign_groups(
     const NONE: u32 = u32::MAX;
     // `next[g]` chains the groups whose keys share a hash.
     let mut by_hash: FxHashMap<u64, u32> = FxHashMap::default();
-    let (mut first, mut next, mut sizes) = (Vec::new(), Vec::<u32>::new(), Vec::new());
+    let (mut first, mut next) = (Vec::new(), Vec::<u32>::new());
     let mut ordinals = Vec::with_capacity(n);
     for i in 0..n {
         let fresh = first.len() as u32;
@@ -277,66 +329,110 @@ pub(crate) fn assign_groups(
         if g == fresh {
             first.push(i);
             next.push(NONE);
-            sizes.push(0);
         }
-        sizes[g as usize] += 1;
         ordinals.push(g);
     }
-    Groups {
-        first,
-        sizes,
-        ordinals,
+    Groups { first, ordinals }
+}
+
+/// Every event's group and the groups in sorted-key order.
+struct KeyedGroups {
+    /// `ordinals[i]`: event `i`'s group.
+    ordinals: Vec<u32>,
+    /// The groups by key: run `r` is group `order[r]`.
+    order: Vec<u32>,
+    /// Run `r`'s key, materialized once.
+    keys: Vec<Vec<Value>>,
+}
+
+/// Group `input` by `sel`, reading a batch's key cells off its columns and
+/// a row stream's off its rows; the two agree bit for bit.
+fn key_groups(input: &StreamData, sel: &KeySelector) -> KeyedGroups {
+    match input {
+        StreamData::Rows(stream) => {
+            let events = stream.events();
+            sorted_groups(
+                events.len(),
+                |i| sel.hash(&events[i].payload),
+                |i, j| sel.matches_same(&events[i].payload, &events[j].payload),
+                |i, j| sel.cmp_same(&events[i].payload, &events[j].payload),
+                |i| sel.extract(&events[i].payload),
+            )
+        }
+        StreamData::Batch(batch) => {
+            let payload = batch.payload();
+            let hashes = sel.hash_batch(payload);
+            sorted_groups(
+                batch.len(),
+                |i| hashes[i],
+                |i, j| sel.matches_batch(payload, i, j),
+                |i, j| sel.cmp_batch(payload, i, j),
+                |i| sel.extract_batch(payload, i),
+            )
+        }
     }
 }
 
-/// Lay `input` out as sorted-key runs; returns the runs and one extracted
-/// key per run.
-fn group_runs(
-    input: EventStream,
-    hashes: Option<&[u64]>,
-    sel: &KeySelector,
-) -> (Runs, Vec<Vec<Value>>) {
-    let schema = input.schema().clone();
-    let events = input.into_events();
-    debug_assert!(hashes.is_none_or(|h| h.len() == events.len()));
-    let Groups {
-        first,
-        sizes,
+/// [`assign_groups`], then the groups sorted by `cmp_key` over their first
+/// events — distinct groups have distinct keys, so the order is total — and
+/// one `key` each.
+fn sorted_groups(
+    n: usize,
+    hash: impl Fn(usize) -> u64,
+    same_key: impl Fn(usize, usize) -> bool,
+    cmp_key: impl Fn(usize, usize) -> Ordering,
+    key: impl Fn(usize) -> Vec<Value>,
+) -> KeyedGroups {
+    let Groups { first, ordinals } = assign_groups(n, hash, same_key);
+    let mut order: Vec<u32> = (0..first.len() as u32).collect();
+    order.sort_unstable_by(|&a, &b| cmp_key(first[a as usize], first[b as usize]));
+    let keys = order.iter().map(|&g| key(first[g as usize])).collect();
+    KeyedGroups {
         ordinals,
-    } = assign_groups(
-        events.len(),
-        |i| hashes.map_or_else(|| sel.hash(&events[i].payload), |h| h[i]),
-        |i, j| sel.matches_same(&events[i].payload, &events[j].payload),
-    );
-
-    // Sort the groups by key cells, in place; distinct groups have distinct
-    // keys, so the order is total.
-    let mut order: Vec<usize> = (0..first.len()).collect();
-    order.sort_unstable_by(|&a, &b| {
-        sel.cmp_same(&events[first[a]].payload, &events[first[b]].payload)
-    });
-    let run_keys = order
-        .iter()
-        .map(|&g| sel.extract(&events[first[g]].payload))
-        .collect();
-
-    // Stable counting sort of the events into run order.
-    let mut bounds = Vec::with_capacity(order.len() + 1);
-    let mut cursor = vec![0; order.len()];
-    let mut at = 0;
-    for &g in &order {
-        bounds.push(at);
-        cursor[g] = at;
-        at += sizes[g];
+        order,
+        keys,
     }
-    bounds.push(at);
-    let mut sorted = vec![Event::new(Lifetime::point(0), Row::default()); events.len()];
-    for (e, g) in events.into_iter().zip(ordinals) {
-        sorted[cursor[g as usize]] = e;
+}
+
+/// Stable counting sort of items by group into run order: item `j` belongs
+/// to group `ordinals[j]`, and run `r` holds group `order[r]`'s items in
+/// their input order. Returns the permutation — position `p` holds item
+/// `perm[p]` — and the run bounds.
+fn run_order(ordinals: &[u32], order: &[u32]) -> (Vec<u32>, Vec<usize>) {
+    let mut cursor = vec![0; order.len()];
+    for &g in ordinals {
         cursor[g as usize] += 1;
     }
-    let stream = EventStream::new(schema, sorted);
-    (Runs { stream, bounds }, run_keys)
+    let mut bounds = Vec::with_capacity(order.len() + 1);
+    let mut at = 0;
+    for &g in order {
+        bounds.push(at);
+        let size = cursor[g as usize];
+        cursor[g as usize] = at;
+        at += size;
+    }
+    bounds.push(at);
+    let mut perm = vec![0; ordinals.len()];
+    for (j, &g) in ordinals.iter().enumerate() {
+        perm[cursor[g as usize]] = j as u32;
+        cursor[g as usize] += 1;
+    }
+    (perm, bounds)
+}
+
+/// Lay `input`'s events out as `groups`' runs.
+fn runs_of(input: EventStream, groups: &KeyedGroups) -> Runs {
+    let schema = input.schema().clone();
+    let mut events = input.into_events();
+    let (perm, bounds) = run_order(&groups.ordinals, &groups.order);
+    let placeholder = || Event::new(Lifetime::point(0), Row::default());
+    let sorted = (perm.iter())
+        .map(|&i| std::mem::replace(&mut events[i as usize], placeholder()))
+        .collect();
+    Runs {
+        stream: EventStream::new(schema, sorted),
+        bounds,
+    }
 }
 
 /// Prepend each run's key to its output rows.
@@ -371,7 +467,9 @@ mod tests {
 
     fn grouped(events: Vec<Event>) -> (Runs, Vec<Vec<Value>>) {
         let sel = KeySelector::new(&schema(), &["Id"]).unwrap();
-        group_runs(EventStream::new(schema(), events), None, &sel)
+        let input = StreamData::Rows(EventStream::new(schema(), events));
+        let groups = key_groups(&input, &sel);
+        (runs_of(input.into_stream(), &groups), groups.keys)
     }
 
     #[test]

@@ -24,7 +24,9 @@
 //! steps, `aggregate`, `union` — are written over *runs* (`group_apply`'s
 //! `Runs`: one stream holding every group back to back): one compile and
 //! one pass serve all the groups, and the plain functions below are their
-//! one-run case.
+//! one-run case. A GroupApply over a batch whose sub-plan is per-event steps
+//! ending in one Aggregate needs no row runs: the fused batch kernel and the
+//! columnar aggregate run over one run-order permutation of the batch.
 
 mod aggregate;
 mod alter_lifetime;

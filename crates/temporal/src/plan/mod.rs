@@ -19,11 +19,11 @@ pub use builder::{Query, StreamHandle};
 pub(crate) use display::step_desc;
 pub use fuse::fuse_plan;
 pub use pushdown::{push_down, validate_mapper_plan, MapperPlan, NoPartial, PushDown};
-pub(crate) use share::hopping_aggregate;
 pub use share::{
     explain_shared, factor_windows, fingerprint, share_plans, subtree_canon, MultiQueryPlan,
     ShareStats,
 };
+pub(crate) use share::{hopping_aggregate, per_event_aggregate, PerEventAggregate};
 
 use crate::agg::AggExpr;
 use crate::error::{Result, TemporalError};

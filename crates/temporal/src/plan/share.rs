@@ -20,7 +20,9 @@
 //! This module also owns the shape both this rewrite and map-side push-down
 //! ([`super::push_down`]) look for — [`HoppingAggregate`], with its one
 //! recogniser and one constructor — and the normal form that brings plans
-//! into it ([`sink_hops`]).
+//! into it ([`sink_hops`]); and the wider shape of per-event steps ending in
+//! one Aggregate ([`PerEventAggregate`]), which the real-time session and
+//! GroupApply's columnar path look for.
 //!
 //! Both rewrites preserve per-query output byte-for-byte: sharing only
 //! deduplicates identical computations, and the factor algebra is exact
@@ -342,6 +344,53 @@ pub(crate) fn hopping_subplan(
         ],
         vec![2],
     )
+}
+
+/// A (fused) GroupApply sub-plan that is per-event steps ending in one
+/// Aggregate: `GroupInput → FusedFragment* → Aggregate(aggs)`. Every event
+/// reaches the aggregate on its own, so the sub-plan needs no runs before
+/// the sweep. [`per_event_aggregate`] is its only recogniser; the real-time
+/// session's stateful aggregate and GroupApply's columnar path both ask it.
+pub(crate) struct PerEventAggregate<'p> {
+    /// The fragments' steps, in evaluation order.
+    pub(crate) steps: Vec<FusedStep>,
+    /// What the steps produce: the aggregate's input.
+    pub(crate) input: &'p Schema,
+    pub(crate) aggs: &'p [(String, AggExpr)],
+}
+
+/// `subplan` as per-event steps ending in one Aggregate, or why it is not.
+pub(crate) fn per_event_aggregate(
+    subplan: &LogicalPlan,
+) -> std::result::Result<PerEventAggregate<'_>, String> {
+    let root = subplan.node(subplan.roots()[0]);
+    let Operator::Aggregate { aggs } = &root.op else {
+        return Err(format!(
+            "GroupApply sub-plan ends in {}, not an Aggregate",
+            root.op.name()
+        ));
+    };
+    let mut steps = Vec::new();
+    let mut id = root.inputs[0];
+    loop {
+        let node = subplan.node(id);
+        match &node.op {
+            Operator::GroupInput { .. } => break,
+            Operator::FusedFragment { steps: s } => steps.splice(0..0, s.iter().cloned()),
+            op => {
+                return Err(format!(
+                    "{} inside a GroupApply has no stateful form",
+                    op.name()
+                ))
+            }
+        };
+        id = node.inputs[0];
+    }
+    Ok(PerEventAggregate {
+        steps,
+        input: subplan.schema_of(root.inputs[0]),
+        aggs,
+    })
 }
 
 /// Schema of a partial stream: the key columns, then one column per

@@ -45,7 +45,10 @@ use crate::event::Event;
 use crate::exec::{execute_single, Bindings};
 use crate::key::KeySelector;
 use crate::operators::{fused_fragment_rows, fused_fragment_runs, Cut, Runs, Sweep};
-use crate::plan::{fuse_plan, step_desc, FusedStep, LifetimeOp, LogicalPlan, Operator, PlanNode};
+use crate::plan::{
+    fuse_plan, per_event_aggregate, step_desc, FusedStep, LifetimeOp, LogicalPlan, Operator,
+    PerEventAggregate, PlanNode,
+};
 use crate::stream::EventStream;
 use crate::time::{Duration, Lifetime, Time};
 use relation::{ColumnType, Row, Schema, Value};
@@ -364,7 +367,7 @@ impl Grouped {
             steps,
             input: agg_input,
             aggs,
-        } = per_event_aggregate(subplan).map_err(TemporalError::Plan)?;
+        } = stateful_aggregate(subplan).map_err(TemporalError::Plan)?;
         let mut outer = Vec::new();
         let mut id = root.inputs[0];
         while let Operator::FusedFragment { steps } = &rest.node(id).op {
@@ -642,9 +645,7 @@ fn obstacles(rest: &LogicalPlan, feeds: &[Feed]) -> Vec<String> {
     let root = rest.roots()[0];
     for (id, node) in rest.nodes().iter().enumerate() {
         why.extend(match &node.op {
-            Operator::GroupApply { subplan, .. } if id == root => {
-                per_event_aggregate(subplan).err()
-            }
+            Operator::GroupApply { subplan, .. } if id == root => stateful_aggregate(subplan).err(),
             op if id == root => Some(format!("{} at the output has no stateful form", op.name())),
             Operator::Source { .. } => None,
             Operator::FusedFragment { steps } => steps
@@ -669,49 +670,14 @@ fn shifts_back(step: &FusedStep) -> bool {
     matches!(step, FusedStep::AlterLifetime { op: LifetimeOp::Shift(d) } if *d < 0)
 }
 
-/// A GroupApply sub-plan that is per-event steps ending in one Aggregate.
-struct PerEventAggregate<'p> {
-    steps: Vec<FusedStep>,
-    /// What the steps produce: the aggregate's input.
-    input: &'p Schema,
-    aggs: &'p [(String, AggExpr)],
-}
-
-/// `subplan` as per-event steps ending in one Aggregate, or why it is not.
-fn per_event_aggregate(
-    subplan: &LogicalPlan,
-) -> std::result::Result<PerEventAggregate<'_>, String> {
-    let root = subplan.node(subplan.roots()[0]);
-    let Operator::Aggregate { aggs } = &root.op else {
-        return Err(format!(
-            "GroupApply sub-plan ends in {}, not an Aggregate",
-            root.op.name()
-        ));
-    };
-    let mut steps = Vec::new();
-    let mut id = root.inputs[0];
-    loop {
-        let node = subplan.node(id);
-        match &node.op {
-            Operator::GroupInput { .. } => break,
-            Operator::FusedFragment { steps: s } => steps.splice(0..0, s.iter().cloned()),
-            op => {
-                return Err(format!(
-                    "{} inside a GroupApply has no stateful form",
-                    op.name()
-                ))
-            }
-        };
-        id = node.inputs[0];
-    }
-    if steps.iter().any(shifts_back) {
+/// The sub-plan's per-event aggregate ([`per_event_aggregate`]) when the
+/// session can keep it as per-group state, or why not.
+fn stateful_aggregate(subplan: &LogicalPlan) -> std::result::Result<PerEventAggregate<'_>, String> {
+    let shape = per_event_aggregate(subplan)?;
+    if shape.steps.iter().any(shifts_back) {
         return Err(BACKWARD_SHIFT.into());
     }
-    Ok(PerEventAggregate {
-        steps,
-        input: subplan.schema_of(root.inputs[0]),
-        aggs,
-    })
+    Ok(shape)
 }
 
 /// The first aggregate in `plan` whose value depends on the order its

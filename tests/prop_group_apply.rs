@@ -20,13 +20,13 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use timr_suite::relation::hash::values_hash;
 use timr_suite::relation::schema::{ColumnType, Field};
-use timr_suite::relation::{row, Row, Schema, Value};
+use timr_suite::relation::{row, Column, ColumnBatch, ColumnData, Row, Schema, Value};
 use timr_suite::temporal::agg::AggExpr;
 use timr_suite::temporal::exec::{
-    bindings, data_bindings, execute_data, execute_reference, execute_single, Bindings, ExecStats,
-    StreamData,
+    bindings, data_bindings, execute_data, execute_reference, execute_single, Bindings,
+    DataBindings, ExecStats, StreamData,
 };
-use timr_suite::temporal::expr::{col, lit, Expr};
+use timr_suite::temporal::expr::{col, lit, Expr, Func};
 use timr_suite::temporal::plan::{LifetimeOp, LogicalPlan, Operator, PlanNode, StreamHandle};
 use timr_suite::temporal::udo::{WindowCountUdo, WindowUdo};
 use timr_suite::temporal::{Event, EventBatch, EventStream, Query, TemporalError};
@@ -499,6 +499,176 @@ proptest! {
             assert_all_agree(&avg, &srcs)?;
         }
     }
+}
+
+/// The sub-plan kinds of [`sub_plan`] that are per-event steps ending in
+/// one Aggregate: over a batch, GroupApply sweeps them on the columns.
+const PER_EVENT_AGGREGATES: usize = 3;
+
+/// Events whose key cells may be Null: `(t, palette index, v, nulls)`,
+/// where bit 0 of `nulls` blanks `A` and bit 1 blanks `B`.
+fn null_key_stream(events: &[(i64, usize, i64, u8)]) -> EventStream {
+    let palette = palette();
+    EventStream::new(
+        payload(),
+        events
+            .iter()
+            .map(|&(t, pi, v, nulls)| {
+                let (a, b) = palette[pi % palette.len()];
+                let cell = |x: i64, bit: u8| match nulls & bit {
+                    0 => Value::Long(x),
+                    _ => Value::Null,
+                };
+                Event::point(t, Row::new(vec![cell(a, 1), cell(b, 2), Value::Long(v)]))
+            })
+            .collect(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A per-event aggregate over a batch never leaves the columns — keys
+    /// that collide on the hash, Null key cells, groups the filter empties
+    /// and all — and publishes the reference's bytes. The plan alone picks
+    /// the path: a filter after the aggregate takes the segmented walk,
+    /// which transposes.
+    #[test]
+    fn a_per_event_aggregate_on_a_batch_stays_columnar(
+        events in prop::collection::vec((0i64..400, 0usize..64, 0i64..40, 0u8..4), 0..80),
+        key_cols in 1usize..3,
+        kind in 0usize..PER_EVENT_AGGREGATES,
+        w in 1i64..50,
+        thr in 0i64..45,
+    ) {
+        let plan = build_plan(key_cols, kind, w, thr);
+        let srcs = bindings(vec![("in", null_key_stream(&events))]);
+        assert_all_agree(&plan, &srcs)?;
+        let (on_batch, on_rows) = (stats_of(&plan, &srcs, true), stats_of(&plan, &srcs, false));
+        prop_assert_eq!((on_batch.transposed_events, on_batch.row_fallbacks), (0, 0));
+        prop_assert_eq!(on_batch.groups, on_rows.groups);
+        let walked = build_plan(key_cols, 4, w, thr);
+        assert_all_agree(&walked, &srcs)?;
+        prop_assert_eq!(
+            stats_of(&walked, &srcs, true).transposed_events,
+            events.len() as u64
+        );
+    }
+
+    /// A per-event step that fails on some values only: `V >= k OR X`,
+    /// where `X` is declared boolean but the batch holds integers there (the
+    /// column layout accepts what the schema does not promise), so the
+    /// predicate is non-boolean exactly on the rows with `V < k`. On a batch
+    /// the columnar path gives up and the segmented walk reports what the
+    /// reference meets first — the lowest failing group in key order — not
+    /// the first failing row; on rows, and when nothing fails, every
+    /// execution is the reference's too.
+    #[test]
+    fn a_failing_per_event_step_on_a_batch_reports_the_reference_s_error(
+        events in prop::collection::vec((0i64..400, 0usize..64, 0i64..12), 1..60),
+        key_cols in 1usize..3,
+        k in 0i64..12,
+        w in 1i64..50,
+    ) {
+        let plan = flagged_plan(key_cols, k, w);
+        let batch = flagged_batch(&events);
+        let srcs = bindings(vec![("in", batch.clone().into_stream())]);
+        let reference = execute_reference(&plan, &srcs)
+            .map(|mut roots| roots.pop().unwrap())
+            .map_err(|e| e.to_string());
+        let fails = events.iter().any(|&(_, _, v)| v < k);
+        prop_assert_eq!(reference.is_err(), fails);
+        let mut bound = DataBindings::default();
+        bound.insert("in".to_string(), StreamData::Batch(batch));
+        let on_batch = execute_data(&plan, bound)
+            .map(|(mut roots, stats)| (roots.pop().unwrap().into_stream(), stats))
+            .map_err(|e| e.to_string());
+        let on_rows = execute_single(&plan, &srcs).map_err(|e| e.to_string());
+        match (&on_batch, &reference) {
+            (Ok((out, stats)), Ok(r)) => {
+                prop_assert_eq!(out.events(), r.events());
+                prop_assert_eq!(stats.transposed_events, 0);
+            }
+            (e, r) => prop_assert_eq!(e.as_ref().map(|_| ()), r.as_ref().map(|_| ())),
+        }
+        prop_assert_eq!(
+            on_rows.map(|s| s.events().to_vec()),
+            reference.map(|r| r.events().to_vec())
+        );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A per-event step whose result has no dense column form: `min2(V,
+    /// 2.5)` keeps the chosen operand's runtime type, so a batch holding
+    /// values on both sides of 2.5 projects a column of longs and doubles.
+    /// The columnar path gives up and the segmented walk runs the input as
+    /// rows — the reference's bytes either way, and a transposition exactly
+    /// when the types mix.
+    #[test]
+    fn a_projection_with_no_column_form_walks_the_runs(
+        events in prop::collection::vec((0i64..400, 0usize..64, 0i64..6), 0..60),
+        key_cols in 1usize..3,
+        w in 1i64..50,
+    ) {
+        let q = Query::new();
+        let out = q.source("in", payload()).group_apply(keys_of(key_cols), |g| {
+            g.project(vec![(
+                "M".to_string(),
+                Expr::call(Func::Min2, vec![col("V"), lit(2.5f64)]),
+            )])
+            .window(w)
+            .aggregate(vec![("S".to_string(), AggExpr::Sum(col("M")))])
+        });
+        let plan = q.build(vec![out]).unwrap();
+        let srcs = bindings(vec![("in", palette_stream(&events))]);
+        assert_all_agree(&plan, &srcs)?;
+        let mixed = events.iter().any(|e| e.2 <= 2) && events.iter().any(|e| e.2 >= 3);
+        let transposed = if mixed { events.len() as u64 } else { 0 };
+        prop_assert_eq!(stats_of(&plan, &srcs, true).transposed_events, transposed);
+    }
+}
+
+/// `payload()` plus a flag `X`, declared boolean.
+fn flagged_payload() -> Schema {
+    let mut fields = payload().fields().to_vec();
+    fields.push(Field::new("X", ColumnType::Bool));
+    Schema::new(fields)
+}
+
+/// `in → GroupApply(keys){filter(V >= k OR X) → window → count}`.
+fn flagged_plan(key_cols: usize, k: i64, w: i64) -> LogicalPlan {
+    let q = Query::new();
+    let out = q
+        .source("in", flagged_payload())
+        .group_apply(keys_of(key_cols), |g| {
+            g.filter(col("V").ge(lit(k)).or(col("X")))
+                .window(w)
+                .count("N")
+        });
+    q.build(vec![out]).unwrap()
+}
+
+/// A batch of [`flagged_payload`] whose `X` column holds `V` as integers.
+fn flagged_batch(events: &[(i64, usize, i64)]) -> EventBatch {
+    let palette = palette();
+    let cells = |f: &dyn Fn(&(i64, usize, i64)) -> i64| {
+        let data = ColumnData::Long(events.iter().map(f).collect());
+        Column::new(data, None)
+    };
+    let columns = vec![
+        cells(&|&(_, pi, _)| palette[pi % palette.len()].0),
+        cells(&|&(_, pi, _)| palette[pi % palette.len()].1),
+        cells(&|&(_, _, v)| v),
+        cells(&|&(_, _, v)| v),
+    ];
+    EventBatch::new(
+        events.iter().map(|e| e.0).collect(),
+        events.iter().map(|e| e.0 + 1).collect(),
+        ColumnBatch::new(flagged_payload(), columns, events.len()),
+    )
 }
 
 /// The cases the property above leaves to chance, pinned: two adjacent
