@@ -1,18 +1,33 @@
 //! End-to-end BT orchestration over TiMR (paper Fig 10).
 //!
-//! Chains the temporal-query jobs — BotElim → GenTrainData (labels +
-//! training rows) → FeatureSelection — through the DFS, then exposes
-//! typed views of the resulting datasets for model training and
+//! Two jobs, as the paper partitions the BT solution (§III-A, §VI,
+//! Example 3): everything up to feature selection runs under one
+//! `{UserId}` partitioning, feature selection under `{AdId}`.
+//!
+//! 1. One `MultiTimrJob` stage keyed `{UserId}` over the raw log with
+//!    three single-output plans — the cleaned log
+//!    ([`bot_elim::clean_stream`]), the labelled stream over it
+//!    ([`train_data::labelled_stream`]) and the training rows over it
+//!    ([`train_data::train_stream`]). `share_plans` merges what they have
+//!    in common, so each reducer runs BotElim and the labelled stream once
+//!    and publishes `clean`, `labels` and `train_rows`; the raw log is
+//!    shuffled once and the cleaned log not at all.
+//! 2. Feature selection as a `TimrJob` keyed `{AdId}`, reading `labels`
+//!    and `train_rows` (Interval-encoded) with both partial counts pushed
+//!    map-side.
+//!
+//! Typed views of the resulting datasets feed model training and
 //! evaluation.
 
 use crate::error::{BtError, Result};
 use crate::example::Example;
 use crate::params::BtParams;
-use crate::queries;
+use crate::queries::{self, bot_elim, log_payload, train_data};
 use mapreduce::{Cluster, Dfs, JobStats};
 use relation::Row;
 use rustc_hash::FxHashMap;
-use timr::{EventEncoding, TimrJob};
+use temporal::plan::{Query, StreamHandle};
+use timr::{EventEncoding, ExchangeKey, MultiTimrJob, TimrJob};
 
 /// Dataset names produced by one pipeline run, plus per-job statistics.
 #[derive(Debug)]
@@ -61,7 +76,7 @@ impl BtPipeline {
         BtPipeline { params }
     }
 
-    /// Run all jobs against `logs_dataset` (Point-encoded unified log).
+    /// Run both jobs against `logs_dataset` (Point-encoded unified log).
     /// Dataset names are prefixed with `prefix` so multiple runs (e.g.
     /// train/test splits) can share a DFS.
     pub fn run(
@@ -71,73 +86,71 @@ impl BtPipeline {
         logs_dataset: &str,
         prefix: &str,
     ) -> Result<PipelineArtifacts> {
-        self.run_jobs(dfs, cluster, logs_dataset, prefix, |job| job)
+        self.run_jobs(dfs, cluster, logs_dataset, prefix, true)
     }
 
-    /// [`Self::run`] with every job passed through `job` before it runs
-    /// (the identity there; the tests switch push-down off with it).
+    /// [`Self::run`] with map-side push-down set to `push_down` in both
+    /// jobs (on there; the tests switch it off).
     fn run_jobs(
         &self,
         dfs: &Dfs,
         cluster: &Cluster,
         logs_dataset: &str,
         prefix: &str,
-        job: impl Fn(TimrJob) -> TimrJob,
+        push_down: bool,
     ) -> Result<PipelineArtifacts> {
-        let mut stats = Vec::new();
-        let machines = self.params.machines;
-
-        // 1. BotElim: logs -> clean_logs.
-        let bot = queries::bot_elim::query(&self.params);
+        // 1. BotElim, labels and GenTrainData: logs -> clean, labels,
+        //    train_rows, in one stage keyed by {UserId}.
         alias(dfs, logs_dataset, "logs")?;
-        let bot_job = TimrJob::new(format!("{prefix}_botelim"), bot.plan.clone())
-            .with_annotation(bot.annotation.clone())
-            .with_machines(machines);
-        let out = job(bot_job).run(dfs, cluster)?;
-        stats.push(("BotElim".to_string(), out.stats));
-        let clean = out.dataset;
+        let out = self
+            .user_stage(prefix)?
+            .with_push_down(push_down)
+            .run(dfs, cluster)?;
+        let [clean, labels, train_rows]: [String; 3] =
+            out.datasets.try_into().expect("one output per query");
+        let mut stats = vec![("BotElim+GenTrainData".to_string(), out.stats)];
 
-        // 2a. Labels: clean_logs -> labels.
-        alias(dfs, &clean, "clean_logs")?;
-        let labels_q = queries::train_data::labels_query(&self.params);
-        let labels_job = TimrJob::new(format!("{prefix}_labels"), labels_q.plan.clone())
-            .with_annotation(labels_q.annotation.clone())
-            .with_machines(machines)
-            .with_source_encoding("clean_logs", EventEncoding::Interval);
-        let out = job(labels_job).run(dfs, cluster)?;
-        stats.push(("GenTrainData/labels".to_string(), out.stats));
-        let labels = out.dataset;
-
-        // 2b. Training rows: clean_logs -> train_rows.
-        let train_q = queries::train_data::train_query(&self.params);
-        let train_job = TimrJob::new(format!("{prefix}_train"), train_q.plan.clone())
-            .with_annotation(train_q.annotation.clone())
-            .with_machines(machines)
-            .with_source_encoding("clean_logs", EventEncoding::Interval);
-        let out = job(train_job).run(dfs, cluster)?;
-        stats.push(("GenTrainData".to_string(), out.stats));
-        let train_rows = out.dataset;
-
-        // 3. Feature selection: labels + train_rows -> scores.
+        // 2. Feature selection: labels + train_rows -> scores.
         alias(dfs, &labels, "labels")?;
         alias(dfs, &train_rows, "train_rows")?;
         let fs_q = queries::feature_selection::query(&self.params);
-        let scores_job = TimrJob::new(format!("{prefix}_scores"), fs_q.plan.clone())
-            .with_annotation(fs_q.annotation.clone())
-            .with_machines(machines)
+        let out = TimrJob::new(format!("{prefix}_scores"), fs_q.plan)
+            .with_annotation(fs_q.annotation)
+            .with_machines(self.params.machines)
             .with_source_encoding("labels", EventEncoding::Interval)
-            .with_source_encoding("train_rows", EventEncoding::Interval);
-        let out = job(scores_job).run(dfs, cluster)?;
+            .with_source_encoding("train_rows", EventEncoding::Interval)
+            .with_push_down(push_down)
+            .run(dfs, cluster)?;
         stats.push(("FeatureSelection".to_string(), out.stats));
-        let scores = out.dataset;
 
         Ok(PipelineArtifacts {
             clean,
             labels,
             train_rows,
-            scores,
+            scores: out.dataset,
             stats,
         })
+    }
+
+    /// The `{UserId}`-keyed job over the `logs` source: three plans — the
+    /// cleaned log, the labelled stream over it, the training rows over
+    /// it — that `share_plans` merges so each reducer runs BotElim and the
+    /// labelled stream once for all three outputs.
+    fn user_stage(&self, prefix: &str) -> Result<MultiTimrJob> {
+        let params = &self.params;
+        let over_clean = |stream: fn(&StreamHandle, &BtParams) -> StreamHandle| {
+            let q = Query::new();
+            let clean = bot_elim::clean_stream(&q.source("logs", log_payload()), params);
+            q.build(vec![stream(&clean, params)])
+        };
+        let plans = vec![
+            over_clean(|clean, _| clean.clone())?,
+            over_clean(train_data::labelled_stream)?,
+            over_clean(train_data::train_stream)?,
+        ];
+        Ok(MultiTimrJob::new(format!("{prefix}_user"), plans)
+            .with_key(ExchangeKey::keys(&["UserId"]))
+            .with_machines(params.machines))
     }
 
     /// Decode keyword scores from a scores dataset (TiMR Interval
@@ -181,7 +194,15 @@ impl BtPipeline {
                 .ok_or_else(|| BtError::Pipeline("bad Time".into()))?;
             let user = get(&r, 2)?;
             let ad = get(&r, 3)?;
-            let label = r.get(4).as_int().unwrap_or(0) as u8;
+            let label = match r.get(4).as_long() {
+                Some(l @ 0..=1) => l as u8,
+                _ => {
+                    return Err(BtError::Pipeline(format!(
+                        "column Label: expected 0 or 1, got {:?}",
+                        r.get(4)
+                    )))
+                }
+            };
             examples.insert(
                 (t, user.clone(), ad.clone()),
                 Example {
@@ -201,7 +222,9 @@ impl BtPipeline {
             let user = get(&r, 2)?;
             let ad = get(&r, 3)?;
             let kw = get(&r, 5)?;
-            let cnt = r.get(6).as_double().unwrap_or(1.0);
+            let cnt = r.get(6).as_double().ok_or_else(|| {
+                BtError::Pipeline(format!("column Cnt: expected a number, got {:?}", r.get(6)))
+            })?;
             if let Some(e) = examples.get_mut(&(t, user, ad)) {
                 e.features.insert(kw, cnt);
             }
@@ -250,6 +273,7 @@ mod tests {
     use super::*;
     use adgen::{generate, GenConfig};
     use mapreduce::Dataset;
+    use temporal::plan::Operator;
 
     fn run_small() -> (Dfs, PipelineArtifacts, adgen::GroundTruth) {
         let mut cfg = GenConfig::small(23);
@@ -272,7 +296,7 @@ mod tests {
     #[test]
     fn pipeline_produces_all_artifacts_and_recovers_planted_keywords() {
         let (dfs, artifacts, truth) = run_small();
-        assert_eq!(artifacts.stats.len(), 4);
+        assert_eq!(artifacts.stats.len(), 2);
 
         let scores = BtPipeline::load_scores(&dfs, &artifacts.scores).unwrap();
         assert!(!scores.is_empty(), "feature selection found keywords");
@@ -308,9 +332,9 @@ mod tests {
         assert!(ctr > 0.0 && ctr < 0.5, "ctr {ctr}");
     }
 
-    /// Push-down — now with both feature-selection counts combined
-    /// map-side — publishes the very extent images the reduce-only plans
-    /// do, for all four datasets.
+    /// Push-down — in the shared `{UserId}` stage and with both
+    /// feature-selection counts combined map-side — publishes the very
+    /// extent images the reduce-only plans do, for all four datasets.
     #[test]
     fn push_down_on_and_off_publish_the_same_extent_images() {
         let mut cfg = GenConfig::small(7);
@@ -326,9 +350,7 @@ mod tests {
         let cluster = Cluster::new();
         let on = pipeline.run(&dfs, &cluster, "raw", "on").unwrap();
         let off = pipeline
-            .run_jobs(&dfs, &cluster, "raw", "off", |job| {
-                job.with_push_down(false)
-            })
+            .run_jobs(&dfs, &cluster, "raw", "off", false)
             .unwrap();
         let saved = |a: &PipelineArtifacts| -> u64 {
             a.stats
@@ -349,6 +371,96 @@ mod tests {
             for (x, y) in a.extents().iter().zip(b.extents()) {
                 assert_eq!(x.bytes, y.bytes);
             }
+        }
+    }
+
+    /// The first job is one stage whose merged DAG holds BotElim once —
+    /// one `[UserId]` GroupApply, one bot AntiSemiJoin — and the labelled
+    /// stream once, though two of the three plans read it: its non-click
+    /// AntiSemiJoin is the only other one.
+    #[test]
+    fn the_user_stage_runs_bot_elim_and_the_labels_once() {
+        let job = BtPipeline::default().user_stage("t").unwrap();
+        assert_eq!(job.queries.len(), 3);
+        let compiled = job.compile().unwrap();
+        let ops = |pred: &dyn Fn(&Operator) -> bool| {
+            (compiled.plan.nodes().iter())
+                .filter(|n| pred(&n.op))
+                .count()
+        };
+        let user_id = ["UserId".to_string()];
+        let by_user =
+            |op: &Operator| matches!(op, Operator::GroupApply { keys, .. } if keys[..] == user_id);
+        assert_eq!(ops(&by_user), 1, "{}", compiled.plan);
+        let asj = |op: &Operator| matches!(op, Operator::AntiSemiJoin { .. });
+        assert_eq!(ops(&asj), 2, "{}", compiled.plan);
+        assert!(compiled.shared.shared_nodes > 0, "{:?}", compiled.shared);
+        assert_eq!(compiled.outputs.len(), 3);
+        assert_eq!(compiled.plan.roots().len(), 3);
+    }
+
+    /// A labels or train-rows dataset with a cell of the wrong kind is a
+    /// named error, not a default value.
+    #[test]
+    fn load_examples_names_a_bad_label_or_count() {
+        use relation::schema::{ColumnType, Field};
+        use relation::{Schema, Value};
+        // One example (`Time` 10, user u1, ad a1) and one profile keyword
+        // for it; `label` and `cnt` are the cells under test, typed as
+        // given.
+        let load = |label: (ColumnType, Value), cnt: (ColumnType, Value)| {
+            let framed = |payload: Vec<(&str, ColumnType)>| {
+                let fields = payload.into_iter().map(|(n, ty)| Field::new(n, ty));
+                EventEncoding::Interval.dataset_schema(&Schema::new(fields.collect()))
+            };
+            let s = ColumnType::Str;
+            let dfs = Dfs::new();
+            let head = [
+                Value::Long(10),
+                Value::Long(11),
+                Value::str("u1"),
+                Value::str("a1"),
+            ];
+            let labels = framed(vec![("UserId", s), ("AdId", s), ("Label", label.0)]);
+            let mut row = head.to_vec();
+            row.push(label.1);
+            dfs.put("labels", Dataset::single(labels, vec![Row::new(row)]))
+                .unwrap();
+            let train = framed(vec![
+                ("UserId", s),
+                ("AdId", s),
+                ("Label", ColumnType::Int),
+                ("Keyword", s),
+                ("Cnt", cnt.0),
+            ]);
+            let mut row = head.to_vec();
+            row.extend([Value::Int(1), Value::str("cars"), cnt.1]);
+            dfs.put("train", Dataset::single(train, vec![Row::new(row)]))
+                .unwrap();
+            BtPipeline::load_examples(&dfs, "labels", "train").map_err(|e| e.to_string())
+        };
+        let (int, long) = (ColumnType::Int, ColumnType::Long);
+        let ok = load((int, Value::Int(1)), (long, Value::Long(3))).unwrap();
+        assert_eq!((ok.len(), ok[0].label, ok[0].features["cars"]), (1, 1, 3.0));
+        for bad in [
+            (int, Value::Int(2)),
+            (int, Value::Int(256)),
+            (int, Value::Int(-1)),
+            (int, Value::Null),
+            (ColumnType::Str, Value::str("1")),
+        ] {
+            let err = load(bad.clone(), (long, Value::Long(3))).unwrap_err();
+            assert!(
+                err.contains("column Label: expected 0 or 1"),
+                "{bad:?}: {err}"
+            );
+        }
+        for bad in [(ColumnType::Str, Value::str("3")), (long, Value::Null)] {
+            let err = load((int, Value::Int(0)), bad.clone()).unwrap_err();
+            assert!(
+                err.contains("column Cnt: expected a number"),
+                "{bad:?}: {err}"
+            );
         }
     }
 

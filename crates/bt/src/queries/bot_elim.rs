@@ -6,19 +6,24 @@
 //! users over either threshold (Union of the two filtered counts), and
 //! AntiSemiJoins the original point stream against those bot periods —
 //! emitting only non-bot activity.
+//!
+//! [`clean_stream`] is that CQ as a stream function. [`query`] applies it
+//! to the raw log as a standalone plan; the pipeline applies it once in
+//! the `{UserId}`-keyed stage whose reducers also derive the labels and
+//! training rows from its output (`crate::pipeline`).
 
 use super::{log_payload, stream_id, BtQuery};
 use crate::params::BtParams;
 use temporal::expr::{col, lit};
-use temporal::plan::Query;
+use temporal::plan::{Query, StreamHandle};
 use timr::{Annotation, ExchangeKey};
 
-/// Build the BotElim query. Input: `logs`; output: the cleaned log
-/// (same payload schema).
-pub fn query(params: &BtParams) -> BtQuery {
-    let q = Query::new();
-    let input = q.source("logs", log_payload());
-
+/// The cleaned log: `input` minus each bot user's activity during the
+/// periods the user is flagged (same payload schema as `input`). The one
+/// definition of BotElim: [`query`] applies it to the `logs` source, and
+/// the pipeline's `{UserId}`-keyed stage feeds it to the labels and
+/// training-row streams as well.
+pub fn clean_stream(input: &StreamHandle, params: &BtParams) -> StreamHandle {
     // Bot detection path: hopping 6h window refreshed every 15 min.
     let hopped = input.clone().hop_window(params.bot_hop, params.tau);
     let bots = hopped.group_apply(&["UserId"], |g| {
@@ -37,8 +42,14 @@ pub fn query(params: &BtParams) -> BtQuery {
     });
 
     // Remove bot users' activity during their bot periods.
-    let hop_node = input.clone(); // capture for annotation below
-    let clean = input.anti_semi_join(bots.clone(), &[("UserId", "UserId")]);
+    input.clone().anti_semi_join(bots, &[("UserId", "UserId")])
+}
+
+/// Build the BotElim query. Input: `logs`; output: the cleaned log
+/// (same payload schema).
+pub fn query(params: &BtParams) -> BtQuery {
+    let q = Query::new();
+    let clean = clean_stream(&q.source("logs", log_payload()), params);
     let plan = q.build(vec![clean.clone()]).unwrap();
 
     // Exchange both reads of the raw log by {UserId}: one keyed fragment
@@ -49,7 +60,6 @@ pub fn query(params: &BtParams) -> BtQuery {
         .iter()
         .position(|n| matches!(n.op, temporal::plan::Operator::AlterLifetime { .. }))
         .expect("hop window exists");
-    let _ = hop_node;
     let annotation = Annotation::none()
         .exchange(hop, 0, ExchangeKey::keys(&["UserId"]))
         .exchange(asj, 0, ExchangeKey::keys(&["UserId"]));

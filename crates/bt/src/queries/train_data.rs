@@ -1,15 +1,22 @@
 //! Training-data generation (paper §IV-B.2, Fig 12).
 //!
-//! Two queries:
+//! Two stream functions over a cleaned log, each with a standalone query
+//! that applies it to the `clean_logs` source:
 //!
-//! - [`labels_query`] derives labelled click/non-click events: an
-//!   impression is a *non-click* unless the same user clicked the same ad
-//!   within `d` — implemented by AntiSemiJoining impressions against
-//!   clicks whose lifetimes are extended `d` into the past.
-//! - [`train_query`] additionally builds per-`(user, keyword)` sliding
-//!   6-hour counts (the sparse UBP, refreshed on every activity) and
-//!   TemporalJoins each labelled event with the profile *as of that
-//!   instant*, emitting one row per (example, profile keyword).
+//! - [`labelled_stream`] ([`labels_query`]) derives labelled
+//!   click/non-click events: an impression is a *non-click* unless the
+//!   same user clicked the same ad within `d` — implemented by
+//!   AntiSemiJoining impressions against clicks whose lifetimes are
+//!   extended `d` into the past.
+//! - [`train_stream`] ([`train_query`]) additionally builds
+//!   per-`(user, keyword)` sliding 6-hour counts (the sparse UBP,
+//!   refreshed on every activity) and TemporalJoins each labelled event
+//!   with the profile *as of that instant*, emitting one row per
+//!   (example, profile keyword).
+//!
+//! The pipeline (`crate::pipeline`) applies both to BotElim's output in
+//! one `{UserId}`-keyed stage, where the labelled stream is computed once
+//! for both outputs.
 //!
 //! [`train_query`] ships with the optimized annotation of Example 3 — one
 //! partitioning by `{UserId}` — and [`naive_annotation`] builds the
@@ -22,7 +29,11 @@ use temporal::expr::{col, lit};
 use temporal::plan::{LogicalPlan, Operator, Query, StreamHandle};
 use timr::{Annotation, ExchangeKey};
 
-fn labelled_stream(input: &StreamHandle, params: &BtParams) -> StreamHandle {
+/// Labelled click/non-click events over a cleaned log: payload
+/// `(UserId, AdId, Label)`. The one definition of the labels CQ, used by
+/// [`labels_query`], inside [`train_stream`], and by the pipeline's shared
+/// `{UserId}` stage, where `share_plans` merges those two uses into one.
+pub fn labelled_stream(input: &StreamHandle, params: &BtParams) -> StreamHandle {
     let impressions = input
         .clone()
         .filter(col("StreamId").eq(lit(stream_id::IMPRESSION)));
@@ -44,12 +55,10 @@ fn labelled_stream(input: &StreamHandle, params: &BtParams) -> StreamHandle {
     label(non_clicks, 0).union(label(clicks, 1))
 }
 
-/// Build the labels query. Input: `clean_logs`; output payload:
-/// `(UserId, AdId, Label)` point events.
+/// Build the labels query ([`labelled_stream`] over `clean_logs`).
 pub fn labels_query(params: &BtParams) -> BtQuery {
     let q = Query::new();
-    let input = q.source("clean_logs", log_payload());
-    let out = labelled_stream(&input, params);
+    let out = labelled_stream(&q.source("clean_logs", log_payload()), params);
     let plan = q.build(vec![out]).unwrap();
     BtQuery {
         name: "GenTrainData/labels",
@@ -70,22 +79,27 @@ fn ubp_stream(input: &StreamHandle, params: &BtParams) -> StreamHandle {
         ])
 }
 
-/// Build the training-rows query. Input: `clean_logs`; output payload:
-/// `(UserId, AdId, Label, Keyword, Cnt)` — one point event per
-/// (labelled example, profile keyword).
-pub fn train_query(params: &BtParams) -> BtQuery {
-    let q = Query::new();
-    let input = q.source("clean_logs", log_payload());
-    let labels = labelled_stream(&input, params);
-    let ubp = ubp_stream(&input, params);
+/// Training rows over a cleaned log: each labelled event TemporalJoined
+/// with the user's profile as of that instant, payload
+/// `(UserId, AdId, Label, Keyword, Cnt)` — one point event per (labelled
+/// example, profile keyword).
+pub fn train_stream(input: &StreamHandle, params: &BtParams) -> StreamHandle {
+    let labels = labelled_stream(input, params);
+    let ubp = ubp_stream(input, params);
     let joined = labels.temporal_join(ubp, &[("UserId", "UserId")], None);
-    let out = joined.project(vec![
+    joined.project(vec![
         ("UserId".to_string(), col("UserId")),
         ("AdId".to_string(), col("AdId")),
         ("Label".to_string(), col("Label")),
         ("Keyword".to_string(), col("Keyword")),
         ("Cnt".to_string(), col("Cnt")),
-    ]);
+    ])
+}
+
+/// Build the training-rows query ([`train_stream`] over `clean_logs`).
+pub fn train_query(params: &BtParams) -> BtQuery {
+    let q = Query::new();
+    let out = train_stream(&q.source("clean_logs", log_payload()), params);
     let plan = q.build(vec![out]).unwrap();
     BtQuery {
         name: "GenTrainData",

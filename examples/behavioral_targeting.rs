@@ -2,8 +2,8 @@
 //! temporal queries on TiMR (paper §IV).
 //!
 //! Generates an ad log with planted keyword/click correlations, runs the
-//! four-job pipeline (BotElim → labels → training rows → feature
-//! selection), trains per-ad logistic regression on z-test-reduced
+//! two-job pipeline (BotElim, labels and training rows in one
+//! `UserId`-keyed stage, then feature selection by `AdId`), trains per-ad logistic regression on z-test-reduced
 //! features, and reports what a targeting system cares about: recovered
 //! keywords and CTR lift at low coverage.
 //!
@@ -50,9 +50,11 @@ fn main() {
         .expect("pipeline runs");
     for (job, stats) in &artifacts.stats {
         println!(
-            "  job {job:<22} stages={} shuffled={} bytes",
+            "  job {job:<22} stages={} shuffled={} bytes  map {:.1} ms  reduce {:.1} ms",
             stats.stages.len(),
-            stats.total_shuffle_bytes()
+            stats.total_shuffle_bytes(),
+            stats.total_map_time().as_secs_f64() * 1e3,
+            stats.total_reduce_wall_time().as_secs_f64() * 1e3,
         );
     }
 

@@ -264,3 +264,113 @@ fn declarative_and_custom_pipelines_agree_at_scale() {
         timr_scores.len()
     );
 }
+
+/// The BT pipeline as four standalone TiMR jobs — BotElim, labels,
+/// GenTrainData, feature selection — each reading the one before through
+/// a DFS alias and an Interval source encoding. The two-job pipeline must
+/// publish these bytes. Returns `[clean, labels, train_rows, scores]`.
+fn four_job_reference(dfs: &Dfs, cluster: &Cluster, params: &BtParams) -> [String; 4] {
+    use timr_suite::bt::queries::{bot_elim, feature_selection, train_data, BtQuery};
+    use timr_suite::timr::{EventEncoding, TimrJob};
+    let alias = |from: &str, to: &str| dfs.put_overwrite(to, dfs.get(from).unwrap());
+    let run = |q: BtQuery, name: &str, interval_sources: &[&str]| -> String {
+        let job = TimrJob::new(name, q.plan)
+            .with_annotation(q.annotation)
+            .with_machines(params.machines);
+        (interval_sources.iter())
+            .fold(job, |j, s| {
+                j.with_source_encoding(s, EventEncoding::Interval)
+            })
+            .run(dfs, cluster)
+            .unwrap()
+            .dataset
+    };
+    let clean = run(bot_elim::query(params), "ref_botelim", &[]);
+    alias(&clean, "clean_logs");
+    let labels = run(
+        train_data::labels_query(params),
+        "ref_labels",
+        &["clean_logs"],
+    );
+    let train_rows = run(
+        train_data::train_query(params),
+        "ref_train",
+        &["clean_logs"],
+    );
+    alias(&labels, "labels");
+    alias(&train_rows, "train_rows");
+    let scores = run(
+        feature_selection::query(params),
+        "ref_scores",
+        &["labels", "train_rows"],
+    );
+    [clean, labels, train_rows, scores]
+}
+
+/// One shared `{UserId}` stage plus feature selection publishes the very
+/// extent images of the four-job composition — the cleaned log, the
+/// labels, the training rows and the scores — on pool threads, under a
+/// memory budget that spills, and on two forked workers.
+#[test]
+fn two_jobs_publish_the_four_job_composition_s_bytes() {
+    use timr_suite::mapreduce::cluster::ClusterConfig;
+    use timr_suite::mapreduce::BackendKind;
+    let spill_dir = std::env::temp_dir().join(format!("bt-two-jobs-spill-{}", std::process::id()));
+    std::fs::create_dir_all(&spill_dir).unwrap();
+    let configs = [
+        ("threads", ClusterConfig::default()),
+        (
+            "spill",
+            ClusterConfig {
+                memory_budget_bytes: Some(16 * 1024),
+                spill_dir: Some(spill_dir.clone()),
+                ..ClusterConfig::default()
+            },
+        ),
+        (
+            "2 workers",
+            ClusterConfig {
+                backend: BackendKind::Processes { workers: 2 },
+                ..ClusterConfig::default()
+            },
+        ),
+    ];
+    for seed in [42, 1729] {
+        let cfg = GenConfig::small(seed);
+        let logs = Dataset::single(timr_suite::adgen::unified_schema(), generate(&cfg).rows());
+        let params = BtParams {
+            machines: 4,
+            horizon: cfg.duration * 2,
+            ..Default::default()
+        };
+        let ref_dfs = Dfs::new();
+        ref_dfs.put("logs", logs.clone()).unwrap();
+        let reference = four_job_reference(&ref_dfs, &Cluster::new(), &params);
+        for (what, config) in &configs {
+            let dfs = Dfs::new();
+            dfs.put("raw", logs.clone()).unwrap();
+            let a = BtPipeline::new(params.clone())
+                .run(&dfs, &Cluster::with_config(config.clone()), "raw", "bt")
+                .unwrap();
+            assert_eq!(a.stats.len(), 2, "{what}");
+            let spilled: u64 = (a.stats.iter())
+                .flat_map(|(_, s)| &s.stages)
+                .map(|s| s.spill_extents)
+                .sum();
+            assert_eq!(spilled > 0, *what == "spill", "seed {seed}, {what}");
+            let published = [&a.clean, &a.labels, &a.train_rows, &a.scores];
+            for (name, (got, want)) in ["clean", "labels", "train_rows", "scores"]
+                .iter()
+                .zip(published.into_iter().zip(&reference))
+            {
+                let (got, want) = (dfs.get(got).unwrap(), ref_dfs.get(want).unwrap());
+                assert!(!want.is_empty(), "seed {seed}: {name} is empty");
+                assert_eq!(
+                    got.partitions, want.partitions,
+                    "seed {seed}, {what}: {name} differs from the four-job composition"
+                );
+            }
+        }
+    }
+    std::fs::remove_dir_all(&spill_dir).ok();
+}

@@ -519,11 +519,12 @@ fn bt_feature_selection_pushes_both_counts_and_cuts_the_shuffle() {
         machines: 4,
         ..Default::default()
     };
-    // Leaves `labels` and `train_rows` in the DFS for the job under test,
-    // and the cleaned log in `clean_logs` for the dashboards.
-    BtPipeline::new(params.clone())
+    // Leaves `labels` and `train_rows` in the DFS for the job under test;
+    // the cleaned log goes to `clean_logs` for the dashboards.
+    let artifacts = BtPipeline::new(params.clone())
         .run(&dfs, &Cluster::new(), "raw", "bt")
         .unwrap();
+    dfs.put_overwrite("clean_logs", dfs.get(&artifacts.clean).unwrap());
 
     let query = feature_selection::query(&params);
     let job = |push: bool| {
