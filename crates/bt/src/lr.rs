@@ -1,10 +1,21 @@
 //! Sparse logistic regression (paper §IV-B.4).
 //!
-//! `y = 1 / (1 + e^-(w0 + wᵀx))`, trained by batch gradient descent with
-//! L2 regularization over a *balanced* dataset: because CTR is typically
+//! `y = 1 / (1 + e^-(w0 + wᵀx))`, trained by stochastic gradient descent
+//! (one update per example, in a fresh shuffle each epoch) with L2
+//! regularization over a *balanced* dataset: because CTR is typically
 //! below 1%, the paper samples negatives to match positives, and then
 //! calibrates raw predictions back to CTR estimates with a k-nearest
 //! validation lookup ([`CtrCalibrator`]).
+//!
+//! There is one SGD loop (`fit`). It interns each example's features
+//! once into `(dense id, value)` pairs, in the order the example yields
+//! them, so every epoch reads and updates a dense weight vector instead of
+//! hashing (and allocating) a feature name per example. The float
+//! operations and their order are those of a name-keyed loop over the same
+//! examples, so the model is bit for bit the same. [`train`] feeds it
+//! [`Example`]s; the model-generation UDO
+//! ([`crate::queries::model::LrUdo`]) feeds it examples assembled on names
+//! borrowed from its events.
 
 use crate::example::{Example, FeatureVector};
 use rand::rngs::SmallRng;
@@ -72,12 +83,22 @@ impl LrModel {
 /// Balance the dataset by sampling negatives (paper: "we create a balanced
 /// dataset by sampling the negative examples").
 pub fn balance<'a>(examples: &'a [Example], config: &LrConfig) -> Vec<&'a Example> {
+    balance_by(examples, |e| e.label, config)
+}
+
+/// [`balance`] over any example type, reading each one's label through
+/// `label`.
+pub(crate) fn balance_by<'a, T>(
+    examples: &'a [T],
+    label: impl Fn(&T) -> u8,
+    config: &LrConfig,
+) -> Vec<&'a T> {
     let mut rng = SmallRng::seed_from_u64(config.seed);
-    let positives: Vec<&Example> = examples.iter().filter(|e| e.label == 1).collect();
-    let negatives: Vec<&Example> = examples.iter().filter(|e| e.label == 0).collect();
+    let positives: Vec<&T> = examples.iter().filter(|e| label(e) == 1).collect();
+    let negatives: Vec<&T> = examples.iter().filter(|e| label(e) == 0).collect();
     let keep = ((positives.len() as f64 * config.negatives_per_positive).ceil() as usize)
         .min(negatives.len());
-    let mut sampled: Vec<&Example> = negatives.choose_multiple(&mut rng, keep).copied().collect();
+    let mut sampled: Vec<&T> = negatives.choose_multiple(&mut rng, keep).copied().collect();
     sampled.extend(positives);
     sampled.shuffle(&mut rng);
     sampled
@@ -86,28 +107,76 @@ pub fn balance<'a>(examples: &'a [Example], config: &LrConfig) -> Vec<&'a Exampl
 /// Train a model on (already feature-selected) examples.
 pub fn train(examples: &[Example], config: &LrConfig) -> LrModel {
     let data = balance(examples, config);
-    let mut model = LrModel::default();
-    if data.is_empty() {
-        return model;
+    let features = data.iter().map(|e| {
+        let features = e.features.iter().map(|(k, v)| (k.as_str(), *v));
+        (e.label, features)
+    });
+    let (bias, fitted) = fit(features, config);
+    let mut weights = FxHashMap::default();
+    for (feature, weight) in fitted {
+        weights.insert(feature.to_string(), weight);
     }
-    let n = data.len() as f64;
+    LrModel { bias, weights }
+}
+
+/// The SGD loop over a balanced sample, given as `(label, features)` per
+/// example. Each example's features are interned once, in the order given,
+/// into `(dense id, value)` pairs; every epoch then reads and updates a
+/// dense weight vector with a seen flag (a feature no update has reached
+/// yet has no weight, and adds nothing to a prediction). Returns the bias
+/// and the weights in the order of their first update.
+pub(crate) fn fit<'a, F>(
+    data: impl IntoIterator<Item = (u8, F)>,
+    config: &LrConfig,
+) -> (f64, Vec<(&'a str, f64)>)
+where
+    F: IntoIterator<Item = (&'a str, f64)>,
+{
+    let mut ids: FxHashMap<&'a str, usize> = FxHashMap::default();
+    let mut names: Vec<&'a str> = Vec::new();
+    let (mut labels, mut bounds, mut features) = (Vec::new(), vec![0], Vec::new());
+    for (label, example) in data {
+        for (name, value) in example {
+            let id = *ids.entry(name).or_insert_with(|| {
+                names.push(name);
+                names.len() - 1
+            });
+            features.push((id, value));
+        }
+        labels.push(f64::from(label));
+        bounds.push(features.len());
+    }
+
+    let n = labels.len() as f64;
+    let (rate, decay) = (config.learning_rate, config.learning_rate * config.l2);
+    let mut bias = 0.0;
+    let (mut weights, mut seen) = (vec![0.0; names.len()], vec![false; names.len()]);
+    let mut updated = Vec::new();
     let mut rng = SmallRng::seed_from_u64(config.seed ^ 0xABCD);
-    let mut order: Vec<usize> = (0..data.len()).collect();
+    let mut order: Vec<usize> = (0..labels.len()).collect();
     for _ in 0..config.epochs {
         order.shuffle(&mut rng);
         for &i in &order {
-            let e = data[i];
-            let p = model.predict(&e.features);
-            let err = e.label as f64 - p;
-            let step = config.learning_rate * err;
-            model.bias += step - config.learning_rate * config.l2 * model.bias / n;
-            for (k, v) in &e.features {
-                let w = model.weights.entry(k.clone()).or_insert(0.0);
-                *w += step * v - config.learning_rate * config.l2 * *w / n;
+            let example = &features[bounds[i]..bounds[i + 1]];
+            let mut x = bias;
+            for &(id, v) in example {
+                if seen[id] {
+                    x += weights[id] * v;
+                }
+            }
+            let step = rate * (labels[i] - sigmoid(x));
+            bias += step - decay * bias / n;
+            for &(id, v) in example {
+                if !seen[id] {
+                    seen[id] = true;
+                    updated.push(id);
+                }
+                weights[id] += step * v - decay * weights[id] / n;
             }
         }
     }
-    model
+    let fitted = updated.into_iter().map(|id| (names[id], weights[id]));
+    (bias, fitted.collect())
 }
 
 /// Calibrates balanced-model outputs back to CTR estimates: the predicted
@@ -179,6 +248,187 @@ mod tests {
             }
         }
         out
+    }
+
+    /// The name-keyed SGD the interned loop replaced, kept as its oracle:
+    /// one `weights` lookup per feature per prediction and one entry (and
+    /// one name clone) per feature per update.
+    fn oracle_train(examples: &[Example], config: &LrConfig) -> LrModel {
+        let data = balance(examples, config);
+        let mut model = LrModel::default();
+        if data.is_empty() {
+            return model;
+        }
+        let n = data.len() as f64;
+        let mut rng = SmallRng::seed_from_u64(config.seed ^ 0xABCD);
+        let mut order: Vec<usize> = (0..data.len()).collect();
+        for _ in 0..config.epochs {
+            order.shuffle(&mut rng);
+            for &i in &order {
+                let e = data[i];
+                let p = model.predict(&e.features);
+                let err = e.label as f64 - p;
+                let step = config.learning_rate * err;
+                model.bias += step - config.learning_rate * config.l2 * model.bias / n;
+                for (k, v) in &e.features {
+                    let w = model.weights.entry(k.clone()).or_insert(0.0);
+                    *w += step * v - config.learning_rate * config.l2 * *w / n;
+                }
+            }
+        }
+        model
+    }
+
+    /// Seeded random example sets over a small shared vocabulary: examples
+    /// with no feature, zero and fractional counts, and a positive rate of
+    /// `positive` (0 gives a set with no positives).
+    fn random_examples(seed: u64, n: usize, positive: f64) -> Vec<Example> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        (0..n)
+            .map(|i| {
+                let label = u8::from(rng.gen::<f64>() < positive);
+                let width = rng.gen_range(0..6);
+                let features: Vec<(String, f64)> = (0..width)
+                    .map(|_| {
+                        let name = format!("kw{}", rng.gen_range(0..12));
+                        let value = match rng.gen_range(0..4) {
+                            0 => 0.0,
+                            1 => rng.gen_range(1..5) as f64,
+                            _ => rng.gen::<f64>() * 3.0,
+                        };
+                        (name, value)
+                    })
+                    .collect();
+                Example {
+                    time: i as i64 / 3,
+                    user: format!("u{}", i % 7),
+                    ad: "ad".into(),
+                    label,
+                    features: features.into_iter().collect(),
+                }
+            })
+            .collect()
+    }
+
+    /// The configurations the oracle comparisons run under.
+    fn configs() -> Vec<LrConfig> {
+        vec![
+            LrConfig::default(),
+            LrConfig {
+                epochs: 0,
+                ..Default::default()
+            },
+            LrConfig {
+                epochs: 3,
+                learning_rate: 1.7,
+                l2: 0.2,
+                seed: 99,
+                negatives_per_positive: 2.5,
+            },
+        ]
+    }
+
+    fn bits(model: &LrModel) -> (u64, Vec<(String, u64)>) {
+        let weights = model.weights.iter();
+        let weights = weights.map(|(k, w)| (k.clone(), w.to_bits())).collect();
+        (model.bias.to_bits(), weights)
+    }
+
+    #[test]
+    fn the_interned_trainer_equals_the_name_keyed_one_bit_for_bit() {
+        let mut sets = vec![Vec::new(), separable(60), graded(80)];
+        for seed in 0..24 {
+            let positive = [0.0, 0.1, 0.5][seed as usize % 3];
+            sets.push(random_examples(seed, 5 + 3 * seed as usize, positive));
+        }
+        sets[3].push(example(1, &[]));
+        for (s, data) in sets.iter().enumerate() {
+            for config in configs() {
+                let (got, want) = (train(data, &config), oracle_train(data, &config));
+                // Same bias and weight bits, and — the map rebuilt in
+                // first-update order — the same iteration order.
+                assert_eq!(bits(&got), bits(&want), "set {s}, {config:?}");
+                if config.epochs == 0 {
+                    assert_eq!(got.dimensionality(), 0);
+                }
+            }
+        }
+    }
+
+    /// How `LrUdo` assembled examples before it borrowed names: one
+    /// `String`-keyed example per `(time, user)`, the last row's label.
+    fn oracle_assemble(events: &[temporal::Event]) -> Vec<Example> {
+        let mut examples: FxHashMap<(i64, String), Example> = FxHashMap::default();
+        for e in events {
+            let user = e.payload.get(0).as_str().unwrap().to_string();
+            let entry = examples
+                .entry((e.start(), user.clone()))
+                .or_insert_with(|| Example {
+                    time: e.start(),
+                    user,
+                    ad: String::new(),
+                    label: 0,
+                    features: FxHashMap::default(),
+                });
+            entry.label = e.payload.get(2).as_long().unwrap() as u8;
+            if let (Some(kw), Some(cnt)) = (e.payload.get(3).as_str(), e.payload.get(4).as_double())
+            {
+                entry.features.insert(kw.to_string(), cnt);
+            }
+        }
+        let mut data: Vec<Example> = examples.into_values().collect();
+        data.sort_by(|a, b| (a.time, &a.user).cmp(&(b.time, &b.user)));
+        data
+    }
+
+    /// `LrUdo::apply` over the rows of random example sets — several
+    /// sharing one `(time, user)`, some with a null keyword only —
+    /// publishes the rows the name-keyed oracle trains from the examples as
+    /// the UDO used to assemble them.
+    #[test]
+    fn the_udo_publishes_the_oracle_s_rows() {
+        use crate::queries::model::{LrUdo, BIAS_FEATURE};
+        use crate::queries::train_rows_payload;
+        use relation::{Row, Value};
+        use temporal::udo::WindowUdo;
+        use temporal::Event;
+        for seed in 0..16 {
+            let positive = [0.0, 0.3][seed as usize % 2];
+            let mut events = Vec::new();
+            for (i, e) in random_examples(100 + seed, 30, positive).iter().enumerate() {
+                let (time, user) = (i as i64 / 4, Value::str(format!("u{}", i % 3)));
+                let row = |kw: Value, cnt: f64| {
+                    let label = Value::Int(i32::from(e.label));
+                    let cells = [user.clone(), Value::str("ad"), label, kw];
+                    Row::new(cells.into_iter().chain([Value::Double(cnt)]).collect())
+                };
+                if e.features.is_empty() {
+                    events.push(Event::point(time, row(Value::Null, 1.0)));
+                }
+                for (kw, &cnt) in &e.features {
+                    events.push(Event::point(time, row(Value::str(kw), cnt)));
+                }
+            }
+            let assembled = oracle_assemble(&events);
+            for config in configs() {
+                let udo = LrUdo {
+                    config: config.clone(),
+                };
+                let got = udo.apply(0, &train_rows_payload(), &events).unwrap();
+                let got: Vec<(String, u64)> = (got.iter())
+                    .map(|r| {
+                        let name = r.get(0).as_str().unwrap().to_string();
+                        (name, r.get(1).as_double().unwrap().to_bits())
+                    })
+                    .collect();
+                let model = oracle_train(&assembled, &config);
+                let mut weights: Vec<(&String, &f64)> = model.weights.iter().collect();
+                weights.sort_by(|a, b| a.0.cmp(b.0));
+                let mut want = vec![(BIAS_FEATURE.to_string(), model.bias.to_bits())];
+                want.extend(weights.into_iter().map(|(k, w)| (k.clone(), w.to_bits())));
+                assert_eq!(got, want, "seed {seed}, {config:?}");
+            }
+        }
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! threshold sweeps are unaffected; CTR calibration happens downstream.)
 
 use super::{train_rows_payload, BtQuery};
-use crate::lr::{train, LrConfig};
+use crate::lr::{balance_by, fit, LrConfig};
 use crate::params::BtParams;
 use relation::schema::{ColumnType, Field};
 use relation::{Row, Schema};
@@ -23,7 +23,7 @@ use temporal::agg::AggExpr;
 use temporal::expr::{col, lit, Expr, Func};
 use temporal::plan::{Operator, Query};
 use temporal::udo::WindowUdo;
-use temporal::{Event, Time};
+use temporal::{Event, TemporalError, Time};
 use timr::{Annotation, ExchangeKey};
 
 /// Name of the intercept pseudo-feature in model weight streams.
@@ -55,47 +55,55 @@ impl WindowUdo for LrUdo {
         events: &[Event],
     ) -> temporal::Result<Vec<Row>> {
         // Assemble examples: rows sharing (time, user) belong to one
-        // example; Label repeats on each row.
+        // example, `(time, user) → (label, features)`; Label repeats on each
+        // row. Names stay borrowed from the events.
         let user_idx = input_schema.index_of("UserId")?;
         let label_idx = input_schema.index_of("Label")?;
         let kw_idx = input_schema.index_of("Keyword")?;
         let cnt_idx = input_schema.index_of("Cnt")?;
 
-        let mut examples: FxHashMap<(Time, String), crate::Example> = FxHashMap::default();
+        type Features<'a> = FxHashMap<&'a str, f64>;
+        let mut examples: FxHashMap<(Time, &str), (u8, Features)> = FxHashMap::default();
         for e in events {
             let user = e
                 .payload
                 .get(user_idx)
                 .as_str()
-                .ok_or_else(|| temporal::TemporalError::Eval("UserId not a string".into()))?
-                .to_string();
-            let entry = examples
-                .entry((e.start(), user.clone()))
-                .or_insert_with(|| crate::Example {
-                    time: e.start(),
-                    user,
-                    ad: String::new(),
-                    label: 0,
-                    features: FxHashMap::default(),
-                });
-            entry.label = e.payload.get(label_idx).as_int().unwrap_or(0) as u8;
-            if let (Some(kw), Some(cnt)) = (
-                e.payload.get(kw_idx).as_str(),
-                e.payload.get(cnt_idx).as_double(),
-            ) {
-                entry.features.insert(kw.to_string(), cnt);
+                .ok_or_else(|| TemporalError::Eval("UserId not a string".into()))?;
+            let label = match e.payload.get(label_idx).as_long() {
+                Some(l @ 0..=1) => l as u8,
+                _ => {
+                    return Err(TemporalError::Eval(format!(
+                        "column Label: expected 0 or 1, got {:?}",
+                        e.payload.get(label_idx)
+                    )))
+                }
+            };
+            let cnt = e.payload.get(cnt_idx).as_double().ok_or_else(|| {
+                TemporalError::Eval(format!(
+                    "column Cnt: expected a number, got {:?}",
+                    e.payload.get(cnt_idx)
+                ))
+            })?;
+            let (example_label, features) = examples.entry((e.start(), user)).or_default();
+            *example_label = label;
+            if let Some(kw) = e.payload.get(kw_idx).as_str() {
+                features.insert(kw, cnt);
             }
         }
-        let mut data: Vec<crate::Example> = examples.into_values().collect();
-        data.sort_by(|a, b| (a.time, &a.user).cmp(&(b.time, &b.user)));
+        let mut data: Vec<_> = examples.into_iter().collect();
+        data.sort_by(|a, b| a.0.cmp(&b.0));
 
-        let model = train(&data, &self.config);
-        let mut rows = Vec::with_capacity(model.weights.len() + 1);
-        rows.push(relation::row![BIAS_FEATURE, model.bias]);
-        let mut weights: Vec<(&String, &f64)> = model.weights.iter().collect();
+        let sample = balance_by(&data, |(_, (label, _))| *label, &self.config);
+        let features = sample
+            .iter()
+            .map(|(_, (label, features))| (*label, features.iter().map(|(&k, &v)| (k, v))));
+        let (bias, mut weights) = fit(features, &self.config);
         weights.sort_by(|a, b| a.0.cmp(b.0));
+        let mut rows = Vec::with_capacity(weights.len() + 1);
+        rows.push(relation::row![BIAS_FEATURE, bias]);
         for (feature, weight) in weights {
-            rows.push(relation::row![feature.as_str(), *weight]);
+            rows.push(relation::row![feature, weight]);
         }
         Ok(rows)
     }
@@ -208,7 +216,7 @@ pub fn scoring_query(_params: &BtParams) -> BtQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relation::row;
+    use relation::{row, Value};
     use temporal::exec::{bindings, execute_single};
     use temporal::{Event, EventStream};
 
@@ -235,6 +243,50 @@ mod tests {
         assert!(text.contains(" [per-run]\n"), "{text}");
         assert_eq!(text.matches("[per-run]").count(), 1, "{text}");
         assert!(text.contains("GroupInput [segmented]"), "{text}");
+    }
+
+    /// `LrUdo` over one training row whose `Label` and `Cnt` cells are the
+    /// values given: the error message, if it fails.
+    fn udo_on(label: Value, cnt: Value) -> Option<String> {
+        let udo = LrUdo {
+            config: LrConfig::default(),
+        };
+        let cells = vec![
+            Value::str("u1"),
+            Value::str("adA"),
+            label,
+            Value::str("hot"),
+            cnt,
+        ];
+        let events = [Event::point(10, Row::new(cells))];
+        let out = udo.apply(100, &train_rows_payload(), &events);
+        out.err().map(|e| e.to_string())
+    }
+
+    #[test]
+    fn the_udo_rejects_a_label_that_is_not_0_or_1() {
+        assert_eq!(udo_on(Value::Int(1), Value::Long(2)), None);
+        for bad in [
+            Value::Int(2),
+            Value::Int(-1),
+            Value::Long(256),
+            Value::Null,
+            Value::str("1"),
+        ] {
+            let err = udo_on(bad.clone(), Value::Long(2)).expect("must fail");
+            let want = format!("eval error: column Label: expected 0 or 1, got {bad:?}");
+            assert_eq!(err, want);
+        }
+    }
+
+    #[test]
+    fn the_udo_rejects_a_count_that_is_not_a_number() {
+        assert_eq!(udo_on(Value::Int(0), Value::Double(0.5)), None);
+        for bad in [Value::Null, Value::str("3"), Value::Bool(true)] {
+            let err = udo_on(Value::Int(0), bad.clone()).expect("must fail");
+            let want = format!("eval error: column Cnt: expected a number, got {bad:?}");
+            assert_eq!(err, want);
+        }
     }
 
     #[test]
@@ -320,7 +372,8 @@ mod tests {
 
     /// What a reducer sees: profiles and models bound as batches stay
     /// columns from the join to the root — the per-(user, ad) `Sum` is a
-    /// per-event aggregate, swept on the columns — and publish the events
+    /// per-event aggregate, swept on the columns into a batch, and the
+    /// sigmoid projects that batch — and publish the events
     /// the row-bound query and the reference do. `u3`'s contributions all
     /// start at one instant and do not add associatively, so the bytes pin
     /// the order a group's events are summed in.
@@ -367,8 +420,12 @@ mod tests {
         assert_eq!((stats.transposed_events, stats.row_fallbacks), (0, 0));
         assert_eq!(stats.groups, 6, "(u1, u2, u3) × (adA, adB)");
         assert!(on_rows.len() > 6);
-        let on_batch = roots.pop().unwrap().into_stream();
-        assert_eq!(on_batch.events(), reference.events());
+        let root = roots.pop().unwrap();
+        assert!(
+            matches!(root, StreamData::Batch(_)),
+            "the root stays a batch"
+        );
+        assert_eq!(root.into_stream().events(), reference.events());
     }
 
     #[test]

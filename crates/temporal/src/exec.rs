@@ -18,8 +18,8 @@
 //! TemporalJoin, AntiSemiJoin and Union read either layout where it lies
 //! and emit batches (the join always, the other two when their inputs are
 //! batches). GroupApply groups a batch on its columns and keeps it there
-//! when its sub-plan is per-event steps ending in one Aggregate. What still
-//! needs rows — GroupApply's segmented walk for every other sub-plan, the
+//! when its sub-plan is per-event steps ending in one Aggregate: the sweep
+//! writes a keyed batch. What still needs rows — GroupApply's segmented walk for every other sub-plan, the
 //! UDOs, SpreadGrid — transposes at its own input and says so in
 //! [`ExecStats::transposed_events`].
 //! [`execute_reference`] is the independent oracle tests compare against.
@@ -69,14 +69,16 @@ pub type DataBindings = FxHashMap<String, StreamData>;
 /// column-major form the TiMR bridge decodes shuffled extents into, consumed
 /// by the operators with columnar kernels (fused fragments, Aggregate, and
 /// GroupApply's grouping, its pane kernel and its per-event-aggregate path,
-/// none of which leaves the columns) and produced by the binary operators
-/// (TemporalJoin from any inputs; AntiSemiJoin and Union from batch
-/// inputs). GroupApply's segmented walk (any other sub-plan, or a
+/// none of which leaves the columns). Batches are produced by fused
+/// fragments over a batch, by the binary operators (TemporalJoin from any
+/// inputs; AntiSemiJoin and Union from batch inputs) and by GroupApply's
+/// per-event-aggregate path (key columns, lifetimes and one typed column
+/// per aggregate). GroupApply's segmented walk (any other sub-plan, or a
 /// per-event aggregate whose columnar attempt failed), the UDOs and
-/// SpreadGrid convert a batch back to rows at their input, and a fragment
-/// or join whose result has no dense column form finishes on rows — so
-/// every plan runs on either layout with byte-identical output. Both forms
-/// are `Arc`-backed: a clone is O(1).
+/// SpreadGrid convert a batch back to rows at their input, and a fragment,
+/// join, union or per-event aggregate whose result has no dense column form
+/// finishes on rows — so every plan runs on either layout with
+/// byte-identical output. Both forms are `Arc`-backed: a clone is O(1).
 #[derive(Debug, Clone)]
 pub enum StreamData {
     /// Row-major event storage.
@@ -147,7 +149,9 @@ pub struct ExecStats {
     /// Operators that held columns and finished on rows because their
     /// result had no dense column form: a fused fragment whose projection
     /// mixed runtime types across rows, a TemporalJoin over an ill-typed row
-    /// input, a Union of batches storing one column in two variants.
+    /// input, a Union of batches storing one column in two variants, a
+    /// GroupApply per-event aggregate whose value left its declared type (a
+    /// `Double` in an integer `Sum`).
     pub row_fallbacks: u64,
     /// Events the executor itself converted from a batch to rows at an
     /// operator's input: GroupApply's segmented walk (a sub-plan that is not
@@ -494,9 +498,7 @@ fn apply_unsegmented(
         Operator::Source { name, schema } => bound_source(sources, name, schema)?.clone(),
         Operator::GroupApply { keys, subplan } => {
             let input = pop("group_apply has one input");
-            StreamData::Rows(operators::group_apply(
-                input, keys, subplan, sources, stats,
-            )?)
+            operators::group_apply(input, keys, subplan, sources, stats)?
         }
         Operator::TemporalJoin { keys, residual } => {
             let right = pop("temporal_join has two inputs");

@@ -20,9 +20,12 @@
 //! There is one sweep ([`sweep_runs`]). Under a GroupApply it runs over
 //! every group's run at once: arguments are compiled and evaluated in one
 //! pass into one buffer, and one endpoint buffer is refilled, sorted and
-//! swept run by run — a run boundary is just one more empty snapshot. Over a batch ([`aggregate_batch_runs`]) the runs are a
-//! permutation of the batch's rows: arguments come off the columns and
-//! lifetimes off the lifetime vectors, in run order. The top-level
+//! swept run by run — a run boundary is just one more empty snapshot. Over
+//! a batch ([`sweep_batch_runs`]) the runs are a permutation of the batch's
+//! rows: arguments come off the columns and lifetimes off the lifetime
+//! vectors, in run order. The sweep hands each output segment to its
+//! caller, which collects rows ([`RowRuns`]) or, under GroupApply's
+//! columnar path, writes columns. The top-level
 //! operators (rows and columns) and the reference operator
 //! ([`crate::operators::interpreted::aggregate`]) are its one-run case, so
 //! they can only differ in how the per-event argument values are produced
@@ -87,13 +90,15 @@ pub(crate) fn aggregate_runs(
             });
         }
     }
-    Ok(sweep_runs(
+    let mut out = RowRuns::new(bounds.len() - 1);
+    sweep_runs(
         bounds,
         |i| events[i].lifetime,
         aggs,
         &arg_values,
-        out_schema,
-    ))
+        |run, lt, v| out.push(run, lt, v),
+    );
+    Ok(out.finish(out_schema))
 }
 
 /// Columnar entry: argument values come off the columns (a bare column is
@@ -102,35 +107,38 @@ pub(crate) fn aggregate_runs(
 /// never materialized as a stream, and the output is byte-identical to
 /// [`aggregate`] on the equivalent rows.
 pub fn aggregate_batch(input: &EventBatch, aggs: &[(String, AggExpr)]) -> Result<EventStream> {
-    Ok(aggregate_batch_runs(input, None, &[0, input.len()], aggs)?.stream)
+    let mut out = RowRuns::new(1);
+    let out_schema = sweep_batch_runs(input, None, &[0, input.len()], aggs, |run, lt, v| {
+        out.push(run, lt, v)
+    })?;
+    Ok(out.finish(out_schema).stream)
 }
 
-/// Snapshot aggregates of the rows of `input` that `rows` names (all of
-/// them when `None`), taken in that order and cut into runs at `bounds` (as
-/// in [`Runs`]): GroupApply's columnar path hands it its run-order
-/// permutation, and [`aggregate_batch`] is its one-run case. Nothing is
+/// The sweep over the rows of `input` that `rows` names (all of them when
+/// `None`), taken in that order and cut into runs at `bounds` (as in
+/// [`Runs`]), handing each output segment to `emit` with its run (see
+/// [`sweep_runs`]); returns the output schema. GroupApply's columnar path
+/// hands it its run-order permutation and writes the segments straight
+/// into columns; [`aggregate_batch`] is its one-run case. Nothing is
 /// gathered but the argument values.
-pub(crate) fn aggregate_batch_runs(
+pub(crate) fn sweep_batch_runs(
     input: &EventBatch,
     rows: Option<&[u32]>,
     bounds: &[usize],
     aggs: &[(String, AggExpr)],
-) -> Result<Runs> {
+    emit: impl FnMut(usize, Lifetime, &[Value]),
+) -> Result<Schema> {
     let in_schema = input.schema();
     let out_schema = output_schema(aggs, in_schema)?;
     let compiled: Vec<_> = aggs.iter().map(|(_, a)| a.compile_arg(in_schema)).collect();
     let arg_values = batch_args(input.payload(), rows, &compiled)?;
     let (vt, ve) = (input.vt(), input.ve());
-    Ok(sweep_runs(
-        bounds,
-        |i| {
-            let row = rows.map_or(i, |r| r[i] as usize);
-            Lifetime::new(vt[row], ve[row])
-        },
-        aggs,
-        &arg_values,
-        out_schema,
-    ))
+    let lifetime = |i: usize| {
+        let row = rows.map_or(i, |r| r[i] as usize);
+        Lifetime::new(vt[row], ve[row])
+    };
+    sweep_runs(bounds, lifetime, aggs, &arg_values, emit);
+    Ok(out_schema)
 }
 
 /// Each aggregate's argument (`compiled`, as [`AggExpr::compile_arg`] gives
@@ -196,13 +204,17 @@ fn scalar_args(
 /// through every run of a batch; the real-time session ([`crate::rt`])
 /// keeps one per live group across punctuations. Both advance it only
 /// through [`Sweep::instant`], so the snapshot-aggregate semantics have one
-/// definition.
+/// definition. The open segment's value and the next snapshot's are two
+/// reused buffers, so an instant allocates nothing.
 #[derive(Debug, Clone)]
 pub(crate) struct Sweep {
     accs: Vec<Accumulator>,
     active: i64,
-    /// The open segment: its start and value.
-    open: Option<(Time, Row)>,
+    /// The open segment's start; its value is `value`.
+    open: Option<Time>,
+    value: Vec<Value>,
+    /// The snapshot just taken, and after a segment closes, its value.
+    next: Vec<Value>,
 }
 
 impl Sweep {
@@ -212,25 +224,28 @@ impl Sweep {
             accs: aggs.iter().map(|(_, a)| a.accumulator()).collect(),
             active: 0,
             open: None,
+            value: Vec::with_capacity(aggs.len()),
+            next: Vec::with_capacity(aggs.len()),
         }
     }
 
     /// The open segment (start, value); `None` exactly when no event is
     /// active.
-    pub(crate) fn open(&self) -> Option<&(Time, Row)> {
-        self.open.as_ref()
+    pub(crate) fn open(&self) -> Option<(Time, &[Value])> {
+        self.open.map(|start| (start, &self.value[..]))
     }
 
     /// The per-instant step. Apply every endpoint at instant `t` — each an
     /// `(is_start, argument values)` pair, in `(is_start, event)` order, so
     /// ends before starts — then settle the snapshot from `t` on. Returns the
-    /// segment this closes: the value changed, or the active set emptied.
+    /// segment this closes, with its value: the value changed, or the active
+    /// set emptied.
     #[inline]
     pub(crate) fn instant<'a>(
         &mut self,
         t: Time,
         changes: impl IntoIterator<Item = (bool, &'a [Value])>,
-    ) -> Option<Event> {
+    ) -> Option<(Lifetime, &[Value])> {
         for (is_start, args) in changes {
             for (acc, v) in self.accs.iter_mut().zip(args) {
                 if is_start {
@@ -241,51 +256,47 @@ impl Sweep {
             }
             self.active += if is_start { 1 } else { -1 };
         }
-        let value = if self.active > 0 {
-            Some(Row::new(self.accs.iter().map(|a| a.value()).collect()))
+        let active = self.active > 0;
+        self.next.clear();
+        if active {
+            self.next.extend(self.accs.iter().map(|a| a.value()));
         } else {
             // The burst is over (every run ends this way): the next one
             // starts from fresh accumulators.
             self.accs.iter_mut().for_each(|a| a.reset());
-            None
-        };
+        }
         // Close the open segment if the value changed; coalescing is just
         // "don't close when equal".
-        match (&mut self.open, value) {
-            (Some((_, row)), Some(new_row)) if *row == new_row => None,
-            (open, new_value) => {
-                let closed = open
-                    .take()
-                    .map(|(start, row)| Event::new(Lifetime::new(start, t), row));
-                *open = new_value.map(|row| (t, row));
-                closed
-            }
+        if active && self.open.is_some() && self.value == self.next {
+            return None;
         }
+        std::mem::swap(&mut self.value, &mut self.next);
+        let closed = std::mem::replace(&mut self.open, active.then_some(t));
+        closed.map(|start| (Lifetime::new(start, t), &self.next[..]))
     }
 }
 
 /// The endpoint sweep over pre-evaluated argument values (one flat buffer,
 /// stride `aggs.len()`, event-major), run by run, reading lifetimes through
-/// an accessor so row streams and column-major batches share it.
+/// an accessor so row streams and column-major batches share it. Each
+/// output segment goes to `emit` as `(run, lifetime, value)`, in run order
+/// and, inside a run, in time order.
 pub(crate) fn sweep_runs(
     bounds: &[usize],
     lifetime: impl Fn(usize) -> Lifetime,
     aggs: &[(String, AggExpr)],
     arg_values: &[Value],
-    out_schema: Schema,
-) -> Runs {
+    mut emit: impl FnMut(usize, Lifetime, &[Value]),
+) {
     let n_aggs = aggs.len();
     let mut sweep = Sweep::new(aggs);
-    let mut out: Vec<Event> = Vec::new();
-    let mut out_bounds = Vec::with_capacity(bounds.len());
-    out_bounds.push(0);
     // One endpoint buffer, refilled run by run so a run's endpoints are
     // sorted and swept while they are still in cache: (time, is_start,
     // event index), in that order of precedence. Event indices fit in a
     // `u32`, as in every selection and permutation of the engine.
     debug_assert!(bounds[bounds.len() - 1] <= u32::MAX as usize);
     let mut endpoints: Vec<(Time, bool, u32)> = Vec::new();
-    for run in bounds.windows(2) {
+    for (r, run) in bounds.windows(2).enumerate() {
         endpoints.clear();
         for i in run[0]..run[1] {
             let lt = lifetime(i);
@@ -302,16 +313,46 @@ pub(crate) fn sweep_runs(
                 let i = i as usize;
                 (is_start, &arg_values[i * n_aggs..(i + 1) * n_aggs])
             });
-            out.extend(sweep.instant(t, changes));
+            if let Some((lifetime, value)) = sweep.instant(t, changes) {
+                emit(r, lifetime, value);
+            }
             idx += at_t;
         }
         debug_assert!(sweep.open.is_none(), "sweep ended with an open segment");
-        out_bounds.push(out.len());
+    }
+}
+
+/// The segments of [`sweep_runs`] collected as row runs.
+pub(crate) struct RowRuns {
+    events: Vec<Event>,
+    bounds: Vec<usize>,
+}
+
+impl RowRuns {
+    /// Room for `runs` runs.
+    pub(crate) fn new(runs: usize) -> RowRuns {
+        RowRuns {
+            events: Vec::new(),
+            bounds: vec![0; runs + 1],
+        }
     }
 
-    Runs {
-        stream: EventStream::new(out_schema, out),
-        bounds: out_bounds,
+    /// One segment of run `run` (runs arrive in order).
+    pub(crate) fn push(&mut self, run: usize, lifetime: Lifetime, value: &[Value]) {
+        self.events
+            .push(Event::new(lifetime, Row::new(value.to_vec())));
+        self.bounds[run + 1] = self.events.len();
+    }
+
+    /// The runs, a run with no segment as an empty one.
+    pub(crate) fn finish(mut self, schema: Schema) -> Runs {
+        for r in 1..self.bounds.len() {
+            self.bounds[r] = self.bounds[r].max(self.bounds[r - 1]);
+        }
+        Runs {
+            stream: EventStream::new(schema, self.events),
+            bounds: self.bounds,
+        }
     }
 }
 

@@ -7,10 +7,12 @@
 //! this reduces to "drop covered points". Interval left events are split
 //! into surviving fragments.
 //!
-//! Keys are hash-then-compare ([`KeySelector`]); covers for distinct keys
-//! that collide on the hash stay separate (each keeps a representative
-//! right event for the cell comparison — merging covers across colliding
-//! keys would wrongly subtract one key's intervals from another's events).
+//! Keys are hash-then-compare ([`KeySelector`]): the right side is indexed
+//! as key-exact classes ([`KeyClasses`]), one merged cover per distinct
+//! key, so covers for distinct keys that collide on the hash stay separate
+//! (merging them would wrongly subtract one key's intervals from another's
+//! events), and a left event compares its key cells once, against its
+//! bucket's class representatives.
 //!
 //! Both inputs are read where they lie ([`Side`]). What survives is first
 //! written down as an index list with new lifetimes — a left event that
@@ -24,17 +26,9 @@ use crate::error::Result;
 use crate::event::Event;
 use crate::exec::StreamData;
 use crate::key::KeySelector;
-use crate::operators::side::Side;
+use crate::operators::side::{KeyClasses, Side};
 use crate::stream::EventStream;
 use crate::time::{merge_intervals, Lifetime};
-use rustc_hash::FxHashMap;
-
-/// One right-side key's merged cover, with a representative right event to
-/// resolve hash collisions by actual cell comparison.
-struct Cover {
-    repr: usize,
-    intervals: Vec<Lifetime>,
-}
 
 /// Subtract from `left` the time ranges covered by key-matching events of
 /// `right`. The output keeps `left`'s layout.
@@ -49,26 +43,12 @@ pub fn anti_semi_join(
     let rsel = KeySelector::new(right.schema(), &rnames)?;
     let right = Side::of(right);
 
-    // Per key: merged, disjoint, sorted cover of the right side.
-    let mut covers: FxHashMap<u64, Vec<Cover>> = FxHashMap::default();
-    for (ri, hash) in right.key_hashes(&rsel).into_iter().enumerate() {
-        let bucket = covers.entry(hash).or_default();
-        match bucket
-            .iter_mut()
-            .find(|c| right.key_eq(&rsel, c.repr, &right, &rsel, ri))
-        {
-            Some(c) => c.intervals.push(right.lifetime(ri)),
-            None => bucket.push(Cover {
-                repr: ri,
-                intervals: vec![right.lifetime(ri)],
-            }),
-        }
-    }
-    for bucket in covers.values_mut() {
-        for c in bucket {
-            let merged = merge_intervals(std::mem::take(&mut c.intervals));
-            c.intervals = merged;
-        }
+    // Per key class: merged, disjoint, sorted cover of the right side.
+    let mut covers = KeyClasses::build(right, &rsel, Vec::new, |cover, ri| {
+        cover.push(right.lifetime(ri))
+    });
+    for cover in covers.values_mut() {
+        *cover = merge_intervals(std::mem::take(cover));
     }
 
     // The survivors: left event `idx[k]` over `[vt[k], ve[k])`.
@@ -84,14 +64,10 @@ pub fn anti_semi_join(
         ve.push(lifetime.end);
     };
     for (i, hash) in side.key_hashes(&lsel).into_iter().enumerate() {
-        let cover = covers.get(&hash).and_then(|b| {
-            b.iter()
-                .find(|c| side.key_eq(&lsel, i, &right, &rsel, c.repr))
-        });
-        match cover {
+        match covers.find(hash, &side, &lsel, i) {
             None => keep(i, side.lifetime(i)),
-            Some(c) => {
-                for fragment in side.lifetime(i).subtract_all(&c.intervals) {
+            Some(cover) => {
+                for fragment in side.lifetime(i).subtract_all(cover) {
                     keep(i, fragment);
                 }
             }

@@ -13,10 +13,14 @@
 //!   a batch stay on the columns: the fused batch kernel runs the steps, a
 //!   run-order permutation of the survivors is built by the same counting
 //!   sort the row runs use, and the endpoint sweep reads the arguments and
-//!   lifetimes through it ([`aggregate_batch_runs`]). No event becomes a
-//!   row. Any error, or a projection with no dense column form, sends the
-//!   input to the segmented walk instead, which reports the reference's
-//!   error.
+//!   lifetimes through it ([`sweep_batch_runs`]) and writes its segments
+//!   straight into a batch — the lifetimes, one typed column per aggregate,
+//!   and the key columns gathered once per output event from its run's
+//!   representative event. No event becomes a row, on the way in or out.
+//!   Any error, or a projection with no dense column form, sends the input
+//!   to the segmented walk instead, which reports the reference's error; an
+//!   aggregate value with no column form (a `Double` in an integer `Sum`)
+//!   finishes that output on rows, counted in `ExecStats::row_fallbacks`.
 //!
 //! Grouping is hash-then-compare, on the columns of a batch and the cells
 //! of a row stream alike: each event gets a group ordinal from the 64-bit
@@ -24,9 +28,9 @@
 //! distinct keys are separated by comparing key cells against the group's
 //! first event, the *groups* — not the events — are sorted by key cells,
 //! and a stable counting sort puts the events into sorted-key run order, so
-//! the order inside a group is the input's. One key per group is
-//! materialized for the prefix, which is attached once, at the sub-plan's
-//! root.
+//! the order inside a group is the input's. On the row paths one key per
+//! group is materialized for the prefix, which is attached once, at the
+//! sub-plan's root.
 //!
 //! Every path covers every run on the caller's thread, and the keys are
 //! attached once to its root, so the output event vector is a pure function
@@ -43,13 +47,14 @@ use crate::error::{Result, TemporalError};
 use crate::event::Event;
 use crate::exec::{walk_runs, DataBindings, ExecStats, StreamData};
 use crate::key::KeySelector;
-use crate::operators::aggregate::aggregate_batch_runs;
+use crate::operators::aggregate::{sweep_batch_runs, RowRuns};
 use crate::operators::fused::{fused_select, Selected, Selection};
 use crate::operators::pane::pane_aggregate;
 use crate::plan::{hopping_aggregate, per_event_aggregate, LogicalPlan, PerEventAggregate};
 use crate::stream::EventStream;
 use crate::time::Lifetime;
-use relation::{Row, Schema, Value};
+use relation::column::ColumnBuilder;
+use relation::{ColumnBatch, Row, Schema, Value};
 use rustc_hash::FxHashMap;
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
@@ -201,10 +206,10 @@ impl Cut {
 /// output rows. The plan alone picks the path (see the module docs): a pane
 /// aggregate ([`hopping_aggregate`] and `pane_grid`) runs on the pane kernel
 /// ([`pane_aggregate`]); over a batch, a per-event aggregate
-/// ([`per_event_aggregate`]) runs on the columns ([`sweep_columns`]);
-/// everything else — and the columnar path's fallback — is the segmented
-/// walk, over rows, which transposes a batch input (counted in
-/// [`ExecStats::transposed_events`]). A batch is grouped on its columns
+/// ([`per_event_aggregate`]) runs on the columns ([`sweep_columns`]) and
+/// returns a batch; everything else — and the columnar path's fallback — is
+/// the segmented walk, over rows, which transposes a batch input (counted
+/// in [`ExecStats::transposed_events`]). A batch is grouped on its columns
 /// whichever path follows. `sources` are the outer bindings a sub-plan
 /// `Source` reads.
 pub(crate) fn group_apply(
@@ -213,7 +218,7 @@ pub(crate) fn group_apply(
     subplan: &LogicalPlan,
     sources: &DataBindings,
     stats: &mut ExecStats,
-) -> Result<EventStream> {
+) -> Result<StreamData> {
     let sel = KeySelector::new(input.schema(), keys)?;
 
     // Output schema: key fields + sub-plan output fields.
@@ -228,53 +233,80 @@ pub(crate) fn group_apply(
     if let Some(shape) = hopping_aggregate(subplan) {
         if let Some(grid) = shape.pane_grid() {
             if let Some(events) = pane_aggregate(&input, &sel, grid, shape.aggs, stats)? {
-                return Ok(EventStream::new(out_schema, events));
+                return Ok(StreamData::Rows(EventStream::new(out_schema, events)));
             }
         }
     }
 
     let groups = key_groups(&input, &sel);
-    stats.groups += groups.keys.len() as u64;
-    if groups.keys.is_empty() {
+    stats.groups += groups.firsts.len() as u64;
+    if groups.firsts.is_empty() {
         // No group, so the sub-plan never runs (nor fails).
-        return Ok(EventStream::new(out_schema, Vec::new()));
+        return Ok(StreamData::Rows(EventStream::new(out_schema, Vec::new())));
     }
     stats.per_run_nodes += subplan.nodes().iter().filter(|n| !n.op.segmented()).count() as u64;
 
     let swept = match (&input, per_event_aggregate(subplan)) {
-        (StreamData::Batch(batch), Ok(shape)) => sweep_columns(batch.clone(), &groups, &shape),
+        (StreamData::Batch(batch), Ok(shape)) => {
+            sweep_columns(batch, &sel, &groups, &shape, &out_schema)
+        }
         _ => None,
     };
+    let swept = match swept {
+        Some(Swept::Batch(batch)) => return Ok(StreamData::Batch(batch)),
+        swept => swept,
+    };
+    let run_keys = groups.run_keys(&input, &sel);
     let root = match swept {
-        Some(root) => root,
-        None => walk_runs(
+        Some(Swept::Rows(root)) => {
+            stats.row_fallbacks += 1;
+            root
+        }
+        _ => walk_runs(
             subplan,
             runs_of(stats.transpose(input), &groups),
             sources,
             stats,
         )?,
     };
-    Ok(EventStream::new(
+    Ok(StreamData::Rows(EventStream::new(
         out_schema,
-        attach_keys(root, &groups.keys),
-    ))
+        attach_keys(root, &run_keys),
+    )))
+}
+
+/// What the columnar path answers.
+enum Swept {
+    /// The output: key columns, then aggregates.
+    Batch(EventBatch),
+    /// The aggregates as row runs, for the caller to prefix with the keys:
+    /// some value had no column form.
+    Rows(Runs),
 }
 
 /// The columnar path: a per-event aggregate sub-plan over every group of
-/// `batch` at once. The fused kernel runs the steps over the whole batch;
-/// the survivors are put in run order by [`run_order`] — each group's in
-/// its input order, as in the row runs — and the aggregate reads its
-/// arguments and lifetimes through that permutation. `None` when the
-/// columns cannot answer: a step or an argument failed, or a projection has
-/// no dense column form. The caller then walks the runs on rows, which
-/// reports a failure in the reference's order.
+/// `input` at once, answering in `out_schema` (the keys, then the
+/// aggregates). The fused kernel runs the steps over the whole batch; the
+/// survivors are put in run order by [`run_order`] — each group's in its
+/// input order, as in the row runs — and the aggregate reads its arguments
+/// and lifetimes through that permutation. The sweep writes its output
+/// segments straight into columns: the lifetimes, one typed column per
+/// aggregate, and the key columns gathered from each run's representative
+/// event. `None` when the columns cannot answer: a step or an argument
+/// failed, or a projection has no dense column form; the caller then walks
+/// the runs on rows, which reports a failure in the reference's order. An
+/// aggregate value that does not inhabit its declared type (a `Double` in
+/// an integer `Sum`) has no column either: then the output is swept again,
+/// into rows.
 fn sweep_columns(
-    batch: EventBatch,
+    input: &EventBatch,
+    key_sel: &KeySelector,
     groups: &KeyedGroups,
     shape: &PerEventAggregate,
-) -> Option<Runs> {
+    out_schema: &Schema,
+) -> Option<Swept> {
     let Selected::Columns(Selection { batch, sel, origin }) =
-        fused_select(batch, &shape.steps).ok()?
+        fused_select(input.clone(), &shape.steps).ok()?
     else {
         return None;
     };
@@ -284,7 +316,34 @@ fn sweep_columns(
         .collect();
     let (mut perm, bounds) = run_order(&ordinals, &groups.order);
     perm.iter_mut().for_each(|j| *j = rows[*j as usize]);
-    aggregate_batch_runs(&batch, Some(&perm), &bounds, shape.aggs).ok()
+
+    let sweep = |emit: &mut dyn FnMut(usize, Lifetime, &[Value])| {
+        sweep_batch_runs(&batch, Some(&perm), &bounds, shape.aggs, emit)
+    };
+    let agg_fields = &out_schema.fields()[key_sel.indices().len()..];
+    let mut aggs: Vec<ColumnBuilder> = agg_fields
+        .iter()
+        .map(|f| ColumnBuilder::new(f, 0))
+        .collect();
+    let (mut vt, mut ve, mut key_rows) = (Vec::new(), Vec::new(), Vec::new());
+    let mut dense = true;
+    let agg_schema = sweep(&mut |run, lifetime, value| {
+        vt.push(lifetime.start);
+        ve.push(lifetime.end);
+        key_rows.push(groups.firsts[run]);
+        dense = dense && (aggs.iter_mut().zip(value)).all(|(c, v)| c.push(v).is_ok());
+    })
+    .ok()?;
+    if !dense {
+        let mut runs = RowRuns::new(bounds.len() - 1);
+        sweep(&mut |run, lifetime, value| runs.push(run, lifetime, value)).ok()?;
+        return Some(Swept::Rows(runs.finish(agg_schema)));
+    }
+    let payload = input.payload();
+    let keys = (key_sel.indices().iter()).map(|&k| payload.column(k).gather(&key_rows));
+    let columns = keys.chain(aggs.into_iter().map(ColumnBuilder::finish));
+    let payload = ColumnBatch::new(out_schema.clone(), columns.collect(), vt.len());
+    Some(Swept::Batch(EventBatch::new(vt, ve, payload)))
 }
 
 /// Events numbered by group, in first-seen order.
@@ -341,8 +400,24 @@ struct KeyedGroups {
     ordinals: Vec<u32>,
     /// The groups by key: run `r` is group `order[r]`.
     order: Vec<u32>,
-    /// Run `r`'s key, materialized once.
-    keys: Vec<Vec<Value>>,
+    /// Run `r`'s first event: the representative its key is read off.
+    firsts: Vec<u32>,
+}
+
+impl KeyedGroups {
+    /// Each run's key, materialized once: what the row paths prepend.
+    fn run_keys(&self, input: &StreamData, sel: &KeySelector) -> Vec<Vec<Value>> {
+        let firsts = self.firsts.iter().map(|&i| i as usize);
+        match input {
+            StreamData::Rows(stream) => {
+                let events = stream.events();
+                firsts.map(|i| sel.extract(&events[i].payload)).collect()
+            }
+            StreamData::Batch(batch) => firsts
+                .map(|i| sel.extract_batch(batch.payload(), i))
+                .collect(),
+        }
+    }
 }
 
 /// Group `input` by `sel`, reading a batch's key cells off its columns and
@@ -356,7 +431,6 @@ fn key_groups(input: &StreamData, sel: &KeySelector) -> KeyedGroups {
                 |i| sel.hash(&events[i].payload),
                 |i, j| sel.matches_same(&events[i].payload, &events[j].payload),
                 |i, j| sel.cmp_same(&events[i].payload, &events[j].payload),
-                |i| sel.extract(&events[i].payload),
             )
         }
         StreamData::Batch(batch) => {
@@ -367,30 +441,27 @@ fn key_groups(input: &StreamData, sel: &KeySelector) -> KeyedGroups {
                 |i| hashes[i],
                 |i, j| sel.matches_batch(payload, i, j),
                 |i, j| sel.cmp_batch(payload, i, j),
-                |i| sel.extract_batch(payload, i),
             )
         }
     }
 }
 
 /// [`assign_groups`], then the groups sorted by `cmp_key` over their first
-/// events — distinct groups have distinct keys, so the order is total — and
-/// one `key` each.
+/// events — distinct groups have distinct keys, so the order is total.
 fn sorted_groups(
     n: usize,
     hash: impl Fn(usize) -> u64,
     same_key: impl Fn(usize, usize) -> bool,
     cmp_key: impl Fn(usize, usize) -> Ordering,
-    key: impl Fn(usize) -> Vec<Value>,
 ) -> KeyedGroups {
     let Groups { first, ordinals } = assign_groups(n, hash, same_key);
     let mut order: Vec<u32> = (0..first.len() as u32).collect();
     order.sort_unstable_by(|&a, &b| cmp_key(first[a as usize], first[b as usize]));
-    let keys = order.iter().map(|&g| key(first[g as usize])).collect();
+    let firsts = order.iter().map(|&g| first[g as usize] as u32).collect();
     KeyedGroups {
         ordinals,
         order,
-        keys,
+        firsts,
     }
 }
 
@@ -469,7 +540,8 @@ mod tests {
         let sel = KeySelector::new(&schema(), &["Id"]).unwrap();
         let input = StreamData::Rows(EventStream::new(schema(), events));
         let groups = key_groups(&input, &sel);
-        (runs_of(input.into_stream(), &groups), groups.keys)
+        let keys = groups.run_keys(&input, &sel);
+        (runs_of(input.into_stream(), &groups), keys)
     }
 
     #[test]

@@ -13,6 +13,7 @@ use crate::agg::AggExpr;
 use crate::error::{Result, TemporalError};
 use crate::event::Event;
 use crate::expr::Expr;
+use crate::operators::aggregate::{sweep_runs, RowRuns};
 use crate::plan::{LifetimeOp, LogicalPlan};
 use crate::stream::EventStream;
 use crate::time::{ceil_to_grid, merge_intervals, Duration, Lifetime};
@@ -80,14 +81,16 @@ pub fn aggregate(input: &EventStream, aggs: &[(String, AggExpr)]) -> Result<Even
         }
     }
     let events = input.events();
-    Ok(crate::operators::aggregate::sweep_runs(
-        &[0, events.len()],
+    let mut out = RowRuns::new(1);
+    let bounds = [0, events.len()];
+    sweep_runs(
+        &bounds,
         |i| events[i].lifetime,
         aggs,
         &arg_values,
-        out_schema,
-    )
-    .stream)
+        |r, lt, v| out.push(r, lt, v),
+    );
+    Ok(out.finish(out_schema).stream)
 }
 
 /// Interpreted GroupApply: `Vec<Value>` key per event, clones group events.

@@ -9,6 +9,14 @@
 //! column builders. Hashes and comparisons agree bit for bit between the
 //! layouts ([`KeySelector::hash_batch`], [`Column::cell_eq`]), so an
 //! operator written over sides gives one answer whatever mix it is handed.
+//!
+//! The build side of the joins and the set difference is indexed once, as
+//! **key-exact classes** ([`KeyClasses`]): events are bucketed by key hash,
+//! and a bucket splits into one class per distinct key, each with a
+//! representative event. Distinct keys that collide on the hash are thus
+//! told apart once per build event, and a probing event compares its key
+//! cells once, against the representatives of its bucket (almost always
+//! one), instead of once per candidate it meets.
 
 use crate::batch::EventBatch;
 use crate::event::Event;
@@ -16,8 +24,10 @@ use crate::exec::StreamData;
 use crate::key::KeySelector;
 use crate::time::Lifetime;
 use relation::{Column, ColumnBatch, Row, Schema, Value};
+use rustc_hash::FxHashMap;
 
 /// A borrowed operator input in the layout it arrived in.
+#[derive(Clone, Copy)]
 pub(crate) enum Side<'a> {
     Rows(&'a [Event]),
     Batch(&'a EventBatch),
@@ -114,5 +124,62 @@ impl<'a> Side<'a> {
                 Some(columns.iter().map(|c| c.gather(idx)).collect())
             }
         }
+    }
+}
+
+/// One input's events grouped into key-exact classes under one selector,
+/// each class folded into a value of type `T` (its members, its merged
+/// cover, …).
+pub(crate) struct KeyClasses<'a, T> {
+    side: Side<'a>,
+    sel: &'a KeySelector,
+    /// Key hash → the classes whose keys share it, each as (representative
+    /// event, value).
+    by_hash: FxHashMap<u64, Vec<(u32, T)>>,
+}
+
+impl<'a, T> KeyClasses<'a, T> {
+    /// Fold every event of `side`, in input order, into the class of its
+    /// key under `sel`: a class starts from `new()` at its first event (its
+    /// representative), and `add(value, i)` records event `i`.
+    pub(crate) fn build(
+        side: Side<'a>,
+        sel: &'a KeySelector,
+        new: impl Fn() -> T,
+        mut add: impl FnMut(&mut T, usize),
+    ) -> Self {
+        let mut by_hash: FxHashMap<u64, Vec<(u32, T)>> = FxHashMap::default();
+        for (i, hash) in side.key_hashes(sel).into_iter().enumerate() {
+            let bucket = by_hash.entry(hash).or_default();
+            let class = (bucket.iter())
+                .position(|(repr, _)| side.key_eq(sel, *repr as usize, &side, sel, i));
+            let class = class.unwrap_or_else(|| {
+                bucket.push((i as u32, new()));
+                bucket.len() - 1
+            });
+            add(&mut bucket[class].1, i);
+        }
+        KeyClasses { side, sel, by_hash }
+    }
+
+    /// Every class's value.
+    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut T> {
+        (self.by_hash.values_mut()).flat_map(|bucket| bucket.iter_mut().map(|(_, v)| v))
+    }
+
+    /// The class holding the key of `probe`'s event `i` under `probe_sel`,
+    /// whose key hash is `hash`: the one key comparison per probing event.
+    pub(crate) fn find(
+        &self,
+        hash: u64,
+        probe: &Side,
+        probe_sel: &KeySelector,
+        i: usize,
+    ) -> Option<&T> {
+        let bucket = self.by_hash.get(&hash)?;
+        let mut classes = bucket.iter();
+        let class = classes
+            .find(|(repr, _)| probe.key_eq(probe_sel, i, &self.side, self.sel, *repr as usize));
+        class.map(|(_, value)| value)
     }
 }

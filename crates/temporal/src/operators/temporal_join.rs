@@ -10,12 +10,15 @@
 //! the general interval intersection: a point `[t, t+1)` intersects exactly
 //! the right events whose lifetimes contain `t`.
 //!
-//! Keys are hash-then-compare ([`KeySelector`]): both sides bucket by the
-//! 64-bit hash of their key cells, with no per-event `Vec<Value>` key
-//! allocation; colliding distinct keys are rejected by an index-wise cell
-//! comparison per candidate pair. Buckets stay sorted by `(LE, RE)` —
-//! stable, so events with equal lifetimes keep input order — which makes
-//! the output event order identical to a by-key index, collisions or not.
+//! Keys are hash-then-compare ([`KeySelector`]), with no per-event
+//! `Vec<Value>` key allocation: the right side is indexed as key-exact
+//! classes ([`KeyClasses`]) — bucketed by the 64-bit hash of its key cells,
+//! a bucket split into one class per distinct key — so a left event
+//! compares its key cells once, against its bucket's class representatives,
+//! and then walks its class's members with no further comparison. Classes
+//! are sorted by `(LE, RE)` — stable, so events with equal lifetimes keep
+//! input order — which makes the output event order identical to a by-key
+//! index, collisions or not.
 //!
 //! The output is built **once, as columns**. The probe reads each input
 //! where it lies ([`Side`]: a batch off its columns, a row stream off its
@@ -36,11 +39,10 @@ use crate::event::Event;
 use crate::exec::StreamData;
 use crate::expr::Expr;
 use crate::key::KeySelector;
-use crate::operators::side::Side;
+use crate::operators::side::{KeyClasses, Side};
 use crate::stream::EventStream;
 use crate::time::Lifetime;
 use relation::{ColumnBatch, Row};
-use rustc_hash::FxHashMap;
 
 /// Join `left` and `right` on `keys` (pairs of column names) with an
 /// optional residual predicate over the concatenated payload. Either input
@@ -63,14 +65,13 @@ pub fn temporal_join(
     let compiled_residual = residual.map(|p| CompiledExpr::compile(p, &out_schema));
     let (left, right) = (Side::of(left), Side::of(right));
 
-    // Hash the right side by key hash; sort each bucket by LE for early
-    // exit (stable: equal lifetimes keep insertion order).
-    let mut right_index: FxHashMap<u64, Vec<u32>> = FxHashMap::default();
-    for (ri, hash) in right.key_hashes(&rsel).into_iter().enumerate() {
-        right_index.entry(hash).or_default().push(ri as u32);
-    }
-    for bucket in right_index.values_mut() {
-        bucket.sort_by_key(|&ri| {
+    // Index the right side as key-exact classes; sort each class by
+    // (LE, RE) for early exit (stable: equal lifetimes keep input order).
+    let mut right_index = KeyClasses::build(right, &rsel, Vec::new, |members, ri| {
+        members.push(ri as u32)
+    });
+    for members in right_index.values_mut() {
+        members.sort_by_key(|&ri| {
             let lifetime = right.lifetime(ri as usize);
             (lifetime.start, lifetime.end)
         });
@@ -80,7 +81,7 @@ pub fn temporal_join(
     let (mut vt, mut ve) = (Vec::new(), Vec::new());
     let mut scratch = Row::default();
     for (li, hash) in left.key_hashes(&lsel).into_iter().enumerate() {
-        let Some(bucket) = right_index.get(&hash) else {
+        let Some(members) = right_index.find(hash, &left, &lsel, li) else {
             continue;
         };
         let left_lifetime = left.lifetime(li);
@@ -89,17 +90,14 @@ pub fn temporal_join(
             left.extend_cells(li, scratch.values_mut());
         }
         let left_width = scratch.len();
-        for &ri in bucket {
+        for &ri in members {
             let right_lifetime = right.lifetime(ri as usize);
             if right_lifetime.start >= left_lifetime.end {
-                break; // bucket sorted by LE: nothing later can intersect
+                break; // class sorted by LE: nothing later can intersect
             }
             let Some(lifetime) = left_lifetime.intersect(&right_lifetime) else {
                 continue;
             };
-            if !left.key_eq(&lsel, li, &right, &rsel, ri as usize) {
-                continue; // hash collision between distinct keys
-            }
             if let Some(pred) = &compiled_residual {
                 scratch.values_mut().truncate(left_width);
                 right.extend_cells(ri as usize, scratch.values_mut());

@@ -449,10 +449,10 @@ impl Grouped {
             group.endpoints.push((lifetime.end, false, seq, args));
         }
         let mut out = Vec::new();
-        let mut emit = |key: &[Value], start: Time, end: Time, row: &Row| {
+        let mut emit = |key: &[Value], start: Time, end: Time, value: &[Value]| {
             let start = start.max(from);
             if start < end {
-                let payload = Row::new(key.iter().chain(row.values()).cloned().collect());
+                let payload = Row::new(key.iter().chain(value).cloned().collect());
                 out.push(Event::new(Lifetime::new(start, end), payload));
             }
         };
@@ -467,14 +467,14 @@ impl Grouped {
                 let changes = g.endpoints[at..at + at_t]
                     .iter()
                     .map(|(_, s, _, a)| (*s, &a[..]));
-                if let Some(closed) = g.sweep.instant(t, changes) {
-                    emit(key, closed.start(), closed.end(), &closed.payload);
+                if let Some((closed, value)) = g.sweep.instant(t, changes) {
+                    emit(key, closed.start, closed.end, value);
                 }
                 at += at_t;
             }
             g.endpoints.drain(..due);
-            if let Some((start, row)) = g.sweep.open() {
-                emit(key, *start, until, row);
+            if let Some((start, value)) = g.sweep.open() {
+                emit(key, start, until, value);
             }
             g.sweep.open().is_some() || !g.endpoints.is_empty()
         });

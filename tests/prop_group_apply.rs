@@ -555,6 +555,55 @@ proptest! {
         );
     }
 
+    /// What a per-event aggregate over a batch returns is itself a batch —
+    /// the lifetimes, one typed column per aggregate and the key columns,
+    /// Null key cells and hash-colliding keys included — whose stream is
+    /// the reference's. An aggregate value with no column form ends on
+    /// rows, counted: `min2(V, 2.5)` is declared a long, so its `Sum` is an
+    /// integer column, but a group that meets a `V` of 3 or more sums the
+    /// double 2.5.
+    #[test]
+    fn a_per_event_aggregate_on_a_batch_returns_a_batch(
+        events in prop::collection::vec((0i64..400, 0usize..64, 0i64..40, 0u8..4), 1..80),
+        key_cols in 1usize..3,
+        kind in 0usize..PER_EVENT_AGGREGATES,
+        w in 1i64..50,
+        thr in 0i64..45,
+        small in 1i64..40,
+    ) {
+        let run = |plan: &LogicalPlan, stream: &EventStream| {
+            let srcs = bindings(vec![("in", stream.clone())]);
+            let reference = execute_reference(plan, &srcs).unwrap().pop().unwrap();
+            let mut bound = DataBindings::default();
+            let batch = EventBatch::from_stream(stream).unwrap();
+            bound.insert("in".to_string(), StreamData::Batch(batch));
+            let (mut roots, stats) = execute_data(plan, bound).unwrap();
+            (roots.pop().unwrap(), stats, reference)
+        };
+        let stream = null_key_stream(&events);
+        let (root, stats, reference) = run(&build_plan(key_cols, kind, w, thr), &stream);
+        prop_assert!(matches!(root, StreamData::Batch(_)));
+        prop_assert_eq!((stats.transposed_events, stats.row_fallbacks), (0, 0));
+        prop_assert_eq!(root.into_stream(), reference);
+
+        // `V` below `small` only where the events say so, then the sum.
+        let capped: Vec<_> = events.iter().map(|&(t, pi, v, n)| (t, pi, v % small, n)).collect();
+        let q = Query::new();
+        let out = q.source("in", payload()).group_apply(keys_of(key_cols), |g| {
+            g.window(w).aggregate(vec![(
+                "S".to_string(),
+                AggExpr::Sum(Expr::call(Func::Min2, vec![col("V"), lit(2.5f64)])),
+            )])
+        });
+        let plan = q.build(vec![out]).unwrap();
+        let (root, stats, reference) = run(&plan, &null_key_stream(&capped));
+        let doubles = capped.iter().any(|e| e.2 >= 3);
+        prop_assert_eq!(matches!(root, StreamData::Rows(_)), doubles);
+        prop_assert_eq!(stats.row_fallbacks, u64::from(doubles));
+        prop_assert_eq!(stats.transposed_events, 0);
+        prop_assert_eq!(root.into_stream(), reference);
+    }
+
     /// A per-event step that fails on some values only: `V >= k OR X`,
     /// where `X` is declared boolean but the batch holds integers there (the
     /// column layout accepts what the schema does not promise), so the
