@@ -41,6 +41,7 @@ use crate::job::{MapperContext, ReducerContext, Stage};
 use crate::scheduler::{run_phase, InPlace, Ledger, Worker};
 use crate::stats::{JobStats, StageStats};
 use pool::WorkerPool;
+use relation::extent::{encode_extent, RowSelection};
 use relation::{ColumnBatch, Schema};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -183,7 +184,8 @@ impl Drop for ShuffleChunk {
 }
 
 /// Partition the mapped extent `e` of stage input `i` and seal each
-/// partition's rows, gathered in row order, into chunks — cut where the
+/// partition's rows, in row order, into chunks — each encoded straight from
+/// `mapped` as a [`RowSelection`], with no gathered copy — cut where the
 /// rows' widths reach the stage's `chunk_target`, and where the extent ends.
 /// Chunk boundaries are therefore a pure function of `(input, extent,
 /// partition, target)`, and, the extent encoding being canonical, so are
@@ -210,11 +212,7 @@ fn seal_extent(
         }
     }
     let seal = |idx: &[u32]| {
-        let image = match idx.len() == mapped.len() {
-            true => mapped.to_extent_bytes(),
-            false => mapped.gather(idx).to_extent_bytes(),
-        };
-        image.map_err(|cause| MrError::IllTyped {
+        encode_extent(RowSelection::new(mapped, idx)).map_err(|cause| MrError::IllTyped {
             site: format!("`{}` map input {i} extent {e}", env.stage.name),
             cause,
         })

@@ -67,8 +67,8 @@ impl Validity {
                 *w &= (1u64 << (len % 64)) - 1;
             }
         }
-        let v = Validity { words, len };
-        (0..len).any(|i| !v.is_valid(i)).then_some(v)
+        let valid: usize = words.iter().map(|w| w.count_ones() as usize).sum();
+        (valid < len).then_some(Validity { words, len })
     }
 
     /// The raw bitmap words (bit `i` of word `i / 64` ⇔ slot `i` valid).

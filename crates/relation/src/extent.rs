@@ -16,7 +16,12 @@
 //! framed by `footer_hash`. Any single flipped byte therefore lands either
 //! under a column frame, under the footer frame, or in the fixed tail
 //! (magic / lengths) — decoding detects all three and never silently
-//! returns rows from damaged bytes.
+//! returns rows from damaged bytes. A row count that a column's section is
+//! too short to hold is rejected from the footer alone, before anything is
+//! allocated for it. A zero-column image has no section to bound it, so its
+//! row count is taken as written: a zero-column batch of any length is a
+//! batch the encoder writes, and decoding one allocates nothing per row,
+//! but a caller that turns a forged one into rows allocates what it claims.
 //!
 //! Per-type data encodings (chosen for the BT logs, where small integers
 //! and heavily-repeated identifier strings dominate):
@@ -34,6 +39,28 @@
 //! decoded extent — or an extent rebuilt row-by-row from verified sources —
 //! is byte-identical, which is what lets corruption recovery assert
 //! bit-for-bit repair.
+//!
+//! How the codec runs — none of this shows in the bytes:
+//!
+//! - [`encode_extent`] encodes a [`RowSelection`]: a whole batch, or the
+//!   rows of one shuffle partition in the order given. It reads the cells
+//!   where they are, so sealing a partition builds no gathered copy of it;
+//!   for a whole batch it tests for nulls by counting validity bits a word
+//!   at a time.
+//! - A string column's dictionary looks each cell up by identity first: a
+//!   small direct-mapped cache keyed by the cell's `(address, length)`,
+//!   in front of the map keyed by content. Equal keys are the same bytes,
+//!   so a hit yields the code the content map would. A column whose cells
+//!   share `Arc`s — every decoded, gathered or joined batch — hashes each
+//!   distinct `Arc` about once; a column of distinct `Arc`s (a batch built
+//!   from rows) misses at the cost of a multiply and a compare per cell.
+//!   The content map is an `FxHashMap`, and the scan stops as soon as the
+//!   distinct count rules the dictionary out.
+//! - The decoder reads a varint of one to three bytes — every varint of
+//!   the BT logs — from one eight-byte load, ending it at the first byte
+//!   whose mask clears. Longer varints, and any starting within eight
+//!   bytes of the section's end, take the byte-at-a-time path, so exactly
+//!   the same inputs are accepted and rejected.
 
 use crate::column::{Column, ColumnBatch, ColumnData, Validity};
 use crate::error::{RelationError, Result};
@@ -113,6 +140,26 @@ impl Encoding {
             other => return Err(corrupt(format!("unknown encoding tag {other}"))),
         })
     }
+
+    /// The fewest bytes a section of this encoding can take for `rows`
+    /// rows: varints, dictionary indices and raw lengths take at least a
+    /// byte per row, doubles eight, bools an eighth, validity words a
+    /// sixty-fourth (×8); string data leads with a marker byte, and a
+    /// dictionary with its length. `None` when that overflows.
+    fn min_section_len(self, rows: usize, has_validity: bool) -> Option<usize> {
+        let words = match has_validity {
+            true => rows.div_ceil(64).checked_mul(8)?,
+            false => 0,
+        };
+        let data = match self {
+            Encoding::BitpackBool => rows.div_ceil(8),
+            Encoding::VarintInt | Encoding::VarintLong => rows,
+            Encoding::FixedDouble => rows.checked_mul(8)?,
+            Encoding::RawStr => rows.checked_add(1)?,
+            Encoding::DictStr => rows.checked_add(2)?,
+        };
+        words.checked_add(data)
+    }
 }
 
 fn zigzag(v: i64) -> u64 {
@@ -174,7 +221,30 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
+    /// The next eight bytes as a little-endian word, if there are eight.
+    #[inline(always)]
+    fn word(&self) -> Option<u64> {
+        let w = self.buf.get(self.pos..self.pos + 8)?;
+        Some(u64::from_le_bytes(w.try_into().expect("8")))
+    }
+
+    /// One LEB128 varint, read from one eight-byte load when it is one to
+    /// three bytes long ([`word_varint`]). The rest — longer varints, and
+    /// any starting within eight bytes of the end — go byte by byte
+    /// ([`Reader::varint_bytewise`]), which is what decides every error.
+    #[inline(always)]
     fn varint(&mut self) -> Result<u64> {
+        match self.word().and_then(word_varint) {
+            Some((v, len)) => {
+                self.pos += len;
+                Ok(v)
+            }
+            None => self.varint_bytewise(),
+        }
+    }
+
+    #[cold]
+    fn varint_bytewise(&mut self) -> Result<u64> {
         let mut v: u64 = 0;
         for shift in (0..64).step_by(7) {
             let b = self.u8()?;
@@ -190,6 +260,25 @@ impl<'a> Reader<'a> {
         }
         Err(corrupt("varint overflows 64 bits"))
     }
+}
+
+/// The varint at the start of the little-endian `word` and its length in
+/// bytes, if it is one to three bytes long: the stop bit is found by one
+/// mask per byte — branches the predictor learns, so the next read's
+/// position does not wait on this one's arithmetic.
+#[inline(always)]
+fn word_varint(word: u64) -> Option<(u64, usize)> {
+    if word & 0x80 == 0 {
+        return Some((word & 0x7f, 1));
+    }
+    if word & 0x8000 == 0 {
+        return Some(((word & 0x7f) | (word & 0x7f00) >> 1, 2));
+    }
+    if word & 0x80_0000 == 0 {
+        let v = (word & 0x7f) | (word & 0x7f00) >> 1 | (word & 0x7f_0000) >> 2;
+        return Some((v, 3));
+    }
+    None
 }
 
 /// Per-column footer entry.
@@ -259,6 +348,14 @@ fn parse_footer(bytes: &[u8]) -> Result<Footer> {
                 "column section [{off}, {end}) exceeds body of {body_end} byte(s)"
             )));
         }
+        if enc
+            .min_section_len(rows, has_validity)
+            .is_none_or(|min| min as u64 > len)
+        {
+            return Err(corrupt(format!(
+                "row count {rows} exceeds what column `{name}`'s section of {len} byte(s) can hold"
+            )));
+        }
         let hash = r.u64()?;
         cols.push(ColMeta {
             field: Field::new(name, ty),
@@ -303,210 +400,310 @@ pub fn extent_info(bytes: &[u8]) -> Result<(Schema, usize)> {
     Ok((Schema::new(fields), footer.rows))
 }
 
-/// Canonical per-slot string: the cell's value, or `""` at null slots.
-fn slot_str<'a>(d: &'a [Arc<str>], validity: Option<&Validity>, i: usize) -> &'a str {
-    match validity {
-        Some(v) if !v.is_valid(i) => "",
-        _ => &d[i],
+/// The rows of a batch an extent image holds, in order: every row of the
+/// batch, or a selection of them. Encoding `RowSelection::new(batch, idx)`
+/// writes the bytes `batch.gather(idx)` would encode to, without building
+/// the gathered batch.
+#[derive(Debug, Clone, Copy)]
+pub struct RowSelection<'a> {
+    batch: &'a ColumnBatch,
+    idx: Option<&'a [u32]>,
+}
+
+impl<'a> RowSelection<'a> {
+    /// The rows of `batch` at `idx`, in that order (indices may repeat and
+    /// appear in any order; an index out of range panics, as in
+    /// [`ColumnBatch::gather`]).
+    pub fn new(batch: &'a ColumnBatch, idx: &'a [u32]) -> RowSelection<'a> {
+        RowSelection {
+            batch,
+            idx: Some(idx),
+        }
     }
 }
 
-fn encode_column(batch_rows: usize, field: &Field, col: &Column, out: &mut Vec<u8>) -> Result<()> {
-    let validity = col
-        .validity()
-        .filter(|v| (0..v.len()).any(|i| !v.is_valid(i)));
-    if let Some(v) = validity {
-        // Rebuild words from the logical bits so trailing garbage can never
-        // leak into the encoding.
-        let mut words = vec![0u64; batch_rows.div_ceil(64)];
-        for i in 0..batch_rows {
-            if v.is_valid(i) {
-                words[i / 64] |= 1 << (i % 64);
-            }
-        }
-        for w in words {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
+impl<'a> From<&'a ColumnBatch> for RowSelection<'a> {
+    fn from(batch: &'a ColumnBatch) -> RowSelection<'a> {
+        RowSelection { batch, idx: None }
     }
-    let valid = |i: usize| validity.is_none_or(|v| v.is_valid(i));
-    let mismatch = || {
-        Err(RelationError::TypeMismatch {
-            column: field.name.clone(),
-            expected: field.ty.to_string(),
-            actual: "mismatched column storage".to_string(),
-        })
-    };
-    // An all-null column may carry storage of any variant (nothing can
-    // observe it); encode it as placeholders of the declared type.
-    let all_null = (0..batch_rows).all(|i| !valid(i));
-    match (field.ty, col.data()) {
-        (ColumnType::Bool, data) => {
-            let mut bits = vec![0u8; batch_rows.div_ceil(8)];
-            match data {
-                ColumnData::Bool(d) => {
-                    for i in 0..batch_rows {
-                        if valid(i) && d[i] {
-                            bits[i / 8] |= 1 << (i % 8);
-                        }
-                    }
-                }
-                _ if all_null => {}
-                _ => return mismatch(),
-            }
-            out.extend_from_slice(&bits);
-        }
-        (ColumnType::Int, data) => match data {
-            ColumnData::Int(d) => {
-                for (i, &v) in d.iter().enumerate().take(batch_rows) {
-                    put_varint(out, zigzag(if valid(i) { i64::from(v) } else { 0 }));
-                }
-            }
-            _ if all_null => out.extend(std::iter::repeat_n(0u8, batch_rows)),
-            _ => return mismatch(),
-        },
-        (ColumnType::Long, data) => match data {
-            ColumnData::Long(d) => {
-                for (i, &v) in d.iter().enumerate().take(batch_rows) {
-                    put_varint(out, zigzag(if valid(i) { v } else { 0 }));
-                }
-            }
-            _ if all_null => out.extend(std::iter::repeat_n(0u8, batch_rows)),
-            _ => return mismatch(),
-        },
-        (ColumnType::Double, data) => match data {
-            ColumnData::Double(d) => {
-                for (i, &v) in d.iter().enumerate().take(batch_rows) {
-                    let bits = if valid(i) { v.to_bits() } else { 0 };
-                    out.extend_from_slice(&bits.to_le_bytes());
-                }
-            }
-            _ if all_null => out.extend(std::iter::repeat_n(0u8, batch_rows * 8)),
-            _ => return mismatch(),
-        },
-        (ColumnType::Str, data) => {
-            let empty: [Arc<str>; 0] = [];
-            let d: &[Arc<str>] = match data {
-                ColumnData::Str(d) => d,
-                _ if all_null => &empty,
-                _ => return mismatch(),
-            };
-            let at = |i: usize| -> &str {
-                if d.is_empty() {
-                    ""
-                } else {
-                    slot_str(d, validity, i)
-                }
-            };
-            encode_str_data(batch_rows, at, out);
-        }
-    }
-    Ok(())
 }
 
-/// Encode a string column: dictionary when identifiers repeat heavily
-/// (the BT logs' `UserId`/`KwAdId` shape), raw length-prefixed otherwise.
-/// The choice is a pure function of the cell values, so re-encoding is
-/// deterministic.
-fn encode_str_data<'a>(rows: usize, at: impl Fn(usize) -> &'a str, out: &mut Vec<u8>) {
-    // One hash probe per cell: the entry either yields the string's code
-    // or assigns the next one (first-occurrence order).
+/// Which slot of the batch row `j` of the image reads: the identity for a
+/// whole batch, an index list for a selection. Generic, so the whole-batch
+/// loops carry no indirection.
+trait Pick: Copy {
+    fn len(self) -> usize;
+    fn slot(self, j: usize) -> usize;
+    /// The picked slots' bitmap, `None` when none of them is null.
+    fn validity(self, v: &Validity) -> Option<Validity>;
+}
+
+#[derive(Clone, Copy)]
+struct AllRows(usize);
+
+impl Pick for AllRows {
+    fn len(self) -> usize {
+        self.0
+    }
+
+    fn slot(self, j: usize) -> usize {
+        j
+    }
+
+    fn validity(self, v: &Validity) -> Option<Validity> {
+        Validity::from_words(v.words().to_vec(), self.0)
+    }
+}
+
+impl Pick for &[u32] {
+    fn len(self) -> usize {
+        <[u32]>::len(self)
+    }
+
+    fn slot(self, j: usize) -> usize {
+        self[j] as usize
+    }
+
+    fn validity(self, v: &Validity) -> Option<Validity> {
+        v.gather(self)
+    }
+}
+
+/// Direct-mapped cache from a string cell's identity — its `(address,
+/// length)` — to its dictionary code. Cells with equal identity are the
+/// same bytes, so a hit yields the code the content map holds. An empty
+/// slot has address 0, which no `&str` has.
+struct IdentityCache {
+    slots: Vec<(usize, usize, u32)>,
+    shift: u32,
+}
+
+impl IdentityCache {
+    /// Twice as many slots as rows, rounded up to a power of two, between
+    /// 16 and 4 096.
+    fn new(rows: usize) -> IdentityCache {
+        let bits = (rows.max(1).next_power_of_two().trailing_zeros() + 1).clamp(4, 12);
+        IdentityCache {
+            slots: vec![(0, 0, 0); 1 << bits],
+            shift: 64 - bits,
+        }
+    }
+
+    fn index(&self, s: &str) -> usize {
+        ((s.as_ptr() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
+    }
+}
+
+/// A string column's dictionary — its distinct strings in first-occurrence
+/// order and each row's code — or `None` when the dictionary encoding is
+/// ruled out (`rows < 8`, or `distinct·4 > rows·3`). The scan stops at the
+/// first string that rules it out.
+fn dictionary<'a>(
+    rows: usize,
+    cell: &impl Fn(usize) -> &'a str,
+) -> Option<(Vec<&'a str>, Vec<u32>)> {
+    if rows < 8 {
+        return None;
+    }
+    let max_distinct = rows * 3 / 4;
+    let mut cache = IdentityCache::new(rows);
+    // The content map: one probe per cache miss, which either yields the
+    // string's code or assigns the next one (first-occurrence order).
     let mut dict: FxHashMap<&str, u32> = FxHashMap::default();
     let mut order: Vec<&str> = Vec::new();
     let mut codes: Vec<u32> = Vec::with_capacity(rows);
-    for i in 0..rows {
-        let s = at(i);
+    for j in 0..rows {
+        let s = cell(j);
+        let at = cache.index(s);
+        let (addr, len, code) = cache.slots[at];
+        if addr == s.as_ptr() as usize && len == s.len() {
+            codes.push(code);
+            continue;
+        }
         let code = *dict.entry(s).or_insert_with(|| {
             order.push(s);
             u32::try_from(order.len() - 1).expect("an extent holds fewer than 2^32 strings")
         });
+        if order.len() > max_distinct {
+            return None;
+        }
+        cache.slots[at] = (s.as_ptr() as usize, s.len(), code);
         codes.push(code);
     }
-    let use_dict = rows >= 8 && order.len() * 4 <= rows * 3;
-    if use_dict {
+    Some((order, codes))
+}
+
+/// Encode `rows` string cells: dictionary when identifiers repeat heavily
+/// (the BT logs' `UserId`/`KwAdId` shape), raw length-prefixed otherwise.
+/// The choice is a pure function of the cell values, so re-encoding is
+/// deterministic.
+fn encode_str<'a>(rows: usize, cell: impl Fn(usize) -> &'a str, out: &mut Vec<u8>) -> Encoding {
+    if let Some((order, codes)) = dictionary(rows, &cell) {
         out.push(1);
         put_varint(out, order.len() as u64);
         for s in &order {
             put_varint(out, s.len() as u64);
             out.extend_from_slice(s.as_bytes());
         }
+        out.reserve(codes.len());
         for code in codes {
             put_varint(out, u64::from(code));
         }
+        Encoding::DictStr
     } else {
         out.push(0);
-        for i in 0..rows {
-            let s = at(i);
+        for j in 0..rows {
+            let s = cell(j);
             put_varint(out, s.len() as u64);
             out.extend_from_slice(s.as_bytes());
         }
+        Encoding::RawStr
     }
 }
 
-fn str_encoding_of(section: &[u8], validity_words: usize) -> Result<Encoding> {
-    // The first data byte after the validity words discriminates raw/dict.
-    match section.get(validity_words * 8) {
-        Some(0) => Ok(Encoding::RawStr),
-        Some(1) => Ok(Encoding::DictStr),
-        Some(other) => Err(corrupt(format!("bad string encoding marker {other}"))),
-        None => Err(corrupt("string column section is empty")),
+/// Zigzag varints of `rows` integer cells, `0` at null slots.
+fn put_varints(
+    out: &mut Vec<u8>,
+    rows: usize,
+    valid: impl Fn(usize) -> bool,
+    cell: impl Fn(usize) -> i64,
+) {
+    out.reserve(rows);
+    for j in 0..rows {
+        put_varint(out, zigzag(if valid(j) { cell(j) } else { 0 }));
     }
 }
 
-/// Encode a [`ColumnBatch`] into a framed binary extent.
-///
-/// Errors only when a column's storage variant contradicts its declared
-/// type on a non-null slot (possible for batches assembled outside
-/// [`ColumnBatch::from_rows`]); such a batch has no image.
-pub fn encode_extent(batch: &ColumnBatch) -> Result<Vec<u8>> {
-    let rows = batch.len();
-    let mut out = Vec::new();
-    let mut metas: Vec<ColMeta> = Vec::with_capacity(batch.schema().len());
-    for (field, col) in batch.schema().fields().iter().zip(batch.columns()) {
-        let off = out.len() as u64;
-        let validity = col
-            .validity()
-            .filter(|v| (0..v.len()).any(|i| !v.is_valid(i)));
-        encode_column(rows, field, col, &mut out)?;
-        let len = out.len() as u64 - off;
-        let enc = match field.ty {
-            ColumnType::Bool => Encoding::BitpackBool,
-            ColumnType::Int => Encoding::VarintInt,
-            ColumnType::Long => Encoding::VarintLong,
-            ColumnType::Double => Encoding::FixedDouble,
-            ColumnType::Str => {
-                let words = if validity.is_some() {
-                    rows.div_ceil(64)
+/// Encode the data buffer of one column's picked rows; `validity` is their
+/// bitmap (`None`: no null among them).
+fn encode_data(
+    field: &Field,
+    data: &ColumnData,
+    pick: impl Pick,
+    validity: Option<&Validity>,
+    out: &mut Vec<u8>,
+) -> Result<Encoding> {
+    let rows = pick.len();
+    let valid = |j: usize| validity.is_none_or(|v| v.is_valid(j));
+    // An all-null column may carry storage of any variant (nothing can
+    // observe it); encode it as placeholders of the declared type.
+    let all_null = validity.map_or(rows == 0, |v| v.words().iter().all(|&w| w == 0));
+    Ok(match (field.ty, data) {
+        (ColumnType::Bool, ColumnData::Bool(d)) => {
+            let start = out.len();
+            out.resize(start + rows.div_ceil(8), 0);
+            for j in 0..rows {
+                if valid(j) && d[pick.slot(j)] {
+                    out[start + j / 8] |= 1 << (j % 8);
+                }
+            }
+            Encoding::BitpackBool
+        }
+        (ColumnType::Int, ColumnData::Int(d)) => {
+            put_varints(out, rows, valid, |j| i64::from(d[pick.slot(j)]));
+            Encoding::VarintInt
+        }
+        (ColumnType::Long, ColumnData::Long(d)) => {
+            put_varints(out, rows, valid, |j| d[pick.slot(j)]);
+            Encoding::VarintLong
+        }
+        (ColumnType::Double, ColumnData::Double(d)) => {
+            out.reserve(rows * 8);
+            for j in 0..rows {
+                let bits = if valid(j) {
+                    d[pick.slot(j)].to_bits()
                 } else {
                     0
                 };
-                str_encoding_of(&out[off as usize..], words)?
+                out.extend_from_slice(&bits.to_le_bytes());
             }
-        };
-        metas.push(ColMeta {
-            field: field.clone(),
+            Encoding::FixedDouble
+        }
+        (ColumnType::Str, ColumnData::Str(d)) => {
+            encode_str(rows, |j| if valid(j) { &d[pick.slot(j)] } else { "" }, out)
+        }
+        (ty, _) if all_null => match ty {
+            ColumnType::Bool => {
+                out.resize(out.len() + rows.div_ceil(8), 0);
+                Encoding::BitpackBool
+            }
+            ColumnType::Int => {
+                out.resize(out.len() + rows, 0);
+                Encoding::VarintInt
+            }
+            ColumnType::Long => {
+                out.resize(out.len() + rows, 0);
+                Encoding::VarintLong
+            }
+            ColumnType::Double => {
+                out.resize(out.len() + rows * 8, 0);
+                Encoding::FixedDouble
+            }
+            ColumnType::Str => encode_str(rows, |_| "", out),
+        },
+        _ => {
+            return Err(RelationError::TypeMismatch {
+                column: field.name.clone(),
+                expected: field.ty.to_string(),
+                actual: "mismatched column storage".to_string(),
+            })
+        }
+    })
+}
+
+/// Encode rows of a [`ColumnBatch`] — the whole batch (`&batch`) or a
+/// [`RowSelection`] — into a framed binary extent.
+///
+/// Errors only when a column's storage variant contradicts its declared
+/// type on a non-null picked slot (possible for batches assembled outside
+/// [`ColumnBatch::from_rows`]); such rows have no image.
+pub fn encode_extent<'a>(rows: impl Into<RowSelection<'a>>) -> Result<Vec<u8>> {
+    let RowSelection { batch, idx } = rows.into();
+    match idx {
+        None => encode_picked(batch, AllRows(batch.len())),
+        Some(idx) => encode_picked(batch, idx),
+    }
+}
+
+fn encode_picked(batch: &ColumnBatch, pick: impl Pick) -> Result<Vec<u8>> {
+    let rows = pick.len();
+    let fields = batch.schema().fields();
+    let mut out = Vec::new();
+    // Per column: encoding, validity flag, offset, length, frame.
+    let mut sections: Vec<(Encoding, bool, u64, u64, u64)> = Vec::with_capacity(fields.len());
+    for (field, col) in fields.iter().zip(batch.columns()) {
+        let off = out.len();
+        let validity = col.validity().and_then(|v| pick.validity(v));
+        if let Some(v) = &validity {
+            for w in v.words() {
+                out.extend_from_slice(&w.to_le_bytes());
+            }
+        }
+        let enc = encode_data(field, col.data(), pick, validity.as_ref(), &mut out)?;
+        let section = &out[off..];
+        sections.push((
             enc,
-            has_validity: validity.is_some(),
-            off,
-            len,
-            hash: fx_hash(&out[off as usize..]),
-        });
+            validity.is_some(),
+            off as u64,
+            section.len() as u64,
+            fx_hash(section),
+        ));
     }
-    let mut footer = Vec::new();
-    footer.extend_from_slice(&(rows as u64).to_le_bytes());
-    footer.extend_from_slice(&(metas.len() as u32).to_le_bytes());
-    for m in &metas {
-        footer.extend_from_slice(&(m.field.name.len() as u16).to_le_bytes());
-        footer.extend_from_slice(m.field.name.as_bytes());
-        footer.push(type_tag(m.field.ty));
-        footer.push(m.enc.tag());
-        footer.push(u8::from(m.has_validity));
-        footer.extend_from_slice(&m.off.to_le_bytes());
-        footer.extend_from_slice(&m.len.to_le_bytes());
-        footer.extend_from_slice(&m.hash.to_le_bytes());
+    let footer_start = out.len();
+    out.extend_from_slice(&(rows as u64).to_le_bytes());
+    out.extend_from_slice(&(sections.len() as u32).to_le_bytes());
+    for (field, &(enc, has_validity, off, len, hash)) in fields.iter().zip(&sections) {
+        out.extend_from_slice(&(field.name.len() as u16).to_le_bytes());
+        out.extend_from_slice(field.name.as_bytes());
+        out.push(type_tag(field.ty));
+        out.push(enc.tag());
+        out.push(u8::from(has_validity));
+        out.extend_from_slice(&off.to_le_bytes());
+        out.extend_from_slice(&len.to_le_bytes());
+        out.extend_from_slice(&hash.to_le_bytes());
     }
-    let footer_hash = fx_hash(&footer);
-    let footer_len = footer.len() as u32;
-    out.extend_from_slice(&footer);
+    let footer_hash = fx_hash(&out[footer_start..]);
+    let footer_len = (out.len() - footer_start) as u32;
     out.extend_from_slice(&footer_hash.to_le_bytes());
     out.extend_from_slice(&footer_len.to_le_bytes());
     out.extend_from_slice(&EXTENT_MAGIC);
@@ -514,10 +711,11 @@ pub fn encode_extent(batch: &ColumnBatch) -> Result<Vec<u8>> {
 }
 
 fn decode_validity(r: &mut Reader<'_>, rows: usize) -> Result<Option<Validity>> {
-    let mut words = Vec::with_capacity(rows.div_ceil(64));
-    for _ in 0..rows.div_ceil(64) {
-        words.push(r.u64()?);
-    }
+    let words = r
+        .take(rows.div_ceil(64) * 8)?
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().expect("8")))
+        .collect();
     Ok(Validity::from_words(words, rows))
 }
 
@@ -593,11 +791,11 @@ fn decode_column(meta: &ColMeta, section: &[u8], rows: usize) -> Result<Column> 
                 }
                 let mut d = Vec::with_capacity(rows);
                 for _ in 0..rows {
-                    let idx = usize::try_from(r.varint()?)
+                    let s = usize::try_from(r.varint()?)
                         .ok()
-                        .filter(|&i| i < dict.len())
+                        .and_then(|i| dict.get(i))
                         .ok_or_else(|| corrupt("dictionary index out of range"))?;
-                    d.push(Arc::clone(&dict[idx]));
+                    d.push(Arc::clone(s));
                 }
                 ColumnData::Str(d)
             } else {
@@ -697,6 +895,20 @@ mod tests {
         assert_eq!(back.schema(), batch.schema());
     }
 
+    /// No section bounds a zero-column image's row count: it round-trips,
+    /// and a forged one is taken as written without allocating for it.
+    #[test]
+    fn zero_column_row_count_is_taken_as_written() {
+        let batch = ColumnBatch::new(Schema::new(vec![]), vec![], 3);
+        let image = encode_extent(&batch).unwrap();
+        assert_eq!(decode_extent(&image).unwrap().len(), 3);
+        let forged = forge_rows(&image, 1 << 40);
+        verify_extent(&forged).unwrap();
+        assert_eq!(extent_info(&forged).unwrap().1, 1 << 40);
+        let back = decode_extent(&forged).unwrap();
+        assert_eq!((back.len(), back.columns().len()), (1 << 40, 0));
+    }
+
     #[test]
     fn every_single_byte_flip_is_detected() {
         let batch = ColumnBatch::from_rows(&schema(), &rows()[..20]).unwrap();
@@ -759,5 +971,609 @@ mod tests {
         let batch = ColumnBatch::new(s.clone(), vec![col], 2);
         let back = decode_extent(&encode_extent(&batch).unwrap()).unwrap();
         assert_eq!(back.to_rows(), vec![Row::new(vec![Value::Null]); 2]);
+    }
+
+    // ---- Oracles: the encoder and the varint reader as they were before
+    // the encoder took a row selection and the reader a word at a time.
+
+    fn oracle_put_varint(out: &mut Vec<u8>, mut v: u64) {
+        while v >= 0x80 {
+            out.push((v as u8) | 0x80);
+            v >>= 7;
+        }
+        out.push(v as u8);
+    }
+
+    fn oracle_slot_str<'a>(d: &'a [Arc<str>], validity: Option<&Validity>, i: usize) -> &'a str {
+        match validity {
+            Some(v) if !v.is_valid(i) => "",
+            _ => &d[i],
+        }
+    }
+
+    fn oracle_encode_column(
+        batch_rows: usize,
+        field: &Field,
+        col: &Column,
+        out: &mut Vec<u8>,
+    ) -> Result<()> {
+        let validity = col
+            .validity()
+            .filter(|v| (0..v.len()).any(|i| !v.is_valid(i)));
+        if let Some(v) = validity {
+            let mut words = vec![0u64; batch_rows.div_ceil(64)];
+            for i in 0..batch_rows {
+                if v.is_valid(i) {
+                    words[i / 64] |= 1 << (i % 64);
+                }
+            }
+            for w in words {
+                out.extend_from_slice(&w.to_le_bytes());
+            }
+        }
+        let valid = |i: usize| validity.is_none_or(|v| v.is_valid(i));
+        let mismatch = || {
+            Err(RelationError::TypeMismatch {
+                column: field.name.clone(),
+                expected: field.ty.to_string(),
+                actual: "mismatched column storage".to_string(),
+            })
+        };
+        let all_null = (0..batch_rows).all(|i| !valid(i));
+        match (field.ty, col.data()) {
+            (ColumnType::Bool, data) => {
+                let mut bits = vec![0u8; batch_rows.div_ceil(8)];
+                match data {
+                    ColumnData::Bool(d) => {
+                        for i in 0..batch_rows {
+                            if valid(i) && d[i] {
+                                bits[i / 8] |= 1 << (i % 8);
+                            }
+                        }
+                    }
+                    _ if all_null => {}
+                    _ => return mismatch(),
+                }
+                out.extend_from_slice(&bits);
+            }
+            (ColumnType::Int, data) => match data {
+                ColumnData::Int(d) => {
+                    for (i, &v) in d.iter().enumerate().take(batch_rows) {
+                        oracle_put_varint(out, zigzag(if valid(i) { i64::from(v) } else { 0 }));
+                    }
+                }
+                _ if all_null => out.extend(std::iter::repeat_n(0u8, batch_rows)),
+                _ => return mismatch(),
+            },
+            (ColumnType::Long, data) => match data {
+                ColumnData::Long(d) => {
+                    for (i, &v) in d.iter().enumerate().take(batch_rows) {
+                        oracle_put_varint(out, zigzag(if valid(i) { v } else { 0 }));
+                    }
+                }
+                _ if all_null => out.extend(std::iter::repeat_n(0u8, batch_rows)),
+                _ => return mismatch(),
+            },
+            (ColumnType::Double, data) => match data {
+                ColumnData::Double(d) => {
+                    for (i, &v) in d.iter().enumerate().take(batch_rows) {
+                        let bits = if valid(i) { v.to_bits() } else { 0 };
+                        out.extend_from_slice(&bits.to_le_bytes());
+                    }
+                }
+                _ if all_null => out.extend(std::iter::repeat_n(0u8, batch_rows * 8)),
+                _ => return mismatch(),
+            },
+            (ColumnType::Str, data) => {
+                let empty: [Arc<str>; 0] = [];
+                let d: &[Arc<str>] = match data {
+                    ColumnData::Str(d) => d,
+                    _ if all_null => &empty,
+                    _ => return mismatch(),
+                };
+                let at = |i: usize| -> &str {
+                    if d.is_empty() {
+                        ""
+                    } else {
+                        oracle_slot_str(d, validity, i)
+                    }
+                };
+                oracle_encode_str_data(batch_rows, at, out);
+            }
+        }
+        Ok(())
+    }
+
+    fn oracle_encode_str_data<'a>(rows: usize, at: impl Fn(usize) -> &'a str, out: &mut Vec<u8>) {
+        let mut dict: FxHashMap<&str, u32> = FxHashMap::default();
+        let mut order: Vec<&str> = Vec::new();
+        let mut codes: Vec<u32> = Vec::with_capacity(rows);
+        for i in 0..rows {
+            let s = at(i);
+            let code = *dict.entry(s).or_insert_with(|| {
+                order.push(s);
+                u32::try_from(order.len() - 1).expect("an extent holds fewer than 2^32 strings")
+            });
+            codes.push(code);
+        }
+        let use_dict = rows >= 8 && order.len() * 4 <= rows * 3;
+        if use_dict {
+            out.push(1);
+            oracle_put_varint(out, order.len() as u64);
+            for s in &order {
+                oracle_put_varint(out, s.len() as u64);
+                out.extend_from_slice(s.as_bytes());
+            }
+            for code in codes {
+                oracle_put_varint(out, u64::from(code));
+            }
+        } else {
+            out.push(0);
+            for i in 0..rows {
+                let s = at(i);
+                oracle_put_varint(out, s.len() as u64);
+                out.extend_from_slice(s.as_bytes());
+            }
+        }
+    }
+
+    fn oracle_str_encoding_of(section: &[u8], validity_words: usize) -> Result<Encoding> {
+        match section.get(validity_words * 8) {
+            Some(0) => Ok(Encoding::RawStr),
+            Some(1) => Ok(Encoding::DictStr),
+            Some(other) => Err(corrupt(format!("bad string encoding marker {other}"))),
+            None => Err(corrupt("string column section is empty")),
+        }
+    }
+
+    /// The whole-batch encoder the selection encoder replaced, verbatim.
+    fn oracle_encode(batch: &ColumnBatch) -> Result<Vec<u8>> {
+        let rows = batch.len();
+        let mut out = Vec::new();
+        let mut metas: Vec<ColMeta> = Vec::with_capacity(batch.schema().len());
+        for (field, col) in batch.schema().fields().iter().zip(batch.columns()) {
+            let off = out.len() as u64;
+            let validity = col
+                .validity()
+                .filter(|v| (0..v.len()).any(|i| !v.is_valid(i)));
+            oracle_encode_column(rows, field, col, &mut out)?;
+            let len = out.len() as u64 - off;
+            let enc = match field.ty {
+                ColumnType::Bool => Encoding::BitpackBool,
+                ColumnType::Int => Encoding::VarintInt,
+                ColumnType::Long => Encoding::VarintLong,
+                ColumnType::Double => Encoding::FixedDouble,
+                ColumnType::Str => {
+                    let words = if validity.is_some() {
+                        rows.div_ceil(64)
+                    } else {
+                        0
+                    };
+                    oracle_str_encoding_of(&out[off as usize..], words)?
+                }
+            };
+            metas.push(ColMeta {
+                field: field.clone(),
+                enc,
+                has_validity: validity.is_some(),
+                off,
+                len,
+                hash: fx_hash(&out[off as usize..]),
+            });
+        }
+        let mut footer = Vec::new();
+        footer.extend_from_slice(&(rows as u64).to_le_bytes());
+        footer.extend_from_slice(&(metas.len() as u32).to_le_bytes());
+        for m in &metas {
+            footer.extend_from_slice(&(m.field.name.len() as u16).to_le_bytes());
+            footer.extend_from_slice(m.field.name.as_bytes());
+            footer.push(type_tag(m.field.ty));
+            footer.push(m.enc.tag());
+            footer.push(u8::from(m.has_validity));
+            footer.extend_from_slice(&m.off.to_le_bytes());
+            footer.extend_from_slice(&m.len.to_le_bytes());
+            footer.extend_from_slice(&m.hash.to_le_bytes());
+        }
+        let footer_hash = fx_hash(&footer);
+        let footer_len = footer.len() as u32;
+        out.extend_from_slice(&footer);
+        out.extend_from_slice(&footer_hash.to_le_bytes());
+        out.extend_from_slice(&footer_len.to_le_bytes());
+        out.extend_from_slice(&EXTENT_MAGIC);
+        Ok(out)
+    }
+
+    /// The byte-at-a-time varint read the word-at-a-time one replaced,
+    /// verbatim.
+    fn oracle_varint(r: &mut Reader<'_>) -> Result<u64> {
+        let mut v: u64 = 0;
+        for shift in (0..64).step_by(7) {
+            let b = r.u8()?;
+            v |= u64::from(b & 0x7f) << shift;
+            if b & 0x80 == 0 {
+                if shift == 63 && b > 1 {
+                    break;
+                }
+                return Ok(v);
+            }
+        }
+        Err(corrupt("varint overflows 64 bits"))
+    }
+
+    // ---- The selection encoder against the oracle.
+
+    /// A bitmap from per-slot validity; with `keep_dense`, a bitmap with
+    /// no null stays a bitmap (the encoder must still write none).
+    fn bitmap(valid: &[bool], keep_dense: bool) -> Option<Validity> {
+        if !keep_dense && valid.iter().all(|&v| v) {
+            return None;
+        }
+        let mut v = Validity::new();
+        for &ok in valid {
+            v.push(ok);
+        }
+        Some(v)
+    }
+
+    fn oracle_schema() -> Schema {
+        Schema::new(vec![
+            Field::new("B", ColumnType::Bool),
+            Field::new("I", ColumnType::Int),
+            Field::new("L", ColumnType::Long),
+            Field::new("D", ColumnType::Double),
+            Field::new("Shared", ColumnType::Str),
+            Field::new("Fresh", ColumnType::Str),
+            Field::new("Foreign", ColumnType::Long),
+        ])
+    }
+
+    /// A batch of `rows` rows whose string cells take `distinct` texts
+    /// (`""` among them): `Shared` clones one `Arc` per text, `Fresh`
+    /// allocates one per cell. `Foreign` is all null over Bool storage.
+    /// Null slots hold non-placeholder storage.
+    fn oracle_batch(rng: &mut proptest::TestRng, rows: usize, distinct: usize) -> ColumnBatch {
+        let pool: Vec<Arc<str>> = (0..distinct)
+            .map(|k| match k {
+                0 => Arc::from(""),
+                k => Arc::from(format!("user-{k}").as_str()),
+            })
+            .collect();
+        let null_rate = rng.below(4);
+        let mut nulls = |keep_dense: bool| -> Option<Validity> {
+            let valid: Vec<bool> = (0..rows).map(|_| rng.below(4) >= null_rate).collect();
+            bitmap(&valid, keep_dense)
+        };
+        let (vb, vi, vl, vd, vs, vf) = (
+            nulls(false),
+            nulls(true),
+            nulls(false),
+            nulls(false),
+            nulls(true),
+            nulls(false),
+        );
+        let picks: Vec<usize> = (0..rows)
+            .map(|_| rng.below(distinct as u64) as usize)
+            .collect();
+        let longs: Vec<i64> = (0..rows)
+            .map(|_| match rng.below(3) {
+                0 => rng.below(200) as i64 - 100,
+                1 => rng.next_u64() as i64,
+                _ => (rng.next_u64() >> rng.below(64)) as i64,
+            })
+            .collect();
+        let columns = vec![
+            Column::new(
+                ColumnData::Bool((0..rows).map(|_| rng.below(2) == 1).collect()),
+                vb,
+            ),
+            Column::new(
+                ColumnData::Int(longs.iter().map(|&l| (l >> 32) as i32).collect()),
+                vi,
+            ),
+            Column::new(ColumnData::Long(longs.clone()), vl),
+            Column::new(
+                ColumnData::Double(longs.iter().map(|&l| l as f64 / 3.0).collect()),
+                vd,
+            ),
+            Column::new(
+                ColumnData::Str(picks.iter().map(|&k| Arc::clone(&pool[k])).collect()),
+                vs,
+            ),
+            Column::new(
+                ColumnData::Str(picks.iter().map(|&k| Arc::from(&*pool[k])).collect()),
+                vf,
+            ),
+            Column::new(
+                ColumnData::Bool(vec![true; rows]),
+                Some(Validity::from_words(vec![], rows).unwrap_or_else(|| {
+                    // rows == 0: an empty bitmap.
+                    Validity::new()
+                })),
+            ),
+        ];
+        ColumnBatch::new(oracle_schema(), columns, rows)
+    }
+
+    /// A selection of `len` rows out of `rows`: repeats and any order, or
+    /// strictly increasing (what a shuffle partition seals).
+    fn selection(rng: &mut proptest::TestRng, rows: usize, len: usize) -> Vec<u32> {
+        if rows == 0 {
+            return Vec::new();
+        }
+        let mut idx: Vec<u32> = (0..len).map(|_| rng.below(rows as u64) as u32).collect();
+        if rng.below(2) == 0 {
+            idx.sort_unstable();
+            idx.dedup();
+        }
+        idx
+    }
+
+    fn assert_oracle_bytes(batch: &ColumnBatch, idx: &[u32]) {
+        let whole = encode_extent(batch).unwrap();
+        assert_eq!(whole, oracle_encode(batch).unwrap(), "whole batch");
+        let picked = encode_extent(RowSelection::new(batch, idx)).unwrap();
+        assert_eq!(
+            picked,
+            oracle_encode(&batch.gather(idx)).unwrap(),
+            "selection {idx:?}"
+        );
+        let back = decode_extent(&picked).unwrap();
+        assert_eq!(encode_extent(&back).unwrap(), picked, "re-encode");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The selection encoder writes the bytes the parent's encoder
+        /// wrote for the gathered batch, over random batches (equal texts
+        /// in shared and in distinct `Arc`s, `""` beside nulls, an
+        /// all-null column over foreign storage) and random selections.
+        #[test]
+        fn selection_bytes_equal_the_oracle_on_the_gathered_batch(
+            case in proptest::composed(|rng| {
+                let rows = match rng.below(4) {
+                    0 => 7 + rng.below(2) as usize,
+                    _ => rng.below(48) as usize,
+                };
+                let distinct = 1 + rng.below(12) as usize;
+                let batch = oracle_batch(rng, rows, distinct);
+                let len = match rng.below(4) {
+                    0 => 7 + rng.below(2) as usize,
+                    _ => rng.below(2 * rows as u64 + 1) as usize,
+                };
+                let idx = selection(rng, rows, len);
+                (batch, idx)
+            })
+        ) {
+            let (batch, idx) = case;
+            assert_oracle_bytes(&batch, &idx);
+        }
+    }
+
+    /// The dictionary threshold (`rows ≥ 8`, `distinct·4 ≤ rows·3`) on both
+    /// sides, as the batch's length and as the selection's, with shared
+    /// and with distinct `Arc`s.
+    #[test]
+    fn dictionary_threshold_matches_the_oracle_at_seven_and_eight_rows() {
+        let mut rng = proptest::TestRng::deterministic("threshold", 0);
+        for rows in [7usize, 8] {
+            for distinct in 1..=8 {
+                for _ in 0..8 {
+                    let batch = oracle_batch(&mut rng, rows, distinct);
+                    let all: Vec<u32> = (0..rows as u32).collect();
+                    assert_oracle_bytes(&batch, &all);
+                    let wide = oracle_batch(&mut rng, 24, distinct);
+                    let idx = selection(&mut rng, 24, rows);
+                    assert_oracle_bytes(&wide, &idx);
+                }
+            }
+        }
+        // Exactly on the line: 8 rows, 6 distinct → dictionary; 7 → raw.
+        let s = Schema::new(vec![Field::new("S", ColumnType::Str)]);
+        for (distinct, want) in [(6, Encoding::DictStr), (7, Encoding::RawStr)] {
+            let rows: Vec<Row> = (0..8).map(|i| row![format!("k{}", i % distinct)]).collect();
+            let batch = ColumnBatch::from_rows(&s, &rows).unwrap();
+            let bytes = encode_extent(&batch).unwrap();
+            assert_eq!(parse_footer(&bytes).unwrap().cols[0].enc, want);
+            assert_eq!(bytes, oracle_encode(&batch).unwrap());
+        }
+    }
+
+    /// Storage that contradicts the declared type is the oracle's error on
+    /// a selection with a real value there, and placeholders where every
+    /// picked slot is null.
+    #[test]
+    fn mismatched_storage_is_the_oracle_s_answer_on_every_selection() {
+        let s = Schema::new(vec![Field::new("L", ColumnType::Long)]);
+        let valid = [false, true, false, false];
+        let col = Column::new(
+            ColumnData::Str(vec![Arc::from("x"); 4]),
+            bitmap(&valid, false),
+        );
+        let batch = ColumnBatch::new(s, vec![col], 4);
+        for idx in [vec![], vec![0], vec![0, 2, 3], vec![1], vec![3, 1, 0]] {
+            assert_eq!(
+                encode_extent(RowSelection::new(&batch, &idx)),
+                oracle_encode(&batch.gather(&idx)),
+                "selection {idx:?}"
+            );
+        }
+        assert_eq!(encode_extent(&batch), oracle_encode(&batch));
+    }
+
+    // ---- The word-at-a-time varint against the bytewise oracle.
+
+    /// Read varints until the first error or the end, with both readers.
+    fn read_all(buf: &[u8], read: fn(&mut Reader<'_>) -> Result<u64>) -> Vec<(Result<u64>, usize)> {
+        let mut r = Reader::new(buf);
+        let mut out = Vec::new();
+        while r.remaining() > 0 {
+            let got = read(&mut r);
+            let stop = got.is_err();
+            out.push((got, r.pos));
+            if stop {
+                break;
+            }
+        }
+        out
+    }
+
+    /// `Reader::varint` reads what the oracle reads: the same values, the
+    /// same error, the same end.
+    fn assert_varints_agree(buf: &[u8]) {
+        let want = read_all(buf, oracle_varint);
+        assert_eq!(read_all(buf, |r| r.varint()), want, "bytes {buf:02x?}");
+    }
+
+    #[test]
+    fn varint_reads_accept_and_reject_what_the_bytewise_reader_did() {
+        let mut varints: Vec<Vec<u8>> = Vec::new();
+        for len in 1..=10u32 {
+            // The smallest and the largest value of every length.
+            for v in [
+                1u64 << (7 * (len - 1)),
+                u64::MAX >> (64 - (7 * len).min(64)),
+            ] {
+                let mut b = Vec::new();
+                put_varint(&mut b, v);
+                assert_eq!(b.len(), len as usize);
+                varints.push(b);
+            }
+        }
+        let cont = |n: usize, last: u8| {
+            let mut b = vec![0x80u8; n];
+            b.push(last);
+            b
+        };
+        // An overflowing 10th byte, an 11th byte, non-minimal encodings.
+        varints.extend([
+            cont(9, 0x02),
+            cont(9, 0x7f),
+            {
+                let mut b = vec![0xffu8; 9];
+                b.push(0x02);
+                b
+            },
+            cont(10, 0x00),
+            cont(1, 0x00),
+            cont(7, 0x00),
+            cont(8, 0x00),
+            cont(9, 0x00),
+            cont(9, 0x01),
+            vec![0xff, 0x80, 0x00],
+            vec![0x81, 0x80, 0x80, 0x00],
+        ]);
+        for last in &varints {
+            for lead in [0usize, 1, 3, 7, 8, 9, 12] {
+                let mut buf: Vec<u8> = (0..lead).map(|k| (k as u8) & 0x7f).collect();
+                let start = buf.len();
+                buf.extend_from_slice(last);
+                for tail in [0usize, 1, 7, 9] {
+                    let mut full = buf.clone();
+                    full.extend(std::iter::repeat_n(0x05u8, tail));
+                    // A section cut at every byte of its last varint.
+                    for cut in start..=start + last.len() {
+                        assert_varints_agree(&full[..cut]);
+                    }
+                    assert_varints_agree(&full);
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// Random bytes, two in five with a continuation bit, read alike.
+        #[test]
+        fn random_varint_streams_read_alike(
+            bytes in proptest::collection::vec(
+                proptest::composed(|rng| match rng.below(5) {
+                    0..=2 => rng.below(0x80) as u8,
+                    _ => 0x80 | rng.below(0x80) as u8,
+                }),
+                0..40,
+            )
+        ) {
+            assert_varints_agree(&bytes);
+        }
+    }
+
+    // ---- Forged row counts: rejected from the footer, before allocation.
+
+    /// `image` with its footer's row count replaced by `rows` and the
+    /// footer frame recomputed, as a hostile writer can.
+    fn forge_rows(image: &[u8], rows: u64) -> Vec<u8> {
+        let n = image.len();
+        let footer_len = u32::from_le_bytes(image[n - 12..n - 8].try_into().unwrap()) as usize;
+        let start = n - TAIL - footer_len;
+        let mut out = image.to_vec();
+        out[start..start + 8].copy_from_slice(&rows.to_le_bytes());
+        let hash = fx_hash(&out[start..n - TAIL]);
+        out[n - TAIL..n - TAIL + 8].copy_from_slice(&hash.to_le_bytes());
+        out
+    }
+
+    /// A forged count too large for the column's section is a named
+    /// `Corrupt` error from decode, verify and info alike, before anything
+    /// is allocated; a smaller one the section cannot hold fails to decode.
+    fn assert_forged_rows_rejected(ty: ColumnType, cells: Vec<Value>, want: Encoding) {
+        let s = Schema::new(vec![Field::new("C", ty)]);
+        let rows: Vec<Row> = cells.into_iter().map(|v| Row::new(vec![v])).collect();
+        let image = encode_extent(&ColumnBatch::from_rows(&s, &rows).unwrap()).unwrap();
+        assert_eq!(parse_footer(&image).unwrap().cols[0].enc, want);
+        let honest = rows.len() as u64;
+        for forged in [1 << 40, 1 << 61, 1 << 63, u64::MAX] {
+            let bad = forge_rows(&image, forged);
+            for got in [
+                decode_extent(&bad).map(|_| ()),
+                verify_extent(&bad),
+                extent_info(&bad).map(|_| ()),
+            ] {
+                match got {
+                    Err(RelationError::Corrupt(msg)) => {
+                        assert!(msg.contains("row count"), "{forged}: {msg}")
+                    }
+                    other => panic!("{forged} rows: {other:?}"),
+                }
+            }
+        }
+        let got = decode_extent(&forge_rows(&image, honest + 64));
+        assert!(matches!(got, Err(RelationError::Corrupt(_))), "{got:?}");
+        assert_eq!(decode_extent(&image).unwrap().to_rows(), rows);
+    }
+
+    #[test]
+    fn forged_row_count_is_rejected_for_bools() {
+        let cells = vec![Value::Bool(true), Value::Null];
+        assert_forged_rows_rejected(ColumnType::Bool, cells, Encoding::BitpackBool);
+    }
+
+    #[test]
+    fn forged_row_count_is_rejected_for_ints() {
+        assert_forged_rows_rejected(ColumnType::Int, vec![Value::Int(-3)], Encoding::VarintInt);
+    }
+
+    #[test]
+    fn forged_row_count_is_rejected_for_longs() {
+        let cells = vec![Value::Long(7)];
+        assert_forged_rows_rejected(ColumnType::Long, cells, Encoding::VarintLong);
+    }
+
+    #[test]
+    fn forged_row_count_is_rejected_for_doubles() {
+        assert_forged_rows_rejected(ColumnType::Double, vec![], Encoding::FixedDouble);
+    }
+
+    #[test]
+    fn forged_row_count_is_rejected_for_raw_strings() {
+        let cells = vec![Value::str("a"), Value::Null];
+        assert_forged_rows_rejected(ColumnType::Str, cells, Encoding::RawStr);
+    }
+
+    #[test]
+    fn forged_row_count_is_rejected_for_dictionary_strings() {
+        let cells = (0..9).map(|i| Value::str(["a", "b"][i % 2])).collect();
+        assert_forged_rows_rejected(ColumnType::Str, cells, Encoding::DictStr);
     }
 }
