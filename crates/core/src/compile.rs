@@ -409,7 +409,7 @@ mod tests {
     use mapreduce::{BackendKind, Cluster, ClusterConfig, Dataset, Dfs};
     use relation::schema::{ColumnType, Field};
     use relation::{row, Row};
-    use temporal::exec::{bindings, execute_reference};
+    use temporal::exec::{bindings, execute_single};
     use temporal::expr::{col, lit};
     use temporal::plan::{LifetimeOp, Operator, PlanNode};
 
@@ -580,16 +580,14 @@ mod tests {
     /// spread partitioning would hand each partition's groups only its own
     /// slice of it: a compile error that names the source, on either front
     /// end. Under ⊤ the job runs — with nothing pushed map-side, since the
-    /// sub-plan needs the log raw — and equals the single-node reference.
+    /// sub-plan needs the log raw — and equals the single-node DSMS.
     #[test]
     fn a_subplan_source_compiles_only_on_a_single_partition() {
         let plan = subplan_join("logs");
         let log = EventEncoding::Point
             .decode_stream(log_rows(), &log_payload())
             .unwrap();
-        let reference = execute_reference(&plan, &bindings(vec![("logs", log)]))
-            .unwrap()
-            .pop()
+        let reference = execute_single(&plan, &bindings(vec![("logs", log)]))
             .unwrap()
             .normalize();
         assert!(!reference.is_empty());
@@ -637,7 +635,7 @@ mod tests {
             .group_apply(&["KwAdId"], |g| g.window(100).count("N"));
         let plan = q.build(vec![out]).unwrap();
         let log = EventEncoding::Point.decode_stream(&rows, &stored).unwrap();
-        let single_node = execute_reference(&plan, &bindings(vec![("logs", log)]));
+        let single_node = execute_single(&plan, &bindings(vec![("logs", log)]));
         let single_node = single_node.unwrap_err().to_string();
         assert!(single_node.starts_with("input error: source `logs` bound with"));
         let stored = EventEncoding::Point.dataset_schema(&stored);

@@ -232,7 +232,7 @@ mod tests {
     use mapreduce::Dataset;
     use relation::schema::{ColumnType, Field};
     use relation::{row, Row, Schema};
-    use temporal::exec::{bindings, execute_reference};
+    use temporal::exec::{bindings, execute_single};
     use temporal::expr::{col, lit};
     use temporal::plan::{fuse_plan, Operator, Query};
 
@@ -298,12 +298,9 @@ mod tests {
             let stream = EventEncoding::Point
                 .decode_stream(&rows, &bt_payload())
                 .unwrap();
-            let reference =
-                execute_reference(&advertiser_query(i), &bindings(vec![("logs", stream)]))
-                    .unwrap()
-                    .pop()
-                    .unwrap()
-                    .normalize();
+            let reference = execute_single(&advertiser_query(i), &bindings(vec![("logs", stream)]))
+                .unwrap()
+                .normalize();
             let got = crate::bridge::read_output(&dfs, &out.datasets[i]).unwrap();
             assert!(got.same_relation(&reference), "query {i} mismatch");
         }

@@ -40,10 +40,9 @@ pub struct TemporalPartitionJob {
     /// The temporal query: single output, single source, and *no* payload
     /// partitioning (it will be partitioned purely by time).
     pub plan: LogicalPlan,
-    /// Span width `s`.
+    /// Span width `s`. The source dataset is Point-framed: span
+    /// replication reads only its `Time` column.
     pub span_width: Duration,
-    /// Lifetime encoding of the source dataset.
-    pub source_encoding: EventEncoding,
 }
 
 /// Outcome of a temporally-partitioned run.
@@ -67,7 +66,6 @@ impl TemporalPartitionJob {
             name: name.into(),
             plan,
             span_width,
-            source_encoding: EventEncoding::Point,
         }
     }
 
@@ -141,7 +139,7 @@ impl TemporalPartitionJob {
             plan: temporal::plan::fuse_plan(&self.plan)?.into_owned(),
             source: InputBinding {
                 source_name,
-                encoding: self.source_encoding,
+                encoding: EventEncoding::Point,
                 payload: payload_schema,
             },
             t0,
@@ -341,6 +339,26 @@ mod tests {
         .unwrap();
         let job = TemporalPartitionJob::new("tp", sliding_count_plan(), 100);
         assert!(job.run(&dfs, &Cluster::new()).is_err());
+    }
+
+    /// Replication reads only `Time`, so an Interval event would reach only
+    /// the spans around its LE: an Interval-framed source is refused with
+    /// the error that names the source and both schemas.
+    #[test]
+    fn an_interval_framed_source_is_a_named_error() {
+        let dfs = Dfs::new();
+        let rows = vec![row![0i64, 1000i64, "a"], row![500i64, 501i64, "b"]];
+        let stored = EventEncoding::Interval.dataset_schema(&payload());
+        dfs.put("logs", Dataset::single(stored.clone(), rows))
+            .unwrap();
+        let job = TemporalPartitionJob::new("tp", sliding_count_plan(), 100);
+        let err = job.run(&dfs, &Cluster::new()).unwrap_err().to_string();
+        let expected = EventEncoding::Point.dataset_schema(&payload());
+        let want = format!(
+            "input error: source `logs` bound with schema {stored}, plan expects {expected}"
+        );
+        assert!(err.ends_with(&want), "{err}");
+        assert!(!dfs.contains("tp__out"), "nothing is published");
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! evaluates against `&Row` alone.
 //!
 //! Compilation is deliberately **infallible** and performs *no* static type
-//! checking beyond index resolution. The interpreted evaluator's observable
+//! checking beyond index resolution. [`Expr::eval`]'s observable
 //! behaviour includes lazily-surfaced errors (an unknown column only errors
 //! if evaluation actually reaches it — `AND`/`OR` short-circuiting can skip
 //! it entirely), so an eager `compile → Result` would reject expressions the
@@ -16,7 +16,7 @@
 //! deferred-error node that reproduces the interpreter's error at the same
 //! evaluation point. Literal-only subtrees are constant-folded, but only
 //! when their evaluation succeeds; failing subtrees are left intact so the
-//! error still surfaces at eval time, exactly as interpreted.
+//! error still surfaces at eval time, exactly as under [`Expr::eval`].
 //!
 //! Equivalence `CompiledExpr::eval(row) ≡ Expr::eval(schema, row)` — values
 //! *and* error cases — is asserted by property tests over randomized

@@ -22,7 +22,8 @@
 //! writes a keyed batch. What still needs rows — GroupApply's segmented walk for every other sub-plan, the
 //! UDOs, SpreadGrid — transposes at its own input and says so in
 //! [`ExecStats::transposed_events`].
-//! [`execute_reference`] is the independent oracle tests compare against.
+//! The tests hold the engine to a naive snapshot evaluator that shares no
+//! code with it (`tests/common/oracle.rs`).
 //!
 //! Execution is consumer-count aware: every operator receives its inputs
 //! **by value**. A single-consumer intermediate is moved straight into its
@@ -42,8 +43,9 @@
 //! (`operators::pane`), or per-event steps ending in one Aggregate over a
 //! batch, which the fused kernel and the endpoint sweep run on the columns
 //! through one run-order permutation. The plan alone decides; a columnar
-//! attempt that meets an error walks the runs instead, so errors are the
-//! reference's.
+//! attempt that meets an error walks the runs instead, so an error is the
+//! one a group-at-a-time evaluation meets first: the lowest failing group
+//! in key order, its first failing operator.
 //!
 //! An execution runs on its caller's thread. The engine is the unmodified
 //! single-node DSMS of paper §III-C: a map-reduce job gets its parallelism
@@ -52,7 +54,7 @@
 use crate::batch::EventBatch;
 use crate::error::{Result, TemporalError};
 use crate::operators::{self, Cut, Runs};
-use crate::plan::{FusedStep, LogicalPlan, NodeId, Operator};
+use crate::plan::{LogicalPlan, NodeId, Operator};
 use crate::stream::EventStream;
 use relation::Schema;
 use rustc_hash::FxHashMap;
@@ -243,81 +245,6 @@ pub fn execute_data(
         .map(|&root| exec.eval(&plan, root))
         .collect::<Result<Vec<_>>>()?;
     Ok((outputs, exec.stats))
-}
-
-/// Execute `plan` on the reference operators ([`operators::interpreted`]):
-/// per-row name resolution, clone-based streams, no fusion, no batches.
-/// This is the single-node oracle the property tests, benches and
-/// experiments compare the engine (and, through the cluster, whole TiMR
-/// jobs) against; output is byte-identical to [`execute`]. No job or
-/// cluster configuration reaches it.
-pub fn execute_reference(plan: &LogicalPlan, sources: &Bindings) -> Result<Vec<EventStream>> {
-    let mut memo = FxHashMap::default();
-    plan.roots()
-        .iter()
-        .map(|&root| reference_eval(plan, root, sources, None, &mut memo))
-        .collect()
-}
-
-fn reference_eval(
-    plan: &LogicalPlan,
-    id: NodeId,
-    sources: &Bindings,
-    group: Option<&EventStream>,
-    memo: &mut FxHashMap<NodeId, EventStream>,
-) -> Result<EventStream> {
-    use operators::interpreted as reference;
-    if let Some(done) = memo.get(&id) {
-        return Ok(done.clone());
-    }
-    let node = plan.node(id);
-    let inputs = node
-        .inputs
-        .iter()
-        .map(|&input| reference_eval(plan, input, sources, group, memo))
-        .collect::<Result<Vec<_>>>()?;
-    let out = match &node.op {
-        Operator::Source { name, schema } => {
-            let stream = sources
-                .get(name)
-                .ok_or_else(|| TemporalError::Input(format!("no binding for source `{name}`")))?;
-            check_source_schema(name, stream.schema(), schema)?;
-            stream.clone()
-        }
-        Operator::GroupInput { .. } => group.ok_or_else(outside_group_apply)?.clone(),
-        Operator::Filter { predicate } => reference::filter(&inputs[0], predicate)?,
-        Operator::Project { exprs } => reference::project(&inputs[0], exprs)?,
-        Operator::AlterLifetime { op } => reference::alter_lifetime(&inputs[0], op)?,
-        Operator::FusedFragment { steps } => {
-            let mut stream = inputs[0].clone();
-            for step in steps {
-                stream = match step {
-                    FusedStep::Filter { predicate } => reference::filter(&stream, predicate)?,
-                    FusedStep::Project { exprs } => reference::project(&stream, exprs)?,
-                    FusedStep::AlterLifetime { op } => reference::alter_lifetime(&stream, op)?,
-                };
-            }
-            stream
-        }
-        Operator::Aggregate { aggs } => reference::aggregate(&inputs[0], aggs)?,
-        Operator::GroupApply { keys, subplan } => {
-            let mut run = |sub: &LogicalPlan, group: EventStream| {
-                let mut memo = FxHashMap::default();
-                reference_eval(sub, sub.roots()[0], sources, Some(&group), &mut memo)
-            };
-            reference::group_apply(&inputs[0], keys, subplan, &mut run)?
-        }
-        Operator::Union => reference::union(&inputs.iter().collect::<Vec<_>>())?,
-        Operator::TemporalJoin { keys, residual } => {
-            reference::temporal_join(&inputs[0], &inputs[1], keys, residual.as_ref())?
-        }
-        Operator::AntiSemiJoin { keys } => reference::anti_semi_join(&inputs[0], &inputs[1], keys)?,
-        Operator::HopUdo { hop, width, udo } => reference::hop_udo(&inputs[0], *hop, *width, udo)?,
-        // Expansion has one implementation (see `operators::spread_grid`).
-        Operator::SpreadGrid { grid } => operators::spread_grid(inputs[0].clone(), *grid)?,
-    };
-    memo.insert(id, out.clone());
-    Ok(out)
 }
 
 fn check_source_schema(name: &str, bound: &Schema, expected: &Schema) -> Result<()> {
@@ -533,10 +460,11 @@ fn apply_unsegmented(
 }
 
 /// Evaluate a (fused) GroupApply `subplan` **once** over all of `input`'s
-/// runs and return the root, run for run. Nodes are visited in the
-/// reference's evaluation order; a multi-consumer value is cloned (an Arc
-/// bump plus the bounds) for all but its last consumer, which takes it by
-/// move, so in-place kernels see unique storage exactly as at the top level.
+/// runs and return the root, run for run. Nodes are visited in a
+/// group-at-a-time evaluation's order; a multi-consumer value is cloned (an
+/// Arc bump plus the bounds) for all but its last consumer, which takes it
+/// by move, so in-place kernels see unique storage exactly as at the top
+/// level.
 ///
 /// Fragments, aggregates and unions run their run-aware kernels over the
 /// whole stream. Everything else ([`Operator::segmented`] is false) goes
@@ -833,25 +761,23 @@ mod tests {
     }
 
     /// Run `plan` on the engine with the input bound as rows and as a
-    /// pre-decoded batch, and on the reference operators; all three must be
-    /// byte-identical event vectors, not merely the same relation — the
-    /// repeatability requirement for restarted reducers.
-    fn assert_layouts_and_reference_agree(plan: &LogicalPlan) {
+    /// pre-decoded batch; both must be byte-identical event vectors, not
+    /// merely the same relation — the repeatability requirement for
+    /// restarted reducers.
+    fn assert_layouts_agree(plan: &LogicalPlan) {
         let srcs = bindings(vec![("input", sample_events())]);
         let rows = execute_single(plan, &srcs).unwrap();
         let batch = EventBatch::from_stream(&sample_events()).unwrap();
         let mut batch_srcs = DataBindings::default();
         batch_srcs.insert("input".to_string(), StreamData::Batch(batch));
         let (on_batch, stats) = execute_data(plan, batch_srcs).unwrap();
-        let reference = single(execute_reference(plan, &srcs).unwrap()).unwrap();
-        assert_eq!(rows, reference);
         let on_batch = on_batch.into_iter().map(StreamData::into_stream).collect();
-        assert_eq!(single(on_batch).unwrap(), reference);
+        assert_eq!(single(on_batch).unwrap(), rows);
         assert_eq!(stats.row_fallbacks, 0);
     }
 
     #[test]
-    fn engine_and_reference_agree_exactly() {
+    fn engine_layouts_agree_exactly() {
         let q = Query::new();
         let input = q.source("input", bt_schema());
         let clicks = input.clone().filter(col("StreamId").eq(lit(1)));
@@ -859,7 +785,7 @@ mod tests {
         let out = clicks
             .union(searches)
             .group_apply(&["UserId", "KwAdId"], |g| g.window(100).count("N"));
-        assert_layouts_and_reference_agree(&q.build(vec![out]).unwrap());
+        assert_layouts_agree(&q.build(vec![out]).unwrap());
     }
 
     #[test]
@@ -875,7 +801,7 @@ mod tests {
                 ("T2".to_string(), col("Time").add(lit(1i64))),
             ])
             .group_apply(&["KwAdId"], |g| g.window(100).count("N"));
-        assert_layouts_and_reference_agree(&q.build(vec![out]).unwrap());
+        assert_layouts_agree(&q.build(vec![out]).unwrap());
     }
 
     #[test]
@@ -897,9 +823,8 @@ mod tests {
         let (out, stats) = execute_data(&plan, srcs).unwrap();
         assert_eq!(stats.row_fallbacks, 1);
         let out: Vec<EventStream> = out.into_iter().map(StreamData::into_stream).collect();
-        let reference =
-            execute_reference(&plan, &bindings(vec![("input", sample_events())])).unwrap();
-        assert_eq!(out, reference);
+        let on_rows = execute(&plan, &bindings(vec![("input", sample_events())])).unwrap();
+        assert_eq!(out, on_rows);
     }
 
     fn executor(plan: &LogicalPlan, sources: DataBindings) -> Executor {
@@ -929,8 +854,8 @@ mod tests {
         // A diamond over one binding — `Source → {Filter → Shift, Filter} →
         // Union` — in both layouts, with the binding read through one
         // `Source` node (two consumers: the counting cache) and through two
-        // (two references: the bindings map). Either way: the reference's
-        // events, cache and bindings left empty (every value moved out by
+        // (two references: the bindings map). Either way: the row-bound
+        // run's events, cache and bindings left empty (every value moved out by
         // its last consumer), no transposition, and the storage the caller
         // still holds untouched although both branches mutate "their" input.
         for two_source_nodes in [false, true] {
@@ -946,7 +871,7 @@ mod tests {
             let sources = plan.nodes().iter().filter(|n| n.op.name() == "Source");
             assert_eq!(sources.count(), 1 + two_source_nodes as usize);
             let srcs = bindings(vec![("input", sample_events())]);
-            let reference = single(execute_reference(&plan, &srcs).unwrap()).unwrap();
+            let reference = execute_single(&plan, &srcs).unwrap();
             assert_eq!(reference.len(), 3 + 3);
             let plan = crate::plan::fuse_plan(&plan).unwrap();
             for as_batch in [false, true] {
@@ -1075,8 +1000,7 @@ mod tests {
             vec![1, 3],
         )
         .unwrap();
-        let reference =
-            execute_reference(&plan, &bindings(vec![("input", sample_events())])).unwrap();
+        let reference = execute(&plan, &bindings(vec![("input", sample_events())])).unwrap();
         assert_eq!((reference[0].len(), reference[1].len()), (4, 3));
         for as_batch in [false, true] {
             let (srcs, kept) = shared_binding(as_batch);

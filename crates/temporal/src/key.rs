@@ -1,14 +1,13 @@
 //! Zero-allocation grouping/join keys: hash-then-compare.
 //!
-//! The interpreted operators materialized a `Vec<Value>` key per *event* to
-//! use as a `HashMap` key — one heap allocation plus value clones for every
-//! event on both sides of a join. A [`KeySelector`] instead resolves the key
-//! columns to indices once, hashes the key cells **in place**
-//! ([`relation::hash::key_hash`], deterministic FxHash), and buckets by the
-//! 64-bit hash. Distinct keys that collide on the hash are separated by an
+//! A `Vec<Value>` key per *event*, used as a `HashMap` key, costs one heap
+//! allocation plus value clones for every event on both sides of a join. A
+//! [`KeySelector`] instead resolves the key columns to indices once, hashes
+//! the key cells **in place** ([`relation::hash::key_hash`], deterministic
+//! FxHash), and buckets by the 64-bit hash. Distinct keys that collide on the hash are separated by an
 //! index-wise [`Value`] equality check against a representative row — the
-//! same strict `PartialEq` the old `Vec<Value>` map keys used — so operator
-//! results are bit-for-bit identical to the interpreted path. A key is only
+//! same strict `PartialEq` a `Vec<Value>` map key compares with — so two
+//! events share a key exactly when their key cells are equal. A key is only
 //! materialized with [`KeySelector::extract`] when one is needed per *group*
 //! (e.g. GroupApply's deterministic sorted-key group order), never per event.
 

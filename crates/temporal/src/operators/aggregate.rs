@@ -25,11 +25,10 @@
 //! rows: arguments come off the columns and lifetimes off the lifetime
 //! vectors, in run order. The sweep hands each output segment to its
 //! caller, which collects rows ([`RowRuns`]) or, under GroupApply's
-//! columnar path, writes columns. The top-level
-//! operators (rows and columns) and the reference operator
-//! ([`crate::operators::interpreted::aggregate`]) are its one-run case, so
-//! they can only differ in how the per-event argument values are produced
-//! — and those are value-identical. Its per-instant step
+//! columnar path, writes columns. The top-level operators (rows and
+//! columns) are its one-run case, so they can only differ in how the
+//! per-event argument values are produced — and those are value-identical.
+//! Its per-instant step
 //! ([`Sweep::instant`]) is also the one the real-time session
 //! ([`crate::rt`]) takes per group at each punctuation.
 
@@ -281,7 +280,7 @@ impl Sweep {
 /// an accessor so row streams and column-major batches share it. Each
 /// output segment goes to `emit` as `(run, lifetime, value)`, in run order
 /// and, inside a run, in time order.
-pub(crate) fn sweep_runs(
+fn sweep_runs(
     bounds: &[usize],
     lifetime: impl Fn(usize) -> Lifetime,
     aggs: &[(String, AggExpr)],

@@ -7,9 +7,8 @@ use crate::stream::EventStream;
 use crate::time::{ceil_to_grid, Lifetime};
 
 /// The lifetime transformation for one event; `None` drops the event.
-/// Shared by the in-place operator below, the fused batch kernel and the
-/// reference operator, so all have identical window semantics by
-/// construction.
+/// Shared by the in-place operator below and the fused batch kernel, so
+/// both have identical window semantics by construction.
 pub(crate) fn transform(lt: Lifetime, op: &LifetimeOp) -> Option<Lifetime> {
     Some(match op {
         // Sliding window: the event influences output for `w` ticks after

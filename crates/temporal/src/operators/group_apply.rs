@@ -18,9 +18,10 @@
 //!   and the key columns gathered once per output event from its run's
 //!   representative event. No event becomes a row, on the way in or out.
 //!   Any error, or a projection with no dense column form, sends the input
-//!   to the segmented walk instead, which reports the reference's error; an
-//!   aggregate value with no column form (a `Double` in an integer `Sum`)
-//!   finishes that output on rows, counted in `ExecStats::row_fallbacks`.
+//!   to the segmented walk instead, which reports the first error in group
+//!   order; an aggregate value with no column form (a `Double` in an
+//!   integer `Sum`) finishes that output on rows, counted in
+//!   `ExecStats::row_fallbacks`.
 //!
 //! Grouping is hash-then-compare, on the columns of a batch and the cells
 //! of a row stream alike: each event gets a group ordinal from the 64-bit
@@ -294,7 +295,7 @@ enum Swept {
 /// aggregate, and the key columns gathered from each run's representative
 /// event. `None` when the columns cannot answer: a step or an argument
 /// failed, or a projection has no dense column form; the caller then walks
-/// the runs on rows, which reports a failure in the reference's order. An
+/// the runs on rows, which reports a failure in group-at-a-time order. An
 /// aggregate value that does not inhabit its declared type (a `Double` in
 /// an integer `Sum`) has no column either: then the output is swept again,
 /// into rows.

@@ -15,10 +15,9 @@
 //! binary operators — [`temporal_join`], [`anti_semi_join`], [`union`] —
 //! have one form each over [`crate::exec::StreamData`]: they read an input
 //! in whichever layout it arrives (`side`) and build their output once —
-//! the join always as columns, the other two in their inputs' layout. The
-//! naive clone-based forms in [`interpreted`] are the reference oracle
-//! behind [`crate::exec::execute_reference`]; no production path calls
-//! them, and both produce byte-identical outputs.
+//! the join always as columns, the other two in their inputs' layout. There
+//! is one form of each operator; the tests' reference is a snapshot
+//! evaluator outside the library (`tests/common/oracle.rs`).
 //!
 //! The row operators that GroupApply sub-plans are made of — the fused
 //! steps, `aggregate`, `union` — are written over *runs* (`group_apply`'s
@@ -35,7 +34,6 @@ mod filter;
 mod fused;
 mod group_apply;
 mod hop_udo;
-pub mod interpreted;
 mod pane;
 mod project;
 mod side;

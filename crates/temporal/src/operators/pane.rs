@@ -27,7 +27,7 @@
 //! key, cell) and emits one row per slot with its key prefix in place,
 //! coalescing a slot into its predecessor when the cells are adjacent and
 //! the values equal, exactly as the sweep's "don't close when equal" does.
-//! Output is byte-identical to the general path and to the reference.
+//! Output is byte-identical to the general path.
 //!
 //! The input is read in the layout it arrives in: a batch hashes, compares
 //! and extracts keys off its columns and reads bare-column arguments

@@ -16,9 +16,8 @@ use crate::time::{ceil_to_grid, Duration, Lifetime};
 /// Expand every event into point events at the multiples of `grid` covered
 /// by its lifetime. Input order is preserved; within one input event the
 /// points are emitted in ascending time order. There is intentionally a
-/// single implementation, shared with the reference executor (batch inputs
-/// convert to rows first): expansion allocates a fresh event vector either
-/// way.
+/// single implementation (batch inputs convert to rows first): expansion
+/// allocates a fresh event vector either way.
 pub fn spread_grid(input: EventStream, grid: Duration) -> Result<EventStream> {
     let mut out = Vec::with_capacity(input.len());
     for e in input.events() {

@@ -47,7 +47,7 @@
 //! Downstream, the reducer's canonical encode (sort before write) turns
 //! "same event multiset per partition" into byte-identical output, which
 //! is what `tests/prop_pushdown.rs` asserts (push-down on vs off, and both
-//! against the single-node reference) across chaos plans and spill budgets.
+//! against the oracle) across chaos plans and spill budgets.
 //!
 //! [`factor_windows`]: super::factor_windows
 //! [`AggExpr::combinable`]: crate::agg::AggExpr::combinable

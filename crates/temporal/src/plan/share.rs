@@ -848,8 +848,8 @@ mod tests {
         assert_eq!(subplan.consumers(hop).len(), 2);
         let srcs = bindings(vec![("in", events())]);
         assert_eq!(
-            crate::exec::execute_reference(&plan, &srcs).unwrap(),
-            crate::exec::execute_reference(&sunk, &srcs).unwrap()
+            crate::exec::execute(&plan, &srcs).unwrap(),
+            crate::exec::execute(&sunk, &srcs).unwrap()
         );
     }
 

@@ -2,6 +2,8 @@
 //! `prop_columnar`, `prop_fusion`): one schema, one row/expression/stream
 //! generator, one plan generator — and, for the suites that group or join
 //! (`prop_group_apply`, `prop_columnar`), one palette of hash-colliding keys.
+//! Every suite's reference is [`oracle`]; the whole-job suites share
+//! [`harness`].
 //!
 //! The row generator flips each column to Null independently (null-heavy
 //! batches) and stream lengths start at zero (empty batches); the
@@ -11,12 +13,16 @@
 
 #![allow(dead_code)] // each suite uses its own subset
 
+pub mod harness;
+pub mod oracle;
+
+use oracle::Tolerance;
 use proptest::prelude::*;
 use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{Row, Schema, Value};
 use timr_suite::temporal::agg::AggExpr;
 use timr_suite::temporal::exec::{
-    bindings, execute_data, execute_reference, execute_single, DataBindings, StreamData,
+    bindings, execute_data, execute_single, DataBindings, StreamData,
 };
 use timr_suite::temporal::plan::{LifetimeOp, LogicalPlan};
 use timr_suite::temporal::{
@@ -204,15 +210,19 @@ pub fn raw_proj(idx: usize) -> (String, Expr) {
     }
 }
 
+/// Plan shapes [`build_plan`] draws from.
+pub const PLAN_KINDS: usize = 9;
+
 /// Random single-source plans whose stateless prefixes fuse: filter and
 /// project chains, windows, hopping windows (fragment-internal drops),
 /// multicast fan-out (fragment boundaries), chains nested inside GroupApply
 /// sub-plans, and aggregates directly over a fragment — so every run
-/// crosses the batch/row boundary at least once.
+/// crosses the batch/row boundary at least once — plus a bare windowed
+/// count and a point-to-interval temporal join.
 pub fn build_plan(kind: usize, w: i64, thresh: i64, p1: usize, p2: usize) -> LogicalPlan {
     let q = Query::new();
     let src = q.source("in", schema());
-    let out = match kind % 7 {
+    let out = match kind % PLAN_KINDS {
         // filter → project → window: the canonical fused chain.
         0 => src
             .filter(pred_menu(p1, thresh))
@@ -261,9 +271,16 @@ pub fn build_plan(kind: usize, w: i64, thresh: i64, p1: usize, p2: usize) -> Log
             .aggregate(vec![("SL".to_string(), AggExpr::Sum(col("L")))]),
         // Lone window feeding a GroupApply whose sub-plan filters: a
         // singleton fragment, then batch key hashing.
-        _ => src
+        6 => src
             .window(w)
             .group_apply(&["S"], |g| g.filter(col("I").ge(lit(0i64))).count("N")),
+        // A sliding count with nothing in front of it.
+        7 => src.window(w).count("N"),
+        // Points joined to the key-equal windowed events they fall in.
+        _ => {
+            let points = src.clone().filter(pred_menu(p1, thresh));
+            points.temporal_join(src.window(w), &[("S", "S")], None)
+        }
     };
     q.build(vec![out]).unwrap()
 }
@@ -271,11 +288,12 @@ pub fn build_plan(kind: usize, w: i64, thresh: i64, p1: usize, p2: usize) -> Log
 /// One plan, three executions: the engine over the stream bound as rows,
 /// the engine over the same stream bound as a pre-decoded batch (when it
 /// has a columnar form — ill-typed payloads do not, and stay rows), and the
-/// reference operators.
+/// oracle.
 pub struct ThreeWay {
     pub on_rows: Result<EventStream, TemporalError>,
     pub on_batch: Result<EventStream, TemporalError>,
-    pub reference: Result<EventStream, TemporalError>,
+    pub oracle: Result<EventStream, TemporalError>,
+    pub tolerance: Tolerance,
 }
 
 pub fn run_three_ways(plan: &LogicalPlan, stream: EventStream) -> ThreeWay {
@@ -291,29 +309,26 @@ pub fn run_three_ways(plan: &LogicalPlan, stream: EventStream) -> ThreeWay {
         on_rows: execute_single(plan, &srcs),
         on_batch: execute_data(plan, batch_srcs)
             .map(|(roots, _)| only(roots.into_iter().map(StreamData::into_stream).collect())),
-        reference: execute_reference(plan, &srcs).map(only),
+        oracle: oracle::run_single(plan, &srcs),
+        tolerance: Tolerance::of(plan, plan.roots()[0]),
     }
 }
 
-/// Assert the three executions are byte-identical: identical event vectors
-/// (not merely the same relation) or identical error messages.
+/// Assert the two engine runs are byte-identical — identical event vectors
+/// (not merely the same relation) or identical error messages — and that
+/// they denote the oracle's relation, or fail with its error.
 pub fn assert_three_way(run: ThreeWay) -> Result<(), TestCaseError> {
-    match (run.on_rows, run.on_batch, run.reference) {
+    match (run.on_rows, run.on_batch, run.oracle) {
         (Ok(r), Ok(b), Ok(o)) => {
-            prop_assert_eq!(r.events(), o.events(), "rows vs reference");
-            prop_assert_eq!(b.events(), o.events(), "batch vs reference");
+            prop_assert_eq!(r.events(), b.events(), "rows vs batch");
+            let same = oracle::same_relation(&r, &o, &run.tolerance);
+            prop_assert!(same.is_ok(), "engine vs oracle: {}", same.unwrap_err());
         }
         (Err(r), Err(b), Err(o)) => {
-            prop_assert_eq!(r.to_string(), o.to_string(), "rows vs reference error");
-            prop_assert_eq!(b.to_string(), o.to_string(), "batch vs reference error");
+            prop_assert_eq!(r.to_string(), b.to_string(), "rows vs batch error");
+            prop_assert_eq!(r.to_string(), o.to_string(), "engine vs oracle error");
         }
-        (r, b, o) => prop_assert!(
-            false,
-            "diverged: rows {:?} batch {:?} reference {:?}",
-            r,
-            b,
-            o
-        ),
+        (r, b, o) => prop_assert!(false, "diverged: rows {:?} batch {:?} oracle {:?}", r, b, o),
     }
     Ok(())
 }
@@ -352,33 +367,4 @@ pub fn palette() -> Vec<(i64, i64)> {
         }
     }
     pairs
-}
-
-/// The paper's §III-C.1 yardstick for whole TiMR jobs: the normalized
-/// output of the single-node reference DSMS over the same events
-/// (`rows` are the Point-framed dataset rows of source `source`).
-pub fn reference_relation(
-    plan: &LogicalPlan,
-    source: &str,
-    payload: &Schema,
-    rows: &[Row],
-) -> EventStream {
-    let stream = timr_suite::timr::EventEncoding::Point
-        .decode_stream(rows, payload)
-        .expect("dataset rows decode");
-    execute_reference(plan, &bindings(vec![(source, stream)]))
-        .expect("reference DSMS runs the plan")
-        .pop()
-        .expect("single-output plan")
-        .normalize()
-}
-
-/// The rows of published extents, decoded in order.
-pub fn rows_of(extents: &[timr_suite::mapreduce::StoredExtent]) -> Vec<Row> {
-    (extents.iter())
-        .flat_map(|e| {
-            let batch = timr_suite::relation::ColumnBatch::from_extent_bytes(&e.bytes);
-            batch.expect("published extents decode").to_rows()
-        })
-        .collect()
 }

@@ -1,11 +1,16 @@
 //! Online/offline equivalence (paper §VII): the same plans, fed a live
 //! stream event-by-event, emit exactly what the batch executor computes —
 //! piece for piece, across plan shapes, punctuation cadences and arrival
-//! orders within the watermark. Each punctuation's output must equal the
-//! batch output over all the events, normalized and clipped to the window
-//! that punctuation finalizes. The session picks its own path per shape;
-//! the oracle is the same for both.
+//! orders within the watermark — and that is the relation the oracle
+//! computes. Each punctuation's output must equal the batch output over all
+//! the events, normalized and clipped to the window that punctuation
+//! finalizes, byte for byte, and the oracle's output clipped the same way.
+//! The session picks its own path per shape; the checks are the same for
+//! both.
 
+mod common;
+
+use common::oracle::{self, Tolerance};
 use proptest::prelude::*;
 use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{row, Schema};
@@ -190,8 +195,27 @@ fn arrivals(
         .collect()
 }
 
+/// `relation`'s events clipped to `[from, until)`, sorted.
+fn clipped(relation: &EventStream, from: Time, until: Time) -> Vec<Event> {
+    if from >= until {
+        return Vec::new();
+    }
+    let window = Lifetime::new(from, until);
+    let mut pieces: Vec<Event> = (relation.events().iter())
+        .filter_map(|e| {
+            Some(Event::new(
+                e.lifetime.intersect(&window)?,
+                e.payload.clone(),
+            ))
+        })
+        .collect();
+    pieces.sort();
+    pieces
+}
+
 /// Run `shape` online over `intervals`, asserting every punctuation's and
-/// the close's pieces against the batch run over all events in push order.
+/// the close's pieces against the batch run and the oracle over all events
+/// in push order.
 fn check_pieces(
     shape: &Shape,
     intervals: &[(Vec<(usize, Event)>, Time)],
@@ -210,26 +234,31 @@ fn check_pieces(
             (name, EventStream::new(payload(), events))
         })
         .collect();
-    let offline = execute_single(&shape.plan, &bindings(inputs))
+    let sources = bindings(inputs);
+    let offline = execute_single(&shape.plan, &sources).unwrap().normalize();
+    let want = oracle::run_single(&shape.plan, &sources)
         .unwrap()
         .normalize();
-    let clipped = |from: Time, until: Time| -> Vec<Event> {
-        if from >= until {
-            return Vec::new();
-        }
-        let window = Lifetime::new(from, until);
-        let mut pieces: Vec<Event> = offline
-            .events()
-            .iter()
-            .filter_map(|e| {
-                Some(Event::new(
-                    e.lifetime.intersect(&window)?,
-                    e.payload.clone(),
-                ))
-            })
-            .collect();
-        pieces.sort();
-        pieces
+    let tolerance = Tolerance::of(&shape.plan, shape.plan.roots()[0]).scaled_by(&want);
+    let check = |got: Vec<Event>, from: Time, until: Time, at: &str| {
+        prop_assert_eq!(
+            &got,
+            &clipped(&offline, from, until),
+            "`{}` {}",
+            shape.name,
+            at
+        );
+        let got = EventStream::new(want.schema().clone(), got);
+        let expected = EventStream::new(want.schema().clone(), clipped(&want, from, until));
+        let same = oracle::same_relation(&got, &expected, &tolerance);
+        prop_assert!(
+            same.is_ok(),
+            "`{}` {}: {}",
+            shape.name,
+            at,
+            same.unwrap_err()
+        );
+        Ok(())
     };
 
     let horizon = shape.plan.history_horizon();
@@ -242,22 +271,10 @@ fn check_pieces(
         watermark = watermark.max(*at);
         let until = watermark.saturating_sub(horizon).max(from);
         let got = session.punctuate(*at).unwrap();
-        prop_assert_eq!(
-            got,
-            clipped(from, until),
-            "`{}` at punctuation {}",
-            shape.name,
-            at
-        );
+        check(got, from, until, &format!("at punctuation {at}"))?;
         from = until;
     }
-    prop_assert_eq!(
-        session.close().unwrap(),
-        clipped(from, Time::MAX),
-        "`{}` at close",
-        shape.name
-    );
-    Ok(())
+    check(session.close().unwrap(), from, Time::MAX, "at close")
 }
 
 proptest! {

@@ -1,8 +1,9 @@
 //! Worker-kind equivalence tests: forked worker OS processes — exchanging
 //! binary extent images over Unix-domain sockets — must produce datasets
 //! byte-identical to pool threads running the same tasks in place (itself
-//! equal to the single-node reference DSMS on the same events, paper
-//! §III-C.1), at any worker count, and under real process-kill chaos
+//! equal to the oracle on the same events, paper §III-C.1; the property is
+//! `tests/common/harness.rs`'s, with worker processes pinned), at any
+//! worker count, and under real process-kill chaos
 //! (SIGKILL mid-task in every phase), socket-level corruption, injected
 //! stragglers with speculative re-execution, attempt timeouts and a missed
 //! heartbeat. Both kinds pull from one attempt ledger, so the
@@ -14,7 +15,7 @@
 
 mod common;
 
-use common::{reference_relation, rows_of};
+use common::harness::{arb_case, check, Dim};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -120,18 +121,6 @@ fn process_config(workers: usize, chaos: ChaosPlan, retry: RetryPolicy) -> Clust
     }
 }
 
-/// The tallies that are functions of the chaos plan and the stage shape
-/// alone — not of wall-clock races.
-fn deterministic(t: &FaultTotals) -> [u64; 5] {
-    [
-        t.task_retries,
-        t.panics_contained,
-        t.transient_faults,
-        t.corruption_detected,
-        t.delays_injected,
-    ]
-}
-
 /// Pool threads, then two forked workers.
 const WORKER_KINDS: [BackendKind; 2] =
     [BackendKind::Threads, BackendKind::Processes { workers: 2 }];
@@ -139,61 +128,17 @@ const WORKER_KINDS: [BackendKind; 2] =
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
-    /// The thread pool's output is the relation the single-node reference
-    /// DSMS computes from the same events, and forked workers are
-    /// byte-identical to the thread pool at 1, 2, and 4 workers, clean and
-    /// under a seeded chaos schedule that includes real process kills —
-    /// under which the deterministic fault tallies are equal too: one
-    /// ledger settles every attempt, whoever ran it.
+    /// Forked workers (one to three of them, with fewer, as many or more
+    /// map tasks) are byte-identical to the thread-pool baseline, clean and
+    /// under seeded chaos schedules that include real process kills —
+    /// under which the deterministic fault tallies equal the thread pool's
+    /// too: one ledger settles every attempt, whoever ran it. The baseline
+    /// is the relation the oracle computes from the same events.
     #[test]
     fn process_backend_matches_threads_and_the_reference(
-        n in 40i64..120,
-        seed in 0u64..1_000_000,
+        case in arb_case(&[Dim::Processes], 4),
     ) {
-        let rows = deterministic_rows(n);
-        let chaos = ChaosPlan::seeded(seed)
-            .with_panics(0.06)
-            .with_transients(0.10)
-            .with_corruption(0.08)
-            .with_delays(0.06, Duration::from_millis(1))
-            .with_process_kills(0.10)
-            .with_fault_cap(2);
-        let retry = RetryPolicy::no_backoff(4);
-        let on_threads = |chaos: ChaosPlan| ClusterConfig {
-            threads: 4,
-            chaos,
-            retry,
-            ..ClusterConfig::default()
-        };
-        let (threads, totals) = run_job(&rows, on_threads(ChaosPlan::none()));
-        prop_assert_eq!(totals.task_retries, 0);
-        let plan = click_count_job().plan;
-        let scaled_out = EventEncoding::Interval
-            .decode_stream(rows_of(&threads), plan.schema_of(plan.roots()[0]))
-            .unwrap()
-            .normalize();
-        prop_assert!(
-            scaled_out.same_relation(&reference_relation(&plan, "logs", &payload(), &rows)),
-            "thread-pool output differs from the single-node reference"
-        );
-        let (chaotic_threads, expected) = run_job(&rows, on_threads(chaos.clone()));
-        prop_assert_eq!(&chaotic_threads, &threads, "chaos visible on threads (seed {})", seed);
-        for workers in [1usize, 2, 4] {
-            let (clean, _) = run_job(&rows, process_config(workers, ChaosPlan::none(), retry));
-            prop_assert_eq!(
-                &clean, &threads,
-                "clean process run diverged (workers {})", workers
-            );
-            let (chaotic, totals) = run_job(&rows, process_config(workers, chaos.clone(), retry));
-            prop_assert_eq!(
-                &chaotic, &threads,
-                "chaos visible in output (workers {}, seed {})", workers, seed
-            );
-            prop_assert_eq!(
-                deterministic(&totals), deterministic(&expected),
-                "fault tallies differ from threads (workers {}, seed {})", workers, seed
-            );
-        }
+        check(&case)?;
     }
 }
 

@@ -17,24 +17,23 @@
 //! The binary operators — TemporalJoin, AntiSemiJoin, Union — have no
 //! second form to compare against: each reads its inputs in whichever
 //! layout they arrive and builds its output once. They are held to "three
-//! layouts, one answer": every mix of row and batch inputs, and the
-//! reference operators, give the same event vector, order included, or the
-//! same error value.
+//! layouts, one answer": every mix of row and batch inputs gives the same
+//! event vector, order included, or the same error value — and that answer
+//! is the oracle's relation, or fails where the oracle fails.
 
 mod common;
 
+use common::oracle::{self, Tolerance};
 use common::{
     arb_events, arb_expr, arb_lifetime_op, batch_of, make_ill_typed, palette, pred_menu, raw_proj,
-    stream_of,
+    schema, stream_of,
 };
 use proptest::prelude::*;
 use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{Row, Schema, Value};
-use timr_suite::temporal::exec::{
-    bindings, execute_data, execute_reference, DataBindings, ExecStats, StreamData,
-};
+use timr_suite::temporal::exec::{bindings, execute_data, DataBindings, ExecStats, StreamData};
 use timr_suite::temporal::operators::{
-    anti_semi_join, fused_fragment_batch, fused_fragment_rows, interpreted, temporal_join, union,
+    anti_semi_join, fused_fragment_batch, fused_fragment_rows, temporal_join, union,
 };
 use timr_suite::temporal::plan::FusedStep;
 use timr_suite::temporal::{col, lit, Event, EventBatch, EventStream, Expr, Query, TemporalError};
@@ -113,7 +112,7 @@ proptest! {
 
     /// The predicate kernels, dense and selected: identical keep-sets
     /// (Null → false), identical first errors (non-boolean predicates
-    /// included), and agreement with the reference filter.
+    /// included), and agreement with `Expr::eval_predicate` row by row.
     #[test]
     fn predicate_kernels_match_rows(
         events in arb_events(40),
@@ -127,8 +126,8 @@ proptest! {
         assert_kernels_match_rows(&events, &selected)?;
         // The dense case against the independent oracle too.
         let on_batch = fused_fragment_batch(batch_of(&events), &dense).map(StreamData::into_stream);
-        match (on_batch, interpreted::filter(&stream_of(&events), &e)) {
-            (Ok(b), Ok(o)) => prop_assert_eq!(b, o),
+        match (on_batch, oracle::filter(&schema(), stream_of(&events).events(), &e)) {
+            (Ok(b), Ok(o)) => prop_assert_eq!(b.events(), &o[..]),
             (Err(_), Err(_)) => {}
             (b, o) => prop_assert!(false, "diverged: batch {:?} reference {:?}", b, o),
         }
@@ -172,7 +171,7 @@ proptest! {
 
     /// Ill-typed payloads (an `Int` in the `Long` column) have no columnar
     /// form, so such a stream runs the fragment on the row operators — the
-    /// fallback that owns the errors — and must match the reference
+    /// fallback that owns the errors — and must match the oracle's
     /// operators applied step by step: same events, same error outcome.
     #[test]
     fn ill_typed_payloads_stay_on_rows_and_match_the_reference(
@@ -192,11 +191,11 @@ proptest! {
             FusedStep::AlterLifetime { op: op.clone() },
             FusedStep::Project { exprs: exprs.clone() },
         ];
-        let reference = interpreted::filter(&stream, &e)
-            .and_then(|s| interpreted::alter_lifetime(&s, &op))
-            .and_then(|s| interpreted::project(&s, &exprs));
+        let reference = oracle::filter(&schema(), stream.events(), &e)
+            .map(|kept| oracle::alter_lifetime(&kept, &op))
+            .and_then(|moved| oracle::project(&schema(), &moved, &exprs));
         match (fused_fragment_rows(stream, &steps), reference) {
-            (Ok(r), Ok(o)) => prop_assert_eq!(r, o),
+            (Ok(r), Ok(o)) => prop_assert_eq!(r.events(), &o[..]),
             (Err(_), Err(_)) => {}
             (r, o) => prop_assert!(false, "diverged: rows {:?} reference {:?}", r, o),
         }
@@ -299,11 +298,29 @@ fn events_of(out: Result<StreamData, TemporalError>) -> Events {
     out.map(|data| data.into_stream().into_events())
 }
 
+/// The engine's answer in one layout (`first`, over `schema`) against the
+/// oracle's: the same relation, or the same error.
+fn assert_oracle(first: &Events, want: Events, schema: &Schema) -> Result<(), TestCaseError> {
+    match (first, want) {
+        (Ok(got), Ok(want)) => {
+            let (got, want) = (
+                EventStream::new(schema.clone(), got.clone()),
+                EventStream::new(schema.clone(), want),
+            );
+            let same = oracle::same_relation(&got, &want, &Tolerance::exact());
+            prop_assert!(same.is_ok(), "{}", same.unwrap_err());
+        }
+        (Err(got), Err(want)) => prop_assert_eq!(got, &want),
+        (got, want) => prop_assert!(false, "engine {:?} vs oracle {:?}", got, want),
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// TemporalJoin over {both rows, both batch, left batch, right batch}
-    /// and the reference: one event vector or one error. A well-typed
+    /// TemporalJoin over {both rows, both batch, left batch, right batch}:
+    /// one event vector or one error, and the oracle's. A well-typed
     /// answer is a batch whatever the inputs were; an ill-typed row side
     /// (which has no batch form) finishes on rows, with the same events.
     #[test]
@@ -317,8 +334,11 @@ proptest! {
     ) {
         let (left, right) = (key_stream(&left, ill == 1), key_stream(&right, ill == 2));
         let (keys, residual) = (key_pairs(n_keys), residual(kind, k));
-        let want: Events = interpreted::temporal_join(&left, &right, &keys, residual.as_ref())
-            .map(EventStream::into_events);
+        let joined = left.schema().join(right.schema());
+        let sides = [left.events(), right.events()];
+        let schemas = [left.schema(), right.schema()];
+        let want = oracle::temporal_join(schemas, sides, &keys, residual.as_ref(), &joined);
+        let mut first: Option<Events> = None;
         for l in &layouts(&left) {
             for r in &layouts(&right) {
                 let out = temporal_join(l, r, &keys, residual.as_ref());
@@ -326,9 +346,11 @@ proptest! {
                     let typed = EventBatch::from_stream(&out.clone().into_stream()).is_some();
                     prop_assert_eq!(matches!(out, StreamData::Batch(_)), typed);
                 }
-                prop_assert_eq!(&events_of(out), &want);
+                let out = events_of(out);
+                prop_assert_eq!(first.get_or_insert_with(|| out.clone()), &out);
             }
         }
+        assert_oracle(&first.unwrap(), want, &joined)?;
     }
 
     /// AntiSemiJoin likewise; the answer keeps the left input's layout.
@@ -341,16 +363,19 @@ proptest! {
     ) {
         let (left, right) = (key_stream(&left, ill == 1), key_stream(&right, ill == 2));
         let keys = key_pairs(n_keys);
-        let want: Events = interpreted::anti_semi_join(&left, &right, &keys)
-            .map(EventStream::into_events);
+        let sides = [left.events(), right.events()];
+        let want = oracle::anti_semi_join([left.schema(), right.schema()], sides, &keys);
+        let mut first: Option<Events> = None;
         for l in layouts(&left) {
             for r in &layouts(&right) {
                 let as_batch = matches!(l, StreamData::Batch(_));
                 let out = anti_semi_join(l.clone(), r, &keys);
                 prop_assert!(out.iter().all(|o| matches!(o, StreamData::Batch(_)) == as_batch));
-                prop_assert_eq!(&events_of(out), &want);
+                let out = events_of(out);
+                prop_assert_eq!(first.get_or_insert_with(|| out.clone()), &out);
             }
         }
+        assert_oracle(&first.unwrap(), want, left.schema())?;
     }
 
     /// Union of three inputs in every mix of layouts: `EventStream::merge`'s
@@ -364,8 +389,8 @@ proptest! {
         ill in 0usize..5,
     ) {
         let streams = [key_stream(&a, ill == 1), key_stream(&b, ill == 2), key_stream(&c, false)];
-        let want: Events = interpreted::union(&streams.iter().collect::<Vec<_>>())
-            .map(EventStream::into_events);
+        let want = streams.iter().flat_map(|s| s.events().to_vec()).collect();
+        let mut first: Option<Events> = None;
         let [a, b, c] = streams.each_ref().map(layouts);
         for a in &a {
             for b in &b {
@@ -382,25 +407,27 @@ proptest! {
                     let transposed = if as_batch { 0 } else { batches.iter().sum() };
                     prop_assert_eq!(stats.transposed_events, transposed);
                     prop_assert_eq!(stats.row_fallbacks, 0);
-                    prop_assert_eq!(&events_of(out), &want);
+                    let out = events_of(out);
+                    prop_assert_eq!(first.get_or_insert_with(|| out.clone()), &out);
                 }
             }
         }
+        assert_oracle(&first.unwrap(), Ok(want), &key_payload())?;
         // A schema mismatch is the same error value in every layout.
         let other = EventStream::empty(Schema::new(vec![Field::new("X", ColumnType::Long)]));
-        let want = interpreted::union(&[&key_stream(&[], false), &other]).unwrap_err();
+        let mut first: Option<TemporalError> = None;
         for a in &a {
             for o in layouts(&other) {
-                let got = union(vec![a.clone(), o], &mut ExecStats::default());
-                prop_assert_eq!(got.unwrap_err(), want.clone());
+                let got = union(vec![a.clone(), o], &mut ExecStats::default()).unwrap_err();
+                prop_assert_eq!(first.get_or_insert_with(|| got.clone()), &got);
             }
         }
     }
 
     /// The same through the executor: one plan joins, subtracts and unions
     /// two bindings — each read several times, so shared in whatever layout
-    /// it was bound in — and every mix of binding layouts gives
-    /// `execute_reference`'s roots.
+    /// it was bound in — and every mix of binding layouts gives the same
+    /// roots, event for event, which are the oracle's relations.
     #[test]
     fn binary_operator_plans_match_the_reference_in_every_binding_layout(
         left in arb_key_events(14),
@@ -419,7 +446,8 @@ proptest! {
         let rest = l.clone().anti_semi_join(r.clone(), minus_keys).union(r).union(l);
         let plan = q.build(vec![joined, rest]).unwrap();
         let srcs = bindings(vec![("l", left.clone()), ("r", right.clone())]);
-        let want = execute_reference(&plan, &srcs).unwrap();
+        let want = oracle::run(&plan, &srcs).unwrap();
+        let mut first: Option<Vec<EventStream>> = None;
         for l in layouts(&left) {
             for r in layouts(&right) {
                 let mut bound = DataBindings::default();
@@ -429,8 +457,12 @@ proptest! {
                 prop_assert_eq!(stats.row_fallbacks, 0);
                 let roots: Vec<EventStream> =
                     roots.into_iter().map(StreamData::into_stream).collect();
-                prop_assert_eq!(&roots, &want);
+                prop_assert_eq!(first.get_or_insert_with(|| roots.clone()), &roots);
             }
+        }
+        for (got, want) in first.unwrap().iter().zip(&want) {
+            let same = oracle::same_relation(got, want, &Tolerance::exact());
+            prop_assert!(same.is_ok(), "{}", same.unwrap_err());
         }
     }
 }

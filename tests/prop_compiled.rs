@@ -1,16 +1,20 @@
 //! Property tests for the row hot path: the compiled expression evaluator
 //! and the in-place row operators — the forms every fused fragment runs on
 //! when its input arrives as rows, and the fallback a batch fragment
-//! finishes on — must be *observably identical* to the reference
-//! operators, values and error cases, because repeatability of restarted
-//! reducers (paper §III-C.1) makes the engine's output a byte contract.
+//! finishes on — must be *observably identical* to `Expr::eval` applied
+//! row by row (and to the oracle's lifetime definitions), values and error
+//! cases, because repeatability of restarted reducers (paper §III-C.1)
+//! makes the engine's output a byte contract.
 
 mod common;
 
+use common::oracle;
 use common::{arb_events, arb_expr, arb_lifetime_op, arb_row, raw_proj, schema, stream_of};
 use proptest::prelude::*;
-use timr_suite::temporal::operators::{alter_lifetime, filter, interpreted, project};
-use timr_suite::temporal::{CompiledExpr, Expr};
+use timr_suite::relation::schema::Field;
+use timr_suite::relation::Schema;
+use timr_suite::temporal::operators::{alter_lifetime, filter, project};
+use timr_suite::temporal::{CompiledExpr, EventStream, Expr};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -43,13 +47,14 @@ proptest! {
         }
     }
 
-    /// The in-place filter equals the reference operator on both the
-    /// uniquely-owned and the shared-storage path, and never mutates a
-    /// stream another consumer still holds.
+    /// The in-place filter keeps exactly the rows `Expr::eval_predicate`
+    /// accepts, in order, on both the uniquely-owned and the shared-storage
+    /// path, and never mutates a stream another consumer still holds.
     #[test]
     fn filter_matches_interpreted(events in arb_events(40), e in arb_expr()) {
         let input = stream_of(&events);
-        let baseline = interpreted::filter(&input, &e);
+        let baseline = oracle::filter(&schema(), input.events(), &e)
+            .map(|kept| EventStream::new(schema(), kept));
         // Shared path: a clone of `input` is alive during the call.
         let shared = filter(input.clone(), &e);
         // Owned path: the operator holds the only handle.
@@ -67,12 +72,12 @@ proptest! {
         }
     }
 
-    /// In-place lifetime alteration equals the reference operator on
-    /// both storage paths.
+    /// In-place lifetime alteration is the oracle's `LifetimeOp`
+    /// definitions applied event by event, on both storage paths.
     #[test]
     fn alter_lifetime_matches_interpreted(events in arb_events(40), op in arb_lifetime_op()) {
         let input = stream_of(&events);
-        let baseline = interpreted::alter_lifetime(&input, &op).unwrap();
+        let baseline = EventStream::new(schema(), oracle::alter_lifetime(input.events(), &op));
         let shared = alter_lifetime(input.clone(), &op).unwrap();
         let owned = alter_lifetime(stream_of(&events), &op).unwrap();
         prop_assert_eq!(input, stream_of(&events), "shared input mutated");
@@ -81,7 +86,8 @@ proptest! {
     }
 
     /// Projection — including the move-out of passthrough columns on the
-    /// owned path — equals the reference operator.
+    /// owned path — is `Expr::eval` per row, under the schema
+    /// `Expr::infer_type` gives.
     #[test]
     fn project_matches_interpreted(
         events in arb_events(40),
@@ -90,7 +96,13 @@ proptest! {
         let exprs: Vec<(String, Expr)> =
             picks.iter().enumerate().map(|(j, &i)| raw_proj(i + 10 * j)).collect();
         let input = stream_of(&events);
-        let baseline = interpreted::project(&input, &exprs);
+        let baseline = (exprs.iter())
+            .map(|(name, e)| Ok(Field::new(name.clone(), e.infer_type(&schema())?)))
+            .collect::<timr_suite::temporal::Result<Vec<_>>>()
+            .and_then(|fields| {
+                let rows = oracle::project(&schema(), input.events(), &exprs)?;
+                Ok(EventStream::new(Schema::new(fields), rows))
+            });
         let shared = project(input.clone(), &exprs);
         let owned = project(stream_of(&events), &exprs);
         prop_assert_eq!(input, stream_of(&events), "shared input mutated");

@@ -2,10 +2,11 @@
 //! key-ordered runs must be invisible in the output. For any sub-plan
 //! shape, key set and event bag — including distinct keys engineered to
 //! share an FxHash value, and groups whose sub-plan output is empty — the
-//! event vector, on rows and on a batch, must be **byte-identical**
-//! (`events() ==`, not just the same relation) to the group-at-a-time
-//! reference, and so must the error when a group fails. This is the repeatability guarantee
-//! restarted reducers compare bytes against (paper §III-C.1).
+//! event vector on rows and on a batch must be **byte-identical**
+//! (`events() ==`, not just the same relation), and so must the error when
+//! a group fails: the repeatability guarantee restarted reducers compare
+//! bytes against (paper §III-C.1). Both must be the relation the
+//! group-at-a-time oracle computes, and the error it meets first.
 //!
 //! Two more things must be invisible. The planner's normal form: a lifetime
 //! operator above a GroupApply and the same operator at the head of its
@@ -15,6 +16,7 @@
 
 mod common;
 
+use common::oracle::{self, Tolerance};
 use common::palette;
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -23,8 +25,8 @@ use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{row, Column, ColumnBatch, ColumnData, Row, Schema, Value};
 use timr_suite::temporal::agg::AggExpr;
 use timr_suite::temporal::exec::{
-    bindings, data_bindings, execute_data, execute_reference, execute_single, Bindings,
-    DataBindings, ExecStats, StreamData,
+    bindings, data_bindings, execute_data, execute_single, Bindings, DataBindings, ExecStats,
+    StreamData,
 };
 use timr_suite::temporal::expr::{col, lit, Expr, Func};
 use timr_suite::temporal::plan::{LifetimeOp, LogicalPlan, Operator, PlanNode, StreamHandle};
@@ -230,13 +232,38 @@ fn palette_stream(events: &[(i64, usize, i64)]) -> EventStream {
     )
 }
 
-/// Run `plan` on the engine with every binding as rows and as a batch, and
-/// on the reference operators: three event vectors (or error messages), all
-/// identical.
+/// `plan`'s one output according to the oracle, or its error message.
+fn oracle_single(plan: &LogicalPlan, srcs: &Bindings) -> Result<EventStream, String> {
+    oracle::run_single(plan, srcs).map_err(|e| e.to_string())
+}
+
+/// The engine's output `got` is the oracle's relation `want`, or both carry
+/// the same error message.
+fn assert_oracle(
+    plan: &LogicalPlan,
+    got: &Result<EventStream, String>,
+    want: &Result<EventStream, String>,
+) -> Result<(), TestCaseError> {
+    match (got, want) {
+        (Ok(got), Ok(want)) => {
+            let tolerance = Tolerance::of(plan, plan.roots()[0]);
+            let same = oracle::same_relation(got, want, &tolerance);
+            prop_assert!(same.is_ok(), "{}", same.unwrap_err());
+        }
+        (got, want) => prop_assert_eq!(
+            got.as_ref().map(|_| ()),
+            want.as_ref().map(|_| ()),
+            "engine vs oracle"
+        ),
+    }
+    Ok(())
+}
+
+/// Run `plan` on the engine with every binding as rows and as a batch: two
+/// identical event vectors (or error messages) — the oracle's relation (or
+/// its error).
 fn assert_all_agree(plan: &LogicalPlan, srcs: &Bindings) -> Result<(), TestCaseError> {
-    let reference = execute_reference(plan, srcs)
-        .map(|mut roots| roots.pop().unwrap())
-        .map_err(|e| e.to_string());
+    let mut first: Option<Result<EventStream, String>> = None;
     for as_batch in [false, true] {
         let bound = srcs
             .iter()
@@ -251,24 +278,22 @@ fn assert_all_agree(plan: &LogicalPlan, srcs: &Bindings) -> Result<(), TestCaseE
         let engine = execute_data(plan, bound)
             .map(|(mut roots, _)| roots.pop().unwrap().into_stream())
             .map_err(|e| e.to_string());
-        match (&engine, &reference) {
-            (Ok(e), Ok(r)) => prop_assert_eq!(e.events(), r.events(), "batch={}", as_batch),
-            (e, r) => prop_assert_eq!(
-                e.as_ref().map(|_| ()),
-                r.as_ref().map(|_| ()),
-                "batch={}",
-                as_batch
-            ),
-        }
+        let rows = first.get_or_insert_with(|| engine.clone());
+        prop_assert_eq!(
+            rows.as_ref().map(EventStream::events),
+            engine.as_ref().map(EventStream::events),
+            "batch={}",
+            as_batch
+        );
     }
-    Ok(())
+    assert_oracle(plan, &first.unwrap(), &oracle_single(plan, srcs))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Segmented GroupApply — on rows and on a batch — is byte-identical to
-    /// the group-at-a-time reference, for random
+    /// Segmented GroupApply — on rows and on a batch — is byte-identical
+    /// across layouts and the group-at-a-time oracle's relation, for random
     /// sub-plan shapes, key widths and event bags; `0..` lengths include
     /// the empty input.
     #[test]
@@ -302,8 +327,8 @@ proptest! {
     }
 
     /// A failing group: whichever operator fails in whichever group, every
-    /// execution reports what the reference meets first — the lowest group
-    /// in key order, and its first failing operator.
+    /// execution reports what the oracle meets first — the lowest group in
+    /// key order, and its first failing operator.
     #[test]
     fn a_failing_group_reports_the_reference_s_first_error(
         events in prop::collection::vec((0i64..400, 0usize..64, 0i64..12), 1..60),
@@ -424,9 +449,8 @@ proptest! {
 
     /// The normal form is an identity: any lifetime operator above a
     /// GroupApply, or at the head of its sub-plan, is the same query — on
-    /// rows, on a batch and on the reference, which
-    /// rewrites nothing. (The planner sinks only a `Hop`; the algebra holds
-    /// for all of them.)
+    /// rows, on a batch and on the oracle, which rewrites nothing. (The
+    /// planner sinks only a `Hop`; the algebra holds for all of them.)
     #[test]
     fn a_lifetime_op_commutes_with_grouping(
         events in prop::collection::vec((-60i64..400, 0usize..64, 0i64..40), 0..80),
@@ -448,11 +472,9 @@ proptest! {
         let srcs = bindings(vec![("in", palette_stream(&events))]);
         assert_all_agree(&above, &srcs)?;
         assert_all_agree(&inside, &srcs)?;
-        let (above, inside) = (
-            execute_reference(&above, &srcs).unwrap(),
-            execute_reference(&inside, &srcs).unwrap(),
-        );
-        prop_assert_eq!(above[0].events(), inside[0].events());
+        let (above, inside) = (oracle_single(&above, &srcs), oracle_single(&inside, &srcs));
+        let same = oracle::same_relation(&above.unwrap(), &inside.unwrap(), &Tolerance::exact());
+        prop_assert!(same.is_ok(), "{}", same.unwrap_err());
     }
 
     /// The pane kernel is the sweep: `Hop{g, g}` over every mix of
@@ -460,7 +482,7 @@ proptest! {
     /// null, negative and grid-aligned times, empty cells between bursts and
     /// (`V` ranges over three values) adjacent cells with equal results,
     /// which coalesce — equals the same aggregate swept over key-ordered
-    /// runs and the reference, on both layouts. And the
+    /// runs and the oracle, on both layouts. And the
     /// plan alone picks the path: tumbling and combinable takes the kernel,
     /// anything else does not.
     #[test]
@@ -530,7 +552,8 @@ proptest! {
 
     /// A per-event aggregate over a batch never leaves the columns — keys
     /// that collide on the hash, Null key cells, groups the filter empties
-    /// and all — and publishes the reference's bytes. The plan alone picks
+    /// and all — and publishes the row path's bytes, the oracle's relation.
+    /// The plan alone picks
     /// the path: a filter after the aggregate takes the segmented walk,
     /// which transposes.
     #[test]
@@ -558,7 +581,8 @@ proptest! {
     /// What a per-event aggregate over a batch returns is itself a batch —
     /// the lifetimes, one typed column per aggregate and the key columns,
     /// Null key cells and hash-colliding keys included — whose stream is
-    /// the reference's. An aggregate value with no column form ends on
+    /// the row path's, the oracle's relation. An aggregate value with no
+    /// column form ends on
     /// rows, counted: `min2(V, 2.5)` is declared a long, so its `Sum` is an
     /// integer column, but a group that meets a `V` of 3 or more sums the
     /// double 2.5.
@@ -573,18 +597,22 @@ proptest! {
     ) {
         let run = |plan: &LogicalPlan, stream: &EventStream| {
             let srcs = bindings(vec![("in", stream.clone())]);
-            let reference = execute_reference(plan, &srcs).unwrap().pop().unwrap();
+            let on_rows = execute_single(plan, &srcs).unwrap();
+            let want = oracle::run_single(plan, &srcs).unwrap();
+            let tolerance = Tolerance::of(plan, plan.roots()[0]);
+            let same = oracle::same_relation(&on_rows, &want, &tolerance);
+            assert!(same.is_ok(), "{}", same.unwrap_err());
             let mut bound = DataBindings::default();
             let batch = EventBatch::from_stream(stream).unwrap();
             bound.insert("in".to_string(), StreamData::Batch(batch));
             let (mut roots, stats) = execute_data(plan, bound).unwrap();
-            (roots.pop().unwrap(), stats, reference)
+            (roots.pop().unwrap(), stats, on_rows)
         };
         let stream = null_key_stream(&events);
-        let (root, stats, reference) = run(&build_plan(key_cols, kind, w, thr), &stream);
+        let (root, stats, on_rows) = run(&build_plan(key_cols, kind, w, thr), &stream);
         prop_assert!(matches!(root, StreamData::Batch(_)));
         prop_assert_eq!((stats.transposed_events, stats.row_fallbacks), (0, 0));
-        prop_assert_eq!(root.into_stream(), reference);
+        prop_assert_eq!(root.into_stream(), on_rows);
 
         // `V` below `small` only where the events say so, then the sum.
         let capped: Vec<_> = events.iter().map(|&(t, pi, v, n)| (t, pi, v % small, n)).collect();
@@ -596,12 +624,12 @@ proptest! {
             )])
         });
         let plan = q.build(vec![out]).unwrap();
-        let (root, stats, reference) = run(&plan, &null_key_stream(&capped));
+        let (root, stats, on_rows) = run(&plan, &null_key_stream(&capped));
         let doubles = capped.iter().any(|e| e.2 >= 3);
         prop_assert_eq!(matches!(root, StreamData::Rows(_)), doubles);
         prop_assert_eq!(stats.row_fallbacks, u64::from(doubles));
         prop_assert_eq!(stats.transposed_events, 0);
-        prop_assert_eq!(root.into_stream(), reference);
+        prop_assert_eq!(root.into_stream(), on_rows);
     }
 
     /// A per-event step that fails on some values only: `V >= k OR X`,
@@ -609,9 +637,9 @@ proptest! {
     /// column layout accepts what the schema does not promise), so the
     /// predicate is non-boolean exactly on the rows with `V < k`. On a batch
     /// the columnar path gives up and the segmented walk reports what the
-    /// reference meets first — the lowest failing group in key order — not
-    /// the first failing row; on rows, and when nothing fails, every
-    /// execution is the reference's too.
+    /// oracle meets first — the lowest failing group in key order — not the
+    /// first failing row; on rows, and when nothing fails, every execution
+    /// is the oracle's too.
     #[test]
     fn a_failing_per_event_step_on_a_batch_reports_the_reference_s_error(
         events in prop::collection::vec((0i64..400, 0usize..64, 0i64..12), 1..60),
@@ -622,28 +650,23 @@ proptest! {
         let plan = flagged_plan(key_cols, k, w);
         let batch = flagged_batch(&events);
         let srcs = bindings(vec![("in", batch.clone().into_stream())]);
-        let reference = execute_reference(&plan, &srcs)
-            .map(|mut roots| roots.pop().unwrap())
-            .map_err(|e| e.to_string());
+        let want = oracle_single(&plan, &srcs);
         let fails = events.iter().any(|&(_, _, v)| v < k);
-        prop_assert_eq!(reference.is_err(), fails);
+        prop_assert_eq!(want.is_err(), fails);
         let mut bound = DataBindings::default();
         bound.insert("in".to_string(), StreamData::Batch(batch));
         let on_batch = execute_data(&plan, bound)
             .map(|(mut roots, stats)| (roots.pop().unwrap().into_stream(), stats))
             .map_err(|e| e.to_string());
         let on_rows = execute_single(&plan, &srcs).map_err(|e| e.to_string());
-        match (&on_batch, &reference) {
+        match (&on_batch, &on_rows) {
             (Ok((out, stats)), Ok(r)) => {
                 prop_assert_eq!(out.events(), r.events());
                 prop_assert_eq!(stats.transposed_events, 0);
             }
             (e, r) => prop_assert_eq!(e.as_ref().map(|_| ()), r.as_ref().map(|_| ())),
         }
-        prop_assert_eq!(
-            on_rows.map(|s| s.events().to_vec()),
-            reference.map(|r| r.events().to_vec())
-        );
+        assert_oracle(&plan, &on_rows, &want)?;
     }
 }
 
@@ -654,8 +677,8 @@ proptest! {
     /// 2.5)` keeps the chosen operand's runtime type, so a batch holding
     /// values on both sides of 2.5 projects a column of longs and doubles.
     /// The columnar path gives up and the segmented walk runs the input as
-    /// rows — the reference's bytes either way, and a transposition exactly
-    /// when the types mix.
+    /// rows — the row path's bytes and the oracle's relation either way, and
+    /// a transposition exactly when the types mix.
     #[test]
     fn a_projection_with_no_column_form_walks_the_runs(
         events in prop::collection::vec((0i64..400, 0usize..64, 0i64..6), 0..60),
@@ -765,7 +788,8 @@ fn pane_cells_coalesce_split_and_report_like_the_sweep() {
             Event::interval(10, 20, row(2, 1, Value::Long(1), Value::Long(1))),
         ]
     );
-    assert_eq!(out, execute_reference(&plan, &srcs).unwrap().pop().unwrap());
+    let want = oracle::run_single(&plan, &srcs).unwrap();
+    oracle::same_relation(&out, &want, &Tolerance::exact()).unwrap();
     let sweep = hop_aggregate_plan(1, 10, 10, aggs(), true);
     assert_eq!(out, execute_single(&sweep, &srcs).unwrap());
     assert_eq!(stats_of(&plan, &srcs, true).pane_groups, 2);
@@ -794,22 +818,19 @@ fn a_double_in_an_integer_sum_takes_the_sweep() {
         ],
     );
     let srcs = bindings(vec![("in", stream)]);
-    let reference = execute_reference(&plan, &srcs).unwrap().pop().unwrap();
-    let sums: Vec<_> = reference
-        .events()
-        .iter()
-        .map(|e| e.payload.get(1))
-        .collect();
+    let out = execute_single(&plan, &srcs).unwrap();
+    let sums: Vec<_> = out.events().iter().map(|e| e.payload.get(1)).collect();
     assert_eq!(
         sums,
         [&Value::Double(0.5), &Value::Double(3.0), &Value::Long(3)]
     );
-    assert_eq!(execute_single(&plan, &srcs).unwrap(), reference);
+    let want = oracle::run_single(&plan, &srcs).unwrap();
+    oracle::same_relation(&out, &want, &Tolerance::exact()).unwrap();
     let stats = stats_of(&plan, &srcs, false);
     assert_eq!((stats.groups, stats.pane_groups), (1, 0));
 }
 
-/// An argument error in the kernel is the reference's: the lowest failing
+/// An argument error in the kernel is the oracle's: the lowest failing
 /// group in key order, its first failing event (rows only — the typed batch
 /// has no form for the offending cells).
 #[test]
@@ -835,7 +856,7 @@ fn pane_argument_errors_keep_the_reference_s_order() {
         ],
     );
     let srcs = bindings(vec![("in", stream)]);
-    let reference = execute_reference(&plan, &srcs).unwrap_err().to_string();
+    let reference = oracle::run_single(&plan, &srcs).unwrap_err().to_string();
     assert_eq!(reference, "eval error: expected integer, got str");
     let err = execute_data(&plan, data_bindings(srcs)).unwrap_err();
     assert_eq!(err.to_string(), reference);
@@ -876,7 +897,7 @@ fn the_lower_group_s_later_error_wins() {
         ],
     );
     let srcs = bindings(vec![("in", stream)]);
-    let reference = execute_reference(&plan, &srcs).unwrap_err().to_string();
+    let reference = oracle::run_single(&plan, &srcs).unwrap_err().to_string();
     assert_eq!(reference, "eval error: second saw 3");
     let err = execute_data(&plan, data_bindings(srcs)).unwrap_err();
     assert_eq!(err.to_string(), reference);
@@ -904,7 +925,7 @@ fn kernel_errors_keep_the_reference_s_order() {
         ],
     );
     let srcs = bindings(vec![("in", stream)]);
-    let reference = execute_reference(&plan, &srcs).unwrap_err().to_string();
+    let reference = oracle::run_single(&plan, &srcs).unwrap_err().to_string();
     // The aggregate's complaint about group 1's `B`, not the filter's
     // about group 2's `V`.
     assert_eq!(reference, "eval error: expected integer, got str");
@@ -913,7 +934,7 @@ fn kernel_errors_keep_the_reference_s_order() {
 }
 
 /// The four `BtPipeline` plans over a 200-user log, each fed the previous
-/// one's reference output: engine and reference publish the same bytes.
+/// one's output: the engine computes the oracle's relations.
 #[test]
 fn the_bt_plans_match_the_reference_byte_for_byte() {
     use timr_suite::bt::queries::{bot_elim, feature_selection, log_payload, train_data};
@@ -929,10 +950,11 @@ fn the_bt_plans_match_the_reference_byte_for_byte() {
     };
     let agree = |plan: &LogicalPlan, srcs: Bindings| -> EventStream {
         let engine = execute_single(plan, &srcs).unwrap();
-        let reference = execute_reference(plan, &srcs).unwrap().pop().unwrap();
-        assert!(!reference.is_empty());
-        assert_eq!(engine.events(), reference.events());
-        reference
+        let want = oracle::run_single(plan, &srcs).unwrap();
+        assert!(!want.is_empty());
+        let tolerance = Tolerance::of(plan, plan.roots()[0]);
+        oracle::same_relation(&engine, &want, &tolerance).unwrap();
+        engine
     };
     let clean = agree(
         &bot_elim::query(&params).plan,

@@ -2,100 +2,71 @@
 //! exchange-free prefix of a query — and, when the aggregate straddling
 //! the exchange is combinable, a factor-window partial aggregation — into
 //! mapper fragments must be *byte-identical*, per query, to the
-//! reduce-only plan — and both equal to the single-node reference DSMS on
-//! the same events (paper §III-C.1) — under seeded chaos and with shuffle
-//! spilling under a memory budget. Plans the split must
-//! refuse (non-combinable aggregates, partition keys the prefix renames
-//! away, finer-keyed group-applies) are exercised negatively.
+//! reduce-only plan — and both equal to the oracle on the same events
+//! (paper §III-C.1) — under seeded chaos and with shuffle spilling under a
+//! memory budget. Plans the split must refuse (non-combinable aggregates,
+//! partition keys the prefix renames away, finer-keyed group-applies) are
+//! exercised negatively.
 //!
 //! Since PR 16 map output keeps extent order (canonical order is
 //! established once, at the reduce sink). What licenses that is checked
 //! here directly: permuting the rows inside every source extent never
-//! changes a published byte.
+//! changes a published byte. The properties are
+//! `tests/common/harness.rs`'s, with the dimension under test pinned.
 
 mod common;
 
-use common::reference_relation;
+use common::harness::{arb_case, check, member_plan, payload, AggKind, Dim, Member, CANONICAL};
+use common::oracle::{self, Tolerance};
 use proptest::prelude::*;
-use std::time::Duration as WallDuration;
 use timr_suite::mapreduce::{
-    BackendKind, ChaosPlan, Cluster, ClusterConfig, Dataset, Dfs, JobStats, RetryPolicy,
-    StoredExtent,
+    ChaosPlan, Cluster, ClusterConfig, Dataset, Dfs, JobStats, RetryPolicy, StoredExtent,
 };
-use timr_suite::relation::schema::{ColumnType, Field};
-use timr_suite::relation::{row, Row, Schema};
+use timr_suite::relation::{row, Row};
 use timr_suite::temporal::agg::AggExpr;
+use timr_suite::temporal::exec::bindings;
 use timr_suite::temporal::expr::{col, lit};
-use timr_suite::temporal::plan::{push_down, validate_mapper_plan, LogicalPlan, Operator};
-use timr_suite::temporal::{EventStream, Query};
+use timr_suite::temporal::plan::{push_down, validate_mapper_plan, Operator};
+use timr_suite::temporal::Query;
 use timr_suite::timr::multi::MultiTimrJob;
-use timr_suite::timr::{read_output, Annotation, EventEncoding, ExchangeKey, TimrJob};
+use timr_suite::timr::{Annotation, EventEncoding, ExchangeKey, TimrJob};
 
-fn payload() -> Schema {
-    Schema::new(vec![
-        Field::new("StreamId", ColumnType::Int),
-        Field::new("UserId", ColumnType::Str),
-        Field::new("KwAdId", ColumnType::Str),
-        Field::new("V", ColumnType::Long),
-    ])
-}
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
 
-/// Which aggregate the member's hopping window computes. `Count` and
-/// `SumV` are combinable (the partial pushes map-side); `Avg` is not, so
-/// only the stateless prefix may move.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum AggKind {
-    Count,
-    SumV,
-    Avg,
-}
-
-impl AggKind {
-    fn aggs(self) -> Vec<(String, AggExpr)> {
-        match self {
-            AggKind::Count => vec![("N".to_string(), AggExpr::Count)],
-            AggKind::SumV => vec![
-                ("N".to_string(), AggExpr::Count),
-                ("S".to_string(), AggExpr::Sum(col("V"))),
-            ],
-            AggKind::Avg => vec![("A".to_string(), AggExpr::Avg(col("V")))],
-        }
+    /// Push-down is byte-identical to the reduce-only plan (the baseline)
+    /// for every member query, and the scaled-out output is the relation
+    /// the oracle computes from the same events.
+    #[test]
+    fn push_down_matches_reduce_only_and_the_reference_per_query(
+        case in arb_case(&[Dim::PushDown], 3),
+    ) {
+        check(&case)?;
     }
-}
 
-/// One member of the query set: click-filter prefix (pushable), an
-/// optional narrowing projection (pushable, drops `StreamId`), a hopping
-/// window over (user, ad) with a per-member aggregate, and a residual ad
-/// filter that must stay reduce-side (it reads the aggregate's output).
-#[derive(Debug, Clone)]
-struct Member {
-    hop_mult: i64,
-    width_mult: i64,
-    ad: usize,
-    agg: AggKind,
-    narrow: bool,
-}
-
-fn member_plan(m: &Member) -> LogicalPlan {
-    let q = Query::new();
-    let mut clicks = q
-        .source("logs", payload())
-        .filter(col("StreamId").eq(lit(1)));
-    if m.narrow {
-        clicks = clicks.project(vec![
-            ("UserId".to_string(), col("UserId")),
-            ("KwAdId".to_string(), col("KwAdId")),
-            ("V".to_string(), col("V")),
-        ]);
+    /// Seeded chaos below the retry budget plus a tight shuffle memory
+    /// budget (spilling partially-sorted runs) never change the bytes of
+    /// a pushed plan relative to a clean reduce-only run.
+    #[test]
+    fn pushed_plans_survive_chaos_and_spill(
+        case in arb_case(&[Dim::PushDown, Dim::Chaos, Dim::Spill], 3),
+    ) {
+        check(&case)?;
     }
-    let aggs = m.agg.aggs();
-    let out = clicks
-        .group_apply(&["UserId", "KwAdId"], move |g| {
-            g.hop_window(10 * m.hop_mult, 10 * m.width_mult)
-                .aggregate(aggs.clone())
-        })
-        .filter(col("KwAdId").eq(lit(format!("ad{}", m.ad))));
-    q.build(vec![out]).unwrap()
+
+    /// Published bytes do not depend on the order of the rows inside an
+    /// input extent: with every source extent shuffled (same multiset per
+    /// extent), every query's dataset is byte-identical to the unshuffled
+    /// run — push-down on and off, on threads and on worker processes,
+    /// with and without a spill budget. Mapper output follows its extent's
+    /// order (nothing sorts map-side), so this is the property that makes
+    /// the one canonical sort at the reduce sink sufficient.
+    #[test]
+    fn row_order_inside_an_extent_never_reaches_published_bytes(
+        case in arb_case(&[Dim::RowOrder], 4),
+    ) {
+        check(&case)?;
+    }
 }
 
 fn deterministic_rows(n: i64) -> Vec<Row> {
@@ -115,190 +86,29 @@ fn deterministic_rows(n: i64) -> Vec<Row> {
 fn dfs_with(rows: &[Row]) -> Dfs {
     let parts: Vec<Vec<Row>> = rows.chunks(40).map(|c| c.to_vec()).collect();
     let dfs = Dfs::new();
-    dfs.put(
-        "logs",
-        Dataset::partitioned(EventEncoding::Point.dataset_schema(&payload()), parts),
-    )
-    .unwrap();
+    let schema = EventEncoding::Point.dataset_schema(&payload(&CANONICAL));
+    dfs.put("logs", Dataset::partitioned(schema, parts))
+        .unwrap();
     dfs
 }
 
 fn job(members: &[Member], push: bool) -> MultiTimrJob {
-    MultiTimrJob::new("pd", members.iter().map(member_plan).collect())
+    let plans = (members.iter())
+        .map(|m| member_plan(m, &CANONICAL))
+        .collect();
+    MultiTimrJob::new("pd", plans)
         .with_key(ExchangeKey::keys(&["UserId"]))
         .with_machines(3)
         .with_push_down(push)
 }
 
-fn cluster(chaos: ChaosPlan, budget: Option<u64>) -> Cluster {
-    cluster_on(BackendKind::Threads, chaos, budget)
-}
-
-fn cluster_on(backend: BackendKind, chaos: ChaosPlan, budget: Option<u64>) -> Cluster {
+fn cluster() -> Cluster {
     Cluster::with_config(ClusterConfig {
         threads: 4,
-        backend,
-        chaos,
+        chaos: ChaosPlan::none(),
         retry: RetryPolicy::no_backoff(4),
-        memory_budget_bytes: budget,
         ..ClusterConfig::default()
     })
-}
-
-/// `rows` with the rows of every source extent (the 40-row chunks
-/// [`dfs_with`] cuts) shuffled by a seeded Fisher–Yates: the same multiset
-/// per extent, another physical order.
-fn permute_within_extents(rows: &[Row], seed: u64) -> Vec<Row> {
-    let mut state = seed | 1;
-    let mut next = move || {
-        // xorshift64
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state
-    };
-    let mut out = rows.to_vec();
-    for extent in out.chunks_mut(40) {
-        for i in (1..extent.len()).rev() {
-            extent.swap(i, (next() % (i as u64 + 1)) as usize);
-        }
-    }
-    out
-}
-
-/// Raw output partitions of every query, with push-down on or off, and
-/// each query's output decoded back into its (normalized) relation.
-fn run_bytes(
-    members: &[Member],
-    rows: &[Row],
-    push: bool,
-    chaos: ChaosPlan,
-    budget: Option<u64>,
-) -> (Vec<Vec<StoredExtent>>, Vec<EventStream>) {
-    run_bytes_on(members, rows, push, &cluster(chaos, budget))
-}
-
-fn run_bytes_on(
-    members: &[Member],
-    rows: &[Row],
-    push: bool,
-    cluster: &Cluster,
-) -> (Vec<Vec<StoredExtent>>, Vec<EventStream>) {
-    let dfs = dfs_with(rows);
-    let out = job(members, push).run(&dfs, cluster).unwrap();
-    let bytes = out
-        .datasets
-        .iter()
-        .map(|d| dfs.get(d).unwrap().partitions.as_ref().clone())
-        .collect();
-    let relations = (out.datasets.iter())
-        .map(|d| read_output(&dfs, d).unwrap())
-        .collect();
-    (bytes, relations)
-}
-
-fn arb_member() -> impl Strategy<Value = Member> {
-    // Cadences mix harmonic (gcd 10) and co-prime (7·10) multiples so
-    // some runs factor into one window group and some keep several;
-    // aggregates mix combinable and not, so some members push partials
-    // and some push only their stateless prefix.
-    (
-        1i64..5,
-        1i64..5,
-        0usize..3,
-        0u8..3,
-        any::<bool>(),
-        any::<bool>(),
-    )
-        .prop_map(|(h, w, ad, agg, seven, narrow)| Member {
-            hop_mult: if seven { 7 } else { h },
-            width_mult: w + 1,
-            ad,
-            agg: match agg {
-                0 => AggKind::Count,
-                1 => AggKind::SumV,
-                _ => AggKind::Avg,
-            },
-            narrow,
-        })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
-
-    /// Push-down is byte-identical to the reduce-only plan for every
-    /// member query, and the scaled-out output is the relation the
-    /// single-node reference DSMS computes from the same events.
-    #[test]
-    fn push_down_matches_reduce_only_and_the_reference_per_query(
-        members in prop::collection::vec(arb_member(), 1..7),
-        n in 60i64..140,
-    ) {
-        let rows = deterministic_rows(n);
-        let (on, relations) = run_bytes(&members, &rows, true, ChaosPlan::none(), None);
-        let (off, _) = run_bytes(&members, &rows, false, ChaosPlan::none(), None);
-        prop_assert_eq!(on.len(), members.len());
-        for (i, m) in members.iter().enumerate() {
-            prop_assert_eq!(&on[i], &off[i], "query {} bytes differ with push-down", i);
-            let reference = reference_relation(&member_plan(m), "logs", &payload(), &rows);
-            prop_assert!(
-                relations[i].same_relation(&reference),
-                "query {} differs from the single-node reference", i
-            );
-        }
-    }
-
-    /// Seeded chaos below the retry budget plus a tight shuffle memory
-    /// budget (spilling partially-sorted runs) never change the bytes of
-    /// a pushed plan relative to a clean reduce-only run.
-    #[test]
-    fn pushed_plans_survive_chaos_and_spill(
-        members in prop::collection::vec(arb_member(), 2..6),
-        seed in 0u64..1_000_000,
-    ) {
-        let rows = deterministic_rows(120);
-        let chaos = ChaosPlan::seeded(seed)
-            .with_panics(0.15)
-            .with_transients(0.15)
-            .with_corruption(0.12)
-            .with_delays(0.10, WallDuration::from_micros(200))
-            .with_fault_cap(2);
-        let (baseline, _) = run_bytes(&members, &rows, false, ChaosPlan::none(), None);
-        let (pushed, _) = run_bytes(&members, &rows, true, chaos, Some(2048));
-        prop_assert_eq!(baseline, pushed, "chaos+spill changed pushed-plan bytes");
-    }
-
-    /// Published bytes do not depend on the order of the rows inside an
-    /// input extent: with every source extent shuffled (same multiset per
-    /// extent), every query's dataset is byte-identical to the unshuffled
-    /// run — push-down on and off, on threads and on worker processes,
-    /// with and without a spill budget. Mapper output follows its extent's
-    /// order (nothing sorts map-side), so this is the property that makes
-    /// the one canonical sort at the reduce sink sufficient.
-    #[test]
-    fn row_order_inside_an_extent_never_reaches_published_bytes(
-        members in prop::collection::vec(arb_member(), 1..5),
-        n in 60i64..140,
-        seed in any::<u64>(),
-    ) {
-        let rows = deterministic_rows(n);
-        let shuffled = permute_within_extents(&rows, seed);
-        prop_assume!(shuffled != rows);
-        let (baseline, _) = run_bytes(&members, &rows, false, ChaosPlan::none(), None);
-        for push in [true, false] {
-            for backend in [BackendKind::Threads, BackendKind::Processes { workers: 2 }] {
-                for budget in [None, Some(2048)] {
-                    let cluster = cluster_on(backend, ChaosPlan::none(), budget);
-                    let (got, _) = run_bytes_on(&members, &shuffled, push, &cluster);
-                    prop_assert_eq!(
-                        &got, &baseline,
-                        "push {} {:?} budget {:?}: extent-internal row order changed bytes",
-                        push, backend, budget
-                    );
-                }
-            }
-        }
-    }
 }
 
 /// The two front ends are one compiler: a query run as a TiMR job annotated
@@ -323,13 +133,15 @@ fn timr_and_shared_front_ends_build_the_same_stage() {
     ];
     let mut built = 0;
     for (hop_mult, width_mult, agg, narrow) in members {
-        let plan = member_plan(&Member {
+        let member = Member {
             hop_mult,
             width_mult,
             ad: 1,
             agg,
             narrow,
-        });
+            slide: false,
+        };
+        let plan = member_plan(&member, &CANONICAL);
         let filter = plan.consumers(0)[0];
         for key in &keys {
             for push in [true, false] {
@@ -371,7 +183,7 @@ fn timr_and_shared_front_ends_build_the_same_stage() {
                     "{what}"
                 );
                 let dfs = dfs_with(&rows);
-                let cluster = cluster(ChaosPlan::none(), None);
+                let cluster = cluster();
                 let t_out = timr.run(&dfs, &cluster).unwrap();
                 let m_out = shared.run(&dfs, &cluster).unwrap();
                 let extents = |name: &str| dfs.get(name).unwrap().partitions.as_ref().clone();
@@ -391,14 +203,14 @@ fn timr_and_shared_front_ends_build_the_same_stage() {
 /// Single-query path: a click-score-shaped job (filter → narrowing
 /// project → combinable hopping aggregate, exchange annotated on the
 /// filter's input edge) is byte-identical with push-down on and off,
-/// equals the single-node reference, and the on-run's stats show fewer
-/// rows shuffled and shuffle bytes saved.
+/// equals the oracle, and the on-run's stats show fewer rows shuffled and
+/// shuffle bytes saved.
 #[test]
 fn single_query_push_down_is_byte_identical_and_saves_shuffle() {
     let build = || {
         let q = Query::new();
         let out = q
-            .source("logs", payload())
+            .source("logs", payload(&CANONICAL))
             .filter(col("StreamId").eq(lit(1)))
             .project(vec![
                 ("UserId".to_string(), col("UserId")),
@@ -421,19 +233,18 @@ fn single_query_push_down_is_byte_identical_and_saves_shuffle() {
     };
     let rows = deterministic_rows(160);
     let dfs = dfs_with(&rows);
-    let on = job(true)
-        .run(&dfs, &cluster(ChaosPlan::none(), None))
-        .unwrap();
-    let off = job(false)
-        .run(&dfs, &cluster(ChaosPlan::none(), None))
-        .unwrap();
+    let on = job(true).run(&dfs, &cluster()).unwrap();
+    let off = job(false).run(&dfs, &cluster()).unwrap();
     assert_eq!(
         dfs.get(&on.dataset).unwrap().partitions,
         dfs.get(&off.dataset).unwrap().partitions,
         "single-query bytes differ with push-down"
     );
-    let reference = reference_relation(&build(), "logs", &payload(), &rows);
-    assert!(on.stream(&dfs).unwrap().same_relation(&reference));
+    let log = EventEncoding::Point
+        .decode_stream(&rows, &payload(&CANONICAL))
+        .unwrap();
+    let want = oracle::run_single(&build(), &bindings(vec![("logs", log)])).unwrap();
+    oracle::same_relation(&on.stream(&dfs).unwrap(), &want, &Tolerance::exact()).unwrap();
     let on_t = on.stats.map_totals();
     let off_t = off.stats.map_totals();
     assert!(on_t.shuffle_bytes_saved > 0, "push-down saved no bytes");
@@ -582,6 +393,7 @@ fn non_combinable_aggregate_stays_reduce_side() {
         ad: 1,
         agg: AggKind::Avg,
         narrow: true,
+        slide: false,
     };
     let compiled = job(&[m], true).compile().unwrap();
     assert_eq!(
@@ -594,10 +406,12 @@ fn non_combinable_aggregate_stays_reduce_side() {
     );
 
     let q = Query::new();
-    let out = q.source("logs", payload()).group_apply(&["UserId"], |g| {
-        g.hop_window(4, 8)
-            .aggregate(vec![("A".to_string(), AggExpr::Avg(col("V")))])
-    });
+    let out = q
+        .source("logs", payload(&CANONICAL))
+        .group_apply(&["UserId"], |g| {
+            g.hop_window(4, 8)
+                .aggregate(vec![("A".to_string(), AggExpr::Avg(col("V")))])
+        });
     let plan = q.build(vec![out]).unwrap();
     let err = validate_mapper_plan(&plan, None).unwrap_err();
     assert!(err.to_string().contains("not combinable"), "{err}");
@@ -612,7 +426,7 @@ fn renamed_key_finer_grouping_and_stateful_ops_are_refused() {
     // Rename UserId → Who: nothing may push on a UserId-partitioned stage.
     let q = Query::new();
     let out = q
-        .source("logs", payload())
+        .source("logs", payload(&CANONICAL))
         .project(vec![
             ("Who".to_string(), col("UserId")),
             ("V".to_string(), col("V")),
@@ -626,7 +440,7 @@ fn renamed_key_finer_grouping_and_stateful_ops_are_refused() {
     // GroupApply keyed (UserId) under a (UserId, KwAdId) partitioner.
     let q = Query::new();
     let out = q
-        .source("logs", payload())
+        .source("logs", payload(&CANONICAL))
         .group_apply(&["UserId"], |g| g.hop_window(10, 20).count("N"));
     let plan = q.build(vec![out]).unwrap();
     let fine = vec!["UserId".to_string(), "KwAdId".to_string()];
@@ -635,8 +449,8 @@ fn renamed_key_finer_grouping_and_stateful_ops_are_refused() {
 
     // A join can never run map-side.
     let q = Query::new();
-    let a = q.source("a", payload());
-    let b = q.source("b", payload());
+    let a = q.source("a", payload(&CANONICAL));
+    let b = q.source("b", payload(&CANONICAL));
     let plan = q
         .build(vec![a.anti_semi_join(b, &[("UserId", "UserId")])])
         .unwrap();
