@@ -161,7 +161,7 @@ mod tests {
             super::log_payload(),
             vec![event(HOUR, 1, "u1", "ad1"), event(HOUR, 2, "u2", "cars")],
         );
-        let srcs = temporal::exec::data_bindings(bindings(vec![("logs", input)]));
+        let srcs = temporal::exec::row_bindings(bindings(vec![("logs", input)]));
         let (_, stats) = temporal::exec::execute_data(&btq.plan, srcs).unwrap();
         assert_eq!((stats.groups, stats.pane_groups), (2, 0));
 

@@ -251,7 +251,7 @@ mod tests {
 
         let (labels, rows) = sample();
         let srcs =
-            temporal::exec::data_bindings(bindings(vec![("labels", labels), ("train_rows", rows)]));
+            temporal::exec::row_bindings(bindings(vec![("labels", labels), ("train_rows", rows)]));
         let (_, stats) = temporal::exec::execute_data(&btq.plan, srcs).unwrap();
         // One ad; keywords "hot" and "meh" under it.
         assert_eq!((stats.groups, stats.pane_groups), (3, 3));

@@ -379,7 +379,7 @@ mod tests {
     /// summed in.
     #[test]
     fn scoring_on_batches_is_never_transposed() {
-        use temporal::exec::{execute_data, DataBindings, StreamData};
+        use temporal::exec::{execute_data, row_bindings, DataBindings, StreamData};
         use temporal::EventBatch;
         let btq = scoring_query(&BtParams::default());
         let mut profiles = Vec::new();
@@ -408,7 +408,8 @@ mod tests {
             ("profiles", profiles.clone()),
             ("models", models.clone()),
         ]);
-        let on_rows = execute_single(&btq.plan, &rows).unwrap();
+        let (mut on_rows, _) = execute_data(&btq.plan, row_bindings(rows)).unwrap();
+        let on_rows = on_rows.pop().unwrap().into_stream();
         let mut srcs = DataBindings::default();
         for (name, stream) in [("profiles", profiles), ("models", models)] {
             let batch = EventBatch::from_stream(&stream).unwrap();

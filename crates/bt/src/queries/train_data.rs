@@ -286,7 +286,7 @@ mod tests {
     /// and the two bindings publish the same events.
     #[test]
     fn a_batch_binding_is_never_transposed() {
-        use temporal::exec::{execute_data, DataBindings, ExecStats, StreamData};
+        use temporal::exec::{execute_data, row_bindings, DataBindings, ExecStats, StreamData};
         let stats = |btq: &BtQuery, as_batch: bool| -> ExecStats {
             let log = match as_batch {
                 true => {
@@ -297,9 +297,13 @@ mod tests {
             let mut srcs = DataBindings::default();
             srcs.insert("clean_logs".to_string(), log);
             let (roots, stats) = execute_data(&btq.plan, srcs).unwrap();
-            let on_rows = execute_single(&btq.plan, &bindings(vec![("clean_logs", sample_log())]));
+            let rows = row_bindings(bindings(vec![("clean_logs", sample_log())]));
+            let (mut on_rows, _) = execute_data(&btq.plan, rows).unwrap();
             assert_eq!(roots.len(), 1);
-            assert_eq!(roots[0].clone().into_stream(), on_rows.unwrap());
+            assert_eq!(
+                roots[0].clone().into_stream(),
+                on_rows.remove(0).into_stream()
+            );
             assert_eq!(
                 matches!(roots[0], StreamData::Batch(_)),
                 as_batch || btq.name == "GenTrainData"

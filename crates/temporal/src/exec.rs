@@ -11,17 +11,19 @@
 //! operator runs in the layout its input arrives in: a [`StreamData::Batch`]
 //! flows through the fused SIMD kernels, a [`StreamData::Rows`] through the
 //! row operators. **A value keeps the layout it arrived in; the binary
-//! operators build columns.** The executor never re-lays-out a binding —
-//! whoever decoded the data chose the layout, and transposing a stream the
-//! caller already holds in row form never pays (DESIGN.md, "The engine") —
-//! and a value with several consumers is shared as it is, batch or rows.
+//! operators build columns.** Inside [`execute_data`] nothing re-lays-out a
+//! binding — whoever decoded the data chose the layout — and a value with
+//! several consumers is shared as it is, batch or rows. The one binder is
+//! at the row entry: [`execute`] / [`execute_single`] lay each row binding
+//! out once as a batch ([`data_bindings`]) unless it has no column form or
+//! a GroupApply sub-plan reads it (DESIGN.md, "Who chooses the layout").
 //! TemporalJoin, AntiSemiJoin and Union read either layout where it lies
 //! and emit batches (the join always, the other two when their inputs are
 //! batches). GroupApply groups a batch on its columns and keeps it there
 //! when its sub-plan is per-event steps ending in one Aggregate: the sweep
-//! writes a keyed batch. What still needs rows — GroupApply's segmented walk for every other sub-plan, the
-//! UDOs, SpreadGrid — transposes at its own input and says so in
-//! [`ExecStats::transposed_events`].
+//! writes a keyed batch. What still needs rows — GroupApply's segmented
+//! walk for every other sub-plan, the UDOs, SpreadGrid — transposes at its
+//! own input and says so in [`ExecStats::transposed_events`].
 //! The tests hold the engine to a naive snapshot evaluator that shares no
 //! code with it (`tests/common/oracle.rs`).
 //!
@@ -132,11 +134,33 @@ impl StreamData {
     }
 }
 
-/// Wrap row bindings in the layout-agnostic form.
-pub fn data_bindings(sources: Bindings) -> DataBindings {
+/// Lay row bindings out for `plan`, once each: a stream `plan` reads at the
+/// top level becomes a batch, so the columnar kernels run from its
+/// `Source` on, on storage this call owns. A stream whose cells do not
+/// inhabit their declared types has no column form and stays rows; so does
+/// one a GroupApply sub-plan reads, which the row operators slice per run
+/// (it would be transposed there and back).
+pub fn data_bindings(plan: &LogicalPlan, sources: Bindings) -> DataBindings {
+    let refs = source_refs(plan);
     sources
         .into_iter()
-        .map(|(n, s)| (n, StreamData::Rows(s)))
+        .map(|(name, stream)| {
+            let batch = match refs.get(&name) {
+                Some(&r) if r != u32::MAX => EventBatch::from_stream(&stream),
+                _ => None,
+            };
+            let data = batch.map_or(StreamData::Rows(stream), StreamData::Batch);
+            (name, data)
+        })
+        .collect()
+}
+
+/// Bind row streams as the rows they are, for [`execute_data`]: what a
+/// caller uses to run the row operators, which [`execute`] would not.
+pub fn row_bindings(sources: Bindings) -> DataBindings {
+    sources
+        .into_iter()
+        .map(|(name, stream)| (name, StreamData::Rows(stream)))
         .collect()
 }
 
@@ -190,15 +214,16 @@ impl ExecStats {
 
 /// Execute `plan` against `sources`; returns one stream per plan output.
 ///
-/// The caller keeps its bindings, so every source stream stays shared
-/// (Arc-backed) and the first operator over each source copies survivors.
-/// Callers that rebuild bindings per invocation — the embedded DSMS
-/// reducer decodes a fresh partition every reduce call — should use
-/// [`execute_data`] instead to hand the executor unique storage.
+/// The caller keeps its bindings. Each one is laid out once as a batch
+/// ([`data_bindings`]) that this call owns outright, so the first in-place
+/// operator over a source compacts it without cloning survivors; a binding
+/// with no column form, or one a GroupApply sub-plan reads, is shared as
+/// rows (an Arc bump). A caller that already holds its data in the layout
+/// it wants — the embedded DSMS reducer decodes extents into batches, the
+/// real-time session keeps rows — binds it through [`execute_data`].
 pub fn execute(plan: &LogicalPlan, sources: &Bindings) -> Result<Vec<EventStream>> {
-    // O(1) per stream: Arc bumps.
-    let owned = data_bindings(sources.clone());
-    let (roots, _) = execute_data(plan, owned)?;
+    // The clone is O(1) per stream: Arc bumps.
+    let (roots, _) = execute_data(plan, data_bindings(plan, sources.clone()))?;
     Ok(roots.into_iter().map(StreamData::into_stream).collect())
 }
 
@@ -704,7 +729,7 @@ mod tests {
     #[test]
     fn stats_count_groups_and_the_nodes_without_a_kernel() {
         let run = |plan: &LogicalPlan| {
-            let srcs = data_bindings(bindings(vec![("input", sample_events())]));
+            let srcs = row_bindings(bindings(vec![("input", sample_events())]));
             execute_data(plan, srcs).unwrap().1
         };
         // Window → count per ad: three groups, every node segmented.
@@ -765,15 +790,22 @@ mod tests {
     /// merely the same relation — the repeatability requirement for
     /// restarted reducers.
     fn assert_layouts_agree(plan: &LogicalPlan) {
-        let srcs = bindings(vec![("input", sample_events())]);
-        let rows = execute_single(plan, &srcs).unwrap();
+        let rows = on_rows(plan);
         let batch = EventBatch::from_stream(&sample_events()).unwrap();
         let mut batch_srcs = DataBindings::default();
         batch_srcs.insert("input".to_string(), StreamData::Batch(batch));
         let (on_batch, stats) = execute_data(plan, batch_srcs).unwrap();
-        let on_batch = on_batch.into_iter().map(StreamData::into_stream).collect();
-        assert_eq!(single(on_batch).unwrap(), rows);
+        let on_batch: Vec<_> = on_batch.into_iter().map(StreamData::into_stream).collect();
+        assert_eq!(on_batch, rows);
         assert_eq!(stats.row_fallbacks, 0);
+    }
+
+    /// `plan` over `sample_events()` bound as rows, which `execute` would
+    /// lay out as a batch.
+    fn on_rows(plan: &LogicalPlan) -> Vec<EventStream> {
+        let srcs = row_bindings(bindings(vec![("input", sample_events())]));
+        let (roots, _) = execute_data(plan, srcs).unwrap();
+        roots.into_iter().map(StreamData::into_stream).collect()
     }
 
     #[test]
@@ -823,8 +855,7 @@ mod tests {
         let (out, stats) = execute_data(&plan, srcs).unwrap();
         assert_eq!(stats.row_fallbacks, 1);
         let out: Vec<EventStream> = out.into_iter().map(StreamData::into_stream).collect();
-        let on_rows = execute(&plan, &bindings(vec![("input", sample_events())])).unwrap();
-        assert_eq!(out, on_rows);
+        assert_eq!(out, on_rows(&plan));
     }
 
     fn executor(plan: &LogicalPlan, sources: DataBindings) -> Executor {
@@ -932,13 +963,11 @@ mod tests {
         assert_eq!(last.len(), 3);
     }
 
-    #[test]
-    fn a_binding_read_at_the_top_level_and_inside_a_sub_plan_is_not_aliased() {
-        // Each user's events joined against the whole log inside the
-        // sub-plan (the builder has no spelling for a sub-plan `Source`, so
-        // the arena is assembled by hand), and the log read again above it
-        // by a fragment that re-stamps lifetimes. The sub-plan pin keeps the
-        // binding in the map, as rows: the per-run operators slice it.
+    /// Each user's events joined against the whole log inside the
+    /// sub-plan (the builder has no spelling for a sub-plan `Source`, so
+    /// the arena is assembled by hand), and the log read again above it by
+    /// a fragment that re-stamps lifetimes: `input` is pinned.
+    fn pinned_plan() -> LogicalPlan {
         use crate::plan::{LifetimeOp, PlanNode};
         let node = |op, inputs| PlanNode { op, inputs };
         let source = || Operator::Source {
@@ -974,7 +1003,7 @@ mod tests {
             vec![3],
         )
         .unwrap();
-        let plan = LogicalPlan::from_parts(
+        LogicalPlan::from_parts(
             vec![
                 node(source(), vec![]),
                 node(
@@ -999,7 +1028,14 @@ mod tests {
             ],
             vec![1, 3],
         )
-        .unwrap();
+        .unwrap()
+    }
+
+    #[test]
+    fn a_binding_read_at_the_top_level_and_inside_a_sub_plan_is_not_aliased() {
+        // The sub-plan pin keeps the binding in the map, as rows: the
+        // per-run operators slice it.
+        let plan = pinned_plan();
         let reference = execute(&plan, &bindings(vec![("input", sample_events())])).unwrap();
         assert_eq!((reference[0].len(), reference[1].len()), (4, 3));
         for as_batch in [false, true] {
@@ -1012,5 +1048,36 @@ mod tests {
             // itself), and a batch binding is transposed for the pin.
             assert_eq!(stats.transposed_events, 4 + if as_batch { 4 } else { 0 });
         }
+    }
+
+    #[test]
+    fn the_binder_lays_out_what_has_a_column_form_and_no_sub_plan_reads() {
+        // `input` is well-typed and read at the top level: a batch. `ill`
+        // declares a Str its events hold an Int in: rows. A name the plan
+        // never reads is not laid out.
+        let ill = EventStream::new(
+            bt_schema(),
+            vec![Event::point(5, row![5i64, 1i32, 7i32, "adA"])],
+        );
+        let q = Query::new();
+        let out = (q.source("input", bt_schema())).union(q.source("ill", bt_schema()));
+        let plan = q.build(vec![out]).unwrap();
+        let srcs = bindings(vec![
+            ("input", sample_events()),
+            ("ill", ill),
+            ("unread", sample_events()),
+        ]);
+        let bound = data_bindings(&plan, srcs.clone());
+        let is_batch = |name: &str| matches!(bound[name], StreamData::Batch(_));
+        assert!(is_batch("input"));
+        assert!(!is_batch("ill") && !is_batch("unread"));
+        // Either way, the events are those of the row-bound run.
+        let on_rows = execute_data(&plan, row_bindings(srcs.clone())).unwrap().0;
+        let on_rows: Vec<_> = on_rows.into_iter().map(StreamData::into_stream).collect();
+        assert_eq!(execute(&plan, &srcs).unwrap(), on_rows);
+        // A binding a sub-plan reads stays rows, though well-typed.
+        let plan = pinned_plan();
+        let bound = data_bindings(&plan, bindings(vec![("input", sample_events())]));
+        assert!(matches!(bound["input"], StreamData::Rows(_)));
     }
 }

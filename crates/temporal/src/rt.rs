@@ -42,7 +42,7 @@ use crate::agg::AggExpr;
 use crate::compiled::CompiledExpr;
 use crate::error::{Result, TemporalError};
 use crate::event::Event;
-use crate::exec::{execute_single, Bindings};
+use crate::exec::{execute_data, row_bindings, Bindings};
 use crate::key::KeySelector;
 use crate::operators::{fused_fragment_rows, fused_fragment_runs, Cut, Runs, Sweep};
 use crate::plan::{
@@ -93,7 +93,8 @@ impl Feed {
             None => Ok(batch.clone()),
             Some(prefix) => {
                 let sources: Bindings = [(self.name.clone(), batch.clone())].into_iter().collect();
-                execute_single(prefix, &sources)
+                let (mut roots, _) = execute_data(prefix, row_bindings(sources))?;
+                Ok(roots.swap_remove(0).into_stream())
             }
         }
     }
@@ -500,15 +501,17 @@ impl Recompute {
         }
         let mut out = Vec::new();
         if from < until {
-            // The bindings share the buffers: the executor copies only what
-            // its first operator keeps.
+            // The bindings share the buffers, as rows: the executor copies
+            // only what its first operator keeps, and laying the buffers out
+            // as batches at every punctuation costs more than the columnar
+            // kernels save (DESIGN.md, "Who chooses the layout").
             let sources: Bindings = feeds
                 .iter()
                 .zip(&self.buffers)
                 .map(|(f, b)| (f.name.clone(), b.clone()))
                 .collect();
-            let result = execute_single(&self.plan, &sources);
-            drop(sources);
+            let result = execute_data(&self.plan, row_bindings(sources))
+                .map(|(mut roots, _)| roots.swap_remove(0).into_stream());
             let window = Lifetime::new(from, until);
             match result {
                 Ok(result) => {
@@ -703,7 +706,7 @@ fn order_sensitive(plan: &LogicalPlan) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::bindings;
+    use crate::exec::{bindings, execute_single};
     use crate::expr::{col, lit};
     use crate::plan::Query;
     use relation::row;

@@ -22,7 +22,7 @@ use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{Row, Schema, Value};
 use timr_suite::temporal::agg::AggExpr;
 use timr_suite::temporal::exec::{
-    bindings, execute_data, execute_single, DataBindings, StreamData,
+    bindings, data_bindings, execute_data, row_bindings, DataBindings,
 };
 use timr_suite::temporal::plan::{LifetimeOp, LogicalPlan};
 use timr_suite::temporal::{
@@ -297,18 +297,14 @@ pub struct ThreeWay {
 }
 
 pub fn run_three_ways(plan: &LogicalPlan, stream: EventStream) -> ThreeWay {
-    let data = match EventBatch::from_stream(&stream) {
-        Some(batch) => StreamData::Batch(batch),
-        None => StreamData::Rows(stream.clone()),
-    };
-    let mut batch_srcs = DataBindings::default();
-    batch_srcs.insert("in".to_string(), data);
     let srcs = bindings(vec![("in", stream)]);
-    let only = |mut roots: Vec<EventStream>| roots.pop().expect("single-output plan");
+    let run = |data: DataBindings| {
+        let (mut roots, _) = execute_data(plan, data)?;
+        Ok(roots.pop().expect("single-output plan").into_stream())
+    };
     ThreeWay {
-        on_rows: execute_single(plan, &srcs),
-        on_batch: execute_data(plan, batch_srcs)
-            .map(|(roots, _)| only(roots.into_iter().map(StreamData::into_stream).collect())),
+        on_rows: run(row_bindings(srcs.clone())),
+        on_batch: run(data_bindings(plan, srcs.clone())),
         oracle: oracle::run_single(plan, &srcs),
         tolerance: Tolerance::of(plan, plan.roots()[0]),
     }

@@ -25,7 +25,7 @@ use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{row, Column, ColumnBatch, ColumnData, Row, Schema, Value};
 use timr_suite::temporal::agg::AggExpr;
 use timr_suite::temporal::exec::{
-    bindings, data_bindings, execute_data, execute_single, Bindings, DataBindings, ExecStats,
+    bindings, execute_data, execute_single, row_bindings, Bindings, DataBindings, ExecStats,
     StreamData,
 };
 use timr_suite::temporal::expr::{col, lit, Expr, Func};
@@ -597,7 +597,8 @@ proptest! {
     ) {
         let run = |plan: &LogicalPlan, stream: &EventStream| {
             let srcs = bindings(vec![("in", stream.clone())]);
-            let on_rows = execute_single(plan, &srcs).unwrap();
+            let (mut roots, _) = execute_data(plan, row_bindings(srcs.clone())).unwrap();
+            let on_rows = roots.pop().unwrap().into_stream();
             let want = oracle::run_single(plan, &srcs).unwrap();
             let tolerance = Tolerance::of(plan, plan.roots()[0]);
             let same = oracle::same_relation(&on_rows, &want, &tolerance);
@@ -658,7 +659,9 @@ proptest! {
         let on_batch = execute_data(&plan, bound)
             .map(|(mut roots, stats)| (roots.pop().unwrap().into_stream(), stats))
             .map_err(|e| e.to_string());
-        let on_rows = execute_single(&plan, &srcs).map_err(|e| e.to_string());
+        let on_rows = execute_data(&plan, row_bindings(srcs.clone()))
+            .map(|(mut roots, _)| roots.pop().unwrap().into_stream())
+            .map_err(|e| e.to_string());
         match (&on_batch, &on_rows) {
             (Ok((out, stats)), Ok(r)) => {
                 prop_assert_eq!(out.events(), r.events());
@@ -858,7 +861,7 @@ fn pane_argument_errors_keep_the_reference_s_order() {
     let srcs = bindings(vec![("in", stream)]);
     let reference = oracle::run_single(&plan, &srcs).unwrap_err().to_string();
     assert_eq!(reference, "eval error: expected integer, got str");
-    let err = execute_data(&plan, data_bindings(srcs)).unwrap_err();
+    let err = execute_data(&plan, row_bindings(srcs)).unwrap_err();
     assert_eq!(err.to_string(), reference);
 }
 
@@ -899,7 +902,7 @@ fn the_lower_group_s_later_error_wins() {
     let srcs = bindings(vec![("in", stream)]);
     let reference = oracle::run_single(&plan, &srcs).unwrap_err().to_string();
     assert_eq!(reference, "eval error: second saw 3");
-    let err = execute_data(&plan, data_bindings(srcs)).unwrap_err();
+    let err = execute_data(&plan, row_bindings(srcs)).unwrap_err();
     assert_eq!(err.to_string(), reference);
 }
 
@@ -929,7 +932,7 @@ fn kernel_errors_keep_the_reference_s_order() {
     // The aggregate's complaint about group 1's `B`, not the filter's
     // about group 2's `V`.
     assert_eq!(reference, "eval error: expected integer, got str");
-    let err = execute_data(&plan, data_bindings(srcs)).unwrap_err();
+    let err = execute_data(&plan, row_bindings(srcs)).unwrap_err();
     assert_eq!(err.to_string(), reference);
 }
 
