@@ -399,6 +399,40 @@ mod tests {
         assert_eq!(compiled.plan.roots().len(), 3);
     }
 
+    /// The shared `{UserId}` plan — BotElim, the labels and the training
+    /// rows — over the log bound as a batch, as the stage's reducer binds
+    /// it: no event is transposed, none falls back, and every root holds
+    /// the row-bound run's events.
+    #[test]
+    fn the_user_stage_plan_never_transposes_a_batch() {
+        use temporal::exec::{bindings, execute_data, row_bindings, DataBindings, StreamData};
+        let mut cfg = GenConfig::small(7);
+        cfg.users = 200;
+        let log = generate(&cfg);
+        let logs = EventEncoding::Point
+            .decode_stream(log.rows(), &log_payload())
+            .unwrap();
+        let plan = BtPipeline::default()
+            .user_stage("t")
+            .unwrap()
+            .compile()
+            .unwrap()
+            .plan;
+        let rows = row_bindings(bindings(vec![("logs", logs.clone())]));
+        let (on_rows, _) = execute_data(&plan, rows).unwrap();
+        let mut srcs = DataBindings::default();
+        let batch = temporal::EventBatch::from_stream(&logs).unwrap();
+        srcs.insert("logs".to_string(), StreamData::Batch(batch));
+        let (roots, stats) = execute_data(&plan, srcs).unwrap();
+        assert_eq!((stats.transposed_events, stats.row_fallbacks), (0, 0));
+        assert_eq!(roots.len(), 3);
+        for (root, rows) in roots.into_iter().zip(on_rows) {
+            let rows = rows.into_stream();
+            assert!(!rows.is_empty());
+            assert_eq!(root.into_stream().events(), rows.events());
+        }
+    }
+
     /// A labels or train-rows dataset with a cell of the wrong kind is a
     /// named error, not a default value.
     #[test]

@@ -177,6 +177,43 @@ mod tests {
         );
     }
 
+    /// What the `{UserId}` stage's reducer sees: the log bound as a batch.
+    /// The `[UserId]` walk — the hop, both filtered counts, the union and
+    /// the projection — stays on the columns, and so does the set
+    /// difference above it: no event is transposed, none falls back, and
+    /// the cleaned log holds the row-bound run's events.
+    #[test]
+    fn a_batch_binding_is_never_transposed() {
+        use temporal::exec::{execute_data, row_bindings, DataBindings, StreamData};
+        let mut events = Vec::new();
+        for i in 0..12 {
+            events.push(event(HOUR + i * 20 * MIN, 1, "bot", "ad1"));
+        }
+        for i in 0..8 {
+            events.push(event(HOUR + i * 7 * MIN, 2, "searcher", &format!("k{i}")));
+        }
+        events.push(event(HOUR, 1, "human", "ad1"));
+        events.push(event(HOUR, 2, "human", "cars"));
+        let log = EventStream::new(super::log_payload(), events);
+        let btq = query(&params());
+        let rows = row_bindings(bindings(vec![("logs", log.clone())]));
+        let (mut on_rows, _) = execute_data(&btq.plan, rows).unwrap();
+        let on_rows = on_rows.pop().unwrap().into_stream();
+        assert!(on_rows.len() < log.len(), "the bots lose events");
+        let mut srcs = DataBindings::default();
+        let batch = temporal::EventBatch::from_stream(&log).unwrap();
+        srcs.insert("logs".to_string(), StreamData::Batch(batch));
+        let (mut roots, stats) = execute_data(&btq.plan, srcs).unwrap();
+        assert_eq!((stats.transposed_events, stats.row_fallbacks), (0, 0));
+        assert_eq!(stats.groups, 3);
+        let root = roots.pop().unwrap();
+        assert!(
+            matches!(root, StreamData::Batch(_)),
+            "the root stays a batch"
+        );
+        assert_eq!(root.into_stream().events(), on_rows.events());
+    }
+
     #[test]
     fn light_activity_survives() {
         let events = vec![

@@ -427,6 +427,34 @@ mod tests {
         assert_eq!(root.into_stream().events(), on_rows.events());
     }
 
+    /// ModelGen's UDO has no columnar form: bound as a batch, the training
+    /// rows are transposed exactly once, at the UDO, nothing falls back, and
+    /// the models are the row-bound run's.
+    #[test]
+    fn model_gen_transposes_its_input_once_at_the_udo() {
+        use temporal::exec::{execute_data, row_bindings, DataBindings, StreamData};
+        let btq = model_query(&BtParams::default(), LrConfig::default());
+        let input = train_rows();
+        let rows = row_bindings(bindings(vec![("train_rows", input.clone())]));
+        let (mut on_rows, _) = execute_data(&btq.plan, rows).unwrap();
+        let mut srcs = DataBindings::default();
+        let batch = temporal::EventBatch::from_stream(&input).unwrap();
+        srcs.insert("train_rows".to_string(), StreamData::Batch(batch));
+        let (mut roots, stats) = execute_data(&btq.plan, srcs).unwrap();
+        let transposed = input.len() as u64;
+        assert_eq!(
+            (stats.transposed_events, stats.row_fallbacks),
+            (transposed, 0)
+        );
+        assert_eq!(stats.per_run_nodes, 1);
+        let on_rows = on_rows.pop().unwrap().into_stream();
+        assert!(!on_rows.is_empty());
+        assert_eq!(
+            roots.pop().unwrap().into_stream().events(),
+            on_rows.events()
+        );
+    }
+
     #[test]
     fn queries_validate_and_fragment() {
         let params = BtParams::default();

@@ -17,7 +17,7 @@ use crate::error::{Result, TemporalError};
 use crate::event::Event;
 use crate::stream::EventStream;
 use crate::time::Lifetime;
-use relation::{ColumnBatch, Row, Schema};
+use relation::{ColumnBatch, RelationError, Row, Schema};
 use std::sync::Arc;
 
 /// A fixed-length batch of events stored column-major: validity-interval
@@ -197,11 +197,27 @@ impl EventBatch {
         }
     }
 
+    /// The events at `idx` (any order, repeats allowed) as a new batch.
+    pub fn gather(&self, idx: &[u32]) -> EventBatch {
+        let times = |t: &[i64]| idx.iter().map(|&i| t[i as usize]).collect();
+        EventBatch::new(times(&self.vt), times(&self.ve), self.payload.gather(idx))
+    }
+
     /// Merge another batch into this one, in the order
     /// [`EventStream::merge`] leaves two row streams in: the smaller side is
     /// appended to the larger, so `other`'s events come first when it is the
     /// bigger one. Schemas must be identical.
     pub fn merge(&mut self, mut other: EventBatch) -> Result<()> {
+        if other.len() > self.len() && other.schema() == self.schema() {
+            std::mem::swap(self, &mut other);
+        }
+        self.append(other)
+    }
+
+    /// Append `other`'s events after this batch's. Schemas must be
+    /// identical and every column pair appendable
+    /// ([`ColumnBatch::can_append`]); nothing changes when it errors.
+    pub fn append(&mut self, other: EventBatch) -> Result<()> {
         if other.schema() != self.schema() {
             return Err(TemporalError::Input(format!(
                 "cannot merge streams with schemas {} and {}",
@@ -209,8 +225,10 @@ impl EventBatch {
                 other.schema()
             )));
         }
-        if other.len() > self.len() {
-            std::mem::swap(self, &mut other);
+        if !self.payload.can_append(other.payload()) {
+            return Err(TemporalError::Relation(RelationError::SchemaMismatch(
+                "column storage variants differ".to_string(),
+            )));
         }
         let (vt, ve, payload) = other.into_parts();
         let (self_vt, self_ve) = self.times_mut();

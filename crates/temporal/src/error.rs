@@ -12,6 +12,8 @@ pub enum TemporalError {
     Eval(String),
     /// An input stream violated an invariant (schema mismatch, bad rows).
     Input(String),
+    /// A lifetime operator moved an endpoint past the range of `Time`.
+    TimeOverflow(String),
     /// Propagated relational-layer error.
     Relation(RelationError),
 }
@@ -22,6 +24,7 @@ impl fmt::Display for TemporalError {
             TemporalError::Plan(m) => write!(f, "plan error: {m}"),
             TemporalError::Eval(m) => write!(f, "eval error: {m}"),
             TemporalError::Input(m) => write!(f, "input error: {m}"),
+            TemporalError::TimeOverflow(m) => write!(f, "time overflow: {m}"),
             TemporalError::Relation(e) => write!(f, "{e}"),
         }
     }

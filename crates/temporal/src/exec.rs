@@ -19,10 +19,11 @@
 //! a GroupApply sub-plan reads it (DESIGN.md, "Who chooses the layout").
 //! TemporalJoin, AntiSemiJoin and Union read either layout where it lies
 //! and emit batches (the join always, the other two when their inputs are
-//! batches). GroupApply groups a batch on its columns and keeps it there
-//! when its sub-plan is per-event steps ending in one Aggregate: the sweep
-//! writes a keyed batch. What still needs rows — GroupApply's segmented
-//! walk for every other sub-plan, the UDOs, SpreadGrid — transposes at its
+//! batches). GroupApply groups a batch on its columns and walks its
+//! sub-plan over the batch it is handed: its fragments, aggregates and
+//! unions stay on the columns and a batch root comes back keyed. What
+//! still needs rows — the UDOs, SpreadGrid, and inside a sub-plan the
+//! joins, a nested GroupApply and a sub-plan `Source` — transposes at its
 //! own input and says so in [`ExecStats::transposed_events`].
 //! The tests hold the engine to a naive snapshot evaluator that shares no
 //! code with it (`tests/common/oracle.rs`).
@@ -39,15 +40,15 @@
 //!
 //! A GroupApply sub-plan is not executed per group: [`walk_runs`] evaluates
 //! it once, node by node, over all the groups laid out as key-ordered runs
-//! (see [`operators::group_apply`]) — unless the sub-plan is a tumbling
-//! hopping aggregate of combinable aggregates, which GroupApply runs as one
-//! hash aggregation over (group, cell) without laying anything out
-//! (`operators::pane`), or per-event steps ending in one Aggregate over a
-//! batch, which the fused kernel and the endpoint sweep run on the columns
-//! through one run-order permutation. The plan alone decides; a columnar
-//! attempt that meets an error walks the runs instead, so an error is the
-//! one a group-at-a-time evaluation meets first: the lowest failing group
-//! in key order, its first failing operator.
+//! (see `operators::group_apply`), in the layout the input arrives in — a
+//! batch as one run-order permutation of its rows, nothing gathered —
+//! unless the sub-plan is a tumbling hopping aggregate of combinable
+//! aggregates, which GroupApply runs as one hash aggregation over (group,
+//! cell) without laying anything out (`operators::pane`). The plan alone
+//! decides; a walk over a batch that meets an error walks the row runs
+//! instead, so an error is the one a group-at-a-time evaluation meets
+//! first: the lowest failing group in key order, its first failing
+//! operator.
 //!
 //! An execution runs on its caller's thread. The engine is the unmodified
 //! single-node DSMS of paper §III-C: a map-reduce job gets its parallelism
@@ -55,7 +56,7 @@
 
 use crate::batch::EventBatch;
 use crate::error::{Result, TemporalError};
-use crate::operators::{self, Cut, Runs};
+use crate::operators::{self, Cut, Runs, RunsData};
 use crate::plan::{LogicalPlan, NodeId, Operator};
 use crate::stream::EventStream;
 use relation::Schema;
@@ -72,16 +73,15 @@ pub type DataBindings = FxHashMap<String, StreamData>;
 /// `Rows` is the universal form every operator accepts; `Batch` is the
 /// column-major form the TiMR bridge decodes shuffled extents into, consumed
 /// by the operators with columnar kernels (fused fragments, Aggregate, and
-/// GroupApply's grouping, its pane kernel and its per-event-aggregate path,
-/// none of which leaves the columns). Batches are produced by fused
-/// fragments over a batch, by the binary operators (TemporalJoin from any
-/// inputs; AntiSemiJoin and Union from batch inputs) and by GroupApply's
-/// per-event-aggregate path (key columns, lifetimes and one typed column
-/// per aggregate). GroupApply's segmented walk (any other sub-plan, or a
-/// per-event aggregate whose columnar attempt failed), the UDOs and
-/// SpreadGrid convert a batch back to rows at their input, and a fragment,
-/// join, union or per-event aggregate whose result has no dense column form
-/// finishes on rows — so every plan runs on either layout with
+/// GroupApply's grouping, its pane kernel and its segmented walk). Batches
+/// are produced by fused fragments over a batch, by the binary operators
+/// (TemporalJoin from any inputs; AntiSemiJoin and Union from batch inputs)
+/// and by GroupApply's walk over a batch whose root is still one (key
+/// columns, then the sub-plan's columns). The UDOs and SpreadGrid convert a
+/// batch back to rows at their input, and so does a sub-plan node with no
+/// run-aware kernel; a fragment, join, union or aggregate whose result has
+/// no dense column form finishes on rows, and a GroupApply walk that meets
+/// an error starts over on rows — so every plan runs on either layout with
 /// byte-identical output. Both forms are `Arc`-backed: a clone is O(1).
 #[derive(Debug, Clone)]
 pub enum StreamData {
@@ -175,15 +175,16 @@ pub struct ExecStats {
     /// Operators that held columns and finished on rows because their
     /// result had no dense column form: a fused fragment whose projection
     /// mixed runtime types across rows, a TemporalJoin over an ill-typed row
-    /// input, a Union of batches storing one column in two variants, a
-    /// GroupApply per-event aggregate whose value left its declared type (a
+    /// input, a Union of batches storing one column in two variants, an
+    /// aggregate in a GroupApply walk whose value left its declared type (a
     /// `Double` in an integer `Sum`).
     pub row_fallbacks: u64,
     /// Events the executor itself converted from a batch to rows at an
-    /// operator's input: GroupApply's segmented walk (a sub-plan that is not
-    /// per-event steps ending in one Aggregate, or one whose columnar
-    /// attempt met an error), HopUdo, SpreadGrid, a Union where the two
-    /// layouts meet, a per-run operator's batch output inside a sub-plan, a
+    /// operator's input: HopUdo, SpreadGrid, a Union where the two layouts
+    /// meet; inside a GroupApply walk, the runs handed to a node with no
+    /// run-aware kernel (a join, a UDO, SpreadGrid, a nested GroupApply) and
+    /// a per-run operator's batch output; the whole input of a walk over a
+    /// batch that met an error or a projection with no dense column form; a
     /// batch binding a sub-plan reads. Zero means every batch stayed a batch
     /// from the binding to the root (the root's own conversion, if its
     /// consumer wants rows, is the caller's).
@@ -435,8 +436,8 @@ impl Executor {
 
 /// The operators with no run-aware kernel, on whole streams: what the top
 /// level calls once and a sub-plan walk calls once per run. The binary
-/// operators read their inputs in the layout they arrive in; GroupApply, the
-/// UDOs and SpreadGrid take rows. `sources` are the outer bindings: a
+/// operators and GroupApply read their inputs in the layout they arrive in;
+/// the UDOs and SpreadGrid take rows. `sources` are the outer bindings: a
 /// sub-plan `Source` is the same stream for every run.
 fn apply_unsegmented(
     op: &Operator,
@@ -487,29 +488,36 @@ fn apply_unsegmented(
 /// Evaluate a (fused) GroupApply `subplan` **once** over all of `input`'s
 /// runs and return the root, run for run. Nodes are visited in a
 /// group-at-a-time evaluation's order; a multi-consumer value is cloned (an
-/// Arc bump plus the bounds) for all but its last consumer, which takes it
-/// by move, so in-place kernels see unique storage exactly as at the top
-/// level.
+/// Arc bump plus the bounds, and a batch's permutation) for all but its last
+/// consumer, which takes it by move, so in-place kernels see unique storage
+/// exactly as at the top level.
 ///
-/// Fragments, aggregates and unions run their run-aware kernels over the
-/// whole stream. Everything else ([`Operator::segmented`] is false) goes
-/// through the one per-run adapter, [`per_run`]. The walk is over rows: a
-/// per-run operator that answers in columns (a join) is transposed back.
+/// The walk keeps the layout it is handed. Fragments, aggregates and unions
+/// run their run-aware kernels over the whole stream — over rows, or over a
+/// batch read through its run permutation (`BatchRuns`).
+/// Everything else ([`Operator::segmented`] is false) goes through the one
+/// per-run adapter, [`per_run`], which transposes batch runs once, at its
+/// input. Over a batch, `Ok(None)` means the columnar walk gave up — a
+/// projection with no dense column form — and any error, a recorded one
+/// included, ends it at once: the caller walks the rows instead, which
+/// report the error a group-at-a-time evaluation meets first. A walk over
+/// rows never gives up.
 pub(crate) fn walk_runs(
     subplan: &LogicalPlan,
-    input: Runs,
+    input: RunsData,
     sources: &DataBindings,
     stats: &mut ExecStats,
-) -> Result<Runs> {
+) -> Result<Option<RunsData>> {
     let runs = input.len();
+    let columnar = matches!(input, RunsData::Batch(_));
     let mut consumers = subplan.consumer_counts();
     let mut input = Some(input);
-    let mut values: Vec<Option<Runs>> = vec![None; subplan.nodes().len()];
+    let mut values: Vec<Option<RunsData>> = vec![None; subplan.nodes().len()];
     let mut cut = Cut::none();
     let root = subplan.roots()[0];
     for id in subplan.topo_order() {
         let node = subplan.node(id);
-        let mut inputs: Vec<Runs> = node
+        let mut inputs: Vec<RunsData> = node
             .inputs
             .iter()
             .map(|&i| {
@@ -527,19 +535,34 @@ pub(crate) fn walk_runs(
         let out = match &node.op {
             // Plan validation admits exactly one such leaf per sub-plan.
             Operator::GroupInput { .. } => input.take().expect("one GroupInput per sub-plan"),
-            Operator::FusedFragment { steps } => {
-                let input = inputs.pop().expect("fused fragment has one input");
-                operators::fused_fragment_runs(input, steps, &mut cut)?
-            }
-            Operator::Aggregate { aggs } => {
-                let input = inputs.pop().expect("aggregate has one input");
-                operators::aggregate_runs(&input.stream, &input.bounds, aggs, &mut cut)?
-            }
-            Operator::Union => operators::union_runs(inputs)?,
+            Operator::FusedFragment { steps } => match inputs.pop() {
+                Some(RunsData::Rows(input)) => {
+                    RunsData::Rows(operators::fused_fragment_runs(input, steps, &mut cut)?)
+                }
+                Some(RunsData::Batch(input)) => match operators::fused_batch_runs(input, steps)? {
+                    Some(out) => RunsData::Batch(out),
+                    None => return Ok(None),
+                },
+                None => unreachable!("fused fragment has one input"),
+            },
+            Operator::Aggregate { aggs } => match inputs.pop() {
+                Some(RunsData::Rows(input)) => RunsData::Rows(operators::aggregate_runs(
+                    &input.stream,
+                    &input.bounds,
+                    aggs,
+                    &mut cut,
+                )?),
+                Some(RunsData::Batch(input)) => {
+                    operators::aggregate_batch_runs(&input, aggs, stats)?
+                }
+                None => unreachable!("aggregate has one input"),
+            },
+            Operator::Union => operators::union_walk(inputs, stats)?,
             op => {
                 debug_assert!(!op.segmented(), "{} has a kernel above", op.name());
                 let schema = subplan.schema_of(id).clone();
-                per_run(
+                let inputs = inputs.into_iter().map(|i| i.into_rows(stats)).collect();
+                RunsData::Rows(per_run(
                     op,
                     inputs,
                     runs.min(cut.limit),
@@ -547,14 +570,19 @@ pub(crate) fn walk_runs(
                     sources,
                     stats,
                     &mut cut,
-                )?
+                )?)
             }
         };
+        if columnar && cut.err.is_some() {
+            return Ok(None);
+        }
         values[id] = Some(out);
     }
     match cut.err {
         Some(err) => Err(err),
-        None => Ok(values[root].take().expect("the root is evaluated last")),
+        None => Ok(Some(
+            values[root].take().expect("the root is evaluated last"),
+        )),
     }
 }
 
@@ -1047,6 +1075,51 @@ mod tests {
             // The per-run joins answer in columns (each point event meets
             // itself), and a batch binding is transposed for the pin.
             assert_eq!(stats.transposed_events, 4 + if as_batch { 4 } else { 0 });
+        }
+    }
+
+    #[test]
+    fn a_lifetime_moved_past_the_last_instant_fails_the_query_by_name() {
+        // An interval event ending at the last instant, through the three
+        // operators that used to panic, wrap into the past or drop it, and
+        // a tumbling hop — at the top level and inside a GroupApply (where
+        // the tumbling count is the pane kernel's shape), bound as rows and
+        // as a batch.
+        let late = EventStream::new(
+            bt_schema(),
+            vec![Event::interval(
+                i64::MAX - 5,
+                i64::MAX,
+                row![0i64, 1i32, "u1", "adA"],
+            )],
+        );
+        type Alter = fn(crate::plan::StreamHandle) -> crate::plan::StreamHandle;
+        let ops: [(Alter, &str); 4] = [
+            (|h| h.window(10), "Window w=10"),
+            (|h| h.shift(10), "Shift 10"),
+            (|h| h.hop_window(7, 100), "HopWindow h=7 w=100"),
+            // Tumbling: grouped, the pane kernel's shape.
+            (|h| h.hop_window(10, 10), "HopWindow h=10 w=10"),
+        ];
+        for (alter, desc) in ops {
+            let want = TemporalError::TimeOverflow(format!(
+                "{desc} moves [{}, {}) past the range of time",
+                i64::MAX - 5,
+                i64::MAX
+            ));
+            for grouped in [false, true] {
+                let q = Query::new();
+                let input = q.source("input", bt_schema());
+                let out = match grouped {
+                    false => alter(input).count("N"),
+                    true => input.group_apply(&["UserId"], |g| alter(g).count("N")),
+                };
+                let plan = q.build(vec![out]).unwrap();
+                let srcs = bindings(vec![("input", late.clone())]);
+                assert_eq!(execute_single(&plan, &srcs), Err(want.clone()));
+                let on_rows = execute_data(&plan, row_bindings(srcs));
+                assert_eq!(on_rows.map(|_| ()), Err(want.clone()));
+            }
         }
     }
 

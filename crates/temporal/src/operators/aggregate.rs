@@ -24,10 +24,11 @@
 //! a batch ([`sweep_batch_runs`]) the runs are a permutation of the batch's
 //! rows: arguments come off the columns and lifetimes off the lifetime
 //! vectors, in run order. The sweep hands each output segment to its
-//! caller, which collects rows ([`RowRuns`]) or, under GroupApply's
-//! columnar path, writes columns. The top-level operators (rows and
-//! columns) are its one-run case, so they can only differ in how the
-//! per-event argument values are produced — and those are value-identical.
+//! caller, which collects rows ([`RowRuns`]) or, in a GroupApply walk over
+//! a batch ([`aggregate_batch_runs`]), writes columns. The top-level
+//! operators (rows and columns) are its one-run case, so they can only
+//! differ in how the per-event argument values are produced — and those are
+//! value-identical.
 //! Its per-instant step
 //! ([`Sweep::instant`]) is also the one the real-time session
 //! ([`crate::rt`]) takes per group at each punctuation.
@@ -37,9 +38,11 @@ use crate::batch::EventBatch;
 use crate::compiled::CompiledExpr;
 use crate::error::Result;
 use crate::event::Event;
-use crate::operators::group_apply::{run_of, Cut, Runs};
+use crate::exec::ExecStats;
+use crate::operators::group_apply::{run_of, BatchRuns, Cut, Runs, RunsData};
 use crate::stream::EventStream;
 use crate::time::{Lifetime, Time};
+use relation::column::ColumnBuilder;
 use relation::{ColumnBatch, Field, Row, Schema, Value};
 
 fn output_schema(aggs: &[(String, AggExpr)], in_schema: &Schema) -> Result<Schema> {
@@ -113,13 +116,64 @@ pub fn aggregate_batch(input: &EventBatch, aggs: &[(String, AggExpr)]) -> Result
     Ok(out.finish(out_schema).stream)
 }
 
+/// [`aggregate_runs`] over batch runs: the sweep reads the arguments and
+/// lifetimes through the permutation ([`sweep_batch_runs`]) and writes a
+/// batch in run order — the lifetimes and one typed column per aggregate,
+/// no `Row` per output. An aggregate value outside its declared column type
+/// (a `Double` in an integer `Sum`) has no column: then the output is swept
+/// again into row runs, counted in [`ExecStats::row_fallbacks`], and the
+/// walk goes on over rows from here.
+pub(crate) fn aggregate_batch_runs(
+    input: &BatchRuns,
+    aggs: &[(String, AggExpr)],
+    stats: &mut ExecStats,
+) -> Result<RunsData> {
+    let schema = output_schema(aggs, input.batch.schema())?;
+    let sweep = |emit: &mut dyn FnMut(usize, Lifetime, &[Value])| {
+        sweep_batch_runs(&input.batch, Some(&input.perm), &input.bounds, aggs, emit)
+    };
+    let mut columns: Vec<ColumnBuilder> = (schema.fields().iter())
+        .map(|f| ColumnBuilder::new(f, 0))
+        .collect();
+    let (mut vt, mut ve) = (Vec::new(), Vec::new());
+    let mut bounds = vec![0; input.bounds.len()];
+    let mut dense = true;
+    sweep(&mut |run, lifetime, value| {
+        vt.push(lifetime.start);
+        ve.push(lifetime.end);
+        bounds[run + 1] = vt.len();
+        dense = dense && (columns.iter_mut().zip(value)).all(|(c, v)| c.push(v).is_ok());
+    })?;
+    if !dense {
+        stats.row_fallbacks += 1;
+        let mut runs = RowRuns::new(input.bounds.len() - 1);
+        sweep(&mut |run, lifetime, value| runs.push(run, lifetime, value))?;
+        return Ok(RunsData::Rows(runs.finish(schema)));
+    }
+    fill_empty_runs(&mut bounds);
+    let columns = columns.into_iter().map(ColumnBuilder::finish).collect();
+    let payload = ColumnBatch::new(schema, columns, vt.len());
+    Ok(RunsData::Batch(BatchRuns::in_order(
+        EventBatch::new(vt, ve, payload),
+        bounds,
+    )))
+}
+
+/// Bounds set only where a run emitted: a run with no output ends where the
+/// run before it did.
+fn fill_empty_runs(bounds: &mut [usize]) {
+    for r in 1..bounds.len() {
+        bounds[r] = bounds[r].max(bounds[r - 1]);
+    }
+}
+
 /// The sweep over the rows of `input` that `rows` names (all of them when
 /// `None`), taken in that order and cut into runs at `bounds` (as in
 /// [`Runs`]), handing each output segment to `emit` with its run (see
-/// [`sweep_runs`]); returns the output schema. GroupApply's columnar path
-/// hands it its run-order permutation and writes the segments straight
-/// into columns; [`aggregate_batch`] is its one-run case. Nothing is
-/// gathered but the argument values.
+/// [`sweep_runs`]); returns the output schema. A GroupApply walk over a
+/// batch hands it its run-order permutation and writes the segments
+/// straight into columns ([`aggregate_batch_runs`]); [`aggregate_batch`] is
+/// its one-run case. Nothing is gathered but the argument values.
 pub(crate) fn sweep_batch_runs(
     input: &EventBatch,
     rows: Option<&[u32]>,
@@ -345,9 +399,7 @@ impl RowRuns {
 
     /// The runs, a run with no segment as an empty one.
     pub(crate) fn finish(mut self, schema: Schema) -> Runs {
-        for r in 1..self.bounds.len() {
-            self.bounds[r] = self.bounds[r].max(self.bounds[r - 1]);
-        }
+        fill_empty_runs(&mut self.bounds);
         Runs {
             stream: EventStream::new(schema, self.events),
             bounds: self.bounds,

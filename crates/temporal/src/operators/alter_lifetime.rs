@@ -1,51 +1,67 @@
 //! AlterLifetime: windowing and lifetime adjustment (paper §II-A.2, Fig 3).
 
-use crate::error::Result;
+use crate::error::{Result, TemporalError};
 use crate::operators::group_apply::{Cut, Runs};
-use crate::plan::LifetimeOp;
+use crate::plan::{lifetime_desc, LifetimeOp};
 use crate::stream::EventStream;
-use crate::time::{ceil_to_grid, Lifetime};
+use crate::time::{checked_ceil_to_grid, Lifetime};
 
-/// The lifetime transformation for one event; `None` drops the event.
+/// The lifetime transformation for one event; `Ok(None)` drops the event.
 /// Shared by the in-place operator below and the fused batch kernel, so
-/// both have identical window semantics by construction.
-pub(crate) fn transform(lt: Lifetime, op: &LifetimeOp) -> Option<Lifetime> {
-    Some(match op {
+/// both have identical window semantics — and fail alike — by
+/// construction. An endpoint the operator would move past the range of
+/// `Time` is a [`TemporalError::TimeOverflow`], never a wrapped time.
+#[inline]
+pub(crate) fn transform(lt: Lifetime, op: &LifetimeOp) -> Result<Option<Lifetime>> {
+    let overflow = || {
+        TemporalError::TimeOverflow(format!(
+            "{} moves [{}, {}) past the range of time",
+            lifetime_desc(op),
+            lt.start,
+            lt.end
+        ))
+    };
+    let checked = |t: Option<i64>| t.ok_or_else(overflow);
+    Ok(Some(match op {
         // Sliding window: the event influences output for `w` ticks after
         // its timestamp.
-        LifetimeOp::Window(w) => Lifetime::new(lt.start, lt.start + w),
+        LifetimeOp::Window(w) => Lifetime::new(lt.start, checked(lt.start.checked_add(*w))?),
         // Hopping window: quantize so snapshots only change at grid points.
         // An event at `t` must be active at exactly the grid instants `T`
         // with `T - width < t <= T`; the smallest is `ceil(t / hop) * hop`
         // and the end is the first grid point at or after `t + width`.
         LifetimeOp::Hop { hop, width } => {
-            let start = ceil_to_grid(lt.start, *hop);
-            let end = ceil_to_grid(lt.start + width, *hop);
+            let start = checked(checked_ceil_to_grid(lt.start, *hop))?;
+            let reach = checked(lt.start.checked_add(*width))?;
+            let end = checked(checked_ceil_to_grid(reach, *hop))?;
             if start >= end {
                 // Can only happen for width < hop remainders; the event
                 // falls between report points and is dropped.
-                return None;
+                return Ok(None);
             }
             Lifetime::new(start, end)
         }
-        LifetimeOp::Shift(d) => Lifetime::new(lt.start + d, lt.end + d),
-        LifetimeOp::ExtendBack(d) => Lifetime::new(lt.start - d, lt.end),
+        LifetimeOp::Shift(d) => Lifetime::new(
+            checked(lt.start.checked_add(*d))?,
+            checked(lt.end.checked_add(*d))?,
+        ),
+        LifetimeOp::ExtendBack(d) => Lifetime::new(checked(lt.start.checked_sub(*d))?, lt.end),
         LifetimeOp::ToPoint => Lifetime::point(lt.start),
-    })
+    }))
 }
 
 /// Apply a lifetime transformation to every event. A uniquely-owned input
 /// has its lifetimes patched in place (no payload copies); shared storage
 /// is rebuilt, cloning only the surviving events.
 pub fn alter_lifetime(input: EventStream, op: &LifetimeOp) -> Result<EventStream> {
-    Ok(alter_lifetime_runs(Runs::one(input), op)?.stream)
+    Ok(alter_lifetime_runs(Runs::one(input), op, &mut Cut::none())?.stream)
 }
 
 /// [`alter_lifetime`] over every run at once; a hopping window's drops
-/// compact the run bounds.
-pub(crate) fn alter_lifetime_runs(input: Runs, op: &LifetimeOp) -> Result<Runs> {
-    // `transform` cannot fail, so no error is ever recorded.
-    input.retain_map(&mut Cut::none(), |e| Ok(transform(e.lifetime, op)))
+/// compact the run bounds, and an overflow is recorded in `cut` like any
+/// other failing run.
+pub(crate) fn alter_lifetime_runs(input: Runs, op: &LifetimeOp, cut: &mut Cut) -> Result<Runs> {
+    input.retain_map(cut, |e| transform(e.lifetime, op))
 }
 
 #[cfg(test)]
@@ -108,6 +124,124 @@ mod tests {
         let input = EventStream::new(schema, vec![Event::interval(3, 99, row![0i64])]);
         let out = alter_lifetime(input, &LifetimeOp::ToPoint).unwrap();
         assert_eq!(out.events()[0].lifetime, Lifetime::point(3));
+    }
+
+    /// `op` over one event with lifetime `lt`, by the row operator and by
+    /// the fused batch kernel: the two agree, event for event or error for
+    /// error, and this returns what they agree on.
+    fn both_layouts(lt: Lifetime, op: LifetimeOp) -> Result<Vec<Lifetime>> {
+        use crate::batch::EventBatch;
+        use crate::operators::fused_fragment_batch;
+        use crate::plan::FusedStep;
+        let schema = Schema::new(vec![Field::new("X", ColumnType::Long)]);
+        let input = EventStream::new(schema, vec![Event::new(lt, row![0i64])]);
+        let batch = EventBatch::from_stream(&input).unwrap();
+        let steps = [FusedStep::AlterLifetime { op: op.clone() }];
+        let on_batch = fused_fragment_batch(batch, &steps).map(|d| d.into_stream());
+        let on_rows = alter_lifetime(input, &op);
+        assert_eq!(on_rows, on_batch, "{op:?} over {lt:?}");
+        on_rows.map(|s| s.events().iter().map(|e| e.lifetime).collect())
+    }
+
+    const MAX: i64 = i64::MAX;
+    const MIN: i64 = i64::MIN;
+
+    /// The named error `op` raises over `lt`.
+    fn overflow(op: &str, lt: Lifetime) -> Result<Vec<Lifetime>> {
+        Err(TemporalError::TimeOverflow(format!(
+            "{op} moves [{}, {}) past the range of time",
+            lt.start, lt.end
+        )))
+    }
+
+    #[test]
+    fn a_window_past_the_last_instant_is_an_error() {
+        let late = Lifetime::new(MAX - 5, MAX);
+        assert_eq!(
+            both_layouts(late, LifetimeOp::Window(10)),
+            overflow("Window w=10", late)
+        );
+        assert_eq!(
+            both_layouts(late, LifetimeOp::Window(5)),
+            Ok(vec![Lifetime::new(MAX - 5, MAX)])
+        );
+        let early = Lifetime::new(MIN, MIN + 5);
+        assert_eq!(
+            both_layouts(early, LifetimeOp::Window(10)),
+            Ok(vec![Lifetime::new(MIN, MIN + 10)])
+        );
+    }
+
+    #[test]
+    fn a_hop_past_the_last_instant_is_an_error() {
+        // 2^63 - 1 is a multiple of 7: the first report point is `MAX`, the
+        // window's reach is past it.
+        let late = Lifetime::new(MAX - 5, MAX);
+        let op = LifetimeOp::Hop { hop: 7, width: 100 };
+        assert_eq!(
+            both_layouts(late, op),
+            overflow("HopWindow h=7 w=100", late)
+        );
+        // 2^63 - 1 is 3 modulo 4: the first report point is past `MAX`.
+        let last = Lifetime::new(MAX - 1, MAX);
+        let op = LifetimeOp::Hop { hop: 4, width: 1 };
+        assert_eq!(both_layouts(last, op), overflow("HopWindow h=4 w=1", last));
+        // -2^63 is 6 modulo 7.
+        let early = Lifetime::new(MIN, MIN + 1);
+        assert_eq!(
+            both_layouts(early, LifetimeOp::Hop { hop: 7, width: 7 }),
+            Ok(vec![Lifetime::new(MIN + 1, MIN + 8)])
+        );
+    }
+
+    #[test]
+    fn a_shift_past_either_end_is_an_error() {
+        let late = Lifetime::new(MAX - 5, MAX);
+        assert_eq!(
+            both_layouts(late, LifetimeOp::Shift(10)),
+            overflow("Shift 10", late)
+        );
+        assert_eq!(
+            both_layouts(late, LifetimeOp::Shift(-10)),
+            Ok(vec![Lifetime::new(MAX - 15, MAX - 10)])
+        );
+        let early = Lifetime::new(MIN, MIN + 5);
+        assert_eq!(
+            both_layouts(early, LifetimeOp::Shift(-10)),
+            overflow("Shift -10", early)
+        );
+        assert_eq!(
+            both_layouts(early, LifetimeOp::Shift(10)),
+            Ok(vec![Lifetime::new(MIN + 10, MIN + 15)])
+        );
+    }
+
+    #[test]
+    fn an_extension_before_the_first_instant_is_an_error() {
+        let early = Lifetime::new(MIN + 5, MIN + 6);
+        assert_eq!(
+            both_layouts(early, LifetimeOp::ExtendBack(10)),
+            overflow("ExtendBack 10", early)
+        );
+        let late = Lifetime::new(MAX - 5, MAX);
+        assert_eq!(
+            both_layouts(late, LifetimeOp::ExtendBack(10)),
+            Ok(vec![Lifetime::new(MAX - 15, MAX)])
+        );
+    }
+
+    #[test]
+    fn to_point_stays_in_range_at_both_ends() {
+        let late = Lifetime::new(MAX - 5, MAX);
+        assert_eq!(
+            both_layouts(late, LifetimeOp::ToPoint),
+            Ok(vec![Lifetime::point(MAX - 5)])
+        );
+        let early = Lifetime::new(MIN, MIN + 5);
+        assert_eq!(
+            both_layouts(early, LifetimeOp::ToPoint),
+            Ok(vec![Lifetime::point(MIN)])
+        );
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! the selected rows via the SIMD kernel suite, writing output columns
 //! directly at the compacted length. The batch is gathered/compacted **at
 //! most once**, at the fragment boundary (or at the first projection, whose
-//! output is already dense). GroupApply's columnar path skips that last
-//! compaction: it reads the survivors through the selection
-//! ([`fused_select`]), in its own run order.
+//! output is already dense). A GroupApply walk over a batch skips that last
+//! compaction ([`fused_batch_runs`]): its run permutation drops the rows
+//! that did not survive, and the next kernel reads the rest through it.
 //!
 //! Semantics are byte-identical to running the steps as separate row
 //! operators: predicate/expression errors surface for the first failing
@@ -29,7 +29,7 @@ use crate::exec::StreamData;
 use crate::expr::Expr;
 use crate::operators::alter_lifetime::{alter_lifetime_runs, transform};
 use crate::operators::filter::filter_runs;
-use crate::operators::group_apply::{Cut, Runs};
+use crate::operators::group_apply::{BatchRuns, Cut, Runs};
 use crate::operators::project::project_runs;
 use crate::plan::{FusedStep, LifetimeOp};
 use crate::stream::EventStream;
@@ -40,7 +40,7 @@ use std::sync::Arc;
 /// Run a fused fragment over a columnar batch in a single pass. Returns
 /// `Rows` only when a projection had to fall back to the row path.
 pub fn fused_fragment_batch(batch: EventBatch, steps: &[FusedStep]) -> Result<StreamData> {
-    Ok(match fused_select(batch, steps)? {
+    Ok(match fused_select(batch, steps, None)? {
         Selected::Columns(Selection { mut batch, sel, .. }) => {
             if let Some(s) = sel {
                 batch.compact(&s);
@@ -76,10 +76,14 @@ pub(crate) enum Selected {
     },
 }
 
-/// The fused pass proper: every step over `batch`, keeping the last
-/// selection unapplied and each surviving row traceable to its input row.
-pub(crate) fn fused_select(mut batch: EventBatch, steps: &[FusedStep]) -> Result<Selected> {
-    let mut sel: Option<Vec<u32>> = None;
+/// The fused pass proper: every step over the rows of `batch` that `sel`
+/// names (all of them when `None`), keeping the last selection unapplied
+/// and each surviving row traceable to its input row.
+pub(crate) fn fused_select(
+    mut batch: EventBatch,
+    steps: &[FusedStep],
+    mut sel: Option<Vec<u32>>,
+) -> Result<Selected> {
     let mut origin: Option<Vec<u32>> = None;
     for (k, step) in steps.iter().enumerate() {
         match step {
@@ -130,7 +134,7 @@ pub(crate) fn fused_select(mut batch: EventBatch, steps: &[FusedStep]) -> Result
                     }
                 }
             }
-            FusedStep::AlterLifetime { op } => alter_sel(&mut batch, &mut sel, op),
+            FusedStep::AlterLifetime { op } => alter_sel(&mut batch, &mut sel, op)?,
         }
     }
     Ok(Selected::Columns(Selection { batch, sel, origin }))
@@ -156,10 +160,62 @@ pub(crate) fn fused_fragment_runs(
         runs = match step {
             FusedStep::Filter { predicate } => filter_runs(runs, predicate, cut)?,
             FusedStep::Project { exprs } => project_runs(runs, exprs, cut)?,
-            FusedStep::AlterLifetime { op } => alter_lifetime_runs(runs, op)?,
+            FusedStep::AlterLifetime { op } => alter_lifetime_runs(runs, op, cut)?,
         };
     }
     Ok(runs)
+}
+
+/// A fragment over batch runs. The steps are per event, so they run over
+/// the batch's live rows in input order, as [`fused_fragment_batch`] runs
+/// them; then the permutation drops the rows that did not survive — read
+/// back through `origin` when a projection compacted the batch — and the
+/// bounds shrink with it. Nothing is gathered but the live rows a
+/// projection reads. `None` when a projection has no dense column form.
+pub(crate) fn fused_batch_runs(runs: BatchRuns, steps: &[FusedStep]) -> Result<Option<BatchRuns>> {
+    const DROPPED: u32 = u32::MAX;
+    let live = runs.live_rows();
+    let BatchRuns {
+        batch,
+        perm,
+        bounds,
+    } = runs;
+    let rows = batch.len();
+    let Selected::Columns(Selection { batch, sel, origin }) = fused_select(batch, steps, live)?
+    else {
+        return Ok(None);
+    };
+    if sel.is_none() && origin.is_none() {
+        // Every row survived where it was.
+        return Ok(Some(BatchRuns {
+            batch,
+            perm,
+            bounds,
+        }));
+    }
+    // Each input row's row in the output, or DROPPED.
+    let mut to_out = vec![DROPPED; rows];
+    let mut place = |j: u32| to_out[origin.as_ref().map_or(j, |o| o[j as usize]) as usize] = j;
+    match sel {
+        Some(s) => s.into_iter().for_each(&mut place),
+        None => (0..batch.len() as u32).for_each(&mut place),
+    }
+    let mut kept = Vec::with_capacity(batch.len());
+    let mut kept_bounds = Vec::with_capacity(bounds.len());
+    kept_bounds.push(0);
+    for w in bounds.windows(2) {
+        kept.extend(
+            (perm[w[0]..w[1]].iter())
+                .map(|&i| to_out[i as usize])
+                .filter(|&j| j != DROPPED),
+        );
+        kept_bounds.push(kept.len());
+    }
+    Ok(Some(BatchRuns {
+        batch,
+        perm: kept,
+        bounds: kept_bounds,
+    }))
 }
 
 /// Outcome of [`project_dense_owned`]: the projected batch, or the
@@ -255,15 +311,16 @@ fn project_dense_owned(batch: EventBatch, exprs: &[(String, Expr)]) -> Result<De
 
 /// Lifetime rewrite at the selected indices, in place — no payload traffic
 /// at all. Only a hopping window can drop events; drops shrink the
-/// selection rather than compacting the batch.
-fn alter_sel(batch: &mut EventBatch, sel: &mut Option<Vec<u32>>, op: &LifetimeOp) {
+/// selection rather than compacting the batch. An overflow fails at the
+/// first selected row that meets it, as the row operator does.
+fn alter_sel(batch: &mut EventBatch, sel: &mut Option<Vec<u32>>, op: &LifetimeOp) -> Result<()> {
     let (vt, ve) = batch.times_mut();
     let can_drop = matches!(op, LifetimeOp::Hop { .. });
     match sel.take() {
         // Dense, no drops possible: plain in-place sweep, stay dense.
         None if !can_drop => {
             for i in 0..vt.len() {
-                let lt = transform(Lifetime::new(vt[i], ve[i]), op).expect("only hops drop");
+                let lt = transform(Lifetime::new(vt[i], ve[i]), op)?.expect("only hops drop");
                 vt[i] = lt.start;
                 ve[i] = lt.end;
             }
@@ -272,17 +329,18 @@ fn alter_sel(batch: &mut EventBatch, sel: &mut Option<Vec<u32>>, op: &LifetimeOp
             let total = vt.len();
             let upper = cur.as_ref().map_or(total, Vec::len);
             let mut survivors = Vec::with_capacity(upper);
-            let mut apply = |i: u32| {
+            let mut apply = |i: u32| -> Result<()> {
                 let ii = i as usize;
-                if let Some(lt) = transform(Lifetime::new(vt[ii], ve[ii]), op) {
+                if let Some(lt) = transform(Lifetime::new(vt[ii], ve[ii]), op)? {
                     vt[ii] = lt.start;
                     ve[ii] = lt.end;
                     survivors.push(i);
                 }
+                Ok(())
             };
             match &cur {
-                None => (0..total as u32).for_each(&mut apply),
-                Some(s) => s.iter().copied().for_each(&mut apply),
+                None => (0..total as u32).try_for_each(&mut apply)?,
+                Some(s) => s.iter().copied().try_for_each(&mut apply)?,
             }
             // A dense batch with no drops stays dense.
             *sel = if cur.is_none() && survivors.len() == total {
@@ -292,6 +350,7 @@ fn alter_sel(batch: &mut EventBatch, sel: &mut Option<Vec<u32>>, op: &LifetimeOp
             };
         }
     }
+    Ok(())
 }
 
 #[cfg(test)]

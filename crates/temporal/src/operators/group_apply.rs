@@ -1,27 +1,31 @@
 //! GroupApply: apply a sub-plan to each group (paper §II-A.2, Fig 4).
 //!
 //! Execution is **segmented**: instead of materialising one stream and one
-//! executor per group, the input is laid out once as key-ordered *runs*
-//! ([`Runs`]) and the sub-plan is walked once over all of them
-//! ([`crate::exec::walk_runs`]). Two sub-plan shapes, recognised from the
-//! plan alone, need no row runs:
+//! executor per group, the input is laid out once as key-ordered *runs* and
+//! the sub-plan is walked once over all of them
+//! ([`crate::exec::walk_runs`]), in the layout the input arrives in:
 //!
-//! - a tumbling hopping aggregate of combinable aggregates goes to the pane
-//!   kernel ([`crate::operators::pane`]), in the layout the input arrives
-//!   in;
-//! - per-event steps ending in one Aggregate ([`per_event_aggregate`]) over
-//!   a batch stay on the columns: the fused batch kernel runs the steps, a
-//!   run-order permutation of the survivors is built by the same counting
-//!   sort the row runs use, and the endpoint sweep reads the arguments and
-//!   lifetimes through it ([`sweep_batch_runs`]) and writes its segments
-//!   straight into a batch — the lifetimes, one typed column per aggregate,
-//!   and the key columns gathered once per output event from its run's
-//!   representative event. No event becomes a row, on the way in or out.
-//!   Any error, or a projection with no dense column form, sends the input
-//!   to the segmented walk instead, which reports the first error in group
-//!   order; an aggregate value with no column form (a `Double` in an
-//!   integer `Sum`) finishes that output on rows, counted in
+//! - a row stream becomes [`Runs`], its events moved into run order;
+//! - a batch becomes [`BatchRuns`]: the batch, a run-order permutation of
+//!   its rows and the bounds — nothing is gathered. A fused fragment runs
+//!   the batch kernel over the live rows in input order and drops the rest
+//!   from the permutation; an aggregate sweeps through the permutation and
+//!   writes a batch in run order; a union interleaves its inputs' runs in
+//!   one permutation. A node with no run-aware kernel (a join, a UDO,
+//!   SpreadGrid, a nested GroupApply, a sub-plan `Source`) is handed its
+//!   runs transposed, once, counted in `ExecStats::transposed_events`. A
+//!   root that is still a batch comes back as one: its columns in run
+//!   order, and each key column gathered once from every output event's
+//!   run representative. No event becomes a row, on the way in or out.
+//!   Any error, or a projection with no dense column form, hands the input
+//!   to the walk over rows, which reports the first error in group order;
+//!   an aggregate value with no column form (a `Double` in an integer
+//!   `Sum`) finishes that aggregate's output on rows, counted in
 //!   `ExecStats::row_fallbacks`.
+//!
+//! One sub-plan shape needs no runs at all: a tumbling hopping aggregate of
+//! combinable aggregates goes to the pane kernel
+//! ([`crate::operators::pane`]), in the layout the input arrives in.
 //!
 //! Grouping is hash-then-compare, on the columns of a batch and the cells
 //! of a row stream alike: each event gets a group ordinal from the 64-bit
@@ -29,14 +33,13 @@
 //! distinct keys are separated by comparing key cells against the group's
 //! first event, the *groups* — not the events — are sorted by key cells,
 //! and a stable counting sort puts the events into sorted-key run order, so
-//! the order inside a group is the input's. On the row paths one key per
-//! group is materialized for the prefix, which is attached once, at the
-//! sub-plan's root.
+//! the order inside a group is the input's. A root that ends on rows gets
+//! one materialized key per group as its prefix, attached once.
 //!
 //! Every path covers every run on the caller's thread, and the keys are
 //! attached once to its root, so the output event vector is a pure function
 //! of the input (the repeatability guarantee of paper §III that restarted
-//! reducers compare bytes against); the columnar path sweeps each group's
+//! reducers compare bytes against); the batch walk keeps each group's
 //! events in the row runs' order, so a `Double` `Sum` adds in the same
 //! order and the bytes are the same. Errors are deterministic too: the walk
 //! reports the lowest failing group in sorted-key order and, inside it, the
@@ -48,14 +51,11 @@ use crate::error::{Result, TemporalError};
 use crate::event::Event;
 use crate::exec::{walk_runs, DataBindings, ExecStats, StreamData};
 use crate::key::KeySelector;
-use crate::operators::aggregate::{sweep_batch_runs, RowRuns};
-use crate::operators::fused::{fused_select, Selected, Selection};
 use crate::operators::pane::pane_aggregate;
-use crate::plan::{hopping_aggregate, per_event_aggregate, LogicalPlan, PerEventAggregate};
+use crate::plan::{hopping_aggregate, LogicalPlan};
 use crate::stream::EventStream;
 use crate::time::Lifetime;
-use relation::column::ColumnBuilder;
-use relation::{ColumnBatch, Row, Schema, Value};
+use relation::{compact_indices, ColumnBatch, Row, Schema, Value};
 use rustc_hash::FxHashMap;
 use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
@@ -166,6 +166,111 @@ impl Runs {
     }
 }
 
+/// A batch laid out as consecutive runs without moving a row: run `r` is
+/// the events `batch` holds at `perm[bounds[r]..bounds[r + 1]]`. Rows of
+/// `batch` that `perm` does not name were dropped by an earlier step; they
+/// stay in storage and no kernel reads them.
+#[derive(Debug, Clone)]
+pub(crate) struct BatchRuns {
+    pub(crate) batch: EventBatch,
+    /// Run order: position `p` holds row `perm[p]` of `batch`. No row
+    /// appears twice.
+    pub(crate) perm: Vec<u32>,
+    /// As in [`Runs`], over positions of `perm`.
+    pub(crate) bounds: Vec<usize>,
+}
+
+impl BatchRuns {
+    /// `batch` in `groups`' runs: a permutation, nothing gathered.
+    fn of(batch: EventBatch, groups: &KeyedGroups) -> BatchRuns {
+        let (perm, bounds) = run_order(&groups.ordinals, &groups.order);
+        BatchRuns {
+            batch,
+            perm,
+            bounds,
+        }
+    }
+
+    /// A batch already in run order.
+    pub(crate) fn in_order(batch: EventBatch, bounds: Vec<usize>) -> BatchRuns {
+        let perm = (0..batch.len() as u32).collect();
+        BatchRuns {
+            batch,
+            perm,
+            bounds,
+        }
+    }
+
+    /// The rows `perm` names, ascending — `None` when that is every row.
+    pub(crate) fn live_rows(&self) -> Option<Vec<u32>> {
+        if self.perm.len() == self.batch.len() {
+            return None;
+        }
+        let mut live = vec![false; self.batch.len()];
+        self.perm.iter().for_each(|&i| live[i as usize] = true);
+        Some(compact_indices(&live))
+    }
+
+    /// The events in run order as a batch of their own: `batch` itself when
+    /// it already is one, else one gather through `perm`.
+    pub(crate) fn into_ordered(self) -> EventBatch {
+        let in_place = self.perm.len() == self.batch.len()
+            && (self.perm.iter().enumerate()).all(|(p, &i)| p == i as usize);
+        match in_place {
+            true => self.batch,
+            false => self.batch.gather(&self.perm),
+        }
+    }
+
+    /// The runs as rows, for an operator that has no columnar form: one
+    /// transposition of the events the runs hold, counted in `stats`.
+    pub(crate) fn into_rows(self, stats: &mut ExecStats) -> Runs {
+        stats.transposed_events += self.perm.len() as u64;
+        let batch = &self.batch;
+        let events = (self.perm.iter())
+            .map(|&i| Event::new(batch.lifetime(i as usize), batch.payload_row(i as usize)))
+            .collect();
+        Runs {
+            stream: EventStream::new(batch.schema().clone(), events),
+            bounds: self.bounds,
+        }
+    }
+}
+
+/// Runs in either layout: what a sub-plan walk passes between nodes.
+#[derive(Debug, Clone)]
+pub(crate) enum RunsData {
+    Rows(Runs),
+    Batch(BatchRuns),
+}
+
+impl RunsData {
+    /// Number of runs.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            RunsData::Rows(r) => r.len(),
+            RunsData::Batch(b) => b.bounds.len() - 1,
+        }
+    }
+
+    /// Keep the first `runs` runs (see [`Runs::truncate`]). Only a walk
+    /// over rows records an error and walks on, so only row runs are cut.
+    pub(crate) fn truncate(&mut self, runs: usize) {
+        match self {
+            RunsData::Rows(r) => r.truncate(runs),
+            RunsData::Batch(b) => debug_assert!(runs >= b.bounds.len() - 1),
+        }
+    }
+
+    /// Row runs, transposing batch runs ([`BatchRuns::into_rows`]).
+    pub(crate) fn into_rows(self, stats: &mut ExecStats) -> Runs {
+        match self {
+            RunsData::Rows(r) => r,
+            RunsData::Batch(b) => b.into_rows(stats),
+        }
+    }
+}
+
 /// The pending error of one sub-plan walk, in the order a group-at-a-time
 /// evaluation meets errors: lowest run first, then evaluation order.
 ///
@@ -206,13 +311,14 @@ impl Cut {
 /// Run `subplan` per distinct value of `keys`, prepending the key columns to
 /// output rows. The plan alone picks the path (see the module docs): a pane
 /// aggregate ([`hopping_aggregate`] and `pane_grid`) runs on the pane kernel
-/// ([`pane_aggregate`]); over a batch, a per-event aggregate
-/// ([`per_event_aggregate`]) runs on the columns ([`sweep_columns`]) and
-/// returns a batch; everything else — and the columnar path's fallback — is
-/// the segmented walk, over rows, which transposes a batch input (counted
-/// in [`ExecStats::transposed_events`]). A batch is grouped on its columns
-/// whichever path follows. `sources` are the outer bindings a sub-plan
-/// `Source` reads.
+/// ([`pane_aggregate`]); everything else is the segmented walk, in the
+/// layout the input arrives in. A batch is grouped on its columns and
+/// walked as [`BatchRuns`]; a root that is still a batch comes back as one,
+/// keyed by one gather per key column. Any error, or a value with no column
+/// form, hands the input to the walk over rows, which transposes it
+/// (counted in [`ExecStats::transposed_events`]) and reports the error a
+/// group-at-a-time evaluation meets first. `sources` are the outer bindings
+/// a sub-plan `Source` reads.
 pub(crate) fn group_apply(
     input: StreamData,
     keys: &[String],
@@ -243,32 +349,47 @@ pub(crate) fn group_apply(
     stats.groups += groups.firsts.len() as u64;
     if groups.firsts.is_empty() {
         // No group, so the sub-plan never runs (nor fails).
-        return Ok(StreamData::Rows(EventStream::new(out_schema, Vec::new())));
+        return Ok(match input {
+            StreamData::Batch(_) => StreamData::Batch(
+                EventBatch::from_events(out_schema, &[]).expect("no cell to mistype"),
+            ),
+            StreamData::Rows(_) => StreamData::Rows(EventStream::new(out_schema, Vec::new())),
+        });
     }
     stats.per_run_nodes += subplan.nodes().iter().filter(|n| !n.op.segmented()).count() as u64;
 
-    let swept = match (&input, per_event_aggregate(subplan)) {
-        (StreamData::Batch(batch), Ok(shape)) => {
-            sweep_columns(batch, &sel, &groups, &shape, &out_schema)
+    if let StreamData::Batch(batch) = &input {
+        // The input is kept for the keys and for the walk over rows; what
+        // the attempt counted is forgotten if it gives up, so the row walk
+        // counts nothing twice.
+        let before = *stats;
+        let runs = RunsData::Batch(BatchRuns::of(batch.clone(), &groups));
+        match walk_runs(subplan, runs, sources, stats) {
+            Ok(Some(RunsData::Batch(root))) => {
+                return Ok(StreamData::Batch(keyed_batch(
+                    root,
+                    batch.payload(),
+                    &sel,
+                    &groups,
+                    out_schema,
+                )))
+            }
+            Ok(Some(RunsData::Rows(root))) => {
+                let run_keys = groups.run_keys(&input, &sel);
+                let events = attach_keys(root, &run_keys);
+                return Ok(StreamData::Rows(EventStream::new(out_schema, events)));
+            }
+            Ok(None) | Err(_) => *stats = before,
         }
-        _ => None,
-    };
-    let swept = match swept {
-        Some(Swept::Batch(batch)) => return Ok(StreamData::Batch(batch)),
-        swept => swept,
-    };
+    }
     let run_keys = groups.run_keys(&input, &sel);
-    let root = match swept {
-        Some(Swept::Rows(root)) => {
-            stats.row_fallbacks += 1;
-            root
-        }
-        _ => walk_runs(
-            subplan,
-            runs_of(stats.transpose(input), &groups),
-            sources,
-            stats,
-        )?,
+    let runs = match input {
+        StreamData::Batch(batch) => BatchRuns::of(batch, &groups).into_rows(stats),
+        StreamData::Rows(stream) => runs_of(stream, &groups),
+    };
+    let Some(RunsData::Rows(root)) = walk_runs(subplan, RunsData::Rows(runs), sources, stats)?
+    else {
+        unreachable!("a walk over rows has no column form to miss and stays on rows")
     };
     Ok(StreamData::Rows(EventStream::new(
         out_schema,
@@ -276,75 +397,28 @@ pub(crate) fn group_apply(
     )))
 }
 
-/// What the columnar path answers.
-enum Swept {
-    /// The output: key columns, then aggregates.
-    Batch(EventBatch),
-    /// The aggregates as row runs, for the caller to prefix with the keys:
-    /// some value had no column form.
-    Rows(Runs),
-}
-
-/// The columnar path: a per-event aggregate sub-plan over every group of
-/// `input` at once, answering in `out_schema` (the keys, then the
-/// aggregates). The fused kernel runs the steps over the whole batch; the
-/// survivors are put in run order by [`run_order`] — each group's in its
-/// input order, as in the row runs — and the aggregate reads its arguments
-/// and lifetimes through that permutation. The sweep writes its output
-/// segments straight into columns: the lifetimes, one typed column per
-/// aggregate, and the key columns gathered from each run's representative
-/// event. `None` when the columns cannot answer: a step or an argument
-/// failed, or a projection has no dense column form; the caller then walks
-/// the runs on rows, which reports a failure in group-at-a-time order. An
-/// aggregate value that does not inhabit its declared type (a `Double` in
-/// an integer `Sum`) has no column either: then the output is swept again,
-/// into rows.
-fn sweep_columns(
-    input: &EventBatch,
+/// The walk's batch root keyed: each key column gathered once from the
+/// input's `payload` at every output event's run representative, then the
+/// root's own columns in run order.
+fn keyed_batch(
+    root: BatchRuns,
+    payload: &ColumnBatch,
     key_sel: &KeySelector,
     groups: &KeyedGroups,
-    shape: &PerEventAggregate,
-    out_schema: &Schema,
-) -> Option<Swept> {
-    let Selected::Columns(Selection { batch, sel, origin }) =
-        fused_select(input.clone(), &shape.steps).ok()?
-    else {
-        return None;
-    };
-    let rows: Vec<u32> = sel.unwrap_or_else(|| (0..batch.len() as u32).collect());
-    let ordinals: Vec<u32> = (rows.iter())
-        .map(|&r| groups.ordinals[origin.as_ref().map_or(r, |o| o[r as usize]) as usize])
-        .collect();
-    let (mut perm, bounds) = run_order(&ordinals, &groups.order);
-    perm.iter_mut().for_each(|j| *j = rows[*j as usize]);
-
-    let sweep = |emit: &mut dyn FnMut(usize, Lifetime, &[Value])| {
-        sweep_batch_runs(&batch, Some(&perm), &bounds, shape.aggs, emit)
-    };
-    let agg_fields = &out_schema.fields()[key_sel.indices().len()..];
-    let mut aggs: Vec<ColumnBuilder> = agg_fields
-        .iter()
-        .map(|f| ColumnBuilder::new(f, 0))
-        .collect();
-    let (mut vt, mut ve, mut key_rows) = (Vec::new(), Vec::new(), Vec::new());
-    let mut dense = true;
-    let agg_schema = sweep(&mut |run, lifetime, value| {
-        vt.push(lifetime.start);
-        ve.push(lifetime.end);
-        key_rows.push(groups.firsts[run]);
-        dense = dense && (aggs.iter_mut().zip(value)).all(|(c, v)| c.push(v).is_ok());
-    })
-    .ok()?;
-    if !dense {
-        let mut runs = RowRuns::new(bounds.len() - 1);
-        sweep(&mut |run, lifetime, value| runs.push(run, lifetime, value)).ok()?;
-        return Some(Swept::Rows(runs.finish(agg_schema)));
+    out_schema: Schema,
+) -> EventBatch {
+    let mut key_rows = Vec::with_capacity(root.perm.len());
+    for (run, w) in root.bounds.windows(2).enumerate() {
+        key_rows.extend(std::iter::repeat_n(groups.firsts[run], w[1] - w[0]));
     }
-    let payload = input.payload();
+    let (vt, ve, values) = root.into_ordered().into_parts();
     let keys = (key_sel.indices().iter()).map(|&k| payload.column(k).gather(&key_rows));
-    let columns = keys.chain(aggs.into_iter().map(ColumnBuilder::finish));
-    let payload = ColumnBatch::new(out_schema.clone(), columns.collect(), vt.len());
-    Some(Swept::Batch(EventBatch::new(vt, ve, payload)))
+    let columns = keys.chain(values.into_parts().1).collect();
+    EventBatch::new(
+        vt,
+        ve,
+        ColumnBatch::new(out_schema, columns, key_rows.len()),
+    )
 }
 
 /// Events numbered by group, in first-seen order.

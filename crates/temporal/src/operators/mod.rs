@@ -23,9 +23,10 @@
 //! steps, `aggregate`, `union` — are written over *runs* (`group_apply`'s
 //! `Runs`: one stream holding every group back to back): one compile and
 //! one pass serve all the groups, and the plain functions below are their
-//! one-run case. A GroupApply over a batch whose sub-plan is per-event steps
-//! ending in one Aggregate needs no row runs: the fused batch kernel and the
-//! columnar aggregate run over one run-order permutation of the batch.
+//! one-run case. A GroupApply over a batch needs no row runs: its walk runs
+//! the same three over `BatchRuns` — the batch and one run-order
+//! permutation of its rows — with the fused batch kernel, the columnar
+//! sweep and one interleaving permutation.
 
 mod aggregate;
 mod alter_lifetime;
@@ -42,16 +43,16 @@ mod temporal_join;
 mod union;
 
 pub use aggregate::{aggregate, aggregate_batch};
-pub(crate) use aggregate::{aggregate_runs, Sweep};
+pub(crate) use aggregate::{aggregate_batch_runs, aggregate_runs, Sweep};
 pub use alter_lifetime::alter_lifetime;
 pub use anti_semi_join::anti_semi_join;
 pub use filter::filter;
-pub(crate) use fused::fused_fragment_runs;
+pub(crate) use fused::{fused_batch_runs, fused_fragment_runs};
 pub use fused::{fused_fragment_batch, fused_fragment_rows};
-pub(crate) use group_apply::{group_apply, Cut, Runs};
+pub(crate) use group_apply::{group_apply, Cut, Runs, RunsData};
 pub use hop_udo::hop_udo;
 pub use project::project;
 pub use spread_grid::spread_grid;
 pub use temporal_join::temporal_join;
 pub use union::union;
-pub(crate) use union::union_runs;
+pub(crate) use union::union_walk;

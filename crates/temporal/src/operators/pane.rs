@@ -49,14 +49,15 @@ use crate::event::Event;
 use crate::exec::{ExecStats, StreamData};
 use crate::key::KeySelector;
 use crate::operators::group_apply::{assign_groups, Groups};
-use crate::time::{ceil_to_grid, Duration, Lifetime, Time};
+use crate::time::{checked_ceil_to_grid, Duration, Lifetime, Time};
 use relation::{Row, Value};
 use rustc_hash::FxHashMap;
 
 /// Run `GroupApply(sel){Hop{grid, grid} → Aggregate(aggs)}` over `input`;
 /// returns the output events (key prefix, then one column per aggregate) in
 /// (group key, time) order, or `None` when the input breaks the
-/// combinability premise (see the module docs).
+/// combinability premise (see the module docs) or a cell would end past the
+/// last instant.
 pub(crate) fn pane_aggregate(
     input: &StreamData,
     sel: &KeySelector,
@@ -150,7 +151,10 @@ fn panes(
     let mut errors: FxHashMap<u32, TemporalError> = FxHashMap::default();
 
     'events: for (i, &g) in groups.ordinals.iter().enumerate() {
-        let cell = ceil_to_grid(start(i), grid);
+        // A cell that ends past the last instant is the hop's overflow:
+        // the walk reports it, in group order.
+        let cell = checked_ceil_to_grid(start(i), grid).filter(|c| c.checked_add(grid).is_some());
+        let Some(cell) = cell else { return Ok(None) };
         let last = latest[g as usize];
         let slot = if last != NO_SLOT && cells[last as usize].1 == cell {
             last

@@ -4,7 +4,8 @@
 use super::{hopping_aggregate, FusedStep, LifetimeOp, LogicalPlan, NodeId, Operator};
 use std::fmt;
 
-fn lifetime_desc(op: &LifetimeOp) -> String {
+/// One lifetime operator as the plan display writes it.
+pub(crate) fn lifetime_desc(op: &LifetimeOp) -> String {
     match op {
         LifetimeOp::Window(w) => format!("Window w={w}"),
         LifetimeOp::Hop { hop, width } => format!("HopWindow h={hop} w={width}"),

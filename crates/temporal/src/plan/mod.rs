@@ -16,7 +16,7 @@ mod pushdown;
 mod share;
 
 pub use builder::{Query, StreamHandle};
-pub(crate) use display::step_desc;
+pub(crate) use display::{lifetime_desc, step_desc};
 pub use fuse::fuse_plan;
 pub use pushdown::{push_down, validate_mapper_plan, MapperPlan, NoPartial, PushDown};
 pub use share::{

@@ -21,8 +21,8 @@
 //! ([`super::push_down`]) look for — [`HoppingAggregate`], with its one
 //! recogniser and one constructor — and the normal form that brings plans
 //! into it ([`sink_hops`]); and the wider shape of per-event steps ending in
-//! one Aggregate ([`PerEventAggregate`]), which the real-time session and
-//! GroupApply's columnar path look for.
+//! one Aggregate ([`PerEventAggregate`]), which the real-time session looks
+//! for.
 //!
 //! Both rewrites preserve per-query output byte-for-byte: sharing only
 //! deduplicates identical computations, and the factor algebra is exact
@@ -350,7 +350,8 @@ pub(crate) fn hopping_subplan(
 /// Aggregate: `GroupInput → FusedFragment* → Aggregate(aggs)`. Every event
 /// reaches the aggregate on its own, so the sub-plan needs no runs before
 /// the sweep. [`per_event_aggregate`] is its only recogniser; the real-time
-/// session's stateful aggregate and GroupApply's columnar path both ask it.
+/// session's stateful aggregate asks it (the batch engine needs no shape
+/// test: its GroupApply walk keeps any sub-plan on the columns it can).
 pub(crate) struct PerEventAggregate<'p> {
     /// The fragments' steps, in evaluation order.
     pub(crate) steps: Vec<FusedStep>,

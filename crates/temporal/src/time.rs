@@ -35,6 +35,15 @@ pub fn ceil_to_grid(t: Time, grid: Duration) -> Time {
     }
 }
 
+/// [`ceil_to_grid`], or `None` when that grid point is past [`Time::MAX`].
+pub fn checked_ceil_to_grid(t: Time, grid: Duration) -> Option<Time> {
+    assert!(grid > 0, "grid must be positive");
+    match t.rem_euclid(grid) {
+        0 => Some(t),
+        _ => t.div_euclid(grid).checked_add(1)?.checked_mul(grid),
+    }
+}
+
 /// Round `t` down to the previous multiple of `grid` (identity if aligned).
 pub fn floor_to_grid(t: Time, grid: Duration) -> Time {
     assert!(grid > 0, "grid must be positive");
@@ -147,6 +156,11 @@ mod tests {
         assert_eq!(floor_to_grid(7, 4), 4);
         assert_eq!(floor_to_grid(-1, 4), -4);
         assert_eq!(floor_to_grid(8, 4), 8);
+        assert_eq!(checked_ceil_to_grid(-5, 4), Some(-4));
+        assert_eq!(checked_ceil_to_grid(Time::MAX, 1), Some(Time::MAX));
+        // 2^63 - 1 is a multiple of 7 and is 3 modulo 4.
+        assert_eq!(checked_ceil_to_grid(Time::MAX - 5, 7), Some(Time::MAX));
+        assert_eq!(checked_ceil_to_grid(Time::MAX - 1, 4), None);
     }
 
     #[test]

@@ -29,7 +29,9 @@ use timr_suite::temporal::exec::{
     StreamData,
 };
 use timr_suite::temporal::expr::{col, lit, Expr, Func};
-use timr_suite::temporal::plan::{LifetimeOp, LogicalPlan, Operator, PlanNode, StreamHandle};
+use timr_suite::temporal::plan::{
+    fuse_plan, LifetimeOp, LogicalPlan, Operator, PlanNode, StreamHandle,
+};
 use timr_suite::temporal::udo::{WindowCountUdo, WindowUdo};
 use timr_suite::temporal::{Event, EventBatch, EventStream, Query, TemporalError};
 
@@ -91,7 +93,7 @@ impl WindowUdo for FailOn {
 
 /// Every sub-plan shape the segmented walk has a path for. `thr` steers
 /// the filters so that some groups — sometimes all — produce no output.
-const SUB_PLANS: usize = 11;
+const SUB_PLANS: usize = 13;
 
 fn sub_plan(kind: usize, g: StreamHandle, w: i64, thr: i64) -> StreamHandle {
     let sums = || {
@@ -136,6 +138,23 @@ fn sub_plan(kind: usize, g: StreamHandle, w: i64, thr: i64) -> StreamHandle {
             h.filter(col("B").lt(lit(thr))).window(w).count("N")
         }),
         9 => g.hop_udo(w, 2 * w, Arc::new(WindowCountUdo)),
+        // A projection after a filter in one fragment: over a batch it
+        // compacts mid-fragment, and the survivors are traced back to
+        // their input rows.
+        11 => g
+            .filter(col("V").ge(lit(thr)))
+            .project(vec![("X".to_string(), col("V").mul(lit(2i64)))])
+            .window(w)
+            .aggregate(vec![("S".to_string(), AggExpr::Sum(col("X")))]),
+        // A filtered value read twice: each projection runs over a batch
+        // that still holds the rows the filter dropped.
+        12 => {
+            let kept = g.filter(col("V").ge(lit(thr)));
+            let doubled = kept
+                .clone()
+                .project(vec![("X".to_string(), col("V").mul(lit(2i64)))]);
+            doubled.union(kept.project(vec![("X".to_string(), col("A"))]))
+        }
         // Three inputs of uneven sizes: the union's run order is decided
         // run by run.
         _ => {
@@ -309,6 +328,66 @@ proptest! {
         assert_all_agree(&plan, &srcs)?;
     }
 
+    /// The walk keeps the layout it is handed. Over a batch, every sub-plan
+    /// shape without a per-run node returns a batch (the pane kernel, which
+    /// answers in rows, aside) and transposes nothing; a shape with one
+    /// transposes the events of the runs handed to its per-run node, once.
+    /// What a per-run node itself hands back as a batch (a join's output)
+    /// is transposed on either binding, so the rows' count is subtracted.
+    #[test]
+    fn the_walk_keeps_the_layout_it_is_handed(
+        events in prop::collection::vec((0i64..400, 0usize..64, 0i64..40), 0..80),
+        key_cols in 1usize..3,
+        kind in 0usize..SUB_PLANS,
+        w in 1i64..50,
+        thr in 0i64..45,
+    ) {
+        let plan = build_plan(key_cols, kind, w, thr);
+        let stream = palette_stream(&events);
+        let srcs = bindings(vec![("in", stream.clone())]);
+        let mut bound = DataBindings::default();
+        let batch = EventBatch::from_stream(&stream).unwrap();
+        bound.insert("in".to_string(), StreamData::Batch(batch));
+        let (mut roots, on_batch) = execute_data(&plan, bound).unwrap();
+        let on_rows = stats_of(&plan, &srcs, false);
+        prop_assert_eq!(on_batch.row_fallbacks, 0);
+        prop_assert_eq!(on_batch.groups, on_rows.groups);
+        let transposed = on_batch.transposed_events - on_rows.transposed_events;
+        // The length of `GroupApply(keys){sub}`'s output: its runs' events.
+        let runs_of = |sub: &dyn Fn(StreamHandle) -> StreamHandle| -> u64 {
+            let q = Query::new();
+            let out = q.source("in", payload()).group_apply(keys_of(key_cols), sub);
+            execute_single(&q.build(vec![out]).unwrap(), &srcs).unwrap().len() as u64
+        };
+        let all = events.len() as u64;
+        let per_run_inputs = match kind {
+            // The join: the counts and the totals.
+            6 => Some(
+                runs_of(&|g| g.window(w).count("N"))
+                    + runs_of(&|g| {
+                        g.filter(col("V").ge(lit(thr))).window(2 * w).aggregate(vec![
+                            ("S".to_string(), AggExpr::Sum(col("V"))),
+                            ("C".to_string(), AggExpr::Count),
+                        ])
+                    }),
+            ),
+            // The set difference: every event and the holes.
+            7 => Some(all + events.iter().filter(|e| e.2 >= thr).count() as u64),
+            // A nested GroupApply, a UDO: every event.
+            8 | 9 => Some(all),
+            _ => None,
+        };
+        match per_run_inputs {
+            Some(n) => prop_assert_eq!(transposed, n),
+            None => {
+                prop_assert_eq!(transposed, 0);
+                let root = roots.pop().unwrap();
+                let pane = fuse_plan(&plan).unwrap().to_string().contains("[pane]");
+                prop_assert_eq!(matches!(root, StreamData::Batch(_)), !pane);
+            }
+        }
+    }
+
     /// The same with a sub-plan that reads an outer source, which every
     /// group sees whole.
     #[test]
@@ -324,6 +403,10 @@ proptest! {
             ("side", palette_stream(&side)),
         ]);
         assert_all_agree(&plan, &srcs)?;
+        // The pin transposes `side`; the union where the sub-plan `Source`'s
+        // rows meet the group's batch runs transposes those, once.
+        let transposed = (events.len() + side.len()) as u64;
+        prop_assert_eq!(stats_of(&plan, &srcs, true).transposed_events, transposed);
     }
 
     /// A failing group: whichever operator fails in whichever group, every
@@ -553,9 +636,8 @@ proptest! {
     /// A per-event aggregate over a batch never leaves the columns — keys
     /// that collide on the hash, Null key cells, groups the filter empties
     /// and all — and publishes the row path's bytes, the oracle's relation.
-    /// The plan alone picks
-    /// the path: a filter after the aggregate takes the segmented walk,
-    /// which transposes.
+    /// It is the walk's case of one fragment and one aggregate, so a filter
+    /// after the aggregate stays on the columns too.
     #[test]
     fn a_per_event_aggregate_on_a_batch_stays_columnar(
         events in prop::collection::vec((0i64..400, 0usize..64, 0i64..40, 0u8..4), 0..80),
@@ -572,10 +654,7 @@ proptest! {
         prop_assert_eq!(on_batch.groups, on_rows.groups);
         let walked = build_plan(key_cols, 4, w, thr);
         assert_all_agree(&walked, &srcs)?;
-        prop_assert_eq!(
-            stats_of(&walked, &srcs, true).transposed_events,
-            events.len() as u64
-        );
+        prop_assert_eq!(stats_of(&walked, &srcs, true).transposed_events, 0);
     }
 
     /// What a per-event aggregate over a batch returns is itself a batch —
@@ -637,8 +716,8 @@ proptest! {
     /// where `X` is declared boolean but the batch holds integers there (the
     /// column layout accepts what the schema does not promise), so the
     /// predicate is non-boolean exactly on the rows with `V < k`. On a batch
-    /// the columnar path gives up and the segmented walk reports what the
-    /// oracle meets first — the lowest failing group in key order — not the
+    /// the walk over the columns gives up and the walk over rows reports
+    /// what the oracle meets first — the lowest failing group in key order — not the
     /// first failing row; on rows, and when nothing fails, every execution
     /// is the oracle's too.
     #[test]
@@ -679,8 +758,8 @@ proptest! {
     /// A per-event step whose result has no dense column form: `min2(V,
     /// 2.5)` keeps the chosen operand's runtime type, so a batch holding
     /// values on both sides of 2.5 projects a column of longs and doubles.
-    /// The columnar path gives up and the segmented walk runs the input as
-    /// rows — the row path's bytes and the oracle's relation either way, and
+    /// The walk over the columns gives up and the walk over rows runs the
+    /// input — the row path's bytes and the oracle's relation either way, and
     /// a transposition exactly when the types mix.
     #[test]
     fn a_projection_with_no_column_form_walks_the_runs(
@@ -934,6 +1013,91 @@ fn kernel_errors_keep_the_reference_s_order() {
     assert_eq!(reference, "eval error: expected integer, got str");
     let err = execute_data(&plan, row_bindings(srcs)).unwrap_err();
     assert_eq!(err.to_string(), reference);
+}
+
+/// BotElim's shape — two filtered counts off one group, a union, a
+/// projection — over a batch whose step fails only in the second branch,
+/// and there only in later groups: `V >= 5 OR X`, with `X` declared boolean
+/// but holding `V`, fails on a `V` below 5. Group 3's failing row comes
+/// first in input order, group 2's is the one a group-at-a-time evaluation
+/// meets first. The columnar walk gives up, and the walk over rows reports
+/// the oracle's error, text for text.
+#[test]
+fn a_bot_elim_shaped_walk_reports_the_reference_s_error() {
+    let q = Query::new();
+    let out = q.source("in", flagged_payload()).group_apply(&["A"], |g| {
+        let low = g
+            .clone()
+            .filter(col("V").lt(lit(100i64)))
+            .count("N")
+            .filter(col("N").gt(lit(1i64)));
+        let high = g
+            .filter(col("V").ge(lit(5i64)).or(col("X")))
+            .count("N")
+            .filter(col("N").gt(lit(0i64)));
+        low.union(high)
+            .project(vec![("Hit".to_string(), lit(1i64))])
+    });
+    let plan = q.build(vec![out]).unwrap();
+    let batch = flagged_batch_of(&[(1, 3, 4), (2, 1, 9), (3, 2, 9), (4, 2, 3), (5, 1, 7)]);
+    let srcs = bindings(vec![("in", batch.clone().into_stream())]);
+    let reference = oracle::run_single(&plan, &srcs).unwrap_err().to_string();
+    assert_eq!(
+        reference,
+        "eval error: predicate evaluated to non-boolean 3"
+    );
+    let mut bound = DataBindings::default();
+    bound.insert("in".to_string(), StreamData::Batch(batch));
+    let on_batch = execute_data(&plan, bound).unwrap_err();
+    assert_eq!(on_batch.to_string(), reference);
+    let on_rows = execute_data(&plan, row_bindings(srcs)).unwrap_err();
+    assert_eq!(on_rows.to_string(), reference);
+}
+
+/// A walk over a batch that gives up late — after a nested GroupApply in
+/// one branch has formed its groups, at a projection with no dense column
+/// form in the other — leaves no trace of its attempt: the walk over rows
+/// counts every group once, and only the input's transposition shows.
+#[test]
+fn a_walk_that_gives_up_counts_its_groups_once() {
+    let q = Query::new();
+    let out = q.source("in", payload()).group_apply(&["A"], |g| {
+        let min2 = |c: &str| Expr::call(Func::Min2, vec![col(c), lit(2.5f64)]);
+        let nested = g
+            .clone()
+            .group_apply(&["B"], |h| h.count("N"))
+            .project(vec![("M".to_string(), min2("N"))]);
+        nested.union(g.project(vec![("M".to_string(), min2("V"))]))
+    });
+    let plan = q.build(vec![out]).unwrap();
+    let events: Vec<_> = (0..12).map(|i| (i * 7, i as usize % 5, i % 6)).collect();
+    let srcs = bindings(vec![("in", palette_stream(&events))]);
+    assert_all_agree(&plan, &srcs).unwrap();
+    let (on_batch, on_rows) = (stats_of(&plan, &srcs, true), stats_of(&plan, &srcs, false));
+    assert_eq!(on_batch.groups, on_rows.groups);
+    assert_eq!(on_batch.per_run_nodes, on_rows.per_run_nodes);
+    assert_eq!(
+        on_batch.transposed_events,
+        on_rows.transposed_events + events.len() as u64
+    );
+}
+
+/// [`flagged_batch`] with the key `A` given: `(t, a, v)`.
+fn flagged_batch_of(events: &[(i64, i64, i64)]) -> EventBatch {
+    let cells = |f: &dyn Fn(&(i64, i64, i64)) -> i64| {
+        Column::new(ColumnData::Long(events.iter().map(f).collect()), None)
+    };
+    let columns = vec![
+        cells(&|e| e.1),
+        cells(&|_| 0),
+        cells(&|e| e.2),
+        cells(&|e| e.2),
+    ];
+    EventBatch::new(
+        events.iter().map(|e| e.0).collect(),
+        events.iter().map(|e| e.0 + 1).collect(),
+        ColumnBatch::new(flagged_payload(), columns, events.len()),
+    )
 }
 
 /// The four `BtPipeline` plans over a 200-user log, each fed the previous
