@@ -433,6 +433,72 @@ mod tests {
         }
     }
 
+    /// BotElim, GenTrainData and Scoring on a generated log, single-node as
+    /// the Fig 15 sub-queries run, Scoring's profiles in the order a stage
+    /// publishes the training rows (by lifetime, then payload): a log in
+    /// time order leaves every run the aggregate sweep meets in time order,
+    /// so none is sorted, and Scoring's join builds only the 4 of its 6
+    /// columns its projection reads. The log reversed publishes the same
+    /// relations, and its runs are sorted.
+    #[test]
+    fn a_log_in_time_order_sweeps_without_sorting() {
+        use relation::Value;
+        use temporal::exec::{bindings, data_bindings, execute_data, ExecStats};
+        use temporal::{Event, EventStream, LogicalPlan};
+        let mut cfg = GenConfig::small(7);
+        cfg.users = 200;
+        let log = generate(&cfg);
+        let logs = EventEncoding::Point
+            .decode_stream(log.rows(), &log_payload())
+            .unwrap();
+        let params = BtParams::default();
+        let run = |plan: &LogicalPlan, sources: Vec<(&str, EventStream)>| {
+            let sources = data_bindings(plan, bindings(sources));
+            let (mut roots, stats) = execute_data(plan, sources).unwrap();
+            (roots.remove(0).into_stream(), stats)
+        };
+        let mut model_params = params.clone();
+        model_params.horizon = 6 * temporal::HOUR;
+        let model_query = queries::model::model_query(&model_params, Default::default());
+        let mut models = None;
+        // The three queries' outputs and stats, the models trained once.
+        let mut sub_queries = |logs: EventStream| {
+            let (clean, bot) = run(&bot_elim::query(&params).plan, vec![("logs", logs)]);
+            let train_query = train_data::train_query(&params).plan;
+            let (train, gen) = run(&train_query, vec![("clean_logs", clean.clone())]);
+            let models = models
+                .get_or_insert_with(|| {
+                    run(&model_query.plan, vec![("train_rows", train.clone())]).0
+                })
+                .clone();
+            let profile = |e: &Event| {
+                let cells: Vec<Value> = [0, 3, 4].map(|c| e.payload.get(c).clone()).into();
+                Event::new(e.lifetime, Row::new(cells))
+            };
+            let mut published = train.events().to_vec();
+            published.sort();
+            let profiles = published.iter().map(profile).collect();
+            let profiles = EventStream::new(queries::model::profiles_payload(), profiles);
+            let scoring = queries::model::scoring_query(&params).plan;
+            let sources = vec![("profiles", profiles), ("models", models)];
+            let (scores, score) = run(&scoring, sources);
+            ([clean, train, scores], [bot, gen, score])
+        };
+        let (outputs, stats) = sub_queries(logs.clone());
+        assert!(outputs.iter().all(|o| !o.is_empty()));
+        let sorted = |stats: &[ExecStats]| stats.iter().map(|s| s.sorted_runs).sum::<u64>();
+        assert_eq!(sorted(&stats), 0, "{stats:?}");
+        assert_eq!(stats[2].join_columns_pruned, 2);
+
+        let mut reversed = logs.into_events();
+        reversed.reverse();
+        let (again, stats) = sub_queries(EventStream::new(log_payload(), reversed));
+        assert!(sorted(&stats) > 0, "{stats:?}");
+        for (a, b) in outputs.iter().zip(&again) {
+            assert_eq!(a.normalize().events(), b.normalize().events());
+        }
+    }
+
     /// A labels or train-rows dataset with a cell of the wrong kind is a
     /// named error, not a default value.
     #[test]

@@ -56,6 +56,7 @@
 
 use crate::batch::EventBatch;
 use crate::error::{Result, TemporalError};
+use crate::expr::Expr;
 use crate::operators::{self, Cut, Runs, RunsData};
 use crate::plan::{LogicalPlan, NodeId, Operator};
 use crate::stream::EventStream;
@@ -199,6 +200,13 @@ pub struct ExecStats {
     /// ([`operators::pane`]): their sub-plan was a tumbling, combinable
     /// hopping aggregate, so no runs were laid out and nothing was swept.
     pub pane_groups: u64,
+    /// Runs the aggregate sweep had to sort its endpoints for (a top-level
+    /// aggregate is one run): their starts or their ends were out of time
+    /// order. A run in order is merged in one pass instead.
+    pub sorted_runs: u64,
+    /// Columns a TemporalJoin did not build because its one consumer, a
+    /// fragment that projects, reads none of them.
+    pub join_columns_pruned: u64,
 }
 
 impl ExecStats {
@@ -249,13 +257,7 @@ pub fn execute_data(
     // Free when the plan was fused at construction (every embedded caller
     // does): the pass returns the borrowed plan before cloning anything.
     let plan = crate::plan::fuse_plan(plan)?;
-    let mut exec = Executor {
-        source_refs: source_refs(&plan),
-        sources,
-        cache: FxHashMap::default(),
-        counts: plan.consumer_counts(),
-        stats: ExecStats::default(),
-    };
+    let mut exec = Executor::new(&plan, sources);
     // A binding a sub-plan reads is read once per run, by row operators:
     // row form.
     for (name, refs) in &exec.source_refs {
@@ -359,6 +361,16 @@ fn bound_source<'s>(
 }
 
 impl Executor {
+    fn new(plan: &LogicalPlan, sources: DataBindings) -> Executor {
+        Executor {
+            source_refs: source_refs(plan),
+            sources,
+            cache: FxHashMap::default(),
+            counts: plan.consumer_counts(),
+            stats: ExecStats::default(),
+        }
+    }
+
     fn eval(&mut self, plan: &LogicalPlan, id: NodeId) -> Result<StreamData> {
         if let Some((data, remaining)) = self.cache.get_mut(&id) {
             *remaining -= 1;
@@ -375,7 +387,7 @@ impl Executor {
         for &input in &node.inputs {
             inputs.push(self.eval(plan, input)?);
         }
-        let out = self.apply(&node.op, inputs)?;
+        let out = self.apply(plan, id, inputs)?;
         let consumers = self.counts.get(id).copied().unwrap_or(0);
         if consumers > 1 {
             // Cached as produced: every further consumer takes an O(1) clone.
@@ -384,8 +396,13 @@ impl Executor {
         Ok(out)
     }
 
-    fn apply(&mut self, op: &Operator, mut inputs: Vec<StreamData>) -> Result<StreamData> {
-        Ok(match op {
+    fn apply(
+        &mut self,
+        plan: &LogicalPlan,
+        id: NodeId,
+        mut inputs: Vec<StreamData>,
+    ) -> Result<StreamData> {
+        Ok(match &plan.node(id).op {
             Operator::Source { name, schema } => {
                 bound_source(&self.sources, name, schema)?;
                 let remaining = self
@@ -420,15 +437,24 @@ impl Executor {
                 }
             }
             Operator::Aggregate { aggs } => {
-                StreamData::Rows(match inputs.pop().expect("aggregate has one input") {
-                    // Batch input: arguments come off the columns, lifetimes
-                    // sweep straight off the columnar vectors — no stream
-                    // materialization.
-                    StreamData::Batch(b) => operators::aggregate_batch(&b, aggs)?,
-                    StreamData::Rows(s) => operators::aggregate(&s, aggs)?,
-                })
+                // A batch is swept off its columns and lifetime vectors — no
+                // stream materialization.
+                let input = inputs.pop().expect("aggregate has one input");
+                StreamData::Rows(operators::aggregate_data(&input, aggs, &mut self.stats)?)
             }
             Operator::Union => operators::union(inputs, &mut self.stats)?,
+            Operator::TemporalJoin { keys, residual } => {
+                // Only the columns its one consumer reads, when that
+                // consumer projects ([`LogicalPlan::columns_read`]).
+                let reads = plan.columns_read(id);
+                join(
+                    inputs,
+                    keys,
+                    residual.as_ref(),
+                    reads.as_deref(),
+                    &mut self.stats,
+                )?
+            }
             op => apply_unsegmented(op, inputs, &self.sources, &mut self.stats)?,
         })
     }
@@ -454,13 +480,7 @@ fn apply_unsegmented(
             operators::group_apply(input, keys, subplan, sources, stats)?
         }
         Operator::TemporalJoin { keys, residual } => {
-            let right = pop("temporal_join has two inputs");
-            let left = pop("temporal_join has two inputs");
-            let out = operators::temporal_join(&left, &right, keys, residual.as_ref())?;
-            if matches!(out, StreamData::Rows(_)) {
-                stats.row_fallbacks += 1;
-            }
-            out
+            join(inputs, keys, residual.as_ref(), None, stats)?
         }
         Operator::AntiSemiJoin { keys } => {
             let right = pop("anti_semi_join has two inputs");
@@ -483,6 +503,30 @@ fn apply_unsegmented(
             unreachable!("{} has a run-aware kernel", op.name())
         }
     })
+}
+
+/// A TemporalJoin of `inputs` (left, right) that builds the output columns
+/// at `reads` (all when `None`), counting a row result and the columns it
+/// did not build.
+fn join(
+    inputs: Vec<StreamData>,
+    keys: &[(String, String)],
+    residual: Option<&Expr>,
+    reads: Option<&[usize]>,
+    stats: &mut ExecStats,
+) -> Result<StreamData> {
+    let [left, right] = &inputs[..] else {
+        unreachable!("temporal_join has two inputs")
+    };
+    let out = operators::temporal_join_reading(left, right, keys, residual, reads)?;
+    match &out {
+        StreamData::Rows(_) => stats.row_fallbacks += 1,
+        StreamData::Batch(b) => {
+            let joined = left.schema().len() + right.schema().len();
+            stats.join_columns_pruned += (joined - b.schema().len()) as u64;
+        }
+    }
+    Ok(out)
 }
 
 /// Evaluate a (fused) GroupApply `subplan` **once** over all of `input`'s
@@ -551,6 +595,7 @@ pub(crate) fn walk_runs(
                     &input.bounds,
                     aggs,
                     &mut cut,
+                    stats,
                 )?),
                 Some(RunsData::Batch(input)) => {
                     operators::aggregate_batch_runs(&input, aggs, stats)?
@@ -886,16 +931,6 @@ mod tests {
         assert_eq!(out, on_rows(&plan));
     }
 
-    fn executor(plan: &LogicalPlan, sources: DataBindings) -> Executor {
-        Executor {
-            source_refs: source_refs(plan),
-            sources,
-            cache: FxHashMap::default(),
-            counts: plan.consumer_counts(),
-            stats: ExecStats::default(),
-        }
-    }
-
     /// `sample_events()` bound to `input` in either layout, plus a second
     /// handle to the same storage: what a caller that keeps its binding holds.
     fn shared_binding(as_batch: bool) -> (DataBindings, StreamData) {
@@ -935,7 +970,7 @@ mod tests {
             let plan = crate::plan::fuse_plan(&plan).unwrap();
             for as_batch in [false, true] {
                 let (srcs, kept) = shared_binding(as_batch);
-                let mut exec = executor(&plan, srcs);
+                let mut exec = Executor::new(&plan, srcs);
                 let result = exec.eval(&plan, plan.roots()[0]).unwrap();
                 assert_eq!(matches!(result, StreamData::Batch(_)), as_batch);
                 assert_eq!(result.into_stream(), reference);
@@ -972,7 +1007,7 @@ mod tests {
         };
         let (srcs, kept) = shared_binding(true);
         drop(kept);
-        let mut exec = executor(&plan, srcs);
+        let mut exec = Executor::new(&plan, srcs);
         let mut take = |id: NodeId| match exec.eval(&plan, id).unwrap() {
             StreamData::Batch(b) => b,
             StreamData::Rows(_) => panic!("a batch binding stays a batch"),

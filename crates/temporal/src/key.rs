@@ -10,10 +10,17 @@
 //! events share a key exactly when their key cells are equal. A key is only
 //! materialized with [`KeySelector::extract`] when one is needed per *group*
 //! (e.g. GroupApply's deterministic sorted-key group order), never per event.
+//!
+//! Keys are ordered through **normalized keys** ([`NormalizedKeys`]): each
+//! key cell becomes one `u64` whose order is the cells' order, so sorting
+//! groups compares integers and reads no column. A word that does not
+//! determine its cell — a string past 7 bytes, a null in a 64-bit column —
+//! is marked inexact, and only a tie on such a word asks the exact
+//! comparator ([`KeySelector::cmp_batch`], [`KeySelector::cmp_same`]).
 
 use crate::error::{Result, TemporalError};
 use relation::hash::key_hash;
-use relation::{ColumnBatch, Row, Schema, Value};
+use relation::{Column, ColumnBatch, ColumnData, Row, Schema, Value};
 use std::cmp::Ordering;
 
 /// Key columns of one schema, resolved to indices.
@@ -108,6 +115,159 @@ impl KeySelector {
     pub fn indices(&self) -> &[usize] {
         &self.indices
     }
+
+    /// The normalized keys of the batch rows `rows`, key `k` being row
+    /// `rows[k]`'s, read straight off the key columns.
+    pub(crate) fn normalize_batch(&self, batch: &ColumnBatch, rows: &[usize]) -> NormalizedKeys {
+        let mut keys = NormalizedKeys::new(self.indices.len(), rows.len());
+        for (c, &col) in self.indices.iter().enumerate() {
+            let column = batch.column(col);
+            for (k, &i) in rows.iter().enumerate() {
+                keys.set(k, c, column_word(column, i));
+            }
+        }
+        keys
+    }
+
+    /// The normalized keys of `rows`, in order. A key column whose cells
+    /// hold more than one runtime type (row storage tolerates it) has no
+    /// common word order: its words are all inexact, so the exact
+    /// comparator orders it.
+    pub(crate) fn normalize_rows(&self, rows: &[&Row]) -> NormalizedKeys {
+        let mut keys = NormalizedKeys::new(self.indices.len(), rows.len());
+        for (c, &col) in self.indices.iter().enumerate() {
+            let cells = || rows.iter().map(|r| r.get(col));
+            let mut types = cells().filter(|v| !v.is_null()).map(Value::type_name);
+            let first = types.next();
+            if types.any(|t| Some(t) != first) {
+                (0..rows.len()).for_each(|k| keys.set(k, c, (0, false)));
+                continue;
+            }
+            // A null takes 0, which only `Long` and `Double` words also use.
+            let null = match cells().find(|v| !v.is_null()) {
+                Some(Value::Long(_) | Value::Double(_)) => (0, false),
+                _ => (0, true),
+            };
+            for (k, v) in cells().enumerate() {
+                keys.set(k, c, value_word(v).unwrap_or(null));
+            }
+        }
+        keys
+    }
+}
+
+/// Keys as order-preserving words, one per key cell: if two cells' words
+/// differ, their order is the cells' order; if the words are equal and
+/// both are exact, the cells are equal.
+#[derive(Debug)]
+pub(crate) struct NormalizedKeys {
+    /// Cells per key.
+    width: usize,
+    /// Key `k`'s cell `c` at `k * width + c`.
+    words: Vec<u64>,
+    exact: Vec<bool>,
+}
+
+impl NormalizedKeys {
+    fn new(width: usize, keys: usize) -> NormalizedKeys {
+        NormalizedKeys {
+            width,
+            words: vec![0; width * keys],
+            exact: vec![true; width * keys],
+        }
+    }
+
+    fn set(&mut self, k: usize, c: usize, (word, exact): (u64, bool)) {
+        self.words[k * self.width + c] = word;
+        self.exact[k * self.width + c] = exact;
+    }
+
+    /// Order keys `a` and `b` by their words, cell by cell: `None` when the
+    /// first cell they tie on has an inexact word, which the words cannot
+    /// order.
+    #[inline]
+    pub(crate) fn cmp(&self, a: usize, b: usize) -> Option<Ordering> {
+        let (a, b) = (a * self.width, b * self.width);
+        for c in 0..self.width {
+            let (x, y) = (a + c, b + c);
+            match self.words[x].cmp(&self.words[y]) {
+                Ordering::Equal if self.exact[x] && self.exact[y] => {}
+                Ordering::Equal => return None,
+                order => return Some(order),
+            }
+        }
+        Some(Ordering::Equal)
+    }
+}
+
+/// The word of a boolean: 1 or 2 (0 is a null's).
+fn bool_word(b: bool) -> u64 {
+    1 + b as u64
+}
+
+/// The word of an `Int`: its offset from `i32::MIN`, plus 1 (0 is a
+/// null's).
+fn int_word(v: i32) -> u64 {
+    1 + (v as u32 ^ 1 << 31) as u64
+}
+
+/// The word of a `Long`: its offset from `i64::MIN`, every word taken, so
+/// a null (below `i64::MIN`) shares 0 inexactly.
+fn long_word(v: i64) -> u64 {
+    v as u64 ^ 1 << 63
+}
+
+/// The word of a `Double` in IEEE total order ([`f64::total_cmp`]): a
+/// negative value's bits flipped, a positive one's sign bit set. Every word
+/// is taken, as for `Long`.
+fn double_word(v: f64) -> u64 {
+    let bits = v.to_bits();
+    if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    }
+}
+
+/// The word of a string: its first 7 bytes, big-endian, then a length
+/// byte — 1 + the length up to 7 bytes, which makes the word exact, and 9
+/// past them, where only the exact comparator can order two strings that
+/// share the 7 bytes. 0 is a null's.
+fn str_word(s: &str) -> (u64, bool) {
+    let bytes = s.as_bytes();
+    let n = bytes.len().min(7);
+    let mut word = [0u8; 8];
+    word[..n].copy_from_slice(&bytes[..n]);
+    word[7] = if bytes.len() <= 7 { 1 + n as u8 } else { 9 };
+    (u64::from_be_bytes(word), bytes.len() <= 7)
+}
+
+/// The word of a non-null value and whether it is exact.
+fn value_word(v: &Value) -> Option<(u64, bool)> {
+    Some(match v {
+        Value::Null => return None,
+        Value::Bool(b) => (bool_word(*b), true),
+        Value::Int(x) => (int_word(*x), true),
+        Value::Long(x) => (long_word(*x), true),
+        Value::Double(x) => (double_word(*x), true),
+        Value::Str(s) => str_word(s),
+    })
+}
+
+/// The word of slot `i` of `column`, read in place.
+fn column_word(column: &Column, i: usize) -> (u64, bool) {
+    let data = column.data();
+    if !column.is_valid(i) {
+        let wide = matches!(data, ColumnData::Long(_) | ColumnData::Double(_));
+        return (0, !wide);
+    }
+    match data {
+        ColumnData::Bool(d) => (bool_word(d[i]), true),
+        ColumnData::Int(d) => (int_word(d[i]), true),
+        ColumnData::Long(d) => (long_word(d[i]), true),
+        ColumnData::Double(d) => (double_word(d[i]), true),
+        ColumnData::Str(d) => str_word(&d[i]),
+    }
 }
 
 #[cfg(test)]
@@ -198,6 +358,181 @@ mod tests {
         for a in &rows {
             for b in &rows {
                 assert_eq!(sel.cmp_same(a, b), sel.extract(a).cmp(&sel.extract(b)));
+            }
+        }
+    }
+
+    /// Cells built to sit where a normalized word is least sure of itself:
+    /// nulls, the empty string, NUL bytes, strings that share 7-, 8- and
+    /// 15-byte prefixes, the extremes of `Long` and `Int`, `-0.0`, both
+    /// NaNs and the infinities.
+    fn adversarial(ty: ColumnType, rng: &mut proptest::TestRng) -> Value {
+        if rng.below(6) == 0 {
+            return Value::Null;
+        }
+        let pick = |rng: &mut proptest::TestRng, n: usize| rng.below(n as u64) as usize;
+        match ty {
+            ColumnType::Bool => Value::Bool(rng.below(2) == 1),
+            ColumnType::Int => {
+                let ints = [i32::MIN, i32::MIN + 1, -1, 0, 1, i32::MAX - 1, i32::MAX];
+                Value::Int(ints[pick(rng, ints.len())])
+            }
+            ColumnType::Long => {
+                let longs = [i64::MIN, i64::MIN + 1, -1, 0, 1, 1 << 32, i64::MAX];
+                Value::Long(longs[pick(rng, longs.len())])
+            }
+            ColumnType::Double => {
+                let doubles = [
+                    -0.0,
+                    0.0,
+                    f64::NAN,
+                    -f64::NAN,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    f64::MIN_POSITIVE,
+                    -1.5,
+                    f64::MAX,
+                ];
+                Value::Double(doubles[pick(rng, doubles.len())])
+            }
+            ColumnType::Str => {
+                let strs = [
+                    "",
+                    "\0",
+                    "\0\0",
+                    "a",
+                    "a\0",
+                    "abcdefg",
+                    "abcdefg\0",
+                    "abcdefgh",
+                    "abcdefgi",
+                    "abcdefgh\0",
+                    "abcdefghijklmno",
+                    "abcdefghijklmnp",
+                    "abcdefghijklmno\0",
+                    "abcdefghijklmnoX",
+                    "\u{ff}",
+                    "é",
+                ];
+                Value::str(strs[pick(rng, strs.len())])
+            }
+        }
+    }
+
+    /// Every column type, then a `Long` column a row may fill with a
+    /// string (row storage allows it; a batch has no such row).
+    fn typed_schema() -> Schema {
+        Schema::new(vec![
+            Field::new("S", ColumnType::Str),
+            Field::new("L", ColumnType::Long),
+            Field::new("D", ColumnType::Double),
+            Field::new("I", ColumnType::Int),
+            Field::new("B", ColumnType::Bool),
+            Field::new("T", ColumnType::Str),
+            Field::new("M", ColumnType::Long),
+        ])
+    }
+
+    fn arb_rows(rng: &mut proptest::TestRng) -> Vec<Row> {
+        let schema = typed_schema();
+        let n = 1 + rng.below(24) as usize;
+        (0..n)
+            .map(|_| {
+                let mut cells: Vec<Value> = (schema.fields().iter())
+                    .map(|f| adversarial(f.ty, rng))
+                    .collect();
+                if rng.below(4) == 0 {
+                    cells[6] = Value::str("mixed");
+                }
+                Row::new(cells)
+            })
+            .collect()
+    }
+
+    /// The selectors under test: each column alone, and pairs whose first
+    /// cell is often an inexact tie (long strings, null `Long`s).
+    fn selectors() -> Vec<KeySelector> {
+        let keys: [&[&str]; 10] = [
+            &["S"],
+            &["L"],
+            &["D"],
+            &["I"],
+            &["B"],
+            &["S", "L"],
+            &["L", "S"],
+            &["S", "T"],
+            &["D", "I", "B"],
+            &["M", "S"],
+        ];
+        (keys.iter())
+            .map(|k| KeySelector::new(&typed_schema(), k).unwrap())
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// The normalized-key order is the exact order, on rows and on
+        /// batches, key for key: where the words decide, they decide as
+        /// `cmp_same` and `cmp_batch` do (where they do not, the sort asks
+        /// those).
+        #[test]
+        fn normalized_keys_order_as_the_exact_comparators(
+            rows in proptest::composed(arb_rows),
+        ) {
+            let all: Vec<usize> = (0..rows.len()).collect();
+            let refs: Vec<&Row> = rows.iter().collect();
+            let batch_rows: Vec<Row> = (rows.iter())
+                .map(|r| {
+                    let mut cells = r.values().to_vec();
+                    if cells[6].as_str().is_some() {
+                        cells[6] = Value::Null;
+                    }
+                    Row::new(cells)
+                })
+                .collect();
+            let batch = ColumnBatch::from_rows(&typed_schema(), &batch_rows).unwrap();
+            for sel in selectors() {
+                let on_rows = sel.normalize_rows(&refs);
+                let on_batch = sel.normalize_batch(&batch, &all);
+                for i in 0..rows.len() {
+                    for j in 0..rows.len() {
+                        let want = sel.cmp_same(&rows[i], &rows[j]);
+                        if let Some(order) = on_rows.cmp(i, j) {
+                            proptest::prop_assert_eq!(order, want);
+                        }
+                        let want = sel.cmp_batch(&batch, i, j);
+                        proptest::prop_assert_eq!(want, sel.cmp_same(&batch_rows[i], &batch_rows[j]));
+                        if let Some(order) = on_batch.cmp(i, j) {
+                            proptest::prop_assert_eq!(order, want);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Strings up to 7 bytes, `Int`s, `Bool`s and nulls in those columns
+    /// have exact words: the comparator is never asked about them.
+    #[test]
+    fn short_keys_need_no_exact_comparison() {
+        let schema = Schema::new(vec![
+            Field::new("S", ColumnType::Str),
+            Field::new("I", ColumnType::Int),
+        ]);
+        let rows = vec![
+            row!["u1", 3i32],
+            row!["u1", 2i32],
+            Row::new(vec![Value::Null, Value::Int(1)]),
+            row!["abcdefg", 1i32],
+            row!["", 1i32],
+        ];
+        let batch = ColumnBatch::from_rows(&schema, &rows).unwrap();
+        let sel = KeySelector::new(&schema, &["S", "I"]).unwrap();
+        let keys = sel.normalize_batch(&batch, &[0, 1, 2, 3, 4]);
+        for i in 0..rows.len() {
+            for j in 0..rows.len() {
+                assert_eq!(keys.cmp(i, j), Some(sel.cmp_batch(&batch, i, j)));
             }
         }
     }

@@ -7,7 +7,9 @@
 //! endpoints the active set is constant, so one output event covers the whole
 //! segment. Accumulators are retractable ([`crate::agg::Accumulator`]), so
 //! the sweep is `O(n log n)` regardless of window size — this is the
-//! engine-level efficiency the paper contrasts with hand-written reducers.
+//! engine-level efficiency the paper contrasts with hand-written reducers —
+//! and `O(n)` over events in time order under a fixed-width window, whose
+//! starts and ends are two sorted sequences to merge ([`endpoints_of`]).
 //!
 //! Segments with an empty active set produce no output, and adjacent
 //! segments with equal aggregate values are coalesced, so the operator
@@ -19,7 +21,7 @@
 //!
 //! There is one sweep ([`sweep_runs`]). Under a GroupApply it runs over
 //! every group's run at once: arguments are compiled and evaluated in one
-//! pass into one buffer, and one endpoint buffer is refilled, sorted and
+//! pass into one buffer, and one endpoint buffer is refilled, ordered and
 //! swept run by run — a run boundary is just one more empty snapshot. Over
 //! a batch ([`sweep_batch_runs`]) the runs are a permutation of the batch's
 //! rows: arguments come off the columns and lifetimes off the lifetime
@@ -38,7 +40,7 @@ use crate::batch::EventBatch;
 use crate::compiled::CompiledExpr;
 use crate::error::Result;
 use crate::event::Event;
-use crate::exec::ExecStats;
+use crate::exec::{ExecStats, StreamData};
 use crate::operators::group_apply::{run_of, BatchRuns, Cut, Runs, RunsData};
 use crate::stream::EventStream;
 use crate::time::{Lifetime, Time};
@@ -56,8 +58,31 @@ fn output_schema(aggs: &[(String, AggExpr)], in_schema: &Schema) -> Result<Schem
 /// Compute snapshot aggregates over the whole stream (grouping is provided
 /// by GroupApply above this operator).
 pub fn aggregate(input: &EventStream, aggs: &[(String, AggExpr)]) -> Result<EventStream> {
+    let input = StreamData::Rows(input.clone());
+    aggregate_data(&input, aggs, &mut ExecStats::default())
+}
+
+/// The top-level operator in either layout, its sweep counted in `stats`:
+/// the one-run case of [`aggregate_runs`] over rows and of
+/// [`sweep_batch_runs`] over a batch.
+pub(crate) fn aggregate_data(
+    input: &StreamData,
+    aggs: &[(String, AggExpr)],
+    stats: &mut ExecStats,
+) -> Result<EventStream> {
     let bounds = [0, input.len()];
-    Ok(aggregate_runs(input, &bounds, aggs, &mut Cut::none())?.stream)
+    match input {
+        StreamData::Rows(s) => {
+            Ok(aggregate_runs(s, &bounds, aggs, &mut Cut::none(), stats)?.stream)
+        }
+        StreamData::Batch(b) => {
+            let mut out = RowRuns::new(1);
+            let out_schema = sweep_batch_runs(b, None, &bounds, aggs, stats, |run, lt, v| {
+                out.push(run, lt, v)
+            })?;
+            Ok(out.finish(out_schema).stream)
+        }
+    }
 }
 
 /// Snapshot aggregates of every run of `input` (`bounds` as in [`Runs`]).
@@ -69,6 +94,7 @@ pub(crate) fn aggregate_runs(
     mut bounds: &[usize],
     aggs: &[(String, AggExpr)],
     cut: &mut Cut,
+    stats: &mut ExecStats,
 ) -> Result<Runs> {
     let in_schema = input.schema();
     let out_schema = output_schema(aggs, in_schema)?;
@@ -93,7 +119,7 @@ pub(crate) fn aggregate_runs(
         }
     }
     let mut out = RowRuns::new(bounds.len() - 1);
-    sweep_runs(
+    stats.sorted_runs += sweep_runs(
         bounds,
         |i| events[i].lifetime,
         aggs,
@@ -109,11 +135,8 @@ pub(crate) fn aggregate_runs(
 /// never materialized as a stream, and the output is byte-identical to
 /// [`aggregate`] on the equivalent rows.
 pub fn aggregate_batch(input: &EventBatch, aggs: &[(String, AggExpr)]) -> Result<EventStream> {
-    let mut out = RowRuns::new(1);
-    let out_schema = sweep_batch_runs(input, None, &[0, input.len()], aggs, |run, lt, v| {
-        out.push(run, lt, v)
-    })?;
-    Ok(out.finish(out_schema).stream)
+    let input = StreamData::Batch(input.clone());
+    aggregate_data(&input, aggs, &mut ExecStats::default())
 }
 
 /// [`aggregate_runs`] over batch runs: the sweep reads the arguments and
@@ -129,8 +152,15 @@ pub(crate) fn aggregate_batch_runs(
     stats: &mut ExecStats,
 ) -> Result<RunsData> {
     let schema = output_schema(aggs, input.batch.schema())?;
-    let sweep = |emit: &mut dyn FnMut(usize, Lifetime, &[Value])| {
-        sweep_batch_runs(&input.batch, Some(&input.perm), &input.bounds, aggs, emit)
+    let sweep = |stats: &mut ExecStats, emit: &mut dyn FnMut(usize, Lifetime, &[Value])| {
+        sweep_batch_runs(
+            &input.batch,
+            Some(&input.perm),
+            &input.bounds,
+            aggs,
+            stats,
+            emit,
+        )
     };
     let mut columns: Vec<ColumnBuilder> = (schema.fields().iter())
         .map(|f| ColumnBuilder::new(f, 0))
@@ -138,7 +168,7 @@ pub(crate) fn aggregate_batch_runs(
     let (mut vt, mut ve) = (Vec::new(), Vec::new());
     let mut bounds = vec![0; input.bounds.len()];
     let mut dense = true;
-    sweep(&mut |run, lifetime, value| {
+    sweep(stats, &mut |run, lifetime, value| {
         vt.push(lifetime.start);
         ve.push(lifetime.end);
         bounds[run + 1] = vt.len();
@@ -147,7 +177,9 @@ pub(crate) fn aggregate_batch_runs(
     if !dense {
         stats.row_fallbacks += 1;
         let mut runs = RowRuns::new(input.bounds.len() - 1);
-        sweep(&mut |run, lifetime, value| runs.push(run, lifetime, value))?;
+        // The same runs again, their sorts already counted.
+        let push = &mut |run, lifetime, value: &[Value]| runs.push(run, lifetime, value);
+        sweep(&mut ExecStats::default(), push)?;
         return Ok(RunsData::Rows(runs.finish(schema)));
     }
     fill_empty_runs(&mut bounds);
@@ -170,15 +202,17 @@ fn fill_empty_runs(bounds: &mut [usize]) {
 /// The sweep over the rows of `input` that `rows` names (all of them when
 /// `None`), taken in that order and cut into runs at `bounds` (as in
 /// [`Runs`]), handing each output segment to `emit` with its run (see
-/// [`sweep_runs`]); returns the output schema. A GroupApply walk over a
-/// batch hands it its run-order permutation and writes the segments
-/// straight into columns ([`aggregate_batch_runs`]); [`aggregate_batch`] is
-/// its one-run case. Nothing is gathered but the argument values.
+/// [`sweep_runs`], its sorted runs counted in `stats`); returns the output
+/// schema. A GroupApply walk over a batch hands it its run-order
+/// permutation and writes the segments straight into columns
+/// ([`aggregate_batch_runs`]); [`aggregate_batch`] is its one-run case.
+/// Nothing is gathered but the argument values.
 pub(crate) fn sweep_batch_runs(
     input: &EventBatch,
     rows: Option<&[u32]>,
     bounds: &[usize],
     aggs: &[(String, AggExpr)],
+    stats: &mut ExecStats,
     emit: impl FnMut(usize, Lifetime, &[Value]),
 ) -> Result<Schema> {
     let in_schema = input.schema();
@@ -190,7 +224,7 @@ pub(crate) fn sweep_batch_runs(
         let row = rows.map_or(i, |r| r[i] as usize);
         Lifetime::new(vt[row], ve[row])
     };
-    sweep_runs(bounds, lifetime, aggs, &arg_values, emit);
+    stats.sorted_runs += sweep_runs(bounds, lifetime, aggs, &arg_values, emit);
     Ok(out_schema)
 }
 
@@ -333,30 +367,30 @@ impl Sweep {
 /// stride `aggs.len()`, event-major), run by run, reading lifetimes through
 /// an accessor so row streams and column-major batches share it. Each
 /// output segment goes to `emit` as `(run, lifetime, value)`, in run order
-/// and, inside a run, in time order.
+/// and, inside a run, in time order. Returns how many runs had to be
+/// sorted ([`ExecStats::sorted_runs`]): a run whose starts and ends are
+/// both non-decreasing — a run in time order under a fixed-width window —
+/// is merged instead ([`endpoints_of`]).
 fn sweep_runs(
     bounds: &[usize],
     lifetime: impl Fn(usize) -> Lifetime,
     aggs: &[(String, AggExpr)],
     arg_values: &[Value],
     mut emit: impl FnMut(usize, Lifetime, &[Value]),
-) {
+) -> u64 {
     let n_aggs = aggs.len();
     let mut sweep = Sweep::new(aggs);
-    // One endpoint buffer, refilled run by run so a run's endpoints are
-    // sorted and swept while they are still in cache: (time, is_start,
-    // event index), in that order of precedence. Event indices fit in a
-    // `u32`, as in every selection and permutation of the engine.
+    // One lifetime and one endpoint buffer, refilled run by run so a run's
+    // endpoints are ordered and swept while they are still in cache.
     debug_assert!(bounds[bounds.len() - 1] <= u32::MAX as usize);
-    let mut endpoints: Vec<(Time, bool, u32)> = Vec::new();
+    let (mut lifetimes, mut endpoints) = (Vec::new(), Vec::new());
+    let mut sorted_runs = 0;
     for (r, run) in bounds.windows(2).enumerate() {
-        endpoints.clear();
-        for i in run[0]..run[1] {
-            let lt = lifetime(i);
-            endpoints.push((lt.start, true, i as u32));
-            endpoints.push((lt.end, false, i as u32));
+        lifetimes.clear();
+        lifetimes.extend((run[0]..run[1]).map(&lifetime));
+        if !endpoints_of(run[0], &lifetimes, &mut endpoints) {
+            sorted_runs += 1;
         }
-        endpoints.sort_unstable();
 
         let mut idx = 0;
         while idx < endpoints.len() {
@@ -373,6 +407,50 @@ fn sweep_runs(
         }
         debug_assert!(sweep.open.is_none(), "sweep ended with an open segment");
     }
+    sorted_runs
+}
+
+/// Refill `endpoints` with the endpoints of the events `first..` whose
+/// lifetimes are `lifetimes`, as `(time, is_start, event index)` in that
+/// order of precedence — ends before starts at one instant. Event indices
+/// fit in a `u32`, as in every selection and permutation of the engine.
+///
+/// When starts and ends are each non-decreasing in event order, each is
+/// already a sorted sequence (ties go to the lower index, which comes
+/// first), and one merge of the two gives the order a sort would: no two
+/// endpoints compare equal, since a start and an end differ in `is_start`.
+/// Otherwise the endpoints are sorted. Returns whether they were merged.
+fn endpoints_of(
+    first: usize,
+    lifetimes: &[Lifetime],
+    endpoints: &mut Vec<(Time, bool, u32)>,
+) -> bool {
+    endpoints.clear();
+    let index = |k: usize| (first + k) as u32;
+    let ordered = (lifetimes.windows(2)).all(|w| w[0].start <= w[1].start && w[0].end <= w[1].end);
+    if !ordered {
+        for (k, lt) in lifetimes.iter().enumerate() {
+            endpoints.push((lt.start, true, index(k)));
+            endpoints.push((lt.end, false, index(k)));
+        }
+        endpoints.sort_unstable();
+        return false;
+    }
+    let n = lifetimes.len();
+    endpoints.reserve(2 * n);
+    let (mut s, mut e) = (0, 0);
+    while e < n {
+        // An end at the same instant as a start goes first.
+        if s < n && lifetimes[s].start < lifetimes[e].end {
+            endpoints.push((lifetimes[s].start, true, index(s)));
+            s += 1;
+        } else {
+            endpoints.push((lifetimes[e].end, false, index(e)));
+            e += 1;
+        }
+    }
+    endpoints.extend((s..n).map(|k| (lifetimes[k].start, true, index(k))));
+    true
 }
 
 /// The segments of [`sweep_runs`] collected as row runs.
@@ -580,6 +658,66 @@ mod tests {
             ],
         );
         assert!(count_of(&a).same_relation(&count_of(&b)));
+    }
+
+    /// A run of lifetimes built to collide: starts drawn near both `i64`
+    /// extremes and near zero, so events share starts, one event's end
+    /// meets another's start, and lengths reach across the whole range.
+    /// `shape` 0 leaves the run as drawn, 1 puts it in time order (starts
+    /// and ends non-decreasing, so it merges), 2 does that and then swaps
+    /// two events.
+    fn arb_run(rng: &mut proptest::TestRng) -> (Vec<Lifetime>, u64) {
+        let n = rng.below(12) as usize;
+        let shape = rng.below(3);
+        let bases = [i64::MIN, -5, 0, 3, i64::MAX - 8];
+        let base = bases[rng.below(bases.len() as u64) as usize];
+        let mut run: Vec<Lifetime> = (0..n)
+            .map(|_| {
+                let start = base.saturating_add(rng.below(6) as i64);
+                let reach = [1, 2, 3, i64::MAX][rng.below(4) as usize];
+                let end = start.saturating_add(reach).max(start + 1);
+                Lifetime::new(start.min(i64::MAX - 1), end)
+            })
+            .collect();
+        if shape > 0 {
+            run.sort_by_key(|lt| lt.start);
+            for k in 1..n {
+                run[k].end = run[k].end.max(run[k - 1].end);
+            }
+        }
+        if shape == 2 && n > 1 {
+            let (a, b) = (rng.below(n as u64) as usize, rng.below(n as u64) as usize);
+            run.swap(a, b);
+        }
+        (run, shape)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        /// The endpoints of a run in time order, merged, are in exactly
+        /// the order `sort_unstable` gives; a run out of order is sorted.
+        #[test]
+        fn merged_endpoints_equal_the_sort(
+            drawn in proptest::composed(arb_run),
+            first in 0usize..4,
+        ) {
+            let (run, shape) = drawn;
+            let mut want: Vec<(Time, bool, u32)> = (run.iter().enumerate())
+                .flat_map(|(k, lt)| {
+                    let i = (first + k) as u32;
+                    [(lt.start, true, i), (lt.end, false, i)]
+                })
+                .collect();
+            want.sort_unstable();
+            let mut got = vec![(0, false, 0)];
+            let merged = endpoints_of(first, &run, &mut got);
+            proptest::prop_assert_eq!(&got, &want);
+            let ordered = (run.windows(2))
+                .all(|w| w[0].start <= w[1].start && w[0].end <= w[1].end);
+            proptest::prop_assert_eq!(merged, ordered);
+            proptest::prop_assert!(merged || shape != 1);
+        }
     }
 
     #[test]

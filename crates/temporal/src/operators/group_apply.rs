@@ -31,10 +31,13 @@
 //! of a row stream alike: each event gets a group ordinal from the 64-bit
 //! key hash (no per-event key materialization), hash collisions between
 //! distinct keys are separated by comparing key cells against the group's
-//! first event, the *groups* — not the events — are sorted by key cells,
-//! and a stable counting sort puts the events into sorted-key run order, so
-//! the order inside a group is the input's. A root that ends on rows gets
-//! one materialized key per group as its prefix, attached once.
+//! first event, the *groups* — not the events — are sorted by key, as
+//! normalized keys (one order-preserving `u64` per key cell,
+//! [`crate::key::NormalizedKeys`]; the key cells are compared only where
+//! two words tie inexactly), and a stable counting sort puts the events
+//! into sorted-key run order, so the order inside a group is the input's.
+//! A root that ends on rows gets one materialized key per group as its
+//! prefix, attached once.
 //!
 //! Every path covers every run on the caller's thread, and the keys are
 //! attached once to its root, so the output event vector is a pure function
@@ -50,7 +53,7 @@ use crate::batch::EventBatch;
 use crate::error::{Result, TemporalError};
 use crate::event::Event;
 use crate::exec::{walk_runs, DataBindings, ExecStats, StreamData};
-use crate::key::KeySelector;
+use crate::key::{KeySelector, NormalizedKeys};
 use crate::operators::pane::pane_aggregate;
 use crate::plan::{hopping_aggregate, LogicalPlan};
 use crate::stream::EventStream;
@@ -505,6 +508,10 @@ fn key_groups(input: &StreamData, sel: &KeySelector) -> KeyedGroups {
                 events.len(),
                 |i| sel.hash(&events[i].payload),
                 |i, j| sel.matches_same(&events[i].payload, &events[j].payload),
+                |firsts| {
+                    let rows: Vec<&Row> = firsts.iter().map(|&i| &events[i].payload).collect();
+                    sel.normalize_rows(&rows)
+                },
                 |i, j| sel.cmp_same(&events[i].payload, &events[j].payload),
             )
         }
@@ -515,23 +522,32 @@ fn key_groups(input: &StreamData, sel: &KeySelector) -> KeyedGroups {
                 batch.len(),
                 |i| hashes[i],
                 |i, j| sel.matches_batch(payload, i, j),
+                |firsts| sel.normalize_batch(payload, firsts),
                 |i, j| sel.cmp_batch(payload, i, j),
             )
         }
     }
 }
 
-/// [`assign_groups`], then the groups sorted by `cmp_key` over their first
-/// events — distinct groups have distinct keys, so the order is total.
+/// [`assign_groups`], then the groups sorted by key — distinct groups have
+/// distinct keys, so the order is total. The sort compares the normalized
+/// keys `normalize` gives the groups' first events, and `cmp_key` over the
+/// first events only where those tie on an inexact word.
 fn sorted_groups(
     n: usize,
     hash: impl Fn(usize) -> u64,
     same_key: impl Fn(usize, usize) -> bool,
+    normalize: impl FnOnce(&[usize]) -> NormalizedKeys,
     cmp_key: impl Fn(usize, usize) -> Ordering,
 ) -> KeyedGroups {
     let Groups { first, ordinals } = assign_groups(n, hash, same_key);
+    let keys = normalize(&first);
     let mut order: Vec<u32> = (0..first.len() as u32).collect();
-    order.sort_unstable_by(|&a, &b| cmp_key(first[a as usize], first[b as usize]));
+    order.sort_unstable_by(|&a, &b| {
+        let (a, b) = (a as usize, b as usize);
+        keys.cmp(a, b)
+            .unwrap_or_else(|| cmp_key(first[a], first[b]))
+    });
     let firsts = order.iter().map(|&g| first[g as usize] as u32).collect();
     KeyedGroups {
         ordinals,

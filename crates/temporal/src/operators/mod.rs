@@ -43,7 +43,7 @@ mod temporal_join;
 mod union;
 
 pub use aggregate::{aggregate, aggregate_batch};
-pub(crate) use aggregate::{aggregate_batch_runs, aggregate_runs, Sweep};
+pub(crate) use aggregate::{aggregate_batch_runs, aggregate_data, aggregate_runs, Sweep};
 pub use alter_lifetime::alter_lifetime;
 pub use anti_semi_join::anti_semi_join;
 pub use filter::filter;
@@ -54,5 +54,6 @@ pub use hop_udo::hop_udo;
 pub use project::project;
 pub use spread_grid::spread_grid;
 pub use temporal_join::temporal_join;
+pub(crate) use temporal_join::temporal_join_reading;
 pub use union::union;
 pub(crate) use union::union_walk;

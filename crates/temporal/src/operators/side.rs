@@ -108,20 +108,30 @@ impl<'a> Side<'a> {
         }
     }
 
-    /// The payload columns of the events at `idx` (any order, repeats
-    /// allowed), built once: gathered from a batch, pushed through typed
-    /// builders from rows. `None` when a row does not inhabit `schema` (row
-    /// storage tolerates ill-typed cells; dense typed vectors cannot).
-    pub(crate) fn gather(&self, schema: &Schema, idx: &[u32]) -> Option<Vec<Column>> {
+    /// The payload columns at `cols` (ascending positions in `schema`) of
+    /// the events at `idx` (any order, repeats allowed), built once:
+    /// gathered from a batch, pushed through typed builders from rows.
+    /// `None` when a row does not inhabit `schema` (row storage tolerates
+    /// ill-typed cells; dense typed vectors cannot) — in any column, read
+    /// or not, so whether an input has a column form does not depend on
+    /// who reads it.
+    pub(crate) fn gather(
+        &self,
+        schema: &Schema,
+        cols: &[usize],
+        idx: &[u32],
+    ) -> Option<Vec<Column>> {
         match self {
             Side::Rows(events) => {
                 let rows = idx.iter().map(|&i| events[i as usize].payload.values());
                 let batch = ColumnBatch::from_value_rows(schema.clone(), idx.len(), rows).ok()?;
-                Some(batch.into_parts().1)
+                let columns = batch.into_parts().1.into_iter().enumerate();
+                let read = columns.filter(|(c, _)| cols.binary_search(c).is_ok());
+                Some(read.map(|(_, column)| column).collect())
             }
             Side::Batch(batch) => {
                 let columns = batch.payload().columns();
-                Some(columns.iter().map(|c| c.gather(idx)).collect())
+                Some(cols.iter().map(|&c| columns[c].gather(idx)).collect())
             }
         }
     }

@@ -26,11 +26,13 @@
 //! every output column is filled in one pass — gathered from a batch side,
 //! pushed through a typed builder from a row side — and the result is a
 //! [`StreamData::Batch`], so a projection above the join moves columns
-//! instead of rebuilding rows. No concatenated payload row exists unless
-//! there is a residual, which is evaluated per candidate pair on one
-//! reused scratch row (so the first error is the same pair's in every
-//! layout). Only a row side whose cells do not inhabit their declared
-//! types has no column form; that join finishes on rows.
+//! instead of rebuilding rows. When the join's one consumer is a fragment
+//! that projects, the executor passes the columns it reads and only those
+//! are gathered ([`temporal_join_reading`]). No concatenated payload row
+//! exists unless there is a residual, which is evaluated per candidate
+//! pair on one reused scratch row (so the first error is the same pair's
+//! in every layout). Only a row side whose cells do not inhabit their
+//! declared types has no column form; that join finishes on rows.
 
 use crate::batch::EventBatch;
 use crate::compiled::CompiledExpr;
@@ -42,7 +44,7 @@ use crate::key::KeySelector;
 use crate::operators::side::{KeyClasses, Side};
 use crate::stream::EventStream;
 use crate::time::Lifetime;
-use relation::{ColumnBatch, Row};
+use relation::{ColumnBatch, Row, Schema};
 
 /// Join `left` and `right` on `keys` (pairs of column names) with an
 /// optional residual predicate over the concatenated payload. Either input
@@ -53,6 +55,22 @@ pub fn temporal_join(
     right: &StreamData,
     keys: &[(String, String)],
     residual: Option<&Expr>,
+) -> Result<StreamData> {
+    temporal_join_reading(left, right, keys, residual, None)
+}
+
+/// [`temporal_join`] building only the output columns at `reads`
+/// (ascending positions in the joined schema; every column when `None`):
+/// the executor passes the columns the join's one consumer, a projecting
+/// fragment, reads. A batch output then has the schema of those columns
+/// alone — the consumer resolves its columns by name — and a row output
+/// (an ill-typed row side) keeps them all.
+pub(crate) fn temporal_join_reading(
+    left: &StreamData,
+    right: &StreamData,
+    keys: &[(String, String)],
+    residual: Option<&Expr>,
+    reads: Option<&[usize]>,
 ) -> Result<StreamData> {
     let lschema = left.schema();
     let rschema = right.schema();
@@ -112,13 +130,17 @@ pub fn temporal_join(
         }
     }
 
-    let columns = left
-        .gather(lschema, &left_idx)
-        .zip(right.gather(rschema, &right_idx));
-    Ok(match columns {
+    let all: Vec<usize> = (0..out_schema.len()).collect();
+    let reads = reads.unwrap_or(&all);
+    let split = reads.partition_point(|&c| c < lschema.len());
+    let right_reads: Vec<usize> = reads[split..].iter().map(|&c| c - lschema.len()).collect();
+    let left_columns = left.gather(lschema, &reads[..split], &left_idx);
+    let right_columns = right.gather(rschema, &right_reads, &right_idx);
+    Ok(match left_columns.zip(right_columns) {
         Some((mut columns, right_columns)) => {
             columns.extend(right_columns);
-            let payload = ColumnBatch::new(out_schema, columns, vt.len());
+            let fields = reads.iter().map(|&c| out_schema.fields()[c].clone());
+            let payload = ColumnBatch::new(Schema::new(fields.collect()), columns, vt.len());
             StreamData::Batch(EventBatch::new(vt, ve, payload))
         }
         None => {
@@ -137,8 +159,8 @@ pub fn temporal_join(
 mod tests {
     use super::*;
     use crate::expr::{col, lit};
+    use relation::row;
     use relation::schema::{ColumnType, Field};
-    use relation::{row, Schema};
 
     /// The join of two well-typed streams, which every mix of input layouts
     /// must produce identically — as a batch.

@@ -102,6 +102,25 @@ impl FusedStep {
     }
 }
 
+/// The input columns a fragment of `steps` reads, by name: what its steps
+/// up to and including its first projection refer to (a lifetime rewrite
+/// reads none). `None` when no step projects, so every input column is
+/// passed on.
+fn fragment_reads(steps: &[FusedStep]) -> Option<Vec<&str>> {
+    let mut names = Vec::new();
+    for step in steps {
+        match step {
+            FusedStep::Filter { predicate } => names.extend(predicate.referenced_columns()),
+            FusedStep::Project { exprs } => {
+                names.extend(exprs.iter().flat_map(|(_, e)| e.referenced_columns()));
+                return Some(names);
+            }
+            FusedStep::AlterLifetime { .. } => {}
+        }
+    }
+    None
+}
+
 /// One operator in the plan DAG. Input arity is enforced at build time.
 #[derive(Debug, Clone)]
 pub enum Operator {
@@ -388,6 +407,34 @@ impl LogicalPlan {
             .filter(|(_, n)| n.inputs.contains(&id))
             .map(|(i, _)| i)
             .collect()
+    }
+
+    /// The columns of node `id`'s output that anything reads, as ascending
+    /// positions, when that is not all of them: `id` is no plan output and
+    /// its one consumer is a fragment that projects before it passes a
+    /// column on ([`fragment_reads`]). `None` when every column is read.
+    pub(crate) fn columns_read(&self, id: NodeId) -> Option<Vec<usize>> {
+        let [consumer] = self.consumers(id)[..] else {
+            return None;
+        };
+        let Operator::FusedFragment { steps } = &self.node(consumer).op else {
+            return None;
+        };
+        if self.roots.contains(&id) {
+            return None;
+        }
+        let schema = self.schema_of(id);
+        let names = fragment_reads(steps)?;
+        let mut cols: Vec<usize> = (names.iter())
+            .map(|name| {
+                schema
+                    .index_of(name)
+                    .expect("a validated plan reads its input's columns")
+            })
+            .collect();
+        cols.sort_unstable();
+        cols.dedup();
+        (cols.len() < schema.len()).then_some(cols)
     }
 
     /// Consumers per node, **including plan roots**: input edges plus one

@@ -36,7 +36,9 @@ use timr_suite::temporal::operators::{
     anti_semi_join, fused_fragment_batch, fused_fragment_rows, temporal_join, union,
 };
 use timr_suite::temporal::plan::FusedStep;
-use timr_suite::temporal::{col, lit, Event, EventBatch, EventStream, Expr, Query, TemporalError};
+use timr_suite::temporal::{
+    col, lit, Event, EventBatch, EventStream, Expr, Lifetime, Query, TemporalError,
+};
 
 /// Run `steps` on the batch kernels and on the row operators over the same
 /// events; both must produce the identical event vector or the identical
@@ -421,6 +423,72 @@ proptest! {
                 let got = union(vec![a.clone(), o], &mut ExecStats::default()).unwrap_err();
                 prop_assert_eq!(first.get_or_insert_with(|| got.clone()), &got);
             }
+        }
+    }
+
+    /// A join whose right side reaches far — `[−100, +∞)`, lifetimes that
+    /// start at `i64::MIN`, the whole line — against left events at both
+    /// ends of time, run by the executor with the join as the root and
+    /// under a fragment that filters on one column and projects from
+    /// three more: the oracle's relation either way, every layout one
+    /// answer, and the fragment's join builds only the 4 of its 6 columns
+    /// the fragment reads.
+    #[test]
+    fn a_join_over_unbounded_lifetimes_matches_the_oracle_with_and_without_a_consumer(
+        left in arb_key_events(14),
+        right in arb_key_events(14),
+        left_reach in prop::collection::vec(0usize..8, 14..15),
+        right_reach in prop::collection::vec(0usize..6, 14..15),
+        n_keys in 0usize..3,
+        kind in 0usize..2,
+    ) {
+        let reach = |stream: EventStream, picks: &[usize], far: fn(usize, Lifetime) -> Lifetime| {
+            let events = (stream.events().iter().enumerate())
+                .map(|(i, e)| Event::new(far(picks[i % picks.len()], e.lifetime), e.payload.clone()))
+                .collect();
+            EventStream::new(stream.schema().clone(), events)
+        };
+        let left = reach(key_stream(&left, false), &left_reach, |pick, lt| match pick {
+            0 => Lifetime::new(i64::MIN, i64::MIN + 5),
+            1 => Lifetime::new(i64::MAX - 3, i64::MAX),
+            2 => Lifetime::point(-100),
+            _ => lt,
+        });
+        let right = reach(key_stream(&right, false), &right_reach, |pick, lt| match pick {
+            0 => Lifetime::new(-100, i64::MAX),
+            1 => Lifetime::new(i64::MIN, lt.end),
+            2 => Lifetime::new(i64::MIN, i64::MAX),
+            _ => lt,
+        });
+        let keys = [("A", "A"), ("B", "B")];
+        let srcs = bindings(vec![("l", left.clone()), ("r", right.clone())]);
+        for projected in [false, true] {
+            let q = Query::new();
+            let (l, r) = (q.source("l", key_payload()), q.source("r", key_payload()));
+            let joined = l.temporal_join(r, &keys[..n_keys], residual(kind, 0));
+            let out = match projected {
+                false => joined,
+                true => joined.filter(col("B.r").ge(lit(0i64))).project(vec![
+                    ("A".to_string(), col("A")),
+                    ("W".to_string(), col("V").add(col("V.r"))),
+                ]),
+            };
+            let plan = q.build(vec![out]).unwrap();
+            let want = oracle::run_single(&plan, &srcs).unwrap();
+            let mut first: Option<EventStream> = None;
+            for l in layouts(&left) {
+                for r in layouts(&right) {
+                    let mut bound = DataBindings::default();
+                    bound.insert("l".to_string(), l.clone());
+                    bound.insert("r".to_string(), r);
+                    let (mut roots, stats) = execute_data(&plan, bound).unwrap();
+                    prop_assert_eq!(stats.join_columns_pruned, if projected { 2 } else { 0 });
+                    let got = roots.pop().unwrap().into_stream();
+                    prop_assert_eq!(first.get_or_insert_with(|| got.clone()), &got);
+                }
+            }
+            let same = oracle::same_relation(&first.unwrap(), &want, &Tolerance::exact());
+            prop_assert!(same.is_ok(), "{}", same.unwrap_err());
         }
     }
 
