@@ -8,7 +8,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use relation::row;
 use relation::schema::{ColumnType, Field};
 use relation::Schema;
-use temporal::exec::{bindings, execute_data, row_bindings};
+use temporal::exec::{bindings, execute};
 use temporal::{Event, EventStream, Query};
 
 fn schema() -> Schema {
@@ -38,9 +38,7 @@ fn bench_windowed_count(c: &mut Criterion) {
         let plan = q.build(vec![out]).unwrap();
         group.throughput(Throughput::Elements(n as u64));
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| {
-                execute_data(&plan, row_bindings(bindings(vec![("in", input.clone())]))).unwrap()
-            })
+            b.iter(|| execute(&plan, &bindings(vec![("in", input.clone())])).unwrap())
         });
     }
     group.finish();
@@ -72,7 +70,7 @@ fn bench_temporal_join(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
             b.iter(|| {
                 let srcs = bindings(vec![("l", left.clone()), ("r", right.clone())]);
-                execute_data(&plan, row_bindings(srcs)).unwrap()
+                execute(&plan, &srcs).unwrap()
             })
         });
     }
@@ -98,7 +96,7 @@ fn bench_anti_semi_join(c: &mut Criterion) {
     group.bench_function("points_minus_periods", |b| {
         b.iter(|| {
             let srcs = bindings(vec![("l", left.clone()), ("r", right.clone())]);
-            execute_data(&plan, row_bindings(srcs)).unwrap()
+            execute(&plan, &srcs).unwrap()
         })
     });
     group.finish();
@@ -147,10 +145,10 @@ fn bench_factor_window_combine(c: &mut Criterion) {
         assert_eq!(groups, 1, "harmonic cadences must form one factor group");
         group.throughput(Throughput::Elements((n * queries) as u64));
         group.bench_with_input(BenchmarkId::new("unfactored", queries), &plan, |b, p| {
-            b.iter(|| execute_data(p, row_bindings(bindings(vec![("in", input.clone())]))).unwrap())
+            b.iter(|| execute(p, &bindings(vec![("in", input.clone())])).unwrap())
         });
         group.bench_with_input(BenchmarkId::new("factored", queries), &factored, |b, p| {
-            b.iter(|| execute_data(p, row_bindings(bindings(vec![("in", input.clone())]))).unwrap())
+            b.iter(|| execute(p, &bindings(vec![("in", input.clone())])).unwrap())
         });
     }
     group.finish();

@@ -399,40 +399,6 @@ mod tests {
         assert_eq!(compiled.plan.roots().len(), 3);
     }
 
-    /// The shared `{UserId}` plan — BotElim, the labels and the training
-    /// rows — over the log bound as a batch, as the stage's reducer binds
-    /// it: no event is transposed, none falls back, and every root holds
-    /// the row-bound run's events.
-    #[test]
-    fn the_user_stage_plan_never_transposes_a_batch() {
-        use temporal::exec::{bindings, execute_data, row_bindings, DataBindings, StreamData};
-        let mut cfg = GenConfig::small(7);
-        cfg.users = 200;
-        let log = generate(&cfg);
-        let logs = EventEncoding::Point
-            .decode_stream(log.rows(), &log_payload())
-            .unwrap();
-        let plan = BtPipeline::default()
-            .user_stage("t")
-            .unwrap()
-            .compile()
-            .unwrap()
-            .plan;
-        let rows = row_bindings(bindings(vec![("logs", logs.clone())]));
-        let (on_rows, _) = execute_data(&plan, rows).unwrap();
-        let mut srcs = DataBindings::default();
-        let batch = temporal::EventBatch::from_stream(&logs).unwrap();
-        srcs.insert("logs".to_string(), StreamData::Batch(batch));
-        let (roots, stats) = execute_data(&plan, srcs).unwrap();
-        assert_eq!((stats.transposed_events, stats.row_fallbacks), (0, 0));
-        assert_eq!(roots.len(), 3);
-        for (root, rows) in roots.into_iter().zip(on_rows) {
-            let rows = rows.into_stream();
-            assert!(!rows.is_empty());
-            assert_eq!(root.into_stream().events(), rows.events());
-        }
-    }
-
     /// BotElim, GenTrainData and Scoring on a generated log, single-node as
     /// the Fig 15 sub-queries run, Scoring's profiles in the order a stage
     /// publishes the training rows (by lifetime, then payload): a log in
@@ -443,7 +409,7 @@ mod tests {
     #[test]
     fn a_log_in_time_order_sweeps_without_sorting() {
         use relation::Value;
-        use temporal::exec::{bindings, data_bindings, execute_data, ExecStats};
+        use temporal::exec::{execute_data, ExecStats};
         use temporal::{Event, EventStream, LogicalPlan};
         let mut cfg = GenConfig::small(7);
         cfg.users = 200;
@@ -453,7 +419,14 @@ mod tests {
             .unwrap();
         let params = BtParams::default();
         let run = |plan: &LogicalPlan, sources: Vec<(&str, EventStream)>| {
-            let sources = data_bindings(plan, bindings(sources));
+            let sources = (sources.into_iter())
+                .map(|(n, s)| {
+                    (
+                        n.to_string(),
+                        temporal::EventBatch::from_stream(&s).unwrap(),
+                    )
+                })
+                .collect();
             let (mut roots, stats) = execute_data(plan, sources).unwrap();
             (roots.remove(0).into_stream(), stats)
         };

@@ -161,7 +161,8 @@ mod tests {
             super::log_payload(),
             vec![event(HOUR, 1, "u1", "ad1"), event(HOUR, 2, "u2", "cars")],
         );
-        let srcs = temporal::exec::row_bindings(bindings(vec![("logs", input)]));
+        let batch = temporal::EventBatch::from_stream(&input).unwrap();
+        let srcs = [("logs".to_string(), batch)].into_iter().collect();
         let (_, stats) = temporal::exec::execute_data(&btq.plan, srcs).unwrap();
         assert_eq!((stats.groups, stats.pane_groups), (2, 0));
 
@@ -175,43 +176,6 @@ mod tests {
             text.contains("<- logs: no partial aggregate (cut point has other consumers)"),
             "{text}"
         );
-    }
-
-    /// What the `{UserId}` stage's reducer sees: the log bound as a batch.
-    /// The `[UserId]` walk — the hop, both filtered counts, the union and
-    /// the projection — stays on the columns, and so does the set
-    /// difference above it: no event is transposed, none falls back, and
-    /// the cleaned log holds the row-bound run's events.
-    #[test]
-    fn a_batch_binding_is_never_transposed() {
-        use temporal::exec::{execute_data, row_bindings, DataBindings, StreamData};
-        let mut events = Vec::new();
-        for i in 0..12 {
-            events.push(event(HOUR + i * 20 * MIN, 1, "bot", "ad1"));
-        }
-        for i in 0..8 {
-            events.push(event(HOUR + i * 7 * MIN, 2, "searcher", &format!("k{i}")));
-        }
-        events.push(event(HOUR, 1, "human", "ad1"));
-        events.push(event(HOUR, 2, "human", "cars"));
-        let log = EventStream::new(super::log_payload(), events);
-        let btq = query(&params());
-        let rows = row_bindings(bindings(vec![("logs", log.clone())]));
-        let (mut on_rows, _) = execute_data(&btq.plan, rows).unwrap();
-        let on_rows = on_rows.pop().unwrap().into_stream();
-        assert!(on_rows.len() < log.len(), "the bots lose events");
-        let mut srcs = DataBindings::default();
-        let batch = temporal::EventBatch::from_stream(&log).unwrap();
-        srcs.insert("logs".to_string(), StreamData::Batch(batch));
-        let (mut roots, stats) = execute_data(&btq.plan, srcs).unwrap();
-        assert_eq!((stats.transposed_events, stats.row_fallbacks), (0, 0));
-        assert_eq!(stats.groups, 3);
-        let root = roots.pop().unwrap();
-        assert!(
-            matches!(root, StreamData::Batch(_)),
-            "the root stays a batch"
-        );
-        assert_eq!(root.into_stream().events(), on_rows.events());
     }
 
     #[test]

@@ -250,9 +250,14 @@ mod tests {
         assert!(!fused.contains("[segmented]"), "{fused}");
 
         let (labels, rows) = sample();
-        let srcs =
-            temporal::exec::row_bindings(bindings(vec![("labels", labels), ("train_rows", rows)]));
-        let (_, stats) = temporal::exec::execute_data(&btq.plan, srcs).unwrap();
+        let srcs = [("labels", labels), ("train_rows", rows)].map(|(n, s)| {
+            (
+                n.to_string(),
+                temporal::EventBatch::from_stream(&s).unwrap(),
+            )
+        });
+        let (_, stats) =
+            temporal::exec::execute_data(&btq.plan, srcs.into_iter().collect()).unwrap();
         // One ad; keywords "hot" and "meh" under it.
         assert_eq!((stats.groups, stats.pane_groups), (3, 3));
     }

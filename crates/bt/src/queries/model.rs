@@ -370,91 +370,6 @@ mod tests {
         assert!((scores["u2"] - 1.0 / (1.0 + 2.0f64.exp())).abs() < 1e-9);
     }
 
-    /// What a reducer sees: profiles and models bound as batches stay
-    /// columns from the join to the root — the per-(user, ad) `Sum` is a
-    /// per-event aggregate, swept on the columns into a batch, and the
-    /// sigmoid projects that batch — and publish the events the row-bound
-    /// query does. `u3`'s contributions all start at one instant and do not
-    /// add associatively, so the bytes pin the order a group's events are
-    /// summed in.
-    #[test]
-    fn scoring_on_batches_is_never_transposed() {
-        use temporal::exec::{execute_data, row_bindings, DataBindings, StreamData};
-        use temporal::EventBatch;
-        let btq = scoring_query(&BtParams::default());
-        let mut profiles = Vec::new();
-        for (i, kw) in ["hot", "cold", "warm", "hot", "warm"].iter().enumerate() {
-            let t = i as i64 * 10;
-            profiles.push(Event::interval(t, t + 60, row!["u1", *kw, i as i64 + 1]));
-            profiles.push(Event::interval(t + 5, t + 30, row!["u2", *kw, 3i64]));
-        }
-        for kw in ["hot", "big", "warm", "cold", "neg"] {
-            profiles.push(Event::interval(20, 50, row!["u3", kw, 1i64]));
-        }
-        let profiles = EventStream::new(profiles_payload(), profiles);
-        let models = EventStream::new(
-            models_payload(),
-            vec![
-                Event::interval(0, 200, row!["adA", "hot", 0.1f64]),
-                Event::interval(0, 200, row!["adA", "big", 1e16f64]),
-                Event::interval(0, 200, row!["adA", "cold", -0.7f64]),
-                Event::interval(0, 200, row!["adA", "warm", 0.2f64]),
-                Event::interval(0, 200, row!["adA", "neg", -1e16f64]),
-                Event::interval(0, 35, row!["adB", "warm", 1.3f64]),
-                Event::interval(0, 200, row!["adB", BIAS_FEATURE, -1.0f64]),
-            ],
-        );
-        let rows = bindings(vec![
-            ("profiles", profiles.clone()),
-            ("models", models.clone()),
-        ]);
-        let (mut on_rows, _) = execute_data(&btq.plan, row_bindings(rows)).unwrap();
-        let on_rows = on_rows.pop().unwrap().into_stream();
-        let mut srcs = DataBindings::default();
-        for (name, stream) in [("profiles", profiles), ("models", models)] {
-            let batch = EventBatch::from_stream(&stream).unwrap();
-            srcs.insert(name.to_string(), StreamData::Batch(batch));
-        }
-        let (mut roots, stats) = execute_data(&btq.plan, srcs).unwrap();
-        assert_eq!((stats.transposed_events, stats.row_fallbacks), (0, 0));
-        assert_eq!(stats.groups, 6, "(u1, u2, u3) × (adA, adB)");
-        assert!(on_rows.len() > 6);
-        let root = roots.pop().unwrap();
-        assert!(
-            matches!(root, StreamData::Batch(_)),
-            "the root stays a batch"
-        );
-        assert_eq!(root.into_stream().events(), on_rows.events());
-    }
-
-    /// ModelGen's UDO has no columnar form: bound as a batch, the training
-    /// rows are transposed exactly once, at the UDO, nothing falls back, and
-    /// the models are the row-bound run's.
-    #[test]
-    fn model_gen_transposes_its_input_once_at_the_udo() {
-        use temporal::exec::{execute_data, row_bindings, DataBindings, StreamData};
-        let btq = model_query(&BtParams::default(), LrConfig::default());
-        let input = train_rows();
-        let rows = row_bindings(bindings(vec![("train_rows", input.clone())]));
-        let (mut on_rows, _) = execute_data(&btq.plan, rows).unwrap();
-        let mut srcs = DataBindings::default();
-        let batch = temporal::EventBatch::from_stream(&input).unwrap();
-        srcs.insert("train_rows".to_string(), StreamData::Batch(batch));
-        let (mut roots, stats) = execute_data(&btq.plan, srcs).unwrap();
-        let transposed = input.len() as u64;
-        assert_eq!(
-            (stats.transposed_events, stats.row_fallbacks),
-            (transposed, 0)
-        );
-        assert_eq!(stats.per_run_nodes, 1);
-        let on_rows = on_rows.pop().unwrap().into_stream();
-        assert!(!on_rows.is_empty());
-        assert_eq!(
-            roots.pop().unwrap().into_stream().events(),
-            on_rows.events()
-        );
-    }
-
     #[test]
     fn queries_validate_and_fragment() {
         let params = BtParams::default();

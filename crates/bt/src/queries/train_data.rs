@@ -279,51 +279,6 @@ mod tests {
         assert_eq!(out.events()[0].payload.get(4), &Value::Long(2));
     }
 
-    /// What a reducer sees: the log bound as a batch flows to the root as
-    /// columns, and neither query transposes an event — the UBP GroupApply
-    /// (a sliding window, then a count: a per-event aggregate) sweeps its
-    /// groups on the columns. Bound as rows, nothing is transposed either,
-    /// and the two bindings publish the same events.
-    #[test]
-    fn a_batch_binding_is_never_transposed() {
-        use temporal::exec::{execute_data, row_bindings, DataBindings, ExecStats, StreamData};
-        let stats = |btq: &BtQuery, as_batch: bool| -> ExecStats {
-            let log = match as_batch {
-                true => {
-                    StreamData::Batch(temporal::EventBatch::from_stream(&sample_log()).unwrap())
-                }
-                false => StreamData::Rows(sample_log()),
-            };
-            let mut srcs = DataBindings::default();
-            srcs.insert("clean_logs".to_string(), log);
-            let (roots, stats) = execute_data(&btq.plan, srcs).unwrap();
-            let rows = row_bindings(bindings(vec![("clean_logs", sample_log())]));
-            let (mut on_rows, _) = execute_data(&btq.plan, rows).unwrap();
-            assert_eq!(roots.len(), 1);
-            assert_eq!(
-                roots[0].clone().into_stream(),
-                on_rows.remove(0).into_stream()
-            );
-            assert_eq!(
-                matches!(roots[0], StreamData::Batch(_)),
-                as_batch || btq.name == "GenTrainData"
-            );
-            stats
-        };
-        let params = BtParams::default();
-        let keyword_events = (sample_log().events().iter())
-            .filter(|e| e.payload.get(0) == &Value::Int(stream_id::KEYWORD))
-            .count() as u64;
-        assert_eq!(keyword_events, 1);
-        for btq in [labels_query(&params), train_query(&params)] {
-            for as_batch in [true, false] {
-                let stats = stats(&btq, as_batch);
-                assert_eq!((stats.transposed_events, stats.row_fallbacks), (0, 0));
-            }
-        }
-        assert_eq!(stats(&train_query(&params), true).groups, keyword_events);
-    }
-
     #[test]
     fn both_annotations_validate_and_fragment() {
         let params = BtParams::default();

@@ -16,8 +16,8 @@
 //! payload; on the way out, [`EventEncoding::encode_sink`] and
 //! [`EventEncoding::encode_extent_order`] are its inverse, moving the
 //! lifetime vectors back in as the framing columns. Rows exist only where a
-//! caller asks for them ([`EventEncoding::decode_stream`] and
-//! [`EventEncoding::encode`]).
+//! caller asks for them ([`EventEncoding::decode_stream`],
+//! [`EventEncoding::encode_stream`] and [`EventEncoding::encode`]).
 //!
 //! The paper's §III-C.2 reconciles a DSMS that *pushes* results
 //! asynchronously with a map-reduce that *pulls* rows synchronously through
@@ -34,7 +34,6 @@ use relation::schema::{ColumnType, Field, TIME_COLUMN};
 use relation::{ColumnBatch, Row, Schema, Value};
 use std::borrow::Borrow;
 use std::cmp::Ordering;
-use temporal::exec::StreamData;
 use temporal::{Event, EventBatch, EventStream, Lifetime, TemporalError, Time};
 
 /// Name of the interval-encoding end column.
@@ -252,70 +251,56 @@ impl EventEncoding {
     /// snapshots. Canonical order alone is enough for the determinism
     /// guarantee.
     pub fn encode_stream(self, stream: &EventStream) -> Result<ColumnBatch> {
-        self.encode_sink(StreamData::Rows(stream.clone()))
+        let mut events = stream.events().to_vec();
+        events.sort();
+        let (vt, ve, payload) = transpose(stream.schema().clone(), &events)?;
+        self.dataset_batch(vt, ve, payload)
     }
 
     /// Encode an executor root, taken by value, into a dataset batch in
     /// **canonical order** — [`Self::encode_stream`]'s order, established
-    /// here once, where bytes are published: the reduce sink. A row root's
-    /// events sort in place and transpose; a batch root sorts a
-    /// *permutation* of its events — by lifetime, then by the typed column
-    /// cells in [`Value`]'s total order, which is the order of the rows
-    /// because a dataset row leads with its lifetime — and gathers each
-    /// payload column once by it. A payload cell that does not inhabit its
-    /// column is the relation's type error.
-    pub fn encode_sink(self, root: StreamData) -> Result<ColumnBatch> {
-        let (vt, ve, payload) = match root {
-            StreamData::Rows(stream) => {
-                let schema = stream.schema().clone();
-                let mut events = stream.into_events();
-                events.sort();
-                transpose(schema, &events)?
-            }
-            StreamData::Batch(batch) => {
-                let columns = batch.payload().columns();
-                // The lifetime rides along with the index: most comparisons
-                // end on it without touching a column. Ties are identical
-                // rows, so an unstable sort is deterministic.
-                let mut order: Vec<(Time, Time, u32)> = (batch.vt().iter().zip(batch.ve()))
-                    .enumerate()
-                    .map(|(i, (&le, &re))| (le, re, i as u32))
-                    .collect();
-                order.sort_unstable_by(|a, b| {
-                    (a.0, a.1).cmp(&(b.0, b.1)).then_with(|| {
-                        let (i, j) = (a.2 as usize, b.2 as usize);
-                        (columns.iter().map(|c| c.cmp_cells(i, j)))
-                            .find(|o| o.is_ne())
-                            .unwrap_or(Ordering::Equal)
-                    })
-                });
-                let idx: Vec<u32> = order.iter().map(|o| o.2).collect();
-                let vt = order.iter().map(|o| o.0).collect();
-                let ve = order.into_iter().map(|o| o.1).collect();
-                (vt, ve, batch.payload().gather(&idx))
-            }
-        };
-        self.dataset_batch(vt, ve, payload)
+    /// here once, where bytes are published: the reduce sink. The root's
+    /// events sort as a *permutation* — by lifetime, then by the typed
+    /// column cells in [`Value`]'s total order, which is the order of the
+    /// rows because a dataset row leads with its lifetime — and each payload
+    /// column is gathered once by it.
+    pub fn encode_sink(self, root: EventBatch) -> Result<ColumnBatch> {
+        let columns = root.payload().columns();
+        // The lifetime rides along with the index: most comparisons end on
+        // it without touching a column. Ties are identical rows, so an
+        // unstable sort is deterministic.
+        let mut order: Vec<(Time, Time, u32)> = (root.vt().iter().zip(root.ve()))
+            .enumerate()
+            .map(|(i, (&le, &re))| (le, re, i as u32))
+            .collect();
+        order.sort_unstable_by(|a, b| {
+            (a.0, a.1).cmp(&(b.0, b.1)).then_with(|| {
+                let (i, j) = (a.2 as usize, b.2 as usize);
+                (columns.iter().map(|c| c.cmp_cells(i, j)))
+                    .find(|o| o.is_ne())
+                    .unwrap_or(Ordering::Equal)
+            })
+        });
+        let idx: Vec<u32> = order.iter().map(|o| o.2).collect();
+        let vt = order.iter().map(|o| o.0).collect();
+        let ve = order.into_iter().map(|o| o.1).collect();
+        self.dataset_batch(vt, ve, root.payload().gather(&idx))
     }
 
     /// Encode an executor root, taken by value, in the order the executor
-    /// produced it — the map-side encode: a batch root's lifetime vectors
-    /// and payload columns move into the dataset batch as they are. Map
-    /// output needs no canonical order. It is never published. Executor
-    /// output order is a pure function of the input extent (fused row
-    /// operators preserve input order, GroupApply merges groups in
-    /// sorted-key order), so retries, rebuilds and worker processes
-    /// reproduce identical chunks. And the bytes the reduce side publishes
-    /// do not depend on the order of the rows inside an extent
-    /// (`tests/prop_pushdown.rs` permutes them) — except through float
-    /// accumulators, which add tied events in arrival order and did so
-    /// before, over mapper inputs and mapper-less inputs that nothing ever
-    /// sorted.
-    pub fn encode_extent_order(self, root: StreamData) -> Result<ColumnBatch> {
-        let (vt, ve, payload) = match root {
-            StreamData::Rows(stream) => transpose(stream.schema().clone(), stream.events())?,
-            StreamData::Batch(batch) => batch.into_parts(),
-        };
+    /// produced it — the map-side encode: the root's lifetime vectors and
+    /// payload columns move into the dataset batch as they are. Map output
+    /// needs no canonical order. It is never published. Executor output
+    /// order is a pure function of the input extent (fused fragments
+    /// preserve input order, GroupApply merges groups in sorted-key order),
+    /// so retries, rebuilds and worker processes reproduce identical chunks.
+    /// And the bytes the reduce side publishes do not depend on the order of
+    /// the rows inside an extent (`tests/prop_pushdown.rs` permutes them) —
+    /// except through float accumulators, which add tied events in arrival
+    /// order and did so before, over mapper inputs and mapper-less inputs
+    /// that nothing ever sorted.
+    pub fn encode_extent_order(self, root: EventBatch) -> Result<ColumnBatch> {
+        let (vt, ve, payload) = root.into_parts();
         self.dataset_batch(vt, ve, payload)
     }
 
@@ -541,7 +526,7 @@ mod tests {
     /// sink sorts a permutation by typed cells, so its order is checked
     /// against `Value`'s (the row sink's `sort`) on payloads of every type.
     #[test]
-    fn by_value_sink_encode_matches_encode_stream_for_both_layouts() {
+    fn by_value_sink_encode_matches_encode_stream() {
         for (enc, point) in [
             (EventEncoding::Point, true),
             (EventEncoding::Interval, false),
@@ -556,17 +541,14 @@ mod tests {
                 assert_eq!(rows.len(), stream.len(), "no event is coalesced");
                 assert!(rows.windows(2).all(|w| w[0] <= w[1]), "canonical order");
                 assert!(rows.windows(2).any(|w| w[0] == w[1]), "duplicates stay");
-                let as_rows = || StreamData::Rows(stream.clone());
-                let as_batch = || StreamData::Batch(EventBatch::from_stream(&stream).unwrap());
+                let as_batch = || EventBatch::from_stream(&stream).unwrap();
                 let want = image(want);
-                assert_eq!(image(enc.encode_sink(as_rows()).unwrap()), want);
                 assert_eq!(image(enc.encode_sink(as_batch()).unwrap()), want);
                 let in_order: Vec<Row> = (stream.events().iter())
                     .map(|e| enc.encode(e).unwrap())
                     .collect();
                 let schema = enc.dataset_schema(stream.schema());
                 let in_order = image(ColumnBatch::from_rows(&schema, &in_order).unwrap());
-                assert_eq!(image(enc.encode_extent_order(as_rows()).unwrap()), in_order);
                 assert_eq!(
                     image(enc.encode_extent_order(as_batch()).unwrap()),
                     in_order
@@ -576,10 +558,7 @@ mod tests {
         // The typed payloads do tie on everything but the last column.
         let framing = EventEncoding::Interval.framing_columns();
         let rows = (EventEncoding::Interval)
-            .encode_sink(StreamData::Rows(EventStream::new(
-                typed_schema(),
-                typed_events(false),
-            )))
+            .encode_sink(EventBatch::from_events(typed_schema(), &typed_events(false)).unwrap())
             .unwrap()
             .to_rows();
         let last = framing + typed_schema().len() - 1;
@@ -588,11 +567,11 @@ mod tests {
         }));
     }
 
-    /// Both sinks meet the events in canonical order, so with several
-    /// intervals they name the same one; the extent-order encodes meet them
+    /// The sinks meet the events in canonical order, so with several
+    /// intervals they name the same one; the extent-order encode meets them
     /// in stream order.
     #[test]
-    fn point_sink_encode_rejects_intervals_in_both_layouts() {
+    fn point_sink_encode_rejects_intervals() {
         let stream = EventStream::new(
             payload_schema(),
             vec![
@@ -601,7 +580,7 @@ mod tests {
                 Event::interval(1, 9, row!["u", 0i64]),
             ],
         );
-        let batch = StreamData::Batch(EventBatch::from_stream(&stream).unwrap());
+        let batch = EventBatch::from_stream(&stream).unwrap();
         for (encode, want) in [
             (
                 EventEncoding::encode_sink as fn(_, _) -> _,
@@ -612,12 +591,8 @@ mod tests {
                 "cannot point-encode interval event [2, 9)",
             ),
         ] {
-            let errs: Vec<String> = [StreamData::Rows(stream.clone()), batch.clone()]
-                .into_iter()
-                .map(|root| encode(EventEncoding::Point, root).unwrap_err().to_string())
-                .collect();
-            assert!(errs[0].contains(want), "{}", errs[0]);
-            assert_eq!(errs[0], errs[1]);
+            let err = encode(EventEncoding::Point, batch.clone()).unwrap_err();
+            assert!(err.to_string().contains(want), "{err}");
         }
         let sorted = EventEncoding::Point.encode_stream(&stream).unwrap_err();
         assert!(sorted.to_string().contains("[1, 9)"));
@@ -665,7 +640,7 @@ mod tests {
                 .expect("well-framed batch decodes copy-free");
             let via_rows = enc.decode_stream(&rows, &p).unwrap();
             // Moving the framing columns back in is the inverse.
-            let back = enc.encode_extent_order(StreamData::Batch(batch.clone()));
+            let back = enc.encode_extent_order(batch.clone());
             assert_eq!(back.unwrap().to_rows(), rows);
             assert_eq!(batch.into_stream().events(), via_rows.events());
         }

@@ -22,8 +22,9 @@ use rustc_hash::FxHashMap;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 use std::sync::Arc;
-use temporal::exec::{DataBindings, StreamData};
+use temporal::exec::BatchBindings;
 use temporal::plan::{LogicalPlan, NoPartial};
+use temporal::EventBatch;
 
 /// A compiled TiMR job: ordered stages plus output metadata.
 #[derive(Debug, Clone)]
@@ -342,10 +343,8 @@ pub(crate) struct InputBinding {
 /// is copied, no dataset rows are materialized and the executor runs on the
 /// batch as it arrived. A batch whose schema is not the one the plan's
 /// source declares is the same named error the single-node DSMS gives.
-pub(crate) fn bind_input(binding: &InputBinding, batch: ColumnBatch) -> Result<StreamData> {
-    let events =
-        (binding.encoding).decode_column_batch(batch, &binding.source_name, &binding.payload)?;
-    Ok(StreamData::Batch(events))
+pub(crate) fn bind_input(binding: &InputBinding, batch: ColumnBatch) -> Result<EventBatch> {
+    (binding.encoding).decode_column_batch(batch, &binding.source_name, &binding.payload)
 }
 
 /// The paper's reducer method `P`: shuffled batches → events → embedded
@@ -384,7 +383,7 @@ impl Reducer for DsmsReducer {
             partition: ctx.partition,
             message: e.to_string(),
         };
-        let mut sources: DataBindings = FxHashMap::default();
+        let mut sources: BatchBindings = FxHashMap::default();
         for (binding, input) in self.inputs.iter().zip(inputs) {
             let data = bind_input(binding, input).map_err(to_mr)?;
             sources.insert(binding.source_name.clone(), data);
@@ -430,8 +429,7 @@ mod tests {
         ColumnBatch::from_rows(&schema, rows).unwrap()
     }
 
-    /// A shuffled batch binds to the same events as the rows it encodes,
-    /// and stays columnar — the layout the data arrived in.
+    /// A shuffled batch binds to the same events as the rows it encodes.
     #[test]
     fn shuffled_batch_binds_like_its_rows() {
         let rows: Vec<Row> = (0..30i64)
@@ -446,7 +444,6 @@ mod tests {
             })
             .collect();
         let via_batch = bind_input(&binding(), shuffled(&rows)).unwrap();
-        assert!(matches!(via_batch, StreamData::Batch(_)));
         let reference = binding()
             .encoding
             .decode_stream(&rows, &binding().payload)

@@ -13,7 +13,7 @@
 //! ([`EventEncoding::encode_extent_order`]). Nothing sorts here: canonical
 //! order is established once, at the reduce sink, where bytes are published.
 //! Executor output order is already a pure function of the extent's rows —
-//! fused row operators preserve input order and GroupApply emits its groups
+//! fused fragments preserve input order and GroupApply emits its groups
 //! in sorted-key order — so mapper output stays a pure
 //! byte-deterministic function of its input, which is what lets shuffle
 //! rebuilds and task retries re-run it safely.
@@ -28,7 +28,7 @@ use crate::error::TimrError;
 use mapreduce::{Mapper, MapperContext, MrError};
 use relation::{ColumnBatch, Schema};
 use rustc_hash::FxHashMap;
-use temporal::exec::DataBindings;
+use temporal::exec::BatchBindings;
 use temporal::plan::{LogicalPlan, MapperPlan};
 
 /// One pushed input's map-side fragment.
@@ -87,7 +87,7 @@ impl Mapper for DsmsMapper {
             partition: ctx.extent,
             message: format!("mapper input {}: {e}", ctx.input),
         };
-        let mut sources: DataBindings = FxHashMap::default();
+        let mut sources: BatchBindings = FxHashMap::default();
         let data = bind_input(&unit.binding, batch).map_err(to_mr)?;
         sources.insert(unit.binding.source_name.clone(), data);
         let (mut roots, _) = temporal::exec::execute_data(&unit.plan, sources)
@@ -105,9 +105,9 @@ mod tests {
     use proptest::prelude::*;
     use relation::schema::{ColumnType, Field};
     use relation::{Row, Value};
-    use temporal::exec::StreamData;
     use temporal::expr::{col, lit};
     use temporal::plan::{push_down, Query};
+    use temporal::EventBatch;
     use temporal::Expr;
 
     fn payload() -> Schema {
@@ -200,13 +200,17 @@ mod tests {
             .map_err(|e| e.to_string())
     }
 
-    /// The same plan over the rows themselves, decoded one by one.
+    /// The same plan over the rows themselves, decoded one by one and laid
+    /// out as a batch.
     fn on_rows(unit: &MapperUnit, rows: &[Row]) -> std::result::Result<Vec<u8>, String> {
         let stream = EventEncoding::Point
             .decode_stream(rows, &payload())
             .unwrap();
-        let mut sources: DataBindings = FxHashMap::default();
-        sources.insert("logs".to_string(), StreamData::Rows(stream));
+        let mut sources: BatchBindings = FxHashMap::default();
+        sources.insert(
+            "logs".to_string(),
+            EventBatch::from_stream(&stream).unwrap(),
+        );
         let (mut roots, _) = temporal::exec::execute_data(&unit.plan, sources)
             .map_err(|e| format!("reducer failed in `s` partition 0: mapper input 0: {e}"))?;
         let out = EventEncoding::Interval.encode_extent_order(roots.pop().unwrap());
@@ -216,9 +220,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
-        /// A mapper reads its extent as a batch and returns one, and the
-        /// layout can never change bytes: the image it emits is the image
-        /// the same plan emits over the extent's rows (or the same error).
+        /// A mapper reads its extent as a batch and returns one: the image
+        /// it emits is the image the same plan emits over the extent's rows,
+        /// decoded one by one (or the same error).
         #[test]
         fn mapper_output_is_the_row_plans_output(
             rows in arb_rows(),

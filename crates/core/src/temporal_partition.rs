@@ -24,9 +24,10 @@ use relation::schema::{ColumnType, Field};
 use relation::{ColumnBatch, Row, Schema, Value};
 use rustc_hash::FxHashMap;
 use std::sync::Arc;
-use temporal::exec::{DataBindings, StreamData};
+use temporal::exec::BatchBindings;
 use temporal::plan::LogicalPlan;
 use temporal::time::Lifetime;
+use temporal::EventBatch;
 use temporal::{Duration, Time};
 
 /// Name of the injected span-index column.
@@ -205,7 +206,7 @@ impl Reducer for SpanReducer {
         columns.remove(0);
         let stripped = ColumnBatch::new(Schema::new(schema.fields()[1..].to_vec()), columns, rows);
         let data = bind_input(&self.source, stripped).map_err(|e| to_mr(e.to_string()))?;
-        let mut sources: DataBindings = FxHashMap::default();
+        let mut sources: BatchBindings = FxHashMap::default();
         sources.insert(self.source.source_name.clone(), data);
         let (mut roots, _) =
             temporal::exec::execute_data(&self.plan, sources).map_err(|e| to_mr(e.to_string()))?;
@@ -232,31 +233,17 @@ impl Reducer for SpanReducer {
 }
 
 /// Every event's lifetime intersected with `own`; events outside it drop.
-fn clip(data: StreamData, own: &Lifetime) -> StreamData {
-    match data {
-        StreamData::Rows(stream) => {
-            let schema = stream.schema().clone();
-            let clipped = (stream.into_events().into_iter())
-                .filter_map(|mut e| {
-                    e.lifetime = e.lifetime.intersect(own)?;
-                    Some(e)
-                })
-                .collect();
-            StreamData::Rows(temporal::EventStream::new(schema, clipped))
-        }
-        StreamData::Batch(mut batch) => {
-            let (vt, ve) = batch.times_mut();
-            let mut kept = Vec::with_capacity(vt.len());
-            for (k, (le, re)) in vt.iter_mut().zip(ve.iter_mut()).enumerate() {
-                (*le, *re) = ((*le).max(own.start), (*re).min(own.end));
-                if le < re {
-                    kept.push(k as u32);
-                }
-            }
-            batch.compact(&kept);
-            StreamData::Batch(batch)
+fn clip(mut batch: EventBatch, own: &Lifetime) -> EventBatch {
+    let (vt, ve) = batch.times_mut();
+    let mut kept = Vec::with_capacity(vt.len());
+    for (k, (le, re)) in vt.iter_mut().zip(ve.iter_mut()).enumerate() {
+        (*le, *re) = ((*le).max(own.start), (*re).min(own.end));
+        if le < re {
+            kept.push(k as u32);
         }
     }
+    batch.compact(&kept);
+    batch
 }
 
 #[cfg(test)]

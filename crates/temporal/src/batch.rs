@@ -1,22 +1,24 @@
 //! Column-major event storage: lifetimes as two dense `Vec<i64>` plus a
-//! [`ColumnBatch`] payload.
+//! [`ColumnBatch`] payload — the one layout the engine runs on.
 //!
 //! An [`EventBatch`] is the columnar twin of [`EventStream`]: the same bag
 //! of events, transposed. Conversion preserves event order exactly, so a
 //! batch that round-trips through [`EventBatch::into_stream`] is
-//! byte-identical to the stream it came from — the columnar executor leans
-//! on this to keep the paper's repeatability guarantee (§III-C.1) while
-//! running vectorized kernels.
+//! byte-identical to the stream it came from — the engine leans on this to
+//! keep the paper's repeatability guarantee (§III-C.1) while running
+//! vectorized kernels.
 //!
-//! [`EventBatch::from_stream`] returns `None` when the payload rows do not
-//! inhabit the declared schema types (row storage tolerates ill-typed
-//! cells; dense typed vectors cannot). Callers treat `None` as "stay on the
-//! row path", never as an error.
+//! Rows become a batch only at the engine's edges — an `execute` binding, an
+//! event pushed into a real-time session, a UDO's output — and there every
+//! cell must inhabit its declared column type: a row that does not is a
+//! named [`TemporalError::Input`] naming where it came from, the row and the
+//! column ([`EventBatch::lay_out`]).
 
 use crate::error::{Result, TemporalError};
 use crate::event::Event;
 use crate::stream::EventStream;
 use crate::time::Lifetime;
+use relation::column::ColumnBuilder;
 use relation::{ColumnBatch, RelationError, Row, Schema};
 use std::sync::Arc;
 
@@ -72,23 +74,55 @@ impl EventBatch {
         EventBatch { vt, ve, payload }
     }
 
-    /// Transpose a stream into a batch, or `None` when any payload cell
-    /// does not inhabit its declared column type (caller stays row-major).
-    pub fn from_stream(stream: &EventStream) -> Option<EventBatch> {
+    /// Transpose a stream into a batch ([`Self::lay_out`]).
+    pub fn from_stream(stream: &EventStream) -> Result<EventBatch> {
         Self::from_events(stream.schema().clone(), stream.events())
     }
 
     /// [`Self::from_stream`] over a borrowed event slice.
-    pub fn from_events(schema: Schema, events: &[Event]) -> Option<EventBatch> {
-        let payload = ColumnBatch::from_value_rows(
-            schema,
-            events.len(),
-            events.iter().map(|e| e.payload.values()),
-        )
-        .ok()?;
+    pub fn from_events(schema: Schema, events: &[Event]) -> Result<EventBatch> {
+        Self::lay_out("events", schema, events)
+    }
+
+    /// Lay `events` out as a batch of `schema`, checking every payload
+    /// once: a row of the wrong arity, or a cell that does not inhabit its
+    /// column's type, is a [`TemporalError::Input`] that names `what` (the
+    /// source or the UDO the rows came from), the row and the column.
+    pub fn lay_out(what: &str, schema: Schema, events: &[Event]) -> Result<EventBatch> {
+        let mut columns: Vec<ColumnBuilder> = (schema.fields().iter())
+            .map(|f| ColumnBuilder::new(f, events.len()))
+            .collect();
+        for (i, e) in events.iter().enumerate() {
+            let cells = e.payload.values();
+            if cells.len() != schema.len() {
+                return Err(TemporalError::Input(format!(
+                    "{what}: row {i} has {} cells, schema {schema} has {} columns",
+                    cells.len(),
+                    schema.len()
+                )));
+            }
+            for (column, cell) in columns.iter_mut().zip(cells) {
+                column
+                    .push(cell)
+                    .map_err(|err| TemporalError::Input(format!("{what}: row {i}: {err}")))?;
+            }
+        }
+        let columns = columns.into_iter().map(ColumnBuilder::finish).collect();
         let vt = events.iter().map(|e| e.lifetime.start).collect();
         let ve = events.iter().map(|e| e.lifetime.end).collect();
-        Some(EventBatch::new(vt, ve, payload))
+        Ok(EventBatch::new(
+            vt,
+            ve,
+            ColumnBatch::new(schema, columns, events.len()),
+        ))
+    }
+
+    /// An empty batch of `schema`.
+    pub fn empty(schema: Schema) -> EventBatch {
+        let columns = (schema.fields().iter())
+            .map(|f| ColumnBuilder::new(f, 0).finish())
+            .collect();
+        EventBatch::new(Vec::new(), Vec::new(), ColumnBatch::new(schema, columns, 0))
     }
 
     /// Transpose back into an [`EventStream`], preserving event order.
@@ -178,10 +212,17 @@ impl EventBatch {
     }
 
     /// Gather the payload row of event `i` into a caller-owned scratch row,
-    /// reusing its allocation — the row-fallback loops' no-alloc twin of
-    /// [`Self::payload_row`].
+    /// reusing its allocation — the no-alloc twin of [`Self::payload_row`]
+    /// for the one-row evaluator.
     pub fn payload_row_into(&self, i: usize, row: &mut Row) {
         self.payload.row_into(i, row);
+    }
+
+    /// The payload, shared: for a caller that reads it after handing the
+    /// batch on (the per-event aggregate of a real-time session reads its
+    /// keys off the events that survive the steps).
+    pub(crate) fn shared_payload(&self) -> Arc<ColumnBatch> {
+        Arc::clone(&self.payload)
     }
 
     /// Keep only the events at `idx` (strictly increasing). Each part is
@@ -285,11 +326,27 @@ mod tests {
     }
 
     #[test]
-    fn ill_typed_payload_falls_back() {
+    fn an_ill_typed_payload_is_a_named_error() {
         // Row storage happily holds an Int where the schema says Long; the
-        // typed batch cannot, and must signal fallback rather than panic.
-        let s = EventStream::new(schema(), vec![Event::point(0, row!["a", 7i32])]);
-        assert!(EventBatch::from_stream(&s).is_none());
+        // typed batch cannot, and says which row and column.
+        let s = EventStream::new(
+            schema(),
+            vec![
+                Event::point(0, row!["a", 1i64]),
+                Event::point(0, row!["a", 7i32]),
+            ],
+        );
+        let err = EventBatch::lay_out("source `in`", schema(), s.events()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "input error: source `in`: row 1: type mismatch in `V`: expected long, got int"
+        );
+        let short = [Event::point(0, row!["a"])];
+        let err = EventBatch::lay_out("UDO `u`", schema(), &short).unwrap_err();
+        assert!(
+            err.to_string().contains("UDO `u`: row 0 has 1 cells"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -172,8 +172,8 @@ impl CompiledExpr {
         Ok(keep)
     }
 
-    /// Re-run the scalar evaluator on row `i` to recover the exact error
-    /// the row path would have produced there.
+    /// Re-run the one-row evaluator on row `i` to recover its exact error
+    /// there.
     fn scalar_predicate_error_at(&self, batch: &ColumnBatch, i: usize) -> TemporalError {
         match self.eval_predicate(&batch.row(i)) {
             Err(e) => e,
@@ -552,8 +552,8 @@ impl BatchEval {
     }
 
     /// Convert to a dense [`Column`], or `None` when rows carry mixed
-    /// runtime types (caller falls back to the row path). Must only be
-    /// called once `errs` has been shown empty.
+    /// runtime types (which a well-typed expression over well-typed columns
+    /// never does). Must only be called once `errs` has been shown empty.
     pub(crate) fn into_column(self, n: usize) -> Option<Column> {
         let BatchEval { vals, nulls, errs } = self;
         debug_assert!(errs.first(n).is_none());
@@ -1155,26 +1155,36 @@ fn call_batch(func: Func, args: &[BatchEval], n: usize) -> BatchEval {
                 _ => unreachable!("numeric rank"),
             },
             Func::Min2 | Func::Max2 => {
-                // The chosen operand's runtime type is preserved, so the
-                // result can mix types across rows; gather and let
-                // `into_column` densify when it turns out uniform.
+                // The chosen operand cast to the promotion of both, as
+                // `eval_func` casts it: one dense vector of that type.
                 let (x, y) = (widen_f64(&args[0].vals, n), widen_f64(&args[1].vals, n));
-                let mut out = vec![Value::Null; n];
-                for i in 0..n {
-                    if alive[i] {
-                        let first = if func == Func::Min2 {
-                            x[i] <= y[i]
-                        } else {
-                            x[i] >= y[i]
-                        };
-                        out[i] = if first {
-                            args[0].value_at(i)
-                        } else {
-                            args[1].value_at(i)
-                        };
+                let first = |i: usize| match func {
+                    Func::Min2 => x[i] <= y[i],
+                    _ => x[i] >= y[i],
+                };
+                let rank = arith_rank(&args[0].vals).max(arith_rank(&args[1].vals));
+                let pick = |i: usize| args[usize::from(!first(i))].value_at(i);
+                match rank {
+                    Some(4) => {
+                        BVals::Double((0..n).map(|i| if first(i) { x[i] } else { y[i] }).collect())
                     }
+                    Some(3) => BVals::Long(
+                        (0..n)
+                            .map(|i| match alive[i] {
+                                true => pick(i).as_long().expect("an integer operand"),
+                                false => 0,
+                            })
+                            .collect(),
+                    ),
+                    _ => BVals::Int(
+                        (0..n)
+                            .map(|i| match alive[i] {
+                                true => pick(i).as_int().expect("an Int operand"),
+                                false => 0,
+                            })
+                            .collect(),
+                    ),
                 }
-                BVals::Mixed(out)
             }
         };
         return masks(vals);

@@ -276,7 +276,10 @@ impl Expr {
                     }
                 }
                 Ok(match func {
-                    Func::Abs | Func::Min2 | Func::Max2 => args[0].infer_type(schema)?,
+                    Func::Abs => args[0].infer_type(schema)?,
+                    Func::Min2 | Func::Max2 => {
+                        promote(args[0].infer_type(schema)?, args[1].infer_type(schema)?)
+                    }
                     _ => ColumnType::Double,
                 })
             }
@@ -366,12 +369,28 @@ fn numeric_result(op: BinOp, a: ColumnType, b: ColumnType) -> Result<ColumnType>
             op.symbol()
         )));
     }
-    Ok(if a == ColumnType::Double || b == ColumnType::Double {
+    Ok(promote(a, b))
+}
+
+/// The numeric promotion of two numeric types: the wider of the two.
+fn promote(a: ColumnType, b: ColumnType) -> ColumnType {
+    if a == ColumnType::Double || b == ColumnType::Double {
         ColumnType::Double
     } else if a == ColumnType::Long || b == ColumnType::Long {
         ColumnType::Long
     } else {
         ColumnType::Int
+    }
+}
+
+/// `v`, a number, cast to the promotion of its own type and `other`'s:
+/// what `min2` and `max2` return, so their result inhabits the type
+/// [`Expr::infer_type`] declares.
+fn promoted(v: &Value, other: &Value) -> Result<Value> {
+    Ok(match (v, other) {
+        (Value::Double(_), _) | (_, Value::Double(_)) => Value::Double(to_f64(v)?),
+        (Value::Long(_), _) | (_, Value::Long(_)) => Value::Long(to_i64(v)?),
+        _ => v.clone(),
     })
 }
 
@@ -446,18 +465,14 @@ pub(crate) fn eval_func(func: Func, vals: &[Value]) -> Result<Value> {
             Value::Double(v) => Value::Double(v.abs()),
             other => return Err(TemporalError::Eval(format!("abs on non-numeric {other}"))),
         },
-        Func::Min2 => {
-            if f(0)? <= f(1)? {
-                vals[0].clone()
-            } else {
-                vals[1].clone()
-            }
-        }
-        Func::Max2 => {
-            if f(0)? >= f(1)? {
-                vals[0].clone()
-            } else {
-                vals[1].clone()
+        Func::Min2 | Func::Max2 => {
+            let first = match func {
+                Func::Min2 => f(0)? <= f(1)?,
+                _ => f(0)? >= f(1)?,
+            };
+            match first {
+                true => promoted(&vals[0], &vals[1])?,
+                false => promoted(&vals[1], &vals[0])?,
             }
         }
     })

@@ -8,7 +8,7 @@
 //! index-wise [`Value`] equality check against a representative row — the
 //! same strict `PartialEq` a `Vec<Value>` map key compares with — so two
 //! events share a key exactly when their key cells are equal. A key is only
-//! materialized with [`KeySelector::extract`] when one is needed per *group*
+//! materialized with [`KeySelector::extract_batch`] when one is needed per *group*
 //! (e.g. GroupApply's deterministic sorted-key group order), never per event.
 //!
 //! Keys are ordered through **normalized keys** ([`NormalizedKeys`]): each
@@ -16,11 +16,10 @@
 //! groups compares integers and reads no column. A word that does not
 //! determine its cell — a string past 7 bytes, a null in a 64-bit column —
 //! is marked inexact, and only a tie on such a word asks the exact
-//! comparator ([`KeySelector::cmp_batch`], [`KeySelector::cmp_same`]).
+//! comparator ([`KeySelector::cmp_batch`]).
 
 use crate::error::{Result, TemporalError};
-use relation::hash::key_hash;
-use relation::{Column, ColumnBatch, ColumnData, Row, Schema, Value};
+use relation::{Column, ColumnBatch, ColumnData, Schema, Value};
 use std::cmp::Ordering;
 
 /// Key columns of one schema, resolved to indices.
@@ -39,21 +38,15 @@ impl KeySelector {
         Ok(KeySelector { indices })
     }
 
-    /// Deterministic 64-bit hash of the key cells of `row`, with no key
-    /// materialization.
-    pub fn hash(&self, row: &Row) -> u64 {
-        key_hash(row, &self.indices)
-    }
-
-    /// Key hash of every row of a column batch — bit-identical to calling
-    /// [`Self::hash`] on each gathered row, but the cells are hashed
-    /// straight out of the columns with no row materialization.
+    /// Key hash of every row of a column batch — bit-identical to
+    /// [`relation::hash::key_hash`] of each gathered row, but the cells are
+    /// hashed straight out of the columns with no row materialization.
     pub fn hash_batch(&self, batch: &ColumnBatch) -> Vec<u64> {
         batch.key_hashes(&self.indices)
     }
 
-    /// Whether rows `i` and `j` of a column batch share a key — what
-    /// [`Self::matches_same`] says of the gathered rows, read off the key
+    /// Whether rows `i` and `j` of a column batch share a key: index-wise
+    /// strict [`Value`] equality of their key cells, read off the key
     /// columns.
     pub fn matches_batch(&self, batch: &ColumnBatch, i: usize, j: usize) -> bool {
         self.indices
@@ -61,9 +54,8 @@ impl KeySelector {
             .all(|&c| batch.column(c).cells_equal(i, j))
     }
 
-    /// Order rows `i` and `j` of a column batch by their key cells — what
-    /// [`Self::cmp_same`] says of the gathered rows, read off the key
-    /// columns.
+    /// Order rows `i` and `j` of a column batch by their key cells — the
+    /// order of their materialized keys, read off the key columns.
     pub fn cmp_batch(&self, batch: &ColumnBatch, i: usize, j: usize) -> Ordering {
         self.indices
             .iter()
@@ -72,43 +64,13 @@ impl KeySelector {
             .unwrap_or(Ordering::Equal)
     }
 
-    /// Materialize the key of row `i` of a column batch ([`Self::extract`]
-    /// of the gathered row).
+    /// Materialize the key of row `i` of a column batch (used once per
+    /// group, not per event).
     pub fn extract_batch(&self, batch: &ColumnBatch, i: usize) -> Vec<Value> {
         self.indices
             .iter()
             .map(|&c| batch.column(c).value(i))
             .collect()
-    }
-
-    /// Whether `a`'s key under `self` equals `b`'s key under `other`
-    /// (index-wise strict [`Value`] equality, as `Vec<Value>` map keys used).
-    pub fn matches(&self, a: &Row, other: &KeySelector, b: &Row) -> bool {
-        debug_assert_eq!(self.indices.len(), other.indices.len());
-        self.indices
-            .iter()
-            .zip(&other.indices)
-            .all(|(&i, &j)| a.get(i) == b.get(j))
-    }
-
-    /// Whether two rows of the same schema share a key.
-    pub fn matches_same(&self, a: &Row, b: &Row) -> bool {
-        self.matches(a, self, b)
-    }
-
-    /// Order two rows of the same schema by their key cells — the order of
-    /// their [`Self::extract`]ed keys, without materializing either.
-    pub fn cmp_same(&self, a: &Row, b: &Row) -> Ordering {
-        self.indices
-            .iter()
-            .map(|&i| a.get(i).cmp(b.get(i)))
-            .find(|o| o.is_ne())
-            .unwrap_or(Ordering::Equal)
-    }
-
-    /// Materialize the key (used once per group, not per event).
-    pub fn extract(&self, row: &Row) -> Vec<Value> {
-        self.indices.iter().map(|&i| row.get(i).clone()).collect()
     }
 
     /// The resolved key column indices.
@@ -124,32 +86,6 @@ impl KeySelector {
             let column = batch.column(col);
             for (k, &i) in rows.iter().enumerate() {
                 keys.set(k, c, column_word(column, i));
-            }
-        }
-        keys
-    }
-
-    /// The normalized keys of `rows`, in order. A key column whose cells
-    /// hold more than one runtime type (row storage tolerates it) has no
-    /// common word order: its words are all inexact, so the exact
-    /// comparator orders it.
-    pub(crate) fn normalize_rows(&self, rows: &[&Row]) -> NormalizedKeys {
-        let mut keys = NormalizedKeys::new(self.indices.len(), rows.len());
-        for (c, &col) in self.indices.iter().enumerate() {
-            let cells = || rows.iter().map(|r| r.get(col));
-            let mut types = cells().filter(|v| !v.is_null()).map(Value::type_name);
-            let first = types.next();
-            if types.any(|t| Some(t) != first) {
-                (0..rows.len()).for_each(|k| keys.set(k, c, (0, false)));
-                continue;
-            }
-            // A null takes 0, which only `Long` and `Double` words also use.
-            let null = match cells().find(|v| !v.is_null()) {
-                Some(Value::Long(_) | Value::Double(_)) => (0, false),
-                _ => (0, true),
-            };
-            for (k, v) in cells().enumerate() {
-                keys.set(k, c, value_word(v).unwrap_or(null));
             }
         }
         keys
@@ -242,18 +178,6 @@ fn str_word(s: &str) -> (u64, bool) {
     (u64::from_be_bytes(word), bytes.len() <= 7)
 }
 
-/// The word of a non-null value and whether it is exact.
-fn value_word(v: &Value) -> Option<(u64, bool)> {
-    Some(match v {
-        Value::Null => return None,
-        Value::Bool(b) => (bool_word(*b), true),
-        Value::Int(x) => (int_word(*x), true),
-        Value::Long(x) => (long_word(*x), true),
-        Value::Double(x) => (double_word(*x), true),
-        Value::Str(s) => str_word(s),
-    })
-}
-
 /// The word of slot `i` of `column`, read in place.
 fn column_word(column: &Column, i: usize) -> (u64, bool) {
     let data = column.data();
@@ -273,9 +197,16 @@ fn column_word(column: &Column, i: usize) -> (u64, bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relation::hash::values_hash;
+    use relation::hash::{key_hash, values_hash};
     use relation::row;
     use relation::schema::{ColumnType, Field};
+    use relation::Row;
+
+    /// The key of `row` under `sel`, materialized: the reference the batch
+    /// methods are held to.
+    fn extract(sel: &KeySelector, row: &Row) -> Vec<Value> {
+        sel.indices().iter().map(|&i| row.get(i).clone()).collect()
+    }
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -290,7 +221,7 @@ mod tests {
         let s = schema();
         let sel = KeySelector::new(&s, &["UserId", "KwAdId"]).unwrap();
         let r = row![5i64, "u1", "adA"];
-        assert_eq!(sel.hash(&r), values_hash(&sel.extract(&r)));
+        assert_eq!(key_hash(&r, sel.indices()), values_hash(&extract(&sel, &r)));
     }
 
     #[test]
@@ -309,7 +240,7 @@ mod tests {
         let batch = ColumnBatch::from_rows(&s, &rows).unwrap();
         let hashes = sel.hash_batch(&batch);
         for (i, r) in rows.iter().enumerate() {
-            assert_eq!(hashes[i], sel.hash(r), "row {i}");
+            assert_eq!(hashes[i], key_hash(r, sel.indices()), "row {i}");
         }
     }
 
@@ -326,38 +257,16 @@ mod tests {
         ];
         let batch = ColumnBatch::from_rows(&s, &rows).unwrap();
         for (i, a) in rows.iter().enumerate() {
-            assert_eq!(sel.extract_batch(&batch, i), sel.extract(a));
+            assert_eq!(sel.extract_batch(&batch, i), extract(&sel, a));
             for (j, b) in rows.iter().enumerate() {
-                assert_eq!(sel.matches_batch(&batch, i, j), sel.matches_same(a, b));
-                assert_eq!(sel.cmp_batch(&batch, i, j), sel.cmp_same(a, b));
-            }
-        }
-    }
-
-    #[test]
-    fn matches_compares_cells_across_schemas() {
-        let left = schema();
-        let right = Schema::new(vec![Field::new("Uid", ColumnType::Str)]);
-        let lsel = KeySelector::new(&left, &["UserId"]).unwrap();
-        let rsel = KeySelector::new(&right, &["Uid"]).unwrap();
-        let a = row![1i64, "u1", "adA"];
-        assert!(lsel.matches(&a, &rsel, &row!["u1"]));
-        assert!(!lsel.matches(&a, &rsel, &row!["u2"]));
-        assert!(lsel.matches_same(&a, &row![9i64, "u1", "other"]));
-    }
-
-    #[test]
-    fn cmp_same_is_the_order_of_extracted_keys() {
-        let sel = KeySelector::new(&schema(), &["UserId", "KwAdId"]).unwrap();
-        let rows = [
-            row![9i64, "u1", "adB"],
-            row![1i64, "u2", "adA"],
-            row![5i64, "u1", "adA"],
-            row![7i64, "u1", "adB"],
-        ];
-        for a in &rows {
-            for b in &rows {
-                assert_eq!(sel.cmp_same(a, b), sel.extract(a).cmp(&sel.extract(b)));
+                assert_eq!(
+                    sel.matches_batch(&batch, i, j),
+                    extract(&sel, a) == extract(&sel, b)
+                );
+                assert_eq!(
+                    sel.cmp_batch(&batch, i, j),
+                    extract(&sel, a).cmp(&extract(&sel, b))
+                );
             }
         }
     }
@@ -472,16 +381,14 @@ mod tests {
     proptest::proptest! {
         #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
-        /// The normalized-key order is the exact order, on rows and on
-        /// batches, key for key: where the words decide, they decide as
-        /// `cmp_same` and `cmp_batch` do (where they do not, the sort asks
-        /// those).
+        /// The normalized-key order is the exact order, key for key: where
+        /// the words decide, they decide as `cmp_batch` does (where they do
+        /// not, the sort asks it), and that is the materialized keys' order.
         #[test]
         fn normalized_keys_order_as_the_exact_comparators(
             rows in proptest::composed(arb_rows),
         ) {
             let all: Vec<usize> = (0..rows.len()).collect();
-            let refs: Vec<&Row> = rows.iter().collect();
             let batch_rows: Vec<Row> = (rows.iter())
                 .map(|r| {
                     let mut cells = r.values().to_vec();
@@ -493,16 +400,12 @@ mod tests {
                 .collect();
             let batch = ColumnBatch::from_rows(&typed_schema(), &batch_rows).unwrap();
             for sel in selectors() {
-                let on_rows = sel.normalize_rows(&refs);
                 let on_batch = sel.normalize_batch(&batch, &all);
                 for i in 0..rows.len() {
                     for j in 0..rows.len() {
-                        let want = sel.cmp_same(&rows[i], &rows[j]);
-                        if let Some(order) = on_rows.cmp(i, j) {
-                            proptest::prop_assert_eq!(order, want);
-                        }
                         let want = sel.cmp_batch(&batch, i, j);
-                        proptest::prop_assert_eq!(want, sel.cmp_same(&batch_rows[i], &batch_rows[j]));
+                        let keys = (extract(&sel, &batch_rows[i]), extract(&sel, &batch_rows[j]));
+                        proptest::prop_assert_eq!(want, keys.0.cmp(&keys.1));
                         if let Some(order) = on_batch.cmp(i, j) {
                             proptest::prop_assert_eq!(order, want);
                         }

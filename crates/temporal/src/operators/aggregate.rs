@@ -20,29 +20,22 @@
 //! for byte (paper §III-B temporal partitioning relies on it).
 //!
 //! There is one sweep ([`sweep_runs`]). Under a GroupApply it runs over
-//! every group's run at once: arguments are compiled and evaluated in one
-//! pass into one buffer, and one endpoint buffer is refilled, ordered and
-//! swept run by run — a run boundary is just one more empty snapshot. Over
-//! a batch ([`sweep_batch_runs`]) the runs are a permutation of the batch's
-//! rows: arguments come off the columns and lifetimes off the lifetime
-//! vectors, in run order. The sweep hands each output segment to its
-//! caller, which collects rows ([`RowRuns`]) or, in a GroupApply walk over
-//! a batch ([`aggregate_batch_runs`]), writes columns. The top-level
-//! operators (rows and columns) are its one-run case, so they can only
-//! differ in how the per-event argument values are produced — and those are
-//! value-identical.
-//! Its per-instant step
-//! ([`Sweep::instant`]) is also the one the real-time session
-//! ([`crate::rt`]) takes per group at each punctuation.
+//! every group's run at once ([`aggregate_batch_runs`]): the runs are a
+//! permutation of the batch's rows, arguments come off the columns and
+//! lifetimes off the lifetime vectors, in run order, into one buffer, and
+//! one endpoint buffer is refilled, ordered and swept run by run — a run
+//! boundary is just one more empty snapshot. The segments are written
+//! straight into columns. The top-level operator ([`aggregate`]) is its
+//! one-run case. Its per-instant step ([`Sweep::instant`]) is also the one
+//! the real-time session ([`crate::rt`]) takes per group at each
+//! punctuation.
 
 use crate::agg::{Accumulator, AggExpr};
 use crate::batch::EventBatch;
 use crate::compiled::CompiledExpr;
-use crate::error::Result;
-use crate::event::Event;
-use crate::exec::{ExecStats, StreamData};
-use crate::operators::group_apply::{run_of, BatchRuns, Cut, Runs, RunsData};
-use crate::stream::EventStream;
+use crate::error::{Result, TemporalError};
+use crate::exec::ExecStats;
+use crate::operators::group_apply::{run_of, BatchRuns, Cut};
 use crate::time::{Lifetime, Time};
 use relation::column::ColumnBuilder;
 use relation::{ColumnBatch, Field, Row, Schema, Value};
@@ -55,140 +48,96 @@ fn output_schema(aggs: &[(String, AggExpr)], in_schema: &Schema) -> Result<Schem
     ))
 }
 
-/// Compute snapshot aggregates over the whole stream (grouping is provided
-/// by GroupApply above this operator).
-pub fn aggregate(input: &EventStream, aggs: &[(String, AggExpr)]) -> Result<EventStream> {
-    let input = StreamData::Rows(input.clone());
-    aggregate_data(&input, aggs, &mut ExecStats::default())
-}
-
-/// The top-level operator in either layout, its sweep counted in `stats`:
-/// the one-run case of [`aggregate_runs`] over rows and of
-/// [`sweep_batch_runs`] over a batch.
-pub(crate) fn aggregate_data(
-    input: &StreamData,
+/// Compute snapshot aggregates over the whole batch (grouping is provided
+/// by GroupApply above this operator): the one-run case of
+/// [`aggregate_batch_runs`], its sorted run counted in `stats`.
+pub fn aggregate(
+    input: &EventBatch,
     aggs: &[(String, AggExpr)],
     stats: &mut ExecStats,
-) -> Result<EventStream> {
+) -> Result<EventBatch> {
     let bounds = [0, input.len()];
-    match input {
-        StreamData::Rows(s) => {
-            Ok(aggregate_runs(s, &bounds, aggs, &mut Cut::none(), stats)?.stream)
-        }
-        StreamData::Batch(b) => {
-            let mut out = RowRuns::new(1);
-            let out_schema = sweep_batch_runs(b, None, &bounds, aggs, stats, |run, lt, v| {
-                out.push(run, lt, v)
-            })?;
-            Ok(out.finish(out_schema).stream)
-        }
-    }
+    let (out, _) = sweep_batch(input, None, &bounds, aggs, &mut Cut::none(), stats)?;
+    Ok(out)
 }
 
-/// Snapshot aggregates of every run of `input` (`bounds` as in [`Runs`]).
-/// Each aggregate's argument is pre-evaluated for each event, through the
-/// compiled (index-resolved) expressions, into one flat stride-`n_aggs`
-/// buffer — no per-event allocation.
-pub(crate) fn aggregate_runs(
-    input: &EventStream,
-    mut bounds: &[usize],
-    aggs: &[(String, AggExpr)],
-    cut: &mut Cut,
-    stats: &mut ExecStats,
-) -> Result<Runs> {
-    let in_schema = input.schema();
-    let out_schema = output_schema(aggs, in_schema)?;
-    let compiled: Vec<_> = aggs.iter().map(|(_, a)| a.compile_arg(in_schema)).collect();
-    let events = input.events();
-    let mut arg_values: Vec<Value> = Vec::with_capacity(events.len() * aggs.len());
-    'events: for (at, e) in events.iter().enumerate() {
-        for c in &compiled {
-            arg_values.push(match c {
-                None => Value::Null,
-                Some(c) => match c.eval(&e.payload) {
-                    Ok(v) => v,
-                    Err(err) => {
-                        // Sweep the runs before the failing event's.
-                        let run = run_of(bounds, at);
-                        cut.fail(run, err)?;
-                        bounds = &bounds[..=run];
-                        break 'events;
-                    }
-                },
-            });
-        }
-    }
-    let mut out = RowRuns::new(bounds.len() - 1);
-    stats.sorted_runs += sweep_runs(
-        bounds,
-        |i| events[i].lifetime,
-        aggs,
-        &arg_values,
-        |run, lt, v| out.push(run, lt, v),
-    );
-    Ok(out.finish(out_schema))
-}
-
-/// Columnar entry: argument values come off the columns (a bare column is
-/// read cell by cell, a computed argument through the batch kernels) and
-/// the endpoint sweep reads the lifetime vectors directly. The batch is
-/// never materialized as a stream, and the output is byte-identical to
-/// [`aggregate`] on the equivalent rows.
-pub fn aggregate_batch(input: &EventBatch, aggs: &[(String, AggExpr)]) -> Result<EventStream> {
-    let input = StreamData::Batch(input.clone());
-    aggregate_data(&input, aggs, &mut ExecStats::default())
-}
-
-/// [`aggregate_runs`] over batch runs: the sweep reads the arguments and
-/// lifetimes through the permutation ([`sweep_batch_runs`]) and writes a
-/// batch in run order — the lifetimes and one typed column per aggregate,
-/// no `Row` per output. An aggregate value outside its declared column type
-/// (a `Double` in an integer `Sum`) has no column: then the output is swept
-/// again into row runs, counted in [`ExecStats::row_fallbacks`], and the
-/// walk goes on over rows from here.
+/// Snapshot aggregates of every run of `input`: the sweep reads the
+/// arguments and lifetimes through the permutation and writes a batch in
+/// run order — the lifetimes and one typed column per aggregate, no `Row`
+/// per output. An argument that fails cuts its run in `cut` (the lowest
+/// failing run, its first failing event in run order), and the runs below
+/// it are swept.
 pub(crate) fn aggregate_batch_runs(
     input: &BatchRuns,
     aggs: &[(String, AggExpr)],
+    cut: &mut Cut,
     stats: &mut ExecStats,
-) -> Result<RunsData> {
-    let schema = output_schema(aggs, input.batch.schema())?;
-    let sweep = |stats: &mut ExecStats, emit: &mut dyn FnMut(usize, Lifetime, &[Value])| {
-        sweep_batch_runs(
-            &input.batch,
-            Some(&input.perm),
-            &input.bounds,
-            aggs,
-            stats,
-            emit,
-        )
+) -> Result<BatchRuns> {
+    let (batch, bounds) = sweep_batch(
+        &input.batch,
+        Some(&input.perm),
+        &input.bounds,
+        aggs,
+        cut,
+        stats,
+    )?;
+    Ok(BatchRuns::in_order(batch, bounds))
+}
+
+/// The sweep over the rows of `input` that `rows` names (all of them when
+/// `None`), taken in that order and cut into runs at `bounds` (positions of
+/// `rows`): each aggregate's argument evaluated once per event, then
+/// [`sweep_runs`], its sorted runs counted in `stats`, with each segment
+/// written into columns. Returns the batch and its run bounds. Nothing is
+/// gathered but the argument values.
+fn sweep_batch(
+    input: &EventBatch,
+    rows: Option<&[u32]>,
+    bounds: &[usize],
+    aggs: &[(String, AggExpr)],
+    cut: &mut Cut,
+    stats: &mut ExecStats,
+) -> Result<(EventBatch, Vec<usize>)> {
+    let in_schema = input.schema();
+    let schema = output_schema(aggs, in_schema)?;
+    let compiled: Vec<_> = aggs.iter().map(|(_, a)| a.compile_arg(in_schema)).collect();
+    let (arg_values, failed) = batch_args(input.payload(), rows, &compiled);
+    let mut bounds = bounds;
+    if let Some((at, err)) = failed {
+        // Sweep the runs before the failing event's.
+        let run = run_of(bounds, at);
+        cut.fail(run, err)?;
+        bounds = &bounds[..=run];
+    }
+    let (vt, ve) = (input.vt(), input.ve());
+    let lifetime = |i: usize| {
+        let row = rows.map_or(i, |r| r[i] as usize);
+        Lifetime::new(vt[row], ve[row])
     };
     let mut columns: Vec<ColumnBuilder> = (schema.fields().iter())
         .map(|f| ColumnBuilder::new(f, 0))
         .collect();
-    let (mut vt, mut ve) = (Vec::new(), Vec::new());
-    let mut bounds = vec![0; input.bounds.len()];
-    let mut dense = true;
-    sweep(stats, &mut |run, lifetime, value| {
-        vt.push(lifetime.start);
-        ve.push(lifetime.end);
-        bounds[run + 1] = vt.len();
-        dense = dense && (columns.iter_mut().zip(value)).all(|(c, v)| c.push(v).is_ok());
-    })?;
-    if !dense {
-        stats.row_fallbacks += 1;
-        let mut runs = RowRuns::new(input.bounds.len() - 1);
-        // The same runs again, their sorts already counted.
-        let push = &mut |run, lifetime, value: &[Value]| runs.push(run, lifetime, value);
-        sweep(&mut ExecStats::default(), push)?;
-        return Ok(RunsData::Rows(runs.finish(schema)));
+    let (mut out_vt, mut out_ve) = (Vec::new(), Vec::new());
+    let mut out_bounds = vec![0; bounds.len()];
+    let mut mistyped = None;
+    stats.sorted_runs += sweep_runs(bounds, lifetime, aggs, &arg_values, |run, lt, value| {
+        out_vt.push(lt.start);
+        out_ve.push(lt.end);
+        out_bounds[run + 1] = out_vt.len();
+        for (c, v) in columns.iter_mut().zip(value) {
+            if let Err(e) = c.push(v) {
+                mistyped.get_or_insert(e);
+            }
+        }
+    });
+    // An aggregate's value inhabits the type `infer_type` declares.
+    if let Some(e) = mistyped {
+        return Err(TemporalError::Relation(e));
     }
-    fill_empty_runs(&mut bounds);
+    fill_empty_runs(&mut out_bounds);
     let columns = columns.into_iter().map(ColumnBuilder::finish).collect();
-    let payload = ColumnBatch::new(schema, columns, vt.len());
-    Ok(RunsData::Batch(BatchRuns::in_order(
-        EventBatch::new(vt, ve, payload),
-        bounds,
-    )))
+    let payload = ColumnBatch::new(schema, columns, out_vt.len());
+    Ok((EventBatch::new(out_vt, out_ve, payload), out_bounds))
 }
 
 /// Bounds set only where a run emitted: a run with no output ends where the
@@ -199,48 +148,20 @@ fn fill_empty_runs(bounds: &mut [usize]) {
     }
 }
 
-/// The sweep over the rows of `input` that `rows` names (all of them when
-/// `None`), taken in that order and cut into runs at `bounds` (as in
-/// [`Runs`]), handing each output segment to `emit` with its run (see
-/// [`sweep_runs`], its sorted runs counted in `stats`); returns the output
-/// schema. A GroupApply walk over a batch hands it its run-order
-/// permutation and writes the segments straight into columns
-/// ([`aggregate_batch_runs`]); [`aggregate_batch`] is its one-run case.
-/// Nothing is gathered but the argument values.
-pub(crate) fn sweep_batch_runs(
-    input: &EventBatch,
-    rows: Option<&[u32]>,
-    bounds: &[usize],
-    aggs: &[(String, AggExpr)],
-    stats: &mut ExecStats,
-    emit: impl FnMut(usize, Lifetime, &[Value]),
-) -> Result<Schema> {
-    let in_schema = input.schema();
-    let out_schema = output_schema(aggs, in_schema)?;
-    let compiled: Vec<_> = aggs.iter().map(|(_, a)| a.compile_arg(in_schema)).collect();
-    let arg_values = batch_args(input.payload(), rows, &compiled)?;
-    let (vt, ve) = (input.vt(), input.ve());
-    let lifetime = |i: usize| {
-        let row = rows.map_or(i, |r| r[i] as usize);
-        Lifetime::new(vt[row], ve[row])
-    };
-    stats.sorted_runs += sweep_runs(bounds, lifetime, aggs, &arg_values, emit);
-    Ok(out_schema)
-}
-
 /// Each aggregate's argument (`compiled`, as [`AggExpr::compile_arg`] gives
 /// it) for the rows of `payload` that `rows` names — all of them when
 /// `None` — in that order, as one flat event-major buffer of stride
 /// `compiled.len()`: what [`sweep_runs`] reads. A bare column is read
 /// straight from its cells and a computed argument goes through the batch
 /// kernels. If a kernel meets an error, every argument is evaluated again
-/// by the scalar loop over one reusable scratch row, which fails where, and
-/// with what, the row operator would.
+/// by the scalar loop over one reusable scratch row, which stops at the
+/// first failing event: its position and error come back beside the values
+/// of the events before it.
 pub(crate) fn batch_args(
     payload: &ColumnBatch,
     rows: Option<&[u32]>,
     compiled: &[Option<CompiledExpr>],
-) -> Result<Vec<Value>> {
+) -> (Vec<Value>, Option<(usize, TemporalError)>) {
     let n = rows.map_or(payload.len(), <[u32]>::len);
     let row = |i: usize| rows.map_or(i, |r| r[i] as usize);
     let stride = compiled.len();
@@ -262,7 +183,7 @@ pub(crate) fn batch_args(
             }
         }
     }
-    Ok(values)
+    (values, None)
 }
 
 /// [`batch_args`] one row at a time, through the scalar evaluator.
@@ -271,7 +192,7 @@ fn scalar_args(
     n: usize,
     row: impl Fn(usize) -> usize,
     compiled: &[Option<CompiledExpr>],
-) -> Result<Vec<Value>> {
+) -> (Vec<Value>, Option<(usize, TemporalError)>) {
     let mut values = Vec::with_capacity(n * compiled.len());
     let mut scratch = Row::default();
     for i in 0..n {
@@ -279,11 +200,17 @@ fn scalar_args(
         for c in compiled {
             values.push(match c {
                 None => Value::Null,
-                Some(c) => c.eval(&scratch)?,
+                Some(c) => match c.eval(&scratch) {
+                    Ok(v) => v,
+                    Err(err) => {
+                        values.truncate(i * compiled.len());
+                        return (values, Some((i, err)));
+                    }
+                },
             });
         }
     }
-    Ok(values)
+    (values, None)
 }
 
 /// One group's sweep between two instants: the accumulators, how many
@@ -365,7 +292,7 @@ impl Sweep {
 
 /// The endpoint sweep over pre-evaluated argument values (one flat buffer,
 /// stride `aggs.len()`, event-major), run by run, reading lifetimes through
-/// an accessor so row streams and column-major batches share it. Each
+/// an accessor (a batch's lifetime vectors, through a permutation). Each
 /// output segment goes to `emit` as `(run, lifetime, value)`, in run order
 /// and, inside a run, in time order. Returns how many runs had to be
 /// sorted ([`ExecStats::sorted_runs`]): a run whose starts and ends are
@@ -453,95 +380,48 @@ fn endpoints_of(
     true
 }
 
-/// The segments of [`sweep_runs`] collected as row runs.
-pub(crate) struct RowRuns {
-    events: Vec<Event>,
-    bounds: Vec<usize>,
-}
-
-impl RowRuns {
-    /// Room for `runs` runs.
-    pub(crate) fn new(runs: usize) -> RowRuns {
-        RowRuns {
-            events: Vec::new(),
-            bounds: vec![0; runs + 1],
-        }
-    }
-
-    /// One segment of run `run` (runs arrive in order).
-    pub(crate) fn push(&mut self, run: usize, lifetime: Lifetime, value: &[Value]) {
-        self.events
-            .push(Event::new(lifetime, Row::new(value.to_vec())));
-        self.bounds[run + 1] = self.events.len();
-    }
-
-    /// The runs, a run with no segment as an empty one.
-    pub(crate) fn finish(mut self, schema: Schema) -> Runs {
-        fill_empty_runs(&mut self.bounds);
-        Runs {
-            stream: EventStream::new(schema, self.events),
-            bounds: self.bounds,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Event;
     use crate::expr::col;
-    use crate::operators::alter_lifetime;
-    use crate::plan::LifetimeOp;
+    use crate::stream::EventStream;
     use relation::row;
     use relation::schema::ColumnType;
+
+    /// [`aggregate`] over a row stream, back as rows.
+    fn aggregate_rows(input: &EventStream, aggs: &[(String, AggExpr)]) -> Result<EventStream> {
+        let input = EventBatch::from_stream(input).unwrap();
+        Ok(aggregate(&input, aggs, &mut ExecStats::default())?.into_stream())
+    }
 
     fn schema() -> Schema {
         Schema::new(vec![Field::new("Power", ColumnType::Long)])
     }
 
     fn count_of(input: &EventStream) -> EventStream {
-        aggregate(input, &[("N".to_string(), AggExpr::Count)]).unwrap()
+        aggregate_rows(input, &[("N".to_string(), AggExpr::Count)]).unwrap()
     }
 
     #[test]
-    fn batch_entry_is_byte_identical_to_rows() {
-        let input = EventStream::new(
-            schema(),
-            vec![
-                Event::interval(0, 10, row![5i64]),
-                Event::interval(3, 7, row![2i64]),
-                Event::point(3, row![1i64]),
-            ],
-        );
-        let aggs = vec![
-            ("N".to_string(), AggExpr::Count),
-            ("S".to_string(), AggExpr::Sum(col("Power"))),
-        ];
-        let rows = aggregate(&input, &aggs).unwrap();
-        let batch = EventBatch::from_stream(&input).unwrap();
-        let cols = aggregate_batch(&batch, &aggs).unwrap();
-        assert_eq!(rows, cols);
-    }
-
-    #[test]
-    fn batch_entry_surfaces_the_same_error() {
+    fn an_argument_error_is_the_first_failing_event_s() {
         let input = EventStream::new(schema(), vec![Event::point(0, row![5i64])]);
         let aggs = vec![("S".to_string(), AggExpr::Sum(col("Nope")))];
-        let batch = EventBatch::from_stream(&input).unwrap();
-        assert_eq!(
-            aggregate(&input, &aggs).unwrap_err().to_string(),
-            aggregate_batch(&batch, &aggs).unwrap_err().to_string()
-        );
+        let err = aggregate_rows(&input, &aggs).unwrap_err();
+        assert!(err.to_string().contains("Nope"), "{err}");
     }
 
     #[test]
     fn windowed_count_matches_paper_fig3() {
         // Paper Figs 2-3: non-zero readings at t=2 and t=4, window w=3.
         // Count over the last 3 seconds: 1 on [2,4), 2 on [4,5), 1 on [5,7).
-        let input = EventStream::new(
+        let windowed = EventStream::new(
             schema(),
-            vec![Event::point(2, row![120i64]), Event::point(4, row![370i64])],
+            vec![
+                Event::interval(2, 5, row![120i64]),
+                Event::interval(4, 7, row![370i64]),
+            ],
         );
-        let windowed = alter_lifetime(input, &LifetimeOp::Window(3)).unwrap();
         let out = count_of(&windowed);
         assert_eq!(
             out.events(),
@@ -588,8 +468,9 @@ mod tests {
             ("A".to_string(), AggExpr::Avg(col("X"))),
             ("D".to_string(), AggExpr::StdDev(col("X"))),
         ];
-        let whole = aggregate(&EventStream::new(schema.clone(), events.clone()), &aggs).unwrap();
-        let late = aggregate(&EventStream::new(schema, events[2..].to_vec()), &aggs).unwrap();
+        let whole =
+            aggregate_rows(&EventStream::new(schema.clone(), events.clone()), &aggs).unwrap();
+        let late = aggregate_rows(&EventStream::new(schema, events[2..].to_vec()), &aggs).unwrap();
         assert_eq!(
             whole.events()[1],
             Event::interval(5, 6, row![0.09f64, 0.09f64, 0.0f64])
@@ -621,7 +502,7 @@ mod tests {
                 Event::interval(3, 6, row![1i64]),
             ],
         );
-        let out = aggregate(
+        let out = aggregate_rows(
             &input,
             &[
                 ("N".to_string(), AggExpr::Count),

@@ -14,34 +14,27 @@
 //! events), and a left event compares its key cells once, against its
 //! bucket's class representatives.
 //!
-//! Both inputs are read where they lie ([`Side`]). What survives is first
-//! written down as an index list with new lifetimes — a left event that
-//! fragments repeats its index — and then materialized once, in the left
-//! input's layout: a batch gathers its columns by the list, a row stream
-//! **moves** each event to the output (only a genuine fragmenting clones a
-//! payload).
+//! What survives is first written down as an index list with new
+//! lifetimes — a left event that fragments repeats its index — and then
+//! materialized once: the left payload's columns are gathered by the list.
 
 use crate::batch::EventBatch;
 use crate::error::Result;
-use crate::event::Event;
-use crate::exec::StreamData;
 use crate::key::KeySelector;
-use crate::operators::side::{KeyClasses, Side};
-use crate::stream::EventStream;
+use crate::operators::side::KeyClasses;
 use crate::time::{merge_intervals, Lifetime};
 
 /// Subtract from `left` the time ranges covered by key-matching events of
-/// `right`. The output keeps `left`'s layout.
+/// `right`.
 pub fn anti_semi_join(
-    left: StreamData,
-    right: &StreamData,
+    left: &EventBatch,
+    right: &EventBatch,
     keys: &[(String, String)],
-) -> Result<StreamData> {
+) -> Result<EventBatch> {
     let lnames: Vec<&str> = keys.iter().map(|(l, _)| l.as_str()).collect();
     let rnames: Vec<&str> = keys.iter().map(|(_, r)| r.as_str()).collect();
     let lsel = KeySelector::new(left.schema(), &lnames)?;
     let rsel = KeySelector::new(right.schema(), &rnames)?;
-    let right = Side::of(right);
 
     // Per key class: merged, disjoint, sorted cover of the right side.
     let mut covers = KeyClasses::build(right, &rsel, Vec::new, |cover, ri| {
@@ -52,78 +45,44 @@ pub fn anti_semi_join(
     }
 
     // The survivors: left event `idx[k]` over `[vt[k], ve[k])`.
-    let side = Side::of(&left);
-    let mut idx = Vec::with_capacity(side.len());
-    let (mut vt, mut ve) = (
-        Vec::with_capacity(side.len()),
-        Vec::with_capacity(side.len()),
-    );
+    let n = left.len();
+    let mut idx = Vec::with_capacity(n);
+    let (mut vt, mut ve) = (Vec::with_capacity(n), Vec::with_capacity(n));
     let mut keep = |i: usize, lifetime: Lifetime| {
         idx.push(i as u32);
         vt.push(lifetime.start);
         ve.push(lifetime.end);
     };
-    for (i, hash) in side.key_hashes(&lsel).into_iter().enumerate() {
-        match covers.find(hash, &side, &lsel, i) {
-            None => keep(i, side.lifetime(i)),
+    for (i, hash) in lsel.hash_batch(left.payload()).into_iter().enumerate() {
+        match covers.find(hash, left, &lsel, i) {
+            None => keep(i, left.lifetime(i)),
             Some(cover) => {
-                for fragment in side.lifetime(i).subtract_all(cover) {
+                for fragment in left.lifetime(i).subtract_all(cover) {
                     keep(i, fragment);
                 }
             }
         }
     }
-
-    Ok(match left {
-        StreamData::Batch(batch) => {
-            let payload = batch.payload().gather(&idx);
-            StreamData::Batch(EventBatch::new(vt, ve, payload))
-        }
-        StreamData::Rows(stream) => {
-            let schema = stream.schema().clone();
-            let mut events = stream.into_events();
-            // `idx` ascends, so an event's last use is where the next index
-            // differs: earlier uses (further fragments) clone the payload,
-            // the last one moves it.
-            let out = (0..idx.len())
-                .map(|k| {
-                    let event = &mut events[idx[k] as usize];
-                    let payload = match idx.get(k + 1) == Some(&idx[k]) {
-                        true => event.payload.clone(),
-                        false => std::mem::take(&mut event.payload),
-                    };
-                    Event::new(Lifetime::new(vt[k], ve[k]), payload)
-                })
-                .collect();
-            StreamData::Rows(EventStream::new(schema, out))
-        }
-    })
+    Ok(EventBatch::new(vt, ve, left.payload().gather(&idx)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Event;
+    use crate::stream::EventStream;
     use relation::schema::{ColumnType, Field};
     use relation::{row, Schema};
 
-    /// The difference of two well-typed streams, which every mix of input
-    /// layouts must produce identically, in the left input's layout.
+    /// The difference of two row streams, back as rows.
     fn minus(left: EventStream, right: &EventStream, keys: &[(String, String)]) -> EventStream {
-        let layouts = |s: &EventStream| {
-            let batch = EventBatch::from_stream(s).expect("well-typed");
-            [StreamData::Rows(s.clone()), StreamData::Batch(batch)]
-        };
-        let mut outs = Vec::new();
-        for l in layouts(&left) {
-            for r in &layouts(right) {
-                let as_batch = matches!(l, StreamData::Batch(_));
-                let out = anti_semi_join(l.clone(), r, keys).unwrap();
-                assert_eq!(matches!(out, StreamData::Batch(_)), as_batch);
-                outs.push(out.into_stream());
-            }
-        }
-        assert!(outs.windows(2).all(|w| w[0] == w[1]));
-        outs.pop().unwrap()
+        let (l, r) = (
+            EventBatch::from_stream(&left),
+            EventBatch::from_stream(right),
+        );
+        anti_semi_join(&l.unwrap(), &r.unwrap(), keys)
+            .unwrap()
+            .into_stream()
     }
 
     fn user_schema() -> Schema {

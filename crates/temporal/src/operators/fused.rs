@@ -10,52 +10,82 @@
 //! the selected rows via the SIMD kernel suite, writing output columns
 //! directly at the compacted length. The batch is gathered/compacted **at
 //! most once**, at the fragment boundary (or at the first projection, whose
-//! output is already dense). A GroupApply walk over a batch skips that last
-//! compaction ([`fused_batch_runs`]): its run permutation drops the rows
-//! that did not survive, and the next kernel reads the rest through it.
+//! output is already dense). A GroupApply walk skips that last compaction
+//! ([`fused_batch_runs`]): its run permutation drops the rows that did not
+//! survive, and the next kernel reads the rest through it.
 //!
-//! Semantics are byte-identical to running the steps as separate row
-//! operators: predicate/expression errors surface for the first failing
-//! *surviving* row in row-major order (selection indices are mapped back
-//! through `sel` before the scalar re-run that recovers the exact error),
-//! and a projection whose result has no dense column form falls back by
-//! materializing the current selection once and running the remaining steps
-//! through the ordinary row operators.
+//! Errors surface as a per-event evaluation meets them. At the top level
+//! that is the first failing *surviving* row of the first failing step
+//! (selection indices are mapped back through `sel` before the scalar
+//! re-run that recovers the exact error). Under a walk ([`ErrorOrder`]) a
+//! step that fails is evaluated again one row at a time, in run order,
+//! until the first failing event: its run is cut ([`Cut`]), the selection
+//! keeps the lower runs only, and the step runs again over them — so the
+//! lowest failing run wins, as a group-at-a-time evaluation has it. No step
+//! mutates anything it would need again before it knows it succeeds.
 
 use crate::batch::EventBatch;
 use crate::compiled::CompiledExpr;
 use crate::error::{Result, TemporalError};
-use crate::exec::StreamData;
 use crate::expr::Expr;
-use crate::operators::alter_lifetime::{alter_lifetime_runs, transform};
-use crate::operators::filter::filter_runs;
-use crate::operators::group_apply::{BatchRuns, Cut, Runs};
-use crate::operators::project::project_runs;
-use crate::plan::{FusedStep, LifetimeOp};
-use crate::stream::EventStream;
-use crate::time::Lifetime;
+use crate::operators::group_apply::{row_order, BatchRuns, Cut};
+use crate::plan::{lifetime_desc, FusedStep, LifetimeOp};
+use crate::time::{checked_ceil_to_grid, Lifetime};
 use relation::{Column, ColumnBatch, Field, Schema};
 use std::sync::Arc;
 
-/// Run a fused fragment over a columnar batch in a single pass. Returns
-/// `Rows` only when a projection had to fall back to the row path.
-pub fn fused_fragment_batch(batch: EventBatch, steps: &[FusedStep]) -> Result<StreamData> {
-    Ok(match fused_select(batch, steps, None)? {
-        Selected::Columns(Selection { mut batch, sel, .. }) => {
-            if let Some(s) = sel {
-                batch.compact(&s);
+/// The lifetime transformation for one event; `Ok(None)` drops the event.
+/// An endpoint the operator would move past the range of `Time` is a
+/// [`TemporalError::TimeOverflow`], never a wrapped time.
+#[inline]
+pub(crate) fn transform(lt: Lifetime, op: &LifetimeOp) -> Result<Option<Lifetime>> {
+    let overflow = || {
+        TemporalError::TimeOverflow(format!(
+            "{} moves [{}, {}) past the range of time",
+            lifetime_desc(op),
+            lt.start,
+            lt.end
+        ))
+    };
+    let checked = |t: Option<i64>| t.ok_or_else(overflow);
+    Ok(Some(match op {
+        // Sliding window: the event influences output for `w` ticks after
+        // its timestamp.
+        LifetimeOp::Window(w) => Lifetime::new(lt.start, checked(lt.start.checked_add(*w))?),
+        // Hopping window: quantize so snapshots only change at grid points.
+        // An event at `t` must be active at exactly the grid instants `T`
+        // with `T - width < t <= T`; the smallest is `ceil(t / hop) * hop`
+        // and the end is the first grid point at or after `t + width`.
+        LifetimeOp::Hop { hop, width } => {
+            let start = checked(checked_ceil_to_grid(lt.start, *hop))?;
+            let reach = checked(lt.start.checked_add(*width))?;
+            let end = checked(checked_ceil_to_grid(reach, *hop))?;
+            if start >= end {
+                // Can only happen for width < hop remainders; the event
+                // falls between report points and is dropped.
+                return Ok(None);
             }
-            StreamData::Batch(batch)
+            Lifetime::new(start, end)
         }
-        // Mixed runtime types: finish on rows, from the step that could
-        // not stay columnar.
-        Selected::Rows { batch, step } => {
-            StreamData::Rows(fused_fragment_rows(batch.into_stream(), &steps[step..])?)
-        }
-    })
+        LifetimeOp::Shift(d) => Lifetime::new(
+            checked(lt.start.checked_add(*d))?,
+            checked(lt.end.checked_add(*d))?,
+        ),
+        LifetimeOp::ExtendBack(d) => Lifetime::new(checked(lt.start.checked_sub(*d))?, lt.end),
+        LifetimeOp::ToPoint => Lifetime::point(lt.start),
+    }))
 }
 
-/// A fragment's columnar result before its last compaction.
+/// Run a fused fragment over a batch in a single pass.
+pub fn fused_fragment(batch: EventBatch, steps: &[FusedStep]) -> Result<EventBatch> {
+    let Selection { mut batch, sel, .. } = fused_select(batch, steps, None, None)?;
+    if let Some(s) = sel {
+        batch.compact(&s);
+    }
+    Ok(batch)
+}
+
+/// A fragment's result before its last compaction.
 pub(crate) struct Selection {
     pub(crate) batch: EventBatch,
     /// The rows of `batch` that survive, in order (`None`: all of them).
@@ -65,133 +95,229 @@ pub(crate) struct Selection {
     pub(crate) origin: Option<Vec<u32>>,
 }
 
-/// What [`fused_select`] ends with.
-pub(crate) enum Selected {
-    Columns(Selection),
-    /// A projection had no dense column form: `batch` is its input, and
-    /// the steps from `step` on are left to the row path.
-    Rows {
-        batch: EventBatch,
-        step: usize,
-    },
+/// How a fragment inside a walk orders its errors: each input row's
+/// `(run, position)` — built only once a step fails — and the walk's cut.
+pub(crate) struct ErrorOrder<'a> {
+    rows: &'a dyn Fn() -> Vec<(u32, u32)>,
+    built: Option<Vec<(u32, u32)>>,
+    cut: &'a mut Cut,
+}
+
+impl<'a> ErrorOrder<'a> {
+    pub(crate) fn new(rows: &'a dyn Fn() -> Vec<(u32, u32)>, cut: &'a mut Cut) -> Self {
+        ErrorOrder {
+            rows,
+            built: None,
+            cut,
+        }
+    }
+
+    fn rows(&mut self) -> &[(u32, u32)] {
+        self.built.get_or_insert_with(|| (self.rows)())
+    }
+}
+
+/// A step's failure: at a row, which a walk recovers from by cutting runs,
+/// or before any row (an expression with no type), which it does not.
+enum StepError {
+    Row(TemporalError),
+    Plan(TemporalError),
+}
+
+impl From<TemporalError> for StepError {
+    fn from(e: TemporalError) -> Self {
+        StepError::Plan(e)
+    }
 }
 
 /// The fused pass proper: every step over the rows of `batch` that `sel`
 /// names (all of them when `None`), keeping the last selection unapplied
-/// and each surviving row traceable to its input row.
+/// and each surviving row traceable to its input row. With an `order`, a
+/// step that fails cuts the lowest failing run and goes on over the runs
+/// below it (see the module docs).
 pub(crate) fn fused_select(
     mut batch: EventBatch,
     steps: &[FusedStep],
     mut sel: Option<Vec<u32>>,
-) -> Result<Selected> {
+    mut order: Option<ErrorOrder>,
+) -> Result<Selection> {
     let mut origin: Option<Vec<u32>> = None;
-    for (k, step) in steps.iter().enumerate() {
-        match step {
-            FusedStep::Filter { predicate } => {
-                let compiled = CompiledExpr::compile(predicate, batch.schema());
-                let keep = compiled.eval_predicate_batch_sel(batch.payload(), sel.as_deref())?;
-                // Preallocated to the candidate count: a growth realloc mid
-                // scan would copy the partial index vector for nothing.
-                let mut next = Vec::with_capacity(keep.len());
-                match sel {
-                    // Dense → first selection: indices of the kept rows.
-                    None => {
-                        next.extend(
-                            keep.iter()
-                                .enumerate()
-                                .filter_map(|(i, &k)| k.then_some(i as u32)),
-                        );
-                    }
-                    // Shrink the existing selection.
-                    Some(s) => {
-                        next.extend(s.iter().zip(&keep).filter_map(|(&i, &k)| k.then_some(i)));
-                    }
+    for step in steps {
+        loop {
+            let checked = order.is_some();
+            let err = match run_step(batch, &mut sel, &mut origin, step, checked) {
+                Ok(out) => {
+                    batch = out;
+                    break;
                 }
-                sel = Some(next);
-            }
-            FusedStep::Project { exprs } => {
-                // An upstream selection is materialized here — the
-                // fragment's single compaction (in place on storage it owns,
-                // a gather of the survivors on storage it shares), just
-                // moved forward to where the projection wants dense inputs.
-                // The now-dense projection *moves* pass-through columns and
-                // the lifetime vectors instead of gathering every leaf
-                // occurrence separately.
-                if let Some(s) = sel.take() {
-                    batch.compact(&s);
-                    origin = Some(match origin {
-                        None => s,
-                        Some(o) => s.iter().map(|&i| o[i as usize]).collect(),
-                    });
+                Err((back, StepError::Row(err))) => {
+                    batch = back;
+                    err
                 }
-                match project_dense_owned(batch, exprs)? {
-                    DenseProject::Done(out) => batch = out,
-                    DenseProject::Fallback(orig) => {
-                        return Ok(Selected::Rows {
-                            batch: orig,
-                            step: k,
-                        })
-                    }
-                }
-            }
-            FusedStep::AlterLifetime { op } => alter_sel(&mut batch, &mut sel, op)?,
+                Err((_, StepError::Plan(err))) => return Err(err),
+            };
+            let Some(order) = order.as_mut() else {
+                return Err(err);
+            };
+            let (run, err) = first_failure(&batch, sel.as_deref(), origin.as_deref(), step, order)
+                .unwrap_or((0, err));
+            order.cut.fail(run, err)?;
+            // The runs below the cut, which the step passes over again.
+            let limit = order.cut.limit as u32;
+            let rows = order.rows();
+            let input_run = |c: u32| rows[origin.as_ref().map_or(c, |o| o[c as usize]) as usize].0;
+            sel = Some(match &sel {
+                None => (0..batch.len() as u32)
+                    .filter(|&c| input_run(c) < limit)
+                    .collect(),
+                Some(s) => s
+                    .iter()
+                    .copied()
+                    .filter(|&c| input_run(c) < limit)
+                    .collect(),
+            });
         }
     }
-    Ok(Selected::Columns(Selection { batch, sel, origin }))
+    Ok(Selection { batch, sel, origin })
 }
 
-/// Run a fused fragment over a row stream: the steps execute as the
-/// in-place row operators, in order. This is the path for data that
-/// arrives as rows (streams a caller already holds, ill-typed payloads)
-/// and the fallback a batch fragment finishes on.
-pub fn fused_fragment_rows(stream: EventStream, steps: &[FusedStep]) -> Result<EventStream> {
-    Ok(fused_fragment_runs(Runs::one(stream), steps, &mut Cut::none())?.stream)
-}
-
-/// [`fused_fragment_rows`] over every run of a GroupApply at once: each
-/// step is compiled once and passes once over the whole stream, compacting
-/// the run bounds with its survivors.
-pub(crate) fn fused_fragment_runs(
-    mut runs: Runs,
-    steps: &[FusedStep],
-    cut: &mut Cut,
-) -> Result<Runs> {
-    for step in steps {
-        runs = match step {
-            FusedStep::Filter { predicate } => filter_runs(runs, predicate, cut)?,
-            FusedStep::Project { exprs } => project_runs(runs, exprs, cut)?,
-            FusedStep::AlterLifetime { op } => alter_lifetime_runs(runs, op, cut)?,
-        };
+/// One step over the selection. On failure the batch comes back as the
+/// step found it — compacted by a projection at most, which drops only rows
+/// no selection names.
+fn run_step(
+    mut batch: EventBatch,
+    sel: &mut Option<Vec<u32>>,
+    origin: &mut Option<Vec<u32>>,
+    step: &FusedStep,
+    checked: bool,
+) -> std::result::Result<EventBatch, (EventBatch, StepError)> {
+    match step {
+        FusedStep::Filter { predicate } => {
+            let compiled = CompiledExpr::compile(predicate, batch.schema());
+            let keep = match compiled.eval_predicate_batch_sel(batch.payload(), sel.as_deref()) {
+                Ok(keep) => keep,
+                Err(e) => return Err((batch, StepError::Row(e))),
+            };
+            // Preallocated to the candidate count: a growth realloc mid
+            // scan would copy the partial index vector for nothing.
+            let mut next = Vec::with_capacity(keep.len());
+            match sel {
+                // Dense → first selection: indices of the kept rows.
+                None => next.extend(
+                    keep.iter()
+                        .enumerate()
+                        .filter_map(|(i, &k)| k.then_some(i as u32)),
+                ),
+                // Shrink the existing selection.
+                Some(s) => next.extend(s.iter().zip(&keep).filter_map(|(&i, &k)| k.then_some(i))),
+            }
+            *sel = Some(next);
+            Ok(batch)
+        }
+        FusedStep::Project { exprs } => {
+            // An upstream selection is materialized here — the fragment's
+            // single compaction (in place on storage it owns, a gather of
+            // the survivors on storage it shares), just moved forward to
+            // where the projection wants dense inputs. The now-dense
+            // projection *moves* pass-through columns and the lifetime
+            // vectors instead of gathering every leaf occurrence separately.
+            if let Some(s) = sel.take() {
+                batch.compact(&s);
+                *origin = Some(match origin.take() {
+                    None => s,
+                    Some(o) => s.iter().map(|&i| o[i as usize]).collect(),
+                });
+            }
+            match project_columns(&batch, exprs) {
+                Ok((schema, computed)) => Ok(project_dense_owned(batch, schema, computed)),
+                Err(e) => Err((batch, e)),
+            }
+        }
+        FusedStep::AlterLifetime { op } => match alter_sel(&mut batch, sel, op, checked) {
+            Ok(()) => Ok(batch),
+            Err(e) => Err((batch, StepError::Row(e))),
+        },
     }
-    Ok(runs)
+}
+
+/// The first event, in run order, that `step` fails on, with its run and
+/// error: the step evaluated one row at a time through the scalar
+/// evaluator over the selected rows.
+fn first_failure(
+    batch: &EventBatch,
+    sel: Option<&[u32]>,
+    origin: Option<&[u32]>,
+    step: &FusedStep,
+    order: &mut ErrorOrder,
+) -> Option<(usize, TemporalError)> {
+    let rows = order.rows();
+    let at = |c: u32| rows[origin.map_or(c, |o| o[c as usize]) as usize];
+    let mut alive: Vec<(u32, u32, u32)> = match sel {
+        None => (0..batch.len() as u32)
+            .map(|c| (at(c).0, at(c).1, c))
+            .collect(),
+        Some(s) => s.iter().map(|&c| (at(c).0, at(c).1, c)).collect(),
+    };
+    alive.sort_unstable();
+    let compiled: Vec<CompiledExpr> = match step {
+        FusedStep::Filter { predicate } => vec![CompiledExpr::compile(predicate, batch.schema())],
+        FusedStep::Project { exprs } => (exprs.iter())
+            .map(|(_, e)| CompiledExpr::compile(e, batch.schema()))
+            .collect(),
+        FusedStep::AlterLifetime { .. } => Vec::new(),
+    };
+    let mut row = relation::Row::default();
+    alive.into_iter().find_map(|(run, _, c)| {
+        let c = c as usize;
+        let failed = match step {
+            FusedStep::Filter { .. } => {
+                batch.payload_row_into(c, &mut row);
+                compiled[0].eval_predicate(&row).err()
+            }
+            FusedStep::Project { .. } => {
+                batch.payload_row_into(c, &mut row);
+                compiled.iter().find_map(|e| e.eval(&row).err())
+            }
+            FusedStep::AlterLifetime { op } => transform(batch.lifetime(c), op).err(),
+        };
+        failed.map(|e| (run as usize, e))
+    })
 }
 
 /// A fragment over batch runs. The steps are per event, so they run over
-/// the batch's live rows in input order, as [`fused_fragment_batch`] runs
-/// them; then the permutation drops the rows that did not survive — read
-/// back through `origin` when a projection compacted the batch — and the
-/// bounds shrink with it. Nothing is gathered but the live rows a
-/// projection reads. `None` when a projection has no dense column form.
-pub(crate) fn fused_batch_runs(runs: BatchRuns, steps: &[FusedStep]) -> Result<Option<BatchRuns>> {
+/// the batch's live rows in input order, as [`fused_fragment`] runs them; a
+/// failing step cuts the lowest failing run in `cut`. Then the permutation
+/// drops the rows that did not survive — read back through `origin` when a
+/// projection compacted the batch — and the bounds shrink with it. Nothing
+/// is gathered but the live rows a projection reads.
+pub(crate) fn fused_batch_runs(
+    runs: BatchRuns,
+    steps: &[FusedStep],
+    cut: &mut Cut,
+) -> Result<BatchRuns> {
     const DROPPED: u32 = u32::MAX;
     let live = runs.live_rows();
     let BatchRuns {
         batch,
-        perm,
-        bounds,
+        mut perm,
+        mut bounds,
     } = runs;
     let rows = batch.len();
-    let Selected::Columns(Selection { batch, sel, origin }) = fused_select(batch, steps, live)?
-    else {
-        return Ok(None);
-    };
+    let order = || row_order(&perm, &bounds, rows);
+    let runs_before = cut.limit;
+    let Selection { batch, sel, origin } =
+        fused_select(batch, steps, live, Some(ErrorOrder::new(&order, cut)))?;
+    if cut.limit < runs_before && cut.limit < bounds.len() - 1 {
+        bounds.truncate(cut.limit + 1);
+        perm.truncate(bounds[cut.limit]);
+    }
     if sel.is_none() && origin.is_none() {
         // Every row survived where it was.
-        return Ok(Some(BatchRuns {
+        return Ok(BatchRuns {
             batch,
             perm,
             bounds,
-        }));
+        });
     }
     // Each input row's row in the output, or DROPPED.
     let mut to_out = vec![DROPPED; rows];
@@ -211,28 +337,29 @@ pub(crate) fn fused_batch_runs(runs: BatchRuns, steps: &[FusedStep]) -> Result<O
         );
         kept_bounds.push(kept.len());
     }
-    Ok(Some(BatchRuns {
+    Ok(BatchRuns {
         batch,
         perm: kept,
         bounds: kept_bounds,
-    }))
+    })
 }
 
-/// Outcome of [`project_dense_owned`]: the projected batch, or the
-/// untouched input handed back for the row fallback.
-enum DenseProject {
-    Done(EventBatch),
-    Fallback(EventBatch),
+/// One output column of a projection: computed, or a bare input column
+/// that [`project_dense_owned`] forwards.
+enum Slot {
+    Computed(Column),
+    Pass(usize),
 }
 
-/// Dense projection over a batch taken by value. Pass-through `col(name)`
-/// expressions *move* their input column when the fragment holds the only
-/// handle to the payload (it would drop that storage right after), and the
-/// lifetime vectors are forwarded wholesale — so nothing is cloned for the
-/// shapes a projection merely forwards. Computed expressions run through the SIMD kernel suite;
-/// error order is preserved because a pass-through over an existing
-/// column can never error.
-fn project_dense_owned(batch: EventBatch, exprs: &[(String, Expr)]) -> Result<DenseProject> {
+/// A projection's output schema and its columns over a dense batch.
+/// Computed expressions run through the SIMD kernel suite; an expression
+/// with no type fails before any row, and otherwise the smallest (row,
+/// expression) pair that fails is the error, as a row-major evaluation
+/// meets it. A pass-through over an existing column never fails.
+fn project_columns(
+    batch: &EventBatch,
+    exprs: &[(String, Expr)],
+) -> std::result::Result<(Schema, Vec<Slot>), StepError> {
     let in_schema = batch.schema();
     let out_schema = Schema::new(
         exprs
@@ -240,36 +367,51 @@ fn project_dense_owned(batch: EventBatch, exprs: &[(String, Expr)]) -> Result<De
             .map(|(name, e)| Ok(Field::new(name.clone(), e.infer_type(in_schema)?)))
             .collect::<Result<Vec<_>>>()?,
     );
+    let n = batch.len();
     let compiled: Vec<CompiledExpr> = exprs
         .iter()
         .map(|(_, e)| CompiledExpr::compile(e, in_schema))
         .collect();
-    let n = batch.len();
-    let evals: Vec<_> = compiled
-        .iter()
-        .enumerate()
-        .filter(|(_, c)| c.as_col().is_none())
-        .map(|(j, c)| (j, c.eval_batch_raw_sel(batch.payload(), None)))
+    let evals: Vec<_> = (compiled.iter())
+        .map(|c| match c.as_col() {
+            Some(i) => Err(i),
+            None => Ok(c.eval_batch_raw_sel(batch.payload(), None)),
+        })
         .collect();
-    // Row-major error order across all expressions, exactly as the row
-    // projection: the smallest (row, expr) pair fails first.
-    let first_bad = evals
-        .iter()
-        .filter_map(|(j, ev)| ev.first_err(n).map(|i| (i, *j)))
+    let first_bad = (evals.iter().enumerate())
+        .filter_map(|(j, ev)| ev.as_ref().ok()?.first_err(n).map(|i| (i, j)))
         .min();
     if let Some((i, j)) = first_bad {
-        return Err(match compiled[j].eval(&batch.payload_row(i)) {
-            Err(e) => e,
-            Ok(_) => TemporalError::Eval("fused/scalar divergence".into()),
-        });
+        return Err(StepError::Row(
+            match compiled[j].eval(&batch.payload_row(i)) {
+                Err(e) => e,
+                Ok(_) => TemporalError::Eval("fused/scalar divergence".into()),
+            },
+        ));
     }
-    let mut computed: Vec<Option<Column>> = (0..exprs.len()).map(|_| None).collect();
-    for (j, ev) in evals {
-        match ev.into_column(n) {
-            Some(col) => computed[j] = Some(col),
-            None => return Ok(DenseProject::Fallback(batch)),
-        }
-    }
+    let slots = (evals.into_iter().zip(exprs))
+        .map(|(ev, (name, _))| match ev {
+            Err(i) => Ok(Slot::Pass(i)),
+            // Every expression's cells inhabit the type `infer_type`
+            // declares, so this always has a column.
+            Ok(ev) => ev
+                .into_column(n)
+                .map(Slot::Computed)
+                .ok_or_else(|| TemporalError::Eval(format!("`{name}` mixes runtime types"))),
+        })
+        .collect::<Result<Vec<_>>>()?;
+    Ok((out_schema, slots))
+}
+
+/// Dense projection over a batch taken by value, given its columns
+/// ([`project_columns`]). Pass-through `col(name)` expressions *move* their
+/// input column when the fragment holds the only handle to the payload (it
+/// would drop that storage right after), and the lifetime vectors are
+/// forwarded wholesale — so nothing is cloned for the shapes a projection
+/// merely forwards.
+fn project_dense_owned(batch: EventBatch, out_schema: Schema, slots: Vec<Slot>) -> EventBatch {
+    let n = batch.len();
+    let forwards = |i: usize| slots.iter().any(|s| matches!(s, Slot::Pass(p) if *p == i));
     // The lifetimes are handed on as they are, shared or not. A uniquely-owned
     // payload gives its columns away; one another consumer still holds lends
     // them, and only the columns this projection forwards are copied.
@@ -277,43 +419,48 @@ fn project_dense_owned(batch: EventBatch, exprs: &[(String, Expr)]) -> Result<De
     let mut in_cols: Vec<Option<Column>> = match Arc::try_unwrap(payload) {
         Ok(owned) => owned.into_parts().1.into_iter().map(Some).collect(),
         Err(shared) => (shared.columns().iter().enumerate())
-            .map(|(i, col)| {
-                let forwarded = compiled.iter().any(|c| c.as_col() == Some(i));
-                forwarded.then(|| col.clone())
-            })
+            .map(|(i, col)| forwards(i).then(|| col.clone()))
             .collect(),
     };
-    let mut out_cols: Vec<Column> = Vec::with_capacity(exprs.len());
-    for (j, c) in compiled.iter().enumerate() {
-        let col = match c.as_col() {
+    let mut out_cols: Vec<Column> = Vec::with_capacity(slots.len());
+    let mut placed: Vec<Option<usize>> = vec![None; in_cols.len()];
+    for slot in slots {
+        let col = match slot {
             // Move on first use; a duplicated pass-through clones the
-            // column an earlier expression already placed.
-            Some(i) => match in_cols[i].take() {
-                Some(col) => col,
-                None => out_cols
-                    .iter()
-                    .zip(&compiled)
-                    .find(|(_, cc)| cc.as_col() == Some(i))
-                    .expect("column moved by an earlier pass-through")
-                    .0
-                    .clone(),
+            // column an earlier slot already placed.
+            Slot::Pass(i) => match in_cols[i].take() {
+                Some(col) => {
+                    placed[i] = Some(out_cols.len());
+                    col
+                }
+                None => out_cols[placed[i].expect("placed by an earlier pass-through")].clone(),
             },
-            None => computed[j].take().expect("computed expression evaluated"),
+            Slot::Computed(col) => col,
         };
         out_cols.push(col);
     }
-    Ok(DenseProject::Done(EventBatch::from_shared(
-        vt,
-        ve,
-        Arc::new(ColumnBatch::new(out_schema, out_cols, n)),
-    )))
+    EventBatch::from_shared(vt, ve, Arc::new(ColumnBatch::new(out_schema, out_cols, n)))
 }
 
 /// Lifetime rewrite at the selected indices, in place — no payload traffic
 /// at all. Only a hopping window can drop events; drops shrink the
 /// selection rather than compacting the batch. An overflow fails at the
-/// first selected row that meets it, as the row operator does.
-fn alter_sel(batch: &mut EventBatch, sel: &mut Option<Vec<u32>>, op: &LifetimeOp) -> Result<()> {
+/// first selected row that meets it; when `checked`, before anything is
+/// rewritten, so a walk can pass over the rows again.
+fn alter_sel(
+    batch: &mut EventBatch,
+    sel: &mut Option<Vec<u32>>,
+    op: &LifetimeOp,
+    checked: bool,
+) -> Result<()> {
+    if checked {
+        let (vt, ve) = (batch.vt(), batch.ve());
+        let check = |i: usize| transform(Lifetime::new(vt[i], ve[i]), op).map(|_| ());
+        match sel.as_deref() {
+            None => (0..vt.len()).try_for_each(check)?,
+            Some(s) => s.iter().try_for_each(|&i| check(i as usize))?,
+        }
+    }
     let (vt, ve) = batch.times_mut();
     let can_drop = matches!(op, LifetimeOp::Hop { .. });
     match sel.take() {
@@ -358,8 +505,9 @@ mod tests {
     use super::*;
     use crate::event::Event;
     use crate::expr::{col, lit};
+    use crate::stream::EventStream;
     use relation::row;
-    use relation::schema::{ColumnType, Field};
+    use relation::schema::ColumnType;
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -381,8 +529,28 @@ mod tests {
         EventBatch::from_stream(&s).unwrap()
     }
 
-    fn steps() -> Vec<FusedStep> {
-        vec![
+    fn run(steps: &[FusedStep]) -> Result<EventStream> {
+        fused_fragment(batch(), steps).map(EventBatch::into_stream)
+    }
+
+    /// One lifetime step over a row stream, back as rows.
+    fn alter(input: EventStream, op: &LifetimeOp) -> Result<EventStream> {
+        let steps = [FusedStep::AlterLifetime { op: op.clone() }];
+        let input = EventBatch::from_stream(&input).unwrap();
+        fused_fragment(input, &steps).map(EventBatch::into_stream)
+    }
+
+    fn stream(times: &[i64]) -> EventStream {
+        let schema = Schema::new(vec![Field::new("X", ColumnType::Long)]);
+        EventStream::new(
+            schema,
+            times.iter().map(|&t| Event::point(t, row![t])).collect(),
+        )
+    }
+
+    #[test]
+    fn a_fragment_filters_projects_and_windows_in_one_pass() {
+        let out = run(&[
             FusedStep::Filter {
                 predicate: col("Id").eq(lit(1)),
             },
@@ -392,25 +560,21 @@ mod tests {
             FusedStep::AlterLifetime {
                 op: LifetimeOp::Window(5),
             },
-        ]
-    }
-
-    #[test]
-    fn fragment_matches_sequential_operators() {
-        let fused = fused_fragment_batch(batch(), &steps())
-            .unwrap()
-            .into_stream();
-        let sequential = fused_fragment_rows(batch().into_stream(), &steps()).unwrap();
-        assert_eq!(fused, sequential);
-        assert_eq!(fused.len(), 2);
-        assert_eq!(fused.events()[0].payload, row![101i64]);
-        assert_eq!(fused.events()[0].lifetime, Lifetime::new(10, 15));
+        ])
+        .unwrap();
+        assert_eq!(
+            out.events(),
+            &[
+                Event::interval(10, 15, row![101i64]),
+                Event::interval(30, 35, row![301i64]),
+            ]
+        );
     }
 
     #[test]
     fn filter_chain_shrinks_selection_without_compacting() {
         // Two filters then a shift: one compaction at the fragment end.
-        let steps = vec![
+        let out = run(&[
             FusedStep::Filter {
                 predicate: col("Id").le(lit(2)),
             },
@@ -420,32 +584,16 @@ mod tests {
             FusedStep::AlterLifetime {
                 op: LifetimeOp::Shift(1),
             },
-        ];
-        let fused = fused_fragment_batch(batch(), &steps).unwrap().into_stream();
-        let sequential = fused_fragment_rows(batch().into_stream(), &steps).unwrap();
-        assert_eq!(fused, sequential);
-        assert_eq!(fused.len(), 2);
-        assert_eq!(fused.events()[0].lifetime, Lifetime::point(21));
-        assert_eq!(fused.events()[1].lifetime, Lifetime::point(31));
-    }
-
-    #[test]
-    fn hop_drops_shrink_selection() {
-        // hop=100, width=5: only the event at t=100's grid survives... none
-        // of 10/20/30/40 reach a report point, so everything drops.
-        let steps = vec![FusedStep::AlterLifetime {
-            op: LifetimeOp::Hop { hop: 100, width: 5 },
-        }];
-        let fused = fused_fragment_batch(batch(), &steps).unwrap().into_stream();
-        let sequential = fused_fragment_rows(batch().into_stream(), &steps).unwrap();
-        assert_eq!(fused, sequential);
-        assert!(fused.is_empty());
+        ])
+        .unwrap();
+        assert_eq!(out.len(), 2);
+        assert_eq!(out.events()[0].lifetime, Lifetime::point(21));
+        assert_eq!(out.events()[1].lifetime, Lifetime::point(31));
     }
 
     #[test]
     fn errors_surface_for_first_surviving_row() {
-        // Division by a column that is zero only in surviving rows would
-        // change which row errors first if the selection were ignored.
+        // The row a filter drops cannot fail the projection after it.
         let s = EventStream::new(
             schema(),
             vec![
@@ -453,17 +601,180 @@ mod tests {
                 Event::point(2, row![1i32, 7i64]),
             ],
         );
-        let b = EventBatch::from_stream(&s).unwrap();
         let steps = vec![
             FusedStep::Filter {
                 predicate: col("Id").eq(lit(1)),
             },
             FusedStep::Project {
-                exprs: vec![("Bad".into(), col("Nope"))],
+                exprs: vec![("Q".into(), col("V").div(col("Id").sub(lit(9))))],
             },
         ];
-        let fused_err = fused_fragment_batch(b, &steps).unwrap_err();
-        let rows_err = fused_fragment_rows(s, &steps).unwrap_err();
-        assert_eq!(fused_err.to_string(), rows_err.to_string());
+        let out = fused_fragment(EventBatch::from_stream(&s).unwrap(), &steps).unwrap();
+        assert_eq!(out.into_stream().events()[0].payload, row![0i64]);
+    }
+
+    #[test]
+    fn sliding_window_sets_re() {
+        // Paper Fig 3: window w=3 makes a reading at t active on [t, t+3).
+        let out = alter(stream(&[2, 4]), &LifetimeOp::Window(3)).unwrap();
+        assert_eq!(out.events()[0].lifetime, Lifetime::new(2, 5));
+        assert_eq!(out.events()[1].lifetime, Lifetime::new(4, 7));
+    }
+
+    #[test]
+    fn hopping_window_quantizes_to_grid() {
+        // hop=4, width=6: event at t=1 is active at the single grid report
+        // T=4 (since 4-6 < 1 <= 4 but 8-6 > 1): lifetime [4, 8).
+        let out = alter(stream(&[1]), &LifetimeOp::Hop { hop: 4, width: 6 }).unwrap();
+        assert_eq!(out.events()[0].lifetime, Lifetime::new(4, 8));
+        // Event exactly on the grid is active at T=4 and T=8: [4, 12).
+        let out = alter(stream(&[4]), &LifetimeOp::Hop { hop: 4, width: 6 }).unwrap();
+        assert_eq!(out.events()[0].lifetime, Lifetime::new(4, 12));
+    }
+
+    #[test]
+    fn hopping_window_drops_between_report_points() {
+        // hop=10, width=2: an event at t=3 influences no grid report
+        // (next report T=10, but 10-2=8 > 3) and must vanish.
+        let out = alter(stream(&[3]), &LifetimeOp::Hop { hop: 10, width: 2 }).unwrap();
+        assert!(out.is_empty());
+        // t=9 influences T=10: [10, 20)? end = ceil(9+2)=20? No: ceil(11,10)=20.
+        let out = alter(stream(&[9]), &LifetimeOp::Hop { hop: 10, width: 2 }).unwrap();
+        assert_eq!(out.events()[0].lifetime, Lifetime::new(10, 20));
+    }
+
+    #[test]
+    fn shift_and_extend_back() {
+        let out = alter(stream(&[10]), &LifetimeOp::Shift(5)).unwrap();
+        assert_eq!(out.events()[0].lifetime, Lifetime::new(15, 16));
+        // GenTrainData (Fig 12): clicks extended back d=5 cover [t-5, t+1).
+        let out = alter(stream(&[10]), &LifetimeOp::ExtendBack(5)).unwrap();
+        assert_eq!(out.events()[0].lifetime, Lifetime::new(5, 11));
+    }
+
+    #[test]
+    fn to_point_collapses_intervals() {
+        let schema = Schema::new(vec![Field::new("X", ColumnType::Long)]);
+        let input = EventStream::new(schema, vec![Event::interval(3, 99, row![0i64])]);
+        let out = alter(input, &LifetimeOp::ToPoint).unwrap();
+        assert_eq!(out.events()[0].lifetime, Lifetime::point(3));
+    }
+
+    /// `op` over one event with lifetime `lt`: the lifetimes it leaves.
+    fn one_event(lt: Lifetime, op: LifetimeOp) -> Result<Vec<Lifetime>> {
+        let schema = Schema::new(vec![Field::new("X", ColumnType::Long)]);
+        let input = EventStream::new(schema, vec![Event::new(lt, row![0i64])]);
+        alter(input, &op).map(|s| s.events().iter().map(|e| e.lifetime).collect())
+    }
+
+    const MAX: i64 = i64::MAX;
+    const MIN: i64 = i64::MIN;
+
+    /// The named error `op` raises over `lt`.
+    fn overflow(op: &str, lt: Lifetime) -> Result<Vec<Lifetime>> {
+        Err(TemporalError::TimeOverflow(format!(
+            "{op} moves [{}, {}) past the range of time",
+            lt.start, lt.end
+        )))
+    }
+
+    #[test]
+    fn a_window_past_the_last_instant_is_an_error() {
+        let late = Lifetime::new(MAX - 5, MAX);
+        assert_eq!(
+            one_event(late, LifetimeOp::Window(10)),
+            overflow("Window w=10", late)
+        );
+        assert_eq!(
+            one_event(late, LifetimeOp::Window(5)),
+            Ok(vec![Lifetime::new(MAX - 5, MAX)])
+        );
+        let early = Lifetime::new(MIN, MIN + 5);
+        assert_eq!(
+            one_event(early, LifetimeOp::Window(10)),
+            Ok(vec![Lifetime::new(MIN, MIN + 10)])
+        );
+    }
+
+    #[test]
+    fn a_hop_past_the_last_instant_is_an_error() {
+        // 2^63 - 1 is a multiple of 7: the first report point is `MAX`, the
+        // window's reach is past it.
+        let late = Lifetime::new(MAX - 5, MAX);
+        let op = LifetimeOp::Hop { hop: 7, width: 100 };
+        assert_eq!(one_event(late, op), overflow("HopWindow h=7 w=100", late));
+        // 2^63 - 1 is 3 modulo 4: the first report point is past `MAX`.
+        let last = Lifetime::new(MAX - 1, MAX);
+        let op = LifetimeOp::Hop { hop: 4, width: 1 };
+        assert_eq!(one_event(last, op), overflow("HopWindow h=4 w=1", last));
+        // -2^63 is 6 modulo 7.
+        let early = Lifetime::new(MIN, MIN + 1);
+        assert_eq!(
+            one_event(early, LifetimeOp::Hop { hop: 7, width: 7 }),
+            Ok(vec![Lifetime::new(MIN + 1, MIN + 8)])
+        );
+    }
+
+    #[test]
+    fn a_shift_past_either_end_is_an_error() {
+        let late = Lifetime::new(MAX - 5, MAX);
+        assert_eq!(
+            one_event(late, LifetimeOp::Shift(10)),
+            overflow("Shift 10", late)
+        );
+        assert_eq!(
+            one_event(late, LifetimeOp::Shift(-10)),
+            Ok(vec![Lifetime::new(MAX - 15, MAX - 10)])
+        );
+        let early = Lifetime::new(MIN, MIN + 5);
+        assert_eq!(
+            one_event(early, LifetimeOp::Shift(-10)),
+            overflow("Shift -10", early)
+        );
+        assert_eq!(
+            one_event(early, LifetimeOp::Shift(10)),
+            Ok(vec![Lifetime::new(MIN + 10, MIN + 15)])
+        );
+    }
+
+    #[test]
+    fn an_extension_before_the_first_instant_is_an_error() {
+        let early = Lifetime::new(MIN + 5, MIN + 6);
+        assert_eq!(
+            one_event(early, LifetimeOp::ExtendBack(10)),
+            overflow("ExtendBack 10", early)
+        );
+        let late = Lifetime::new(MAX - 5, MAX);
+        assert_eq!(
+            one_event(late, LifetimeOp::ExtendBack(10)),
+            Ok(vec![Lifetime::new(MAX - 15, MAX)])
+        );
+    }
+
+    #[test]
+    fn to_point_stays_in_range_at_both_ends() {
+        let late = Lifetime::new(MAX - 5, MAX);
+        assert_eq!(
+            one_event(late, LifetimeOp::ToPoint),
+            Ok(vec![Lifetime::point(MAX - 5)])
+        );
+        let early = Lifetime::new(MIN, MIN + 5);
+        assert_eq!(
+            one_event(early, LifetimeOp::ToPoint),
+            Ok(vec![Lifetime::point(MIN)])
+        );
+    }
+
+    #[test]
+    fn shared_input_is_left_untouched() {
+        // Copy-on-write: altering a batch another consumer still holds
+        // must not mutate the shared storage.
+        let original = EventBatch::from_stream(&stream(&[1, 2])).unwrap();
+        let steps = [FusedStep::AlterLifetime {
+            op: LifetimeOp::Shift(100),
+        }];
+        let out = fused_fragment(original.clone(), &steps).unwrap();
+        assert_eq!(original.lifetime(0), Lifetime::point(1));
+        assert_eq!(out.lifetime(0), Lifetime::new(101, 102));
     }
 }

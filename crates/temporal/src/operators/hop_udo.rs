@@ -8,32 +8,42 @@
 //! logistic-regression model periodically and keep the latest model resident
 //! in a join synopsis.
 
+use crate::batch::EventBatch;
 use crate::error::Result;
 use crate::event::Event;
-use crate::stream::EventStream;
 use crate::time::{ceil_to_grid, Duration, Lifetime};
 use crate::udo::UdoRef;
 
-/// Apply `udo` to each hopping window of `input`. Consumes the input and
-/// sorts its events in place (no copy when uniquely owned).
+/// Apply `udo` to each hopping window of `input`. The UDO reads events, so
+/// the input is laid out as events sorted by timestamp (stable), and its
+/// output rows are checked against its declared schema as they become a
+/// batch: a row that does not fit is an error naming the UDO.
 pub fn hop_udo(
-    input: EventStream,
+    input: &EventBatch,
     hop: Duration,
     width: Duration,
     udo: &UdoRef,
-) -> Result<EventStream> {
+) -> Result<EventBatch> {
     let in_schema = input.schema().clone();
     let out_schema = udo.output_schema(&in_schema)?;
     if input.is_empty() {
-        return Ok(EventStream::empty(out_schema));
+        return Ok(EventBatch::empty(out_schema));
     }
 
     // Sort events by timestamp once; slide a two-pointer window across grid
     // instants.
-    let mut events: Vec<Event> = input.into_events();
+    let mut events: Vec<Event> = (0..input.len())
+        .map(|i| Event::new(input.lifetime(i), input.payload_row(i)))
+        .collect();
     events.sort_by_key(|e| e.lifetime.start);
-    let min_t = events.first().map(|e| e.start()).unwrap();
-    let max_t = events.last().map(|e| e.start()).unwrap();
+    let min_t = events
+        .first()
+        .map(|e| e.start())
+        .expect("input is not empty");
+    let max_t = events
+        .last()
+        .map(|e| e.start())
+        .expect("input is not empty");
 
     let mut out = Vec::new();
     let mut lo = 0usize; // first event with LE > t - width
@@ -53,30 +63,34 @@ pub fn hop_udo(
         }
         t += hop;
     }
-    Ok(EventStream::new(out_schema, out))
+    EventBatch::lay_out(&format!("UDO `{}`", udo.name()), out_schema, &out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::EventStream;
     use crate::udo::WindowCountUdo;
     use relation::schema::{ColumnType, Field};
     use relation::{row, Schema};
     use std::sync::Arc;
 
-    fn stream(times: &[i64]) -> EventStream {
+    fn stream(times: &[i64]) -> EventBatch {
         let schema = Schema::new(vec![Field::new("X", ColumnType::Long)]);
-        EventStream::new(
+        EventBatch::from_stream(&EventStream::new(
             schema,
             times.iter().map(|&t| Event::point(t, row![t])).collect(),
-        )
+        ))
+        .unwrap()
     }
 
     #[test]
     fn udo_runs_once_per_nonempty_window() {
         let udo: UdoRef = Arc::new(WindowCountUdo);
         // hop=10, width=20; events at 5, 12, 31.
-        let out = hop_udo(stream(&[5, 12, 31]), 10, 20, &udo).unwrap();
+        let out = hop_udo(&stream(&[5, 12, 31]), 10, 20, &udo)
+            .unwrap()
+            .into_stream();
         // Windows: T=10 -> {5}, T=20 -> {5,12}, T=30 -> {12}, T=40 -> {31},
         // T=50 -> {31}.
         let got: Vec<(i64, i64, i64)> = out
@@ -108,7 +122,9 @@ mod tests {
     fn window_boundaries_are_half_open_left() {
         let udo: UdoRef = Arc::new(WindowCountUdo);
         // width=10, hop=10: event at exactly T-width is excluded.
-        let out = hop_udo(stream(&[10, 20]), 10, 10, &udo).unwrap();
+        let out = hop_udo(&stream(&[10, 20]), 10, 10, &udo)
+            .unwrap()
+            .into_stream();
         let counts: Vec<i64> = out
             .events()
             .iter()
@@ -124,7 +140,7 @@ mod tests {
     #[test]
     fn empty_input_gives_empty_output_with_schema() {
         let udo: UdoRef = Arc::new(WindowCountUdo);
-        let out = hop_udo(stream(&[]), 10, 10, &udo).unwrap();
+        let out = hop_udo(&stream(&[]), 10, 10, &udo).unwrap().into_stream();
         assert!(out.is_empty());
         assert_eq!(out.schema().names(), vec!["WindowEnd", "Events"]);
     }

@@ -1,57 +1,45 @@
 //! Physical implementations of the temporal operators.
 //!
-//! Each operator is a pure function from input streams to an output
-//! stream; semantics are defined on the denoted temporal relation, so
-//! results never depend on the physical order of input events. The batch
-//! executor ([`crate::exec`]) wires these together following a
+//! Each operator is a pure function from input batches to an output batch;
+//! semantics are defined on the denoted temporal relation, so results
+//! never depend on the physical order of input events. The batch executor
+//! ([`crate::exec`]) wires these together following a
 //! [`crate::plan::LogicalPlan`].
 //!
+//! There is one layout: every operator reads and writes [`EventBatch`]es.
 //! Expressions are index-resolved once per invocation
-//! ([`crate::compiled`]), join and grouping keys hash in place
-//! ([`crate::key`]), and single-consumer inputs are consumed and mutated in
-//! place rather than cloned. Stateless chains run as fused fragments
-//! ([`fused_fragment_batch`] on columnar input, [`fused_fragment_rows`] —
-//! the row `filter`/`project`/`alter_lifetime` below — on row input). The
-//! binary operators — [`temporal_join`], [`anti_semi_join`], [`union`] —
-//! have one form each over [`crate::exec::StreamData`]: they read an input
-//! in whichever layout it arrives (`side`) and build their output once —
-//! the join always as columns, the other two in their inputs' layout. There
-//! is one form of each operator; the tests' reference is a snapshot
-//! evaluator outside the library (`tests/common/oracle.rs`).
+//! ([`crate::compiled`]) and evaluated by the SIMD kernel suite, join and
+//! grouping keys hash in place ([`crate::key`]), and single-consumer
+//! inputs are consumed and mutated in place rather than cloned. Stateless
+//! chains run as fused fragments ([`fused_fragment`]).
 //!
-//! The row operators that GroupApply sub-plans are made of — the fused
-//! steps, `aggregate`, `union` — are written over *runs* (`group_apply`'s
-//! `Runs`: one stream holding every group back to back): one compile and
-//! one pass serve all the groups, and the plain functions below are their
-//! one-run case. A GroupApply over a batch needs no row runs: its walk runs
-//! the same three over `BatchRuns` — the batch and one run-order
-//! permutation of its rows — with the fused batch kernel, the columnar
-//! sweep and one interleaving permutation.
+//! The operators a GroupApply sub-plan is made of — the fused steps,
+//! `aggregate`, `union` — are also written over *runs* (`group_apply`'s
+//! `BatchRuns`: the batch and one run-order permutation of its rows): one
+//! compile and one pass serve all the groups, and the plain functions are
+//! their one-run case. The tests' reference is a snapshot evaluator outside
+//! the library (`tests/common/oracle.rs`).
+//!
+//! [`EventBatch`]: crate::batch::EventBatch
 
 mod aggregate;
-mod alter_lifetime;
 mod anti_semi_join;
-mod filter;
 mod fused;
 mod group_apply;
 mod hop_udo;
 mod pane;
-mod project;
 mod side;
 mod spread_grid;
 mod temporal_join;
 mod union;
 
-pub use aggregate::{aggregate, aggregate_batch};
-pub(crate) use aggregate::{aggregate_batch_runs, aggregate_data, aggregate_runs, Sweep};
-pub use alter_lifetime::alter_lifetime;
+pub use aggregate::aggregate;
+pub(crate) use aggregate::{aggregate_batch_runs, batch_args, Sweep};
 pub use anti_semi_join::anti_semi_join;
-pub use filter::filter;
-pub(crate) use fused::{fused_batch_runs, fused_fragment_runs};
-pub use fused::{fused_fragment_batch, fused_fragment_rows};
-pub(crate) use group_apply::{group_apply, Cut, Runs, RunsData};
+pub use fused::fused_fragment;
+pub(crate) use fused::{fused_batch_runs, fused_select, ErrorOrder, Selection};
+pub(crate) use group_apply::{group_apply, BatchRuns, Cut};
 pub use hop_udo::hop_udo;
-pub use project::project;
 pub use spread_grid::spread_grid;
 pub use temporal_join::temporal_join;
 pub(crate) use temporal_join::temporal_join_reading;

@@ -29,106 +29,115 @@
 //! the values equal, exactly as the sweep's "don't close when equal" does.
 //! Output is byte-identical to the general path.
 //!
-//! The input is read in the layout it arrives in: a batch hashes, compares
-//! and extracts keys off its columns and reads bare-column arguments
-//! straight from them (a computed argument evaluates over one reusable
-//! scratch row); a row stream is read through its rows. Neither is
-//! converted to the other.
-//!
-//! One premise is checked, not assumed: combinability is decided from the
-//! *declared* argument type, and a row stream may carry a `Double` in a
-//! column declared integer. A SUM that met one answers in doubles until
-//! its burst ends — state a fresh accumulator does not have — so the
-//! kernel then declines ([`pane_aggregate`] returns `None`) and the caller
-//! runs the general path over the untouched input.
+//! The batch is read on its columns: keys are hashed, compared and
+//! extracted off them, bare-column arguments read straight from them (a
+//! computed argument evaluates over one reusable scratch row), and the
+//! output is written as columns, each key column gathered once from the
+//! groups' representatives. Combinability is decided from the *declared*
+//! argument type, which every cell inhabits, so an integer SUM never meets
+//! a `Double`.
 
 use crate::agg::{Accumulator, AggExpr};
+use crate::batch::EventBatch;
 use crate::compiled::CompiledExpr;
 use crate::error::{Result, TemporalError};
-use crate::event::Event;
-use crate::exec::{ExecStats, StreamData};
+use crate::exec::ExecStats;
 use crate::key::KeySelector;
 use crate::operators::group_apply::{assign_groups, Groups};
-use crate::time::{checked_ceil_to_grid, Duration, Lifetime, Time};
-use relation::{Row, Value};
+use crate::time::{checked_ceil_to_grid, Duration, Time};
+use relation::column::ColumnBuilder;
+use relation::{ColumnBatch, Row, Schema, Value};
 use rustc_hash::FxHashMap;
 
 /// Run `GroupApply(sel){Hop{grid, grid} → Aggregate(aggs)}` over `input`;
-/// returns the output events (key prefix, then one column per aggregate) in
-/// (group key, time) order, or `None` when the input breaks the
-/// combinability premise (see the module docs) or a cell would end past the
-/// last instant.
+/// returns the output (key columns, then one column per aggregate, as
+/// `out_schema` says) in (group key, time) order, or `None` when a cell
+/// would end past the last instant.
 pub(crate) fn pane_aggregate(
-    input: &StreamData,
+    input: &EventBatch,
     sel: &KeySelector,
     grid: Duration,
     aggs: &[(String, AggExpr)],
+    out_schema: &Schema,
     stats: &mut ExecStats,
-) -> Result<Option<Vec<Event>>> {
+) -> Result<Option<EventBatch>> {
     let args: Vec<Option<CompiledExpr>> = aggs
         .iter()
         .map(|(_, a)| a.compile_arg(input.schema()))
         .collect();
-    match input {
-        StreamData::Rows(stream) => {
-            let events = stream.events();
-            let groups = assign_groups(
-                events.len(),
-                |i| sel.hash(&events[i].payload),
-                |i, j| sel.matches_same(&events[i].payload, &events[j].payload),
-            );
-            panes(
-                &groups,
-                grid,
-                aggs,
-                |i| events[i].lifetime.start,
-                |i| sel.extract(&events[i].payload),
-                |i, k| match &args[k] {
-                    None => Ok(Value::Null),
-                    Some(arg) => arg.eval(&events[i].payload),
-                },
-                stats,
-            )
-        }
-        StreamData::Batch(batch) => {
-            let payload = batch.payload();
-            let hashes = sel.hash_batch(payload);
-            let groups = assign_groups(
-                batch.len(),
-                |i| hashes[i],
-                |i, j| sel.matches_batch(payload, i, j),
-            );
-            // One gather per event, and only for events a computed
-            // argument reads.
-            let mut scratch = (usize::MAX, Row::default());
-            panes(
-                &groups,
-                grid,
-                aggs,
-                |i| batch.vt()[i],
-                |i| sel.extract_batch(payload, i),
-                |i, k| match &args[k] {
-                    None => Ok(Value::Null),
-                    Some(arg) => match arg.as_col() {
-                        Some(c) => Ok(payload.column(c).value(i)),
-                        None => {
-                            if scratch.0 != i {
-                                payload.row_into(i, &mut scratch.1);
-                                scratch.0 = i;
-                            }
-                            arg.eval(&scratch.1)
-                        }
-                    },
-                },
-                stats,
-            )
+    let payload = input.payload();
+    let hashes = sel.hash_batch(payload);
+    let groups = assign_groups(
+        input.len(),
+        |i| hashes[i],
+        |i, j| sel.matches_batch(payload, i, j),
+    );
+    // One gather per event, and only for events a computed argument reads.
+    let mut scratch = (usize::MAX, Row::default());
+    let Some(cells) = panes(
+        &groups,
+        grid,
+        aggs,
+        |i| input.vt()[i],
+        |i| sel.extract_batch(payload, i),
+        |i, k| match &args[k] {
+            None => Ok(Value::Null),
+            Some(arg) => match arg.as_col() {
+                Some(c) => Ok(payload.column(c).value(i)),
+                None => {
+                    if scratch.0 != i {
+                        payload.row_into(i, &mut scratch.1);
+                        scratch.0 = i;
+                    }
+                    arg.eval(&scratch.1)
+                }
+            },
+        },
+        stats,
+    )?
+    else {
+        return Ok(None);
+    };
+    let Panes {
+        first,
+        vt,
+        ve,
+        values,
+    } = cells;
+    let keys = (sel.indices().iter()).map(|&k| payload.column(k).gather(&first));
+    let n_keys = sel.indices().len();
+    let mut columns: Vec<ColumnBuilder> = (out_schema.fields()[n_keys..].iter())
+        .map(|f| ColumnBuilder::new(f, first.len()))
+        .collect();
+    for row in values.chunks(aggs.len().max(1)).take(first.len()) {
+        for (c, v) in columns.iter_mut().zip(row) {
+            // An aggregate's value inhabits the type `infer_type` declares.
+            c.push(v).map_err(TemporalError::Relation)?;
         }
     }
+    let columns = keys
+        .chain(columns.into_iter().map(ColumnBuilder::finish))
+        .collect();
+    let rows = first.len();
+    Ok(Some(EventBatch::new(
+        vt,
+        ve,
+        ColumnBatch::new(out_schema.clone(), columns, rows),
+    )))
 }
 
-/// The kernel proper, over accessors so both layouts share it: `start(i)`
-/// is event `i`'s lifetime start, `key(i)` its materialized key (called
-/// once per group), `arg(i, k)` aggregate `k`'s argument value for it.
+/// The kernel's output: per output event, its group's representative
+/// event, its lifetime and its aggregate values (stride `aggs.len()`).
+struct Panes {
+    first: Vec<u32>,
+    vt: Vec<Time>,
+    ve: Vec<Time>,
+    values: Vec<Value>,
+}
+
+/// The kernel proper, over accessors: `start(i)` is event `i`'s lifetime
+/// start, `key(i)` its materialized key (called once per group), `arg(i,
+/// k)` aggregate `k`'s argument value for it.
 fn panes(
     groups: &Groups,
     grid: Duration,
@@ -137,7 +146,7 @@ fn panes(
     key: impl Fn(usize) -> Vec<Value>,
     mut arg: impl FnMut(usize, usize) -> Result<Value>,
     stats: &mut ExecStats,
-) -> Result<Option<Vec<Event>>> {
+) -> Result<Option<Panes>> {
     const NO_SLOT: u32 = u32::MAX;
     let n_aggs = aggs.len();
     // Slot `s` aggregates cell `cells[s].1` of group `cells[s].0` in
@@ -186,17 +195,16 @@ fn panes(
     if let Some(g) = errors.keys().copied().min_by_key(|&g| &keys[g as usize]) {
         return Err(errors.remove(&g).expect("key just seen"));
     }
-    if accs.iter().any(|a| {
-        matches!(
+    debug_assert!(
+        !(accs.iter()).any(|a| matches!(
             a,
             Accumulator::Sum {
                 saw_float: true,
                 ..
             }
-        )
-    }) {
-        return Ok(None);
-    }
+        )),
+        "a combinable SUM is over integers"
+    );
     stats.groups += keys.len() as u64;
     stats.pane_groups += keys.len() as u64;
 
@@ -213,29 +221,29 @@ fn panes(
         (rank[g as usize], cell)
     });
 
-    let mut out: Vec<Event> = Vec::with_capacity(order.len());
+    let mut out = Panes {
+        first: Vec::with_capacity(order.len()),
+        vt: Vec::with_capacity(order.len()),
+        ve: Vec::with_capacity(order.len()),
+        values: Vec::with_capacity(order.len() * n_aggs),
+    };
     let mut open = NO_SLOT; // group of `out`'s last event
     for s in order {
         let (g, cell) = cells[s as usize];
-        let key = &keys[g as usize];
         let slot_accs = &accs[s as usize * n_aggs..][..n_aggs];
-        if let Some(last) = out.last_mut().filter(|_| open == g) {
-            let same = last.payload.values()[key.len()..]
-                .iter()
-                .zip(slot_accs)
-                .all(|(v, a)| *v == a.value());
-            if last.lifetime.end == cell && same {
-                last.lifetime.end = cell + grid;
+        if open == g {
+            let last = &out.values[out.values.len() - n_aggs..];
+            let same = last.iter().zip(slot_accs).all(|(v, a)| *v == a.value());
+            let end = out.ve.last_mut().expect("an open group has an event");
+            if *end == cell && same {
+                *end = cell + grid;
                 continue;
             }
         }
-        let mut values = Vec::with_capacity(key.len() + n_aggs);
-        values.extend_from_slice(key);
-        values.extend(slot_accs.iter().map(Accumulator::value));
-        out.push(Event::new(
-            Lifetime::new(cell, cell + grid),
-            Row::new(values),
-        ));
+        out.first.push(groups.first[g as usize] as u32);
+        out.vt.push(cell);
+        out.ve.push(cell + grid);
+        out.values.extend(slot_accs.iter().map(Accumulator::value));
         open = g;
     }
     Ok(Some(out))

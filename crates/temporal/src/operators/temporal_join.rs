@@ -20,58 +20,52 @@
 //! input order — which makes the output event order identical to a by-key
 //! index, collisions or not.
 //!
-//! The output is built **once, as columns**. The probe reads each input
-//! where it lies ([`Side`]: a batch off its columns, a row stream off its
-//! rows) and records `(left index, right index, lifetime)` per match; then
-//! every output column is filled in one pass — gathered from a batch side,
-//! pushed through a typed builder from a row side — and the result is a
-//! [`StreamData::Batch`], so a projection above the join moves columns
-//! instead of rebuilding rows. When the join's one consumer is a fragment
-//! that projects, the executor passes the columns it reads and only those
-//! are gathered ([`temporal_join_reading`]). No concatenated payload row
-//! exists unless there is a residual, which is evaluated per candidate
-//! pair on one reused scratch row (so the first error is the same pair's
-//! in every layout). Only a row side whose cells do not inhabit their
-//! declared types has no column form; that join finishes on rows.
+//! The output is built **once, as columns**. The probe reads each input's
+//! key columns in place and records `(left index, right index, lifetime)`
+//! per match; then every output column is gathered in one pass, so a
+//! projection above the join moves columns instead of rebuilding rows.
+//! When the join's one consumer is a fragment that projects, the executor
+//! passes the columns it reads and only those are gathered
+//! ([`temporal_join_reading`]). No concatenated payload row exists unless
+//! there is a residual, which is evaluated per candidate pair on one
+//! reused scratch row by the one-row evaluator.
 
 use crate::batch::EventBatch;
 use crate::compiled::CompiledExpr;
 use crate::error::Result;
-use crate::event::Event;
-use crate::exec::StreamData;
 use crate::expr::Expr;
 use crate::key::KeySelector;
-use crate::operators::side::{KeyClasses, Side};
-use crate::stream::EventStream;
-use crate::time::Lifetime;
-use relation::{ColumnBatch, Row, Schema};
+use crate::operators::side::{Gather, KeyClasses};
+use relation::{ColumnBatch, Row, Schema, Value};
 
 /// Join `left` and `right` on `keys` (pairs of column names) with an
-/// optional residual predicate over the concatenated payload. Either input
-/// may be in either layout; the output is a batch unless an ill-typed row
-/// side forces rows.
+/// optional residual predicate over the concatenated payload.
 pub fn temporal_join(
-    left: &StreamData,
-    right: &StreamData,
+    left: &EventBatch,
+    right: &EventBatch,
     keys: &[(String, String)],
     residual: Option<&Expr>,
-) -> Result<StreamData> {
+) -> Result<EventBatch> {
     temporal_join_reading(left, right, keys, residual, None)
+}
+
+/// Append the payload cells of `batch`'s event `i` to `cells`.
+fn extend_cells(batch: &EventBatch, i: usize, cells: &mut Vec<Value>) {
+    cells.extend(batch.payload().columns().iter().map(|c| c.value(i)))
 }
 
 /// [`temporal_join`] building only the output columns at `reads`
 /// (ascending positions in the joined schema; every column when `None`):
 /// the executor passes the columns the join's one consumer, a projecting
-/// fragment, reads. A batch output then has the schema of those columns
-/// alone — the consumer resolves its columns by name — and a row output
-/// (an ill-typed row side) keeps them all.
+/// fragment, reads. The output then has the schema of those columns alone —
+/// the consumer resolves its columns by name.
 pub(crate) fn temporal_join_reading(
-    left: &StreamData,
-    right: &StreamData,
+    left: &EventBatch,
+    right: &EventBatch,
     keys: &[(String, String)],
     residual: Option<&Expr>,
     reads: Option<&[usize]>,
-) -> Result<StreamData> {
+) -> Result<EventBatch> {
     let lschema = left.schema();
     let rschema = right.schema();
     let out_schema = lschema.join(rschema);
@@ -81,7 +75,6 @@ pub(crate) fn temporal_join_reading(
     let lsel = KeySelector::new(lschema, &lnames)?;
     let rsel = KeySelector::new(rschema, &rnames)?;
     let compiled_residual = residual.map(|p| CompiledExpr::compile(p, &out_schema));
-    let (left, right) = (Side::of(left), Side::of(right));
 
     // Index the right side as key-exact classes; sort each class by
     // (LE, RE) for early exit (stable: equal lifetimes keep input order).
@@ -98,14 +91,14 @@ pub(crate) fn temporal_join_reading(
     let (mut left_idx, mut right_idx) = (Vec::new(), Vec::new());
     let (mut vt, mut ve) = (Vec::new(), Vec::new());
     let mut scratch = Row::default();
-    for (li, hash) in left.key_hashes(&lsel).into_iter().enumerate() {
-        let Some(members) = right_index.find(hash, &left, &lsel, li) else {
+    for (li, hash) in lsel.hash_batch(left.payload()).into_iter().enumerate() {
+        let Some(members) = right_index.find(hash, left, &lsel, li) else {
             continue;
         };
         let left_lifetime = left.lifetime(li);
         if compiled_residual.is_some() {
             scratch.values_mut().clear();
-            left.extend_cells(li, scratch.values_mut());
+            extend_cells(left, li, scratch.values_mut());
         }
         let left_width = scratch.len();
         for &ri in members {
@@ -118,7 +111,7 @@ pub(crate) fn temporal_join_reading(
             };
             if let Some(pred) = &compiled_residual {
                 scratch.values_mut().truncate(left_width);
-                right.extend_cells(ri as usize, scratch.values_mut());
+                extend_cells(right, ri as usize, scratch.values_mut());
                 if !pred.eval_predicate(&scratch)? {
                     continue;
                 }
@@ -134,56 +127,36 @@ pub(crate) fn temporal_join_reading(
     let reads = reads.unwrap_or(&all);
     let split = reads.partition_point(|&c| c < lschema.len());
     let right_reads: Vec<usize> = reads[split..].iter().map(|&c| c - lschema.len()).collect();
-    let left_columns = left.gather(lschema, &reads[..split], &left_idx);
-    let right_columns = right.gather(rschema, &right_reads, &right_idx);
-    Ok(match left_columns.zip(right_columns) {
-        Some((mut columns, right_columns)) => {
-            columns.extend(right_columns);
-            let fields = reads.iter().map(|&c| out_schema.fields()[c].clone());
-            let payload = ColumnBatch::new(Schema::new(fields.collect()), columns, vt.len());
-            StreamData::Batch(EventBatch::new(vt, ve, payload))
-        }
-        None => {
-            let events = (left_idx.iter().zip(&right_idx).zip(vt.iter().zip(&ve)))
-                .map(|((&li, &ri), (&start, &end))| {
-                    let payload = left.row(li as usize).concat(&right.row(ri as usize));
-                    Event::new(Lifetime::new(start, end), payload)
-                })
-                .collect();
-            StreamData::Rows(EventStream::new(out_schema, events))
-        }
-    })
+    let (left, right) = (left.payload().columns(), right.payload().columns());
+    let mut columns = left.gather(&reads[..split], &left_idx);
+    columns.extend(right.gather(&right_reads, &right_idx));
+    let fields = reads.iter().map(|&c| out_schema.fields()[c].clone());
+    let payload = ColumnBatch::new(Schema::new(fields.collect()), columns, vt.len());
+    Ok(EventBatch::new(vt, ve, payload))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Event;
     use crate::expr::{col, lit};
+    use crate::stream::EventStream;
     use relation::row;
     use relation::schema::{ColumnType, Field};
 
-    /// The join of two well-typed streams, which every mix of input layouts
-    /// must produce identically — as a batch.
+    /// The join of two row streams, back as rows.
     fn join(
         left: &EventStream,
         right: &EventStream,
         keys: &[(String, String)],
         residual: Option<&Expr>,
     ) -> EventStream {
-        let layouts = |s: &EventStream| {
-            let batch = EventBatch::from_stream(s).expect("well-typed");
-            [StreamData::Rows(s.clone()), StreamData::Batch(batch)]
-        };
-        let mut outs = Vec::new();
-        for l in &layouts(left) {
-            for r in &layouts(right) {
-                let out = temporal_join(l, r, keys, residual).unwrap();
-                assert!(matches!(out, StreamData::Batch(_)));
-                outs.push(out.into_stream());
-            }
-        }
-        assert!(outs.windows(2).all(|w| w[0] == w[1]));
-        outs.pop().unwrap()
+        let (l, r) = (
+            EventBatch::from_stream(left),
+            EventBatch::from_stream(right),
+        );
+        let out = temporal_join(&l.unwrap(), &r.unwrap(), keys, residual).unwrap();
+        out.into_stream()
     }
 
     fn left_stream() -> EventStream {
@@ -278,27 +251,5 @@ mod tests {
         let out = join(&a, &b, &[], None);
         assert_eq!(out.len(), 1);
         assert_eq!(out.events()[0].lifetime, crate::time::Lifetime::new(3, 5));
-    }
-
-    #[test]
-    fn an_ill_typed_row_side_finishes_on_rows_with_the_same_events() {
-        // `N` is declared Long and carries an Int: no dense column form.
-        let s = Schema::new(vec![
-            Field::new("K", ColumnType::Str),
-            Field::new("N", ColumnType::Long),
-        ]);
-        let ill = EventStream::new(s.clone(), vec![Event::interval(0, 10, row!["k", 7i32])]);
-        let ok = EventStream::new(s, vec![Event::interval(5, 20, row!["k", 8i64])]);
-        let keys = [("K".to_string(), "K".to_string())];
-        let batch = StreamData::Batch(EventBatch::from_stream(&ok).unwrap());
-        let (ill, ok) = (StreamData::Rows(ill), StreamData::Rows(ok));
-        for (l, r) in [(&ill, &ok), (&ill, &batch), (&ok, &ill), (&batch, &ill)] {
-            let out = temporal_join(l, r, &keys, None).unwrap();
-            assert!(matches!(out, StreamData::Rows(_)));
-            let want = l.clone().into_stream().events()[0]
-                .payload
-                .concat(&r.clone().into_stream().events()[0].payload);
-            assert_eq!(out.into_stream().events(), &[Event::interval(5, 10, want)]);
-        }
     }
 }

@@ -195,9 +195,8 @@ pub enum Operator {
     },
     /// A maximal exchange-free chain of stateless operators fused into one
     /// node (produced by [`fuse_plan`], which the executor applies to every
-    /// plan): a single-pass columnar kernel over batch input, the in-place
-    /// row operators in order over row input. Semantically identical to
-    /// running the steps as individual operators.
+    /// plan), run as one single-pass columnar kernel. Semantically
+    /// identical to running the steps as individual operators.
     FusedFragment {
         /// The fused chain, in application order.
         steps: Vec<FusedStep>,

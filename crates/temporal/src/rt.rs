@@ -15,7 +15,9 @@
 //! - **Per-event prefix.** Each source's longest chain of single-consumer,
 //!   non-output Filter and Project steps (the lifetime-preserving head of
 //!   its fused fragment) runs once over the events pushed since the last
-//!   punctuation, on the batch executor. Only its output is kept.
+//!   punctuation, laid out once as a batch, through the fused kernel. Only
+//!   its output is kept. A pushed event is checked against its source's
+//!   schema at [`RtSession::push`], so the batch always has its columns.
 //! - **Stateful grouped aggregate.** When what is left is a GroupApply over
 //!   one source whose sub-plan is per-event steps ending in one Aggregate,
 //!   each live group keeps its sweep — accumulators, active count, open
@@ -26,7 +28,8 @@
 //!   groups with no live event. Nothing is re-evaluated.
 //! - **Recompute.** Any other plan (joins, anti-semi-joins, unions,
 //!   multicast sources, UDOs, SpreadGrid) is re-run after its prefixes over
-//!   the retained prefix outputs at each punctuation; the normalized result
+//!   the retained prefix outputs — batches, appended to at each punctuation
+//!   and compacted by eviction — at each punctuation; the normalized result
 //!   is clipped to the new window, and inputs that can no longer matter are
 //!   evicted. Eviction drops the retraction residue a float running sum
 //!   carries, so such a plan with an order-sensitive aggregate (SUM over
@@ -39,17 +42,19 @@
 //! [`RtSession::explain`] names what runs where, and why.
 
 use crate::agg::AggExpr;
+use crate::batch::EventBatch;
 use crate::compiled::CompiledExpr;
 use crate::error::{Result, TemporalError};
 use crate::event::Event;
-use crate::exec::{execute_data, row_bindings, Bindings};
+use crate::exec::{execute_data, BatchBindings};
 use crate::key::KeySelector;
-use crate::operators::{fused_fragment_rows, fused_fragment_runs, Cut, Runs, Sweep};
+use crate::operators::{
+    batch_args, fused_fragment, fused_select, Cut, ErrorOrder, Selection, Sweep,
+};
 use crate::plan::{
     fuse_plan, per_event_aggregate, step_desc, FusedStep, LifetimeOp, LogicalPlan, Operator,
     PerEventAggregate, PlanNode,
 };
-use crate::stream::EventStream;
 use crate::time::{Duration, Lifetime, Time};
 use relation::{ColumnType, Row, Schema, Value};
 use rustc_hash::FxHashMap;
@@ -87,15 +92,14 @@ struct Feed {
 }
 
 impl Feed {
-    /// The prefix's output over `batch`, which the caller keeps.
-    fn run(&self, batch: &EventStream) -> Result<EventStream> {
-        match &self.prefix {
-            None => Ok(batch.clone()),
-            Some(prefix) => {
-                let sources: Bindings = [(self.name.clone(), batch.clone())].into_iter().collect();
-                let (mut roots, _) = execute_data(prefix, row_bindings(sources))?;
-                Ok(roots.swap_remove(0).into_stream())
-            }
+    /// The pending events laid out as a batch, and the prefix run over it.
+    /// The pending events stay until the punctuation succeeds.
+    fn run(&self) -> Result<EventBatch> {
+        let what = format!("source `{}`", self.name);
+        let batch = EventBatch::lay_out(&what, self.schema.clone(), &self.pending)?;
+        match self.prefix_steps() {
+            None => Ok(batch),
+            Some(steps) => fused_fragment(batch, steps),
         }
     }
 
@@ -119,7 +123,7 @@ enum Body {
 struct Recompute {
     plan: LogicalPlan,
     /// Retained prefix outputs, one per feed.
-    buffers: Vec<EventStream>,
+    buffers: Vec<EventBatch>,
     /// Why the plan has no stateful form, one reason per obstacle.
     reasons: Vec<String>,
 }
@@ -189,7 +193,7 @@ impl RtSession {
                         .iter()
                         .find(|(n, _)| *n == f.name)
                         .expect("every plan source is read by the plan left after the prefixes");
-                    EventStream::empty((*schema).clone())
+                    EventBatch::empty((*schema).clone())
                 })
                 .collect();
             Body::Recompute(Recompute {
@@ -262,6 +266,10 @@ impl RtSession {
     /// Feed one event into the named source. Events may arrive in any order
     /// as long as they are not older than an already-issued punctuation
     /// (late events are rejected, mirroring DSMS time-progress rules).
+    /// An event whose payload does not fit the source's schema — the wrong
+    /// arity, or a cell that does not inhabit its column's type — is
+    /// refused with [`TemporalError::Input`], and the session goes on
+    /// without it.
     pub fn push(&mut self, source: &str, event: Event) -> Result<()> {
         self.check_open()?;
         if event.start() < self.watermark {
@@ -276,6 +284,12 @@ impl RtSession {
             .iter_mut()
             .find(|f| f.name == source)
             .ok_or_else(|| TemporalError::Input(format!("unknown source `{source}`")))?;
+        event.payload.check(&feed.schema).map_err(|err| {
+            TemporalError::Input(format!(
+                "source `{source}`: event at {}: {err}",
+                event.start()
+            ))
+        })?;
         feed.pending.push(event);
         Ok(())
     }
@@ -318,18 +332,8 @@ impl RtSession {
     /// `[emitted_until, until)`. All or nothing: on error the pending events
     /// and the retained state are as they were.
     fn advance(&mut self, until: Time) -> Result<Vec<Event>> {
-        let batches: Vec<EventStream> = self
-            .feeds
-            .iter_mut()
-            .map(|f| EventStream::new(f.schema.clone(), std::mem::take(&mut f.pending)))
-            .collect();
         let from = self.emitted_until;
-        let fed = self
-            .feeds
-            .iter()
-            .zip(&batches)
-            .map(|(f, batch)| f.run(batch))
-            .collect::<Result<Vec<_>>>();
+        let fed = self.feeds.iter().map(Feed::run).collect::<Result<Vec<_>>>();
         let out = fed.and_then(|fed| match &mut self.body {
             Body::Stateful(g) => {
                 let fed = fed
@@ -341,19 +345,11 @@ impl RtSession {
             }
             Body::Recompute(r) => r.advance(&self.feeds, fed, from, until, self.horizon),
         });
-        match out {
-            Ok(mut out) => {
-                out.sort();
-                self.emitted_until = until;
-                Ok(out)
-            }
-            Err(err) => {
-                for (f, batch) in self.feeds.iter_mut().zip(batches) {
-                    f.pending = batch.into_events();
-                }
-                Err(err)
-            }
-        }
+        let mut out = out?;
+        out.sort();
+        self.emitted_until = until;
+        self.feeds.iter_mut().for_each(|f| f.pending.clear());
+        Ok(out)
     }
 }
 
@@ -390,45 +386,37 @@ impl Grouped {
 
     /// Run the per-event steps over the source's prefix output and evaluate
     /// the aggregate's arguments. Reads no state, so an error leaves it
-    /// untouched.
-    fn feed(&self, input: EventStream) -> Result<Vec<Keyed>> {
+    /// untouched. The sub-plan's steps see each event as a group of its
+    /// own, so an error is the earliest event's, at its first failing step;
+    /// each survivor is mapped back to its input event, and so to its key,
+    /// through the fragment's selection and origin.
+    fn feed(&self, input: EventBatch) -> Result<Vec<Keyed>> {
         let input = match self.outer.is_empty() {
             true => input,
-            false => fused_fragment_rows(input, &self.outer)?,
+            false => fused_fragment(input, &self.outer)?,
         };
-        let keys: Vec<Vec<Value>> = input
-            .events()
-            .iter()
-            .map(|e| self.key.extract(&e.payload))
-            .collect();
-        // One run per event, so each survivor of the sub-plan's steps stays
-        // beside its key.
-        let runs = Runs {
-            bounds: (0..=input.len()).collect(),
-            stream: input,
-        };
+        let keys = input.shared_payload();
+        let n = input.len() as u32;
+        let each_its_own = || (0..n).map(|i| (i, i)).collect();
         let mut cut = Cut::none();
-        let runs = fused_fragment_runs(runs, &self.steps, &mut cut)?;
+        let order = ErrorOrder::new(&each_its_own, &mut cut);
+        let Selection { batch, sel, origin } = fused_select(input, &self.steps, None, Some(order))?;
         if let Some(err) = cut.err {
             return Err(err);
         }
-        let events = runs.stream.events();
-        let mut keyed = Vec::with_capacity(events.len());
-        for (key, run) in keys.into_iter().zip(runs.bounds.windows(2)) {
-            debug_assert!(
-                run[1] - run[0] <= 1,
-                "per-event steps keep at most the event"
-            );
-            if run[0] == run[1] {
-                continue;
-            }
-            let e = &events[run[0]];
-            let args = self
-                .args
-                .iter()
-                .map(|c| c.as_ref().map_or(Ok(Value::Null), |c| c.eval(&e.payload)))
-                .collect::<Result<Arc<[Value]>>>()?;
-            keyed.push((key, e.lifetime, args));
+        let (args, failed) = batch_args(batch.payload(), sel.as_deref(), &self.args);
+        if let Some((_, err)) = failed {
+            return Err(err);
+        }
+        let survivors = sel.as_ref().map_or(batch.len(), Vec::len);
+        let mut keyed = Vec::with_capacity(survivors);
+        let stride = self.args.len();
+        for j in 0..survivors {
+            let row = sel.as_ref().map_or(j, |s| s[j] as usize);
+            let input_row = origin.as_ref().map_or(row, |o| o[row] as usize);
+            let key = self.key.extract_batch(&keys, input_row);
+            let args: Arc<[Value]> = args[j * stride..(j + 1) * stride].into();
+            keyed.push((key, batch.lifetime(row), args));
         }
         Ok(keyed)
     }
@@ -490,27 +478,25 @@ impl Recompute {
     fn advance(
         &mut self,
         feeds: &[Feed],
-        fed: Vec<EventStream>,
+        fed: Vec<EventBatch>,
         from: Time,
         until: Time,
         horizon: Duration,
     ) -> Result<Vec<Event>> {
-        let marks: Vec<usize> = self.buffers.iter().map(EventStream::len).collect();
+        let marks: Vec<usize> = self.buffers.iter().map(EventBatch::len).collect();
         for (buffer, fed) in self.buffers.iter_mut().zip(fed) {
-            buffer.events_mut().extend(fed.into_events());
+            buffer.append(fed)?;
         }
         let mut out = Vec::new();
         if from < until {
-            // The bindings share the buffers, as rows: the executor copies
-            // only what its first operator keeps, and laying the buffers out
-            // as batches at every punctuation costs more than the columnar
-            // kernels save (DESIGN.md, "Who chooses the layout").
-            let sources: Bindings = feeds
+            // The bindings share the buffers: the executor copies only what
+            // its first operator keeps.
+            let sources: BatchBindings = feeds
                 .iter()
                 .zip(&self.buffers)
                 .map(|(f, b)| (f.name.clone(), b.clone()))
                 .collect();
-            let result = execute_data(&self.plan, row_bindings(sources))
+            let result = execute_data(&self.plan, sources)
                 .map(|(mut roots, _)| roots.swap_remove(0).into_stream());
             let window = Lifetime::new(from, until);
             match result {
@@ -527,7 +513,7 @@ impl Recompute {
                 }
                 Err(err) => {
                     for (buffer, mark) in self.buffers.iter_mut().zip(marks) {
-                        buffer.events_mut().truncate(mark);
+                        buffer.compact(&(0..mark as u32).collect::<Vec<_>>());
                     }
                     return Err(err);
                 }
@@ -536,9 +522,13 @@ impl Recompute {
         // An input whose whole influence window is below `until` can no
         // longer contribute to unemitted output.
         for buffer in &mut self.buffers {
-            buffer
-                .events_mut()
-                .retain(|e| e.end().saturating_add(horizon) > until);
+            let live: Vec<u32> = (buffer.ve().iter().enumerate())
+                .filter(|(_, end)| end.saturating_add(horizon) > until)
+                .map(|(i, _)| i as u32)
+                .collect();
+            if live.len() < buffer.len() {
+                buffer.compact(&live);
+            }
         }
         Ok(out)
     }
@@ -709,6 +699,7 @@ mod tests {
     use crate::exec::{bindings, execute_single};
     use crate::expr::{col, lit};
     use crate::plan::Query;
+    use crate::stream::EventStream;
     use relation::row;
     use relation::schema::{ColumnType, Field};
 
@@ -894,8 +885,8 @@ mod tests {
         assert_eq!(session.close(), Err(closed));
     }
 
-    /// A plan whose prefix fails on a `StreamId` that is not a number and
-    /// whose aggregate fails on a `Time` that is not one.
+    /// A plan whose per-group window fails on an event too late to be
+    /// windowed.
     fn failing_plan() -> LogicalPlan {
         let q = Query::new();
         let out = q
@@ -910,19 +901,51 @@ mod tests {
 
     #[test]
     fn a_failed_punctuation_loses_nothing() {
-        for bad in [row![7i64, "x", "a"], row!["x", 1i32, "a"]] {
-            let mut session = RtSession::new(failing_plan()).unwrap();
-            session.push("in", click(1, "a")).unwrap();
-            session.punctuate(5).unwrap();
-            session.push("in", click(6, "b")).unwrap();
-            session.push("in", Event::point(7, bad)).unwrap();
-            let before = format!("{session:?}");
-            let err = session.punctuate(20).unwrap_err();
-            assert!(matches!(err, TemporalError::Eval(_)), "{err}");
-            assert_eq!(format!("{session:?}"), before);
-            assert_eq!(session.punctuate(20).unwrap_err(), err);
-            assert_eq!(format!("{session:?}"), before);
+        let late = i64::MAX - 5;
+        let mut session = RtSession::new(failing_plan()).unwrap();
+        session.push("in", click(1, "a")).unwrap();
+        session.punctuate(5).unwrap();
+        session.push("in", click(6, "b")).unwrap();
+        session.push("in", click(late, "a")).unwrap();
+        let before = format!("{session:?}");
+        let err = session.punctuate(20).unwrap_err();
+        assert!(matches!(err, TemporalError::TimeOverflow(_)), "{err}");
+        assert_eq!(format!("{session:?}"), before);
+        assert_eq!(session.punctuate(20).unwrap_err(), err);
+        assert_eq!(format!("{session:?}"), before);
+    }
+
+    #[test]
+    fn a_push_that_does_not_fit_its_source_is_refused() {
+        // A `Str` where `StreamId` is an `Int`, and a row one cell short.
+        let mut session = RtSession::new(plan()).unwrap();
+        let mut batch = Vec::new();
+        for e in [click(1, "a"), click(4, "a")] {
+            session.push("in", e.clone()).unwrap();
+            batch.push(e);
         }
+        let err = session.push("in", Event::point(3, row![3i64, "x", "a"]));
+        assert_eq!(
+            err,
+            Err(TemporalError::Input(
+                "source `in`: event at 3: type mismatch in `StreamId`: expected int, got str"
+                    .into()
+            ))
+        );
+        let short = session.push("in", Event::point(3, row![3i64, 1i32]));
+        assert!(matches!(short, Err(TemporalError::Input(_))), "{short:?}");
+        let mut online = session.punctuate(10).unwrap();
+        online.extend(session.close().unwrap());
+        let offline = execute_single(
+            &plan(),
+            &bindings(vec![("in", EventStream::new(schema(), batch))]),
+        );
+        let online = EventStream::new(schema_of_plan(), online).normalize();
+        assert_eq!(online, offline.unwrap().normalize());
+    }
+
+    fn schema_of_plan() -> Schema {
+        plan().schema_of(plan().roots()[0]).clone()
     }
 
     #[test]
@@ -946,7 +969,7 @@ mod tests {
             assert!(session.feeds.iter().all(|f| f.pending.is_empty()));
             match &session.body {
                 Body::Stateful(g) => assert!(g.groups.is_empty(), "{:?}", g.groups),
-                Body::Recompute(r) => assert!(r.buffers.iter().all(EventStream::is_empty)),
+                Body::Recompute(r) => assert!(r.buffers.iter().all(EventBatch::is_empty)),
             }
         }
     }

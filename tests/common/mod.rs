@@ -2,8 +2,8 @@
 //! `prop_columnar`, `prop_fusion`): one schema, one row/expression/stream
 //! generator, one plan generator — and, for the suites that group or join
 //! (`prop_group_apply`, `prop_columnar`), one palette of hash-colliding keys.
-//! Every suite's reference is [`oracle`]; the whole-job suites share
-//! [`harness`].
+//! Every suite's reference is [`oracle`] ([`run_against_oracle`]); the
+//! whole-job suites share [`harness`].
 //!
 //! The row generator flips each column to Null independently (null-heavy
 //! batches) and stream lengths start at zero (empty batches); the
@@ -21,12 +21,10 @@ use proptest::prelude::*;
 use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{Row, Schema, Value};
 use timr_suite::temporal::agg::AggExpr;
-use timr_suite::temporal::exec::{
-    bindings, data_bindings, execute_data, row_bindings, DataBindings,
-};
-use timr_suite::temporal::plan::{LifetimeOp, LogicalPlan};
+use timr_suite::temporal::exec::{bindings, execute_single};
+use timr_suite::temporal::plan::{FusedStep, LifetimeOp, LogicalPlan};
 use timr_suite::temporal::{
-    col, lit, Event, EventBatch, EventStream, Expr, Lifetime, Query, TemporalError,
+    col, lit, CompiledExpr, Event, EventBatch, EventStream, Expr, Lifetime, Query, TemporalError,
 };
 
 pub fn schema() -> Schema {
@@ -134,12 +132,63 @@ pub fn batch_of(events: &[(i64, i64, Row)]) -> EventBatch {
 }
 
 /// Overwrite the `L` cell of every `stride`-th event with an `Int`: row
-/// storage holds it happily, the typed batch cannot, so such a stream has
-/// no columnar form and must run (identically) on the row operators.
-pub fn make_ill_typed(events: &mut [(i64, i64, Row)], stride: usize) {
+/// storage holds it happily, the typed batch cannot, so such a stream is
+/// refused where it enters the engine. Returns the first overwritten row
+/// (`None` for no events).
+pub fn make_ill_typed(events: &mut [(i64, i64, Row)], stride: usize) -> Option<usize> {
     for (_, _, row) in events.iter_mut().step_by(stride.max(1)) {
         row.values_mut()[1] = Value::Int(7);
     }
+    (!events.is_empty()).then_some(0)
+}
+
+/// The error the engine gives a binding of source `name` whose row `row`
+/// holds the `Int` [`make_ill_typed`] wrote into `L`.
+pub fn ill_typed_error(name: &str, row: usize) -> TemporalError {
+    TemporalError::Input(format!(
+        "source `{name}`: row {row}: type mismatch in `L`: expected long, got int"
+    ))
+}
+
+/// `steps` one after another over `events` of [`schema`], one event at a
+/// time through the one-row evaluator ([`CompiledExpr`]) and the oracle's
+/// lifetime definitions: the reference the fused kernels are held to —
+/// same survivors in the same order, and the first failing row's error.
+pub fn row_steps(steps: &[FusedStep], mut events: Vec<Event>) -> Result<Vec<Event>, TemporalError> {
+    let mut schema = schema();
+    for step in steps {
+        events = match step {
+            FusedStep::Filter { predicate } => {
+                let compiled = CompiledExpr::compile(predicate, &schema);
+                let mut kept = Vec::new();
+                for e in events {
+                    if compiled.eval_predicate(&e.payload)? {
+                        kept.push(e);
+                    }
+                }
+                kept
+            }
+            FusedStep::Project { exprs } => {
+                let types = (exprs.iter())
+                    .map(|(n, e)| Ok(Field::new(n.clone(), e.infer_type(&schema)?)))
+                    .collect::<Result<Vec<Field>, TemporalError>>()?;
+                let compiled: Vec<_> = (exprs.iter())
+                    .map(|(_, e)| CompiledExpr::compile(e, &schema))
+                    .collect();
+                let mut out = Vec::with_capacity(events.len());
+                for e in events {
+                    let values = (compiled.iter())
+                        .map(|c| c.eval(&e.payload))
+                        .collect::<Result<Vec<_>, _>>()?;
+                    out.push(Event::new(e.lifetime, Row::new(values)));
+                }
+                schema = Schema::new(types);
+                out
+            }
+            FusedStep::AlterLifetime { op } => oracle::alter_lifetime(&events, op),
+        };
+    }
+    Ok(events)
 }
 
 pub fn arb_lifetime_op() -> impl Strategy<Value = LifetimeOp> {
@@ -216,8 +265,7 @@ pub const PLAN_KINDS: usize = 9;
 /// Random single-source plans whose stateless prefixes fuse: filter and
 /// project chains, windows, hopping windows (fragment-internal drops),
 /// multicast fan-out (fragment boundaries), chains nested inside GroupApply
-/// sub-plans, and aggregates directly over a fragment — so every run
-/// crosses the batch/row boundary at least once — plus a bare windowed
+/// sub-plans, and aggregates directly over a fragment, plus a bare windowed
 /// count and a point-to-interval temporal join.
 pub fn build_plan(kind: usize, w: i64, thresh: i64, p1: usize, p2: usize) -> LogicalPlan {
     let q = Query::new();
@@ -285,46 +333,34 @@ pub fn build_plan(kind: usize, w: i64, thresh: i64, p1: usize, p2: usize) -> Log
     q.build(vec![out]).unwrap()
 }
 
-/// One plan, three executions: the engine over the stream bound as rows,
-/// the engine over the same stream bound as a pre-decoded batch (when it
-/// has a columnar form — ill-typed payloads do not, and stay rows), and the
-/// oracle.
-pub struct ThreeWay {
-    pub on_rows: Result<EventStream, TemporalError>,
-    pub on_batch: Result<EventStream, TemporalError>,
+/// One plan, two executions: the engine over the stream, and the oracle.
+pub struct AgainstOracle {
+    pub engine: Result<EventStream, TemporalError>,
     pub oracle: Result<EventStream, TemporalError>,
     pub tolerance: Tolerance,
 }
 
-pub fn run_three_ways(plan: &LogicalPlan, stream: EventStream) -> ThreeWay {
+pub fn run_against_oracle(plan: &LogicalPlan, stream: EventStream) -> AgainstOracle {
     let srcs = bindings(vec![("in", stream)]);
-    let run = |data: DataBindings| {
-        let (mut roots, _) = execute_data(plan, data)?;
-        Ok(roots.pop().expect("single-output plan").into_stream())
-    };
-    ThreeWay {
-        on_rows: run(row_bindings(srcs.clone())),
-        on_batch: run(data_bindings(plan, srcs.clone())),
+    AgainstOracle {
+        engine: execute_single(plan, &srcs),
         oracle: oracle::run_single(plan, &srcs),
         tolerance: Tolerance::of(plan, plan.roots()[0]),
     }
 }
 
-/// Assert the two engine runs are byte-identical — identical event vectors
-/// (not merely the same relation) or identical error messages — and that
-/// they denote the oracle's relation, or fail with its error.
-pub fn assert_three_way(run: ThreeWay) -> Result<(), TestCaseError> {
-    match (run.on_rows, run.on_batch, run.oracle) {
-        (Ok(r), Ok(b), Ok(o)) => {
-            prop_assert_eq!(r.events(), b.events(), "rows vs batch");
-            let same = oracle::same_relation(&r, &o, &run.tolerance);
+/// Assert the engine's output denotes the oracle's relation, or that it
+/// fails with the oracle's error.
+pub fn assert_matches_oracle(run: AgainstOracle) -> Result<(), TestCaseError> {
+    match (run.engine, run.oracle) {
+        (Ok(e), Ok(o)) => {
+            let same = oracle::same_relation(&e, &o, &run.tolerance);
             prop_assert!(same.is_ok(), "engine vs oracle: {}", same.unwrap_err());
         }
-        (Err(r), Err(b), Err(o)) => {
-            prop_assert_eq!(r.to_string(), b.to_string(), "rows vs batch error");
-            prop_assert_eq!(r.to_string(), o.to_string(), "engine vs oracle error");
+        (Err(e), Err(o)) => {
+            prop_assert_eq!(e.to_string(), o.to_string(), "engine vs oracle error");
         }
-        (r, b, o) => prop_assert!(false, "diverged: rows {:?} batch {:?} oracle {:?}", r, b, o),
+        (e, o) => prop_assert!(false, "diverged: engine {:?} oracle {:?}", e, o),
     }
     Ok(())
 }

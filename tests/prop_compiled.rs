@@ -1,10 +1,9 @@
-//! Property tests for the row hot path: the compiled expression evaluator
-//! and the in-place row operators — the forms every fused fragment runs on
-//! when its input arrives as rows, and the fallback a batch fragment
-//! finishes on — must be *observably identical* to `Expr::eval` applied
-//! row by row (and to the oracle's lifetime definitions), values and error
-//! cases, because repeatability of restarted reducers (paper §III-C.1)
-//! makes the engine's output a byte contract.
+//! Property tests for the compiled expression evaluator and the fused
+//! fragment's single steps: the one-row evaluator (what recovers an exact
+//! error and evaluates a join's residual) and each step run in place on a
+//! batch must be *observably identical* to `Expr::eval` applied row by row
+//! (and to the oracle's lifetime definitions), values and error cases, on
+//! storage the step owns and on storage another consumer still holds.
 
 mod common;
 
@@ -13,8 +12,32 @@ use common::{arb_events, arb_expr, arb_lifetime_op, arb_row, raw_proj, schema, s
 use proptest::prelude::*;
 use timr_suite::relation::schema::Field;
 use timr_suite::relation::Schema;
-use timr_suite::temporal::operators::{alter_lifetime, filter, project};
-use timr_suite::temporal::{CompiledExpr, EventStream, Expr};
+use timr_suite::temporal::operators::fused_fragment;
+use timr_suite::temporal::plan::{FusedStep, LifetimeOp};
+use timr_suite::temporal::{CompiledExpr, EventBatch, EventStream, Expr, Result};
+
+/// One fused step over `input`, back as rows.
+fn step(input: EventBatch, step: FusedStep) -> Result<EventStream> {
+    fused_fragment(input, &[step]).map(EventBatch::into_stream)
+}
+
+fn filter(input: EventBatch, predicate: &Expr) -> Result<EventStream> {
+    let predicate = predicate.clone();
+    step(input, FusedStep::Filter { predicate })
+}
+
+fn alter_lifetime(input: EventBatch, op: &LifetimeOp) -> Result<EventStream> {
+    step(input, FusedStep::AlterLifetime { op: op.clone() })
+}
+
+fn project(input: EventBatch, exprs: &[(String, Expr)]) -> Result<EventStream> {
+    let exprs = exprs.to_vec();
+    step(input, FusedStep::Project { exprs })
+}
+
+fn batch(events: &[(i64, i64, timr_suite::relation::Row)]) -> EventBatch {
+    EventBatch::from_stream(&stream_of(events)).unwrap()
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -47,19 +70,19 @@ proptest! {
         }
     }
 
-    /// The in-place filter keeps exactly the rows `Expr::eval_predicate`
+    /// The filter step keeps exactly the rows `Expr::eval_predicate`
     /// accepts, in order, on both the uniquely-owned and the shared-storage
-    /// path, and never mutates a stream another consumer still holds.
+    /// path, and never mutates a batch another consumer still holds.
     #[test]
     fn filter_matches_interpreted(events in arb_events(40), e in arb_expr()) {
-        let input = stream_of(&events);
-        let baseline = oracle::filter(&schema(), input.events(), &e)
+        let input = batch(&events);
+        let baseline = oracle::filter(&schema(), stream_of(&events).events(), &e)
             .map(|kept| EventStream::new(schema(), kept));
         // Shared path: a clone of `input` is alive during the call.
         let shared = filter(input.clone(), &e);
-        // Owned path: the operator holds the only handle.
-        let owned = filter(stream_of(&events), &e);
-        prop_assert_eq!(input, stream_of(&events), "shared input mutated");
+        // Owned path: the step holds the only handle.
+        let owned = filter(batch(&events), &e);
+        prop_assert_eq!(input.into_stream(), stream_of(&events), "shared input mutated");
         match (baseline, shared, owned) {
             (Ok(b), Ok(s), Ok(o)) => {
                 prop_assert_eq!(&b, &s);
@@ -76,11 +99,12 @@ proptest! {
     /// definitions applied event by event, on both storage paths.
     #[test]
     fn alter_lifetime_matches_interpreted(events in arb_events(40), op in arb_lifetime_op()) {
-        let input = stream_of(&events);
-        let baseline = EventStream::new(schema(), oracle::alter_lifetime(input.events(), &op));
+        let input = batch(&events);
+        let rows = stream_of(&events);
+        let baseline = EventStream::new(schema(), oracle::alter_lifetime(rows.events(), &op));
         let shared = alter_lifetime(input.clone(), &op).unwrap();
-        let owned = alter_lifetime(stream_of(&events), &op).unwrap();
-        prop_assert_eq!(input, stream_of(&events), "shared input mutated");
+        let owned = alter_lifetime(batch(&events), &op).unwrap();
+        prop_assert_eq!(input.into_stream(), rows, "shared input mutated");
         prop_assert_eq!(&baseline, &shared);
         prop_assert_eq!(&baseline, &owned);
     }
@@ -95,17 +119,18 @@ proptest! {
     ) {
         let exprs: Vec<(String, Expr)> =
             picks.iter().enumerate().map(|(j, &i)| raw_proj(i + 10 * j)).collect();
-        let input = stream_of(&events);
+        let input = batch(&events);
+        let rows = stream_of(&events);
         let baseline = (exprs.iter())
             .map(|(name, e)| Ok(Field::new(name.clone(), e.infer_type(&schema())?)))
-            .collect::<timr_suite::temporal::Result<Vec<_>>>()
+            .collect::<Result<Vec<_>>>()
             .and_then(|fields| {
-                let rows = oracle::project(&schema(), input.events(), &exprs)?;
+                let rows = oracle::project(&schema(), rows.events(), &exprs)?;
                 Ok(EventStream::new(Schema::new(fields), rows))
             });
         let shared = project(input.clone(), &exprs);
-        let owned = project(stream_of(&events), &exprs);
-        prop_assert_eq!(input, stream_of(&events), "shared input mutated");
+        let owned = project(batch(&events), &exprs);
+        prop_assert_eq!(input.into_stream(), rows, "shared input mutated");
         match (baseline, shared, owned) {
             (Ok(b), Ok(s), Ok(o)) => {
                 prop_assert_eq!(&b, &s);

@@ -1,14 +1,12 @@
 //! Property tests for fragment fusion and the plan-level engine contract:
-//! the engine must be *byte-identical* — values, selection, lifetimes, and
-//! error cases — whichever layout its input arrives in, because the
-//! repeatability guarantee of restarted reducers (paper §III-C.1) makes its
-//! output a byte contract; and it must compute the oracle's relation on
-//! randomized plans.
+//! the engine must compute the oracle's relation on randomized plans, fail
+//! where the oracle fails, and refuse a stream whose cells do not inhabit
+//! their declared types with an error naming the source, the row and the
+//! column.
 //!
 //! The row generator flips each column to Null independently (null-heavy
 //! batches), stream lengths start at zero (empty batches), some streams
-//! carry ill-typed payloads (no columnar form: they must run identically
-//! on the row operators), the step generator produces error-raising
+//! carry ill-typed payloads, the step generator produces error-raising
 //! expressions (missing columns, type errors, division by zero), and plan
 //! kinds include fragments nested inside `GroupApply` sub-plans. The SIMD
 //! shim itself is additionally unit-tested against the scalar reference on
@@ -18,25 +16,24 @@ mod common;
 
 use common::oracle::{self, Tolerance};
 use common::{
-    arb_events, arb_lifetime_op, assert_three_way, batch_of, build_plan, make_ill_typed, raw_pred,
-    raw_proj, run_three_ways, schema, stream_of, PLAN_KINDS,
+    arb_events, arb_lifetime_op, assert_matches_oracle, batch_of, build_plan, ill_typed_error,
+    make_ill_typed, raw_pred, raw_proj, row_steps, run_against_oracle, schema, stream_of,
+    PLAN_KINDS,
 };
 use proptest::prelude::*;
-use timr_suite::temporal::exec::{bindings, execute, StreamData};
-use timr_suite::temporal::operators::{fused_fragment_batch, fused_fragment_rows};
+use timr_suite::temporal::exec::{bindings, execute};
+use timr_suite::temporal::operators::fused_fragment;
 use timr_suite::temporal::plan::{fuse_plan, FusedStep, Operator};
-use timr_suite::temporal::{col, lit, Query};
+use timr_suite::temporal::{col, lit, EventBatch, Query};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Engine-on-rows ≡ engine-on-batches on full plans — identical event
-    /// vectors (not merely the same relation) or identical error outcomes —
-    /// and both the oracle's relation (or failing where it fails), across
-    /// null-heavy rows, empty batches, ill-typed payloads, and fragments
-    /// inside GroupApply.
+    /// The engine on full plans is the oracle's relation (or fails where it
+    /// fails), across null-heavy rows, empty batches and fragments inside
+    /// GroupApply; a stream with ill-typed payloads is refused by name.
     #[test]
-    fn plans_are_byte_identical_in_either_layout_and_to_the_reference(
+    fn plans_match_the_reference(
         events in arb_events(60),
         // One stream in five carries ill-typed payloads every `stride` events.
         ill_typed in 0usize..5,
@@ -48,11 +45,15 @@ proptest! {
         p2 in 0usize..8,
     ) {
         let mut events = events;
-        if ill_typed == 0 {
-            make_ill_typed(&mut events, stride);
-        }
         let plan = build_plan(kind, w, thresh, p1, p2);
-        assert_three_way(run_three_ways(&plan, stream_of(&events)))?;
+        let run = run_against_oracle(&plan, stream_of(&events));
+        match (ill_typed == 0).then(|| make_ill_typed(&mut events, stride)).flatten() {
+            Some(row) => {
+                let run = run_against_oracle(&plan, stream_of(&events));
+                prop_assert_eq!(run.engine, Err(ill_typed_error("in", row)));
+            }
+            None => assert_matches_oracle(run)?,
+        }
     }
 
     /// The fusion rewrite never changes a plan's semantics: the engine runs
@@ -101,23 +102,21 @@ fn arb_step() -> impl Strategy<Value = FusedStep> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// The fused batch engine over an arbitrary step chain is byte-identical
-    /// to running the same steps as sequential row operators (which is
-    /// exactly what [`fused_fragment_rows`] does): same surviving events in
-    /// the same order, same lifetimes, and — for chains containing error
-    /// expressions — the same first error, because the selection vector
-    /// must not reorder which row fails first.
+    /// The fused batch engine over an arbitrary step chain is the chain's
+    /// steps run one after another, event by event ([`row_steps`]):
+    /// same surviving events in the same order, same lifetimes, and — for
+    /// chains containing error expressions — the same first error, because
+    /// the selection vector must not reorder which row fails first.
     #[test]
     fn fused_engine_matches_sequential_operators(
         events in arb_events(40),
         steps in prop::collection::vec(arb_step(), 1..5),
     ) {
-        let fused = fused_fragment_batch(batch_of(&events), &steps).map(StreamData::into_stream);
-        let rows = fused_fragment_rows(stream_of(&events), &steps);
-        match (fused, rows) {
-            (Ok(a), Ok(b)) => prop_assert_eq!(a.events(), b.events()),
+        let fused = fused_fragment(batch_of(&events), &steps).map(EventBatch::into_stream);
+        match (fused, row_steps(&steps, stream_of(&events).events().to_vec())) {
+            (Ok(a), Ok(b)) => prop_assert_eq!(a.events(), &b[..]),
             (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),
-            (a, b) => prop_assert!(false, "diverged: fused {:?} rows {:?}", a, b),
+            (a, b) => prop_assert!(false, "diverged: fused {:?} sequential {:?}", a, b),
         }
     }
 }
@@ -162,10 +161,10 @@ fn chain_compiles_to_exactly_one_fragment() {
 }
 
 #[test]
-fn empty_stream_is_identical_in_either_layout() {
-    let run = run_three_ways(&build_plan(0, 10, 0, 0, 1), stream_of(&[]));
-    assert!(run.on_batch.as_ref().unwrap().is_empty());
-    assert_three_way(run).unwrap();
+fn an_empty_stream_matches_the_reference() {
+    let run = run_against_oracle(&build_plan(0, 10, 0, 0, 1), stream_of(&[]));
+    assert!(run.engine.as_ref().unwrap().is_empty());
+    assert_matches_oracle(run).unwrap();
 }
 
 mod simd_shim {

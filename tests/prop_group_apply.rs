@@ -2,11 +2,10 @@
 //! key-ordered runs must be invisible in the output. For any sub-plan
 //! shape, key set and event bag — including distinct keys engineered to
 //! share an FxHash value, and groups whose sub-plan output is empty — the
-//! event vector on rows and on a batch must be **byte-identical**
-//! (`events() ==`, not just the same relation), and so must the error when
-//! a group fails: the repeatability guarantee restarted reducers compare
-//! bytes against (paper §III-C.1). Both must be the relation the
-//! group-at-a-time oracle computes, and the error it meets first.
+//! engine must compute the relation the group-at-a-time oracle computes,
+//! and when groups fail, at whichever operators, the error the oracle
+//! meets first: the lowest failing group in key order, its first failing
+//! operator.
 //!
 //! Two more things must be invisible. The planner's normal form: a lifetime
 //! operator above a GroupApply and the same operator at the head of its
@@ -25,8 +24,7 @@ use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{row, Column, ColumnBatch, ColumnData, Row, Schema, Value};
 use timr_suite::temporal::agg::AggExpr;
 use timr_suite::temporal::exec::{
-    bindings, execute_data, execute_single, row_bindings, Bindings, DataBindings, ExecStats,
-    StreamData,
+    bindings, execute, execute_data, execute_single, BatchBindings, Bindings, ExecStats,
 };
 use timr_suite::temporal::expr::{col, lit, Expr, Func};
 use timr_suite::temporal::plan::{
@@ -278,43 +276,27 @@ fn assert_oracle(
     Ok(())
 }
 
-/// Run `plan` on the engine with every binding as rows and as a batch: two
-/// identical event vectors (or error messages) — the oracle's relation (or
-/// its error).
+/// Run `plan` on the engine: the oracle's relation, or its error.
 fn assert_all_agree(plan: &LogicalPlan, srcs: &Bindings) -> Result<(), TestCaseError> {
-    let mut first: Option<Result<EventStream, String>> = None;
-    for as_batch in [false, true] {
-        let bound = srcs
-            .iter()
-            .map(|(name, s)| {
-                let data = match EventBatch::from_stream(s) {
-                    Some(batch) if as_batch => StreamData::Batch(batch),
-                    _ => StreamData::Rows(s.clone()),
-                };
-                (name.clone(), data)
-            })
-            .collect();
-        let engine = execute_data(plan, bound)
-            .map(|(mut roots, _)| roots.pop().unwrap().into_stream())
-            .map_err(|e| e.to_string());
-        let rows = first.get_or_insert_with(|| engine.clone());
-        prop_assert_eq!(
-            rows.as_ref().map(EventStream::events),
-            engine.as_ref().map(EventStream::events),
-            "batch={}",
-            as_batch
-        );
-    }
-    assert_oracle(plan, &first.unwrap(), &oracle_single(plan, srcs))
+    let engine = execute_single(plan, srcs).map_err(|e| e.to_string());
+    assert_oracle(plan, &engine, &oracle_single(plan, srcs))
+}
+
+/// `plan` over `batch` bound to `in`, as an `execute_data` caller binds it:
+/// the root as rows, or the error's text.
+fn on_batch(plan: &LogicalPlan, batch: EventBatch) -> Result<EventStream, String> {
+    let bound: BatchBindings = [("in".to_string(), batch)].into_iter().collect();
+    execute_data(plan, bound)
+        .map(|(mut roots, _)| roots.pop().unwrap().into_stream())
+        .map_err(|e| e.to_string())
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Segmented GroupApply — on rows and on a batch — is byte-identical
-    /// across layouts and the group-at-a-time oracle's relation, for random
-    /// sub-plan shapes, key widths and event bags; `0..` lengths include
-    /// the empty input.
+    /// Segmented GroupApply is the group-at-a-time oracle's relation, for
+    /// random sub-plan shapes, key widths and event bags; `0..` lengths
+    /// include the empty input.
     #[test]
     fn segmented_group_apply_is_byte_identical_to_the_reference(
         events in prop::collection::vec((0i64..400, 0usize..64, 0i64..40), 0..80),
@@ -328,12 +310,10 @@ proptest! {
         assert_all_agree(&plan, &srcs)?;
     }
 
-    /// The walk keeps the layout it is handed. Over a batch, every sub-plan
-    /// shape without a per-run node returns a batch (the pane kernel, which
-    /// answers in rows, aside) and transposes nothing; a shape with one
-    /// transposes the events of the runs handed to its per-run node, once.
-    /// What a per-run node itself hands back as a batch (a join's output)
-    /// is transposed on either binding, so the rows' count is subtracted.
+    /// The walk keeps the layout it is handed: one batch from the input to
+    /// the root, with every group formed once and every node without a
+    /// run-aware kernel counted once per walk — or, for the tumbling
+    /// shapes, no walk at all: the pane kernel takes every group.
     #[test]
     fn the_walk_keeps_the_layout_it_is_handed(
         events in prop::collection::vec((0i64..400, 0usize..64, 0i64..40), 0..80),
@@ -345,47 +325,28 @@ proptest! {
         let plan = build_plan(key_cols, kind, w, thr);
         let stream = palette_stream(&events);
         let srcs = bindings(vec![("in", stream.clone())]);
-        let mut bound = DataBindings::default();
-        let batch = EventBatch::from_stream(&stream).unwrap();
-        bound.insert("in".to_string(), StreamData::Batch(batch));
-        let (mut roots, on_batch) = execute_data(&plan, bound).unwrap();
-        let on_rows = stats_of(&plan, &srcs, false);
-        prop_assert_eq!(on_batch.row_fallbacks, 0);
-        prop_assert_eq!(on_batch.groups, on_rows.groups);
-        let transposed = on_batch.transposed_events - on_rows.transposed_events;
-        // The length of `GroupApply(keys){sub}`'s output: its runs' events.
-        let runs_of = |sub: &dyn Fn(StreamHandle) -> StreamHandle| -> u64 {
-            let q = Query::new();
-            let out = q.source("in", payload()).group_apply(keys_of(key_cols), sub);
-            execute_single(&q.build(vec![out]).unwrap(), &srcs).unwrap().len() as u64
-        };
-        let all = events.len() as u64;
-        let per_run_inputs = match kind {
-            // The join: the counts and the totals.
-            6 => Some(
-                runs_of(&|g| g.window(w).count("N"))
-                    + runs_of(&|g| {
-                        g.filter(col("V").ge(lit(thr))).window(2 * w).aggregate(vec![
-                            ("S".to_string(), AggExpr::Sum(col("V"))),
-                            ("C".to_string(), AggExpr::Count),
-                        ])
-                    }),
-            ),
-            // The set difference: every event and the holes.
-            7 => Some(all + events.iter().filter(|e| e.2 >= thr).count() as u64),
-            // A nested GroupApply, a UDO: every event.
-            8 | 9 => Some(all),
-            _ => None,
-        };
-        match per_run_inputs {
-            Some(n) => prop_assert_eq!(transposed, n),
-            None => {
-                prop_assert_eq!(transposed, 0);
-                let root = roots.pop().unwrap();
-                let pane = fuse_plan(&plan).unwrap().to_string().contains("[pane]");
-                prop_assert_eq!(matches!(root, StreamData::Batch(_)), !pane);
-            }
+        let stats = stats_of(&plan, &srcs);
+        let palette = palette();
+        let groups = (events.iter())
+            .map(|&(_, pi, _)| {
+                let (a, b) = palette[pi % palette.len()];
+                if key_cols == 1 { (a, 0) } else { (a, b) }
+            })
+            .collect::<std::collections::BTreeSet<_>>()
+            .len() as u64;
+        // A nested GroupApply adds its own groups, run by run.
+        match kind {
+            8 => prop_assert!(stats.groups >= groups),
+            _ => prop_assert_eq!(stats.groups, groups),
         }
+        let pane = fuse_plan(&plan).unwrap().to_string().contains("[pane]");
+        prop_assert_eq!(stats.pane_groups, if pane { groups } else { 0 });
+        // The join, the set difference, the nested GroupApply and the UDO
+        // run per run: one node each, counted once.
+        let per_run = u64::from((6..=9).contains(&kind) && groups > 0);
+        prop_assert_eq!(stats.per_run_nodes, per_run);
+        let root = execute(&plan, &srcs).unwrap().pop().unwrap();
+        assert_oracle(&plan, &Ok(root), &oracle_single(&plan, &srcs))?;
     }
 
     /// The same with a sub-plan that reads an outer source, which every
@@ -403,10 +364,6 @@ proptest! {
             ("side", palette_stream(&side)),
         ]);
         assert_all_agree(&plan, &srcs)?;
-        // The pin transposes `side`; the union where the sub-plan `Source`'s
-        // rows meet the group's batch runs transposes those, once.
-        let transposed = (events.len() + side.len()) as u64;
-        prop_assert_eq!(stats_of(&plan, &srcs, true).transposed_events, transposed);
     }
 
     /// A failing group: whichever operator fails in whichever group, every
@@ -513,16 +470,9 @@ fn nullable_stream(events: &[(i64, usize, Option<i64>)]) -> EventStream {
     )
 }
 
-fn stats_of(plan: &LogicalPlan, srcs: &Bindings, as_batch: bool) -> ExecStats {
-    let bound = srcs
-        .iter()
-        .map(|(name, s)| {
-            let data = match EventBatch::from_stream(s) {
-                Some(batch) if as_batch => StreamData::Batch(batch),
-                _ => StreamData::Rows(s.clone()),
-            };
-            (name.clone(), data)
-        })
+fn stats_of(plan: &LogicalPlan, srcs: &Bindings) -> ExecStats {
+    let bound = (srcs.iter())
+        .map(|(name, s)| (name.clone(), EventBatch::from_stream(s).unwrap()))
         .collect();
     execute_data(plan, bound).unwrap().1
 }
@@ -532,7 +482,7 @@ proptest! {
 
     /// The normal form is an identity: any lifetime operator above a
     /// GroupApply, or at the head of its sub-plan, is the same query — on
-    /// rows, on a batch and on the oracle, which rewrites nothing. (The
+    /// the engine and on the oracle, which rewrites nothing. (The
     /// planner sinks only a `Hop`; the algebra holds for all of them.)
     #[test]
     fn a_lifetime_op_commutes_with_grouping(
@@ -565,8 +515,7 @@ proptest! {
     /// null, negative and grid-aligned times, empty cells between bursts and
     /// (`V` ranges over three values) adjacent cells with equal results,
     /// which coalesce — equals the same aggregate swept over key-ordered
-    /// runs and the oracle, on both layouts. And the
-    /// plan alone picks the path: tumbling and combinable takes the kernel,
+    /// runs and the oracle. And the plan alone picks the path: tumbling and combinable takes the kernel,
     /// anything else does not.
     #[test]
     fn the_pane_kernel_is_the_sweep(
@@ -590,24 +539,22 @@ proptest! {
             execute_single(&sweep, &srcs).unwrap(),
         );
         prop_assert_eq!(on_kernel.events(), on_sweep.events());
-        for as_batch in [false, true] {
-            let taken = stats_of(&kernel, &srcs, as_batch);
-            prop_assert_eq!(taken.pane_groups, taken.groups);
-            prop_assert_eq!(stats_of(&sweep, &srcs, as_batch).pane_groups, 0);
-            // A sliding hop, or one aggregate that does not combine.
-            let sliding = hop_aggregate_plan(key_cols, grid, 2 * grid, aggs.clone(), false);
-            prop_assert_eq!(stats_of(&sliding, &srcs, as_batch).pane_groups, 0);
-            let mut with_avg = aggs.clone();
-            with_avg.push(("Mean".to_string(), AggExpr::Avg(col("V"))));
-            let avg = hop_aggregate_plan(key_cols, grid, grid, with_avg, false);
-            prop_assert_eq!(stats_of(&avg, &srcs, as_batch).pane_groups, 0);
-            assert_all_agree(&avg, &srcs)?;
-        }
+        let taken = stats_of(&kernel, &srcs);
+        prop_assert_eq!(taken.pane_groups, taken.groups);
+        prop_assert_eq!(stats_of(&sweep, &srcs).pane_groups, 0);
+        // A sliding hop, or one aggregate that does not combine.
+        let sliding = hop_aggregate_plan(key_cols, grid, 2 * grid, aggs.clone(), false);
+        prop_assert_eq!(stats_of(&sliding, &srcs).pane_groups, 0);
+        let mut with_avg = aggs.clone();
+        with_avg.push(("Mean".to_string(), AggExpr::Avg(col("V"))));
+        let avg = hop_aggregate_plan(key_cols, grid, grid, with_avg, false);
+        prop_assert_eq!(stats_of(&avg, &srcs).pane_groups, 0);
+        assert_all_agree(&avg, &srcs)?;
     }
 }
 
 /// The sub-plan kinds of [`sub_plan`] that are per-event steps ending in
-/// one Aggregate: over a batch, GroupApply sweeps them on the columns.
+/// one Aggregate.
 const PER_EVENT_AGGREGATES: usize = 3;
 
 /// Events whose key cells may be Null: `(t, palette index, v, nulls)`,
@@ -635,8 +582,8 @@ proptest! {
 
     /// A per-event aggregate over a batch never leaves the columns — keys
     /// that collide on the hash, Null key cells, groups the filter empties
-    /// and all — and publishes the row path's bytes, the oracle's relation.
-    /// It is the walk's case of one fragment and one aggregate, so a filter
+    /// and all — and is the oracle's relation, every group formed once. It
+    /// is the walk's case of one fragment and one aggregate, so a filter
     /// after the aggregate stays on the columns too.
     #[test]
     fn a_per_event_aggregate_on_a_batch_stays_columnar(
@@ -649,22 +596,19 @@ proptest! {
         let plan = build_plan(key_cols, kind, w, thr);
         let srcs = bindings(vec![("in", null_key_stream(&events))]);
         assert_all_agree(&plan, &srcs)?;
-        let (on_batch, on_rows) = (stats_of(&plan, &srcs, true), stats_of(&plan, &srcs, false));
-        prop_assert_eq!((on_batch.transposed_events, on_batch.row_fallbacks), (0, 0));
-        prop_assert_eq!(on_batch.groups, on_rows.groups);
+        let stats = stats_of(&plan, &srcs);
+        prop_assert_eq!(stats.per_run_nodes, 0);
         let walked = build_plan(key_cols, 4, w, thr);
         assert_all_agree(&walked, &srcs)?;
-        prop_assert_eq!(stats_of(&walked, &srcs, true).transposed_events, 0);
+        prop_assert_eq!(stats_of(&walked, &srcs).groups, stats.groups);
     }
 
     /// What a per-event aggregate over a batch returns is itself a batch —
     /// the lifetimes, one typed column per aggregate and the key columns,
     /// Null key cells and hash-colliding keys included — whose stream is
-    /// the row path's, the oracle's relation. An aggregate value with no
-    /// column form ends on
-    /// rows, counted: `min2(V, 2.5)` is declared a long, so its `Sum` is an
-    /// integer column, but a group that meets a `V` of 3 or more sums the
-    /// double 2.5.
+    /// the oracle's relation. `min2(V, 2.5)` is typed by both its
+    /// arguments, a double, so its `Sum` is a double column whichever
+    /// operand wins.
     #[test]
     fn a_per_event_aggregate_on_a_batch_returns_a_batch(
         events in prop::collection::vec((0i64..400, 0usize..64, 0i64..40, 0u8..4), 1..80),
@@ -674,25 +618,21 @@ proptest! {
         thr in 0i64..45,
         small in 1i64..40,
     ) {
-        let run = |plan: &LogicalPlan, stream: &EventStream| {
+        let run = |plan: &LogicalPlan, stream: &EventStream| -> Result<EventBatch, TestCaseError> {
             let srcs = bindings(vec![("in", stream.clone())]);
-            let (mut roots, _) = execute_data(plan, row_bindings(srcs.clone())).unwrap();
-            let on_rows = roots.pop().unwrap().into_stream();
             let want = oracle::run_single(plan, &srcs).unwrap();
+            let mut bound = BatchBindings::default();
+            bound.insert("in".to_string(), EventBatch::from_stream(stream).unwrap());
+            let (mut roots, _) = execute_data(plan, bound).unwrap();
+            let root = roots.pop().unwrap();
             let tolerance = Tolerance::of(plan, plan.roots()[0]);
-            let same = oracle::same_relation(&on_rows, &want, &tolerance);
-            assert!(same.is_ok(), "{}", same.unwrap_err());
-            let mut bound = DataBindings::default();
-            let batch = EventBatch::from_stream(stream).unwrap();
-            bound.insert("in".to_string(), StreamData::Batch(batch));
-            let (mut roots, stats) = execute_data(plan, bound).unwrap();
-            (roots.pop().unwrap(), stats, on_rows)
+            let same = oracle::same_relation(&root.clone().into_stream(), &want, &tolerance);
+            prop_assert!(same.is_ok(), "{}", same.unwrap_err());
+            Ok(root)
         };
         let stream = null_key_stream(&events);
-        let (root, stats, on_rows) = run(&build_plan(key_cols, kind, w, thr), &stream);
-        prop_assert!(matches!(root, StreamData::Batch(_)));
-        prop_assert_eq!((stats.transposed_events, stats.row_fallbacks), (0, 0));
-        prop_assert_eq!(root.into_stream(), on_rows);
+        let root = run(&build_plan(key_cols, kind, w, thr), &stream)?;
+        prop_assert_eq!(root.schema().len(), key_cols + root.payload().columns().len() - key_cols);
 
         // `V` below `small` only where the events say so, then the sum.
         let capped: Vec<_> = events.iter().map(|&(t, pi, v, n)| (t, pi, v % small, n)).collect();
@@ -704,22 +644,18 @@ proptest! {
             )])
         });
         let plan = q.build(vec![out]).unwrap();
-        let (root, stats, on_rows) = run(&plan, &null_key_stream(&capped));
-        let doubles = capped.iter().any(|e| e.2 >= 3);
-        prop_assert_eq!(matches!(root, StreamData::Rows(_)), doubles);
-        prop_assert_eq!(stats.row_fallbacks, u64::from(doubles));
-        prop_assert_eq!(stats.transposed_events, 0);
-        prop_assert_eq!(root.into_stream(), on_rows);
+        let root = run(&plan, &null_key_stream(&capped))?;
+        let sums = root.payload().column(key_cols);
+        prop_assert!(matches!(sums.data(), ColumnData::Double(_)));
     }
 
     /// A per-event step that fails on some values only: `V >= k OR X`,
     /// where `X` is declared boolean but the batch holds integers there (the
     /// column layout accepts what the schema does not promise), so the
-    /// predicate is non-boolean exactly on the rows with `V < k`. On a batch
-    /// the walk over the columns gives up and the walk over rows reports
-    /// what the oracle meets first — the lowest failing group in key order — not the
-    /// first failing row; on rows, and when nothing fails, every execution
-    /// is the oracle's too.
+    /// predicate is non-boolean exactly on the rows with `V < k`. The walk
+    /// cuts the lowest failing group and reports what the oracle meets
+    /// first — the lowest failing group in key order, not the first failing
+    /// row; when nothing fails, it is the oracle's relation.
     #[test]
     fn a_failing_per_event_step_on_a_batch_reports_the_reference_s_error(
         events in prop::collection::vec((0i64..400, 0usize..64, 0i64..12), 1..60),
@@ -733,36 +669,22 @@ proptest! {
         let want = oracle_single(&plan, &srcs);
         let fails = events.iter().any(|&(_, _, v)| v < k);
         prop_assert_eq!(want.is_err(), fails);
-        let mut bound = DataBindings::default();
-        bound.insert("in".to_string(), StreamData::Batch(batch));
-        let on_batch = execute_data(&plan, bound)
-            .map(|(mut roots, stats)| (roots.pop().unwrap().into_stream(), stats))
-            .map_err(|e| e.to_string());
-        let on_rows = execute_data(&plan, row_bindings(srcs.clone()))
-            .map(|(mut roots, _)| roots.pop().unwrap().into_stream())
-            .map_err(|e| e.to_string());
-        match (&on_batch, &on_rows) {
-            (Ok((out, stats)), Ok(r)) => {
-                prop_assert_eq!(out.events(), r.events());
-                prop_assert_eq!(stats.transposed_events, 0);
-            }
-            (e, r) => prop_assert_eq!(e.as_ref().map(|_| ()), r.as_ref().map(|_| ())),
+        let got = on_batch(&plan, batch);
+        match (&got, &want) {
+            (Err(got), Err(want)) => prop_assert_eq!(got, want),
+            _ => assert_oracle(&plan, &got, &want)?,
         }
-        assert_oracle(&plan, &on_rows, &want)?;
     }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// A per-event step whose result has no dense column form: `min2(V,
-    /// 2.5)` keeps the chosen operand's runtime type, so a batch holding
-    /// values on both sides of 2.5 projects a column of longs and doubles.
-    /// The walk over the columns gives up and the walk over rows runs the
-    /// input — the row path's bytes and the oracle's relation either way, and
-    /// a transposition exactly when the types mix.
+    /// `min2(V, 2.5)` is typed by both its arguments: a double, whichever
+    /// operand wins in whichever group, so a batch holding values on both
+    /// sides of 2.5 projects one column of doubles — the oracle's relation.
     #[test]
-    fn a_projection_with_no_column_form_walks_the_runs(
+    fn a_min2_projection_is_typed_by_both_arguments(
         events in prop::collection::vec((0i64..400, 0usize..64, 0i64..6), 0..60),
         key_cols in 1usize..3,
         w in 1i64..50,
@@ -779,10 +701,71 @@ proptest! {
         let plan = q.build(vec![out]).unwrap();
         let srcs = bindings(vec![("in", palette_stream(&events))]);
         assert_all_agree(&plan, &srcs)?;
-        let mixed = events.iter().any(|e| e.2 <= 2) && events.iter().any(|e| e.2 >= 3);
-        let transposed = if mixed { events.len() as u64 } else { 0 };
-        prop_assert_eq!(stats_of(&plan, &srcs, true).transposed_events, transposed);
+        let out = execute_single(&plan, &srcs).unwrap();
+        prop_assert!(out.events().iter().all(|e| matches!(e.payload.get(key_cols), Value::Double(_))));
     }
+
+    /// Groups that fail at different operators — a fused step, an aggregate
+    /// argument, a join run per run, a UDO — in whichever groups: the walk
+    /// reports what the oracle meets first, the lowest failing group in key
+    /// order and its first failing operator, text for text.
+    #[test]
+    fn groups_failing_at_different_operators_report_the_reference_s_error(
+        events in prop::collection::vec((0i64..200, 0i64..6, 0i64..12), 1..40),
+        step_k in 0i64..13,
+        agg_k in 0i64..13,
+        join_k in 0i64..13,
+        udo_v in 0i64..13,
+    ) {
+        let plan = failing_operators_plan(step_k, agg_k, join_k, udo_v);
+        let batch = flagged_batch_of(&events);
+        let srcs = bindings(vec![("in", batch.clone().into_stream())]);
+        let want = oracle_single(&plan, &srcs);
+        let got = on_batch(&plan, batch);
+        match (&got, &want) {
+            (Err(got), Err(want)) => prop_assert_eq!(got, want),
+            _ => assert_oracle(&plan, &got, &want)?,
+        }
+    }
+}
+
+/// `in → GroupApply(A)` over [`flagged_payload`] (whose `X` holds `V`),
+/// with four operators that fail on chosen values: the filter `V >= step_k
+/// OR X` (non-boolean where `V < step_k`), the count-distinct argument
+/// `NOT (V >= agg_k OR X)` (where `V < agg_k`), a per-run join whose
+/// residual compares `X` with a boolean where the left `V` is `join_k`, and
+/// a UDO that fails on `V == udo_v`.
+fn failing_operators_plan(step_k: i64, agg_k: i64, join_k: i64, udo_v: i64) -> LogicalPlan {
+    let q = Query::new();
+    let out = q.source("in", flagged_payload()).group_apply(&["A"], |g| {
+        let kept = g.filter(col("V").ge(lit(step_k)).or(col("X")));
+        let flag = col("V").ge(lit(agg_k)).or(col("X"));
+        let distinct = kept
+            .clone()
+            .window(5)
+            .aggregate(vec![("D".to_string(), AggExpr::CountDistinct(flag.not()))]);
+        let truth = timr_suite::temporal::Expr::Literal(Value::Bool(true));
+        let residual = col("V").ne(lit(join_k)).or(col("X").lt(truth));
+        let joined = kept
+            .clone()
+            .window(3)
+            .temporal_join(distinct, &[], Some(residual))
+            .project(vec![("V".to_string(), col("V"))]);
+        let pick = |c: &str| (c.to_string(), col(c));
+        let udo = kept
+            .project(vec![pick("A"), pick("B"), pick("V")])
+            .hop_udo(
+                10,
+                10,
+                Arc::new(FailOn {
+                    name: "udo",
+                    v: udo_v,
+                }),
+            )
+            .project(vec![pick("V")]);
+        joined.union(udo)
+    });
+    q.build(vec![out]).unwrap()
 }
 
 /// `payload()` plus a flag `X`, declared boolean.
@@ -874,74 +857,82 @@ fn pane_cells_coalesce_split_and_report_like_the_sweep() {
     oracle::same_relation(&out, &want, &Tolerance::exact()).unwrap();
     let sweep = hop_aggregate_plan(1, 10, 10, aggs(), true);
     assert_eq!(out, execute_single(&sweep, &srcs).unwrap());
-    assert_eq!(stats_of(&plan, &srcs, true).pane_groups, 2);
+    assert_eq!(stats_of(&plan, &srcs).pane_groups, 2);
 }
 
-/// Combinability is decided from the declared argument type; a row stream
-/// can hold a double where the schema says long. A SUM that met one answers
-/// in doubles until its burst of adjacent cells ends — the kernel sees it
-/// and leaves the input to the sweep.
+/// Combinability is decided from the declared argument type, which every
+/// cell inhabits. A double in what would be an integer sum — `V` through
+/// `min2(V, 2.5)` — makes the sum a double one, which does not combine: the
+/// sweep takes it, and it answers in doubles whichever operand wins.
 #[test]
 fn a_double_in_an_integer_sum_takes_the_sweep() {
+    let min2 = Expr::call(Func::Min2, vec![col("V"), lit(2.5f64)]);
     let plan = hop_aggregate_plan(
         1,
         10,
         10,
-        vec![("S".to_string(), AggExpr::Sum(col("V")))],
+        vec![("S".to_string(), AggExpr::Sum(min2))],
         false,
     );
-    let ev = |t: i64, v: Value| Event::point(t, Row::new(vec![Value::Long(1), Value::Long(0), v]));
-    let stream = EventStream::new(
-        payload(),
-        vec![
-            ev(5, Value::Double(0.5)), // cell 10
-            ev(15, Value::Long(3)),    // cell 20: adjacent, still a double
-            ev(45, Value::Long(3)),    // cell 50: a fresh burst, a long again
-        ],
-    );
+    let ev = |t: i64, v: i64| Event::point(t, row![1i64, 0i64, v]);
+    let stream = EventStream::new(payload(), vec![ev(5, 0), ev(15, 3), ev(45, 3)]);
     let srcs = bindings(vec![("in", stream)]);
     let out = execute_single(&plan, &srcs).unwrap();
     let sums: Vec<_> = out.events().iter().map(|e| e.payload.get(1)).collect();
     assert_eq!(
         sums,
-        [&Value::Double(0.5), &Value::Double(3.0), &Value::Long(3)]
+        [
+            &Value::Double(0.0),
+            &Value::Double(2.5),
+            &Value::Double(2.5)
+        ]
     );
     let want = oracle::run_single(&plan, &srcs).unwrap();
     oracle::same_relation(&out, &want, &Tolerance::exact()).unwrap();
-    let stats = stats_of(&plan, &srcs, false);
+    let stats = stats_of(&plan, &srcs);
     assert_eq!((stats.groups, stats.pane_groups), (1, 0));
 }
 
+/// A payload batch built column by column, each column holding whatever
+/// storage it is handed: how a test gets cells the declared type does not
+/// promise past the engine's edge, to make an operator fail on them.
+fn raw_batch(times: &[i64], columns: Vec<Column>) -> EventBatch {
+    EventBatch::new(
+        times.to_vec(),
+        times.iter().map(|t| t + 1).collect(),
+        ColumnBatch::new(payload(), columns, times.len()),
+    )
+}
+
 /// An argument error in the kernel is the oracle's: the lowest failing
-/// group in key order, its first failing event (rows only — the typed batch
-/// has no form for the offending cells).
+/// group in key order, its first failing event. `B` holds booleans and `V`
+/// strings (nulls aside), so `V * 2 + B * 2` fails on a string `V`, and on
+/// a boolean `B` where `V` is null.
 #[test]
 fn pane_argument_errors_keep_the_reference_s_order() {
-    let plan = hop_aggregate_plan(
-        1,
-        10,
-        10,
-        vec![("S".to_string(), AggExpr::Sum(col("V").mul(lit(2i64))))],
-        false,
-    );
-    let ev = |t: i64, a: i64, v: Value| {
-        Event::point(t, Row::new(vec![Value::Long(a), Value::Long(0), v]))
-    };
-    let stream = EventStream::new(
-        payload(),
+    let arg = col("V").mul(lit(2i64)).add(col("B").mul(lit(2i64)));
+    let plan = hop_aggregate_plan(1, 10, 10, vec![("S".to_string(), AggExpr::Sum(arg))], false);
+    let validity = |nulls: &[bool]| timr_suite::relation::column::Validity::from_null_flags(nulls);
+    let batch = raw_batch(
+        &[1, 2, 3, 4, 5],
         vec![
-            ev(1, 3, Value::Bool(true)), // group 3 fails first in input order
-            ev(2, 1, Value::Long(1)),    // group 1: fine
-            ev(3, 2, Value::Long(1)),
-            ev(4, 2, Value::str("x")), // group 2: the lowest failing group
-            ev(5, 2, Value::Bool(false)),
+            Column::new(ColumnData::Long(vec![3, 1, 2, 2, 2]), None),
+            Column::new(
+                ColumnData::Bool(vec![true, false, false, false, false]),
+                validity(&[false, true, true, true, false]),
+            ),
+            Column::new(
+                ColumnData::Str(["", "", "", "x", ""].map(Into::into).to_vec()),
+                validity(&[true, true, true, false, true]),
+            ),
         ],
     );
-    let srcs = bindings(vec![("in", stream)]);
+    // Group 3 fails first in input order (a boolean `B`); group 1 is fine;
+    // group 2 is the lowest failing group, on its string `V`.
+    let srcs = bindings(vec![("in", batch.clone().into_stream())]);
     let reference = oracle::run_single(&plan, &srcs).unwrap_err().to_string();
     assert_eq!(reference, "eval error: expected integer, got str");
-    let err = execute_data(&plan, row_bindings(srcs)).unwrap_err();
-    assert_eq!(err.to_string(), reference);
+    assert_eq!(on_batch(&plan, batch), Err(reference));
 }
 
 /// The pinned case of the property above: group `a` passes the first UDO
@@ -981,38 +972,35 @@ fn the_lower_group_s_later_error_wins() {
     let srcs = bindings(vec![("in", stream)]);
     let reference = oracle::run_single(&plan, &srcs).unwrap_err().to_string();
     assert_eq!(reference, "eval error: second saw 3");
-    let err = execute_data(&plan, row_bindings(srcs)).unwrap_err();
+    let err = execute_single(&plan, &srcs).unwrap_err();
     assert_eq!(err.to_string(), reference);
 }
 
-/// A segmented kernel failing past the first group (rows only: the typed
-/// batch has no form for the offending cell, so `run_three_ways` binds rows
-/// on both engine arms). Group 1 fails in the aggregate's argument, group 2
-/// already in the filter before it.
+/// A segmented kernel failing past the first group, on cells the declared
+/// type does not promise (`X` holds `V`). Group 1 fails in the aggregate's
+/// argument, group 2 already in the filter before it; group 0's only event
+/// is filtered out (a null `X`).
 #[test]
 fn kernel_errors_keep_the_reference_s_order() {
     let q = Query::new();
-    let out = q.source("in", payload()).group_apply(&["A"], |g| {
-        g.filter(col("V").add(lit(1.5f64)).gt(lit(0i64)))
-            .aggregate(vec![("S".into(), AggExpr::Sum(col("B").mul(lit(2i64))))])
+    let out = q.source("in", flagged_payload()).group_apply(&["A"], |g| {
+        g.filter(col("V").ge(lit(5i64)).or(col("X")))
+            .aggregate(vec![("D".into(), AggExpr::CountDistinct(col("X").not()))])
     });
     let plan = q.build(vec![out]).unwrap();
-    let ill = |v: &str| Value::str(v);
-    let stream = EventStream::new(
-        payload(),
-        vec![
-            Event::point(1, row![0i64, 1i64, 1i64]), // group 0: fine
-            Event::point(2, Row::new(vec![Value::Long(2), Value::Long(1), ill("v")])),
-            Event::point(3, Row::new(vec![Value::Long(1), ill("b"), Value::Long(1)])),
-        ],
-    );
-    let srcs = bindings(vec![("in", stream)]);
+    let mut batch = flagged_batch_of(&[(1, 0, 1), (2, 2, 3), (3, 1, 9)]);
+    let (vt, ve, payload) = batch.into_parts();
+    let (schema, mut columns, rows) = payload.into_parts();
+    let x = columns.pop().unwrap().into_parts().0;
+    let nulls = timr_suite::relation::column::Validity::from_null_flags(&[true, false, false]);
+    columns.push(Column::new(x, nulls));
+    batch = EventBatch::new(vt, ve, ColumnBatch::new(schema, columns, rows));
+    let srcs = bindings(vec![("in", batch.clone().into_stream())]);
     let reference = oracle::run_single(&plan, &srcs).unwrap_err().to_string();
-    // The aggregate's complaint about group 1's `B`, not the filter's
-    // about group 2's `V`.
-    assert_eq!(reference, "eval error: expected integer, got str");
-    let err = execute_data(&plan, row_bindings(srcs)).unwrap_err();
-    assert_eq!(err.to_string(), reference);
+    // The aggregate's complaint about group 1's `X`, not the filter's
+    // about group 2's.
+    assert_eq!(reference, "eval error: NOT on non-boolean");
+    assert_eq!(on_batch(&plan, batch), Err(reference));
 }
 
 /// BotElim's shape — two filtered counts off one group, a union, a
@@ -1020,8 +1008,8 @@ fn kernel_errors_keep_the_reference_s_order() {
 /// and there only in later groups: `V >= 5 OR X`, with `X` declared boolean
 /// but holding `V`, fails on a `V` below 5. Group 3's failing row comes
 /// first in input order, group 2's is the one a group-at-a-time evaluation
-/// meets first. The columnar walk gives up, and the walk over rows reports
-/// the oracle's error, text for text.
+/// meets first. The walk cuts group 3, then group 2, and reports the
+/// oracle's error, text for text.
 #[test]
 fn a_bot_elim_shaped_walk_reports_the_reference_s_error() {
     let q = Query::new();
@@ -1046,20 +1034,13 @@ fn a_bot_elim_shaped_walk_reports_the_reference_s_error() {
         reference,
         "eval error: predicate evaluated to non-boolean 3"
     );
-    let mut bound = DataBindings::default();
-    bound.insert("in".to_string(), StreamData::Batch(batch));
-    let on_batch = execute_data(&plan, bound).unwrap_err();
-    assert_eq!(on_batch.to_string(), reference);
-    let on_rows = execute_data(&plan, row_bindings(srcs)).unwrap_err();
-    assert_eq!(on_rows.to_string(), reference);
+    assert_eq!(on_batch(&plan, batch), Err(reference));
 }
 
-/// A walk over a batch that gives up late — after a nested GroupApply in
-/// one branch has formed its groups, at a projection with no dense column
-/// form in the other — leaves no trace of its attempt: the walk over rows
-/// counts every group once, and only the input's transposition shows.
+/// A nested GroupApply in one branch of a walk forms its groups once per
+/// outer group, and its walk counts as one per-run node of the outer one.
 #[test]
-fn a_walk_that_gives_up_counts_its_groups_once() {
+fn a_nested_group_apply_counts_its_groups_once() {
     let q = Query::new();
     let out = q.source("in", payload()).group_apply(&["A"], |g| {
         let min2 = |c: &str| Expr::call(Func::Min2, vec![col(c), lit(2.5f64)]);
@@ -1073,13 +1054,14 @@ fn a_walk_that_gives_up_counts_its_groups_once() {
     let events: Vec<_> = (0..12).map(|i| (i * 7, i as usize % 5, i % 6)).collect();
     let srcs = bindings(vec![("in", palette_stream(&events))]);
     assert_all_agree(&plan, &srcs).unwrap();
-    let (on_batch, on_rows) = (stats_of(&plan, &srcs, true), stats_of(&plan, &srcs, false));
-    assert_eq!(on_batch.groups, on_rows.groups);
-    assert_eq!(on_batch.per_run_nodes, on_rows.per_run_nodes);
-    assert_eq!(
-        on_batch.transposed_events,
-        on_rows.transposed_events + events.len() as u64
-    );
+    let stats = stats_of(&plan, &srcs);
+    // Five palette keys, three outer groups (`A` in 0..3), each holding its
+    // own `B`s.
+    let palette = palette();
+    let outer: std::collections::BTreeSet<_> = (0..5).map(|i| palette[i].0).collect();
+    let inner: std::collections::BTreeSet<_> = (0..5).map(|i| palette[i]).collect();
+    assert_eq!(stats.groups, (outer.len() + inner.len()) as u64);
+    assert_eq!(stats.per_run_nodes, 1);
 }
 
 /// [`flagged_batch`] with the key `A` given: `(t, a, v)`.

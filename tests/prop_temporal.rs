@@ -6,9 +6,10 @@ use proptest::prelude::*;
 use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{row, Schema};
 use timr_suite::temporal::agg::AggExpr;
+use timr_suite::temporal::exec::ExecStats;
 use timr_suite::temporal::exec::{bindings, execute_single};
 use timr_suite::temporal::expr::{col, lit};
-use timr_suite::temporal::operators::aggregate;
+use timr_suite::temporal::operators;
 use timr_suite::temporal::{Event, EventStream, Lifetime, Query};
 
 fn payload() -> Schema {
@@ -105,6 +106,10 @@ proptest! {
             pieces.push(piece);
         }
         let whole = EventStream::new(schema.clone(), pieces.concat());
+        let aggregate = |s: &EventStream, aggs: &[(String, AggExpr)]| {
+            let batch = timr_suite::temporal::EventBatch::from_stream(s).unwrap();
+            operators::aggregate(&batch, aggs, &mut ExecStats::default()).map(|b| b.into_stream())
+        };
         let concatenated: Vec<Event> = pieces
             .into_iter()
             .flat_map(|p| {

@@ -11,11 +11,15 @@ use common::oracle::{self, Tolerance};
 use proptest::prelude::*;
 use timr_suite::mapreduce::{Cluster, Dataset, Dfs};
 use timr_suite::relation::schema::{ColumnType, Field};
+use timr_suite::relation::Value;
 use timr_suite::relation::{row, Row, Schema};
-use timr_suite::temporal::exec::bindings;
-use timr_suite::temporal::Query;
+use timr_suite::temporal::agg::AggExpr;
+use timr_suite::temporal::exec::{bindings, execute_single};
+use timr_suite::temporal::expr::Func;
+use timr_suite::temporal::plan::Operator;
+use timr_suite::temporal::{col, lit, Expr, Query};
 use timr_suite::timr::temporal_partition::TemporalPartitionJob;
-use timr_suite::timr::{read_output, EventEncoding};
+use timr_suite::timr::{read_output, Annotation, EventEncoding, ExchangeKey, TimrJob};
 
 fn payload() -> Schema {
     Schema::new(vec![
@@ -83,4 +87,58 @@ proptest! {
             "span {} over {} rows ({} spans): {}", span, rows.len(), out.spans, same.unwrap_err()
         );
     }
+}
+
+/// `min2(V, 2.5)` over a `Long` `V` is a `Double`, whichever operand wins,
+/// so a plan that projects it publishes through a TiMR job the relation
+/// the single-node engine computes — the reduce sink's columns hold every
+/// cell the engine hands it (paper §III-C: M-R ≡ single node).
+#[test]
+fn a_min2_of_a_long_and_a_double_publishes_the_single_node_relation() {
+    let schema = Schema::new(vec![
+        Field::new("UserId", ColumnType::Str),
+        Field::new("V", ColumnType::Long),
+    ]);
+    let q = Query::new();
+    let out = q
+        .source("logs", schema.clone())
+        .project(vec![
+            ("UserId".to_string(), col("UserId")),
+            (
+                "M".to_string(),
+                Expr::call(Func::Min2, vec![col("V"), lit(2.5f64)]),
+            ),
+        ])
+        .group_apply(&["UserId"], |g| {
+            g.window(10)
+                .aggregate(vec![("S".to_string(), AggExpr::Sum(col("M")))])
+        });
+    let plan = q.build(vec![out]).unwrap();
+    let rows: Vec<Row> = (0..40i64)
+        .map(|t| row![t * 3, format!("u{}", t % 3), t % 6])
+        .collect();
+    let stream = EventEncoding::Point.decode_stream(&rows, &schema).unwrap();
+    let single = execute_single(&plan, &bindings(vec![("logs", stream)])).unwrap();
+    assert!(single
+        .events()
+        .iter()
+        .all(|e| matches!(e.payload.get(1), Value::Double(_))));
+
+    let dfs = Dfs::new();
+    let dataset = Dataset::single(EventEncoding::Point.dataset_schema(&schema), rows);
+    dfs.put("logs", dataset).unwrap();
+    let group_apply = (plan.nodes().iter())
+        .position(|n| matches!(n.op, Operator::GroupApply { .. }))
+        .unwrap();
+    let annotation = Annotation::none().exchange(group_apply, 0, ExchangeKey::keys(&["UserId"]));
+    let out = TimrJob::new("min2", plan)
+        .with_annotation(annotation)
+        .with_machines(3)
+        .run(&dfs, &Cluster::new())
+        .unwrap();
+    let published = out.stream(&dfs).unwrap();
+    assert!(
+        published.same_relation(&single),
+        "{published}\nvs\n{single}"
+    );
 }
