@@ -2,11 +2,12 @@
 //!
 //! A [`ColumnBatch`] holds the same information as a `Vec<Row>` of one
 //! schema, transposed: one [`Column`] per field, each a dense typed vector
-//! (`Vec<i64>`, `Vec<f64>`, …) with an optional [`Validity`] bitmap marking
+//! (`Vec<i64>`, `Vec<f64>`, …, and for strings `u32` codes into a shared
+//! dictionary, [`StrCodes`]) with an optional [`Validity`] bitmap marking
 //! which slots are real values and which are `Null`. Null slots hold an
-//! unobservable placeholder (zero / `false` / empty string) so kernels can
-//! sweep whole vectors without branching on nullness; readers must consult
-//! the validity bitmap first.
+//! unobservable placeholder (zero / `false` / some dictionary entry) so
+//! kernels can sweep whole vectors without branching on nullness; readers
+//! must consult the validity bitmap first.
 //!
 //! Conversion is lossless **only for rows whose cells match the declared
 //! column types** ([`ColumnType::admits`]). Row storage tolerates ill-typed
@@ -18,6 +19,7 @@
 //!
 //! [`from_rows`]: ColumnBatch::from_rows
 
+use crate::dict::{Interner, StrCodes};
 use crate::error::{RelationError, Result};
 use crate::row::Row;
 use crate::schema::{ColumnType, Field, Schema};
@@ -177,8 +179,8 @@ pub enum ColumnData {
     Long(Vec<i64>),
     /// 64-bit floats.
     Double(Vec<f64>),
-    /// Interned strings (`Arc` clones are pointer bumps, as in [`Value`]).
-    Str(Vec<Arc<str>>),
+    /// Strings: codes into a shared dictionary ([`crate::dict`]).
+    Str(StrCodes),
 }
 
 impl ColumnData {
@@ -189,7 +191,7 @@ impl ColumnData {
             ColumnType::Int => ColumnData::Int(Vec::with_capacity(capacity)),
             ColumnType::Long => ColumnData::Long(Vec::with_capacity(capacity)),
             ColumnType::Double => ColumnData::Double(Vec::with_capacity(capacity)),
-            ColumnType::Str => ColumnData::Str(Vec::with_capacity(capacity)),
+            ColumnType::Str => ColumnData::Str(StrCodes::empty()),
         }
     }
 
@@ -209,28 +211,14 @@ impl ColumnData {
         self.len() == 0
     }
 
-    /// Append the placeholder value (the slot must be masked as null).
-    fn push_placeholder(&mut self) {
-        match self {
-            ColumnData::Bool(d) => d.push(false),
-            ColumnData::Int(d) => d.push(0),
-            ColumnData::Long(d) => d.push(0),
-            ColumnData::Double(d) => d.push(0.0),
-            ColumnData::Str(d) => d.push(Arc::from("")),
-        }
-    }
-
     fn retain(&mut self, keep: &[bool]) {
-        // Two-pointer in-place compaction: each survivor is moved (swapped,
-        // so `Arc` strings transfer without refcount traffic) at most once.
+        // Two-pointer in-place compaction: each survivor moves at most once.
         macro_rules! compact_vec {
             ($d:expr) => {{
                 let mut w = 0;
                 for (i, &k) in keep.iter().enumerate() {
                     if k {
-                        if i != w {
-                            $d.swap(w, i);
-                        }
+                        $d[w] = $d[i];
                         w += 1;
                     }
                 }
@@ -242,16 +230,17 @@ impl ColumnData {
             ColumnData::Int(d) => compact_vec!(d),
             ColumnData::Long(d) => compact_vec!(d),
             ColumnData::Double(d) => compact_vec!(d),
-            ColumnData::Str(d) => compact_vec!(d),
+            ColumnData::Str(d) => d.retain(keep),
         }
     }
 
     /// Gather the slots at `idx` into a new storage of the same variant
-    /// (indices may repeat and appear in any order).
+    /// (indices may repeat and appear in any order). A string column's
+    /// gather copies codes and shares the dictionary.
     pub fn gather(&self, idx: &[u32]) -> ColumnData {
         macro_rules! gather_vec {
             ($d:expr, $variant:ident) => {
-                ColumnData::$variant(idx.iter().map(|&i| $d[i as usize].clone()).collect())
+                ColumnData::$variant(idx.iter().map(|&i| $d[i as usize]).collect())
             };
         }
         match self {
@@ -259,15 +248,13 @@ impl ColumnData {
             ColumnData::Int(d) => gather_vec!(d, Int),
             ColumnData::Long(d) => gather_vec!(d, Long),
             ColumnData::Double(d) => gather_vec!(d, Double),
-            ColumnData::Str(d) => gather_vec!(d, Str),
+            ColumnData::Str(d) => ColumnData::Str(d.gather(idx)),
         }
     }
 
     /// Keep only the slots at `idx` (strictly increasing), in place: each
     /// survivor moves into position once, so only `idx.len()` slots are
-    /// touched — no full-width mask scan per column. `Copy` payloads use a
-    /// plain overwrite (no write-back into the vacated slot); strings swap
-    /// so the tail keeps valid values for `truncate` to drop.
+    /// touched — no full-width mask scan per column.
     fn compact(&mut self, idx: &[u32]) {
         macro_rules! compact_copy {
             ($d:expr) => {{
@@ -282,14 +269,7 @@ impl ColumnData {
             ColumnData::Int(d) => compact_copy!(d),
             ColumnData::Long(d) => compact_copy!(d),
             ColumnData::Double(d) => compact_copy!(d),
-            ColumnData::Str(d) => {
-                for (w, &i) in idx.iter().enumerate() {
-                    if w != i as usize {
-                        d.swap(w, i as usize);
-                    }
-                }
-                d.truncate(idx.len());
-            }
+            ColumnData::Str(d) => d.compact(idx),
         }
     }
 
@@ -300,7 +280,7 @@ impl ColumnData {
             ColumnData::Int(_) => ColumnData::Int(vec![0; n]),
             ColumnData::Long(_) => ColumnData::Long(vec![0; n]),
             ColumnData::Double(_) => ColumnData::Double(vec![0.0; n]),
-            ColumnData::Str(_) => ColumnData::Str(vec![Arc::from(""); n]),
+            ColumnData::Str(_) => ColumnData::Str(StrCodes::repeat(&Arc::from(""), n)),
         }
     }
 
@@ -314,7 +294,7 @@ impl ColumnData {
             (ColumnData::Int(a), ColumnData::Int(b)) => a.extend(b),
             (ColumnData::Long(a), ColumnData::Long(b)) => a.extend(b),
             (ColumnData::Double(a), ColumnData::Double(b)) => a.extend(b),
-            (ColumnData::Str(a), ColumnData::Str(b)) => a.extend(b),
+            (ColumnData::Str(a), ColumnData::Str(b)) => a.append(b),
             _ => {
                 return Err(RelationError::SchemaMismatch(
                     "column storage variants differ".to_string(),
@@ -343,6 +323,16 @@ impl Column {
             assert_eq!(v.len(), data.len(), "validity bitmap length mismatch");
         }
         Column { data, validity }
+    }
+
+    /// `n` valid slots of `ty`'s zero: `false`, `0`, `0.0` or `""` — a
+    /// stand-in for a column that nothing reads.
+    pub fn zeroed(ty: ColumnType, n: usize) -> Column {
+        let data = match ty {
+            ColumnType::Str => ColumnData::Str(StrCodes::repeat(&Arc::from(""), n)),
+            ty => ColumnData::placeholders(&ColumnData::with_capacity(ty, 0), n),
+        };
+        Column::new(data, None)
     }
 
     /// Number of slots.
@@ -380,7 +370,7 @@ impl Column {
             ColumnData::Int(d) => Value::Int(d[i]),
             ColumnData::Long(d) => Value::Long(d[i]),
             ColumnData::Double(d) => Value::Double(d[i]),
-            ColumnData::Str(d) => Value::Str(Arc::clone(&d[i])),
+            ColumnData::Str(d) => Value::Str(Arc::clone(d.get(i))),
         }
     }
 
@@ -413,7 +403,7 @@ impl Column {
             }
             ColumnData::Str(d) => {
                 5u8.hash(state);
-                d[i].hash(state);
+                d.get(i).hash(state);
             }
         }
     }
@@ -438,7 +428,7 @@ impl Column {
                 (ColumnData::Int(a), ColumnData::Int(b)) => a[i] == b[j],
                 (ColumnData::Long(a), ColumnData::Long(b)) => a[i] == b[j],
                 (ColumnData::Double(a), ColumnData::Double(b)) => a[i].total_cmp(&b[j]).is_eq(),
-                (ColumnData::Str(a), ColumnData::Str(b)) => a[i] == b[j],
+                (ColumnData::Str(a), ColumnData::Str(b)) => a.eq_at(i, b, j),
                 _ => false,
             },
             _ => false,
@@ -456,7 +446,7 @@ impl Column {
             (ColumnData::Int(d), Value::Int(x)) => d[i] == *x,
             (ColumnData::Long(d), Value::Long(x)) => d[i] == *x,
             (ColumnData::Double(d), Value::Double(x)) => d[i].total_cmp(x).is_eq(),
-            (ColumnData::Str(d), Value::Str(x)) => d[i] == *x,
+            (ColumnData::Str(d), Value::Str(x)) => **d.get(i) == **x,
             _ => false,
         }
     }
@@ -471,7 +461,10 @@ impl Column {
                 ColumnData::Int(d) => d[i].cmp(&d[j]),
                 ColumnData::Long(d) => d[i].cmp(&d[j]),
                 ColumnData::Double(d) => d[i].total_cmp(&d[j]),
-                ColumnData::Str(d) => d[i].cmp(&d[j]),
+                ColumnData::Str(d) => {
+                    let ranks = d.dict().ranks();
+                    ranks[d.codes()[i] as usize].cmp(&ranks[d.codes()[j] as usize])
+                }
             },
             // `Value::Null` ranks below every other variant.
             (a, b) => a.cmp(&b),
@@ -492,13 +485,13 @@ impl Column {
             ColumnData::Int(_) => fixed(4),
             ColumnData::Long(_) | ColumnData::Double(_) => fixed(8),
             ColumnData::Str(d) => {
+                let dict = d.dict();
+                let codes = d.codes().iter();
                 let text: usize = match &self.validity {
-                    None => d.iter().map(|s| s.len()).sum(),
-                    Some(v) => d
-                        .iter()
-                        .enumerate()
+                    None => codes.map(|&c| dict.get(c).len()).sum(),
+                    Some(v) => (codes.enumerate())
                         .filter(|&(i, _)| v.is_valid(i))
-                        .map(|(_, s)| s.len())
+                        .map(|(_, &c)| dict.get(c).len())
                         .sum(),
                 };
                 fixed(8) + text as u64
@@ -588,42 +581,72 @@ impl Column {
     }
 }
 
-/// Incremental [`Column`] builder used by [`ColumnBatch::from_rows`].
+/// Incremental [`Column`] builder used by [`ColumnBatch::from_rows`]: the
+/// edge where rows become columns, and where strings are interned.
 pub struct ColumnBuilder {
     name: String,
     ty: ColumnType,
-    data: ColumnData,
-    nulls: Vec<bool>,
-    any_null: bool,
+    data: Building,
+    /// The null bitmap, started at the first null.
+    validity: Option<Validity>,
+    len: usize,
+}
+
+/// A column under construction: typed storage, or string codes and the
+/// dictionary they index.
+enum Building {
+    Typed(ColumnData),
+    Str(Interner, Vec<u32>),
 }
 
 impl ColumnBuilder {
     /// Builder for one schema field with room for `capacity` slots.
     pub fn new(field: &Field, capacity: usize) -> ColumnBuilder {
+        let data = match field.ty {
+            ColumnType::Str => Building::Str(
+                Interner::with_capacity(capacity.min(64)),
+                Vec::with_capacity(capacity),
+            ),
+            ty => Building::Typed(ColumnData::with_capacity(ty, capacity)),
+        };
         ColumnBuilder {
             name: field.name.clone(),
             ty: field.ty,
-            data: ColumnData::with_capacity(field.ty, capacity),
-            nulls: Vec::with_capacity(capacity),
-            any_null: false,
+            data,
+            validity: None,
+            len: 0,
         }
     }
 
     /// Append a cell; errors when the value does not inhabit the declared
-    /// column type (the caller falls back to row storage).
+    /// column type.
     pub fn push(&mut self, v: &Value) -> Result<()> {
         match (&mut self.data, v) {
             (data, Value::Null) => {
-                data.push_placeholder();
-                self.nulls.push(true);
-                self.any_null = true;
+                // The placeholder: zero, `false`, or the empty string.
+                match data {
+                    Building::Typed(ColumnData::Bool(d)) => d.push(false),
+                    Building::Typed(ColumnData::Int(d)) => d.push(0),
+                    Building::Typed(ColumnData::Long(d)) => d.push(0),
+                    Building::Typed(ColumnData::Double(d)) => d.push(0.0),
+                    Building::Typed(ColumnData::Str(_)) => unreachable!("strings build codes"),
+                    Building::Str(dict, codes) => codes.push(dict.intern_str("")),
+                }
+                let len = self.len;
+                let validity = self.validity.get_or_insert_with(|| {
+                    let mut v = Validity::new();
+                    (0..len).for_each(|_| v.push(true));
+                    v
+                });
+                validity.push(false);
+                self.len += 1;
                 return Ok(());
             }
-            (ColumnData::Bool(d), Value::Bool(b)) => d.push(*b),
-            (ColumnData::Int(d), Value::Int(x)) => d.push(*x),
-            (ColumnData::Long(d), Value::Long(x)) => d.push(*x),
-            (ColumnData::Double(d), Value::Double(x)) => d.push(*x),
-            (ColumnData::Str(d), Value::Str(s)) => d.push(Arc::clone(s)),
+            (Building::Typed(ColumnData::Bool(d)), Value::Bool(b)) => d.push(*b),
+            (Building::Typed(ColumnData::Int(d)), Value::Int(x)) => d.push(*x),
+            (Building::Typed(ColumnData::Long(d)), Value::Long(x)) => d.push(*x),
+            (Building::Typed(ColumnData::Double(d)), Value::Double(x)) => d.push(*x),
+            (Building::Str(dict, codes), Value::Str(s)) => codes.push(dict.intern(s)),
             _ => {
                 return Err(RelationError::TypeMismatch {
                     column: self.name.clone(),
@@ -632,18 +655,22 @@ impl ColumnBuilder {
                 })
             }
         }
-        self.nulls.push(false);
+        if let Some(v) = &mut self.validity {
+            v.push(true);
+        }
+        self.len += 1;
         Ok(())
     }
 
     /// Finish into a [`Column`].
     pub fn finish(self) -> Column {
-        let validity = if self.any_null {
-            Validity::from_null_flags(&self.nulls)
-        } else {
-            None
+        let data = match self.data {
+            Building::Typed(data) => data,
+            Building::Str(dict, codes) => {
+                ColumnData::Str(StrCodes::from_trusted(dict.finish(), codes))
+            }
         };
-        Column::new(self.data, validity)
+        Column::new(data, self.validity)
     }
 }
 
@@ -779,6 +806,16 @@ impl ColumnBatch {
         self.rows = idx.len();
     }
 
+    /// Re-code each string column whose dictionary has outgrown its rows
+    /// ([`StrCodes::shrink`]).
+    pub fn shrink_dictionaries(&mut self) {
+        for c in &mut self.columns {
+            if let ColumnData::Str(d) = &mut c.data {
+                d.shrink();
+            }
+        }
+    }
+
     /// Decompose into schema, columns, and row count (copy-free handover).
     pub fn into_parts(self) -> (Schema, Vec<Column>, usize) {
         (self.schema, self.columns, self.rows)
@@ -840,16 +877,49 @@ impl ColumnBatch {
                     (true, ColumnData::Bool(_)) => 1,
                     (true, ColumnData::Int(_)) => 4,
                     (true, ColumnData::Long(_) | ColumnData::Double(_)) => 8,
-                    (true, ColumnData::Str(d)) => 8 + d[i].len() as u64,
+                    (true, ColumnData::Str(d)) => 8 + d.get(i).len() as u64,
                 };
             }
         }
         widths
     }
 
+    /// Per-row hash of the key at `indices` for grouping and joining inside
+    /// one process: equal keys hash equal, in any dictionary, but it is
+    /// not [`Self::key_hashes`] and no placement may depend on it. A string
+    /// cell contributes its dictionary's cached hash; any other cell is
+    /// hashed as [`Column::hash_cell`] does.
+    pub fn group_hashes(&self, indices: &[usize]) -> Vec<u64> {
+        (0..self.rows)
+            .map(|i| self.group_hash(indices, i))
+            .collect()
+    }
+
+    /// [`Self::group_hashes`] of row `i`.
+    #[inline]
+    pub fn group_hash(&self, indices: &[usize], i: usize) -> u64 {
+        let mut h = FxHasher::default();
+        for &c in indices {
+            let column = &self.columns[c];
+            match &column.data {
+                ColumnData::Str(d) => h.write_u64(if column.is_valid(i) { d.hash(i) } else { 0 }),
+                _ => column.hash_cell(i, &mut h),
+            }
+        }
+        h.finish()
+    }
+
     /// Per-row key hash over the cells at `indices` — bit-identical to
-    /// [`crate::hash::key_hash`] on the gathered row.
+    /// [`crate::hash::key_hash`] on the gathered row. A key of one dense
+    /// string column reads its dictionary's cached hashes.
     pub fn key_hashes(&self, indices: &[usize]) -> Vec<u64> {
+        if let [c] = indices {
+            if let (ColumnData::Str(d), None) = (&self.columns[*c].data, &self.columns[*c].validity)
+            {
+                let dict = d.dict();
+                return d.codes().iter().map(|&code| dict.hash(code)).collect();
+            }
+        }
         (0..self.rows)
             .map(|i| {
                 let mut h = FxHasher::default();
@@ -945,6 +1015,23 @@ mod tests {
         let hashes = batch.key_hashes(&indices);
         for (i, r) in rows().iter().enumerate() {
             assert_eq!(hashes[i], key_hash(r, &indices), "row {i}");
+        }
+    }
+
+    /// A key of one dense string column is read off the dictionary's
+    /// cached hashes, bit-identical to hashing the cell.
+    #[test]
+    fn one_string_key_reads_the_cached_hash() {
+        let s = Schema::new(vec![Field::new("S", ColumnType::Str)]);
+        let rows: Vec<Row> = ["b", "", "a", "b", "abcdefghijk"]
+            .iter()
+            .map(|&x| row![x])
+            .collect();
+        let batch = ColumnBatch::from_rows(&s, &rows).unwrap();
+        assert!(batch.column(0).validity().is_none());
+        let hashes = batch.key_hashes(&[0]);
+        for (i, r) in rows.iter().enumerate() {
+            assert_eq!(hashes[i], key_hash(r, &[0]), "row {i}");
         }
     }
 

@@ -30,7 +30,8 @@
 //! - `Int` / `Long` — zigzag LEB128 varints;
 //! - `Double` — fixed 8-byte IEEE bit patterns;
 //! - `Str` — dictionary (first-occurrence order, varint indices) when the
-//!   distinct count is low, raw length-prefixed bytes otherwise.
+//!   distinct count is low, raw length-prefixed bytes otherwise. A
+//!   dictionary section never repeats an entry.
 //!
 //! Encoding is **canonical**: null slots encode the type's placeholder
 //! (`false` / `0` / `""`) regardless of what the in-memory placeholder
@@ -47,15 +48,17 @@
 //!   where they are, so sealing a partition builds no gathered copy of it;
 //!   for a whole batch it tests for nulls by counting validity bits a word
 //!   at a time.
-//! - A string column's dictionary looks each cell up by identity first: a
-//!   small direct-mapped cache keyed by the cell's `(address, length)`,
-//!   in front of the map keyed by content. Equal keys are the same bytes,
-//!   so a hit yields the code the content map would. A column whose cells
-//!   share `Arc`s — every decoded, gathered or joined batch — hashes each
-//!   distinct `Arc` about once; a column of distinct `Arc`s (a batch built
-//!   from rows) misses at the cost of a multiply and a compare per cell.
-//!   The content map is an `FxHashMap`, and the scan stops as soon as the
-//!   distinct count rules the dictionary out.
+//! - A string column is already codes into a dictionary of distinct
+//!   strings ([`crate::dict`]), so the image's dictionary is a renumbering:
+//!   each picked code gets the next image code at its first appearance,
+//!   through an array indexed by code (a map when the column's dictionary
+//!   is much larger than the selection). Null slots encode `""`, which
+//!   shares the code of a `""` entry. No string is hashed, and the scan
+//!   stops as soon as the distinct count rules the dictionary out.
+//! - The decoder hands the image's dictionary through as the column's: it
+//!   allocates one string per distinct entry and reads each row's code. A
+//!   raw section is interned as it is read, so it too allocates one string
+//!   per distinct value.
 //! - The decoder reads a varint of one to three bytes — every varint of
 //!   the BT logs — from one eight-byte load, ending it at the first byte
 //!   whose mask clears. Longer varints, and any starting within eight
@@ -63,6 +66,7 @@
 //!   the same inputs are accepted and rejected.
 
 use crate::column::{Column, ColumnBatch, ColumnData, Validity};
+use crate::dict::{Dictionary, StrCodes, NO_CODE};
 use crate::error::{RelationError, Result};
 use crate::schema::{ColumnType, Field, Schema};
 use rustc_hash::{FxHashMap, FxHasher};
@@ -469,79 +473,71 @@ impl Pick for &[u32] {
     }
 }
 
-/// Direct-mapped cache from a string cell's identity — its `(address,
-/// length)` — to its dictionary code. Cells with equal identity are the
-/// same bytes, so a hit yields the code the content map holds. An empty
-/// slot has address 0, which no `&str` has.
-struct IdentityCache {
-    slots: Vec<(usize, usize, u32)>,
-    shift: u32,
-}
-
-impl IdentityCache {
-    /// Twice as many slots as rows, rounded up to a power of two, between
-    /// 16 and 4 096.
-    fn new(rows: usize) -> IdentityCache {
-        let bits = (rows.max(1).next_power_of_two().trailing_zeros() + 1).clamp(4, 12);
-        IdentityCache {
-            slots: vec![(0, 0, 0); 1 << bits],
-            shift: 64 - bits,
-        }
-    }
-
-    fn index(&self, s: &str) -> usize {
-        ((s.as_ptr() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) >> self.shift) as usize
-    }
-}
-
-/// A string column's dictionary — its distinct strings in first-occurrence
-/// order and each row's code — or `None` when the dictionary encoding is
-/// ruled out (`rows < 8`, or `distinct·4 > rows·3`). The scan stops at the
-/// first string that rules it out.
-fn dictionary<'a>(
+/// The image dictionary of `rows` string cells, cell `j` being code
+/// `code(j)` (below `n_codes`) of a dictionary of distinct strings: the
+/// codes in first-appearance order and each row's image code — or `None`
+/// when the dictionary encoding is ruled out (`rows < 8`, or
+/// `distinct·4 > rows·3`). The scan stops at the first code that rules it
+/// out.
+fn first_appearance(
     rows: usize,
-    cell: &impl Fn(usize) -> &'a str,
-) -> Option<(Vec<&'a str>, Vec<u32>)> {
+    n_codes: usize,
+    code: &impl Fn(usize) -> u32,
+) -> Option<(Vec<u32>, Vec<u32>)> {
     if rows < 8 {
         return None;
     }
     let max_distinct = rows * 3 / 4;
-    let mut cache = IdentityCache::new(rows);
-    // The content map: one probe per cache miss, which either yields the
-    // string's code or assigns the next one (first-occurrence order).
-    let mut dict: FxHashMap<&str, u32> = FxHashMap::default();
-    let mut order: Vec<&str> = Vec::new();
-    let mut codes: Vec<u32> = Vec::with_capacity(rows);
-    for j in 0..rows {
-        let s = cell(j);
-        let at = cache.index(s);
-        let (addr, len, code) = cache.slots[at];
-        if addr == s.as_ptr() as usize && len == s.len() {
-            codes.push(code);
-            continue;
+    let mut order: Vec<u32> = Vec::new();
+    let mut out: Vec<u32> = Vec::with_capacity(rows);
+    let next = |c: u32, order: &mut Vec<u32>| {
+        order.push(c);
+        (order.len() - 1) as u32
+    };
+    if n_codes <= 2 * rows + 64 {
+        let mut remap = vec![NO_CODE; n_codes];
+        for j in 0..rows {
+            let c = code(j);
+            let r = &mut remap[c as usize];
+            if *r == NO_CODE {
+                *r = next(c, &mut order);
+                if order.len() > max_distinct {
+                    return None;
+                }
+            }
+            out.push(*r);
         }
-        let code = *dict.entry(s).or_insert_with(|| {
-            order.push(s);
-            u32::try_from(order.len() - 1).expect("an extent holds fewer than 2^32 strings")
-        });
-        if order.len() > max_distinct {
-            return None;
+    } else {
+        let mut remap: FxHashMap<u32, u32> = FxHashMap::default();
+        for j in 0..rows {
+            let c = code(j);
+            let r = *remap.entry(c).or_insert_with(|| next(c, &mut order));
+            if order.len() > max_distinct {
+                return None;
+            }
+            out.push(r);
         }
-        cache.slots[at] = (s.as_ptr() as usize, s.len(), code);
-        codes.push(code);
     }
-    Some((order, codes))
+    Some((order, out))
 }
 
-/// Encode `rows` string cells: dictionary when identifiers repeat heavily
-/// (the BT logs' `UserId`/`KwAdId` shape), raw length-prefixed otherwise.
-/// The choice is a pure function of the cell values, so re-encoding is
-/// deterministic.
-fn encode_str<'a>(rows: usize, cell: impl Fn(usize) -> &'a str, out: &mut Vec<u8>) -> Encoding {
-    if let Some((order, codes)) = dictionary(rows, &cell) {
+/// Encode `rows` string cells, cell `j` being `entry(code(j))` for codes
+/// below `n_codes` that name distinct strings: dictionary when identifiers
+/// repeat heavily (the BT logs' `UserId`/`KwAdId` shape), raw
+/// length-prefixed otherwise. The choice is a pure function of the cell
+/// values, so re-encoding is deterministic.
+fn encode_str<'a>(
+    rows: usize,
+    n_codes: usize,
+    code: impl Fn(usize) -> u32,
+    entry: impl Fn(u32) -> &'a str,
+    out: &mut Vec<u8>,
+) -> Encoding {
+    if let Some((order, codes)) = first_appearance(rows, n_codes, &code) {
         out.push(1);
         put_varint(out, order.len() as u64);
-        for s in &order {
+        for &c in &order {
+            let s = entry(c);
             put_varint(out, s.len() as u64);
             out.extend_from_slice(s.as_bytes());
         }
@@ -553,12 +549,40 @@ fn encode_str<'a>(rows: usize, cell: impl Fn(usize) -> &'a str, out: &mut Vec<u8
     } else {
         out.push(0);
         for j in 0..rows {
-            let s = cell(j);
+            let s = entry(code(j));
             put_varint(out, s.len() as u64);
             out.extend_from_slice(s.as_bytes());
         }
         Encoding::RawStr
     }
+}
+
+/// [`encode_str`] over a string column's picked slots. A null slot encodes
+/// `""`: the code of the dictionary's `""` entry, or one past its end.
+fn encode_codes(
+    d: &StrCodes,
+    pick: impl Pick,
+    validity: Option<&Validity>,
+    out: &mut Vec<u8>,
+) -> Encoding {
+    let dict = d.dict();
+    let n = dict.len() as u32;
+    let empty = match validity {
+        Some(_) => dict.find("").unwrap_or(n),
+        None => n,
+    };
+    let codes = d.codes();
+    let code = |j: usize| match validity.is_none_or(|v| v.is_valid(j)) {
+        true => codes[pick.slot(j)],
+        false => empty,
+    };
+    let entry = |c: u32| -> &str {
+        match c == n {
+            true => "",
+            false => dict.get(c),
+        }
+    };
+    encode_str(pick.len(), dict.len() + 1, code, entry, out)
 }
 
 /// Zigzag varints of `rows` integer cells, `0` at null slots.
@@ -619,9 +643,7 @@ fn encode_data(
             }
             Encoding::FixedDouble
         }
-        (ColumnType::Str, ColumnData::Str(d)) => {
-            encode_str(rows, |j| if valid(j) { &d[pick.slot(j)] } else { "" }, out)
-        }
+        (ColumnType::Str, ColumnData::Str(d)) => encode_codes(d, pick, validity, out),
         (ty, _) if all_null => match ty {
             ColumnType::Bool => {
                 out.resize(out.len() + rows.div_ceil(8), 0);
@@ -639,7 +661,7 @@ fn encode_data(
                 out.resize(out.len() + rows * 8, 0);
                 Encoding::FixedDouble
             }
-            ColumnType::Str => encode_str(rows, |_| "", out),
+            ColumnType::Str => encode_str(rows, 1, |_| 0, |_| "", out),
         },
         _ => {
             return Err(RelationError::TypeMismatch {
@@ -719,7 +741,7 @@ fn decode_validity(r: &mut Reader<'_>, rows: usize) -> Result<Option<Validity>> 
     Ok(Validity::from_words(words, rows))
 }
 
-fn decode_column(meta: &ColMeta, section: &[u8], rows: usize) -> Result<Column> {
+fn decode_column<'a>(meta: &ColMeta, section: &'a [u8], rows: usize) -> Result<Column> {
     let mut r = Reader::new(section);
     let validity = if meta.has_validity {
         let v = decode_validity(&mut r, rows)?;
@@ -771,40 +793,42 @@ fn decode_column(meta: &ColMeta, section: &[u8], rows: usize) -> Result<Column> 
                     "string encoding marker {marker} contradicts footer tag"
                 )));
             }
-            let read_str = |r: &mut Reader<'_>| -> Result<Arc<str>> {
+            let read_str = |r: &mut Reader<'a>| -> Result<&'a str> {
                 let len = usize::try_from(r.varint()?)
                     .map_err(|_| corrupt("string length overflows usize"))?;
                 let raw = r.take(len)?;
-                Ok(Arc::from(
-                    std::str::from_utf8(raw).map_err(|_| corrupt("string cell is not UTF-8"))?,
-                ))
+                std::str::from_utf8(raw).map_err(|_| corrupt("string cell is not UTF-8"))
             };
-            if meta.enc == Encoding::DictStr {
+            let mut codes = Vec::with_capacity(rows);
+            let dict = if meta.enc == Encoding::DictStr {
+                // Every entry takes at least its length byte.
                 let dict_len = usize::try_from(r.varint()?)
                     .map_err(|_| corrupt("dictionary length overflows usize"))?;
-                if dict_len > section.len() {
+                if dict_len > r.remaining() {
                     return Err(corrupt("dictionary length exceeds section"));
                 }
-                let mut dict = Vec::with_capacity(dict_len);
+                let mut dict = Dictionary::with_capacity(dict_len);
                 for _ in 0..dict_len {
-                    dict.push(read_str(&mut r)?);
+                    if !dict.push_distinct(read_str(&mut r)?) {
+                        return Err(corrupt("dictionary entry repeats"));
+                    }
                 }
-                let mut d = Vec::with_capacity(rows);
                 for _ in 0..rows {
-                    let s = usize::try_from(r.varint()?)
-                        .ok()
-                        .and_then(|i| dict.get(i))
-                        .ok_or_else(|| corrupt("dictionary index out of range"))?;
-                    d.push(Arc::clone(s));
+                    let code = r.varint()?;
+                    if code >= dict_len as u64 {
+                        return Err(corrupt("dictionary index out of range"));
+                    }
+                    codes.push(code as u32);
                 }
-                ColumnData::Str(d)
+                dict
             } else {
-                let mut d = Vec::with_capacity(rows);
+                let mut dict = Dictionary::new();
                 for _ in 0..rows {
-                    d.push(read_str(&mut r)?);
+                    codes.push(dict.intern(read_str(&mut r)?));
                 }
-                ColumnData::Str(d)
-            }
+                dict
+            };
+            ColumnData::Str(StrCodes::new(Arc::new(dict), codes))
         }
     };
     if r.remaining() != 0 {
@@ -984,13 +1008,6 @@ mod tests {
         out.push(v as u8);
     }
 
-    fn oracle_slot_str<'a>(d: &'a [Arc<str>], validity: Option<&Validity>, i: usize) -> &'a str {
-        match validity {
-            Some(v) if !v.is_valid(i) => "",
-            _ => &d[i],
-        }
-    }
-
     fn oracle_encode_column(
         batch_rows: usize,
         field: &Field,
@@ -1065,19 +1082,13 @@ mod tests {
                 _ => return mismatch(),
             },
             (ColumnType::Str, data) => {
-                let empty: [Arc<str>; 0] = [];
-                let d: &[Arc<str>] = match data {
-                    ColumnData::Str(d) => d,
-                    _ if all_null => &empty,
+                // The cells as values, never as codes: a null reads `""`.
+                let cells: Vec<Value> = match data {
+                    ColumnData::Str(_) => (0..batch_rows).map(|i| col.value(i)).collect(),
+                    _ if all_null => vec![Value::Null; batch_rows],
                     _ => return mismatch(),
                 };
-                let at = |i: usize| -> &str {
-                    if d.is_empty() {
-                        ""
-                    } else {
-                        oracle_slot_str(d, validity, i)
-                    }
-                };
+                let at = |i: usize| -> &str { cells[i].as_str().unwrap_or("") };
                 oracle_encode_str_data(batch_rows, at, out);
             }
         }
@@ -1228,14 +1239,16 @@ mod tests {
     }
 
     /// A batch of `rows` rows whose string cells take `distinct` texts
-    /// (`""` among them): `Shared` clones one `Arc` per text, `Fresh`
-    /// allocates one per cell. `Foreign` is all null over Bool storage.
-    /// Null slots hold non-placeholder storage.
+    /// (`""` among them): `Shared` interns them in first-appearance order,
+    /// `Fresh` indexes a dictionary of the texts in reverse, with two
+    /// entries no cell names (one of them `""` when `distinct` is 1).
+    /// `Foreign` is all null over Bool storage. Null slots hold
+    /// non-placeholder storage.
     fn oracle_batch(rng: &mut proptest::TestRng, rows: usize, distinct: usize) -> ColumnBatch {
-        let pool: Vec<Arc<str>> = (0..distinct)
+        let pool: Vec<String> = (0..distinct)
             .map(|k| match k {
-                0 => Arc::from(""),
-                k => Arc::from(format!("user-{k}").as_str()),
+                0 => String::new(),
+                k => format!("user-{k}"),
             })
             .collect();
         let null_rate = rng.below(4);
@@ -1276,13 +1289,10 @@ mod tests {
                 vd,
             ),
             Column::new(
-                ColumnData::Str(picks.iter().map(|&k| Arc::clone(&pool[k])).collect()),
+                ColumnData::Str(StrCodes::from_strs(picks.iter().map(|&k| pool[k].as_str()))),
                 vs,
             ),
-            Column::new(
-                ColumnData::Str(picks.iter().map(|&k| Arc::from(&*pool[k])).collect()),
-                vf,
-            ),
+            Column::new(ColumnData::Str(fresh_codes(&pool, &picks)), vf),
             Column::new(
                 ColumnData::Bool(vec![true; rows]),
                 Some(Validity::from_words(vec![], rows).unwrap_or_else(|| {
@@ -1292,6 +1302,17 @@ mod tests {
             ),
         ];
         ColumnBatch::new(oracle_schema(), columns, rows)
+    }
+
+    /// Codes of `pool[picks[j]]` into a dictionary of `pool` reversed, after
+    /// two entries no slot names.
+    fn fresh_codes(pool: &[String], picks: &[usize]) -> StrCodes {
+        let mut dict = Dictionary::new();
+        dict.intern("unused");
+        dict.intern(if pool.len() == 1 { "" } else { "unused too" });
+        let codes: Vec<u32> = pool.iter().rev().map(|s| dict.intern(s)).collect();
+        let at = |k: usize| codes[pool.len() - 1 - k];
+        StrCodes::new(Arc::new(dict), picks.iter().map(|&k| at(k)).collect())
     }
 
     /// A selection of `len` rows out of `rows`: repeats and any order, or
@@ -1387,7 +1408,7 @@ mod tests {
         let s = Schema::new(vec![Field::new("L", ColumnType::Long)]);
         let valid = [false, true, false, false];
         let col = Column::new(
-            ColumnData::Str(vec![Arc::from("x"); 4]),
+            ColumnData::Str(StrCodes::from_strs(["x"; 4])),
             bitmap(&valid, false),
         );
         let batch = ColumnBatch::new(s, vec![col], 4);

@@ -9,6 +9,8 @@
 //! SCOPE/StreamInsight interoperate in the paper.
 //!
 //! The crate also provides:
+//! - dictionary-coded string columns ([`dict`]): `u32` codes into a shared
+//!   dictionary that caches each string's key hash;
 //! - a framed binary columnar extent codec ([`extent`]) — per-column typed
 //!   buffers, validity bitmaps, and FxHash integrity frames — which is the
 //!   one representation at every stage boundary and on disk;
@@ -19,6 +21,7 @@
 //!   the paper's repeatability-under-failure argument, §III-C).
 
 pub mod column;
+pub mod dict;
 pub mod error;
 pub mod extent;
 pub mod hash;
@@ -28,6 +31,7 @@ pub mod stats;
 pub mod value;
 
 pub use column::{compact_indices, Column, ColumnBatch, ColumnData, Validity};
+pub use dict::{Dictionary, StrCodes};
 pub use error::{RelationError, Result};
 pub use row::Row;
 pub use schema::{ColumnType, Field, Schema};

@@ -19,7 +19,8 @@ use crate::event::Event;
 use crate::stream::EventStream;
 use crate::time::Lifetime;
 use relation::column::ColumnBuilder;
-use relation::{ColumnBatch, RelationError, Row, Schema};
+use relation::{Column, ColumnBatch, RelationError, Row, Schema};
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 /// A fixed-length batch of events stored column-major: validity-interval
@@ -89,11 +90,24 @@ impl EventBatch {
     /// column's type, is a [`TemporalError::Input`] that names `what` (the
     /// source or the UDO the rows came from), the row and the column.
     pub fn lay_out(what: &str, schema: Schema, events: &[Event]) -> Result<EventBatch> {
-        let mut columns: Vec<ColumnBuilder> = (schema.fields().iter())
-            .map(|f| ColumnBuilder::new(f, events.len()))
+        Self::lay_out_reading(what, schema, events, None)
+    }
+
+    /// [`Self::lay_out`], except that a column `reads` marks `false` is not
+    /// laid out: it holds [`Column::zeroed`], for a consumer that never
+    /// reads it.
+    pub(crate) fn lay_out_reading<E: Borrow<Event>>(
+        what: &str,
+        schema: Schema,
+        events: &[E],
+        reads: Option<&[bool]>,
+    ) -> Result<EventBatch> {
+        let read = |c: usize| reads.is_none_or(|r| r[c]);
+        let mut columns: Vec<Option<ColumnBuilder>> = (schema.fields().iter().enumerate())
+            .map(|(c, f)| read(c).then(|| ColumnBuilder::new(f, events.len())))
             .collect();
         for (i, e) in events.iter().enumerate() {
-            let cells = e.payload.values();
+            let cells = e.borrow().payload.values();
             if cells.len() != schema.len() {
                 return Err(TemporalError::Input(format!(
                     "{what}: row {i} has {} cells, schema {schema} has {} columns",
@@ -102,14 +116,21 @@ impl EventBatch {
                 )));
             }
             for (column, cell) in columns.iter_mut().zip(cells) {
-                column
-                    .push(cell)
-                    .map_err(|err| TemporalError::Input(format!("{what}: row {i}: {err}")))?;
+                if let Some(column) = column {
+                    column
+                        .push(cell)
+                        .map_err(|err| TemporalError::Input(format!("{what}: row {i}: {err}")))?;
+                }
             }
         }
-        let columns = columns.into_iter().map(ColumnBuilder::finish).collect();
-        let vt = events.iter().map(|e| e.lifetime.start).collect();
-        let ve = events.iter().map(|e| e.lifetime.end).collect();
+        let columns = (columns.into_iter().zip(schema.fields()))
+            .map(|(column, field)| match column {
+                Some(column) => column.finish(),
+                None => Column::zeroed(field.ty, events.len()),
+            })
+            .collect();
+        let vt = events.iter().map(|e| e.borrow().lifetime.start).collect();
+        let ve = events.iter().map(|e| e.borrow().lifetime.end).collect();
         Ok(EventBatch::new(
             vt,
             ve,
@@ -236,6 +257,13 @@ impl EventBatch {
             Some(payload) => payload.compact(idx),
             None => self.payload = Arc::new(self.payload.gather(idx)),
         }
+    }
+
+    /// Re-code each string column whose dictionary has outgrown its rows
+    /// ([`relation::StrCodes::shrink`]): for a batch kept across many
+    /// appends and compactions.
+    pub(crate) fn shrink_dictionaries(&mut self) {
+        Arc::make_mut(&mut self.payload).shrink_dictionaries();
     }
 
     /// The events at `idx` (any order, repeats allowed) as a new batch.

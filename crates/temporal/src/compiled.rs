@@ -25,6 +25,7 @@
 use crate::error::{Result, TemporalError};
 use crate::expr::{eval_arith, eval_cmp, eval_func, BinOp, Expr, Func};
 use relation::column::{Column, ColumnBatch, ColumnData, Validity};
+use relation::dict::{Interner, StrCodes};
 use relation::{RelationError, Row, Schema, Value};
 use simd::{F64x8, I64x8, LANES, M8};
 use std::sync::Arc;
@@ -438,7 +439,7 @@ enum BVals {
     Int(Vec<i32>),
     Long(Vec<i64>),
     Double(Vec<f64>),
-    Str(Vec<Arc<str>>),
+    Str(StrCodes),
     Mixed(Vec<Value>),
 }
 
@@ -451,7 +452,7 @@ fn bvals_at(v: &BVals, i: usize) -> Value {
         BVals::Int(d) => Value::Int(d[i]),
         BVals::Long(d) => Value::Long(d[i]),
         BVals::Double(d) => Value::Double(d[i]),
-        BVals::Str(d) => Value::Str(Arc::clone(&d[i])),
+        BVals::Str(d) => Value::Str(Arc::clone(d.get(i))),
         BVals::Mixed(v) => v[i].clone(),
     }
 }
@@ -520,7 +521,7 @@ impl BatchEval {
             ColumnData::Int(d) => gather!(d, Int),
             ColumnData::Long(d) => gather!(d, Long),
             ColumnData::Double(d) => gather!(d, Double),
-            ColumnData::Str(d) => gather!(d, Str),
+            ColumnData::Str(d) => BVals::Str(d.gather(sel)),
         };
         BatchEval {
             vals,
@@ -571,7 +572,7 @@ impl BatchEval {
                 Value::Int(x) => ColumnData::Int(vec![x; n]),
                 Value::Long(x) => ColumnData::Long(vec![x; n]),
                 Value::Double(x) => ColumnData::Double(vec![x; n]),
-                Value::Str(s) => ColumnData::Str(vec![s; n]),
+                Value::Str(s) => ColumnData::Str(StrCodes::repeat(&s, n)),
             },
             BVals::Mixed(rows) => gather_uniform(&rows, &nulls)?,
         };
@@ -611,7 +612,19 @@ fn gather_uniform(rows: &[Value], nulls: &Mask) -> Option<ColumnData> {
         Some(Value::Int(_)) => densify!(Int, 0, |x| *x),
         Some(Value::Long(_)) => densify!(Long, 0, |x| *x),
         Some(Value::Double(_)) => densify!(Double, 0.0, |x| *x),
-        Some(Value::Str(_)) => densify!(Str, Arc::from(""), |x| Arc::clone(x)),
+        Some(Value::Str(_)) => {
+            let mut strings = Interner::with_capacity(rows.len().min(64));
+            let empty = Arc::from("");
+            let mut codes = Vec::with_capacity(rows.len());
+            for (i, v) in rows.iter().enumerate() {
+                match v {
+                    Value::Str(s) => codes.push(strings.intern(s)),
+                    _ if nulls.get(i) => codes.push(strings.intern(&empty)),
+                    _ => return None,
+                }
+            }
+            ColumnData::Str(StrCodes::new(strings.finish(), codes))
+        }
         Some(Value::Null) => unreachable!("non-null row holds Null"),
     })
 }
@@ -763,8 +776,7 @@ fn binary(op: BinOp, l: Side, r: Side, n: usize) -> BatchEval {
                 };
                 BVals::Bool(exact.unwrap_or_else(|| simd_num_eq(&na, &nb, n, neg)))
             } else if let (Some(sa), Some(sb)) = (str_accessor_ref(&l.v), str_accessor_ref(&r.v)) {
-                let neg = op == BinOp::Ne;
-                BVals::Bool((0..n).map(|i| (sa.at(i) == sb.at(i)) != neg).collect())
+                BVals::Bool(str_eq(&sa, &sb, n, op == BinOp::Ne))
             } else {
                 return per_row_binary(op, &l, &r, n, &nulls, &errs);
             };
@@ -861,16 +873,38 @@ fn num_accessor_ref<'a>(v: &'a VRef) -> Option<NumSide<'a>> {
 
 /// Per-row string accessor for statically string-typed batches.
 enum StrSide<'a> {
-    Dense(&'a [Arc<str>]),
+    Dense(&'a StrCodes),
     Const(&'a str),
 }
 
 impl StrSide<'_> {
     fn at(&self, i: usize) -> &str {
         match self {
-            StrSide::Dense(d) => &d[i],
+            StrSide::Dense(d) => d.get(i),
             StrSide::Const(s) => s,
         }
+    }
+}
+
+/// `(a[i] == b[i]) != neg` for every row of two string operands, on codes:
+/// one dictionary compares codes, a literal is looked up once in the
+/// column's dictionary, and only two dictionaries compare strings.
+fn str_eq(a: &StrSide, b: &StrSide, n: usize, neg: bool) -> Vec<bool> {
+    let codes_eq = |codes: &[u32], c: Option<u32>| -> Vec<bool> {
+        match c {
+            Some(c) => codes.iter().map(|&x| (x == c) != neg).collect(),
+            None => vec![neg; n],
+        }
+    };
+    match (a, b) {
+        (StrSide::Dense(x), StrSide::Dense(y)) if x.same_dict(y) => (x.codes().iter())
+            .zip(y.codes())
+            .map(|(p, q)| (p == q) != neg)
+            .collect(),
+        (StrSide::Dense(d), StrSide::Const(s)) | (StrSide::Const(s), StrSide::Dense(d)) => {
+            codes_eq(d.codes(), d.dict().find(s))
+        }
+        _ => (0..n).map(|i| (a.at(i) == b.at(i)) != neg).collect(),
     }
 }
 

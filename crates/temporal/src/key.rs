@@ -3,20 +3,22 @@
 //! A `Vec<Value>` key per *event*, used as a `HashMap` key, costs one heap
 //! allocation plus value clones for every event on both sides of a join. A
 //! [`KeySelector`] instead resolves the key columns to indices once, hashes
-//! the key cells **in place** ([`relation::hash::key_hash`], deterministic
-//! FxHash), and buckets by the 64-bit hash. Distinct keys that collide on the hash are separated by an
-//! index-wise [`Value`] equality check against a representative row — the
-//! same strict `PartialEq` a `Vec<Value>` map key compares with — so two
-//! events share a key exactly when their key cells are equal. A key is only
-//! materialized with [`KeySelector::extract_batch`] when one is needed per *group*
-//! (e.g. GroupApply's deterministic sorted-key group order), never per event.
+//! the key cells **in place** ([`KeySelector::group_hashes`]: a string cell
+//! reads its dictionary's cached hash, so no key byte is hashed), and
+//! buckets by the 64-bit hash. Distinct keys that collide on the hash are
+//! separated by an index-wise [`Value`] equality check against a
+//! representative row — the same strict `PartialEq` a `Vec<Value>` map key
+//! compares with, which for two strings of one dictionary compares codes —
+//! so two events share a key exactly when their key cells are equal. A key
+//! is only materialized with [`KeySelector::extract_batch`] when one is
+//! needed per *group*, never per event.
 //!
 //! Keys are ordered through **normalized keys** ([`NormalizedKeys`]): each
 //! key cell becomes one `u64` whose order is the cells' order, so sorting
-//! groups compares integers and reads no column. A word that does not
-//! determine its cell — a string past 7 bytes, a null in a 64-bit column —
-//! is marked inexact, and only a tie on such a word asks the exact
-//! comparator ([`KeySelector::cmp_batch`]).
+//! groups compares integers and reads no column. A string's word is its
+//! rank in its dictionary, which is exact. A word that does not determine
+//! its cell — a null in a 64-bit column — is marked inexact, and only a tie
+//! on such a word asks the exact comparator ([`KeySelector::cmp_batch`]).
 
 use crate::error::{Result, TemporalError};
 use relation::{Column, ColumnBatch, ColumnData, Schema, Value};
@@ -38,11 +40,11 @@ impl KeySelector {
         Ok(KeySelector { indices })
     }
 
-    /// Key hash of every row of a column batch — bit-identical to
-    /// [`relation::hash::key_hash`] of each gathered row, but the cells are
-    /// hashed straight out of the columns with no row materialization.
-    pub fn hash_batch(&self, batch: &ColumnBatch) -> Vec<u64> {
-        batch.key_hashes(&self.indices)
+    /// The engine's key hash of every row ([`ColumnBatch::group_hashes`]):
+    /// equal keys hash equal in any batch, whatever its dictionaries, and
+    /// nothing outside one operator sees it.
+    pub fn group_hashes(&self, batch: &ColumnBatch) -> Vec<u64> {
+        batch.group_hashes(&self.indices)
     }
 
     /// Whether rows `i` and `j` of a column batch share a key: index-wise
@@ -84,8 +86,12 @@ impl KeySelector {
         let mut keys = NormalizedKeys::new(self.indices.len(), rows.len());
         for (c, &col) in self.indices.iter().enumerate() {
             let column = batch.column(col);
+            let ranks = match column.data() {
+                ColumnData::Str(d) => d.dict().ranks(),
+                _ => &[],
+            };
             for (k, &i) in rows.iter().enumerate() {
-                keys.set(k, c, column_word(column, i));
+                keys.set(k, c, column_word(column, ranks, i));
             }
         }
         keys
@@ -165,21 +171,10 @@ fn double_word(v: f64) -> u64 {
     }
 }
 
-/// The word of a string: its first 7 bytes, big-endian, then a length
-/// byte — 1 + the length up to 7 bytes, which makes the word exact, and 9
-/// past them, where only the exact comparator can order two strings that
-/// share the 7 bytes. 0 is a null's.
-fn str_word(s: &str) -> (u64, bool) {
-    let bytes = s.as_bytes();
-    let n = bytes.len().min(7);
-    let mut word = [0u8; 8];
-    word[..n].copy_from_slice(&bytes[..n]);
-    word[7] = if bytes.len() <= 7 { 1 + n as u8 } else { 9 };
-    (u64::from_be_bytes(word), bytes.len() <= 7)
-}
-
-/// The word of slot `i` of `column`, read in place.
-fn column_word(column: &Column, i: usize) -> (u64, bool) {
+/// The word of slot `i` of `column`, read in place; `ranks` is a string
+/// column's dictionary's rank table, whose order is the strings' order (a
+/// word past 0, which is a null's).
+fn column_word(column: &Column, ranks: &[u32], i: usize) -> (u64, bool) {
     let data = column.data();
     if !column.is_valid(i) {
         let wide = matches!(data, ColumnData::Long(_) | ColumnData::Double(_));
@@ -190,7 +185,7 @@ fn column_word(column: &Column, i: usize) -> (u64, bool) {
         ColumnData::Int(d) => (int_word(d[i]), true),
         ColumnData::Long(d) => (long_word(d[i]), true),
         ColumnData::Double(d) => (double_word(d[i]), true),
-        ColumnData::Str(d) => str_word(&d[i]),
+        ColumnData::Str(d) => (1 + u64::from(ranks[d.codes()[i] as usize]), true),
     }
 }
 
@@ -224,23 +219,30 @@ mod tests {
         assert_eq!(key_hash(&r, sel.indices()), values_hash(&extract(&sel, &r)));
     }
 
+    /// Two batches laid out apart hold their strings under different
+    /// codes; equal keys still hash equal, unequal ones (here) do not.
     #[test]
-    fn hash_batch_agrees_with_row_hash() {
+    fn group_hashes_agree_across_dictionaries() {
         let s = schema();
         let sel = KeySelector::new(&s, &["UserId", "KwAdId"]).unwrap();
-        let rows = vec![
+        let null_user = |t: i64| Row::new(vec![Value::Long(t), Value::Null, Value::str("adA")]);
+        let a = vec![
             row![5i64, "u1", "adA"],
             row![6i64, "u2", "adB"],
-            relation::Row::new(vec![
-                relation::Value::Long(7),
-                relation::Value::Null,
-                relation::Value::str("adA"),
-            ]),
+            null_user(7),
         ];
-        let batch = ColumnBatch::from_rows(&s, &rows).unwrap();
-        let hashes = sel.hash_batch(&batch);
-        for (i, r) in rows.iter().enumerate() {
-            assert_eq!(hashes[i], key_hash(r, sel.indices()), "row {i}");
+        let b = vec![
+            null_user(1),
+            row![2i64, "u3", "adC"],
+            row![3i64, "u1", "adA"],
+        ];
+        let hash = |rows: &[Row]| sel.group_hashes(&ColumnBatch::from_rows(&s, rows).unwrap());
+        let (ha, hb) = (hash(&a), hash(&b));
+        for (i, x) in a.iter().enumerate() {
+            for (j, y) in b.iter().enumerate() {
+                let equal = extract(&sel, x) == extract(&sel, y);
+                assert_eq!(ha[i] == hb[j], equal, "rows {i} and {j}");
+            }
         }
     }
 
@@ -415,8 +417,9 @@ mod tests {
         }
     }
 
-    /// Strings up to 7 bytes, `Int`s, `Bool`s and nulls in those columns
-    /// have exact words: the comparator is never asked about them.
+    /// Strings (by dictionary rank, whatever their length), `Int`s, `Bool`s
+    /// and nulls in those columns have exact words: the comparator is never
+    /// asked about them.
     #[test]
     fn short_keys_need_no_exact_comparison() {
         let schema = Schema::new(vec![
@@ -429,10 +432,12 @@ mod tests {
             Row::new(vec![Value::Null, Value::Int(1)]),
             row!["abcdefg", 1i32],
             row!["", 1i32],
+            row!["abcdefghij", 1i32],
+            row!["abcdefghik", 1i32],
         ];
         let batch = ColumnBatch::from_rows(&schema, &rows).unwrap();
         let sel = KeySelector::new(&schema, &["S", "I"]).unwrap();
-        let keys = sel.normalize_batch(&batch, &[0, 1, 2, 3, 4]);
+        let keys = sel.normalize_batch(&batch, &[0, 1, 2, 3, 4, 5, 6]);
         for i in 0..rows.len() {
             for j in 0..rows.len() {
                 assert_eq!(keys.cmp(i, j), Some(sel.cmp_batch(&batch, i, j)));

@@ -53,8 +53,9 @@ pub fn anti_semi_join(
         vt.push(lifetime.start);
         ve.push(lifetime.end);
     };
-    for (i, hash) in lsel.hash_batch(left.payload()).into_iter().enumerate() {
-        match covers.find(hash, left, &lsel, i) {
+    let probe = covers.probe(left, &lsel);
+    for (i, hash) in lsel.group_hashes(left.payload()).into_iter().enumerate() {
+        match covers.find(hash, &probe, i) {
             None => keep(i, left.lifetime(i)),
             Some(cover) => {
                 for fragment in left.lifetime(i).subtract_all(cover) {

@@ -44,7 +44,6 @@ use crate::operators::pane::pane_aggregate;
 use crate::plan::{hopping_aggregate, LogicalPlan};
 use relation::{compact_indices, Column, ColumnBatch, Schema};
 use rustc_hash::FxHashMap;
-use std::cmp::Ordering;
 use std::collections::hash_map::Entry;
 
 /// The run of `bounds` holding position `at`: run `r` covers positions
@@ -261,7 +260,7 @@ pub(crate) struct Groups {
 /// Hash-then-compare grouping of events `0..n`: `hash(i)` is event `i`'s
 /// 64-bit key hash and `same_key(i, j)` separates distinct keys that share
 /// one. No key is materialized.
-pub(crate) fn assign_groups(
+fn assign_groups(
     n: usize,
     hash: impl Fn(usize) -> u64,
     same_key: impl Fn(usize, usize) -> bool,
@@ -311,41 +310,40 @@ struct KeyedGroups {
 /// Group `input` by `sel`, reading its key cells off its columns.
 fn key_groups(input: &EventBatch, sel: &KeySelector) -> KeyedGroups {
     let payload = input.payload();
-    let hashes = sel.hash_batch(payload);
-    sorted_groups(
-        input.len(),
-        |i| hashes[i],
-        |i, j| sel.matches_batch(payload, i, j),
-        |firsts| sel.normalize_batch(payload, firsts),
-        |i, j| sel.cmp_batch(payload, i, j),
-    )
-}
-
-/// [`assign_groups`], then the groups sorted by key — distinct groups have
-/// distinct keys, so the order is total. The sort compares the normalized
-/// keys `normalize` gives the groups' first events, and `cmp_key` over the
-/// first events only where those tie on an inexact word.
-fn sorted_groups(
-    n: usize,
-    hash: impl Fn(usize) -> u64,
-    same_key: impl Fn(usize, usize) -> bool,
-    normalize: impl FnOnce(&[usize]) -> NormalizedKeys,
-    cmp_key: impl Fn(usize, usize) -> Ordering,
-) -> KeyedGroups {
-    let Groups { first, ordinals } = assign_groups(n, hash, same_key);
-    let keys = normalize(&first);
-    let mut order: Vec<u32> = (0..first.len() as u32).collect();
-    order.sort_unstable_by(|&a, &b| {
-        let (a, b) = (a as usize, b as usize);
-        keys.cmp(a, b)
-            .unwrap_or_else(|| cmp_key(first[a], first[b]))
-    });
+    let Groups { first, ordinals } = batch_groups(payload, sel);
+    let order = key_order(payload, sel, &first);
     let firsts = order.iter().map(|&g| first[g as usize] as u32).collect();
     KeyedGroups {
         ordinals,
         order,
         firsts,
     }
+}
+
+/// [`assign_groups`] over the rows of `payload`, keyed by `sel`: string
+/// cells by their dictionaries' cached hashes and codes.
+pub(crate) fn batch_groups(payload: &ColumnBatch, sel: &KeySelector) -> Groups {
+    let hashes = sel.group_hashes(payload);
+    assign_groups(
+        payload.len(),
+        |i| hashes[i],
+        |i, j| sel.matches_batch(payload, i, j),
+    )
+}
+
+/// The groups whose first events are `first`, sorted by key — distinct
+/// groups have distinct keys, so the order is total. The sort compares
+/// normalized keys, and the key cells only where two tie on an inexact
+/// word.
+pub(crate) fn key_order(payload: &ColumnBatch, sel: &KeySelector, first: &[usize]) -> Vec<u32> {
+    let keys: NormalizedKeys = sel.normalize_batch(payload, first);
+    let mut order: Vec<u32> = (0..first.len() as u32).collect();
+    order.sort_unstable_by(|&a, &b| {
+        let (a, b) = (a as usize, b as usize);
+        keys.cmp(a, b)
+            .unwrap_or_else(|| sel.cmp_batch(payload, first[a], first[b]))
+    });
+    order
 }
 
 /// Stable counting sort of items by group into run order: item `j` belongs

@@ -30,7 +30,8 @@
 //! Output is byte-identical to the general path.
 //!
 //! The batch is read on its columns: keys are hashed, compared and
-//! extracted off them, bare-column arguments read straight from them (a
+//! ordered off them (a string by its dictionary's cached hash, code and
+//! rank; no key is materialized), bare-column arguments read straight from them (a
 //! computed argument evaluates over one reusable scratch row), and the
 //! output is written as columns, each key column gathered once from the
 //! groups' representatives. Combinability is decided from the *declared*
@@ -43,7 +44,7 @@ use crate::compiled::CompiledExpr;
 use crate::error::{Result, TemporalError};
 use crate::exec::ExecStats;
 use crate::key::KeySelector;
-use crate::operators::group_apply::{assign_groups, Groups};
+use crate::operators::group_apply::{batch_groups, key_order, Groups};
 use crate::time::{checked_ceil_to_grid, Duration, Time};
 use relation::column::ColumnBuilder;
 use relation::{ColumnBatch, Row, Schema, Value};
@@ -66,12 +67,7 @@ pub(crate) fn pane_aggregate(
         .map(|(_, a)| a.compile_arg(input.schema()))
         .collect();
     let payload = input.payload();
-    let hashes = sel.hash_batch(payload);
-    let groups = assign_groups(
-        input.len(),
-        |i| hashes[i],
-        |i, j| sel.matches_batch(payload, i, j),
-    );
+    let groups = batch_groups(payload, sel);
     // One gather per event, and only for events a computed argument reads.
     let mut scratch = (usize::MAX, Row::default());
     let Some(cells) = panes(
@@ -79,7 +75,7 @@ pub(crate) fn pane_aggregate(
         grid,
         aggs,
         |i| input.vt()[i],
-        |i| sel.extract_batch(payload, i),
+        |first| key_order(payload, sel, first),
         |i, k| match &args[k] {
             None => Ok(Value::Null),
             Some(arg) => match arg.as_col() {
@@ -136,14 +132,14 @@ struct Panes {
 }
 
 /// The kernel proper, over accessors: `start(i)` is event `i`'s lifetime
-/// start, `key(i)` its materialized key (called once per group), `arg(i,
-/// k)` aggregate `k`'s argument value for it.
+/// start, `order(first)` the groups whose first events are `first` in key
+/// order, `arg(i, k)` aggregate `k`'s argument value for it.
 fn panes(
     groups: &Groups,
     grid: Duration,
     aggs: &[(String, AggExpr)],
     start: impl Fn(usize) -> Time,
-    key: impl Fn(usize) -> Vec<Value>,
+    order: impl FnOnce(&[usize]) -> Vec<u32>,
     mut arg: impl FnMut(usize, usize) -> Result<Value>,
     stats: &mut ExecStats,
 ) -> Result<Option<Panes>> {
@@ -189,10 +185,15 @@ fn panes(
         }
     }
 
+    // Distinct groups have distinct keys, so the order is total.
+    let by_key = order(&groups.first);
+    let mut rank = vec![0u32; by_key.len()];
+    for (r, &g) in by_key.iter().enumerate() {
+        rank[g as usize] = r as u32;
+    }
     // A group-at-a-time evaluation fails in its lowest failing group, on
     // that group's first failing event.
-    let keys: Vec<Vec<Value>> = groups.first.iter().map(|&i| key(i)).collect();
-    if let Some(g) = errors.keys().copied().min_by_key(|&g| &keys[g as usize]) {
+    if let Some(g) = errors.keys().copied().min_by_key(|&g| rank[g as usize]) {
         return Err(errors.remove(&g).expect("key just seen"));
     }
     debug_assert!(
@@ -205,16 +206,9 @@ fn panes(
         )),
         "a combinable SUM is over integers"
     );
-    stats.groups += keys.len() as u64;
-    stats.pane_groups += keys.len() as u64;
+    stats.groups += rank.len() as u64;
+    stats.pane_groups += rank.len() as u64;
 
-    // Distinct groups have distinct keys, so the order is total.
-    let mut by_key: Vec<u32> = (0..keys.len() as u32).collect();
-    by_key.sort_unstable_by_key(|&g| &keys[g as usize]);
-    let mut rank = vec![0u32; keys.len()];
-    for (r, &g) in by_key.iter().enumerate() {
-        rank[g as usize] = r as u32;
-    }
     let mut order: Vec<u32> = (0..cells.len() as u32).collect();
     order.sort_unstable_by_key(|&s| {
         let (g, cell) = cells[s as usize];

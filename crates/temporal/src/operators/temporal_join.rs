@@ -91,8 +91,9 @@ pub(crate) fn temporal_join_reading(
     let (mut left_idx, mut right_idx) = (Vec::new(), Vec::new());
     let (mut vt, mut ve) = (Vec::new(), Vec::new());
     let mut scratch = Row::default();
-    for (li, hash) in lsel.hash_batch(left.payload()).into_iter().enumerate() {
-        let Some(members) = right_index.find(hash, left, &lsel, li) else {
+    let probe = right_index.probe(left, &lsel);
+    for (li, hash) in lsel.group_hashes(left.payload()).into_iter().enumerate() {
+        let Some(members) = right_index.find(hash, &probe, li) else {
             continue;
         };
         let left_lifetime = left.lifetime(li);

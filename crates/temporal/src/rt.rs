@@ -57,7 +57,9 @@ use crate::plan::{
 };
 use crate::time::{Duration, Lifetime, Time};
 use relation::{ColumnType, Row, Schema, Value};
-use rustc_hash::FxHashMap;
+use rustc_hash::{FxHashMap, FxHasher};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::Arc;
 
 /// An online execution session for a single-output plan.
@@ -94,21 +96,60 @@ struct Feed {
 impl Feed {
     /// The pending events laid out as a batch, and the prefix run over it.
     /// The pending events stay until the punctuation succeeds.
+    ///
+    /// Filters that lead the prefix run first, over a batch of only the
+    /// columns they read; the other columns — strings interned cell by
+    /// cell — are laid out for the events that pass, and the rest of the
+    /// prefix runs over those. A filter's error is the same either way: a
+    /// fragment reports the first failing step's first failing event, and
+    /// the filters are the first steps.
     fn run(&self) -> Result<EventBatch> {
         let what = format!("source `{}`", self.name);
-        let batch = EventBatch::lay_out(&what, self.schema.clone(), &self.pending)?;
-        match self.prefix_steps() {
-            None => Ok(batch),
-            Some(steps) => fused_fragment(batch, steps),
+        let schema = self.schema.clone();
+        let steps = prefix_steps(&self.prefix).unwrap_or(&[]);
+        let lead = (steps.iter())
+            .take_while(|s| matches!(s, FusedStep::Filter { .. }))
+            .count();
+        // With no leading filter, every column counts as read.
+        let mut reads = vec![lead == 0; schema.len()];
+        for step in &steps[..lead] {
+            if let FusedStep::Filter { predicate } = step {
+                for name in predicate.referenced_columns() {
+                    reads[schema.index_of(name)?] = true;
+                }
+            }
+        }
+        let (events, rest): (Vec<&Event>, _) = match reads.iter().all(|&r| r) {
+            true => (self.pending.iter().collect(), steps),
+            false => {
+                let narrow = EventBatch::lay_out_reading(
+                    &what,
+                    schema.clone(),
+                    &self.pending,
+                    Some(&reads),
+                )?;
+                let Selection { sel, .. } = fused_select(narrow, &steps[..lead], None, None)?;
+                let passed = match sel {
+                    None => self.pending.iter().collect(),
+                    Some(sel) => sel.iter().map(|&i| &self.pending[i as usize]).collect(),
+                };
+                (passed, &steps[lead..])
+            }
+        };
+        let batch = EventBatch::lay_out_reading(&what, schema, &events, None)?;
+        match rest {
+            [] => Ok(batch),
+            rest => fused_fragment(batch, rest),
         }
     }
+}
 
-    fn prefix_steps(&self) -> Option<&[FusedStep]> {
-        let prefix = self.prefix.as_ref()?;
-        match &prefix.node(prefix.roots()[0]).op {
-            Operator::FusedFragment { steps } => Some(steps),
-            _ => None,
-        }
+/// The steps of a feed's per-event prefix, if it has one.
+fn prefix_steps(prefix: &Option<LogicalPlan>) -> Option<&[FusedStep]> {
+    let prefix = prefix.as_ref()?;
+    match &prefix.node(prefix.roots()[0]).op {
+        Operator::FusedFragment { steps } => Some(steps),
+        _ => None,
     }
 }
 
@@ -140,7 +181,7 @@ struct Grouped {
     steps: Vec<FusedStep>,
     aggs: Vec<(String, AggExpr)>,
     args: Vec<Option<CompiledExpr>>,
-    groups: FxHashMap<Vec<Value>, Group>,
+    groups: HashMap<GroupKey, Group, BuildHasherDefault<FxHasher>>,
     /// Arrival number of the next event to reach the aggregate.
     next_seq: u64,
 }
@@ -154,9 +195,24 @@ struct Group {
     endpoints: Vec<(Time, bool, u64, Arc<[Value]>)>,
 }
 
+/// A group's key with its hash ([`KeySelector::group_hashes`]), which is
+/// all the map hashes: a string key cell's hash is its dictionary's cached
+/// one, so no key byte is hashed per event.
+#[derive(Debug, PartialEq, Eq)]
+struct GroupKey {
+    hash: u64,
+    key: Vec<Value>,
+}
+
+impl Hash for GroupKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
 /// An event that reached the aggregate: its group key, lifetime and
 /// argument values.
-type Keyed = (Vec<Value>, Lifetime, Arc<[Value]>);
+type Keyed = (GroupKey, Lifetime, Arc<[Value]>);
 
 impl RtSession {
     /// Start a session for `plan` (must have exactly one output). Fails
@@ -223,7 +279,7 @@ impl RtSession {
     pub fn explain(&self) -> String {
         let mut lines = Vec::new();
         for f in &self.feeds {
-            lines.push(match (f.prefix_steps(), f.multicast) {
+            lines.push(match (prefix_steps(&f.prefix), f.multicast) {
                 (Some(steps), _) => {
                     let steps: Vec<String> = steps.iter().map(step_desc).collect();
                     format!(
@@ -379,7 +435,7 @@ impl Grouped {
             steps,
             aggs: aggs.to_vec(),
             args,
-            groups: FxHashMap::default(),
+            groups: HashMap::default(),
             next_seq: 0,
         })
     }
@@ -414,7 +470,10 @@ impl Grouped {
         for j in 0..survivors {
             let row = sel.as_ref().map_or(j, |s| s[j] as usize);
             let input_row = origin.as_ref().map_or(row, |o| o[row] as usize);
-            let key = self.key.extract_batch(&keys, input_row);
+            let key = GroupKey {
+                hash: keys.group_hash(self.key.indices(), input_row),
+                key: self.key.extract_batch(&keys, input_row),
+            };
             let args: Arc<[Value]> = args[j * stride..(j + 1) * stride].into();
             keyed.push((key, batch.lifetime(row), args));
         }
@@ -445,7 +504,7 @@ impl Grouped {
                 out.push(Event::new(Lifetime::new(start, end), payload));
             }
         };
-        self.groups.retain(|key, g| {
+        self.groups.retain(|GroupKey { key, .. }, g| {
             g.endpoints
                 .sort_unstable_by_key(|&(t, is_start, seq, _)| (t, is_start, seq));
             let due = g.endpoints.partition_point(|e| e.0 < until);
@@ -528,6 +587,8 @@ impl Recompute {
                 .collect();
             if live.len() < buffer.len() {
                 buffer.compact(&live);
+                // Appends adopt each punctuation's strings; evicted ones go.
+                buffer.shrink_dictionaries();
             }
         }
         Ok(out)

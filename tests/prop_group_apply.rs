@@ -21,7 +21,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use timr_suite::relation::hash::values_hash;
 use timr_suite::relation::schema::{ColumnType, Field};
-use timr_suite::relation::{row, Column, ColumnBatch, ColumnData, Row, Schema, Value};
+use timr_suite::relation::{row, Column, ColumnBatch, ColumnData, Row, Schema, StrCodes, Value};
 use timr_suite::temporal::agg::AggExpr;
 use timr_suite::temporal::exec::{
     bindings, execute, execute_data, execute_single, BatchBindings, Bindings, ExecStats,
@@ -922,7 +922,7 @@ fn pane_argument_errors_keep_the_reference_s_order() {
                 validity(&[false, true, true, true, false]),
             ),
             Column::new(
-                ColumnData::Str(["", "", "", "x", ""].map(Into::into).to_vec()),
+                ColumnData::Str(StrCodes::from_strs(["", "", "", "x", ""])),
                 validity(&[true, true, true, false, true]),
             ),
         ],
