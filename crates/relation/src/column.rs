@@ -767,14 +767,6 @@ impl ColumnBatch {
         Row::new(self.columns.iter().map(|c| c.value(i)).collect())
     }
 
-    /// Gather row `i` into a caller-owned scratch row, reusing its value
-    /// vector's allocation (the no-alloc twin of [`Self::row`]).
-    pub fn row_into(&self, i: usize, row: &mut Row) {
-        let values = row.values_mut();
-        values.clear();
-        values.extend(self.columns.iter().map(|c| c.value(i)));
-    }
-
     /// Transpose back into rows (lossless).
     pub fn to_rows(&self) -> Vec<Row> {
         (0..self.rows).map(|i| self.row(i)).collect()
@@ -1121,17 +1113,6 @@ mod tests {
         by_compact.compact(&compact_indices(&keep));
         assert_eq!(by_retain.to_rows(), by_compact.to_rows());
         assert_eq!(compact_indices(&keep), vec![0, 2]);
-    }
-
-    #[test]
-    fn row_into_reuses_scratch() {
-        let s = schema();
-        let batch = ColumnBatch::from_rows(&s, &rows()).unwrap();
-        let mut scratch = Row::default();
-        for (i, want) in rows().iter().enumerate() {
-            batch.row_into(i, &mut scratch);
-            assert_eq!(&scratch, want, "row {i}");
-        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::compiled::CompiledExpr;
 use crate::error::{Result, TemporalError};
 use crate::expr::Expr;
-use relation::{ColumnType, Row, Schema, Value};
+use relation::{ColumnType, Schema, Value};
 use std::collections::BTreeMap;
 
 /// An aggregate over the active-event snapshot.
@@ -97,17 +97,9 @@ impl AggExpr {
         }
     }
 
-    /// Evaluate the argument against a row (Count has no argument).
-    pub fn eval_arg(&self, schema: &Schema, row: &Row) -> Result<Value> {
-        match self.input_expr() {
-            None => Ok(Value::Null),
-            Some(e) => e.eval(schema, row),
-        }
-    }
-
-    /// Compile the argument against a schema for index-resolved per-event
+    /// Compile the argument against a schema for index-resolved batch
     /// evaluation (`None` for COUNT, which takes no argument).
-    pub fn compile_arg(&self, schema: &Schema) -> Option<CompiledExpr> {
+    pub(crate) fn compile_arg(&self, schema: &Schema) -> Option<CompiledExpr> {
         self.input_expr().map(|e| CompiledExpr::compile(e, schema))
     }
 

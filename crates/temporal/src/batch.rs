@@ -232,13 +232,6 @@ impl EventBatch {
         self.payload.row(i)
     }
 
-    /// Gather the payload row of event `i` into a caller-owned scratch row,
-    /// reusing its allocation — the no-alloc twin of [`Self::payload_row`]
-    /// for the one-row evaluator.
-    pub fn payload_row_into(&self, i: usize, row: &mut Row) {
-        self.payload.row_into(i, row);
-    }
-
     /// The payload, shared: for a caller that reads it after handing the
     /// batch on (the per-event aggregate of a real-time session reads its
     /// keys off the events that survive the steps).

@@ -1,11 +1,12 @@
-//! Compiled scalar expressions: index-resolved, allocation-free evaluation.
+//! Compiled expressions, evaluated a batch at a time.
 //!
-//! [`Expr::eval`] re-resolves every column reference by *name* on every row.
-//! With the schema's hash index that lookup is O(1), but it still hashes a
-//! string per column per event — pure overhead inside reducer hot loops that
-//! evaluate the same expression millions of times. [`CompiledExpr`] performs
-//! the name→index resolution **once per operator invocation** and then
-//! evaluates against `&Row` alone.
+//! [`Expr::eval`] is the language's definition: one row, every column
+//! reference resolved by *name*. The engine never evaluates that way.
+//! [`CompiledExpr`] resolves the names **once per operator invocation** and
+//! evaluates over the columns of a whole batch (or the rows a selection
+//! vector names) through the SIMD kernel suite below. It is the engine's
+//! one evaluator: filters, projections, aggregate arguments, a join's
+//! residual and the real-time session all go through it.
 //!
 //! Compilation is deliberately **infallible** and performs *no* static type
 //! checking beyond index resolution. [`Expr::eval`]'s observable
@@ -13,20 +14,24 @@
 //! if evaluation actually reaches it — `AND`/`OR` short-circuiting can skip
 //! it entirely), so an eager `compile → Result` would reject expressions the
 //! interpreter happily evaluates. Instead, unknown columns compile to a
-//! deferred-error node that reproduces the interpreter's error at the same
-//! evaluation point. Literal-only subtrees are constant-folded, but only
-//! when their evaluation succeeds; failing subtrees are left intact so the
-//! error still surfaces at eval time, exactly as under [`Expr::eval`].
+//! deferred-error node that fails exactly the rows that reach it. Literal-only
+//! subtrees are constant-folded (on a one-row batch with no columns), but
+//! only when their evaluation succeeds; failing subtrees are left intact so
+//! the error still surfaces at eval time, exactly as under [`Expr::eval`].
 //!
-//! Equivalence `CompiledExpr::eval(row) ≡ Expr::eval(schema, row)` — values
-//! *and* error cases — is asserted by property tests over randomized
-//! schemas, rows, and expression trees (`tests/prop_compiled.rs`).
+//! A kernel never stops at a failing row: it records, for that row, the
+//! error [`Expr::eval`] returns there ([`Errs`]) and goes on, so a caller
+//! learns every failing row and its error from one evaluation and picks the
+//! one its order meets first — nothing is ever evaluated again to learn why
+//! a row failed. Equivalence with [`Expr::eval`] row by row — values *and*
+//! errors — is asserted by property tests over randomized schemas, rows,
+//! and expression trees (`tests/prop_compiled.rs`, `tests/prop_columnar.rs`).
 
 use crate::error::{Result, TemporalError};
 use crate::expr::{eval_arith, eval_cmp, eval_func, BinOp, Expr, Func};
 use relation::column::{Column, ColumnBatch, ColumnData, Validity};
 use relation::dict::{Interner, StrCodes};
-use relation::{RelationError, Row, Schema, Value};
+use relation::{RelationError, Schema, Value};
 use simd::{F64x8, I64x8, LANES, M8};
 use std::sync::Arc;
 
@@ -47,17 +52,15 @@ impl EvalCtx<'_> {
     fn rows(&self, batch: &ColumnBatch) -> usize {
         self.sel.map_or_else(|| batch.len(), <[u32]>::len)
     }
-
-    /// Map a live-row ordinal back to its underlying batch row index.
-    fn row_index(&self, i: usize) -> usize {
-        self.sel.map_or(i, |s| s[i] as usize)
-    }
 }
 
-/// An expression resolved against a fixed input [`Schema`], evaluable
-/// against bare rows of that schema.
+/// Failing rows in ascending order, each with its error.
+pub(crate) type RowErrors = Vec<(u32, Arc<TemporalError>)>;
+
+/// An expression resolved against a fixed input [`Schema`], evaluable over
+/// batches of that schema.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CompiledExpr {
+pub(crate) struct CompiledExpr {
     node: Node,
 }
 
@@ -86,49 +89,33 @@ impl CompiledExpr {
     /// Resolve `expr` against `schema`. Never fails: unknown columns become
     /// deferred-error nodes so the error semantics of [`Expr::eval`]
     /// (including short-circuit skipping) are preserved exactly.
-    pub fn compile(expr: &Expr, schema: &Schema) -> CompiledExpr {
+    pub(crate) fn compile(expr: &Expr, schema: &Schema) -> CompiledExpr {
         CompiledExpr {
             node: fold(compile_node(expr, schema)),
-        }
-    }
-
-    /// Evaluate against one row. Identical observable behaviour to
-    /// [`Expr::eval`] on the schema this was compiled against.
-    pub fn eval(&self, row: &Row) -> Result<Value> {
-        self.node.eval(row)
-    }
-
-    /// Evaluate as a filter predicate: Null counts as false.
-    pub fn eval_predicate(&self, row: &Row) -> Result<bool> {
-        match self.eval(row)? {
-            Value::Bool(b) => Ok(b),
-            Value::Null => Ok(false),
-            other => Err(TemporalError::Eval(format!(
-                "predicate evaluated to non-boolean {other}"
-            ))),
         }
     }
 
     /// Evaluate as a filter predicate over the rows of `batch` named by
     /// `sel` (all rows when `None`): the returned mask has one slot per
     /// *selected* row and holds `true` exactly where
-    /// [`Self::eval_predicate`] would (Null counts as false). Errors
-    /// reproduce the scalar path's error for the first failing selected
-    /// row verbatim.
+    /// [`Expr::eval_predicate`] would (Null counts as false). Otherwise
+    /// every selected row (by its slot) where [`Expr::eval_predicate`]
+    /// fails, with that error: an evaluation error, or a value that is not
+    /// a boolean.
     pub(crate) fn eval_predicate_batch_sel(
         &self,
         batch: &ColumnBatch,
         sel: Option<&[u32]>,
-    ) -> Result<Vec<bool>> {
+    ) -> std::result::Result<Vec<bool>, RowErrors> {
         let ctx = EvalCtx { sel };
         let n = ctx.rows(batch);
         let raw = self.node.eval_batch(batch, ctx);
         // Bulk path for the common case — a statically-boolean result with
         // no errors anywhere: take the dense vector (or broadcast the
         // constant) and mask nulls to false word-at-a-time, with no per-row
-        // error branch. `Const(Null)` with an empty error mask means every
-        // row is null (the `constant` invariant), i.e. all-false.
-        if matches!(raw.errs, Mask::None)
+        // error branch. `Const(Null)` with no errors means every row is
+        // null (the `constant` invariant), i.e. all-false.
+        if matches!(raw.errs, Errs::None)
             && matches!(
                 raw.vals,
                 BVals::Bool(_) | BVals::Const(Value::Bool(_)) | BVals::Const(Value::Null)
@@ -151,44 +138,31 @@ impl CompiledExpr {
             return Ok(keep);
         }
         let mut keep = vec![false; n];
-        // One row-order scan so the first bad row (eval error *or* non-bool
-        // value) surfaces in exactly the order the scalar loop would hit it.
-        for i in 0..n {
-            if raw.errs.get(i) {
-                return Err(self.scalar_predicate_error_at(batch, ctx.row_index(i)));
+        let mut failed = RowErrors::new();
+        for (i, k) in keep.iter_mut().enumerate() {
+            if let Some(err) = raw.errs.at(i) {
+                failed.push((i as u32, err));
+            } else if !raw.nulls.get(i) {
+                match bvals_at(&raw.vals, i) {
+                    Value::Bool(b) => *k = b,
+                    other => failed.push((
+                        i as u32,
+                        Arc::new(TemporalError::Eval(format!(
+                            "predicate evaluated to non-boolean {other}"
+                        ))),
+                    )),
+                }
             }
-            if raw.nulls.get(i) {
-                continue; // Null → false
-            }
-            keep[i] = match &raw.vals {
-                BVals::Bool(d) => d[i],
-                BVals::Const(Value::Bool(b)) => *b,
-                BVals::Mixed(v) => match &v[i] {
-                    Value::Bool(b) => *b,
-                    _ => return Err(self.scalar_predicate_error_at(batch, ctx.row_index(i))),
-                },
-                _ => return Err(self.scalar_predicate_error_at(batch, ctx.row_index(i))),
-            };
         }
-        Ok(keep)
-    }
-
-    /// Re-run the one-row evaluator on row `i` to recover its exact error
-    /// there.
-    fn scalar_predicate_error_at(&self, batch: &ColumnBatch, i: usize) -> TemporalError {
-        match self.eval_predicate(&batch.row(i)) {
-            Err(e) => e,
-            Ok(_) => TemporalError::Eval("columnar/scalar divergence".into()),
+        match failed.is_empty() {
+            true => Ok(keep),
+            false => Err(failed),
         }
     }
 
     /// Batch evaluation over the rows named by `sel` (all rows when
-    /// `None`) with the raw per-row masks exposed: a projection evaluates
-    /// several expressions over one batch and needs each expression's
-    /// first error *row* to reproduce the scalar path's row-major error
-    /// order before converting any column. Masks and values have one slot
-    /// per selected row; callers map mask indices back through `sel`
-    /// before re-running the scalar path.
+    /// `None`): one slot per selected row, each a value or the error
+    /// [`Expr::eval`] returns there.
     pub(crate) fn eval_batch_raw_sel(&self, batch: &ColumnBatch, sel: Option<&[u32]>) -> BatchEval {
         self.node.eval_batch(batch, EvalCtx { sel })
     }
@@ -224,16 +198,18 @@ fn compile_node(expr: &Expr, schema: &Schema) -> Node {
     }
 }
 
-/// Constant-fold a subtree that reads no columns, but only when its
-/// evaluation succeeds — a failing subtree must keep failing at eval time.
+/// Constant-fold a subtree that reads no columns, evaluated over one row
+/// with no columns, but only when that evaluation succeeds — a failing
+/// subtree must keep failing at eval time.
 fn fold(node: Node) -> Node {
     if matches!(node, Node::Lit(_) | Node::Col(_) | Node::MissingCol(_)) || node.reads_columns() {
         return node;
     }
-    let empty = Row::new(Vec::new());
-    match node.eval(&empty) {
-        Ok(v) => Node::Lit(v),
-        Err(_) => node,
+    let one_row = ColumnBatch::new(Schema::new(Vec::new()), Vec::new(), 1);
+    let out = node.eval_batch(&one_row, EvalCtx { sel: None });
+    match out.errs {
+        Errs::None => Node::Lit(out.value_at(0)),
+        _ => node,
     }
 }
 
@@ -248,72 +224,13 @@ impl Node {
         }
     }
 
-    /// Mirror of [`Expr::eval`], with names pre-resolved.
-    fn eval(&self, row: &Row) -> Result<Value> {
-        match self {
-            Node::Col(i) => Ok(row.get(*i).clone()),
-            Node::MissingCol(name) => Err(TemporalError::Relation(RelationError::UnknownColumn(
-                name.clone(),
-            ))),
-            Node::Lit(v) => Ok(v.clone()),
-            Node::Binary { op, left, right } => {
-                let l = left.eval(row)?;
-                // Short-circuit booleans before evaluating the right side.
-                if *op == BinOp::And {
-                    return match l.as_bool() {
-                        Some(false) => Ok(Value::Bool(false)),
-                        Some(true) => right.eval(row),
-                        None => Ok(Value::Null),
-                    };
-                }
-                if *op == BinOp::Or {
-                    return match l.as_bool() {
-                        Some(true) => Ok(Value::Bool(true)),
-                        Some(false) => right.eval(row),
-                        None => Ok(Value::Null),
-                    };
-                }
-                let r = right.eval(row)?;
-                if l.is_null() || r.is_null() {
-                    return Ok(Value::Null);
-                }
-                match op {
-                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => eval_arith(*op, &l, &r),
-                    BinOp::Eq => Ok(Value::Bool(l.loose_eq(&r))),
-                    BinOp::Ne => Ok(Value::Bool(!l.loose_eq(&r))),
-                    BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => eval_cmp(*op, &l, &r),
-                    BinOp::And | BinOp::Or => unreachable!("handled above"),
-                }
-            }
-            Node::Not(e) => match e.eval(row)? {
-                Value::Null => Ok(Value::Null),
-                v => v
-                    .as_bool()
-                    .map(|b| Value::Bool(!b))
-                    .ok_or_else(|| TemporalError::Eval("NOT on non-boolean".into())),
-            },
-            Node::Call { func, args } => {
-                let mut vals = Vec::with_capacity(args.len());
-                for a in args {
-                    let v = a.eval(row)?;
-                    if v.is_null() {
-                        return Ok(Value::Null);
-                    }
-                    vals.push(v);
-                }
-                eval_func(*func, &vals)
-            }
-        }
-    }
-
-    /// Vectorized mirror of [`Node::eval`]: one result per batch row.
+    /// Vectorized [`Expr::eval`]: one result per batch row.
     ///
-    /// Never fails — per-row failures are recorded in the error mask and
-    /// the *first* failing row is re-evaluated scalar-side by the public
-    /// entry points to recover the exact error. The invariant relied on
-    /// throughout: for every row `i`, scalar eval of the gathered row is
-    /// `Err(_)` iff `errs.get(i)`, `Ok(Null)` iff `nulls.get(i)` (and not
-    /// err), and otherwise `Ok(value_at(i))` bit-for-bit.
+    /// Never fails — per-row failures are recorded with their errors in
+    /// [`Errs`]. The invariant relied on throughout: for every row `i`,
+    /// [`Expr::eval`] of the gathered row is `Err(e)` iff `errs.at(i)` is
+    /// `Some(e)`, `Ok(Null)` iff `nulls.get(i)` (and not err), and
+    /// otherwise `Ok(value_at(i))` bit-for-bit.
     fn eval_batch(&self, batch: &ColumnBatch, ctx: EvalCtx) -> BatchEval {
         let n = ctx.rows(batch);
         match self {
@@ -321,12 +238,14 @@ impl Node {
                 None => BatchEval::from_column(batch.column(*i)),
                 Some(sel) => BatchEval::from_column_sel(batch.column(*i), sel),
             },
-            // Unknown column: errors on every row it is evaluated for,
-            // exactly like the deferred scalar error.
-            Node::MissingCol(_) => BatchEval {
+            // Unknown column: every row it is evaluated for fails with one
+            // shared error, exactly like the interpreter's.
+            Node::MissingCol(name) => BatchEval {
                 vals: BVals::Const(Value::Null),
                 nulls: Mask::None,
-                errs: Mask::All,
+                errs: Errs::All(Arc::new(TemporalError::Relation(
+                    RelationError::UnknownColumn(name.clone()),
+                ))),
             },
             Node::Lit(v) => BatchEval::constant(v.clone()),
             Node::Binary { op, left, right } => match op {
@@ -411,14 +330,6 @@ impl Mask {
         }
     }
 
-    fn first(&self, n: usize) -> Option<usize> {
-        match self {
-            Mask::None => None,
-            Mask::All => (n > 0).then_some(0),
-            Mask::Rows(f) => f.iter().position(|&b| b),
-        }
-    }
-
     fn union(a: &Mask, b: &Mask) -> Mask {
         match (a, b) {
             (Mask::All, _) | (_, Mask::All) => Mask::All,
@@ -426,6 +337,72 @@ impl Mask {
             (Mask::Rows(x), Mask::Rows(y)) => {
                 Mask::from_flags(x.iter().zip(y).map(|(&p, &q)| p || q).collect())
             }
+        }
+    }
+}
+
+/// The rows whose evaluation fails, each with the error [`Expr::eval`]
+/// returns there. Errors are rare, so they are kept sparse: nothing at all
+/// when no row fails, one error when every row fails with it (an unknown
+/// column), and otherwise the failing rows alone, rows that fail alike
+/// sharing one error.
+#[derive(Debug, Clone)]
+enum Errs {
+    /// No row fails.
+    None,
+    /// Every row fails with this error.
+    All(Arc<TemporalError>),
+    /// The failing rows, in order, with their errors.
+    Each(RowErrors),
+}
+
+impl Errs {
+    /// The rows `failed` names (in any order, each once) fail.
+    fn each(mut failed: RowErrors) -> Errs {
+        if failed.is_empty() {
+            return Errs::None;
+        }
+        failed.sort_unstable_by_key(|&(i, _)| i);
+        Errs::Each(failed)
+    }
+
+    /// The error of row `i`, if it fails.
+    fn at(&self, i: usize) -> Option<Arc<TemporalError>> {
+        match self {
+            Errs::None => None,
+            Errs::All(err) => Some(Arc::clone(err)),
+            Errs::Each(rows) => (rows.binary_search_by_key(&(i as u32), |&(r, _)| r).ok())
+                .map(|k| Arc::clone(&rows[k].1)),
+        }
+    }
+
+    fn first(&self, n: usize) -> Option<usize> {
+        match self {
+            Errs::None => None,
+            Errs::All(_) => (n > 0).then_some(0),
+            Errs::Each(rows) => rows.first().map(|&(i, _)| i as usize),
+        }
+    }
+
+    /// Every failing row of `n`, in order, with its error.
+    fn rows(&self, n: usize) -> RowErrors {
+        match self {
+            Errs::None => RowErrors::new(),
+            Errs::All(err) => (0..n as u32).map(|i| (i, Arc::clone(err))).collect(),
+            Errs::Each(rows) => rows.clone(),
+        }
+    }
+
+    /// The rows either operand fails, with the left operand's error where
+    /// both do: a row evaluates its left operand first.
+    fn first_of(l: Errs, r: Errs, n: usize) -> Errs {
+        match (l, r) {
+            (Errs::None, errs) | (errs, Errs::None) => errs,
+            (l, r) => Errs::each(
+                (0..n)
+                    .filter_map(|i| Some((i as u32, l.at(i).or_else(|| r.at(i))?)))
+                    .collect(),
+            ),
         }
     }
 }
@@ -459,20 +436,33 @@ fn bvals_at(v: &BVals, i: usize) -> Value {
 
 /// Result of evaluating one expression node over a whole batch.
 ///
-/// Rows flagged in `errs` hold garbage in `vals`; rows flagged in `nulls`
-/// (and not in `errs` — error wins on read) are `Null` and hold an
+/// Rows that fail in `errs` hold garbage in `vals`; rows flagged in `nulls`
+/// (and not failing — error wins on read) are `Null` and hold an
 /// unobservable placeholder. Kernels may compute garbage at masked rows as
 /// long as nothing can panic (integer division guards its divisor).
 pub(crate) struct BatchEval {
     vals: BVals,
     nulls: Mask,
-    errs: Mask,
+    errs: Errs,
 }
 
 impl BatchEval {
-    /// Lowest row index whose scalar evaluation would error, if any.
+    /// Lowest row whose evaluation fails, if any.
     pub(crate) fn first_err(&self, n: usize) -> Option<usize> {
         self.errs.first(n)
+    }
+
+    /// Every failing row of `n`, in order, with its error.
+    pub(crate) fn errors(&self, n: usize) -> RowErrors {
+        self.errs.rows(n)
+    }
+
+    /// Row `i`: its value, or its error.
+    pub(crate) fn get(&self, i: usize) -> Result<Value> {
+        match self.errs.at(i) {
+            Some(err) => Err(Arc::unwrap_or_clone(err)),
+            None => Ok(self.value_at(i)),
+        }
     }
 
     fn constant(v: Value) -> BatchEval {
@@ -480,7 +470,7 @@ impl BatchEval {
         BatchEval {
             vals: BVals::Const(v),
             nulls,
-            errs: Mask::None,
+            errs: Errs::None,
         }
     }
 
@@ -499,7 +489,7 @@ impl BatchEval {
         BatchEval {
             vals,
             nulls,
-            errs: Mask::None,
+            errs: Errs::None,
         }
     }
 
@@ -526,7 +516,7 @@ impl BatchEval {
         BatchEval {
             vals,
             nulls,
-            errs: Mask::None,
+            errs: Errs::None,
         }
     }
 
@@ -630,7 +620,7 @@ fn gather_uniform(rows: &[Value], nulls: &Mask) -> Option<ColumnData> {
 }
 
 /// Numeric rank of a batch's static value type: 2 = Int, 3 = Long,
-/// 4 = Double (matching scalar promotion order); `None` when the type is
+/// 4 = Double (matching `Expr::eval`'s promotion order); `None` when the type is
 /// non-numeric or not statically known (`Mixed`).
 fn arith_rank(v: &BVals) -> Option<u8> {
     match v {
@@ -668,7 +658,7 @@ enum VRef<'a> {
 struct Side<'a> {
     v: VRef<'a>,
     nulls: Mask,
-    errs: Mask,
+    errs: Errs,
 }
 
 /// Borrowed-leaf operand for the dense context, `None` when the node is
@@ -689,13 +679,13 @@ fn leaf_operand<'a>(node: &'a Node, batch: &'a ColumnBatch, ctx: EvalCtx) -> Opt
             Some(Side {
                 v: VRef::Col(col),
                 nulls,
-                errs: Mask::None,
+                errs: Errs::None,
             })
         }
         Node::Lit(v) => Some(Side {
             v: VRef::Lit(v),
             nulls: if v.is_null() { Mask::All } else { Mask::None },
-            errs: Mask::None,
+            errs: Errs::None,
         }),
         _ => None,
     }
@@ -734,11 +724,16 @@ fn value_at_ref(v: &VRef, nulls: &Mask, i: usize) -> Value {
 }
 
 /// Non-connective binary operator over two borrowed operands.
-fn binary(op: BinOp, l: Side, r: Side, n: usize) -> BatchEval {
-    // Scalar order: left `?`, right `?`, *then* the null check — so the
-    // error mask is the plain union (a right-side error surfaces even when
-    // the left side is null), and null rows are the union of the rest.
-    let errs = Mask::union(&l.errs, &r.errs);
+fn binary(op: BinOp, mut l: Side, mut r: Side, n: usize) -> BatchEval {
+    // Row order: left `?`, right `?`, *then* the null check — so a row
+    // fails where either operand does, with the left operand's error first
+    // (a right-side error surfaces even when the left side is null), and
+    // null rows are the union of the rest.
+    let errs = Errs::first_of(
+        std::mem::replace(&mut l.errs, Errs::None),
+        std::mem::replace(&mut r.errs, Errs::None),
+        n,
+    );
     let nulls = Mask::union(&l.nulls, &r.nulls);
     if matches!(nulls, Mask::All) {
         return BatchEval {
@@ -818,7 +813,7 @@ fn cmp_test(op: BinOp) -> fn(std::cmp::Ordering) -> bool {
 
 /// Per-row `f64` accessor for statically numeric batches: a borrowed dense
 /// slice or a broadcast constant, widening exactly like `Value::as_double`
-/// (so comparisons agree bit-for-bit with the scalar path's
+/// (so comparisons agree bit-for-bit with `Expr::eval`'s
 /// widen-to-double semantics).
 enum NumSide<'a> {
     Int(&'a [i32]),
@@ -930,14 +925,14 @@ fn str_accessor_ref<'a>(v: &'a VRef) -> Option<StrSide<'a>> {
 }
 
 /// Row-at-a-time fallback for operand shapes without a typed kernel;
-/// reproduces scalar semantics exactly via the scalar helpers.
-fn per_row_binary(op: BinOp, l: &Side, r: &Side, n: usize, nulls: &Mask, errs: &Mask) -> BatchEval {
+/// reproduces [`Expr::eval`] exactly via its helpers, errors included.
+fn per_row_binary(op: BinOp, l: &Side, r: &Side, n: usize, nulls: &Mask, errs: &Errs) -> BatchEval {
     let mut out = vec![Value::Null; n];
     let mut null_flags = vec![false; n];
-    let mut err_flags = vec![false; n];
+    let mut failed = RowErrors::new();
     for i in 0..n {
-        if errs.get(i) {
-            err_flags[i] = true;
+        if let Some(err) = errs.at(i) {
+            failed.push((i as u32, err));
             continue;
         }
         if nulls.get(i) {
@@ -958,13 +953,13 @@ fn per_row_binary(op: BinOp, l: &Side, r: &Side, n: usize, nulls: &Mask, errs: &
         match res {
             Ok(Value::Null) => null_flags[i] = true,
             Ok(v) => out[i] = v,
-            Err(_) => err_flags[i] = true,
+            Err(e) => failed.push((i as u32, Arc::new(e))),
         }
     }
     BatchEval {
         vals: BVals::Mixed(out),
         nulls: Mask::from_flags(null_flags),
-        errs: Mask::from_flags(err_flags),
+        errs: Errs::each(failed),
     }
 }
 
@@ -985,9 +980,9 @@ fn connective(
     right: impl FnOnce() -> BatchEval,
     n: usize,
 ) -> BatchEval {
-    if matches!(l.errs, Mask::None) && matches!(l.vals, BVals::Bool(_)) {
+    if matches!(l.errs, Errs::None) && matches!(l.vals, BVals::Bool(_)) {
         let r = right();
-        if matches!(r.errs, Mask::None) && matches!(r.vals, BVals::Bool(_)) {
+        if matches!(r.errs, Errs::None) && matches!(r.vals, BVals::Bool(_)) {
             return connective_dense_simd(is_and, &l, &r, n);
         }
         return connective_generic(is_and, l, move || r, n);
@@ -995,11 +990,12 @@ fn connective(
     connective_generic(is_and, l, right, n)
 }
 
-/// `AND` / `OR` with scalar short-circuit semantics: the right side is
+/// `AND` / `OR` with `Expr::eval`'s short-circuit semantics: the right side is
 /// evaluated only for rows whose left side is `true` (AND) / `false` (OR),
 /// and its result — *whatever its type* — is returned verbatim for those
-/// rows. Errors on skipped right sides stay masked, so the right batch is
-/// only computed when at least one row defers to it.
+/// rows. A row fails where its left side does, or where it defers and its
+/// right side does; errors on skipped right sides stay masked, so the right
+/// batch is only computed when at least one row defers to it.
 fn connective_generic(
     is_and: bool,
     l: BatchEval,
@@ -1010,14 +1006,14 @@ fn connective_generic(
     let mut defer = vec![false; n];
     let mut any_defer = false;
     for (i, d) in defer.iter_mut().enumerate() {
-        if !l.errs.get(i) && l.as_bool_at(i) == Some(!short_val) {
+        if l.errs.at(i).is_none() && l.as_bool_at(i) == Some(!short_val) {
             *d = true;
             any_defer = true;
         }
     }
     let r = if any_defer { Some(right()) } else { None };
     // The output is a plain boolean column unless some deferred row takes a
-    // non-boolean right-side value (possible: scalar AND returns the right
+    // non-boolean right-side value (possible: `Expr::eval`'s AND returns the right
     // side raw), in which case gather per-row values.
     let bool_like = match &r {
         None => true,
@@ -1027,16 +1023,16 @@ fn connective_generic(
         ),
     };
     let mut null_flags = vec![false; n];
-    let mut err_flags = vec![false; n];
+    let mut failed = RowErrors::new();
     macro_rules! fill {
         ($out:ident, $short:expr, |$r:ident, $i:ident| $deferred:expr) => {
             for $i in 0..n {
-                if l.errs.get($i) {
-                    err_flags[$i] = true;
+                if let Some(err) = l.errs.at($i) {
+                    failed.push(($i as u32, err));
                 } else if defer[$i] {
                     let $r = r.as_ref().expect("right evaluated when any row defers");
-                    if $r.errs.get($i) {
-                        err_flags[$i] = true;
+                    if let Some(err) = $r.errs.at($i) {
+                        failed.push(($i as u32, err));
                     } else if $r.nulls.get($i) {
                         null_flags[$i] = true;
                     } else {
@@ -1066,7 +1062,7 @@ fn connective_generic(
     BatchEval {
         vals,
         nulls: Mask::from_flags(null_flags),
-        errs: Mask::from_flags(err_flags),
+        errs: Errs::each(failed),
     }
 }
 
@@ -1089,59 +1085,65 @@ fn not_batch(e: BatchEval, n: usize) -> BatchEval {
         BVals::Mixed(rows) => {
             let mut out = vec![false; n];
             let mut null_flags = vec![false; n];
-            let mut err_flags = vec![false; n];
+            let mut failed = RowErrors::new();
+            let not_bool = Arc::new(not_on_non_boolean());
             for i in 0..n {
-                if e.errs.get(i) {
-                    err_flags[i] = true;
+                if let Some(err) = e.errs.at(i) {
+                    failed.push((i as u32, err));
                 } else if e.nulls.get(i) {
                     null_flags[i] = true;
                 } else {
                     match rows[i].as_bool() {
                         Some(b) => out[i] = !b,
-                        None => err_flags[i] = true,
+                        None => failed.push((i as u32, Arc::clone(&not_bool))),
                     }
                 }
             }
             BatchEval {
                 vals: BVals::Bool(out),
                 nulls: Mask::from_flags(null_flags),
-                errs: Mask::from_flags(err_flags),
+                errs: Errs::each(failed),
             }
         }
-        // Statically non-boolean: every live row errors ("NOT on
-        // non-boolean"); null rows still pass through as Null.
-        _ => err_all_alive(e, n),
+        // Statically non-boolean: every live row errors; null rows still
+        // pass through as Null.
+        _ => err_all_alive(e, n, not_on_non_boolean()),
     }
 }
 
-/// Flag every non-null, non-err row as an error (for statically ill-typed
-/// operations whose scalar twin errors on any live row).
-fn err_all_alive(e: BatchEval, n: usize) -> BatchEval {
-    let errs = match (&e.errs, &e.nulls) {
-        (Mask::All, _) => Mask::All,
-        (_, Mask::None) => Mask::All,
-        (errs, nulls) => Mask::from_flags((0..n).map(|i| errs.get(i) || !nulls.get(i)).collect()),
-    };
+fn not_on_non_boolean() -> TemporalError {
+    TemporalError::Eval("NOT on non-boolean".into())
+}
+
+/// Fail every non-null row that does not fail yet with one shared `err`
+/// (for statically ill-typed operations that fail on any live row).
+fn err_all_alive(e: BatchEval, n: usize, err: TemporalError) -> BatchEval {
+    let err = Arc::new(err);
+    let failed = (0..n).filter_map(|i| match e.errs.at(i) {
+        Some(earlier) => Some((i as u32, earlier)),
+        None => (!e.nulls.get(i)).then(|| (i as u32, Arc::clone(&err))),
+    });
     BatchEval {
         vals: BVals::Const(Value::Null),
+        errs: Errs::each(failed.collect()),
         nulls: e.nulls,
-        errs,
     }
 }
 
-/// Built-in function call with scalar argument-order masking: arguments
-/// are conceptually evaluated left to right per row; the first erroring
-/// argument errors the row, the first null argument nulls the row (masking
-/// errors in later arguments), and only fully-live rows reach the kernel.
+/// Built-in function call with argument-order masking: arguments
+/// are conceptually evaluated left to right per row; the first failing
+/// argument fails the row with its error, the first null argument nulls the
+/// row (masking errors in later arguments), and only fully-live rows reach
+/// the kernel.
 fn call_batch(func: Func, args: &[BatchEval], n: usize) -> BatchEval {
     let mut alive = vec![true; n];
     let mut null_flags = vec![false; n];
-    let mut err_flags = vec![false; n];
+    let mut failed = RowErrors::new();
     for a in args {
         for i in 0..n {
             if alive[i] {
-                if a.errs.get(i) {
-                    err_flags[i] = true;
+                if let Some(err) = a.errs.at(i) {
+                    failed.push((i as u32, err));
                     alive[i] = false;
                 } else if a.nulls.get(i) {
                     null_flags[i] = true;
@@ -1150,13 +1152,12 @@ fn call_batch(func: Func, args: &[BatchEval], n: usize) -> BatchEval {
             }
         }
     }
-    let masks = |vals: BVals| BatchEval {
-        vals,
-        nulls: Mask::from_flags(null_flags.clone()),
-        errs: Mask::from_flags(err_flags.clone()),
-    };
     if !alive.contains(&true) {
-        return masks(BVals::Const(Value::Null));
+        return BatchEval {
+            vals: BVals::Const(Value::Null),
+            nulls: Mask::from_flags(null_flags),
+            errs: Errs::each(failed),
+        };
     }
     if args.iter().all(|a| arith_rank(&a.vals).is_some()) {
         // All-numeric fast path: `eval_func` cannot fail on numerics, and
@@ -1221,10 +1222,14 @@ fn call_batch(func: Func, args: &[BatchEval], n: usize) -> BatchEval {
                 }
             }
         };
-        return masks(vals);
+        return BatchEval {
+            vals,
+            nulls: Mask::from_flags(null_flags),
+            errs: Errs::each(failed),
+        };
     }
     // Some argument is non-numeric or mixed-typed: evaluate live rows one
-    // at a time through the scalar kernel.
+    // at a time through `eval_func`.
     let mut out = vec![Value::Null; n];
     for i in 0..n {
         if !alive[i] {
@@ -1233,21 +1238,21 @@ fn call_batch(func: Func, args: &[BatchEval], n: usize) -> BatchEval {
         let vals: Vec<Value> = args.iter().map(|a| a.value_at(i)).collect();
         match eval_func(func, &vals) {
             Ok(v) => out[i] = v,
-            Err(_) => err_flags[i] = true,
+            Err(e) => failed.push((i as u32, Arc::new(e))),
         }
     }
     BatchEval {
         vals: BVals::Mixed(out),
         nulls: Mask::from_flags(null_flags),
-        errs: Mask::from_flags(err_flags),
+        errs: Errs::each(failed),
     }
 }
 
 // ---------------------------------------------------------------------------
 // SIMD kernel suite: the typed kernels `binary` and `connective` dispatch to.
 //
-// Each kernel must agree bit-for-bit with the scalar row evaluator
-// (`Node::eval`) — that is the law the fused engine rests on:
+// Each kernel must agree bit-for-bit with the language's row-at-a-time
+// definition (`Expr::eval`) — that is the law the fused engine rests on:
 //   * numeric compares widen to `f64` exactly like `Value::as_double`
 //     (`NumSide::load8` mirrors `NumSide::at` per lane);
 //   * ordering goes through the IEEE total-order key, which is *defined*
@@ -1326,7 +1331,7 @@ fn int_accessor_ref<'a>(v: &'a VRef) -> Option<IntSide<'a>> {
 }
 
 /// Typed arithmetic kernel over numeric operands (ranks `a`, `b`: 2 = Int,
-/// 3 = Long, 4 = Double, promoting like the scalar evaluator), reading
+/// 3 = Long, 4 = Double, promoting like `Expr::eval`), reading
 /// operands in place without materializing widened copies.
 #[allow(clippy::too_many_arguments)]
 fn simd_arith_kernel(
@@ -1337,7 +1342,7 @@ fn simd_arith_kernel(
     b: u8,
     n: usize,
     nulls: Mask,
-    errs: Mask,
+    errs: Errs,
 ) -> BatchEval {
     let head = n - n % LANES;
     if a == 4 || b == 4 {
@@ -1451,7 +1456,7 @@ fn i32_ranged(s: &IntSide) -> bool {
 
 /// Exact-integer `==` / `!=`.
 ///
-/// Agrees with the scalar f64-widening comparison whenever at least one side
+/// Agrees with `Expr::eval`'s f64-widening comparison whenever at least one side
 /// is i32-ranged: `as f64` is exact below 2^53 and preserves sign and
 /// magnitude ordering above it, so a collision or an order flip between the
 /// two paths would require *both* operands' magnitudes to exceed 2^53 —
@@ -1536,7 +1541,7 @@ fn simd_num_ord(op: BinOp, a: &NumSide, b: &NumSide, n: usize) -> Vec<bool> {
 ///
 /// Garbage at null slots is harmless by the placement of the null flags:
 /// a null left side nulls the row outright, and a null right side only
-/// nulls rows that defer to it — exactly the scalar short-circuit rule.
+/// nulls rows that defer to it — exactly `Expr::eval`'s short-circuit rule.
 fn connective_dense_simd(is_and: bool, l: &BatchEval, r: &BatchEval, n: usize) -> BatchEval {
     let (lv, rv) = match (&l.vals, &r.vals) {
         (BVals::Bool(a), BVals::Bool(b)) => (a, b),
@@ -1570,7 +1575,7 @@ fn connective_dense_simd(is_and: bool, l: &BatchEval, r: &BatchEval, n: usize) -
     BatchEval {
         vals: BVals::Bool(out),
         nulls,
-        errs: Mask::None,
+        errs: Errs::None,
     }
 }
 
@@ -1578,8 +1583,8 @@ fn connective_dense_simd(is_and: bool, l: &BatchEval, r: &BatchEval, n: usize) -
 mod tests {
     use super::*;
     use crate::expr::{col, lit};
-    use relation::row;
     use relation::schema::{ColumnType, Field};
+    use relation::{row, Row};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -1590,45 +1595,76 @@ mod tests {
         ])
     }
 
-    fn sample() -> Row {
-        row![1i32, 42i64, 0.25f64, "u1"]
+    fn rows() -> Vec<Row> {
+        vec![
+            row![1i32, 42i64, 0.25f64, "u1"],
+            row![2i32, 0i64, 4.0f64, "u2"],
+            Row::new(vec![Value::Null, Value::Null, Value::Null, Value::Null]),
+        ]
     }
 
-    fn both(e: &Expr) -> (Result<Value>, Result<Value>) {
-        let s = schema();
-        let r = sample();
-        (e.eval(&s, &r), CompiledExpr::compile(e, &s).eval(&r))
+    fn sample_batch() -> ColumnBatch {
+        ColumnBatch::from_rows(&schema(), &rows()).unwrap()
+    }
+
+    /// `e` over the sample batch, row by row: each row's value or error.
+    fn per_row(e: &Expr) -> Vec<Result<Value>> {
+        let raw = CompiledExpr::compile(e, &schema()).eval_batch_raw_sel(&sample_batch(), None);
+        (0..rows().len()).map(|i| raw.get(i)).collect()
+    }
+
+    /// [`Expr::eval`] over the sample rows: the reference.
+    fn reference(e: &Expr) -> Vec<Result<Value>> {
+        rows().iter().map(|r| e.eval(&schema(), r)).collect()
     }
 
     #[test]
-    fn matches_interpreter_on_bt_shapes() {
+    fn batch_eval_matches_interpreter_per_row() {
         for e in [
             col("StreamId").eq(lit(1)),
             col("Count").add(lit(1i32)).mul(col("Ctr")),
-            col("UserId").eq(lit("u1")).and(col("Count").gt(lit(10i64))),
             col("Count").div(lit(0i64)),
+            lit(1i64).div(col("Count")),
             col("Ctr").sqrt().sub(lit(0.5f64)).abs(),
+            col("UserId").eq(lit("u1")),
+            col("UserId").eq(lit("u1")).and(col("Count").gt(lit(10i64))),
+            col("StreamId").eq(lit(1)).or(col("Count").gt(lit(10i64))),
+            col("StreamId").eq(lit(1)).not(),
         ] {
-            let (interp, compiled) = both(&e);
-            assert_eq!(interp.unwrap(), compiled.unwrap(), "expr: {e}");
+            assert_eq!(per_row(&e), reference(&e), "expr {e}");
+        }
+    }
+
+    #[test]
+    fn errors_are_the_interpreter_s_row_by_row() {
+        for e in [
+            // Unknown column: every row that reaches it.
+            col("Nope").add(lit(1i64)),
+            // Left operand's error before the right's.
+            col("UserId").add(lit(1i64)).add(col("Nope")),
+            // The first failing argument of a call.
+            col("UserId").sqrt().abs(),
+            // NOT of a non-boolean fails its live rows, not its null ones.
+            col("Count").not(),
+            col("UserId").lt(lit(1i64)).not(),
+        ] {
+            let got = per_row(&e);
+            assert!(got.iter().any(Result::is_err), "expr {e} fails somewhere");
+            assert_eq!(got, reference(&e), "expr {e}");
         }
     }
 
     #[test]
     fn unknown_column_errors_lazily_like_interpreter() {
-        let s = schema();
-        let r = sample();
-        // Reached: both error.
-        let e = col("Nope").add(lit(1i64));
-        assert!(e.eval(&s, &r).is_err());
-        assert!(CompiledExpr::compile(&e, &s).eval(&r).is_err());
-        // Short-circuited away: both succeed.
+        // Short-circuited away: no row fails.
         let e = col("StreamId").eq(lit(99)).and(col("Nope").lt(lit(1i64)));
-        assert_eq!(e.eval(&s, &r).unwrap(), Value::Bool(false));
-        assert_eq!(
-            CompiledExpr::compile(&e, &s).eval(&r).unwrap(),
-            Value::Bool(false)
-        );
+        assert!(per_row(&e).iter().all(Result::is_ok));
+        assert_eq!(per_row(&e), reference(&e));
+        // Reached by the rows that defer to it, and only by them.
+        let e = col("StreamId").eq(lit(2)).and(col("Nope").lt(lit(1i64)));
+        let got = per_row(&e);
+        assert!(got[0].is_ok() && got[1].is_err() && got[2].is_ok());
+        assert_eq!(got, reference(&e));
     }
 
     #[test]
@@ -1639,110 +1675,50 @@ mod tests {
         assert_eq!(c.node, Node::Lit(Value::Long(5)));
         // ...but an erroring literal subtree must stay and keep erroring.
         let bad = lit("x").add(lit(1i64));
-        let c = CompiledExpr::compile(&bad, &s);
-        assert!(c.eval(&sample()).is_err());
-        assert!(bad.eval(&s, &sample()).is_err());
+        assert!(matches!(
+            CompiledExpr::compile(&bad, &s).node,
+            Node::Binary { .. }
+        ));
+        assert!(per_row(&bad).iter().all(Result::is_err));
+        assert_eq!(per_row(&bad), reference(&bad));
     }
 
     #[test]
-    fn predicate_null_is_false() {
-        let s = Schema::new(vec![Field::new("X", ColumnType::Long)]);
-        let r = Row::new(vec![Value::Null]);
-        let c = CompiledExpr::compile(&col("X").gt(lit(0i64)), &s);
-        assert!(!c.eval_predicate(&r).unwrap());
-    }
-
-    fn sample_batch() -> ColumnBatch {
-        let rows = vec![
-            sample(),
-            row![2i32, 0i64, 4.0f64, "u2"],
-            Row::new(vec![Value::Null, Value::Null, Value::Null, Value::Null]),
-        ];
-        ColumnBatch::from_rows(&schema(), &rows).unwrap()
-    }
-
-    /// Whole-batch evaluation the way the fused projection drives it: the
-    /// first failing row is re-run scalar-side for the exact error, and
-    /// `Ok(None)` means no dense column form.
-    fn eval_batch(c: &CompiledExpr, batch: &ColumnBatch) -> Result<Option<Column>> {
-        let raw = c.eval_batch_raw_sel(batch, None);
-        match raw.first_err(batch.len()) {
-            Some(i) => Err(c.eval(&batch.row(i)).unwrap_err()),
-            None => Ok(raw.into_column(batch.len())),
-        }
-    }
-
-    #[test]
-    fn batch_eval_matches_scalar_per_row() {
+    fn batch_predicate_matches_interpreter_per_row() {
         let s = schema();
         let batch = sample_batch();
-        for e in [
-            col("Count").add(lit(1i32)).mul(col("Ctr")),
-            col("Count").div(lit(0i64)),
-            lit(1i64).div(col("Count")),
-            col("Ctr").sqrt().sub(lit(0.5f64)).abs(),
-            col("UserId").eq(lit("u1")),
-            col("StreamId").eq(lit(1)).and(col("Count").gt(lit(10i64))),
-            col("StreamId").eq(lit(1)).or(col("Count").gt(lit(10i64))),
-            col("StreamId").eq(lit(1)).not(),
-        ] {
-            let c = CompiledExpr::compile(&e, &s);
-            let out = eval_batch(&c, &batch).unwrap().expect("dense result");
-            for i in 0..batch.len() {
-                assert_eq!(
-                    out.value(i),
-                    c.eval(&batch.row(i)).unwrap(),
-                    "expr {e}, row {i}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn batch_predicate_matches_scalar_per_row() {
-        let s = schema();
-        let batch = sample_batch();
-        let c = CompiledExpr::compile(
-            &col("StreamId").eq(lit(1)).or(col("Ctr").gt(lit(1.0f64))),
-            &s,
-        );
-        let mask = c.eval_predicate_batch_sel(&batch, None).unwrap();
-        for (i, &keep) in mask.iter().enumerate() {
-            assert_eq!(keep, c.eval_predicate(&batch.row(i)).unwrap(), "row {i}");
-        }
-    }
-
-    #[test]
-    fn batch_errors_reproduce_first_scalar_error() {
-        let s = schema();
-        let batch = sample_batch();
-        // Unknown column errors on the first row that evaluates it.
-        let c = CompiledExpr::compile(&col("Nope").add(lit(1i64)), &s);
-        let batch_err = eval_batch(&c, &batch).unwrap_err().to_string();
-        let scalar_err = c.eval(&batch.row(0)).unwrap_err().to_string();
-        assert_eq!(batch_err, scalar_err);
-        // Non-boolean predicate reproduces the scalar message too.
-        let c = CompiledExpr::compile(&col("Count").add(lit(1i64)), &s);
-        let batch_err = c
+        let e = col("StreamId").eq(lit(1)).or(col("Ctr").gt(lit(1.0f64)));
+        let mask = (CompiledExpr::compile(&e, &s))
             .eval_predicate_batch_sel(&batch, None)
-            .unwrap_err()
-            .to_string();
-        let scalar_err = c.eval_predicate(&batch.row(0)).unwrap_err().to_string();
-        assert_eq!(batch_err, scalar_err);
+            .unwrap();
+        for (i, r) in rows().iter().enumerate() {
+            assert_eq!(mask[i], e.eval_predicate(&s, r).unwrap(), "row {i}");
+        }
+        // Null is false.
+        let e = col("Count").gt(lit(0i64));
+        let mask = (CompiledExpr::compile(&e, &s))
+            .eval_predicate_batch_sel(&batch, None)
+            .unwrap();
+        assert_eq!(mask, vec![true, false, false]);
     }
 
     #[test]
-    fn batch_short_circuit_masks_right_side_errors() {
+    fn a_failing_predicate_names_every_failing_row() {
         let s = schema();
         let batch = sample_batch();
-        // Left side is false everywhere it is non-null, so the unknown
-        // column on the right must never surface.
-        let e = col("StreamId").eq(lit(99)).and(col("Nope").lt(lit(1i64)));
-        let c = CompiledExpr::compile(&e, &s);
-        let out = eval_batch(&c, &batch).unwrap().expect("dense result");
-        for i in 0..batch.len() {
-            assert_eq!(out.value(i), c.eval(&batch.row(i)).unwrap(), "row {i}");
-        }
+        // A non-boolean value: its message holds the value.
+        let e = col("Count").add(lit(1i64));
+        let failed = (CompiledExpr::compile(&e, &s))
+            .eval_predicate_batch_sel(&batch, None)
+            .unwrap_err();
+        let want: Vec<_> = (rows().iter().enumerate())
+            .filter_map(|(i, r)| Some((i as u32, e.eval_predicate(&s, r).err()?)))
+            .collect();
+        assert_eq!(want.len(), 2);
+        let got: Vec<_> = (failed.into_iter())
+            .map(|(i, e)| (i, Arc::unwrap_or_clone(e)))
+            .collect();
+        assert_eq!(got, want);
     }
 
     #[test]
@@ -1750,8 +1726,9 @@ mod tests {
         let s = schema();
         let batch = ColumnBatch::from_rows(&s, &[]).unwrap();
         let c = CompiledExpr::compile(&col("Count").add(lit(1i64)), &s);
-        let out = eval_batch(&c, &batch).unwrap().expect("dense result");
-        assert_eq!(out.len(), 0);
+        let raw = c.eval_batch_raw_sel(&batch, None);
+        assert!(raw.first_err(0).is_none());
+        assert_eq!(raw.into_column(0).expect("dense result").len(), 0);
         assert!(c.eval_predicate_batch_sel(&batch, None).unwrap().is_empty());
     }
 }

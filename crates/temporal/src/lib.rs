@@ -30,7 +30,7 @@
 
 pub mod agg;
 pub mod batch;
-pub mod compiled;
+mod compiled;
 pub mod error;
 pub mod event;
 pub mod exec;
@@ -45,7 +45,6 @@ pub mod time;
 pub mod udo;
 
 pub use batch::EventBatch;
-pub use compiled::CompiledExpr;
 pub use error::{Result, TemporalError};
 pub use event::Event;
 pub use expr::{col, lit, Expr};

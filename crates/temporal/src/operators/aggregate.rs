@@ -38,7 +38,7 @@ use crate::exec::ExecStats;
 use crate::operators::group_apply::{run_of, BatchRuns, Cut};
 use crate::time::{Lifetime, Time};
 use relation::column::ColumnBuilder;
-use relation::{ColumnBatch, Field, Row, Schema, Value};
+use relation::{ColumnBatch, Field, Schema, Value};
 
 fn output_schema(aggs: &[(String, AggExpr)], in_schema: &Schema) -> Result<Schema> {
     Ok(Schema::new(
@@ -153,10 +153,9 @@ fn fill_empty_runs(bounds: &mut [usize]) {
 /// `None` — in that order, as one flat event-major buffer of stride
 /// `compiled.len()`: what [`sweep_runs`] reads. A bare column is read
 /// straight from its cells and a computed argument goes through the batch
-/// kernels. If a kernel meets an error, every argument is evaluated again
-/// by the scalar loop over one reusable scratch row, which stops at the
-/// first failing event: its position and error come back beside the values
-/// of the events before it.
+/// kernels. The first failing (event, argument) pair in event-major order —
+/// where an evaluation one event at a time stops — comes back with its
+/// position and error, beside the values of the events before it.
 pub(crate) fn batch_args(
     payload: &ColumnBatch,
     rows: Option<&[u32]>,
@@ -166,51 +165,29 @@ pub(crate) fn batch_args(
     let row = |i: usize| rows.map_or(i, |r| r[i] as usize);
     let stride = compiled.len();
     let mut values = vec![Value::Null; n * stride];
+    // Events at or past `live` are not read: one at `live` fails.
+    let mut live = n;
+    let mut failed = None;
     for (k, c) in compiled.iter().enumerate() {
         let Some(c) = c else { continue };
         let slots = values.iter_mut().skip(k).step_by(stride);
         match c.as_col() {
             Some(col) => {
                 let col = payload.column(col);
-                slots.enumerate().for_each(|(i, v)| *v = col.value(row(i)));
+                (slots.take(live).enumerate()).for_each(|(i, v)| *v = col.value(row(i)));
             }
             None => {
                 let eval = c.eval_batch_raw_sel(payload, rows);
-                if eval.first_err(n).is_some() {
-                    return scalar_args(payload, n, row, compiled);
+                if let Some(i) = eval.first_err(n).filter(|&i| i < live) {
+                    live = i;
+                    failed = Some((i, eval.get(i).expect_err("row `i` fails")));
                 }
-                slots.enumerate().for_each(|(i, v)| *v = eval.value_at(i));
+                (slots.take(live).enumerate()).for_each(|(i, v)| *v = eval.value_at(i));
             }
         }
     }
-    (values, None)
-}
-
-/// [`batch_args`] one row at a time, through the scalar evaluator.
-fn scalar_args(
-    payload: &ColumnBatch,
-    n: usize,
-    row: impl Fn(usize) -> usize,
-    compiled: &[Option<CompiledExpr>],
-) -> (Vec<Value>, Option<(usize, TemporalError)>) {
-    let mut values = Vec::with_capacity(n * compiled.len());
-    let mut scratch = Row::default();
-    for i in 0..n {
-        payload.row_into(row(i), &mut scratch);
-        for c in compiled {
-            values.push(match c {
-                None => Value::Null,
-                Some(c) => match c.eval(&scratch) {
-                    Ok(v) => v,
-                    Err(err) => {
-                        values.truncate(i * compiled.len());
-                        return (values, Some((i, err)));
-                    }
-                },
-            });
-        }
-    }
-    (values, None)
+    values.truncate(live * stride);
+    (values, failed)
 }
 
 /// One group's sweep between two instants: the accumulators, how many
@@ -384,10 +361,11 @@ fn endpoints_of(
 mod tests {
     use super::*;
     use crate::event::Event;
-    use crate::expr::col;
+    use crate::expr::{col, lit};
     use crate::stream::EventStream;
     use relation::row;
     use relation::schema::ColumnType;
+    use relation::{Column, ColumnData, Validity};
 
     /// [`aggregate`] over a row stream, back as rows.
     fn aggregate_rows(input: &EventStream, aggs: &[(String, AggExpr)]) -> Result<EventStream> {
@@ -409,6 +387,44 @@ mod tests {
         let aggs = vec![("S".to_string(), AggExpr::Sum(col("Nope")))];
         let err = aggregate_rows(&input, &aggs).unwrap_err();
         assert!(err.to_string().contains("Nope"), "{err}");
+    }
+
+    /// Two events over columns declared `Long` that hold strings, `V`
+    /// null in the first event and `W` in the second.
+    fn ill_typed() -> EventBatch {
+        let schema = Schema::new(vec![
+            Field::new("V", ColumnType::Long),
+            Field::new("W", ColumnType::Long),
+        ]);
+        let column = |nulls: &[bool]| {
+            let strs = relation::StrCodes::from_strs(["a", "b"]);
+            Column::new(ColumnData::Str(strs), Validity::from_null_flags(nulls))
+        };
+        let columns = vec![column(&[true, false]), column(&[false, true])];
+        EventBatch::new(vec![0, 1], vec![1, 2], ColumnBatch::new(schema, columns, 2))
+    }
+
+    #[test]
+    fn arguments_fail_in_event_major_order() {
+        let err = |aggs: Vec<(String, AggExpr)>| {
+            let mut stats = ExecStats::default();
+            aggregate(&ill_typed(), &aggs, &mut stats)
+                .unwrap_err()
+                .to_string()
+        };
+        // `abs(V)` fails on the second event only, `W + 1` on the first:
+        // the first event's error is the answer.
+        let aggs = vec![
+            ("A".to_string(), AggExpr::Max(col("V").abs())),
+            ("B".to_string(), AggExpr::Max(col("W").add(lit(1i64)))),
+        ];
+        assert_eq!(err(aggs), "eval error: expected integer, got str");
+        // Both fail on the second event: the first argument's error.
+        let aggs = vec![
+            ("A".to_string(), AggExpr::Max(col("V").abs())),
+            ("B".to_string(), AggExpr::Max(col("V").add(lit(1i64)))),
+        ];
+        assert_eq!(err(aggs), "eval error: abs on non-numeric b");
     }
 
     #[test]

@@ -14,18 +14,18 @@
 //! ([`fused_batch_runs`]): its run permutation drops the rows that did not
 //! survive, and the next kernel reads the rest through it.
 //!
-//! Errors surface as a per-event evaluation meets them. At the top level
-//! that is the first failing *surviving* row of the first failing step
-//! (selection indices are mapped back through `sel` before the scalar
-//! re-run that recovers the exact error). Under a walk ([`ErrorOrder`]) a
-//! step that fails is evaluated again one row at a time, in run order,
-//! until the first failing event: its run is cut ([`Cut`]), the selection
-//! keeps the lower runs only, and the step runs again over them — so the
-//! lowest failing run wins, as a group-at-a-time evaluation has it. No step
+//! Errors surface as a per-event evaluation meets them. A step that fails
+//! hands back every failing row with its error, as the batch kernels
+//! record them (selection indices mapped back through `sel`). At the top
+//! level the first failing *surviving* row of the first failing step is
+//! the error. Under a walk ([`ErrorOrder`]) the failing row lowest in
+//! (run, position) order is: its run is cut ([`Cut`]), the selection keeps
+//! the lower runs only, and the step runs again over them — so the lowest
+//! failing run wins, as a group-at-a-time evaluation has it. No step
 //! mutates anything it would need again before it knows it succeeds.
 
 use crate::batch::EventBatch;
-use crate::compiled::CompiledExpr;
+use crate::compiled::{CompiledExpr, RowErrors};
 use crate::error::{Result, TemporalError};
 use crate::expr::Expr;
 use crate::operators::group_apply::{row_order, BatchRuns, Cut};
@@ -117,10 +117,11 @@ impl<'a> ErrorOrder<'a> {
     }
 }
 
-/// A step's failure: at a row, which a walk recovers from by cutting runs,
-/// or before any row (an expression with no type), which it does not.
+/// A step's failure: at rows — each failing row of the batch, ascending,
+/// with its error — which a walk recovers from by cutting runs, or before
+/// any row (an expression with no type), which it does not.
 enum StepError {
-    Row(TemporalError),
+    Rows(RowErrors),
     Plan(TemporalError),
 }
 
@@ -145,23 +146,30 @@ pub(crate) fn fused_select(
     for step in steps {
         loop {
             let checked = order.is_some();
-            let err = match run_step(batch, &mut sel, &mut origin, step, checked) {
+            let failed = match run_step(batch, &mut sel, &mut origin, step, checked) {
                 Ok(out) => {
                     batch = out;
                     break;
                 }
-                Err((back, StepError::Row(err))) => {
+                Err((back, StepError::Rows(failed))) => {
                     batch = back;
-                    err
+                    failed
                 }
                 Err((_, StepError::Plan(err))) => return Err(err),
             };
+            let mut failed = failed.into_iter();
             let Some(order) = order.as_mut() else {
-                return Err(err);
+                return Err(Arc::unwrap_or_clone(
+                    failed.next().expect("a failing step names a row").1,
+                ));
             };
-            let (run, err) = first_failure(&batch, sel.as_deref(), origin.as_deref(), step, order)
-                .unwrap_or((0, err));
-            order.cut.fail(run, err)?;
+            // The failing event lowest in run order.
+            let rows = order.rows();
+            let at = |c: u32| rows[origin.as_ref().map_or(c, |o| o[c as usize]) as usize];
+            let ((run, _), err) = (failed.map(|(c, err)| (at(c), err)))
+                .min_by_key(|&(key, _)| key)
+                .expect("a failing step names a row");
+            order.cut.fail(run as usize, Arc::unwrap_or_clone(err))?;
             // The runs below the cut, which the step passes over again.
             let limit = order.cut.limit as u32;
             let rows = order.rows();
@@ -196,7 +204,12 @@ fn run_step(
             let compiled = CompiledExpr::compile(predicate, batch.schema());
             let keep = match compiled.eval_predicate_batch_sel(batch.payload(), sel.as_deref()) {
                 Ok(keep) => keep,
-                Err(e) => return Err((batch, StepError::Row(e))),
+                Err(mut failed) => {
+                    if let Some(s) = sel.as_deref() {
+                        failed.iter_mut().for_each(|(i, _)| *i = s[*i as usize]);
+                    }
+                    return Err((batch, StepError::Rows(failed)));
+                }
             };
             // Preallocated to the candidate count: a growth realloc mid
             // scan would copy the partial index vector for nothing.
@@ -235,53 +248,9 @@ fn run_step(
         }
         FusedStep::AlterLifetime { op } => match alter_sel(&mut batch, sel, op, checked) {
             Ok(()) => Ok(batch),
-            Err(e) => Err((batch, StepError::Row(e))),
+            Err(failed) => Err((batch, StepError::Rows(failed))),
         },
     }
-}
-
-/// The first event, in run order, that `step` fails on, with its run and
-/// error: the step evaluated one row at a time through the scalar
-/// evaluator over the selected rows.
-fn first_failure(
-    batch: &EventBatch,
-    sel: Option<&[u32]>,
-    origin: Option<&[u32]>,
-    step: &FusedStep,
-    order: &mut ErrorOrder,
-) -> Option<(usize, TemporalError)> {
-    let rows = order.rows();
-    let at = |c: u32| rows[origin.map_or(c, |o| o[c as usize]) as usize];
-    let mut alive: Vec<(u32, u32, u32)> = match sel {
-        None => (0..batch.len() as u32)
-            .map(|c| (at(c).0, at(c).1, c))
-            .collect(),
-        Some(s) => s.iter().map(|&c| (at(c).0, at(c).1, c)).collect(),
-    };
-    alive.sort_unstable();
-    let compiled: Vec<CompiledExpr> = match step {
-        FusedStep::Filter { predicate } => vec![CompiledExpr::compile(predicate, batch.schema())],
-        FusedStep::Project { exprs } => (exprs.iter())
-            .map(|(_, e)| CompiledExpr::compile(e, batch.schema()))
-            .collect(),
-        FusedStep::AlterLifetime { .. } => Vec::new(),
-    };
-    let mut row = relation::Row::default();
-    alive.into_iter().find_map(|(run, _, c)| {
-        let c = c as usize;
-        let failed = match step {
-            FusedStep::Filter { .. } => {
-                batch.payload_row_into(c, &mut row);
-                compiled[0].eval_predicate(&row).err()
-            }
-            FusedStep::Project { .. } => {
-                batch.payload_row_into(c, &mut row);
-                compiled.iter().find_map(|e| e.eval(&row).err())
-            }
-            FusedStep::AlterLifetime { op } => transform(batch.lifetime(c), op).err(),
-        };
-        failed.map(|e| (run as usize, e))
-    })
 }
 
 /// A fragment over batch runs. The steps are per event, so they run over
@@ -353,9 +322,9 @@ enum Slot {
 
 /// A projection's output schema and its columns over a dense batch.
 /// Computed expressions run through the SIMD kernel suite; an expression
-/// with no type fails before any row, and otherwise the smallest (row,
-/// expression) pair that fails is the error, as a row-major evaluation
-/// meets it. A pass-through over an existing column never fails.
+/// with no type fails before any row, and otherwise every failing row
+/// fails with its first failing expression's error, as a row-major
+/// evaluation meets it. A pass-through over an existing column never fails.
 fn project_columns(
     batch: &EventBatch,
     exprs: &[(String, Expr)],
@@ -378,16 +347,15 @@ fn project_columns(
             None => Ok(c.eval_batch_raw_sel(batch.payload(), None)),
         })
         .collect();
-    let first_bad = (evals.iter().enumerate())
-        .filter_map(|(j, ev)| ev.as_ref().ok()?.first_err(n).map(|i| (i, j)))
-        .min();
-    if let Some((i, j)) = first_bad {
-        return Err(StepError::Row(
-            match compiled[j].eval(&batch.payload_row(i)) {
-                Err(e) => e,
-                Ok(_) => TemporalError::Eval("fused/scalar divergence".into()),
-            },
-        ));
+    let mut failed: Vec<_> = (evals.iter().enumerate())
+        .filter_map(|(j, ev)| Some((j, ev.as_ref().ok()?)))
+        .flat_map(|(j, ev)| ev.errors(n).into_iter().map(move |(i, err)| (i, j, err)))
+        .collect();
+    if !failed.is_empty() {
+        failed.sort_unstable_by_key(|&(i, j, _)| (i, j));
+        failed.dedup_by_key(|&mut (i, _, _)| i);
+        let failed = failed.into_iter().map(|(i, _, err)| (i, err)).collect();
+        return Err(StepError::Rows(failed));
     }
     let slots = (evals.into_iter().zip(exprs))
         .map(|(ev, (name, _))| match ev {
@@ -445,20 +413,28 @@ fn project_dense_owned(batch: EventBatch, out_schema: Schema, slots: Vec<Slot>) 
 /// Lifetime rewrite at the selected indices, in place — no payload traffic
 /// at all. Only a hopping window can drop events; drops shrink the
 /// selection rather than compacting the batch. An overflow fails at the
-/// first selected row that meets it; when `checked`, before anything is
-/// rewritten, so a walk can pass over the rows again.
+/// first selected row that meets it; when `checked`, every selected row
+/// that overflows fails, before anything is rewritten, so a walk can pass
+/// over the rows again.
 fn alter_sel(
     batch: &mut EventBatch,
     sel: &mut Option<Vec<u32>>,
     op: &LifetimeOp,
     checked: bool,
-) -> Result<()> {
+) -> std::result::Result<(), RowErrors> {
+    let at = |i: u32| move |err| vec![(i, Arc::new(err))];
     if checked {
         let (vt, ve) = (batch.vt(), batch.ve());
-        let check = |i: usize| transform(Lifetime::new(vt[i], ve[i]), op).map(|_| ());
-        match sel.as_deref() {
-            None => (0..vt.len()).try_for_each(check)?,
-            Some(s) => s.iter().try_for_each(|&i| check(i as usize))?,
+        let check = |i: u32| {
+            let lt = Lifetime::new(vt[i as usize], ve[i as usize]);
+            Some((i, Arc::new(transform(lt, op).err()?)))
+        };
+        let failed: RowErrors = match sel.as_deref() {
+            None => (0..vt.len() as u32).filter_map(check).collect(),
+            Some(s) => s.iter().copied().filter_map(check).collect(),
+        };
+        if !failed.is_empty() {
+            return Err(failed);
         }
     }
     let (vt, ve) = batch.times_mut();
@@ -467,7 +443,8 @@ fn alter_sel(
         // Dense, no drops possible: plain in-place sweep, stay dense.
         None if !can_drop => {
             for i in 0..vt.len() {
-                let lt = transform(Lifetime::new(vt[i], ve[i]), op)?.expect("only hops drop");
+                let lt = transform(Lifetime::new(vt[i], ve[i]), op).map_err(at(i as u32))?;
+                let lt = lt.expect("only hops drop");
                 vt[i] = lt.start;
                 ve[i] = lt.end;
             }
@@ -476,9 +453,9 @@ fn alter_sel(
             let total = vt.len();
             let upper = cur.as_ref().map_or(total, Vec::len);
             let mut survivors = Vec::with_capacity(upper);
-            let mut apply = |i: u32| -> Result<()> {
+            let mut apply = |i: u32| -> std::result::Result<(), RowErrors> {
                 let ii = i as usize;
-                if let Some(lt) = transform(Lifetime::new(vt[ii], ve[ii]), op)? {
+                if let Some(lt) = transform(Lifetime::new(vt[ii], ve[ii]), op).map_err(at(i))? {
                     vt[ii] = lt.start;
                     ve[ii] = lt.end;
                     survivors.push(i);

@@ -31,23 +31,23 @@
 //!
 //! The batch is read on its columns: keys are hashed, compared and
 //! ordered off them (a string by its dictionary's cached hash, code and
-//! rank; no key is materialized), bare-column arguments read straight from them (a
-//! computed argument evaluates over one reusable scratch row), and the
-//! output is written as columns, each key column gathered once from the
-//! groups' representatives. Combinability is decided from the *declared*
-//! argument type, which every cell inhabits, so an integer SUM never meets
-//! a `Double`.
+//! rank; no key is materialized), bare-column arguments read straight from
+//! them (a computed argument is evaluated once, as a batch, over every
+//! event), and the output is written as columns, each key column gathered
+//! once from the groups' representatives. Combinability is decided from
+//! the *declared* argument type, which every cell inhabits, so an integer
+//! SUM never meets a `Double`.
 
 use crate::agg::{Accumulator, AggExpr};
 use crate::batch::EventBatch;
-use crate::compiled::CompiledExpr;
+use crate::compiled::BatchEval;
 use crate::error::{Result, TemporalError};
 use crate::exec::ExecStats;
 use crate::key::KeySelector;
 use crate::operators::group_apply::{batch_groups, key_order, Groups};
 use crate::time::{checked_ceil_to_grid, Duration, Time};
 use relation::column::ColumnBuilder;
-use relation::{ColumnBatch, Row, Schema, Value};
+use relation::{Column, ColumnBatch, Schema, Value};
 use rustc_hash::FxHashMap;
 
 /// Run `GroupApply(sel){Hop{grid, grid} → Aggregate(aggs)}` over `input`;
@@ -62,14 +62,19 @@ pub(crate) fn pane_aggregate(
     out_schema: &Schema,
     stats: &mut ExecStats,
 ) -> Result<Option<EventBatch>> {
-    let args: Vec<Option<CompiledExpr>> = aggs
-        .iter()
-        .map(|(_, a)| a.compile_arg(input.schema()))
-        .collect();
     let payload = input.payload();
+    // A computed argument is evaluated once, over every event; a cell's
+    // error surfaces only where the walk reads it.
+    let args: Vec<Arg> = (aggs.iter())
+        .map(|(_, a)| match a.compile_arg(input.schema()) {
+            None => Arg::None,
+            Some(arg) => match arg.as_col() {
+                Some(c) => Arg::Col(payload.column(c)),
+                None => Arg::Eval(arg.eval_batch_raw_sel(payload, None)),
+            },
+        })
+        .collect();
     let groups = batch_groups(payload, sel);
-    // One gather per event, and only for events a computed argument reads.
-    let mut scratch = (usize::MAX, Row::default());
     let Some(cells) = panes(
         &groups,
         grid,
@@ -77,17 +82,9 @@ pub(crate) fn pane_aggregate(
         |i| input.vt()[i],
         |first| key_order(payload, sel, first),
         |i, k| match &args[k] {
-            None => Ok(Value::Null),
-            Some(arg) => match arg.as_col() {
-                Some(c) => Ok(payload.column(c).value(i)),
-                None => {
-                    if scratch.0 != i {
-                        payload.row_into(i, &mut scratch.1);
-                        scratch.0 = i;
-                    }
-                    arg.eval(&scratch.1)
-                }
-            },
+            Arg::None => Ok(Value::Null),
+            Arg::Col(col) => Ok(col.value(i)),
+            Arg::Eval(eval) => eval.get(i),
         },
         stats,
     )?
@@ -120,6 +117,14 @@ pub(crate) fn pane_aggregate(
         ve,
         ColumnBatch::new(out_schema.clone(), columns, rows),
     )))
+}
+
+/// How the kernel reads an aggregate's argument: none (COUNT), a bare
+/// column's cells, or a computed argument's evaluation.
+enum Arg<'a> {
+    None,
+    Col(&'a Column),
+    Eval(BatchEval),
 }
 
 /// The kernel's output: per output event, its group's representative

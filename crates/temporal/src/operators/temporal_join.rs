@@ -26,9 +26,9 @@
 //! projection above the join moves columns instead of rebuilding rows.
 //! When the join's one consumer is a fragment that projects, the executor
 //! passes the columns it reads and only those are gathered
-//! ([`temporal_join_reading`]). No concatenated payload row exists unless
-//! there is a residual, which is evaluated per candidate pair on one
-//! reused scratch row by the one-row evaluator.
+//! ([`temporal_join_reading`]). A residual is evaluated once, as a batch,
+//! over the candidate pairs' gathered columns — only those it reads — and
+//! fails with the error of the first failing pair in probe order.
 
 use crate::batch::EventBatch;
 use crate::compiled::CompiledExpr;
@@ -36,7 +36,8 @@ use crate::error::Result;
 use crate::expr::Expr;
 use crate::key::KeySelector;
 use crate::operators::side::{Gather, KeyClasses};
-use relation::{ColumnBatch, Row, Schema, Value};
+use relation::{ColumnBatch, Schema};
+use std::sync::Arc;
 
 /// Join `left` and `right` on `keys` (pairs of column names) with an
 /// optional residual predicate over the concatenated payload.
@@ -47,11 +48,6 @@ pub fn temporal_join(
     residual: Option<&Expr>,
 ) -> Result<EventBatch> {
     temporal_join_reading(left, right, keys, residual, None)
-}
-
-/// Append the payload cells of `batch`'s event `i` to `cells`.
-fn extend_cells(batch: &EventBatch, i: usize, cells: &mut Vec<Value>) {
-    cells.extend(batch.payload().columns().iter().map(|c| c.value(i)))
 }
 
 /// [`temporal_join`] building only the output columns at `reads`
@@ -74,7 +70,6 @@ pub(crate) fn temporal_join_reading(
     let rnames: Vec<&str> = keys.iter().map(|(_, r)| r.as_str()).collect();
     let lsel = KeySelector::new(lschema, &lnames)?;
     let rsel = KeySelector::new(rschema, &rnames)?;
-    let compiled_residual = residual.map(|p| CompiledExpr::compile(p, &out_schema));
 
     // Index the right side as key-exact classes; sort each class by
     // (LE, RE) for early exit (stable: equal lifetimes keep input order).
@@ -90,18 +85,12 @@ pub(crate) fn temporal_join_reading(
 
     let (mut left_idx, mut right_idx) = (Vec::new(), Vec::new());
     let (mut vt, mut ve) = (Vec::new(), Vec::new());
-    let mut scratch = Row::default();
     let probe = right_index.probe(left, &lsel);
     for (li, hash) in lsel.group_hashes(left.payload()).into_iter().enumerate() {
         let Some(members) = right_index.find(hash, &probe, li) else {
             continue;
         };
         let left_lifetime = left.lifetime(li);
-        if compiled_residual.is_some() {
-            scratch.values_mut().clear();
-            extend_cells(left, li, scratch.values_mut());
-        }
-        let left_width = scratch.len();
         for &ri in members {
             let right_lifetime = right.lifetime(ri as usize);
             if right_lifetime.start >= left_lifetime.end {
@@ -110,13 +99,6 @@ pub(crate) fn temporal_join_reading(
             let Some(lifetime) = left_lifetime.intersect(&right_lifetime) else {
                 continue;
             };
-            if let Some(pred) = &compiled_residual {
-                scratch.values_mut().truncate(left_width);
-                extend_cells(right, ri as usize, scratch.values_mut());
-                if !pred.eval_predicate(&scratch)? {
-                    continue;
-                }
-            }
             left_idx.push(li as u32);
             right_idx.push(ri);
             vt.push(lifetime.start);
@@ -124,16 +106,43 @@ pub(crate) fn temporal_join_reading(
         }
     }
 
-    let all: Vec<usize> = (0..out_schema.len()).collect();
-    let reads = reads.unwrap_or(&all);
-    let split = reads.partition_point(|&c| c < lschema.len());
-    let right_reads: Vec<usize> = reads[split..].iter().map(|&c| c - lschema.len()).collect();
+    // The pairs' payload at `reads` (ascending positions in the joined
+    // schema), gathered once.
     let (left, right) = (left.payload().columns(), right.payload().columns());
-    let mut columns = left.gather(&reads[..split], &left_idx);
-    columns.extend(right.gather(&right_reads, &right_idx));
-    let fields = reads.iter().map(|&c| out_schema.fields()[c].clone());
-    let payload = ColumnBatch::new(Schema::new(fields.collect()), columns, vt.len());
+    let joined = |reads: &[usize], left_idx: &[u32], right_idx: &[u32]| {
+        let split = reads.partition_point(|&c| c < lschema.len());
+        let right_reads: Vec<usize> = reads[split..].iter().map(|&c| c - lschema.len()).collect();
+        let mut columns = left.gather(&reads[..split], left_idx);
+        columns.extend(right.gather(&right_reads, right_idx));
+        let fields = reads.iter().map(|&c| out_schema.fields()[c].clone());
+        ColumnBatch::new(Schema::new(fields.collect()), columns, left_idx.len())
+    };
+    if let Some(residual) = residual {
+        let named = residual.referenced_columns();
+        let cols: Vec<usize> = (0..out_schema.len())
+            .filter(|&c| named.contains(&out_schema.fields()[c].name.as_str()))
+            .collect();
+        let pairs = joined(&cols, &left_idx, &right_idx);
+        let keep = CompiledExpr::compile(residual, pairs.schema())
+            .eval_predicate_batch_sel(&pairs, None)
+            .map_err(|failed| {
+                Arc::unwrap_or_clone(failed.into_iter().next().expect("a failing pair").1)
+            })?;
+        retain_kept(&mut left_idx, &keep);
+        retain_kept(&mut right_idx, &keep);
+        retain_kept(&mut vt, &keep);
+        retain_kept(&mut ve, &keep);
+    }
+
+    let all: Vec<usize> = (0..out_schema.len()).collect();
+    let payload = joined(reads.unwrap_or(&all), &left_idx, &right_idx);
     Ok(EventBatch::new(vt, ve, payload))
+}
+
+/// Keep the entries of `v` whose flag in `keep` is set.
+fn retain_kept<T>(v: &mut Vec<T>, keep: &[bool]) {
+    let mut flags = keep.iter();
+    v.retain(|_| *flags.next().expect("one flag per entry"));
 }
 
 #[cfg(test)]
@@ -252,5 +261,36 @@ mod tests {
         let out = join(&a, &b, &[], None);
         assert_eq!(out.len(), 1);
         assert_eq!(out.events()[0].lifetime, crate::time::Lifetime::new(3, 5));
+    }
+
+    #[test]
+    fn a_failing_residual_is_the_first_failing_pair_s_error_in_probe_order() {
+        let s = Schema::new(vec![Field::new("V", ColumnType::Long)]);
+        let t = Schema::new(vec![Field::new("W", ColumnType::Long)]);
+        let left = EventStream::new(
+            s,
+            vec![Event::point(5, row![7i64]), Event::point(6, row![3i64])],
+        );
+        let right = EventStream::new(
+            t,
+            vec![
+                Event::interval(0, 10, row![1i64]),
+                Event::interval(0, 10, row![2i64]),
+            ],
+        );
+        let (l, r) = (
+            EventBatch::from_stream(&left).unwrap(),
+            EventBatch::from_stream(&right).unwrap(),
+        );
+        let run = |residual: &Expr| temporal_join(&l, &r, &[], Some(residual)).map(|_| ());
+        // Every pair fails, each with its own value: the first pair's.
+        assert_eq!(
+            run(&col("V").add(col("W"))).unwrap_err().to_string(),
+            "eval error: predicate evaluated to non-boolean 8"
+        );
+        // The first left event's pairs pass (`OR` never reaches `Nope`);
+        // the second's fail.
+        let err = run(&col("V").gt(lit(5i64)).or(col("Nope"))).unwrap_err();
+        assert!(err.to_string().contains("Nope"), "{err}");
     }
 }

@@ -24,7 +24,7 @@ use timr_suite::temporal::agg::AggExpr;
 use timr_suite::temporal::exec::{bindings, execute_single};
 use timr_suite::temporal::plan::{FusedStep, LifetimeOp, LogicalPlan};
 use timr_suite::temporal::{
-    col, lit, CompiledExpr, Event, EventBatch, EventStream, Expr, Lifetime, Query, TemporalError,
+    col, lit, Event, EventBatch, EventStream, Expr, Lifetime, Query, TemporalError,
 };
 
 pub fn schema() -> Schema {
@@ -151,37 +151,20 @@ pub fn ill_typed_error(name: &str, row: usize) -> TemporalError {
 }
 
 /// `steps` one after another over `events` of [`schema`], one event at a
-/// time through the one-row evaluator ([`CompiledExpr`]) and the oracle's
-/// lifetime definitions: the reference the fused kernels are held to —
-/// same survivors in the same order, and the first failing row's error.
+/// time through the language's definition ([`Expr::eval`] and
+/// [`Expr::eval_predicate`]) and the oracle's lifetime definitions: the
+/// reference the fused kernels are held to — same survivors in the same
+/// order, and the first failing row's error.
 pub fn row_steps(steps: &[FusedStep], mut events: Vec<Event>) -> Result<Vec<Event>, TemporalError> {
     let mut schema = schema();
     for step in steps {
         events = match step {
-            FusedStep::Filter { predicate } => {
-                let compiled = CompiledExpr::compile(predicate, &schema);
-                let mut kept = Vec::new();
-                for e in events {
-                    if compiled.eval_predicate(&e.payload)? {
-                        kept.push(e);
-                    }
-                }
-                kept
-            }
+            FusedStep::Filter { predicate } => oracle::filter(&schema, &events, predicate)?,
             FusedStep::Project { exprs } => {
                 let types = (exprs.iter())
                     .map(|(n, e)| Ok(Field::new(n.clone(), e.infer_type(&schema)?)))
                     .collect::<Result<Vec<Field>, TemporalError>>()?;
-                let compiled: Vec<_> = (exprs.iter())
-                    .map(|(_, e)| CompiledExpr::compile(e, &schema))
-                    .collect();
-                let mut out = Vec::with_capacity(events.len());
-                for e in events {
-                    let values = (compiled.iter())
-                        .map(|c| c.eval(&e.payload))
-                        .collect::<Result<Vec<_>, _>>()?;
-                    out.push(Event::new(e.lifetime, Row::new(values)));
-                }
+                let out = oracle::project(&schema, &events, exprs)?;
                 schema = Schema::new(types);
                 out
             }

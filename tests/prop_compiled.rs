@@ -1,9 +1,10 @@
-//! Property tests for the compiled expression evaluator and the fused
-//! fragment's single steps: the one-row evaluator (what recovers an exact
-//! error and evaluates a join's residual) and each step run in place on a
-//! batch must be *observably identical* to `Expr::eval` applied row by row
-//! (and to the oracle's lifetime definitions), values and error cases, on
-//! storage the step owns and on storage another consumer still holds.
+//! Property tests for the engine's one expression evaluator, the batch
+//! kernels, and the fused fragment's single steps: each step run in place
+//! on a batch must be *observably identical* to the language's definition,
+//! `Expr::eval` applied row by row (and to the oracle's lifetime
+//! definitions) — values, and the exact error of the first failing row —
+//! on one-event and random batches, and on storage the step owns and on
+//! storage another consumer still holds.
 
 mod common;
 
@@ -11,10 +12,10 @@ use common::oracle;
 use common::{arb_events, arb_expr, arb_lifetime_op, arb_row, raw_proj, schema, stream_of};
 use proptest::prelude::*;
 use timr_suite::relation::schema::Field;
-use timr_suite::relation::Schema;
+use timr_suite::relation::{Row, Schema};
 use timr_suite::temporal::operators::fused_fragment;
 use timr_suite::temporal::plan::{FusedStep, LifetimeOp};
-use timr_suite::temporal::{CompiledExpr, EventBatch, EventStream, Expr, Result};
+use timr_suite::temporal::{EventBatch, EventStream, Expr, Result};
 
 /// One fused step over `input`, back as rows.
 fn step(input: EventBatch, step: FusedStep) -> Result<EventStream> {
@@ -35,64 +36,76 @@ fn project(input: EventBatch, exprs: &[(String, Expr)]) -> Result<EventStream> {
     step(input, FusedStep::Project { exprs })
 }
 
-fn batch(events: &[(i64, i64, timr_suite::relation::Row)]) -> EventBatch {
+fn batch(events: &[(i64, i64, Row)]) -> EventBatch {
     EventBatch::from_stream(&stream_of(events)).unwrap()
+}
+
+/// The filter step by `Expr::eval_predicate`, event by event.
+fn filter_reference(events: &[(i64, i64, Row)], predicate: &Expr) -> Result<EventStream> {
+    oracle::filter(&schema(), stream_of(events).events(), predicate)
+        .map(|kept| EventStream::new(schema(), kept))
+}
+
+/// The projection step by `Expr::eval`, event by event, under the schema
+/// `Expr::infer_type` gives.
+fn project_reference(events: &[(i64, i64, Row)], exprs: &[(String, Expr)]) -> Result<EventStream> {
+    let fields = (exprs.iter())
+        .map(|(name, e)| Ok(Field::new(name.clone(), e.infer_type(&schema())?)))
+        .collect::<Result<Vec<_>>>()?;
+    let rows = oracle::project(&schema(), stream_of(events).events(), exprs)?;
+    Ok(EventStream::new(Schema::new(fields), rows))
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// `CompiledExpr::eval` is observably identical to `Expr::eval`:
-    /// equal values when both succeed, and errors at exactly the same
-    /// inputs (short-circuiting included).
+    /// An expression evaluated by the batch kernels, as a projection over
+    /// one event and over a random batch, is `Expr::eval`: equal values,
+    /// and where the reference fails, exactly its error (short-circuiting
+    /// included).
     #[test]
-    fn compiled_expr_matches_interpreter(e in arb_expr(), r in arb_row()) {
-        let s = schema();
-        let interp = e.eval(&s, &r);
-        let comp = CompiledExpr::compile(&e, &s).eval(&r);
-        match (interp, comp) {
-            (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "expr: {}", e),
-            (Err(_), Err(_)) => {}
-            (a, b) => prop_assert!(false, "diverged on {}: {:?} vs {:?}", e, a, b),
+    fn compiled_expr_matches_interpreter(
+        e in arb_expr(),
+        r in arb_row(),
+        events in arb_events(24),
+    ) {
+        let exprs = vec![("X".to_string(), e)];
+        for events in [vec![(0, 1, r)], events] {
+            let got = project(batch(&events), &exprs);
+            prop_assert_eq!(got, project_reference(&events, &exprs), "expr: {}", &exprs[0].1);
         }
     }
 
-    /// Predicate semantics (Null → false, non-boolean → error) agree too.
+    /// Predicate semantics (Null → false, non-boolean → an error naming the
+    /// value) agree too, as a filter over one event and over a random
+    /// batch: the same survivors, or exactly the first failing row's error.
     #[test]
-    fn compiled_predicate_matches_interpreter(e in arb_expr(), r in arb_row()) {
-        let s = schema();
-        let interp = e.eval_predicate(&s, &r);
-        let comp = CompiledExpr::compile(&e, &s).eval_predicate(&r);
-        match (interp, comp) {
-            (Ok(a), Ok(b)) => prop_assert_eq!(a, b, "expr: {}", e),
-            (Err(_), Err(_)) => {}
-            (a, b) => prop_assert!(false, "diverged on {}: {:?} vs {:?}", e, a, b),
+    fn compiled_predicate_matches_interpreter(
+        e in arb_expr(),
+        r in arb_row(),
+        events in arb_events(24),
+    ) {
+        for events in [vec![(0, 1, r)], events] {
+            let got = filter(batch(&events), &e);
+            prop_assert_eq!(got, filter_reference(&events, &e), "expr: {}", &e);
         }
     }
 
     /// The filter step keeps exactly the rows `Expr::eval_predicate`
     /// accepts, in order, on both the uniquely-owned and the shared-storage
-    /// path, and never mutates a batch another consumer still holds.
+    /// path, fails with exactly its first failing row's error, and never
+    /// mutates a batch another consumer still holds.
     #[test]
     fn filter_matches_interpreted(events in arb_events(40), e in arb_expr()) {
         let input = batch(&events);
-        let baseline = oracle::filter(&schema(), stream_of(&events).events(), &e)
-            .map(|kept| EventStream::new(schema(), kept));
+        let baseline = filter_reference(&events, &e);
         // Shared path: a clone of `input` is alive during the call.
         let shared = filter(input.clone(), &e);
         // Owned path: the step holds the only handle.
         let owned = filter(batch(&events), &e);
         prop_assert_eq!(input.into_stream(), stream_of(&events), "shared input mutated");
-        match (baseline, shared, owned) {
-            (Ok(b), Ok(s), Ok(o)) => {
-                prop_assert_eq!(&b, &s);
-                prop_assert_eq!(&b, &o);
-            }
-            (Err(_), Err(_), Err(_)) => {}
-            (b, s, o) => prop_assert!(
-                false, "diverged: base {:?} shared {:?} owned {:?}", b, s, o
-            ),
-        }
+        prop_assert_eq!(&shared, &baseline);
+        prop_assert_eq!(&owned, &baseline);
     }
 
     /// In-place lifetime alteration is the oracle's `LifetimeOp`
@@ -111,7 +124,7 @@ proptest! {
 
     /// Projection — including the move-out of passthrough columns on the
     /// owned path — is `Expr::eval` per row, under the schema
-    /// `Expr::infer_type` gives.
+    /// `Expr::infer_type` gives, and fails with exactly its error.
     #[test]
     fn project_matches_interpreted(
         events in arb_events(40),
@@ -120,26 +133,11 @@ proptest! {
         let exprs: Vec<(String, Expr)> =
             picks.iter().enumerate().map(|(j, &i)| raw_proj(i + 10 * j)).collect();
         let input = batch(&events);
-        let rows = stream_of(&events);
-        let baseline = (exprs.iter())
-            .map(|(name, e)| Ok(Field::new(name.clone(), e.infer_type(&schema())?)))
-            .collect::<Result<Vec<_>>>()
-            .and_then(|fields| {
-                let rows = oracle::project(&schema(), rows.events(), &exprs)?;
-                Ok(EventStream::new(Schema::new(fields), rows))
-            });
+        let baseline = project_reference(&events, &exprs);
         let shared = project(input.clone(), &exprs);
         let owned = project(batch(&events), &exprs);
-        prop_assert_eq!(input.into_stream(), rows, "shared input mutated");
-        match (baseline, shared, owned) {
-            (Ok(b), Ok(s), Ok(o)) => {
-                prop_assert_eq!(&b, &s);
-                prop_assert_eq!(&b, &o);
-            }
-            (Err(_), Err(_), Err(_)) => {}
-            (b, s, o) => prop_assert!(
-                false, "diverged: base {:?} shared {:?} owned {:?}", b, s, o
-            ),
-        }
+        prop_assert_eq!(input.into_stream(), stream_of(&events), "shared input mutated");
+        prop_assert_eq!(&shared, &baseline);
+        prop_assert_eq!(&owned, &baseline);
     }
 }
