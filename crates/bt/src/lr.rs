@@ -381,17 +381,25 @@ mod tests {
         data
     }
 
-    /// `LrUdo::apply` over the rows of random example sets — several
+    /// `LrUdo::apply` over windows of random example sets — several
     /// sharing one `(time, user)`, some with a null keyword only —
     /// publishes the rows the name-keyed oracle trains from the examples as
     /// the UDO used to assemble them.
     #[test]
     fn the_udo_publishes_the_oracle_s_rows() {
         use crate::queries::model::{LrUdo, BIAS_FEATURE};
-        use crate::queries::train_rows_payload;
-        use relation::{Row, Value};
+        use relation::schema::{ColumnType, Field};
+        use relation::{Row, Schema, Value};
         use temporal::udo::WindowUdo;
-        use temporal::Event;
+        use temporal::{Event, EventBatch};
+        // The training rows' schema, with counts that are doubles.
+        let schema = Schema::new(vec![
+            Field::new("UserId", ColumnType::Str),
+            Field::new("AdId", ColumnType::Str),
+            Field::new("Label", ColumnType::Int),
+            Field::new("Keyword", ColumnType::Str),
+            Field::new("Cnt", ColumnType::Double),
+        ]);
         for seed in 0..16 {
             let positive = [0.0, 0.3][seed as usize % 2];
             let mut events = Vec::new();
@@ -410,11 +418,12 @@ mod tests {
                 }
             }
             let assembled = oracle_assemble(&events);
+            let window = EventBatch::from_events(schema.clone(), &events).unwrap();
             for config in configs() {
                 let udo = LrUdo {
                     config: config.clone(),
                 };
-                let got = udo.apply(0, &train_rows_payload(), &events).unwrap();
+                let got = udo.apply(0, &window).unwrap().to_rows();
                 let got: Vec<(String, u64)> = (got.iter())
                     .map(|r| {
                         let name = r.get(0).as_str().unwrap().to_string();

@@ -409,7 +409,7 @@ mod tests {
     #[test]
     fn a_log_in_time_order_sweeps_without_sorting() {
         use relation::Value;
-        use temporal::exec::{execute_data, ExecStats};
+        use temporal::exec::{execute, ExecStats};
         use temporal::{Event, EventStream, LogicalPlan};
         let mut cfg = GenConfig::small(7);
         cfg.users = 200;
@@ -427,7 +427,7 @@ mod tests {
                     )
                 })
                 .collect();
-            let (mut roots, stats) = execute_data(plan, sources).unwrap();
+            let (mut roots, stats) = execute(plan, sources).unwrap();
             (roots.remove(0).into_stream(), stats)
         };
         let mut model_params = params.clone();

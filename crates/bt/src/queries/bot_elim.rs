@@ -163,7 +163,7 @@ mod tests {
         );
         let batch = temporal::EventBatch::from_stream(&input).unwrap();
         let srcs = [("logs".to_string(), batch)].into_iter().collect();
-        let (_, stats) = temporal::exec::execute_data(&btq.plan, srcs).unwrap();
+        let (_, stats) = temporal::exec::execute(&btq.plan, srcs).unwrap();
         assert_eq!((stats.groups, stats.pane_groups), (2, 0));
 
         let compiled = timr::TimrJob::new("botelim", btq.plan.clone())

@@ -256,8 +256,7 @@ mod tests {
                 temporal::EventBatch::from_stream(&s).unwrap(),
             )
         });
-        let (_, stats) =
-            temporal::exec::execute_data(&btq.plan, srcs.into_iter().collect()).unwrap();
+        let (_, stats) = temporal::exec::execute(&btq.plan, srcs.into_iter().collect()).unwrap();
         // One ad; keywords "hot" and "meh" under it.
         assert_eq!((stats.groups, stats.pane_groups), (3, 3));
     }

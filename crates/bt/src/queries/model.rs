@@ -16,14 +16,14 @@ use super::{train_rows_payload, BtQuery};
 use crate::lr::{balance_by, fit, LrConfig};
 use crate::params::BtParams;
 use relation::schema::{ColumnType, Field};
-use relation::{Row, Schema};
+use relation::{Column, ColumnBatch, ColumnData, Schema, StrCodes};
 use rustc_hash::FxHashMap;
 use std::sync::Arc;
 use temporal::agg::AggExpr;
 use temporal::expr::{col, lit, Expr, Func};
 use temporal::plan::{Operator, Query};
 use temporal::udo::WindowUdo;
-use temporal::{Event, TemporalError, Time};
+use temporal::{EventBatch, TemporalError, Time};
 use timr::{Annotation, ExchangeKey};
 
 /// Name of the intercept pseudo-feature in model weight streams.
@@ -48,46 +48,38 @@ impl WindowUdo for LrUdo {
         ]))
     }
 
-    fn apply(
-        &self,
-        _window_end: Time,
-        input_schema: &Schema,
-        events: &[Event],
-    ) -> temporal::Result<Vec<Row>> {
+    fn apply(&self, _window_end: Time, window: &EventBatch) -> temporal::Result<ColumnBatch> {
         // Assemble examples: rows sharing (time, user) belong to one
         // example, `(time, user) → (label, features)`; Label repeats on each
-        // row. Names stay borrowed from the events.
-        let user_idx = input_schema.index_of("UserId")?;
-        let label_idx = input_schema.index_of("Label")?;
-        let kw_idx = input_schema.index_of("Keyword")?;
-        let cnt_idx = input_schema.index_of("Cnt")?;
+        // row. Names stay borrowed from the columns' dictionaries.
+        let payload = window.payload();
+        let column = |name: &str| -> temporal::Result<&Column> {
+            Ok(payload.column(payload.schema().index_of(name)?))
+        };
+        let (users, labels) = (column("UserId")?, column("Label")?);
+        let (keywords, counts) = (column("Keyword")?, column("Cnt")?);
 
         type Features<'a> = FxHashMap<&'a str, f64>;
         let mut examples: FxHashMap<(Time, &str), (u8, Features)> = FxHashMap::default();
-        for e in events {
-            let user = e
-                .payload
-                .get(user_idx)
-                .as_str()
+        for (i, &start) in window.vt().iter().enumerate() {
+            let user = str_at(users, i)
                 .ok_or_else(|| TemporalError::Eval("UserId not a string".into()))?;
-            let label = match e.payload.get(label_idx).as_long() {
+            let label = labels.value(i);
+            let label = match label.as_long() {
                 Some(l @ 0..=1) => l as u8,
                 _ => {
                     return Err(TemporalError::Eval(format!(
-                        "column Label: expected 0 or 1, got {:?}",
-                        e.payload.get(label_idx)
+                        "column Label: expected 0 or 1, got {label:?}"
                     )))
                 }
             };
-            let cnt = e.payload.get(cnt_idx).as_double().ok_or_else(|| {
-                TemporalError::Eval(format!(
-                    "column Cnt: expected a number, got {:?}",
-                    e.payload.get(cnt_idx)
-                ))
+            let cnt = counts.value(i);
+            let cnt = cnt.as_double().ok_or_else(|| {
+                TemporalError::Eval(format!("column Cnt: expected a number, got {cnt:?}"))
             })?;
-            let (example_label, features) = examples.entry((e.start(), user)).or_default();
+            let (example_label, features) = examples.entry((start, user)).or_default();
             *example_label = label;
-            if let Some(kw) = e.payload.get(kw_idx).as_str() {
+            if let Some(kw) = str_at(keywords, i) {
                 features.insert(kw, cnt);
             }
         }
@@ -100,12 +92,25 @@ impl WindowUdo for LrUdo {
             .map(|(_, (label, features))| (*label, features.iter().map(|(&k, &v)| (k, v))));
         let (bias, mut weights) = fit(features, &self.config);
         weights.sort_by(|a, b| a.0.cmp(b.0));
-        let mut rows = Vec::with_capacity(weights.len() + 1);
-        rows.push(relation::row![BIAS_FEATURE, bias]);
-        for (feature, weight) in weights {
-            rows.push(relation::row![feature, weight]);
-        }
-        Ok(rows)
+        let names = std::iter::once(BIAS_FEATURE).chain(weights.iter().map(|w| w.0));
+        let values = std::iter::once(bias).chain(weights.iter().map(|w| w.1));
+        Ok(ColumnBatch::new(
+            self.output_schema(window.schema())?,
+            vec![
+                Column::new(ColumnData::Str(StrCodes::from_strs(names)), None),
+                Column::new(ColumnData::Double(values.collect()), None),
+            ],
+            weights.len() + 1,
+        ))
+    }
+}
+
+/// The string in row `i` of `column`, borrowed from its dictionary: `None`
+/// for a null, or for a column that does not hold strings.
+fn str_at(column: &Column, i: usize) -> Option<&str> {
+    match column.data() {
+        ColumnData::Str(codes) if column.is_valid(i) => Some(codes.get(i)),
+        _ => None,
     }
 }
 
@@ -216,7 +221,7 @@ pub fn scoring_query(_params: &BtParams) -> BtQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relation::{row, Value};
+    use relation::{row, Row, Value};
     use temporal::exec::{bindings, execute_single};
     use temporal::{Event, EventStream};
 
@@ -245,12 +250,30 @@ mod tests {
         assert!(text.contains("GroupInput [segmented]"), "{text}");
     }
 
-    /// `LrUdo` over one training row whose `Label` and `Cnt` cells are the
-    /// values given: the error message, if it fails.
+    /// `LrUdo` over a one-event window whose `Label` and `Cnt` cells are
+    /// the values given, in columns of their own types (a null in the
+    /// declared one): the error message, if it fails.
     fn udo_on(label: Value, cnt: Value) -> Option<String> {
         let udo = LrUdo {
             config: LrConfig::default(),
         };
+        let declared = train_rows_payload();
+        let fields = (declared
+            .fields()
+            .iter()
+            .zip([None, None, Some(&label), None, Some(&cnt)]))
+        .map(|(f, cell)| {
+            let ty = match cell {
+                Some(Value::Bool(_)) => ColumnType::Bool,
+                Some(Value::Int(_)) => ColumnType::Int,
+                Some(Value::Long(_)) => ColumnType::Long,
+                Some(Value::Double(_)) => ColumnType::Double,
+                Some(Value::Str(_)) => ColumnType::Str,
+                Some(Value::Null) | None => f.ty,
+            };
+            Field::new(f.name.clone(), ty)
+        });
+        let schema = Schema::new(fields.collect());
         let cells = vec![
             Value::str("u1"),
             Value::str("adA"),
@@ -259,7 +282,8 @@ mod tests {
             cnt,
         ];
         let events = [Event::point(10, Row::new(cells))];
-        let out = udo.apply(100, &train_rows_payload(), &events);
+        let window = EventBatch::from_events(schema, &events).unwrap();
+        let out = udo.apply(100, &window);
         out.err().map(|e| e.to_string())
     }
 

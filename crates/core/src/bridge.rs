@@ -15,9 +15,11 @@
 //! framing columns out as the lifetime vectors and keeps the rest as the
 //! payload; on the way out, [`EventEncoding::encode_sink`] and
 //! [`EventEncoding::encode_extent_order`] are its inverse, moving the
-//! lifetime vectors back in as the framing columns. Rows exist only where a
-//! caller asks for them ([`EventEncoding::decode_stream`],
-//! [`EventEncoding::encode_stream`] and [`EventEncoding::encode`]).
+//! lifetime vectors back in as the framing columns. Rows exist only at the
+//! row conveniences a caller holding streams asks for
+//! ([`EventEncoding::decode_stream`], [`read_output`] and
+//! [`EventEncoding::encode_stream`], which lays its stream out as a batch
+//! and encodes it at the sink); no job runs them.
 //!
 //! The paper's §III-C.2 reconciles a DSMS that *pushes* results
 //! asynchronously with a map-reduce that *pulls* rows synchronously through
@@ -31,7 +33,7 @@ use crate::error::{Result, TimrError};
 use mapreduce::Dfs;
 use relation::column::{Column, ColumnData};
 use relation::schema::{ColumnType, Field, TIME_COLUMN};
-use relation::{ColumnBatch, Row, Schema, Value};
+use relation::{ColumnBatch, Row, Schema};
 use std::borrow::Borrow;
 use std::cmp::Ordering;
 use temporal::{Event, EventBatch, EventStream, Lifetime, TemporalError, Time};
@@ -96,13 +98,6 @@ impl EventEncoding {
         Ok(dataset.project(&names)?)
     }
 
-    /// Decode one row into an event (framing columns stripped).
-    pub fn decode(self, row: &Row) -> Result<Event> {
-        let (le, re) = self.decode_lifetime(row)?;
-        let payload = Row::new(row.values()[self.framing_columns()..].to_vec());
-        Ok(Event::new(Lifetime::new(le, re), payload))
-    }
-
     /// The validated `[LE, RE)` a row's framing cells carry. `Time::MAX`
     /// has no successor, so a point-framed dataset cannot hold it: one named
     /// error on every decode path, in debug and release alike, instead of an
@@ -131,19 +126,6 @@ impl EventEncoding {
         Ok((le, re))
     }
 
-    /// Encode one event as a row (framing columns prepended). Point
-    /// encoding requires point events.
-    pub fn encode(self, event: &Event) -> Result<Row> {
-        let (le, re) = (event.start(), event.end());
-        self.check_lifetime(le, re)?;
-        let mut values = vec![Value::Long(le)];
-        if self == EventEncoding::Interval {
-            values.push(Value::Long(re));
-        }
-        values.extend_from_slice(event.payload.values());
-        Ok(Row::new(values))
-    }
-
     /// Point encoding holds point lifetimes only.
     fn check_lifetime(self, le: Time, re: Time) -> Result<()> {
         match self {
@@ -164,7 +146,10 @@ impl EventEncoding {
         let rows = rows.into_iter();
         let mut events = Vec::with_capacity(rows.size_hint().0);
         for row in rows {
-            events.push(self.decode(row.borrow())?);
+            let row = row.borrow();
+            let (le, re) = self.decode_lifetime(row)?;
+            let cells = row.values()[self.framing_columns()..].to_vec();
+            events.push(Event::new(Lifetime::new(le, re), Row::new(cells)));
         }
         Ok(EventStream::new(payload.clone(), events))
     }
@@ -180,7 +165,7 @@ impl EventEncoding {
     /// the single-node DSMS gives a mis-bound `source`, naming both schemas.
     /// A framing column that is not dense `Long` cells — a null, or a
     /// storage variant other than `Long` — reads its lifetimes row by row
-    /// under [`Self::decode`]'s rules, so a null framing cell, a point
+    /// under [`Self::decode_stream`]'s rules, so a null framing cell, a point
     /// `Time::MAX` and an empty lifetime fail with the row decode's
     /// message, naming the first such row.
     pub fn decode_column_batch(
@@ -243,27 +228,27 @@ impl EventEncoding {
     }
 
     /// Encode a whole stream into a dataset batch in canonical (sorted)
-    /// order, so restarted reducers emit byte-identical partitions.
+    /// order: the row convenience over [`Self::encode_sink`], which lays
+    /// the stream out as a batch first (a cell that does not inhabit its
+    /// declared type is an input error naming the row and the column).
+    pub fn encode_stream(self, stream: &EventStream) -> Result<ColumnBatch> {
+        self.encode_sink(EventBatch::from_stream(stream)?)
+    }
+
+    /// Encode an executor root, taken by value, into a dataset batch in
+    /// **canonical order**, so restarted reducers emit byte-identical
+    /// partitions. The order is established here once, where bytes are
+    /// published: the reduce sink. The root's events sort as a
+    /// *permutation* — by lifetime, then by the typed column cells in
+    /// [`relation::Value`]'s total order, which is the order of the dataset rows
+    /// because a dataset row leads with its lifetime — and each payload
+    /// column is gathered once by it.
     ///
     /// Events are **not** coalesced: two adjacent events with equal
     /// payloads (e.g. two impressions of the same ad one tick apart) stay
     /// two rows, because downstream queries may count *events*, not
     /// snapshots. Canonical order alone is enough for the determinism
     /// guarantee.
-    pub fn encode_stream(self, stream: &EventStream) -> Result<ColumnBatch> {
-        let mut events = stream.events().to_vec();
-        events.sort();
-        let (vt, ve, payload) = transpose(stream.schema().clone(), &events)?;
-        self.dataset_batch(vt, ve, payload)
-    }
-
-    /// Encode an executor root, taken by value, into a dataset batch in
-    /// **canonical order** — [`Self::encode_stream`]'s order, established
-    /// here once, where bytes are published: the reduce sink. The root's
-    /// events sort as a *permutation* — by lifetime, then by the typed
-    /// column cells in [`Value`]'s total order, which is the order of the
-    /// rows because a dataset row leads with its lifetime — and each payload
-    /// column is gathered once by it.
     pub fn encode_sink(self, root: EventBatch) -> Result<ColumnBatch> {
         let columns = root.payload().columns();
         // The lifetime rides along with the index: most comparisons end on
@@ -338,18 +323,10 @@ pub fn read_output(dfs: &Dfs, dataset: &str) -> Result<EventStream> {
     Ok(stream.normalize())
 }
 
-/// The lifetimes and payload columns of `events`.
-fn transpose(schema: Schema, events: &[Event]) -> Result<(Vec<Time>, Vec<Time>, ColumnBatch)> {
-    let payloads = events.iter().map(|e| e.payload.values());
-    let payload = ColumnBatch::from_value_rows(schema, events.len(), payloads)?;
-    let vt = events.iter().map(Event::start).collect();
-    Ok((vt, events.iter().map(Event::end).collect(), payload))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use relation::row;
+    use relation::{row, Value};
 
     fn payload_schema() -> Schema {
         Schema::new(vec![
@@ -358,28 +335,47 @@ mod tests {
         ])
     }
 
+    /// `e` as a dataset row of `enc`: its framing cells, then its payload.
+    fn framed(enc: EventEncoding, e: &Event) -> Row {
+        let mut cells = vec![Value::Long(e.start())];
+        if enc == EventEncoding::Interval {
+            cells.push(Value::Long(e.end()));
+        }
+        cells.extend_from_slice(e.payload.values());
+        Row::new(cells)
+    }
+
+    /// A dataset row decodes into its event, and the sink encodes the event
+    /// back into the row.
+    fn assert_round_trip(enc: EventEncoding, e: Event, row: Row) {
+        let p = payload_schema();
+        let columns = ColumnBatch::from_rows(&enc.dataset_schema(&p), std::slice::from_ref(&row));
+        let columns = columns.unwrap();
+        let batch = enc.decode_column_batch(columns, "s", &p).unwrap();
+        assert_eq!(batch.clone().into_stream().events(), &[e]);
+        assert_eq!(enc.encode_sink(batch).unwrap().to_rows(), vec![row]);
+    }
+
     #[test]
     fn point_round_trip() {
-        let enc = EventEncoding::Point;
         let e = Event::point(42, row!["u1", 7i64]);
-        let r = enc.encode(&e).unwrap();
-        assert_eq!(r, row![42i64, "u1", 7i64]);
-        assert_eq!(enc.decode(&r).unwrap(), e);
+        assert_round_trip(EventEncoding::Point, e, row![42i64, "u1", 7i64]);
     }
 
     #[test]
     fn interval_round_trip() {
-        let enc = EventEncoding::Interval;
         let e = Event::interval(10, 50, row!["u1", 7i64]);
-        let r = enc.encode(&e).unwrap();
-        assert_eq!(r, row![10i64, 50i64, "u1", 7i64]);
-        assert_eq!(enc.decode(&r).unwrap(), e);
+        assert_round_trip(EventEncoding::Interval, e, row![10i64, 50i64, "u1", 7i64]);
     }
 
     #[test]
     fn point_encoding_rejects_intervals() {
         let e = Event::interval(1, 9, row!["u", 0i64]);
-        assert!(EventEncoding::Point.encode(&e).is_err());
+        let batch = EventBatch::from_events(payload_schema(), &[e]).unwrap();
+        let err = EventEncoding::Point.encode_sink(batch).unwrap_err();
+        assert!(err
+            .to_string()
+            .contains("cannot point-encode interval event [1, 9)"));
     }
 
     #[test]
@@ -402,9 +398,9 @@ mod tests {
 
     #[test]
     fn decode_rejects_empty_lifetimes() {
-        assert!(EventEncoding::Interval
-            .decode(&row![5i64, 5i64, "u", 0i64])
-            .is_err());
+        let empty = [row![5i64, 5i64, "u", 0i64]];
+        let decoded = EventEncoding::Interval.decode_stream(&empty, &payload_schema());
+        assert!(decoded.is_err());
     }
 
     #[test]
@@ -421,7 +417,8 @@ mod tests {
                 Event::interval(3, 5, row!["a", 1i64]),
             ],
         );
-        let rows = enc.encode_stream(&stream).unwrap().to_rows();
+        let batch = EventBatch::from_stream(&stream).unwrap();
+        let rows = enc.encode_sink(batch).unwrap().to_rows();
         assert_eq!(
             rows,
             vec![
@@ -520,11 +517,12 @@ mod tests {
         batch.to_extent_bytes().unwrap()
     }
 
-    /// The by-value sink encode is `encode_stream` — sorted, multiplicity
-    /// preserved — whether the executor's root arrives as rows or as a
-    /// batch; the extent-order encode is the same rows, unsorted. The batch
-    /// sink sorts a permutation by typed cells, so its order is checked
-    /// against `Value`'s (the row sink's `sort`) on payloads of every type.
+    /// The by-value sink encode is the events sorted — by lifetime, then by
+    /// payload in `Value`'s order, which is the order of the framed rows —
+    /// with multiplicity preserved, and so is the row convenience over it;
+    /// the extent-order encode is the same rows, unsorted. The batch sink
+    /// sorts a permutation by typed cells, so its order is checked against
+    /// `Value`'s on payloads of every type.
     #[test]
     fn by_value_sink_encode_matches_encode_stream() {
         for (enc, point) in [
@@ -535,19 +533,22 @@ mod tests {
                 (payload_schema(), unsorted_events(point)),
                 (typed_schema(), typed_events(point)),
             ] {
-                let stream = EventStream::new(p, events);
-                let want = enc.encode_stream(&stream).unwrap();
-                let rows = want.to_rows();
-                assert_eq!(rows.len(), stream.len(), "no event is coalesced");
+                let schema = enc.dataset_schema(&p);
+                let rows_of = |events: &[Event]| -> Vec<Row> {
+                    events.iter().map(|e| framed(enc, e)).collect()
+                };
+                let mut sorted = events.clone();
+                sorted.sort();
+                let rows = rows_of(&sorted);
+                assert_eq!(rows.len(), events.len(), "no event is coalesced");
                 assert!(rows.windows(2).all(|w| w[0] <= w[1]), "canonical order");
                 assert!(rows.windows(2).any(|w| w[0] == w[1]), "duplicates stay");
+                let want = image(ColumnBatch::from_rows(&schema, &rows).unwrap());
+                let stream = EventStream::new(p, events);
                 let as_batch = || EventBatch::from_stream(&stream).unwrap();
-                let want = image(want);
                 assert_eq!(image(enc.encode_sink(as_batch()).unwrap()), want);
-                let in_order: Vec<Row> = (stream.events().iter())
-                    .map(|e| enc.encode(e).unwrap())
-                    .collect();
-                let schema = enc.dataset_schema(stream.schema());
+                assert_eq!(image(enc.encode_stream(&stream).unwrap()), want);
+                let in_order = rows_of(stream.events());
                 let in_order = image(ColumnBatch::from_rows(&schema, &in_order).unwrap());
                 assert_eq!(
                     image(enc.encode_extent_order(as_batch()).unwrap()),
@@ -608,14 +609,15 @@ mod tests {
         let rows = vec![row![5i64, "u", 0i64], row![Time::MAX, "u", 1i64]];
         let want = "compile error: Time 9223372036854775807 has no point lifetime: \
                     Time + 1 overflows";
-        assert_eq!(enc.decode(&rows[1]).unwrap_err().to_string(), want);
         assert_eq!(enc.decode_stream(&rows, &p).unwrap_err().to_string(), want);
         let columns = ColumnBatch::from_rows(&enc.dataset_schema(&p), &rows).unwrap();
         let refused = enc.decode_column_batch(columns, "s", &p).unwrap_err();
         assert_eq!(refused.to_string(), want);
         // An interval dataset may end at Time::MAX: only `+ 1` overflows.
-        let ends_at_max = row![5i64, Time::MAX, "u", 0i64];
-        assert!(EventEncoding::Interval.decode(&ends_at_max).is_ok());
+        let ends_at_max = [row![5i64, Time::MAX, "u", 0i64]];
+        assert!(EventEncoding::Interval
+            .decode_stream(&ends_at_max, &p)
+            .is_ok());
     }
 
     #[test]

@@ -390,7 +390,7 @@ impl Reducer for DsmsReducer {
         }
         // The executor owns the decoded partition: the first in-place
         // operator mutates it with zero survivor clones.
-        let (roots, _) = temporal::exec::execute_data(&self.plan, sources)
+        let (roots, _) = temporal::exec::execute(&self.plan, sources)
             .map_err(|e| to_mr(TimrError::Temporal(e)))?;
         roots
             .into_iter()

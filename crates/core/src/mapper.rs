@@ -90,7 +90,7 @@ impl Mapper for DsmsMapper {
         let mut sources: BatchBindings = FxHashMap::default();
         let data = bind_input(&unit.binding, batch).map_err(to_mr)?;
         sources.insert(unit.binding.source_name.clone(), data);
-        let (mut roots, _) = temporal::exec::execute_data(&unit.plan, sources)
+        let (mut roots, _) = temporal::exec::execute(&unit.plan, sources)
             .map_err(|e| to_mr(TimrError::Temporal(e)))?;
         let root = roots.pop().expect("mapper plans have exactly one root");
         EventEncoding::Interval
@@ -211,7 +211,7 @@ mod tests {
             "logs".to_string(),
             EventBatch::from_stream(&stream).unwrap(),
         );
-        let (mut roots, _) = temporal::exec::execute_data(&unit.plan, sources)
+        let (mut roots, _) = temporal::exec::execute(&unit.plan, sources)
             .map_err(|e| format!("reducer failed in `s` partition 0: mapper input 0: {e}"))?;
         let out = EventEncoding::Interval.encode_extent_order(roots.pop().unwrap());
         Ok(out.unwrap().to_extent_bytes().unwrap())

@@ -209,7 +209,7 @@ impl Reducer for SpanReducer {
         let mut sources: BatchBindings = FxHashMap::default();
         sources.insert(self.source.source_name.clone(), data);
         let (mut roots, _) =
-            temporal::exec::execute_data(&self.plan, sources).map_err(|e| to_mr(e.to_string()))?;
+            temporal::exec::execute(&self.plan, sources).map_err(|e| to_mr(e.to_string()))?;
         let result = roots.pop().expect("span plans have exactly one root");
 
         // Owned interval: [t0 + s·p, t0 + s·(p+1)), extended to ±∞ at the

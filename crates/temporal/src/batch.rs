@@ -8,18 +8,18 @@
 //! keep the paper's repeatability guarantee (§III-C.1) while running
 //! vectorized kernels.
 //!
-//! Rows become a batch only at the engine's edges — an `execute` binding, an
-//! event pushed into a real-time session, a UDO's output — and there every
-//! cell must inhabit its declared column type: a row that does not is a
-//! named [`TemporalError::Input`] naming where it came from, the row and the
-//! column ([`EventBatch::lay_out`]).
+//! Rows become a batch only at the library's row conveniences — an
+//! `execute_single` binding, an event pushed into a real-time session — and
+//! there every cell must inhabit its declared column type: a row that does
+//! not is a named [`TemporalError::Input`] naming where it came from, the
+//! row and the column ([`EventBatch::lay_out`]).
 
 use crate::error::{Result, TemporalError};
 use crate::event::Event;
 use crate::stream::EventStream;
 use crate::time::Lifetime;
 use relation::column::ColumnBuilder;
-use relation::{Column, ColumnBatch, RelationError, Row, Schema};
+use relation::{Column, ColumnBatch, RelationError, Schema};
 use std::borrow::Borrow;
 use std::sync::Arc;
 
@@ -82,21 +82,16 @@ impl EventBatch {
 
     /// [`Self::from_stream`] over a borrowed event slice.
     pub fn from_events(schema: Schema, events: &[Event]) -> Result<EventBatch> {
-        Self::lay_out("events", schema, events)
+        Self::lay_out("events", schema, events, None)
     }
 
     /// Lay `events` out as a batch of `schema`, checking every payload
     /// once: a row of the wrong arity, or a cell that does not inhabit its
-    /// column's type, is a [`TemporalError::Input`] that names `what` (the
-    /// source or the UDO the rows came from), the row and the column.
-    pub fn lay_out(what: &str, schema: Schema, events: &[Event]) -> Result<EventBatch> {
-        Self::lay_out_reading(what, schema, events, None)
-    }
-
-    /// [`Self::lay_out`], except that a column `reads` marks `false` is not
-    /// laid out: it holds [`Column::zeroed`], for a consumer that never
-    /// reads it.
-    pub(crate) fn lay_out_reading<E: Borrow<Event>>(
+    /// column's type, is a [`TemporalError::Input`] that names `what` (where
+    /// the rows came from), the row and the column. A column `reads` marks
+    /// `false` is not laid out: it holds [`Column::zeroed`], for a consumer
+    /// that never reads it.
+    pub(crate) fn lay_out<E: Borrow<Event>>(
         what: &str,
         schema: Schema,
         events: &[E],
@@ -227,11 +222,6 @@ impl EventBatch {
         self.payload.is_empty()
     }
 
-    /// Gather the payload row of event `i`.
-    pub fn payload_row(&self, i: usize) -> Row {
-        self.payload.row(i)
-    }
-
     /// The payload, shared: for a caller that reads it after handing the
     /// batch on (the per-event aggregate of a real-time session reads its
     /// keys off the events that survive the steps).
@@ -307,7 +297,7 @@ mod tests {
     use super::*;
     use relation::row;
     use relation::schema::{ColumnType, Field};
-    use relation::Value;
+    use relation::{Row, Value};
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -357,15 +347,15 @@ mod tests {
                 Event::point(0, row!["a", 7i32]),
             ],
         );
-        let err = EventBatch::lay_out("source `in`", schema(), s.events()).unwrap_err();
+        let err = EventBatch::lay_out("source `in`", schema(), s.events(), None).unwrap_err();
         assert_eq!(
             err.to_string(),
             "input error: source `in`: row 1: type mismatch in `V`: expected long, got int"
         );
         let short = [Event::point(0, row!["a"])];
-        let err = EventBatch::lay_out("UDO `u`", schema(), &short).unwrap_err();
+        let err = EventBatch::lay_out("pushed event", schema(), &short, None).unwrap_err();
         assert!(
-            err.to_string().contains("UDO `u`: row 0 has 1 cells"),
+            err.to_string().contains("pushed event: row 0 has 1 cells"),
             "{err}"
         );
     }

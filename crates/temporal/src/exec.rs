@@ -6,18 +6,17 @@
 //! every map-reduce reducer (paper §III-A step 4): the reducer binds its
 //! partition to the fragment's `Source` leaves and returns the root.
 //!
-//! There is one engine and one layout: every value inside [`execute_data`]
-//! is an [`EventBatch`]. Every plan is fused on entry
-//! ([`crate::plan::fuse_plan`], free on an already-fused plan), stateless
-//! chains run as fused SIMD fragments, and the binary operators, the
-//! aggregates and GroupApply read and write columns. Rows exist only at
-//! the edges: [`execute`] / [`execute_single`] take and return row streams
-//! and lay each binding the plan reads out once as a batch — a cell that
-//! does not inhabit its declared type is an input error naming the source,
-//! the row and the column — and a UDO reads its window as events and hands
-//! back rows, which are checked the same way. The tests hold the engine to
-//! a naive snapshot evaluator that shares no code with it
-//! (`tests/common/oracle.rs`).
+//! There is one engine, one layout and one entry: [`execute`] takes batch
+//! bindings and returns batch roots, and every value inside it is an
+//! [`EventBatch`]. Every plan is fused on entry ([`crate::plan::fuse_plan`],
+//! free on an already-fused plan), stateless chains run as fused SIMD
+//! fragments, and the binary operators, the aggregates, GroupApply and a
+//! UDO's windows read and write columns. [`execute_single`] is the one row
+//! convenience: it lays each binding the plan reads out once as a batch —
+//! a cell that does not inhabit its declared type is an input error naming
+//! the source, the row and the column — and turns the one root back into
+//! a stream. The tests hold the engine to a naive snapshot evaluator that
+//! shares no code with it (`tests/common/oracle.rs`).
 //!
 //! Execution is consumer-count aware: every operator receives its inputs
 //! **by value**. A single-consumer intermediate is moved straight into its
@@ -53,11 +52,11 @@ use relation::Schema;
 use rustc_hash::FxHashMap;
 
 /// Named row-stream bindings for a plan's `Source` leaves: what
-/// [`execute`] takes.
+/// [`execute_single`] takes.
 pub type Bindings = FxHashMap<String, EventStream>;
 
-/// Named batch bindings for a plan's `Source` leaves: what
-/// [`execute_data`] takes.
+/// Named batch bindings for a plan's `Source` leaves: what [`execute`]
+/// takes.
 pub type BatchBindings = FxHashMap<String, EventBatch>;
 
 /// Build bindings from `(name, stream)` pairs.
@@ -87,44 +86,14 @@ pub struct ExecStats {
     pub join_columns_pruned: u64,
 }
 
-/// Execute `plan` against `sources`; returns one stream per plan output.
-///
-/// The caller keeps its bindings. Each one the plan reads is laid out once
-/// as a batch that this call owns outright, so the first in-place operator
-/// over a source compacts it without cloning survivors. A binding whose
-/// cells do not inhabit their declared types is an input error naming the
-/// source, the row and the column. A caller that already holds batches —
-/// the embedded DSMS reducer decodes extents into them — binds them through
-/// [`execute_data`].
-pub fn execute(plan: &LogicalPlan, sources: &Bindings) -> Result<Vec<EventStream>> {
-    let refs = source_refs(plan);
-    let batches = (sources.iter())
-        .filter(|(name, _)| refs.contains_key(*name))
-        .map(|(name, stream)| {
-            let what = format!("source `{name}`");
-            let batch = EventBatch::lay_out(&what, stream.schema().clone(), stream.events())?;
-            Ok((name.clone(), batch))
-        })
-        .collect::<Result<BatchBindings>>()?;
-    let (roots, _) = execute_data(plan, batches)?;
-    Ok(roots.into_iter().map(EventBatch::into_stream).collect())
-}
-
-/// Execute a single-output plan and return its only stream.
-pub fn execute_single(plan: &LogicalPlan, sources: &Bindings) -> Result<EventStream> {
-    single(execute(plan, sources)?)
-}
-
 /// Execute `plan` taking **ownership** of its batch bindings, on the
-/// calling thread. Each `Source` binding is moved out of the map at its
-/// last top-level reference in the plan (earlier references, and every
-/// reference inside a GroupApply sub-plan, share it, O(1)): when the caller
-/// held the only handle, the first in-place operator mutates the decoded
-/// partition directly — zero survivor clones. Each root comes back by value.
-pub fn execute_data(
-    plan: &LogicalPlan,
-    sources: BatchBindings,
-) -> Result<(Vec<EventBatch>, ExecStats)> {
+/// calling thread; returns one batch per plan output. Each `Source` binding
+/// is moved out of the map at its last top-level reference in the plan
+/// (earlier references, and every reference inside a GroupApply sub-plan,
+/// share it, O(1)): when the caller held the only handle, the first
+/// in-place operator mutates the decoded partition directly — zero
+/// survivor clones. Each root comes back by value.
+pub fn execute(plan: &LogicalPlan, sources: BatchBindings) -> Result<(Vec<EventBatch>, ExecStats)> {
     // Free when the plan was fused at construction (every embedded caller
     // does): the pass returns the borrowed plan before cloning anything.
     let plan = crate::plan::fuse_plan(plan)?;
@@ -135,6 +104,34 @@ pub fn execute_data(
         .map(|&root| exec.eval(&plan, root))
         .collect::<Result<Vec<_>>>()?;
     Ok((outputs, exec.stats))
+}
+
+/// Execute a single-output plan over row streams and return its only root
+/// as a stream: the row convenience over [`execute`].
+///
+/// The caller keeps its bindings. Each one the plan reads is laid out once
+/// as a batch that this call owns outright, so the first in-place operator
+/// over a source compacts it without cloning survivors. A binding whose
+/// cells do not inhabit their declared types is an input error naming the
+/// source, the row and the column.
+pub fn execute_single(plan: &LogicalPlan, sources: &Bindings) -> Result<EventStream> {
+    let refs = source_refs(plan);
+    let batches = (sources.iter())
+        .filter(|(name, _)| refs.contains_key(*name))
+        .map(|(name, stream)| {
+            let what = format!("source `{name}`");
+            let batch = EventBatch::lay_out(&what, stream.schema().clone(), stream.events(), None)?;
+            Ok((name.clone(), batch))
+        })
+        .collect::<Result<BatchBindings>>()?;
+    let (mut roots, _) = execute(plan, batches)?;
+    if roots.len() != 1 {
+        return Err(TemporalError::Plan(format!(
+            "expected a single-output plan, got {} outputs",
+            roots.len()
+        )));
+    }
+    Ok(roots.pop().expect("one root").into_stream())
 }
 
 fn check_source_schema(name: &str, bound: &Schema, expected: &Schema) -> Result<()> {
@@ -148,16 +145,6 @@ fn check_source_schema(name: &str, bound: &Schema, expected: &Schema) -> Result<
 
 fn outside_group_apply() -> TemporalError {
     TemporalError::Plan("GroupInput outside a GroupApply sub-plan".into())
-}
-
-fn single(mut outputs: Vec<EventStream>) -> Result<EventStream> {
-    if outputs.len() != 1 {
-        return Err(TemporalError::Plan(format!(
-            "expected a single-output plan, got {} outputs",
-            outputs.len()
-        )));
-    }
-    Ok(outputs.pop().unwrap())
 }
 
 /// The top-level evaluator: owns the bindings and the multicast cache.
@@ -543,7 +530,7 @@ mod tests {
         let clicks = input.clone().filter(col("StreamId").eq(lit(1)));
         let searches = input.filter(col("StreamId").eq(lit(2)));
         let plan = q.build(vec![clicks, searches]).unwrap();
-        let outs = execute(&plan, &bindings(vec![("input", sample_events())])).unwrap();
+        let (outs, _) = execute(&plan, batch_bindings(sample_events())).unwrap();
         assert_eq!(outs.len(), 2);
         assert_eq!(outs[0].len(), 3);
         assert_eq!(outs[1].len(), 1);
@@ -590,11 +577,7 @@ mod tests {
 
     #[test]
     fn stats_count_groups_and_the_nodes_without_a_kernel() {
-        let run = |plan: &LogicalPlan| {
-            execute_data(plan, batch_bindings(sample_events()))
-                .unwrap()
-                .1
-        };
+        let run = |plan: &LogicalPlan| execute(plan, batch_bindings(sample_events())).unwrap().1;
         // Window → count per ad: three groups, every node segmented.
         let q = Query::new();
         let out = q
@@ -648,7 +631,7 @@ mod tests {
         assert!(a.same_relation(&b));
     }
 
-    /// `stream` bound to `input`, as [`execute`] lays it out.
+    /// `stream` bound to `input`, as [`execute_single`] lays it out.
     fn batch_bindings(stream: EventStream) -> BatchBindings {
         let batch = EventBatch::from_stream(&stream).unwrap();
         [("input".to_string(), batch)].into_iter().collect()
@@ -690,7 +673,7 @@ mod tests {
         // A diamond over one binding — `Source → {Filter → Shift, Filter} →
         // Union` — with the binding read through one `Source` node (two
         // consumers: the counting cache) and through two (two references:
-        // the bindings map). Either way: `execute`'s events, cache and
+        // the bindings map). Either way: `execute_single`'s events, cache and
         // bindings left empty (every value moved out by its last consumer),
         // and the storage the caller still holds untouched although both
         // branches mutate "their" input.
@@ -836,7 +819,7 @@ mod tests {
         // map, shared, while the top level's fragment mutates its copy.
         let plan = pinned_plan();
         let (srcs, kept) = shared_binding();
-        let (roots, stats) = execute_data(&plan, srcs).unwrap();
+        let (roots, stats) = execute(&plan, srcs).unwrap();
         let roots: Vec<_> = roots.into_iter().map(EventBatch::into_stream).collect();
         assert_eq!((roots[0].len(), roots[1].len()), (4, 3));
         assert_eq!(stats.per_run_nodes, 2);
@@ -903,7 +886,7 @@ mod tests {
         let plan = q.build(vec![out]).unwrap();
         let srcs = bindings(vec![("input", sample_events()), ("ill", ill.clone())]);
         assert_eq!(
-            execute(&plan, &srcs),
+            execute_single(&plan, &srcs),
             Err(TemporalError::Input(
                 "source `ill`: row 1: type mismatch in `UserId`: expected str, got int".into()
             ))
@@ -912,6 +895,6 @@ mod tests {
         let out = q.source("input", bt_schema()).count("N");
         let plan = q.build(vec![out]).unwrap();
         let srcs = bindings(vec![("input", sample_events()), ("unread", ill)]);
-        assert!(execute(&plan, &srcs).is_ok());
+        assert!(execute_single(&plan, &srcs).is_ok());
     }
 }

@@ -440,13 +440,22 @@ pub fn push_down(plan: &LogicalPlan, partition_cols: Option<&[String]>) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::EventBatch;
     use crate::event::Event;
-    use crate::exec::{bindings, execute};
+    use crate::exec::execute;
     use crate::expr::{col, lit};
     use crate::plan::Query;
     use crate::stream::EventStream;
     use relation::schema::{ColumnType, Field};
     use relation::{row, Schema};
+
+    /// `plan` over `stream` bound to `in`, laid out as a batch: every root,
+    /// as a stream.
+    fn run(plan: &LogicalPlan, stream: EventStream) -> Vec<EventStream> {
+        let bound = [("in".to_string(), EventBatch::from_stream(&stream).unwrap())];
+        let (roots, _) = execute(plan, bound.into_iter().collect()).unwrap();
+        roots.into_iter().map(EventBatch::into_stream).collect()
+    }
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -475,27 +484,18 @@ mod tests {
         let pd = push_down(plan, cols).unwrap();
         assert!(pd.any(), "expected a split for:\n{plan}");
         let evs = events();
-        let direct = execute(
-            plan,
-            &bindings(vec![("in", EventStream::new(schema(), evs.clone()))]),
-        )
-        .unwrap();
+        let direct = run(plan, EventStream::new(schema(), evs.clone()));
 
         let mapper = &pd.mappers[0];
         let mut mapped: Vec<Event> = Vec::new();
         let mut mapped_schema = None;
         for chunk in evs.chunks(evs.len().div_ceil(extents)) {
-            let out = execute(
-                &mapper.plan,
-                &bindings(vec![("in", EventStream::new(schema(), chunk.to_vec()))]),
-            )
-            .unwrap()
-            .remove(0);
+            let out = run(&mapper.plan, EventStream::new(schema(), chunk.to_vec())).remove(0);
             mapped_schema = Some(out.schema().clone());
             mapped.extend(out.events().iter().cloned());
         }
         let residual_in = EventStream::new(mapped_schema.unwrap(), mapped);
-        let split = execute(&pd.residual, &bindings(vec![("in", residual_in)])).unwrap();
+        let split = run(&pd.residual, residual_in);
         assert_eq!(direct.len(), split.len());
         for (d, s) in direct.iter().zip(&split) {
             assert_eq!(d.normalize(), s.normalize(), "split output diverged");
@@ -717,32 +717,19 @@ mod tests {
         assert_eq!(pd.partials, 1, "factor GroupApply should push partials");
 
         let evs = events();
-        let direct = execute(
-            &factored,
-            &bindings(vec![("in", EventStream::new(schema(), evs.clone()))]),
-        )
-        .unwrap();
+        let direct = run(&factored, EventStream::new(schema(), evs.clone()));
         let mapper = &pd.mappers[0];
         let mut mapped: Vec<Event> = Vec::new();
         let mut mapped_schema = None;
         for chunk in evs.chunks(14) {
-            let out = execute(
-                &mapper.plan,
-                &bindings(vec![("in", EventStream::new(schema(), chunk.to_vec()))]),
-            )
-            .unwrap()
-            .remove(0);
+            let out = run(&mapper.plan, EventStream::new(schema(), chunk.to_vec())).remove(0);
             mapped_schema = Some(out.schema().clone());
             mapped.extend(out.events().iter().cloned());
         }
-        let split = execute(
+        let split = run(
             &pd.residual,
-            &bindings(vec![(
-                "in",
-                EventStream::new(mapped_schema.unwrap(), mapped),
-            )]),
-        )
-        .unwrap();
+            EventStream::new(mapped_schema.unwrap(), mapped),
+        );
         assert_eq!(direct.len(), split.len());
         for (d, s) in direct.iter().zip(&split) {
             assert_eq!(d.normalize(), s.normalize());

@@ -632,13 +632,22 @@ pub fn factor_windows(plan: &LogicalPlan) -> Result<(LogicalPlan, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::batch::EventBatch;
     use crate::event::Event;
-    use crate::exec::{bindings, execute};
+    use crate::exec::execute;
     use crate::expr::{col, lit};
     use crate::plan::Query;
     use crate::stream::EventStream;
     use relation::schema::{ColumnType, Field};
     use relation::{row, Schema};
+
+    /// `plan` over `stream` bound to `in`, laid out as a batch: every root,
+    /// as a stream.
+    fn run(plan: &LogicalPlan, stream: EventStream) -> Vec<EventStream> {
+        let bound = [("in".to_string(), EventBatch::from_stream(&stream).unwrap())];
+        let (roots, _) = execute(plan, bound.into_iter().collect()).unwrap();
+        roots.into_iter().map(EventBatch::into_stream).collect()
+    }
 
     fn schema() -> Schema {
         Schema::new(vec![
@@ -718,7 +727,7 @@ mod tests {
         assert_eq!(shared.plan.roots()[0], shared.plan.roots()[1]);
         assert_eq!(shared.stats.merged_nodes, 2);
         // Both query outputs still materialize.
-        let out = execute(&shared.plan, &bindings(vec![("in", events())])).unwrap();
+        let out = run(&shared.plan, events());
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].normalize(), out[1].normalize());
     }
@@ -782,8 +791,8 @@ mod tests {
                 .any(|nd| matches!(nd.op, Operator::SpreadGrid { grid: 2 })),
             "missing SpreadGrid in:\n{factored}"
         );
-        let direct = execute(&plan, &bindings(vec![("in", events())])).unwrap();
-        let shared = execute(&factored, &bindings(vec![("in", events())])).unwrap();
+        let direct = run(&plan, events());
+        let shared = run(&factored, events());
         assert_eq!(direct.len(), shared.len());
         for (d, s) in direct.iter().zip(&shared) {
             assert_eq!(d.normalize(), s.normalize());
@@ -807,8 +816,8 @@ mod tests {
         let plan = q.build(outs).unwrap();
         let (factored, n) = factor_windows(&plan).unwrap();
         assert_eq!(n, 1);
-        let direct = execute(&plan, &bindings(vec![("in", events())])).unwrap();
-        let shared = execute(&factored, &bindings(vec![("in", events())])).unwrap();
+        let direct = run(&plan, events());
+        let shared = run(&factored, events());
         for (d, s) in direct.iter().zip(&shared) {
             assert_eq!(d.normalize(), s.normalize());
         }
@@ -847,11 +856,7 @@ mod tests {
             Operator::AlterLifetime { .. }
         ));
         assert_eq!(subplan.consumers(hop).len(), 2);
-        let srcs = bindings(vec![("in", events())]);
-        assert_eq!(
-            crate::exec::execute(&plan, &srcs).unwrap(),
-            crate::exec::execute(&sunk, &srcs).unwrap()
-        );
+        assert_eq!(run(&plan, events()), run(&sunk, events()));
     }
 
     #[test]

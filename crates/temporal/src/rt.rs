@@ -46,7 +46,7 @@ use crate::batch::EventBatch;
 use crate::compiled::CompiledExpr;
 use crate::error::{Result, TemporalError};
 use crate::event::Event;
-use crate::exec::{execute_data, BatchBindings};
+use crate::exec::{execute, BatchBindings};
 use crate::key::KeySelector;
 use crate::operators::{
     batch_args, fused_fragment, fused_select, Cut, ErrorOrder, Selection, Sweep,
@@ -122,12 +122,8 @@ impl Feed {
         let (events, rest): (Vec<&Event>, _) = match reads.iter().all(|&r| r) {
             true => (self.pending.iter().collect(), steps),
             false => {
-                let narrow = EventBatch::lay_out_reading(
-                    &what,
-                    schema.clone(),
-                    &self.pending,
-                    Some(&reads),
-                )?;
+                let narrow =
+                    EventBatch::lay_out(&what, schema.clone(), &self.pending, Some(&reads))?;
                 let Selection { sel, .. } = fused_select(narrow, &steps[..lead], None, None)?;
                 let passed = match sel {
                     None => self.pending.iter().collect(),
@@ -136,7 +132,7 @@ impl Feed {
                 (passed, &steps[lead..])
             }
         };
-        let batch = EventBatch::lay_out_reading(&what, schema, &events, None)?;
+        let batch = EventBatch::lay_out(&what, schema, &events, None)?;
         match rest {
             [] => Ok(batch),
             rest => fused_fragment(batch, rest),
@@ -555,7 +551,7 @@ impl Recompute {
                 .zip(&self.buffers)
                 .map(|(f, b)| (f.name.clone(), b.clone()))
                 .collect();
-            let result = execute_data(&self.plan, sources)
+            let result = execute(&self.plan, sources)
                 .map(|(mut roots, _)| roots.swap_remove(0).into_stream());
             let window = Lifetime::new(from, until);
             match result {

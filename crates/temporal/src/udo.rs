@@ -5,32 +5,37 @@
 //! run logistic-regression training over a hopping window of training
 //! examples (paper §IV-B.4).
 //!
-//! A [`WindowUdo`] is invoked once per hop: it receives every event whose
-//! timestamp falls in `(window_end - width, window_end]` and returns output
-//! rows that the engine stamps with lifetime `[window_end, window_end + hop)`
-//! — i.e. each result is valid until the next recomputation, which is
-//! exactly how the paper lodges periodically-retrained model weights into a
-//! join synopsis for scoring.
+//! A [`WindowUdo`] is invoked once per hop: it reads the window's events as
+//! an [`EventBatch`] — every event whose timestamp falls in
+//! `(window_end - width, window_end]` — and returns its output as a
+//! [`ColumnBatch`] of its declared output schema, which the engine stamps
+//! with lifetime `[window_end, window_end + hop)` — i.e. each result is
+//! valid until the next recomputation, which is exactly how the paper lodges
+//! periodically-retrained model weights into a join synopsis for scoring.
+//! The UDO reads and writes columns, as every operator does: no row is laid
+//! out on either side.
 
+use crate::batch::EventBatch;
 use crate::error::Result;
-use crate::event::Event;
 use crate::time::Time;
-use relation::{Row, Schema};
+use relation::{Column, ColumnBatch, ColumnData, Schema};
 use std::fmt;
 use std::sync::Arc;
 
 /// User code applied to each hopping window.
 pub trait WindowUdo: Send + Sync + fmt::Debug {
-    /// Stable name, used in plan display and plan comparison.
+    /// Stable name, used in plan display, plan comparison and errors.
     fn name(&self) -> &str;
 
     /// Output schema given the input schema.
     fn output_schema(&self, input: &Schema) -> Result<Schema>;
 
-    /// Compute output rows for the window ending at `window_end`
-    /// (events are those with `LE` in `(window_end - width, window_end]`,
-    /// in ascending `LE` order).
-    fn apply(&self, window_end: Time, input_schema: &Schema, events: &[Event]) -> Result<Vec<Row>>;
+    /// Compute the output for the window ending at `window_end`: `window`
+    /// holds the events with `LE` in `(window_end - width, window_end]`, in
+    /// input order stably sorted by `LE`. The result must have the schema
+    /// [`Self::output_schema`] declares; one that does not is an input
+    /// error naming the UDO.
+    fn apply(&self, window_end: Time, window: &EventBatch) -> Result<ColumnBatch>;
 }
 
 /// Shared handle to a UDO instance stored inside plans.
@@ -54,19 +59,20 @@ impl WindowUdo for WindowCountUdo {
         ]))
     }
 
-    fn apply(
-        &self,
-        window_end: Time,
-        _input_schema: &Schema,
-        events: &[Event],
-    ) -> Result<Vec<Row>> {
-        Ok(vec![relation::row![window_end, events.len() as i64]])
+    fn apply(&self, window_end: Time, window: &EventBatch) -> Result<ColumnBatch> {
+        let long = |v: i64| Column::new(ColumnData::Long(vec![v]), None);
+        Ok(ColumnBatch::new(
+            self.output_schema(window.schema())?,
+            vec![long(window_end), long(window.len() as i64)],
+            1,
+        ))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Event;
     use relation::row;
 
     #[test]
@@ -75,9 +81,10 @@ mod tests {
             "X",
             relation::schema::ColumnType::Long,
         )]);
-        let events = vec![Event::point(1, row![1i64]), Event::point(2, row![2i64])];
-        let out = WindowCountUdo.apply(10, &schema, &events).unwrap();
-        assert_eq!(out, vec![row![10i64, 2i64]]);
+        let events = [Event::point(1, row![1i64]), Event::point(2, row![2i64])];
+        let window = EventBatch::from_events(schema.clone(), &events).unwrap();
+        let out = WindowCountUdo.apply(10, &window).unwrap();
+        assert_eq!(out.to_rows(), vec![row![10i64, 2i64]]);
         assert_eq!(
             WindowCountUdo.output_schema(&schema).unwrap().names(),
             vec!["WindowEnd", "Events"]

@@ -10,7 +10,7 @@ use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{row, Schema};
 use timr_suite::temporal::exec::{bindings, execute_single};
 use timr_suite::temporal::expr::{col, lit};
-use timr_suite::temporal::{EventStream, Query};
+use timr_suite::temporal::{EventBatch, EventStream, Query};
 use timr_suite::timr::{Annotation, EventEncoding, ExchangeKey, TimrJob};
 
 fn main() {
@@ -55,11 +55,10 @@ fn main() {
     //    DFS dataset, annotate the plan with one exchange by {AdId}, and
     //    let TiMR compile and run it.
     let dfs = Dfs::new();
-    let rows = events
-        .events()
-        .iter()
-        .map(|e| EventEncoding::Point.encode(e).expect("point event"))
-        .collect();
+    let batch = EventBatch::from_stream(&events).expect("well-typed events");
+    let rows = (EventEncoding::Point.encode_sink(batch))
+        .expect("point events")
+        .to_rows();
     dfs.put(
         "clicks",
         Dataset::single(EventEncoding::Point.dataset_schema(events.schema()), rows),

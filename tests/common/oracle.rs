@@ -39,7 +39,8 @@ use timr_suite::temporal::agg::AggExpr;
 use timr_suite::temporal::plan::{LifetimeOp, Operator};
 use timr_suite::temporal::udo::UdoRef;
 use timr_suite::temporal::{
-    Event, EventStream, Expr, Lifetime, LogicalPlan, NodeId, Result, TemporalError, Time,
+    Event, EventBatch, EventStream, Expr, Lifetime, LogicalPlan, NodeId, Result, TemporalError,
+    Time,
 };
 
 /// Evaluate every root of `plan` over `sources`.
@@ -403,7 +404,8 @@ pub fn anti_semi_join(
 
 /// The UDO applied to every non-empty hopping window: the window reported
 /// at grid instant `T` holds the events with `T - width < LE <= T`, handed
-/// over in (LE, RE, payload) order, and its rows live `[T, T + hop)`.
+/// over as a batch in (LE, RE, payload) order, and the rows of the batch
+/// it returns live `[T, T + hop)`.
 fn hop_udo(
     schema: &Schema,
     events: &[Event],
@@ -427,7 +429,8 @@ fn hop_udo(
             .filter(|e| t - width < e.lifetime.start && e.lifetime.start <= t)
             .cloned()
             .collect();
-        for row in udo.apply(t, schema, &window)? {
+        let window = EventBatch::from_events(schema.clone(), &window)?;
+        for row in udo.apply(t, &window)?.to_rows() {
             out.push(Event::new(Lifetime::new(t, t + hop), row));
         }
     }

@@ -28,7 +28,7 @@ use common::{
 use proptest::prelude::*;
 use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{Row, Schema, Value};
-use timr_suite::temporal::exec::{bindings, execute, execute_data, BatchBindings};
+use timr_suite::temporal::exec::{bindings, execute, execute_single, BatchBindings};
 use timr_suite::temporal::operators::{anti_semi_join, fused_fragment, temporal_join, union};
 use timr_suite::temporal::plan::FusedStep;
 use timr_suite::temporal::{
@@ -177,7 +177,7 @@ proptest! {
         let out = q.source("in", schema()).filter(pred_menu(p, thresh)).hop_window(7, 7);
         let plan = q.build(vec![out]).unwrap();
         let srcs = bindings(vec![("in", stream.clone())]);
-        prop_assert_eq!(execute(&plan, &srcs), Err(ill_typed_error("in", row)));
+        prop_assert_eq!(execute_single(&plan, &srcs), Err(ill_typed_error("in", row)));
         prop_assert!(EventBatch::from_stream(&stream).is_err());
     }
 }
@@ -418,7 +418,7 @@ proptest! {
             let mut bound = BatchBindings::default();
             bound.insert("l".to_string(), EventBatch::from_stream(&left).unwrap());
             bound.insert("r".to_string(), EventBatch::from_stream(&right).unwrap());
-            let (mut roots, stats) = execute_data(&plan, bound).unwrap();
+            let (mut roots, stats) = execute(&plan, bound).unwrap();
             prop_assert_eq!(stats.join_columns_pruned, if projected { 2 } else { 0 });
             let got = roots.pop().unwrap().into_stream();
             let same = oracle::same_relation(&got, &want, &Tolerance::exact());
@@ -448,9 +448,14 @@ proptest! {
         let plan = q.build(vec![joined, rest]).unwrap();
         let srcs = bindings(vec![("l", left.clone()), ("r", right.clone())]);
         let want = oracle::run(&plan, &srcs).unwrap();
-        let got = execute(&plan, &srcs).unwrap();
-        for (got, want) in got.iter().zip(&want) {
-            let same = oracle::same_relation(got, want, &Tolerance::exact());
+        let mut bound = BatchBindings::default();
+        bound.insert("l".to_string(), EventBatch::from_stream(&left).unwrap());
+        bound.insert("r".to_string(), EventBatch::from_stream(&right).unwrap());
+        let (roots, _) = execute(&plan, bound).unwrap();
+        prop_assert_eq!(roots.len(), want.len());
+        for (got, want) in roots.into_iter().zip(&want) {
+            let got = got.into_stream();
+            let same = oracle::same_relation(&got, want, &Tolerance::exact());
             prop_assert!(same.is_ok(), "{}", same.unwrap_err());
         }
     }

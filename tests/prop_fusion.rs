@@ -21,7 +21,7 @@ use common::{
     PLAN_KINDS,
 };
 use proptest::prelude::*;
-use timr_suite::temporal::exec::{bindings, execute};
+use timr_suite::temporal::exec::{bindings, execute_single};
 use timr_suite::temporal::operators::fused_fragment;
 use timr_suite::temporal::plan::{fuse_plan, FusedStep, Operator};
 use timr_suite::temporal::{col, lit, EventBatch, Query};
@@ -71,10 +71,10 @@ proptest! {
         let plan = build_plan(kind, w, thresh, p1, p2);
         let rewritten = fuse_plan(&plan).unwrap();
         let srcs = bindings(vec![("in", stream_of(&events))]);
-        match (oracle::run(&plan, &srcs), execute(&rewritten, &srcs)) {
+        match (oracle::run(&plan, &srcs), execute_single(&rewritten, &srcs)) {
             (Ok(want), Ok(got)) => {
                 let tolerance = Tolerance::of(&plan, plan.roots()[0]);
-                let same = oracle::same_relation(&got[0], &want[0], &tolerance);
+                let same = oracle::same_relation(&got, &want[0], &tolerance);
                 prop_assert!(same.is_ok(), "{}", same.unwrap_err());
             }
             (Err(a), Err(b)) => prop_assert_eq!(a.to_string(), b.to_string()),

@@ -24,7 +24,7 @@ use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{row, Column, ColumnBatch, ColumnData, Row, Schema, StrCodes, Value};
 use timr_suite::temporal::agg::AggExpr;
 use timr_suite::temporal::exec::{
-    bindings, execute, execute_data, execute_single, BatchBindings, Bindings, ExecStats,
+    bindings, execute, execute_single, BatchBindings, Bindings, ExecStats,
 };
 use timr_suite::temporal::expr::{col, lit, Expr, Func};
 use timr_suite::temporal::plan::{
@@ -76,16 +76,13 @@ impl WindowUdo for FailOn {
     fn apply(
         &self,
         _window_end: i64,
-        _input_schema: &Schema,
-        events: &[Event],
-    ) -> timr_suite::temporal::Result<Vec<Row>> {
-        if events
-            .iter()
-            .any(|e| e.payload.get(2) == &Value::Long(self.v))
-        {
+        window: &EventBatch,
+    ) -> timr_suite::temporal::Result<ColumnBatch> {
+        let v = window.payload().column(2);
+        if (0..window.len()).any(|i| v.value(i) == Value::Long(self.v)) {
             return Err(TemporalError::Eval(format!("{} saw {}", self.name, self.v)));
         }
-        Ok(events.iter().map(|e| e.payload.clone()).collect())
+        Ok(window.payload().clone())
     }
 }
 
@@ -282,11 +279,11 @@ fn assert_all_agree(plan: &LogicalPlan, srcs: &Bindings) -> Result<(), TestCaseE
     assert_oracle(plan, &engine, &oracle_single(plan, srcs))
 }
 
-/// `plan` over `batch` bound to `in`, as an `execute_data` caller binds it:
+/// `plan` over `batch` bound to `in`, as an `execute` caller binds it:
 /// the root as rows, or the error's text.
 fn on_batch(plan: &LogicalPlan, batch: EventBatch) -> Result<EventStream, String> {
     let bound: BatchBindings = [("in".to_string(), batch)].into_iter().collect();
-    execute_data(plan, bound)
+    execute(plan, bound)
         .map(|(mut roots, _)| roots.pop().unwrap().into_stream())
         .map_err(|e| e.to_string())
 }
@@ -345,7 +342,7 @@ proptest! {
         // run per run: one node each, counted once.
         let per_run = u64::from((6..=9).contains(&kind) && groups > 0);
         prop_assert_eq!(stats.per_run_nodes, per_run);
-        let root = execute(&plan, &srcs).unwrap().pop().unwrap();
+        let root = execute_single(&plan, &srcs).unwrap();
         assert_oracle(&plan, &Ok(root), &oracle_single(&plan, &srcs))?;
     }
 
@@ -474,7 +471,7 @@ fn stats_of(plan: &LogicalPlan, srcs: &Bindings) -> ExecStats {
     let bound = (srcs.iter())
         .map(|(name, s)| (name.clone(), EventBatch::from_stream(s).unwrap()))
         .collect();
-    execute_data(plan, bound).unwrap().1
+    execute(plan, bound).unwrap().1
 }
 
 proptest! {
@@ -623,7 +620,7 @@ proptest! {
             let want = oracle::run_single(plan, &srcs).unwrap();
             let mut bound = BatchBindings::default();
             bound.insert("in".to_string(), EventBatch::from_stream(stream).unwrap());
-            let (mut roots, _) = execute_data(plan, bound).unwrap();
+            let (mut roots, _) = execute(plan, bound).unwrap();
             let root = roots.pop().unwrap();
             let tolerance = Tolerance::of(plan, plan.roots()[0]);
             let same = oracle::same_relation(&root.clone().into_stream(), &want, &tolerance);
