@@ -12,6 +12,15 @@
 //! 2. **ad stage** (partitioned by `AdId`): per (ad, keyword) click and
 //!    example counts, ad totals from the marker rows, and z-scores.
 //!
+//! Both stages are written as a competent hand-coder writes against this
+//! platform: on the column batches the runtime hands a reducer. Each checks
+//! its input columns once, reads times and stream ids as slices and strings
+//! as dictionary codes, groups and counts by code, orders by the
+//! dictionary's rank table (string order), and pushes its output into typed
+//! vectors; the user stage's string columns reuse the input's dictionaries.
+//! So Fig 14's denominator times the algorithm, as the paper's does, not a
+//! change of layout.
+//!
 //! It computes the same quantities as the temporal queries (the test suite
 //! cross-checks z-scores against the TiMR pipeline), illustrating the
 //! paper's point: it is several times more code, all of it entangled with
@@ -22,7 +31,7 @@ use crate::params::BtParams;
 use crate::ztest::{has_support, z_score, KeywordCounts};
 use mapreduce::{Cluster, Dfs, JobStats, MrError, Partitioner, Reducer, ReducerContext, Stage};
 use relation::schema::{ColumnType, Field};
-use relation::{row, ColumnBatch, Row, Schema, Value};
+use relation::{Column, ColumnBatch, ColumnData, Schema, StrCodes, Validity};
 use rustc_hash::FxHashMap;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -53,6 +62,89 @@ pub fn ad_stage_schema() -> Schema {
     ])
 }
 
+/// A reducer failure naming the stage and partition.
+fn bad(ctx: &ReducerContext, message: &str) -> MrError {
+    MrError::Reducer {
+        stage: ctx.stage.clone(),
+        partition: ctx.partition,
+        message: message.to_owned(),
+    }
+}
+
+/// The partition's rows as one batch, every stage input appended in order,
+/// with each string dictionary re-coded when it holds far more entries than
+/// there are rows ([`ColumnBatch::shrink_dictionaries`]): so whatever a
+/// reducer sizes by a dictionary costs O(rows). `None` when no row arrived.
+fn one_batch(inputs: Vec<ColumnBatch>) -> mapreduce::Result<Option<ColumnBatch>> {
+    let mut batches = inputs.into_iter().filter(|b| !b.is_empty());
+    let Some(mut batch) = batches.next() else {
+        return Ok(None);
+    };
+    for more in batches {
+        batch.append(more)?;
+    }
+    batch.shrink_dictionaries();
+    Ok(Some(batch))
+}
+
+/// No row, of `schema`.
+fn empty(schema: Schema) -> ColumnBatch {
+    let columns = (schema.fields().iter())
+        .map(|f| Column::new(ColumnData::with_capacity(f.ty, 0), None))
+        .collect();
+    ColumnBatch::new(schema, columns, 0)
+}
+
+/// Whether a bitmap marks some slot null.
+fn has_null(v: &Validity) -> bool {
+    let valid: usize = v.words().iter().map(|w| w.count_ones() as usize).sum();
+    valid < v.len()
+}
+
+/// The storage of column `i` when it exists and holds no null.
+fn dense(batch: &ColumnBatch, i: usize) -> Option<&ColumnData> {
+    let column = batch.columns().get(i)?;
+    (!column.validity().is_some_and(has_null)).then(|| column.data())
+}
+
+fn longs(batch: &ColumnBatch, i: usize) -> Option<&[i64]> {
+    match dense(batch, i)? {
+        ColumnData::Long(v) => Some(v),
+        _ => None,
+    }
+}
+
+fn ints(batch: &ColumnBatch, i: usize) -> Option<&[i32]> {
+    match dense(batch, i)? {
+        ColumnData::Int(v) => Some(v),
+        _ => None,
+    }
+}
+
+fn strs(batch: &ColumnBatch, i: usize) -> Option<&StrCodes> {
+    match dense(batch, i)? {
+        ColumnData::Str(v) => Some(v),
+        _ => None,
+    }
+}
+
+/// `inverse(ranks)[rank]` is the code whose rank that is.
+fn inverse(ranks: &[u32]) -> Vec<u32> {
+    let mut codes = vec![0; ranks.len()];
+    for (code, &rank) in ranks.iter().enumerate() {
+        codes[rank as usize] = code as u32;
+    }
+    codes
+}
+
+/// A column of string codes into the dictionary of `like`.
+fn str_column(like: &StrCodes, codes: Vec<u32>, validity: Option<Validity>) -> Column {
+    Column::new(
+        ColumnData::Str(StrCodes::new(Arc::clone(like.dict()), codes)),
+        validity,
+    )
+}
+
 /// The per-user sweep reducer.
 #[derive(Debug, Clone)]
 pub struct UserStageReducer {
@@ -60,15 +152,73 @@ pub struct UserStageReducer {
     pub params: BtParams,
 }
 
+/// One user's activity: `(time, stream id, keyword or ad rank)`.
+type Activity = (i64, i32, u32);
+
+/// Buffers one partition's sweep reuses from user to user.
+#[derive(Default)]
+struct Sweep {
+    events: Vec<Activity>,
+    bot_periods: Vec<(i64, i64)>,
+    clean: Vec<Activity>,
+    clicks: Vec<(i64, u32)>,
+    searches: Vec<(i64, u32)>,
+    profile: VecDeque<(i64, u32)>,
+    ranks: Vec<u32>,
+}
+
+/// The user stage's output columns, pushed in place. `ad` and `keyword` are
+/// codes into the input's `KwAdId` dictionary, `user` into its `UserId`
+/// one; a marker's keyword slot is null (its code, the ad's, unobserved).
+#[derive(Default)]
+struct Examples {
+    time: Vec<i64>,
+    user: Vec<u32>,
+    ad: Vec<u32>,
+    label: Vec<i32>,
+    keyword: Vec<u32>,
+    keyword_valid: Validity,
+    cnt: Vec<i64>,
+}
+
+impl Examples {
+    fn push(&mut self, t: i64, user: u32, ad: u32, label: i32, keyword: Option<u32>, cnt: i64) {
+        self.time.push(t);
+        self.user.push(user);
+        self.ad.push(ad);
+        self.label.push(label);
+        self.keyword.push(keyword.unwrap_or(ad));
+        self.keyword_valid.push(keyword.is_some());
+        self.cnt.push(cnt);
+    }
+
+    fn finish(self, users: &StrCodes, kws: &StrCodes) -> ColumnBatch {
+        let rows = self.time.len();
+        let validity = has_null(&self.keyword_valid).then_some(self.keyword_valid);
+        let columns = vec![
+            Column::new(ColumnData::Long(self.time), None),
+            str_column(users, self.user, None),
+            str_column(kws, self.ad, None),
+            Column::new(ColumnData::Int(self.label), None),
+            str_column(kws, self.keyword, validity),
+            Column::new(ColumnData::Long(self.cnt), None),
+        ];
+        ColumnBatch::new(user_stage_schema(), columns, rows)
+    }
+}
+
 impl UserStageReducer {
-    /// Process one user's time-sorted activity.
-    fn process_user(&self, events: &[(i64, i32, &str)], out: &mut Vec<Row>, user: &str) {
+    /// Process one user's time-sorted activity (strings as ranks in the
+    /// `KwAdId` dictionary; `kw_codes` maps a rank back to its code).
+    fn process_user(&self, sweep: &mut Sweep, user: u32, kw_codes: &[u32], out: &mut Examples) {
         let p = &self.params;
+        let events = &sweep.events;
 
         // ---- bot periods: count clicks/searches in (T - tau, T] at every
         // bot_hop grid instant T; flag [T, T + bot_hop) when over
         // threshold (mirrors the hopping-window CQ). ----
-        let mut bot_periods: Vec<(i64, i64)> = Vec::new();
+        let bot_periods = &mut sweep.bot_periods;
+        bot_periods.clear();
         {
             let mut clicks: VecDeque<i64> = VecDeque::new();
             let mut searches: VecDeque<i64> = VecDeque::new();
@@ -106,41 +256,59 @@ impl UserStageReducer {
                 }
             }
         }
-        let in_bot_period = |t: i64| bot_periods.iter().any(|&(s, e)| s <= t && t < e);
 
         // ---- clean activity, labelled examples, UBP sweep ----
-        let clean: Vec<&(i64, i32, &str)> = events.iter().filter(|e| !in_bot_period(e.0)).collect();
-
-        // Click lookup for non-click determination.
-        let clicks: Vec<(i64, &str)> = clean
-            .iter()
-            .filter(|e| e.1 == 1)
-            .map(|e| (e.0, e.2))
-            .collect();
-
-        let mut profile: VecDeque<(i64, &str)> = VecDeque::new();
-        let mut search_idx = 0;
-        let searches: Vec<(i64, &str)> = clean
-            .iter()
-            .filter(|e| e.1 == 2)
-            .map(|e| (e.0, e.2))
-            .collect();
-
-        let mut emit_example = |t: i64, ad: &str, label: i32, profile: &VecDeque<(i64, &str)>| {
-            out.push(row![t, user, ad, label, Value::Null, 0i64]);
-            let mut counts: FxHashMap<&str, i64> = FxHashMap::default();
-            for &(_, kw) in profile {
-                *counts.entry(kw).or_insert(0) += 1;
+        // The periods are disjoint and ascending, the events time-sorted:
+        // one pointer walks both.
+        let clean = &mut sweep.clean;
+        clean.clear();
+        let mut period = 0;
+        for &e in events {
+            while period < bot_periods.len() && bot_periods[period].1 <= e.0 {
+                period += 1;
             }
-            let mut sorted: Vec<(&str, i64)> = counts.into_iter().collect();
-            sorted.sort_unstable();
-            for (kw, cnt) in sorted {
-                out.push(row![t, user, ad, label, kw, cnt]);
+            if bot_periods
+                .get(period)
+                .is_none_or(|&(start, _)| e.0 < start)
+            {
+                clean.push(e);
+            }
+        }
+
+        // Click lookup for non-click determination, and the searches that
+        // build the profile: both time-sorted.
+        let (clicks, searches) = (&mut sweep.clicks, &mut sweep.searches);
+        clicks.clear();
+        searches.clear();
+        for &(t, sid, kw) in clean.iter() {
+            match sid {
+                1 => clicks.push((t, kw)),
+                2 => searches.push((t, kw)),
+                _ => {}
+            }
+        }
+
+        let profile = &mut sweep.profile;
+        profile.clear();
+        let mut search_idx = 0;
+        // The first click at or after the current instant.
+        let mut click_idx = 0;
+        let ranks = &mut sweep.ranks;
+
+        let mut emit_example = |t: i64, ad: u32, label: i32, profile: &VecDeque<(i64, u32)>| {
+            let ad = kw_codes[ad as usize];
+            out.push(t, user, ad, label, None, 0);
+            // Profile keywords in string order, each with its count.
+            ranks.clear();
+            ranks.extend(profile.iter().map(|&(_, kw)| kw));
+            ranks.sort_unstable();
+            for run in ranks.chunk_by(|a, b| a == b) {
+                let kw = kw_codes[run[0] as usize];
+                out.push(t, user, ad, label, Some(kw), run.len() as i64);
             }
         };
 
-        for e in &clean {
-            let (t, sid, ad) = (e.0, e.1, e.2);
+        for &(t, sid, ad) in clean.iter() {
             if sid != 0 && sid != 1 {
                 continue;
             }
@@ -149,27 +317,55 @@ impl UserStageReducer {
                 profile.push_back(searches[search_idx]);
                 search_idx += 1;
             }
-            while profile
-                .front()
-                .is_some_and(|&(st, _)| st <= t - self.params.tau)
-            {
+            while profile.front().is_some_and(|&(st, _)| st <= t - p.tau) {
                 profile.pop_front();
             }
             if sid == 1 {
-                emit_example(t, ad, 1, &profile);
+                emit_example(t, ad, 1, profile);
             } else {
                 // Non-click unless a click on the same ad falls within
                 // [t, t + d] — the coverage of the CQ's back-extended
                 // click lifetime [c − d, c + δ).
-                let followed = clicks
+                while click_idx < clicks.len() && clicks[click_idx].0 < t {
+                    click_idx += 1;
+                }
+                let followed = clicks[click_idx..]
                     .iter()
-                    .any(|&(ct, cad)| cad == ad && ct >= t && ct <= t + self.params.click_window);
+                    .take_while(|&&(ct, _)| ct <= t + p.click_window)
+                    .any(|&(_, cad)| cad == ad);
                 if !followed {
-                    emit_example(t, ad, 0, &profile);
+                    emit_example(t, ad, 0, profile);
                 }
             }
         }
     }
+}
+
+/// The rows of `codes` grouped by code, codes in string order and each
+/// group's rows in input order (a counting sort): the row indices, and
+/// each group's code and end in them.
+fn group_by_code(codes: &StrCodes) -> (Vec<u32>, Vec<(u32, usize)>) {
+    let mut next = vec![0u32; codes.dict().len()];
+    for &c in codes.codes() {
+        next[c as usize] += 1;
+    }
+    let mut groups = Vec::new();
+    let mut end = 0;
+    for code in inverse(codes.dict().ranks()) {
+        let count = next[code as usize];
+        if count > 0 {
+            next[code as usize] = end;
+            end += count;
+            groups.push((code, end as usize));
+        }
+    }
+    let mut rows = vec![0u32; codes.len()];
+    for (i, &c) in codes.codes().iter().enumerate() {
+        let at = &mut next[c as usize];
+        rows[*at as usize] = i as u32;
+        *at += 1;
+    }
+    (rows, groups)
 }
 
 impl Reducer for UserStageReducer {
@@ -182,38 +378,33 @@ impl Reducer for UserStageReducer {
         ctx: &ReducerContext,
         inputs: Vec<ColumnBatch>,
     ) -> mapreduce::Result<Vec<ColumnBatch>> {
-        let bad = |m: &str| MrError::Reducer {
-            stage: ctx.stage.clone(),
-            partition: ctx.partition,
-            message: m.to_string(),
+        let Some(batch) = one_batch(inputs)? else {
+            return Ok(vec![empty(user_stage_schema())]);
         };
-        let rows: Vec<Vec<Row>> = inputs.iter().map(ColumnBatch::to_rows).collect();
+        let time = longs(&batch, 0).ok_or_else(|| bad(ctx, "bad Time"))?;
+        let sid = ints(&batch, 1).ok_or_else(|| bad(ctx, "bad StreamId"))?;
+        let users = strs(&batch, 2).ok_or_else(|| bad(ctx, "bad UserId"))?;
+        let kws = strs(&batch, 3).ok_or_else(|| bad(ctx, "bad KwAdId"))?;
+        let kw_ranks = kws.dict().ranks();
+        let kw_codes = inverse(kw_ranks);
+        let kw = kws.codes();
         // Group by user, then time-sort each user's events — the manual
         // "pre-sorting of data" the paper's strawman discussion calls out.
-        let mut by_user: FxHashMap<String, Vec<(i64, i32, String)>> = FxHashMap::default();
-        for r in rows.iter().flatten() {
-            let t = r.get(0).as_long().ok_or_else(|| bad("bad Time"))?;
-            let sid = r.get(1).as_int().ok_or_else(|| bad("bad StreamId"))?;
-            let user = r.get(2).as_str().ok_or_else(|| bad("bad UserId"))?;
-            let kw = r.get(3).as_str().ok_or_else(|| bad("bad KwAdId"))?;
-            by_user
-                .entry(user.to_string())
-                .or_default()
-                .push((t, sid, kw.to_string()));
+        let (rows, groups) = group_by_code(users);
+        let mut sweep = Sweep::default();
+        let mut out = Examples::default();
+        let mut start = 0;
+        for (user, end) in groups {
+            sweep.events.clear();
+            sweep.events.extend(rows[start..end].iter().map(|&i| {
+                let i = i as usize;
+                (time[i], sid[i], kw_ranks[kw[i] as usize])
+            }));
+            sweep.events.sort_unstable();
+            self.process_user(&mut sweep, user, &kw_codes, &mut out);
+            start = end;
         }
-        type UserEvents = (String, Vec<(i64, i32, String)>);
-        let mut users: Vec<UserEvents> = by_user.into_iter().collect();
-        users.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut out = Vec::new();
-        for (user, mut events) in users {
-            events.sort_by(|a, b| (a.0, a.1, &a.2).cmp(&(b.0, b.1, &b.2)));
-            let borrowed: Vec<(i64, i32, &str)> = events
-                .iter()
-                .map(|(t, s, k)| (*t, *s, k.as_str()))
-                .collect();
-            self.process_user(&borrowed, &mut out, &user);
-        }
-        Ok(vec![ColumnBatch::from_rows(&user_stage_schema(), &out)?])
+        Ok(vec![out.finish(users, kws)])
     }
 }
 
@@ -234,63 +425,92 @@ impl Reducer for AdStageReducer {
         ctx: &ReducerContext,
         inputs: Vec<ColumnBatch>,
     ) -> mapreduce::Result<Vec<ColumnBatch>> {
-        let bad = |m: &str| MrError::Reducer {
-            stage: ctx.stage.clone(),
-            partition: ctx.partition,
-            message: m.to_string(),
+        let Some(batch) = one_batch(inputs)? else {
+            return Ok(vec![empty(ad_stage_schema())]);
         };
-        let rows: Vec<Vec<Row>> = inputs.iter().map(ColumnBatch::to_rows).collect();
-        let mut totals: FxHashMap<String, (i64, i64)> = FxHashMap::default();
-        let mut per_kw: FxHashMap<(String, String), (i64, i64)> = FxHashMap::default();
-        let mut max_t = 0i64;
-        for r in rows.iter().flatten() {
-            let t = r.get(0).as_long().ok_or_else(|| bad("bad Time"))?;
-            max_t = max_t.max(t);
-            let ad = r
-                .get(2)
-                .as_str()
-                .ok_or_else(|| bad("bad AdId"))?
-                .to_string();
-            let label = r.get(3).as_int().ok_or_else(|| bad("bad Label"))?;
-            match r.get(4) {
-                Value::Null => {
-                    let slot = totals.entry(ad).or_insert((0, 0));
-                    slot.0 += i64::from(label == 1);
-                    slot.1 += 1;
-                }
-                Value::Str(kw) => {
-                    let slot = per_kw.entry((ad, kw.to_string())).or_insert((0, 0));
-                    slot.0 += i64::from(label == 1);
-                    slot.1 += 1;
-                }
-                other => return Err(bad(&format!("bad Keyword {other}"))),
-            }
-        }
-        let mut keys: Vec<(String, String)> = per_kw.keys().cloned().collect();
-        keys.sort();
-        let mut out = Vec::new();
-        for (ad, kw) in keys {
-            let (cw, ew) = per_kw[&(ad.clone(), kw.clone())];
-            let Some(&(tc, te)) = totals.get(&ad) else {
-                continue;
+        let time = longs(&batch, 0).ok_or_else(|| bad(ctx, "bad Time"))?;
+        let ads = strs(&batch, 2).ok_or_else(|| bad(ctx, "bad AdId"))?;
+        let labels = ints(&batch, 3).ok_or_else(|| bad(ctx, "bad Label"))?;
+        // Null keywords are the marker rows; a column with no keyword may
+        // carry any storage.
+        let keyword = batch
+            .columns()
+            .get(4)
+            .ok_or_else(|| bad(ctx, "bad Keyword"))?;
+        let valid = |i: usize| keyword.is_valid(i);
+        let no_keyword = StrCodes::empty();
+        let kws = match keyword.data() {
+            ColumnData::Str(kws) => kws,
+            _ => match (0..batch.len()).find(|&i| valid(i)) {
+                Some(i) => return Err(bad(ctx, &format!("bad Keyword {}", keyword.value(i)))),
+                None => &no_keyword,
+            },
+        };
+        let max_t = time.iter().copied().fold(0i64, i64::max);
+
+        // Ad totals by ad code (an ad is present once it has a marker);
+        // per-keyword counts keyed by (ad rank, keyword rank), which sort as
+        // (ad, keyword) strings do.
+        let (ad_ranks, kw_ranks) = (ads.dict().ranks(), kws.dict().ranks());
+        let mut totals = vec![(0i64, 0i64); ads.dict().len()];
+        let mut per_kw: FxHashMap<u64, (i64, i64)> = FxHashMap::default();
+        for (i, (&ad, &label)) in ads.codes().iter().zip(labels).enumerate() {
+            let slot = if valid(i) {
+                let kw_rank = kw_ranks[kws.codes()[i] as usize];
+                let key = u64::from(ad_ranks[ad as usize]) << 32 | u64::from(kw_rank);
+                per_kw.entry(key).or_insert((0, 0))
+            } else {
+                &mut totals[ad as usize]
             };
-            let counts = KeywordCounts {
+            slot.0 += i64::from(label == 1);
+            slot.1 += 1;
+        }
+        let mut keys: Vec<(u64, (i64, i64))> = per_kw.into_iter().collect();
+        keys.sort_unstable_by_key(|&(key, _)| key);
+
+        let (ad_codes, kw_codes) = (inverse(ad_ranks), inverse(kw_ranks));
+        let mut out_ads = Vec::new();
+        let mut out_kws = Vec::new();
+        let mut counts: [Vec<i64>; 4] = Default::default();
+        let mut zs = Vec::new();
+        for (key, (cw, ew)) in keys {
+            let ad = ad_codes[(key >> 32) as usize];
+            let (tc, te) = totals[ad as usize];
+            if te == 0 {
+                continue;
+            }
+            let counts_with = KeywordCounts {
                 clicks_with: cw,
                 examples_with: ew,
                 total_clicks: tc,
                 total_examples: te,
             };
             if !has_support(
-                &counts,
+                &counts_with,
                 self.params.min_support,
                 self.params.min_example_support,
             ) {
                 continue;
             }
-            let Some(z) = z_score(&counts) else { continue };
-            out.push(row![max_t, ad, kw, cw, ew, tc, te, z]);
+            let Some(z) = z_score(&counts_with) else {
+                continue;
+            };
+            out_ads.push(ad);
+            out_kws.push(kw_codes[key as u32 as usize]);
+            for (column, v) in counts.iter_mut().zip([cw, ew, tc, te]) {
+                column.push(v);
+            }
+            zs.push(z);
         }
-        Ok(vec![ColumnBatch::from_rows(&ad_stage_schema(), &out)?])
+        let rows = zs.len();
+        let mut columns = vec![
+            Column::new(ColumnData::Long(vec![max_t; rows]), None),
+            str_column(ads, out_ads, None),
+            str_column(kws, out_kws, None),
+        ];
+        columns.extend(counts.map(|c| Column::new(ColumnData::Long(c), None)));
+        columns.push(Column::new(ColumnData::Double(zs), None));
+        Ok(vec![ColumnBatch::new(ad_stage_schema(), columns, rows)])
     }
 }
 
@@ -336,6 +556,7 @@ pub fn run_custom(
 mod tests {
     use super::*;
     use mapreduce::Dataset;
+    use relation::{row, Row, Value};
 
     fn logs_schema() -> Schema {
         Schema::timestamped(vec![
@@ -382,6 +603,58 @@ mod tests {
             .map(|r| r.get(3).as_int().unwrap())
             .collect();
         assert_eq!(ad_a_labels, vec![1]);
+    }
+
+    /// The message of the error `reducer` fails with on `rows`.
+    fn reduce_error(reducer: &dyn Reducer, schema: &Schema, rows: &[Row]) -> String {
+        let batch = ColumnBatch::from_rows(schema, rows).unwrap();
+        let ctx = ReducerContext::standalone("s", 3, 8);
+        match reducer.reduce(&ctx, vec![batch]) {
+            Err(MrError::Reducer {
+                stage,
+                partition,
+                message,
+            }) => {
+                assert_eq!((stage.as_str(), partition), ("s", 3));
+                message
+            }
+            other => panic!("expected a reducer error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_null_user_id_is_a_named_error() {
+        let mut rows = sample_rows();
+        rows[3] = row![HOUR + 30 * MIN, 0i32, Value::Null, "adB"];
+        let user = UserStageReducer {
+            params: BtParams::default(),
+        };
+        assert_eq!(reduce_error(&user, &logs_schema(), &rows), "bad UserId");
+    }
+
+    #[test]
+    fn a_long_label_or_keyword_is_a_named_error() {
+        let ad = AdStageReducer {
+            params: BtParams::default(),
+        };
+        let examples = |label: ColumnType, keyword: ColumnType| {
+            Schema::timestamped(vec![
+                Field::new("UserId", ColumnType::Str),
+                Field::new("AdId", ColumnType::Str),
+                Field::new("Label", label),
+                Field::new("Keyword", keyword),
+                Field::new("Cnt", ColumnType::Long),
+            ])
+        };
+        let rows = [row![HOUR, "u1", "adA", 1i64, Value::Null, 0i64]];
+        let schema = examples(ColumnType::Long, ColumnType::Str);
+        assert_eq!(reduce_error(&ad, &schema, &rows), "bad Label");
+        let rows = [
+            row![HOUR, "u1", "adA", 1i32, Value::Null, 0i64],
+            row![HOUR, "u1", "adA", 1i32, 7i64, 1i64],
+        ];
+        let schema = examples(ColumnType::Int, ColumnType::Long);
+        assert_eq!(reduce_error(&ad, &schema, &rows), "bad Keyword 7");
     }
 
     #[test]

@@ -150,10 +150,12 @@ impl ReducerContext {
 /// pure function of `(ctx.partition, inputs)` — the restart determinism
 /// tests re-invoke reducers and compare bytes.
 ///
-/// Inputs are handed over **by value**: a columnar reducer (the embedded
-/// DSMS) moves the columns into its own storage with no copy, and a
-/// row-oriented one calls [`ColumnBatch::to_rows`] and
-/// [`ColumnBatch::from_rows`] itself. The runtime keeps no spare — a retry
+/// Inputs are handed over **by value**: the embedded DSMS moves the
+/// columns into its own storage with no copy, and a hand-written reducer
+/// (the Fig 14 baseline, `bt::baselines::custom`) reads typed slices and
+/// string codes in place and builds its output columns directly; row
+/// conversions ([`ColumnBatch::to_rows`], [`ColumnBatch::from_rows`]) stay
+/// available for tests and small tools. The runtime keeps no spare — a retry
 /// decodes the partition's sealed chunks again, so only failed attempts pay
 /// for a second copy.
 ///

@@ -13,6 +13,7 @@
 
 #![allow(dead_code)] // each suite uses its own subset
 
+pub mod custom_rows;
 pub mod harness;
 pub mod oracle;
 
