@@ -21,6 +21,14 @@
 //! [`EventEncoding::encode_stream`], which lays its stream out as a batch
 //! and encodes it at the sink); no job runs them.
 //!
+//! The reduce sink publishes in one **canonical order** (paper §III-C: a
+//! restarted reducer publishes the same bytes): by lifetime, then by the
+//! payload cells in [`relation::Value`]'s order. It is an integer sort
+//! ([`canonical_order`]). The lifetime is one packed key per row, and only
+//! rows that tie on it read their cells, as [`relation::order`]'s words —
+//! which order a column's cells exactly as the cells compare, so the sort
+//! is the cell order itself without a comparator per cell.
+//!
 //! The paper's §III-C.2 reconciles a DSMS that *pushes* results
 //! asynchronously with a map-reduce that *pulls* rows synchronously through
 //! an in-memory blocking queue. This repo's executor returns its complete
@@ -32,10 +40,10 @@
 use crate::error::{Result, TimrError};
 use mapreduce::Dfs;
 use relation::column::{Column, ColumnData};
+use relation::order::column_words;
 use relation::schema::{ColumnType, Field, TIME_COLUMN};
 use relation::{ColumnBatch, Row, Schema};
 use std::borrow::Borrow;
-use std::cmp::Ordering;
 use temporal::{Event, EventBatch, EventStream, Lifetime, TemporalError, Time};
 
 /// Name of the interval-encoding end column.
@@ -244,31 +252,21 @@ impl EventEncoding {
     /// because a dataset row leads with its lifetime — and each payload
     /// column is gathered once by it.
     ///
+    /// The sort compares integers only ([`canonical_order`]): the lifetime
+    /// as one packed key, then, only among rows that tie on it, each column
+    /// as [`relation::order`]'s words, validity first. Words order a column
+    /// exactly as its cells compare, so this is the cell order itself.
+    ///
     /// Events are **not** coalesced: two adjacent events with equal
     /// payloads (e.g. two impressions of the same ad one tick apart) stay
     /// two rows, because downstream queries may count *events*, not
     /// snapshots. Canonical order alone is enough for the determinism
     /// guarantee.
     pub fn encode_sink(self, root: EventBatch) -> Result<ColumnBatch> {
-        let columns = root.payload().columns();
-        // The lifetime rides along with the index: most comparisons end on
-        // it without touching a column. Ties are identical rows, so an
-        // unstable sort is deterministic.
-        let mut order: Vec<(Time, Time, u32)> = (root.vt().iter().zip(root.ve()))
-            .enumerate()
-            .map(|(i, (&le, &re))| (le, re, i as u32))
-            .collect();
-        order.sort_unstable_by(|a, b| {
-            (a.0, a.1).cmp(&(b.0, b.1)).then_with(|| {
-                let (i, j) = (a.2 as usize, b.2 as usize);
-                (columns.iter().map(|c| c.cmp_cells(i, j)))
-                    .find(|o| o.is_ne())
-                    .unwrap_or(Ordering::Equal)
-            })
-        });
-        let idx: Vec<u32> = order.iter().map(|o| o.2).collect();
-        let vt = order.iter().map(|o| o.0).collect();
-        let ve = order.into_iter().map(|o| o.1).collect();
+        let (vt, ve) = (root.vt(), root.ve());
+        let idx = canonical_order(vt, ve, root.payload().columns());
+        let vt = idx.iter().map(|&i| vt[i as usize]).collect();
+        let ve = idx.iter().map(|&i| ve[i as usize]).collect();
         self.dataset_batch(vt, ve, root.payload().gather(&idx))
     }
 
@@ -311,6 +309,123 @@ impl EventEncoding {
             rows,
         ))
     }
+}
+
+/// The canonical order of the rows whose lifetimes are `vt`/`ve` and
+/// whose payload is `columns`, as a permutation: by `(LE, RE)`, then by
+/// each column in schema order, nulls first. Rows equal on all of it are
+/// identical rows, whose order does not show in the bytes.
+///
+/// Each row's lifetime is one packed key, `(LE − min LE, RE − min RE)`:
+/// a `u64` when both offsets fit in it together, a `u128` otherwise. The
+/// keys go through a stable sort that merges the ordered runs the
+/// executor already emits (map extents' chunks, GroupApply's groups).
+/// Only runs of equal lifetime are refined ([`refine_ties`]), so a payload
+/// cell is read only where two rows tie on their lifetime.
+fn canonical_order(vt: &[Time], ve: &[Time], columns: &[Column]) -> Vec<u32> {
+    let span = |t: &[Time]| {
+        let (lo, hi) = (t.iter().min(), t.iter().max());
+        lo.zip(hi)
+            .map(|(&lo, &hi)| (lo, hi.wrapping_sub(lo) as u64))
+    };
+    let (Some((le_min, le_span)), Some((re_min, re_span))) = (span(vt), span(ve)) else {
+        return Vec::new();
+    };
+    // An offset from the minimum fits a `u64` however far apart the two are.
+    let le = |i: usize| vt[i].wrapping_sub(le_min) as u64;
+    let re = |i: usize| ve[i].wrapping_sub(re_min) as u64;
+    let re_bits = u64::BITS - re_span.leading_zeros();
+    let mut ties = Vec::new();
+    let mut perm = if u64::BITS - le_span.leading_zeros() + re_bits <= u64::BITS {
+        // A shift by the full width only meets an `LE` offset of 0.
+        let key = |i: usize| le(i).checked_shl(re_bits).unwrap_or(0) | re(i);
+        sort_keys(vt.len(), key, &mut ties)
+    } else {
+        let key = |i: usize| u128::from(le(i)) << 64 | u128::from(re(i));
+        sort_keys(vt.len(), key, &mut ties)
+    };
+    refine_ties(&mut perm, ties, columns);
+    perm
+}
+
+/// Rows `0..n` as a permutation in order of `key`, by a stable sort that
+/// detects runs; the position ranges of rows that tie on their key go to
+/// `ties`.
+fn sort_keys<K: Ord + Copy>(
+    n: usize,
+    key: impl Fn(usize) -> K,
+    ties: &mut Vec<(usize, usize)>,
+) -> Vec<u32> {
+    let mut keyed: Vec<(K, u32)> = (0..n).map(|i| (key(i), i as u32)).collect();
+    keyed.sort_by_key(|&(k, _)| k);
+    push_ties(0, &keyed, ties);
+    keyed.into_iter().map(|(_, i)| i).collect()
+}
+
+/// The position ranges, offset by `at`, of the runs of two or more
+/// adjacent items of `keyed` with equal keys.
+fn push_ties<K: Eq>(at: usize, keyed: &[(K, u32)], ties: &mut Vec<(usize, usize)>) {
+    let mut lo = at;
+    for run in keyed.chunk_by(|a, b| a.0 == b.0) {
+        if run.len() > 1 {
+            ties.push((lo, lo + run.len()));
+        }
+        lo += run.len();
+    }
+}
+
+/// Order each range of `perm` in `ties` — rows equal so far — by the
+/// columns in schema order: a nullable column by validity, then every
+/// column by its cells' words. A range splits into the ranges still tied,
+/// which the next column refines; refining stops when none is left.
+fn refine_ties(perm: &mut [u32], mut ties: Vec<(usize, usize)>, columns: &[Column]) {
+    let mut words = Vec::new();
+    for column in columns {
+        if ties.is_empty() {
+            return;
+        }
+        if column.validity().is_some() {
+            let validity = |run: &[u32], out: &mut Vec<(u64, u32)>| {
+                out.extend(
+                    run.iter()
+                        .map(|&i| (u64::from(column.is_valid(i as usize)), i)),
+                )
+            };
+            ties = refine(perm, &ties, &mut words, validity);
+        }
+        ties = refine(perm, &ties, &mut words, |run, out| {
+            column_words(column, run, out)
+        });
+    }
+}
+
+/// Order each range of `perm` in `ties` by the words `fill` appends for
+/// its rows, and return the ranges that still tie. A range whose words are
+/// constant stays whole, and one already in order is left as it is.
+fn refine(
+    perm: &mut [u32],
+    ties: &[(usize, usize)],
+    words: &mut Vec<(u64, u32)>,
+    fill: impl Fn(&[u32], &mut Vec<(u64, u32)>),
+) -> Vec<(usize, usize)> {
+    let mut next = Vec::with_capacity(ties.len());
+    for &(lo, hi) in ties {
+        let run = &mut perm[lo..hi];
+        words.clear();
+        fill(run, words);
+        if words.iter().all(|w| w.0 == words[0].0) {
+            next.push((lo, hi));
+            continue;
+        }
+        if !words.is_sorted_by_key(|w| w.0) {
+            // Rows whose words tie stay in the range the next column
+            // refines, so the sort need not be stable.
+            words.sort_unstable_by_key(|w| w.0);
+            (run.iter_mut().zip(words.iter())).for_each(|(p, w)| *p = w.1);
+        }
+        push_ties(lo, words, &mut next);
+    }
+    next
 }
 
 /// Decode a published output dataset — a TiMR job's, a shared job's query,

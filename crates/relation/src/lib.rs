@@ -14,6 +14,8 @@
 //! - a framed binary columnar extent codec ([`extent`]) — per-column typed
 //!   buffers, validity bitmaps, and FxHash integrity frames — which is the
 //!   one representation at every stage boundary and on disk;
+//! - order-preserving `u64` words per cell ([`order`]), the one definition
+//!   the engine's key order and the reduce sink's canonical order compare;
 //! - dataset [`stats`] (cardinalities, distinct counts) consumed by the
 //!   cost-based plan-annotation optimizer (paper §VI);
 //! - stable 64-bit [`hash`]ing used for partitioning keys, so partition
@@ -25,6 +27,7 @@ pub mod dict;
 pub mod error;
 pub mod extent;
 pub mod hash;
+pub mod order;
 pub mod row;
 pub mod schema;
 pub mod stats;

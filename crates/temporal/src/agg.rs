@@ -5,10 +5,17 @@
 //! [`crate::operators::aggregate`] adds and removes events as their
 //! lifetimes open and close, so accumulators must support **retraction**:
 //! Count/Sum/Avg keep running sums, Min/Max keep an ordered multiset.
+//!
+//! An integer SUM accumulates in `i128`. Every partial sum of at most 2^64
+//! `i64` values fits it, so the running sum is exact under any order of
+//! adds and retractions at an instant. Only a snapshot's value must fit a
+//! `Long`; one that does not is [`TemporalError::SumOverflow`], naming the
+//! aggregate and the instant.
 
 use crate::compiled::CompiledExpr;
 use crate::error::{Result, TemporalError};
 use crate::expr::Expr;
+use crate::time::Time;
 use relation::{ColumnType, Schema, Value};
 use std::collections::BTreeMap;
 
@@ -64,6 +71,15 @@ impl AggExpr {
             | AggExpr::Avg(e)
             | AggExpr::StdDev(e)
             | AggExpr::CountDistinct(e) => Some(e),
+        }
+    }
+
+    /// The error of the aggregate named `name` whose snapshot at instant
+    /// `at` has no value: an integer SUM whose total leaves `i64`.
+    pub(crate) fn overflow(name: &str, at: Time) -> TemporalError {
+        TemporalError::SumOverflow {
+            aggregate: name.to_string(),
+            at,
         }
     }
 
@@ -160,8 +176,8 @@ pub enum Accumulator {
     },
     /// SUM state; tracks whether any float was seen to pick the output type.
     Sum {
-        /// Integer part of the running sum.
-        int_sum: i64,
+        /// Integer part of the running sum, exact (see the module docs).
+        int_sum: i128,
         /// Float running sum (used when any input was a double).
         float_sum: f64,
         /// Whether any double flowed in.
@@ -218,7 +234,7 @@ impl Accumulator {
                     *saw_float = true;
                     *float_sum += d;
                 } else if let Some(i) = v.as_long() {
-                    *int_sum += i;
+                    *int_sum += i128::from(i);
                     *float_sum += i as f64;
                 }
                 *n += 1;
@@ -265,7 +281,7 @@ impl Accumulator {
                 if let Value::Double(d) = v {
                     *float_sum -= d;
                 } else if let Some(i) = v.as_long() {
-                    *int_sum -= i;
+                    *int_sum -= i128::from(i);
                     *float_sum -= i as f64;
                 }
                 *n -= 1;
@@ -319,24 +335,22 @@ impl Accumulator {
         }
     }
 
-    /// Current aggregate value for the snapshot.
-    pub fn value(&self) -> Value {
-        match self {
+    /// Current aggregate value for the snapshot: `None` when it has none,
+    /// an integer SUM whose total does not fit a `Long`
+    /// ([`TemporalError::SumOverflow`] is the error).
+    pub fn value(&self) -> Option<Value> {
+        Some(match self {
             Accumulator::Count { n } => Value::Long(*n),
             Accumulator::Sum {
                 int_sum,
                 float_sum,
                 saw_float,
                 n,
-            } => {
-                if *n == 0 {
-                    Value::Null
-                } else if *saw_float {
-                    Value::Double(*float_sum)
-                } else {
-                    Value::Long(*int_sum)
-                }
-            }
+            } => match (*n, *saw_float) {
+                (0, _) => Value::Null,
+                (_, true) => Value::Double(*float_sum),
+                (_, false) => Value::Long(i64::try_from(*int_sum).ok()?),
+            },
             Accumulator::Avg { sum, n } => {
                 if *n == 0 {
                     Value::Null
@@ -362,7 +376,7 @@ impl Accumulator {
                 }
             }
             Accumulator::Distinct { values } => Value::Long(values.len() as i64),
-        }
+        })
     }
 }
 
@@ -377,9 +391,9 @@ mod tests {
         let mut a = AggExpr::Count.accumulator();
         a.add(&Value::Null);
         a.add(&Value::Null);
-        assert_eq!(a.value(), Value::Long(2));
+        assert_eq!(a.value().unwrap(), Value::Long(2));
         a.remove(&Value::Null);
-        assert_eq!(a.value(), Value::Long(1));
+        assert_eq!(a.value().unwrap(), Value::Long(1));
     }
 
     #[test]
@@ -387,14 +401,32 @@ mod tests {
         let mut a = AggExpr::Sum(col("x")).accumulator();
         a.add(&Value::Long(5));
         a.add(&Value::Long(7));
-        assert_eq!(a.value(), Value::Long(12));
+        assert_eq!(a.value().unwrap(), Value::Long(12));
         a.remove(&Value::Long(5));
-        assert_eq!(a.value(), Value::Long(7));
+        assert_eq!(a.value().unwrap(), Value::Long(7));
         a.add(&Value::Double(0.5));
-        assert_eq!(a.value(), Value::Double(7.5));
+        assert_eq!(a.value().unwrap(), Value::Double(7.5));
         a.remove(&Value::Long(7));
         a.remove(&Value::Double(0.5));
-        assert!(a.value().is_null());
+        assert!(a.value().unwrap().is_null());
+    }
+
+    /// The running sum is exact past `i64`: only a snapshot that does not
+    /// fit has no value, and the sum comes back into range as values leave.
+    #[test]
+    fn an_integer_sum_past_i64_has_no_value() {
+        let mut a = AggExpr::Sum(col("x")).accumulator();
+        a.add(&Value::Long(i64::MAX));
+        a.add(&Value::Long(1));
+        assert_eq!(a.value(), None);
+        a.add(&Value::Int(i32::MAX));
+        a.remove(&Value::Long(i64::MAX));
+        assert_eq!(a.value(), Some(Value::Long(1 + i64::from(i32::MAX))));
+        let mut low = AggExpr::Sum(col("x")).accumulator();
+        low.add(&Value::Long(i64::MIN));
+        assert_eq!(low.value(), Some(Value::Long(i64::MIN)));
+        low.add(&Value::Long(-1));
+        assert_eq!(low.value(), None);
     }
 
     #[test]
@@ -405,14 +437,14 @@ mod tests {
             mn.add(&Value::Long(v));
             mx.add(&Value::Long(v));
         }
-        assert_eq!(mn.value(), Value::Long(1));
-        assert_eq!(mx.value(), Value::Long(9));
+        assert_eq!(mn.value().unwrap(), Value::Long(1));
+        assert_eq!(mx.value().unwrap(), Value::Long(9));
         mn.remove(&Value::Long(1));
-        assert_eq!(mn.value(), Value::Long(1)); // one copy remains
+        assert_eq!(mn.value().unwrap(), Value::Long(1)); // one copy remains
         mn.remove(&Value::Long(1));
-        assert_eq!(mn.value(), Value::Long(3));
+        assert_eq!(mn.value().unwrap(), Value::Long(3));
         mx.remove(&Value::Long(9));
-        assert_eq!(mx.value(), Value::Long(3));
+        assert_eq!(mx.value().unwrap(), Value::Long(3));
     }
 
     #[test]
@@ -420,17 +452,17 @@ mod tests {
         let mut a = AggExpr::Avg(col("x")).accumulator();
         a.add(&Value::Long(1));
         a.add(&Value::Double(2.0));
-        assert_eq!(a.value(), Value::Double(1.5));
+        assert_eq!(a.value().unwrap(), Value::Double(1.5));
     }
 
     #[test]
     fn nulls_ignored_except_count() {
         let mut s = AggExpr::Sum(col("x")).accumulator();
         s.add(&Value::Null);
-        assert!(s.value().is_null());
+        assert!(s.value().unwrap().is_null());
         s.add(&Value::Long(4));
         s.add(&Value::Null);
-        assert_eq!(s.value(), Value::Long(4));
+        assert_eq!(s.value().unwrap(), Value::Long(4));
     }
 
     #[test]
@@ -440,17 +472,17 @@ mod tests {
             a.add(&Value::Double(v));
         }
         // Classic example: population stddev = 2.
-        let got = a.value().as_double().unwrap();
+        let got = a.value().unwrap().as_double().unwrap();
         assert!((got - 2.0).abs() < 1e-12, "stddev {got}");
         // Retract down to a two-value set: {2, 4} → stddev 1.
         for v in [4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
             a.remove(&Value::Double(v));
         }
-        let got = a.value().as_double().unwrap();
+        let got = a.value().unwrap().as_double().unwrap();
         assert!((got - 1.0).abs() < 1e-12, "stddev {got}");
         a.remove(&Value::Double(2.0));
         a.remove(&Value::Double(4.0));
-        assert!(a.value().is_null());
+        assert!(a.value().unwrap().is_null());
     }
 
     #[test]
@@ -459,13 +491,13 @@ mod tests {
         for v in ["a", "b", "a"] {
             a.add(&Value::str(v));
         }
-        assert_eq!(a.value(), Value::Long(2));
+        assert_eq!(a.value().unwrap(), Value::Long(2));
         a.remove(&Value::str("a"));
-        assert_eq!(a.value(), Value::Long(2), "one `a` copy remains");
+        assert_eq!(a.value().unwrap(), Value::Long(2), "one `a` copy remains");
         a.remove(&Value::str("a"));
-        assert_eq!(a.value(), Value::Long(1));
+        assert_eq!(a.value().unwrap(), Value::Long(1));
         a.add(&Value::Null); // nulls don't count
-        assert_eq!(a.value(), Value::Long(1));
+        assert_eq!(a.value().unwrap(), Value::Long(1));
     }
 
     #[test]

@@ -14,6 +14,13 @@ pub enum TemporalError {
     Input(String),
     /// A lifetime operator moved an endpoint past the range of `Time`.
     TimeOverflow(String),
+    /// An integer SUM's snapshot at instant `at` does not fit a `Long`.
+    SumOverflow {
+        /// The aggregate's output column.
+        aggregate: String,
+        /// The instant the snapshot starts at.
+        at: i64,
+    },
     /// Propagated relational-layer error.
     Relation(RelationError),
 }
@@ -25,6 +32,10 @@ impl fmt::Display for TemporalError {
             TemporalError::Eval(m) => write!(f, "eval error: {m}"),
             TemporalError::Input(m) => write!(f, "input error: {m}"),
             TemporalError::TimeOverflow(m) => write!(f, "time overflow: {m}"),
+            TemporalError::SumOverflow { aggregate, at } => write!(
+                f,
+                "sum overflow: aggregate `{aggregate}` at instant {at} leaves the range of a long"
+            ),
             TemporalError::Relation(e) => write!(f, "{e}"),
         }
     }

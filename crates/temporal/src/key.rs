@@ -15,13 +15,16 @@
 //!
 //! Keys are ordered through **normalized keys** ([`NormalizedKeys`]): each
 //! key cell becomes one `u64` whose order is the cells' order, so sorting
-//! groups compares integers and reads no column. A string's word is its
-//! rank in its dictionary, which is exact. A word that does not determine
-//! its cell — a null in a 64-bit column — is marked inexact, and only a tie
-//! on such a word asks the exact comparator ([`KeySelector::cmp_batch`]).
+//! groups compares integers and reads no column. The words are
+//! [`relation::order`]'s, the definition the reduce sink's canonical order
+//! shares. A string's word is its rank in its dictionary, which is exact. A
+//! word that does not determine its cell — a null in a 64-bit column — is
+//! marked inexact, and only a tie on such a word asks the exact comparator
+//! ([`KeySelector::cmp_batch`]).
 
 use crate::error::{Result, TemporalError};
-use relation::{Column, ColumnBatch, ColumnData, Schema, Value};
+use relation::order::{column_words, null_word_exact};
+use relation::{ColumnBatch, Schema, Value};
 use std::cmp::Ordering;
 
 /// Key columns of one schema, resolved to indices.
@@ -84,14 +87,15 @@ impl KeySelector {
     /// `rows[k]`'s, read straight off the key columns.
     pub(crate) fn normalize_batch(&self, batch: &ColumnBatch, rows: &[usize]) -> NormalizedKeys {
         let mut keys = NormalizedKeys::new(self.indices.len(), rows.len());
+        let rows: Vec<u32> = rows.iter().map(|&i| i as u32).collect();
+        let mut words = Vec::with_capacity(rows.len());
         for (c, &col) in self.indices.iter().enumerate() {
             let column = batch.column(col);
-            let ranks = match column.data() {
-                ColumnData::Str(d) => d.dict().ranks(),
-                _ => &[],
-            };
-            for (k, &i) in rows.iter().enumerate() {
-                keys.set(k, c, column_word(column, ranks, i));
+            let null_exact = null_word_exact(column);
+            words.clear();
+            column_words(column, &rows, &mut words);
+            for (k, &(word, i)) in words.iter().enumerate() {
+                keys.set(k, c, (word, null_exact || column.is_valid(i as usize)));
             }
         }
         keys
@@ -139,53 +143,6 @@ impl NormalizedKeys {
             }
         }
         Some(Ordering::Equal)
-    }
-}
-
-/// The word of a boolean: 1 or 2 (0 is a null's).
-fn bool_word(b: bool) -> u64 {
-    1 + b as u64
-}
-
-/// The word of an `Int`: its offset from `i32::MIN`, plus 1 (0 is a
-/// null's).
-fn int_word(v: i32) -> u64 {
-    1 + (v as u32 ^ 1 << 31) as u64
-}
-
-/// The word of a `Long`: its offset from `i64::MIN`, every word taken, so
-/// a null (below `i64::MIN`) shares 0 inexactly.
-fn long_word(v: i64) -> u64 {
-    v as u64 ^ 1 << 63
-}
-
-/// The word of a `Double` in IEEE total order ([`f64::total_cmp`]): a
-/// negative value's bits flipped, a positive one's sign bit set. Every word
-/// is taken, as for `Long`.
-fn double_word(v: f64) -> u64 {
-    let bits = v.to_bits();
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | 1 << 63
-    }
-}
-
-/// The word of slot `i` of `column`, read in place; `ranks` is a string
-/// column's dictionary's rank table, whose order is the strings' order (a
-/// word past 0, which is a null's).
-fn column_word(column: &Column, ranks: &[u32], i: usize) -> (u64, bool) {
-    let data = column.data();
-    if !column.is_valid(i) {
-        let wide = matches!(data, ColumnData::Long(_) | ColumnData::Double(_));
-        return (0, !wide);
-    }
-    match data {
-        ColumnData::Bool(d) => (bool_word(d[i]), true),
-        ColumnData::Int(d) => (int_word(d[i]), true),
-        ColumnData::Long(d) => (long_word(d[i]), true),
-        ColumnData::Double(d) => (double_word(d[i]), true),
-        ColumnData::Str(d) => (1 + u64::from(ranks[d.codes()[i] as usize]), true),
     }
 }
 

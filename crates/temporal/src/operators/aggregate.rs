@@ -120,23 +120,34 @@ fn sweep_batch(
     let (mut out_vt, mut out_ve) = (Vec::new(), Vec::new());
     let mut out_bounds = vec![0; bounds.len()];
     let mut mistyped = None;
-    stats.sorted_runs += sweep_runs(bounds, lifetime, aggs, &arg_values, |run, lt, value| {
-        out_vt.push(lt.start);
-        out_ve.push(lt.end);
-        out_bounds[run + 1] = out_vt.len();
-        for (c, v) in columns.iter_mut().zip(value) {
-            if let Err(e) = c.push(v) {
-                mistyped.get_or_insert(e);
+    let (sorted_runs, overflow) =
+        sweep_runs(bounds, lifetime, aggs, &arg_values, |run, lt, value| {
+            out_vt.push(lt.start);
+            out_ve.push(lt.end);
+            out_bounds[run + 1] = out_vt.len();
+            for (c, v) in columns.iter_mut().zip(value) {
+                if let Err(e) = c.push(v) {
+                    mistyped.get_or_insert(e);
+                }
             }
-        }
-    });
+        });
+    stats.sorted_runs += sorted_runs;
     // An aggregate's value inhabits the type `infer_type` declares.
     if let Some(e) = mistyped {
         return Err(TemporalError::Relation(e));
     }
     fill_empty_runs(&mut out_bounds);
     let columns = columns.into_iter().map(ColumnBuilder::finish).collect();
-    let payload = ColumnBatch::new(schema, columns, out_vt.len());
+    let mut payload = ColumnBatch::new(schema, columns, out_vt.len());
+    if let Some((run, err)) = overflow {
+        // The runs below the overflowing one stand.
+        cut.fail(run, err)?;
+        out_bounds.truncate(run + 1);
+        let kept = out_bounds[run];
+        out_vt.truncate(kept);
+        out_ve.truncate(kept);
+        payload.compact(&(0..kept as u32).collect::<Vec<_>>());
+    }
     Ok((EventBatch::new(out_vt, out_ve, payload), out_bounds))
 }
 
@@ -230,13 +241,16 @@ impl Sweep {
     /// `(is_start, argument values)` pair, in `(is_start, event)` order, so
     /// ends before starts — then settle the snapshot from `t` on. Returns the
     /// segment this closes, with its value: the value changed, or the active
-    /// set emptied.
+    /// set emptied. A snapshot that has no value — an integer SUM of `aggs`
+    /// (the aggregates the sweep was built for) past `i64` — is the first
+    /// such aggregate's [`AggExpr::overflow`] error, and the sweep is done.
     #[inline]
     pub(crate) fn instant<'a>(
         &mut self,
         t: Time,
         changes: impl IntoIterator<Item = (bool, &'a [Value])>,
-    ) -> Option<(Lifetime, &[Value])> {
+        aggs: &[(String, AggExpr)],
+    ) -> Result<Option<(Lifetime, &[Value])>> {
         for (is_start, args) in changes {
             for (acc, v) in self.accs.iter_mut().zip(args) {
                 if is_start {
@@ -250,7 +264,10 @@ impl Sweep {
         let active = self.active > 0;
         self.next.clear();
         if active {
-            self.next.extend(self.accs.iter().map(|a| a.value()));
+            for (acc, (name, _)) in self.accs.iter().zip(aggs) {
+                let value = acc.value().ok_or_else(|| AggExpr::overflow(name, t))?;
+                self.next.push(value);
+            }
         } else {
             // The burst is over (every run ends this way): the next one
             // starts from fresh accumulators.
@@ -259,11 +276,11 @@ impl Sweep {
         // Close the open segment if the value changed; coalescing is just
         // "don't close when equal".
         if active && self.open.is_some() && self.value == self.next {
-            return None;
+            return Ok(None);
         }
         std::mem::swap(&mut self.value, &mut self.next);
         let closed = std::mem::replace(&mut self.open, active.then_some(t));
-        closed.map(|start| (Lifetime::new(start, t), &self.next[..]))
+        Ok(closed.map(|start| (Lifetime::new(start, t), &self.next[..])))
     }
 }
 
@@ -274,14 +291,16 @@ impl Sweep {
 /// and, inside a run, in time order. Returns how many runs had to be
 /// sorted ([`ExecStats::sorted_runs`]): a run whose starts and ends are
 /// both non-decreasing — a run in time order under a fixed-width window —
-/// is merged instead ([`endpoints_of`]).
+/// is merged instead ([`endpoints_of`]). A snapshot with no value ends the
+/// sweep in its run: that run and its error come back beside the count,
+/// and what the run emitted before it is not part of the output.
 fn sweep_runs(
     bounds: &[usize],
     lifetime: impl Fn(usize) -> Lifetime,
     aggs: &[(String, AggExpr)],
     arg_values: &[Value],
     mut emit: impl FnMut(usize, Lifetime, &[Value]),
-) -> u64 {
+) -> (u64, Option<(usize, TemporalError)>) {
     let n_aggs = aggs.len();
     let mut sweep = Sweep::new(aggs);
     // One lifetime and one endpoint buffer, refilled run by run so a run's
@@ -304,14 +323,16 @@ fn sweep_runs(
                 let i = i as usize;
                 (is_start, &arg_values[i * n_aggs..(i + 1) * n_aggs])
             });
-            if let Some((lifetime, value)) = sweep.instant(t, changes) {
-                emit(r, lifetime, value);
+            match sweep.instant(t, changes, aggs) {
+                Ok(Some((lifetime, value))) => emit(r, lifetime, value),
+                Ok(None) => {}
+                Err(err) => return (sorted_runs, Some((r, err))),
             }
             idx += at_t;
         }
         debug_assert!(sweep.open.is_none(), "sweep ended with an open segment");
     }
-    sorted_runs
+    (sorted_runs, None)
 }
 
 /// Refill `endpoints` with the endpoints of the events `first..` whose

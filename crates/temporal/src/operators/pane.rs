@@ -196,11 +196,11 @@ fn panes(
     for (r, &g) in by_key.iter().enumerate() {
         rank[g as usize] = r as u32;
     }
-    // A group-at-a-time evaluation fails in its lowest failing group, on
-    // that group's first failing event.
-    if let Some(g) = errors.keys().copied().min_by_key(|&g| rank[g as usize]) {
-        return Err(errors.remove(&g).expect("key just seen"));
-    }
+    // A group-at-a-time evaluation fails in its lowest failing group: on
+    // that group's first failing event, or at its first cell whose SUM
+    // leaves `i64`.
+    let failing = errors.keys().copied().min_by_key(|&g| rank[g as usize]);
+    let failing_rank = failing.map_or(u32::MAX, |g| rank[g as usize]);
     debug_assert!(
         !(accs.iter()).any(|a| matches!(
             a,
@@ -211,9 +211,6 @@ fn panes(
         )),
         "a combinable SUM is over integers"
     );
-    stats.groups += rank.len() as u64;
-    stats.pane_groups += rank.len() as u64;
-
     let mut order: Vec<u32> = (0..cells.len() as u32).collect();
     order.sort_unstable_by_key(|&s| {
         let (g, cell) = cells[s as usize];
@@ -229,21 +226,34 @@ fn panes(
     let mut open = NO_SLOT; // group of `out`'s last event
     for s in order {
         let (g, cell) = cells[s as usize];
+        if rank[g as usize] >= failing_rank {
+            break;
+        }
         let slot_accs = &accs[s as usize * n_aggs..][..n_aggs];
+        let at = out.values.len();
+        for ((name, _), acc) in aggs.iter().zip(slot_accs) {
+            let value = acc.value().ok_or_else(|| AggExpr::overflow(name, cell))?;
+            out.values.push(value);
+        }
         if open == g {
-            let last = &out.values[out.values.len() - n_aggs..];
-            let same = last.iter().zip(slot_accs).all(|(v, a)| *v == a.value());
+            let (last, value) = out.values[at - n_aggs..].split_at(n_aggs);
+            let same = last == value;
             let end = out.ve.last_mut().expect("an open group has an event");
             if *end == cell && same {
                 *end = cell + grid;
+                out.values.truncate(at);
                 continue;
             }
         }
         out.first.push(groups.first[g as usize] as u32);
         out.vt.push(cell);
         out.ve.push(cell + grid);
-        out.values.extend(slot_accs.iter().map(Accumulator::value));
         open = g;
     }
+    if let Some(g) = failing {
+        return Err(errors.remove(&g).expect("key just seen"));
+    }
+    stats.groups += rank.len() as u64;
+    stats.pane_groups += rank.len() as u64;
     Ok(Some(out))
 }

@@ -78,6 +78,8 @@ pub struct RtSession {
     horizon: Duration,
     out_schema: Schema,
     closed: bool,
+    /// The stateful aggregate's overflow, which ends the session.
+    failed: Option<TemporalError>,
 }
 
 /// One source of the plan.
@@ -262,6 +264,7 @@ impl RtSession {
             horizon,
             out_schema,
             closed: false,
+            failed: None,
         })
     }
 
@@ -352,7 +355,11 @@ impl RtSession {
     /// affected by future input — in pieces clipped to that window, so a
     /// straddling event comes out in pieces whose union is the offline
     /// event. A failed punctuation changes nothing: the same call fails the
-    /// same way again.
+    /// same way again. The one exception is a snapshot of the stateful
+    /// aggregate whose integer SUM leaves `i64`: groups swept before it
+    /// have moved on, so the session ends there, and this and every later
+    /// call fail with its [`TemporalError::SumOverflow`] (the lowest
+    /// failing group's in key order).
     pub fn punctuate(&mut self, t: Time) -> Result<Vec<Event>> {
         self.check_open()?;
         let watermark = self.watermark.max(t);
@@ -374,6 +381,9 @@ impl RtSession {
     }
 
     fn check_open(&self) -> Result<()> {
+        if let Some(err) = &self.failed {
+            return Err(err.clone());
+        }
         if self.closed {
             return Err(TemporalError::Input("real-time session closed".into()));
         }
@@ -382,9 +392,11 @@ impl RtSession {
 
     /// Run the prefixes over the pending events and emit the output in
     /// `[emitted_until, until)`. All or nothing: on error the pending events
-    /// and the retained state are as they were.
+    /// and the retained state are as they were — except for a SUM overflow
+    /// in the stateful sweep, which ends the session ([`Self::punctuate`]).
     fn advance(&mut self, until: Time) -> Result<Vec<Event>> {
         let from = self.emitted_until;
+        let failed = &mut self.failed;
         let fed = self.feeds.iter().map(Feed::run).collect::<Result<Vec<_>>>();
         let out = fed.and_then(|fed| match &mut self.body {
             Body::Stateful(g) => {
@@ -393,7 +405,8 @@ impl RtSession {
                     .next()
                     .expect("a stateful plan reads one source");
                 let keyed = g.feed(fed)?;
-                Ok(g.advance(keyed, from, until))
+                g.advance(keyed, from, until)
+                    .inspect_err(|err| *failed = Some(err.clone()))
             }
             Body::Recompute(r) => r.advance(&self.feeds, fed, from, until, self.horizon),
         });
@@ -478,8 +491,10 @@ impl Grouped {
 
     /// Add `keyed` to the groups, then sweep every group up to `until`:
     /// the segments it closes and its open segment, clipped to
-    /// `[from, until)`. A group with no live event left is dropped.
-    fn advance(&mut self, keyed: Vec<Keyed>, from: Time, until: Time) -> Vec<Event> {
+    /// `[from, until)`. A group with no live event left is dropped. A
+    /// snapshot with no value fails its group's sweep, and the error is the
+    /// lowest failing group's in key order, after every group is swept.
+    fn advance(&mut self, keyed: Vec<Keyed>, from: Time, until: Time) -> Result<Vec<Event>> {
         for (key, lifetime, args) in keyed {
             let seq = self.next_seq;
             self.next_seq += 1;
@@ -500,6 +515,7 @@ impl Grouped {
                 out.push(Event::new(Lifetime::new(start, end), payload));
             }
         };
+        let mut failed: Option<(Vec<Value>, TemporalError)> = None;
         self.groups.retain(|GroupKey { key, .. }, g| {
             g.endpoints
                 .sort_unstable_by_key(|&(t, is_start, seq, _)| (t, is_start, seq));
@@ -511,8 +527,15 @@ impl Grouped {
                 let changes = g.endpoints[at..at + at_t]
                     .iter()
                     .map(|(_, s, _, a)| (*s, &a[..]));
-                if let Some((closed, value)) = g.sweep.instant(t, changes) {
-                    emit(key, closed.start, closed.end, value);
+                match g.sweep.instant(t, changes, &self.aggs) {
+                    Ok(Some((closed, value))) => emit(key, closed.start, closed.end, value),
+                    Ok(None) => {}
+                    Err(err) => {
+                        if failed.as_ref().is_none_or(|(lowest, _)| key < lowest) {
+                            failed = Some((key.clone(), err));
+                        }
+                        return false;
+                    }
                 }
                 at += at_t;
             }
@@ -522,7 +545,10 @@ impl Grouped {
             }
             g.sweep.open().is_some() || !g.endpoints.is_empty()
         });
-        out
+        match failed {
+            Some((_, err)) => Err(err),
+            None => Ok(out),
+        }
     }
 }
 

@@ -16,6 +16,7 @@
 pub mod custom_rows;
 pub mod harness;
 pub mod oracle;
+pub mod sink_order;
 
 use oracle::Tolerance;
 use proptest::prelude::*;

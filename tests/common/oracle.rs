@@ -258,7 +258,7 @@ fn aggregate(schema: &Schema, events: &[Event], aggs: &[(String, AggExpr)]) -> R
         }
         let began = *burst.get_or_insert(from);
         let values = (aggs.iter().enumerate())
-            .map(|(k, (_, a))| {
+            .map(|(k, (name, a))| {
                 // SUM answers a Double from the first Double it meets
                 // until no event is alive any more.
                 let met_double = matches!(a, AggExpr::Sum(_))
@@ -266,9 +266,14 @@ fn aggregate(schema: &Schema, events: &[Event], aggs: &[(String, AggExpr)]) -> R
                         (began..=from).contains(&events[i].lifetime.start)
                             && matches!(args[i][k], Value::Double(_))
                     });
-                agg_value(a, alive.iter().map(|&i| &args[i][k]), met_double)
+                agg_value(a, alive.iter().map(|&i| &args[i][k]), met_double).ok_or_else(|| {
+                    TemporalError::SumOverflow {
+                        aggregate: name.clone(),
+                        at: from,
+                    }
+                })
             })
-            .collect();
+            .collect::<Result<Vec<_>>>()?;
         let row = Row::new(values);
         match out.last_mut() {
             Some(prev) if prev.lifetime.end == from && prev.payload == row => {
@@ -294,18 +299,30 @@ fn agg_arg(a: &AggExpr) -> Option<&Expr> {
 
 /// One aggregate over one snapshot's argument values. Nulls are ignored,
 /// except by COUNT, which counts events; an empty SUM, AVG, STDDEV, MIN or
-/// MAX is Null. SUM answers a Long unless `met_double`.
-fn agg_value<'v>(a: &AggExpr, args: impl Iterator<Item = &'v Value>, met_double: bool) -> Value {
+/// MAX is Null. SUM answers a Long unless `met_double`, added up exactly in
+/// `i128`: `None` when the total does not fit a Long.
+fn agg_value<'v>(
+    a: &AggExpr,
+    args: impl Iterator<Item = &'v Value>,
+    met_double: bool,
+) -> Option<Value> {
     let args: Vec<&Value> = args.collect();
     let present: Vec<&Value> = args.iter().copied().filter(|v| !v.is_null()).collect();
     let numbers: Vec<f64> = present.iter().filter_map(|v| v.as_double()).collect();
     let n = numbers.len() as f64;
     let sum: f64 = numbers.iter().sum();
-    match a {
+    Some(match a {
         AggExpr::Count => Value::Long(args.len() as i64),
         AggExpr::Sum(_) if present.is_empty() => Value::Null,
         AggExpr::Sum(_) if met_double => Value::Double(sum),
-        AggExpr::Sum(_) => Value::Long(present.iter().filter_map(|v| v.as_long()).sum()),
+        AggExpr::Sum(_) => {
+            let total: i128 = present
+                .iter()
+                .filter_map(|v| v.as_long())
+                .map(i128::from)
+                .sum();
+            Value::Long(i64::try_from(total).ok()?)
+        }
         AggExpr::Min(_) => present.iter().min().map_or(Value::Null, |v| (*v).clone()),
         AggExpr::Max(_) => present.iter().max().map_or(Value::Null, |v| (*v).clone()),
         AggExpr::Avg(_) | AggExpr::StdDev(_) if numbers.is_empty() => Value::Null,
@@ -318,7 +335,7 @@ fn agg_value<'v>(a: &AggExpr, args: impl Iterator<Item = &'v Value>, met_double:
         AggExpr::CountDistinct(_) => {
             Value::Long(present.iter().collect::<BTreeSet<_>>().len() as i64)
         }
-    }
+    })
 }
 
 /// The key-column positions of `keys` on each side.
