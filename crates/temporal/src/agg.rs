@@ -6,6 +6,12 @@
 //! lifetimes open and close, so accumulators must support **retraction**:
 //! Count/Sum/Avg keep running sums, Min/Max keep an ordered multiset.
 //!
+//! Accumulators read their arguments as [`Cell`]s: a [`Value`] borrowed
+//! from wherever the event's arguments live — a typed batch column in the
+//! batch sweep, the values a real-time session retains — so COUNT, SUM,
+//! AVG and STDDEV build no `Value` per event. MIN, MAX and COUNT_DISTINCT
+//! own one per distinct value in their multisets.
+//!
 //! An integer SUM accumulates in `i128`. Every partial sum of at most 2^64
 //! `i64` values fits it, so the running sum is exact under any order of
 //! adds and retractions at an instant. Only a snapshot's value must fit a
@@ -17,7 +23,85 @@ use crate::error::{Result, TemporalError};
 use crate::expr::Expr;
 use crate::time::Time;
 use relation::{ColumnType, Schema, Value};
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::sync::Arc;
+
+/// One argument cell as an accumulator reads it: [`Value`]'s variants,
+/// the string borrowed.
+#[derive(Debug, Clone, Copy)]
+pub enum Cell<'a> {
+    /// Absent value.
+    Null,
+    /// Boolean.
+    Bool(bool),
+    /// 32-bit integer.
+    Int(i32),
+    /// 64-bit integer.
+    Long(i64),
+    /// 64-bit float.
+    Double(f64),
+    /// A string, borrowed from its dictionary or value.
+    Str(&'a Arc<str>),
+}
+
+impl<'a> Cell<'a> {
+    /// The cell `v` holds.
+    pub fn of(v: &'a Value) -> Cell<'a> {
+        match v {
+            Value::Null => Cell::Null,
+            Value::Bool(b) => Cell::Bool(*b),
+            Value::Int(x) => Cell::Int(*x),
+            Value::Long(x) => Cell::Long(*x),
+            Value::Double(x) => Cell::Double(*x),
+            Value::Str(s) => Cell::Str(s),
+        }
+    }
+
+    /// The cell as an owned value.
+    pub fn to_value(self) -> Value {
+        match self {
+            Cell::Null => Value::Null,
+            Cell::Bool(b) => Value::Bool(b),
+            Cell::Int(x) => Value::Int(x),
+            Cell::Long(x) => Value::Long(x),
+            Cell::Double(x) => Value::Double(x),
+            Cell::Str(s) => Value::Str(Arc::clone(s)),
+        }
+    }
+
+    /// [`Value::as_long`].
+    pub(crate) fn as_long(self) -> Option<i64> {
+        match self {
+            Cell::Int(x) => Some(i64::from(x)),
+            Cell::Long(x) => Some(x),
+            _ => None,
+        }
+    }
+
+    /// [`Value::as_double`].
+    fn as_double(self) -> Option<f64> {
+        match self {
+            Cell::Int(x) => Some(f64::from(x)),
+            Cell::Long(x) => Some(x as f64),
+            Cell::Double(x) => Some(x),
+            _ => None,
+        }
+    }
+
+    /// [`Value`]'s total order: cells of one variant by value (doubles in
+    /// IEEE total order), of different variants by the variant's rank.
+    pub(crate) fn total_cmp(self, other: Cell<'_>) -> Ordering {
+        match (self, other) {
+            (Cell::Bool(a), Cell::Bool(b)) => a.cmp(&b),
+            (Cell::Int(a), Cell::Int(b)) => a.cmp(&b),
+            (Cell::Long(a), Cell::Long(b)) => a.cmp(&b),
+            (Cell::Double(a), Cell::Double(b)) => a.total_cmp(&b),
+            (Cell::Str(a), Cell::Str(b)) => a.cmp(b),
+            (a, b) => a.to_value().cmp(&b.to_value()),
+        }
+    }
+}
 
 /// An aggregate over the active-event snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -218,7 +302,8 @@ pub enum Accumulator {
 impl Accumulator {
     /// Add one value to the snapshot. Null values are ignored (SQL-style),
     /// except COUNT, which counts events, not values.
-    pub fn add(&mut self, v: &Value) {
+    #[inline]
+    pub fn add(&mut self, v: Cell<'_>) {
         match self {
             Accumulator::Count { n } => *n += 1,
             Accumulator::Sum {
@@ -227,10 +312,10 @@ impl Accumulator {
                 saw_float,
                 n,
             } => {
-                if v.is_null() {
+                if matches!(v, Cell::Null) {
                     return;
                 }
-                if let Value::Double(d) = v {
+                if let Cell::Double(d) = v {
                     *saw_float = true;
                     *float_sum += d;
                 } else if let Some(i) = v.as_long() {
@@ -245,9 +330,9 @@ impl Accumulator {
                     *n += 1;
                 }
             }
-            Accumulator::Extreme { values, .. } => {
-                if !v.is_null() {
-                    *values.entry(v.clone()).or_insert(0) += 1;
+            Accumulator::Extreme { values, .. } | Accumulator::Distinct { values } => {
+                if !matches!(v, Cell::Null) {
+                    *values.entry(v.to_value()).or_insert(0) += 1;
                 }
             }
             Accumulator::Moments { sum, sum_sq, n } => {
@@ -257,16 +342,12 @@ impl Accumulator {
                     *n += 1;
                 }
             }
-            Accumulator::Distinct { values } => {
-                if !v.is_null() {
-                    *values.entry(v.clone()).or_insert(0) += 1;
-                }
-            }
         }
     }
 
     /// Retract one previously-added value.
-    pub fn remove(&mut self, v: &Value) {
+    #[inline]
+    pub fn remove(&mut self, v: Cell<'_>) {
         match self {
             Accumulator::Count { n } => *n -= 1,
             Accumulator::Sum {
@@ -275,10 +356,10 @@ impl Accumulator {
                 n,
                 ..
             } => {
-                if v.is_null() {
+                if matches!(v, Cell::Null) {
                     return;
                 }
-                if let Value::Double(d) = v {
+                if let Cell::Double(d) = v {
                     *float_sum -= d;
                 } else if let Some(i) = v.as_long() {
                     *int_sum -= i128::from(i);
@@ -293,13 +374,14 @@ impl Accumulator {
                 }
             }
             Accumulator::Extreme { values, .. } | Accumulator::Distinct { values } => {
-                if v.is_null() {
+                if matches!(v, Cell::Null) {
                     return;
                 }
-                if let Some(count) = values.get_mut(v) {
+                let v = v.to_value();
+                if let Some(count) = values.get_mut(&v) {
                     *count -= 1;
                     if *count == 0 {
-                        values.remove(v);
+                        values.remove(&v);
                     }
                 }
             }
@@ -389,25 +471,25 @@ mod tests {
     #[test]
     fn count_add_remove() {
         let mut a = AggExpr::Count.accumulator();
-        a.add(&Value::Null);
-        a.add(&Value::Null);
+        a.add(Cell::of(&Value::Null));
+        a.add(Cell::of(&Value::Null));
         assert_eq!(a.value().unwrap(), Value::Long(2));
-        a.remove(&Value::Null);
+        a.remove(Cell::of(&Value::Null));
         assert_eq!(a.value().unwrap(), Value::Long(1));
     }
 
     #[test]
     fn sum_retracts_and_types() {
         let mut a = AggExpr::Sum(col("x")).accumulator();
-        a.add(&Value::Long(5));
-        a.add(&Value::Long(7));
+        a.add(Cell::of(&Value::Long(5)));
+        a.add(Cell::of(&Value::Long(7)));
         assert_eq!(a.value().unwrap(), Value::Long(12));
-        a.remove(&Value::Long(5));
+        a.remove(Cell::of(&Value::Long(5)));
         assert_eq!(a.value().unwrap(), Value::Long(7));
-        a.add(&Value::Double(0.5));
+        a.add(Cell::of(&Value::Double(0.5)));
         assert_eq!(a.value().unwrap(), Value::Double(7.5));
-        a.remove(&Value::Long(7));
-        a.remove(&Value::Double(0.5));
+        a.remove(Cell::of(&Value::Long(7)));
+        a.remove(Cell::of(&Value::Double(0.5)));
         assert!(a.value().unwrap().is_null());
     }
 
@@ -416,16 +498,16 @@ mod tests {
     #[test]
     fn an_integer_sum_past_i64_has_no_value() {
         let mut a = AggExpr::Sum(col("x")).accumulator();
-        a.add(&Value::Long(i64::MAX));
-        a.add(&Value::Long(1));
+        a.add(Cell::of(&Value::Long(i64::MAX)));
+        a.add(Cell::of(&Value::Long(1)));
         assert_eq!(a.value(), None);
-        a.add(&Value::Int(i32::MAX));
-        a.remove(&Value::Long(i64::MAX));
+        a.add(Cell::of(&Value::Int(i32::MAX)));
+        a.remove(Cell::of(&Value::Long(i64::MAX)));
         assert_eq!(a.value(), Some(Value::Long(1 + i64::from(i32::MAX))));
         let mut low = AggExpr::Sum(col("x")).accumulator();
-        low.add(&Value::Long(i64::MIN));
+        low.add(Cell::of(&Value::Long(i64::MIN)));
         assert_eq!(low.value(), Some(Value::Long(i64::MIN)));
-        low.add(&Value::Long(-1));
+        low.add(Cell::of(&Value::Long(-1)));
         assert_eq!(low.value(), None);
     }
 
@@ -434,34 +516,34 @@ mod tests {
         let mut mn = AggExpr::Min(col("x")).accumulator();
         let mut mx = AggExpr::Max(col("x")).accumulator();
         for v in [3i64, 1, 1, 9] {
-            mn.add(&Value::Long(v));
-            mx.add(&Value::Long(v));
+            mn.add(Cell::of(&Value::Long(v)));
+            mx.add(Cell::of(&Value::Long(v)));
         }
         assert_eq!(mn.value().unwrap(), Value::Long(1));
         assert_eq!(mx.value().unwrap(), Value::Long(9));
-        mn.remove(&Value::Long(1));
+        mn.remove(Cell::of(&Value::Long(1)));
         assert_eq!(mn.value().unwrap(), Value::Long(1)); // one copy remains
-        mn.remove(&Value::Long(1));
+        mn.remove(Cell::of(&Value::Long(1)));
         assert_eq!(mn.value().unwrap(), Value::Long(3));
-        mx.remove(&Value::Long(9));
+        mx.remove(Cell::of(&Value::Long(9)));
         assert_eq!(mx.value().unwrap(), Value::Long(3));
     }
 
     #[test]
     fn avg_over_mixed_numerics() {
         let mut a = AggExpr::Avg(col("x")).accumulator();
-        a.add(&Value::Long(1));
-        a.add(&Value::Double(2.0));
+        a.add(Cell::of(&Value::Long(1)));
+        a.add(Cell::of(&Value::Double(2.0)));
         assert_eq!(a.value().unwrap(), Value::Double(1.5));
     }
 
     #[test]
     fn nulls_ignored_except_count() {
         let mut s = AggExpr::Sum(col("x")).accumulator();
-        s.add(&Value::Null);
+        s.add(Cell::of(&Value::Null));
         assert!(s.value().unwrap().is_null());
-        s.add(&Value::Long(4));
-        s.add(&Value::Null);
+        s.add(Cell::of(&Value::Long(4)));
+        s.add(Cell::of(&Value::Null));
         assert_eq!(s.value().unwrap(), Value::Long(4));
     }
 
@@ -469,19 +551,19 @@ mod tests {
     fn stddev_retracts() {
         let mut a = AggExpr::StdDev(col("x")).accumulator();
         for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            a.add(&Value::Double(v));
+            a.add(Cell::of(&Value::Double(v)));
         }
         // Classic example: population stddev = 2.
         let got = a.value().unwrap().as_double().unwrap();
         assert!((got - 2.0).abs() < 1e-12, "stddev {got}");
         // Retract down to a two-value set: {2, 4} → stddev 1.
         for v in [4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            a.remove(&Value::Double(v));
+            a.remove(Cell::of(&Value::Double(v)));
         }
         let got = a.value().unwrap().as_double().unwrap();
         assert!((got - 1.0).abs() < 1e-12, "stddev {got}");
-        a.remove(&Value::Double(2.0));
-        a.remove(&Value::Double(4.0));
+        a.remove(Cell::of(&Value::Double(2.0)));
+        a.remove(Cell::of(&Value::Double(4.0)));
         assert!(a.value().unwrap().is_null());
     }
 
@@ -489,14 +571,14 @@ mod tests {
     fn count_distinct_multiset() {
         let mut a = AggExpr::CountDistinct(col("x")).accumulator();
         for v in ["a", "b", "a"] {
-            a.add(&Value::str(v));
+            a.add(Cell::of(&Value::str(v)));
         }
         assert_eq!(a.value().unwrap(), Value::Long(2));
-        a.remove(&Value::str("a"));
+        a.remove(Cell::of(&Value::str("a")));
         assert_eq!(a.value().unwrap(), Value::Long(2), "one `a` copy remains");
-        a.remove(&Value::str("a"));
+        a.remove(Cell::of(&Value::str("a")));
         assert_eq!(a.value().unwrap(), Value::Long(1));
-        a.add(&Value::Null); // nulls don't count
+        a.add(Cell::of(&Value::Null)); // nulls don't count
         assert_eq!(a.value().unwrap(), Value::Long(1));
     }
 

@@ -27,6 +27,7 @@
 //! errors — is asserted by property tests over randomized schemas, rows,
 //! and expression trees (`tests/prop_compiled.rs`, `tests/prop_columnar.rs`).
 
+use crate::agg::Cell;
 use crate::error::{Result, TemporalError};
 use crate::expr::{eval_arith, eval_cmp, eval_func, BinOp, Expr, Func};
 use relation::column::{Column, ColumnBatch, ColumnData, Validity};
@@ -420,18 +421,24 @@ enum BVals {
     Mixed(Vec<Value>),
 }
 
-/// Scalar value at slot `i` of a batch-values vector (no null masking —
+/// Scalar cell at slot `i` of a batch-values vector (no null masking —
 /// callers check their mask first).
-fn bvals_at(v: &BVals, i: usize) -> Value {
+#[inline]
+fn bvals_cell(v: &BVals, i: usize) -> Cell<'_> {
     match v {
-        BVals::Const(v) => v.clone(),
-        BVals::Bool(d) => Value::Bool(d[i]),
-        BVals::Int(d) => Value::Int(d[i]),
-        BVals::Long(d) => Value::Long(d[i]),
-        BVals::Double(d) => Value::Double(d[i]),
-        BVals::Str(d) => Value::Str(Arc::clone(d.get(i))),
-        BVals::Mixed(v) => v[i].clone(),
+        BVals::Const(v) => Cell::of(v),
+        BVals::Bool(d) => Cell::Bool(d[i]),
+        BVals::Int(d) => Cell::Int(d[i]),
+        BVals::Long(d) => Cell::Long(d[i]),
+        BVals::Double(d) => Cell::Double(d[i]),
+        BVals::Str(d) => Cell::Str(d.get(i)),
+        BVals::Mixed(v) => Cell::of(&v[i]),
     }
+}
+
+/// [`bvals_cell`] as an owned value.
+fn bvals_at(v: &BVals, i: usize) -> Value {
+    bvals_cell(v, i).to_value()
 }
 
 /// Result of evaluating one expression node over a whole batch.
@@ -455,14 +462,6 @@ impl BatchEval {
     /// Every failing row of `n`, in order, with its error.
     pub(crate) fn errors(&self, n: usize) -> RowErrors {
         self.errs.rows(n)
-    }
-
-    /// Row `i`: its value, or its error.
-    pub(crate) fn get(&self, i: usize) -> Result<Value> {
-        match self.errs.at(i) {
-            Some(err) => Err(Arc::unwrap_or_clone(err)),
-            None => Ok(self.value_at(i)),
-        }
     }
 
     fn constant(v: Value) -> BatchEval {
@@ -522,10 +521,27 @@ impl BatchEval {
 
     /// Scalar result of row `i` (callers must rule out `errs` first).
     pub(crate) fn value_at(&self, i: usize) -> Value {
+        self.cell(i).to_value()
+    }
+
+    /// [`Self::value_at`] borrowed: the cell an accumulator reads, read
+    /// off the typed vector without building a `Value` (callers must rule
+    /// out `errs` first).
+    #[inline]
+    pub(crate) fn cell(&self, i: usize) -> Cell<'_> {
         if self.nulls.get(i) {
-            return Value::Null;
+            return Cell::Null;
         }
-        bvals_at(&self.vals, i)
+        bvals_cell(&self.vals, i)
+    }
+
+    /// Row `i`: its cell, or its error.
+    #[inline]
+    pub(crate) fn try_cell(&self, i: usize) -> Result<Cell<'_>> {
+        match self.errs.at(i) {
+            Some(err) => Err(Arc::unwrap_or_clone(err)),
+            None => Ok(self.cell(i)),
+        }
     }
 
     /// `Value::as_bool` of row `i` (`None` for Null and non-boolean rows;
@@ -1610,7 +1626,9 @@ mod tests {
     /// `e` over the sample batch, row by row: each row's value or error.
     fn per_row(e: &Expr) -> Vec<Result<Value>> {
         let raw = CompiledExpr::compile(e, &schema()).eval_batch_raw_sel(&sample_batch(), None);
-        (0..rows().len()).map(|i| raw.get(i)).collect()
+        (0..rows().len())
+            .map(|i| raw.try_cell(i).map(Cell::to_value))
+            .collect()
     }
 
     /// [`Expr::eval`] over the sample rows: the reference.

@@ -21,18 +21,21 @@
 //!
 //! There is one sweep ([`sweep_runs`]). Under a GroupApply it runs over
 //! every group's run at once ([`aggregate_batch_runs`]): the runs are a
-//! permutation of the batch's rows, arguments come off the columns and
-//! lifetimes off the lifetime vectors, in run order, into one buffer, and
-//! one endpoint buffer is refilled, ordered and swept run by run — a run
-//! boundary is just one more empty snapshot. The segments are written
-//! straight into columns. The top-level operator ([`aggregate`]) is its
-//! one-run case. Its per-instant step ([`Sweep::instant`]) is also the one
-//! the real-time session ([`crate::rt`]) takes per group at each
-//! punctuation.
+//! permutation of the batch's rows, each aggregate's argument is one typed
+//! column in run order ([`batch_args`]), lifetimes come off the lifetime
+//! vectors, and one endpoint buffer is refilled, ordered and swept run by
+//! run — a run boundary is just one more empty snapshot. The segments are
+//! written straight into columns. The top-level operator ([`aggregate`])
+//! is its one-run case. Its per-instant step ([`Sweep::instant`]) is also
+//! the one the real-time session ([`crate::rt`]) takes per group at each
+//! punctuation; it is generic over where an event's arguments live
+//! ([`EventArgs`]): here, a typed column's cells, read as
+//! [`crate::agg::Cell`]s, so no `Value` is built per event; in the
+//! session, the values it retains.
 
-use crate::agg::{Accumulator, AggExpr};
+use crate::agg::{Accumulator, AggExpr, Cell};
 use crate::batch::EventBatch;
-use crate::compiled::CompiledExpr;
+use crate::compiled::{BatchEval, CompiledExpr};
 use crate::error::{Result, TemporalError};
 use crate::exec::ExecStats;
 use crate::operators::group_apply::{run_of, BatchRuns, Cut};
@@ -89,7 +92,7 @@ pub(crate) fn aggregate_batch_runs(
 /// `rows`): each aggregate's argument evaluated once per event, then
 /// [`sweep_runs`], its sorted runs counted in `stats`, with each segment
 /// written into columns. Returns the batch and its run bounds. Nothing is
-/// gathered but the argument values.
+/// gathered but the arguments.
 fn sweep_batch(
     input: &EventBatch,
     rows: Option<&[u32]>,
@@ -101,7 +104,7 @@ fn sweep_batch(
     let in_schema = input.schema();
     let schema = output_schema(aggs, in_schema)?;
     let compiled: Vec<_> = aggs.iter().map(|(_, a)| a.compile_arg(in_schema)).collect();
-    let (arg_values, failed) = batch_args(input.payload(), rows, &compiled);
+    let (args, failed) = batch_args(input.payload(), rows, &compiled);
     let mut bounds = bounds;
     if let Some((at, err)) = failed {
         // Sweep the runs before the failing event's.
@@ -120,17 +123,16 @@ fn sweep_batch(
     let (mut out_vt, mut out_ve) = (Vec::new(), Vec::new());
     let mut out_bounds = vec![0; bounds.len()];
     let mut mistyped = None;
-    let (sorted_runs, overflow) =
-        sweep_runs(bounds, lifetime, aggs, &arg_values, |run, lt, value| {
-            out_vt.push(lt.start);
-            out_ve.push(lt.end);
-            out_bounds[run + 1] = out_vt.len();
-            for (c, v) in columns.iter_mut().zip(value) {
-                if let Err(e) = c.push(v) {
-                    mistyped.get_or_insert(e);
-                }
+    let (sorted_runs, overflow) = sweep_runs(bounds, lifetime, aggs, &args, |run, lt, value| {
+        out_vt.push(lt.start);
+        out_ve.push(lt.end);
+        out_bounds[run + 1] = out_vt.len();
+        for (c, v) in columns.iter_mut().zip(value) {
+            if let Err(e) = c.push(v) {
+                mistyped.get_or_insert(e);
             }
-        });
+        }
+    });
     stats.sorted_runs += sorted_runs;
     // An aggregate's value inhabits the type `infer_type` declares.
     if let Some(e) = mistyped {
@@ -161,44 +163,57 @@ fn fill_empty_runs(bounds: &mut [usize]) {
 
 /// Each aggregate's argument (`compiled`, as [`AggExpr::compile_arg`] gives
 /// it) for the rows of `payload` that `rows` names — all of them when
-/// `None` — in that order, as one flat event-major buffer of stride
-/// `compiled.len()`: what [`sweep_runs`] reads. A bare column is read
-/// straight from its cells and a computed argument goes through the batch
-/// kernels. The first failing (event, argument) pair in event-major order —
-/// where an evaluation one event at a time stops — comes back with its
-/// position and error, beside the values of the events before it.
+/// `None` — in that order: one typed column per aggregate (`None` for
+/// COUNT), what [`sweep_runs`] reads. A bare column is gathered through
+/// `rows`; a computed argument comes from the batch kernels. The first
+/// failing (event, argument) pair in event-major order — where an
+/// evaluation one event at a time stops — comes back with its position and
+/// error; no event at or past it may be read.
 pub(crate) fn batch_args(
     payload: &ColumnBatch,
     rows: Option<&[u32]>,
     compiled: &[Option<CompiledExpr>],
-) -> (Vec<Value>, Option<(usize, TemporalError)>) {
+) -> (Vec<Option<BatchEval>>, Option<(usize, TemporalError)>) {
     let n = rows.map_or(payload.len(), <[u32]>::len);
-    let row = |i: usize| rows.map_or(i, |r| r[i] as usize);
-    let stride = compiled.len();
-    let mut values = vec![Value::Null; n * stride];
-    // Events at or past `live` are not read: one at `live` fails.
-    let mut live = n;
-    let mut failed = None;
-    for (k, c) in compiled.iter().enumerate() {
-        let Some(c) = c else { continue };
-        let slots = values.iter_mut().skip(k).step_by(stride);
-        match c.as_col() {
-            Some(col) => {
-                let col = payload.column(col);
-                (slots.take(live).enumerate()).for_each(|(i, v)| *v = col.value(row(i)));
+    let mut failed: Option<(usize, TemporalError)> = None;
+    let args = (compiled.iter())
+        .map(|c| {
+            let eval = c.as_ref()?.eval_batch_raw_sel(payload, rows);
+            let earlier = |&i: &usize| failed.as_ref().is_none_or(|&(at, _)| i < at);
+            if let Some(i) = eval.first_err(n).filter(earlier) {
+                failed = Some((i, eval.try_cell(i).expect_err("row `i` fails")));
             }
-            None => {
-                let eval = c.eval_batch_raw_sel(payload, rows);
-                if let Some(i) = eval.first_err(n).filter(|&i| i < live) {
-                    live = i;
-                    failed = Some((i, eval.get(i).expect_err("row `i` fails")));
-                }
-                (slots.take(live).enumerate()).for_each(|(i, v)| *v = eval.value_at(i));
-            }
-        }
+            Some(eval)
+        })
+        .collect();
+    (args, failed)
+}
+
+/// Where the sweep reads an event's arguments, one per aggregate: the
+/// batch sweep's typed columns ([`batch_args`]) at the event's position,
+/// or the values a real-time session retains for it.
+pub(crate) trait EventArgs {
+    /// The argument to aggregate `k` (COUNT reads none).
+    fn arg(&self, k: usize) -> Cell<'_>;
+}
+
+impl EventArgs for &[Value] {
+    #[inline]
+    fn arg(&self, k: usize) -> Cell<'_> {
+        Cell::of(&self[k])
     }
-    values.truncate(live * stride);
-    (values, failed)
+}
+
+/// Event `.1` of the typed argument columns `.0`.
+struct At<'a>(&'a [Option<BatchEval>], usize);
+
+impl EventArgs for At<'_> {
+    #[inline]
+    fn arg(&self, k: usize) -> Cell<'_> {
+        self.0[k]
+            .as_ref()
+            .map_or(Cell::Null, |column| column.cell(self.1))
+    }
 }
 
 /// One group's sweep between two instants: the accumulators, how many
@@ -238,25 +253,25 @@ impl Sweep {
     }
 
     /// The per-instant step. Apply every endpoint at instant `t` — each an
-    /// `(is_start, argument values)` pair, in `(is_start, event)` order, so
+    /// `(is_start, event arguments)` pair, in `(is_start, event)` order, so
     /// ends before starts — then settle the snapshot from `t` on. Returns the
     /// segment this closes, with its value: the value changed, or the active
     /// set emptied. A snapshot that has no value — an integer SUM of `aggs`
     /// (the aggregates the sweep was built for) past `i64` — is the first
     /// such aggregate's [`AggExpr::overflow`] error, and the sweep is done.
     #[inline]
-    pub(crate) fn instant<'a>(
+    pub(crate) fn instant<A: EventArgs>(
         &mut self,
         t: Time,
-        changes: impl IntoIterator<Item = (bool, &'a [Value])>,
+        changes: impl IntoIterator<Item = (bool, A)>,
         aggs: &[(String, AggExpr)],
     ) -> Result<Option<(Lifetime, &[Value])>> {
         for (is_start, args) in changes {
-            for (acc, v) in self.accs.iter_mut().zip(args) {
+            for (k, acc) in self.accs.iter_mut().enumerate() {
                 if is_start {
-                    acc.add(v);
+                    acc.add(args.arg(k));
                 } else {
-                    acc.remove(v);
+                    acc.remove(args.arg(k));
                 }
             }
             self.active += if is_start { 1 } else { -1 };
@@ -284,11 +299,12 @@ impl Sweep {
     }
 }
 
-/// The endpoint sweep over pre-evaluated argument values (one flat buffer,
-/// stride `aggs.len()`, event-major), run by run, reading lifetimes through
-/// an accessor (a batch's lifetime vectors, through a permutation). Each
-/// output segment goes to `emit` as `(run, lifetime, value)`, in run order
-/// and, inside a run, in time order. Returns how many runs had to be
+/// The endpoint sweep over pre-evaluated arguments (one typed column per
+/// aggregate, [`batch_args`], in event order), run by run, reading
+/// lifetimes through an accessor (a batch's lifetime vectors, through a
+/// permutation). Each output segment goes to `emit` as `(run, lifetime,
+/// value)`, in run order and, inside a run, in time order. Returns how
+/// many runs had to be
 /// sorted ([`ExecStats::sorted_runs`]): a run whose starts and ends are
 /// both non-decreasing — a run in time order under a fixed-width window —
 /// is merged instead ([`endpoints_of`]). A snapshot with no value ends the
@@ -298,10 +314,9 @@ fn sweep_runs(
     bounds: &[usize],
     lifetime: impl Fn(usize) -> Lifetime,
     aggs: &[(String, AggExpr)],
-    arg_values: &[Value],
+    args: &[Option<BatchEval>],
     mut emit: impl FnMut(usize, Lifetime, &[Value]),
 ) -> (u64, Option<(usize, TemporalError)>) {
-    let n_aggs = aggs.len();
     let mut sweep = Sweep::new(aggs);
     // One lifetime and one endpoint buffer, refilled run by run so a run's
     // endpoints are ordered and swept while they are still in cache.
@@ -319,10 +334,8 @@ fn sweep_runs(
         while idx < endpoints.len() {
             let t = endpoints[idx].0;
             let at_t = endpoints[idx..].iter().take_while(|e| e.0 == t).count();
-            let changes = endpoints[idx..idx + at_t].iter().map(|&(_, is_start, i)| {
-                let i = i as usize;
-                (is_start, &arg_values[i * n_aggs..(i + 1) * n_aggs])
-            });
+            let changes = (endpoints[idx..idx + at_t].iter())
+                .map(|&(_, is_start, i)| (is_start, At(args, i as usize)));
             match sweep.instant(t, changes, aggs) {
                 Ok(Some((lifetime, value))) => emit(r, lifetime, value),
                 Ok(None) => {}

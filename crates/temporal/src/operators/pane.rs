@@ -21,24 +21,29 @@
 //! * Between bursts the active set empties and the sweep resets its
 //!   accumulators — fresh again.
 //!
-//! So the kernel keeps one fresh accumulator set per (group, cell), adds
-//! each event to its slot in one pass over the input — no `remove`, no
-//! endpoint buffer, no sort of events — then orders the *slots* by (group
-//! key, cell) and emits one row per slot with its key prefix in place,
-//! coalescing a slot into its predecessor when the cells are adjacent and
-//! the values equal, exactly as the sweep's "don't close when equal" does.
-//! Output is byte-identical to the general path.
+//! So the kernel keeps one fresh figure per (group, cell) and aggregate,
+//! adds each event to its slot in one pass over the input — no `remove`,
+//! no endpoint buffer, no sort of events — then orders the *slots* by
+//! (group key, cell) and emits one row per slot with its key prefix in
+//! place, coalescing a slot into its predecessor when the cells are
+//! adjacent and the values equal, exactly as the sweep's "don't close when
+//! equal" does. Output is byte-identical to the general path.
 //!
-//! The batch is read on its columns: keys are hashed, compared and
-//! ordered off them (a string by its dictionary's cached hash, code and
-//! rank; no key is materialized), bare-column arguments read straight from
-//! them (a computed argument is evaluated once, as a batch, over every
-//! event), and the output is written as columns, each key column gathered
-//! once from the groups' representatives. Combinability is decided from
-//! the *declared* argument type, which every cell inhabits, so an integer
-//! SUM never meets a `Double`.
+//! Since nothing is retracted, a figure is one native number ([`Partial`]),
+//! all of them in one flat vector: a count, an exact `i128` sum, or the
+//! event holding a running MIN or MAX — no accumulator, and no ordered
+//! multiset, per slot.
+//!
+//! The batch is read on its columns: keys are grouped and ordered on their
+//! exact words (a string by its dictionary code and rank; no key is
+//! materialized), every argument is one typed column over every event (a
+//! bare column's cells, or a computed argument evaluated once by the batch
+//! kernels), and the output is written as columns, each key column
+//! gathered once from the groups' representatives. Combinability is
+//! decided from the *declared* argument type, which every cell inhabits,
+//! so an integer SUM never meets a `Double`.
 
-use crate::agg::{Accumulator, AggExpr};
+use crate::agg::{AggExpr, Cell};
 use crate::batch::EventBatch;
 use crate::compiled::BatchEval;
 use crate::error::{Result, TemporalError};
@@ -47,8 +52,9 @@ use crate::key::KeySelector;
 use crate::operators::group_apply::{batch_groups, key_order, Groups};
 use crate::time::{checked_ceil_to_grid, Duration, Time};
 use relation::column::ColumnBuilder;
-use relation::{Column, ColumnBatch, Schema, Value};
+use relation::{ColumnBatch, Schema, Value};
 use rustc_hash::FxHashMap;
+use std::cmp::Ordering::{Greater, Less};
 
 /// Run `GroupApply(sel){Hop{grid, grid} → Aggregate(aggs)}` over `input`;
 /// returns the output (key columns, then one column per aggregate, as
@@ -63,32 +69,19 @@ pub(crate) fn pane_aggregate(
     stats: &mut ExecStats,
 ) -> Result<Option<EventBatch>> {
     let payload = input.payload();
-    // A computed argument is evaluated once, over every event; a cell's
-    // error surfaces only where the walk reads it.
-    let args: Vec<Arg> = (aggs.iter())
-        .map(|(_, a)| match a.compile_arg(input.schema()) {
-            None => Arg::None,
-            Some(arg) => match arg.as_col() {
-                Some(c) => Arg::Col(payload.column(c)),
-                None => Arg::Eval(arg.eval_batch_raw_sel(payload, None)),
-            },
+    // Every argument is evaluated once, over every event, as a typed
+    // column; a cell's error surfaces only where the kernel reads it.
+    let args: Vec<Option<BatchEval>> = (aggs.iter())
+        .map(|(_, a)| {
+            Some(
+                a.compile_arg(input.schema())?
+                    .eval_batch_raw_sel(payload, None),
+            )
         })
         .collect();
     let groups = batch_groups(payload, sel);
-    let Some(cells) = panes(
-        &groups,
-        grid,
-        aggs,
-        |i| input.vt()[i],
-        |first| key_order(payload, sel, first),
-        |i, k| match &args[k] {
-            Arg::None => Ok(Value::Null),
-            Arg::Col(col) => Ok(col.value(i)),
-            Arg::Eval(eval) => eval.get(i),
-        },
-        stats,
-    )?
-    else {
+    let order = |first: &[usize]| key_order(payload, sel, first);
+    let Some(cells) = panes(&groups, grid, aggs, &args, input.vt(), order, stats)? else {
         return Ok(None);
     };
     let Panes {
@@ -119,12 +112,83 @@ pub(crate) fn pane_aggregate(
     )))
 }
 
-/// How the kernel reads an aggregate's argument: none (COUNT), a bare
-/// column's cells, or a computed argument's evaluation.
-enum Arg<'a> {
-    None,
-    Col(&'a Column),
-    Eval(BatchEval),
+/// How one aggregate's figure in a slot grows. The pane only adds, so a
+/// figure is one running number, not a retractable accumulator: a count,
+/// an exact integer sum, or the event that holds the running extreme.
+#[derive(Debug, Clone, Copy)]
+enum Partial {
+    Count,
+    Sum,
+    Min,
+    Max,
+}
+
+/// A SUM's or an extreme's figure before its first non-null argument.
+const EMPTY: i128 = i128::MIN;
+
+impl Partial {
+    fn of(agg: &AggExpr) -> Partial {
+        match agg {
+            AggExpr::Count => Partial::Count,
+            AggExpr::Sum(_) => Partial::Sum,
+            AggExpr::Min(_) => Partial::Min,
+            AggExpr::Max(_) => Partial::Max,
+            _ => unreachable!("a pane aggregate is combinable"),
+        }
+    }
+
+    fn fresh(self) -> i128 {
+        match self {
+            Partial::Count => 0,
+            _ => EMPTY,
+        }
+    }
+
+    /// Add event `i`, whose argument is `cell` (of the column `arg`), to
+    /// `figure`. Nulls count for COUNT only, as in the sweep.
+    #[inline]
+    fn add(self, figure: &mut i128, i: usize, cell: Cell<'_>, arg: Option<&BatchEval>) {
+        match self {
+            Partial::Count => *figure += 1,
+            _ if matches!(cell, Cell::Null) => {}
+            Partial::Sum => {
+                // A combinable SUM is over integers; any other non-null
+                // cell counts as a value and adds nothing, as in the sweep.
+                debug_assert!(!matches!(cell, Cell::Double(_)), "an integer SUM");
+                let x = cell.as_long().map_or(0, i128::from);
+                *figure = if *figure == EMPTY { x } else { *figure + x };
+            }
+            Partial::Min | Partial::Max => {
+                let arg = arg.expect("an extreme has an argument");
+                let wins = *figure == EMPTY || {
+                    let order = cell.total_cmp(arg.cell(*figure as usize));
+                    order
+                        == if matches!(self, Partial::Min) {
+                            Less
+                        } else {
+                            Greater
+                        }
+                };
+                if wins {
+                    *figure = i as i128;
+                }
+            }
+        }
+    }
+
+    /// The aggregate's value for `figure`: `None` for an integer SUM past
+    /// `i64`.
+    fn value(self, figure: i128, arg: Option<&BatchEval>) -> Option<Value> {
+        Some(match self {
+            Partial::Count => Value::Long(figure as i64),
+            _ if figure == EMPTY => Value::Null,
+            Partial::Sum => Value::Long(i64::try_from(figure).ok()?),
+            Partial::Min | Partial::Max => {
+                let arg = arg.expect("an extreme has an argument");
+                arg.cell(figure as usize).to_value()
+            }
+        })
+    }
 }
 
 /// The kernel's output: per output event, its group's representative
@@ -136,25 +200,26 @@ struct Panes {
     values: Vec<Value>,
 }
 
-/// The kernel proper, over accessors: `start(i)` is event `i`'s lifetime
-/// start, `order(first)` the groups whose first events are `first` in key
-/// order, `arg(i, k)` aggregate `k`'s argument value for it.
+/// The kernel proper: `start[i]` is event `i`'s lifetime start, `args` the
+/// aggregates' typed argument columns, `order(first)` the groups whose
+/// first events are `first` in key order.
 fn panes(
     groups: &Groups,
     grid: Duration,
     aggs: &[(String, AggExpr)],
-    start: impl Fn(usize) -> Time,
+    args: &[Option<BatchEval>],
+    start: &[Time],
     order: impl FnOnce(&[usize]) -> Vec<u32>,
-    mut arg: impl FnMut(usize, usize) -> Result<Value>,
     stats: &mut ExecStats,
 ) -> Result<Option<Panes>> {
     const NO_SLOT: u32 = u32::MAX;
     let n_aggs = aggs.len();
+    let partials: Vec<Partial> = aggs.iter().map(|(_, a)| Partial::of(a)).collect();
     // Slot `s` aggregates cell `cells[s].1` of group `cells[s].0` in
-    // `accs[s * n_aggs..][..n_aggs]`. Events mostly arrive in time order,
-    // so a group's latest slot is tried before the map.
+    // `figures[s * n_aggs..][..n_aggs]`. Events mostly arrive in time
+    // order, so a group's latest slot is tried before the map.
     let mut cells: Vec<(u32, Time)> = Vec::new();
-    let mut accs: Vec<Accumulator> = Vec::new();
+    let mut figures: Vec<i128> = Vec::new();
     let mut slots: FxHashMap<(u32, Time), u32> = FxHashMap::default();
     let mut latest: Vec<u32> = vec![NO_SLOT; groups.first.len()];
     // The first argument error of each failing group.
@@ -163,7 +228,7 @@ fn panes(
     'events: for (i, &g) in groups.ordinals.iter().enumerate() {
         // A cell that ends past the last instant is the hop's overflow:
         // the walk reports it, in group order.
-        let cell = checked_ceil_to_grid(start(i), grid).filter(|c| c.checked_add(grid).is_some());
+        let cell = checked_ceil_to_grid(start[i], grid).filter(|c| c.checked_add(grid).is_some());
         let Some(cell) = cell else { return Ok(None) };
         let last = latest[g as usize];
         let slot = if last != NO_SLOT && cells[last as usize].1 == cell {
@@ -173,20 +238,22 @@ fn panes(
             let slot = *slots.entry((g, cell)).or_insert(fresh);
             if slot == fresh {
                 cells.push((g, cell));
-                accs.extend(aggs.iter().map(|(_, a)| a.accumulator()));
+                figures.extend(partials.iter().map(|p| p.fresh()));
             }
             latest[g as usize] = slot;
             slot
         };
-        let slot_accs = &mut accs[slot as usize * n_aggs..][..n_aggs];
-        for (k, acc) in slot_accs.iter_mut().enumerate() {
-            match arg(i, k) {
-                Ok(v) => acc.add(&v),
-                Err(err) => {
+        let slot_figures = &mut figures[slot as usize * n_aggs..][..n_aggs];
+        for ((partial, figure), arg) in partials.iter().zip(slot_figures).zip(args) {
+            let value = match arg.as_ref().map(|a| a.try_cell(i)) {
+                None => Cell::Null,
+                Some(Ok(value)) => value,
+                Some(Err(err)) => {
                     errors.entry(g).or_insert(err);
                     continue 'events;
                 }
-            }
+            };
+            partial.add(figure, i, value, arg.as_ref());
         }
     }
 
@@ -201,16 +268,6 @@ fn panes(
     // leaves `i64`.
     let failing = errors.keys().copied().min_by_key(|&g| rank[g as usize]);
     let failing_rank = failing.map_or(u32::MAX, |g| rank[g as usize]);
-    debug_assert!(
-        !(accs.iter()).any(|a| matches!(
-            a,
-            Accumulator::Sum {
-                saw_float: true,
-                ..
-            }
-        )),
-        "a combinable SUM is over integers"
-    );
     let mut order: Vec<u32> = (0..cells.len() as u32).collect();
     order.sort_unstable_by_key(|&s| {
         let (g, cell) = cells[s as usize];
@@ -229,11 +286,16 @@ fn panes(
         if rank[g as usize] >= failing_rank {
             break;
         }
-        let slot_accs = &accs[s as usize * n_aggs..][..n_aggs];
+        let slot_figures = &figures[s as usize * n_aggs..][..n_aggs];
         let at = out.values.len();
-        for ((name, _), acc) in aggs.iter().zip(slot_accs) {
-            let value = acc.value().ok_or_else(|| AggExpr::overflow(name, cell))?;
-            out.values.push(value);
+        for (((name, _), partial), (&figure, arg)) in aggs
+            .iter()
+            .zip(&partials)
+            .zip(slot_figures.iter().zip(args))
+        {
+            let value = partial.value(figure, arg.as_ref());
+            out.values
+                .push(value.ok_or_else(|| AggExpr::overflow(name, cell))?);
         }
         if open == g {
             let (last, value) = out.values[at - n_aggs..].split_at(n_aggs);

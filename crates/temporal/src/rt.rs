@@ -475,7 +475,6 @@ impl Grouped {
         }
         let survivors = sel.as_ref().map_or(batch.len(), Vec::len);
         let mut keyed = Vec::with_capacity(survivors);
-        let stride = self.args.len();
         for j in 0..survivors {
             let row = sel.as_ref().map_or(j, |s| s[j] as usize);
             let input_row = origin.as_ref().map_or(row, |o| o[row] as usize);
@@ -483,7 +482,9 @@ impl Grouped {
                 hash: keys.group_hash(self.key.indices(), input_row),
                 key: self.key.extract_batch(&keys, input_row),
             };
-            let args: Arc<[Value]> = args[j * stride..(j + 1) * stride].into();
+            let args: Arc<[Value]> = (args.iter())
+                .map(|a| a.as_ref().map_or(Value::Null, |a| a.value_at(j)))
+                .collect();
             keyed.push((key, batch.lifetime(row), args));
         }
         Ok(keyed)
