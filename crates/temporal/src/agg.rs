@@ -419,8 +419,12 @@ impl Accumulator {
 
     /// Current aggregate value for the snapshot: `None` when it has none,
     /// an integer SUM whose total does not fit a `Long`
-    /// ([`TemporalError::SumOverflow`] is the error).
+    /// ([`TemporalError::SumOverflow`] is the error). A double it computes
+    /// that is NaN is `f64::NAN`: Rust leaves the sign and payload of a NaN
+    /// that arithmetic yields unspecified, so two builds could publish
+    /// different bits, and two NaN snapshots could fail to coalesce.
     pub fn value(&self) -> Option<Value> {
+        let double = |x: f64| Value::Double(if x.is_nan() { f64::NAN } else { x });
         Some(match self {
             Accumulator::Count { n } => Value::Long(*n),
             Accumulator::Sum {
@@ -430,14 +434,14 @@ impl Accumulator {
                 n,
             } => match (*n, *saw_float) {
                 (0, _) => Value::Null,
-                (_, true) => Value::Double(*float_sum),
+                (_, true) => double(*float_sum),
                 (_, false) => Value::Long(i64::try_from(*int_sum).ok()?),
             },
             Accumulator::Avg { sum, n } => {
                 if *n == 0 {
                     Value::Null
                 } else {
-                    Value::Double(*sum / *n as f64)
+                    double(*sum / *n as f64)
                 }
             }
             Accumulator::Extreme { values, min } => {
@@ -454,7 +458,7 @@ impl Accumulator {
                 } else {
                     let mean = sum / *n as f64;
                     let var = (sum_sq / *n as f64 - mean * mean).max(0.0);
-                    Value::Double(var.sqrt())
+                    double(var.sqrt())
                 }
             }
             Accumulator::Distinct { values } => Value::Long(values.len() as i64),

@@ -34,6 +34,7 @@ use relation::column::{Column, ColumnBatch, ColumnData, Validity};
 use relation::dict::{Interner, StrCodes};
 use relation::{RelationError, Schema, Value};
 use simd::{F64x8, I64x8, LANES, M8};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// How a batch evaluation walks its input: which rows are live.
@@ -123,7 +124,7 @@ impl CompiledExpr {
             )
         {
             let mut keep = match raw.vals {
-                BVals::Bool(d) => d,
+                BVals::Bool(d) => d.into_owned(),
                 BVals::Const(Value::Bool(b)) => vec![b; n],
                 _ => vec![false; n],
             };
@@ -144,7 +145,7 @@ impl CompiledExpr {
             if let Some(err) = raw.errs.at(i) {
                 failed.push((i as u32, err));
             } else if !raw.nulls.get(i) {
-                match bvals_at(&raw.vals, i) {
+                match raw.value_at(i) {
                     Value::Bool(b) => *k = b,
                     other => failed.push((
                         i as u32,
@@ -164,7 +165,11 @@ impl CompiledExpr {
     /// Batch evaluation over the rows named by `sel` (all rows when
     /// `None`): one slot per selected row, each a value or the error
     /// [`Expr::eval`] returns there.
-    pub(crate) fn eval_batch_raw_sel(&self, batch: &ColumnBatch, sel: Option<&[u32]>) -> BatchEval {
+    pub(crate) fn eval_batch_raw_sel<'a>(
+        &self,
+        batch: &'a ColumnBatch,
+        sel: Option<&[u32]>,
+    ) -> BatchEval<'a> {
         self.node.eval_batch(batch, EvalCtx { sel })
     }
 
@@ -232,13 +237,10 @@ impl Node {
     /// [`Expr::eval`] of the gathered row is `Err(e)` iff `errs.at(i)` is
     /// `Some(e)`, `Ok(Null)` iff `nulls.get(i)` (and not err), and
     /// otherwise `Ok(value_at(i))` bit-for-bit.
-    fn eval_batch(&self, batch: &ColumnBatch, ctx: EvalCtx) -> BatchEval {
+    fn eval_batch<'a>(&self, batch: &'a ColumnBatch, ctx: EvalCtx) -> BatchEval<'a> {
         let n = ctx.rows(batch);
         match self {
-            Node::Col(i) => match ctx.sel {
-                None => BatchEval::from_column(batch.column(*i)),
-                Some(sel) => BatchEval::from_column_sel(batch.column(*i), sel),
-            },
+            Node::Col(i) => BatchEval::leaf(batch.column(*i), ctx.sel),
             // Unknown column: every row it is evaluated for fails with one
             // shared error, exactly like the interpreter's.
             Node::MissingCol(name) => BatchEval {
@@ -258,39 +260,12 @@ impl Node {
                     let l = left.eval_batch(batch, ctx);
                     connective(false, l, || right.eval_batch(batch, ctx), n)
                 }
-                _ => {
-                    // Dense context: `Col`/`Lit` leaves become borrowed
-                    // operands read straight out of the batch (or the plan),
-                    // skipping `from_column`'s whole-vector clone. Non-leaf
-                    // operands evaluate to owned storage held in `lh`/`rh`
-                    // for the duration of the kernel dispatch.
-                    let (lh, rh);
-                    let l = match leaf_operand(left, batch, ctx) {
-                        Some(side) => side,
-                        None => {
-                            let BatchEval { vals, nulls, errs } = left.eval_batch(batch, ctx);
-                            lh = vals;
-                            Side {
-                                v: VRef::Vals(&lh),
-                                nulls,
-                                errs,
-                            }
-                        }
-                    };
-                    let r = match leaf_operand(right, batch, ctx) {
-                        Some(side) => side,
-                        None => {
-                            let BatchEval { vals, nulls, errs } = right.eval_batch(batch, ctx);
-                            rh = vals;
-                            Side {
-                                v: VRef::Vals(&rh),
-                                nulls,
-                                errs,
-                            }
-                        }
-                    };
-                    binary(*op, l, r, n)
-                }
+                _ => binary(
+                    *op,
+                    left.eval_batch(batch, ctx),
+                    right.eval_batch(batch, ctx),
+                    n,
+                ),
             },
             Node::Not(e) => not_batch(e.eval_batch(batch, ctx), n),
             Node::Call { func, args } => {
@@ -409,22 +384,25 @@ impl Errs {
 }
 
 /// Batch values: one dense vector per runtime type, a broadcast constant,
-/// or a per-row `Value` gather when rows carry mixed runtime types.
+/// or a per-row `Value` gather when rows carry mixed runtime types. A
+/// vector is a batch column's storage borrowed in place (a column leaf
+/// over every row) or owned (a kernel's result, or a column gathered
+/// through a selection); the kernels read both alike.
 #[derive(Debug, Clone)]
-enum BVals {
+enum BVals<'a> {
     Const(Value),
-    Bool(Vec<bool>),
-    Int(Vec<i32>),
-    Long(Vec<i64>),
-    Double(Vec<f64>),
-    Str(StrCodes),
+    Bool(Cow<'a, [bool]>),
+    Int(Cow<'a, [i32]>),
+    Long(Cow<'a, [i64]>),
+    Double(Cow<'a, [f64]>),
+    Str(Cow<'a, StrCodes>),
     Mixed(Vec<Value>),
 }
 
 /// Scalar cell at slot `i` of a batch-values vector (no null masking —
 /// callers check their mask first).
 #[inline]
-fn bvals_cell(v: &BVals, i: usize) -> Cell<'_> {
+fn bvals_cell<'v>(v: &'v BVals<'_>, i: usize) -> Cell<'v> {
     match v {
         BVals::Const(v) => Cell::of(v),
         BVals::Bool(d) => Cell::Bool(d[i]),
@@ -436,24 +414,21 @@ fn bvals_cell(v: &BVals, i: usize) -> Cell<'_> {
     }
 }
 
-/// [`bvals_cell`] as an owned value.
-fn bvals_at(v: &BVals, i: usize) -> Value {
-    bvals_cell(v, i).to_value()
-}
-
 /// Result of evaluating one expression node over a whole batch.
 ///
 /// Rows that fail in `errs` hold garbage in `vals`; rows flagged in `nulls`
 /// (and not failing — error wins on read) are `Null` and hold an
 /// unobservable placeholder. Kernels may compute garbage at masked rows as
-/// long as nothing can panic (integer division guards its divisor).
-pub(crate) struct BatchEval {
-    vals: BVals,
+/// long as nothing can panic (integer division guards its divisor). `'a`
+/// is the batch a column leaf borrows; a kernel's result owns its values
+/// (`BatchEval<'static>`).
+pub(crate) struct BatchEval<'a> {
+    vals: BVals<'a>,
     nulls: Mask,
     errs: Errs,
 }
 
-impl BatchEval {
+impl<'a> BatchEval<'a> {
     /// Lowest row whose evaluation fails, if any.
     pub(crate) fn first_err(&self, n: usize) -> Option<usize> {
         self.errs.first(n)
@@ -464,7 +439,7 @@ impl BatchEval {
         self.errs.rows(n)
     }
 
-    fn constant(v: Value) -> BatchEval {
+    fn constant(v: Value) -> BatchEval<'static> {
         let nulls = if v.is_null() { Mask::All } else { Mask::None };
         BatchEval {
             vals: BVals::Const(v),
@@ -473,44 +448,32 @@ impl BatchEval {
         }
     }
 
-    fn from_column(col: &Column) -> BatchEval {
-        let nulls = match col.validity() {
-            None => Mask::None,
-            Some(v) => Mask::from_flags((0..v.len()).map(|i| !v.is_valid(i)).collect()),
-        };
-        let vals = match col.data() {
-            ColumnData::Bool(d) => BVals::Bool(d.clone()),
-            ColumnData::Int(d) => BVals::Int(d.clone()),
-            ColumnData::Long(d) => BVals::Long(d.clone()),
-            ColumnData::Double(d) => BVals::Double(d.clone()),
-            ColumnData::Str(d) => BVals::Str(d.clone()),
-        };
-        BatchEval {
-            vals,
-            nulls,
-            errs: Errs::None,
+    /// Column `col` at the live rows: its storage read in place when every
+    /// row is live, so a dense `col <op> lit` allocates nothing for its
+    /// leaf; the rows `sel` names gathered into a vector of their own
+    /// otherwise, so everything downstream runs dense over the selection.
+    fn leaf(col: &'a Column, sel: Option<&[u32]>) -> BatchEval<'a> {
+        fn read<'a, T: Copy>(d: &'a [T], sel: Option<&[u32]>) -> Cow<'a, [T]> {
+            match sel {
+                None => Cow::Borrowed(d),
+                Some(sel) => sel.iter().map(|&i| d[i as usize]).collect(),
+            }
         }
-    }
-
-    /// [`Self::from_column`] restricted to the rows named by `sel`: the
-    /// fused engine's selection-gather leaf. One slot per selected row;
-    /// everything downstream runs dense over the compacted length.
-    fn from_column_sel(col: &Column, sel: &[u32]) -> BatchEval {
-        let nulls = match col.validity() {
-            None => Mask::None,
-            Some(v) => Mask::from_flags(sel.iter().map(|&i| !v.is_valid(i as usize)).collect()),
-        };
-        macro_rules! gather {
-            ($d:expr, $variant:ident) => {
-                BVals::$variant(sel.iter().map(|&i| $d[i as usize].clone()).collect())
-            };
-        }
+        let nulls = col.validity().map_or(Mask::None, |v| {
+            Mask::from_flags(match sel {
+                None => (0..v.len()).map(|i| !v.is_valid(i)).collect(),
+                Some(sel) => sel.iter().map(|&i| !v.is_valid(i as usize)).collect(),
+            })
+        });
         let vals = match col.data() {
-            ColumnData::Bool(d) => gather!(d, Bool),
-            ColumnData::Int(d) => gather!(d, Int),
-            ColumnData::Long(d) => gather!(d, Long),
-            ColumnData::Double(d) => gather!(d, Double),
-            ColumnData::Str(d) => BVals::Str(d.gather(sel)),
+            ColumnData::Bool(d) => BVals::Bool(read(d, sel)),
+            ColumnData::Int(d) => BVals::Int(read(d, sel)),
+            ColumnData::Long(d) => BVals::Long(read(d, sel)),
+            ColumnData::Double(d) => BVals::Double(read(d, sel)),
+            ColumnData::Str(d) => BVals::Str(match sel {
+                None => Cow::Borrowed(d),
+                Some(sel) => Cow::Owned(d.gather(sel)),
+            }),
         };
         BatchEval {
             vals,
@@ -560,16 +523,17 @@ impl BatchEval {
 
     /// Convert to a dense [`Column`], or `None` when rows carry mixed
     /// runtime types (which a well-typed expression over well-typed columns
-    /// never does). Must only be called once `errs` has been shown empty.
+    /// never does): a computed vector moves, a borrowed one is copied once.
+    /// Must only be called once `errs` has been shown empty.
     pub(crate) fn into_column(self, n: usize) -> Option<Column> {
         let BatchEval { vals, nulls, errs } = self;
         debug_assert!(errs.first(n).is_none());
         let data = match vals {
-            BVals::Bool(d) => ColumnData::Bool(d),
-            BVals::Int(d) => ColumnData::Int(d),
-            BVals::Long(d) => ColumnData::Long(d),
-            BVals::Double(d) => ColumnData::Double(d),
-            BVals::Str(d) => ColumnData::Str(d),
+            BVals::Bool(d) => ColumnData::Bool(d.into_owned()),
+            BVals::Int(d) => ColumnData::Int(d.into_owned()),
+            BVals::Long(d) => ColumnData::Long(d.into_owned()),
+            BVals::Double(d) => ColumnData::Double(d.into_owned()),
+            BVals::Str(d) => ColumnData::Str(d.into_owned()),
             BVals::Const(v) => match v {
                 // All rows are null (invariant of Const(Null) with empty
                 // errs); the data variant is an unobservable carrier.
@@ -638,7 +602,7 @@ fn gather_uniform(rows: &[Value], nulls: &Mask) -> Option<ColumnData> {
 /// Numeric rank of a batch's static value type: 2 = Int, 3 = Long,
 /// 4 = Double (matching `Expr::eval`'s promotion order); `None` when the type is
 /// non-numeric or not statically known (`Mixed`).
-fn arith_rank(v: &BVals) -> Option<u8> {
+fn arith_rank(v: &BVals<'_>) -> Option<u8> {
     match v {
         BVals::Int(_) | BVals::Const(Value::Int(_)) => Some(2),
         BVals::Long(_) | BVals::Const(Value::Long(_)) => Some(3),
@@ -648,99 +612,18 @@ fn arith_rank(v: &BVals) -> Option<u8> {
 }
 
 /// Widen a numeric batch to dense `f64` (mirrors `Value::as_double`).
-fn widen_f64(v: &BVals, n: usize) -> Vec<f64> {
+fn widen_f64(v: &BVals<'_>, n: usize) -> Vec<f64> {
     match v {
         BVals::Int(d) => d.iter().map(|&x| f64::from(x)).collect(),
         BVals::Long(d) => d.iter().map(|&x| x as f64).collect(),
-        BVals::Double(d) => d.clone(),
+        BVals::Double(d) => d.to_vec(),
         BVals::Const(c) => vec![c.as_double().expect("numeric const"); n],
         _ => unreachable!("widen_f64 on non-numeric batch"),
     }
 }
 
-/// A borrowed binary-operator operand: an owned evaluation result, a batch
-/// column read **in place**, or a plan literal. The `Col`/`Lit` forms are
-/// what the fused engine's leaf fast path produces — the kernels index the
-/// column's storage directly, so a `col <op> lit` filter or a projection
-/// arithmetic tree allocates nothing per leaf (where `from_column` clones
-/// the full vector).
-enum VRef<'a> {
-    Vals(&'a BVals),
-    Col(&'a Column),
-    Lit(&'a Value),
-}
-
-/// One binary operand: borrowed values plus its null/error masks.
-struct Side<'a> {
-    v: VRef<'a>,
-    nulls: Mask,
-    errs: Errs,
-}
-
-/// Borrowed-leaf operand for the dense context, `None` when the node is
-/// not a leaf (or the context is selection-gathered — that keeps the
-/// `from_column_sel` path). Masks mirror
-/// [`BatchEval::from_column`] / [`BatchEval::constant`] bit for bit.
-fn leaf_operand<'a>(node: &'a Node, batch: &'a ColumnBatch, ctx: EvalCtx) -> Option<Side<'a>> {
-    if ctx.sel.is_some() {
-        return None;
-    }
-    match node {
-        Node::Col(i) => {
-            let col = batch.column(*i);
-            let nulls = match col.validity() {
-                None => Mask::None,
-                Some(v) => Mask::from_flags((0..v.len()).map(|i| !v.is_valid(i)).collect()),
-            };
-            Some(Side {
-                v: VRef::Col(col),
-                nulls,
-                errs: Errs::None,
-            })
-        }
-        Node::Lit(v) => Some(Side {
-            v: VRef::Lit(v),
-            nulls: if v.is_null() { Mask::All } else { Mask::None },
-            errs: Errs::None,
-        }),
-        _ => None,
-    }
-}
-
-/// [`arith_rank`] over a borrowed operand.
-fn arith_rank_ref(v: &VRef) -> Option<u8> {
-    match v {
-        VRef::Vals(b) => arith_rank(b),
-        VRef::Col(c) => match c.data() {
-            ColumnData::Int(_) => Some(2),
-            ColumnData::Long(_) => Some(3),
-            ColumnData::Double(_) => Some(4),
-            _ => None,
-        },
-        VRef::Lit(val) => match val {
-            Value::Int(_) => Some(2),
-            Value::Long(_) => Some(3),
-            Value::Double(_) => Some(4),
-            _ => None,
-        },
-    }
-}
-
-/// Scalar value of row `i` (callers must rule out errors first; masked
-/// null rows read as `Null` exactly like [`BatchEval::value_at`]).
-fn value_at_ref(v: &VRef, nulls: &Mask, i: usize) -> Value {
-    if nulls.get(i) {
-        return Value::Null;
-    }
-    match v {
-        VRef::Vals(b) => bvals_at(b, i),
-        VRef::Col(c) => c.value(i),
-        VRef::Lit(val) => (*val).clone(),
-    }
-}
-
-/// Non-connective binary operator over two borrowed operands.
-fn binary(op: BinOp, mut l: Side, mut r: Side, n: usize) -> BatchEval {
+/// Non-connective binary operator over two evaluated operands.
+fn binary(op: BinOp, mut l: BatchEval<'_>, mut r: BatchEval<'_>, n: usize) -> BatchEval<'static> {
     // Row order: left `?`, right `?`, *then* the null check — so a row
     // fails where either operand does, with the left operand's error first
     // (a right-side error surfaces even when the left side is null), and
@@ -758,61 +641,52 @@ fn binary(op: BinOp, mut l: Side, mut r: Side, n: usize) -> BatchEval {
             errs,
         };
     }
-    let ranks = (arith_rank_ref(&l.v), arith_rank_ref(&r.v));
+    let (lv, rv) = (&l.vals, &r.vals);
     match op {
         BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
-            if let (Some(a), Some(b)) = ranks {
-                simd_arith_kernel(op, &l.v, &r.v, a, b, n, nulls, errs)
+            if arith_rank(lv).is_some() && arith_rank(rv).is_some() {
+                simd_arith_kernel(op, &l, &r, n, nulls, errs)
             } else {
                 per_row_binary(op, &l, &r, n, &nulls, &errs)
             }
         }
-        BinOp::Eq | BinOp::Ne => {
-            // Numeric comparisons read both operands through a borrowing
-            // accessor (dense slice or broadcast constant) instead of
-            // materializing two widened f64 vectors per batch — the
-            // `col == lit` filter shape allocates only the output mask.
-            let vals = if let (Some(na), Some(nb)) =
-                (num_accessor_ref(&l.v), num_accessor_ref(&r.v))
-            {
-                let neg = op == BinOp::Ne;
+        BinOp::And | BinOp::Or => unreachable!("handled by connective"),
+        // Comparisons. Numeric ones read both operands through a borrowing
+        // accessor (dense slice or broadcast constant) instead of
+        // materializing two widened f64 vectors per batch — over a column
+        // read in place, the `col == lit` filter shape allocates only the
+        // output mask.
+        _ => {
+            let (eq, neg) = (matches!(op, BinOp::Eq | BinOp::Ne), op == BinOp::Ne);
+            let out = if let (Some(na), Some(nb)) = (num_accessor(lv), num_accessor(rv)) {
                 // Integer batches with an i32-ranged side skip the f64
                 // widening entirely — provably the same answers, none of
                 // the per-lane int→float conversions (see `simd_int_eq`).
-                let exact = match (int_accessor_ref(&l.v), int_accessor_ref(&r.v)) {
-                    (Some(ia), Some(ib)) if i32_ranged(&ia) || i32_ranged(&ib) => {
-                        Some(simd_int_eq(&ia, &ib, n, neg))
+                match (int_accessor(lv), int_accessor(rv)) {
+                    (Some(ia), Some(ib)) if i32_ranged(&ia) || i32_ranged(&ib) => match eq {
+                        true => simd_int_eq(&ia, &ib, n, neg),
+                        false => simd_int_ord(op, &ia, &ib, n),
+                    },
+                    _ if eq => simd_num_eq(&na, &nb, n, neg),
+                    _ => simd_num_ord(op, &na, &nb, n),
+                }
+            } else if let (Some(sa), Some(sb)) = (str_accessor(lv), str_accessor(rv)) {
+                match eq {
+                    true => str_eq(&sa, &sb, n, neg),
+                    false => {
+                        let ord_test = cmp_test(op);
+                        (0..n).map(|i| ord_test(sa.at(i).cmp(sb.at(i)))).collect()
                     }
-                    _ => None,
-                };
-                BVals::Bool(exact.unwrap_or_else(|| simd_num_eq(&na, &nb, n, neg)))
-            } else if let (Some(sa), Some(sb)) = (str_accessor_ref(&l.v), str_accessor_ref(&r.v)) {
-                BVals::Bool(str_eq(&sa, &sb, n, op == BinOp::Ne))
+                }
             } else {
                 return per_row_binary(op, &l, &r, n, &nulls, &errs);
             };
-            BatchEval { vals, nulls, errs }
+            BatchEval {
+                vals: BVals::Bool(out.into()),
+                nulls,
+                errs,
+            }
         }
-        BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-            let vals = if let (Some(na), Some(nb)) =
-                (num_accessor_ref(&l.v), num_accessor_ref(&r.v))
-            {
-                let exact = match (int_accessor_ref(&l.v), int_accessor_ref(&r.v)) {
-                    (Some(ia), Some(ib)) if i32_ranged(&ia) || i32_ranged(&ib) => {
-                        Some(simd_int_ord(op, &ia, &ib, n))
-                    }
-                    _ => None,
-                };
-                BVals::Bool(exact.unwrap_or_else(|| simd_num_ord(op, &na, &nb, n)))
-            } else if let (Some(sa), Some(sb)) = (str_accessor_ref(&l.v), str_accessor_ref(&r.v)) {
-                let ord_test = cmp_test(op);
-                BVals::Bool((0..n).map(|i| ord_test(sa.at(i).cmp(sb.at(i)))).collect())
-            } else {
-                return per_row_binary(op, &l, &r, n, &nulls, &errs);
-            };
-            BatchEval { vals, nulls, errs }
-        }
-        BinOp::And | BinOp::Or => unreachable!("handled by connective"),
     }
 }
 
@@ -850,7 +724,7 @@ impl NumSide<'_> {
     }
 }
 
-fn num_accessor(v: &BVals) -> Option<NumSide<'_>> {
+fn num_accessor<'v>(v: &'v BVals<'_>) -> Option<NumSide<'v>> {
     match v {
         BVals::Int(d) => Some(NumSide::Int(d)),
         BVals::Long(d) => Some(NumSide::Long(d)),
@@ -859,26 +733,6 @@ fn num_accessor(v: &BVals) -> Option<NumSide<'_>> {
             c.as_double().expect("numeric const has a double form"),
         )),
         _ => None,
-    }
-}
-
-/// [`num_accessor`] over a borrowed operand: column storage and literals
-/// read in place, widening exactly like the owned form.
-fn num_accessor_ref<'a>(v: &'a VRef) -> Option<NumSide<'a>> {
-    match v {
-        VRef::Vals(b) => num_accessor(b),
-        VRef::Col(c) => match c.data() {
-            ColumnData::Int(d) => Some(NumSide::Int(d)),
-            ColumnData::Long(d) => Some(NumSide::Long(d)),
-            ColumnData::Double(d) => Some(NumSide::Double(d)),
-            _ => None,
-        },
-        VRef::Lit(val) => match val {
-            Value::Int(_) | Value::Long(_) | Value::Double(_) => Some(NumSide::Const(
-                val.as_double().expect("numeric const has a double form"),
-            )),
-            _ => None,
-        },
     }
 }
 
@@ -919,7 +773,7 @@ fn str_eq(a: &StrSide, b: &StrSide, n: usize, neg: bool) -> Vec<bool> {
     }
 }
 
-fn str_accessor(v: &BVals) -> Option<StrSide<'_>> {
+fn str_accessor<'v>(v: &'v BVals<'_>) -> Option<StrSide<'v>> {
     match v {
         BVals::Str(d) => Some(StrSide::Dense(d)),
         BVals::Const(Value::Str(s)) => Some(StrSide::Const(s)),
@@ -927,22 +781,16 @@ fn str_accessor(v: &BVals) -> Option<StrSide<'_>> {
     }
 }
 
-/// [`str_accessor`] over a borrowed operand.
-fn str_accessor_ref<'a>(v: &'a VRef) -> Option<StrSide<'a>> {
-    match v {
-        VRef::Vals(b) => str_accessor(b),
-        VRef::Col(c) => match c.data() {
-            ColumnData::Str(d) => Some(StrSide::Dense(d)),
-            _ => None,
-        },
-        VRef::Lit(Value::Str(s)) => Some(StrSide::Const(s)),
-        VRef::Lit(_) => None,
-    }
-}
-
 /// Row-at-a-time fallback for operand shapes without a typed kernel;
 /// reproduces [`Expr::eval`] exactly via its helpers, errors included.
-fn per_row_binary(op: BinOp, l: &Side, r: &Side, n: usize, nulls: &Mask, errs: &Errs) -> BatchEval {
+fn per_row_binary(
+    op: BinOp,
+    l: &BatchEval<'_>,
+    r: &BatchEval<'_>,
+    n: usize,
+    nulls: &Mask,
+    errs: &Errs,
+) -> BatchEval<'static> {
     let mut out = vec![Value::Null; n];
     let mut null_flags = vec![false; n];
     let mut failed = RowErrors::new();
@@ -955,10 +803,7 @@ fn per_row_binary(op: BinOp, l: &Side, r: &Side, n: usize, nulls: &Mask, errs: &
             null_flags[i] = true;
             continue;
         }
-        let (a, b) = (
-            value_at_ref(&l.v, &l.nulls, i),
-            value_at_ref(&r.v, &r.nulls, i),
-        );
+        let (a, b) = (l.value_at(i), r.value_at(i));
         let res = match op {
             BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => eval_arith(op, &a, &b),
             BinOp::Eq => Ok(Value::Bool(a.loose_eq(&b))),
@@ -990,12 +835,12 @@ fn per_row_binary(op: BinOp, l: &Side, r: &Side, n: usize, nulls: &Mask, errs: &
 /// right side error-free anyway (it falls back to the generic loop — with
 /// the right side already evaluated, which the generic loop treats
 /// identically to lazy evaluation).
-fn connective(
+fn connective<'a>(
     is_and: bool,
-    l: BatchEval,
-    right: impl FnOnce() -> BatchEval,
+    l: BatchEval<'a>,
+    right: impl FnOnce() -> BatchEval<'a>,
     n: usize,
-) -> BatchEval {
+) -> BatchEval<'static> {
     if matches!(l.errs, Errs::None) && matches!(l.vals, BVals::Bool(_)) {
         let r = right();
         if matches!(r.errs, Errs::None) && matches!(r.vals, BVals::Bool(_)) {
@@ -1012,12 +857,12 @@ fn connective(
 /// rows. A row fails where its left side does, or where it defers and its
 /// right side does; errors on skipped right sides stay masked, so the right
 /// batch is only computed when at least one row defers to it.
-fn connective_generic(
+fn connective_generic<'a>(
     is_and: bool,
-    l: BatchEval,
-    right: impl FnOnce() -> BatchEval,
+    l: BatchEval<'a>,
+    right: impl FnOnce() -> BatchEval<'a>,
     n: usize,
-) -> BatchEval {
+) -> BatchEval<'static> {
     let short_val = !is_and; // AND shorts to false, OR shorts to true
     let mut defer = vec![false; n];
     let mut any_defer = false;
@@ -1069,7 +914,7 @@ fn connective_generic(
             BVals::Const(Value::Bool(b)) => *b,
             _ => unreachable!("non-null row of bool-like batch"),
         });
-        BVals::Bool(out)
+        BVals::Bool(out.into())
     } else {
         let mut out = vec![Value::Null; n];
         fill!(out, Value::Bool(short_val), |r, i| r.value_at(i));
@@ -1083,7 +928,7 @@ fn connective_generic(
 }
 
 /// Logical NOT: Null passes through, booleans negate, anything else errors.
-fn not_batch(e: BatchEval, n: usize) -> BatchEval {
+fn not_batch(e: BatchEval<'_>, n: usize) -> BatchEval<'_> {
     match &e.vals {
         BVals::Bool(d) => BatchEval {
             // Masked rows negate garbage, which stays unobservable.
@@ -1116,7 +961,7 @@ fn not_batch(e: BatchEval, n: usize) -> BatchEval {
                 }
             }
             BatchEval {
-                vals: BVals::Bool(out),
+                vals: BVals::Bool(out.into()),
                 nulls: Mask::from_flags(null_flags),
                 errs: Errs::each(failed),
             }
@@ -1133,7 +978,7 @@ fn not_on_non_boolean() -> TemporalError {
 
 /// Fail every non-null row that does not fail yet with one shared `err`
 /// (for statically ill-typed operations that fail on any live row).
-fn err_all_alive(e: BatchEval, n: usize, err: TemporalError) -> BatchEval {
+fn err_all_alive(e: BatchEval<'_>, n: usize, err: TemporalError) -> BatchEval<'static> {
     let err = Arc::new(err);
     let failed = (0..n).filter_map(|i| match e.errs.at(i) {
         Some(earlier) => Some((i as u32, earlier)),
@@ -1151,7 +996,7 @@ fn err_all_alive(e: BatchEval, n: usize, err: TemporalError) -> BatchEval {
 /// argument fails the row with its error, the first null argument nulls the
 /// row (masking errors in later arguments), and only fully-live rows reach
 /// the kernel.
-fn call_batch(func: Func, args: &[BatchEval], n: usize) -> BatchEval {
+fn call_batch(func: Func, args: &[BatchEval<'_>], n: usize) -> BatchEval<'static> {
     let mut alive = vec![true; n];
     let mut null_flags = vec![false; n];
     let mut failed = RowErrors::new();
@@ -1324,7 +1169,7 @@ impl IntSide<'_> {
     }
 }
 
-fn int_accessor(v: &BVals) -> Option<IntSide<'_>> {
+fn int_accessor<'v>(v: &'v BVals<'_>) -> Option<IntSide<'v>> {
     match v {
         BVals::Int(d) => Some(IntSide::Int(d)),
         BVals::Long(d) => Some(IntSide::Long(d)),
@@ -1333,37 +1178,22 @@ fn int_accessor(v: &BVals) -> Option<IntSide<'_>> {
     }
 }
 
-/// [`int_accessor`] over a borrowed operand.
-fn int_accessor_ref<'a>(v: &'a VRef) -> Option<IntSide<'a>> {
-    match v {
-        VRef::Vals(b) => int_accessor(b),
-        VRef::Col(c) => match c.data() {
-            ColumnData::Int(d) => Some(IntSide::Int(d)),
-            ColumnData::Long(d) => Some(IntSide::Long(d)),
-            _ => None,
-        },
-        VRef::Lit(val) => val.as_long().map(IntSide::Const),
-    }
-}
-
-/// Typed arithmetic kernel over numeric operands (ranks `a`, `b`: 2 = Int,
-/// 3 = Long, 4 = Double, promoting like `Expr::eval`), reading
+/// Typed arithmetic kernel over two numeric operands, promoting to the
+/// higher of their ranks like `Expr::eval` ([`arith_rank`]), reading
 /// operands in place without materializing widened copies.
-#[allow(clippy::too_many_arguments)]
 fn simd_arith_kernel(
     op: BinOp,
-    l: &VRef,
-    r: &VRef,
-    a: u8,
-    b: u8,
+    l: &BatchEval<'_>,
+    r: &BatchEval<'_>,
     n: usize,
     nulls: Mask,
     errs: Errs,
-) -> BatchEval {
+) -> BatchEval<'static> {
     let head = n - n % LANES;
-    if a == 4 || b == 4 {
-        let x = num_accessor_ref(l).expect("double-ranked batch has a numeric accessor");
-        let y = num_accessor_ref(r).expect("double-ranked batch has a numeric accessor");
+    let rank = arith_rank(&l.vals).max(arith_rank(&r.vals));
+    if rank == Some(4) {
+        let x = num_accessor(&l.vals).expect("double-ranked batch has a numeric accessor");
+        let y = num_accessor(&r.vals).expect("double-ranked batch has a numeric accessor");
         let mut out = vec![0.0f64; n];
         let mut div_nulls = Vec::new();
         macro_rules! f64_map {
@@ -1408,13 +1238,13 @@ fn simd_arith_kernel(
             nulls
         };
         return BatchEval {
-            vals: BVals::Double(out),
+            vals: BVals::Double(out.into()),
             nulls,
             errs,
         };
     }
-    let x = int_accessor_ref(l).expect("integer-ranked batch has an integer accessor");
-    let y = int_accessor_ref(r).expect("integer-ranked batch has an integer accessor");
+    let x = int_accessor(&l.vals).expect("integer-ranked batch has an integer accessor");
+    let y = int_accessor(&r.vals).expect("integer-ranked batch has an integer accessor");
     let mut out = vec![0i64; n];
     let mut div_nulls = Vec::new();
     macro_rules! i64_map {
@@ -1452,8 +1282,8 @@ fn simd_arith_kernel(
     } else {
         nulls
     };
-    let vals = if a == 3 || b == 3 {
-        BVals::Long(out)
+    let vals = if rank == Some(3) {
+        BVals::Long(out.into())
     } else {
         BVals::Int(out.into_iter().map(|v| v as i32).collect())
     };
@@ -1558,7 +1388,12 @@ fn simd_num_ord(op: BinOp, a: &NumSide, b: &NumSide, n: usize) -> Vec<bool> {
 /// Garbage at null slots is harmless by the placement of the null flags:
 /// a null left side nulls the row outright, and a null right side only
 /// nulls rows that defer to it — exactly `Expr::eval`'s short-circuit rule.
-fn connective_dense_simd(is_and: bool, l: &BatchEval, r: &BatchEval, n: usize) -> BatchEval {
+fn connective_dense_simd(
+    is_and: bool,
+    l: &BatchEval<'_>,
+    r: &BatchEval<'_>,
+    n: usize,
+) -> BatchEval<'static> {
     let (lv, rv) = match (&l.vals, &r.vals) {
         (BVals::Bool(a), BVals::Bool(b)) => (a, b),
         _ => unreachable!("dense connective on non-bool batches"),
@@ -1589,7 +1424,7 @@ fn connective_dense_simd(is_and: bool, l: &BatchEval, r: &BatchEval, n: usize) -
         ),
     };
     BatchEval {
-        vals: BVals::Bool(out),
+        vals: BVals::Bool(out.into()),
         nulls,
         errs: Errs::None,
     }
@@ -1625,7 +1460,8 @@ mod tests {
 
     /// `e` over the sample batch, row by row: each row's value or error.
     fn per_row(e: &Expr) -> Vec<Result<Value>> {
-        let raw = CompiledExpr::compile(e, &schema()).eval_batch_raw_sel(&sample_batch(), None);
+        let batch = sample_batch();
+        let raw = CompiledExpr::compile(e, &schema()).eval_batch_raw_sel(&batch, None);
         (0..rows().len())
             .map(|i| raw.try_cell(i).map(Cell::to_value))
             .collect()
@@ -1737,6 +1573,73 @@ mod tests {
             .map(|(i, e)| (i, Arc::unwrap_or_clone(e)))
             .collect();
         assert_eq!(got, want);
+    }
+
+    /// A column leaf reads a dense batch in place and gathers through a
+    /// selection: every expression gives, slot for slot, over the rows a
+    /// selection names what it gives over those rows gathered into a
+    /// batch of their own — the same cell or the same error.
+    #[test]
+    fn a_selection_evaluates_as_its_gathered_batch() {
+        let s = schema();
+        let rows: Vec<Row> = (0..40i32)
+            .map(|i| match i % 5 {
+                4 => Row::new(vec![Value::Null; 4]),
+                _ => row![
+                    i % 3,
+                    i64::from(i * 7 - 30),
+                    f64::from(i) * 0.5 - 2.0,
+                    format!("u{}", i % 4)
+                ],
+            })
+            .collect();
+        let batch = ColumnBatch::from_rows(&s, &rows).unwrap();
+        let exprs = [
+            col("Ctr"),
+            col("UserId"),
+            col("Count").add(lit(1i32)).mul(col("Ctr")),
+            col("Count").div(col("StreamId")),
+            col("Ctr").div(col("Count")).sub(col("StreamId")),
+            col("StreamId").gt(lit(1)),
+            col("Count").le(col("Ctr")),
+            col("Count").ne(lit(5i64)),
+            col("UserId").eq(lit("u1")),
+            col("UserId").lt(lit("u2")),
+            col("UserId").ne(col("UserId")),
+            col("UserId").add(lit(1i64)),
+            col("UserId").eq(lit("u1")).and(col("Count").gt(lit(10i64))),
+            col("StreamId").eq(lit(1)).or(col("Nope").lt(lit(1i64))),
+            col("StreamId").eq(lit(1)).not(),
+            col("Ctr").sqrt().sub(lit(0.5f64)).abs(),
+            Expr::call(Func::Max2, vec![col("StreamId"), col("Count")]),
+            Expr::call(Func::Pow, vec![col("Ctr"), col("UserId")]),
+            col("Nope").add(lit(1i64)),
+        ];
+        let sels: [Vec<u32>; 3] = [
+            Vec::new(),
+            (0..40).filter(|i| i % 3 != 0).collect(),
+            (0..40).collect(),
+        ];
+        let slots = |raw: &BatchEval<'_>, n: usize| -> Vec<Result<Value>> {
+            (0..n)
+                .map(|i| raw.try_cell(i).map(Cell::to_value))
+                .collect()
+        };
+        for e in &exprs {
+            let c = CompiledExpr::compile(e, &s);
+            for sel in &sels {
+                let gathered = batch.gather(sel);
+                let got = slots(&c.eval_batch_raw_sel(&batch, Some(sel)), sel.len());
+                let want = slots(&c.eval_batch_raw_sel(&gathered, None), sel.len());
+                assert_eq!(got, want, "expr {e}, {} of 40 rows", sel.len());
+                assert_eq!(
+                    c.eval_predicate_batch_sel(&batch, Some(sel)),
+                    c.eval_predicate_batch_sel(&gathered, None),
+                    "predicate {e}, {} of 40 rows",
+                    sel.len()
+                );
+            }
+        }
     }
 
     #[test]

@@ -169,11 +169,11 @@ fn fill_empty_runs(bounds: &mut [usize]) {
 /// failing (event, argument) pair in event-major order — where an
 /// evaluation one event at a time stops — comes back with its position and
 /// error; no event at or past it may be read.
-pub(crate) fn batch_args(
-    payload: &ColumnBatch,
+pub(crate) fn batch_args<'a>(
+    payload: &'a ColumnBatch,
     rows: Option<&[u32]>,
     compiled: &[Option<CompiledExpr>],
-) -> (Vec<Option<BatchEval>>, Option<(usize, TemporalError)>) {
+) -> (Vec<Option<BatchEval<'a>>>, Option<(usize, TemporalError)>) {
     let n = rows.map_or(payload.len(), <[u32]>::len);
     let mut failed: Option<(usize, TemporalError)> = None;
     let args = (compiled.iter())
@@ -205,7 +205,7 @@ impl EventArgs for &[Value] {
 }
 
 /// Event `.1` of the typed argument columns `.0`.
-struct At<'a>(&'a [Option<BatchEval>], usize);
+struct At<'a>(&'a [Option<BatchEval<'a>>], usize);
 
 impl EventArgs for At<'_> {
     #[inline]
@@ -314,7 +314,7 @@ fn sweep_runs(
     bounds: &[usize],
     lifetime: impl Fn(usize) -> Lifetime,
     aggs: &[(String, AggExpr)],
-    args: &[Option<BatchEval>],
+    args: &[Option<BatchEval<'_>>],
     mut emit: impl FnMut(usize, Lifetime, &[Value]),
 ) -> (u64, Option<(usize, TemporalError)>) {
     let mut sweep = Sweep::new(aggs);

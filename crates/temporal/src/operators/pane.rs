@@ -71,7 +71,7 @@ pub(crate) fn pane_aggregate(
     let payload = input.payload();
     // Every argument is evaluated once, over every event, as a typed
     // column; a cell's error surfaces only where the kernel reads it.
-    let args: Vec<Option<BatchEval>> = (aggs.iter())
+    let args: Vec<Option<BatchEval<'_>>> = (aggs.iter())
         .map(|(_, a)| {
             Some(
                 a.compile_arg(input.schema())?
@@ -147,7 +147,7 @@ impl Partial {
     /// Add event `i`, whose argument is `cell` (of the column `arg`), to
     /// `figure`. Nulls count for COUNT only, as in the sweep.
     #[inline]
-    fn add(self, figure: &mut i128, i: usize, cell: Cell<'_>, arg: Option<&BatchEval>) {
+    fn add(self, figure: &mut i128, i: usize, cell: Cell<'_>, arg: Option<&BatchEval<'_>>) {
         match self {
             Partial::Count => *figure += 1,
             _ if matches!(cell, Cell::Null) => {}
@@ -178,7 +178,7 @@ impl Partial {
 
     /// The aggregate's value for `figure`: `None` for an integer SUM past
     /// `i64`.
-    fn value(self, figure: i128, arg: Option<&BatchEval>) -> Option<Value> {
+    fn value(self, figure: i128, arg: Option<&BatchEval<'_>>) -> Option<Value> {
         Some(match self {
             Partial::Count => Value::Long(figure as i64),
             _ if figure == EMPTY => Value::Null,
@@ -207,7 +207,7 @@ fn panes(
     groups: &Groups,
     grid: Duration,
     aggs: &[(String, AggExpr)],
-    args: &[Option<BatchEval>],
+    args: &[Option<BatchEval<'_>>],
     start: &[Time],
     order: impl FnOnce(&[usize]) -> Vec<u32>,
     stats: &mut ExecStats,

@@ -280,6 +280,15 @@ fn one_nan(stream: EventStream) -> EventStream {
     EventStream::new(stream.schema().clone(), events).normalize()
 }
 
+/// Whether every NaN `stream` holds is `f64::NAN` bit for bit: the engine
+/// publishes one NaN whatever bits the arithmetic that made it left, so a
+/// build cannot change a published byte and two NaN snapshots coalesce.
+fn nans_are_canonical(stream: &EventStream) -> bool {
+    (stream.events().iter())
+        .flat_map(|e| e.payload.values())
+        .all(|v| !matches!(v, Value::Double(x) if x.is_nan() && x.to_bits() != f64::NAN.to_bits()))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -307,6 +316,7 @@ proptest! {
         for path in [Path::Sweep, Path::Walk] {
             let got = engine(&plan(path, aggs.clone()), batch_of(&events)).unwrap();
             let want = reference(&events, path == Path::Walk);
+            prop_assert!(nans_are_canonical(&got), "a NaN other than f64::NAN: {:?}", got.events());
             let (got, want) = (one_nan(got), one_nan(want));
             prop_assert_eq!(got.events(), want.events());
         }
@@ -347,6 +357,11 @@ fn pinned_double_sums() {
     let run = |events: &[Ev]| {
         let got = engine(&plan(Path::Sweep, aggs.clone()), batch_of(events)).unwrap();
         let want = one_nan(reference(events, false));
+        assert!(
+            nans_are_canonical(&got),
+            "a NaN other than f64::NAN: {:?}",
+            got.events()
+        );
         assert_eq!(one_nan(got.clone()).events(), want.events());
         got.into_events()
     };
