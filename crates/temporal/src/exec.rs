@@ -1,42 +1,48 @@
 //! Batch execution of CQ plans.
 //!
-//! Evaluates a [`LogicalPlan`] bottom-up over fully materialized input
-//! batches, memoizing each node's output so DAG fan-out (Multicast)
-//! computes shared sub-plans once. This is the engine TiMR embeds inside
-//! every map-reduce reducer (paper §III-A step 4): the reducer binds its
-//! partition to the fragment's `Source` leaves and returns the root.
+//! Evaluates a [`LogicalPlan`] over fully materialized input batches. This
+//! is the engine TiMR embeds inside every map-reduce reducer (paper §III-A
+//! step 4): the reducer binds its partition to the fragment's `Source`
+//! leaves and takes the roots.
 //!
 //! There is one engine, one layout and one entry: [`execute`] takes batch
-//! bindings and returns batch roots, and every value inside it is an
-//! [`EventBatch`]. Every plan is fused on entry ([`crate::plan::fuse_plan`],
-//! free on an already-fused plan), stateless chains run as fused SIMD
-//! fragments, and the binary operators, the aggregates, GroupApply and a
-//! UDO's windows read and write columns. [`execute_single`] is the one row
-//! convenience: it lays each binding the plan reads out once as a batch —
-//! a cell that does not inhabit its declared type is an input error naming
-//! the source, the row and the column — and turns the one root back into
-//! a stream. The tests hold the engine to a naive snapshot evaluator that
-//! shares no code with it (`tests/common/oracle.rs`).
+//! bindings and returns batch roots, and every value inside it is a
+//! [`BatchRuns`], whose storage is an [`EventBatch`]. Every plan is fused
+//! on entry ([`crate::plan::fuse_plan`], free on an already-fused plan),
+//! stateless chains run as fused SIMD fragments, and the binary operators,
+//! the aggregates, GroupApply and a UDO's windows read and write columns.
+//! [`execute_single`] is the one row convenience: it lays each binding the
+//! plan reads out once as a batch — a cell that does not inhabit its
+//! declared type is an input error naming the source, the row and the
+//! column — and turns the one root back into a stream. The tests hold the
+//! engine to a naive snapshot evaluator that shares no code with it
+//! (`tests/common/oracle.rs`).
 //!
-//! Execution is consumer-count aware: every operator receives its inputs
-//! **by value**. A single-consumer intermediate is moved straight into its
-//! parent, so in-place operators (a fragment's compaction and lifetime
-//! rewrite) mutate it with no copy; a Multicast result is cached with its
-//! remaining-consumer count, handed out as O(1) Arc-backed clones, and
-//! *moved out* of the cache to its final consumer — the last consumer gets
-//! uniquely-owned storage, not a deep clone. A consumer of shared storage
-//! copies what it keeps (the survivors of its filter), never the whole
-//! value.
+//! There is one plan walk ([`walk`]). Paper §II-A.2 defines GroupApply as
+//! a sub-plan run once per group, so a plan is walked as a GroupApply
+//! sub-plan over one group: node by node, children first, each value a
+//! [`BatchRuns`] of one run at the top level and of one run per group
+//! inside a GroupApply, whose input it lays out as key-ordered runs of one
+//! batch (see `operators::group_apply`). Fragments, aggregates and unions
+//! have run-aware kernels; every other operator is called once per run
+//! ([`per_run`]). One run pays nothing for runs: its value is dense, in
+//! storage order, a fragment runs unchecked and compacts once, a union
+//! merges, and a node without a kernel takes its inputs by move.
 //!
-//! A GroupApply sub-plan is not executed per group: [`walk_runs`] evaluates
-//! it once, node by node, over all the groups laid out as key-ordered runs
-//! of one batch (see `operators::group_apply`), unless the sub-plan is a
-//! tumbling hopping aggregate of combinable aggregates, which GroupApply
-//! runs as one hash aggregation over (group, cell) (`operators::pane`).
-//! Every kernel of the walk reports the lowest run it fails in and the walk
-//! goes on below it, so an error is the one a group-at-a-time evaluation
-//! meets first: the lowest failing group in key order, its first failing
-//! operator.
+//! The walk is consumer-count aware: every operator receives its inputs
+//! **by value**. A value with one consumer is moved into it, so in-place
+//! operators (a fragment's compaction and lifetime rewrite) mutate it with
+//! no copy; a value with several (Multicast) is handed out as O(1)
+//! Arc-backed clones and *moved* to its last consumer, which so gets
+//! uniquely-owned storage, not a deep clone. A top-level `Source` moves its
+//! binding out at its last reference. A consumer of shared storage copies
+//! what it keeps (the survivors of its filter), never the whole value.
+//!
+//! Every kernel reports the lowest run it fails in and the walk goes on
+//! below it, so an error is the one a group-at-a-time evaluation meets
+//! first: the lowest failing group in key order, its first failing
+//! operator ([`Cut`]). A failure in the first run, and so any failure at
+//! the top level, returns at once.
 //!
 //! An execution runs on its caller's thread. The engine is the unmodified
 //! single-node DSMS of paper §III-C: a map-reduce job gets its parallelism
@@ -44,7 +50,6 @@
 
 use crate::batch::EventBatch;
 use crate::error::{Result, TemporalError};
-use crate::expr::Expr;
 use crate::operators::{self, BatchRuns, Cut};
 use crate::plan::{LogicalPlan, NodeId, Operator};
 use crate::stream::EventStream;
@@ -97,13 +102,13 @@ pub fn execute(plan: &LogicalPlan, sources: BatchBindings) -> Result<(Vec<EventB
     // Free when the plan was fused at construction (every embedded caller
     // does): the pass returns the borrowed plan before cloning anything.
     let plan = crate::plan::fuse_plan(plan)?;
-    let mut exec = Executor::new(&plan, sources);
-    let outputs = plan
-        .roots()
-        .iter()
-        .map(|&root| exec.eval(&plan, root))
-        .collect::<Result<Vec<_>>>()?;
-    Ok((outputs, exec.stats))
+    let mut sources = Sources::Owned(sources, source_refs(&plan));
+    let mut stats = ExecStats::default();
+    let roots = walk(&plan, None, &mut sources, &mut stats)?;
+    Ok((
+        roots.into_iter().map(BatchRuns::into_ordered).collect(),
+        stats,
+    ))
 }
 
 /// Execute a single-output plan over row streams and return its only root
@@ -134,39 +139,6 @@ pub fn execute_single(plan: &LogicalPlan, sources: &Bindings) -> Result<EventStr
     Ok(roots.pop().expect("one root").into_stream())
 }
 
-fn check_source_schema(name: &str, bound: &Schema, expected: &Schema) -> Result<()> {
-    if bound != expected {
-        return Err(TemporalError::Input(format!(
-            "source `{name}` bound with schema {bound}, plan expects {expected}"
-        )));
-    }
-    Ok(())
-}
-
-fn outside_group_apply() -> TemporalError {
-    TemporalError::Plan("GroupInput outside a GroupApply sub-plan".into())
-}
-
-/// The top-level evaluator: owns the bindings and the multicast cache.
-struct Executor {
-    /// Owned source bindings, drained as the plan consumes them: a batch is
-    /// moved out at its last `Source` reference.
-    sources: BatchBindings,
-    /// Remaining `Source`-node references per binding name, sub-plans
-    /// included. Only the top level counts its references down, so a name
-    /// a GroupApply sub-plan reads never reaches zero: every run reads it.
-    source_refs: FxHashMap<String, u32>,
-    /// Multicast results awaiting further consumers: the value + how many
-    /// consumers have not taken it yet.
-    cache: FxHashMap<NodeId, (EventBatch, usize)>,
-    /// [`LogicalPlan::consumer_counts`]: each root is consumed once by the
-    /// caller. Only nodes with more than one consumer — Multicast fan-out —
-    /// are cached; single-consumer intermediates are moved, not cloned, and
-    /// the cached entry is moved out on its last consumer.
-    counts: Vec<usize>,
-    stats: ExecStats,
-}
-
 /// `Source` references per binding name, counted across the whole plan,
 /// GroupApply sub-plans included.
 fn source_refs(plan: &LogicalPlan) -> FxHashMap<String, u32> {
@@ -185,170 +157,65 @@ fn collect_source_refs(plan: &LogicalPlan, refs: &mut FxHashMap<String, u32>) {
     }
 }
 
-/// The binding of a `Source` node, schema-checked.
-fn bound_source<'s>(
-    sources: &'s BatchBindings,
-    name: &str,
-    schema: &Schema,
-) -> Result<&'s EventBatch> {
-    let data = sources
-        .get(name)
-        .ok_or_else(|| TemporalError::Input(format!("no binding for source `{name}`")))?;
-    check_source_schema(name, data.schema(), schema)?;
-    Ok(data)
+/// The bindings a walk's `Source` nodes read.
+pub(crate) enum Sources<'s> {
+    /// The top level's own, with the `Source` references left per name
+    /// ([`source_refs`]): a binding moves out at its last reference, and
+    /// one a sub-plan reads never reaches its last.
+    Owned(BatchBindings, FxHashMap<String, u32>),
+    /// A sub-plan's: the outer bindings, the same batch for every run.
+    Outer(&'s BatchBindings),
 }
 
-impl Executor {
-    fn new(plan: &LogicalPlan, sources: BatchBindings) -> Executor {
-        Executor {
-            source_refs: source_refs(plan),
-            sources,
-            cache: FxHashMap::default(),
-            counts: plan.consumer_counts(),
-            stats: ExecStats::default(),
+impl Sources<'_> {
+    /// Every binding still held: what a GroupApply's sub-plan reads.
+    fn outer(&self) -> &BatchBindings {
+        match self {
+            Sources::Owned(map, _) => map,
+            Sources::Outer(map) => map,
         }
     }
 
-    fn eval(&mut self, plan: &LogicalPlan, id: NodeId) -> Result<EventBatch> {
-        if let Some((data, remaining)) = self.cache.get_mut(&id) {
-            *remaining -= 1;
-            if *remaining == 0 {
-                // Last consumer: move the value out instead of cloning,
-                // so downstream in-place operators get unique ownership.
-                let (data, _) = self.cache.remove(&id).expect("entry just seen");
-                return Ok(data);
-            }
-            return Ok(data.clone()); // O(1): Arc-backed storage
+    /// The binding of a `Source` node, schema-checked: moved out at its
+    /// last top-level reference — when the caller gave up its handle,
+    /// downstream in-place operators own the storage outright — and an
+    /// O(1) clone otherwise.
+    fn take(&mut self, name: &str, schema: &Schema) -> Result<EventBatch> {
+        let data = (self.outer().get(name))
+            .ok_or_else(|| TemporalError::Input(format!("no binding for source `{name}`")))?;
+        if data.schema() != schema {
+            return Err(TemporalError::Input(format!(
+                "source `{name}` bound with schema {}, plan expects {schema}",
+                data.schema()
+            )));
         }
-        let node = plan.node(id);
-        let mut inputs = Vec::with_capacity(node.inputs.len());
-        for &input in &node.inputs {
-            inputs.push(self.eval(plan, input)?);
+        if let Sources::Owned(map, refs) = self {
+            let left = (refs.get_mut(name)).expect("source_refs covers every Source in the plan");
+            *left -= 1;
+            if *left == 0 {
+                return Ok(map.remove(name).expect("binding just seen"));
+            }
         }
-        let out = self.apply(plan, id, inputs)?;
-        let consumers = self.counts.get(id).copied().unwrap_or(0);
-        if consumers > 1 {
-            // Cached as produced: every further consumer takes an O(1) clone.
-            self.cache.insert(id, (out.clone(), consumers - 1));
-        }
-        Ok(out)
-    }
-
-    fn apply(
-        &mut self,
-        plan: &LogicalPlan,
-        id: NodeId,
-        mut inputs: Vec<EventBatch>,
-    ) -> Result<EventBatch> {
-        Ok(match &plan.node(id).op {
-            Operator::Source { name, schema } => {
-                bound_source(&self.sources, name, schema)?;
-                let remaining = self
-                    .source_refs
-                    .get_mut(name)
-                    .expect("source_refs covers every Source in the plan");
-                *remaining -= 1;
-                if *remaining == 0 {
-                    // Last reference: move the binding out. When the caller
-                    // gave up its handle, downstream in-place operators own
-                    // the storage outright.
-                    self.sources.remove(name).expect("binding just seen")
-                } else {
-                    // Shared reference: an O(1) clone.
-                    self.sources[name].clone()
-                }
-            }
-            Operator::FusedFragment { steps } => {
-                let input = inputs.pop().expect("fused fragment has one input");
-                operators::fused_fragment(input, steps)?
-            }
-            Operator::Aggregate { aggs } => {
-                let input = inputs.pop().expect("aggregate has one input");
-                operators::aggregate(&input, aggs, &mut self.stats)?
-            }
-            Operator::Union => operators::union(inputs)?,
-            Operator::TemporalJoin { keys, residual } => {
-                // Only the columns its one consumer reads, when that
-                // consumer projects ([`LogicalPlan::columns_read`]).
-                let reads = plan.columns_read(id);
-                join(
-                    &inputs,
-                    keys,
-                    residual.as_ref(),
-                    reads.as_deref(),
-                    &mut self.stats,
-                )?
-            }
-            op => apply_unsegmented(op, inputs, &self.sources, &mut self.stats)?,
-        })
+        Ok(self.outer()[name].clone())
     }
 }
 
-/// The operators with no run-aware kernel, on whole batches: what the top
-/// level calls once and a sub-plan walk calls once per run. `sources` are
-/// the outer bindings: a sub-plan `Source` is the same batch for every run.
-fn apply_unsegmented(
-    op: &Operator,
-    mut inputs: Vec<EventBatch>,
-    sources: &BatchBindings,
-    stats: &mut ExecStats,
-) -> Result<EventBatch> {
-    let mut pop = |what: &str| inputs.pop().expect(what);
-    Ok(match op {
-        // Reached inside sub-plans only (the executor drains its own).
-        Operator::Source { name, schema } => bound_source(sources, name, schema)?.clone(),
-        Operator::GroupApply { keys, subplan } => {
-            let input = pop("group_apply has one input");
-            operators::group_apply(input, keys, subplan, sources, stats)?
-        }
-        Operator::TemporalJoin { keys, residual } => {
-            join(&inputs, keys, residual.as_ref(), None, stats)?
-        }
-        Operator::AntiSemiJoin { keys } => {
-            let right = pop("anti_semi_join has two inputs");
-            let left = pop("anti_semi_join has two inputs");
-            operators::anti_semi_join(&left, &right, keys)?
-        }
-        Operator::HopUdo { hop, width, udo } => {
-            operators::hop_udo(&pop("hop_udo has one input"), *hop, *width, udo)?
-        }
-        Operator::SpreadGrid { grid } => {
-            operators::spread_grid(&pop("spread_grid has one input"), *grid)?
-        }
-        Operator::GroupInput { .. } => return Err(outside_group_apply()),
-        Operator::Filter { .. } | Operator::Project { .. } | Operator::AlterLifetime { .. } => {
-            unreachable!("fuse_plan wraps every stateless operator in a FusedFragment")
-        }
-        Operator::FusedFragment { .. } | Operator::Aggregate { .. } | Operator::Union => {
-            unreachable!("{} has a run-aware kernel", op.name())
-        }
-    })
-}
-
-/// A TemporalJoin of `inputs` (left, right) that builds the output columns
-/// at `reads` (all when `None`), counting the columns it did not build.
-fn join(
-    inputs: &[EventBatch],
-    keys: &[(String, String)],
-    residual: Option<&Expr>,
-    reads: Option<&[usize]>,
-    stats: &mut ExecStats,
-) -> Result<EventBatch> {
-    let [left, right] = inputs else {
-        unreachable!("temporal_join has two inputs")
+/// Node `id`'s value for one of its consumers: an O(1) clone (an Arc bump
+/// plus the permutation and bounds) for all but the last, which takes it by
+/// move — so in-place kernels see unique storage.
+fn take_value(values: &mut [Option<BatchRuns>], consumers: &mut [usize], id: NodeId) -> BatchRuns {
+    consumers[id] -= 1;
+    let value = match consumers[id] {
+        0 => values[id].take(),
+        _ => values[id].clone(),
     };
-    let out = operators::temporal_join_reading(left, right, keys, residual, reads)?;
-    let joined = left.schema().len() + right.schema().len();
-    stats.join_columns_pruned += (joined - out.schema().len()) as u64;
-    Ok(out)
+    value.expect("inputs are evaluated before their consumers")
 }
 
-/// Evaluate a (fused) GroupApply `subplan` **once** over all of `input`'s
-/// runs and return the root, run for run. Nodes are visited in a
-/// group-at-a-time evaluation's order; a multi-consumer value is cloned (an
-/// Arc bump plus the permutation and bounds) for all but its last consumer,
-/// which takes it by move, so in-place kernels see unique storage exactly
-/// as at the top level.
+/// Evaluate a (fused) `plan` **once**, node by node in a group-at-a-time
+/// evaluation's order, and return its roots, run for run. `input` is a
+/// GroupApply sub-plan's `GroupInput`, laid out as runs; the top level has
+/// none and is one run.
 ///
 /// Fragments, aggregates and unions run their run-aware kernels over the
 /// whole batch, read through its run permutation. Everything else
@@ -356,31 +223,21 @@ fn join(
 /// [`per_run`]. A kernel that fails records its lowest failing run in the
 /// walk's [`Cut`]; every value read afterwards is cut to the runs below it,
 /// and the recorded error is returned at the end.
-pub(crate) fn walk_runs(
-    subplan: &LogicalPlan,
-    input: BatchRuns,
-    sources: &BatchBindings,
+pub(crate) fn walk(
+    plan: &LogicalPlan,
+    mut input: Option<BatchRuns>,
+    sources: &mut Sources,
     stats: &mut ExecStats,
-) -> Result<BatchRuns> {
-    let runs = input.len();
-    let mut consumers = subplan.consumer_counts();
-    let mut input = Some(input);
-    let mut values: Vec<Option<BatchRuns>> = vec![None; subplan.nodes().len()];
+) -> Result<Vec<BatchRuns>> {
+    let runs = input.as_ref().map_or(1, BatchRuns::len);
+    let mut consumers = plan.consumer_counts();
+    let mut values: Vec<Option<BatchRuns>> = vec![None; plan.nodes().len()];
     let mut cut = Cut::none();
-    let root = subplan.roots()[0];
-    for id in subplan.topo_order() {
-        let node = subplan.node(id);
-        let mut inputs: Vec<BatchRuns> = node
-            .inputs
-            .iter()
+    for id in plan.topo_order() {
+        let node = plan.node(id);
+        let mut inputs: Vec<BatchRuns> = (node.inputs.iter())
             .map(|&i| {
-                consumers[i] -= 1;
-                let value = if consumers[i] == 0 {
-                    values[i].take()
-                } else {
-                    values[i].clone()
-                };
-                let mut value = value.expect("inputs are evaluated before their consumers");
+                let mut value = take_value(&mut values, &mut consumers, i);
                 value.truncate(cut.limit);
                 value
             })
@@ -388,7 +245,9 @@ pub(crate) fn walk_runs(
         let out = match &node.op {
             // Plan validation admits exactly one such leaf per sub-plan.
             Operator::GroupInput { .. } => {
-                let mut input = input.take().expect("one GroupInput per sub-plan");
+                let mut input = input.take().ok_or_else(|| {
+                    TemporalError::Plan("GroupInput outside a GroupApply sub-plan".into())
+                })?;
                 input.truncate(cut.limit);
                 input
             }
@@ -403,55 +262,120 @@ pub(crate) fn walk_runs(
             Operator::Union => operators::union_walk(inputs)?,
             op => {
                 debug_assert!(!op.segmented(), "{} has a kernel above", op.name());
-                let schema = subplan.schema_of(id).clone();
-                per_run(
-                    op,
-                    inputs,
-                    runs.min(cut.limit),
-                    schema,
-                    sources,
-                    stats,
-                    &mut cut,
-                )?
+                // Only the columns a join's one consumer reads, when that
+                // consumer projects ([`LogicalPlan::columns_read`]).
+                let reads = match op {
+                    Operator::TemporalJoin { .. } => plan.columns_read(id),
+                    _ => None,
+                };
+                if let Some(reads) = &reads {
+                    stats.join_columns_pruned += (plan.schema_of(id).len() - reads.len()) as u64;
+                }
+                let runs = runs.min(cut.limit);
+                per_run(op, reads.as_deref(), inputs, runs, sources, stats, &mut cut)?
             }
         };
         values[id] = Some(out);
     }
-    match cut.err {
-        Some(err) => Err(err),
-        None => Ok(values[root].take().expect("the root is evaluated last")),
+    if let Some(err) = cut.err {
+        return Err(err);
     }
+    let roots = plan.roots().iter();
+    Ok(roots
+        .map(|&root| take_value(&mut values, &mut consumers, root))
+        .collect())
 }
 
-/// The generic adapter for operators without a run-aware kernel: gather
-/// each input's run into a batch of its own, call the ordinary operator,
-/// append its output as the run of the result. A node without inputs (a
-/// sub-plan `Source`) yields its whole batch — an O(1) clone — for every
-/// run. An operator that fails cuts its run.
+/// The generic adapter for operators without a run-aware kernel: each
+/// input's run `r` as a batch of its own, the operator called on them
+/// ([`apply_unsegmented`]), its output appended as run `r` of the result.
+/// One run takes every input whole, by move, and gives the output back as
+/// it is. An operator that fails cuts its run.
 fn per_run(
     op: &Operator,
+    reads: Option<&[usize]>,
     inputs: Vec<BatchRuns>,
     runs: usize,
-    schema: Schema,
-    sources: &BatchBindings,
+    sources: &mut Sources,
     stats: &mut ExecStats,
     cut: &mut Cut,
 ) -> Result<BatchRuns> {
-    let mut out = EventBatch::empty(schema);
+    if runs == 1 {
+        // A failure here is in run 0, which returns at once.
+        let inputs = inputs.into_iter().map(BatchRuns::into_ordered).collect();
+        let out = apply_unsegmented(op, reads, inputs, sources, stats)?;
+        return Ok(BatchRuns::one(out));
+    }
+    let mut out: Option<EventBatch> = None;
     let mut bounds = Vec::with_capacity(runs + 1);
     bounds.push(0);
     for r in 0..runs {
         let slices = inputs.iter().map(|i| i.run(r)).collect();
-        match apply_unsegmented(op, slices, sources, stats) {
-            Ok(run) => out.append(run)?,
+        let run = match apply_unsegmented(op, reads, slices, sources, stats) {
+            Ok(run) => run,
             Err(err) => {
                 cut.fail(r, err)?;
                 break;
             }
-        }
+        };
+        // The first run is the base: a pruned join's output has only the
+        // columns its consumer reads.
+        let out = match &mut out {
+            Some(out) => {
+                out.append(run)?;
+                out
+            }
+            None => out.insert(run),
+        };
         bounds.push(out.len());
     }
+    let out = out.expect("run 0 either succeeds or returns its error");
     Ok(BatchRuns::in_order(out, bounds))
+}
+
+/// The operators with no run-aware kernel, on whole batches: what the walk
+/// calls once per run. A `Source` is the same batch for every run; a join
+/// builds the output columns at `reads` (all when `None`).
+fn apply_unsegmented(
+    op: &Operator,
+    reads: Option<&[usize]>,
+    mut inputs: Vec<EventBatch>,
+    sources: &mut Sources,
+    stats: &mut ExecStats,
+) -> Result<EventBatch> {
+    let mut pop = |what: &str| inputs.pop().expect(what);
+    Ok(match op {
+        Operator::Source { name, schema } => sources.take(name, schema)?,
+        Operator::GroupApply { keys, subplan } => {
+            let input = pop("group_apply has one input");
+            operators::group_apply(input, keys, subplan, sources.outer(), stats)?
+        }
+        Operator::TemporalJoin { keys, residual } => {
+            let right = pop("temporal_join has two inputs");
+            let left = pop("temporal_join has two inputs");
+            operators::temporal_join(&left, &right, keys, residual.as_ref(), reads)?
+        }
+        Operator::AntiSemiJoin { keys } => {
+            let right = pop("anti_semi_join has two inputs");
+            let left = pop("anti_semi_join has two inputs");
+            operators::anti_semi_join(&left, &right, keys)?
+        }
+        Operator::HopUdo { hop, width, udo } => {
+            operators::hop_udo(&pop("hop_udo has one input"), *hop, *width, udo)?
+        }
+        Operator::SpreadGrid { grid } => {
+            operators::spread_grid(&pop("spread_grid has one input"), *grid)?
+        }
+        Operator::Filter { .. } | Operator::Project { .. } | Operator::AlterLifetime { .. } => {
+            unreachable!("fuse_plan wraps every stateless operator in a FusedFragment")
+        }
+        op @ (Operator::GroupInput { .. }
+        | Operator::FusedFragment { .. }
+        | Operator::Aggregate { .. }
+        | Operator::Union) => {
+            unreachable!("the walk runs {} itself", op.name())
+        }
+    })
 }
 
 #[cfg(test)]
@@ -669,14 +593,14 @@ mod tests {
     }
 
     #[test]
-    fn multicast_cache_moves_out_on_last_consumer() {
+    fn multicast_values_move_out_on_their_last_consumer() {
         // A diamond over one binding — `Source → {Filter → Shift, Filter} →
         // Union` — with the binding read through one `Source` node (two
-        // consumers: the counting cache) and through two (two references:
-        // the bindings map). Either way: `execute_single`'s events, cache and
-        // bindings left empty (every value moved out by its last consumer),
-        // and the storage the caller still holds untouched although both
-        // branches mutate "their" input.
+        // consumers) and through two (two references). Either way: the
+        // walk's root is `execute_single`'s, the bindings are drained (the
+        // binding moved out by its last reference), and the storage the
+        // caller still holds is untouched although both branches mutate
+        // "their" input.
         for two_source_nodes in [false, true] {
             let q = Query::new();
             let input = q.source("input", bt_schema());
@@ -694,55 +618,60 @@ mod tests {
             assert_eq!(reference.len(), 3 + 3);
             let plan = crate::plan::fuse_plan(&plan).unwrap();
             let (srcs, kept) = shared_binding();
-            let mut exec = Executor::new(&plan, srcs);
-            let result = exec.eval(&plan, plan.roots()[0]).unwrap();
-            assert_eq!(result.into_stream(), reference);
+            let mut sources = Sources::Owned(srcs, source_refs(&plan));
+            let mut stats = ExecStats::default();
+            let mut roots = walk(&plan, None, &mut sources, &mut stats).unwrap();
+            let root = roots.pop().unwrap();
+            assert_eq!((roots.len(), root.len()), (0, 1), "one root, one run");
+            assert_eq!(root.into_ordered().into_stream(), reference);
+            let Sources::Owned(left, refs) = sources else {
+                unreachable!("the top level owns its bindings")
+            };
             assert!(
-                exec.cache.is_empty(),
-                "all multicast entries should be moved out by their last consumer"
-            );
-            assert!(
-                exec.sources.is_empty(),
+                left.is_empty(),
                 "the binding is drained at its last reference"
             );
-            assert_eq!(exec.stats, ExecStats::default());
+            assert_eq!(refs["input"], 0);
+            assert_eq!(stats, ExecStats::default());
             assert_eq!(kept.into_stream(), sample_events());
         }
     }
 
     #[test]
     fn the_last_consumer_of_a_shared_batch_owns_its_storage() {
-        // `input` is read twice, and so is the filter over its first
-        // reference: every consumer but the last shares storage (an O(1)
-        // clone), the last one is handed the only handle — so its fragment
-        // compacts in place instead of gathering survivors.
+        // `input` feeds a filter, then a lifetime shift — its last
+        // consumer, which rewrites lifetimes in place. Given the only
+        // handle, the shift writes into the binding's own storage; with
+        // the caller holding another, it copies the lifetimes and leaves
+        // the caller's alone.
         let q = Query::new();
         let input = q.source("input", bt_schema());
-        let clicks = input.clone().filter(col("StreamId").eq(lit(1)));
-        let out = clicks.clone().union(clicks).union(input);
-        let plan = q.build(vec![out]).unwrap();
-        let plan = crate::plan::fuse_plan(&plan).unwrap();
-        let node_of = |name: &str| {
-            (plan.nodes().iter())
-                .position(|n| n.op.name() == name)
-                .unwrap_or_else(|| panic!("no {name} in\n{plan}"))
-        };
+        let searches = input.clone().filter(col("StreamId").eq(lit(2)));
+        let plan = q.build(vec![searches, input.shift(5)]).unwrap();
+        for keep in [false, true] {
+            let (srcs, kept) = shared_binding();
+            let storage = kept.vt().as_ptr();
+            let kept = keep.then_some(kept);
+            let (roots, _) = execute(&plan, srcs).unwrap();
+            assert_eq!((roots[0].len(), roots[1].len()), (1, 4));
+            assert_eq!(roots[1].vt(), &[15, 25, 30, 205]);
+            assert_eq!(roots[1].vt().as_ptr() == storage, !keep, "keep: {keep}");
+            if let Some(kept) = kept {
+                assert_eq!(kept.into_stream(), sample_events());
+            }
+        }
+        // The hand-out itself: an O(1) clone for every consumer but the
+        // last, which takes the value by move.
         let (srcs, kept) = shared_binding();
-        drop(kept);
-        let mut exec = Executor::new(&plan, srcs);
-        let mut take = |id: NodeId| exec.eval(&plan, id).unwrap();
-        let fragment = node_of("FusedFragment");
-        let mut first = take(fragment);
-        assert!(!first.is_unique(), "the cache holds the other handle");
-        let mut last = take(fragment);
-        assert!(!last.is_unique());
+        drop(srcs);
+        let mut values = vec![Some(BatchRuns::one(kept))];
+        let mut consumers = vec![2];
+        let first = take_value(&mut values, &mut consumers, 0);
+        let mut last = take_value(&mut values, &mut consumers, 0);
+        assert!(values[0].is_none(), "moved out, not cloned");
+        assert!(!last.batch.is_unique());
         drop(first);
-        assert!(last.is_unique(), "moved out of the cache, not cloned");
-        // The fragment took `input`'s first reference; the map still held it.
-        let mut source = take(node_of("Source"));
-        assert!(source.is_unique(), "moved out of the bindings");
-        assert_eq!(source.len(), 4);
-        assert_eq!(last.len(), 3);
+        assert!(last.batch.is_unique());
     }
 
     /// Each user's events joined against the whole log inside the
@@ -811,6 +740,24 @@ mod tests {
             vec![1, 3],
         )
         .unwrap()
+    }
+
+    #[test]
+    fn a_join_inside_a_sub_plan_builds_only_what_its_consumer_reads() {
+        // The sub-plan's join has one consumer, a projection reading 2 of
+        // its 8 columns: the 6 others are not built, counted once for the
+        // GroupApply's two runs, as the top level counts its joins.
+        let plan = pinned_plan();
+        let (roots, stats) = execute(&plan, batch_bindings(sample_events())).unwrap();
+        assert_eq!(stats.join_columns_pruned, 6);
+        assert_eq!((stats.groups, stats.per_run_nodes), (2, 2));
+        let joined = roots[0].clone().into_stream().normalize();
+        assert_eq!(joined.schema().names(), vec!["UserId", "Ad", "Other"]);
+        assert_eq!(joined.len(), 4, "each event meets itself only");
+        assert!(joined
+            .events()
+            .iter()
+            .any(|e| e.payload == row!["u2", "adA", "u2"]));
     }
 
     #[test]

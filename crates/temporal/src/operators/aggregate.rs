@@ -19,14 +19,15 @@
 //! equals concatenating the aggregates of its time-disjoint pieces, byte
 //! for byte (paper §III-B temporal partitioning relies on it).
 //!
-//! There is one sweep ([`sweep_runs`]). Under a GroupApply it runs over
-//! every group's run at once ([`aggregate_batch_runs`]): the runs are a
-//! permutation of the batch's rows, each aggregate's argument is one typed
-//! column in run order ([`batch_args`]), lifetimes come off the lifetime
-//! vectors, and one endpoint buffer is refilled, ordered and swept run by
-//! run — a run boundary is just one more empty snapshot. The segments are
-//! written straight into columns. The top-level operator ([`aggregate`])
-//! is its one-run case. Its per-instant step ([`Sweep::instant`]) is also
+//! There is one sweep ([`sweep_runs`]), over every run of its input at
+//! once ([`aggregate_batch_runs`]): under a GroupApply the runs are a
+//! permutation of the batch's rows, one per group, and at the top level
+//! one run of a dense batch. Each aggregate's argument is one typed column
+//! in run order ([`batch_args`]; a dense batch's column is read in place),
+//! lifetimes come off the lifetime vectors, and one endpoint buffer is
+//! refilled, ordered and swept run by run — a run boundary is just one
+//! more empty snapshot. The segments are written straight into columns.
+//! Its per-instant step ([`Sweep::instant`]) is also
 //! the one the real-time session ([`crate::rt`]) takes per group at each
 //! punctuation; it is generic over where an event's arguments live
 //! ([`EventArgs`]): here, a typed column's cells, read as
@@ -51,19 +52,6 @@ fn output_schema(aggs: &[(String, AggExpr)], in_schema: &Schema) -> Result<Schem
     ))
 }
 
-/// Compute snapshot aggregates over the whole batch (grouping is provided
-/// by GroupApply above this operator): the one-run case of
-/// [`aggregate_batch_runs`], its sorted run counted in `stats`.
-pub fn aggregate(
-    input: &EventBatch,
-    aggs: &[(String, AggExpr)],
-    stats: &mut ExecStats,
-) -> Result<EventBatch> {
-    let bounds = [0, input.len()];
-    let (out, _) = sweep_batch(input, None, &bounds, aggs, &mut Cut::none(), stats)?;
-    Ok(out)
-}
-
 /// Snapshot aggregates of every run of `input`: the sweep reads the
 /// arguments and lifetimes through the permutation and writes a batch in
 /// run order — the lifetimes and one typed column per aggregate, no `Row`
@@ -78,7 +66,7 @@ pub(crate) fn aggregate_batch_runs(
 ) -> Result<BatchRuns> {
     let (batch, bounds) = sweep_batch(
         &input.batch,
-        Some(&input.perm),
+        input.perm.as_deref(),
         &input.bounds,
         aggs,
         cut,
@@ -401,10 +389,20 @@ mod tests {
     use relation::schema::ColumnType;
     use relation::{Column, ColumnData, Validity};
 
+    /// [`aggregate_batch_runs`] over one dense run, as the top level runs
+    /// it.
+    fn aggregate(input: EventBatch, aggs: &[(String, AggExpr)]) -> Result<EventBatch> {
+        let input = BatchRuns::one(input);
+        let mut stats = ExecStats::default();
+        let out = aggregate_batch_runs(&input, aggs, &mut Cut::none(), &mut stats)?;
+        assert!(out.perm.is_none(), "a sweep writes its output in run order");
+        Ok(out.into_ordered())
+    }
+
     /// [`aggregate`] over a row stream, back as rows.
     fn aggregate_rows(input: &EventStream, aggs: &[(String, AggExpr)]) -> Result<EventStream> {
         let input = EventBatch::from_stream(input).unwrap();
-        Ok(aggregate(&input, aggs, &mut ExecStats::default())?.into_stream())
+        Ok(aggregate(input, aggs)?.into_stream())
     }
 
     fn schema() -> Schema {
@@ -440,12 +438,8 @@ mod tests {
 
     #[test]
     fn arguments_fail_in_event_major_order() {
-        let err = |aggs: Vec<(String, AggExpr)>| {
-            let mut stats = ExecStats::default();
-            aggregate(&ill_typed(), &aggs, &mut stats)
-                .unwrap_err()
-                .to_string()
-        };
+        let err =
+            |aggs: Vec<(String, AggExpr)>| aggregate(ill_typed(), &aggs).unwrap_err().to_string();
         // `abs(V)` fails on the second event only, `W + 1` on the first:
         // the first event's error is the answer.
         let aggs = vec![

@@ -259,18 +259,21 @@ fn run_step(
 /// drops the rows that did not survive — read back through `origin` when a
 /// projection compacted the batch — and the bounds shrink with it. Nothing
 /// is gathered but the live rows a projection reads.
+///
+/// One dense run (a top-level value) is [`fused_fragment`] itself: storage
+/// order is run order there, so the first failing row is the error with no
+/// checked pass, and the survivors are compacted once.
 pub(crate) fn fused_batch_runs(
     runs: BatchRuns,
     steps: &[FusedStep],
     cut: &mut Cut,
 ) -> Result<BatchRuns> {
     const DROPPED: u32 = u32::MAX;
+    if runs.len() == 1 && runs.perm.is_none() {
+        return Ok(BatchRuns::one(fused_fragment(runs.batch, steps)?));
+    }
     let live = runs.live_rows();
-    let BatchRuns {
-        batch,
-        mut perm,
-        mut bounds,
-    } = runs;
+    let (batch, mut perm, mut bounds) = runs.into_perm();
     let rows = batch.len();
     let order = || row_order(&perm, &bounds, rows);
     let runs_before = cut.limit;
@@ -284,7 +287,7 @@ pub(crate) fn fused_batch_runs(
         // Every row survived where it was.
         return Ok(BatchRuns {
             batch,
-            perm,
+            perm: Some(perm),
             bounds,
         });
     }
@@ -308,7 +311,7 @@ pub(crate) fn fused_batch_runs(
     }
     Ok(BatchRuns {
         batch,
-        perm: kept,
+        perm: Some(kept),
         bounds: kept_bounds,
     })
 }

@@ -3,7 +3,7 @@
 //! Execution is **segmented**: instead of materialising one stream and one
 //! executor per group, the input batch is laid out once as key-ordered
 //! *runs* and the sub-plan is walked once over all of them
-//! ([`crate::exec::walk_runs`]). A run layout is [`BatchRuns`]: the batch,
+//! ([`crate::exec::walk`]). A run layout is [`BatchRuns`]: the batch,
 //! a run-order permutation of its rows and the bounds — nothing is
 //! gathered. A fused fragment runs the batch kernel over the live rows in
 //! input order and drops the rest from the permutation; an aggregate
@@ -40,7 +40,7 @@
 
 use crate::batch::EventBatch;
 use crate::error::{Result, TemporalError};
-use crate::exec::{walk_runs, BatchBindings, ExecStats};
+use crate::exec::{walk, BatchBindings, ExecStats, Sources};
 use crate::key::{mix, GroupWords, KeySelector, NormalizedKeys};
 use crate::operators::pane::pane_aggregate;
 use crate::plan::{hopping_aggregate, LogicalPlan};
@@ -55,17 +55,19 @@ pub(crate) fn run_of(bounds: &[usize], at: usize) -> usize {
 }
 
 /// A batch laid out as consecutive runs without moving a row: run `r` is
-/// the events `batch` holds at `perm[bounds[r]..bounds[r + 1]]`. Rows of
-/// `batch` that `perm` does not name were dropped by an earlier step; they
-/// stay in storage and no kernel reads them.
+/// the events `batch` holds at positions `bounds[r]..bounds[r + 1]` of its
+/// run order. Rows of `batch` the run order does not name were dropped by
+/// an earlier step; they stay in storage and no kernel reads them.
 #[derive(Debug, Clone)]
 pub(crate) struct BatchRuns {
     pub(crate) batch: EventBatch,
     /// Run order: position `p` holds row `perm[p]` of `batch`. No row
-    /// appears twice.
-    pub(crate) perm: Vec<u32>,
-    /// Run `r` is `perm[bounds[r]..bounds[r + 1]]`; `bounds[0] == 0` and the
-    /// last bound is `perm.len()`.
+    /// appears twice. `None`: position `p` holds row `p`, and every row is
+    /// named — the batch is dense, in storage order, as every value of a
+    /// one-run walk is.
+    pub(crate) perm: Option<Vec<u32>>,
+    /// Run `r` is positions `bounds[r]..bounds[r + 1]`; `bounds[0] == 0`
+    /// and the last bound is the number of positions.
     pub(crate) bounds: Vec<usize>,
 }
 
@@ -75,24 +77,37 @@ impl BatchRuns {
         let (perm, bounds) = run_order(&groups.ordinals, &groups.order);
         BatchRuns {
             batch,
-            perm,
+            perm: Some(perm),
             bounds,
         }
     }
 
-    /// A batch already in run order.
+    /// A batch already in run order: every row, runs cut at `bounds`.
     pub(crate) fn in_order(batch: EventBatch, bounds: Vec<usize>) -> BatchRuns {
-        let perm = (0..batch.len() as u32).collect();
+        debug_assert_eq!(bounds.last(), Some(&batch.len()));
         BatchRuns {
             batch,
-            perm,
+            perm: None,
             bounds,
         }
+    }
+
+    /// A whole batch as one run: a top-level value.
+    pub(crate) fn one(batch: EventBatch) -> BatchRuns {
+        let bounds = vec![0, batch.len()];
+        BatchRuns::in_order(batch, bounds)
     }
 
     /// Number of runs.
     pub(crate) fn len(&self) -> usize {
         self.bounds.len() - 1
+    }
+
+    /// The run order, spelled out: the identity when the batch is dense.
+    pub(crate) fn into_perm(self) -> (EventBatch, Vec<u32>, Vec<usize>) {
+        let n = self.batch.len() as u32;
+        let perm = self.perm.unwrap_or_else(|| (0..n).collect());
+        (self.batch, perm, self.bounds)
     }
 
     /// Keep the first `runs` runs (only ever shortens, and only once an
@@ -101,34 +116,47 @@ impl BatchRuns {
     pub(crate) fn truncate(&mut self, runs: usize) {
         if runs < self.len() {
             self.bounds.truncate(runs + 1);
-            self.perm.truncate(self.bounds[runs]);
+            let end = self.bounds[runs];
+            let n = self.batch.len() as u32;
+            let perm = self.perm.get_or_insert_with(|| (0..n).collect());
+            perm.truncate(end);
         }
     }
 
     /// The events of run `r` as a batch of their own, in run order.
     pub(crate) fn run(&self, r: usize) -> EventBatch {
-        self.batch
-            .gather(&self.perm[self.bounds[r]..self.bounds[r + 1]])
+        let (lo, hi) = (self.bounds[r], self.bounds[r + 1]);
+        match &self.perm {
+            Some(perm) => self.batch.gather(&perm[lo..hi]),
+            None => self
+                .batch
+                .gather(&(lo as u32..hi as u32).collect::<Vec<_>>()),
+        }
     }
 
-    /// The rows `perm` names, ascending — `None` when that is every row.
+    /// The rows the run order names, ascending — `None` when that is every
+    /// row.
     pub(crate) fn live_rows(&self) -> Option<Vec<u32>> {
-        if self.perm.len() == self.batch.len() {
+        let perm = self.perm.as_ref()?;
+        if perm.len() == self.batch.len() {
             return None;
         }
         let mut live = vec![false; self.batch.len()];
-        self.perm.iter().for_each(|&i| live[i as usize] = true);
+        perm.iter().for_each(|&i| live[i as usize] = true);
         Some(compact_indices(&live))
     }
 
-    /// The events in run order as a batch of their own: `batch` itself when
-    /// it already is one, else one gather through `perm`.
+    /// The events in run order as a batch of their own: `batch` itself,
+    /// moved, when it already is one, else one gather through `perm`.
     pub(crate) fn into_ordered(self) -> EventBatch {
-        let in_place = self.perm.len() == self.batch.len()
-            && (self.perm.iter().enumerate()).all(|(p, &i)| p == i as usize);
+        let Some(perm) = self.perm else {
+            return self.batch;
+        };
+        let in_place = perm.len() == self.batch.len()
+            && (perm.iter().enumerate()).all(|(p, &i)| p == i as usize);
         match in_place {
             true => self.batch,
-            false => self.batch.gather(&self.perm),
+            false => self.batch.gather(&perm),
         }
     }
 }
@@ -155,8 +183,7 @@ pub(crate) fn row_order(perm: &[u32], bounds: &[usize], rows: usize) -> Vec<(u32
 /// runs `r..` from its output and carries on; the walk trims every other
 /// live value to the same limit and returns the recorded error at the end.
 /// A failure in run 0 cannot be superseded and is returned at once — which
-/// is also why a one-run caller (the top-level operators) never sees a
-/// pending error.
+/// is also why a one-run walk (the top level) never sees a pending error.
 #[derive(Debug)]
 pub(crate) struct Cut {
     /// Runs at or past this index are dead: a recorded error covers them.
@@ -229,7 +256,9 @@ pub(crate) fn group_apply(
     let run_keys: Vec<Column> = (sel.indices().iter())
         .map(|&k| input.payload().column(k).gather(&groups.firsts))
         .collect();
-    let root = walk_runs(subplan, BatchRuns::of(input, &groups), sources, stats)?;
+    let input = Some(BatchRuns::of(input, &groups));
+    let mut root = walk(subplan, input, &mut Sources::Outer(sources), stats)?;
+    let root = root.pop().expect("a sub-plan has one root");
     Ok(keyed_batch(root, &run_keys, out_schema))
 }
 
@@ -237,7 +266,7 @@ pub(crate) fn group_apply(
 /// (one cell per run) at every output event's run, then the root's own
 /// columns in run order.
 fn keyed_batch(root: BatchRuns, run_keys: &[Column], out_schema: Schema) -> EventBatch {
-    let mut key_rows = Vec::with_capacity(root.perm.len());
+    let mut key_rows = Vec::with_capacity(root.bounds[root.len()]);
     for (run, w) in root.bounds.windows(2).enumerate() {
         key_rows.extend(std::iter::repeat_n(run as u32, w[1] - w[0]));
     }
@@ -433,7 +462,7 @@ mod tests {
 
     fn values(runs: &BatchRuns) -> Vec<i64> {
         let column = runs.batch.payload().column(1);
-        (runs.perm.iter())
+        (runs.perm.iter().flatten())
             .map(|&i| column.value(i as usize).as_long().unwrap())
             .collect()
     }
@@ -448,7 +477,7 @@ mod tests {
         assert_eq!(runs.bounds, vec![0, 1, 3]);
         assert_eq!(values(&runs), vec![20, 10, 30]);
         assert_eq!(
-            row_order(&runs.perm, &runs.bounds, 3),
+            row_order(runs.perm.as_ref().unwrap(), &runs.bounds, 3),
             vec![(1, 1), (0, 0), (1, 2)]
         );
     }

@@ -33,7 +33,6 @@ mod spread_grid;
 mod temporal_join;
 mod union;
 
-pub use aggregate::aggregate;
 pub(crate) use aggregate::{aggregate_batch_runs, batch_args, Sweep};
 pub use anti_semi_join::anti_semi_join;
 pub use fused::fused_fragment;
@@ -42,6 +41,4 @@ pub(crate) use group_apply::{group_apply, BatchRuns, Cut};
 pub use hop_udo::hop_udo;
 pub use spread_grid::spread_grid;
 pub use temporal_join::temporal_join;
-pub(crate) use temporal_join::temporal_join_reading;
-pub use union::union;
 pub(crate) use union::union_walk;

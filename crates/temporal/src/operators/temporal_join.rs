@@ -24,9 +24,8 @@
 //! key columns in place and records `(left index, right index, lifetime)`
 //! per match; then every output column is gathered in one pass, so a
 //! projection above the join moves columns instead of rebuilding rows.
-//! When the join's one consumer is a fragment that projects, the executor
-//! passes the columns it reads and only those are gathered
-//! ([`temporal_join_reading`]). A residual is evaluated once, as a batch,
+//! When the join's one consumer is a fragment that projects, the walk
+//! passes the columns it reads and only those are gathered. A residual is evaluated once, as a batch,
 //! over the candidate pairs' gathered columns — only those it reads — and
 //! fails with the error of the first failing pair in probe order.
 
@@ -40,22 +39,13 @@ use relation::{ColumnBatch, Schema};
 use std::sync::Arc;
 
 /// Join `left` and `right` on `keys` (pairs of column names) with an
-/// optional residual predicate over the concatenated payload.
+/// optional residual predicate over the concatenated payload, building
+/// only the output columns at `reads` (ascending positions in the joined
+/// schema; every column when `None`): the walk passes the columns the
+/// join's one consumer, a projecting fragment, reads. The output then has
+/// the schema of those columns alone — the consumer resolves its columns
+/// by name.
 pub fn temporal_join(
-    left: &EventBatch,
-    right: &EventBatch,
-    keys: &[(String, String)],
-    residual: Option<&Expr>,
-) -> Result<EventBatch> {
-    temporal_join_reading(left, right, keys, residual, None)
-}
-
-/// [`temporal_join`] building only the output columns at `reads`
-/// (ascending positions in the joined schema; every column when `None`):
-/// the executor passes the columns the join's one consumer, a projecting
-/// fragment, reads. The output then has the schema of those columns alone —
-/// the consumer resolves its columns by name.
-pub(crate) fn temporal_join_reading(
     left: &EventBatch,
     right: &EventBatch,
     keys: &[(String, String)],
@@ -165,7 +155,7 @@ mod tests {
             EventBatch::from_stream(left),
             EventBatch::from_stream(right),
         );
-        let out = temporal_join(&l.unwrap(), &r.unwrap(), keys, residual).unwrap();
+        let out = temporal_join(&l.unwrap(), &r.unwrap(), keys, residual, None).unwrap();
         out.into_stream()
     }
 
@@ -282,7 +272,7 @@ mod tests {
             EventBatch::from_stream(&left).unwrap(),
             EventBatch::from_stream(&right).unwrap(),
         );
-        let run = |residual: &Expr| temporal_join(&l, &r, &[], Some(residual)).map(|_| ());
+        let run = |residual: &Expr| temporal_join(&l, &r, &[], Some(residual), None).map(|_| ());
         // Every pair fails, each with its own value: the first pair's.
         assert_eq!(
             run(&col("V").add(col("W"))).unwrap_err().to_string(),

@@ -29,7 +29,7 @@ use proptest::prelude::*;
 use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{Row, Schema, Value};
 use timr_suite::temporal::exec::{bindings, execute, execute_single, BatchBindings};
-use timr_suite::temporal::operators::{anti_semi_join, fused_fragment, temporal_join, union};
+use timr_suite::temporal::operators::{anti_semi_join, fused_fragment, temporal_join};
 use timr_suite::temporal::plan::FusedStep;
 use timr_suite::temporal::{
     col, lit, Event, EventBatch, EventStream, Expr, Lifetime, Query, TemporalError,
@@ -323,7 +323,7 @@ proptest! {
         let (Some(l), Some(r)) = (laid_out(&left)?, laid_out(&right)?) else {
             return Ok(());
         };
-        let out = events_of(temporal_join(&l, &r, &keys, residual.as_ref()));
+        let out = events_of(temporal_join(&l, &r, &keys, residual.as_ref(), None));
         assert_oracle(&out, want, &joined)?;
     }
 
@@ -360,11 +360,18 @@ proptest! {
         let mut merged = streams[0].clone();
         merged.merge(streams[1].clone()).unwrap();
         merged.merge(streams[2].clone()).unwrap();
-        let out = union(inputs.clone());
+        // A one-operator plan over three bindings.
+        let q = Query::new();
+        let names = ["a", "b", "c"];
+        let [a, b, c] = names.map(|n| q.source(n, key_payload()));
+        let plan = q.build(vec![a.union_all(vec![b, c])]).unwrap();
+        let bound: BatchBindings = names.iter().map(|n| n.to_string()).zip(inputs).collect();
+        let out = execute(&plan, bound).map(|(mut roots, _)| roots.remove(0));
         prop_assert_eq!(&out.as_ref().unwrap().clone().into_stream(), &merged);
         assert_oracle(&events_of(out), Ok(want), &key_payload())?;
-        let other = EventBatch::empty(Schema::new(vec![Field::new("X", ColumnType::Long)]));
-        prop_assert!(union(vec![inputs[0].clone(), other]).is_err());
+        let q = Query::new();
+        let other = q.source("x", Schema::new(vec![Field::new("X", ColumnType::Long)]));
+        prop_assert!(q.build(vec![q.source("a", key_payload()).union(other)]).is_err());
     }
 
     /// A join whose right side reaches far — `[−100, +∞)`, lifetimes that

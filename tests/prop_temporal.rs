@@ -6,10 +6,8 @@ use proptest::prelude::*;
 use timr_suite::relation::schema::{ColumnType, Field};
 use timr_suite::relation::{row, Schema};
 use timr_suite::temporal::agg::AggExpr;
-use timr_suite::temporal::exec::ExecStats;
 use timr_suite::temporal::exec::{bindings, execute_single};
 use timr_suite::temporal::expr::{col, lit};
-use timr_suite::temporal::operators;
 use timr_suite::temporal::{Event, EventStream, Lifetime, Query};
 
 fn payload() -> Schema {
@@ -106,9 +104,12 @@ proptest! {
             pieces.push(piece);
         }
         let whole = EventStream::new(schema.clone(), pieces.concat());
+        // One aggregate over the whole stream: a one-operator plan.
         let aggregate = |s: &EventStream, aggs: &[(String, AggExpr)]| {
-            let batch = timr_suite::temporal::EventBatch::from_stream(s).unwrap();
-            operators::aggregate(&batch, aggs, &mut ExecStats::default()).map(|b| b.into_stream())
+            let q = Query::new();
+            let out = q.source("in", schema.clone()).aggregate(aggs.to_vec());
+            let plan = q.build(vec![out]).unwrap();
+            execute_single(&plan, &bindings(vec![("in", s.clone())]))
         };
         let concatenated: Vec<Event> = pieces
             .into_iter()
