@@ -65,13 +65,6 @@ pub enum TaskError {
     Fatal(Box<MrError>),
 }
 
-impl TaskError {
-    /// Whether another attempt could plausibly succeed.
-    pub fn is_retryable(&self) -> bool {
-        !matches!(self, TaskError::Fatal(_))
-    }
-}
-
 impl fmt::Display for TaskError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

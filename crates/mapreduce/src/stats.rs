@@ -189,19 +189,6 @@ pub struct MapTotals {
     pub shuffle_time: Duration,
 }
 
-impl MapTotals {
-    /// Fraction of would-be shuffle bytes eliminated map-side
-    /// (`saved / (moved + saved)`), 0 when nothing moved.
-    pub fn savings_ratio(&self) -> f64 {
-        let would_be = self.shuffle_bytes + self.shuffle_bytes_saved;
-        if would_be == 0 {
-            0.0
-        } else {
-            self.shuffle_bytes_saved as f64 / would_be as f64
-        }
-    }
-}
-
 /// Statistics for a multi-stage job.
 #[derive(Debug, Clone, Default)]
 pub struct JobStats {
@@ -259,16 +246,6 @@ impl JobStats {
     /// Total shuffle bytes as framed binary columnar extents.
     pub fn total_shuffle_bytes_binary(&self) -> u64 {
         self.stages.iter().map(|s| s.shuffle_bytes_binary).sum()
-    }
-
-    /// Total shuffle extents spilled to disk across stages.
-    pub fn total_spill_extents(&self) -> u64 {
-        self.stages.iter().map(|s| s.spill_extents).sum()
-    }
-
-    /// Total bytes written to spill files across stages.
-    pub fn total_spill_bytes(&self) -> u64 {
-        self.stages.iter().map(|s| s.spill_bytes).sum()
     }
 
     /// Total map-phase wall time across stages.

@@ -12,10 +12,11 @@
 //! Conversion is lossless **only for rows whose cells match the declared
 //! column types** ([`ColumnType::admits`]). Row storage tolerates ill-typed
 //! cells (`Row::new` never type-checks), so [`from_rows`]
-//! returns an error for such rows. Inside the DSMS callers fall back to
-//! row-major operators — there the batch layer is a fast path, never a
-//! semantic change; at a map-reduce stage boundary, which stores only
-//! extent images, the error is final.
+//! returns an error for such rows. The DSMS has no row-major operators to
+//! fall back to: a binding laid out from ill-typed rows is an input error
+//! naming the source, the row and the column (`EventBatch::lay_out` in
+//! `temporal`). At a map-reduce stage boundary, which stores only extent
+//! images, the error is final too.
 //!
 //! [`from_rows`]: ColumnBatch::from_rows
 
