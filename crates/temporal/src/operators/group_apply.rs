@@ -3,9 +3,9 @@
 //! Execution is **segmented**: instead of materialising one stream and one
 //! executor per group, the input batch is laid out once as key-ordered
 //! *runs* and the sub-plan is walked once over all of them
-//! ([`crate::exec::walk`]). A run layout is [`BatchRuns`]: the batch,
-//! a run-order permutation of its rows and the bounds — nothing is
-//! gathered. A fused fragment runs the batch kernel over the live rows in
+//! ([`crate::exec::walk`], the walk that runs every plan's top level as
+//! one run). A run layout is [`BatchRuns`]: the batch, a run-order
+//! permutation of its rows and the bounds — nothing is gathered. A fused fragment runs the batch kernel over the live rows in
 //! input order and drops the rest from the permutation; an aggregate
 //! sweeps through the permutation and writes a batch in run order; a union
 //! interleaves its inputs' runs in one permutation. A node with no

@@ -1,8 +1,7 @@
 //! Physical implementations of the temporal operators.
 //!
-//! Each operator is a pure function from input batches to an output batch;
-//! semantics are defined on the denoted temporal relation, so results
-//! never depend on the physical order of input events. The batch executor
+//! Semantics are defined on the denoted temporal relation, so results
+//! never depend on the physical order of input events. The one plan walk
 //! ([`crate::exec`]) wires these together following a
 //! [`crate::plan::LogicalPlan`].
 //!
@@ -10,15 +9,18 @@
 //! Expressions are index-resolved once per invocation
 //! ([`crate::compiled`]) and evaluated by the SIMD kernel suite, join and
 //! grouping keys hash in place ([`crate::key`]), and single-consumer
-//! inputs are consumed and mutated in place rather than cloned. Stateless
-//! chains run as fused fragments ([`fused_fragment`]).
+//! inputs are consumed and mutated in place rather than cloned.
 //!
-//! The operators a GroupApply sub-plan is made of — the fused steps,
-//! `aggregate`, `union` — are also written over *runs* (`group_apply`'s
-//! `BatchRuns`: the batch and one run-order permutation of its rows): one
-//! compile and one pass serve all the groups, and the plain functions are
-//! their one-run case. The tests' reference is a snapshot evaluator outside
-//! the library (`tests/common/oracle.rs`).
+//! The walk hands every operator its inputs as *runs* (`group_apply`'s
+//! `BatchRuns`: the batch and its run order) — one run per group inside a
+//! GroupApply, one run at the top level. The fused steps, the aggregate
+//! sweep and union have run-aware kernels ([`fused_batch_runs`],
+//! [`aggregate_batch_runs`], [`union_walk`]): one compile and one pass
+//! serve every run, and one dense run costs what a whole-batch operator
+//! would (a fragment is [`fused_fragment`] itself). The rest — the joins,
+//! the set difference, a UDO, SpreadGrid, GroupApply — are functions from
+//! whole batches to a batch, called once per run. The tests' reference is
+//! a snapshot evaluator outside the library (`tests/common/oracle.rs`).
 //!
 //! [`EventBatch`]: crate::batch::EventBatch
 
