@@ -141,7 +141,7 @@ impl AggExpr {
                 ColumnType::Int | ColumnType::Long | ColumnType::Double => Ok(ColumnType::Double),
                 t => Err(TemporalError::Plan(format!("STDDEV over non-numeric {t}"))),
             },
-            AggExpr::CountDistinct(_) => Ok(ColumnType::Long),
+            AggExpr::CountDistinct(e) => e.infer_type(schema).map(|_| ColumnType::Long),
         }
     }
 

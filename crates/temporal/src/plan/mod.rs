@@ -834,6 +834,18 @@ mod tests {
         assert!(q.build(vec![out]).is_err());
     }
 
+    /// Every expression of a plan is typed when it is built, COUNT_DISTINCT's
+    /// argument too.
+    #[test]
+    fn a_count_distinct_argument_is_typed() {
+        let q = Query::new();
+        let arg = col("Missing").add(lit("x"));
+        let out = (q.source("in", bt_schema()))
+            .aggregate(vec![("D".into(), AggExpr::CountDistinct(arg))]);
+        let err = q.build(vec![out]).unwrap_err();
+        assert_eq!(err.to_string(), "unknown column `Missing`");
+    }
+
     #[test]
     fn group_apply_key_collision_rejected() {
         let q = Query::new();
