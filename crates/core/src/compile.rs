@@ -463,6 +463,34 @@ mod tests {
         assert_eq!(via_batch.unwrap_err().to_string(), row_error.to_string());
     }
 
+    /// A shuffled batch whose payload column holds another type than its
+    /// field's is refused where it enters the embedded DSMS, naming the
+    /// source and the column, before any operator runs.
+    #[test]
+    fn a_reducer_input_that_contradicts_its_schema_is_a_named_input_error() {
+        let q = temporal::Query::new();
+        let out = q.source("s", binding().payload).window(5).count("C");
+        let reducer = DsmsReducer {
+            plan: q.build(vec![out]).unwrap(),
+            inputs: vec![binding()],
+        };
+        let b = binding();
+        let schema = b.encoding.dataset_schema(&b.payload);
+        let long = |v: Vec<i64>| relation::Column::new(relation::ColumnData::Long(v), None);
+        let strs = relation::StrCodes::from_strs(["u", "v"]);
+        let columns = vec![
+            long(vec![1, 2]),
+            long(vec![4, 5]),
+            relation::Column::new(relation::ColumnData::Str(strs.clone()), None),
+            relation::Column::new(relation::ColumnData::Str(strs), None),
+        ];
+        let input = ColumnBatch::new(schema, columns, 2);
+        let ctx = mapreduce::ReducerContext::standalone("reduce", 0, 1);
+        let err = reducer.reduce(&ctx, vec![input]).unwrap_err().to_string();
+        let want = "input error: source `s`: type mismatch in `N`: expected long, got str";
+        assert!(err.contains(want), "{err}");
+    }
+
     fn log_payload() -> Schema {
         Schema::new(vec![
             Field::new("StreamId", ColumnType::Int),

@@ -106,25 +106,6 @@ impl Validity {
         self.len += 1;
     }
 
-    /// Keep only the slots where `keep` is true (bulk word rebuild, no
-    /// per-slot reallocation).
-    pub fn retain(&mut self, keep: &[bool]) {
-        debug_assert_eq!(keep.len(), self.len);
-        let kept = keep.iter().filter(|&&k| k).count();
-        let mut words = vec![0u64; kept.div_ceil(64)];
-        let mut j = 0;
-        for (i, &k) in keep.iter().enumerate() {
-            if k {
-                if self.is_valid(i) {
-                    words[j / 64] |= 1 << (j % 64);
-                }
-                j += 1;
-            }
-        }
-        self.words = words;
-        self.len = kept;
-    }
-
     /// Append every slot of `other`.
     pub fn extend(&mut self, other: &Validity) {
         for i in 0..other.len() {
@@ -212,26 +193,14 @@ impl ColumnData {
         self.len() == 0
     }
 
-    fn retain(&mut self, keep: &[bool]) {
-        // Two-pointer in-place compaction: each survivor moves at most once.
-        macro_rules! compact_vec {
-            ($d:expr) => {{
-                let mut w = 0;
-                for (i, &k) in keep.iter().enumerate() {
-                    if k {
-                        $d[w] = $d[i];
-                        w += 1;
-                    }
-                }
-                $d.truncate(w);
-            }};
-        }
+    /// The type whose values this storage holds.
+    pub fn ty(&self) -> ColumnType {
         match self {
-            ColumnData::Bool(d) => compact_vec!(d),
-            ColumnData::Int(d) => compact_vec!(d),
-            ColumnData::Long(d) => compact_vec!(d),
-            ColumnData::Double(d) => compact_vec!(d),
-            ColumnData::Str(d) => d.retain(keep),
+            ColumnData::Bool(_) => ColumnType::Bool,
+            ColumnData::Int(_) => ColumnType::Int,
+            ColumnData::Long(_) => ColumnType::Long,
+            ColumnData::Double(_) => ColumnType::Double,
+            ColumnData::Str(_) => ColumnType::Str,
         }
     }
 
@@ -497,15 +466,6 @@ impl Column {
                 };
                 fixed(8) + text as u64
             }
-        }
-    }
-
-    /// Keep only the slots where `keep` is true.
-    pub fn retain(&mut self, keep: &[bool]) {
-        assert_eq!(keep.len(), self.len(), "retain mask length mismatch");
-        self.data.retain(keep);
-        if let Some(v) = &mut self.validity {
-            v.retain(keep);
         }
     }
 
@@ -814,6 +774,25 @@ impl ColumnBatch {
         (self.schema, self.columns, self.rows)
     }
 
+    /// Whether every column holds its field's type: its storage is of that
+    /// type, or no slot holds a real value (an all-null column may carry any
+    /// storage). The first column that does not is a type mismatch naming
+    /// it. One tag comparison per column, and a scan of the null bitmap only
+    /// where the tags differ.
+    pub fn check_types(&self) -> Result<()> {
+        for (field, column) in self.schema.fields().iter().zip(&self.columns) {
+            let ty = column.data.ty();
+            if ty != field.ty && !column.is_carrier() {
+                return Err(RelationError::TypeMismatch {
+                    column: field.name.clone(),
+                    expected: field.ty.to_string(),
+                    actual: ty.to_string(),
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// Whether every column of `other` (same schema) can be appended to its
     /// counterpart here.
     pub fn can_append(&self, other: &ColumnBatch) -> bool {
@@ -1063,7 +1042,7 @@ mod tests {
     fn append_recarries_all_null_columns_and_refuses_mixed_storage() {
         let s = Schema::new(vec![Field::new("L", ColumnType::Long)]);
         let longs = ColumnBatch::from_rows(&s, &[row![1i64], row![2i64]]).unwrap();
-        // What a projection of `null` builds: nulls over a Bool carrier.
+        // Nulls over a Bool carrier: storage an all-null column may carry.
         let nulls = || {
             let carrier = Column::new(
                 ColumnData::Bool(vec![false; 2]),
@@ -1088,6 +1067,37 @@ mod tests {
         assert!(!c.can_append(&ints));
         assert!(c.append(ints).is_err());
         assert_eq!(c.to_rows(), longs.to_rows());
+    }
+
+    #[test]
+    fn check_types_names_the_first_column_whose_storage_contradicts_its_field() {
+        let s = schema();
+        assert_eq!(
+            ColumnBatch::from_rows(&s, &rows()).unwrap().check_types(),
+            Ok(())
+        );
+        let two = Schema::new(vec![
+            Field::new("L", ColumnType::Long),
+            Field::new("D", ColumnType::Double),
+        ]);
+        let ints = |nulls: &[bool]| {
+            Column::new(
+                ColumnData::Int(vec![7; 2]),
+                Validity::from_null_flags(nulls),
+            )
+        };
+        // An all-null column may carry any storage.
+        let carried = ColumnBatch::new(
+            two.clone(),
+            vec![ints(&[true, true]), ints(&[true, true])],
+            2,
+        );
+        assert_eq!(carried.check_types(), Ok(()));
+        let mismatched = ColumnBatch::new(two, vec![ints(&[true, true]), ints(&[true, false])], 2);
+        assert_eq!(
+            mismatched.check_types().unwrap_err().to_string(),
+            "type mismatch in `D`: expected double, got int"
+        );
     }
 
     #[test]

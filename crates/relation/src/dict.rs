@@ -374,18 +374,6 @@ impl StrCodes {
         self.codes.truncate(idx.len());
     }
 
-    /// Keep only the slots where `keep` is true, in place.
-    pub(crate) fn retain(&mut self, keep: &[bool]) {
-        let mut w = 0;
-        for (i, &k) in keep.iter().enumerate() {
-            if k {
-                self.codes[w] = self.codes[i];
-                w += 1;
-            }
-        }
-        self.codes.truncate(w);
-    }
-
     /// Append every slot of `other`. One dictionary: the codes are copied.
     /// Two: `other`'s strings are translated into this column's dictionary
     /// once per distinct string (copying the dictionary first when it is

@@ -985,8 +985,8 @@ mod tests {
 
     #[test]
     fn all_null_column_with_foreign_storage_encodes() {
-        // `BatchEval::into_column` materializes all-null columns as Bool
-        // placeholder storage regardless of schema type.
+        // A column whose every slot is null may carry storage of another
+        // type than its field's (`ColumnBatch::check_types` accepts it).
         let s = Schema::new(vec![Field::new("L", ColumnType::Long)]);
         let mut v = Validity::new();
         v.push(false);

@@ -167,15 +167,14 @@ impl AggExpr {
         }
     }
 
-    /// Build the matching accumulator.
-    pub fn accumulator(&self) -> Accumulator {
-        match self {
+    /// Build the matching accumulator for input `schema`: a SUM's is an
+    /// integer or a double sum, as its argument's type says.
+    pub fn accumulator(&self, schema: &Schema) -> Result<Accumulator> {
+        Ok(match self {
             AggExpr::Count => Accumulator::Count { n: 0 },
-            AggExpr::Sum(_) => Accumulator::Sum {
-                int_sum: 0,
-                float_sum: 0.0,
-                saw_float: false,
-                n: 0,
+            AggExpr::Sum(e) => match e.infer_type(schema)? {
+                ColumnType::Double => Accumulator::DoubleSum { sum: 0.0, n: 0 },
+                _ => Accumulator::Sum { sum: 0, n: 0 },
             },
             AggExpr::Avg(_) => Accumulator::Avg { sum: 0.0, n: 0 },
             AggExpr::Min(_) => Accumulator::Extreme {
@@ -194,13 +193,16 @@ impl AggExpr {
             AggExpr::CountDistinct(_) => Accumulator::Distinct {
                 values: BTreeMap::new(),
             },
-        }
+        })
     }
 
     /// Compile the argument against a schema for index-resolved batch
-    /// evaluation (`None` for COUNT, which takes no argument).
-    pub(crate) fn compile_arg(&self, schema: &Schema) -> Option<CompiledExpr> {
-        self.input_expr().map(|e| CompiledExpr::compile(e, schema))
+    /// evaluation (`None` for COUNT, which takes no argument); an argument
+    /// with no type is its type error.
+    pub(crate) fn compile_arg(&self, schema: &Schema) -> Result<Option<CompiledExpr>> {
+        (self.input_expr())
+            .map(|e| CompiledExpr::compile(e, schema))
+            .transpose()
     }
 
     /// Whether this aggregate over a wide window can be derived exactly by
@@ -258,14 +260,17 @@ pub enum Accumulator {
         /// Active-event count.
         n: i64,
     },
-    /// SUM state; tracks whether any float was seen to pick the output type.
+    /// SUM state over `Int` or `Long` values.
     Sum {
-        /// Integer part of the running sum, exact (see the module docs).
-        int_sum: i128,
-        /// Float running sum (used when any input was a double).
-        float_sum: f64,
-        /// Whether any double flowed in.
-        saw_float: bool,
+        /// The running sum, exact (see the module docs).
+        sum: i128,
+        /// Number of non-null values.
+        n: i64,
+    },
+    /// SUM state over `Double` values.
+    DoubleSum {
+        /// The running sum.
+        sum: f64,
         /// Number of non-null values.
         n: i64,
     },
@@ -306,23 +311,17 @@ impl Accumulator {
     pub fn add(&mut self, v: Cell<'_>) {
         match self {
             Accumulator::Count { n } => *n += 1,
-            Accumulator::Sum {
-                int_sum,
-                float_sum,
-                saw_float,
-                n,
-            } => {
-                if matches!(v, Cell::Null) {
-                    return;
+            Accumulator::Sum { sum, n } => {
+                if let Some(x) = v.as_long() {
+                    *sum += i128::from(x);
+                    *n += 1;
                 }
-                if let Cell::Double(d) = v {
-                    *saw_float = true;
-                    *float_sum += d;
-                } else if let Some(i) = v.as_long() {
-                    *int_sum += i128::from(i);
-                    *float_sum += i as f64;
+            }
+            Accumulator::DoubleSum { sum, n } => {
+                if let Cell::Double(x) = v {
+                    *sum += x;
+                    *n += 1;
                 }
-                *n += 1;
             }
             Accumulator::Avg { sum, n } => {
                 if let Some(d) = v.as_double() {
@@ -350,22 +349,17 @@ impl Accumulator {
     pub fn remove(&mut self, v: Cell<'_>) {
         match self {
             Accumulator::Count { n } => *n -= 1,
-            Accumulator::Sum {
-                int_sum,
-                float_sum,
-                n,
-                ..
-            } => {
-                if matches!(v, Cell::Null) {
-                    return;
+            Accumulator::Sum { sum, n } => {
+                if let Some(x) = v.as_long() {
+                    *sum -= i128::from(x);
+                    *n -= 1;
                 }
-                if let Cell::Double(d) = v {
-                    *float_sum -= d;
-                } else if let Some(i) = v.as_long() {
-                    *int_sum -= i128::from(i);
-                    *float_sum -= i as f64;
+            }
+            Accumulator::DoubleSum { sum, n } => {
+                if let Cell::Double(x) = v {
+                    *sum -= x;
+                    *n -= 1;
                 }
-                *n -= 1;
             }
             Accumulator::Avg { sum, n } => {
                 if let Some(d) = v.as_double() {
@@ -398,18 +392,15 @@ impl Accumulator {
     /// Back to the freshly built state. The sweep calls this whenever the
     /// active set empties: every value has been retracted by then, so the
     /// multisets are already empty, but a float sum keeps the rounding
-    /// residue of what passed through it (and SUM its `saw_float`), which
-    /// must not leak into the next, unrelated burst of events.
+    /// residue of what passed through it, which must not leak into the
+    /// next, unrelated burst of events.
     pub fn reset(&mut self) {
         match self {
             Accumulator::Count { n } => *n = 0,
-            Accumulator::Sum {
-                int_sum,
-                float_sum,
-                saw_float,
-                n,
-            } => (*int_sum, *float_sum, *saw_float, *n) = (0, 0.0, false, 0),
-            Accumulator::Avg { sum, n } => (*sum, *n) = (0.0, 0),
+            Accumulator::Sum { sum, n } => (*sum, *n) = (0, 0),
+            Accumulator::DoubleSum { sum, n } | Accumulator::Avg { sum, n } => {
+                (*sum, *n) = (0.0, 0)
+            }
             Accumulator::Moments { sum, sum_sq, n } => (*sum, *sum_sq, *n) = (0.0, 0.0, 0),
             Accumulator::Extreme { values, .. } | Accumulator::Distinct { values } => {
                 values.clear()
@@ -427,15 +418,13 @@ impl Accumulator {
         let double = |x: f64| Value::Double(if x.is_nan() { f64::NAN } else { x });
         Some(match self {
             Accumulator::Count { n } => Value::Long(*n),
-            Accumulator::Sum {
-                int_sum,
-                float_sum,
-                saw_float,
-                n,
-            } => match (*n, *saw_float) {
-                (0, _) => Value::Null,
-                (_, true) => double(*float_sum),
-                (_, false) => Value::Long(i64::try_from(*int_sum).ok()?),
+            Accumulator::Sum { sum, n } => match n {
+                0 => Value::Null,
+                _ => Value::Long(i64::try_from(*sum).ok()?),
+            },
+            Accumulator::DoubleSum { sum, n } => match n {
+                0 => Value::Null,
+                _ => double(*sum),
             },
             Accumulator::Avg { sum, n } => {
                 if *n == 0 {
@@ -472,9 +461,18 @@ mod tests {
     use crate::expr::col;
     use relation::schema::Field;
 
+    /// `agg`'s accumulator over a `Long` `x` and a `Double` `d`.
+    fn acc(agg: AggExpr) -> Accumulator {
+        let s = Schema::new(vec![
+            Field::new("x", ColumnType::Long),
+            Field::new("d", ColumnType::Double),
+        ]);
+        agg.accumulator(&s).unwrap()
+    }
+
     #[test]
     fn count_add_remove() {
-        let mut a = AggExpr::Count.accumulator();
+        let mut a = acc(AggExpr::Count);
         a.add(Cell::of(&Value::Null));
         a.add(Cell::of(&Value::Null));
         assert_eq!(a.value().unwrap(), Value::Long(2));
@@ -484,31 +482,36 @@ mod tests {
 
     #[test]
     fn sum_retracts_and_types() {
-        let mut a = AggExpr::Sum(col("x")).accumulator();
+        let mut a = acc(AggExpr::Sum(col("x")));
         a.add(Cell::of(&Value::Long(5)));
         a.add(Cell::of(&Value::Long(7)));
         assert_eq!(a.value().unwrap(), Value::Long(12));
         a.remove(Cell::of(&Value::Long(5)));
         assert_eq!(a.value().unwrap(), Value::Long(7));
-        a.add(Cell::of(&Value::Double(0.5)));
-        assert_eq!(a.value().unwrap(), Value::Double(7.5));
         a.remove(Cell::of(&Value::Long(7)));
-        a.remove(Cell::of(&Value::Double(0.5)));
         assert!(a.value().unwrap().is_null());
+        // A double argument's SUM is a double one.
+        let mut d = acc(AggExpr::Sum(col("d")));
+        d.add(Cell::of(&Value::Double(7.0)));
+        d.add(Cell::of(&Value::Double(0.5)));
+        assert_eq!(d.value().unwrap(), Value::Double(7.5));
+        d.remove(Cell::of(&Value::Double(7.0)));
+        d.remove(Cell::of(&Value::Double(0.5)));
+        assert!(d.value().unwrap().is_null());
     }
 
     /// The running sum is exact past `i64`: only a snapshot that does not
     /// fit has no value, and the sum comes back into range as values leave.
     #[test]
     fn an_integer_sum_past_i64_has_no_value() {
-        let mut a = AggExpr::Sum(col("x")).accumulator();
+        let mut a = acc(AggExpr::Sum(col("x")));
         a.add(Cell::of(&Value::Long(i64::MAX)));
         a.add(Cell::of(&Value::Long(1)));
         assert_eq!(a.value(), None);
         a.add(Cell::of(&Value::Int(i32::MAX)));
         a.remove(Cell::of(&Value::Long(i64::MAX)));
         assert_eq!(a.value(), Some(Value::Long(1 + i64::from(i32::MAX))));
-        let mut low = AggExpr::Sum(col("x")).accumulator();
+        let mut low = acc(AggExpr::Sum(col("x")));
         low.add(Cell::of(&Value::Long(i64::MIN)));
         assert_eq!(low.value(), Some(Value::Long(i64::MIN)));
         low.add(Cell::of(&Value::Long(-1)));
@@ -517,8 +520,8 @@ mod tests {
 
     #[test]
     fn min_max_multiset() {
-        let mut mn = AggExpr::Min(col("x")).accumulator();
-        let mut mx = AggExpr::Max(col("x")).accumulator();
+        let mut mn = acc(AggExpr::Min(col("x")));
+        let mut mx = acc(AggExpr::Max(col("x")));
         for v in [3i64, 1, 1, 9] {
             mn.add(Cell::of(&Value::Long(v)));
             mx.add(Cell::of(&Value::Long(v)));
@@ -535,7 +538,7 @@ mod tests {
 
     #[test]
     fn avg_over_mixed_numerics() {
-        let mut a = AggExpr::Avg(col("x")).accumulator();
+        let mut a = acc(AggExpr::Avg(col("x")));
         a.add(Cell::of(&Value::Long(1)));
         a.add(Cell::of(&Value::Double(2.0)));
         assert_eq!(a.value().unwrap(), Value::Double(1.5));
@@ -543,7 +546,7 @@ mod tests {
 
     #[test]
     fn nulls_ignored_except_count() {
-        let mut s = AggExpr::Sum(col("x")).accumulator();
+        let mut s = acc(AggExpr::Sum(col("x")));
         s.add(Cell::of(&Value::Null));
         assert!(s.value().unwrap().is_null());
         s.add(Cell::of(&Value::Long(4)));
@@ -553,7 +556,7 @@ mod tests {
 
     #[test]
     fn stddev_retracts() {
-        let mut a = AggExpr::StdDev(col("x")).accumulator();
+        let mut a = acc(AggExpr::StdDev(col("x")));
         for v in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
             a.add(Cell::of(&Value::Double(v)));
         }
@@ -573,7 +576,7 @@ mod tests {
 
     #[test]
     fn count_distinct_multiset() {
-        let mut a = AggExpr::CountDistinct(col("x")).accumulator();
+        let mut a = acc(AggExpr::CountDistinct(col("x")));
         for v in ["a", "b", "a"] {
             a.add(Cell::of(&Value::str(v)));
         }

@@ -176,10 +176,12 @@ impl Sources<'_> {
         }
     }
 
-    /// The binding of a `Source` node, schema-checked: moved out at its
-    /// last top-level reference — when the caller gave up its handle,
-    /// downstream in-place operators own the storage outright — and an
-    /// O(1) clone otherwise.
+    /// The binding of a `Source` node, checked against the plan's schema
+    /// and each column against its field's type (the engine's edge: past
+    /// it, every column holds its field's type, and evaluation is total):
+    /// moved out at its last top-level reference — when the caller gave up
+    /// its handle, downstream in-place operators own the storage outright —
+    /// and an O(1) clone otherwise.
     fn take(&mut self, name: &str, schema: &Schema) -> Result<EventBatch> {
         let data = (self.outer().get(name))
             .ok_or_else(|| TemporalError::Input(format!("no binding for source `{name}`")))?;
@@ -189,6 +191,8 @@ impl Sources<'_> {
                 data.schema()
             )));
         }
+        (data.payload().check_types())
+            .map_err(|err| TemporalError::Input(format!("source `{name}`: {err}")))?;
         if let Sources::Owned(map, refs) = self {
             let left = (refs.get_mut(name)).expect("source_refs covers every Source in the plan");
             *left -= 1;

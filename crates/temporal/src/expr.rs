@@ -354,6 +354,17 @@ impl Expr {
     }
 }
 
+/// A predicate (`what`: a filter predicate, a join residual) of type `ty`:
+/// it must be boolean.
+pub(crate) fn expect_bool(what: &str, ty: ColumnType) -> Result<()> {
+    match ty {
+        ColumnType::Bool => Ok(()),
+        t => Err(TemporalError::Plan(format!(
+            "{what} has type {t}, expected bool"
+        ))),
+    }
+}
+
 fn is_numeric(t: ColumnType) -> bool {
     matches!(t, ColumnType::Int | ColumnType::Long | ColumnType::Double)
 }
@@ -394,7 +405,7 @@ fn promoted(v: &Value, other: &Value) -> Result<Value> {
     })
 }
 
-pub(crate) fn eval_arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
+fn eval_arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     // Promote to the widest operand type present.
     if matches!(l, Value::Double(_)) || matches!(r, Value::Double(_)) {
         let (a, b) = (to_f64(l)?, to_f64(r)?);
@@ -432,7 +443,7 @@ pub(crate) fn eval_arith(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     }
 }
 
-pub(crate) fn eval_cmp(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
+fn eval_cmp(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     use std::cmp::Ordering;
     let ord = match (l, r) {
         (Value::Str(a), Value::Str(b)) => a.cmp(b),

@@ -39,7 +39,7 @@ use crate::batch::EventBatch;
 use crate::compiled::{BatchEval, CompiledExpr};
 use crate::error::{Result, TemporalError};
 use crate::exec::ExecStats;
-use crate::operators::group_apply::{run_of, BatchRuns, Cut};
+use crate::operators::group_apply::{BatchRuns, Cut};
 use crate::time::{Lifetime, Time};
 use relation::column::ColumnBuilder;
 use relation::{ColumnBatch, Field, Schema, Value};
@@ -55,9 +55,8 @@ fn output_schema(aggs: &[(String, AggExpr)], in_schema: &Schema) -> Result<Schem
 /// Snapshot aggregates of every run of `input`: the sweep reads the
 /// arguments and lifetimes through the permutation and writes a batch in
 /// run order — the lifetimes and one typed column per aggregate, no `Row`
-/// per output. An argument that fails cuts its run in `cut` (the lowest
-/// failing run, its first failing event in run order), and the runs below
-/// it are swept.
+/// per output. A snapshot with no value (an integer SUM past `i64`) cuts
+/// its run in `cut`, and the runs below it stand.
 pub(crate) fn aggregate_batch_runs(
     input: &BatchRuns,
     aggs: &[(String, AggExpr)],
@@ -91,15 +90,11 @@ fn sweep_batch(
 ) -> Result<(EventBatch, Vec<usize>)> {
     let in_schema = input.schema();
     let schema = output_schema(aggs, in_schema)?;
-    let compiled: Vec<_> = aggs.iter().map(|(_, a)| a.compile_arg(in_schema)).collect();
-    let (args, failed) = batch_args(input.payload(), rows, &compiled);
-    let mut bounds = bounds;
-    if let Some((at, err)) = failed {
-        // Sweep the runs before the failing event's.
-        let run = run_of(bounds, at);
-        cut.fail(run, err)?;
-        bounds = &bounds[..=run];
-    }
+    let compiled = (aggs.iter())
+        .map(|(_, a)| a.compile_arg(in_schema))
+        .collect::<Result<Vec<_>>>()?;
+    let args = batch_args(input.payload(), rows, &compiled);
+    let sweep = Sweep::new(aggs, in_schema)?;
     let (vt, ve) = (input.vt(), input.ve());
     let lifetime = |i: usize| {
         let row = rows.map_or(i, |r| r[i] as usize);
@@ -110,22 +105,16 @@ fn sweep_batch(
         .collect();
     let (mut out_vt, mut out_ve) = (Vec::new(), Vec::new());
     let mut out_bounds = vec![0; bounds.len()];
-    let mut mistyped = None;
-    let (sorted_runs, overflow) = sweep_runs(bounds, lifetime, aggs, &args, |run, lt, value| {
-        out_vt.push(lt.start);
-        out_ve.push(lt.end);
-        out_bounds[run + 1] = out_vt.len();
-        for (c, v) in columns.iter_mut().zip(value) {
-            if let Err(e) = c.push(v) {
-                mistyped.get_or_insert(e);
+    let (sorted_runs, overflow) =
+        sweep_runs(sweep, bounds, lifetime, aggs, &args, |run, lt, value| {
+            out_vt.push(lt.start);
+            out_ve.push(lt.end);
+            out_bounds[run + 1] = out_vt.len();
+            for (c, v) in columns.iter_mut().zip(value) {
+                c.push(v).expect("a value of its declared type");
             }
-        }
-    });
+        });
     stats.sorted_runs += sorted_runs;
-    // An aggregate's value inhabits the type `infer_type` declares.
-    if let Some(e) = mistyped {
-        return Err(TemporalError::Relation(e));
-    }
     fill_empty_runs(&mut out_bounds);
     let columns = columns.into_iter().map(ColumnBuilder::finish).collect();
     let mut payload = ColumnBatch::new(schema, columns, out_vt.len());
@@ -153,28 +142,15 @@ fn fill_empty_runs(bounds: &mut [usize]) {
 /// it) for the rows of `payload` that `rows` names — all of them when
 /// `None` — in that order: one typed column per aggregate (`None` for
 /// COUNT), what [`sweep_runs`] reads. A bare column is gathered through
-/// `rows`; a computed argument comes from the batch kernels. The first
-/// failing (event, argument) pair in event-major order — where an
-/// evaluation one event at a time stops — comes back with its position and
-/// error; no event at or past it may be read.
+/// `rows`; a computed argument comes from the batch kernels.
 pub(crate) fn batch_args<'a>(
     payload: &'a ColumnBatch,
     rows: Option<&[u32]>,
     compiled: &[Option<CompiledExpr>],
-) -> (Vec<Option<BatchEval<'a>>>, Option<(usize, TemporalError)>) {
-    let n = rows.map_or(payload.len(), <[u32]>::len);
-    let mut failed: Option<(usize, TemporalError)> = None;
-    let args = (compiled.iter())
-        .map(|c| {
-            let eval = c.as_ref()?.eval_batch_raw_sel(payload, rows);
-            let earlier = |&i: &usize| failed.as_ref().is_none_or(|&(at, _)| i < at);
-            if let Some(i) = eval.first_err(n).filter(earlier) {
-                failed = Some((i, eval.try_cell(i).expect_err("row `i` fails")));
-            }
-            Some(eval)
-        })
-        .collect();
-    (args, failed)
+) -> Vec<Option<BatchEval<'a>>> {
+    (compiled.iter())
+        .map(|c| Some(c.as_ref()?.eval_batch_sel(payload, rows)))
+        .collect()
 }
 
 /// Where the sweep reads an event's arguments, one per aggregate: the
@@ -223,15 +199,18 @@ pub(crate) struct Sweep {
 }
 
 impl Sweep {
-    /// An empty active set with fresh accumulators.
-    pub(crate) fn new(aggs: &[(String, AggExpr)]) -> Sweep {
-        Sweep {
-            accs: aggs.iter().map(|(_, a)| a.accumulator()).collect(),
+    /// An empty active set with fresh accumulators for `aggs` over input
+    /// `schema`.
+    pub(crate) fn new(aggs: &[(String, AggExpr)], schema: &Schema) -> Result<Sweep> {
+        Ok(Sweep {
+            accs: (aggs.iter())
+                .map(|(_, a)| a.accumulator(schema))
+                .collect::<Result<_>>()?,
             active: 0,
             open: None,
             value: Vec::with_capacity(aggs.len()),
             next: Vec::with_capacity(aggs.len()),
-        }
+        })
     }
 
     /// The open segment (start, value); `None` exactly when no event is
@@ -287,8 +266,8 @@ impl Sweep {
     }
 }
 
-/// The endpoint sweep over pre-evaluated arguments (one typed column per
-/// aggregate, [`batch_args`], in event order), run by run, reading
+/// The endpoint sweep `sweep` over pre-evaluated arguments (one typed
+/// column per aggregate, [`batch_args`], in event order), run by run, reading
 /// lifetimes through an accessor (a batch's lifetime vectors, through a
 /// permutation). Each output segment goes to `emit` as `(run, lifetime,
 /// value)`, in run order and, inside a run, in time order. Returns how
@@ -299,13 +278,13 @@ impl Sweep {
 /// sweep in its run: that run and its error come back beside the count,
 /// and what the run emitted before it is not part of the output.
 fn sweep_runs(
+    mut sweep: Sweep,
     bounds: &[usize],
     lifetime: impl Fn(usize) -> Lifetime,
     aggs: &[(String, AggExpr)],
     args: &[Option<BatchEval<'_>>],
     mut emit: impl FnMut(usize, Lifetime, &[Value]),
 ) -> (u64, Option<(usize, TemporalError)>) {
-    let mut sweep = Sweep::new(aggs);
     // One lifetime and one endpoint buffer, refilled run by run so a run's
     // endpoints are ordered and swept while they are still in cache.
     debug_assert!(bounds[bounds.len() - 1] <= u32::MAX as usize);
@@ -387,7 +366,6 @@ mod tests {
     use crate::stream::EventStream;
     use relation::row;
     use relation::schema::ColumnType;
-    use relation::{Column, ColumnData, Validity};
 
     /// [`aggregate_batch_runs`] over one dense run, as the top level runs
     /// it.
@@ -413,46 +391,23 @@ mod tests {
         aggregate_rows(input, &[("N".to_string(), AggExpr::Count)]).unwrap()
     }
 
+    /// An argument with no type is refused before any event is read, over
+    /// an empty input too.
     #[test]
-    fn an_argument_error_is_the_first_failing_event_s() {
-        let input = EventStream::new(schema(), vec![Event::point(0, row![5i64])]);
-        let aggs = vec![("S".to_string(), AggExpr::Sum(col("Nope")))];
-        let err = aggregate_rows(&input, &aggs).unwrap_err();
-        assert!(err.to_string().contains("Nope"), "{err}");
-    }
-
-    /// Two events over columns declared `Long` that hold strings, `V`
-    /// null in the first event and `W` in the second.
-    fn ill_typed() -> EventBatch {
-        let schema = Schema::new(vec![
-            Field::new("V", ColumnType::Long),
-            Field::new("W", ColumnType::Long),
-        ]);
-        let column = |nulls: &[bool]| {
-            let strs = relation::StrCodes::from_strs(["a", "b"]);
-            Column::new(ColumnData::Str(strs), Validity::from_null_flags(nulls))
-        };
-        let columns = vec![column(&[true, false]), column(&[false, true])];
-        EventBatch::new(vec![0, 1], vec![1, 2], ColumnBatch::new(schema, columns, 2))
-    }
-
-    #[test]
-    fn arguments_fail_in_event_major_order() {
-        let err =
-            |aggs: Vec<(String, AggExpr)>| aggregate(ill_typed(), &aggs).unwrap_err().to_string();
-        // `abs(V)` fails on the second event only, `W + 1` on the first:
-        // the first event's error is the answer.
-        let aggs = vec![
-            ("A".to_string(), AggExpr::Max(col("V").abs())),
-            ("B".to_string(), AggExpr::Max(col("W").add(lit(1i64)))),
-        ];
-        assert_eq!(err(aggs), "eval error: expected integer, got str");
-        // Both fail on the second event: the first argument's error.
-        let aggs = vec![
-            ("A".to_string(), AggExpr::Max(col("V").abs())),
-            ("B".to_string(), AggExpr::Max(col("V").add(lit(1i64)))),
-        ];
-        assert_eq!(err(aggs), "eval error: abs on non-numeric b");
+    fn an_argument_with_no_type_is_refused() {
+        for aggs in [
+            vec![("S".to_string(), AggExpr::Sum(col("Nope")))],
+            vec![(
+                "D".to_string(),
+                AggExpr::CountDistinct(col("Nope").add(lit("x"))),
+            )],
+        ] {
+            for events in [vec![], vec![Event::point(0, row![5i64])]] {
+                let input = EventStream::new(schema(), events);
+                let err = aggregate_rows(&input, &aggs).unwrap_err();
+                assert_eq!(err.to_string(), "unknown column `Nope`");
+            }
+        }
     }
 
     #[test]

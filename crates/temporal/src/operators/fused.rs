@@ -14,20 +14,23 @@
 //! ([`fused_batch_runs`]): its run permutation drops the rows that did not
 //! survive, and the next kernel reads the rest through it.
 //!
-//! Errors surface as a per-event evaluation meets them. A step that fails
-//! hands back every failing row with its error, as the batch kernels
-//! record them (selection indices mapped back through `sel`). At the top
-//! level the first failing *surviving* row of the first failing step is
-//! the error. Under a walk ([`ErrorOrder`]) the failing row lowest in
-//! (run, position) order is: its run is cut ([`Cut`]), the selection keeps
-//! the lower runs only, and the step runs again over them — so the lowest
+//! Every Filter and Project expression is compiled — type-checked, with
+//! [`Expr::infer_type`]'s error when it has none — before any row is read,
+//! so an ill-typed step is refused over any batch, an empty one included.
+//! After that only a lifetime rewrite can fail: an endpoint moved past the
+//! range of `Time`. A rewrite that fails hands back every failing row with
+//! its error. At the top level the first failing *surviving* row is the
+//! error. Under a walk ([`ErrorOrder`]) the failing row lowest in (run,
+//! position) order is: its run is cut ([`Cut`]), the selection keeps the
+//! lower runs only, and the step runs again over them — so the lowest
 //! failing run wins, as a group-at-a-time evaluation has it. No step
 //! mutates anything it would need again before it knows it succeeds.
+//!
+//! [`Expr::infer_type`]: crate::expr::Expr::infer_type
 
 use crate::batch::EventBatch;
-use crate::compiled::{CompiledExpr, RowErrors};
+use crate::compiled::CompiledExpr;
 use crate::error::{Result, TemporalError};
-use crate::expr::Expr;
 use crate::operators::group_apply::{row_order, BatchRuns, Cut};
 use crate::plan::{lifetime_desc, FusedStep, LifetimeOp};
 use crate::time::{checked_ceil_to_grid, Lifetime};
@@ -117,18 +120,43 @@ impl<'a> ErrorOrder<'a> {
     }
 }
 
-/// A step's failure: at rows — each failing row of the batch, ascending,
-/// with its error — which a walk recovers from by cutting runs, or before
-/// any row (an expression with no type), which it does not.
-enum StepError {
-    Rows(RowErrors),
-    Plan(TemporalError),
+/// Failing rows of a batch, ascending, each with its error.
+type RowErrors = Vec<(u32, Arc<TemporalError>)>;
+
+/// A fused step resolved against the schema it reads.
+enum Step<'s> {
+    Filter(CompiledExpr),
+    /// The output schema and one compiled expression per column.
+    Project(Schema, Vec<CompiledExpr>),
+    AlterLifetime(&'s LifetimeOp),
 }
 
-impl From<TemporalError> for StepError {
-    fn from(e: TemporalError) -> Self {
-        StepError::Plan(e)
-    }
+/// Compile `steps` over input `schema`, each against the schema the steps
+/// before it leave: an expression with no type, or a filter predicate that
+/// is not boolean, is the error.
+fn compile_steps<'s>(steps: &'s [FusedStep], schema: &Schema) -> Result<Vec<Step<'s>>> {
+    let mut schema = schema.clone();
+    (steps.iter())
+        .map(|step| {
+            Ok(match step {
+                FusedStep::Filter { predicate } => Step::Filter(CompiledExpr::predicate(
+                    predicate,
+                    &schema,
+                    "filter predicate",
+                )?),
+                FusedStep::Project { exprs } => {
+                    let compiled = (exprs.iter())
+                        .map(|(_, e)| CompiledExpr::compile(e, &schema))
+                        .collect::<Result<Vec<_>>>()?;
+                    let fields = (exprs.iter().zip(&compiled))
+                        .map(|((name, _), c)| Field::new(name.clone(), c.ty()));
+                    schema = Schema::new(fields.collect());
+                    Step::Project(schema.clone(), compiled)
+                }
+                FusedStep::AlterLifetime { op } => Step::AlterLifetime(op),
+            })
+        })
+        .collect()
 }
 
 /// The fused pass proper: every step over the rows of `batch` that `sel`
@@ -142,8 +170,9 @@ pub(crate) fn fused_select(
     mut sel: Option<Vec<u32>>,
     mut order: Option<ErrorOrder>,
 ) -> Result<Selection> {
+    let steps = compile_steps(steps, batch.schema())?;
     let mut origin: Option<Vec<u32>> = None;
-    for step in steps {
+    for step in &steps {
         loop {
             let checked = order.is_some();
             let failed = match run_step(batch, &mut sel, &mut origin, step, checked) {
@@ -151,11 +180,10 @@ pub(crate) fn fused_select(
                     batch = out;
                     break;
                 }
-                Err((back, StepError::Rows(failed))) => {
+                Err((back, failed)) => {
                     batch = back;
                     failed
                 }
-                Err((_, StepError::Plan(err))) => return Err(err),
             };
             let mut failed = failed.into_iter();
             let Some(order) = order.as_mut() else {
@@ -189,28 +217,18 @@ pub(crate) fn fused_select(
     Ok(Selection { batch, sel, origin })
 }
 
-/// One step over the selection. On failure the batch comes back as the
-/// step found it — compacted by a projection at most, which drops only rows
-/// no selection names.
+/// One step over the selection. Only a lifetime rewrite fails, and then
+/// the batch comes back as the step found it.
 fn run_step(
     mut batch: EventBatch,
     sel: &mut Option<Vec<u32>>,
     origin: &mut Option<Vec<u32>>,
-    step: &FusedStep,
+    step: &Step,
     checked: bool,
-) -> std::result::Result<EventBatch, (EventBatch, StepError)> {
+) -> std::result::Result<EventBatch, (EventBatch, RowErrors)> {
     match step {
-        FusedStep::Filter { predicate } => {
-            let compiled = CompiledExpr::compile(predicate, batch.schema());
-            let keep = match compiled.eval_predicate_batch_sel(batch.payload(), sel.as_deref()) {
-                Ok(keep) => keep,
-                Err(mut failed) => {
-                    if let Some(s) = sel.as_deref() {
-                        failed.iter_mut().for_each(|(i, _)| *i = s[*i as usize]);
-                    }
-                    return Err((batch, StepError::Rows(failed)));
-                }
-            };
+        Step::Filter(predicate) => {
+            let keep = predicate.eval_predicate_batch_sel(batch.payload(), sel.as_deref());
             // Preallocated to the candidate count: a growth realloc mid
             // scan would copy the partial index vector for nothing.
             let mut next = Vec::with_capacity(keep.len());
@@ -227,7 +245,7 @@ fn run_step(
             *sel = Some(next);
             Ok(batch)
         }
-        FusedStep::Project { exprs } => {
+        Step::Project(schema, exprs) => {
             // An upstream selection is materialized here — the fragment's
             // single compaction (in place on storage it owns, a gather of
             // the survivors on storage it shares), just moved forward to
@@ -241,14 +259,12 @@ fn run_step(
                     Some(o) => s.iter().map(|&i| o[i as usize]).collect(),
                 });
             }
-            match project_columns(&batch, exprs) {
-                Ok((schema, computed)) => Ok(project_dense_owned(batch, schema, computed)),
-                Err(e) => Err((batch, e)),
-            }
+            let slots = project_columns(&batch, exprs);
+            Ok(project_dense_owned(batch, schema.clone(), slots))
         }
-        FusedStep::AlterLifetime { op } => match alter_sel(&mut batch, sel, op, checked) {
+        Step::AlterLifetime(op) => match alter_sel(&mut batch, sel, op, checked) {
             Ok(()) => Ok(batch),
-            Err(failed) => Err((batch, StepError::Rows(failed))),
+            Err(failed) => Err((batch, failed)),
         },
     }
 }
@@ -323,55 +339,15 @@ enum Slot {
     Pass(usize),
 }
 
-/// A projection's output schema and its columns over a dense batch.
-/// Computed expressions run through the SIMD kernel suite; an expression
-/// with no type fails before any row, and otherwise every failing row
-/// fails with its first failing expression's error, as a row-major
-/// evaluation meets it. A pass-through over an existing column never fails.
-fn project_columns(
-    batch: &EventBatch,
-    exprs: &[(String, Expr)],
-) -> std::result::Result<(Schema, Vec<Slot>), StepError> {
-    let in_schema = batch.schema();
-    let out_schema = Schema::new(
-        exprs
-            .iter()
-            .map(|(name, e)| Ok(Field::new(name.clone(), e.infer_type(in_schema)?)))
-            .collect::<Result<Vec<_>>>()?,
-    );
-    let n = batch.len();
-    let compiled: Vec<CompiledExpr> = exprs
-        .iter()
-        .map(|(_, e)| CompiledExpr::compile(e, in_schema))
-        .collect();
-    let evals: Vec<_> = (compiled.iter())
+/// A projection's columns over a dense batch: computed expressions run
+/// through the SIMD kernel suite, a bare column is forwarded.
+fn project_columns(batch: &EventBatch, exprs: &[CompiledExpr]) -> Vec<Slot> {
+    (exprs.iter())
         .map(|c| match c.as_col() {
-            Some(i) => Err(i),
-            None => Ok(c.eval_batch_raw_sel(batch.payload(), None)),
+            Some(i) => Slot::Pass(i),
+            None => Slot::Computed(c.eval_column(batch.payload())),
         })
-        .collect();
-    let mut failed: Vec<_> = (evals.iter().enumerate())
-        .filter_map(|(j, ev)| Some((j, ev.as_ref().ok()?)))
-        .flat_map(|(j, ev)| ev.errors(n).into_iter().map(move |(i, err)| (i, j, err)))
-        .collect();
-    if !failed.is_empty() {
-        failed.sort_unstable_by_key(|&(i, j, _)| (i, j));
-        failed.dedup_by_key(|&mut (i, _, _)| i);
-        let failed = failed.into_iter().map(|(i, _, err)| (i, err)).collect();
-        return Err(StepError::Rows(failed));
-    }
-    let slots = (evals.into_iter().zip(exprs))
-        .map(|(ev, (name, _))| match ev {
-            Err(i) => Ok(Slot::Pass(i)),
-            // Every expression's cells inhabit the type `infer_type`
-            // declares, so this always has a column.
-            Ok(ev) => ev
-                .into_column(n)
-                .map(Slot::Computed)
-                .ok_or_else(|| TemporalError::Eval(format!("`{name}` mixes runtime types"))),
-        })
-        .collect::<Result<Vec<_>>>()?;
-    Ok((out_schema, slots))
+        .collect()
 }
 
 /// Dense projection over a batch taken by value, given its columns

@@ -48,12 +48,6 @@ use relation::{compact_indices, Column, ColumnBatch, Schema};
 use rustc_hash::FxHashMap;
 use std::hash::{Hash, Hasher};
 
-/// The run of `bounds` holding position `at`: run `r` covers positions
-/// `bounds[r]..bounds[r + 1]`.
-pub(crate) fn run_of(bounds: &[usize], at: usize) -> usize {
-    bounds.partition_point(|&b| b <= at) - 1
-}
-
 /// A batch laid out as consecutive runs without moving a row: run `r` is
 /// the events `batch` holds at positions `bounds[r]..bounds[r + 1]` of its
 /// run order. Rows of `batch` the run order does not name were dropped by

@@ -19,8 +19,9 @@ use crate::time::{checked_ceil_to_grid, Duration, Time};
 use crate::udo::UdoRef;
 
 /// Apply `udo` to each hopping window of `input`. A batch the UDO returns
-/// whose schema is not its declared output schema is an input error naming
-/// the UDO. A grid instant or an output lifetime past the range of time is
+/// whose schema is not its declared output schema, or one of whose columns
+/// does not hold its field's type, is an input error naming the UDO: the
+/// output of a UDO is an edge where batches enter the engine. A grid instant or an output lifetime past the range of time is
 /// a [`TemporalError::TimeOverflow`] naming the latest event.
 pub fn hop_udo(
     input: &EventBatch,
@@ -71,6 +72,8 @@ pub fn hop_udo(
                     payload.schema()
                 )));
             }
+            (payload.check_types())
+                .map_err(|err| TemporalError::Input(format!("UDO `{}`: {err}", udo.name())))?;
             let n = payload.len();
             out.append(EventBatch::new(vec![t; n], vec![until; n], payload))?;
         }
@@ -89,7 +92,7 @@ mod tests {
     use crate::stream::EventStream;
     use crate::udo::{WindowCountUdo, WindowUdo};
     use relation::schema::{ColumnType, Field};
-    use relation::{row, Column, ColumnBatch, ColumnData, Schema};
+    use relation::{row, Column, ColumnBatch, ColumnData, Row, Schema, Value};
     use std::sync::Arc;
 
     fn stream(times: &[i64]) -> EventBatch {
@@ -227,6 +230,35 @@ mod tests {
                 ))
             );
         }
+    }
+
+    /// A batch of the output schema one of whose columns holds another
+    /// type than its field's is refused where it enters the engine, naming
+    /// the UDO and the column; an all-null column may carry any storage.
+    #[test]
+    fn an_output_column_of_another_type_is_an_error_naming_the_udo() {
+        fn strings(nulls: &[bool]) -> ColumnBatch {
+            let strs = relation::StrCodes::from_strs(["a"]);
+            let validity = relation::Validity::from_null_flags(nulls);
+            ColumnBatch::new(
+                Schema::new(vec![Field::new("X", ColumnType::Long)]),
+                vec![Column::new(ColumnData::Str(strs), validity)],
+                1,
+            )
+        }
+        let udo: UdoRef = Arc::new(Echo {
+            shape: Some(|| strings(&[false])),
+        });
+        let err = hop_udo(&stream(&[5]), 10, 10, &udo).unwrap_err();
+        assert_eq!(
+            err,
+            TemporalError::Input("UDO `echo`: type mismatch in `X`: expected long, got str".into())
+        );
+        let udo: UdoRef = Arc::new(Echo {
+            shape: Some(|| strings(&[true])),
+        });
+        let out = hop_udo(&stream(&[5]), 10, 10, &udo).unwrap();
+        assert_eq!(out.payload().to_rows(), vec![Row::new(vec![Value::Null])]);
     }
 
     #[test]

@@ -46,9 +46,10 @@
 use crate::agg::{AggExpr, Cell};
 use crate::batch::EventBatch;
 use crate::compiled::BatchEval;
-use crate::error::{Result, TemporalError};
+use crate::error::Result;
 use crate::exec::ExecStats;
 use crate::key::KeySelector;
+use crate::operators::aggregate::batch_args;
 use crate::operators::group_apply::{batch_groups, key_order, Groups};
 use crate::time::{checked_ceil_to_grid, Duration, Time};
 use relation::column::ColumnBuilder;
@@ -70,15 +71,11 @@ pub(crate) fn pane_aggregate(
 ) -> Result<Option<EventBatch>> {
     let payload = input.payload();
     // Every argument is evaluated once, over every event, as a typed
-    // column; a cell's error surfaces only where the kernel reads it.
-    let args: Vec<Option<BatchEval<'_>>> = (aggs.iter())
-        .map(|(_, a)| {
-            Some(
-                a.compile_arg(input.schema())?
-                    .eval_batch_raw_sel(payload, None),
-            )
-        })
-        .collect();
+    // column.
+    let compiled = (aggs.iter())
+        .map(|(_, a)| a.compile_arg(input.schema()))
+        .collect::<Result<Vec<_>>>()?;
+    let args = batch_args(payload, None, &compiled);
     let groups = batch_groups(payload, sel);
     let order = |first: &[usize]| key_order(payload, sel, first);
     let Some(cells) = panes(&groups, grid, aggs, &args, input.vt(), order, stats)? else {
@@ -97,8 +94,7 @@ pub(crate) fn pane_aggregate(
         .collect();
     for row in values.chunks(aggs.len().max(1)).take(first.len()) {
         for (c, v) in columns.iter_mut().zip(row) {
-            // An aggregate's value inhabits the type `infer_type` declares.
-            c.push(v).map_err(TemporalError::Relation)?;
+            c.push(v).expect("a value of its declared type");
         }
     }
     let columns = keys
@@ -152,10 +148,7 @@ impl Partial {
             Partial::Count => *figure += 1,
             _ if matches!(cell, Cell::Null) => {}
             Partial::Sum => {
-                // A combinable SUM is over integers; any other non-null
-                // cell counts as a value and adds nothing, as in the sweep.
-                debug_assert!(!matches!(cell, Cell::Double(_)), "an integer SUM");
-                let x = cell.as_long().map_or(0, i128::from);
+                let x = i128::from(cell.as_long().expect("a combinable SUM is over integers"));
                 *figure = if *figure == EMPTY { x } else { *figure + x };
             }
             Partial::Min | Partial::Max => {
@@ -222,10 +215,8 @@ fn panes(
     let mut figures: Vec<i128> = Vec::new();
     let mut slots: FxHashMap<(u32, Time), u32> = FxHashMap::default();
     let mut latest: Vec<u32> = vec![NO_SLOT; groups.first.len()];
-    // The first argument error of each failing group.
-    let mut errors: FxHashMap<u32, TemporalError> = FxHashMap::default();
 
-    'events: for (i, &g) in groups.ordinals.iter().enumerate() {
+    for (i, &g) in groups.ordinals.iter().enumerate() {
         // A cell that ends past the last instant is the hop's overflow:
         // the walk reports it, in group order.
         let cell = checked_ceil_to_grid(start[i], grid).filter(|c| c.checked_add(grid).is_some());
@@ -245,14 +236,7 @@ fn panes(
         };
         let slot_figures = &mut figures[slot as usize * n_aggs..][..n_aggs];
         for ((partial, figure), arg) in partials.iter().zip(slot_figures).zip(args) {
-            let value = match arg.as_ref().map(|a| a.try_cell(i)) {
-                None => Cell::Null,
-                Some(Ok(value)) => value,
-                Some(Err(err)) => {
-                    errors.entry(g).or_insert(err);
-                    continue 'events;
-                }
-            };
+            let value = arg.as_ref().map_or(Cell::Null, |a| a.cell(i));
             partial.add(figure, i, value, arg.as_ref());
         }
     }
@@ -263,11 +247,8 @@ fn panes(
     for (r, &g) in by_key.iter().enumerate() {
         rank[g as usize] = r as u32;
     }
-    // A group-at-a-time evaluation fails in its lowest failing group: on
-    // that group's first failing event, or at its first cell whose SUM
-    // leaves `i64`.
-    let failing = errors.keys().copied().min_by_key(|&g| rank[g as usize]);
-    let failing_rank = failing.map_or(u32::MAX, |g| rank[g as usize]);
+    // A group-at-a-time evaluation fails in its lowest failing group, at
+    // its first cell whose SUM leaves `i64`: slots go in that order.
     let mut order: Vec<u32> = (0..cells.len() as u32).collect();
     order.sort_unstable_by_key(|&s| {
         let (g, cell) = cells[s as usize];
@@ -283,9 +264,6 @@ fn panes(
     let mut open = NO_SLOT; // group of `out`'s last event
     for s in order {
         let (g, cell) = cells[s as usize];
-        if rank[g as usize] >= failing_rank {
-            break;
-        }
         let slot_figures = &figures[s as usize * n_aggs..][..n_aggs];
         let at = out.values.len();
         for (((name, _), partial), (&figure, arg)) in aggs
@@ -311,9 +289,6 @@ fn panes(
         out.vt.push(cell);
         out.ve.push(cell + grid);
         open = g;
-    }
-    if let Some(g) = failing {
-        return Err(errors.remove(&g).expect("key just seen"));
     }
     stats.groups += rank.len() as u64;
     stats.pane_groups += rank.len() as u64;

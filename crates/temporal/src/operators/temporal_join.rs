@@ -25,9 +25,9 @@
 //! per match; then every output column is gathered in one pass, so a
 //! projection above the join moves columns instead of rebuilding rows.
 //! When the join's one consumer is a fragment that projects, the walk
-//! passes the columns it reads and only those are gathered. A residual is evaluated once, as a batch,
-//! over the candidate pairs' gathered columns — only those it reads — and
-//! fails with the error of the first failing pair in probe order.
+//! passes the columns it reads and only those are gathered. A residual is
+//! type-checked before the probe and evaluated once, as a batch, over the
+//! candidate pairs' gathered columns — only those it reads.
 
 use crate::batch::EventBatch;
 use crate::compiled::CompiledExpr;
@@ -36,7 +36,6 @@ use crate::expr::Expr;
 use crate::key::KeySelector;
 use crate::operators::side::{Gather, KeyClasses};
 use relation::{ColumnBatch, Schema};
-use std::sync::Arc;
 
 /// Join `left` and `right` on `keys` (pairs of column names) with an
 /// optional residual predicate over the concatenated payload, building
@@ -44,7 +43,8 @@ use std::sync::Arc;
 /// schema; every column when `None`): the walk passes the columns the
 /// join's one consumer, a projecting fragment, reads. The output then has
 /// the schema of those columns alone — the consumer resolves its columns
-/// by name.
+/// by name. A residual with no type, or one that is not boolean, is the
+/// error, whatever the inputs.
 pub fn temporal_join(
     left: &EventBatch,
     right: &EventBatch,
@@ -60,6 +60,22 @@ pub fn temporal_join(
     let rnames: Vec<&str> = keys.iter().map(|(_, r)| r.as_str()).collect();
     let lsel = KeySelector::new(lschema, &lnames)?;
     let rsel = KeySelector::new(rschema, &rnames)?;
+    // The residual over the joined columns it reads, in schema order.
+    let residual = match residual {
+        Some(residual) => {
+            let named = residual.referenced_columns();
+            let cols: Vec<usize> = (0..out_schema.len())
+                .filter(|&c| named.contains(&out_schema.fields()[c].name.as_str()))
+                .collect();
+            let fields = cols.iter().map(|&c| out_schema.fields()[c].clone());
+            let schema = Schema::new(fields.collect());
+            Some((
+                CompiledExpr::predicate(residual, &schema, "join residual")?,
+                cols,
+            ))
+        }
+        None => None,
+    };
 
     // Index the right side as key-exact classes; sort each class by
     // (LE, RE) for early exit (stable: equal lifetimes keep input order).
@@ -107,17 +123,9 @@ pub fn temporal_join(
         let fields = reads.iter().map(|&c| out_schema.fields()[c].clone());
         ColumnBatch::new(Schema::new(fields.collect()), columns, left_idx.len())
     };
-    if let Some(residual) = residual {
-        let named = residual.referenced_columns();
-        let cols: Vec<usize> = (0..out_schema.len())
-            .filter(|&c| named.contains(&out_schema.fields()[c].name.as_str()))
-            .collect();
+    if let Some((residual, cols)) = residual {
         let pairs = joined(&cols, &left_idx, &right_idx);
-        let keep = CompiledExpr::compile(residual, pairs.schema())
-            .eval_predicate_batch_sel(&pairs, None)
-            .map_err(|failed| {
-                Arc::unwrap_or_clone(failed.into_iter().next().expect("a failing pair").1)
-            })?;
+        let keep = residual.eval_predicate_batch_sel(&pairs, None);
         retain_kept(&mut left_idx, &keep);
         retain_kept(&mut right_idx, &keep);
         retain_kept(&mut vt, &keep);
@@ -253,34 +261,27 @@ mod tests {
         assert_eq!(out.events()[0].lifetime, crate::time::Lifetime::new(3, 5));
     }
 
+    /// A residual with no type, or one that is not boolean, is refused
+    /// before the probe: over inputs with no pair too.
     #[test]
-    fn a_failing_residual_is_the_first_failing_pair_s_error_in_probe_order() {
+    fn an_ill_typed_residual_is_refused_whatever_the_inputs() {
         let s = Schema::new(vec![Field::new("V", ColumnType::Long)]);
         let t = Schema::new(vec![Field::new("W", ColumnType::Long)]);
-        let left = EventStream::new(
-            s,
-            vec![Event::point(5, row![7i64]), Event::point(6, row![3i64])],
-        );
-        let right = EventStream::new(
-            t,
-            vec![
-                Event::interval(0, 10, row![1i64]),
-                Event::interval(0, 10, row![2i64]),
-            ],
-        );
-        let (l, r) = (
-            EventBatch::from_stream(&left).unwrap(),
-            EventBatch::from_stream(&right).unwrap(),
-        );
-        let run = |residual: &Expr| temporal_join(&l, &r, &[], Some(residual), None).map(|_| ());
-        // Every pair fails, each with its own value: the first pair's.
-        assert_eq!(
-            run(&col("V").add(col("W"))).unwrap_err().to_string(),
-            "eval error: predicate evaluated to non-boolean 8"
-        );
-        // The first left event's pairs pass (`OR` never reaches `Nope`);
-        // the second's fail.
-        let err = run(&col("V").gt(lit(5i64)).or(col("Nope"))).unwrap_err();
-        assert!(err.to_string().contains("Nope"), "{err}");
+        let left = EventStream::new(s.clone(), vec![Event::point(5, row![7i64])]);
+        let right = EventStream::new(t.clone(), vec![Event::interval(0, 10, row![1i64])]);
+        let batch = |stream: &EventStream| EventBatch::from_stream(stream).unwrap();
+        let sides = [
+            (batch(&left), batch(&right)),
+            (batch(&EventStream::empty(s)), batch(&EventStream::empty(t))),
+        ];
+        for (l, r) in &sides {
+            let run = |residual: &Expr| temporal_join(l, r, &[], Some(residual), None).map(|_| ());
+            assert_eq!(
+                run(&col("V").add(col("W"))).unwrap_err().to_string(),
+                "plan error: join residual has type long, expected bool"
+            );
+            let err = run(&col("V").gt(lit(5i64)).or(col("Nope"))).unwrap_err();
+            assert_eq!(err.to_string(), "unknown column `Nope`");
+        }
     }
 }

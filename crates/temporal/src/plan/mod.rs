@@ -27,10 +27,10 @@ pub(crate) use share::{hopping_aggregate, per_event_aggregate, PerEventAggregate
 
 use crate::agg::AggExpr;
 use crate::error::{Result, TemporalError};
-use crate::expr::Expr;
+use crate::expr::{expect_bool, Expr};
 use crate::time::Duration;
 use crate::udo::UdoRef;
-use relation::{ColumnType, Field, Schema};
+use relation::{Field, Schema};
 use std::sync::Arc;
 
 /// Index of a node within a plan's arena.
@@ -560,12 +560,7 @@ fn expect_arity(op: &Operator, inputs: &[Schema], arity: usize) -> Result<()> {
 }
 
 fn filter_schema(predicate: &Expr, input: &Schema) -> Result<Schema> {
-    let t = predicate.infer_type(input)?;
-    if t != ColumnType::Bool {
-        return Err(TemporalError::Plan(format!(
-            "filter predicate has type {t}, expected bool"
-        )));
-    }
+    expect_bool("filter predicate", predicate.infer_type(input)?)?;
     Ok(input.clone())
 }
 
@@ -719,12 +714,7 @@ fn infer_node_schema(op: &Operator, inputs: &[Schema]) -> Result<Schema> {
             }
             let joined = inputs[0].join(&inputs[1]);
             if let Some(residual) = residual {
-                let t = residual.infer_type(&joined)?;
-                if t != ColumnType::Bool {
-                    return Err(TemporalError::Plan(format!(
-                        "join residual has type {t}, expected bool"
-                    )));
-                }
+                expect_bool("join residual", residual.infer_type(&joined)?)?;
             }
             Ok(joined)
         }

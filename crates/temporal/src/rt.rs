@@ -102,9 +102,9 @@ impl Feed {
     /// Filters that lead the prefix run first, over a batch of only the
     /// columns they read; the other columns — strings interned cell by
     /// cell — are laid out for the events that pass, and the rest of the
-    /// prefix runs over those. A filter's error is the same either way: a
-    /// fragment reports the first failing step's first failing event, and
-    /// the filters are the first steps.
+    /// prefix runs over those. A filter cannot fail (its predicate was
+    /// typed when the plan was built), so running it first changes no
+    /// answer.
     fn run(&self) -> Result<EventBatch> {
         let what = format!("source `{}`", self.name);
         let schema = self.schema.clone();
@@ -179,6 +179,8 @@ struct Grouped {
     steps: Vec<FusedStep>,
     aggs: Vec<(String, AggExpr)>,
     args: Vec<Option<CompiledExpr>>,
+    /// A new group's sweep.
+    fresh: Sweep,
     groups: HashMap<GroupKey, Group, BuildHasherDefault<FxHasher>>,
     /// Arrival number of the next event to reach the aggregate.
     next_seq: u64,
@@ -436,7 +438,9 @@ impl Grouped {
             outer.splice(0..0, steps.iter().cloned());
             id = rest.node(id).inputs[0];
         }
-        let args = aggs.iter().map(|(_, a)| a.compile_arg(agg_input)).collect();
+        let args = (aggs.iter())
+            .map(|(_, a)| a.compile_arg(agg_input))
+            .collect::<Result<_>>()?;
         Ok(Grouped {
             keys: keys.clone(),
             key: KeySelector::new(rest.schema_of(root.inputs[0]), keys)?,
@@ -444,6 +448,7 @@ impl Grouped {
             steps,
             aggs: aggs.to_vec(),
             args,
+            fresh: Sweep::new(aggs, agg_input)?,
             groups: HashMap::default(),
             next_seq: 0,
         })
@@ -469,10 +474,7 @@ impl Grouped {
         if let Some(err) = cut.err {
             return Err(err);
         }
-        let (args, failed) = batch_args(batch.payload(), sel.as_deref(), &self.args);
-        if let Some((_, err)) = failed {
-            return Err(err);
-        }
+        let args = batch_args(batch.payload(), sel.as_deref(), &self.args);
         let survivors = sel.as_ref().map_or(batch.len(), Vec::len);
         let mut keyed = Vec::with_capacity(survivors);
         for j in 0..survivors {
@@ -500,7 +502,7 @@ impl Grouped {
             let seq = self.next_seq;
             self.next_seq += 1;
             let group = self.groups.entry(key).or_insert_with(|| Group {
-                sweep: Sweep::new(&self.aggs),
+                sweep: self.fresh.clone(),
                 endpoints: Vec::new(),
             });
             group

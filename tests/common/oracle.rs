@@ -120,7 +120,7 @@ impl<S: BuildHasher> Scope<'_, S> {
                 .to_vec(),
             Operator::Filter { predicate } => filter(in_schema(0), &inputs[0], predicate)?,
             Operator::Project { exprs } => project(in_schema(0), &inputs[0], exprs)?,
-            Operator::AlterLifetime { op } => alter_lifetime(&inputs[0], op),
+            Operator::AlterLifetime { op } => alter_lifetime(&inputs[0], op)?,
             Operator::Aggregate { aggs } => aggregate(in_schema(0), &inputs[0], aggs)?,
             Operator::GroupApply { keys, subplan } => {
                 let key_at = (keys.iter())
@@ -197,32 +197,59 @@ pub fn project(schema: &Schema, events: &[Event], exprs: &[(String, Expr)]) -> R
     Ok(out)
 }
 
-/// Every event under `op`; an event `op` leaves no lifetime drops.
-pub fn alter_lifetime(events: &[Event], op: &LifetimeOp) -> Vec<Event> {
-    (events.iter())
-        .filter_map(|e| Some(Event::new(lifetime(e.lifetime, op)?, e.payload.clone())))
-        .collect()
+/// Every event under `op`; an event `op` leaves no lifetime drops. An
+/// endpoint `op` moves past the range of `Time` fails the operator, at the
+/// first such event.
+pub fn alter_lifetime(events: &[Event], op: &LifetimeOp) -> Result<Vec<Event>> {
+    let mut out = Vec::with_capacity(events.len());
+    for e in events {
+        if let Some(lt) = lifetime(e.lifetime, op)? {
+            out.push(Event::new(lt, e.payload.clone()));
+        }
+    }
+    Ok(out)
 }
 
-/// The smallest multiple of `m` at or after `t`.
-fn next_multiple(t: Time, m: Time) -> Time {
-    t.div_euclid(m) * m + if t.rem_euclid(m) == 0 { 0 } else { m }
+/// The smallest multiple of `m` at or after `t`, if it is a `Time`.
+fn next_multiple(t: Time, m: Time) -> Option<Time> {
+    let below = t.div_euclid(m) * m;
+    match below == t {
+        true => Some(t),
+        false => below.checked_add(m),
+    }
 }
 
 /// One lifetime under `op`, from the definitions in `LifetimeOp`'s docs.
-fn lifetime(lt: Lifetime, op: &LifetimeOp) -> Option<Lifetime> {
+/// An endpoint past the range of `Time` is a `TimeOverflow` naming the
+/// operator as the plan display writes it, and the lifetime.
+fn lifetime(lt: Lifetime, op: &LifetimeOp) -> Result<Option<Lifetime>> {
     let (le, re) = (lt.start, lt.end);
-    let (start, end) = match *op {
-        LifetimeOp::Window(w) => (le, le + w),
+    let (ends, name) = match *op {
+        LifetimeOp::Window(w) => (
+            le.checked_add(w).map(|end| (le, end)),
+            format!("Window w={w}"),
+        ),
         // The event belongs to the snapshots at the grid instants `T` with
         // `LE <= T < LE + width`: alive from the first of them until the
         // first grid instant past them all.
-        LifetimeOp::Hop { hop, width } => (next_multiple(le, hop), next_multiple(le + width, hop)),
-        LifetimeOp::Shift(d) => (le + d, re + d),
-        LifetimeOp::ExtendBack(d) => (le - d, re),
-        LifetimeOp::ToPoint => (le, le + 1),
+        LifetimeOp::Hop { hop, width } => (
+            next_multiple(le, hop).zip(le.checked_add(width).and_then(|r| next_multiple(r, hop))),
+            format!("HopWindow h={hop} w={width}"),
+        ),
+        LifetimeOp::Shift(d) => (
+            le.checked_add(d).zip(re.checked_add(d)),
+            format!("Shift {d}"),
+        ),
+        LifetimeOp::ExtendBack(d) => (
+            le.checked_sub(d).map(|start| (start, re)),
+            format!("ExtendBack {d}"),
+        ),
+        LifetimeOp::ToPoint => (Some((le, le + 1)), "ToPoint".to_string()),
     };
-    (start < end).then(|| Lifetime::new(start, end))
+    let (start, end) = ends.ok_or_else(|| {
+        TemporalError::TimeOverflow(format!("{name} moves [{le}, {re}) past the range of time"))
+    })?;
+    Ok((start < end).then(|| Lifetime::new(start, end)))
 }
 
 /// Snapshot aggregation by brute force: cut time at every endpoint of the
@@ -240,33 +267,28 @@ fn aggregate(schema: &Schema, events: &[Event], aggs: &[(String, AggExpr)]) -> R
             .collect::<Result<Vec<_>>>()?;
         args.push(row);
     }
+    // A SUM over a `Double` argument answers a Double, any other a Long.
+    let doubles: Vec<bool> = (aggs.iter())
+        .map(|(_, a)| {
+            matches!(a, AggExpr::Sum(_)) && a.infer_type(schema).ok() == Some(ColumnType::Double)
+        })
+        .collect();
     let cuts: BTreeSet<Time> = (events.iter())
         .flat_map(|e| [e.lifetime.start, e.lifetime.end])
         .collect();
     let cuts: Vec<Time> = cuts.into_iter().collect();
     let mut out: Vec<Event> = Vec::new();
-    // Where the current stretch of time with some event alive began.
-    let mut burst: Option<Time> = None;
     for piece in cuts.windows(2) {
         let (from, to) = (piece[0], piece[1]);
         let alive: Vec<usize> = (0..events.len())
             .filter(|&i| events[i].lifetime.contains(from))
             .collect();
         if alive.is_empty() {
-            burst = None;
             continue;
         }
-        let began = *burst.get_or_insert(from);
         let values = (aggs.iter().enumerate())
             .map(|(k, (name, a))| {
-                // SUM answers a Double from the first Double it meets
-                // until no event is alive any more.
-                let met_double = matches!(a, AggExpr::Sum(_))
-                    && (0..events.len()).any(|i| {
-                        (began..=from).contains(&events[i].lifetime.start)
-                            && matches!(args[i][k], Value::Double(_))
-                    });
-                agg_value(a, alive.iter().map(|&i| &args[i][k]), met_double).ok_or_else(|| {
+                agg_value(a, alive.iter().map(|&i| &args[i][k]), doubles[k]).ok_or_else(|| {
                     TemporalError::SumOverflow {
                         aggregate: name.clone(),
                         at: from,
@@ -299,12 +321,12 @@ fn agg_arg(a: &AggExpr) -> Option<&Expr> {
 
 /// One aggregate over one snapshot's argument values. Nulls are ignored,
 /// except by COUNT, which counts events; an empty SUM, AVG, STDDEV, MIN or
-/// MAX is Null. SUM answers a Long unless `met_double`, added up exactly in
-/// `i128`: `None` when the total does not fit a Long.
+/// MAX is Null. SUM answers a Double when `double`, and otherwise a Long
+/// added up exactly in `i128`: `None` when the total does not fit a Long.
 fn agg_value<'v>(
     a: &AggExpr,
     args: impl Iterator<Item = &'v Value>,
-    met_double: bool,
+    double: bool,
 ) -> Option<Value> {
     let args: Vec<&Value> = args.collect();
     let present: Vec<&Value> = args.iter().copied().filter(|v| !v.is_null()).collect();
@@ -314,7 +336,7 @@ fn agg_value<'v>(
     Some(match a {
         AggExpr::Count => Value::Long(args.len() as i64),
         AggExpr::Sum(_) if present.is_empty() => Value::Null,
-        AggExpr::Sum(_) if met_double => Value::Double(sum),
+        AggExpr::Sum(_) if double => Value::Double(sum),
         AggExpr::Sum(_) => {
             let total: i128 = present
                 .iter()
@@ -434,7 +456,7 @@ fn hop_udo(
     sorted.sort();
     let mut instants = BTreeSet::new();
     for e in &sorted {
-        let mut t = next_multiple(e.lifetime.start, hop);
+        let mut t = next_multiple(e.lifetime.start, hop).expect("a grid instant in range");
         while t < e.lifetime.start + width {
             instants.insert(t);
             t += hop;

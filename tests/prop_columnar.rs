@@ -1,29 +1,28 @@
 //! Kernel-level property tests for the engine's columns: every vectorized
 //! expression, predicate and lifetime kernel must be *observably
-//! identical* — values, selection, and error cases — to evaluating the
-//! same steps one row at a time by the language's definition
-//! ([`row_steps`]: `Expr::eval`, as the oracle evaluates it).
+//! identical* — values and selection — to evaluating the same steps one
+//! row at a time by the language's definition ([`row_steps`]:
+//! `Expr::eval`, as the oracle evaluates it).
 //!
 //! Each kernel is driven the only way production reaches it: as a step of
 //! [`fused_fragment`], both **dense** (first step of a fragment) and
 //! **after a selection** (behind a filter step, so leaf reads gather
 //! through the selection vector). Batches are routinely null-heavy, `0..`
-//! stream lengths include empty batches, and the expression generator
-//! raises errors as often as it produces values — the first failing
-//! *surviving* row must surface `Expr::eval`'s exact message.
+//! stream lengths include empty batches, and the expressions are the
+//! generator's well-typed trees, whose kernels cannot fail; a projection
+//! list with no type is refused before any row, as `row_steps` refuses it.
 //!
 //! The binary operators — TemporalJoin, AntiSemiJoin, Union — are held to
-//! the oracle over keys that collide on the hash and null key cells: the
-//! oracle's relation, or the oracle's error. A side whose cells do not
-//! inhabit their columns never reaches them: it is refused where it enters
-//! the engine, by name.
+//! the oracle over keys that collide on the hash and null key cells. A side
+//! whose cells do not inhabit their columns never reaches them: it is
+//! refused where it enters the engine, by name.
 
 mod common;
 
 use common::oracle::{self, Tolerance};
 use common::{
-    arb_events, arb_expr, arb_lifetime_op, batch_of, ill_typed_error, make_ill_typed, palette,
-    pred_menu, raw_proj, row_steps, schema, stream_of,
+    arb_events, arb_lifetime_op, arb_predicate, arb_typed_expr, batch_of, ill_typed_error,
+    make_ill_typed, palette, pred_menu, raw_proj, row_steps, schema, stream_of,
 };
 use proptest::prelude::*;
 use timr_suite::relation::schema::{ColumnType, Field};
@@ -52,6 +51,15 @@ fn assert_kernels_match_rows(
     Ok(())
 }
 
+/// A literal of `e`'s type to compare `e` with, drawn from `thresh`.
+fn threshold(e: &Expr, thresh: i64) -> Expr {
+    match e.infer_type(&schema()) {
+        Ok(ColumnType::Str) => lit(format!("u{}", thresh.rem_euclid(3))),
+        Ok(ColumnType::Bool) => Expr::Literal(Value::Bool(thresh > 0)),
+        _ => lit(thresh),
+    }
+}
+
 fn filter_step(predicate: Expr) -> FusedStep {
     FusedStep::Filter { predicate }
 }
@@ -70,21 +78,18 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The value kernels, dense: one projected column per random
-    /// expression holds every row's value bit for bit, and a failing batch
-    /// reports the *first* failing row's error — same row, same message.
-    ///
-    /// A projection type-checks its expressions first, so ill-typed trees
-    /// reach the kernels through a comparison inside a filter instead
-    /// (filters defer every type error to evaluation).
+    /// expression holds every row's value bit for bit, and the ordering
+    /// kernels compare it with a literal of its type.
     #[test]
     fn expression_kernels_match_rows_dense(
         events in arb_events(40),
-        e in arb_expr(),
+        e in arb_typed_expr(),
         thresh in -100i64..100,
     ) {
         let project = [FusedStep::Project { exprs: vec![("X".to_string(), e.clone())] }];
         assert_kernels_match_rows(&events, &project)?;
-        assert_kernels_match_rows(&events, &[filter_step(e.ge(lit(thresh)))])?;
+        let bound = threshold(&e, thresh);
+        assert_kernels_match_rows(&events, &[filter_step(e.ge(bound))])?;
     }
 
     /// The value kernels behind a selection: leaves gather through the
@@ -93,12 +98,12 @@ proptest! {
     #[test]
     fn expression_kernels_match_rows_after_a_selection(
         events in arb_events(40),
-        e in arb_expr(),
+        e in arb_typed_expr(),
         p in 0usize..8,
         thresh in -100i64..100,
     ) {
         // The second filter evaluates `e` (twice) under the first one's
-        // selection; `==` defers every type error in `e` to evaluation.
+        // selection; `==` compares values of every type.
         let steps = [
             filter_step(pred_menu(p, thresh)),
             filter_step(e.clone().eq(e)),
@@ -107,12 +112,11 @@ proptest! {
     }
 
     /// The predicate kernels, dense and selected: identical keep-sets
-    /// (Null → false) and identical first errors (non-boolean predicates
-    /// included) to `Expr::eval_predicate` row by row.
+    /// (Null → false) to `Expr::eval_predicate` row by row.
     #[test]
     fn predicate_kernels_match_rows(
         events in arb_events(40),
-        e in arb_expr(),
+        e in arb_predicate(),
         p in 0usize..8,
         thresh in -100i64..100,
     ) {
@@ -121,10 +125,9 @@ proptest! {
         assert_kernels_match_rows(&events, &selected)?;
     }
 
-    /// Multi-expression projections, dense and selected: row-major error
-    /// order across expressions (the smallest (row, expr) pair fails
-    /// first) and column stealing for passthroughs (repeated ones
-    /// included).
+    /// Multi-expression projections, dense and selected: column stealing
+    /// for passthroughs (repeated ones included), and a list holding an
+    /// expression with no type refused with its error.
     #[test]
     fn projection_matches_rows(
         events in arb_events(40),
@@ -264,14 +267,14 @@ fn key_pairs(n: usize) -> Vec<(String, String)> {
         .collect()
 }
 
-/// No residual, one that filters, and one that *errors* on exactly the
-/// candidate pairs whose `V`s sum to `k` (the missing column is only
-/// resolved where `OR` does not short-circuit past it).
+/// No residual, one that filters, and one that defers to a second
+/// comparison on exactly the candidate pairs whose `V`s sum to `k` (where
+/// `OR` does not short-circuit).
 fn residual(kind: usize, k: i64) -> Option<Expr> {
     match kind % 3 {
         0 => None,
         1 => Some(col("V").le(col("V.r"))),
-        _ => Some((col("V").add(col("V.r")).ne(lit(k))).or(col("Missing").gt(lit(0i64)))),
+        _ => Some((col("V").add(col("V.r")).ne(lit(k))).or(col("V").gt(col("V.r")))),
     }
 }
 
@@ -302,9 +305,9 @@ fn assert_oracle(first: &Events, want: Events, schema: &Schema) -> Result<(), Te
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// TemporalJoin over hash-colliding keys, null key cells, residuals
-    /// that filter and that fail: the oracle's relation, or its error. A
-    /// side with an ill-typed cell is refused before the join, by name.
+    /// TemporalJoin over hash-colliding keys, null key cells and residuals
+    /// that filter: the oracle's relation. A side with an ill-typed cell is
+    /// refused before the join, by name.
     #[test]
     fn temporal_join_is_one_answer_in_every_layout(
         left in arb_key_events(14),

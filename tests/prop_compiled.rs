@@ -2,14 +2,18 @@
 //! kernels, and the fused fragment's single steps: each step run in place
 //! on a batch must be *observably identical* to the language's definition,
 //! `Expr::eval` applied row by row (and to the oracle's lifetime
-//! definitions) — values, and the exact error of the first failing row —
-//! on one-event and random batches, and on storage the step owns and on
-//! storage another consumer still holds.
+//! definitions), on one-event and random batches, and on storage the step
+//! owns and on storage another consumer still holds. The expressions are
+//! the well-typed trees of the generator; a tree with no type is refused by
+//! every step with `Expr::infer_type`'s error, whatever the batch.
 
 mod common;
 
 use common::oracle;
-use common::{arb_events, arb_expr, arb_lifetime_op, arb_row, raw_proj, schema, stream_of};
+use common::{
+    arb_events, arb_ill_typed_expr, arb_lifetime_op, arb_predicate, arb_row, arb_typed_expr,
+    raw_proj, schema, stream_of,
+};
 use proptest::prelude::*;
 use timr_suite::relation::schema::Field;
 use timr_suite::relation::{Row, Schema};
@@ -59,13 +63,12 @@ fn project_reference(events: &[(i64, i64, Row)], exprs: &[(String, Expr)]) -> Re
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// An expression evaluated by the batch kernels, as a projection over
-    /// one event and over a random batch, is `Expr::eval`: equal values,
-    /// and where the reference fails, exactly its error (short-circuiting
-    /// included).
+    /// A well-typed expression evaluated by the batch kernels, as a
+    /// projection over one event and over a random batch, is `Expr::eval`:
+    /// equal values, bit for bit, and the schema `infer_type` gives.
     #[test]
     fn compiled_expr_matches_interpreter(
-        e in arb_expr(),
+        e in arb_typed_expr(),
         r in arb_row(),
         events in arb_events(24),
     ) {
@@ -76,12 +79,11 @@ proptest! {
         }
     }
 
-    /// Predicate semantics (Null → false, non-boolean → an error naming the
-    /// value) agree too, as a filter over one event and over a random
-    /// batch: the same survivors, or exactly the first failing row's error.
+    /// Predicate semantics (Null → false) agree too, as a filter over one
+    /// event and over a random batch: the same survivors.
     #[test]
     fn compiled_predicate_matches_interpreter(
-        e in arb_expr(),
+        e in arb_predicate(),
         r in arb_row(),
         events in arb_events(24),
     ) {
@@ -93,10 +95,9 @@ proptest! {
 
     /// The filter step keeps exactly the rows `Expr::eval_predicate`
     /// accepts, in order, on both the uniquely-owned and the shared-storage
-    /// path, fails with exactly its first failing row's error, and never
-    /// mutates a batch another consumer still holds.
+    /// path, and never mutates a batch another consumer still holds.
     #[test]
-    fn filter_matches_interpreted(events in arb_events(40), e in arb_expr()) {
+    fn filter_matches_interpreted(events in arb_events(40), e in arb_predicate()) {
         let input = batch(&events);
         let baseline = filter_reference(&events, &e);
         // Shared path: a clone of `input` is alive during the call.
@@ -114,7 +115,7 @@ proptest! {
     fn alter_lifetime_matches_interpreted(events in arb_events(40), op in arb_lifetime_op()) {
         let input = batch(&events);
         let rows = stream_of(&events);
-        let baseline = EventStream::new(schema(), oracle::alter_lifetime(rows.events(), &op));
+        let baseline = EventStream::new(schema(), oracle::alter_lifetime(rows.events(), &op).unwrap());
         let shared = alter_lifetime(input.clone(), &op).unwrap();
         let owned = alter_lifetime(batch(&events), &op).unwrap();
         prop_assert_eq!(input.into_stream(), rows, "shared input mutated");
@@ -124,7 +125,8 @@ proptest! {
 
     /// Projection — including the move-out of passthrough columns on the
     /// owned path — is `Expr::eval` per row, under the schema
-    /// `Expr::infer_type` gives, and fails with exactly its error.
+    /// `Expr::infer_type` gives; a list holding an expression with no type
+    /// is refused with its error.
     #[test]
     fn project_matches_interpreted(
         events in arb_events(40),
@@ -139,5 +141,25 @@ proptest! {
         prop_assert_eq!(input.into_stream(), stream_of(&events), "shared input mutated");
         prop_assert_eq!(&shared, &baseline);
         prop_assert_eq!(&owned, &baseline);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A tree that `Expr::infer_type` refuses is refused by a filter step
+    /// and by a projection with exactly that error, over an empty batch and
+    /// over a non-empty one: a type error is found before any row is read.
+    #[test]
+    fn an_ill_typed_step_is_infer_type_s_error_over_any_batch(
+        e in arb_ill_typed_expr(),
+        events in arb_events(24),
+    ) {
+        let want = e.infer_type(&schema()).unwrap_err();
+        for events in [Vec::new(), events] {
+            prop_assert_eq!(filter(batch(&events), &e), Err(want.clone()), "filter {}", &e);
+            let exprs = vec![("X".to_string(), e.clone())];
+            prop_assert_eq!(project(batch(&events), &exprs), Err(want.clone()), "project {}", &e);
+        }
     }
 }

@@ -646,13 +646,12 @@ proptest! {
         prop_assert!(matches!(sums.data(), ColumnData::Double(_)));
     }
 
-    /// A per-event step that fails on some values only: `V >= k OR X`,
-    /// where `X` is declared boolean but the batch holds integers there (the
-    /// column layout accepts what the schema does not promise), so the
-    /// predicate is non-boolean exactly on the rows with `V < k`. The walk
-    /// cuts the lowest failing group and reports what the oracle meets
-    /// first — the lowest failing group in key order, not the first failing
-    /// row; when nothing fails, it is the oracle's relation.
+    /// A per-event step that fails on some events only: `V < k`, shifted
+    /// to the end of time, then windowed, so the window moves the lifetime
+    /// of a kept event at `t > 400 - w` past the last instant. The walk cuts
+    /// the lowest failing group and reports what the oracle meets first —
+    /// the lowest failing group in key order, not the first failing row;
+    /// when nothing fails, it is the oracle's relation.
     #[test]
     fn a_failing_per_event_step_on_a_batch_reports_the_reference_s_error(
         events in prop::collection::vec((0i64..400, 0usize..64, 0i64..12), 1..60),
@@ -660,11 +659,18 @@ proptest! {
         k in 0i64..12,
         w in 1i64..50,
     ) {
-        let plan = flagged_plan(key_cols, k, w);
-        let batch = flagged_batch(&events);
+        let q = Query::new();
+        let out = q.source("in", payload()).group_apply(keys_of(key_cols), |g| {
+            g.filter(col("V").lt(lit(k)))
+                .shift(i64::MAX - 400)
+                .window(w)
+                .count("N")
+        });
+        let plan = q.build(vec![out]).unwrap();
+        let batch = EventBatch::from_stream(&palette_stream(&events)).unwrap();
         let srcs = bindings(vec![("in", batch.clone().into_stream())]);
         let want = oracle_single(&plan, &srcs);
-        let fails = events.iter().any(|&(_, _, v)| v < k);
+        let fails = events.iter().any(|&(t, _, v)| v < k && t > 400 - w);
         prop_assert_eq!(want.is_err(), fails);
         let got = on_batch(&plan, batch);
         match (&got, &want) {
@@ -702,20 +708,23 @@ proptest! {
         prop_assert!(out.events().iter().all(|e| matches!(e.payload.get(key_cols), Value::Double(_))));
     }
 
-    /// Groups that fail at different operators — a fused step, an aggregate
-    /// argument, a join run per run, a UDO — in whichever groups: the walk
-    /// reports what the oracle meets first, the lowest failing group in key
-    /// order and its first failing operator, text for text.
+    /// Groups that fail at different operators — a fused step, an
+    /// aggregate, a UDO — in whichever groups: the walk reports what the
+    /// oracle meets first, the lowest failing group in key order and its
+    /// first failing operator, text for text.
     #[test]
     fn groups_failing_at_different_operators_report_the_reference_s_error(
-        events in prop::collection::vec((0i64..200, 0i64..6, 0i64..12), 1..40),
+        events in prop::collection::vec((0i64..60, 0i64..6, 0i64..12), 1..40),
         step_k in 0i64..13,
         agg_k in 0i64..13,
-        join_k in 0i64..13,
         udo_v in 0i64..13,
     ) {
-        let plan = failing_operators_plan(step_k, agg_k, join_k, udo_v);
-        let batch = flagged_batch_of(&events);
+        let plan = failing_operators_plan(agg_k, udo_v);
+        // An event whose `V` is `step_k` sits at the end of time.
+        let events: Vec<_> = (events.iter())
+            .map(|&(t, a, v)| (if v == step_k { LATE } else { t }, a, v))
+            .collect();
+        let batch = batch_of(&events);
         let srcs = bindings(vec![("in", batch.clone().into_stream())]);
         let want = oracle_single(&plan, &srcs);
         let got = on_batch(&plan, batch);
@@ -726,31 +735,25 @@ proptest! {
     }
 }
 
-/// `in → GroupApply(A)` over [`flagged_payload`] (whose `X` holds `V`),
-/// with four operators that fail on chosen values: the filter `V >= step_k
-/// OR X` (non-boolean where `V < step_k`), the count-distinct argument
-/// `NOT (V >= agg_k OR X)` (where `V < agg_k`), a per-run join whose
-/// residual compares `X` with a boolean where the left `V` is `join_k`, and
-/// a UDO that fails on `V == udo_v`.
-fn failing_operators_plan(step_k: i64, agg_k: i64, join_k: i64, udo_v: i64) -> LogicalPlan {
+/// A time at the end of time: a window of 3 or more moves a point there
+/// past the last instant.
+const LATE: i64 = i64::MAX - 2;
+
+/// `in → GroupApply(A)` with three operators that fail on chosen events:
+/// a window that moves a [`LATE`] event past the last instant; a SUM of
+/// `MAX / ((V - agg_k)² + 1)`, which is `i64::MAX` where `V` is `agg_k`
+/// and positive elsewhere, so it leaves `i64` where such an event is alive
+/// beside another; and a UDO that fails on `V == udo_v`.
+fn failing_operators_plan(agg_k: i64, udo_v: i64) -> LogicalPlan {
     let q = Query::new();
-    let out = q.source("in", flagged_payload()).group_apply(&["A"], |g| {
-        let kept = g.filter(col("V").ge(lit(step_k)).or(col("X")));
-        let flag = col("V").ge(lit(agg_k)).or(col("X"));
-        let distinct = kept
-            .clone()
-            .window(5)
-            .aggregate(vec![("D".to_string(), AggExpr::CountDistinct(flag.not()))]);
-        let truth = timr_suite::temporal::Expr::Literal(Value::Bool(true));
-        let residual = col("V").ne(lit(join_k)).or(col("X").lt(truth));
-        let joined = kept
-            .clone()
-            .window(3)
-            .temporal_join(distinct, &[], Some(residual))
-            .project(vec![("V".to_string(), col("V"))]);
-        let pick = |c: &str| (c.to_string(), col(c));
+    let out = q.source("in", payload()).group_apply(&["A"], |g| {
+        let kept = g.window(3);
+        let d = || col("V").sub(lit(agg_k));
+        let big = lit(i64::MAX).div(d().mul(d()).add(lit(1i64)));
+        let summed = (kept.clone())
+            .aggregate(vec![("S".to_string(), AggExpr::Sum(big))])
+            .project(vec![("V".to_string(), col("S"))]);
         let udo = kept
-            .project(vec![pick("A"), pick("B"), pick("V")])
             .hop_udo(
                 10,
                 10,
@@ -759,50 +762,18 @@ fn failing_operators_plan(step_k: i64, agg_k: i64, join_k: i64, udo_v: i64) -> L
                     v: udo_v,
                 }),
             )
-            .project(vec![pick("V")]);
-        joined.union(udo)
+            .project(vec![("V".to_string(), col("V"))]);
+        summed.union(udo)
     });
     q.build(vec![out]).unwrap()
 }
 
-/// `payload()` plus a flag `X`, declared boolean.
-fn flagged_payload() -> Schema {
-    let mut fields = payload().fields().to_vec();
-    fields.push(Field::new("X", ColumnType::Bool));
-    Schema::new(fields)
-}
-
-/// `in → GroupApply(keys){filter(V >= k OR X) → window → count}`.
-fn flagged_plan(key_cols: usize, k: i64, w: i64) -> LogicalPlan {
-    let q = Query::new();
-    let out = q
-        .source("in", flagged_payload())
-        .group_apply(keys_of(key_cols), |g| {
-            g.filter(col("V").ge(lit(k)).or(col("X")))
-                .window(w)
-                .count("N")
-        });
-    q.build(vec![out]).unwrap()
-}
-
-/// A batch of [`flagged_payload`] whose `X` column holds `V` as integers.
-fn flagged_batch(events: &[(i64, usize, i64)]) -> EventBatch {
-    let palette = palette();
-    let cells = |f: &dyn Fn(&(i64, usize, i64)) -> i64| {
-        let data = ColumnData::Long(events.iter().map(f).collect());
-        Column::new(data, None)
-    };
-    let columns = vec![
-        cells(&|&(_, pi, _)| palette[pi % palette.len()].0),
-        cells(&|&(_, pi, _)| palette[pi % palette.len()].1),
-        cells(&|&(_, _, v)| v),
-        cells(&|&(_, _, v)| v),
-    ];
-    EventBatch::new(
-        events.iter().map(|e| e.0).collect(),
-        events.iter().map(|e| e.0 + 1).collect(),
-        ColumnBatch::new(flagged_payload(), columns, events.len()),
-    )
+/// Points `(t, a, v)` of [`payload`] as a batch, keyed `A = a`, `B = 0`.
+fn batch_of(events: &[(i64, i64, i64)]) -> EventBatch {
+    let events = (events.iter())
+        .map(|&(t, a, v)| Event::point(t, row![a, 0i64, v]))
+        .collect();
+    EventBatch::from_stream(&EventStream::new(payload(), events)).unwrap()
 }
 
 /// The cases the property above leaves to chance, pinned: two adjacent
@@ -890,46 +861,79 @@ fn a_double_in_an_integer_sum_takes_the_sweep() {
     assert_eq!((stats.groups, stats.pane_groups), (1, 0));
 }
 
-/// A payload batch built column by column, each column holding whatever
-/// storage it is handed: how a test gets cells the declared type does not
-/// promise past the engine's edge, to make an operator fail on them.
-fn raw_batch(times: &[i64], columns: Vec<Column>) -> EventBatch {
-    EventBatch::new(
-        times.to_vec(),
-        times.iter().map(|t| t + 1).collect(),
-        ColumnBatch::new(payload(), columns, times.len()),
-    )
+/// A UDO that hands back its window with `V` as strings: a batch of its
+/// output schema whose column does not hold its field's type.
+#[derive(Debug)]
+struct Mistyped;
+
+impl WindowUdo for Mistyped {
+    fn name(&self) -> &str {
+        "mistyped"
+    }
+
+    fn output_schema(&self, input: &Schema) -> timr_suite::temporal::Result<Schema> {
+        Ok(input.clone())
+    }
+
+    fn apply(
+        &self,
+        _window_end: i64,
+        window: &EventBatch,
+    ) -> timr_suite::temporal::Result<ColumnBatch> {
+        let (schema, mut columns, rows) = window.payload().clone().into_parts();
+        let strs = StrCodes::from_strs(std::iter::repeat_n("x", rows));
+        columns[2] = Column::new(ColumnData::Str(strs), None);
+        Ok(ColumnBatch::new(schema, columns, rows))
+    }
 }
 
-/// An argument error in the kernel is the oracle's: the lowest failing
-/// group in key order, its first failing event. `B` holds booleans and `V`
-/// strings (nulls aside), so `V * 2 + B * 2` fails on a string `V`, and on
-/// a boolean `B` where `V` is null.
+/// A batch whose column does not hold its field's type stops where it
+/// enters the engine, with an input error naming the source (or the UDO)
+/// and the column, before any operator reads it: a binding at the top
+/// level (whose window would fail on its late event), a binding a
+/// GroupApply's sub-plan reads, and a UDO's output inside a GroupApply.
+/// A column whose every slot is null may carry any storage.
 #[test]
-fn pane_argument_errors_keep_the_reference_s_order() {
-    let arg = col("V").mul(lit(2i64)).add(col("B").mul(lit(2i64)));
-    let plan = hop_aggregate_plan(1, 10, 10, vec![("S".to_string(), AggExpr::Sum(arg))], false);
-    let validity = |nulls: &[bool]| timr_suite::relation::column::Validity::from_null_flags(nulls);
-    let batch = raw_batch(
-        &[1, 2, 3, 4, 5],
-        vec![
-            Column::new(ColumnData::Long(vec![3, 1, 2, 2, 2]), None),
-            Column::new(
-                ColumnData::Bool(vec![true, false, false, false, false]),
-                validity(&[false, true, true, true, false]),
-            ),
-            Column::new(
-                ColumnData::Str(StrCodes::from_strs(["", "", "", "x", ""])),
-                validity(&[true, true, true, false, true]),
-            ),
-        ],
+fn a_batch_that_contradicts_its_schema_stops_at_the_edge() {
+    let strings = |nulls: &[bool]| {
+        let strs = StrCodes::from_strs(std::iter::repeat_n("x", nulls.len()));
+        let validity = timr_suite::relation::column::Validity::from_null_flags(nulls);
+        Column::new(ColumnData::Str(strs), validity)
+    };
+    let mistyped = |v: Column| {
+        let (vt, ve, payload) = batch_of(&[(1, 0, 1), (LATE, 1, 2)]).into_parts();
+        let (schema, mut columns, rows) = payload.into_parts();
+        columns[2] = v;
+        EventBatch::new(vt, ve, ColumnBatch::new(schema, columns, rows))
+    };
+    let mismatch =
+        |name: &str| format!("input error: {name}: type mismatch in `V`: expected long, got str");
+    let q = Query::new();
+    let out = q.source("in", payload()).window(5).count("N");
+    let windowed = q.build(vec![out]).unwrap();
+    assert_eq!(
+        on_batch(&windowed, mistyped(strings(&[false, true]))),
+        Err(mismatch("source `in`"))
     );
-    // Group 3 fails first in input order (a boolean `B`); group 1 is fine;
-    // group 2 is the lowest failing group, on its string `V`.
-    let srcs = bindings(vec![("in", batch.clone().into_stream())]);
-    let reference = oracle::run_single(&plan, &srcs).unwrap_err().to_string();
-    assert_eq!(reference, "eval error: expected integer, got str");
-    assert_eq!(on_batch(&plan, batch), Err(reference));
+    // All null: the window is what fails, on the late event.
+    let err = on_batch(&windowed, mistyped(strings(&[true, true]))).unwrap_err();
+    assert!(err.contains("past the range of time"), "{err}");
+    // A sub-plan's outer source.
+    let plan = outer_source_plan(1, 5);
+    let mut bound = BatchBindings::default();
+    bound.insert("in".to_string(), batch_of(&[(1, 0, 1), (2, 1, 2)]));
+    bound.insert("side".to_string(), mistyped(strings(&[false, false])));
+    let err = execute(&plan, bound).unwrap_err().to_string();
+    assert_eq!(err, mismatch("source `side`"));
+    // A UDO's output.
+    let q = Query::new();
+    let out = (q.source("in", payload()))
+        .group_apply(&["A"], |g| g.hop_udo(10, 10, Arc::new(Mistyped)).count("N"));
+    let plan = q.build(vec![out]).unwrap();
+    assert_eq!(
+        on_batch(&plan, batch_of(&[(1, 0, 1), (2, 1, 2)])),
+        Err(mismatch("UDO `mistyped`"))
+    );
 }
 
 /// The pinned case of the property above: group `a` passes the first UDO
@@ -973,63 +977,73 @@ fn the_lower_group_s_later_error_wins() {
     assert_eq!(err.to_string(), reference);
 }
 
-/// A segmented kernel failing past the first group, on cells the declared
-/// type does not promise (`X` holds `V`). Group 1 fails in the aggregate's
-/// argument, group 2 already in the filter before it; group 0's only event
-/// is filtered out (a null `X`).
+/// A segmented kernel failing past the first group. Group 1 fails in the
+/// aggregate (two `i64::MAX` sums), group 2 already in the fused step
+/// before it (a window past the last instant); group 0's only event, which
+/// the window would fail on too, is filtered out.
 #[test]
 fn kernel_errors_keep_the_reference_s_order() {
     let q = Query::new();
-    let out = q.source("in", flagged_payload()).group_apply(&["A"], |g| {
-        g.filter(col("V").ge(lit(5i64)).or(col("X")))
-            .aggregate(vec![("D".into(), AggExpr::CountDistinct(col("X").not()))])
+    let out = q.source("in", payload()).group_apply(&["A"], |g| {
+        g.filter(col("V").ge(lit(5i64)))
+            .window(3)
+            .aggregate(vec![("S".into(), AggExpr::Sum(col("V")))])
     });
     let plan = q.build(vec![out]).unwrap();
-    let mut batch = flagged_batch_of(&[(1, 0, 1), (2, 2, 3), (3, 1, 9)]);
-    let (vt, ve, payload) = batch.into_parts();
-    let (schema, mut columns, rows) = payload.into_parts();
-    let x = columns.pop().unwrap().into_parts().0;
-    let nulls = timr_suite::relation::column::Validity::from_null_flags(&[true, false, false]);
-    columns.push(Column::new(x, nulls));
-    batch = EventBatch::new(vt, ve, ColumnBatch::new(schema, columns, rows));
+    let max = i64::MAX;
+    let batch = batch_of(&[(LATE, 0, 1), (LATE, 2, 9), (1, 1, max), (2, 1, max)]);
     let srcs = bindings(vec![("in", batch.clone().into_stream())]);
     let reference = oracle::run_single(&plan, &srcs).unwrap_err().to_string();
-    // The aggregate's complaint about group 1's `X`, not the filter's
-    // about group 2's.
-    assert_eq!(reference, "eval error: NOT on non-boolean");
+    // The aggregate's complaint about group 1, not the window's about
+    // group 2.
+    assert_eq!(
+        reference,
+        "sum overflow: aggregate `S` at instant 2 leaves the range of a long"
+    );
     assert_eq!(on_batch(&plan, batch), Err(reference));
 }
 
 /// BotElim's shape — two filtered counts off one group, a union, a
 /// projection — over a batch whose step fails only in the second branch,
-/// and there only in later groups: `V >= 5 OR X`, with `X` declared boolean
-/// but holding `V`, fails on a `V` below 5. Group 3's failing row comes
-/// first in input order, group 2's is the one a group-at-a-time evaluation
-/// meets first. The walk cuts group 3, then group 2, and reports the
-/// oracle's error, text for text.
+/// and there only in later groups: `V < 5` windowed by 5 fails on the
+/// events at the end of time. Group 3's failing row comes first in input
+/// order, group 2's is the one a group-at-a-time evaluation meets first.
+/// The walk cuts group 3, then group 2, and reports the oracle's error,
+/// text for text.
 #[test]
 fn a_bot_elim_shaped_walk_reports_the_reference_s_error() {
     let q = Query::new();
-    let out = q.source("in", flagged_payload()).group_apply(&["A"], |g| {
+    let out = q.source("in", payload()).group_apply(&["A"], |g| {
         let low = g
             .clone()
             .filter(col("V").lt(lit(100i64)))
             .count("N")
             .filter(col("N").gt(lit(1i64)));
         let high = g
-            .filter(col("V").ge(lit(5i64)).or(col("X")))
+            .filter(col("V").lt(lit(5i64)))
+            .window(5)
             .count("N")
             .filter(col("N").gt(lit(0i64)));
         low.union(high)
             .project(vec![("Hit".to_string(), lit(1i64))])
     });
     let plan = q.build(vec![out]).unwrap();
-    let batch = flagged_batch_of(&[(1, 3, 4), (2, 1, 9), (3, 2, 9), (4, 2, 3), (5, 1, 7)]);
+    let (max, late) = (i64::MAX, i64::MAX - 2);
+    let batch = batch_of(&[
+        (max - 4, 3, 4),
+        (2, 1, 9),
+        (3, 2, 9),
+        (late, 2, 3),
+        (5, 1, 7),
+    ]);
     let srcs = bindings(vec![("in", batch.clone().into_stream())]);
     let reference = oracle::run_single(&plan, &srcs).unwrap_err().to_string();
     assert_eq!(
         reference,
-        "eval error: predicate evaluated to non-boolean 3"
+        format!(
+            "time overflow: Window w=5 moves [{late}, {}) past the range of time",
+            late + 1
+        )
     );
     assert_eq!(on_batch(&plan, batch), Err(reference));
 }
@@ -1059,24 +1073,6 @@ fn a_nested_group_apply_counts_its_groups_once() {
     let inner: std::collections::BTreeSet<_> = (0..5).map(|i| palette[i]).collect();
     assert_eq!(stats.groups, (outer.len() + inner.len()) as u64);
     assert_eq!(stats.per_run_nodes, 1);
-}
-
-/// [`flagged_batch`] with the key `A` given: `(t, a, v)`.
-fn flagged_batch_of(events: &[(i64, i64, i64)]) -> EventBatch {
-    let cells = |f: &dyn Fn(&(i64, i64, i64)) -> i64| {
-        Column::new(ColumnData::Long(events.iter().map(f).collect()), None)
-    };
-    let columns = vec![
-        cells(&|e| e.1),
-        cells(&|_| 0),
-        cells(&|e| e.2),
-        cells(&|e| e.2),
-    ];
-    EventBatch::new(
-        events.iter().map(|e| e.0).collect(),
-        events.iter().map(|e| e.0 + 1).collect(),
-        ColumnBatch::new(flagged_payload(), columns, events.len()),
-    )
 }
 
 /// The four `BtPipeline` plans over a 200-user log, each fed the previous
